@@ -329,7 +329,7 @@ fn run_distributed(shm: bool) -> (Duration, u64, u64, u64) {
 }
 
 /// Distributed rounds per transport; the reported time is the minimum,
-/// for the same reason net_bench keeps per-round minima.
+/// the least noise-inflated estimate on a shared runner.
 const DISTRIB_ROUNDS: usize = 3;
 
 fn best_distributed(shm: bool) -> (Duration, u64, u64, u64) {

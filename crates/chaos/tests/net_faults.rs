@@ -310,7 +310,10 @@ fn shm_attach_chaos_replays_bit_for_bit_from_seed() {
     // Partial rate: some pairs degrade, some ride rings. The segment
     // identity hashes the directed pair (not a counter), so two runs of
     // one seed must agree on every fallback — and on every observable
-    // the run produces.
+    // the run produces. Both tallies are seed-determined here: the
+    // records are a few KiB against a 4 MiB arena, so no ring-full
+    // deadline (load, not seed) can add a fallback, and a node never
+    // pulls from itself, so which pairs exist is fixed by the mapping.
     let run = |seed| {
         let spec = FaultSpec::parse("shm-attach:0.5").unwrap();
         let injector = FaultInjector::new(Arc::new(FaultPlan::new(seed, spec)));
@@ -341,6 +344,11 @@ fn shm_attach_chaos_replays_bit_for_bit_from_seed() {
     assert_eq!(a.verify_failures, b.verify_failures);
     assert_eq!(a.gets, b.gets);
     assert_eq!(a_frames, b_frames, "ring traffic must replay bit-for-bit");
+    // Each ring record ticks once at its producer and once at its
+    // consumer; an odd tally is a record popped into a registry that
+    // already held it — the node-to-itself pull that used to race the
+    // local put.
+    assert_eq!(a_frames % 2, 0, "every ring record is counted at both ends");
     assert_eq!(
         a_fallbacks, b_fallbacks,
         "fallbacks must replay bit-for-bit"

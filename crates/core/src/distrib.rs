@@ -79,8 +79,8 @@ pub struct ServeOptions {
     /// full peer-address table in `Welcome`, `PullData` flows over
     /// direct node↔node connections, and the hub carries control
     /// traffic only (asserted by the `net.pull_frames_hub` counter
-    /// staying at zero). Off by default: star mode routes everything
-    /// through the hub.
+    /// staying at zero). Off by default: star routing relays
+    /// everything through the hub.
     pub p2p: bool,
     /// Allow same-host joiner pairs to move `PullData` payloads through
     /// shared-memory segments instead of the socket. On by default; off
@@ -349,7 +349,7 @@ where
     // Bind the direct-pull listener up front, on the same interface the
     // server connection uses, and advertise it in Hello. Whether peers
     // actually dial it is the server's call: an empty peer table in
-    // Welcome means star mode and the listener is simply dropped.
+    // Welcome means star routing and the link simply drops it.
     let local_ip = stream
         .local_addr()
         .map_err(|e| format!("socket setup: {e}"))?
@@ -422,28 +422,17 @@ where
     }
 
     let cpn = scenario.cores_per_node;
-    let link = if peers.is_empty() {
-        NetLink::new(
-            stream,
-            node,
-            cpn,
-            get_timeout,
-            opts.injector.clone(),
-            metrics,
-        )
-    } else {
-        NetLink::new_p2p(
-            stream,
-            node,
-            cpn,
-            get_timeout,
-            opts.injector.clone(),
-            metrics,
-            peers,
-            peer_listener,
-            opts.timeout.min(Duration::from_secs(5)),
-        )
-    }
+    let link = NetLink::new(
+        stream,
+        node,
+        cpn,
+        get_timeout,
+        opts.injector.clone(),
+        metrics,
+        peers,
+        peer_listener,
+        opts.timeout.min(Duration::from_secs(5)),
+    )
     .map_err(|e| e.to_string())?;
     link.set_flight(opts.flight.clone());
     link.set_shm(hosts);
@@ -673,6 +662,11 @@ mod tests {
         assert!(
             snap.counter("net.pull_frames_hub") > 0,
             "PullData must ride the hub when shm is off"
+        );
+        assert_eq!(
+            snap.counter("net.pull_frames_p2p"),
+            0,
+            "a star-routed run has no direct links to count"
         );
     }
 

@@ -1,5 +1,8 @@
-//! The connection layer: counted, fault-gated frame I/O over
-//! `std::net::TcpStream`, per-peer writer threads and retrying connect.
+//! The connection layer: the `net.*` counters, retrying connect, and
+//! counted, fault-gated *blocking* frame I/O over `std::net::TcpStream`
+//! — used only where one side waits on the other by design (the
+//! Hello/Welcome handshake, the service's RPC clients). Everything past
+//! the handshake moves through the [`crate::reactor`].
 //!
 //! Fault gating is by frame class, decided here (the caller of the
 //! codec), not in the chaos plan: only fault-eligible frames — the
@@ -13,7 +16,6 @@
 use crate::frame::{Frame, FrameError};
 use insitu_fabric::{FaultAction, FaultInjector, NetOp};
 use insitu_telemetry::{Counter, Gauge, Recorder};
-use insitu_util::channel::{unbounded, Receiver, Sender};
 use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
@@ -68,17 +70,18 @@ pub struct NetMetrics {
     pub frames: Counter,
     /// Connect attempts that failed and were retried.
     pub reconnects: Counter,
-    /// PullData frames routed through the hub (star topology). The p2p
-    /// acceptance gate asserts this stays zero in reactor mode: the hub
+    /// PullData frames the hub relayed (star routing). The p2p
+    /// acceptance gate asserts this stays zero under `--p2p`: the hub
     /// must carry control traffic only.
     pub pull_hub: Counter,
-    /// PullData frames staged on direct node↔node links (p2p topology).
+    /// PullData frames a link sent on a direct node↔node connection
+    /// (p2p routing); zero on star-routed runs.
     pub pull_p2p: Counter,
-    /// SubPush frames routed through the hub (star topology). Like
-    /// `pull_hub`, the p2p acceptance gate asserts this stays zero in
-    /// reactor mode.
+    /// SubPush frames the hub relayed (star routing). Like `pull_hub`,
+    /// the p2p acceptance gate asserts this stays zero under `--p2p`.
     pub sub_push_hub: Counter,
-    /// SubPush frames staged on direct node↔node links (p2p topology).
+    /// SubPush frames a link sent on a direct node↔node connection
+    /// (p2p routing).
     pub sub_push_p2p: Counter,
     /// Link-stall episodes declared by the service watchdog (no pull
     /// progress within its stall window, or p99 drift past its factor).
@@ -95,8 +98,8 @@ pub struct NetMetrics {
     /// Pulls requested but not yet landed, kept current by the link.
     pub pulls_in_flight: Gauge,
     /// Bytes staged on this process's reactor send paths, encoded but
-    /// not yet flushed to a socket — the wire-side queue depth. Stays 0
-    /// in star mode, where the writer threads block instead of staging.
+    /// not yet flushed to a socket — the wire-side queue depth, under
+    /// either routing policy.
     pub bytes_in_flight: Gauge,
 }
 
@@ -122,6 +125,24 @@ impl NetMetrics {
     }
 }
 
+/// Offer `frame` to the `net.send` / `net.recv` fault site `op` if it
+/// is fault-eligible. `false` means the wire "lost" it; a `Delay`
+/// verdict sleeps the calling thread first.
+pub(crate) fn passes_fault_site(frame: &Frame, op: NetOp, injector: &FaultInjector) -> bool {
+    if !frame.fault_eligible() {
+        return true;
+    }
+    let (a, b) = frame.fault_ids();
+    match injector.on_net(op, frame.kind(), a, b) {
+        FaultAction::Drop => false,
+        FaultAction::Delay(d) => {
+            std::thread::sleep(d);
+            true
+        }
+        FaultAction::Proceed => true,
+    }
+}
+
 /// Write one frame, consulting the `net.send` fault site for
 /// fault-eligible frames (pull data and telemetry batches). A dropped
 /// frame is silently not written (the wire "lost" it); a delayed frame
@@ -132,13 +153,8 @@ pub fn send_frame(
     injector: &FaultInjector,
     metrics: &NetMetrics,
 ) -> Result<(), NetError> {
-    if frame.fault_eligible() {
-        let (a, b) = frame.fault_ids();
-        match injector.on_net(NetOp::Send, frame.kind(), a, b) {
-            FaultAction::Drop => return Ok(()),
-            FaultAction::Delay(d) => std::thread::sleep(d),
-            FaultAction::Proceed => {}
-        }
+    if !passes_fault_site(frame, NetOp::Send, injector) {
+        return Ok(());
     }
     let bytes = frame.encode();
     stream
@@ -160,18 +176,12 @@ pub fn recv_frame(
     metrics: &NetMetrics,
 ) -> Result<Frame, NetError> {
     loop {
-        let frame = Frame::read_from(stream)?;
-        metrics.bytes_recv.add(frame.encode().len() as u64);
+        let (frame, wire_len) = Frame::read_counted(stream)?;
+        metrics.bytes_recv.add(wire_len as u64);
         metrics.frames.inc();
-        if frame.fault_eligible() {
-            let (a, b) = frame.fault_ids();
-            match injector.on_net(NetOp::Recv, frame.kind(), a, b) {
-                FaultAction::Drop => continue,
-                FaultAction::Delay(d) => std::thread::sleep(d),
-                FaultAction::Proceed => {}
-            }
+        if passes_fault_site(&frame, NetOp::Recv, injector) {
+            return Ok(frame);
         }
-        return Ok(frame);
     }
 }
 
@@ -228,92 +238,6 @@ pub fn connect_with_retry(
     }
 }
 
-/// What a writer thread dequeues.
-enum Out {
-    Frame(Frame),
-    Close,
-}
-
-/// A cloneable handle that enqueues frames for a peer's writer thread.
-/// FIFO per peer: frames hit the wire in enqueue order, which — over
-/// TCP's own ordering — is what the wave barriers rely on.
-#[derive(Clone)]
-pub struct PeerHandle {
-    tx: Sender<Out>,
-}
-
-impl PeerHandle {
-    /// Enqueue `frame`; never blocks. Silently ignored after close or
-    /// writer failure (the peer is gone either way, and the run-level
-    /// barriers surface that).
-    pub fn send(&self, frame: Frame) {
-        let _ = self.tx.send(Out::Frame(frame));
-    }
-}
-
-/// One peer's writer: a dedicated thread draining an unbounded queue
-/// onto the socket, so protocol threads never block on peer sockets.
-pub struct Peer {
-    tx: Sender<Out>,
-    writer: std::sync::Mutex<Option<std::thread::JoinHandle<()>>>,
-}
-
-impl Peer {
-    /// Spawn the writer thread over its own clone of `stream`.
-    pub fn spawn(
-        stream: TcpStream,
-        injector: FaultInjector,
-        metrics: NetMetrics,
-        label: String,
-    ) -> std::io::Result<Peer> {
-        let mut stream = stream;
-        let (tx, rx): (Sender<Out>, Receiver<Out>) = unbounded();
-        let writer = std::thread::Builder::new()
-            .name(format!("net-writer-{label}"))
-            .spawn(move || {
-                while let Ok(Out::Frame(frame)) = rx.recv() {
-                    if send_frame(&mut stream, &frame, &injector, &metrics).is_err() {
-                        // The peer hung up; drain silently so senders
-                        // never block. The run-level barriers report it.
-                        break;
-                    }
-                }
-            })?;
-        Ok(Peer {
-            tx,
-            writer: std::sync::Mutex::new(Some(writer)),
-        })
-    }
-
-    /// A cloneable enqueue handle for other threads.
-    pub fn handle(&self) -> PeerHandle {
-        PeerHandle {
-            tx: self.tx.clone(),
-        }
-    }
-
-    /// Enqueue `frame`.
-    pub fn send(&self, frame: Frame) {
-        let _ = self.tx.send(Out::Frame(frame));
-    }
-
-    /// Flush and stop: the writer drains every queued frame onto the
-    /// wire, then exits; blocks until it has. Frames sent after close
-    /// are silently discarded (the peer is gone).
-    pub fn close(&self) {
-        let _ = self.tx.send(Out::Close);
-        if let Some(h) = self.writer.lock().unwrap().take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for Peer {
-    fn drop(&mut self) {
-        self.close();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -342,21 +266,50 @@ mod tests {
     }
 
     #[test]
-    fn writer_thread_preserves_fifo_and_flushes_on_close() {
-        let (a, mut b) = pair();
+    fn bytes_recv_equals_bytes_sent_for_a_mixed_batch() {
+        let (mut a, mut b) = pair();
         let inj = FaultInjector::none();
-        let m = NetMetrics::new(&Recorder::disabled());
-        let peer = Peer::spawn(a, inj.clone(), m.clone(), "test".into()).unwrap();
-        for wave in 0..32 {
-            peer.send(Frame::RunWave { wave });
+        let sent = NetMetrics::new(&Recorder::disabled());
+        let recvd = NetMetrics::new(&Recorder::disabled());
+        let batch = vec![
+            Frame::RunWave { wave: 1 },
+            Frame::PullData {
+                name: 7,
+                version: 2,
+                piece: 3 << 32,
+                owner: 3,
+                to_node: 0,
+                // Multi-MiB: larger than any socket buffer, so the
+                // reader must run concurrently with the writer.
+                data: (0..3u32 << 20).map(|i| i as u8).collect(),
+            },
+            Frame::PullNack {
+                name: 7,
+                version: 2,
+                piece: 1,
+                to_node: 1,
+            },
+            Frame::Shutdown {
+                ok: false,
+                reason: "mixed batch".into(),
+            },
+        ];
+        let expected = batch.clone();
+        let writer = {
+            let (inj, sent) = (inj.clone(), sent.clone());
+            std::thread::spawn(move || {
+                for frame in &batch {
+                    send_frame(&mut a, frame, &inj, &sent).unwrap();
+                }
+            })
+        };
+        for frame in &expected {
+            assert_eq!(&recv_frame(&mut b, &inj, &recvd).unwrap(), frame);
         }
-        peer.close();
-        for wave in 0..32 {
-            assert_eq!(
-                recv_frame(&mut b, &inj, &m).unwrap(),
-                Frame::RunWave { wave }
-            );
-        }
+        writer.join().unwrap();
+        let wire: u64 = expected.iter().map(|f| f.encode().len() as u64).sum();
+        assert_eq!(sent.bytes_sent.get(), wire);
+        assert_eq!(recvd.bytes_recv.get(), sent.bytes_sent.get());
     }
 
     #[test]

@@ -1443,6 +1443,12 @@ impl Frame {
     /// length word also maps to `Io` (connection closed). Malformed
     /// content is rejected with the corresponding decode error.
     pub fn read_from(r: &mut impl Read) -> Result<Frame, FrameError> {
+        Frame::read_counted(r).map(|(frame, _)| frame)
+    }
+
+    /// [`Frame::read_from`], also returning the frame's size on the
+    /// wire (length word included) for byte accounting.
+    pub fn read_counted(r: &mut impl Read) -> Result<(Frame, usize), FrameError> {
         let mut lenb = [0u8; 4];
         read_exact(r, &mut lenb)?;
         let len = u32::from_le_bytes(lenb);
@@ -1451,7 +1457,8 @@ impl Frame {
         }
         let mut body = vec![0u8; len as usize];
         read_exact(r, &mut body)?;
-        Frame::decode(body[0], body[1], &body[2..])
+        let frame = Frame::decode(body[0], body[1], &body[2..])?;
+        Ok((frame, lenb.len() + body.len()))
     }
 
     /// Write the encoded frame to a blocking stream.

@@ -1,21 +1,20 @@
 //! The workflow-server hub: accepts one TCP connection per simulated
-//! node, runs the Hello/Welcome handshake, and routes control traffic.
+//! node, runs the Hello/Welcome handshake, then adopts every joiner
+//! connection onto one [`Reactor`] event-loop thread and routes frames
+//! between them.
 //!
-//! Two transports, same protocol:
+//! Routing is a policy, not a second transport. A star-routed run
+//! (`p2p: false`) ships no peer table, so joiners address everything —
+//! including bulk `PullData`, `SubPush` and the shm control frames — up
+//! their hub connection and the hub relays it. A `p2p: true` run ships
+//! each joiner's advertised peer address in the `Welcome`, so
+//! `PullRequest`/`PullData`/`PullNack`/`SubPush` flow directly
+//! node↔node and the hub carries only control traffic (registration,
+//! dispatch relays, wave barriers, DHT mirror broadcasts, reports,
+//! shutdown). `net.pull_frames_hub` / `net.sub_push_hub` count what the
+//! hub relays, and the launch gate asserts they stay zero under p2p.
 //!
-//! - **Star** (`p2p: false`): one FIFO writer thread plus one routing
-//!   reader thread per joiner; every frame — including bulk `PullData`
-//!   — transits the hub.
-//! - **Reactor** (`p2p: true`): all joiner connections live on one
-//!   [`Reactor`] event-loop thread, and the `Welcome` carries each
-//!   joiner's advertised peer address so `PullRequest`/`PullData`/
-//!   `PullNack` flow directly node↔node. The hub carries only control
-//!   traffic (registration, dispatch relays, wave barriers, DHT mirror
-//!   broadcasts, reports, shutdown); `net.pull_frames_hub` counts any
-//!   PullData that still shows up here, and the launch gate asserts it
-//!   stays zero.
-//!
-//! Routing rules (both modes):
+//! Routing rules:
 //!
 //! - `Relay` goes to the node hosting the destination client
 //!   (`to / cores_per_node`).
@@ -32,17 +31,18 @@
 //!   are answered with `TelemetryAck` — the shipper's one-in-flight
 //!   flow control.
 //!
-//! Because each connection preserves FIFO order (writer queue or staged
-//! reactor buffer) and TCP preserves order, forwarding a joiner's
-//! mirror frames *before* the next wave's `RunWave` guarantees every
-//! replica sees wave N's DHT state before any wave N+1 task runs — the
-//! ordering the wave barriers rely on.
+//! Because each connection's staged reactor buffer preserves FIFO order
+//! and TCP preserves order, forwarding a joiner's mirror frames
+//! *before* the next wave's `RunWave` guarantees every replica sees
+//! wave N's DHT state before any wave N+1 task runs — the ordering the
+//! wave barriers rely on.
 
-use crate::conn::{recv_frame, send_frame, NetError, NetMetrics, Peer, PeerHandle};
+use crate::conn::{recv_frame, send_frame, NetError, NetMetrics};
 use crate::frame::{Frame, NodeReport};
 use crate::reactor::{ConnEvent, Reactor, ReactorHandle, Token};
 use insitu_fabric::FaultInjector;
 use insitu_obs::{Event, ProcessTrace};
+use insitu_util::Poller;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Condvar, Mutex};
@@ -67,8 +67,8 @@ pub struct HubConfig {
     pub run_epoch: u64,
     /// How long to wait for all joiners to connect and greet.
     pub accept_timeout: Duration,
-    /// Reactor mode: serve all joiners from one event-loop thread and
-    /// publish their peer addresses so PullData flows node↔node.
+    /// Publish the joiners' peer addresses in `Welcome` so PullData
+    /// and SubPush flow node↔node; off, the hub relays them.
     pub p2p: bool,
     /// Publish the joiners' host fingerprints in `Welcome` so same-host
     /// pairs can carry PullData over shared-memory segments. When off,
@@ -76,9 +76,15 @@ pub struct HubConfig {
     pub shm: bool,
 }
 
-/// State shared between the hub's readers and the wave engine.
-struct Shared {
+/// The hub's one router: everything a connection sink needs to relay a
+/// frame or land it in the state the wave engine waits on.
+struct Router {
     nodes: u32,
+    cores_per_node: u32,
+    handle: ReactorHandle,
+    /// Each node's connection token on the reactor.
+    tokens: Vec<Token>,
+    metrics: NetMetrics,
     inner: Mutex<Inner>,
     changed: Condvar,
 }
@@ -91,12 +97,6 @@ struct Inner {
     reports: Vec<Option<NodeReport>>,
     /// Connection-level failures (peer hangups, protocol violations).
     failures: Vec<String>,
-    /// Diagnostics from `PutNotify`: announced registrations and bytes.
-    puts_announced: u64,
-    put_bytes_announced: u64,
-    /// Diagnostics from `SubLagged`: versions subscribers lost to their
-    /// bounded queues across the run.
-    subs_lagged_announced: u64,
     /// Flight-recorder shipments, accumulating per node until the
     /// `last` batch marks a trace complete.
     telemetry: HashMap<u32, NodeTelemetry>,
@@ -117,44 +117,11 @@ struct NodeTelemetry {
     counters: Vec<(String, u64)>,
 }
 
-impl Shared {
-    fn fail(&self, why: String) {
-        self.inner.lock().unwrap().failures.push(why);
-        self.changed.notify_all();
-    }
-}
-
-/// Per-node send paths, by transport mode.
-enum Links {
-    Star(Vec<Peer>),
-    P2p {
-        reactor: Reactor,
-        tokens: Vec<Token>,
-    },
-}
-
-/// A cheaply-clonable "enqueue for node N" fan-out used by the routing
-/// code in both modes.
-#[derive(Clone)]
-enum TxSet {
-    Star(Vec<PeerHandle>),
-    P2p(ReactorHandle, Vec<Token>),
-}
-
-impl TxSet {
-    fn send_to(&self, node: u32, frame: Frame) {
-        match self {
-            TxSet::Star(handles) => handles[node as usize].send(frame),
-            TxSet::P2p(handle, tokens) => handle.send(tokens[node as usize], frame),
-        }
-    }
-}
-
 /// The server's end of every joiner connection.
 pub struct Hub {
-    links: Links,
+    reactor: Reactor,
+    router: Arc<Router>,
     addrs: Vec<std::net::SocketAddr>,
-    shared: Arc<Shared>,
 }
 
 impl Hub {
@@ -162,8 +129,8 @@ impl Hub {
     ///
     /// The handshake is two-phase: every joiner's `Hello` (with its
     /// advertised peer address) is collected first, then all `Welcome`s
-    /// go out — in reactor mode the `Welcome` carries the complete peer
-    /// address table, which only exists once everyone has arrived.
+    /// go out — under p2p routing the `Welcome` carries the complete
+    /// peer address table, which only exists once everyone has arrived.
     /// Fails with a clear [`NetError::Timeout`] if the joiners do not
     /// all arrive within `cfg.accept_timeout`.
     pub fn accept(
@@ -173,16 +140,18 @@ impl Hub {
         metrics: &NetMetrics,
     ) -> Result<Hub, NetError> {
         let deadline = Instant::now() + cfg.accept_timeout;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| NetError::Io(e.to_string()))?;
+        let io_err = |e: std::io::Error| NetError::Io(e.to_string());
+        // Park on the listener's readiness, the deadline as timeout.
+        let backlog = Poller::new();
+        backlog.register_listener(0, listener).map_err(io_err)?;
         // Phase 1: collect every joiner's stream, advertised address and
         // host fingerprint.
         let mut slots: Vec<Option<(TcpStream, String, String)>> =
             (0..cfg.nodes).map(|_| None).collect();
         let mut joined = 0;
         while joined < cfg.nodes {
-            if Instant::now() >= deadline {
+            let now = Instant::now();
+            if now >= deadline {
                 return Err(NetError::Timeout(format!(
                     "only {joined} of {} joiners connected within {}ms",
                     cfg.nodes,
@@ -195,12 +164,14 @@ impl Hub {
                     joined += 1;
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
+                    backlog.poll(deadline - now);
                 }
-                Err(e) => return Err(NetError::Io(e.to_string())),
+                Err(e) => return Err(io_err(e)),
             }
         }
+        drop(backlog);
         let mut streams = Vec::new();
+        let mut addrs = Vec::new();
         let mut peer_addrs = Vec::new();
         let mut hosts = Vec::new();
         for (node, slot) in slots.into_iter().enumerate() {
@@ -210,6 +181,7 @@ impl Hub {
                     "p2p run, but node {node} advertises no peer address"
                 )));
             }
+            addrs.push(stream.peer_addr().map_err(io_err)?);
             streams.push(stream);
             peer_addrs.push(peer_addr);
             hosts.push(host);
@@ -236,106 +208,42 @@ impl Hub {
                 injector,
                 metrics,
             )?;
-            stream
-                .set_read_timeout(None)
-                .map_err(|e| NetError::Io(e.to_string()))?;
+            stream.set_read_timeout(None).map_err(io_err)?;
         }
 
-        let shared = Arc::new(Shared {
+        // From here on the reactor moves every frame.
+        let reactor = Reactor::spawn("hub", injector.clone(), metrics.clone()).map_err(io_err)?;
+        let handle = reactor.handle();
+        let router = Arc::new(Router {
             nodes: cfg.nodes,
+            cores_per_node: cfg.cores_per_node,
+            tokens: (0..cfg.nodes).map(|_| handle.alloc_token()).collect(),
+            handle,
+            metrics: metrics.clone(),
             inner: Mutex::new(Inner {
                 reports: (0..cfg.nodes).map(|_| None).collect(),
                 ..Inner::default()
             }),
             changed: Condvar::new(),
         });
-        let mut addrs = Vec::new();
-        for stream in &streams {
-            addrs.push(
-                stream
-                    .peer_addr()
-                    .map_err(|e| NetError::Io(e.to_string()))?,
+        for (node, stream) in streams.into_iter().enumerate() {
+            let r = Arc::clone(&router);
+            router.handle.add_stream(
+                router.tokens[node],
+                stream,
+                Box::new(move |ev| r.on_event(node as u32, ev)),
             );
         }
-
-        let links = if cfg.p2p {
-            let reactor = Reactor::spawn("hub", injector.clone(), metrics.clone())
-                .map_err(|e| NetError::Io(e.to_string()))?;
-            let handle = reactor.handle();
-            let tokens: Vec<Token> = (0..cfg.nodes).map(|_| handle.alloc_token()).collect();
-            let tx = TxSet::P2p(handle.clone(), tokens.clone());
-            for (node, stream) in streams.into_iter().enumerate() {
-                let node = node as u32;
-                let tx = tx.clone();
-                let shared = Arc::clone(&shared);
-                let cores_per_node = cfg.cores_per_node;
-                let metrics = metrics.clone();
-                handle.add_stream(
-                    tokens[node as usize],
-                    stream,
-                    Box::new(move |ev| match ev {
-                        ConnEvent::Frame(frame) => {
-                            route(node, frame, cores_per_node, &shared, &tx, &metrics);
-                        }
-                        ConnEvent::Closed(reason) => {
-                            let reported =
-                                shared.inner.lock().unwrap().reports[node as usize].is_some();
-                            if reason.is_empty() {
-                                if !reported {
-                                    shared.fail(format!("node {node} hung up before reporting"));
-                                }
-                            } else {
-                                shared.fail(format!("connection to node {node}: {reason}"));
-                            }
-                        }
-                    }),
-                );
-            }
-            Links::P2p { reactor, tokens }
-        } else {
-            let mut peers = Vec::new();
-            for (node, stream) in streams.iter().enumerate() {
-                let clone = stream
-                    .try_clone()
-                    .map_err(|e| NetError::Io(e.to_string()))?;
-                peers.push(
-                    Peer::spawn(
-                        clone,
-                        injector.clone(),
-                        metrics.clone(),
-                        format!("hub-to-{node}"),
-                    )
-                    .map_err(|e| NetError::Io(e.to_string()))?,
-                );
-            }
-            let tx = TxSet::Star(peers.iter().map(Peer::handle).collect());
-            for (node, stream) in streams.into_iter().enumerate() {
-                spawn_reader(
-                    node as u32,
-                    stream,
-                    cfg.cores_per_node,
-                    tx.clone(),
-                    Arc::clone(&shared),
-                    injector.clone(),
-                    metrics.clone(),
-                )
-                .map_err(|e| NetError::Io(e.to_string()))?;
-            }
-            Links::Star(peers)
-        };
         Ok(Hub {
-            links,
+            reactor,
+            router,
             addrs,
-            shared,
         })
     }
 
     /// Enqueue a frame for one node.
     pub fn send_to(&self, node: u32, frame: Frame) {
-        match &self.links {
-            Links::Star(peers) => peers[node as usize].send(frame),
-            Links::P2p { reactor, tokens } => reactor.handle().send(tokens[node as usize], frame),
-        }
+        self.router.send_to(node, frame);
     }
 
     /// The socket address the joiner hosting `node` connected from —
@@ -346,7 +254,7 @@ impl Hub {
 
     /// Enqueue a frame for every node.
     pub fn broadcast(&self, frame: Frame) {
-        for node in 0..self.addrs.len() as u32 {
+        for node in 0..self.router.nodes {
             self.send_to(node, frame.clone());
         }
     }
@@ -354,65 +262,27 @@ impl Hub {
     /// Block until every node reported wave `wave`'s barrier. Fails if
     /// a peer failure is recorded or `timeout` expires first.
     pub fn wait_barrier(&self, wave: u32, timeout: Duration) -> Result<(), NetError> {
-        let deadline = Instant::now() + timeout;
-        let mut inner = self.shared.inner.lock().unwrap();
-        loop {
-            if !inner.failures.is_empty() {
-                return Err(NetError::Io(inner.failures.join("; ")));
-            }
-            if inner
-                .barriers
-                .get(&wave)
-                .is_some_and(|s| s.len() as u32 == self.shared.nodes)
-            {
-                inner.barriers.remove(&wave);
-                return Ok(());
-            }
-            let now = Instant::now();
-            if now >= deadline {
+        let nodes = self.router.nodes as usize;
+        self.router
+            .wait_for(&format!("wave {wave} barrier"), timeout, |inner| {
                 let arrived = inner.barriers.get(&wave).map_or(0, HashSet::len);
-                return Err(NetError::Timeout(format!(
-                    "wave {wave} barrier: {arrived} of {} nodes within {}ms",
-                    self.shared.nodes,
-                    timeout.as_millis()
-                )));
-            }
-            inner = self
-                .shared
-                .changed
-                .wait_timeout(inner, deadline - now)
-                .unwrap()
-                .0;
-        }
+                if arrived < nodes {
+                    return Err(arrived);
+                }
+                inner.barriers.remove(&wave);
+                Ok(())
+            })
     }
 
     /// Block until every node's final [`NodeReport`] arrived.
     pub fn collect_reports(&self, timeout: Duration) -> Result<Vec<NodeReport>, NetError> {
-        let deadline = Instant::now() + timeout;
-        let mut inner = self.shared.inner.lock().unwrap();
-        loop {
-            if !inner.failures.is_empty() {
-                return Err(NetError::Io(inner.failures.join("; ")));
+        self.router.wait_for("reports", timeout, |inner| {
+            let arrived: Vec<_> = inner.reports.iter().flatten().cloned().collect();
+            if arrived.len() < inner.reports.len() {
+                return Err(arrived.len());
             }
-            if inner.reports.iter().all(Option::is_some) {
-                return Ok(inner.reports.iter().flatten().cloned().collect());
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                let arrived = inner.reports.iter().flatten().count();
-                return Err(NetError::Timeout(format!(
-                    "reports: {arrived} of {} nodes within {}ms",
-                    self.shared.nodes,
-                    timeout.as_millis()
-                )));
-            }
-            inner = self
-                .shared
-                .changed
-                .wait_timeout(inner, deadline - now)
-                .unwrap()
-                .0;
-        }
+            Ok(arrived)
+        })
     }
 
     /// Drain the telemetry the joiners shipped, as merge inputs: one
@@ -425,62 +295,31 @@ impl Hub {
     /// FIFO and joiners ship telemetry before their `Report`, so every
     /// batch that survived the wire has landed by then.
     pub fn take_telemetry(&self) -> Vec<ProcessTrace> {
-        let mut inner = self.shared.inner.lock().unwrap();
+        let mut inner = self.router.inner.lock().unwrap();
         let mut shipped = std::mem::take(&mut inner.telemetry);
-        (0..self.shared.nodes)
-            .map(|node| match shipped.remove(&node) {
-                Some(t) => ProcessTrace {
+        (0..self.router.nodes)
+            .map(|node| {
+                let t = shipped.remove(&node).unwrap_or_default();
+                ProcessTrace {
                     node,
                     events: t.events,
                     dropped: t.dropped_events,
                     dropped_spans: t.dropped_spans,
                     counters: t.counters.into_iter().collect::<BTreeMap<_, _>>(),
                     complete: t.last_seen && !t.gap,
-                },
-                None => ProcessTrace {
-                    node,
-                    events: Vec::new(),
-                    dropped: 0,
-                    dropped_spans: 0,
-                    counters: BTreeMap::new(),
-                    complete: false,
-                },
+                }
             })
             .collect()
     }
 
-    /// Buffer registrations announced via `PutNotify`: `(count, bytes)`.
-    pub fn puts_announced(&self) -> (u64, u64) {
-        let inner = self.shared.inner.lock().unwrap();
-        (inner.puts_announced, inner.put_bytes_announced)
-    }
-
-    /// Versions announced lost to bounded subscriber queues (`SubLagged`).
-    pub fn subs_lagged(&self) -> u64 {
-        self.shared.inner.lock().unwrap().subs_lagged_announced
-    }
-
-    /// Connection-level failures recorded so far.
-    pub fn failures(&self) -> Vec<String> {
-        self.shared.inner.lock().unwrap().failures.clone()
-    }
-
     /// Broadcast `Shutdown`, flush every staged frame onto the wire and
-    /// stop the transport. Reader threads (star) exit on their own when
-    /// the joiners close their sockets.
-    pub fn shutdown(mut self, ok: bool, reason: &str) {
+    /// stop the event loop.
+    pub fn shutdown(self, ok: bool, reason: &str) {
         self.broadcast(Frame::Shutdown {
             ok,
             reason: reason.to_string(),
         });
-        match &mut self.links {
-            Links::Star(peers) => {
-                for peer in peers {
-                    peer.close();
-                }
-            }
-            Links::P2p { reactor, .. } => reactor.shutdown(),
-        }
+        self.reactor.shutdown();
     }
 }
 
@@ -527,180 +366,278 @@ fn read_hello(
     Ok(node)
 }
 
-/// Route one frame arriving from `node`. Shared by the star reader
-/// threads and the reactor sinks. Returns `false` when the frame was a
-/// protocol violation (recorded in `shared`); the star reader stops on
-/// that, the reactor keeps the loop alive for the other connections.
-fn route(
-    node: u32,
-    frame: Frame,
-    cores_per_node: u32,
-    shared: &Shared,
-    tx: &TxSet,
-    metrics: &NetMetrics,
-) -> bool {
-    match frame {
-        Frame::Relay { to, .. } => {
-            tx.send_to(to / cores_per_node, frame);
+impl Router {
+    fn send_to(&self, node: u32, frame: Frame) {
+        self.handle.send(self.tokens[node as usize], frame);
+    }
+
+    /// Forward `from`'s frame to node `to`. The destination comes from
+    /// the joiner's payload: one outside the run fails the run, not the
+    /// hub.
+    fn relay(&self, from: u32, to: u32, frame: Frame) {
+        if to < self.nodes {
+            return self.send_to(to, frame);
         }
-        Frame::PullRequest { piece, .. } => {
-            let owner_node = ((piece >> 32) as u32) / cores_per_node;
-            tx.send_to(owner_node, frame);
-        }
-        Frame::PullData { to_node, .. } => {
-            // Data plane through the control plane. Expected in star
-            // mode; the p2p acceptance gate asserts this counter stays
-            // zero in reactor mode.
-            metrics.pull_hub.inc();
-            tx.send_to(to_node, frame);
-        }
-        Frame::PullNack { to_node, .. } => {
-            tx.send_to(to_node, frame);
-        }
-        // Shm control frames ride the hub in star mode exactly like the
-        // pull frames they replace — offers and doorbells go to the
-        // consumer, acks back to the producer. The payloads themselves
-        // never transit here: they sit in the pair's segment.
-        Frame::ShmOffer { dst_node, .. } | Frame::ShmDoorbell { dst_node, .. } => {
-            tx.send_to(dst_node, frame);
-        }
-        Frame::ShmAck { src_node, .. } => {
-            tx.send_to(src_node, frame);
-        }
-        Frame::DhtInsert { .. } | Frame::GetDone { .. } | Frame::Evict { .. } => {
-            for n in 0..shared.nodes {
-                if n != node {
-                    tx.send_to(n, frame.clone());
-                }
-            }
-        }
-        Frame::Subscribe { sub_id, .. } => {
-            // Replicate the standing query everywhere, then release the
-            // origin's registration rendezvous with an ack.
-            for n in 0..shared.nodes {
-                if n != node {
-                    tx.send_to(n, frame.clone());
-                }
-            }
-            tx.send_to(
-                node,
-                Frame::SubAck {
-                    sub_id,
-                    to_node: node,
-                },
-            );
-        }
-        Frame::SubCancel { .. } => {
-            for n in 0..shared.nodes {
-                if n != node {
-                    tx.send_to(n, frame.clone());
-                }
-            }
-        }
-        Frame::SubPush { subscriber, .. } => {
-            // Push plane through the control plane. Expected in star
-            // mode; the p2p acceptance gate asserts this counter stays
-            // zero in reactor mode.
-            metrics.sub_push_hub.inc();
-            tx.send_to(subscriber / cores_per_node, frame);
-        }
-        Frame::SubLagged { .. } => {
-            shared.inner.lock().unwrap().subs_lagged_announced += 1;
-        }
-        Frame::PutNotify { bytes, .. } => {
-            let mut inner = shared.inner.lock().unwrap();
-            inner.puts_announced += 1;
-            inner.put_bytes_announced += bytes;
-        }
-        Frame::Barrier { wave, node: from } => {
-            shared
-                .inner
-                .lock()
-                .unwrap()
-                .barriers
-                .entry(wave)
-                .or_default()
-                .insert(from);
-            shared.changed.notify_all();
-        }
-        Frame::Report(report) => {
-            let slot = report.node as usize;
-            shared.inner.lock().unwrap().reports[slot] = Some(report);
-            shared.changed.notify_all();
-        }
-        Frame::Telemetry {
-            batch,
-            last,
-            dropped_events,
-            dropped_spans,
-            counters,
-            events,
-            ..
-        } => {
-            {
-                let mut inner = shared.inner.lock().unwrap();
-                // Keyed by the connection's node, not the frame field:
-                // the connection identity is authenticated by the
-                // handshake, the payload is not.
-                let t = inner.telemetry.entry(node).or_default();
-                if batch != t.next_batch {
-                    t.gap = true;
-                }
-                t.next_batch = batch.saturating_add(1);
-                t.events.extend(events);
-                if last {
-                    t.last_seen = true;
-                    t.dropped_events = dropped_events;
-                    t.dropped_spans = dropped_spans;
-                    t.counters = counters;
-                }
-            }
-            // The ack releases the shipper's next batch — one batch in
-            // flight per node, so telemetry cannot flood the hub.
-            tx.send_to(node, Frame::TelemetryAck { node, batch });
-        }
-        other => {
-            shared.fail(format!(
-                "node {node} sent unexpected frame kind {}",
-                other.kind()
-            ));
-            return false;
+        self.fail(format!(
+            "node {from} sent frame kind {} addressed to node {to} of {}",
+            frame.kind(),
+            self.nodes
+        ));
+    }
+
+    /// Enqueue `frame` for every node but `origin` (which already
+    /// applied its own change).
+    fn send_to_others(&self, origin: u32, frame: &Frame) {
+        for node in (0..self.nodes).filter(|&n| n != origin) {
+            self.send_to(node, frame.clone());
         }
     }
-    true
+
+    fn fail(&self, why: String) {
+        self.inner.lock().unwrap().failures.push(why);
+        self.changed.notify_all();
+    }
+
+    /// Block until `check` yields a value, a failure is recorded, or
+    /// `timeout` expires; while unmet, `check` reports how many nodes
+    /// have arrived, for the timeout message.
+    fn wait_for<T>(
+        &self,
+        what: &str,
+        timeout: Duration,
+        mut check: impl FnMut(&mut Inner) -> Result<T, usize>,
+    ) -> Result<T, NetError> {
+        let deadline = Instant::now() + timeout;
+        let mut inner = self.inner.lock().unwrap();
+        loop {
+            if !inner.failures.is_empty() {
+                return Err(NetError::Io(inner.failures.join("; ")));
+            }
+            let arrived = match check(&mut inner) {
+                Ok(value) => return Ok(value),
+                Err(arrived) => arrived,
+            };
+            let now = Instant::now();
+            if now >= deadline {
+                return Err(NetError::Timeout(format!(
+                    "{what}: {arrived} of {} nodes within {}ms",
+                    self.nodes,
+                    timeout.as_millis()
+                )));
+            }
+            inner = self.changed.wait_timeout(inner, deadline - now).unwrap().0;
+        }
+    }
+
+    /// The sink of `node`'s connection, on the reactor thread.
+    fn on_event(&self, node: u32, ev: ConnEvent) {
+        match ev {
+            ConnEvent::Frame(frame) => self.route(node, frame),
+            // EOF is a clean hangup only after the node reported;
+            // mid-run it is a crashed joiner.
+            ConnEvent::Closed(reason) if reason.is_empty() => {
+                let reported = self.inner.lock().unwrap().reports[node as usize].is_some();
+                if !reported {
+                    self.fail(format!("node {node} hung up before reporting"));
+                }
+            }
+            ConnEvent::Closed(reason) => {
+                self.fail(format!("connection to node {node}: {reason}"));
+            }
+        }
+    }
+
+    /// Route one frame arriving from `node`. A protocol violation fails
+    /// the run and the loop stays alive for the other connections.
+    fn route(&self, node: u32, frame: Frame) {
+        match frame {
+            Frame::Relay { to, .. } => self.relay(node, to / self.cores_per_node, frame),
+            Frame::PullRequest { piece, .. } => {
+                let owner_node = ((piece >> 32) as u32) / self.cores_per_node;
+                self.relay(node, owner_node, frame);
+            }
+            Frame::PullData { to_node, .. } => {
+                // Data plane through the control plane. Expected under
+                // star routing; the p2p acceptance gate asserts this
+                // counter stays zero.
+                self.metrics.pull_hub.inc();
+                self.relay(node, to_node, frame);
+            }
+            Frame::PullNack { to_node, .. } => self.relay(node, to_node, frame),
+            // Shm control frames ride the hub under star routing
+            // exactly like the pull frames they replace — offers and
+            // doorbells go to the consumer, acks back to the producer.
+            // The payloads themselves never transit here: they sit in
+            // the pair's segment.
+            Frame::ShmOffer { dst_node, .. } | Frame::ShmDoorbell { dst_node, .. } => {
+                self.relay(node, dst_node, frame);
+            }
+            Frame::ShmAck { src_node, .. } => self.relay(node, src_node, frame),
+            Frame::DhtInsert { .. }
+            | Frame::GetDone { .. }
+            | Frame::Evict { .. }
+            | Frame::SubCancel { .. } => self.send_to_others(node, &frame),
+            Frame::Subscribe { sub_id, .. } => {
+                // Replicate the standing query everywhere, then release
+                // the origin's registration rendezvous with an ack.
+                self.send_to_others(node, &frame);
+                let to_node = node;
+                self.send_to(node, Frame::SubAck { sub_id, to_node });
+            }
+            Frame::SubPush { subscriber, .. } => {
+                // Push plane through the control plane. Expected under
+                // star routing; the p2p acceptance gate asserts this
+                // counter stays zero.
+                self.metrics.sub_push_hub.inc();
+                self.relay(node, subscriber / self.cores_per_node, frame);
+            }
+            // Announcements with nothing to route.
+            Frame::PutNotify { .. } | Frame::SubLagged { .. } => {}
+            // Hub state is keyed by the connection's node, not a frame
+            // field: the connection identity is authenticated by the
+            // handshake, the payload is not.
+            Frame::Barrier { wave, .. } => {
+                let mut inner = self.inner.lock().unwrap();
+                inner.barriers.entry(wave).or_default().insert(node);
+                self.changed.notify_all();
+            }
+            Frame::Report(report) => {
+                self.inner.lock().unwrap().reports[node as usize] = Some(report);
+                self.changed.notify_all();
+            }
+            Frame::Telemetry {
+                batch,
+                last,
+                dropped_events,
+                dropped_spans,
+                counters,
+                events,
+                ..
+            } => {
+                {
+                    let mut inner = self.inner.lock().unwrap();
+                    let t = inner.telemetry.entry(node).or_default();
+                    if batch != t.next_batch {
+                        t.gap = true;
+                    }
+                    t.next_batch = batch.saturating_add(1);
+                    t.events.extend(events);
+                    if last {
+                        t.last_seen = true;
+                        t.dropped_events = dropped_events;
+                        t.dropped_spans = dropped_spans;
+                        t.counters = counters;
+                    }
+                }
+                // The ack releases the shipper's next batch — one batch
+                // in flight per node, so telemetry cannot flood the hub.
+                self.send_to(node, Frame::TelemetryAck { node, batch });
+            }
+            other => self.fail(format!(
+                "node {node} sent unexpected frame kind {}",
+                other.kind()
+            )),
+        }
+    }
 }
 
-/// Spawn the routing reader for one joiner connection (star mode).
-fn spawn_reader(
-    node: u32,
-    mut stream: TcpStream,
-    cores_per_node: u32,
-    tx: TxSet,
-    shared: Arc<Shared>,
-    injector: FaultInjector,
-    metrics: NetMetrics,
-) -> std::io::Result<std::thread::JoinHandle<()>> {
-    std::thread::Builder::new()
-        .name(format!("net-hub-from-{node}"))
-        .spawn(move || loop {
-            let frame = match recv_frame(&mut stream, &injector, &metrics) {
-                Ok(f) => f,
-                Err(NetError::Frame(crate::frame::FrameError::Truncated)) => {
-                    // EOF is a clean hangup only after the node reported;
-                    // mid-run it is a crashed joiner.
-                    let reported = shared.inner.lock().unwrap().reports[node as usize].is_some();
-                    if !reported {
-                        shared.fail(format!("node {node} hung up before reporting"));
-                    }
-                    return;
-                }
-                Err(e) => {
-                    shared.fail(format!("connection to node {node}: {e}"));
-                    return;
-                }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use insitu_telemetry::Recorder;
+    use std::io::Write;
+
+    /// A star-routed hub with `nodes` greeted raw-socket joiners.
+    fn star_hub(nodes: u32) -> (Hub, Vec<TcpStream>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let inj = FaultInjector::none();
+        let m = NetMetrics::new(&Recorder::disabled());
+        let mut joiners = Vec::new();
+        for node in 0..nodes {
+            let mut s = TcpStream::connect(addr).unwrap();
+            let hello = Frame::Hello {
+                node,
+                peer_addr: String::new(),
+                host: String::new(),
             };
-            if !route(node, frame, cores_per_node, &shared, &tx, &metrics) {
-                return;
+            send_frame(&mut s, &hello, &inj, &m).unwrap();
+            joiners.push(s);
+        }
+        let cfg = HubConfig {
+            nodes,
+            cores_per_node: 1,
+            strategy: "data-centric".into(),
+            get_timeout_ms: 1000,
+            dag: String::new(),
+            config: String::new(),
+            run_epoch: 0,
+            accept_timeout: Duration::from_secs(10),
+            p2p: false,
+            shm: false,
+        };
+        let hub = Hub::accept(&listener, &cfg, &inj, &m).unwrap();
+        for s in &mut joiners {
+            s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            let welcome = recv_frame(s, &inj, &m).unwrap();
+            assert!(matches!(welcome, Frame::Welcome { ref peers, .. } if peers.is_empty()));
+        }
+        (hub, joiners)
+    }
+
+    /// A hostile joiner on a star-routed run fails that run with one
+    /// error naming its node — never a hub panic — and the other
+    /// joiners still hear `Shutdown`. Node 1 writes `bytes`, then
+    /// either hangs up or keeps its socket open past the verdict.
+    fn hostile_joiner_fails_the_run(bytes: &[u8], hang_up: bool, expect: &str) {
+        let (hub, mut joiners) = star_hub(3);
+        let mut hostile = Some(joiners.remove(1));
+        hostile.as_mut().unwrap().write_all(bytes).unwrap();
+        if hang_up {
+            hostile = None;
+        }
+        let err = hub.wait_barrier(0, Duration::from_secs(10)).unwrap_err();
+        let NetError::Io(why) = err else {
+            panic!("expected the connection failure, got {err:?}");
+        };
+        assert!(why.contains("node 1") && why.contains(expect), "{why}");
+        assert!(!why.contains("; "), "more than one failure: {why}");
+        hub.shutdown(false, &why);
+        let inj = FaultInjector::none();
+        let m = NetMetrics::new(&Recorder::disabled());
+        for s in &mut joiners {
+            match recv_frame(s, &inj, &m).unwrap() {
+                Frame::Shutdown { ok: false, reason } => assert_eq!(reason, why),
+                other => panic!("expected Shutdown, got kind {}", other.kind()),
             }
-        })
+        }
+        drop(hostile);
+    }
+
+    #[test]
+    fn oversized_length_word_fails_the_star_run_naming_the_node() {
+        // The socket stays open: the failure must come from the bytes.
+        let mut bytes = u32::MAX.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[0u8; 8]);
+        hostile_joiner_fails_the_run(&bytes, false, "protocol");
+    }
+
+    #[test]
+    fn frame_addressed_outside_the_run_fails_it_without_panicking_the_hub() {
+        let stray = Frame::PullNack {
+            name: 1,
+            version: 2,
+            piece: 3,
+            to_node: 999,
+        };
+        hostile_joiner_fails_the_run(&stray.encode(), false, "addressed to node 999");
+    }
+
+    #[test]
+    fn hangup_mid_frame_fails_the_star_run_naming_the_node() {
+        // A length word promising 100 bytes, 10 delivered, gone.
+        let mut bytes = 100u32.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[0u8; 10]);
+        hostile_joiner_fails_the_run(&bytes, true, "hung up before reporting");
+    }
 }

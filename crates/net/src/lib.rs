@@ -7,7 +7,7 @@
 //! plus one process per simulated node — while the layers above keep
 //! their exact in-process semantics:
 //!
-//! - [`frame`] — the length-prefixed, versioned binary codec: 31
+//! - [`frame`] — the length-prefixed, versioned binary codec: 36
 //!   message types covering registration (`Hello`/`Welcome`), task
 //!   dispatch (`Relay` + `RunWave`/`Barrier`), buffer movement
 //!   (`PutNotify`, `PullRequest`, `PullData`, `PullNack`), DHT-replica
@@ -16,33 +16,39 @@
 //!   (`Submit`/`Submitted`, `Cancel`, `Status`/`RunStatus`,
 //!   `ListRuns`/`RunList`, `RunResult`/`RunReport`, `RpcErr`), the
 //!   telemetry plane (`Telemetry`/`TelemetryAck` batch shipping,
-//!   `Watch`/`Progress` live run streaming) and the intra-host
-//!   shared-memory control frames (`ShmOffer`/`ShmAck`/`ShmDoorbell`).
+//!   `Watch`/`Progress` live run streaming), the intra-host
+//!   shared-memory control frames (`ShmOffer`/`ShmAck`/`ShmDoorbell`)
+//!   and the standing-query plane (`Subscribe`/`SubAck`/`SubPush`/
+//!   `SubCancel`/`SubLagged`).
 //!   Decoding rejects malformed input, never panics.
 //!   The shm control frames coordinate `insitu_util::shm` segments:
 //!   same-host pairs move `PullData` payloads through a
 //!   producer-created `/dev/shm` ring instead of the socket, zero-copy.
-//! - [`conn`] — counted, fault-gated frame I/O over
-//!   `std::net::TcpStream`: per-peer FIFO writer threads, retrying
-//!   connect with a hard deadline, and the `net.*` telemetry counters.
-//! - [`reactor`] — the non-blocking event loop: one thread owns every
-//!   connection, readiness comes from the `insitu_util::Poller` shim,
-//!   small messages coalesce into batched writes, and thread count
-//!   stays O(1) per process no matter how many peers connect.
-//! - [`hub`] — the workflow server's router. In star mode joiners only
-//!   ever talk to the hub, which forwards relays, routes pulls by the
-//!   owner packed in the buffer key, broadcasts DHT mirror traffic and
-//!   runs the wave barriers. In reactor (p2p) mode the hub serves all
-//!   joiners from one event loop and carries control traffic only —
-//!   `PullData` flows directly node↔node.
-//! - [`link`] — the joiner's end: implements `insitu_dart::Transport`
-//!   and `insitu_cods::SpaceMirror` over the hub connection (and, in
-//!   p2p mode, lazily-dialed direct peer connections), demuxes
-//!   incoming frames into the local mailboxes / registry / DHT replica
-//!   and surfaces `RunWave`/`Shutdown` to the wave loop.
+//! - [`conn`] — the `net.*` telemetry counters, retrying connect with a
+//!   hard deadline, and counted, fault-gated *blocking* frame I/O for
+//!   the Hello/Welcome handshake and RPC clients.
+//! - [`reactor`] — the one I/O model past the handshake: a single
+//!   event-loop thread per process owns every connection, readiness
+//!   comes from `insitu_util::Poller` (`epoll`), small messages
+//!   coalesce into batched writes, and thread count stays O(1) per
+//!   process no matter how many peers connect or how frames are routed.
+//! - [`hub`] — the workflow server's router, on one reactor. It
+//!   forwards relays, routes pulls by the owner packed in the buffer
+//!   key, broadcasts DHT mirror traffic and runs the wave barriers.
+//!   Star vs p2p is a routing policy decided by whether the `Welcome`
+//!   ships a peer table: without one the hub also relays `PullData`,
+//!   `SubPush` and the shm control frames; with one it carries control
+//!   traffic only and `PullData` flows directly node↔node.
+//! - [`link`] — the joiner's end, on one reactor: implements
+//!   `insitu_dart::Transport` and `insitu_cods::SpaceMirror` over the
+//!   hub connection (and, given a peer table, lazily-dialed direct peer
+//!   connections), demuxes incoming frames into the local mailboxes /
+//!   registry / DHT replica and surfaces `RunWave`/`Shutdown` to the
+//!   wave loop.
 //!
-//! Built entirely on `std::net` — the workspace stays offline-buildable
-//! with zero external dependencies.
+//! Built entirely on `std::net` plus the `epoll` binding in
+//! `insitu_util` — the workspace stays offline-buildable with zero
+//! external dependencies.
 //!
 //! Fault injection: `net.connect` fires on every connect attempt;
 //! `net.send` / `net.recv` fire on data-plane (`PullData`) frames and
@@ -60,9 +66,7 @@ pub mod link;
 mod peers;
 pub mod reactor;
 
-pub use conn::{
-    connect_with_retry, recv_frame, send_frame, NetError, NetMetrics, Peer, PeerHandle,
-};
+pub use conn::{connect_with_retry, recv_frame, send_frame, NetError, NetMetrics};
 pub use frame::{
     encode_batch, Frame, FrameDecoder, FrameError, NodeReport, RunState, RunSummary,
     KIND_TELEMETRY, MAX_FRAME_LEN, WIRE_VERSION,

@@ -1,27 +1,29 @@
 //! The execution client's end of the wire: `NetLink` implements both
 //! [`insitu_dart::Transport`] (mailbox forwarding, buffer publication,
 //! pull requests) and [`insitu_cods::space::SpaceMirror`] (DHT-replica
-//! maintenance), speaking frames to the hub — and, in p2p mode,
-//! directly to peer joiners.
+//! maintenance), speaking frames to the hub — and, when the `Welcome`
+//! carried a peer table, directly to peer joiners.
 //!
-//! Two transports, chosen by the `Welcome`:
+//! Every link owns one [`Reactor`]: the hub connection, the local peer
+//! listener and every direct peer connection live on its event-loop
+//! thread, and every frame leaves through `ReactorHandle::send`. What
+//! the `Welcome` decides is only where the data plane is *addressed*:
 //!
-//! - **Star** ([`NetLink::new`]): one hub connection with a FIFO writer
-//!   thread and a blocking demux reader thread; every frame, including
-//!   `PullData`, rides the hub.
-//! - **Reactor/p2p** ([`NetLink::new_p2p`]): the hub connection, a
-//!   local peer listener and every direct peer connection all live on
-//!   one [`Reactor`] event-loop thread. `PullRequest` goes straight to
-//!   the owner's node over a lazily-dialed direct connection (see
-//!   [`PeerTable`]); the `PullData`/`PullNack` answer returns on the
-//!   same socket. The hub carries only control traffic.
+//! - **No peer table** (star routing): `PullRequest`, `SubPush` and the
+//!   shm control frames go up the hub connection and the hub relays
+//!   them; the answers come back down it.
+//! - **Peer table** (p2p routing): `PullRequest` goes straight to the
+//!   owner's node over a lazily-dialed direct connection (see
+//!   [`PeerTable`]); the `PullData`/`PullNack` answer — or the shm
+//!   offer and doorbells standing in for it — returns on the same
+//!   socket. The hub carries only control traffic.
 //!
 //! Construction is two-phase because the link and the runtime need each
 //! other: build the `NetLink` first (it only needs the socket), hand it
 //! to `DartRuntime::with_transport` and `CodsSpace::with_mirror`, then
-//! call [`NetLink::start_reader`] with both — it wires up the demux
-//! (reader thread or reactor sinks) and returns the control channel
-//! (`RunWave` / `Shutdown`) that drives the joiner's wave loop.
+//! call [`NetLink::start_reader`] with both — it adopts the connections
+//! onto the reactor and returns the control channel (`RunWave` /
+//! `Shutdown`) that drives the joiner's wave loop.
 //!
 //! The telemetry plane rides the same connections: with a flight
 //! recorder attached ([`NetLink::set_flight`]) the link records a
@@ -30,8 +32,8 @@
 //! ships the recording to the hub in ack-paced batches for the
 //! cross-process trace merge.
 
-use crate::conn::{recv_frame, NetError, NetMetrics, Peer, PeerHandle};
-use crate::frame::{Frame, FrameError, NodeReport};
+use crate::conn::{NetError, NetMetrics};
+use crate::frame::{Frame, NodeReport};
 use crate::peers::PeerTable;
 use crate::reactor::{ConnEvent, Reactor, ReactorHandle, Sink, Token};
 use insitu_cods::space::SpaceMirror;
@@ -64,40 +66,6 @@ pub enum Ctl {
         /// Human-readable reason (empty on success).
         reason: String,
     },
-}
-
-/// The send path to the hub, by transport mode.
-enum HubTx {
-    /// FIFO writer thread over the hub socket.
-    Star(Peer),
-    /// The hub connection's token on this process's reactor.
-    P2p(ReactorHandle, Token),
-}
-
-impl HubTx {
-    fn send(&self, frame: Frame) {
-        match self {
-            HubTx::Star(peer) => peer.send(frame),
-            HubTx::P2p(handle, token) => handle.send(*token, frame),
-        }
-    }
-}
-
-/// Where a pull answer goes: back up the hub (star) or out the same
-/// direct connection the request arrived on (p2p).
-#[derive(Clone)]
-enum ReplyTx {
-    Star(PeerHandle),
-    Reactor(ReactorHandle, Token),
-}
-
-impl ReplyTx {
-    fn send(&self, frame: Frame) {
-        match self {
-            ReplyTx::Star(handle) => handle.send(frame),
-            ReplyTx::Reactor(handle, token) => handle.send(*token, frame),
-        }
-    }
 }
 
 /// Descriptor slots per directed shm pair.
@@ -159,20 +127,25 @@ enum ShmOut {
 pub struct NetLink {
     node: u32,
     cores_per_node: u32,
-    hub: HubTx,
+    /// The process's one wire thread.
+    reactor: Reactor,
+    /// The reactor's send handle (kept to avoid a clone per frame).
+    handle: ReactorHandle,
+    /// The hub connection's token on the reactor.
+    hub: Token,
     injector: FaultInjector,
     metrics: NetMetrics,
-    /// The hub stream, parked until `start_reader` wires up the demux.
+    /// The hub stream, parked until `start_reader` adopts it.
     stream: Mutex<Option<TcpStream>>,
-    /// The p2p peer listener, parked until `start_reader`.
+    /// The peer listener, parked until `start_reader` (p2p routing).
     listener: Mutex<Option<TcpListener>>,
-    /// The event loop (p2p mode only).
-    reactor: Option<Reactor>,
-    /// Direct connections to peer nodes (p2p mode only).
+    /// Direct connections to peer nodes. `None` is star routing: the
+    /// `Welcome` carried no peer table, so pulls, pushes and shm
+    /// control go up the hub connection and the hub relays them.
     peers: Option<PeerTable>,
     /// Back-reference for building reactor sinks from `&self` methods;
     /// `Weak` so sinks never keep the link (or its reactor) alive.
-    self_ref: Mutex<Weak<NetLink>>,
+    self_ref: Weak<NetLink>,
     /// Keys with an outstanding `PullRequest`, so concurrent local
     /// waiters ask the owner once, not once per waiter.
     inflight: Mutex<HashSet<BufKey>>,
@@ -195,63 +168,23 @@ pub struct NetLink {
 }
 
 /// Flight events per `Telemetry` frame. Bounds frame size (~100 B per
-/// event) so a telemetry batch can never monopolise a writer queue or
-/// the reactor loop against data-plane traffic.
+/// event) so a telemetry batch can never monopolise the reactor loop
+/// against data-plane traffic.
 const TELEMETRY_BATCH_EVENTS: usize = 2048;
 
 impl NetLink {
-    /// Wrap an established, greeted connection in star mode. `stream`
-    /// must be past the Hello/Welcome handshake; `get_timeout` mirrors
-    /// the space's get timeout (from `Welcome`).
-    pub fn new(
-        stream: TcpStream,
-        node: u32,
-        cores_per_node: u32,
-        get_timeout: Duration,
-        injector: FaultInjector,
-        metrics: NetMetrics,
-    ) -> Result<Arc<NetLink>, NetError> {
-        let reader = stream
-            .try_clone()
-            .map_err(|e| NetError::Io(e.to_string()))?;
-        let peer = Peer::spawn(
-            stream,
-            injector.clone(),
-            metrics.clone(),
-            format!("node-{node}"),
-        )
-        .map_err(|e| NetError::Io(e.to_string()))?;
-        let link = Arc::new(NetLink {
-            node,
-            cores_per_node,
-            hub: HubTx::Star(peer),
-            injector,
-            metrics,
-            stream: Mutex::new(Some(reader)),
-            listener: Mutex::new(None),
-            reactor: None,
-            peers: None,
-            self_ref: Mutex::new(Weak::new()),
-            inflight: Mutex::new(HashSet::new()),
-            get_timeout,
-            dart: OnceLock::new(),
-            space: OnceLock::new(),
-            flight: OnceLock::new(),
-            telemetry_ack: Mutex::new(None),
-            shm: OnceLock::new(),
-        });
-        *link.self_ref.lock().unwrap() = Arc::downgrade(&link);
-        Ok(link)
-    }
-
-    /// Wrap an established, greeted connection in reactor/p2p mode.
+    /// Wrap an established, greeted connection. `stream` must be past
+    /// the Hello/Welcome handshake; `get_timeout` mirrors the space's
+    /// get timeout (from `Welcome`).
     ///
-    /// `peers` is the address table from the `Welcome`; `listener` is
-    /// this process's own peer listener, already bound to the address
-    /// it advertised in its `Hello`. `dial_timeout` bounds each direct
-    /// peer dial (retried transparently while it lasts).
+    /// `peers` is the address table from the `Welcome` — empty means
+    /// star routing, and `listener` is simply dropped; otherwise
+    /// `listener` is this process's own peer listener, already bound to
+    /// the address it advertised in its `Hello`, and `dial_timeout`
+    /// bounds each direct peer dial (retried transparently while it
+    /// lasts).
     #[allow(clippy::too_many_arguments)]
-    pub fn new_p2p(
+    pub fn new(
         stream: TcpStream,
         node: u32,
         cores_per_node: u32,
@@ -265,18 +198,19 @@ impl NetLink {
         let reactor = Reactor::spawn(&format!("node-{node}"), injector.clone(), metrics.clone())
             .map_err(|e| NetError::Io(e.to_string()))?;
         let handle = reactor.handle();
-        let hub_token = handle.alloc_token();
-        let link = Arc::new(NetLink {
+        let p2p = !peers.is_empty();
+        Ok(Arc::new_cyclic(|self_ref| NetLink {
             node,
             cores_per_node,
-            hub: HubTx::P2p(handle, hub_token),
+            hub: handle.alloc_token(),
+            handle,
+            reactor,
             injector,
             metrics,
             stream: Mutex::new(Some(stream)),
-            listener: Mutex::new(Some(listener)),
-            reactor: Some(reactor),
-            peers: Some(PeerTable::new(peers, dial_timeout)),
-            self_ref: Mutex::new(Weak::new()),
+            listener: Mutex::new(p2p.then_some(listener)),
+            peers: p2p.then(|| PeerTable::new(peers, dial_timeout)),
+            self_ref: self_ref.clone(),
             inflight: Mutex::new(HashSet::new()),
             get_timeout,
             dart: OnceLock::new(),
@@ -284,14 +218,7 @@ impl NetLink {
             flight: OnceLock::new(),
             telemetry_ack: Mutex::new(None),
             shm: OnceLock::new(),
-        });
-        *link.self_ref.lock().unwrap() = Arc::downgrade(&link);
-        Ok(link)
-    }
-
-    /// The simulated node this process hosts.
-    pub fn node(&self) -> u32 {
-        self.node
+        }))
     }
 
     /// Attach the process's flight recorder. Call before the run starts
@@ -330,9 +257,27 @@ impl NetLink {
         matches!((me, them), (Some(a), Some(b)) if !a.is_empty() && a == b)
     }
 
-    /// Wire up the frame demux and return the control channel it feeds.
-    /// Must be called exactly once, after the runtime and space were
-    /// built around this link.
+    /// The sink of one connection: demux its frames with `reply` as
+    /// the way back, and hand its end to `on_closed`.
+    fn sink(
+        &self,
+        reply: Token,
+        ctl: Option<Sender<Ctl>>,
+        on_closed: impl Fn(&NetLink, String) + Send + 'static,
+    ) -> Sink {
+        let weak = self.self_ref.clone();
+        Box::new(move |ev| {
+            let Some(link) = weak.upgrade() else { return };
+            match ev {
+                ConnEvent::Frame(frame) => link.on_frame(frame, reply, ctl.as_ref()),
+                ConnEvent::Closed(reason) => on_closed(&link, reason),
+            }
+        })
+    }
+
+    /// Adopt the connections onto the reactor and return the control
+    /// channel their demux feeds. Must be called exactly once, after
+    /// the runtime and space were built around this link.
     pub fn start_reader(
         self: &Arc<Self>,
         dart: Arc<DartRuntime>,
@@ -344,82 +289,64 @@ impl NetLink {
             .ok()
             .expect("start_reader called twice");
         let (ctl_tx, ctl_rx) = unbounded();
-        let mut stream = self
+        let stream = self
             .stream
             .lock()
             .unwrap()
             .take()
             .expect("start_reader called twice");
-        match (&self.hub, &self.reactor) {
-            (HubTx::Star(_), _) => {
-                let link = Arc::clone(self);
-                std::thread::Builder::new()
-                    .name(format!("net-reader-{}", self.node))
-                    .spawn(move || link.read_loop(&mut stream, &ctl_tx))
-                    .expect("spawn net reader");
-            }
-            (HubTx::P2p(handle, hub_token), Some(reactor)) => {
-                // Hub connection: demux frames, surface lost-hub as
-                // Shutdown to the wave loop.
-                let weak = Arc::downgrade(self);
-                let hub_reply = ReplyTx::Reactor(handle.clone(), *hub_token);
-                let ctl_for_hub = ctl_tx.clone();
-                handle.add_stream(
-                    *hub_token,
-                    stream,
-                    Box::new(move |ev| match ev {
-                        ConnEvent::Frame(frame) => {
-                            if let Some(link) = weak.upgrade() {
-                                link.on_frame(frame, &hub_reply, Some(&ctl_for_hub));
-                            }
-                        }
-                        ConnEvent::Closed(reason) => {
-                            let _ = ctl_for_hub.send(Ctl::Shutdown {
-                                ok: false,
-                                reason: if reason.is_empty() {
-                                    "server closed the connection".into()
-                                } else {
-                                    format!("server connection lost: {reason}")
-                                },
-                            });
-                        }
-                    }),
-                );
-                // Peer listener: every inbound direct connection serves
-                // pulls for this process's staged buffers.
-                let listener = self
-                    .listener
-                    .lock()
-                    .unwrap()
-                    .take()
-                    .expect("p2p listener present");
-                let weak = Arc::downgrade(self);
-                let accept_handle = handle.clone();
-                reactor.handle().add_listener(
-                    listener,
-                    Box::new(move |token, _addr| {
-                        let weak = weak.clone();
-                        let reply = ReplyTx::Reactor(accept_handle.clone(), token);
-                        Box::new(move |ev| {
-                            if let ConnEvent::Frame(frame) = ev {
-                                if let Some(link) = weak.upgrade() {
-                                    link.on_frame(frame, &reply, None);
-                                }
-                            }
-                            // Closed: an inbound peer vanished; its
-                            // dialer re-establishes on the next pull.
-                        })
-                    }),
-                );
-            }
-            _ => unreachable!("p2p HubTx implies a reactor"),
+        // Hub connection: demux frames, surface lost-hub as Shutdown to
+        // the wave loop.
+        let lost_hub = ctl_tx.clone();
+        self.handle.add_stream(
+            self.hub,
+            stream,
+            self.sink(self.hub, Some(ctl_tx), move |_, reason| {
+                let _ = lost_hub.send(Ctl::Shutdown {
+                    ok: false,
+                    reason: if reason.is_empty() {
+                        "server closed the connection".into()
+                    } else {
+                        format!("server connection lost: {reason}")
+                    },
+                });
+            }),
+        );
+        // Peer listener (p2p routing): every inbound direct connection
+        // serves pulls for this process's staged buffers. An inbound
+        // peer that vanishes needs no handling: its dialer
+        // re-establishes on the next pull.
+        if let Some(listener) = self.listener.lock().unwrap().take() {
+            let weak = Arc::downgrade(self);
+            self.handle.add_listener(
+                listener,
+                Box::new(move |token, _addr| match weak.upgrade() {
+                    Some(link) => link.sink(token, None, |_, _| {}),
+                    None => Box::new(|_| {}),
+                }),
+            );
         }
         ctl_rx
     }
 
+    /// Queue `frame` on the hub connection.
+    fn hub_send(&self, frame: Frame) {
+        self.handle.send(self.hub, frame);
+    }
+
+    /// Answer out the connection a request arrived on, counting bulk
+    /// data by route: a `PullData` on a direct peer connection is p2p;
+    /// on the hub connection it is a relay the hub counts itself.
+    fn reply_send(&self, reply: Token, frame: Frame) {
+        if frame.is_data_plane() && reply != self.hub {
+            self.metrics.pull_p2p.inc();
+        }
+        self.handle.send(reply, frame);
+    }
+
     /// Tell the server this node finished a wave.
     pub fn barrier(&self, wave: u32) {
-        self.hub.send(Frame::Barrier {
+        self.hub_send(Frame::Barrier {
             wave,
             node: self.node,
         });
@@ -427,7 +354,7 @@ impl NetLink {
 
     /// Send the final per-process report.
     pub fn report(&self, report: NodeReport) {
-        self.hub.send(Frame::Report(report));
+        self.hub_send(Frame::Report(report));
     }
 
     /// Ship this process's flight recording and counter snapshot to the
@@ -459,7 +386,7 @@ impl NetLink {
         let mut ok = true;
         for batch in 0..total {
             let last = batch + 1 == total;
-            self.hub.send(Frame::Telemetry {
+            self.hub_send(Frame::Telemetry {
                 node: self.node,
                 batch: batch as u32,
                 last,
@@ -484,52 +411,15 @@ impl NetLink {
     /// Call before process exit so the `Report` is not lost.
     pub fn close(&self) {
         self.shm_teardown();
-        match &self.hub {
-            HubTx::Star(peer) => peer.close(),
-            HubTx::P2p(..) => {
-                if let Some(reactor) = &self.reactor {
-                    reactor.shutdown();
-                }
-            }
-        }
+        self.reactor.shutdown();
     }
 
-    /// Star mode: the blocking demux reader.
-    fn read_loop(&self, stream: &mut TcpStream, ctl: &Sender<Ctl>) {
-        let reply = match &self.hub {
-            HubTx::Star(peer) => ReplyTx::Star(peer.handle()),
-            HubTx::P2p(..) => unreachable!("read_loop is star-only"),
-        };
-        loop {
-            let frame = match recv_frame(stream, &self.injector, &self.metrics) {
-                Ok(f) => f,
-                Err(NetError::Frame(FrameError::Truncated)) => {
-                    let _ = ctl.send(Ctl::Shutdown {
-                        ok: false,
-                        reason: "server closed the connection".into(),
-                    });
-                    return;
-                }
-                Err(e) => {
-                    let _ = ctl.send(Ctl::Shutdown {
-                        ok: false,
-                        reason: format!("server connection lost: {e}"),
-                    });
-                    return;
-                }
-            };
-            if !self.on_frame(frame, &reply, Some(ctl)) {
-                return;
-            }
-        }
-    }
-
-    /// Demux one incoming frame. `reply` is where pull answers go —
-    /// back up the connection the request arrived on. `ctl` is present
-    /// on hub connections (which carry `RunWave`/`Shutdown`) and absent
-    /// on direct peer connections. Returns `false` when the connection's
-    /// demux should stop (shutdown or protocol violation).
-    fn on_frame(&self, frame: Frame, reply: &ReplyTx, ctl: Option<&Sender<Ctl>>) -> bool {
+    /// Demux one incoming frame, on the reactor thread. `reply` is
+    /// where pull answers go — back up the connection the request
+    /// arrived on. `ctl` is present on the hub connection (which
+    /// carries `RunWave`/`Shutdown`) and absent on direct peer
+    /// connections.
+    fn on_frame(&self, frame: Frame, reply: Token, ctl: Option<&Sender<Ctl>>) {
         let dart = self.dart.get().expect("demux after start_reader");
         let space = self.space.get().expect("demux after start_reader");
         match frame {
@@ -553,7 +443,7 @@ impl NetLink {
                 version,
                 piece,
                 from_node,
-            } => self.answer_pull(name, version, piece, from_node, dart, reply.clone()),
+            } => self.answer_pull(name, version, piece, from_node, dart, reply),
             Frame::PullData {
                 name,
                 version,
@@ -569,11 +459,7 @@ impl NetLink {
                     version,
                     piece,
                 };
-                {
-                    let mut inflight = self.inflight.lock().unwrap();
-                    inflight.remove(&key);
-                    self.metrics.pulls_in_flight.set(inflight.len() as u64);
-                }
+                self.settle(&key);
                 // Register directly (NOT through the runtime): the
                 // bytes were accounted by the puller's `pull` and
                 // must not be re-published as a local put.
@@ -609,13 +495,11 @@ impl NetLink {
                 // The owner gave up; our local wait will time out
                 // and surface the pull failure. Allow a retry to
                 // re-request.
-                let mut inflight = self.inflight.lock().unwrap();
-                inflight.remove(&BufKey {
+                self.settle(&BufKey {
                     name,
                     version,
                     piece,
                 });
-                self.metrics.pulls_in_flight.set(inflight.len() as u64);
             }
             Frame::ShmOffer {
                 src_node,
@@ -624,13 +508,16 @@ impl NetLink {
                 ..
             } => {
                 let attached = self.shm_accept(src_node, segment, &path);
-                reply.send(Frame::ShmAck {
-                    src_node,
-                    dst_node: self.node,
-                    segment,
-                    seq: 0,
-                    attached,
-                });
+                self.reply_send(
+                    reply,
+                    Frame::ShmAck {
+                        src_node,
+                        dst_node: self.node,
+                        segment,
+                        seq: 0,
+                        attached,
+                    },
+                );
             }
             Frame::ShmDoorbell { src_node, .. } => self.shm_drain(src_node, dart),
             Frame::ShmAck {
@@ -728,21 +615,18 @@ impl NetLink {
                 if let Some(ctl) = ctl {
                     let _ = ctl.send(Ctl::Shutdown { ok, reason });
                 }
-                return false;
             }
             other => {
+                // A confused peer connection is ignored, not fatal to
+                // the run: its pulls simply won't complete.
                 if let Some(ctl) = ctl {
                     let _ = ctl.send(Ctl::Shutdown {
                         ok: false,
                         reason: format!("unexpected frame kind {} from server", other.kind()),
                     });
-                    return false;
                 }
-                // A confused peer connection is ignored, not fatal to
-                // the run: its pulls simply won't complete.
             }
         }
-        true
     }
 
     /// Serve one remote pull: wait (on a throwaway thread, so the demux
@@ -756,7 +640,7 @@ impl NetLink {
         piece: u64,
         from_node: u32,
         dart: &Arc<DartRuntime>,
-        reply: ReplyTx,
+        reply: Token,
     ) {
         let key = BufKey {
             name,
@@ -767,74 +651,83 @@ impl NetLink {
         let timeout = self.get_timeout;
         let flight = self.flight();
         let requester = from_node * self.cores_per_node;
-        let weak = self.self_ref.lock().unwrap().clone();
+        let weak = self.self_ref.clone();
         std::thread::Builder::new()
             .name("net-pull-wait".into())
-            .spawn(move || match dart.registry().wait_for(&key, timeout) {
-                Some(handle) => {
-                    // Same-host pairs go through the shared-memory ring
-                    // instead of the socket; everything below is the
-                    // wire path.
-                    if let Some(link) = weak.upgrade() {
-                        let desc = RecordDesc {
+            .spawn(move || {
+                let found = dart.registry().wait_for(&key, timeout);
+                // The link is gone only when the run is: nobody is left
+                // to answer.
+                let Some(link) = weak.upgrade() else { return };
+                let Some(handle) = found else {
+                    link.reply_send(
+                        reply,
+                        Frame::PullNack {
                             name,
                             version,
                             piece,
-                            owner: handle.owner,
-                        };
-                        if link.shm_send(
-                            from_node,
-                            desc,
-                            handle.data.as_slice(),
-                            &reply,
-                            &flight,
-                            requester,
-                        ) {
-                            return;
-                        }
-                    }
-                    // Record *before* enqueueing the answer: once the
-                    // consumer can observe these bytes the send event
-                    // is already in this process's recorder, so the
-                    // collect wave snapshots with no wire event still
-                    // unrecorded (zero unmatched pairs). The nominal
-                    // 1µs window keeps `send.end <= recv.start` in
-                    // real time, which the merge's clock alignment
-                    // relaxes over.
-                    let t0 = flight.now_us();
-                    flight.record(
-                        Event::new(flight.next_seq(), EventKind::NetSend)
-                            .var(name)
-                            .version(version)
-                            .piece(piece)
-                            .src(handle.owner)
-                            .dst(requester)
-                            .link(LinkClass::Rdma)
-                            .bytes(handle.data.as_slice().len() as u64)
-                            .window(t0, 1),
+                            to_node: from_node,
+                        },
                     );
-                    reply.send(Frame::PullData {
+                    return;
+                };
+                // Same-host pairs go through the shared-memory ring
+                // instead of the socket; everything below is the wire
+                // path.
+                let desc = RecordDesc {
+                    name,
+                    version,
+                    piece,
+                    owner: handle.owner,
+                };
+                if link.shm_send(
+                    from_node,
+                    desc,
+                    handle.data.as_slice(),
+                    reply,
+                    &flight,
+                    requester,
+                ) {
+                    return;
+                }
+                // Record *before* enqueueing the answer: once the
+                // consumer can observe these bytes the send event
+                // is already in this process's recorder, so the
+                // collect wave snapshots with no wire event still
+                // unrecorded (zero unmatched pairs). The nominal
+                // 1µs window keeps `send.end <= recv.start` in
+                // real time, which the merge's clock alignment
+                // relaxes over.
+                let t0 = flight.now_us();
+                flight.record(
+                    Event::new(flight.next_seq(), EventKind::NetSend)
+                        .var(name)
+                        .version(version)
+                        .piece(piece)
+                        .src(handle.owner)
+                        .dst(requester)
+                        .link(LinkClass::Rdma)
+                        .bytes(handle.data.as_slice().len() as u64)
+                        .window(t0, 1),
+                );
+                link.reply_send(
+                    reply,
+                    Frame::PullData {
                         name,
                         version,
                         piece,
                         owner: handle.owner,
                         to_node: from_node,
                         data: handle.data.as_slice().to_vec(),
-                    });
-                }
-                None => reply.send(Frame::PullNack {
-                    name,
-                    version,
-                    piece,
-                    to_node: from_node,
-                }),
+                    },
+                );
             })
             .expect("spawn pull waiter");
     }
 
     /// Create this pair's segment and offer it to the consumer. Run
     /// once per destination, on the first pull answer headed there.
-    fn shm_create(&self, dst: u32, reply: &ReplyTx) -> ShmOut {
+    fn shm_create(&self, dst: u32, reply: Token) -> ShmOut {
         let segment = shm_segment_id(self.node, dst);
         // Op-independent chaos verdict: the consumer rolls the same
         // (creator, segment) hash at attach, so a doomed pair skips
@@ -858,14 +751,17 @@ impl NetLink {
             }
         };
         let ring = Arc::new(Ring::create(RingMem::from_map(map), SHM_SLOTS, SHM_ARENA));
-        reply.send(Frame::ShmOffer {
-            src_node: self.node,
-            dst_node: dst,
-            segment,
-            path: path.to_string_lossy().into_owned(),
-            slots: SHM_SLOTS as u64,
-            arena_bytes: SHM_ARENA,
-        });
+        self.reply_send(
+            reply,
+            Frame::ShmOffer {
+                src_node: self.node,
+                dst_node: dst,
+                segment,
+                path: path.to_string_lossy().into_owned(),
+                slots: SHM_SLOTS as u64,
+                arena_bytes: SHM_ARENA,
+            },
+        );
         ShmOut::Live {
             ring,
             segment,
@@ -884,7 +780,7 @@ impl NetLink {
         dst: u32,
         desc: RecordDesc,
         data: &[u8],
-        reply: &ReplyTx,
+        reply: Token,
         flight: &FlightRecorder,
         requester: u32,
     ) -> bool {
@@ -928,12 +824,15 @@ impl NetLink {
                             .bytes(data.len() as u64)
                             .window(t0, 1),
                     );
-                    reply.send(Frame::ShmDoorbell {
-                        src_node: self.node,
-                        dst_node: dst,
-                        segment,
-                        seq,
-                    });
+                    self.reply_send(
+                        reply,
+                        Frame::ShmDoorbell {
+                            src_node: self.node,
+                            dst_node: dst,
+                            segment,
+                            seq,
+                        },
+                    );
                     self.metrics.shm_frames.inc();
                     self.metrics.shm_bytes.add(data.len() as u64);
                     return true;
@@ -1032,11 +931,7 @@ impl NetLink {
                 version: rec.desc.version,
                 piece: rec.desc.piece,
             };
-            {
-                let mut inflight = self.inflight.lock().unwrap();
-                inflight.remove(&key);
-                self.metrics.pulls_in_flight.set(inflight.len() as u64);
-            }
+            self.settle(&key);
             if dart.registry().get(&key).is_none() {
                 let release_ring = Arc::clone(&ring);
                 let range = rec.range;
@@ -1077,7 +972,7 @@ impl NetLink {
     /// early — the consumer holds its own mapping now, so a crash from
     /// here on leaks nothing. Refused: resend everything staged over
     /// the wire and degrade the pair for good.
-    fn shm_on_ack(&self, dst_node: u32, attached: bool, reply: &ReplyTx) {
+    fn shm_on_ack(&self, dst_node: u32, attached: bool, reply: Token) {
         let slot = match self.shm.get() {
             Some(plane) => plane.out.lock().unwrap().get(&dst_node).cloned(),
             None => None,
@@ -1098,14 +993,17 @@ impl NetLink {
                 // key, not link class).
                 for rec in ring.unconsumed() {
                     self.metrics.shm_fallbacks.inc();
-                    reply.send(Frame::PullData {
-                        name: rec.desc.name,
-                        version: rec.desc.version,
-                        piece: rec.desc.piece,
-                        owner: rec.desc.owner,
-                        to_node: dst_node,
-                        data: ring.mem().slice(rec.off, rec.len).to_vec(),
-                    });
+                    self.reply_send(
+                        reply,
+                        Frame::PullData {
+                            name: rec.desc.name,
+                            version: rec.desc.version,
+                            piece: rec.desc.piece,
+                            owner: rec.desc.owner,
+                            to_node: dst_node,
+                            data: ring.mem().slice(rec.off, rec.len).to_vec(),
+                        },
+                    );
                 }
                 if let Some(p) = path.take() {
                     let _ = std::fs::remove_file(p);
@@ -1131,41 +1029,36 @@ impl NetLink {
         }
     }
 
-    /// P2p: the live token for the direct connection to `node`, dialing
-    /// it first if needed.
-    fn ensure_peer(&self, owner_node: u32) -> Result<Token, NetError> {
-        let (table, reactor) = match (&self.peers, &self.reactor) {
-            (Some(t), Some(r)) => (t, r),
-            _ => return Err(NetError::Protocol("not a p2p link".into())),
+    /// The pull for `key` is no longer outstanding (answered, refused
+    /// or unsendable): a later wait may request it again.
+    fn settle(&self, key: &BufKey) {
+        let mut inflight = self.inflight.lock().unwrap();
+        inflight.remove(key);
+        self.metrics.pulls_in_flight.set(inflight.len() as u64);
+    }
+
+    /// The routing policy: the connection on which data-plane frames
+    /// for `node` leave. Without a peer table that is the hub
+    /// connection (the hub relays); with one, the direct connection to
+    /// `node`, dialed first if needed.
+    fn route_to(&self, node: u32) -> Result<Token, NetError> {
+        let Some(table) = &self.peers else {
+            return Ok(self.hub);
         };
-        let handle = reactor.handle();
-        let weak = self.self_ref.lock().unwrap().clone();
         table.ensure(
-            owner_node,
+            node,
             self.node,
-            &handle,
+            &self.handle,
             &self.injector,
             &self.metrics,
             |token| {
-                let reply = ReplyTx::Reactor(handle.clone(), token);
-                let weak2 = weak.clone();
-                let sink: Sink = Box::new(move |ev| match ev {
-                    ConnEvent::Frame(frame) => {
-                        if let Some(link) = weak2.upgrade() {
-                            link.on_frame(frame, &reply, None);
-                        }
+                // Forget a dead connection so the next pull re-dials
+                // (transparent reconnect).
+                self.sink(token, None, move |link, _| {
+                    if let Some(table) = &link.peers {
+                        table.forget(token);
                     }
-                    ConnEvent::Closed(_) => {
-                        // Forget the dead connection so the next pull
-                        // re-dials (transparent reconnect).
-                        if let Some(link) = weak2.upgrade() {
-                            if let Some(table) = &link.peers {
-                                table.forget(token);
-                            }
-                        }
-                    }
-                });
-                sink
+                })
             },
         )
     }
@@ -1177,7 +1070,7 @@ impl Transport for NetLink {
     }
 
     fn forward(&self, to: ClientId, msg: &Msg) {
-        self.hub.send(Frame::Relay {
+        self.hub_send(Frame::Relay {
             to,
             src: msg.src,
             tag: msg.tag,
@@ -1186,7 +1079,7 @@ impl Transport for NetLink {
     }
 
     fn publish(&self, key: &BufKey, owner: ClientId, bytes: u64) {
-        self.hub.send(Frame::PutNotify {
+        self.hub_send(Frame::PutNotify {
             name: key.name,
             version: key.version,
             piece: key.piece,
@@ -1196,6 +1089,16 @@ impl Transport for NetLink {
     }
 
     fn request(&self, key: &BufKey) {
+        // A piece one of this node's own clients produces arrives by
+        // that client's local put, which wakes the same registry wait.
+        // Asking the wire for it would only race the put: whether the
+        // request (and, on a same-host run, a node-to-itself segment
+        // with its own `shm-attach` roll) exists at all would depend on
+        // thread timing, not on the workflow or the chaos seed.
+        let owner = (key.piece >> 32) as ClientId;
+        if self.hosts(owner) {
+            return;
+        }
         {
             let mut inflight = self.inflight.lock().unwrap();
             if !inflight.insert(*key) {
@@ -1209,41 +1112,23 @@ impl Transport for NetLink {
             piece: key.piece,
             from_node: self.node,
         };
-        if self.peers.is_some() {
-            // P2p: straight to the owner's node, dialing on first use.
-            let owner_node = ((key.piece >> 32) as u32) / self.cores_per_node;
-            match self.ensure_peer(owner_node) {
-                Ok(token) => {
-                    if let HubTx::P2p(handle, _) = &self.hub {
-                        handle.send(token, req);
-                    }
-                }
-                Err(_) => {
-                    // Dial failed: release the inflight slot so the
-                    // local wait times out naming the owner (and a
-                    // retry may re-dial).
-                    let mut inflight = self.inflight.lock().unwrap();
-                    inflight.remove(key);
-                    self.metrics.pulls_in_flight.set(inflight.len() as u64);
-                }
-            }
-        } else {
-            self.hub.send(req);
+        match self.route_to(owner / self.cores_per_node) {
+            Ok(token) => self.handle.send(token, req),
+            // Dial failed: release the inflight slot so the local wait
+            // times out naming the owner (and a retry may re-dial).
+            Err(_) => self.settle(key),
         }
     }
 
     fn dial_peer(&self, client: ClientId) -> bool {
-        if self.peers.is_none() {
-            return false;
-        }
-        self.ensure_peer(client / self.cores_per_node).is_ok()
+        self.peers.is_some() && self.route_to(client / self.cores_per_node).is_ok()
     }
 }
 
 impl SpaceMirror for NetLink {
     fn dht_insert(&self, var: u64, version: u64, entry: &LocationEntry) {
         let nd = entry.bbox.ndim();
-        self.hub.send(Frame::DhtInsert {
+        self.hub_send(Frame::DhtInsert {
             var,
             version,
             owner: entry.owner,
@@ -1254,16 +1139,16 @@ impl SpaceMirror for NetLink {
     }
 
     fn get_done(&self, var: u64, version: u64) {
-        self.hub.send(Frame::GetDone { var, version });
+        self.hub_send(Frame::GetDone { var, version });
     }
 
     fn evict(&self, var: u64, version: u64) {
-        self.hub.send(Frame::Evict { var, version });
+        self.hub_send(Frame::Evict { var, version });
     }
 
     fn sub_open(&self, spec: &SubSpec) {
         let nd = spec.region.ndim();
-        self.hub.send(Frame::Subscribe {
+        self.hub_send(Frame::Subscribe {
             sub_id: spec.id(),
             var: spec.vid,
             every_k: spec.every_k,
@@ -1274,7 +1159,7 @@ impl SpaceMirror for NetLink {
     }
 
     fn sub_cancel(&self, id: SubId) {
-        self.hub.send(Frame::SubCancel { sub_id: id });
+        self.hub_send(Frame::SubCancel { sub_id: id });
     }
 
     fn sub_push(
@@ -1313,24 +1198,19 @@ impl SpaceMirror for NetLink {
                 .bytes(data.len() as u64)
                 .window(t0, 1),
         );
-        if self.peers.is_some() {
-            // P2p: straight to the subscriber's node, dialing on first
-            // use; the hub stays control-only. A failed dial is a lost
-            // push — the subscriber's deadline fires and it resyncs
-            // with an ordinary get, so the loss is always healable.
-            if let Ok(token) = self.ensure_peer(subscriber / self.cores_per_node) {
-                if let HubTx::P2p(handle, _) = &self.hub {
-                    self.metrics.sub_push_p2p.inc();
-                    handle.send(token, frame);
-                }
+        // Under p2p routing a failed dial is a lost push — the
+        // subscriber's deadline fires and it resyncs with an ordinary
+        // get, so the loss is always healable.
+        if let Ok(token) = self.route_to(subscriber / self.cores_per_node) {
+            if token != self.hub {
+                self.metrics.sub_push_p2p.inc();
             }
-            return;
+            self.handle.send(token, frame);
         }
-        self.hub.send(frame);
     }
 
     fn sub_lagged(&self, id: SubId, version: u64, subscriber: ClientId) {
-        self.hub.send(Frame::SubLagged {
+        self.hub_send(Frame::SubLagged {
             sub_id: id,
             version,
             subscriber,

@@ -1,8 +1,8 @@
 //! The joiner's peer table: lazy direct node↔node connections for the
 //! p2p data plane.
 //!
-//! In reactor mode every joiner advertises a loopback listener in its
-//! `Hello`, and the `Welcome` hands back the full address table. A
+//! Every joiner advertises a loopback listener in its `Hello`, and a
+//! p2p-routed run's `Welcome` hands back the full address table. A
 //! direct connection to an owner node is dialed on first use (the first
 //! `PullRequest` routed to that node) and cached; both directions of
 //! the pull protocol then ride that one socket, managed by the

@@ -1,34 +1,35 @@
-//! The non-blocking reactor: one thread, many connections.
-//!
-//! The star transport of PR 5 spends two threads per peer on the server
-//! (a FIFO writer plus a routing reader) — thread count scales with
-//! peer count, and every data-plane byte transits the hub. The reactor
-//! replaces that with a single event loop per process:
+//! The reactor: one event-loop thread per process owns every
+//! connection, whatever the routing policy addresses them for.
 //!
 //! - every connection (and listener) registers with the
-//!   [`insitu_util::Poller`] readiness shim in non-blocking mode;
+//!   [`insitu_util::Poller`] — `epoll` underneath — in non-blocking
+//!   mode; an idle loop parks in the kernel and costs nothing, and any
+//!   handle wakes it through the poller's `eventfd`;
 //! - each connection owns a staged *write* buffer — all frames queued
 //!   since the last loop iteration are encoded back-to-back and cross
 //!   the socket in as few `write` syscalls as the kernel allows
 //!   (small-message coalescing), preserving per-connection FIFO order;
+//!   a connection whose socket refuses bytes is watched for
+//!   writability until its buffer drains;
 //! - each connection owns a staged *read* buffer drained through
 //!   [`FrameDecoder`], so a socket read may surface zero, one or many
 //!   frames regardless of how the peer batched them;
 //! - incoming frames are handed to a per-connection *sink* callback on
 //!   the reactor thread; sinks must not block (hand off to channels).
 //!
-//! Fault gating matches the blocking path exactly: only data-plane
-//! frames ([`Frame::PullData`]) are offered to the `net.send` /
-//! `net.recv` sites; a `Drop` verdict discards the frame (send: never
-//! staged; recv: decoded then discarded), a `Delay` sleeps the reactor
-//! thread — the whole process's wire stalls, which is the closest
-//! single-threaded analogue of a congested NIC.
+//! Fault gating matches the blocking handshake path
+//! ([`crate::conn::send_frame`]) exactly: only fault-eligible frames
+//! are offered to the `net.send` / `net.recv` sites; a `Drop` verdict
+//! discards the frame (send: never staged; recv: decoded then
+//! discarded), a `Delay` sleeps the reactor thread — the whole
+//! process's wire stalls, which is the closest single-threaded
+//! analogue of a congested NIC.
 
-use crate::conn::NetMetrics;
+use crate::conn::{passes_fault_site, NetMetrics};
 use crate::frame::{Frame, FrameDecoder};
-use insitu_fabric::{FaultAction, FaultInjector, NetOp};
+use insitu_fabric::{FaultInjector, NetOp};
 use insitu_util::channel::{unbounded, Receiver, Sender};
-use insitu_util::Poller;
+use insitu_util::poller::{Poller, Waker};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -60,15 +61,11 @@ pub type Sink = Box<dyn FnMut(ConnEvent) + Send>;
 /// will receive the connection's events.
 pub type AcceptFn = Box<dyn FnMut(Token, SocketAddr) -> Sink + Send>;
 
-/// Reserved token for the reactor's internal wake pipe.
-const WAKE: u64 = u64::MAX;
-
 /// Commands from handles to the reactor thread.
 enum Cmd {
     AddStream(Token, TcpStream, Sink),
     AddListener(TcpListener, AcceptFn),
     Send(Token, Frame),
-    Close(Token),
     Shutdown,
 }
 
@@ -76,7 +73,7 @@ enum Cmd {
 #[derive(Clone)]
 pub struct ReactorHandle {
     tx: Sender<Cmd>,
-    wake: Arc<TcpStream>,
+    wake: Waker,
     next_token: Arc<AtomicU64>,
 }
 
@@ -105,16 +102,9 @@ impl ReactorHandle {
         self.push(Cmd::Send(token, frame));
     }
 
-    /// Flush and close one connection.
-    pub fn close(&self, token: Token) {
-        self.push(Cmd::Close(token));
-    }
-
     fn push(&self, cmd: Cmd) {
         if self.tx.send(cmd).is_ok() {
-            // Nudge the poll loop; a full pipe already guarantees a
-            // wake-up, so a WouldBlock here is success.
-            let _ = (&*self.wake).write(&[1u8]);
+            self.wake.wake();
         }
     }
 }
@@ -128,6 +118,9 @@ struct Conn {
     out: Vec<u8>,
     /// Prefix of `out` already written to the socket.
     out_pos: usize,
+    /// Whether the poller watches this socket for writability: armed
+    /// when a flush leaves bytes staged, disarmed once they drain.
+    write_armed: bool,
 }
 
 impl Conn {
@@ -153,24 +146,17 @@ impl Reactor {
         injector: FaultInjector,
         metrics: NetMetrics,
     ) -> std::io::Result<Reactor> {
-        // Self-pipe via a loopback TCP pair: handles write a byte to
-        // wake the poll loop out of its sleep.
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let wake_tx = TcpStream::connect(listener.local_addr()?)?;
-        let (wake_rx, _) = listener.accept()?;
-        wake_tx.set_nonblocking(true)?;
-        wake_tx.set_nodelay(true)?;
-
+        let poller = Poller::new();
         let (tx, rx) = unbounded();
         let next_token = Arc::new(AtomicU64::new(0));
         let handle = ReactorHandle {
             tx,
-            wake: Arc::new(wake_tx),
+            wake: poller.waker()?,
             next_token: next_token.clone(),
         };
         let thread = std::thread::Builder::new()
             .name(format!("net-reactor-{label}"))
-            .spawn(move || run_loop(rx, wake_rx, next_token, injector, metrics))?;
+            .spawn(move || run_loop(rx, poller, next_token, injector, metrics))?;
         Ok(Reactor {
             handle,
             thread: Mutex::new(Some(thread)),
@@ -212,10 +198,9 @@ fn adopt(
     mut sink: Sink,
 ) {
     let _ = stream.set_nodelay(true);
-    let registered = stream.try_clone().and_then(|clone| {
-        poller.register(token.0, clone)?;
-        stream.set_nonblocking(true)
-    });
+    let registered = stream
+        .try_clone()
+        .and_then(|clone| poller.register(token.0, clone));
     match registered {
         Ok(()) => {
             conns.insert(
@@ -226,6 +211,7 @@ fn adopt(
                     decoder: FrameDecoder::new(),
                     out: Vec::new(),
                     out_pos: 0,
+                    write_armed: false,
                 },
             );
         }
@@ -233,27 +219,61 @@ fn adopt(
     }
 }
 
+/// Write what the socket accepts of `conn`'s staged bytes and keep the
+/// poller's write interest in step with what is left.
+fn flush_and_arm(
+    poller: &mut Poller,
+    tok: u64,
+    conn: &mut Conn,
+    metrics: &NetMetrics,
+) -> std::io::Result<()> {
+    flush(conn, metrics)?;
+    let want = conn.pending_out() > 0;
+    if want != conn.write_armed {
+        poller.set_writable_interest(tok, want)?;
+        conn.write_armed = want;
+    }
+    Ok(())
+}
+
+/// Shutdown: push out every staged write buffer with blocking writes —
+/// the kernel waits for writability — inside one shared time budget.
+fn drain_on_shutdown(conns: &mut HashMap<u64, Conn>, metrics: &NetMetrics) {
+    let deadline = Instant::now() + SHUTDOWN_FLUSH_BUDGET;
+    for conn in conns.values_mut().filter(|c| c.pending_out() > 0) {
+        let left = deadline.saturating_duration_since(Instant::now());
+        // A zero timeout would mean "block forever".
+        let timeout = Some(left.max(Duration::from_millis(1)));
+        let staged = &conn.out[conn.out_pos..];
+        let sent = conn.stream.set_nonblocking(false).is_ok()
+            && conn.stream.set_write_timeout(timeout).is_ok()
+            && conn.stream.write_all(staged).is_ok();
+        if sent {
+            metrics.bytes_sent.add(staged.len() as u64);
+        }
+    }
+}
+
+/// Drop the connections that failed or ended, telling their sinks why.
+fn retire(poller: &mut Poller, conns: &mut HashMap<u64, Conn>, closed: &mut Vec<(u64, String)>) {
+    for (tok, reason) in closed.drain(..) {
+        if let Some(mut conn) = conns.remove(&tok) {
+            poller.deregister(tok);
+            (conn.sink)(ConnEvent::Closed(reason));
+        }
+    }
+}
+
 /// The event loop.
 fn run_loop(
     rx: Receiver<Cmd>,
-    wake_rx: TcpStream,
+    mut poller: Poller,
     next_token: Arc<AtomicU64>,
     injector: FaultInjector,
     metrics: NetMetrics,
 ) {
-    let mut poller = Poller::new();
-    // The wake pipe is permanently registered under the reserved token.
-    if poller
-        .register(WAKE, wake_rx.try_clone().expect("clone wake pipe"))
-        .is_err()
-    {
-        return;
-    }
-    let mut wake_rx = wake_rx;
-    let _ = wake_rx.set_nonblocking(true);
-
     let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut listeners: Vec<(TcpListener, AcceptFn)> = Vec::new();
+    let mut listeners: HashMap<u64, (TcpListener, AcceptFn)> = HashMap::new();
     let mut scratch = vec![0u8; 64 * 1024];
     let mut closed: Vec<(u64, String)> = Vec::new();
 
@@ -261,124 +281,76 @@ fn run_loop(
         // (1) Drain every pending command before touching the wire:
         // consecutive Sends to one connection coalesce into its staged
         // buffer and cross the socket as one write run.
-        let mut shutdown = false;
         while let Some(cmd) = rx.try_recv() {
             match cmd {
                 Cmd::AddStream(token, stream, sink) => {
                     adopt(&mut poller, &mut conns, token, stream, sink);
                 }
                 Cmd::AddListener(listener, accept) => {
-                    if listener.set_nonblocking(true).is_ok() {
-                        listeners.push((listener, accept));
+                    let tok = next_token.fetch_add(1, Ordering::Relaxed);
+                    if poller.register_listener(tok, &listener).is_ok() {
+                        listeners.insert(tok, (listener, accept));
                     }
                 }
                 Cmd::Send(token, frame) => {
                     let Some(conn) = conns.get_mut(&token.0) else {
                         continue; // peer already gone
                     };
-                    if frame.fault_eligible() {
-                        let (a, b) = frame.fault_ids();
-                        match injector.on_net(NetOp::Send, frame.kind(), a, b) {
-                            FaultAction::Drop => continue,
-                            // Delay stalls the whole reactor — the
-                            // process's single wire thread — which is
-                            // the intended congestion model.
-                            FaultAction::Delay(d) => std::thread::sleep(d),
-                            FaultAction::Proceed => {}
-                        }
-                    }
-                    if frame.is_data_plane() {
-                        metrics.pull_p2p.inc();
+                    // A Delay verdict stalls the whole reactor — the
+                    // process's single wire thread — which is the
+                    // intended congestion model.
+                    if !passes_fault_site(&frame, NetOp::Send, &injector) {
+                        continue;
                     }
                     conn.out.extend_from_slice(&frame.encode());
                     metrics.frames.inc();
                 }
-                Cmd::Close(token) => {
-                    if let Some(conn) = conns.get_mut(&token.0) {
-                        let _ = flush(conn, &metrics);
-                        poller.deregister(token.0);
-                        conns.remove(&token.0);
-                    }
-                }
-                Cmd::Shutdown => shutdown = true,
-            }
-        }
-        if shutdown {
-            let deadline = Instant::now() + SHUTDOWN_FLUSH_BUDGET;
-            for (_, conn) in conns.iter_mut() {
-                while conn.pending_out() > 0 && Instant::now() < deadline {
-                    if flush(conn, &metrics).is_err() {
-                        break;
-                    }
-                    if conn.pending_out() > 0 {
-                        std::thread::sleep(Duration::from_micros(200));
-                    }
-                }
-            }
-            return;
-        }
-
-        // (2) Accept on every listener until it would block.
-        for (listener, accept) in listeners.iter_mut() {
-            loop {
-                match listener.accept() {
-                    Ok((stream, addr)) => {
-                        let token = Token(next_token.fetch_add(1, Ordering::Relaxed));
-                        let sink = accept(token, addr);
-                        adopt(&mut poller, &mut conns, token, stream, sink);
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(_) => break,
+                Cmd::Shutdown => {
+                    drain_on_shutdown(&mut conns, &metrics);
+                    return;
                 }
             }
         }
 
-        // (3) Flush staged writes.
-        closed.clear();
+        // (2) Flush freshly staged writes. A connection already armed
+        // for writability is flushed when the poller reports it.
         for (tok, conn) in conns.iter_mut() {
-            if conn.pending_out() > 0 {
-                if let Err(e) = flush(conn, &metrics) {
+            if conn.pending_out() > 0 && !conn.write_armed {
+                if let Err(e) = flush_and_arm(&mut poller, *tok, conn, &metrics) {
                     closed.push((*tok, format!("write: {e}")));
                 }
             }
         }
-        for (tok, reason) in closed.drain(..) {
-            if let Some(mut conn) = conns.remove(&tok) {
-                poller.deregister(tok);
-                (conn.sink)(ConnEvent::Closed(reason));
-            }
-        }
-
-        // (4) Wait for readiness. Short timeout while writes are
-        // pending or listeners may have queued accepts; longer when
-        // fully idle.
+        retire(&mut poller, &mut conns, &mut closed);
         let staged: usize = conns.values().map(Conn::pending_out).sum();
         metrics.bytes_in_flight.set(staged as u64);
-        let pending_writes = staged > 0;
-        let timeout = if pending_writes {
-            Duration::from_micros(50)
-        } else if !listeners.is_empty() {
-            Duration::from_millis(2)
-        } else {
-            Duration::from_millis(10)
-        };
-        let ready = poller.poll(timeout);
 
-        // (5) Read every ready connection dry.
-        for tok in ready {
-            if tok == WAKE {
-                let mut sink_hole = [0u8; 256];
-                while matches!(wake_rx.read(&mut sink_hole), Ok(n) if n > 0) {}
+        // (3) Park until a socket needs attention or a handle wakes the
+        // loop for new commands.
+        for tok in poller.poll(Duration::MAX) {
+            if let Some((listener, accept)) = listeners.get_mut(&tok) {
+                // Accept until the backlog is empty.
+                while let Ok((stream, addr)) = listener.accept() {
+                    let token = Token(next_token.fetch_add(1, Ordering::Relaxed));
+                    let sink = accept(token, addr);
+                    adopt(&mut poller, &mut conns, token, stream, sink);
+                }
                 continue;
             }
             let Some(conn) = conns.get_mut(&tok) else {
                 continue;
             };
-            let mut close_reason: Option<String> = None;
+            if conn.write_armed {
+                if let Err(e) = flush_and_arm(&mut poller, tok, conn, &metrics) {
+                    closed.push((tok, format!("write: {e}")));
+                    continue;
+                }
+            }
+            // Read the connection dry.
             'reads: loop {
                 match conn.stream.read(&mut scratch) {
                     Ok(0) => {
-                        close_reason = Some(String::new()); // clean EOF
+                        closed.push((tok, String::new())); // clean EOF
                         break 'reads;
                     }
                     Ok(n) => {
@@ -388,19 +360,13 @@ fn run_loop(
                             match conn.decoder.next_frame() {
                                 Ok(Some(frame)) => {
                                     metrics.frames.inc();
-                                    if frame.fault_eligible() {
-                                        let (a, b) = frame.fault_ids();
-                                        match injector.on_net(NetOp::Recv, frame.kind(), a, b) {
-                                            FaultAction::Drop => continue,
-                                            FaultAction::Delay(d) => std::thread::sleep(d),
-                                            FaultAction::Proceed => {}
-                                        }
+                                    if passes_fault_site(&frame, NetOp::Recv, &injector) {
+                                        (conn.sink)(ConnEvent::Frame(frame));
                                     }
-                                    (conn.sink)(ConnEvent::Frame(frame));
                                 }
                                 Ok(None) => break,
                                 Err(e) => {
-                                    close_reason = Some(format!("protocol: {e}"));
+                                    closed.push((tok, format!("protocol: {e}")));
                                     break 'reads;
                                 }
                             }
@@ -409,18 +375,13 @@ fn run_loop(
                     Err(e) if e.kind() == ErrorKind::WouldBlock => break 'reads,
                     Err(e) if e.kind() == ErrorKind::Interrupted => {}
                     Err(e) => {
-                        close_reason = Some(format!("read: {e}"));
+                        closed.push((tok, format!("read: {e}")));
                         break 'reads;
                     }
                 }
             }
-            if let Some(reason) = close_reason {
-                poller.deregister(tok);
-                if let Some(mut conn) = conns.remove(&tok) {
-                    (conn.sink)(ConnEvent::Closed(reason));
-                }
-            }
         }
+        retire(&mut poller, &mut conns, &mut closed);
     }
 }
 

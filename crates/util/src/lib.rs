@@ -13,8 +13,9 @@
 //! - [`check`] — a deterministic property-test driver (replaces
 //!   `proptest`: seeded random cases, plain `assert!`s, reproducible
 //!   failures);
-//! - [`Poller`] — a readiness poller over non-blocking `TcpStream`s
-//!   (replaces `mio`/`epoll` for the `insitu-net` reactor's needs);
+//! - [`Poller`] — a readiness poller over non-blocking sockets, on a
+//!   self-declared `epoll` + `eventfd` binding (replaces `mio` for the
+//!   `insitu-net` reactor's needs);
 //! - [`shm`] — file-backed shared-memory mappings and the SPSC
 //!   descriptor ring of the intra-host data plane (replaces `memmap2`
 //!   with a minimal self-declared `mmap` shim).

@@ -1,12 +1,13 @@
 //! End-to-end test of the socketized workflow server: `insitu launch`
 //! forks real joiner processes over loopback, runs the mixed
 //! concurrent + sequential distrib workflow, and certifies the merged
-//! transfer ledger byte-identical to the single-process executor — in
-//! star mode and in `--p2p` reactor mode (where zero `PullData` frames
-//! may traverse the hub). Also covers the fail-fast paths (a joiner
-//! pointed at a dead address, a launch whose `--procs` does not fit the
-//! workflow) and a reactor soak: 64 concurrent connections served with
-//! O(1) threads per process.
+//! transfer ledger byte-identical to the single-process executor —
+//! star-routed and under `--p2p` (where zero `PullData` frames may
+//! traverse the hub), with the route counters telling the two apart.
+//! Also covers the fail-fast paths (a joiner pointed at a dead address,
+//! a launch whose `--procs` does not fit the workflow) and the
+//! one-wire-thread claim: 64 concurrent connections, or a star-routed
+//! hub with 8 joiners, served with O(1) threads per process.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -182,6 +183,78 @@ fn launch_no_shm_falls_back_to_the_socket_with_identical_ledger() {
     );
 }
 
+/// Route counters of one in-process distributed run (one serve thread,
+/// one join thread per node; shm off so the payloads ride sockets):
+/// `(net.pull_frames_hub, net.pull_frames_p2p)`.
+fn pull_route_counters(p2p: bool) -> (u64, u64) {
+    use insitu::{join, serve, JoinOptions, MappingStrategy, ServeOptions};
+    use insitu_telemetry::Recorder;
+    use std::time::Duration;
+
+    // Round-robin placement forces cross-node pulls.
+    let mut scenario = insitu::sequential_scenario_with_grids(
+        &[2, 2, 1],
+        &[2, 1, 1],
+        &[1, 2, 1],
+        4,
+        insitu::pattern_pairs(&[2, 2, 1])[0],
+    );
+    scenario.cores_per_node = 2;
+    let recorder = Recorder::enabled();
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let joiners: Vec<_> = (0..2)
+        .map(|node| {
+            let (addr, s) = (addr.clone(), scenario.clone());
+            let opts = JoinOptions {
+                timeout: Duration::from_secs(20),
+                recorder: recorder.clone(),
+                ..JoinOptions::default()
+            };
+            std::thread::spawn(move || join(&addr, node, move |_, _| Ok(s), &opts))
+        })
+        .collect();
+    let outcome = serve(
+        &listener,
+        "",
+        "",
+        &scenario,
+        &ServeOptions {
+            strategy: MappingStrategy::RoundRobin,
+            timeout: Duration::from_secs(20),
+            recorder: recorder.clone(),
+            p2p,
+            shm: false,
+            ..ServeOptions::default()
+        },
+    )
+    .unwrap();
+    for j in joiners {
+        j.join().unwrap().unwrap();
+    }
+    assert!(outcome.errors.is_empty(), "{:?}", outcome.errors);
+    let snap = recorder.metrics_snapshot();
+    (
+        snap.counter("net.pull_frames_hub"),
+        snap.counter("net.pull_frames_p2p"),
+    )
+}
+
+/// Held by the tests that run a hub inside this process, so the one
+/// that counts `net-reactor-hub` threads sees only its own.
+static IN_PROCESS_HUB: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// The census counts by route, not by I/O model: both routings run on
+/// the same event loop, and only where `PullData` is addressed differs.
+#[test]
+fn pull_frames_are_counted_by_route() {
+    let _hub = IN_PROCESS_HUB.lock().unwrap_or_else(|e| e.into_inner());
+    let (hub, p2p) = pull_route_counters(false);
+    assert!(hub > 0 && p2p == 0, "star run: hub {hub}, p2p {p2p}");
+    let (hub, p2p) = pull_route_counters(true);
+    assert!(hub == 0 && p2p > 0, "p2p run: hub {hub}, p2p {p2p}");
+}
+
 /// OS thread count of this process, from `/proc/self/status`.
 fn os_threads() -> u64 {
     std::fs::read_to_string("/proc/self/status")
@@ -190,6 +263,91 @@ fn os_threads() -> u64 {
         .find_map(|l| l.strip_prefix("Threads:"))
         .and_then(|v| v.trim().parse().ok())
         .expect("Threads: line")
+}
+
+/// Names of this process's live threads, from `/proc/self/task/*/comm`.
+fn thread_names() -> Vec<String> {
+    std::fs::read_dir("/proc/self/task")
+        .expect("/proc/self/task")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|name| name.trim().to_string())
+        .collect()
+}
+
+/// One wire thread per process regardless of routing: a *star-routed*
+/// hub serving 8 joiners runs exactly one event loop — not a writer and
+/// a reader thread per joiner.
+#[test]
+fn star_routed_hub_serves_8_joiners_from_one_thread() {
+    use insitu_fabric::FaultInjector;
+    use insitu_net::{recv_frame, send_frame, Frame, Hub, HubConfig, NetMetrics};
+    use insitu_telemetry::Recorder;
+    use std::time::Duration;
+
+    const JOINERS: u32 = 8;
+    let _hub = IN_PROCESS_HUB.lock().unwrap_or_else(|e| e.into_inner());
+    let inj = FaultInjector::none();
+    let metrics = NetMetrics::new(&Recorder::disabled());
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    // The joiners are bare sockets on this thread: greet, then let the
+    // hub's accept read the buffered Hellos.
+    let mut joiners: Vec<_> = (0..JOINERS)
+        .map(|node| {
+            let mut s = std::net::TcpStream::connect(addr).expect("dial hub");
+            let hello = Frame::Hello {
+                node,
+                peer_addr: String::new(),
+                host: String::new(),
+            };
+            send_frame(&mut s, &hello, &inj, &metrics).expect("hello");
+            s
+        })
+        .collect();
+    let hub = Hub::accept(
+        &listener,
+        &HubConfig {
+            nodes: JOINERS,
+            cores_per_node: 1,
+            strategy: "data-centric".into(),
+            get_timeout_ms: 1000,
+            dag: String::new(),
+            config: String::new(),
+            run_epoch: 0,
+            accept_timeout: Duration::from_secs(20),
+            p2p: false,
+            shm: false,
+        },
+        &inj,
+        &metrics,
+    )
+    .expect("hub accepts 8 joiners");
+    for s in &mut joiners {
+        recv_frame(s, &inj, &metrics).expect("welcome");
+    }
+    // Star routing at work: node 0's PullNack for node 7 crosses the hub.
+    let nack = Frame::PullNack {
+        name: 1,
+        version: 2,
+        piece: 3,
+        to_node: 7,
+    };
+    send_frame(&mut joiners[0], &nack, &inj, &metrics).expect("nack");
+    assert_eq!(
+        recv_frame(&mut joiners[7], &inj, &metrics).expect("relay"),
+        nack
+    );
+
+    let names = thread_names();
+    let loops = names.iter().filter(|n| *n == "net-reactor-hub").count();
+    assert_eq!(loops, 1, "one hub event loop, got {names:?}");
+    assert!(
+        !names
+            .iter()
+            .any(|n| n.starts_with("net-writer") || n.starts_with("net-hub-from")),
+        "per-joiner transport threads are back: {names:?}"
+    );
+    hub.shutdown(true, "");
 }
 
 #[test]
