@@ -374,7 +374,8 @@ pub fn launch_cmd(cmd: &LaunchCmd) -> Result<String, CliError> {
     // process shares this host, so with shm on every PullData should
     // ride a segment; the counters make that greppable rather than
     // assumed (ring-full fallbacks legitimately shift frames back to
-    // the socket, so the census reports rather than hard-fails).
+    // the socket, so the census reports rather than hard-fails, and
+    // tells that load-caused share apart from attach faults).
     if cmd.no_shm {
         out.push_str("shm:       disabled (--no-shm), PullData on the socket\n");
     } else {
@@ -389,10 +390,12 @@ pub fn launch_cmd(cmd: &LaunchCmd) -> Result<String, CliError> {
         // joiner sum counts each frame at its producer and consumer.
         let shm_frames = joiner_sum("net.shm_frames");
         let fallbacks = joiner_sum("net.shm_fallbacks");
+        let ring_full = joiner_sum("net.shm_fallbacks_full");
         let hub_pulls = recorder.metrics_snapshot().counter("net.pull_frames_hub");
         out.push_str(&format!(
             "shm:       {shm_frames} shared-memory frame event(s), \
-             {hub_pulls} PullData through the hub, {fallbacks} fallback(s)\n"
+             {hub_pulls} PullData through the hub, {fallbacks} fallback(s) \
+             ({ring_full} ring-full)\n"
         ));
     }
     // Standing-query census: how many subscriptions the workflow

@@ -463,11 +463,25 @@ impl CodsSpace {
         }
     }
 
+    /// Count one completed get of `(vid, version)`, local or mirrored.
+    /// The get that brings the count to the declared expectation ends
+    /// the version's consumption on every replica, so each process
+    /// drops its *pulled copies* of it there — a per-process transport
+    /// cache (heap copies off the socket, or shm-mapped arena ranges
+    /// the producer gets back the moment they drop), distinct from the
+    /// owners' staged buffers, which live until `evict_version`. A get
+    /// that failed or timed out never reports, `done` stays short and
+    /// nothing is dropped; an undeclared later get pulls again.
     fn bump_get_done(&self, vid: u64, version: u64) {
         let mut state = self.consumption.lock().unwrap();
-        *state.done.entry((vid, version)).or_insert(0) += 1;
+        let done = state.done.entry((vid, version)).or_insert(0);
+        *done += 1;
+        let consumed = Some(*done) == state.expected_for(vid, version);
         drop(state);
         self.consumed_cv.notify_all();
+        if consumed {
+            self.dart.drop_pulled(vid, version);
+        }
     }
 
     /// Apply a remote replica's completed `get` (wire reader entry point).
@@ -1278,9 +1292,13 @@ impl CodsSpace {
     fn evict_vid(&self, vid: u64, version: u64) {
         self.dht.remove_versions_up_to(vid, version);
         let removed = self.dart.registry().evict_below(vid, version + 1);
-        self.evict_count.add(removed.len() as u64);
+        // Only buffers staged here count: a pulled copy swept out with
+        // the version was never charged to staging, and its owner's
+        // process books the eviction.
+        let staged = removed.into_iter().filter(|&(o, _)| self.dart.hosts(o));
         let mut staging = self.staging.lock().unwrap();
-        for (owner, bytes) in removed {
+        for (owner, bytes) in staged {
+            self.evict_count.inc();
             let node = self.dart.placement().node_of(owner);
             if let Some(used) = staging.get_mut(&node) {
                 *used = used.saturating_sub(bytes);
@@ -1435,6 +1453,166 @@ mod tests {
         assert!(!s.wait_version_consumed("vel", 0, Duration::from_millis(20)));
         s.apply_remote_get_done(vid, 0);
         assert!(s.wait_version_consumed("vel", 0, Duration::from_millis(20)));
+    }
+
+    /// One process of a distributed run: hosts the clients of node 0
+    /// (0 and 1) unless `all`, and counts how often it is asked.
+    struct NodeZero {
+        all: bool,
+        hosts_calls: std::sync::atomic::AtomicU64,
+    }
+
+    impl insitu_dart::Transport for NodeZero {
+        fn hosts(&self, client: ClientId) -> bool {
+            self.hosts_calls
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.all || client < 2
+        }
+        fn hosts_all(&self) -> bool {
+            self.all
+        }
+        fn forward(&self, _to: ClientId, _msg: &insitu_dart::Msg) {}
+        fn publish(&self, _key: &BufKey, _owner: ClientId, _bytes: u64) {}
+        fn request(&self, _key: &BufKey) {}
+    }
+
+    fn node_zero_space(all: bool) -> (Arc<CodsSpace>, Arc<NodeZero>, Recorder) {
+        let wire = Arc::new(NodeZero {
+            all,
+            hosts_calls: Default::default(),
+        });
+        let rec = Recorder::enabled();
+        let dart = DartRuntime::with_transport(
+            Arc::new(Placement::pack_sequential(MachineSpec::new(2, 2), 4)),
+            Arc::new(TransferLedger::new()),
+            rec.clone(),
+            insitu_fabric::FaultInjector::none(),
+            insitu_obs::FlightRecorder::disabled(),
+            wire.clone(),
+        );
+        let dht = Dht::new(Box::new(HilbertCurve::new(2, 3)), vec![0, 2]);
+        let cfg = CodsConfig {
+            get_timeout: Duration::from_secs(2),
+            ..Default::default()
+        };
+        (CodsSpace::new(dart, dht, cfg), wire, rec)
+    }
+
+    /// `produce` as node 0 of a two-process run sees it: ranks 0 and 1
+    /// put locally; the pieces of ranks 2 and 3 arrive the way the wire
+    /// reader lands them — a mirrored DHT insert plus a pulled copy
+    /// registered directly, charged to nobody's staging.
+    fn produce_on_node_zero(space: &CodsSpace, var: &str, version: u64) {
+        let dec = Decomposition::new(
+            BoundingBox::from_sizes(&[8, 8]),
+            ProcessGrid::new(&[2, 2]),
+            Distribution::Blocked,
+        );
+        let vid = space.key_of(var);
+        for r in 0..4u32 {
+            let b = dec.blocked_box(r as u64).unwrap();
+            let data = layout::fill_with(&b, tagfn);
+            if r < 2 {
+                space.put_seq(r, 1, var, version, 0, &b, &data).unwrap();
+            } else {
+                space.apply_remote_dht_insert(
+                    vid,
+                    version,
+                    LocationEntry {
+                        bbox: b,
+                        owner: r,
+                        piece: 0,
+                    },
+                );
+                space
+                    .dart
+                    .registry()
+                    .register(buf_key(vid, version, r, 0), r, encode_f64s(&data));
+            }
+        }
+    }
+
+    #[test]
+    fn last_expected_get_drops_exactly_that_versions_pulled_copies() {
+        let q = BoundingBox::from_sizes(&[8, 8]);
+        // The completing get is local in one run, mirrored in the other.
+        for last_is_remote in [false, true] {
+            let (s, _, _) = node_zero_space(false);
+            s.set_expected_gets("temp", 2);
+            let vid = s.key_of("temp");
+            produce_on_node_zero(&s, "temp", 0);
+            produce_on_node_zero(&s, "temp", 1);
+            produce_on_node_zero(&s, "other", 0);
+            assert_eq!(s.dart.registry().len(), 12);
+
+            // One short of the expectation: nothing is dropped.
+            if last_is_remote {
+                s.get_seq(1, 2, "temp", 0, &q).unwrap();
+            } else {
+                s.apply_remote_get_done(vid, 0);
+            }
+            assert_eq!(s.dart.registry().len(), 12);
+
+            // The expected-th get drops the two pulled copies of
+            // ("temp", 0) and nothing else: not the buffers staged
+            // here, not version 1, not the other variable.
+            if last_is_remote {
+                s.apply_remote_get_done(vid, 0);
+            } else {
+                let (data, _) = s.get_seq(1, 2, "temp", 0, &q).unwrap();
+                assert_eq!(data[layout::linear_index(&q, &[7, 7])], tagfn(&[7, 7]));
+            }
+            assert_eq!(s.dart.registry().len(), 10);
+            for r in 0..4u32 {
+                let held = |var: &str, v| {
+                    let key = buf_key(s.key_of(var), v, r, 0);
+                    s.dart.registry().get(&key).is_some()
+                };
+                assert_eq!(held("temp", 0), r < 2, "rank {r}");
+                assert!(held("temp", 1) && held("other", 0), "rank {r}");
+            }
+            // An undeclared extra get_done past the expectation is
+            // not a second trigger.
+            s.apply_remote_get_done(vid, 0);
+            assert_eq!(s.dart.registry().len(), 10);
+        }
+    }
+
+    #[test]
+    fn single_process_space_never_looks_for_pulled_copies() {
+        // The real thing: LocalTransport hosts everyone, nothing goes.
+        let s = space();
+        s.set_expected_gets("temp", 1);
+        produce(&s, "temp", 0);
+        s.apply_remote_get_done(var_id("temp"), 0);
+        assert_eq!(s.dart.registry().len(), 4);
+
+        // And it is the transport's `hosts_all` that short-circuits: a
+        // scan would ask `hosts` once per candidate entry.
+        let (s, wire, _) = node_zero_space(true);
+        s.set_expected_gets("temp", 1);
+        produce_on_node_zero(&s, "temp", 0);
+        let asked = || wire.hosts_calls.load(std::sync::atomic::Ordering::Relaxed);
+        let before = asked();
+        s.apply_remote_get_done(s.key_of("temp"), 0);
+        assert_eq!(asked(), before, "consumption scanned the registry");
+        assert_eq!(s.dart.registry().len(), 4);
+    }
+
+    #[test]
+    fn eviction_books_only_buffers_staged_in_this_process() {
+        let (s, _, rec) = node_zero_space(false);
+        produce_on_node_zero(&s, "temp", 0);
+        let staged = s.staging_bytes(0);
+        assert!(staged > 0);
+        produce_on_node_zero(&s, "temp", 1);
+        s.evict_version("temp", 0);
+        // Four entries left the registry; two were staged here. The
+        // pulled copies' evictions belong to their owners' process.
+        assert_eq!(s.dart.registry().len(), 4);
+        assert_eq!(rec.metrics_snapshot().counter("cods.evictions"), 2);
+        assert_eq!(s.staging_bytes(0), staged);
+        assert_eq!(s.staging_bytes(1), 0);
     }
 
     #[test]

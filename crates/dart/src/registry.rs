@@ -193,6 +193,33 @@ impl BufferRegistry {
         removed
     }
 
+    /// Drop this process's *pulled copies* of `(name, version)`: entries
+    /// whose owner does not satisfy `hosted`. Owned (staged) buffers,
+    /// other versions and other names stay, and waiters parked on a
+    /// dropped key keep waiting for a re-registration. Returns how many
+    /// entries were dropped.
+    ///
+    /// A pulled copy is a transport cache, not staging: once every
+    /// declared get of the version has completed nobody here will read
+    /// it again, and an undeclared late get simply pulls again from the
+    /// owner. The handles are dropped outside the shard locks — for a
+    /// shm-mapped copy that drop is what hands the arena range back to
+    /// the producer.
+    pub fn drop_pulled(&self, name: u64, version: u64, hosted: impl Fn(ClientId) -> bool) -> usize {
+        let mut dropped = Vec::new();
+        for shard in &self.shards {
+            let mut shard = shard.lock().unwrap();
+            let keys: Vec<BufKey> = shard
+                .table
+                .iter()
+                .filter(|(k, h)| k.name == name && k.version == version && !hosted(h.owner))
+                .map(|(k, _)| *k)
+                .collect();
+            dropped.extend(keys.iter().filter_map(|k| shard.table.remove(k)));
+        }
+        dropped.len()
+    }
+
     /// Number of registered buffers whose owner satisfies `owned`.
     ///
     /// A distributed execution client counts only buffers owned by the
@@ -403,6 +430,52 @@ mod tests {
                 piece: 0
             })
             .is_some());
+    }
+
+    #[test]
+    fn drop_pulled_takes_only_unhosted_copies_of_that_version() {
+        let r = BufferRegistry::new();
+        let k = |name, version, owner: u32| BufKey {
+            name,
+            version,
+            piece: (owner as u64) << 32,
+        };
+        // Owners 0..2 are hosted here; 2..4 are pulled copies.
+        for name in [1u64, 2] {
+            for version in [6u64, 7] {
+                for owner in 0..4u32 {
+                    r.register(k(name, version, owner), owner, Bytes::from(vec![0u8; 8]));
+                }
+            }
+        }
+        // Someone is parked on a key of the dropped version that has
+        // not arrived yet; the drop must leave them parked.
+        let parked = r.subscribe(&[k(1, 7, 9)]);
+        assert_eq!(r.waiter_count(), 1);
+
+        assert_eq!(r.drop_pulled(1, 7, |o| o < 2), 2);
+        assert_eq!(r.len(), 14);
+        for owner in 0..4u32 {
+            // Owned entries of the version stay; pulled ones are gone.
+            assert_eq!(r.get(&k(1, 7, owner)).is_some(), owner < 2);
+            // Other versions and other names are untouched.
+            assert!(r.get(&k(1, 6, owner)).is_some());
+            assert!(r.get(&k(2, 7, owner)).is_some());
+        }
+        assert_eq!(r.waiter_count(), 1);
+        // Nothing left to drop the second time.
+        assert_eq!(r.drop_pulled(1, 7, |o| o < 2), 0);
+
+        // The parked waiter is still served by a later registration,
+        // and a dropped key can simply be pulled (registered) again.
+        let mut parked = parked;
+        r.register(k(1, 7, 9), 9, Bytes::from_static(b"late"));
+        let (_, h, _) = parked
+            .next_before(Instant::now() + Duration::from_secs(5))
+            .expect("waiter survives the drop");
+        assert_eq!(h.owner, 9);
+        r.register(k(1, 7, 3), 3, Bytes::from_static(b"again"));
+        assert!(r.get(&k(1, 7, 3)).is_some());
     }
 
     #[test]

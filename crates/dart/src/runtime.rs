@@ -243,6 +243,25 @@ impl DartRuntime {
         self.wire.publish(&key, owner, bytes);
     }
 
+    /// Whether `client`'s mailbox and buffers live in this process.
+    pub fn hosts(&self, client: ClientId) -> bool {
+        self.wire.hosts(client)
+    }
+
+    /// Drop this process's pulled copies of `(name, version)` — registry
+    /// entries whose owner it does not host (see
+    /// [`BufferRegistry::drop_pulled`]). CoDS calls this when the last
+    /// declared get of the version completes. A single-process runtime
+    /// hosts every client, holds no pulled copy and returns without
+    /// looking at the registry. Returns how many entries were dropped.
+    pub fn drop_pulled(&self, name: u64, version: u64) -> usize {
+        if self.wire.hosts_all() {
+            return 0;
+        }
+        self.registry
+            .drop_pulled(name, version, |owner| self.wire.hosts(owner))
+    }
+
     /// Receiver-driven pull: block until `key` is registered, timing the
     /// wait into the `dart.pull_wait_us` histogram. `None` on timeout or
     /// when an injected fault drops the pull.
@@ -726,6 +745,26 @@ mod tests {
             rt.registry().count_owned(|_| true) as usize,
             rt.registry().len()
         );
+    }
+
+    #[test]
+    fn drop_pulled_uses_the_transports_hosting_and_skips_single_process() {
+        // Hosts clients 0 and 1: the copy owned by client 3 was pulled.
+        let (rt, _) = split_runtime(2);
+        rt.registry().register(bkey(0), 0, Bytes::from_static(b"a"));
+        rt.registry().register(bkey(1), 3, Bytes::from_static(b"c"));
+        assert!(rt.hosts(0) && !rt.hosts(3));
+        assert_eq!(rt.drop_pulled(1, 0), 1);
+        assert!(rt.registry().get(&bkey(0)).is_some());
+        assert!(rt.registry().get(&bkey(1)).is_none());
+
+        // The single-process runtime hosts everyone: nothing to drop.
+        let local = runtime(2, 2, 4);
+        local
+            .registry()
+            .register(bkey(1), 3, Bytes::from_static(b"c"));
+        assert_eq!(local.drop_pulled(1, 0), 0);
+        assert_eq!(local.registry().len(), 1);
     }
 
     #[test]

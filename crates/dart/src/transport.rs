@@ -40,6 +40,14 @@ pub trait Transport: Send + Sync {
     /// path.
     fn hosts(&self, client: ClientId) -> bool;
 
+    /// Whether this process hosts *every* client, so its registry can
+    /// hold no pulled copy of a remote buffer and per-version cache
+    /// cleanup has nothing to look for. Only the single-address-space
+    /// transport says yes.
+    fn hosts_all(&self) -> bool {
+        false
+    }
+
     /// Forward an already-accounted message to a client hosted by another
     /// process.
     fn forward(&self, to: ClientId, msg: &Msg);
@@ -71,6 +79,10 @@ pub struct LocalTransport;
 
 impl Transport for LocalTransport {
     fn hosts(&self, _client: ClientId) -> bool {
+        true
+    }
+
+    fn hosts_all(&self) -> bool {
         true
     }
 

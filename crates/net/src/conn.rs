@@ -92,9 +92,14 @@ pub struct NetMetrics {
     /// PullData records moved through intra-host shared-memory rings.
     pub shm_frames: Counter,
     /// Times a same-host pair degraded a record (or the whole pair) to
-    /// the TCP path: attach failures, ring backpressure deadlines,
-    /// payloads larger than the arena.
+    /// the TCP path, all causes: attach failures, a ring that refused
+    /// the push, payloads larger than the arena.
     pub shm_fallbacks: Counter,
+    /// The load-caused share of `shm_fallbacks`: pushes a full ring
+    /// (`SlotsFull`/`ArenaFull`) refused. These follow consumer timing,
+    /// not the chaos seed — replay checks compare
+    /// `shm_fallbacks - shm_fallbacks_full`.
+    pub shm_fallbacks_full: Counter,
     /// Pulls requested but not yet landed, kept current by the link.
     pub pulls_in_flight: Gauge,
     /// Bytes staged on this process's reactor send paths, encoded but
@@ -119,6 +124,7 @@ impl NetMetrics {
             shm_bytes: recorder.counter("net.shm_bytes"),
             shm_frames: recorder.counter("net.shm_frames"),
             shm_fallbacks: recorder.counter("net.shm_fallbacks"),
+            shm_fallbacks_full: recorder.counter("net.shm_fallbacks_full"),
             pulls_in_flight: recorder.gauge("net.pulls_in_flight"),
             bytes_in_flight: recorder.gauge("net.bytes_in_flight"),
         }

@@ -71,15 +71,15 @@ pub enum Ctl {
 /// Descriptor slots per directed shm pair.
 const SHM_SLOTS: u32 = 256;
 
-/// Payload arena bytes per directed shm pair. 4 MiB keeps a handful of
-/// pairs inside a container's default 64 MiB `/dev/shm` while still
-/// moving redistribution-sized pieces without falling back.
-const SHM_ARENA: u64 = 4 << 20;
-
-/// How long a producer spins on a full ring before degrading the
-/// record to the wire. The wait itself is recorded as a shm-classed
-/// `Pull` event, so backpressure shows up in the shm-wait quantiles.
-const SHM_FULL_WAIT: Duration = Duration::from_millis(20);
+/// Payload arena bytes per directed shm pair, sized for two versions
+/// of a pair's traffic: a range is held from `push` until the consumer
+/// node has *consumed* the version (its last declared get completed),
+/// so one version can be in use while the next is pushed. The
+/// `/dev/shm` budget is pairs × arena — 6 directed pairs × 8 MiB =
+/// 48 MiB, inside a container's default 64 MiB; at 16 MiB the same six
+/// pairs would need 96 MiB, to turn the last few skew-caused refusals
+/// into ring pushes that save less than a socket hop each.
+const SHM_ARENA: u64 = 8 << 20;
 
 /// Distinguishes segments created by different links in one process
 /// (the in-process tests run every joiner as a thread, so pid alone
@@ -772,9 +772,13 @@ impl NetLink {
     /// Try to move one pull answer to `dst` through the pair's ring.
     /// Returns `true` when the record was published and doorbelled (the
     /// caller must not also send `PullData`), `false` when the caller
-    /// must use the wire. Records the `NetSend` (between publish and
-    /// doorbell, mirroring the wire path's record-before-send rule) and
-    /// any backpressure wait.
+    /// must use the wire. Never waits: a ring with no free slot or arena
+    /// range means the consumer still holds two versions' worth of
+    /// records, and one socket hop for *this* record is cheaper than any
+    /// cross-process wait — and keeps the pair lock, which concurrent
+    /// answers to `dst` queue on, held for a copy at most. Records the
+    /// `NetSend` between publish and doorbell, mirroring the wire
+    /// path's record-before-send rule.
     fn shm_send(
         &self,
         dst: u32,
@@ -800,84 +804,50 @@ impl NetLink {
             }
         };
         let slot = slot.lock().unwrap();
-        let (ring, segment) = match &*slot {
-            ShmOut::Tcp => return false,
-            ShmOut::Live { ring, segment, .. } => (Arc::clone(ring), *segment),
+        let ShmOut::Live { ring, segment, .. } = &*slot else {
+            return false;
         };
-        let wait_t0 = flight.now_us();
-        let mut waited = Duration::ZERO;
-        loop {
-            match ring.push(&desc, data) {
-                Ok(seq) => {
-                    if !waited.is_zero() {
-                        self.record_shm_wait(flight, &desc, requester, wait_t0, waited);
-                    }
-                    let t0 = flight.now_us();
-                    flight.record(
-                        Event::new(flight.next_seq(), EventKind::NetSend)
-                            .var(desc.name)
-                            .version(desc.version)
-                            .piece(desc.piece)
-                            .src(desc.owner)
-                            .dst(requester)
-                            .link(LinkClass::Shm)
-                            .bytes(data.len() as u64)
-                            .window(t0, 1),
-                    );
-                    self.reply_send(
-                        reply,
-                        Frame::ShmDoorbell {
-                            src_node: self.node,
-                            dst_node: dst,
-                            segment,
-                            seq,
-                        },
-                    );
-                    self.metrics.shm_frames.inc();
-                    self.metrics.shm_bytes.add(data.len() as u64);
-                    return true;
-                }
-                Err(PushError::TooBig) => {
-                    // This payload can never fit the arena; the pair
-                    // itself stays live for smaller records.
-                    self.metrics.shm_fallbacks.inc();
-                    return false;
-                }
-                Err(PushError::SlotsFull | PushError::ArenaFull) => {
-                    if waited >= SHM_FULL_WAIT {
-                        self.record_shm_wait(flight, &desc, requester, wait_t0, waited);
-                        self.metrics.shm_fallbacks.inc();
-                        return false;
-                    }
-                    std::thread::sleep(Duration::from_micros(100));
-                    waited += Duration::from_micros(100);
-                }
+        match ring.push(&desc, data) {
+            Ok(seq) => {
+                let t0 = flight.now_us();
+                flight.record(
+                    Event::new(flight.next_seq(), EventKind::NetSend)
+                        .var(desc.name)
+                        .version(desc.version)
+                        .piece(desc.piece)
+                        .src(desc.owner)
+                        .dst(requester)
+                        .link(LinkClass::Shm)
+                        .bytes(data.len() as u64)
+                        .window(t0, 1),
+                );
+                self.reply_send(
+                    reply,
+                    Frame::ShmDoorbell {
+                        src_node: self.node,
+                        dst_node: dst,
+                        segment: *segment,
+                        seq,
+                    },
+                );
+                self.metrics.shm_frames.inc();
+                self.metrics.shm_bytes.add(data.len() as u64);
+                true
+            }
+            // This payload can never fit the arena; the pair itself
+            // stays live for smaller records.
+            Err(PushError::TooBig) => {
+                self.metrics.shm_fallbacks.inc();
+                false
+            }
+            // Backpressure is the ring itself: the refused record goes
+            // over the wire now, later ones try the ring again.
+            Err(PushError::SlotsFull | PushError::ArenaFull) => {
+                self.metrics.shm_fallbacks.inc();
+                self.metrics.shm_fallbacks_full.inc();
+                false
             }
         }
-    }
-
-    /// Backpressure accounting: a ring-full wait surfaces as a
-    /// shm-classed `Pull` event so the existing shm-wait quantiles (and
-    /// the watchdog baseline built on them) see it.
-    fn record_shm_wait(
-        &self,
-        flight: &FlightRecorder,
-        desc: &RecordDesc,
-        requester: u32,
-        t0: u64,
-        waited: Duration,
-    ) {
-        let wait_us = waited.as_micros() as u64;
-        flight.record(
-            Event::new(flight.next_seq(), EventKind::Pull { wait_us })
-                .var(desc.name)
-                .version(desc.version)
-                .piece(desc.piece)
-                .src(desc.owner)
-                .dst(requester)
-                .link(LinkClass::Shm)
-                .window(t0, wait_us.max(1)),
-        );
     }
 
     /// Consumer side of a `ShmOffer`: attach the producer's segment.
@@ -1215,5 +1185,135 @@ impl SpaceMirror for NetLink {
             version,
             subscriber,
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::conn::{recv_frame, send_frame};
+    use insitu_cods::{CodsConfig, Dht};
+    use insitu_fabric::{MachineSpec, Placement, TransferLedger};
+    use insitu_sfc::HilbertCurve;
+    use insitu_telemetry::Recorder;
+
+    fn key(piece: u64) -> BufKey {
+        BufKey {
+            name: 7,
+            version: 0,
+            piece,
+        }
+    }
+
+    /// A refused push costs one socket hop, not a wait. Node 0's link
+    /// answers pulls from node 1 — played, hub and all, by this test on
+    /// a bare socket that never attaches the offered segment, so
+    /// nothing is ever popped or released. Two half-arena records fill
+    /// the ring; the next two answers, woken together, must both come
+    /// back as `PullData` at once and be tallied as ring-full.
+    #[test]
+    fn refused_push_falls_back_to_pull_data_without_waiting() {
+        let inj = FaultInjector::none();
+        let rec = Recorder::enabled();
+        let metrics = NetMetrics::new(&rec);
+        let hub = TcpListener::bind("127.0.0.1:0").unwrap();
+        let stream = TcpStream::connect(hub.local_addr().unwrap()).unwrap();
+        let (mut wire, _) = hub.accept().unwrap();
+        // The bound on every answer below: generous, and far above what
+        // a socket hop takes.
+        wire.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+
+        let link = NetLink::new(
+            stream,
+            0,
+            1,
+            Duration::from_secs(10),
+            inj.clone(),
+            metrics.clone(),
+            Vec::new(),
+            TcpListener::bind("127.0.0.1:0").unwrap(),
+            Duration::from_secs(1),
+        )
+        .unwrap();
+        link.set_shm(vec!["host".into(), "host".into()]);
+        let dart = DartRuntime::with_transport(
+            Arc::new(Placement::pack_sequential(MachineSpec::new(2, 1), 2)),
+            Arc::new(TransferLedger::new()),
+            rec.clone(),
+            inj.clone(),
+            FlightRecorder::disabled(),
+            Arc::clone(&link) as Arc<dyn Transport>,
+        );
+        let space = CodsSpace::with_mirror(
+            Arc::clone(&dart),
+            Dht::new(Box::new(HilbertCurve::new(2, 3)), vec![0, 1]),
+            CodsConfig::default(),
+            Arc::clone(&link) as Arc<dyn SpaceMirror>,
+        );
+        let _ctl = link.start_reader(Arc::clone(&dart), space);
+
+        let mut rx = wire.try_clone().unwrap();
+        let mut ask = |piece: u64| {
+            let req = Frame::PullRequest {
+                name: 7,
+                version: 0,
+                piece,
+                from_node: 1,
+            };
+            send_frame(&mut wire, &req, &inj, &metrics).unwrap();
+        };
+        let mut answer = || match recv_frame(&mut rx, &inj, &metrics) {
+            Ok(frame) => frame,
+            Err(e) => panic!("no answer within the bound: {e:?}"),
+        };
+        // Two staged half-arena buffers ride the ring and fill it.
+        let half = Bytes::from(vec![0u8; (SHM_ARENA / 2) as usize]);
+        dart.registry().register(key(0), 0, half.clone());
+        dart.registry().register(key(1), 0, half);
+        ask(0);
+        ask(1);
+        let mut doorbells = 0;
+        while doorbells < 2 {
+            match answer() {
+                Frame::ShmOffer { arena_bytes, .. } => assert_eq!(arena_bytes, SHM_ARENA),
+                Frame::ShmDoorbell { .. } => doorbells += 1,
+                other => panic!("unexpected frame kind {}", other.kind()),
+            }
+        }
+        // Two more pulls park on keys nobody has put yet, so that one
+        // producer's puts release both answers at the same moment.
+        ask(2);
+        ask(3);
+        while dart.registry().waiter_count() < 2 {
+            std::thread::yield_now();
+        }
+        dart.registry()
+            .register(key(2), 0, Bytes::from_static(b"two"));
+        dart.registry()
+            .register(key(3), 0, Bytes::from_static(b"three"));
+        let mut data = Vec::new();
+        while data.len() < 2 {
+            match answer() {
+                Frame::PullData { piece, data: d, .. } => data.push((piece, d)),
+                other => panic!("unexpected frame kind {}", other.kind()),
+            }
+        }
+        data.sort();
+        assert_eq!(data, vec![(2, b"two".to_vec()), (3, b"three".to_vec())]);
+        let snap = rec.metrics_snapshot();
+        assert_eq!(snap.counter("net.shm_frames"), 2);
+        assert_eq!(snap.counter("net.shm_fallbacks_full"), 2);
+        assert_eq!(snap.counter("net.shm_fallbacks"), 2);
+        link.close();
+    }
+
+    /// The send path and the demux run where a sleep stalls every peer
+    /// of this process: backpressure must be a refusal, never a nap.
+    #[test]
+    fn link_source_never_sleeps() {
+        let src = include_str!("link.rs");
+        let needle = ["thread", "::", "sleep"].concat();
+        assert!(!src.contains(&needle), "a {needle} crept into link.rs");
     }
 }

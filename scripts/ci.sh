@@ -61,6 +61,19 @@ for round in $(seq 1 30); do
         || { cat target/shm-replay.txt; echo "shm-attach replay diverged in round $round"; exit 1; }
 done
 
+# Arena recycling, 10 times over: one consumer rank pulls 46 MiB through
+# an 8 MiB ring, which works only if every mapped copy hands its range
+# back the moment its version is consumed. No skew is possible with one
+# consumer, so a single ring-full fallback is a release that came late —
+# a timing dependence should show here as a flake, not as the next PR's
+# regression.
+echo "==> one-consumer arena recycling (0 fallbacks, 10 rounds)"
+for round in $(seq 1 10); do
+    cargo test -q $chaos_profile -p insitu-cli --test integration_net --offline \
+        one_consumer_recycles_the_arena_without_a_single_fallback > target/shm-recycle.txt 2>&1 \
+        || { cat target/shm-recycle.txt; echo "arena recycling fell back in round $round"; exit 1; }
+done
+
 # Critical-path profile of the two-app *_cont example on the threaded
 # executor. The chrome trace (spans + put->pull flow arrows) is left in
 # target/ for the CI workflow to upload as an artifact.
@@ -102,7 +115,7 @@ echo "==> distributed loopback smoke, shared-memory data plane"
 insitu launch workflows/distrib.dag --config workflows/distrib.cfg \
     --procs 3 --strategy round-robin | tee target/launch-shm-report.txt
 grep -q "byte-identical to the single-process run" target/launch-shm-report.txt
-grep -Eq "^shm: +[1-9][0-9]* shared-memory frame event\(s\), 0 PullData through the hub, 0 fallback\(s\)" \
+grep -Eq "^shm: +[1-9][0-9]* shared-memory frame event\(s\), 0 PullData through the hub, 0 fallback\(s\) \(0 ring-full\)" \
     target/launch-shm-report.txt
 echo "==> distributed loopback smoke, shared memory disabled (--no-shm)"
 insitu launch workflows/distrib.dag --config workflows/distrib.cfg \
@@ -179,6 +192,12 @@ BENCH_OUT_DIR=target cargo run -q $chaos_profile -p insitu-bench \
 test -s target/BENCH_redistribution.json
 grep -q '"pattern":"distrib","mode":"shm"' target/BENCH_redistribution.json
 grep -q '"pattern":"distrib","mode":"loopback"' target/BENCH_redistribution.json
+# The shm row's speed-up over loopback, for the log (informational like
+# every wall-clock number of this step; 1.15-1.2x on the 2-core box).
+# Well under 1x is what to look for after touching the arena size or
+# the ring allocator: a run that keeps first-touching fresh tmpfs pages.
+echo "distrib shm vs loopback: $(grep -o '"mode":"shm"[^}]*' target/BENCH_redistribution.json \
+    | grep -o '"speedup_vs_loopback":[0-9.]*' | cut -d: -f2)x"
 
 # Multi-tenant service smoke: one `insitu serve` service process, three
 # concurrent submissions (raw dag/cfg, workflow.toml, and a victim that

@@ -183,27 +183,24 @@ fn launch_no_shm_falls_back_to_the_socket_with_identical_ledger() {
     );
 }
 
-/// Route counters of one in-process distributed run (one serve thread,
-/// one join thread per node; shm off so the payloads ride sockets):
-/// `(net.pull_frames_hub, net.pull_frames_p2p)`.
-fn pull_route_counters(p2p: bool) -> (u64, u64) {
-    use insitu::{join, serve, JoinOptions, MappingStrategy, ServeOptions};
+/// One in-process distributed run (one serve thread, one join thread
+/// per node) under the run's one shared recorder: the server's outcome
+/// and the counters every joiner ticked.
+fn run_in_process(
+    scenario: &insitu::Scenario,
+    strategy: insitu::MappingStrategy,
+    nodes: u32,
+    p2p: bool,
+    shm: bool,
+) -> (insitu::DistribOutcome, insitu_telemetry::MetricsSnapshot) {
+    use insitu::{join, serve, JoinOptions, ServeOptions};
     use insitu_telemetry::Recorder;
     use std::time::Duration;
 
-    // Round-robin placement forces cross-node pulls.
-    let mut scenario = insitu::sequential_scenario_with_grids(
-        &[2, 2, 1],
-        &[2, 1, 1],
-        &[1, 2, 1],
-        4,
-        insitu::pattern_pairs(&[2, 2, 1])[0],
-    );
-    scenario.cores_per_node = 2;
     let recorder = Recorder::enabled();
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
-    let joiners: Vec<_> = (0..2)
+    let joiners: Vec<_> = (0..nodes)
         .map(|node| {
             let (addr, s) = (addr.clone(), scenario.clone());
             let opts = JoinOptions {
@@ -218,13 +215,13 @@ fn pull_route_counters(p2p: bool) -> (u64, u64) {
         &listener,
         "",
         "",
-        &scenario,
+        scenario,
         &ServeOptions {
-            strategy: MappingStrategy::RoundRobin,
+            strategy,
             timeout: Duration::from_secs(20),
             recorder: recorder.clone(),
             p2p,
-            shm: false,
+            shm,
             ..ServeOptions::default()
         },
     )
@@ -233,7 +230,29 @@ fn pull_route_counters(p2p: bool) -> (u64, u64) {
         j.join().unwrap().unwrap();
     }
     assert!(outcome.errors.is_empty(), "{:?}", outcome.errors);
-    let snap = recorder.metrics_snapshot();
+    assert_eq!(outcome.verify_failures, 0);
+    (outcome, recorder.metrics_snapshot())
+}
+
+/// Route counters of one in-process distributed run (shm off so the
+/// payloads ride sockets): `(net.pull_frames_hub, net.pull_frames_p2p)`.
+fn pull_route_counters(p2p: bool) -> (u64, u64) {
+    // Round-robin placement forces cross-node pulls.
+    let mut scenario = insitu::sequential_scenario_with_grids(
+        &[2, 2, 1],
+        &[2, 1, 1],
+        &[1, 2, 1],
+        4,
+        insitu::pattern_pairs(&[2, 2, 1])[0],
+    );
+    scenario.cores_per_node = 2;
+    let (_, snap) = run_in_process(
+        &scenario,
+        insitu::MappingStrategy::RoundRobin,
+        2,
+        p2p,
+        false,
+    );
     (
         snap.counter("net.pull_frames_hub"),
         snap.counter("net.pull_frames_p2p"),
@@ -253,6 +272,79 @@ fn pull_frames_are_counted_by_route() {
     assert!(hub > 0 && p2p == 0, "star run: hub {hub}, p2p {p2p}");
     let (hub, p2p) = pull_route_counters(true);
     assert!(hub == 0 && p2p > 0, "p2p run: hub {hub}, p2p {p2p}");
+}
+
+/// The consumed-release lifetime, end to end over the default shm
+/// plane: a sequential coupling with **one** consumer rank pulls one
+/// 1.65 MiB remote piece per version, 46 MiB in all through an 8 MiB
+/// arena. A pulled copy pins its arena range only until the version is
+/// consumed, and with a single consumer no get can run ahead of
+/// another, so every piece must ride the ring: a fallback here is a
+/// range that came back late (or, for a sequential coupling before
+/// consumption released anything, never).
+#[test]
+fn one_consumer_recycles_the_arena_without_a_single_fallback() {
+    use insitu::MappingStrategy::RoundRobin;
+
+    const VERSIONS: u64 = 28;
+    const PIECE_BYTES: u64 = 60 * 60 * 60 * 8;
+    // At least 20 versions and 5x the 8 MiB arena across the nodes.
+    const _: () = assert!(VERSIONS >= 20 && VERSIONS * PIECE_BYTES >= 5 * (8 << 20));
+    let _hub = IN_PROCESS_HUB.lock().unwrap_or_else(|e| e.into_inner());
+    // Two producer ranks of 60^3 f64 cells each, one consumer rank
+    // reading the whole domain; one core per node, so round-robin puts
+    // the producers on different nodes and exactly one of the two
+    // pieces of every version is remote to the consumer.
+    let mut scenario = insitu::sequential_scenario_with_grids(
+        &[2, 1, 1],
+        &[1, 1, 1],
+        &[1, 1, 1],
+        60,
+        insitu::pattern_pairs(&[2, 1, 1])[0],
+    )
+    .with_iterations(VERSIONS);
+    scenario.workflow.apps.truncate(2);
+    scenario.workflow.edges = vec![(1, 2)];
+    scenario.workflow.bundles = vec![vec![1], vec![2]];
+    scenario.couplings[0].consumer_apps = vec![2];
+    scenario.cores_per_node = 1;
+
+    let expected = insitu::run_threaded(&scenario, RoundRobin);
+    let (got, snap) = run_in_process(&scenario, RoundRobin, 2, false, true);
+    assert_eq!(
+        got.ledger, expected.ledger,
+        "merged ledger must be byte-identical"
+    );
+    assert_eq!(got.gets, VERSIONS);
+    assert_eq!(snap.counter("net.shm_fallbacks"), 0);
+    // One remote piece per version, ticked at its producer and at its
+    // consumer.
+    assert_eq!(snap.counter("net.shm_frames"), 2 * VERSIONS);
+    assert_eq!(snap.counter("net.shm_bytes"), 2 * VERSIONS * PIECE_BYTES);
+    assert_eq!(snap.counter("net.pull_frames_hub"), 0);
+}
+
+/// `cods.evictions` counts staged buffers, once each, in their owner's
+/// process: a joiner's pulled copies swept out by the same eviction are
+/// not evictions, so the joiners' sum is the single-process tally.
+#[test]
+fn distributed_evictions_sum_to_the_single_process_count() {
+    use insitu::MappingStrategy::RoundRobin;
+    use insitu_telemetry::Recorder;
+
+    let _hub = IN_PROCESS_HUB.lock().unwrap_or_else(|e| e.into_inner());
+    let read = |name: &str| std::fs::read_to_string(workflow_path(name)).unwrap();
+    let scenario = insitu_cli::build_scenario(&read("distrib.dag"), &read("distrib.cfg")).unwrap();
+    let single = Recorder::enabled();
+    let expected = insitu::run_threaded_with(&scenario, RoundRobin, &single);
+    let evictions = single.metrics_snapshot().counter("cods.evictions");
+    assert!(evictions > 0, "the concurrent coupling reclaims version 0");
+
+    // Round-robin placement, so consumers hold pulled copies of the
+    // version being evicted.
+    let (got, snap) = run_in_process(&scenario, RoundRobin, 2, false, true);
+    assert_eq!(got.ledger, expected.ledger);
+    assert_eq!(snap.counter("cods.evictions"), evictions);
 }
 
 /// OS thread count of this process, from `/proc/self/status`.
