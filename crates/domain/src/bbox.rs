@@ -58,31 +58,41 @@ impl std::fmt::Debug for BoundingBox {
 }
 
 impl BoundingBox {
+    /// Create a box from inclusive lower and upper bounds, or `None` if
+    /// the slices differ in length, exceed [`MAX_DIMS`], are empty, or
+    /// `lb[d] > ub[d]` for any dimension. The constructor for corners
+    /// that arrive from outside the process (wire frames, files).
+    pub fn try_new(lb: &[u64], ub: &[u64]) -> Option<Self> {
+        let valid = lb.len() == ub.len()
+            && !lb.is_empty()
+            && lb.len() <= MAX_DIMS
+            && lb.iter().zip(ub).all(|(l, u)| l <= u);
+        valid.then(|| BoundingBox {
+            ndim: lb.len() as u8,
+            lb: pt(lb),
+            ub: pt(ub),
+        })
+    }
+
     /// Create a box from inclusive lower and upper bounds.
     ///
     /// # Panics
     /// Panics if the slices differ in length, exceed [`MAX_DIMS`], are
     /// empty, or if `lb[d] > ub[d]` for any dimension.
     pub fn new(lb: &[u64], ub: &[u64]) -> Self {
-        assert_eq!(lb.len(), ub.len(), "bound rank mismatch");
-        assert!(
-            !lb.is_empty() && lb.len() <= MAX_DIMS,
-            "bad rank {}",
-            lb.len()
-        );
-        for d in 0..lb.len() {
+        Self::try_new(lb, ub).unwrap_or_else(|| {
+            // Name the rule the corners broke.
+            assert_eq!(lb.len(), ub.len(), "bound rank mismatch");
             assert!(
-                lb[d] <= ub[d],
-                "empty extent in dim {d}: {} > {}",
-                lb[d],
-                ub[d]
+                !lb.is_empty() && lb.len() <= MAX_DIMS,
+                "bad rank {}",
+                lb.len()
             );
-        }
-        BoundingBox {
-            ndim: lb.len() as u8,
-            lb: pt(lb),
-            ub: pt(ub),
-        }
+            let d = (0..lb.len())
+                .find(|&d| lb[d] > ub[d])
+                .expect("try_new rejects nothing else");
+            panic!("empty extent in dim {d}: {} > {}", lb[d], ub[d])
+        })
     }
 
     /// A box spanning `[0, size_d - 1]` in each dimension.
@@ -278,6 +288,32 @@ mod tests {
         assert_eq!(b.lb(0), 0);
         assert_eq!(b.ub(1), 7);
         assert_eq!(b.num_cells(), 32);
+    }
+
+    #[test]
+    fn try_new_rejects_what_new_panics_on() {
+        assert_eq!(BoundingBox::try_new(&[], &[]), None, "empty");
+        assert_eq!(BoundingBox::try_new(&[0, 0], &[1]), None, "ragged");
+        assert_eq!(BoundingBox::try_new(&[0], &[1, 1]), None, "ragged");
+        let wide = [0u64; MAX_DIMS + 1];
+        assert_eq!(BoundingBox::try_new(&wide, &wide), None, "> MAX_DIMS");
+        assert_eq!(BoundingBox::try_new(&[0, 5], &[3, 1]), None, "lb > ub");
+        assert_eq!(
+            BoundingBox::try_new(&[1, 2], &[3, 2]),
+            Some(BoundingBox::new(&[1, 2], &[3, 2]))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "bound rank mismatch")]
+    fn rejects_ragged_bounds() {
+        BoundingBox::new(&[0, 0], &[1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "bad rank 0")]
+    fn rejects_empty_bounds() {
+        BoundingBox::new(&[], &[]);
     }
 
     #[test]

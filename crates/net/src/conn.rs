@@ -16,7 +16,6 @@
 use crate::frame::{Frame, FrameError};
 use insitu_fabric::{FaultAction, FaultInjector, NetOp};
 use insitu_telemetry::{Counter, Gauge, Recorder};
-use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
@@ -53,6 +52,7 @@ impl From<FrameError> for NetError {
     fn from(e: FrameError) -> Self {
         match e {
             FrameError::Io(io) => NetError::Io(io),
+            refused @ FrameError::TooLong { .. } => NetError::Protocol(refused.to_string()),
             other => NetError::Frame(other),
         }
     }
@@ -153,6 +153,8 @@ pub(crate) fn passes_fault_site(frame: &Frame, op: NetOp, injector: &FaultInject
 /// fault-eligible frames (pull data and telemetry batches). A dropped
 /// frame is silently not written (the wire "lost" it); a delayed frame
 /// sleeps first. Control-plane frames bypass the injector entirely.
+/// A frame over `MAX_FRAME_LEN` is refused with [`NetError::Protocol`]
+/// naming its kind and size, before any byte is written.
 pub fn send_frame(
     stream: &mut TcpStream,
     frame: &Frame,
@@ -162,12 +164,8 @@ pub fn send_frame(
     if !passes_fault_site(frame, NetOp::Send, injector) {
         return Ok(());
     }
-    let bytes = frame.encode();
-    stream
-        .write_all(&bytes)
-        .and_then(|_| stream.flush())
-        .map_err(|e| NetError::Io(e.to_string()))?;
-    metrics.bytes_sent.add(bytes.len() as u64);
+    let sent = frame.write_to(stream)?;
+    metrics.bytes_sent.add(sent as u64);
     metrics.frames.inc();
     Ok(())
 }
@@ -316,6 +314,16 @@ mod tests {
         let wire: u64 = expected.iter().map(|f| f.encode().len() as u64).sum();
         assert_eq!(sent.bytes_sent.get(), wire);
         assert_eq!(recvd.bytes_recv.get(), sent.bytes_sent.get());
+    }
+
+    #[test]
+    fn a_refused_frame_is_a_protocol_error_carrying_the_refusal() {
+        let refused = FrameError::TooLong {
+            kind: 6,
+            len: 1 << 30,
+        };
+        let text = refused.to_string();
+        assert_eq!(NetError::from(refused), NetError::Protocol(text));
     }
 
     #[test]

@@ -8,12 +8,22 @@
 //!
 //! where `len` counts everything after the length word (so `len ==
 //! 2 + payload.len()`). Integers are little-endian; strings are UTF-8
-//! with a `u32` byte-length prefix; byte and `u64` vectors carry a `u32`
-//! element-count prefix. Decoding is total: malformed input of any shape
-//! — truncated payloads, oversized length words, unknown versions or
-//! kinds, trailing garbage — returns a [`FrameError`], never panics, so
-//! a confused or hostile peer cannot take the process down.
+//! with a `u32` byte-length prefix; byte vectors and vectors of any
+//! other field type carry a `u32` element-count prefix.
+//!
+//! Each message is described **once**, in the `frames!` table below:
+//! kind byte, variant, and `field: Type` list in wire order. The table
+//! generates the [`Frame`] enum, [`Frame::kind`], the payload writer
+//! and reader and the tests' one-frame-per-kind generator; how a *type*
+//! crosses the wire is the private `Wire` trait, implemented once per
+//! field type. DESIGN.md §9.1 has the recipe for adding a message.
+//!
+//! Decoding is total: malformed input of any shape — truncated
+//! payloads, oversized length words, unknown versions or kinds, hostile
+//! element counts, trailing garbage — returns a [`FrameError`], never
+//! panics, so a confused or hostile peer cannot take the process down.
 
+use insitu_domain::BoundingBox;
 use insitu_fabric::{LedgerSnapshot, Locality, TrafficClass};
 use insitu_obs::{Event, EventKind, LinkClass};
 use std::io::{Read, Write};
@@ -32,11 +42,15 @@ pub const WIRE_VERSION: u8 = 6;
 
 /// Upper bound on `len`: rejects absurd length words before any
 /// allocation happens (a 256 MiB frame comfortably fits the largest
-/// paper-scale piece).
+/// paper-scale piece). Senders refuse to stage a frame past it.
 pub const MAX_FRAME_LEN: u32 = 256 << 20;
 
-/// Decode (and stream-read) failures. Every variant is a rejection — the
-/// codec never panics on wire input.
+/// The telemetry-batch kind byte, exposed so the chaos plan's
+/// `net-telemetry` fault site can classify frames without decoding.
+pub const KIND_TELEMETRY: u8 = 25;
+
+/// Codec failures. Every variant is a rejection — the codec never
+/// panics on wire input.
 #[derive(Clone, Debug, PartialEq)]
 pub enum FrameError {
     /// The stream ended or the payload is shorter than its fields claim.
@@ -53,6 +67,14 @@ pub enum FrameError {
     BadPayload(&'static str),
     /// Underlying stream error while reading or writing a frame.
     Io(String),
+    /// An outbound frame would exceed [`MAX_FRAME_LEN`], so every peer
+    /// would reject it; the sender refuses it and writes nothing.
+    TooLong {
+        /// Kind byte of the refused frame.
+        kind: u8,
+        /// Its length after the length word, in bytes.
+        len: u64,
+    },
 }
 
 impl std::fmt::Display for FrameError {
@@ -66,6 +88,10 @@ impl std::fmt::Display for FrameError {
             FrameError::BadKind(k) => write!(f, "unknown frame kind {k}"),
             FrameError::BadPayload(why) => write!(f, "bad frame payload: {why}"),
             FrameError::Io(e) => write!(f, "frame i/o: {e}"),
+            FrameError::TooLong { kind, len } => write!(
+                f,
+                "frame kind {kind} of {len} bytes exceeds the {MAX_FRAME_LEN}-byte frame limit; not sent"
+            ),
         }
     }
 }
@@ -180,6 +206,73 @@ pub struct RunSummary {
     pub health: Vec<String>,
 }
 
+/// Expands the frame table into the [`Frame`] enum and everything that
+/// must agree with it field for field. An entry reads
+/// `kind => Variant { field: Type, .. }`, `kind => Variant` (no
+/// payload) or `kind => Variant(name: Type)` (the payload is one
+/// structured value); fields cross the wire in the order listed, each
+/// through its type's `Wire` impl.
+macro_rules! frames {
+    (
+        $(#[$enum_meta:meta])*
+        pub enum Frame {$(
+            $(#[$meta:meta])*
+            $kind:literal => $name:ident
+                $({ $( $(#[$field_meta:meta])* $field:ident: $ty:ty ),* $(,)? })?
+                $(( $body:ident: $body_ty:ty ))?
+        ),* $(,)?}
+    ) => {
+        $(#[$enum_meta])*
+        pub enum Frame {$(
+            $(#[$meta])*
+            $name $({ $( $(#[$field_meta])* $field: $ty ),* })? $(( $body_ty ))?
+        ),*}
+
+        impl Frame {
+            /// The kind byte this frame encodes with.
+            pub fn kind(&self) -> u8 {
+                match self {
+                    $( Frame::$name { .. } => $kind ),*
+                }
+            }
+
+            /// Append the payload: every field, in table order.
+            fn put_payload(&self, out: &mut Vec<u8>) {
+                match self {$(
+                    Frame::$name $({ $($field),* })? $(( $body ))? => {
+                        $($( $field.put(out); )*)?
+                        $( $body.put(out); )?
+                    }
+                ),*}
+            }
+
+            /// Read the payload of a `kind` frame, field by field.
+            fn take_payload(kind: u8, c: &mut &[u8]) -> Result<Frame, FrameError> {
+                Ok(match kind {
+                    $(
+                        $kind => Frame::$name
+                            $({ $( $field: Wire::take(c)? ),* })?
+                            $(( <$body_ty as Wire>::take(c)? ))?,
+                    )*
+                    other => return Err(FrameError::BadKind(other)),
+                })
+            }
+
+            /// One arbitrary frame of every kind, in table order.
+            #[cfg(test)]
+            fn arb_each(rng: &mut insitu_util::rng::SplitMix64) -> Vec<Frame> {
+                use tests::Arb;
+                vec![$(
+                    Frame::$name
+                        $({ $( $field: Arb::arb(rng) ),* })?
+                        $(( <$body_ty as Arb>::arb(rng) ))?
+                ),*]
+            }
+        }
+    };
+}
+
+frames! {
 /// A protocol message.
 ///
 /// Control-plane frames are never offered to fault injection: the
@@ -192,7 +285,7 @@ pub struct RunSummary {
 pub enum Frame {
     /// Joiner → server: first frame on a connection; registers the
     /// process as the host of simulated node `node`.
-    Hello {
+    1 => Hello {
         /// Node this process hosts.
         node: u32,
         /// Address (`ip:port`) where this process accepts direct
@@ -207,7 +300,7 @@ pub enum Frame {
     },
     /// Server → joiner: registration accepted; carries everything the
     /// joiner needs to deterministically rebuild the scenario replica.
-    Welcome {
+    2 => Welcome {
         /// Total nodes (= joiner processes) in the run.
         nodes: u32,
         /// Mapping-strategy slug (`data-centric`, `round-robin`, ...).
@@ -237,7 +330,7 @@ pub enum Frame {
     /// A mailbox message for a client hosted elsewhere (task dispatch
     /// from the server, halo exchange between joiners). Routed by the
     /// server; already accounted by the sender.
-    Relay {
+    3 => Relay {
         /// Destination client.
         to: u32,
         /// Source client.
@@ -249,7 +342,7 @@ pub enum Frame {
     },
     /// Joiner → server: a buffer was registered locally (put-notify).
     /// Informational: pull routing is by the owner packed in the key.
-    PutNotify {
+    4 => PutNotify {
         /// Buffer name hash.
         name: u64,
         /// Version.
@@ -262,7 +355,7 @@ pub enum Frame {
         bytes: u64,
     },
     /// Consumer joiner → server → owner joiner: request one buffer.
-    PullRequest {
+    5 => PullRequest {
         /// Buffer name hash.
         name: u64,
         /// Version.
@@ -275,7 +368,7 @@ pub enum Frame {
     /// Owner joiner → server → consumer joiner: the requested bytes.
     /// The only data-plane frame; `net.send`/`net.recv` fault sites
     /// apply to it.
-    PullData {
+    6 => PullData {
         /// Buffer name hash.
         name: u64,
         /// Version.
@@ -292,7 +385,7 @@ pub enum Frame {
     /// Owner joiner → server → consumer joiner: the buffer never
     /// appeared before the owner's timeout; the consumer's own wait
     /// will surface the pull timeout.
-    PullNack {
+    7 => PullNack {
         /// Buffer name hash.
         name: u64,
         /// Version.
@@ -304,7 +397,7 @@ pub enum Frame {
     },
     /// Joiner → server → all other joiners: mirror of a local DHT
     /// insert, so every replica answers location queries identically.
-    DhtInsert {
+    8 => DhtInsert {
         /// Variable name hash.
         var: u64,
         /// Version.
@@ -320,7 +413,7 @@ pub enum Frame {
     },
     /// Joiner → server → all other joiners: a `get` of `(var, version)`
     /// completed (version-consumption bookkeeping for producers).
-    GetDone {
+    9 => GetDone {
         /// Variable name hash.
         var: u64,
         /// Version.
@@ -328,7 +421,7 @@ pub enum Frame {
     },
     /// Joiner → server → all other joiners: versions of `var` up to and
     /// including `version` were evicted.
-    Evict {
+    10 => Evict {
         /// Variable name hash.
         var: u64,
         /// Highest evicted version.
@@ -336,29 +429,29 @@ pub enum Frame {
     },
     /// Server → joiners: all of wave `wave`'s dispatch relays precede
     /// this frame on each connection; start executing local tasks.
-    RunWave {
+    11 => RunWave {
         /// Wave index.
         wave: u32,
     },
     /// Joiner → server: all local tasks of `wave` finished and their
     /// mirror frames precede this frame on the connection.
-    Barrier {
+    12 => Barrier {
         /// Wave index.
         wave: u32,
         /// Reporting node.
         node: u32,
     },
     /// Joiner → server: final per-process outcome.
-    Report(NodeReport),
+    13 => Report(report: NodeReport),
     /// Server → joiners: the run is over; close down.
-    Shutdown {
+    14 => Shutdown {
         /// Whether the run completed successfully.
         ok: bool,
         /// Human-readable reason (empty on success).
         reason: String,
     },
     /// Client → service: enqueue a new workflow run.
-    Submit {
+    15 => Submit {
         /// Display name for status listings.
         name: String,
         /// The workflow DAG description text.
@@ -375,40 +468,40 @@ pub enum Frame {
         priority: u32,
     },
     /// Service → client: the run was accepted and queued.
-    Submitted {
+    16 => Submitted {
         /// Assigned run id.
         run: u64,
         /// Runs ahead of this one in the admission queue.
         queued_ahead: u32,
     },
     /// Client → service: cancel a queued or running run.
-    Cancel {
+    17 => Cancel {
         /// Run to cancel.
         run: u64,
     },
     /// Client → service: ask for one run's summary.
-    Status {
+    18 => Status {
         /// Run to describe.
         run: u64,
     },
     /// Client → service: ask for every run's summary.
-    ListRuns,
+    19 => ListRuns,
     /// Service → client: one run's summary (answer to `Status` and
     /// `Cancel`).
-    RunStatus(RunSummary),
+    20 => RunStatus(summary: RunSummary),
     /// Service → client: all runs (answer to `ListRuns`).
-    RunList {
+    21 => RunList {
         /// Every run the service knows, in submission order.
         runs: Vec<RunSummary>,
     },
     /// Client → service: ask for a completed run's artifacts.
-    RunResult {
+    22 => RunResult {
         /// Run whose artifacts to fetch.
         run: u64,
     },
     /// Service → client: a run's artifacts (answer to `RunResult`).
     /// JSON fields are empty until the run reaches a terminal state.
-    RunReport {
+    23 => RunReport {
         /// Run id.
         run: u64,
         /// Terminal (or current) state.
@@ -424,7 +517,7 @@ pub enum Frame {
     },
     /// Service → client: an RPC could not be served (unknown run, full
     /// queue, malformed workflow, ...).
-    RpcErr {
+    24 => RpcErr {
         /// Human-readable reason.
         message: String,
     },
@@ -434,7 +527,7 @@ pub enum Frame {
     /// connection as control traffic but are sized so they can never
     /// starve data frames, and they are fault-eligible: a dropped batch
     /// costs trace completeness, not run correctness.
-    Telemetry {
+    25 => Telemetry {
         /// Shipping node.
         node: u32,
         /// Batch index within this node's shipment (0-based).
@@ -457,14 +550,14 @@ pub enum Frame {
     },
     /// Server → joiner: `Telemetry` batch received; the shipper's
     /// bounded-window flow control (ship, await ack, ship next).
-    TelemetryAck {
+    26 => TelemetryAck {
         /// Acknowledged node.
         node: u32,
         /// Acknowledged batch index.
         batch: u32,
     },
     /// Client → service: subscribe to periodic run-progress frames.
-    Watch {
+    27 => Watch {
         /// Run to watch.
         run: u64,
         /// Requested sampling interval in milliseconds (the service
@@ -475,7 +568,7 @@ pub enum Frame {
     },
     /// Service → client: one live progress sample of a watched run
     /// (answer stream to `Watch`; `done` marks the final frame).
-    Progress {
+    28 => Progress {
         /// Watched run.
         run: u64,
         /// Lifecycle state at sample time.
@@ -524,7 +617,7 @@ pub enum Frame {
     /// Control plane: never fault-eligible, never data plane — the
     /// chaos `shm-attach` site fires at segment creation/attach, not
     /// on the wire.
-    ShmOffer {
+    29 => ShmOffer {
         /// Producer's node (segment creator).
         src_node: u32,
         /// Consumer's node (segment attacher).
@@ -544,7 +637,7 @@ pub enum Frame {
     /// credit/nack channel: `attached == false` after records were
     /// published tells the producer to resend them as PullData and
     /// retire the segment.
-    ShmAck {
+    30 => ShmAck {
         /// Producer's node.
         src_node: u32,
         /// Consumer's node.
@@ -561,7 +654,7 @@ pub enum Frame {
     /// published to the pair's ring at or below `seq`; drain it. The
     /// doorbell carries no payload — the data already sits in the
     /// consumer-mapped segment.
-    ShmDoorbell {
+    31 => ShmDoorbell {
         /// Producer's node.
         src_node: u32,
         /// Consumer's node.
@@ -576,7 +669,7 @@ pub enum Frame {
     /// and answers the origin with `SubAck`. Idempotent by `sub_id`
     /// (the spec-deterministic `SubSpec::id`), so re-registration after
     /// a reconnect is harmless.
-    Subscribe {
+    32 => Subscribe {
         /// Deterministic subscription id.
         sub_id: u64,
         /// Variable key (epoch-salted).
@@ -593,7 +686,7 @@ pub enum Frame {
     /// Hub → origin node: the `Subscribe` was broadcast; producers on
     /// every replica now feed the query. Registration rendezvous for
     /// the subscriber task.
-    SubAck {
+    33 => SubAck {
         /// Acknowledged subscription.
         sub_id: u64,
         /// Node the ack is addressed to (the subscriber's node).
@@ -605,7 +698,7 @@ pub enum Frame {
     /// and NOT wire-fault-eligible: the chaos `sub-push` site fires in
     /// the shared put path before the transport split, so a seed drops
     /// the same fragments whether or not a wire is involved.
-    SubPush {
+    34 => SubPush {
         /// Target subscription.
         sub_id: u64,
         /// Variable key (epoch-salted).
@@ -625,14 +718,14 @@ pub enum Frame {
     },
     /// Joiner → hub (control plane): tear down a standing query on
     /// every replica. Broadcast to all nodes except the origin.
-    SubCancel {
+    35 => SubCancel {
         /// Subscription to cancel.
         sub_id: u64,
     },
     /// Joiner → hub (diagnostics): the subscriber's bounded queue
     /// dropped `version`. The hub only counts these — gap healing is
     /// the subscriber's resync `get`, which needs no frame.
-    SubLagged {
+    36 => SubLagged {
         /// Lagging subscription.
         sub_id: u64,
         /// Version lost to the bounded queue.
@@ -641,93 +734,23 @@ pub enum Frame {
         subscriber: u32,
     },
 }
+}
 
-const KIND_HELLO: u8 = 1;
-const KIND_WELCOME: u8 = 2;
-const KIND_RELAY: u8 = 3;
-const KIND_PUT_NOTIFY: u8 = 4;
-const KIND_PULL_REQUEST: u8 = 5;
-/// The pull-data kind byte, exposed so fault gating and tests can name
-/// the data-plane frame without decoding.
-pub const KIND_PULL_DATA: u8 = 6;
-const KIND_PULL_NACK: u8 = 7;
-const KIND_DHT_INSERT: u8 = 8;
-const KIND_GET_DONE: u8 = 9;
-const KIND_EVICT: u8 = 10;
-const KIND_RUN_WAVE: u8 = 11;
-const KIND_BARRIER: u8 = 12;
-const KIND_REPORT: u8 = 13;
-const KIND_SHUTDOWN: u8 = 14;
-const KIND_SUBMIT: u8 = 15;
-const KIND_SUBMITTED: u8 = 16;
-const KIND_CANCEL: u8 = 17;
-const KIND_STATUS: u8 = 18;
-const KIND_LIST_RUNS: u8 = 19;
-const KIND_RUN_STATUS: u8 = 20;
-const KIND_RUN_LIST: u8 = 21;
-const KIND_RUN_RESULT: u8 = 22;
-const KIND_RUN_REPORT: u8 = 23;
-const KIND_RPC_ERR: u8 = 24;
-/// The telemetry-batch kind byte, exposed so the chaos plan's
-/// `net-telemetry` fault site can classify frames without decoding.
-pub const KIND_TELEMETRY: u8 = 25;
-const KIND_TELEMETRY_ACK: u8 = 26;
-const KIND_WATCH: u8 = 27;
-const KIND_PROGRESS: u8 = 28;
-const KIND_SHM_OFFER: u8 = 29;
-const KIND_SHM_ACK: u8 = 30;
-const KIND_SHM_DOORBELL: u8 = 31;
-const KIND_SUBSCRIBE: u8 = 32;
-const KIND_SUB_ACK: u8 = 33;
-/// The standing-query push kind byte, exposed so routing counters and
-/// tests can name the frame without decoding.
-pub const KIND_SUB_PUSH: u8 = 34;
-const KIND_SUB_CANCEL: u8 = 35;
-const KIND_SUB_LAGGED: u8 = 36;
+/// The length word for a frame whose version, kind and payload occupy
+/// `len` bytes — or the refusal its sender reports, since every
+/// receiver would reject the frame (and past 4 GiB the word would
+/// wrap).
+fn length_word(kind: u8, len: usize) -> Result<u32, FrameError> {
+    u32::try_from(len)
+        .ok()
+        .filter(|&word| word <= MAX_FRAME_LEN)
+        .ok_or(FrameError::TooLong {
+            kind,
+            len: len as u64,
+        })
+}
 
 impl Frame {
-    /// The kind byte this frame encodes with.
-    pub fn kind(&self) -> u8 {
-        match self {
-            Frame::Hello { .. } => KIND_HELLO,
-            Frame::Welcome { .. } => KIND_WELCOME,
-            Frame::Relay { .. } => KIND_RELAY,
-            Frame::PutNotify { .. } => KIND_PUT_NOTIFY,
-            Frame::PullRequest { .. } => KIND_PULL_REQUEST,
-            Frame::PullData { .. } => KIND_PULL_DATA,
-            Frame::PullNack { .. } => KIND_PULL_NACK,
-            Frame::DhtInsert { .. } => KIND_DHT_INSERT,
-            Frame::GetDone { .. } => KIND_GET_DONE,
-            Frame::Evict { .. } => KIND_EVICT,
-            Frame::RunWave { .. } => KIND_RUN_WAVE,
-            Frame::Barrier { .. } => KIND_BARRIER,
-            Frame::Report(_) => KIND_REPORT,
-            Frame::Shutdown { .. } => KIND_SHUTDOWN,
-            Frame::Submit { .. } => KIND_SUBMIT,
-            Frame::Submitted { .. } => KIND_SUBMITTED,
-            Frame::Cancel { .. } => KIND_CANCEL,
-            Frame::Status { .. } => KIND_STATUS,
-            Frame::ListRuns => KIND_LIST_RUNS,
-            Frame::RunStatus(_) => KIND_RUN_STATUS,
-            Frame::RunList { .. } => KIND_RUN_LIST,
-            Frame::RunResult { .. } => KIND_RUN_RESULT,
-            Frame::RunReport { .. } => KIND_RUN_REPORT,
-            Frame::RpcErr { .. } => KIND_RPC_ERR,
-            Frame::Telemetry { .. } => KIND_TELEMETRY,
-            Frame::TelemetryAck { .. } => KIND_TELEMETRY_ACK,
-            Frame::Watch { .. } => KIND_WATCH,
-            Frame::Progress { .. } => KIND_PROGRESS,
-            Frame::ShmOffer { .. } => KIND_SHM_OFFER,
-            Frame::ShmAck { .. } => KIND_SHM_ACK,
-            Frame::ShmDoorbell { .. } => KIND_SHM_DOORBELL,
-            Frame::Subscribe { .. } => KIND_SUBSCRIBE,
-            Frame::SubAck { .. } => KIND_SUB_ACK,
-            Frame::SubPush { .. } => KIND_SUB_PUSH,
-            Frame::SubCancel { .. } => KIND_SUB_CANCEL,
-            Frame::SubLagged { .. } => KIND_SUB_LAGGED,
-        }
-    }
-
     /// Whether this frame is data plane (a bulk `PullData` payload).
     /// Feeds the `net.pull_hub`/`net.pull_p2p` routing counters and the
     /// p2p acceptance gate; telemetry is deliberately excluded so the
@@ -755,371 +778,30 @@ impl Frame {
         }
     }
 
+    /// Append the complete wire frame (length word included) to `out`
+    /// in one pass, returning the bytes appended — how senders stage
+    /// frames back to back without a buffer per frame. A frame over
+    /// [`MAX_FRAME_LEN`] is refused: `out` is rolled back to what it
+    /// held and the error names the kind and size.
+    pub fn encode_into(&self, out: &mut Vec<u8>) -> Result<usize, FrameError> {
+        let start = out.len();
+        out.extend_from_slice(&[0, 0, 0, 0, WIRE_VERSION, self.kind()]);
+        self.put_payload(out);
+        let word =
+            length_word(self.kind(), out.len() - start - 4).inspect_err(|_| out.truncate(start))?;
+        out[start..start + 4].copy_from_slice(&word.to_le_bytes());
+        Ok(out.len() - start)
+    }
+
     /// Encode to a complete wire frame (length word included).
+    ///
+    /// # Panics
+    /// Panics if the frame exceeds [`MAX_FRAME_LEN`]; a sender that can
+    /// meet such a frame stages it with [`Frame::encode_into`].
     pub fn encode(&self) -> Vec<u8> {
-        let mut p = Vec::new();
-        match self {
-            Frame::Hello {
-                node,
-                peer_addr,
-                host,
-            } => {
-                put_u32(&mut p, *node);
-                put_str(&mut p, peer_addr);
-                put_str(&mut p, host);
-            }
-            Frame::Welcome {
-                nodes,
-                strategy,
-                get_timeout_ms,
-                dag,
-                config,
-                run_epoch,
-                peers,
-                hosts,
-            } => {
-                put_u32(&mut p, *nodes);
-                put_str(&mut p, strategy);
-                put_u64(&mut p, *get_timeout_ms);
-                put_str(&mut p, dag);
-                put_str(&mut p, config);
-                put_u64(&mut p, *run_epoch);
-                put_strs(&mut p, peers);
-                put_strs(&mut p, hosts);
-            }
-            Frame::Relay {
-                to,
-                src,
-                tag,
-                payload,
-            } => {
-                put_u32(&mut p, *to);
-                put_u32(&mut p, *src);
-                put_u64(&mut p, *tag);
-                put_bytes(&mut p, payload);
-            }
-            Frame::PutNotify {
-                name,
-                version,
-                piece,
-                owner,
-                bytes,
-            } => {
-                put_u64(&mut p, *name);
-                put_u64(&mut p, *version);
-                put_u64(&mut p, *piece);
-                put_u32(&mut p, *owner);
-                put_u64(&mut p, *bytes);
-            }
-            Frame::PullRequest {
-                name,
-                version,
-                piece,
-                from_node,
-            } => {
-                put_u64(&mut p, *name);
-                put_u64(&mut p, *version);
-                put_u64(&mut p, *piece);
-                put_u32(&mut p, *from_node);
-            }
-            Frame::PullData {
-                name,
-                version,
-                piece,
-                owner,
-                to_node,
-                data,
-            } => {
-                put_u64(&mut p, *name);
-                put_u64(&mut p, *version);
-                put_u64(&mut p, *piece);
-                put_u32(&mut p, *owner);
-                put_u32(&mut p, *to_node);
-                put_bytes(&mut p, data);
-            }
-            Frame::PullNack {
-                name,
-                version,
-                piece,
-                to_node,
-            } => {
-                put_u64(&mut p, *name);
-                put_u64(&mut p, *version);
-                put_u64(&mut p, *piece);
-                put_u32(&mut p, *to_node);
-            }
-            Frame::DhtInsert {
-                var,
-                version,
-                owner,
-                piece,
-                lbs,
-                ubs,
-            } => {
-                put_u64(&mut p, *var);
-                put_u64(&mut p, *version);
-                put_u32(&mut p, *owner);
-                put_u64(&mut p, *piece);
-                put_u64s(&mut p, lbs);
-                put_u64s(&mut p, ubs);
-            }
-            Frame::GetDone { var, version } | Frame::Evict { var, version } => {
-                put_u64(&mut p, *var);
-                put_u64(&mut p, *version);
-            }
-            Frame::RunWave { wave } => put_u32(&mut p, *wave),
-            Frame::Barrier { wave, node } => {
-                put_u32(&mut p, *wave);
-                put_u32(&mut p, *node);
-            }
-            Frame::Report(r) => {
-                put_u32(&mut p, r.node);
-                for cell in r.ledger.shm_cells() {
-                    put_u64(&mut p, cell);
-                }
-                for cell in r.ledger.net_cells() {
-                    put_u64(&mut p, cell);
-                }
-                let entries: Vec<_> = r.ledger.per_app().collect();
-                put_u32(&mut p, entries.len() as u32);
-                for (app, class, loc, bytes) in entries {
-                    put_u32(&mut p, app);
-                    p.push(class.idx() as u8);
-                    p.push(loc.idx() as u8);
-                    put_u64(&mut p, bytes);
-                }
-                put_u64(&mut p, r.verify_failures);
-                put_u64(&mut p, r.staged);
-                put_u64(&mut p, r.gets);
-                put_u32(&mut p, r.errors.len() as u32);
-                for e in &r.errors {
-                    put_str(&mut p, e);
-                }
-            }
-            Frame::Shutdown { ok, reason } => {
-                p.push(*ok as u8);
-                put_str(&mut p, reason);
-            }
-            Frame::Submit {
-                name,
-                dag,
-                config,
-                strategy,
-                get_timeout_ms,
-                priority,
-            } => {
-                put_str(&mut p, name);
-                put_str(&mut p, dag);
-                put_str(&mut p, config);
-                put_str(&mut p, strategy);
-                put_u64(&mut p, *get_timeout_ms);
-                put_u32(&mut p, *priority);
-            }
-            Frame::Submitted { run, queued_ahead } => {
-                put_u64(&mut p, *run);
-                put_u32(&mut p, *queued_ahead);
-            }
-            Frame::Cancel { run } | Frame::Status { run } | Frame::RunResult { run } => {
-                put_u64(&mut p, *run);
-            }
-            Frame::ListRuns => {}
-            Frame::RunStatus(s) => put_run_summary(&mut p, s),
-            Frame::RunList { runs } => {
-                put_u32(&mut p, runs.len() as u32);
-                for s in runs {
-                    put_run_summary(&mut p, s);
-                }
-            }
-            Frame::RunReport {
-                run,
-                state,
-                ledger_json,
-                metrics_json,
-                profile_json,
-                errors,
-            } => {
-                put_u64(&mut p, *run);
-                p.push(state.idx());
-                put_str(&mut p, ledger_json);
-                put_str(&mut p, metrics_json);
-                put_str(&mut p, profile_json);
-                put_u32(&mut p, errors.len() as u32);
-                for e in errors {
-                    put_str(&mut p, e);
-                }
-            }
-            Frame::RpcErr { message } => put_str(&mut p, message),
-            Frame::Telemetry {
-                node,
-                batch,
-                last,
-                dropped_events,
-                dropped_spans,
-                counters,
-                events,
-            } => {
-                put_u32(&mut p, *node);
-                put_u32(&mut p, *batch);
-                p.push(*last as u8);
-                put_u64(&mut p, *dropped_events);
-                put_u64(&mut p, *dropped_spans);
-                put_u32(&mut p, counters.len() as u32);
-                for (name, value) in counters {
-                    put_str(&mut p, name);
-                    put_u64(&mut p, *value);
-                }
-                put_u32(&mut p, events.len() as u32);
-                for e in events {
-                    put_event(&mut p, e);
-                }
-            }
-            Frame::TelemetryAck { node, batch } => {
-                put_u32(&mut p, *node);
-                put_u32(&mut p, *batch);
-            }
-            Frame::Watch {
-                run,
-                interval_ms,
-                once,
-            } => {
-                put_u64(&mut p, *run);
-                put_u64(&mut p, *interval_ms);
-                p.push(*once as u8);
-            }
-            Frame::Progress {
-                run,
-                state,
-                done,
-                wave,
-                waves,
-                pulls,
-                pull_bytes,
-                shm_wait_p50_us,
-                shm_wait_p99_us,
-                rdma_wait_p50_us,
-                rdma_wait_p99_us,
-                pulls_in_flight,
-                bytes_in_flight,
-                queue_depth,
-                sub_active,
-                sub_pushes,
-                sub_lagged,
-                link_stalls,
-                health,
-            } => {
-                put_u64(&mut p, *run);
-                p.push(state.idx());
-                p.push(*done as u8);
-                put_u32(&mut p, *wave);
-                put_u32(&mut p, *waves);
-                put_u64(&mut p, *pulls);
-                put_u64(&mut p, *pull_bytes);
-                put_u64(&mut p, *shm_wait_p50_us);
-                put_u64(&mut p, *shm_wait_p99_us);
-                put_u64(&mut p, *rdma_wait_p50_us);
-                put_u64(&mut p, *rdma_wait_p99_us);
-                put_u64(&mut p, *pulls_in_flight);
-                put_u64(&mut p, *bytes_in_flight);
-                put_u64(&mut p, *queue_depth);
-                put_u64(&mut p, *sub_active);
-                put_u64(&mut p, *sub_pushes);
-                put_u64(&mut p, *sub_lagged);
-                put_u64(&mut p, *link_stalls);
-                put_strs(&mut p, health);
-            }
-            Frame::ShmOffer {
-                src_node,
-                dst_node,
-                segment,
-                path,
-                slots,
-                arena_bytes,
-            } => {
-                put_u32(&mut p, *src_node);
-                put_u32(&mut p, *dst_node);
-                put_u64(&mut p, *segment);
-                put_str(&mut p, path);
-                put_u64(&mut p, *slots);
-                put_u64(&mut p, *arena_bytes);
-            }
-            Frame::ShmAck {
-                src_node,
-                dst_node,
-                segment,
-                seq,
-                attached,
-            } => {
-                put_u32(&mut p, *src_node);
-                put_u32(&mut p, *dst_node);
-                put_u64(&mut p, *segment);
-                put_u64(&mut p, *seq);
-                p.push(*attached as u8);
-            }
-            Frame::ShmDoorbell {
-                src_node,
-                dst_node,
-                segment,
-                seq,
-            } => {
-                put_u32(&mut p, *src_node);
-                put_u32(&mut p, *dst_node);
-                put_u64(&mut p, *segment);
-                put_u64(&mut p, *seq);
-            }
-            Frame::Subscribe {
-                sub_id,
-                var,
-                every_k,
-                subscriber,
-                lbs,
-                ubs,
-            } => {
-                put_u64(&mut p, *sub_id);
-                put_u64(&mut p, *var);
-                put_u64(&mut p, *every_k);
-                put_u32(&mut p, *subscriber);
-                put_u64s(&mut p, lbs);
-                put_u64s(&mut p, ubs);
-            }
-            Frame::SubAck { sub_id, to_node } => {
-                put_u64(&mut p, *sub_id);
-                put_u32(&mut p, *to_node);
-            }
-            Frame::SubPush {
-                sub_id,
-                var,
-                version,
-                src,
-                subscriber,
-                lbs,
-                ubs,
-                data,
-            } => {
-                put_u64(&mut p, *sub_id);
-                put_u64(&mut p, *var);
-                put_u64(&mut p, *version);
-                put_u32(&mut p, *src);
-                put_u32(&mut p, *subscriber);
-                put_u64s(&mut p, lbs);
-                put_u64s(&mut p, ubs);
-                put_bytes(&mut p, data);
-            }
-            Frame::SubCancel { sub_id } => put_u64(&mut p, *sub_id),
-            Frame::SubLagged {
-                sub_id,
-                version,
-                subscriber,
-            } => {
-                put_u64(&mut p, *sub_id);
-                put_u64(&mut p, *version);
-                put_u32(&mut p, *subscriber);
-            }
-        }
-        let mut out = Vec::with_capacity(6 + p.len());
-        put_u32(&mut out, 2 + p.len() as u32);
-        out.push(WIRE_VERSION);
-        out.push(self.kind());
-        out.extend_from_slice(&p);
+        let mut out = Vec::new();
+        self.encode_into(&mut out)
+            .expect("frame within MAX_FRAME_LEN");
         out
     }
 
@@ -1129,309 +811,9 @@ impl Frame {
         if version != WIRE_VERSION {
             return Err(FrameError::BadVersion(version));
         }
-        let mut c = Cursor {
-            buf: payload,
-            pos: 0,
-        };
-        let frame = match kind {
-            KIND_HELLO => Frame::Hello {
-                node: c.u32()?,
-                peer_addr: c.str()?,
-                host: c.str()?,
-            },
-            KIND_WELCOME => Frame::Welcome {
-                nodes: c.u32()?,
-                strategy: c.str()?,
-                get_timeout_ms: c.u64()?,
-                dag: c.str()?,
-                config: c.str()?,
-                run_epoch: c.u64()?,
-                peers: c.strs()?,
-                hosts: c.strs()?,
-            },
-            KIND_RELAY => Frame::Relay {
-                to: c.u32()?,
-                src: c.u32()?,
-                tag: c.u64()?,
-                payload: c.bytes()?,
-            },
-            KIND_PUT_NOTIFY => Frame::PutNotify {
-                name: c.u64()?,
-                version: c.u64()?,
-                piece: c.u64()?,
-                owner: c.u32()?,
-                bytes: c.u64()?,
-            },
-            KIND_PULL_REQUEST => Frame::PullRequest {
-                name: c.u64()?,
-                version: c.u64()?,
-                piece: c.u64()?,
-                from_node: c.u32()?,
-            },
-            KIND_PULL_DATA => Frame::PullData {
-                name: c.u64()?,
-                version: c.u64()?,
-                piece: c.u64()?,
-                owner: c.u32()?,
-                to_node: c.u32()?,
-                data: c.bytes()?,
-            },
-            KIND_PULL_NACK => Frame::PullNack {
-                name: c.u64()?,
-                version: c.u64()?,
-                piece: c.u64()?,
-                to_node: c.u32()?,
-            },
-            KIND_DHT_INSERT => Frame::DhtInsert {
-                var: c.u64()?,
-                version: c.u64()?,
-                owner: c.u32()?,
-                piece: c.u64()?,
-                lbs: c.u64s()?,
-                ubs: c.u64s()?,
-            },
-            KIND_GET_DONE => Frame::GetDone {
-                var: c.u64()?,
-                version: c.u64()?,
-            },
-            KIND_EVICT => Frame::Evict {
-                var: c.u64()?,
-                version: c.u64()?,
-            },
-            KIND_RUN_WAVE => Frame::RunWave { wave: c.u32()? },
-            KIND_BARRIER => Frame::Barrier {
-                wave: c.u32()?,
-                node: c.u32()?,
-            },
-            KIND_REPORT => {
-                let node = c.u32()?;
-                let shm = [c.u64()?, c.u64()?, c.u64()?, c.u64()?];
-                let net = [c.u64()?, c.u64()?, c.u64()?, c.u64()?];
-                let n = c.u32()? as usize;
-                let mut per_app = Vec::new();
-                for _ in 0..n {
-                    let app = c.u32()?;
-                    let class = TrafficClass::from_idx(c.u8()? as usize)
-                        .ok_or(FrameError::BadPayload("traffic class index"))?;
-                    let loc = Locality::from_idx(c.u8()? as usize)
-                        .ok_or(FrameError::BadPayload("locality index"))?;
-                    per_app.push((app, class, loc, c.u64()?));
-                }
-                let verify_failures = c.u64()?;
-                let staged = c.u64()?;
-                let gets = c.u64()?;
-                let n_err = c.u32()? as usize;
-                let mut errors = Vec::new();
-                for _ in 0..n_err {
-                    errors.push(c.str()?);
-                }
-                Frame::Report(NodeReport {
-                    node,
-                    ledger: LedgerSnapshot::from_parts(shm, net, per_app),
-                    verify_failures,
-                    staged,
-                    gets,
-                    errors,
-                })
-            }
-            KIND_SHUTDOWN => Frame::Shutdown {
-                ok: match c.u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(FrameError::BadPayload("bool")),
-                },
-                reason: c.str()?,
-            },
-            KIND_SUBMIT => Frame::Submit {
-                name: c.str()?,
-                dag: c.str()?,
-                config: c.str()?,
-                strategy: c.str()?,
-                get_timeout_ms: c.u64()?,
-                priority: c.u32()?,
-            },
-            KIND_SUBMITTED => Frame::Submitted {
-                run: c.u64()?,
-                queued_ahead: c.u32()?,
-            },
-            KIND_CANCEL => Frame::Cancel { run: c.u64()? },
-            KIND_STATUS => Frame::Status { run: c.u64()? },
-            KIND_LIST_RUNS => Frame::ListRuns,
-            KIND_RUN_STATUS => Frame::RunStatus(c.run_summary()?),
-            KIND_RUN_LIST => {
-                let n = c.u32()? as usize;
-                // A RunSummary occupies at least 33 bytes (run + two
-                // length words + state + nodes + link_stalls + the
-                // health count); guard the count before allocating so a
-                // hostile count cannot OOM.
-                if c.buf.len() - c.pos < n.saturating_mul(33) {
-                    return Err(FrameError::Truncated);
-                }
-                let mut runs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    runs.push(c.run_summary()?);
-                }
-                Frame::RunList { runs }
-            }
-            KIND_RUN_RESULT => Frame::RunResult { run: c.u64()? },
-            KIND_RUN_REPORT => {
-                let run = c.u64()?;
-                let state =
-                    RunState::from_idx(c.u8()?).ok_or(FrameError::BadPayload("run state index"))?;
-                let ledger_json = c.str()?;
-                let metrics_json = c.str()?;
-                let profile_json = c.str()?;
-                let n = c.u32()? as usize;
-                let mut errors = Vec::new();
-                for _ in 0..n {
-                    errors.push(c.str()?);
-                }
-                Frame::RunReport {
-                    run,
-                    state,
-                    ledger_json,
-                    metrics_json,
-                    profile_json,
-                    errors,
-                }
-            }
-            KIND_RPC_ERR => Frame::RpcErr { message: c.str()? },
-            KIND_TELEMETRY => {
-                let node = c.u32()?;
-                let batch = c.u32()?;
-                let last = match c.u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(FrameError::BadPayload("bool")),
-                };
-                let dropped_events = c.u64()?;
-                let dropped_spans = c.u64()?;
-                let n = c.u32()? as usize;
-                // Every counter costs at least its name length word
-                // plus the u64 value; guard before allocating.
-                if c.buf.len() - c.pos < n.saturating_mul(12) {
-                    return Err(FrameError::Truncated);
-                }
-                let mut counters = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let name = c.str()?;
-                    counters.push((name, c.u64()?));
-                }
-                let n = c.u32()? as usize;
-                // A wire event occupies at least EVENT_WIRE_MIN bytes;
-                // a hostile count must not OOM.
-                if c.buf.len() - c.pos < n.saturating_mul(EVENT_WIRE_MIN) {
-                    return Err(FrameError::Truncated);
-                }
-                let mut events = Vec::with_capacity(n);
-                for _ in 0..n {
-                    events.push(c.event()?);
-                }
-                Frame::Telemetry {
-                    node,
-                    batch,
-                    last,
-                    dropped_events,
-                    dropped_spans,
-                    counters,
-                    events,
-                }
-            }
-            KIND_TELEMETRY_ACK => Frame::TelemetryAck {
-                node: c.u32()?,
-                batch: c.u32()?,
-            },
-            KIND_WATCH => Frame::Watch {
-                run: c.u64()?,
-                interval_ms: c.u64()?,
-                once: match c.u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(FrameError::BadPayload("bool")),
-                },
-            },
-            KIND_PROGRESS => Frame::Progress {
-                run: c.u64()?,
-                state: RunState::from_idx(c.u8()?)
-                    .ok_or(FrameError::BadPayload("run state index"))?,
-                done: match c.u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(FrameError::BadPayload("bool")),
-                },
-                wave: c.u32()?,
-                waves: c.u32()?,
-                pulls: c.u64()?,
-                pull_bytes: c.u64()?,
-                shm_wait_p50_us: c.u64()?,
-                shm_wait_p99_us: c.u64()?,
-                rdma_wait_p50_us: c.u64()?,
-                rdma_wait_p99_us: c.u64()?,
-                pulls_in_flight: c.u64()?,
-                bytes_in_flight: c.u64()?,
-                queue_depth: c.u64()?,
-                sub_active: c.u64()?,
-                sub_pushes: c.u64()?,
-                sub_lagged: c.u64()?,
-                link_stalls: c.u64()?,
-                health: c.strs()?,
-            },
-            KIND_SHM_OFFER => Frame::ShmOffer {
-                src_node: c.u32()?,
-                dst_node: c.u32()?,
-                segment: c.u64()?,
-                path: c.str()?,
-                slots: c.u64()?,
-                arena_bytes: c.u64()?,
-            },
-            KIND_SHM_ACK => Frame::ShmAck {
-                src_node: c.u32()?,
-                dst_node: c.u32()?,
-                segment: c.u64()?,
-                seq: c.u64()?,
-                attached: match c.u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(FrameError::BadPayload("bool")),
-                },
-            },
-            KIND_SHM_DOORBELL => Frame::ShmDoorbell {
-                src_node: c.u32()?,
-                dst_node: c.u32()?,
-                segment: c.u64()?,
-                seq: c.u64()?,
-            },
-            KIND_SUBSCRIBE => Frame::Subscribe {
-                sub_id: c.u64()?,
-                var: c.u64()?,
-                every_k: c.u64()?,
-                subscriber: c.u32()?,
-                lbs: c.u64s()?,
-                ubs: c.u64s()?,
-            },
-            KIND_SUB_ACK => Frame::SubAck {
-                sub_id: c.u64()?,
-                to_node: c.u32()?,
-            },
-            KIND_SUB_PUSH => Frame::SubPush {
-                sub_id: c.u64()?,
-                var: c.u64()?,
-                version: c.u64()?,
-                src: c.u32()?,
-                subscriber: c.u32()?,
-                lbs: c.u64s()?,
-                ubs: c.u64s()?,
-                data: c.bytes()?,
-            },
-            KIND_SUB_CANCEL => Frame::SubCancel { sub_id: c.u64()? },
-            KIND_SUB_LAGGED => Frame::SubLagged {
-                sub_id: c.u64()?,
-                version: c.u64()?,
-                subscriber: c.u32()?,
-            },
-            other => return Err(FrameError::BadKind(other)),
-        };
-        if c.pos != payload.len() {
+        let mut rest = payload;
+        let frame = Frame::take_payload(kind, &mut rest)?;
+        if !rest.is_empty() {
             return Err(FrameError::BadPayload("trailing bytes"));
         }
         Ok(frame)
@@ -1461,28 +843,16 @@ impl Frame {
         Ok((frame, lenb.len() + body.len()))
     }
 
-    /// Write the encoded frame to a blocking stream.
+    /// Write the encoded frame to a blocking stream; a frame over
+    /// [`MAX_FRAME_LEN`] is refused before any byte is written.
     pub fn write_to(&self, w: &mut impl Write) -> Result<usize, FrameError> {
-        let bytes = self.encode();
+        let mut bytes = Vec::new();
+        self.encode_into(&mut bytes)?;
         w.write_all(&bytes)
             .and_then(|_| w.flush())
             .map_err(|e| FrameError::Io(e.to_string()))?;
         Ok(bytes.len())
     }
-}
-
-/// Encode a batch of frames into one contiguous byte run (each frame
-/// complete with its own length word). This is the reactor's small-
-/// message coalescing primitive: a batch crosses the socket in one
-/// `write` syscall, and any split of the byte run — including splits
-/// inside a frame — decodes back to the identical sequence through
-/// [`FrameDecoder`].
-pub fn encode_batch(frames: &[Frame]) -> Vec<u8> {
-    let mut out = Vec::new();
-    for f in frames {
-        out.extend_from_slice(&f.encode());
-    }
-    out
 }
 
 /// Incremental frame decoder over an arbitrarily-chunked byte stream.
@@ -1566,69 +936,268 @@ fn read_exact(r: &mut impl Read, buf: &mut [u8]) -> Result<(), FrameError> {
     })
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// Split the next `n` bytes off the unread payload `c`.
+fn take<'a>(c: &mut &'a [u8], n: usize) -> Result<&'a [u8], FrameError> {
+    if c.len() < n {
+        return Err(FrameError::Truncated);
+    }
+    let (head, rest) = c.split_at(n);
+    *c = rest;
+    Ok(head)
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// The next payload byte.
+fn take_u8(c: &mut &[u8]) -> Result<u8, FrameError> {
+    Ok(take(c, 1)?[0])
 }
 
-fn put_bytes(out: &mut Vec<u8>, v: &[u8]) {
-    put_u32(out, v.len() as u32);
-    out.extend_from_slice(v);
+/// How one field type crosses the wire. Every frame field and every
+/// structured payload goes through an impl of this trait, so a layout
+/// rule — and the guard on element counts — is stated once.
+trait Wire: Sized {
+    /// Fewest bytes one value can occupy: what lets `Vec<T>` refuse an
+    /// element count the remaining payload cannot hold before reading
+    /// a single element. Every type occupies at least a byte; types
+    /// that travel in vectors state their real minimum.
+    const MIN_LEN: usize = 1;
+
+    /// Append this value's encoding.
+    fn put(&self, out: &mut Vec<u8>);
+
+    /// Read one value off the front of the unread payload.
+    fn take(c: &mut &[u8]) -> Result<Self, FrameError>;
 }
 
-fn put_str(out: &mut Vec<u8>, v: &str) {
-    put_bytes(out, v.as_bytes());
-}
+/// Little-endian fixed-width integers.
+macro_rules! wire_int {
+    ($($int:ty),*) => {$(
+        impl Wire for $int {
+            const MIN_LEN: usize = std::mem::size_of::<$int>();
 
-fn put_u64s(out: &mut Vec<u8>, v: &[u64]) {
-    put_u32(out, v.len() as u32);
-    for &x in v {
-        put_u64(out, x);
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+
+            fn take(c: &mut &[u8]) -> Result<Self, FrameError> {
+                let bytes = take(c, Self::MIN_LEN)?;
+                Ok(<$int>::from_le_bytes(bytes.try_into().expect("take returned MIN_LEN bytes")))
+            }
+        }
+    )*};
+}
+wire_int!(u32, u64);
+
+/// One byte, 0 or 1.
+impl Wire for bool {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(*self as u8);
+    }
+
+    fn take(c: &mut &[u8]) -> Result<Self, FrameError> {
+        match take_u8(c)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(FrameError::BadPayload("bool")),
+        }
     }
 }
 
-fn put_strs(out: &mut Vec<u8>, v: &[String]) {
-    put_u32(out, v.len() as u32);
-    for s in v {
-        put_str(out, s);
+/// A `u32` byte count, then the bytes, copied once in either direction.
+impl Wire for Vec<u8> {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        out.extend_from_slice(self);
+    }
+
+    fn take(c: &mut &[u8]) -> Result<Self, FrameError> {
+        let n = u32::take(c)? as usize;
+        Ok(take(c, n)?.to_vec())
     }
 }
 
-fn put_run_summary(out: &mut Vec<u8>, s: &RunSummary) {
-    put_u64(out, s.run);
-    put_str(out, &s.name);
-    out.push(s.state.idx());
-    put_u32(out, s.nodes);
-    put_str(out, &s.detail);
-    put_u64(out, s.link_stalls);
-    put_strs(out, &s.health);
+/// UTF-8 bytes behind a `u32` byte count.
+impl Wire for String {
+    const MIN_LEN: usize = 4;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        out.extend_from_slice(self.as_bytes());
+    }
+
+    fn take(c: &mut &[u8]) -> Result<Self, FrameError> {
+        String::from_utf8(Vec::take(c)?).map_err(|_| FrameError::BadPayload("utf-8"))
+    }
 }
 
-/// Fixed cost of one wire event: seq (8) + parent (8) + kind (1) +
-/// app (4) + var (8) + version (8) + bbox flag (1) + src flag (1) +
-/// dst flag (1) + link (1) + piece (8) + bytes (8) + start (8) +
-/// duration (8) + pid (4). Kind arguments only add to it. Used to
-/// guard hostile event counts before allocation.
-const EVENT_WIRE_MIN: usize = 77;
+/// A `u32` element count, then the elements.
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        for item in self {
+            item.put(out);
+        }
+    }
 
-/// Event kind wire bytes (indexes into the `EventKind` shapes; kinds
-/// with an argument encode it right after the byte).
-const EK_PUT_CONT: u8 = 0;
-const EK_PUT_SEQ: u8 = 1;
-const EK_GET_SEQ: u8 = 2;
-const EK_GET_CONT: u8 = 3;
-const EK_SCHED_MISS: u8 = 4;
-const EK_SCHED_HIT: u8 = 5;
-const EK_DHT_LOOKUP: u8 = 6;
-const EK_PULL: u8 = 7;
-const EK_FAULT: u8 = 8;
-const EK_NET_SEND: u8 = 9;
-const EK_NET_RECV: u8 = 10;
-const EK_SUB_PUSH: u8 = 11;
-const EK_SUB_DELIVER: u8 = 12;
+    fn take(c: &mut &[u8]) -> Result<Self, FrameError> {
+        let n = u32::take(c)? as usize;
+        // The one hostile-count guard: a count of u32::MAX in a
+        // six-byte payload must not allocate, let alone OOM.
+        if c.len() < n.saturating_mul(T::MIN_LEN) {
+            return Err(FrameError::Truncated);
+        }
+        (0..n).map(|_| T::take(c)).collect()
+    }
+}
+
+/// A presence byte (0 or 1), then the value if present.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.is_some().put(out);
+        if let Some(value) = self {
+            value.put(out);
+        }
+    }
+
+    fn take(c: &mut &[u8]) -> Result<Self, FrameError> {
+        Ok(if bool::take(c)? {
+            Some(T::take(c)?)
+        } else {
+            None
+        })
+    }
+}
+
+/// The state's wire byte ([`RunState::idx`]).
+impl Wire for RunState {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(self.idx());
+    }
+
+    fn take(c: &mut &[u8]) -> Result<Self, FrameError> {
+        RunState::from_idx(take_u8(c)?).ok_or(FrameError::BadPayload("run state index"))
+    }
+}
+
+/// A telemetry counter: name, then value.
+impl Wire for (String, u64) {
+    const MIN_LEN: usize = String::MIN_LEN + u64::MIN_LEN;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+    }
+
+    fn take(c: &mut &[u8]) -> Result<Self, FrameError> {
+        Ok((String::take(c)?, u64::take(c)?))
+    }
+}
+
+impl Wire for RunSummary {
+    const MIN_LEN: usize = 3 * String::MIN_LEN + 2 * u64::MIN_LEN + u32::MIN_LEN + 1;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        self.run.put(out);
+        self.name.put(out);
+        self.state.put(out);
+        self.nodes.put(out);
+        self.detail.put(out);
+        self.link_stalls.put(out);
+        self.health.put(out);
+    }
+
+    fn take(c: &mut &[u8]) -> Result<Self, FrameError> {
+        Ok(RunSummary {
+            run: Wire::take(c)?,
+            name: Wire::take(c)?,
+            state: Wire::take(c)?,
+            nodes: Wire::take(c)?,
+            detail: Wire::take(c)?,
+            link_stalls: Wire::take(c)?,
+            health: Wire::take(c)?,
+        })
+    }
+}
+
+/// One per-application cell of a report's ledger: app, traffic class
+/// byte, locality byte, bytes moved.
+type LedgerCell = (u32, TrafficClass, Locality, u64);
+
+impl Wire for LedgerCell {
+    const MIN_LEN: usize = u32::MIN_LEN + 2 + u64::MIN_LEN;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        let (app, class, loc, bytes) = self;
+        app.put(out);
+        out.push(class.idx() as u8);
+        out.push(loc.idx() as u8);
+        bytes.put(out);
+    }
+
+    fn take(c: &mut &[u8]) -> Result<Self, FrameError> {
+        let app = u32::take(c)?;
+        let class = TrafficClass::from_idx(take_u8(c)? as usize)
+            .ok_or(FrameError::BadPayload("traffic class index"))?;
+        let loc = Locality::from_idx(take_u8(c)? as usize)
+            .ok_or(FrameError::BadPayload("locality index"))?;
+        Ok((app, class, loc, u64::take(c)?))
+    }
+}
+
+/// The node, the ledger (four shared-memory totals, four network
+/// totals, then the per-application cells) and the outcome fields.
+impl Wire for NodeReport {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.node.put(out);
+        for cell in self
+            .ledger
+            .shm_cells()
+            .iter()
+            .chain(&self.ledger.net_cells())
+        {
+            cell.put(out);
+        }
+        self.ledger.per_app().collect::<Vec<LedgerCell>>().put(out);
+        self.verify_failures.put(out);
+        self.staged.put(out);
+        self.gets.put(out);
+        self.errors.put(out);
+    }
+
+    fn take(c: &mut &[u8]) -> Result<Self, FrameError> {
+        let node = u32::take(c)?;
+        let mut total = || u64::take(c);
+        let shm = [total()?, total()?, total()?, total()?];
+        let net = [total()?, total()?, total()?, total()?];
+        let per_app = Vec::<LedgerCell>::take(c)?;
+        Ok(NodeReport {
+            node,
+            ledger: LedgerSnapshot::from_parts(shm, net, per_app),
+            verify_failures: Wire::take(c)?,
+            staged: Wire::take(c)?,
+            gets: Wire::take(c)?,
+            errors: Wire::take(c)?,
+        })
+    }
+}
+
+/// The two corners, each a `u64` vector. Corners that do not make a
+/// box (empty, ragged, too many dimensions, `lb > ub`) are a payload
+/// error: decoding never hands the panicking constructor wire input.
+impl Wire for BoundingBox {
+    fn put(&self, out: &mut Vec<u8>) {
+        let dims = 0..self.ndim();
+        dims.clone()
+            .map(|d| self.lb(d))
+            .collect::<Vec<u64>>()
+            .put(out);
+        dims.map(|d| self.ub(d)).collect::<Vec<u64>>().put(out);
+    }
+
+    fn take(c: &mut &[u8]) -> Result<Self, FrameError> {
+        let (lbs, ubs) = (Vec::<u64>::take(c)?, Vec::<u64>::take(c)?);
+        BoundingBox::try_new(&lbs, &ubs).ok_or(FrameError::BadPayload("bbox corners"))
+    }
+}
 
 /// Map a fault slug read off the wire back to the `&'static str` the
 /// event schema carries. Slugs name the chaos fault kinds; an unknown
@@ -1651,211 +1220,110 @@ fn intern_fault_slug(slug: &str) -> &'static str {
     }
 }
 
-fn put_event(out: &mut Vec<u8>, e: &Event) {
-    put_u64(out, e.seq);
-    put_u64(out, e.parent.unwrap_or(0)); // seqs are 1-based; 0 = none
-    match e.kind {
-        EventKind::Put { indexed: false } => out.push(EK_PUT_CONT),
-        EventKind::Put { indexed: true } => out.push(EK_PUT_SEQ),
-        EventKind::Get { cont: false } => out.push(EK_GET_SEQ),
-        EventKind::Get { cont: true } => out.push(EK_GET_CONT),
-        EventKind::Schedule { hit: false } => out.push(EK_SCHED_MISS),
-        EventKind::Schedule { hit: true } => out.push(EK_SCHED_HIT),
-        EventKind::DhtLookup { cores } => {
-            out.push(EK_DHT_LOOKUP);
-            put_u32(out, cores);
+/// One byte naming the event shape; the three kinds with an argument
+/// encode it right after the byte.
+impl Wire for EventKind {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(match self {
+            EventKind::Put { indexed: false } => 0,
+            EventKind::Put { indexed: true } => 1,
+            EventKind::Get { cont: false } => 2,
+            EventKind::Get { cont: true } => 3,
+            EventKind::Schedule { hit: false } => 4,
+            EventKind::Schedule { hit: true } => 5,
+            EventKind::DhtLookup { .. } => 6,
+            EventKind::Pull { .. } => 7,
+            EventKind::Fault { .. } => 8,
+            EventKind::NetSend => 9,
+            EventKind::NetRecv => 10,
+            EventKind::SubPush => 11,
+            EventKind::SubDeliver => 12,
+        });
+        match self {
+            EventKind::DhtLookup { cores } => cores.put(out),
+            EventKind::Pull { wait_us } => wait_us.put(out),
+            EventKind::Fault { kind } => kind.to_string().put(out),
+            _ => {}
         }
-        EventKind::Pull { wait_us } => {
-            out.push(EK_PULL);
-            put_u64(out, wait_us);
-        }
-        EventKind::Fault { kind } => {
-            out.push(EK_FAULT);
-            put_str(out, kind);
-        }
-        EventKind::NetSend => out.push(EK_NET_SEND),
-        EventKind::NetRecv => out.push(EK_NET_RECV),
-        EventKind::SubPush => out.push(EK_SUB_PUSH),
-        EventKind::SubDeliver => out.push(EK_SUB_DELIVER),
-    }
-    put_u32(out, e.app);
-    put_u64(out, e.var);
-    put_u64(out, e.version);
-    match &e.bbox {
-        Some(bb) => {
-            out.push(1);
-            let lbs: Vec<u64> = (0..bb.ndim()).map(|d| bb.lb(d)).collect();
-            let ubs: Vec<u64> = (0..bb.ndim()).map(|d| bb.ub(d)).collect();
-            put_u64s(out, &lbs);
-            put_u64s(out, &ubs);
-        }
-        None => out.push(0),
-    }
-    match e.src {
-        Some(src) => {
-            out.push(1);
-            put_u32(out, src);
-        }
-        None => out.push(0),
-    }
-    match e.dst {
-        Some(dst) => {
-            out.push(1);
-            put_u32(out, dst);
-        }
-        None => out.push(0),
-    }
-    out.push(match e.link {
-        None => 0,
-        Some(LinkClass::Shm) => 1,
-        Some(LinkClass::Rdma) => 2,
-    });
-    put_u64(out, e.piece);
-    put_u64(out, e.bytes);
-    put_u64(out, e.start_us);
-    put_u64(out, e.duration_us);
-    put_u32(out, e.pid);
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl Cursor<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], FrameError> {
-        if self.buf.len() - self.pos < n {
-            return Err(FrameError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, FrameError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, FrameError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, FrameError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>, FrameError> {
-        let n = self.u32()? as usize;
-        Ok(self.take(n)?.to_vec())
-    }
-
-    fn str(&mut self) -> Result<String, FrameError> {
-        String::from_utf8(self.bytes()?).map_err(|_| FrameError::BadPayload("utf-8"))
-    }
-
-    fn run_summary(&mut self) -> Result<RunSummary, FrameError> {
-        Ok(RunSummary {
-            run: self.u64()?,
-            name: self.str()?,
-            state: RunState::from_idx(self.u8()?)
-                .ok_or(FrameError::BadPayload("run state index"))?,
-            nodes: self.u32()?,
-            detail: self.str()?,
-            link_stalls: self.u64()?,
-            health: self.strs()?,
+    fn take(c: &mut &[u8]) -> Result<Self, FrameError> {
+        Ok(match take_u8(c)? {
+            0 => EventKind::Put { indexed: false },
+            1 => EventKind::Put { indexed: true },
+            2 => EventKind::Get { cont: false },
+            3 => EventKind::Get { cont: true },
+            4 => EventKind::Schedule { hit: false },
+            5 => EventKind::Schedule { hit: true },
+            6 => EventKind::DhtLookup {
+                cores: Wire::take(c)?,
+            },
+            7 => EventKind::Pull {
+                wait_us: Wire::take(c)?,
+            },
+            8 => EventKind::Fault {
+                kind: intern_fault_slug(&String::take(c)?),
+            },
+            9 => EventKind::NetSend,
+            10 => EventKind::NetRecv,
+            11 => EventKind::SubPush,
+            12 => EventKind::SubDeliver,
+            _ => return Err(FrameError::BadPayload("event kind index")),
         })
     }
+}
 
-    fn event(&mut self) -> Result<Event, FrameError> {
-        let seq = self.u64()?;
-        let parent = self.u64()?;
-        let kind = match self.u8()? {
-            EK_PUT_CONT => EventKind::Put { indexed: false },
-            EK_PUT_SEQ => EventKind::Put { indexed: true },
-            EK_GET_SEQ => EventKind::Get { cont: false },
-            EK_GET_CONT => EventKind::Get { cont: true },
-            EK_SCHED_MISS => EventKind::Schedule { hit: false },
-            EK_SCHED_HIT => EventKind::Schedule { hit: true },
-            EK_DHT_LOOKUP => EventKind::DhtLookup { cores: self.u32()? },
-            EK_PULL => EventKind::Pull {
-                wait_us: self.u64()?,
-            },
-            EK_FAULT => EventKind::Fault {
-                kind: intern_fault_slug(&self.str()?),
-            },
-            EK_NET_SEND => EventKind::NetSend,
-            EK_NET_RECV => EventKind::NetRecv,
-            EK_SUB_PUSH => EventKind::SubPush,
-            EK_SUB_DELIVER => EventKind::SubDeliver,
-            _ => return Err(FrameError::BadPayload("event kind index")),
-        };
-        let mut e = Event::new(seq, kind);
-        if parent != 0 {
-            e.parent = Some(parent);
-        }
-        e.app = self.u32()?;
-        e.var = self.u64()?;
-        e.version = self.u64()?;
-        e.bbox = match self.u8()? {
-            0 => None,
-            1 => {
-                let lbs = self.u64s()?;
-                let ubs = self.u64s()?;
-                // BoundingBox::new panics on invalid corners; the codec
-                // must stay total, so validate the wire shape first.
-                if lbs.is_empty()
-                    || lbs.len() != ubs.len()
-                    || lbs.len() > insitu_domain::MAX_DIMS
-                    || lbs.iter().zip(&ubs).any(|(l, u)| l > u)
-                {
-                    return Err(FrameError::BadPayload("bbox corners"));
-                }
-                Some(insitu_domain::BoundingBox::new(&lbs, &ubs))
-            }
-            _ => return Err(FrameError::BadPayload("bool")),
-        };
-        e.src = match self.u8()? {
-            0 => None,
-            1 => Some(self.u32()?),
-            _ => return Err(FrameError::BadPayload("bool")),
-        };
-        e.dst = match self.u8()? {
-            0 => None,
-            1 => Some(self.u32()?),
-            _ => return Err(FrameError::BadPayload("bool")),
-        };
-        e.link = match self.u8()? {
+/// A flight event: seq, parent (seqs are 1-based, so 0 = none), kind,
+/// app, var, version, optional bbox / src / dst, a link byte (0 = none,
+/// 1 = shm, 2 = rdma), piece, bytes, start, duration, pid.
+impl Wire for Event {
+    const MIN_LEN: usize = 8 * u64::MIN_LEN + 2 * u32::MIN_LEN + 5;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        self.seq.put(out);
+        self.parent.unwrap_or(0).put(out);
+        self.kind.put(out);
+        self.app.put(out);
+        self.var.put(out);
+        self.version.put(out);
+        self.bbox.put(out);
+        self.src.put(out);
+        self.dst.put(out);
+        out.push(match self.link {
+            None => 0,
+            Some(LinkClass::Shm) => 1,
+            Some(LinkClass::Rdma) => 2,
+        });
+        self.piece.put(out);
+        self.bytes.put(out);
+        self.start_us.put(out);
+        self.duration_us.put(out);
+        self.pid.put(out);
+    }
+
+    fn take(c: &mut &[u8]) -> Result<Self, FrameError> {
+        let seq = u64::take(c)?;
+        let parent = u64::take(c)?;
+        let mut e = Event::new(seq, EventKind::take(c)?);
+        e.parent = (parent != 0).then_some(parent);
+        e.app = Wire::take(c)?;
+        e.var = Wire::take(c)?;
+        e.version = Wire::take(c)?;
+        e.bbox = Wire::take(c)?;
+        e.src = Wire::take(c)?;
+        e.dst = Wire::take(c)?;
+        e.link = match take_u8(c)? {
             0 => None,
             1 => Some(LinkClass::Shm),
             2 => Some(LinkClass::Rdma),
             _ => return Err(FrameError::BadPayload("link class index")),
         };
-        e.piece = self.u64()?;
-        e.bytes = self.u64()?;
-        e.start_us = self.u64()?;
-        e.duration_us = self.u64()?;
-        e.pid = self.u32()?;
+        e.piece = Wire::take(c)?;
+        e.bytes = Wire::take(c)?;
+        e.start_us = Wire::take(c)?;
+        e.duration_us = Wire::take(c)?;
+        e.pid = Wire::take(c)?;
         Ok(e)
-    }
-
-    fn u64s(&mut self) -> Result<Vec<u64>, FrameError> {
-        let n = self.u32()? as usize;
-        // Guard the element count against the remaining payload before
-        // allocating (a hostile count of u32::MAX must not OOM).
-        if self.buf.len() - self.pos < n.saturating_mul(8) {
-            return Err(FrameError::Truncated);
-        }
-        (0..n).map(|_| self.u64()).collect()
-    }
-
-    fn strs(&mut self) -> Result<Vec<String>, FrameError> {
-        let n = self.u32()? as usize;
-        // Every string costs at least its 4-byte length word; guard the
-        // count before allocating.
-        if self.buf.len() - self.pos < n.saturating_mul(4) {
-            return Err(FrameError::Truncated);
-        }
-        (0..n).map(|_| self.str()).collect()
     }
 }
 
@@ -1865,340 +1333,180 @@ mod tests {
     use insitu_util::check::forall;
     use insitu_util::rng::SplitMix64;
 
-    fn arb_string(rng: &mut SplitMix64, max: usize) -> String {
-        let n = rng.range_usize(0, max);
-        (0..n)
-            .map(|_| char::from_u32(rng.range_u32(32, 0x24F)).unwrap_or('x'))
-            .collect()
+    /// Test data driven by type: the frame table's field types alone
+    /// decide what `Frame::arb_each` fills each field with.
+    pub(super) trait Arb {
+        fn arb(rng: &mut SplitMix64) -> Self;
     }
 
-    fn arb_bytes(rng: &mut SplitMix64, max: usize) -> Vec<u8> {
-        let n = rng.range_usize(0, max);
-        (0..n).map(|_| rng.next_u64() as u8).collect()
-    }
-
-    fn arb_report(rng: &mut SplitMix64) -> NodeReport {
-        let n = rng.range_usize(0, 6);
-        let per_app: Vec<_> = (0..n)
-            .map(|_| {
-                (
-                    rng.range_u32(0, 8),
-                    *rng.choose(&TrafficClass::ALL),
-                    *rng.choose(&Locality::ALL),
-                    rng.next_u64() >> 8,
-                )
-            })
-            .collect();
-        NodeReport {
-            node: rng.range_u32(0, 16),
-            ledger: LedgerSnapshot::from_parts(
-                std::array::from_fn(|_| rng.next_u64() >> 8),
-                std::array::from_fn(|_| rng.next_u64() >> 8),
-                per_app,
-            ),
-            verify_failures: rng.range_u64(0, 5),
-            staged: rng.next_u64(),
-            gets: rng.next_u64(),
-            errors: (0..rng.range_usize(0, 3))
-                .map(|_| arb_string(rng, 40))
-                .collect(),
+    impl Arb for u32 {
+        fn arb(rng: &mut SplitMix64) -> Self {
+            rng.next_u64() as u32
         }
     }
 
-    /// One random frame of every message type, driven by `rng`.
-    fn arb_frames(rng: &mut SplitMix64) -> Vec<Frame> {
-        vec![
-            Frame::Hello {
-                node: rng.range_u32(0, 64),
-                peer_addr: arb_string(rng, 24),
-                host: arb_string(rng, 36),
-            },
-            Frame::Welcome {
-                nodes: rng.range_u32(1, 64),
-                strategy: arb_string(rng, 16),
-                get_timeout_ms: rng.next_u64(),
-                dag: arb_string(rng, 200),
-                config: arb_string(rng, 200),
-                run_epoch: rng.next_u64(),
-                peers: (0..rng.range_usize(0, 4))
-                    .map(|_| arb_string(rng, 24))
-                    .collect(),
-                hosts: (0..rng.range_usize(0, 4))
-                    .map(|_| arb_string(rng, 36))
-                    .collect(),
-            },
-            Frame::Relay {
-                to: rng.range_u32(0, 256),
-                src: rng.range_u32(0, 256),
-                tag: rng.next_u64(),
-                payload: arb_bytes(rng, 64),
-            },
-            Frame::PutNotify {
-                name: rng.next_u64(),
-                version: rng.next_u64(),
-                piece: rng.next_u64(),
-                owner: rng.range_u32(0, 256),
-                bytes: rng.next_u64(),
-            },
-            Frame::PullRequest {
-                name: rng.next_u64(),
-                version: rng.next_u64(),
-                piece: rng.next_u64(),
-                from_node: rng.range_u32(0, 64),
-            },
-            Frame::PullData {
-                name: rng.next_u64(),
-                version: rng.next_u64(),
-                piece: rng.next_u64(),
-                owner: rng.range_u32(0, 256),
-                to_node: rng.range_u32(0, 64),
-                data: arb_bytes(rng, 128),
-            },
-            Frame::PullNack {
-                name: rng.next_u64(),
-                version: rng.next_u64(),
-                piece: rng.next_u64(),
-                to_node: rng.range_u32(0, 64),
-            },
-            Frame::DhtInsert {
-                var: rng.next_u64(),
-                version: rng.next_u64(),
-                owner: rng.range_u32(0, 256),
-                piece: rng.next_u64(),
-                lbs: (0..rng.range_usize(1, 4)).map(|_| rng.next_u64()).collect(),
-                ubs: (0..rng.range_usize(1, 4)).map(|_| rng.next_u64()).collect(),
-            },
-            Frame::GetDone {
-                var: rng.next_u64(),
-                version: rng.next_u64(),
-            },
-            Frame::Evict {
-                var: rng.next_u64(),
-                version: rng.next_u64(),
-            },
-            Frame::RunWave {
-                wave: rng.range_u32(0, 1024),
-            },
-            Frame::Barrier {
-                wave: rng.range_u32(0, 1024),
-                node: rng.range_u32(0, 64),
-            },
-            Frame::Report(arb_report(rng)),
-            Frame::Shutdown {
-                ok: rng.bool(),
-                reason: arb_string(rng, 60),
-            },
-            Frame::Submit {
-                name: arb_string(rng, 24),
-                dag: arb_string(rng, 200),
-                config: arb_string(rng, 200),
-                strategy: arb_string(rng, 16),
-                get_timeout_ms: rng.next_u64(),
-                priority: rng.range_u32(0, 8),
-            },
-            Frame::Submitted {
-                run: rng.next_u64(),
-                queued_ahead: rng.range_u32(0, 64),
-            },
-            Frame::Cancel {
-                run: rng.next_u64(),
-            },
-            Frame::Status {
-                run: rng.next_u64(),
-            },
-            Frame::ListRuns,
-            Frame::RunStatus(arb_run_summary(rng)),
-            Frame::RunList {
-                runs: (0..rng.range_usize(0, 5))
-                    .map(|_| arb_run_summary(rng))
-                    .collect(),
-            },
-            Frame::RunResult {
-                run: rng.next_u64(),
-            },
-            Frame::RunReport {
-                run: rng.next_u64(),
-                state: *rng.choose(&RunState::ALL),
-                ledger_json: arb_string(rng, 120),
-                metrics_json: arb_string(rng, 120),
-                profile_json: arb_string(rng, 120),
-                errors: (0..rng.range_usize(0, 3))
-                    .map(|_| arb_string(rng, 40))
-                    .collect(),
-            },
-            Frame::RpcErr {
-                message: arb_string(rng, 60),
-            },
-            Frame::Telemetry {
-                node: rng.range_u32(0, 64),
-                batch: rng.range_u32(0, 16),
-                last: rng.bool(),
-                dropped_events: rng.range_u64(0, 100),
-                dropped_spans: rng.range_u64(0, 100),
-                counters: (0..rng.range_usize(0, 4))
-                    .map(|_| (arb_string(rng, 24), rng.next_u64()))
-                    .collect(),
-                events: (0..rng.range_usize(0, 6)).map(|_| arb_event(rng)).collect(),
-            },
-            Frame::TelemetryAck {
-                node: rng.range_u32(0, 64),
-                batch: rng.range_u32(0, 16),
-            },
-            Frame::Watch {
-                run: rng.next_u64(),
-                interval_ms: rng.range_u64(0, 10_000),
-                once: rng.bool(),
-            },
-            Frame::Progress {
-                run: rng.next_u64(),
-                state: *rng.choose(&RunState::ALL),
-                done: rng.bool(),
-                wave: rng.range_u32(0, 64),
-                waves: rng.range_u32(0, 64),
-                pulls: rng.next_u64(),
-                pull_bytes: rng.next_u64(),
-                shm_wait_p50_us: rng.next_u64(),
-                shm_wait_p99_us: rng.next_u64(),
-                rdma_wait_p50_us: rng.next_u64(),
-                rdma_wait_p99_us: rng.next_u64(),
-                pulls_in_flight: rng.range_u64(0, 64),
-                bytes_in_flight: rng.next_u64(),
-                queue_depth: rng.range_u64(0, 1024),
-                sub_active: rng.range_u64(0, 64),
-                sub_pushes: rng.next_u64(),
-                sub_lagged: rng.range_u64(0, 64),
-                link_stalls: rng.range_u64(0, 8),
-                health: (0..rng.range_usize(0, 3))
-                    .map(|_| arb_string(rng, 40))
-                    .collect(),
-            },
-            Frame::ShmOffer {
-                src_node: rng.range_u32(0, 64),
-                dst_node: rng.range_u32(0, 64),
-                segment: rng.next_u64(),
-                path: arb_string(rng, 48),
-                slots: rng.range_u64(1, 1 << 16),
-                arena_bytes: rng.next_u64(),
-            },
-            Frame::ShmAck {
-                src_node: rng.range_u32(0, 64),
-                dst_node: rng.range_u32(0, 64),
-                segment: rng.next_u64(),
-                seq: rng.next_u64(),
-                attached: rng.bool(),
-            },
-            Frame::ShmDoorbell {
-                src_node: rng.range_u32(0, 64),
-                dst_node: rng.range_u32(0, 64),
-                segment: rng.next_u64(),
-                seq: rng.next_u64(),
-            },
-            Frame::Subscribe {
-                sub_id: rng.next_u64(),
-                var: rng.next_u64(),
-                every_k: rng.range_u64(1, 16),
-                subscriber: rng.range_u32(0, 256),
-                lbs: (0..rng.range_usize(1, 4)).map(|_| rng.next_u64()).collect(),
-                ubs: (0..rng.range_usize(1, 4)).map(|_| rng.next_u64()).collect(),
-            },
-            Frame::SubAck {
-                sub_id: rng.next_u64(),
-                to_node: rng.range_u32(0, 64),
-            },
-            Frame::SubPush {
-                sub_id: rng.next_u64(),
-                var: rng.next_u64(),
-                version: rng.range_u64(0, 1024),
-                src: rng.range_u32(0, 256),
-                subscriber: rng.range_u32(0, 256),
-                lbs: (0..rng.range_usize(1, 4)).map(|_| rng.next_u64()).collect(),
-                ubs: (0..rng.range_usize(1, 4)).map(|_| rng.next_u64()).collect(),
-                data: arb_bytes(rng, 128),
-            },
-            Frame::SubCancel {
-                sub_id: rng.next_u64(),
-            },
-            Frame::SubLagged {
-                sub_id: rng.next_u64(),
-                version: rng.range_u64(0, 1024),
-                subscriber: rng.range_u32(0, 256),
-            },
-        ]
-    }
-
-    fn arb_run_summary(rng: &mut SplitMix64) -> RunSummary {
-        RunSummary {
-            run: rng.next_u64(),
-            name: arb_string(rng, 24),
-            state: *rng.choose(&RunState::ALL),
-            nodes: rng.range_u32(1, 16),
-            detail: arb_string(rng, 40),
-            link_stalls: rng.range_u64(0, 8),
-            health: (0..rng.range_usize(0, 3))
-                .map(|_| arb_string(rng, 32))
-                .collect(),
+    impl Arb for u64 {
+        fn arb(rng: &mut SplitMix64) -> Self {
+            rng.next_u64()
         }
     }
 
-    fn arb_event(rng: &mut SplitMix64) -> Event {
-        let kind = match rng.range_u32(0, 14) {
-            0 => EventKind::Put { indexed: false },
-            1 => EventKind::Put { indexed: true },
-            2 => EventKind::Get { cont: false },
-            3 => EventKind::Get { cont: true },
-            4 => EventKind::Schedule { hit: false },
-            5 => EventKind::Schedule { hit: true },
-            6 => EventKind::DhtLookup {
-                cores: rng.range_u32(0, 64),
-            },
-            7 => EventKind::Pull {
-                wait_us: rng.next_u64(),
-            },
-            8 => EventKind::Fault { kind: "drop-pull" },
-            9 => EventKind::Fault {
-                kind: "net-telemetry",
-            },
-            10 => EventKind::NetSend,
-            11 => EventKind::NetRecv,
-            12 => EventKind::SubPush,
-            _ => EventKind::SubDeliver,
-        };
-        let mut e = Event::new(rng.range_u64(1, 1 << 40), kind);
-        if rng.bool() {
-            e.parent = Some(rng.range_u64(1, 1 << 40));
+    impl Arb for bool {
+        fn arb(rng: &mut SplitMix64) -> Self {
+            rng.bool()
         }
-        e.app = rng.range_u32(0, 8);
-        e.var = rng.next_u64();
-        e.version = rng.range_u64(0, 64);
-        if rng.bool() {
-            let ndim = rng.range_usize(1, insitu_domain::MAX_DIMS + 1);
-            let lbs: Vec<u64> = (0..ndim).map(|_| rng.range_u64(0, 100)).collect();
-            let ubs: Vec<u64> = lbs.iter().map(|&l| l + rng.range_u64(0, 50)).collect();
-            e.bbox = Some(insitu_domain::BoundingBox::new(&lbs, &ubs));
+    }
+
+    impl Arb for String {
+        fn arb(rng: &mut SplitMix64) -> Self {
+            let n = rng.range_usize(0, 48);
+            (0..n)
+                .map(|_| char::from_u32(rng.range_u32(32, 0x24F)).unwrap_or('x'))
+                .collect()
         }
-        if rng.bool() {
-            e.src = Some(rng.range_u32(0, 256));
+    }
+
+    impl Arb for Vec<u8> {
+        fn arb(rng: &mut SplitMix64) -> Self {
+            let n = rng.range_usize(0, 128);
+            (0..n).map(|_| rng.next_u64() as u8).collect()
         }
-        if rng.bool() {
-            e.dst = Some(rng.range_u32(0, 256));
+    }
+
+    impl<T: Arb> Arb for Vec<T> {
+        fn arb(rng: &mut SplitMix64) -> Self {
+            (0..rng.range_usize(0, 5)).map(|_| T::arb(rng)).collect()
         }
-        e.link = match rng.range_u32(0, 3) {
-            0 => None,
-            1 => Some(LinkClass::Shm),
-            _ => Some(LinkClass::Rdma),
-        };
-        e.piece = rng.next_u64();
-        e.bytes = rng.next_u64() >> 8;
-        e.start_us = rng.next_u64() >> 16;
-        e.duration_us = rng.next_u64() >> 16;
-        e.pid = rng.range_u32(0, 16);
-        e
+    }
+
+    impl Arb for (String, u64) {
+        fn arb(rng: &mut SplitMix64) -> Self {
+            (Arb::arb(rng), Arb::arb(rng))
+        }
+    }
+
+    impl Arb for RunState {
+        fn arb(rng: &mut SplitMix64) -> Self {
+            *rng.choose(&RunState::ALL)
+        }
+    }
+
+    impl Arb for RunSummary {
+        fn arb(rng: &mut SplitMix64) -> Self {
+            RunSummary {
+                run: Arb::arb(rng),
+                name: Arb::arb(rng),
+                state: Arb::arb(rng),
+                nodes: Arb::arb(rng),
+                detail: Arb::arb(rng),
+                link_stalls: Arb::arb(rng),
+                health: Arb::arb(rng),
+            }
+        }
+    }
+
+    impl Arb for NodeReport {
+        fn arb(rng: &mut SplitMix64) -> Self {
+            let n = rng.range_usize(0, 6);
+            let per_app: Vec<_> = (0..n)
+                .map(|_| {
+                    (
+                        rng.range_u32(0, 8),
+                        *rng.choose(&TrafficClass::ALL),
+                        *rng.choose(&Locality::ALL),
+                        rng.next_u64() >> 8,
+                    )
+                })
+                .collect();
+            NodeReport {
+                node: Arb::arb(rng),
+                ledger: LedgerSnapshot::from_parts(
+                    std::array::from_fn(|_| rng.next_u64() >> 8),
+                    std::array::from_fn(|_| rng.next_u64() >> 8),
+                    per_app,
+                ),
+                verify_failures: Arb::arb(rng),
+                staged: Arb::arb(rng),
+                gets: Arb::arb(rng),
+                errors: Arb::arb(rng),
+            }
+        }
+    }
+
+    impl Arb for Event {
+        fn arb(rng: &mut SplitMix64) -> Self {
+            let kind = match rng.range_u32(0, 14) {
+                0 => EventKind::Put { indexed: false },
+                1 => EventKind::Put { indexed: true },
+                2 => EventKind::Get { cont: false },
+                3 => EventKind::Get { cont: true },
+                4 => EventKind::Schedule { hit: false },
+                5 => EventKind::Schedule { hit: true },
+                6 => EventKind::DhtLookup {
+                    cores: rng.range_u32(0, 64),
+                },
+                7 => EventKind::Pull {
+                    wait_us: rng.next_u64(),
+                },
+                8 => EventKind::Fault { kind: "drop-pull" },
+                9 => EventKind::Fault {
+                    kind: "net-telemetry",
+                },
+                10 => EventKind::NetSend,
+                11 => EventKind::NetRecv,
+                12 => EventKind::SubPush,
+                _ => EventKind::SubDeliver,
+            };
+            let mut e = Event::new(rng.range_u64(1, 1 << 40), kind);
+            if rng.bool() {
+                e.parent = Some(rng.range_u64(1, 1 << 40));
+            }
+            e.app = rng.range_u32(0, 8);
+            e.var = rng.next_u64();
+            e.version = rng.range_u64(0, 64);
+            if rng.bool() {
+                let ndim = rng.range_usize(1, insitu_domain::MAX_DIMS + 1);
+                let lbs: Vec<u64> = (0..ndim).map(|_| rng.range_u64(0, 100)).collect();
+                let ubs: Vec<u64> = lbs.iter().map(|&l| l + rng.range_u64(0, 50)).collect();
+                e.bbox = Some(BoundingBox::new(&lbs, &ubs));
+            }
+            if rng.bool() {
+                e.src = Some(rng.range_u32(0, 256));
+            }
+            if rng.bool() {
+                e.dst = Some(rng.range_u32(0, 256));
+            }
+            e.link = match rng.range_u32(0, 3) {
+                0 => None,
+                1 => Some(LinkClass::Shm),
+                _ => Some(LinkClass::Rdma),
+            };
+            e.piece = rng.next_u64();
+            e.bytes = rng.next_u64() >> 8;
+            e.start_us = rng.next_u64() >> 16;
+            e.duration_us = rng.next_u64() >> 16;
+            e.pid = rng.range_u32(0, 16);
+            e
+        }
+    }
+
+    /// Every frame's wire bytes, back to back — what a connection's
+    /// staged write buffer holds.
+    fn encode_run(frames: &[Frame]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for f in frames {
+            f.encode_into(&mut out).unwrap();
+        }
+        out
     }
 
     #[test]
     fn every_message_type_round_trips() {
         forall(64, |rng| {
-            for frame in arb_frames(rng) {
+            let frames = Frame::arb_each(rng);
+            let kinds: Vec<u8> = frames.iter().map(Frame::kind).collect();
+            assert_eq!(kinds, (1..=36).collect::<Vec<u8>>(), "one per kind");
+            for frame in frames {
                 let wire = frame.encode();
                 let len = u32::from_le_bytes(wire[..4].try_into().unwrap());
                 assert_eq!(len as usize, wire.len() - 4);
@@ -2214,7 +1522,7 @@ mod tests {
     #[test]
     fn truncation_at_every_boundary_is_rejected_not_panicking() {
         forall(16, |rng| {
-            for frame in arb_frames(rng) {
+            for frame in Frame::arb_each(rng) {
                 let wire = frame.encode();
                 for cut in 6..wire.len() {
                     let err = Frame::decode(wire[4], wire[5], &wire[6..cut]).unwrap_err();
@@ -2231,7 +1539,7 @@ mod tests {
     #[test]
     fn trailing_bytes_are_rejected() {
         forall(16, |rng| {
-            for frame in arb_frames(rng) {
+            for frame in Frame::arb_each(rng) {
                 let mut wire = frame.encode();
                 wire.push(0xEE);
                 assert_eq!(
@@ -2265,12 +1573,18 @@ mod tests {
         );
     }
 
+    /// Kind bytes the hand-built payloads below are decoded as.
+    const RUN_WAVE: u8 = 11;
+    const DHT_INSERT: u8 = 8;
+    const WELCOME: u8 = 2;
+    const RUN_LIST: u8 = 21;
+
     #[test]
     fn oversized_length_word_is_rejected_before_allocation() {
         let mut wire = Vec::new();
         wire.extend_from_slice(&(MAX_FRAME_LEN + 1).to_le_bytes());
         wire.push(WIRE_VERSION);
-        wire.push(KIND_RUN_WAVE);
+        wire.push(RUN_WAVE);
         let mut cursor = std::io::Cursor::new(wire);
         assert_eq!(
             Frame::read_from(&mut cursor),
@@ -2285,50 +1599,61 @@ mod tests {
     }
 
     #[test]
+    fn outbound_length_is_checked_at_the_limit() {
+        let max = MAX_FRAME_LEN as usize;
+        assert_eq!(length_word(6, max), Ok(MAX_FRAME_LEN));
+        let refused = length_word(6, max + 1).unwrap_err();
+        let len = max as u64 + 1;
+        assert_eq!(refused, FrameError::TooLong { kind: 6, len });
+        // The refusal names the kind, the size and the limit.
+        let text = refused.to_string();
+        for part in ["kind 6".to_string(), len.to_string(), max.to_string()] {
+            assert!(text.contains(&part), "{text}");
+        }
+        // Past 4 GiB the length word must not wrap into a valid one.
+        assert!(length_word(6, (1 << 32) + 10).is_err());
+    }
+
+    #[test]
     fn hostile_element_counts_do_not_allocate() {
         // A DhtInsert whose lbs count claims u32::MAX elements.
         let mut p = Vec::new();
-        put_u64(&mut p, 1);
-        put_u64(&mut p, 2);
-        put_u32(&mut p, 3);
-        put_u64(&mut p, 4);
-        put_u32(&mut p, u32::MAX);
+        1u64.put(&mut p);
+        2u64.put(&mut p);
+        3u32.put(&mut p);
+        4u64.put(&mut p);
+        u32::MAX.put(&mut p);
         assert_eq!(
-            Frame::decode(WIRE_VERSION, KIND_DHT_INSERT, &p),
+            Frame::decode(WIRE_VERSION, DHT_INSERT, &p),
             Err(FrameError::Truncated)
         );
         // A RunList whose run count claims u32::MAX summaries.
         let mut p = Vec::new();
-        put_u32(&mut p, u32::MAX);
+        u32::MAX.put(&mut p);
         assert_eq!(
-            Frame::decode(WIRE_VERSION, KIND_RUN_LIST, &p),
+            Frame::decode(WIRE_VERSION, RUN_LIST, &p),
             Err(FrameError::Truncated)
         );
         // A Welcome whose peer count claims u32::MAX strings.
         let mut p = Vec::new();
-        put_u32(&mut p, 2); // nodes
-        put_str(&mut p, "s");
-        put_u64(&mut p, 1); // get_timeout_ms
-        put_str(&mut p, "");
-        put_str(&mut p, "");
-        put_u64(&mut p, 0); // run_epoch
-        put_u32(&mut p, u32::MAX); // hostile peer count
+        2u32.put(&mut p); // nodes
+        "s".to_string().put(&mut p);
+        1u64.put(&mut p); // get_timeout_ms
+        String::new().put(&mut p);
+        String::new().put(&mut p);
+        0u64.put(&mut p); // run_epoch
+        let valid_prefix = p.clone();
+        u32::MAX.put(&mut p); // hostile peer count
         assert_eq!(
-            Frame::decode(WIRE_VERSION, KIND_WELCOME, &p),
+            Frame::decode(WIRE_VERSION, WELCOME, &p),
             Err(FrameError::Truncated)
         );
         // And a hostile host-fingerprint count after valid peers.
-        let mut p = Vec::new();
-        put_u32(&mut p, 2); // nodes
-        put_str(&mut p, "s");
-        put_u64(&mut p, 1); // get_timeout_ms
-        put_str(&mut p, "");
-        put_str(&mut p, "");
-        put_u64(&mut p, 0); // run_epoch
-        put_u32(&mut p, 0); // no peers
-        put_u32(&mut p, u32::MAX); // hostile host count
+        let mut p = valid_prefix;
+        0u32.put(&mut p); // no peers
+        u32::MAX.put(&mut p); // hostile host count
         assert_eq!(
-            Frame::decode(WIRE_VERSION, KIND_WELCOME, &p),
+            Frame::decode(WIRE_VERSION, WELCOME, &p),
             Err(FrameError::Truncated)
         );
     }
@@ -2377,7 +1702,7 @@ mod tests {
     fn arb_batch(rng: &mut SplitMix64) -> Vec<Frame> {
         let mut batch = Vec::new();
         for _ in 0..rng.range_usize(1, 4) {
-            for frame in arb_frames(rng) {
+            for frame in Frame::arb_each(rng) {
                 if rng.bool() {
                     batch.push(frame);
                 }
@@ -2390,40 +1715,116 @@ mod tests {
         batch
     }
 
+    /// Up to eight ascending split points inside `0..=len`.
+    fn arb_cuts(rng: &mut SplitMix64, len: usize) -> Vec<usize> {
+        let mut cuts: Vec<usize> = (0..rng.range_usize(0, 9))
+            .map(|_| rng.range_usize(0, len + 1))
+            .collect();
+        cuts.sort_unstable();
+        cuts.dedup();
+        cuts
+    }
+
     /// Feed `wire` to a decoder in chunks split at `cuts` (ascending
-    /// byte offsets), draining after every chunk; return all frames.
-    fn decode_split(wire: &[u8], cuts: &[usize]) -> Vec<Frame> {
+    /// byte offsets), draining after every chunk. Returns the frames
+    /// decoded and how the stream ended: the count of bytes left
+    /// undecoded, or the protocol error — after which the decoder must
+    /// stay poisoned whatever else arrives, which is checked here.
+    fn decode_split(wire: &[u8], cuts: &[usize]) -> (Vec<Frame>, Result<usize, FrameError>) {
         let mut dec = FrameDecoder::new();
         let mut out = Vec::new();
         let mut at = 0;
         for &cut in cuts.iter().chain(std::iter::once(&wire.len())) {
             dec.push(&wire[at..cut]);
             at = cut;
-            while let Some(f) = dec.next_frame().expect("valid batch bytes") {
-                out.push(f);
+            loop {
+                match dec.next_frame() {
+                    Ok(Some(f)) => out.push(f),
+                    Ok(None) => break,
+                    Err(e) => {
+                        dec.push(&wire[at..]);
+                        dec.push(&Frame::ListRuns.encode());
+                        assert_eq!(dec.next_frame(), Err(e.clone()), "error is sticky");
+                        return (out, Err(e));
+                    }
+                }
             }
         }
-        assert_eq!(dec.pending(), 0, "undecoded bytes left over");
-        out
+        (out, Ok(dec.pending()))
     }
 
     #[test]
     fn batched_frames_split_at_arbitrary_boundaries_decode_identically() {
         forall(48, |rng| {
             let batch = arb_batch(rng);
-            let wire = encode_batch(&batch);
+            let wire = encode_run(&batch);
+            let whole = (batch, Ok(0));
             // One-shot.
-            assert_eq!(decode_split(&wire, &[]), batch);
+            assert_eq!(decode_split(&wire, &[]), whole);
             // Byte-at-a-time.
             let every: Vec<usize> = (1..wire.len()).collect();
-            assert_eq!(decode_split(&wire, &every), batch);
+            assert_eq!(decode_split(&wire, &every), whole);
             // Random split points.
-            let mut cuts: Vec<usize> = (0..rng.range_usize(0, 9))
-                .map(|_| rng.range_usize(0, wire.len() + 1))
-                .collect();
-            cuts.sort_unstable();
-            cuts.dedup();
-            assert_eq!(decode_split(&wire, &cuts), batch);
+            assert_eq!(decode_split(&wire, &arb_cuts(rng, wire.len())), whole);
+        });
+    }
+
+    /// Random bytes never panic the decoder, whether or not they start
+    /// with a plausible header that steers them into a payload reader.
+    #[test]
+    fn fuzz_random_bytes_never_panic_the_decoder() {
+        forall(512, |rng| {
+            let mut wire = Vec::<u8>::arb(rng);
+            if wire.len() >= 6 && rng.bool() {
+                let len = (wire.len() - 4) as u32;
+                wire[..4].copy_from_slice(&len.to_le_bytes());
+                wire[4] = WIRE_VERSION;
+                wire[5] = rng.range_u32(0, 40) as u8;
+            }
+            // Returning at all is the property.
+            let _ = decode_split(&wire, &arb_cuts(rng, wire.len()));
+        });
+    }
+
+    /// Valid byte runs with a few bytes flipped, a hostile `u32::MAX`
+    /// count spliced in, or the tail cut off: the decoder never panics,
+    /// never yields a frame after an error (`decode_split` checks the
+    /// poisoning), and every frame that ends before the first damaged
+    /// byte still decodes to what was sent.
+    #[test]
+    fn fuzz_damaged_batches_keep_the_undamaged_prefix() {
+        forall(256, |rng| {
+            let batch = arb_batch(rng);
+            let mut wire = encode_run(&batch);
+            let first_damaged = match rng.range_u32(0, 3) {
+                0 => {
+                    let at: Vec<usize> = (0..rng.range_usize(1, 5))
+                        .map(|_| rng.range_usize(0, wire.len()))
+                        .collect();
+                    for &i in &at {
+                        wire[i] ^= 1 << rng.range_u32(0, 8);
+                    }
+                    at.into_iter().min().unwrap()
+                }
+                1 => {
+                    let at = rng.range_usize(0, wire.len() - 3);
+                    wire[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+                    at
+                }
+                _ => {
+                    wire.truncate(rng.range_usize(0, wire.len()));
+                    wire.len()
+                }
+            };
+            let (frames, _) = decode_split(&wire, &arb_cuts(rng, wire.len()));
+            let mut end = 0;
+            let intact = batch.iter().take_while(|f| {
+                end += f.encode().len();
+                end <= first_damaged
+            });
+            for (i, sent) in intact.enumerate() {
+                assert_eq!(frames.get(i), Some(sent), "frame {i} precedes the damage");
+            }
         });
     }
 
@@ -2431,7 +1832,7 @@ mod tests {
     fn decoder_surfaces_mid_batch_corruption_after_prior_frames() {
         forall(24, |rng| {
             let good = arb_batch(rng);
-            let mut wire = encode_batch(&good);
+            let mut wire = encode_run(&good);
             let tail_at = wire.len();
             // Append a frame with a corrupted version byte mid-batch.
             let mut bad = Frame::RunWave { wave: 9 }.encode();
@@ -2470,9 +1871,9 @@ mod tests {
 
     #[test]
     fn decoder_rejects_oversized_and_short_length_words_mid_batch() {
-        let mut wire = encode_batch(&[Frame::ListRuns, Frame::RunWave { wave: 1 }]);
+        let mut wire = encode_run(&[Frame::ListRuns, Frame::RunWave { wave: 1 }]);
         wire.extend_from_slice(&(MAX_FRAME_LEN + 1).to_le_bytes());
-        wire.extend_from_slice(&[WIRE_VERSION, KIND_RUN_WAVE]);
+        wire.extend_from_slice(&[WIRE_VERSION, RUN_WAVE]);
         let mut dec = FrameDecoder::new();
         dec.push(&wire);
         assert_eq!(dec.next_frame(), Ok(Some(Frame::ListRuns)));
@@ -2498,7 +1899,7 @@ mod tests {
             Frame::GetDone { var: 1, version: 2 },
             Frame::Evict { var: 3, version: 4 },
         ];
-        let wire = encode_batch(&frames);
+        let wire = encode_run(&frames);
         let mut dec = FrameDecoder::new();
         // Everything except the last byte: first frame decodes, second
         // is incomplete — not an error, just "need more".
@@ -2579,7 +1980,7 @@ mod tests {
         };
         assert!(!push.is_data_plane());
         assert!(!push.fault_eligible());
-        assert_eq!(push.kind(), KIND_SUB_PUSH);
+        assert_eq!(push.kind(), 34);
         let sub = Frame::Subscribe {
             sub_id: 0xfeed,
             var: 9,
@@ -2609,25 +2010,25 @@ mod tests {
     fn hostile_telemetry_counts_do_not_allocate() {
         // A Telemetry frame whose counter count claims u32::MAX.
         let mut p = Vec::new();
-        put_u32(&mut p, 1); // node
-        put_u32(&mut p, 0); // batch
-        p.push(1); // last
-        put_u64(&mut p, 0); // dropped_events
-        put_u64(&mut p, 0); // dropped_spans
-        put_u32(&mut p, u32::MAX); // hostile counter count
+        1u32.put(&mut p); // node
+        0u32.put(&mut p); // batch
+        true.put(&mut p); // last
+        0u64.put(&mut p); // dropped_events
+        0u64.put(&mut p); // dropped_spans
+        u32::MAX.put(&mut p); // hostile counter count
         assert_eq!(
             Frame::decode(WIRE_VERSION, KIND_TELEMETRY, &p),
             Err(FrameError::Truncated)
         );
         // And a hostile event count.
         let mut p = Vec::new();
-        put_u32(&mut p, 1);
-        put_u32(&mut p, 0);
+        1u32.put(&mut p);
+        0u32.put(&mut p);
         p.push(1);
-        put_u64(&mut p, 0);
-        put_u64(&mut p, 0);
-        put_u32(&mut p, 0); // no counters
-        put_u32(&mut p, u32::MAX); // hostile event count
+        0u64.put(&mut p);
+        0u64.put(&mut p);
+        0u32.put(&mut p); // no counters
+        u32::MAX.put(&mut p); // hostile event count
         assert_eq!(
             Frame::decode(WIRE_VERSION, KIND_TELEMETRY, &p),
             Err(FrameError::Truncated)
@@ -2657,8 +2058,8 @@ mod tests {
         wire[flag_at] = 1;
         // lbs = [5], ubs = [2]: inverted.
         let mut corners = Vec::new();
-        put_u64s(&mut corners, &[5]);
-        put_u64s(&mut corners, &[2]);
+        vec![5u64].put(&mut corners);
+        vec![2u64].put(&mut corners);
         wire.splice(flag_at + 1..flag_at + 1, corners);
         let len = (wire.len() - 4) as u32;
         wire[..4].copy_from_slice(&len.to_le_bytes());

@@ -7,7 +7,8 @@
 //! plus one process per simulated node — while the layers above keep
 //! their exact in-process semantics:
 //!
-//! - [`frame`] — the length-prefixed, versioned binary codec: 36
+//! - [`frame`] — the length-prefixed, versioned binary codec, every
+//!   message described once in a declarative frame table: 36
 //!   message types covering registration (`Hello`/`Welcome`), task
 //!   dispatch (`Relay` + `RunWave`/`Barrier`), buffer movement
 //!   (`PutNotify`, `PullRequest`, `PullData`, `PullNack`), DHT-replica
@@ -68,8 +69,8 @@ pub mod reactor;
 
 pub use conn::{connect_with_retry, recv_frame, send_frame, NetError, NetMetrics};
 pub use frame::{
-    encode_batch, Frame, FrameDecoder, FrameError, NodeReport, RunState, RunSummary,
-    KIND_TELEMETRY, MAX_FRAME_LEN, WIRE_VERSION,
+    Frame, FrameDecoder, FrameError, NodeReport, RunState, RunSummary, KIND_TELEMETRY,
+    MAX_FRAME_LEN, WIRE_VERSION,
 };
 pub use hub::{Hub, HubConfig};
 pub use link::{Ctl, NetLink};

@@ -422,6 +422,21 @@ impl NetLink {
     fn on_frame(&self, frame: Frame, reply: Token, ctl: Option<&Sender<Ctl>>) {
         let dart = self.dart.get().expect("demux after start_reader");
         let space = self.space.get().expect("demux after start_reader");
+        // A frame this end cannot act on — an unexpected kind, or corners
+        // that make no box (checked here, never handed to the panicking
+        // constructor: this is the process's only wire thread). On a
+        // direct peer connection it is ignored, not fatal to the run:
+        // that peer's pulls simply won't complete. From the server it
+        // ends the run, by name.
+        let kind = frame.kind();
+        let confused = |what: &str| {
+            if let Some(ctl) = ctl {
+                let _ = ctl.send(Ctl::Shutdown {
+                    ok: false,
+                    reason: format!("{what} frame kind {kind} from server"),
+                });
+            }
+        };
         match frame {
             Frame::Relay {
                 to,
@@ -538,15 +553,10 @@ impl NetLink {
                 lbs,
                 ubs,
             } => {
-                space.apply_remote_dht_insert(
-                    var,
-                    version,
-                    LocationEntry {
-                        bbox: BoundingBox::new(&lbs, &ubs),
-                        owner,
-                        piece,
-                    },
-                );
+                let Some(bbox) = BoundingBox::try_new(&lbs, &ubs) else {
+                    return confused("bbox corners in");
+                };
+                space.apply_remote_dht_insert(var, version, LocationEntry { bbox, owner, piece });
             }
             Frame::GetDone { var, version } => space.apply_remote_get_done(var, version),
             Frame::Evict { var, version } => space.apply_remote_evict(var, version),
@@ -558,9 +568,12 @@ impl NetLink {
                 ubs,
                 ..
             } => {
+                let Some(region) = BoundingBox::try_new(&lbs, &ubs) else {
+                    return confused("bbox corners in");
+                };
                 space.apply_remote_subscribe(&SubSpec {
                     vid: var,
-                    region: BoundingBox::new(&lbs, &ubs),
+                    region,
                     every_k,
                     subscriber,
                 });
@@ -582,9 +595,11 @@ impl NetLink {
                 ubs,
                 data,
             } => {
+                let Some(frag) = BoundingBox::try_new(&lbs, &ubs) else {
+                    return confused("bbox corners in");
+                };
                 let flight = self.flight();
                 let t0 = flight.now_us();
-                let frag = BoundingBox::new(&lbs, &ubs);
                 let bytes = data.len() as u64;
                 space.apply_remote_sub_push(sub_id, version, &frag, &data);
                 // The recv half of the push's wire hop; the merge pairs
@@ -616,16 +631,7 @@ impl NetLink {
                     let _ = ctl.send(Ctl::Shutdown { ok, reason });
                 }
             }
-            other => {
-                // A confused peer connection is ignored, not fatal to
-                // the run: its pulls simply won't complete.
-                if let Some(ctl) = ctl {
-                    let _ = ctl.send(Ctl::Shutdown {
-                        ok: false,
-                        reason: format!("unexpected frame kind {} from server", other.kind()),
-                    });
-                }
-            }
+            _ => confused("unexpected"),
         }
     }
 
@@ -1205,22 +1211,26 @@ mod tests {
         }
     }
 
-    /// A refused push costs one socket hop, not a wait. Node 0's link
-    /// answers pulls from node 1 — played, hub and all, by this test on
-    /// a bare socket that never attaches the offered segment, so
-    /// nothing is ever popped or released. Two half-arena records fill
-    /// the ring; the next two answers, woken together, must both come
-    /// back as `PullData` at once and be tallied as ring-full.
-    #[test]
-    fn refused_push_falls_back_to_pull_data_without_waiting() {
+    /// Node 0's started link over loopback, with this test playing the
+    /// hub on the far end of its one connection (bare socket, 10 s read
+    /// bound — generous, and far above what a socket hop takes).
+    struct Rig {
+        link: Arc<NetLink>,
+        dart: Arc<DartRuntime>,
+        ctl: Receiver<Ctl>,
+        wire: TcpStream,
+        inj: FaultInjector,
+        rec: Recorder,
+        metrics: NetMetrics,
+    }
+
+    fn rig() -> Rig {
         let inj = FaultInjector::none();
         let rec = Recorder::enabled();
         let metrics = NetMetrics::new(&rec);
         let hub = TcpListener::bind("127.0.0.1:0").unwrap();
         let stream = TcpStream::connect(hub.local_addr().unwrap()).unwrap();
-        let (mut wire, _) = hub.accept().unwrap();
-        // The bound on every answer below: generous, and far above what
-        // a socket hop takes.
+        let (wire, _) = hub.accept().unwrap();
         wire.set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
 
@@ -1251,9 +1261,29 @@ mod tests {
             CodsConfig::default(),
             Arc::clone(&link) as Arc<dyn SpaceMirror>,
         );
-        let _ctl = link.start_reader(Arc::clone(&dart), space);
+        let ctl = link.start_reader(Arc::clone(&dart), space);
+        Rig {
+            link,
+            dart,
+            ctl,
+            wire,
+            inj,
+            rec,
+            metrics,
+        }
+    }
 
-        let mut rx = wire.try_clone().unwrap();
+    /// A refused push costs one socket hop, not a wait. Node 0's link
+    /// answers pulls from node 1 — played, hub and all, by this test on
+    /// a bare socket that never attaches the offered segment, so
+    /// nothing is ever popped or released. Two half-arena records fill
+    /// the ring; the next two answers, woken together, must both come
+    /// back as `PullData` at once and be tallied as ring-full.
+    #[test]
+    fn refused_push_falls_back_to_pull_data_without_waiting() {
+        let mut r = rig();
+        let dart = Arc::clone(&r.dart);
+        let mut rx = r.wire.try_clone().unwrap();
         let mut ask = |piece: u64| {
             let req = Frame::PullRequest {
                 name: 7,
@@ -1261,9 +1291,9 @@ mod tests {
                 piece,
                 from_node: 1,
             };
-            send_frame(&mut wire, &req, &inj, &metrics).unwrap();
+            send_frame(&mut r.wire, &req, &r.inj, &r.metrics).unwrap();
         };
-        let mut answer = || match recv_frame(&mut rx, &inj, &metrics) {
+        let mut answer = || match recv_frame(&mut rx, &r.inj, &r.metrics) {
             Ok(frame) => frame,
             Err(e) => panic!("no answer within the bound: {e:?}"),
         };
@@ -1301,11 +1331,64 @@ mod tests {
         }
         data.sort();
         assert_eq!(data, vec![(2, b"two".to_vec()), (3, b"three".to_vec())]);
-        let snap = rec.metrics_snapshot();
+        let snap = r.rec.metrics_snapshot();
         assert_eq!(snap.counter("net.shm_frames"), 2);
         assert_eq!(snap.counter("net.shm_fallbacks_full"), 2);
         assert_eq!(snap.counter("net.shm_fallbacks"), 2);
-        link.close();
+        r.link.close();
+    }
+
+    /// Corners that make no box — inverted, ragged, empty — decode fine
+    /// (they are two `u64` vectors) and used to reach the panicking
+    /// constructor on the reactor thread, killing the process's only
+    /// wire thread. Each must now end the run by name, and the thread
+    /// must still be delivering the `RunWave` sent right behind it.
+    #[test]
+    fn hostile_corners_do_not_kill_the_wire_thread() {
+        let mut r = rig();
+        let hostile = [
+            Frame::DhtInsert {
+                var: 1,
+                version: 0,
+                owner: 1,
+                piece: 0,
+                lbs: vec![5],
+                ubs: vec![1],
+            },
+            Frame::Subscribe {
+                sub_id: 9,
+                var: 1,
+                every_k: 1,
+                subscriber: 1,
+                lbs: vec![0, 0],
+                ubs: vec![3],
+            },
+            Frame::SubPush {
+                sub_id: 9,
+                var: 1,
+                version: 0,
+                src: 1,
+                subscriber: 0,
+                lbs: vec![],
+                ubs: vec![],
+                data: vec![0; 8],
+            },
+        ];
+        for frame in hostile {
+            let wave = frame.kind() as u32;
+            send_frame(&mut r.wire, &frame, &r.inj, &r.metrics).unwrap();
+            send_frame(&mut r.wire, &Frame::RunWave { wave }, &r.inj, &r.metrics).unwrap();
+            let bound = Duration::from_secs(10);
+            match r.ctl.recv_timeout(bound) {
+                Ok(Ctl::Shutdown { ok: false, reason }) => assert!(
+                    reason.contains("bbox corners") && reason.contains(&format!("kind {wave}")),
+                    "{reason}"
+                ),
+                other => panic!("kind {wave} was not refused by name: {other:?}"),
+            }
+            assert_eq!(r.ctl.recv_timeout(bound), Ok(Ctl::RunWave(wave)));
+        }
+        r.link.close();
     }
 
     /// The send path and the demux run where a sleep stalls every peer

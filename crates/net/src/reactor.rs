@@ -302,8 +302,13 @@ fn run_loop(
                     if !passes_fault_site(&frame, NetOp::Send, &injector) {
                         continue;
                     }
-                    conn.out.extend_from_slice(&frame.encode());
-                    metrics.frames.inc();
+                    // Encoded straight onto the staged bytes; a frame
+                    // no peer would accept ends the connection by name
+                    // instead of poisoning the peer's decoder.
+                    match frame.encode_into(&mut conn.out) {
+                        Ok(_) => metrics.frames.inc(),
+                        Err(refused) => closed.push((token.0, refused.to_string())),
+                    }
                 }
                 Cmd::Shutdown => {
                     drain_on_shutdown(&mut conns, &metrics);

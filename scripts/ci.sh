@@ -4,7 +4,8 @@
 # The workspace has zero external dependencies, so every step runs with
 # --offline: a network-less builder (or a hermetic CI runner) must pass.
 # Usage: scripts/ci.sh [--quick]
-#   --quick  skip the release build (debug build + tests only)
+#   --quick  skip the release build and the benchmark-package smoke
+#            (debug build + tests only)
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -23,6 +24,19 @@ if [[ $quick -eq 0 ]]; then
     run cargo build --release --workspace --offline
 fi
 run cargo test -q --workspace --offline
+
+# The benchmark package is its own workspace, so nothing above compiles
+# it: a crate-API slip would first show when a PR's benchmark run fails.
+# Build it and push one short traced pass through it — the traced pass
+# replays Frame::encode/FrameDecoder through benchmark/src/layers.rs —
+# and require a clean result line.
+if [[ $quick -eq 0 ]]; then
+    echo "==> benchmark package builds and runs against the crates (wire_p2p, traced)"
+    bash benchmark/run.sh --workload wire_p2p --seed 1 --seconds 2 --trace 1 \
+        > target/benchmark-smoke.txt
+    tail -n 1 target/benchmark-smoke.txt | grep -q '"failed": *0[,}]' \
+        || { tail -n 1 target/benchmark-smoke.txt; echo "benchmark smoke reported failed runs"; exit 1; }
+fi
 
 # Chaos smoke: a bounded fuzz run under the standard fault mix, with a
 # pinned seed. Executed twice and diffed — the report must be bit-for-bit
