@@ -17,11 +17,11 @@ use crate::mapping::{map_scenario, MappedScenario, MappingStrategy};
 use crate::scenario::Scenario;
 use crate::threaded::ThreadedConfig;
 use insitu_cods::{
-    var_id, CodsConfig, CodsError, CodsSpace, Dht, GetReport, SpaceMirror, SubHandle,
+    var_id, CodsConfig, CodsError, CodsSpace, Dht, FieldData, GetReport, SpaceMirror, SubHandle,
 };
 use insitu_dart::{DartRuntime, Transport};
 use insitu_domain::stencil::halo_exchanges;
-use insitu_domain::{layout, BoundingBox};
+use insitu_domain::{BoundingBox, Decomposition};
 use insitu_fabric::{ClientId, Placement, TrafficClass, TransferLedger};
 use insitu_sfc::HilbertCurve;
 use insitu_sub::{SubSpec, TakeResult};
@@ -76,11 +76,69 @@ pub(crate) fn wave_tasks(
 /// The deterministic synthetic field: every `(variable, version, point)`
 /// has one correct value, so consumers can verify redistribution exactly.
 pub fn field_value(var: u64, version: u64, p: &[u64]) -> f64 {
-    let mut h = var ^ version.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    for &c in p {
-        h = (h ^ c.wrapping_add(0x5851_F42D)).wrapping_mul(0x1000_0000_01b3);
-    }
+    let seed = field_seed(var, version);
+    field_unit(p.iter().fold(seed, |h, &c| field_mix(h, c)))
+}
+
+fn field_seed(var: u64, version: u64) -> u64 {
+    var ^ version.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+#[inline]
+fn field_mix(h: u64, c: u64) -> u64 {
+    (h ^ c.wrapping_add(0x5851_F42D)).wrapping_mul(0x1000_0000_01b3)
+}
+
+#[inline]
+fn field_unit(h: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// [`field_value`]'s hash state after the leading coordinates of each
+/// row (run along the last dimension) of `bbox`, in row-major order.
+/// The row kernels below finish it with one [`field_mix`] per cell.
+fn row_seeds(var: u64, version: u64, bbox: &BoundingBox) -> impl Iterator<Item = u64> {
+    let last = bbox.ndim() - 1;
+    // The first cell of every row: `bbox` with its last dim collapsed.
+    let mut ub = bbox.upper();
+    ub[last] = bbox.lb(last);
+    let heads = BoundingBox::new(&bbox.lower()[..=last], &ub[..=last]);
+    let seed = field_seed(var, version);
+    heads
+        .iter_points()
+        .map(move |p| p[..last].iter().fold(seed, |h, &c| field_mix(h, c)))
+}
+
+/// The dense row-major array of `bbox` holding [`field_value`] at every
+/// cell, bit for bit, generated a row at a time.
+pub fn fill_field(var: u64, version: u64, bbox: &BoundingBox) -> Vec<f64> {
+    let last = bbox.ndim() - 1;
+    let cols = bbox.lb(last)..bbox.lb(last) + bbox.extent(last);
+    let mut out = Vec::with_capacity(bbox.num_cells() as usize);
+    for seed in row_seeds(var, version, bbox) {
+        out.extend(cols.clone().map(|c| field_unit(field_mix(seed, c))));
+    }
+    out
+}
+
+/// Compare every cell of `data` (the dense array of `bbox`) for exact
+/// equality with [`field_value`]; returns the number of cells that differ.
+///
+/// # Panics
+/// Panics if `data` is not `bbox.num_cells()` long.
+pub fn verify_field(var: u64, version: u64, bbox: &BoundingBox, data: &[f64]) -> u64 {
+    assert_eq!(data.len() as u128, bbox.num_cells(), "data length mismatch");
+    let last = bbox.ndim() - 1;
+    let rows = data.chunks_exact(bbox.extent(last) as usize);
+    row_seeds(var, version, bbox)
+        .zip(rows)
+        .map(|(seed, row)| {
+            let cells = row.iter().zip(bbox.lb(last)..);
+            cells
+                .filter(|&(&got, c)| got != field_unit(field_mix(seed, c)))
+                .count() as u64
+        })
+        .sum()
 }
 
 pub(crate) fn curve_for(domain: &BoundingBox) -> HilbertCurve {
@@ -102,17 +160,17 @@ pub(crate) struct SubPiece {
 /// distributed run every process builds one of these from the same
 /// `(scenario, strategy, config)` and they agree field for field.
 pub(crate) struct ExecEnv {
-    pub scenario: Arc<Scenario>,
-    pub mapped: Arc<MappedScenario>,
+    pub scenario: Scenario,
+    pub mapped: MappedScenario,
     pub dart: Arc<DartRuntime>,
     pub space: Arc<CodsSpace>,
     pub ledger: Arc<TransferLedger>,
-    pub reports: Arc<Mutex<Vec<(u32, u64, GetReport)>>>,
-    pub failures: Arc<AtomicU64>,
-    pub errors: Arc<Mutex<Vec<(u32, u64, CodsError)>>>,
+    pub reports: Mutex<Vec<(u32, u64, GetReport)>>,
+    pub failures: AtomicU64,
+    pub errors: Mutex<Vec<(u32, u64, CodsError)>>,
     pub get_timeout: Duration,
     /// Locally hosted subscription handles, keyed by subscriber task.
-    pub subs: Arc<HashMap<(u32, u64), Vec<SubPiece>>>,
+    pub subs: HashMap<(u32, u64), Vec<SubPiece>>,
 }
 
 impl ExecEnv {
@@ -130,7 +188,7 @@ impl ExecEnv {
         assert_eq!(scenario.elem_bytes, 8, "threaded mode stores f64 fields");
         let mapped = {
             let _span = recorder.span("workflow.map", "workflow", 0);
-            Arc::new(map_scenario(scenario, strategy))
+            map_scenario(scenario, strategy)
         };
         let machine = mapped.machine;
         let placement = Arc::new(Placement::pack_sequential(machine, machine.total_cores()));
@@ -176,7 +234,7 @@ impl ExecEnv {
             None => CodsSpace::new(Arc::clone(&dart), dht, cods_cfg),
         };
 
-        let scenario = Arc::new(scenario.clone());
+        let scenario = scenario.clone();
         // Declare consumption expectations so producers can reclaim old
         // versions: one completed get per consumer piece per version.
         // Deterministic from the scenario, so every replica agrees.
@@ -255,44 +313,34 @@ impl ExecEnv {
             dart,
             space,
             ledger,
-            reports: Arc::new(Mutex::new(Vec::new())),
-            failures: Arc::new(AtomicU64::new(0)),
-            errors: Arc::new(Mutex::new(Vec::new())),
+            reports: Mutex::new(Vec::new()),
+            failures: AtomicU64::new(0),
+            errors: Mutex::new(Vec::new()),
             get_timeout: cfg.get_timeout,
-            subs: Arc::new(subs),
+            subs,
         }
     }
 
     /// Run the given tasks on real threads (one per task, 512 KiB
-    /// stacks) and join them. Each task's dispatch message must already
-    /// sit in its client's mailbox.
+    /// stacks) and join them; a task's panic propagates. Each task's
+    /// dispatch message must already sit in its client's mailbox.
     pub fn run_tasks(&self, tasks: &[(u32, u64)]) {
-        let mut handles = Vec::new();
-        for &(app, rank) in tasks {
-            let ctx = TaskCtx {
-                scenario: Arc::clone(&self.scenario),
-                mapped: Arc::clone(&self.mapped),
-                space: Arc::clone(&self.space),
-                dart: Arc::clone(&self.dart),
-                reports: Arc::clone(&self.reports),
-                failures: Arc::clone(&self.failures),
-                errors: Arc::clone(&self.errors),
-                get_timeout: self.get_timeout,
-                subs: Arc::clone(&self.subs),
-                app,
-                rank,
-            };
-            handles.push(
+        std::thread::scope(|scope| {
+            for &(app, rank) in tasks {
+                let client = self.mapped.core_of_task(app, rank);
+                let ctx = TaskCtx {
+                    env: self,
+                    app,
+                    rank,
+                    client,
+                };
                 std::thread::Builder::new()
                     .name(format!("app{app}-r{rank}"))
                     .stack_size(512 * 1024)
-                    .spawn(move || task_routine(ctx))
-                    .expect("thread spawn failed"),
-            );
-        }
-        for h in handles {
-            h.join().expect("task thread panicked");
-        }
+                    .spawn_scoped(scope, move || task_routine(ctx))
+                    .expect("thread spawn failed");
+            }
+        });
     }
 
     /// Task errors sorted so the outcome is a pure function of
@@ -309,10 +357,7 @@ impl ExecEnv {
     /// task thread has joined.
     pub fn into_outcome(self, strategy: MappingStrategy) -> crate::threaded::ThreadedOutcome {
         let errors = self.sorted_errors();
-        let reports = Arc::try_unwrap(self.reports)
-            .expect("threads done")
-            .into_inner()
-            .unwrap();
+        let reports = self.reports.into_inner().unwrap();
         let staged_buffers = self.dart.registry().len() as u64;
         crate::threaded::ThreadedOutcome {
             strategy,
@@ -321,31 +366,65 @@ impl ExecEnv {
             verify_failures: self.failures.load(Ordering::Relaxed),
             errors,
             staged_buffers,
-            mapped: Arc::try_unwrap(self.mapped).expect("threads done"),
+            mapped: self.mapped,
         }
     }
 }
 
-struct TaskCtx {
-    scenario: Arc<Scenario>,
-    mapped: Arc<MappedScenario>,
-    space: Arc<CodsSpace>,
-    dart: Arc<DartRuntime>,
-    reports: Arc<Mutex<Vec<(u32, u64, GetReport)>>>,
-    failures: Arc<AtomicU64>,
-    errors: Arc<Mutex<Vec<(u32, u64, CodsError)>>>,
-    get_timeout: Duration,
-    subs: Arc<HashMap<(u32, u64), Vec<SubPiece>>>,
+/// One task's identity, the execution client (core) it is mapped to and
+/// the environment it runs in.
+struct TaskCtx<'a> {
+    env: &'a ExecEnv,
     app: u32,
     rank: u64,
+    client: ClientId,
 }
 
-impl TaskCtx {
+/// A producer's decomposition and the clients of its ranks.
+type Direct<'a> = (&'a Decomposition, &'a [ClientId]);
+
+impl TaskCtx<'_> {
     /// Record an operator error; the task abandons the failed coupling
     /// but keeps running (halo exchange in particular must complete so
     /// peers do not block forever on their mailboxes).
     fn note_error(&self, e: CodsError) {
-        self.errors.lock().unwrap().push((self.app, self.rank, e));
+        let mut errors = self.env.errors.lock().unwrap();
+        errors.push((self.app, self.rank, e));
+    }
+
+    /// What a direct (`get_cont`) read of `producer_app`'s data needs: its
+    /// decomposition and the clients of its ranks. `None` for a
+    /// sequential coupling, which asks the DHT instead.
+    fn direct(&self, producer_app: u32, concurrent: bool) -> Option<Direct<'_>> {
+        let pdec = self.env.scenario.decomposition(producer_app);
+        concurrent.then(|| (pdec, &self.env.mapped.app_cores[&producer_app][..]))
+    }
+
+    /// One get of `piece` by the coupling's mode, every retrieved cell
+    /// verified against the field function and the report filed. `None`
+    /// means the get failed and the error is noted.
+    fn get_verified(
+        &self,
+        var: &str,
+        direct: Option<Direct>,
+        version: u64,
+        piece: &BoundingBox,
+    ) -> Option<FieldData> {
+        let (env, app, client) = (self.env, self.app, self.client);
+        let res = match direct {
+            Some((pdec, producers)) => env
+                .space
+                .get_cont(client, app, var, version, piece, pdec, producers),
+            None => env.space.get_seq(client, app, var, version, piece),
+        };
+        let (data, report) = res.map_err(|e| self.note_error(e)).ok()?;
+        let bad = verify_field(var_id(var), version, piece, &data);
+        if bad > 0 {
+            env.failures.fetch_add(bad, Ordering::Relaxed);
+        }
+        let mut reports = env.reports.lock().unwrap();
+        reports.push((app, self.rank, report));
+        Some(data)
     }
 }
 
@@ -353,66 +432,50 @@ impl TaskCtx {
 /// runs: produce and/or consume coupled data, then do one stencil
 /// exchange round. Identical in single-process and distributed runs.
 fn task_routine(ctx: TaskCtx) {
-    let client = ctx.mapped.core_of_task(ctx.app, ctx.rank);
+    let (env, client) = (ctx.env, ctx.client);
     // One span per execution client, keyed by client id, so the trace
     // export shows a per-client timeline comparable with the modeled
     // executor's synthetic spans.
     let _task_span =
-        ctx.dart
+        env.dart
             .recorder()
             .span(&format!("app{}.task", ctx.app), "execute", client as u64);
-    let mailbox = ctx.dart.take_mailbox(client);
+    let mailbox = env.dart.take_mailbox(client);
 
     // First message is always this client's task assignment from the
     // workflow server (enqueued before the thread was spawned).
     let dispatch = mailbox.recv();
     assert_eq!(dispatch.tag, TAG_DISPATCH, "expected dispatch first");
     assert_eq!(
-        u32::from_ne_bytes(dispatch.payload[..4].try_into().unwrap()),
-        ctx.app
-    );
-    assert_eq!(
-        u64::from_ne_bytes(dispatch.payload[4..12].try_into().unwrap()),
-        ctx.rank
+        dispatch.payload[..],
+        dispatch_payload(ctx.app, ctx.rank)[..],
+        "dispatched another task's assignment"
     );
 
-    let dec = ctx.scenario.decomposition(ctx.app);
+    let dec = env.scenario.decomposition(ctx.app);
 
     // Producer role: one put sequence per iteration (version). For
-    // concurrent couplings, version v-1 is reclaimed once every consumer
-    // get of it has completed — the in-memory window a long-running
-    // simulation needs.
-    'producer: for coupling in &ctx.scenario.couplings {
+    // concurrent couplings every rank holds version v+1 back until every
+    // consumer get of v-1 has completed, so staging carries two versions
+    // — the in-memory window a long-running simulation needs.
+    'producer: for coupling in &env.scenario.couplings {
         if coupling.producer_app != ctx.app {
             continue;
         }
-        let vid = var_id(&coupling.var);
+        let var = coupling.var.as_str();
+        let vid = var_id(var);
+        let put = if coupling.concurrent {
+            CodsSpace::put_cont
+        } else {
+            CodsSpace::put_seq
+        };
         let pieces = dec.rank_region(ctx.rank);
-        for version in 0..ctx.scenario.iterations {
+        for version in 0..env.scenario.iterations {
             for (pi, piece) in pieces.iter().enumerate() {
-                let data =
-                    layout::fill_with(piece, |p| field_value(vid, version, &p[..piece.ndim()]));
-                let res = if coupling.concurrent {
-                    ctx.space.put_cont(
-                        client,
-                        ctx.app,
-                        &coupling.var,
-                        version,
-                        pi as u64,
-                        piece,
-                        &data,
-                    )
-                } else {
-                    ctx.space.put_seq(
-                        client,
-                        ctx.app,
-                        &coupling.var,
-                        version,
-                        pi as u64,
-                        piece,
-                        &data,
-                    )
-                };
+                let data = fill_field(vid, version, piece);
+                let res = put(
+                    &env.space, client, ctx.app, var, version, pi as u64, piece, &data,
+                );
                 if let Err(e) = res {
                     // Abandon this coupling; other couplings and the halo
                     // round still run so peers are not deadlocked.
@@ -420,32 +483,30 @@ fn task_routine(ctx: TaskCtx) {
                     continue 'producer;
                 }
             }
-            if coupling.concurrent && version > 0 {
-                // Reclaim the previous version once fully consumed
-                // (rank 0 evicts on behalf of the group; eviction of a
-                // consumed version is idempotent).
-                if ctx.rank == 0
-                    && ctx
-                        .space
-                        .wait_version_consumed(&coupling.var, version - 1, ctx.get_timeout)
-                {
-                    ctx.space.evict_version(&coupling.var, version - 1);
-                }
+            // Reclaim the previous version once fully consumed (rank 0
+            // evicts on behalf of the group; a timed-out wait leaves it
+            // staged and moves on).
+            if coupling.concurrent
+                && version > 0
+                && env
+                    .space
+                    .wait_version_consumed(var, version - 1, env.get_timeout)
+                && ctx.rank == 0
+            {
+                env.space.evict_version(var, version - 1);
             }
         }
     }
 
     // Consumer role: retrieve and verify every iteration's version.
-    for coupling in &ctx.scenario.couplings {
+    for coupling in &env.scenario.couplings {
         if !coupling.consumer_apps.contains(&ctx.app) {
             continue;
         }
-        let vid = var_id(&coupling.var);
-        let pdec = ctx.scenario.decomposition(coupling.producer_app);
-        let producer_clients: Vec<ClientId> = (0..pdec.num_ranks())
-            .map(|r| ctx.mapped.core_of_task(coupling.producer_app, r))
-            .collect();
-        let coupled_region = coupling.region.unwrap_or(*pdec.domain());
+        let producer = coupling.producer_app;
+        let coupled_region = coupling
+            .region
+            .unwrap_or(*env.scenario.decomposition(producer).domain());
         // Interface-region coupling: each task retrieves only the part of
         // its owned set inside the coupled region.
         let pieces: Vec<_> = dec
@@ -453,46 +514,17 @@ fn task_routine(ctx: TaskCtx) {
             .into_iter()
             .filter_map(|p| p.intersect(&coupled_region))
             .collect();
-        'versions: for version in 0..ctx.scenario.iterations {
+        let direct = ctx.direct(producer, coupling.concurrent);
+        // A failed get abandons this coupling's remaining versions; the
+        // task still completes its other roles.
+        'versions: for version in 0..env.scenario.iterations {
             for piece in &pieces {
-                let res = if coupling.concurrent {
-                    ctx.space.get_cont(
-                        client,
-                        ctx.app,
-                        &coupling.var,
-                        version,
-                        piece,
-                        pdec,
-                        &producer_clients,
-                    )
-                } else {
-                    ctx.space
-                        .get_seq(client, ctx.app, &coupling.var, version, piece)
-                };
-                let (data, report) = match res {
-                    Ok(dr) => dr,
-                    Err(e) => {
-                        // Abandon this coupling's remaining versions; the
-                        // task still completes its other roles.
-                        ctx.note_error(e);
-                        break 'versions;
-                    }
-                };
-                // Verify every retrieved cell against the field function.
-                let mut bad = 0u64;
-                for p in piece.iter_points() {
-                    let got = data[layout::linear_index(piece, &p[..piece.ndim()])];
-                    if got != field_value(vid, version, &p[..piece.ndim()]) {
-                        bad += 1;
-                    }
+                if ctx
+                    .get_verified(&coupling.var, direct, version, piece)
+                    .is_none()
+                {
+                    break 'versions;
                 }
-                if bad > 0 {
-                    ctx.failures.fetch_add(bad, Ordering::Relaxed);
-                }
-                ctx.reports
-                    .lock()
-                    .unwrap()
-                    .push((ctx.app, ctx.rank, report));
             }
         }
     }
@@ -503,41 +535,18 @@ fn task_routine(ctx: TaskCtx) {
     // `Lagged`/`TimedOut` it *is* the resync heal — either way exactly
     // one get per piece per on-stride version, matching the consumption
     // expectations declared at build time so producers can reclaim.
-    for st in ctx.subs.get(&(ctx.app, ctx.rank)).into_iter().flatten() {
-        let sub = &ctx.scenario.subscriptions[st.spec_idx];
-        let vid = var_id(&sub.var);
-        let concurrent = ctx
+    for st in env.subs.get(&(ctx.app, ctx.rank)).into_iter().flatten() {
+        let sub = &env.scenario.subscriptions[st.spec_idx];
+        let concurrent = env
             .scenario
             .coupling_of_subscription(sub)
             .is_some_and(|c| c.concurrent);
-        let pdec = ctx.scenario.decomposition(sub.producer_app);
-        let producer_clients: Vec<ClientId> = (0..pdec.num_ranks())
-            .map(|r| ctx.mapped.core_of_task(sub.producer_app, r))
-            .collect();
+        let direct = ctx.direct(sub.producer_app, concurrent);
         let piece = st.handle.spec.region;
-        'sub_versions: for version in (0..ctx.scenario.iterations).filter(|v| v % sub.every_k == 0)
-        {
-            let taken = ctx.space.sub_take(&st.handle, version, ctx.get_timeout);
-            let res = if concurrent {
-                ctx.space.get_cont(
-                    client,
-                    ctx.app,
-                    &sub.var,
-                    version,
-                    &piece,
-                    pdec,
-                    &producer_clients,
-                )
-            } else {
-                ctx.space
-                    .get_seq(client, ctx.app, &sub.var, version, &piece)
-            };
-            let (data, report) = match res {
-                Ok(dr) => dr,
-                Err(e) => {
-                    ctx.note_error(e);
-                    break 'sub_versions;
-                }
+        for version in (0..env.scenario.iterations).filter(|v| v % sub.every_k == 0) {
+            let taken = env.space.sub_take(&st.handle, version, env.get_timeout);
+            let Some(data) = ctx.get_verified(&sub.var, direct, version, &piece) else {
+                break;
             };
             if let TakeResult::Data(pushed) = taken {
                 // The push plane must agree with the pull plane bit for
@@ -548,55 +557,45 @@ fn task_routine(ctx: TaskCtx) {
                         .zip(data.iter())
                         .any(|(a, b)| a.to_bits() != b.to_bits());
                 if mismatch {
-                    ctx.failures.fetch_add(1, Ordering::Relaxed);
+                    env.failures.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            let mut bad = 0u64;
-            for p in piece.iter_points() {
-                let got = data[layout::linear_index(&piece, &p[..piece.ndim()])];
-                if got != field_value(vid, version, &p[..piece.ndim()]) {
-                    bad += 1;
-                }
-            }
-            if bad > 0 {
-                ctx.failures.fetch_add(bad, Ordering::Relaxed);
-            }
-            ctx.reports
-                .lock()
-                .unwrap()
-                .push((ctx.app, ctx.rank, report));
         }
     }
 
-    // One intra-application near-neighbor exchange round per iteration.
-    let exchanges = halo_exchanges(dec, ctx.scenario.halo);
-    for _ in 0..ctx.scenario.iterations {
-        let mut expected = 0u32;
-        for ex in &exchanges {
+    // One intra-application near-neighbor exchange round per iteration;
+    // each exchange's payload is built once and shared by every send.
+    let sends: Vec<(ClientId, Bytes)> = halo_exchanges(dec, env.scenario.halo)
+        .iter()
+        .filter_map(|ex| {
             let peer_rank = if ex.rank_a == ctx.rank {
                 ex.rank_b
             } else if ex.rank_b == ctx.rank {
                 ex.rank_a
             } else {
-                continue;
+                return None;
             };
-            let peer_client = ctx.mapped.core_of_task(ctx.app, peer_rank);
-            let bytes = ex.cells as usize * ctx.scenario.elem_bytes as usize;
-            ctx.dart.send(
+            let bytes = ex.cells as usize * env.scenario.elem_bytes as usize;
+            let peer_client = env.mapped.core_of_task(ctx.app, peer_rank);
+            Some((peer_client, Bytes::from(vec![0u8; bytes])))
+        })
+        .collect();
+    for _ in 0..env.scenario.iterations {
+        for (peer_client, payload) in &sends {
+            env.dart.send(
                 ctx.app,
                 TrafficClass::IntraApp,
                 client,
-                peer_client,
+                *peer_client,
                 TAG_HALO,
-                Bytes::from(vec![0u8; bytes]),
+                payload.clone(),
             );
-            expected += 1;
         }
-        for _ in 0..expected {
+        for _ in &sends {
             let msg = mailbox.recv();
             debug_assert_eq!(msg.tag, TAG_HALO);
         }
     }
 
-    ctx.dart.return_mailbox(client, mailbox);
+    env.dart.return_mailbox(client, mailbox);
 }

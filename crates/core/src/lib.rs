@@ -72,8 +72,8 @@ pub use scenario::{
     Scenario, SubscriptionSpec,
 };
 pub use threaded::{
-    field_value, run_threaded, run_threaded_configured, run_threaded_with, ThreadedConfig,
-    ThreadedOutcome,
+    field_value, fill_field, run_threaded, run_threaded_configured, run_threaded_with,
+    verify_field, ThreadedConfig, ThreadedOutcome,
 };
 
 // Re-export the substrate crates so downstream users need one dependency.

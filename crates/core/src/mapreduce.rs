@@ -14,7 +14,7 @@
 //! range `[r*bins/R, (r+1)*bins/R)` of the *result* domain `[0, bins)`
 //! and gathers that slice from every map partial.
 
-use crate::threaded::field_value;
+use crate::threaded::fill_field;
 use insitu_cods::{var_id, CodsConfig, CodsSpace, Dht};
 use insitu_dart::DartRuntime;
 use insitu_domain::{BoundingBox, Decomposition};
@@ -49,8 +49,7 @@ pub struct HistogramOutcome {
 pub fn serial_histogram(input: &Decomposition, var: &str, bins: u64) -> Vec<u64> {
     let vid = var_id(var);
     let mut hist = vec![0u64; bins as usize];
-    for p in input.domain().iter_points() {
-        let v = field_value(vid, 0, &p[..input.domain().ndim()]);
+    for v in fill_field(vid, 0, input.domain()) {
         let bin = ((v * bins as f64) as u64).min(bins - 1);
         hist[bin as usize] += 1;
     }
@@ -98,8 +97,7 @@ pub fn run_histogram(job: &HistogramJob, var: &str) -> HistogramOutcome {
         handles.push(std::thread::spawn(move || {
             let mut hist = vec![0.0f64; bins as usize];
             for piece in input.rank_region(task) {
-                for p in piece.iter_points() {
-                    let v = field_value(vid, 0, &p[..piece.ndim()]);
+                for v in fill_field(vid, 0, &piece) {
                     let bin = ((v * bins as f64) as u64).min(bins - 1);
                     hist[bin as usize] += 1.0;
                 }

@@ -23,8 +23,8 @@ use insitu_util::Bytes;
 use insitu_workflow::ClientRegistry;
 use std::time::Duration;
 
-pub use crate::exec::field_value;
 pub(crate) use crate::exec::TAG_COLLECTIVE_BASE;
+pub use crate::exec::{field_value, fill_field, verify_field};
 
 /// Results of a threaded run.
 #[derive(Clone, Debug)]

@@ -1,8 +1,9 @@
 //! Property tests over the mapping pipeline and scenario builders.
 
+use insitu::domain::{layout::fill_with, BoundingBox};
 use insitu::{
-    aligned_grid, balanced_grid, concurrent_scenario, map_scenario, pattern_pairs,
-    sequential_scenario, MappingStrategy,
+    aligned_grid, balanced_grid, concurrent_scenario, field_value, fill_field, map_scenario,
+    pattern_pairs, sequential_scenario, verify_field, MappingStrategy,
 };
 use insitu_util::check::forall;
 use insitu_util::SplitMix64;
@@ -119,5 +120,53 @@ fn data_centric_never_loses_to_baseline_on_matched_patterns() {
             dc.ledger.network_bytes(TrafficClass::InterApp)
                 <= rr.ledger.network_bytes(TrafficClass::InterApp)
         );
+    });
+}
+
+/// A 1–4-D box with non-zero lower corners; extent-1 dims (rows
+/// included) are common.
+fn arb_field_box(rng: &mut SplitMix64) -> BoundingBox {
+    let nd = rng.range_usize(1, 5);
+    let lb: Vec<u64> = (0..nd).map(|_| rng.range_u64(1, 1000)).collect();
+    let ub: Vec<u64> = lb.iter().map(|&l| l + rng.range_u64(0, 6)).collect();
+    BoundingBox::new(&lb, &ub)
+}
+
+#[test]
+fn fill_field_is_field_value_bit_for_bit() {
+    forall(256, |rng| {
+        let b = arb_field_box(rng);
+        let (var, version) = (rng.next_u64(), rng.range_u64(0, 50));
+        let rows = fill_field(var, version, &b);
+        let cells = fill_with(&b, |p| field_value(var, version, p));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&rows), bits(&cells), "box {b:?}");
+    });
+}
+
+#[test]
+fn verify_field_counts_exactly_the_corrupted_cells() {
+    forall(256, |rng| {
+        let b = arb_field_box(rng);
+        let (var, version) = (rng.next_u64(), rng.range_u64(0, 50));
+        let mut data = fill_field(var, version, &b);
+        let (cells, row) = (data.len(), b.extent(b.ndim() - 1) as usize);
+        assert_eq!(verify_field(var, version, &b, &data), 0);
+        // The wrong variable or version differs at every cell (53-bit
+        // collisions aside).
+        assert_eq!(verify_field(var ^ 1, version, &b, &data), cells as u64);
+        assert_eq!(verify_field(var, version + 1, &b, &data), cells as u64);
+
+        // Corrupt the first and last cell of one row and up to 8 random
+        // cells; a cell hit twice is corrupted once.
+        let r = rng.range_usize(0, cells / row) * row;
+        let mut hit = vec![r, r + row - 1];
+        hit.extend((0..rng.range_usize(0, 9)).map(|_| rng.range_usize(0, cells)));
+        hit.sort_unstable();
+        hit.dedup();
+        for &i in &hit {
+            data[i] = f64::from_bits(data[i].to_bits() ^ 1);
+        }
+        assert_eq!(verify_field(var, version, &b, &data), hit.len() as u64);
     });
 }

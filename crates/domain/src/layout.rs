@@ -6,7 +6,7 @@
 //! several source boxes, which is the n-dimensional strided copy
 //! implemented here.
 
-use crate::bbox::BoundingBox;
+use crate::bbox::{BoundingBox, MAX_DIMS};
 
 /// Linear index of point `p` inside the dense row-major array of `bbox`.
 ///
@@ -22,18 +22,13 @@ pub fn linear_index(bbox: &BoundingBox, p: &[u64]) -> usize {
     idx as usize
 }
 
-/// True when `region` covers every dimension of `b` except possibly the
-/// first — then the region is one contiguous run in `b`'s dense array.
-#[inline]
-fn spans_full_rows(region: &BoundingBox, b: &BoundingBox) -> bool {
-    (1..region.ndim()).all(|d| region.lb(d) == b.lb(d) && region.ub(d) == b.ub(d))
-}
-
 /// Copy the cells of `region` from the dense array of `src_box` into the
 /// dense array of `dst_box`.
 ///
-/// `region` must be contained in both boxes. Rows (runs along the last
-/// dimension) are contiguous in both arrays and copied with `copy_from_slice`.
+/// `region` must be contained in both boxes. The trailing dimensions over
+/// which `region` spans both boxes fold into one contiguous run copied
+/// with `copy_from_slice`; the remaining leading dimensions are walked by
+/// stride.
 ///
 /// # Panics
 /// Panics if `region` is not contained in both boxes or if array lengths
@@ -45,61 +40,7 @@ pub fn copy_region<T: Copy>(
     dst_box: &BoundingBox,
     region: &BoundingBox,
 ) {
-    assert_eq!(
-        src.len() as u128,
-        src_box.num_cells(),
-        "src length mismatch"
-    );
-    assert_eq!(
-        dst.len() as u128,
-        dst_box.num_cells(),
-        "dst length mismatch"
-    );
-    assert!(src_box.contains_box(region), "region outside src box");
-    assert!(dst_box.contains_box(region), "region outside dst box");
-
-    let ndim = region.ndim();
-
-    // Fast path: a region contiguous in both arrays is one memcpy.
-    if spans_full_rows(region, src_box) && spans_full_rows(region, dst_box) {
-        let n = region.num_cells() as usize;
-        let lo = region.lower();
-        let s = linear_index(src_box, &lo[..ndim]);
-        let d = linear_index(dst_box, &lo[..ndim]);
-        dst[d..d + n].copy_from_slice(&src[s..s + n]);
-        return;
-    }
-
-    let last = ndim - 1;
-    let row_len = region.extent(last) as usize;
-
-    // Iterate the region's row starts (all dims except the last, which is
-    // covered by the contiguous row copy).
-    let mut cur = region.lower();
-    loop {
-        let s = linear_index(src_box, &cur[..ndim]);
-        let d = linear_index(dst_box, &cur[..ndim]);
-        dst[d..d + row_len].copy_from_slice(&src[s..s + row_len]);
-
-        // Odometer advance over the prefix dims [0, last).
-        let mut advanced = false;
-        let mut dd = last;
-        while dd > 0 {
-            dd -= 1;
-            if cur[dd] < region.ub(dd) {
-                cur[dd] += 1;
-                for cd in dd + 1..last {
-                    cur[cd] = region.lb(cd);
-                }
-                advanced = true;
-                break;
-            }
-            cur[dd] = region.lb(dd);
-        }
-        if !advanced {
-            return;
-        }
-    }
+    copy_cells(src, src_box, dst, dst_box, region, 1);
 }
 
 /// Byte-granularity variant of [`copy_region`] for raw buffers holding
@@ -117,56 +58,72 @@ pub fn copy_region_bytes(
     region: &BoundingBox,
     elem_bytes: usize,
 ) {
-    assert_eq!(
-        src.len() as u128,
-        src_box.num_cells() * elem_bytes as u128,
-        "src length mismatch"
-    );
-    assert_eq!(
-        dst.len() as u128,
-        dst_box.num_cells() * elem_bytes as u128,
-        "dst length mismatch"
-    );
+    copy_cells(src, src_box, dst, dst_box, region, elem_bytes);
+}
+
+/// The strided copy behind both public signatures: a cell is `width`
+/// consecutive elements of `T`.
+fn copy_cells<T: Copy>(
+    src: &[T],
+    src_box: &BoundingBox,
+    dst: &mut [T],
+    dst_box: &BoundingBox,
+    region: &BoundingBox,
+    width: usize,
+) {
+    let len_of = |b: &BoundingBox| b.num_cells() * width as u128;
+    assert_eq!(src.len() as u128, len_of(src_box), "src length mismatch");
+    assert_eq!(dst.len() as u128, len_of(dst_box), "dst length mismatch");
     assert!(src_box.contains_box(region), "region outside src box");
     assert!(dst_box.contains_box(region), "region outside dst box");
 
     let ndim = region.ndim();
+    let lo = region.lower();
+    let s = linear_index(src_box, &lo[..ndim]) * width;
+    let d = linear_index(dst_box, &lo[..ndim]) * width;
 
-    // Fast path: a region contiguous in both arrays is one memcpy.
-    if spans_full_rows(region, src_box) && spans_full_rows(region, dst_box) {
-        let n = region.num_cells() as usize * elem_bytes;
-        let lo = region.lower();
-        let s = linear_index(src_box, &lo[..ndim]) * elem_bytes;
-        let d = linear_index(dst_box, &lo[..ndim]) * elem_bytes;
-        dst[d..d + n].copy_from_slice(&src[s..s + n]);
-        return;
+    // Fold every trailing dim the region spans in both boxes into the
+    // contiguous run; dims [0, outer) are left to walk.
+    let spans = |dim| {
+        [src_box, dst_box]
+            .iter()
+            .all(|b| region.lb(dim) == b.lb(dim) && region.ub(dim) == b.ub(dim))
+    };
+    let mut outer = ndim - 1;
+    let mut run = region.extent(outer) as usize * width;
+    while outer > 0 && spans(outer) {
+        outer -= 1;
+        run *= region.extent(outer) as usize;
     }
 
-    let last = ndim - 1;
-    let row_bytes = region.extent(last) as usize * elem_bytes;
-    let mut cur = region.lower();
-    loop {
-        let s = linear_index(src_box, &cur[..ndim]) * elem_bytes;
-        let d = linear_index(dst_box, &cur[..ndim]) * elem_bytes;
-        dst[d..d + row_bytes].copy_from_slice(&src[s..s + row_bytes]);
+    // Per walked dim: the region's extent and both arrays' strides.
+    let mut steps = [(0u64, 0usize, 0usize); MAX_DIMS];
+    let (mut s_stride, mut d_stride) = (width, width);
+    for dim in (0..ndim).rev() {
+        steps[dim] = (region.extent(dim), s_stride, d_stride);
+        s_stride *= src_box.extent(dim) as usize;
+        d_stride *= dst_box.extent(dim) as usize;
+    }
 
-        let mut advanced = false;
-        let mut dd = last;
-        while dd > 0 {
-            dd -= 1;
-            if cur[dd] < region.ub(dd) {
-                cur[dd] += 1;
-                for cd in dd + 1..last {
-                    cur[cd] = region.lb(cd);
-                }
-                advanced = true;
-                break;
-            }
-            cur[dd] = region.lb(dd);
-        }
-        if !advanced {
-            return;
-        }
+    walk(src, dst, &steps[..outer], s, d, run);
+}
+
+/// Copy `run` elements at every position of the walked dims `steps`,
+/// offsets moving by stride.
+fn walk<T: Copy>(
+    src: &[T],
+    dst: &mut [T],
+    steps: &[(u64, usize, usize)],
+    s: usize,
+    d: usize,
+    run: usize,
+) {
+    let Some((&(extent, s_step, d_step), inner)) = steps.split_first() else {
+        dst[d..d + run].copy_from_slice(&src[s..s + run]);
+        return;
+    };
+    for i in 0..extent as usize {
+        walk(src, dst, inner, s + i * s_step, d + i * d_step, run);
     }
 }
 

@@ -184,36 +184,35 @@ fn copy_region_moves_exactly_region() {
 
 #[test]
 fn copy_region_fast_and_general_paths_agree() {
-    // Half the cases deliberately hit the contiguous full-row fast path
-    // (region covers every dim but the first of both boxes); the rest are
-    // arbitrary strided sub-regions. Both must agree with a per-point
-    // reference copy, in the typed and the byte-granularity variant.
-    forall(256, |rng| {
-        let (src_box, dst_box, region) = if rng.bool() {
-            let sx = rng.range_u64(2, 10);
-            let sy = rng.range_u64(1, 10);
-            let b = BoundingBox::new(&[0, 0], &[sx - 1, sy - 1]);
-            let r0 = rng.range_u64(0, sx);
-            let r1 = rng.range_u64(r0, sx);
-            (b, b, BoundingBox::new(&[r0, 0], &[r1, sy - 1]))
-        } else {
-            let ax = rng.range_u64(2, 9);
-            let ay = rng.range_u64(2, 9);
-            let ex = rng.range_u64(0, 5);
-            let ey = rng.range_u64(0, 5);
-            (
-                BoundingBox::new(&[0, 0], &[15, 15]),
-                BoundingBox::new(&[1, 1], &[14, 14]),
-                BoundingBox::new(&[ax, ay], &[ax + ex, ay + ey]),
-            )
-        };
-        let tag = |p: &[u64]| p[0] * 1000 + p[1] + 7;
+    // 1-4-D regions spanning a random number of trailing dims of both
+    // boxes (the folded run; all of them is the single-memcpy path) and
+    // strided over the rest. Each must agree with a per-point reference
+    // copy, in the typed and the byte-granularity variant.
+    forall(512, |rng| {
+        let nd = rng.range_usize(1, 5);
+        let folded = rng.range_usize(0, nd + 1);
+        // Corners of region, src box, dst box.
+        let (mut lo, mut hi) = ([[0u64; 4]; 3], [[0u64; 4]; 3]);
+        for d in 0..nd {
+            lo[0][d] = rng.range_u64(2, 6);
+            hi[0][d] = lo[0][d] + rng.range_u64(0, 5);
+            // Over the trailing `folded` dims both boxes end where the
+            // region does.
+            let pad = u64::from(d < nd - folded);
+            for b in 1..3 {
+                lo[b][d] = lo[0][d] - pad * rng.range_u64(0, 3);
+                hi[b][d] = hi[0][d] + pad * rng.range_u64(0, 3);
+            }
+        }
+        let [region, src_box, dst_box] =
+            [0, 1, 2].map(|b| BoundingBox::new(&lo[b][..nd], &hi[b][..nd]));
+        let tag = |p: &[u64]| p.iter().fold(7, |a, &x| a * 100 + x);
         let src = fill_with(&src_box, tag);
 
         // Per-point reference.
         let mut want = vec![0u64; dst_box.num_cells() as usize];
         for p in region.iter_points() {
-            want[linear_index(&dst_box, &p[..2])] = src[linear_index(&src_box, &p[..2])];
+            want[linear_index(&dst_box, &p[..nd])] = src[linear_index(&src_box, &p[..nd])];
         }
 
         let mut got = vec![0u64; want.len()];

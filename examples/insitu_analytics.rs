@@ -13,9 +13,9 @@ use insitu::analysis::{downsample, region_stats, RegionStats};
 use insitu::cods::{var_id, CodsConfig, CodsSpace, Dht};
 use insitu::comm::{GroupComm, ReduceOp};
 use insitu::dart::DartRuntime;
-use insitu::domain::{layout, BoundingBox, Decomposition, Distribution, ProcessGrid};
+use insitu::domain::{BoundingBox, Decomposition, Distribution, ProcessGrid};
 use insitu::fabric::{MachineSpec, Placement, TrafficClass, TransferLedger};
-use insitu::field_value;
+use insitu::fill_field;
 use insitu::sfc::HilbertCurve;
 use insitu::workflow::AppGroup;
 use std::sync::Arc;
@@ -52,16 +52,16 @@ fn main() {
         handles.push(std::thread::spawn(move || {
             let piece = sim_dec.blocked_box(rank).unwrap();
             for version in 0..ITERATIONS {
-                let data = layout::fill_with(&piece, |p| field_value(vid, version, &p[..2]));
+                let data = fill_field(vid, version, &piece);
                 space
                     .put_cont(rank as u32, 1, "field", version, 0, &piece, &data)
                     .unwrap();
-                if rank == 0 && version > 0 {
-                    space.wait_version_consumed(
-                        "field",
-                        version - 1,
-                        std::time::Duration::from_secs(10),
-                    );
+                // Every rank holds the two-version window; rank 0 evicts.
+                let window = std::time::Duration::from_secs(10);
+                if version > 0
+                    && space.wait_version_consumed("field", version - 1, window)
+                    && rank == 0
+                {
                     space.evict_version("field", version - 1);
                 }
             }

@@ -4,7 +4,7 @@
 # The workspace has zero external dependencies, so every step runs with
 # --offline: a network-less builder (or a hermetic CI runner) must pass.
 # Usage: scripts/ci.sh [--quick]
-#   --quick  skip the release build and the benchmark-package smoke
+#   --quick  skip the release build and the benchmark-package smokes
 #            (debug build + tests only)
 
 set -euo pipefail
@@ -27,15 +27,20 @@ run cargo test -q --workspace --offline
 
 # The benchmark package is its own workspace, so nothing above compiles
 # it: a crate-API slip would first show when a PR's benchmark run fails.
-# Build it and push one short traced pass through it — the traced pass
-# replays Frame::encode/FrameDecoder through benchmark/src/layers.rs —
-# and require a clean result line.
+# Build it and push two short passes through it — a traced wire_p2p pass
+# (replays Frame::encode/FrameDecoder through benchmark/src/layers.rs)
+# and an insitu_node pass (the threaded executor's fill/verify under the
+# ledger oracle) — and require a clean, correct result line from each.
 if [[ $quick -eq 0 ]]; then
-    echo "==> benchmark package builds and runs against the crates (wire_p2p, traced)"
-    bash benchmark/run.sh --workload wire_p2p --seed 1 --seconds 2 --trace 1 \
-        > target/benchmark-smoke.txt
-    tail -n 1 target/benchmark-smoke.txt | grep -q '"failed": *0[,}]' \
-        || { tail -n 1 target/benchmark-smoke.txt; echo "benchmark smoke reported failed runs"; exit 1; }
+    for smoke in "wire_p2p 1" "insitu_node 0"; do
+        read -r workload trace <<< "$smoke"
+        echo "==> benchmark smoke against the crates ($workload, trace $trace)"
+        bash benchmark/run.sh --workload "$workload" --seed 1 --seconds 2 --trace "$trace" \
+            > target/benchmark-smoke.txt
+        result=$(tail -n 1 target/benchmark-smoke.txt)
+        grep -q '"failed": *0[,}]' <<< "$result" && grep -q '"correct": *true' <<< "$result" \
+            || { echo "$result"; echo "benchmark smoke ($workload) failed or incorrect"; exit 1; }
+    done
 fi
 
 # Chaos smoke: a bounded fuzz run under the standard fault mix, with a

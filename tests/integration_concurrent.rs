@@ -3,8 +3,14 @@
 //! data movement, exact verification, and the paper's qualitative result
 //! (data-centric mapping slashes network-coupled bytes).
 
-use insitu::{concurrent_scenario, pattern_pairs, run_threaded, MappingStrategy, Scenario};
-use insitu_fabric::TrafficClass;
+use insitu::{
+    concurrent_scenario, pattern_pairs, run_threaded, run_threaded_configured, MappingStrategy,
+    Scenario, ThreadedConfig,
+};
+use insitu_fabric::{ClientId, FaultHooks, FaultInjector, TrafficClass};
+use insitu_telemetry::Recorder;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn small_cap(pattern_idx: usize) -> Scenario {
     // 16 producer tasks -> 8 consumer tasks, 6^3 regions, 4-core nodes.
@@ -109,4 +115,63 @@ fn node_cyclic_ablation_runs_clean() {
     let s = small_cap(1); // block-cyclic/block-cyclic
     let o = run_threaded(&s, MappingStrategy::NodeCyclic);
     assert_eq!(o.verify_failures, 0);
+}
+
+/// 8 producer ranks, 4 consumers, 12 versions of a 12^3 variable on
+/// 4-core nodes.
+fn windowed_cap() -> Scenario {
+    let mut s = concurrent_scenario(8, 4, 6, pattern_pairs(&[3, 3, 3])[0]);
+    s.cores_per_node = 4;
+    s.iterations = 12;
+    s
+}
+
+#[test]
+fn every_producer_rank_honours_the_two_version_window() {
+    let s = windowed_cap();
+    let version_bytes = s.decomposition(1).domain().num_cells() as u64 * 8;
+    for strategy in [MappingStrategy::RoundRobin, MappingStrategy::DataCentric] {
+        let recorder = Recorder::enabled();
+        let o = run_threaded_configured(&s, strategy, &recorder, &ThreadedConfig::default());
+        assert_eq!(o.verify_failures, 0);
+        assert!(o.errors.is_empty(), "{:?}", o.errors);
+        // The gauge is fed `CodsSpace::staging_peak()`. No rank stages
+        // v+1 before v-1 is consumed, and by the time v is consumed rank
+        // 0 has evicted v-2: at most 4 of a rank's 12 pieces are ever
+        // staged, so a node's (at most 4 of 8) ranks stay within two
+        // whole versions.
+        let peak = recorder.gauge("cods.staging_bytes").peak();
+        assert!(peak <= 2 * version_bytes, "{strategy:?}: peak {peak} B");
+    }
+}
+
+#[test]
+fn producers_outlive_a_consumer_that_errors_out() {
+    // Version 0 of the piece client 3 produces is never staged: the
+    // consumers that need it time out and abandon the coupling, so no
+    // version is ever fully consumed. Each producer rank must give its
+    // window wait up after `get_timeout` and finish — 11 waits, not a hang.
+    struct DeadClient3;
+    impl FaultHooks for DeadClient3 {
+        fn dead_producer(&self, _: u64, version: u64, owner: ClientId, _: u64) -> bool {
+            version == 0 && owner == 3
+        }
+    }
+    let cfg = ThreadedConfig {
+        get_timeout: Duration::from_millis(40),
+        injector: FaultInjector::new(Arc::new(DeadClient3)),
+        ..Default::default()
+    };
+    let (s, start) = (windowed_cap(), Instant::now());
+    let o = run_threaded_configured(&s, MappingStrategy::RoundRobin, &Recorder::disabled(), &cfg);
+    assert!(
+        !o.errors.is_empty() && o.errors.iter().all(|e| e.0 == 2),
+        "{:?}",
+        o.errors
+    );
+    assert!(
+        start.elapsed() < Duration::from_secs(10),
+        "took {:?}",
+        start.elapsed()
+    );
 }
