@@ -1,92 +1,113 @@
 //! Drivers for every evaluation figure.
 //!
-//! Each `figNN_*` function runs the paper's configuration (or a scaled
+//! Each `figNN` function runs the paper's configuration (or a scaled
 //! version for quick runs) through the modeled executor and returns
-//! structured rows; the `src/bin/figNN` binaries print them.
+//! structured rows; the `figures` binary prints them.
 
 use insitu::{
-    concurrent_scenario, pattern_pairs, run_modeled, sequential_scenario, MappingStrategy,
-    PatternPair, Scenario,
+    concurrent_scenario, concurrent_scenario_with_grids, pattern_pairs, run_modeled,
+    sequential_scenario, sequential_scenario_with_grids, MappingStrategy, PatternPair, Scenario,
 };
 use insitu_fabric::{Locality, TrafficClass};
 use insitu_workflow::fanout_per_consumer;
-
-/// The block-cyclic block size used throughout the experiments (32^3
-/// blocks of the 128^3 per-task regions).
-pub const PAPER_BLOCK: [u64; 3] = [32, 32, 32];
 
 /// The two mapping strategies every figure compares.
 pub const STRATEGIES: [MappingStrategy; 2] =
     [MappingStrategy::RoundRobin, MappingStrategy::DataCentric];
 
-/// Scaled experiment size. `factor = 1` is the paper's configuration
-/// (CAP1/CAP2 = 512/64, SAP1/(SAP2+SAP3) = 512/(128+384), 128^3 regions);
-/// smaller factors shrink task counts and regions for quick runs.
+/// The round-robin and data-centric rows of `app`, where `tag` reads a
+/// row's `(app, strategy)`.
+pub(crate) fn by_strategy<'a, R>(
+    rows: &'a [R],
+    app: &str,
+    tag: impl Fn(&R) -> (&str, &str),
+) -> (&'a R, &'a R) {
+    let find = |strategy| {
+        rows.iter()
+            .find(|r| tag(r) == (app, strategy))
+            .expect("every app has a row per strategy")
+    };
+    (find("round-robin"), find("data-centric"))
+}
+
+/// Experiment size: the task counts of the concurrent (CAP1/CAP2) and
+/// sequential (SAP1/SAP2+SAP3) scenarios, the region each producer task
+/// owns, and the weak-scaling sweep.
 #[derive(Clone, Copy, Debug)]
 pub struct Size {
     /// Producer tasks (CAP1 / SAP1).
     pub prod: u64,
-    /// First consumer tasks (CAP2 / SAP2).
-    pub cons1: u64,
-    /// Second consumer tasks (SAP3, sequential only).
-    pub cons2: u64,
+    /// Consumer tasks of the concurrent scenario (CAP2).
+    pub cap2: u64,
+    /// First consumer tasks of the sequential scenario (SAP2).
+    pub sap2: u64,
+    /// Second consumer tasks of the sequential scenario (SAP3).
+    pub sap3: u64,
     /// Per-producer-task region side.
     pub region: u64,
     /// Block-cyclic block side.
     pub block: u64,
+    /// Fig. 16's multiples of the 512-producer base configuration.
+    pub factors: &'static [u64],
 }
 
 impl Size {
-    /// The paper's evaluation size.
+    /// The paper's evaluation size: CAP1/CAP2 = 512/64,
+    /// SAP1/(SAP2+SAP3) = 512/(128+384), 128^3 regions in 32^3 blocks,
+    /// weak scaling up to 8192 producer cores.
     pub fn paper() -> Self {
         Size {
             prod: 512,
-            cons1: 64,
-            cons2: 384,
+            cap2: 64,
+            sap2: 128,
+            sap3: 384,
             region: 128,
             block: 32,
+            factors: &[1, 2, 4, 8, 16],
         }
     }
 
-    /// Paper sequential consumer split (SAP2=128, SAP3=384).
-    pub fn paper_sequential() -> Self {
-        Size {
-            prod: 512,
-            cons1: 128,
-            cons2: 384,
-            region: 128,
-            block: 32,
-        }
-    }
-
-    /// A miniature for unit tests and criterion benches.
+    /// A miniature for tier-1 tests.
     pub fn mini() -> Self {
         Size {
             prod: 64,
-            cons1: 8,
-            cons2: 24,
+            cap2: 8,
+            sap2: 8,
+            sap3: 24,
             region: 16,
             block: 8,
+            factors: &[1, 2],
         }
-    }
-
-    fn block3(&self) -> [u64; 3] {
-        [self.block; 3]
     }
 
     /// The figure-8/11-style concurrent scenario at this size.
     pub fn concurrent(&self, pattern: PatternPair) -> Scenario {
-        concurrent_scenario(self.prod, self.cons1, self.region, pattern)
+        concurrent_scenario(self.prod, self.cap2, self.region, pattern)
     }
 
     /// The figure-9/11-style sequential scenario at this size.
     pub fn sequential(&self, pattern: PatternPair) -> Scenario {
-        sequential_scenario(self.prod, self.cons1, self.cons2, self.region, pattern)
+        sequential_scenario(self.prod, self.sap2, self.sap3, self.region, pattern)
     }
 
-    /// The pattern pairs swept at this size.
+    /// The pattern pairs swept at this size, matched pairs first.
     pub fn patterns(&self) -> Vec<PatternPair> {
-        pattern_pairs(&self.block3())
+        pattern_pairs(&[self.block; 3])
+    }
+
+    /// The matched blocked/blocked pair the single-pattern figures use.
+    fn blocked(&self) -> PatternPair {
+        self.patterns()[0]
+    }
+
+    /// The concurrent and sequential scenarios of the weak-scaling
+    /// family at `f` times the 512-producer base (see [`fig16`]).
+    fn scaled(&self, f: u64) -> (Scenario, Scenario) {
+        let (p, region, pattern) = ([8 * f, 8, 8], self.region, self.blocked());
+        (
+            concurrent_scenario_with_grids(&p, &[4 * f, 4, 4], region, pattern),
+            sequential_scenario_with_grids(&p, &[4 * f, 4, 8], &[4 * f, 8, 12], region, pattern),
+        )
     }
 }
 
@@ -177,52 +198,44 @@ pub struct RetrieveRow {
     pub ms: f64,
 }
 
+/// The CAP2 row of `conc` and the SAP2/SAP3 rows of `seq` under one
+/// strategy (task-mean retrieve times).
+fn retrieve_rows(
+    (conc, seq): &(Scenario, Scenario),
+    strategy: MappingStrategy,
+    producer_tasks: u64,
+) -> Vec<RetrieveRow> {
+    let (cap, sap) = (run_modeled(conc, strategy), run_modeled(seq, strategy));
+    [("CAP2", &cap, 2u32), ("SAP2", &sap, 2), ("SAP3", &sap, 3)]
+        .into_iter()
+        .map(|(label, outcome, app)| RetrieveRow {
+            app: label.into(),
+            strategy: strategy.label(),
+            producer_tasks,
+            ms: outcome.retrieve_ms_mean[&app],
+        })
+        .collect()
+}
+
 /// Fig. 11: time to retrieve coupled data for CAP2, SAP2 and SAP3 under
 /// both strategies (matched blocked/blocked pattern).
 ///
-/// Uses the same partially-aligned consumer grids as [`fig16`] (factor 1):
-/// perfectly aligned couplings retrieve ~100% on-node and would show
-/// *zero* network time, contradicting the paper's own contention
-/// discussion — see EXPERIMENTS.md's reproduction notes.
-pub fn fig11(size: Size, seq_size: Size) -> Vec<RetrieveRow> {
-    use insitu::{concurrent_scenario_with_grids, sequential_scenario_with_grids};
-    let pattern = size.patterns()[0];
-    // Scale the fig16 family down proportionally to the requested size.
-    let f = (size.prod / 512).max(1);
-    let (conc, seq) = if size.prod >= 512 {
-        (
-            concurrent_scenario_with_grids(&[8 * f, 8, 8], &[4 * f, 4, 4], size.region, pattern),
-            sequential_scenario_with_grids(
-                &[8 * f, 8, 8],
-                &[4 * f, 4, 8],
-                &[4 * f, 8, 12],
-                seq_size.region,
-                pattern,
-            ),
-        )
+/// At 512 producers and up it uses the same partially-aligned consumer
+/// grids as [`fig16`]: perfectly aligned couplings retrieve ~100%
+/// on-node and would show *zero* network time, contradicting the
+/// paper's own contention discussion — see EXPERIMENTS.md's
+/// reproduction notes.
+pub fn fig11(size: Size) -> Vec<RetrieveRow> {
+    let scenarios = if size.prod >= 512 {
+        size.scaled(size.prod / 512)
     } else {
-        (size.concurrent(pattern), seq_size.sequential(pattern))
+        let pattern = size.blocked();
+        (size.concurrent(pattern), size.sequential(pattern))
     };
-    let mut rows = Vec::new();
-    for strategy in STRATEGIES {
-        let cap = run_modeled(&conc, strategy);
-        rows.push(RetrieveRow {
-            app: "CAP2".into(),
-            strategy: strategy.label(),
-            producer_tasks: size.prod,
-            ms: cap.retrieve_ms_mean[&2],
-        });
-        let sap = run_modeled(&seq, strategy);
-        for (app, label) in [(2u32, "SAP2"), (3u32, "SAP3")] {
-            rows.push(RetrieveRow {
-                app: label.into(),
-                strategy: strategy.label(),
-                producer_tasks: seq_size.prod,
-                ms: sap.retrieve_ms_mean[&app],
-            });
-        }
-    }
-    rows
+    STRATEGIES
+        .iter()
+        .flat_map(|&strategy| retrieve_rows(&scenarios, strategy, size.prod))
+        .collect()
 }
 
 /// One row of Figs. 12/13: an application's intra-app bytes over the
@@ -256,14 +269,18 @@ fn intra_rows(scenario: &Scenario, labels: &[(u32, &str)]) -> Vec<IntraAppRow> {
 
 /// Fig. 12: concurrent scenario, per-app intra-application network bytes.
 pub fn fig12(size: Size) -> Vec<IntraAppRow> {
-    let s = size.concurrent(size.patterns()[0]);
-    intra_rows(&s, &[(1, "CAP1"), (2, "CAP2")])
+    intra_rows(
+        &size.concurrent(size.blocked()),
+        &[(1, "CAP1"), (2, "CAP2")],
+    )
 }
 
 /// Fig. 13: sequential scenario, per-app intra-application network bytes.
 pub fn fig13(size: Size) -> Vec<IntraAppRow> {
-    let s = size.sequential(size.patterns()[0]);
-    intra_rows(&s, &[(1, "SAP1"), (2, "SAP2"), (3, "SAP3")])
+    intra_rows(
+        &size.sequential(size.blocked()),
+        &[(1, "SAP1"), (2, "SAP2"), (3, "SAP3")],
+    )
 }
 
 /// One row of Figs. 14/15: the total communication-cost breakdown.
@@ -293,17 +310,17 @@ fn breakdown(scenario: &Scenario) -> Vec<BreakdownRow> {
 
 /// Fig. 14: concurrent scenario total network cost breakdown.
 pub fn fig14(size: Size) -> Vec<BreakdownRow> {
-    breakdown(&size.concurrent(size.patterns()[0]))
+    breakdown(&size.concurrent(size.blocked()))
 }
 
 /// Fig. 15: sequential scenario total network cost breakdown.
 pub fn fig15(size: Size) -> Vec<BreakdownRow> {
-    breakdown(&size.sequential(size.patterns()[0]))
+    breakdown(&size.sequential(size.blocked()))
 }
 
-/// Fig. 16: weak scaling of retrieve time under data-centric mapping.
-/// `factors` multiply the paper's base task counts (1, 2, 4, 8, 16 in the
-/// paper: 512/64 up to 8192/1024 concurrent; 512/(128+384) up to
+/// Fig. 16: weak scaling of retrieve time under data-centric mapping,
+/// at `size.factors` times the paper's base task counts (1, 2, 4, 8, 16
+/// in the paper: 512/64 up to 8192/1024 concurrent; 512/(128+384) up to
 /// 8192/(2048+6144) sequential).
 ///
 /// The decomposition *family* is held fixed while one grid dimension
@@ -318,38 +335,11 @@ pub fn fig15(size: Size) -> Vec<BreakdownRow> {
 /// sources and show no contention at any scale). Times are task means
 /// (retrieves run concurrently; the mean tracks contention without being
 /// dominated by one straggler).
-pub fn fig16(factors: &[u64], base_region: u64) -> Vec<RetrieveRow> {
-    use insitu::{concurrent_scenario_with_grids, sequential_scenario_with_grids};
-    let pattern = pattern_pairs(&[32, 32, 32])[0];
-    let mut rows = Vec::new();
-    for &f in factors {
-        let conc =
-            concurrent_scenario_with_grids(&[8 * f, 8, 8], &[4 * f, 4, 4], base_region, pattern);
-        let o = run_modeled(&conc, MappingStrategy::DataCentric);
-        rows.push(RetrieveRow {
-            app: "CAP2".into(),
-            strategy: "data-centric",
-            producer_tasks: 512 * f,
-            ms: o.retrieve_ms_mean[&2],
-        });
-        let seq = sequential_scenario_with_grids(
-            &[8 * f, 8, 8],
-            &[4 * f, 4, 8],
-            &[4 * f, 8, 12],
-            base_region,
-            pattern,
-        );
-        let o = run_modeled(&seq, MappingStrategy::DataCentric);
-        for (app, label) in [(2u32, "SAP2"), (3u32, "SAP3")] {
-            rows.push(RetrieveRow {
-                app: label.into(),
-                strategy: "data-centric",
-                producer_tasks: 512 * f,
-                ms: o.retrieve_ms_mean[&app],
-            });
-        }
-    }
-    rows
+pub fn fig16(size: Size) -> Vec<RetrieveRow> {
+    size.factors
+        .iter()
+        .flat_map(|&f| retrieve_rows(&size.scaled(f), MappingStrategy::DataCentric, 512 * f))
+        .collect()
 }
 
 #[cfg(test)]
@@ -360,9 +350,7 @@ mod tests {
     fn fig08_mini_shapes() {
         let rows = fig08(Size::mini());
         assert_eq!(rows.len(), 10); // 5 patterns x 2 strategies
-                                    // Matched pattern: data-centric well below round-robin.
-        let rr = &rows[0];
-        let dc = &rows[1];
+        let (rr, dc) = (&rows[0], &rows[1]);
         assert_eq!(rr.strategy, "round-robin");
         assert!(dc.network_bytes < rr.network_bytes);
         // Volume conservation per pattern.
@@ -381,6 +369,36 @@ mod tests {
         assert!(rows[1].network_bytes < rows[0].network_bytes);
     }
 
+    /// The crossover of Figs. 8/9: data-centric mapping pays off when
+    /// producer and consumer distributions match and barely helps when
+    /// they do not (81–100 % against 1–7 % at paper scale; the margins
+    /// here are what holds at mini scale).
+    #[test]
+    fn fig08_fig09_mismatched_patterns_gain_far_less_than_matched() {
+        for rows in [fig08(Size::mini()), fig09(Size::mini())] {
+            // Share of the round-robin network bytes data-centric removes.
+            let reduction = |pair: &[CouplingRow]| {
+                let (rr, dc) = (&pair[0], &pair[1]);
+                assert!(dc.network_bytes <= rr.network_bytes, "{}", rr.pattern);
+                1.0 - dc.network_bytes as f64 / rr.network_bytes as f64
+            };
+            let red: Vec<f64> = rows.chunks(2).map(reduction).collect();
+            // The sweep lists the two matched pairs first.
+            let (matched, mismatched) = red.split_at(2);
+            let least_matched = matched.iter().copied().fold(f64::MAX, f64::min);
+            let most_mismatched = mismatched.iter().copied().fold(0.0, f64::max);
+            assert!(least_matched >= 0.5, "matched reductions {matched:?}");
+            assert!(
+                most_mismatched <= 0.3,
+                "mismatched reductions {mismatched:?}"
+            );
+            assert!(
+                least_matched >= 2.0 * most_mismatched,
+                "matched {matched:?} vs mismatched {mismatched:?}"
+            );
+        }
+    }
+
     #[test]
     fn fig10_mismatched_fanout_explodes() {
         let rows = fig10(Size::mini());
@@ -391,18 +409,11 @@ mod tests {
 
     #[test]
     fn fig11_mini_orders() {
-        let rows = fig11(Size::mini(), Size::mini());
+        let rows = fig11(Size::mini());
         assert_eq!(rows.len(), 6);
         // Data-centric faster than round-robin for each app.
         for app in ["CAP2", "SAP2", "SAP3"] {
-            let rr = rows
-                .iter()
-                .find(|r| r.app == app && r.strategy == "round-robin")
-                .unwrap();
-            let dc = rows
-                .iter()
-                .find(|r| r.app == app && r.strategy == "data-centric")
-                .unwrap();
+            let (rr, dc) = by_strategy(&rows, app, |r| (&r.app, r.strategy));
             assert!(dc.ms < rr.ms, "{app}: dc {} >= rr {}", dc.ms, rr.ms);
         }
     }
@@ -410,15 +421,23 @@ mod tests {
     #[test]
     fn fig12_consumer_halo_grows() {
         let rows = fig12(Size::mini());
-        let rr = rows
-            .iter()
-            .find(|r| r.app == "CAP2" && r.strategy == "round-robin")
-            .unwrap();
-        let dc = rows
-            .iter()
-            .find(|r| r.app == "CAP2" && r.strategy == "data-centric")
-            .unwrap();
+        let (rr, dc) = by_strategy(&rows, "CAP2", |r| (&r.app, r.strategy));
         assert!(dc.network_bytes >= rr.network_bytes);
+    }
+
+    /// The cost the paper concedes: grouping a consumer with its
+    /// producers scatters the consumer's own stencil neighbours, so
+    /// SAP2/SAP3 never exchange *less* over the network under
+    /// data-centric mapping, while the producer is placed identically.
+    #[test]
+    fn fig13_consumers_pay_for_data_centric_placement() {
+        let rows = fig13(Size::mini());
+        assert_eq!(rows.len(), 6);
+        for (app, grows) in [("SAP1", false), ("SAP2", true), ("SAP3", true)] {
+            let (rr, dc) = by_strategy(&rows, app, |r| (&r.app, r.strategy));
+            assert!(dc.network_bytes >= rr.network_bytes, "{app}");
+            assert!(grows || dc.network_bytes == rr.network_bytes, "{app}");
+        }
     }
 
     #[test]
@@ -431,17 +450,25 @@ mod tests {
     }
 
     #[test]
+    fn fig15_sequential_total_drops_although_intra_app_does_not() {
+        let rows = fig15(Size::mini());
+        let (rr, dc) = (&rows[0], &rows[1]);
+        assert_eq!((rr.strategy, dc.strategy), ("round-robin", "data-centric"));
+        assert!(rr.inter_app_net > 2 * rr.intra_app_net);
+        assert!(dc.intra_app_net >= rr.intra_app_net);
+        let total = |r: &BreakdownRow| r.inter_app_net + r.intra_app_net;
+        assert!(4 * total(dc) < 3 * total(rr));
+    }
+
+    #[test]
     fn fig16_times_grow_gently() {
-        let rows = fig16(&[1, 2], 16);
-        let cap_small = rows
-            .iter()
-            .find(|r| r.app == "CAP2" && r.producer_tasks == 512)
-            .unwrap();
-        let cap_big = rows
-            .iter()
-            .find(|r| r.app == "CAP2" && r.producer_tasks == 1024)
-            .unwrap();
-        assert!(cap_big.ms >= cap_small.ms * 0.5, "time should not collapse");
+        let rows = fig16(Size::mini());
+        let cap2 = |cores| {
+            let at = |r: &&RetrieveRow| r.app == "CAP2" && r.producer_tasks == cores;
+            rows.iter().find(at).unwrap().ms
+        };
+        let (cap_small, cap_big) = (cap2(512), cap2(1024));
+        assert!(cap_big >= cap_small * 0.5, "time should not collapse");
     }
 }
 
@@ -462,49 +489,44 @@ pub struct FileBaselineRow {
 /// Extra experiment (paper §VI Related Work, quantified): CoDS in-memory
 /// coupling vs the file-based coupling of conventional workflow systems,
 /// at the paper's configurations.
-pub fn extra_file_baseline(size: Size, seq_size: Size) -> Vec<FileBaselineRow> {
+pub fn extra_file_baseline(size: Size) -> Vec<FileBaselineRow> {
     use insitu_fabric::{estimate_file_coupling_time, FilesystemModel};
     let fs = FilesystemModel::jaguar_spider();
-    let pattern = size.patterns()[0];
-    let mut rows = Vec::new();
-
-    let conc = size.concurrent(pattern);
-    let o = run_modeled(&conc, MappingStrategy::DataCentric);
-    let bytes = o.ledger.total_bytes(insitu_fabric::TrafficClass::InterApp);
-    rows.push(FileBaselineRow {
-        scenario: format!("concurrent {}/{}", size.prod, size.cons1),
-        bytes,
-        memory_ms: o.retrieve_ms.values().fold(0.0f64, |a, &b| a.max(b)),
-        file_ms: estimate_file_coupling_time(
-            &fs,
+    let pattern = size.blocked();
+    // The sequential producers write once and both consumers read it
+    // all: the written volume is the redistributed volume over `reads`.
+    let row = |scenario: String, s: Scenario, reads: u64, readers: u64| {
+        let o = run_modeled(&s, MappingStrategy::DataCentric);
+        let bytes = o.ledger.total_bytes(TrafficClass::InterApp);
+        let (writers, readers) = (size.prod as u32, readers as u32);
+        FileBaselineRow {
+            scenario,
             bytes,
-            size.prod as u32,
-            bytes,
-            size.cons1 as u32,
+            memory_ms: o.retrieve_ms.values().fold(0.0f64, |a, &b| a.max(b)),
+            file_ms: estimate_file_coupling_time(&fs, bytes / reads, writers, bytes, readers),
+        }
+    };
+    let Size {
+        prod,
+        cap2,
+        sap2,
+        sap3,
+        ..
+    } = size;
+    vec![
+        row(
+            format!("concurrent {prod}/{cap2}"),
+            size.concurrent(pattern),
+            1,
+            cap2,
         ),
-    });
-
-    let seq = seq_size.sequential(pattern);
-    let o = run_modeled(&seq, MappingStrategy::DataCentric);
-    let bytes = o.ledger.total_bytes(insitu_fabric::TrafficClass::InterApp);
-    // Producers write once; the written volume is half the redistributed
-    // volume (two consumers read everything).
-    rows.push(FileBaselineRow {
-        scenario: format!(
-            "sequential {}/({}+{})",
-            seq_size.prod, seq_size.cons1, seq_size.cons2
+        row(
+            format!("sequential {prod}/({sap2}+{sap3})"),
+            size.sequential(pattern),
+            2,
+            sap2 + sap3,
         ),
-        bytes,
-        memory_ms: o.retrieve_ms.values().fold(0.0f64, |a, &b| a.max(b)),
-        file_ms: estimate_file_coupling_time(
-            &fs,
-            bytes / 2,
-            seq_size.prod as u32,
-            bytes,
-            (seq_size.cons1 + seq_size.cons2) as u32,
-        ),
-    });
-    rows
+    ]
 }
 
 #[cfg(test)]
@@ -513,7 +535,7 @@ mod extra_tests {
 
     #[test]
     fn file_baseline_penalizes_files() {
-        let rows = extra_file_baseline(Size::mini(), Size::mini());
+        let rows = extra_file_baseline(Size::mini());
         assert_eq!(rows.len(), 2);
         for r in rows {
             assert!(

@@ -1,18 +1,16 @@
 //! Experiment harness for the paper's evaluation section.
 //!
-//! Every figure of the evaluation (Figs. 8–16) has a binary in
-//! `src/bin/` that regenerates its rows/series by running the modeled
-//! executor on the paper's configurations. This library holds the shared
-//! experiment drivers so the binaries, the `all_figures` report generator
-//! and the timing benches use identical code paths. Each figure binary
-//! also writes a machine-readable `BENCH_figNN.json` via [`emit`].
+//! Every figure of the evaluation (Figs. 8–16) is a row of
+//! [`emit::FIGURES`]; the one binary, `figures`, regenerates them by
+//! running the modeled executor on the paper's configurations, printing
+//! each table and writing a machine-readable `BENCH_figNN.json`. The
+//! experiment drivers live in [`experiments`], where tier-1 tests lock
+//! each figure's shape at a miniature scale.
 
 #![warn(missing_docs)]
 
 pub mod emit;
 pub mod experiments;
-pub mod report;
 pub mod table;
-pub mod timing;
 
 pub use experiments::*;

@@ -105,14 +105,9 @@ impl std::error::Error for CodsError {}
 pub struct CodsConfig {
     /// How long a `get` waits for a missing producer piece.
     pub get_timeout: Duration,
-    /// Whether `get` operators use the schedule cache.
-    pub cache_schedules: bool,
     /// Per-node in-memory staging capacity (16 GB per Jaguar XT5 node).
     /// `None` disables the check.
     pub staging_limit_per_node: Option<u64>,
-    /// Issue schedule ops one at a time instead of overlapping them
-    /// (the pre-overlap behavior; kept as an A/B knob for benchmarks).
-    pub sequential_pulls: bool,
     /// Run epoch salting every variable-name key (DHT entries, buffer
     /// keys, version bookkeeping), so concurrent service runs sharing
     /// one process — or one pool of node processes — never collide even
@@ -126,9 +121,7 @@ impl Default for CodsConfig {
     fn default() -> Self {
         CodsConfig {
             get_timeout: Duration::from_secs(30),
-            cache_schedules: true,
             staging_limit_per_node: None,
-            sequential_pulls: false,
             key_epoch: 0,
         }
     }
@@ -950,87 +943,50 @@ impl CodsSpace {
         query: &BoundingBox,
     ) -> Result<(FieldData, GetReport), CodsError> {
         let vid = self.key_of(var);
-        self.get_count.inc();
-        let flight = self.dart.flight();
-        let gstart = flight.now_us();
-        let gseq = flight.next_seq();
-        let mut report = GetReport::default();
-        let schedule = match self.cached(vid, query) {
-            Some(s) => {
-                report.cache_hit = true;
-                self.record_schedule(gseq, gstart, true, app, vid, version, client);
-                s
+        self.get_with(client, app, vid, version, query, false, |report, gseq| {
+            let flight = self.dart.flight();
+            let dht_start = flight.now_us();
+            let _query_span = self.recorder.span("cods.dht_query", "cods", client as u64);
+            let injector = self.dart.injector();
+            let (entries, cores) = self
+                .dht
+                .query_filtered(vid, version, query, &|c| !injector.dht_core_down(c));
+            report.dht_cores_queried = cores.len() as u32;
+            // One query record out to each consulted core; the reply
+            // carries the matching location records (at least one
+            // record's worth of header per core).
+            let reply_records = 1 + entries.len().div_ceil(cores.len().max(1)) as u64;
+            for c in &cores {
+                let peer = self.dht.core_client(*c);
+                self.dart
+                    .account(app, TrafficClass::Dht, client, peer, DHT_RECORD_BYTES);
+                self.dart.account(
+                    app,
+                    TrafficClass::Dht,
+                    peer,
+                    client,
+                    DHT_RECORD_BYTES * reply_records,
+                );
             }
-            None => {
-                let dht_start = flight.now_us();
-                let _query_span = self.recorder.span("cods.dht_query", "cods", client as u64);
-                let injector = self.dart.injector();
-                let (entries, cores) = self
-                    .dht
-                    .query_filtered(vid, version, query, &|c| !injector.dht_core_down(c));
-                report.dht_cores_queried = cores.len() as u32;
-                // One query record out to each consulted core; the reply
-                // carries the matching location records (at least one
-                // record's worth of header per core).
-                let reply_records = 1 + entries.len().div_ceil(cores.len().max(1)) as u64;
-                for c in &cores {
-                    let peer = self.dht.core_client(*c);
-                    self.dart
-                        .account(app, TrafficClass::Dht, client, peer, DHT_RECORD_BYTES);
-                    self.dart.account(
-                        app,
-                        TrafficClass::Dht,
-                        peer,
-                        client,
-                        DHT_RECORD_BYTES * reply_records,
-                    );
-                }
-                if flight.is_enabled() {
-                    flight.record(
-                        Event::new(
-                            flight.next_seq(),
-                            EventKind::DhtLookup {
-                                cores: report.dht_cores_queried,
-                            },
-                        )
-                        .parent(gseq)
-                        .app(app)
-                        .var(vid)
-                        .version(version)
-                        .dst(client)
-                        .window(dht_start, flight.now_us().saturating_sub(dht_start)),
-                    );
-                }
-                let sched_start = flight.now_us();
-                let s = Arc::new(schedule_from_entries(&entries, query));
-                self.record_schedule(gseq, sched_start, false, app, vid, version, client);
-                self.store_cache(vid, query, Arc::clone(&s));
-                s
-            }
-        };
-        let data = self.execute(
-            &schedule,
-            client,
-            app,
-            vid,
-            version,
-            query,
-            gseq,
-            &mut report,
-        )?;
-        if flight.is_enabled() {
-            flight.record(
-                Event::new(gseq, EventKind::Get { cont: false })
+            if flight.is_enabled() {
+                flight.record(
+                    Event::new(
+                        flight.next_seq(),
+                        EventKind::DhtLookup {
+                            cores: report.dht_cores_queried,
+                        },
+                    )
+                    .parent(gseq)
                     .app(app)
                     .var(vid)
                     .version(version)
-                    .bbox(*query)
                     .dst(client)
-                    .bytes(data.len() as u64 * ELEM_BYTES as u64)
-                    .window(gstart, flight.now_us().saturating_sub(gstart)),
-            );
-        }
-        Ok((data, report))
+                    .window(dht_start, flight.now_us().saturating_sub(dht_start)),
+                );
+            }
+            let sched_start = flight.now_us();
+            (sched_start, schedule_from_entries(&entries, query))
+        })
     }
 
     /// `cods_get_cont`: retrieve `query` directly from a concurrently
@@ -1047,26 +1003,53 @@ impl CodsSpace {
         producer_clients: &[ClientId],
     ) -> Result<(FieldData, GetReport), CodsError> {
         let vid = self.key_of(var);
+        self.get_with(client, app, vid, version, query, true, |_, _| {
+            let sched_start = self.dart.flight().now_us();
+            (
+                sched_start,
+                schedule_from_decomposition(producer, producer_clients, query),
+            )
+        })
+    }
+
+    /// The one `get` body behind both operators: replay the cached
+    /// schedule or `build` one (handed the report and the get's event
+    /// sequence number; returns when schedule computation proper began,
+    /// so a location lookup before it stays outside the `Schedule`
+    /// window), execute it, and close with the `Get` flight event.
+    #[allow(clippy::too_many_arguments)] // event tags mirror the cods_* operator signatures
+    fn get_with(
+        &self,
+        client: ClientId,
+        app: u32,
+        vid: u64,
+        version: u64,
+        query: &BoundingBox,
+        cont: bool,
+        build: impl FnOnce(&mut GetReport, u64) -> (u64, CommSchedule),
+    ) -> Result<(FieldData, GetReport), CodsError> {
         self.get_count.inc();
         let flight = self.dart.flight();
         let gstart = flight.now_us();
         let gseq = flight.next_seq();
         let mut report = GetReport::default();
-        let schedule = match self.cached(vid, query) {
+        let schedule = match self.cache.lookup(vid, query) {
             Some(s) => {
                 report.cache_hit = true;
                 self.record_schedule(gseq, gstart, true, app, vid, version, client);
                 s
             }
             None => {
-                let sched_start = flight.now_us();
-                let s = Arc::new(schedule_from_decomposition(
-                    producer,
-                    producer_clients,
-                    query,
-                ));
+                let (sched_start, s) = build(&mut report, gseq);
+                let s = Arc::new(s);
                 self.record_schedule(gseq, sched_start, false, app, vid, version, client);
-                self.store_cache(vid, query, Arc::clone(&s));
+                // Never cache a schedule that does not cover the query
+                // (e.g. a DHT snapshot taken before every producer had
+                // indexed its piece): replays would keep failing even
+                // once the data exists.
+                if s.total_cells() == query.num_cells() {
+                    self.cache.insert(vid, query, Arc::clone(&s));
+                }
                 s
             }
         };
@@ -1082,7 +1065,7 @@ impl CodsSpace {
         )?;
         if flight.is_enabled() {
             flight.record(
-                Event::new(gseq, EventKind::Get { cont: true })
+                Event::new(gseq, EventKind::Get { cont })
                     .app(app)
                     .var(vid)
                     .version(version)
@@ -1121,23 +1104,6 @@ impl CodsSpace {
                 .dst(client)
                 .window(start_us, flight.now_us().saturating_sub(start_us)),
         );
-    }
-
-    fn cached(&self, vid: u64, query: &BoundingBox) -> Option<Arc<CommSchedule>> {
-        if self.cfg.cache_schedules {
-            self.cache.lookup(vid, query)
-        } else {
-            None
-        }
-    }
-
-    fn store_cache(&self, vid: u64, query: &BoundingBox, s: Arc<CommSchedule>) {
-        // Never cache a schedule that does not cover the query (e.g. a
-        // DHT snapshot taken before every producer had indexed its
-        // piece): replays would keep failing even once the data exists.
-        if self.cfg.cache_schedules && s.total_cells() == query.num_cells() {
-            self.cache.insert(vid, query, s);
-        }
     }
 
     /// Receiver-driven pull: issue every scheduled piece at once and
@@ -1233,24 +1199,9 @@ impl CodsSpace {
                 );
             }
         };
-        let result = if self.cfg.sequential_pulls {
-            // A/B baseline: one op at a time, same single-copy assembly.
-            let mut failed = None;
-            for (i, key) in keys.iter().enumerate() {
-                let started = std::time::Instant::now();
-                match self.dart.pull(key, self.cfg.get_timeout) {
-                    Some(handle) => complete(i, handle, started.elapsed()),
-                    None => {
-                        failed = Some(i);
-                        break;
-                    }
-                }
-            }
-            failed.map_or(Ok(()), Err)
-        } else {
-            self.dart
-                .pull_many(&keys, self.cfg.get_timeout, &mut complete)
-        };
+        let result = self
+            .dart
+            .pull_many(&keys, self.cfg.get_timeout, &mut complete);
         if let Err(i) = result {
             let op = &schedule.ops[i];
             return Err(CodsError::Timeout {
@@ -1913,28 +1864,6 @@ mod tests {
         assert!(!data.is_view());
         for p in sub.iter_points() {
             assert_eq!(data[layout::linear_index(&sub, &p[..2])], tagfn(&p[..2]));
-        }
-    }
-
-    #[test]
-    fn sequential_pulls_knob_matches_overlapped_results() {
-        let placement = Arc::new(Placement::pack_sequential(MachineSpec::new(2, 2), 4));
-        let dart = DartRuntime::new(placement, Arc::new(TransferLedger::new()));
-        let dht = Dht::new(Box::new(HilbertCurve::new(2, 3)), vec![0, 2]);
-        let s = CodsSpace::new(
-            dart,
-            dht,
-            CodsConfig {
-                sequential_pulls: true,
-                ..Default::default()
-            },
-        );
-        produce(&s, "temp", 0);
-        let q = BoundingBox::from_sizes(&[8, 8]);
-        let (data, report) = s.get_seq(3, 2, "temp", 0, &q).unwrap();
-        assert_eq!(report.ops, 4);
-        for p in q.iter_points() {
-            assert_eq!(data[layout::linear_index(&q, &p[..2])], tagfn(&p[..2]));
         }
     }
 

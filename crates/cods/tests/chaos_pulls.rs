@@ -149,55 +149,49 @@ fn delayed_first_producer_assembles_out_of_order() {
 
 /// The threaded overlapped-wait property: with one producer deliberately
 /// slow, pieces from the fast producer are copied as they arrive, so the
-/// slow producer stretches only its own pull — under the sequential A/B
-/// knob the same scenario serializes behind the slow first op.
+/// slow producer stretches only its own pull.
 #[test]
 fn slow_producer_no_longer_delays_arrived_pieces() {
-    let run = |sequential: bool| {
-        let (s, flight) = space_with(
-            None,
-            CodsConfig {
-                get_timeout: Duration::from_secs(10),
-                sequential_pulls: sequential,
-                ..Default::default()
-            },
-        );
-        let dec = Decomposition::new(domain(), ProcessGrid::new(&[2, 1]), Distribution::Blocked);
-        let mut handles = Vec::new();
-        for rank in 0..2u64 {
-            let s = Arc::clone(&s);
-            handles.push(std::thread::spawn(move || {
-                if rank == 0 {
-                    // The slow producer: its piece lands 90 ms late.
-                    std::thread::sleep(Duration::from_millis(90));
-                }
-                let b = piece_box(rank);
-                let data = layout::fill_with(&b, tag);
-                s.put_cont(rank as ClientId, 1, "v", 0, 0, &b, &data)
-                    .unwrap();
-            }));
-        }
-        let q = domain();
-        let (data, _) = s.get_cont(2, 2, "v", 0, &q, &dec, &[0, 1]).unwrap();
-        for h in handles {
-            h.join().unwrap();
-        }
-        for p in q.iter_points() {
-            assert_eq!(data[layout::linear_index(&q, &p[..2])], tag(&p[..2]));
-        }
-        let events = flight.snapshot();
-        let pull_end = |owner: ClientId| {
-            events
-                .iter()
-                .filter(|e| matches!(e.kind, EventKind::Pull { .. }) && e.src == Some(owner))
-                .map(|e| e.start_us + e.duration_us)
-                .max()
-                .expect("pull event missing")
-        };
-        (pull_end(1), pull_end(0))
+    let (s, flight) = space_with(
+        None,
+        CodsConfig {
+            get_timeout: Duration::from_secs(10),
+            ..Default::default()
+        },
+    );
+    let dec = Decomposition::new(domain(), ProcessGrid::new(&[2, 1]), Distribution::Blocked);
+    let mut handles = Vec::new();
+    for rank in 0..2u64 {
+        let s = Arc::clone(&s);
+        handles.push(std::thread::spawn(move || {
+            if rank == 0 {
+                // The slow producer: its piece lands 90 ms late.
+                std::thread::sleep(Duration::from_millis(90));
+            }
+            let b = piece_box(rank);
+            let data = layout::fill_with(&b, tag);
+            s.put_cont(rank as ClientId, 1, "v", 0, 0, &b, &data)
+                .unwrap();
+        }));
+    }
+    let q = domain();
+    let (data, _) = s.get_cont(2, 2, "v", 0, &q, &dec, &[0, 1]).unwrap();
+    for h in handles {
+        h.join().unwrap();
+    }
+    for p in q.iter_points() {
+        assert_eq!(data[layout::linear_index(&q, &p[..2])], tag(&p[..2]));
+    }
+    let events = flight.snapshot();
+    let pull_end = |owner: ClientId| {
+        events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::Pull { .. }) && e.src == Some(owner))
+            .map(|e| e.start_us + e.duration_us)
+            .max()
+            .expect("pull event missing")
     };
-
-    let (fast, slow) = run(false);
+    let (fast, slow) = (pull_end(1), pull_end(0));
     assert!(
         slow >= 75_000,
         "slow pull ({slow} us) must span the producer delay"
@@ -205,11 +199,5 @@ fn slow_producer_no_longer_delays_arrived_pieces() {
     assert!(
         fast + 40_000 < slow,
         "overlapped: arrived piece ({fast} us) must not wait for the slow one ({slow} us)"
-    );
-
-    let (fast_seq, slow_seq) = run(true);
-    assert!(
-        fast_seq >= slow_seq,
-        "sequential A/B: the fast piece ({fast_seq} us) copies only after the slow op ({slow_seq} us)"
     );
 }

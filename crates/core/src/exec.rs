@@ -227,7 +227,6 @@ impl ExecEnv {
             // Jaguar XT5 nodes carry 16 GB; staged coupling data must fit.
             staging_limit_per_node: Some(16 << 30),
             key_epoch: cfg.key_epoch,
-            ..Default::default()
         };
         let space = match mirror {
             Some(mirror) => CodsSpace::with_mirror(Arc::clone(&dart), dht, cods_cfg, mirror),

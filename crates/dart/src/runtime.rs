@@ -262,31 +262,6 @@ impl DartRuntime {
             .drop_pulled(name, version, |owner| self.wire.hosts(owner))
     }
 
-    /// Receiver-driven pull: block until `key` is registered, timing the
-    /// wait into the `dart.pull_wait_us` histogram. `None` on timeout or
-    /// when an injected fault drops the pull.
-    pub fn pull(&self, key: &BufKey, timeout: Duration) -> Option<BufferHandle> {
-        match self.injector.on_pull(key.name, key.version, key.piece) {
-            FaultAction::Drop => {
-                self.record_pull_fault("drop-pull", key);
-                return None;
-            }
-            FaultAction::Delay(d) => {
-                self.record_pull_fault("delay-pull", key);
-                std::thread::sleep(d);
-            }
-            FaultAction::Proceed => {}
-        }
-        if self.registry.get(key).is_none() {
-            self.wire.request(key);
-        }
-        let started = Instant::now();
-        let handle = self.registry.wait_for(key, timeout);
-        self.pull_wait_us
-            .record(started.elapsed().as_micros() as u64);
-        handle
-    }
-
     /// Receiver-driven wait-for-any pull: issue every key at once and
     /// invoke `on_ready(index, handle, wait)` as each buffer becomes
     /// available, in arrival order — so the total blocking time is the
@@ -296,7 +271,7 @@ impl DartRuntime {
     /// behind it.
     ///
     /// Every key's pull fault site is consulted up front, so drop/delay
-    /// faults fire per key exactly as they would under sequential pulls.
+    /// faults fire once per key, before any request leaves.
     /// A delayed key is withheld until its injected delay elapses; a
     /// dropped key fails the call. On failure the error carries the
     /// lowest undelivered key index (callers map it back to a schedule
@@ -348,9 +323,8 @@ impl DartRuntime {
                 self.wire.request(key);
             }
         }
-        // Sequential pulls sleep the injected delay before their wait, so
-        // a delayed op's budget is delay + timeout; give the batch the
-        // same allowance.
+        // A delayed op's budget is delay + timeout: the injected delay
+        // must not eat into the wait for the buffer itself.
         let deadline = floors
             .iter()
             .flatten()
@@ -570,7 +544,8 @@ mod tests {
             }
         });
         let mut order = Vec::new();
-        rt.pull(&bkey(99), Duration::from_millis(1)); // unrelated waiter churn
+        // Unrelated waiter churn.
+        let _ = rt.pull_many(&[bkey(99)], Duration::from_millis(1), |_, _, _| {});
         rt.pull_many(
             &[bkey(0), bkey(1), bkey(2)],
             Duration::from_secs(5),
@@ -719,11 +694,15 @@ mod tests {
         rt.register_buffer(bkey(0), 1, Bytes::from_static(b"xyz"));
         assert_eq!(*wire.published.lock().unwrap(), vec![(bkey(0), 1, 3)]);
         // Present key: no wire request.
-        assert!(rt.pull(&bkey(0), Duration::from_millis(5)).is_some());
+        assert!(rt
+            .pull_many(&[bkey(0)], Duration::from_millis(5), |_, _, _| {})
+            .is_ok());
         assert!(wire.requested.lock().unwrap().is_empty());
         // Absent key: requested once through the wire, then times out
         // because no reader ever answers.
-        assert!(rt.pull(&bkey(5), Duration::from_millis(5)).is_none());
+        assert!(rt
+            .pull_many(&[bkey(5)], Duration::from_millis(5), |_, _, _| {})
+            .is_err());
         assert_eq!(*wire.requested.lock().unwrap(), vec![bkey(5)]);
         wire.requested.lock().unwrap().clear();
         let err = rt
@@ -786,16 +765,14 @@ mod tests {
             0,
             Bytes::new(),
         );
+        let key = BufKey {
+            name: 1,
+            version: 0,
+            piece: 0,
+        };
         assert!(rt
-            .pull(
-                &BufKey {
-                    name: 1,
-                    version: 0,
-                    piece: 0
-                },
-                Duration::from_secs(1)
-            )
-            .is_some());
+            .pull_many(&[key], Duration::from_secs(1), |_, _, _| {})
+            .is_ok());
         let snap = rec.metrics_snapshot();
         assert_eq!(snap.counter("dart.msgs_sent"), 1);
         assert_eq!(snap.counter("dart.transport.shm"), 1);

@@ -324,6 +324,38 @@ fn one_consumer_recycles_the_arena_without_a_single_fallback() {
     assert_eq!(snap.counter("net.pull_frames_hub"), 0);
 }
 
+/// A simulation coupled to an analysis over a *mirrored* process grid:
+/// every consumer rank's query exactly covers one producer piece, so a
+/// pulled piece assembles as a zero-copy `FieldData::View` — over the
+/// shm plane, a view of the mapped segment itself. Counts only: shm
+/// frames and view hits on the default plane, no shm frame with shm
+/// off, the same ledger either way.
+#[test]
+fn mirror_grid_pulls_ride_shm_and_assemble_zero_copy_views() {
+    use insitu::MappingStrategy::RoundRobin;
+
+    const DAG: &str = "APP_ID 1\nAPP_ID 2\nBUNDLE 1 2\n";
+    const CFG: &str = "\
+CORES_PER_NODE 4
+DOMAIN 128 64 32
+HALO 0
+ITERATIONS 4
+APP 1 GRID 2 2 1 DIST blocked
+APP 2 GRID 2 2 1 DIST blocked
+COUPLING VAR f PRODUCER 1 CONSUMERS 2 MODE concurrent
+";
+    let _hub = IN_PROCESS_HUB.lock().unwrap_or_else(|e| e.into_inner());
+    let scenario = insitu_cli::build_scenario(DAG, CFG).unwrap();
+    // Round-robin placement, so the coupling pulls cross nodes.
+    let (shm, shm_snap) = run_in_process(&scenario, RoundRobin, 2, false, true);
+    assert!(shm_snap.counter("net.shm_frames") > 0);
+    assert!(shm_snap.counter("cods.view_hits") > 0);
+    let (wire, wire_snap) = run_in_process(&scenario, RoundRobin, 2, false, false);
+    assert_eq!(wire_snap.counter("net.shm_frames"), 0);
+    assert_eq!(shm.ledger, wire.ledger, "the data plane must not show");
+    assert_eq!(shm.gets, wire.gets);
+}
+
 /// `cods.evictions` counts staged buffers, once each, in their owner's
 /// process: a joiner's pulled copies swept out by the same eviction are
 /// not evictions, so the joiners' sum is the single-process tally.
