@@ -462,7 +462,10 @@ where
     }
     debug_assert_eq!(env.mapped.machine.cores_per_node, cpn);
 
-    let ctl = link.start_reader(Arc::clone(&env.dart), Arc::clone(&env.space));
+    // This frame is the sole owner of the link and the environment: the
+    // link only looks back at the runtime and the space through `Weak`
+    // handles, so everything built above dies when `join` returns.
+    let ctl = link.start_reader(&env.dart, &env.space);
     let waves = env.mapped.waves.len() as u32;
     let result = loop {
         match ctl.recv() {
@@ -515,7 +518,13 @@ where
             Err(_) => break Err("control channel closed before shutdown".to_string()),
         }
     };
+    // Teardown order: stop the wire first (reactor joined, so no demux
+    // is mid-frame), then let `env` go — the registry's buffers, both
+    // ends' segment mappings and, with the link's last handle inside the
+    // runtime, the reactor's waker. A pooled worker of `insitu serve`
+    // must hand all of it back before its next assignment.
     link.close();
+    drop(env);
     result
 }
 

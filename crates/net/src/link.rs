@@ -25,6 +25,13 @@
 //! onto the reactor and returns the control channel (`RunWave` /
 //! `Shutdown`) that drives the joiner's wave loop.
 //!
+//! Ownership runs one way (DESIGN.md §9.4): the runtime and the space
+//! own the link, the link only *looks back* at them through `Weak`
+//! handles, so whoever built the three — `insitu::join` — is their sole
+//! owner and dropping them there frees the registry's buffers, unmaps
+//! both shm segments and closes the reactor's waker. A frame that
+//! arrives once the runtime is gone is dropped.
+//!
 //! The telemetry plane rides the same connections: with a flight
 //! recorder attached ([`NetLink::set_flight`]) the link records a
 //! `NetSend` event when it answers a remote pull and a `NetRecv` when
@@ -152,8 +159,12 @@ pub struct NetLink {
     /// How long the owner side waits for a requested buffer to be put
     /// before answering `PullNack`.
     get_timeout: Duration,
-    dart: OnceLock<Arc<DartRuntime>>,
-    space: OnceLock<Arc<CodsSpace>>,
+    /// Back-references to what this link serves, set by `start_reader`.
+    /// `Weak` because both own the link (as their `Transport` /
+    /// `SpaceMirror`): a strong handle here is a cycle that keeps every
+    /// run's registry, mappings and fds alive in a long-lived process.
+    dart: OnceLock<Weak<DartRuntime>>,
+    space: OnceLock<Weak<CodsSpace>>,
     /// The process's flight recorder; wire send/recv events land here
     /// so the hub-side merge can stitch cross-process causal chains.
     /// Disabled until [`NetLink::set_flight`].
@@ -277,17 +288,17 @@ impl NetLink {
 
     /// Adopt the connections onto the reactor and return the control
     /// channel their demux feeds. Must be called exactly once, after
-    /// the runtime and space were built around this link.
+    /// the runtime and space were built around this link. The link does
+    /// not keep either alive: the caller owns them, and frames arriving
+    /// after it dropped them are ignored.
     pub fn start_reader(
         self: &Arc<Self>,
-        dart: Arc<DartRuntime>,
-        space: Arc<CodsSpace>,
+        dart: &Arc<DartRuntime>,
+        space: &Arc<CodsSpace>,
     ) -> Receiver<Ctl> {
-        self.dart.set(dart).ok().expect("start_reader called twice");
-        self.space
-            .set(space)
-            .ok()
-            .expect("start_reader called twice");
+        let once = "start_reader called twice";
+        self.dart.set(Arc::downgrade(dart)).expect(once);
+        self.space.set(Arc::downgrade(space)).expect(once);
         let (ctl_tx, ctl_rx) = unbounded();
         let stream = self
             .stream
@@ -420,8 +431,16 @@ impl NetLink {
     /// carries `RunWave`/`Shutdown`) and absent on direct peer
     /// connections.
     fn on_frame(&self, frame: Frame, reply: Token, ctl: Option<&Sender<Ctl>>) {
-        let dart = self.dart.get().expect("demux after start_reader");
-        let space = self.space.get().expect("demux after start_reader");
+        // The run was torn down under a frame still in flight: nothing
+        // is left to apply it to, and this is the process's only wire
+        // thread — drop the frame, never panic.
+        let (Some(dart), Some(space)) = (
+            self.dart.get().and_then(Weak::upgrade),
+            self.space.get().and_then(Weak::upgrade),
+        ) else {
+            return;
+        };
+        let (dart, space) = (&dart, &space);
         // A frame this end cannot act on — an unexpected kind, or corners
         // that make no box (checked here, never handed to the panicking
         // constructor: this is the process's only wire thread). On a
@@ -662,6 +681,9 @@ impl NetLink {
             .name("net-pull-wait".into())
             .spawn(move || {
                 let found = dart.registry().wait_for(&key, timeout);
+                // Hold the runtime for the wait only, so a waiter never
+                // outlives its run by more than the answer it is sending.
+                drop(dart);
                 // The link is gone only when the run is: nobody is left
                 // to answer.
                 let Some(link) = weak.upgrade() else { return };
@@ -1217,6 +1239,8 @@ mod tests {
     struct Rig {
         link: Arc<NetLink>,
         dart: Arc<DartRuntime>,
+        /// The link only looks back at the space: the rig is its owner.
+        space: Arc<CodsSpace>,
         ctl: Receiver<Ctl>,
         wire: TcpStream,
         inj: FaultInjector,
@@ -1261,10 +1285,11 @@ mod tests {
             CodsConfig::default(),
             Arc::clone(&link) as Arc<dyn SpaceMirror>,
         );
-        let ctl = link.start_reader(Arc::clone(&dart), space);
+        let ctl = link.start_reader(&dart, &space);
         Rig {
             link,
             dart,
+            space,
             ctl,
             wire,
             inj,
@@ -1389,6 +1414,66 @@ mod tests {
             assert_eq!(r.ctl.recv_timeout(bound), Ok(Ctl::RunWave(wave)));
         }
         r.link.close();
+    }
+
+    /// The link does not own what it serves. Once the rig — standing in
+    /// for `insitu::join` — drops the runtime and the space, both are
+    /// really gone, and frames of every plane still in flight towards
+    /// the link are dropped on the floor: the wire thread survives them
+    /// and goes on to report the hub's hangup.
+    #[test]
+    fn frames_after_the_runtime_is_gone_are_dropped_not_a_panic() {
+        let Rig {
+            link,
+            dart,
+            space,
+            ctl,
+            mut wire,
+            inj,
+            metrics,
+            ..
+        } = rig();
+        let (weak_dart, weak_space) = (Arc::downgrade(&dart), Arc::downgrade(&space));
+        drop((dart, space));
+        assert!(weak_dart.upgrade().is_none(), "the link owns the runtime");
+        assert!(weak_space.upgrade().is_none(), "the link owns the space");
+        let late = [
+            Frame::Relay {
+                to: 0,
+                src: 1,
+                tag: 3,
+                payload: vec![1, 2, 3],
+            },
+            Frame::PullRequest {
+                name: 7,
+                version: 0,
+                piece: 0,
+                from_node: 1,
+            },
+            Frame::PullData {
+                name: 7,
+                version: 0,
+                piece: 1 << 32,
+                owner: 1,
+                to_node: 0,
+                data: vec![0; 64],
+            },
+            Frame::GetDone { var: 7, version: 0 },
+            Frame::RunWave { wave: 0 },
+        ];
+        for frame in &late {
+            send_frame(&mut wire, frame, &inj, &metrics).unwrap();
+        }
+        drop(wire);
+        // Nothing was demuxed — not even the `RunWave`, there is no run
+        // to drive — and the thread lived to see the connection end.
+        match ctl.recv_timeout(Duration::from_secs(10)) {
+            Ok(Ctl::Shutdown { ok: false, reason }) => {
+                assert!(reason.contains("server closed"), "{reason}")
+            }
+            other => panic!("the wire thread did not outlive the late frames: {other:?}"),
+        }
+        link.close();
     }
 
     /// The send path and the demux run where a sleep stalls every peer

@@ -170,10 +170,18 @@ impl Reactor {
 
     /// Flush all staged writes (bounded), close every connection and
     /// join the loop thread. Idempotent.
+    ///
+    /// Sinks reach their owner through `Weak` handles, so the loop
+    /// thread itself can end up dropping the owner's last handle — and
+    /// this reactor with it — from inside a callback. It cannot join
+    /// itself: the queued `Shutdown` ends the loop once the callback
+    /// returns.
     pub fn shutdown(&self) {
         self.handle.push(Cmd::Shutdown);
         if let Some(h) = self.thread.lock().unwrap().take() {
-            let _ = h.join();
+            if h.thread().id() != std::thread::current().id() {
+                let _ = h.join();
+            }
         }
     }
 }
@@ -559,6 +567,32 @@ mod tests {
         }
         assert_eq!(m.bytes_sent.get(), total);
         assert_eq!(m.frames.get(), 100);
+    }
+
+    /// A sink that upgrades a `Weak` to its owner can be the one that
+    /// drops the owner's last handle, reactor included, on the loop
+    /// thread. That must end the loop, not self-join.
+    #[test]
+    fn reactor_dropped_inside_its_own_callback_ends_the_loop() {
+        let r = Reactor::spawn("x", FaultInjector::none(), metrics()).unwrap();
+        let (sa, mut sb) = pair();
+        let t = r.handle().alloc_token();
+        let handle = r.handle();
+        let owner = Mutex::new(Some(r));
+        let (done_tx, done_rx) = mpsc::channel();
+        handle.add_stream(
+            t,
+            sa,
+            Box::new(move |_| {
+                drop(owner.lock().unwrap().take());
+                let _ = done_tx.send(());
+            }),
+        );
+        Frame::ListRuns.write_to(&mut sb).unwrap();
+        done_rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        // The loop ended and closed its end of the connection.
+        sb.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        assert_eq!(sb.read(&mut [0u8; 8]).unwrap(), 0);
     }
 
     #[test]

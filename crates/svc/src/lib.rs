@@ -36,7 +36,12 @@
 //! when it reaches a terminal state the service holds (and optionally
 //! writes to `artifacts_dir`) the run's merged transfer ledger, metrics
 //! snapshot and critical-path profile as JSON, retrievable over the
-//! wire via `RunResult` (`insitu status --run ID --json`).
+//! wire via `RunResult` (`insitu status --run ID --json`). Those three
+//! strings and the run's summary are all a terminal run keeps in
+//! memory: the merged chrome trace is rendered only into
+//! `artifacts_dir`, and the run's joiner state dies with its pooled
+//! `join` calls — the service's footprint does not grow with the runs
+//! it has served beyond that residue (DESIGN.md §10.4).
 
 #![warn(missing_docs)]
 

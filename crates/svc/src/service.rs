@@ -37,8 +37,9 @@ pub struct SvcConfig {
     /// How long a run's joiners may take to wire up its private hub.
     pub connect_timeout: Duration,
     /// Directory for per-run artifact files
-    /// (`run-<id>.{ledger,metrics,profile}.json`); `None` keeps
-    /// artifacts in memory only (still served over RPC).
+    /// (`run-<id>.{ledger,metrics,profile,trace}.json`); `None` keeps
+    /// the three RPC-served artifacts in memory only and renders no
+    /// chrome trace at all — the trace exists on disk or nowhere.
     pub artifacts_dir: Option<PathBuf>,
     /// Print run lifecycle transitions to stdout (`insitu serve` does).
     pub verbose: bool,
@@ -101,13 +102,14 @@ impl Default for WatchdogConfig {
     }
 }
 
-/// A run's artifacts once it reached a terminal state.
+/// What a terminal run keeps in memory: the three artifacts `RunResult`
+/// serves, and its errors. The merged chrome trace is not among them —
+/// no RPC serves it, so it goes to `artifacts_dir` or is never rendered.
 #[derive(Clone, Default)]
 struct Artifacts {
     ledger_json: String,
     metrics_json: String,
     profile_json: String,
-    trace_json: String,
     errors: Vec<String>,
 }
 
@@ -134,6 +136,8 @@ struct ProgressSample {
 /// One submitted run's registry entry.
 struct RunEntry {
     name: String,
+    /// The submitted workflow text, held only while the run is queued:
+    /// its engine takes both strings when the run is admitted.
     dag: String,
     config: String,
     strategy: MappingStrategy,
@@ -241,7 +245,8 @@ struct Shared {
     /// Assignment channel feeding the pool workers; dropped on shutdown
     /// so workers observe disconnection and exit.
     pool_tx: Mutex<Option<Sender<Assignment>>>,
-    /// Engine threads of admitted runs, joined on shutdown.
+    /// Engine threads still executing (the scheduler drops finished
+    /// handles as it admits), joined on shutdown.
     engines: Mutex<Vec<JoinHandle<()>>>,
     /// Executing runs' recorders, for the watchdog and `Watch` streams.
     live: Mutex<HashMap<u64, RunLive>>,
@@ -441,7 +446,11 @@ fn scheduler_loop(shared: &Arc<Shared>) {
             .name(format!("svc-run-{admitted}"))
             .spawn(move || run_engine(&shared2, admitted))
             .expect("spawn run engine");
-        shared.engines.lock().unwrap().push(engine);
+        // Reap as we admit: a finished engine's handle pins its thread's
+        // stack until it is joined or dropped, one per run ever served.
+        let mut engines = shared.engines.lock().unwrap();
+        engines.retain(|h| !h.is_finished());
+        engines.push(engine);
     }
 }
 
@@ -449,11 +458,13 @@ fn scheduler_loop(shared: &Arc<Shared>) {
 /// the pool, `serve` to completion, artifacts into the registry.
 fn run_engine(shared: &Arc<Shared>, id: u64) {
     let (dag, config, strategy, get_timeout, nodes, cancel) = {
-        let st = shared.state.lock().unwrap();
-        let e = &st.runs[id as usize - 1];
+        let mut st = shared.state.lock().unwrap();
+        let e = &mut st.runs[id as usize - 1];
+        // Taken, not cloned: this engine is the text's only reader, and
+        // a terminal entry should hold its summary and artifacts only.
         (
-            e.dag.clone(),
-            e.config.clone(),
+            std::mem::take(&mut e.dag),
+            std::mem::take(&mut e.config),
             e.strategy,
             e.get_timeout,
             e.nodes,
@@ -518,23 +529,8 @@ fn run_engine(shared: &Arc<Shared>, id: u64) {
     shared.live.lock().unwrap().remove(&id);
     let final_progress = sample_run(&recorder, &flights).0;
     let metrics_json = recorder.metrics_snapshot().to_json().render();
-    let (state, detail, artifacts, telemetry_health) = match result {
+    let (state, detail, ledger_json, errors, merged) = match result {
         Ok(outcome) => {
-            // The merged causal trace: the joiners' telemetry, stitched
-            // at the hub. Lost telemetry degrades the merge — surfaced
-            // as health events, not errors: a run whose tasks all
-            // succeeded is healthy even when its trace is partial.
-            let merged = merge_traces(outcome.telemetry);
-            let profile_json = ProfileReport::analyze(&merged.events, merged.dropped)
-                .to_json()
-                .render();
-            let trace_json = chrome_trace_merged(&merged).render();
-            let errors = outcome.errors;
-            let telemetry_health: Vec<String> = merged
-                .warnings()
-                .into_iter()
-                .map(|w| format!("telemetry: {w}"))
-                .collect();
             let detail = if outcome.verify_failures > 0 {
                 format!("{} verify failures", outcome.verify_failures)
             } else {
@@ -543,14 +539,11 @@ fn run_engine(shared: &Arc<Shared>, id: u64) {
             (
                 RunState::Done,
                 detail,
-                Artifacts {
-                    ledger_json: outcome.ledger.to_json().render(),
-                    metrics_json,
-                    profile_json,
-                    trace_json,
-                    errors,
-                },
-                telemetry_health,
+                outcome.ledger.to_json().render(),
+                outcome.errors,
+                // The merged causal trace: the joiners' telemetry,
+                // stitched at the hub.
+                merge_traces(outcome.telemetry),
             )
         }
         Err(why) => {
@@ -569,11 +562,6 @@ fn run_engine(shared: &Arc<Shared>, id: u64) {
                     complete: false,
                 })
                 .collect();
-            let merged = merge_traces(traces);
-            let profile_json = ProfileReport::analyze(&merged.events, merged.dropped)
-                .to_json()
-                .render();
-            let trace_json = chrome_trace_merged(&merged).render();
             let state = if cancel.load(Ordering::SeqCst) {
                 RunState::Cancelled
             } else {
@@ -582,25 +570,42 @@ fn run_engine(shared: &Arc<Shared>, id: u64) {
             (
                 state,
                 why.clone(),
-                Artifacts {
-                    ledger_json: String::new(),
-                    metrics_json,
-                    profile_json,
-                    trace_json,
-                    errors: vec![why],
-                },
-                Vec::new(),
+                String::new(),
+                vec![why],
+                merge_traces(traces),
             )
         }
+    };
+    // Lost telemetry degrades a completed run's merge — surfaced as
+    // health events, not errors: a run whose tasks all succeeded is
+    // healthy even when its trace is partial. (A failed run's local
+    // fallback is incomplete by construction and says nothing.)
+    let telemetry_health: Vec<String> = if state == RunState::Done {
+        let warnings = merged.warnings().into_iter();
+        warnings.map(|w| format!("telemetry: {w}")).collect()
+    } else {
+        Vec::new()
+    };
+    let artifacts = Artifacts {
+        ledger_json,
+        metrics_json,
+        profile_json: ProfileReport::analyze(&merged.events, merged.dropped)
+            .to_json()
+            .render(),
+        errors,
     };
 
     if let Some(dir) = &shared.cfg.artifacts_dir {
         let _ = std::fs::create_dir_all(dir);
+        // The chrome trace is the one artifact no RPC serves, and the
+        // largest: rendered only here, where it has somewhere to go,
+        // and dropped once written.
+        let trace_json = chrome_trace_merged(&merged).render();
         for (kind, body) in [
             ("ledger", &artifacts.ledger_json),
             ("metrics", &artifacts.metrics_json),
             ("profile", &artifacts.profile_json),
-            ("trace", &artifacts.trace_json),
+            ("trace", &trace_json),
         ] {
             if !body.is_empty() {
                 let _ = std::fs::write(dir.join(format!("run-{id}.{kind}.json")), body);
@@ -1359,13 +1364,55 @@ mod tests {
             "{:?}",
             s.health
         );
+        // The chrome trace is served by no RPC: it exists as this file
+        // and nowhere else.
         let trace = std::fs::read_to_string(dir.join(format!("run-{run}.trace.json"))).unwrap();
+        let events = insitu_telemetry::Json::parse(&trace).unwrap();
+        let events = events.get("traceEvents").and_then(|e| e.as_arr());
+        assert!(events.is_some_and(|e| !e.is_empty()), "not a chrome trace");
         assert!(
             trace.contains("\"processes\":2"),
             "merged trace must cover both joiners"
         );
         assert!(trace.contains("\"unmatchedSends\":0") && trace.contains("\"unmatchedRecvs\":0"));
         let _ = std::fs::remove_dir_all(&dir);
+        svc.shutdown();
+    }
+
+    /// A terminal run holds its summary and the three artifacts
+    /// `RunResult` serves — not the workflow text it was submitted
+    /// with, not a chrome trace — and the scheduler keeps handles of
+    /// executing engines only.
+    #[test]
+    fn terminal_runs_retain_artifacts_only_and_engines_are_reaped() {
+        let (svc, mut client) = start(SvcConfig {
+            max_runs: 1,
+            pool_nodes: 2,
+            ..SvcConfig::default()
+        });
+        for _ in 0..6 {
+            let (run, _) = client
+                .submit("kept", "ok", "cfg", "round-robin", Duration::from_secs(60))
+                .unwrap();
+            let s = client.wait_terminal(run, Duration::from_secs(120)).unwrap();
+            assert_eq!(s.state, RunState::Done, "{}", s.detail);
+        }
+        // Handles are reaped at admission: the last engine's is still
+        // held, and its predecessor's if that thread was still on its
+        // way out when the next run was admitted. Never all six.
+        assert!(svc.shared.engines.lock().unwrap().len() <= 2);
+        let st = svc.shared.state.lock().unwrap();
+        for e in &st.runs {
+            assert!(e.dag.is_empty() && e.config.is_empty());
+            let a = &e.artifacts;
+            for body in [&a.ledger_json, &a.metrics_json, &a.profile_json] {
+                assert!(!body.is_empty());
+                // Without `artifacts_dir` no trace is rendered, so
+                // there is none to retain by accident either.
+                assert!(!body.contains("traceEvents"));
+            }
+        }
+        drop(st);
         svc.shutdown();
     }
 

@@ -267,6 +267,18 @@ kill $svc_pid
 wait $svc_pid 2>/dev/null || true
 trap - EXIT
 
+# Service footprint: a run gives back what it took. 60 tiny runs through
+# the shipped `insitu serve`, /proc/<pid>/{status,fd,maps} read after
+# runs 20 and 60: the fd count must not have grown (a leaked link keeps
+# its waker eventfd and both unlinked segments open), nor the mapping
+# count past allocator jitter (a leaked link keeps both segments
+# mapped, an unreaped engine its stack), no shared memory may be
+# resident while idle, and RSS may grow by at most 64 KiB per run
+# (what a terminal run retains is ~12 KiB; the leak was 2.2 MiB).
+# Counts and sizes only — no wall-clock ratio.
+echo "==> svc-footprint (60 runs, /proc census after runs 20 and 60)"
+scripts/svc-footprint.sh "$bin" 20 60
+
 # Link-health watchdog: a second service instance armed with the
 # link-slow chaos fault (every PullData send held 15-50 ms on the
 # wire) and a 10 ms stall threshold. The watchdog must count at least
