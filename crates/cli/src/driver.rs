@@ -3,13 +3,14 @@
 use crate::config::{parse_config, ConfigError, WorkloadConfig};
 use insitu::{
     map_scenario, run_modeled_configured, run_modeled_with, run_threaded_configured,
-    run_threaded_with, MappingStrategy, ModeledConfig, Scenario, ThreadedConfig,
+    MappingStrategy, ModeledConfig, Scenario, ThreadedConfig,
 };
 use insitu_chaos::{FaultPlan, FaultSpec};
 use insitu_domain::{BoundingBox, Decomposition, ProcessGrid};
-use insitu_fabric::{LinkFaults, NetworkModel, TrafficClass};
+use insitu_fabric::{LedgerSnapshot, LinkFaults, NetworkModel, TrafficClass};
 use insitu_obs::{
-    chrome_trace_with_flows, gate_compare, profile_doc, FlightRecorder, GateConfig, ProfileReport,
+    chrome_trace_with_flows, gate_compare, profile_doc, Event, FlightRecorder, GateConfig,
+    ProfileReport,
 };
 use insitu_telemetry::{Json, MetricsSnapshot, Recorder};
 use insitu_workflow::{parse_dag, ParseError};
@@ -28,7 +29,8 @@ pub struct Options {
     pub threaded: bool,
     /// Write a metrics-registry JSON snapshot here after the run.
     pub metrics_out: Option<PathBuf>,
-    /// Write a chrome://tracing JSON trace here after the run.
+    /// Write the run's flight recording as a chrome://tracing timeline
+    /// (put/get/pull slices plus put→pull flow arrows) here.
     pub trace_out: Option<PathBuf>,
 }
 
@@ -116,6 +118,31 @@ fn write_file(path: &PathBuf, contents: &str) -> Result<(), CliError> {
         .map_err(|e| CliError::Io(format!("cannot write {}: {e}", path.display())))
 }
 
+/// The flight recorder behind a `--trace-out`: live only when a trace
+/// path was given.
+fn flight_for(trace_out: Option<&PathBuf>) -> FlightRecorder {
+    match trace_out {
+        Some(_) => FlightRecorder::enabled(),
+        None => FlightRecorder::disabled(),
+    }
+}
+
+/// The one `--trace-out` writer: a flight recording as a chrome://tracing
+/// document.
+fn write_trace(path: &PathBuf, events: &[Event], dropped: u64) -> Result<(), CliError> {
+    let doc = chrome_trace_with_flows(events, dropped);
+    write_file(path, &(doc.render() + "\n"))
+}
+
+/// The line every flight-backed report ends with when the bounded log
+/// refused events.
+fn dropped_warning(flight: &FlightRecorder, what: &str) -> String {
+    match flight.dropped() {
+        0 => String::new(),
+        n => format!("warning: {n} flight events dropped; the {what} is partial\n"),
+    }
+}
+
 /// Render a name | round-robin | data-centric | delta table over the
 /// union of both snapshots' counters.
 fn metrics_delta_table(rr: &MetricsSnapshot, dc: &MetricsSnapshot) -> String {
@@ -153,7 +180,16 @@ pub fn compare(
     let rec_rr = Recorder::enabled();
     let rec_dc = Recorder::enabled();
     let rr = run_modeled_with(&scenario, MappingStrategy::RoundRobin, &rec_rr);
-    let dc = run_modeled_with(&scenario, MappingStrategy::DataCentric, &rec_dc);
+    let flight = flight_for(trace_out);
+    let dc = run_modeled_configured(
+        &scenario,
+        MappingStrategy::DataCentric,
+        &rec_dc,
+        &ModeledConfig {
+            flight: flight.clone(),
+            ..Default::default()
+        },
+    );
     let mut out = String::new();
     let net = |o: &insitu::ModeledOutcome| o.ledger.network_bytes(TrafficClass::InterApp);
     let total = rr.ledger.total_bytes(TrafficClass::InterApp);
@@ -186,8 +222,9 @@ pub fn compare(
         out.push_str(&format!("metrics written to   {}\n", path.display()));
     }
     if let Some(path) = trace_out {
-        write_file(path, &(rec_dc.trace_json() + "\n"))?;
+        write_trace(path, &flight.snapshot(), flight.dropped())?;
         out.push_str(&format!("trace written to     {}\n", path.display()));
+        out.push_str(&dropped_warning(&flight, "trace"));
     }
     Ok(out)
 }
@@ -205,8 +242,9 @@ pub struct ProfileOptions {
     pub threaded: bool,
     /// Emit the report as a JSON document instead of text.
     pub json: bool,
-    /// Write a chrome://tracing timeline — spans plus causal flow arrows
-    /// from producer puts to consumer pulls — here after the run.
+    /// Write a chrome://tracing timeline — one slice per flight event
+    /// plus causal flow arrows from producer puts to consumer pulls —
+    /// here after the run.
     pub trace_out: Option<PathBuf>,
 }
 
@@ -258,26 +296,13 @@ pub fn profile(options: &ProfileOptions) -> Result<String, CliError> {
         s
     };
     if let Some(path) = &options.trace_out {
-        let doc =
-            chrome_trace_with_flows(recorder.trace_sink().as_deref(), &events, flight.dropped());
-        write_file(path, &(doc.render() + "\n"))?;
+        write_trace(path, &events, flight.dropped())?;
         if !options.json {
             out.push_str(&format!("trace written to {}\n", path.display()));
         }
     }
     if !options.json {
-        let dropped_spans = recorder.trace_dropped();
-        if dropped_spans > 0 {
-            out.push_str(&format!(
-                "warning: {dropped_spans} trace spans dropped (see the trace.dropped_spans counter)\n"
-            ));
-        }
-        if flight.dropped() > 0 {
-            out.push_str(&format!(
-                "warning: {} flight events dropped; the profile is partial\n",
-                flight.dropped()
-            ));
-        }
+        out.push_str(&dropped_warning(&flight, "profile"));
     }
     Ok(out)
 }
@@ -399,27 +424,37 @@ pub fn run(options: &Options) -> Result<String, CliError> {
     );
 
     // Telemetry costs nothing unless an output was requested: a disabled
-    // recorder hands out detached handles and drops every span.
-    let recorder = if options.metrics_out.is_some() || options.trace_out.is_some() {
+    // recorder hands out detached handles, a disabled flight recorder
+    // drops every event.
+    let recorder = if options.metrics_out.is_some() {
         Recorder::enabled()
     } else {
         Recorder::disabled()
     };
+    let flight = flight_for(options.trace_out.as_ref());
+    let coupling_line = |ledger: &LedgerSnapshot| {
+        format!(
+            "coupling:  {} B over network, {} B in-situ ({:.1}% in-situ)",
+            ledger.network_bytes(TrafficClass::InterApp),
+            ledger.shm_bytes(TrafficClass::InterApp),
+            100.0 * (1.0 - ledger.network_fraction(TrafficClass::InterApp)),
+        )
+    };
     if options.threaded {
-        let o = run_threaded_with(&scenario, options.strategy, &recorder);
+        let o = run_threaded_configured(
+            &scenario,
+            options.strategy,
+            &recorder,
+            &ThreadedConfig {
+                flight: flight.clone(),
+                ..Default::default()
+            },
+        );
         push(
             &mut out,
             format!("verified:  {} cell mismatches", o.verify_failures),
         );
-        push(
-            &mut out,
-            format!(
-                "coupling:  {} B over network, {} B in-situ ({:.1}% in-situ)",
-                o.ledger.network_bytes(TrafficClass::InterApp),
-                o.ledger.shm_bytes(TrafficClass::InterApp),
-                100.0 * (1.0 - o.ledger.network_fraction(TrafficClass::InterApp)),
-            ),
-        );
+        push(&mut out, coupling_line(&o.ledger));
         push(
             &mut out,
             format!(
@@ -430,16 +465,16 @@ pub fn run(options: &Options) -> Result<String, CliError> {
         );
         push(&mut out, format!("gets:      {}", o.reports.len()));
     } else {
-        let o = run_modeled_with(&scenario, options.strategy, &recorder);
-        push(
-            &mut out,
-            format!(
-                "coupling:  {} B over network, {} B in-situ ({:.1}% in-situ)",
-                o.ledger.network_bytes(TrafficClass::InterApp),
-                o.ledger.shm_bytes(TrafficClass::InterApp),
-                100.0 * (1.0 - o.ledger.network_fraction(TrafficClass::InterApp)),
-            ),
+        let o = run_modeled_configured(
+            &scenario,
+            options.strategy,
+            &recorder,
+            &ModeledConfig {
+                flight: flight.clone(),
+                ..Default::default()
+            },
         );
+        push(&mut out, coupling_line(&o.ledger));
         for (app, ms) in &o.retrieve_ms {
             push(
                 &mut out,
@@ -452,8 +487,9 @@ pub fn run(options: &Options) -> Result<String, CliError> {
         push(&mut out, format!("metrics:   wrote {}", path.display()));
     }
     if let Some(path) = &options.trace_out {
-        write_file(path, &(recorder.trace_json() + "\n"))?;
+        write_trace(path, &flight.snapshot(), flight.dropped())?;
         push(&mut out, format!("trace:     wrote {}", path.display()));
+        out.push_str(&dropped_warning(&flight, "trace"));
     }
     Ok(out)
 }
@@ -518,11 +554,79 @@ COUPLING VAR t PRODUCER 1 CONSUMERS 2 MODE concurrent
         let m = std::fs::read_to_string(&metrics).unwrap();
         assert!(m.contains("\"counters\""), "{m}");
         assert!(m.contains("fabric.bytes.inter_app"), "{m}");
+        assert!(m.contains("\"workflow.execute_us\""), "{m}");
         let t = std::fs::read_to_string(&trace).unwrap();
         assert!(t.starts_with("{\"traceEvents\":["), "{t}");
-        assert!(t.contains("workflow.execute"), "{t}");
+        assert!(t.contains("\"obs.get_cont\""), "{t}");
+        assert!(t.contains("\"ph\":\"s\""), "{t}");
         std::fs::remove_file(metrics).unwrap();
         std::fs::remove_file(trace).unwrap();
+    }
+
+    /// `(slice names, flow starts)` of a written `--trace-out` document.
+    fn trace_shape(path: &PathBuf) -> (std::collections::BTreeSet<String>, usize) {
+        let doc = Json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+        std::fs::remove_file(path).unwrap();
+        assert!(doc.get("droppedSpans").is_none());
+        assert_eq!(doc.get("droppedEvents").and_then(Json::as_u64), Some(0));
+        let items = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
+        let ph = |e: &Json, want: &str| e.get("ph").and_then(Json::as_str) == Some(want);
+        let names = items
+            .iter()
+            .filter(|e| ph(e, "X"))
+            .map(|e| e.get("name").and_then(Json::as_str).unwrap().to_string())
+            .collect();
+        (names, items.iter().filter(|e| ph(e, "s")).count())
+    }
+
+    #[test]
+    fn every_trace_out_writes_the_same_flight_document() {
+        let dir = std::env::temp_dir();
+        for threaded in [true, false] {
+            let tag = if threaded { "threaded" } else { "modeled" };
+            let run_path = dir.join(format!("insitu_cli_test_run_{tag}.json"));
+            let mut opts = options(MappingStrategy::DataCentric, threaded);
+            opts.trace_out = Some(run_path.clone());
+            let report = run(&opts).unwrap();
+            assert!(!report.contains("warning:"), "{report}");
+            let profile_path = dir.join(format!("insitu_cli_test_profile_{tag}.json"));
+            profile(&ProfileOptions {
+                dag: opts.dag.clone(),
+                config: opts.config.clone(),
+                strategy: opts.strategy,
+                threaded,
+                json: false,
+                trace_out: Some(profile_path.clone()),
+            })
+            .unwrap();
+            let (names, flows) = trace_shape(&run_path);
+            // Only the threaded executor records puts, so only it has
+            // arrows to draw; the modeled timeline is gets and pulls.
+            assert!(names.contains("obs.pull"), "{tag}: {names:?}");
+            assert_eq!(flows > 0, threaded, "{tag}");
+            assert_eq!((names, flows), trace_shape(&profile_path), "{tag}");
+        }
+        // `compare --trace-out` is the modeled data-centric run's recording.
+        let cmp_path = dir.join("insitu_cli_test_compare_trace.json");
+        let report = compare(ONLINE_PROCESSING_DAG, CONFIG, None, Some(&cmp_path)).unwrap();
+        assert!(report.contains("trace written to"), "{report}");
+        assert!(trace_shape(&cmp_path).0.contains("obs.pull"));
+    }
+
+    #[test]
+    fn full_flight_log_warns_that_the_trace_is_partial() {
+        let flight = FlightRecorder::with_capacity(1);
+        assert_eq!(dropped_warning(&flight, "trace"), "");
+        for _ in 0..3 {
+            flight.record(Event::new(
+                flight.next_seq(),
+                insitu_obs::EventKind::NetSend,
+            ));
+        }
+        assert_eq!(
+            dropped_warning(&flight, "trace"),
+            "warning: 2 flight events dropped; the trace is partial\n"
+        );
     }
 
     #[test]
@@ -542,6 +646,7 @@ COUPLING VAR t PRODUCER 1 CONSUMERS 2 MODE concurrent
         let body = std::fs::read_to_string(&path).unwrap();
         assert!(body.starts_with("{\"round_robin\":{"), "{body}");
         assert!(body.contains("\"data_centric\":{"), "{body}");
+        assert!(body.contains("\"workflow.map_us\""), "{body}");
         std::fs::remove_file(path).unwrap();
     }
 

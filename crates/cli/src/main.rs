@@ -64,8 +64,12 @@ a side-by-side summary with a per-counter metrics delta table. With
 baseline document and exits nonzero on regression beyond `--threshold`
 percent (default 10); `--faults` injects chaos link-slow faults into the
 model and `--write-baseline` refreshes the baseline file.
-`--metrics-out` writes the telemetry registry snapshot as JSON;
-`--trace-out` writes a chrome://tracing span timeline.
+`--metrics-out` writes the telemetry registry snapshot as JSON (counters,
+gauges, and per-phase / per-task time histograms); `--trace-out` (run,
+profile, compare) writes the run's flight recording as a chrome://tracing
+timeline: one slice per put/get/schedule/pull, flow arrows from producer
+puts to consumer pulls, and a `droppedEvents` tally (a warning is printed
+when the bounded recorder dropped any).
 `chaos` fuzzes randomized workflow cases under seeded fault injection
 (defaults: --seed 42 --cases 25 --faults standard). `--faults` takes
 'none', 'standard', or 'kind:rate,...' with kinds dead-producer,

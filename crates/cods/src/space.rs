@@ -29,7 +29,7 @@ use insitu_domain::{BoundingBox, Decomposition};
 use insitu_fabric::{ClientId, FaultAction, Locality, TrafficClass};
 use insitu_obs::{Event, EventKind, LinkClass};
 use insitu_sub::{SubId, SubSink, SubSpec, TakeResult};
-use insitu_telemetry::{Counter, Gauge, Recorder};
+use insitu_telemetry::{Counter, Gauge};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -158,10 +158,10 @@ pub struct GetReport {
 
 /// The co-located data space.
 ///
-/// Telemetry flows through the DART runtime's [`Recorder`]: put/get
-/// counts, DHT query spans, schedule-cache hits/misses and the staged
-/// bytes high-water mark are all published when the runtime was built
-/// with a live recorder.
+/// Telemetry flows through the DART runtime's
+/// [`Recorder`](insitu_telemetry::Recorder): put/get counts,
+/// schedule-cache hits/misses and the staged bytes high-water mark are
+/// all published when the runtime was built with a live recorder.
 pub struct CodsSpace {
     dart: Arc<DartRuntime>,
     dht: Dht,
@@ -172,7 +172,6 @@ pub struct CodsSpace {
     staging: Mutex<std::collections::HashMap<u32, u64>>,
     staging_peak: std::sync::atomic::AtomicU64,
     mirror: Option<Arc<dyn SpaceMirror>>,
-    recorder: Recorder,
     put_count: Counter,
     get_count: Counter,
     evict_count: Counter,
@@ -377,7 +376,6 @@ impl CodsSpace {
             sub_lagged_count: recorder.counter("sub.lagged"),
             sub_push_drops: recorder.counter("sub.push_drops"),
             sub_active: recorder.gauge("sub.active"),
-            recorder,
             dart,
         })
     }
@@ -946,7 +944,6 @@ impl CodsSpace {
         self.get_with(client, app, vid, version, query, false, |report, gseq| {
             let flight = self.dart.flight();
             let dht_start = flight.now_us();
-            let _query_span = self.recorder.span("cods.dht_query", "cods", client as u64);
             let injector = self.dart.injector();
             let (entries, cores) = self
                 .dht
@@ -1281,6 +1278,7 @@ mod tests {
     use insitu_domain::{layout, Distribution, ProcessGrid};
     use insitu_fabric::{MachineSpec, Placement, TransferLedger};
     use insitu_sfc::HilbertCurve;
+    use insitu_telemetry::Recorder;
 
     /// 4 clients on 2 nodes of 2 cores; DHT core per node on clients 0, 2.
     fn space() -> Arc<CodsSpace> {
@@ -2083,11 +2081,13 @@ mod tests {
             }
         }
         let placement = Arc::new(Placement::pack_sequential(MachineSpec::new(2, 2), 4));
-        let dart = DartRuntime::with_injector(
+        let dart = DartRuntime::with_transport(
             placement,
             Arc::new(TransferLedger::new()),
             Recorder::disabled(),
             FaultInjector::new(Arc::new(DropOne)),
+            insitu_obs::FlightRecorder::disabled(),
+            Arc::new(insitu_dart::LocalTransport),
         );
         let dht = Dht::new(Box::new(HilbertCurve::new(2, 3)), vec![0, 2]);
         let s = CodsSpace::new(
@@ -2275,12 +2275,13 @@ mod tests {
     #[test]
     fn flight_records_put_push_deliver_chain() {
         let placement = Arc::new(Placement::pack_sequential(MachineSpec::new(2, 2), 4));
-        let dart = DartRuntime::with_flight(
+        let dart = DartRuntime::with_transport(
             placement,
             Arc::new(TransferLedger::new()),
             Recorder::disabled(),
             FaultInjector::none(),
             insitu_obs::FlightRecorder::enabled(),
+            Arc::new(insitu_dart::LocalTransport),
         );
         let dht = Dht::new(Box::new(HilbertCurve::new(2, 3)), vec![0, 2]);
         let s = CodsSpace::new(

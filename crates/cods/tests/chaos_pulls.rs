@@ -4,7 +4,7 @@
 //! producer must no longer delay copies of pieces that already arrived.
 
 use insitu_cods::{CodsConfig, CodsError, CodsSpace, Dht};
-use insitu_dart::DartRuntime;
+use insitu_dart::{DartRuntime, LocalTransport};
 use insitu_domain::{layout, BoundingBox, Decomposition, Distribution, ProcessGrid};
 use insitu_fabric::{
     ClientId, FaultAction, FaultHooks, FaultInjector, MachineSpec, Placement, TransferLedger,
@@ -27,12 +27,13 @@ fn space_with(
         Some(h) => FaultInjector::new(h),
         None => FaultInjector::none(),
     };
-    let dart = DartRuntime::with_flight(
+    let dart = DartRuntime::with_transport(
         placement,
         Arc::new(TransferLedger::new()),
         Recorder::disabled(),
         injector,
         flight.clone(),
+        Arc::new(LocalTransport),
     );
     let dht = Dht::new(Box::new(HilbertCurve::new(2, 5)), vec![0, 2]);
     (CodsSpace::new(dart, dht, cfg), flight)

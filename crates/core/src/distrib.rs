@@ -224,13 +224,12 @@ pub fn serve(
     // Execution-client management: every client registers with the real
     // socket address its node process connected from.
     let mut registry = ClientRegistry::new();
-    {
-        let _span = opts.recorder.span("workflow.register", "workflow", 0);
+    opts.recorder.histogram("workflow.register_us").time(|| {
         for client in 0..machine.total_cores() {
             let addr = hub.peer_addr(client / machine.cores_per_node).to_string();
             registry.register_at(client, client, &addr);
         }
-    }
+    });
 
     let deadline = wave_timeout(opts.get_timeout);
     // Wave progress for live observers (`insitu watch`): total up front,
@@ -239,6 +238,8 @@ pub fn serve(
         .gauge("workflow.waves")
         .set(env.mapped.waves.len() as u64);
     let waves_done = opts.recorder.counter("workflow.waves_done");
+    let group_us = opts.recorder.histogram("workflow.group_us");
+    let execute_us = opts.recorder.histogram("workflow.execute_us");
     for (wi, wave) in env.mapped.waves.iter().enumerate() {
         if opts.cancel.load(Ordering::SeqCst) {
             let why = format!("run cancelled before wave {wi}");
@@ -246,12 +247,11 @@ pub fn serve(
             return Err(why);
         }
         let tasks = wave_tasks(&env.scenario, &env.mapped, wave);
-        {
-            // Dispatch, exactly as in-process: accounted here (Control
-            // class, server co-resident with client 0's node), delivered
-            // as a Relay so each client's first message is its
-            // assignment — before RunWave on the same FIFO connection.
-            let _span = opts.recorder.span("workflow.group", "workflow", wi as u64);
+        // Dispatch, exactly as in-process: accounted here (Control
+        // class, server co-resident with client 0's node), delivered
+        // as a Relay so each client's first message is its
+        // assignment — before RunWave on the same FIFO connection.
+        group_us.time(|| {
             for &(app_id, rank, client) in &tasks {
                 registry.set_running(client, app_id);
                 env.dart
@@ -266,12 +266,9 @@ pub fn serve(
                     },
                 );
             }
-        }
+        });
         hub.broadcast(Frame::RunWave { wave: wi as u32 });
-        let _span = opts
-            .recorder
-            .span("workflow.execute", "workflow", wi as u64);
-        if let Err(e) = hub.wait_barrier(wi as u32, deadline) {
+        if let Err(e) = execute_us.time(|| hub.wait_barrier(wi as u32, deadline)) {
             let why = format!("wave {wi} failed: {e}");
             hub.shutdown(false, &why);
             return Err(why);
@@ -490,7 +487,6 @@ where
                 let _ = link.ship_telemetry(
                     &opts.flight.snapshot(),
                     opts.flight.dropped(),
-                    opts.recorder.trace_dropped(),
                     opts.recorder
                         .metrics_snapshot()
                         .counters
@@ -603,6 +599,10 @@ mod tests {
         assert!(snap.counter("net.bytes_sent") > 0);
         assert!(snap.counter("net.bytes_recv") > 0);
         assert!(snap.counter("net.frames") > 0);
+        // The server timed its phases, the joiners their eight tasks.
+        assert_eq!(snap.histograms["workflow.register_us"].count, 1);
+        assert!(snap.histograms["workflow.execute_us"].count >= 1);
+        assert_eq!(snap.histograms["exec.task_us"].count, 8);
     }
 
     /// Scenario whose RoundRobin placement forces cross-node pulls (the

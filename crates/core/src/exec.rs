@@ -19,7 +19,7 @@ use crate::threaded::ThreadedConfig;
 use insitu_cods::{
     var_id, CodsConfig, CodsError, CodsSpace, Dht, FieldData, GetReport, SpaceMirror, SubHandle,
 };
-use insitu_dart::{DartRuntime, Transport};
+use insitu_dart::{DartRuntime, LocalTransport, Transport};
 use insitu_domain::stencil::halo_exchanges;
 use insitu_domain::{BoundingBox, Decomposition};
 use insitu_fabric::{ClientId, Placement, TrafficClass, TransferLedger};
@@ -186,33 +186,23 @@ impl ExecEnv {
         mirror: Option<Arc<dyn SpaceMirror>>,
     ) -> ExecEnv {
         assert_eq!(scenario.elem_bytes, 8, "threaded mode stores f64 fields");
-        let mapped = {
-            let _span = recorder.span("workflow.map", "workflow", 0);
-            map_scenario(scenario, strategy)
-        };
+        let mapped = recorder
+            .histogram("workflow.map_us")
+            .time(|| map_scenario(scenario, strategy));
         let machine = mapped.machine;
         let placement = Arc::new(Placement::pack_sequential(machine, machine.total_cores()));
         let ledger = Arc::new(TransferLedger::with_observer(
             recorder,
             cfg.injector.clone(),
         ));
-        let dart = match wire {
-            Some(wire) => DartRuntime::with_transport(
-                placement,
-                Arc::clone(&ledger),
-                recorder.clone(),
-                cfg.injector.clone(),
-                cfg.flight.clone(),
-                wire,
-            ),
-            None => DartRuntime::with_flight(
-                placement,
-                Arc::clone(&ledger),
-                recorder.clone(),
-                cfg.injector.clone(),
-                cfg.flight.clone(),
-            ),
-        };
+        let dart = DartRuntime::with_transport(
+            placement,
+            Arc::clone(&ledger),
+            recorder.clone(),
+            cfg.injector.clone(),
+            cfg.flight.clone(),
+            wire.unwrap_or_else(|| Arc::new(LocalTransport)),
+        );
         let domain = *scenario
             .workflow
             .apps
@@ -324,6 +314,7 @@ impl ExecEnv {
     /// stacks) and join them; a task's panic propagates. Each task's
     /// dispatch message must already sit in its client's mailbox.
     pub fn run_tasks(&self, tasks: &[(u32, u64)]) {
+        let task_us = &self.dart.recorder().histogram("exec.task_us");
         std::thread::scope(|scope| {
             for &(app, rank) in tasks {
                 let client = self.mapped.core_of_task(app, rank);
@@ -336,7 +327,7 @@ impl ExecEnv {
                 std::thread::Builder::new()
                     .name(format!("app{app}-r{rank}"))
                     .stack_size(512 * 1024)
-                    .spawn_scoped(scope, move || task_routine(ctx))
+                    .spawn_scoped(scope, move || task_us.time(|| task_routine(ctx)))
                     .expect("thread spawn failed");
             }
         });
@@ -432,13 +423,6 @@ impl TaskCtx<'_> {
 /// exchange round. Identical in single-process and distributed runs.
 fn task_routine(ctx: TaskCtx) {
     let (env, client) = (ctx.env, ctx.client);
-    // One span per execution client, keyed by client id, so the trace
-    // export shows a per-client timeline comparable with the modeled
-    // executor's synthetic spans.
-    let _task_span =
-        env.dart
-            .recorder()
-            .span(&format!("app{}.task", ctx.app), "execute", client as u64);
     let mailbox = env.dart.take_mailbox(client);
 
     // First message is always this client's task assignment from the

@@ -83,10 +83,9 @@ pub fn run_modeled_configured(
     recorder: &Recorder,
     cfg: &ModeledConfig,
 ) -> ModeledOutcome {
-    let mapped = {
-        let _span = recorder.span("workflow.map", "workflow", 0);
-        map_scenario(scenario, strategy)
-    };
+    let mapped = recorder
+        .histogram("workflow.map_us")
+        .time(|| map_scenario(scenario, strategy));
     let ledger = TransferLedger::with_recorder(recorder);
     let topo = TorusTopology::cubic_for(mapped.machine.nodes);
     let mut retrieves: BTreeMap<u32, Vec<ClientRetrieve>> = BTreeMap::new();
@@ -266,19 +265,7 @@ pub fn run_modeled_configured(
         }
         let times: Vec<f64> = breakdowns.iter().map(|b| b.total_ms).collect();
         let mut sums: BTreeMap<u32, (f64, u64)> = BTreeMap::new();
-        for ((app, rank), t) in all.into_iter().zip(times) {
-            // Synthetic per-client timeline entry: all retrieves of a wave
-            // start together (ts 0); the duration is the model's estimate.
-            // An app consuming several couplings contributes one flow per
-            // coupling per rank, all on the rank's client track.
-            let ntasks = mapped.app_cores[&app].len();
-            recorder.synthetic_span(
-                &format!("app{app}.retrieve"),
-                "execute",
-                mapped.core_of_task(app, (rank % ntasks) as u64) as u64,
-                0,
-                (t * 1000.0) as u64,
-            );
+        for ((app, _), t) in all.into_iter().zip(times) {
             let e = retrieve_ms.entry(app).or_insert(0.0f64);
             if t > *e {
                 *e = t;
@@ -526,11 +513,15 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_mirrors_ledger_and_emits_synthetic_spans() {
+    fn telemetry_mirrors_ledger_and_flight_carries_the_retrieves() {
         let mut s = sequential_scenario(16, 8, 8, 8, pattern_pairs(&[4, 4, 4])[0]);
         s.cores_per_node = 4;
         let rec = Recorder::enabled();
-        let o = run_modeled_with(&s, MappingStrategy::DataCentric, &rec);
+        let cfg = ModeledConfig {
+            flight: FlightRecorder::enabled(),
+            ..Default::default()
+        };
+        let o = run_modeled_configured(&s, MappingStrategy::DataCentric, &rec, &cfg);
         let snap = rec.metrics_snapshot();
         for class in [TrafficClass::InterApp, TrafficClass::IntraApp] {
             let mirrored: u64 = Locality::ALL
@@ -539,16 +530,16 @@ mod tests {
                 .sum();
             assert_eq!(mirrored, o.ledger.total_bytes(class), "{class:?}");
         }
-        let trace = rec.trace_summary();
-        assert!(trace.contains("workflow.map"), "missing map span:\n{trace}");
-        assert!(
-            trace.contains("app2.retrieve"),
-            "missing synthetic spans:\n{trace}"
-        );
-        assert!(
-            trace.contains("app3.retrieve"),
-            "missing synthetic spans:\n{trace}"
-        );
+        assert_eq!(snap.histograms["workflow.map_us"].count, 1);
+        // The synthetic timeline is the flight recording: one modeled
+        // get per consumer rank of each consuming app.
+        let events = cfg.flight.snapshot();
+        for app in [2, 3] {
+            let gets = events
+                .iter()
+                .filter(|e| matches!(e.kind, EventKind::Get { .. }) && e.app == app);
+            assert_eq!(gets.count(), 8, "app {app}");
+        }
     }
 
     #[test]

@@ -90,10 +90,10 @@ pub fn run_threaded(scenario: &Scenario, strategy: MappingStrategy) -> ThreadedO
     run_threaded_with(scenario, strategy, &Recorder::disabled())
 }
 
-/// Run `scenario` under `strategy`, recording metrics and workflow-phase
-/// spans (`workflow.register` → `workflow.map` → `workflow.group` →
-/// `workflow.execute`, plus one `app<N>.task` span per execution client)
-/// into `recorder`.
+/// Run `scenario` under `strategy`, recording metrics into `recorder`:
+/// the layers' counters plus one histogram sample per workflow phase
+/// (`workflow.{register,map,group,execute}_us`) and per task
+/// (`exec.task_us`).
 pub fn run_threaded_with(
     scenario: &Scenario,
     strategy: MappingStrategy,
@@ -118,14 +118,15 @@ pub fn run_threaded_configured(
     // server's client-management module registers every client (its core
     // stands in for a network address) before any task is dispatched.
     let mut registry = ClientRegistry::new();
-    {
-        let _span = recorder.span("workflow.register", "workflow", 0);
+    recorder.histogram("workflow.register_us").time(|| {
         for client in 0..machine.total_cores() {
             registry.register(client, client);
         }
-    }
+    });
 
-    for (wi, wave) in env.mapped.waves.iter().enumerate() {
+    let group_us = recorder.histogram("workflow.group_us");
+    let execute_us = recorder.histogram("workflow.execute_us");
+    for wave in &env.mapped.waves {
         let tasks = wave_tasks(&env.scenario, &env.mapped, wave);
         // The workflow management server dispatches each task assignment
         // (app id, rank) to its execution client before launch — the
@@ -133,8 +134,7 @@ pub fn run_threaded_configured(
         // is modeled as co-resident with client 0's node; dispatches are
         // Control-class traffic. These are enqueued before any task thread
         // exists, so each client's first message is its assignment.
-        {
-            let _span = recorder.span("workflow.group", "workflow", wi as u64);
+        group_us.time(|| {
             for &(app_id, rank, client) in &tasks {
                 registry.set_running(client, app_id);
                 env.dart.send(
@@ -146,10 +146,9 @@ pub fn run_threaded_configured(
                     Bytes::from(dispatch_payload(app_id, rank)),
                 );
             }
-        }
-        let _span = recorder.span("workflow.execute", "workflow", wi as u64);
+        });
         let local: Vec<(u32, u64)> = tasks.iter().map(|&(a, r, _)| (a, r)).collect();
-        env.run_tasks(&local);
+        execute_us.time(|| env.run_tasks(&local));
         // Wave complete: its clients return to the idle pool.
         for &(_, _, client) in &tasks {
             registry.set_idle(client);
@@ -279,20 +278,17 @@ mod tests {
                 .sum();
             assert_eq!(mirrored, o.ledger.total_bytes(class), "{class:?}");
         }
-        // All four workflow phases and at least one per-client task span.
-        let trace = rec.trace_summary();
-        for phase in [
-            "workflow.register",
-            "workflow.map",
-            "workflow.group",
-            "workflow.execute",
-        ] {
-            assert!(trace.contains(phase), "missing {phase} in:\n{trace}");
+        // All four workflow phases, and one sample per task (8 + 4).
+        for phase in ["register", "map", "group", "execute"] {
+            let name = format!("workflow.{phase}_us");
+            let count = snap.histograms.get(&name).map_or(0, |h| h.count);
+            assert!(count >= 1, "missing {name}");
         }
-        assert!(
-            trace.contains("app1.task"),
-            "missing task spans in:\n{trace}"
-        );
+        assert_eq!(snap.histograms["exec.task_us"].count, 12);
+        // A disabled recorder leaves no residue.
+        let off = Recorder::disabled();
+        run_threaded_with(&s, MappingStrategy::DataCentric, &off);
+        assert_eq!(off.metrics_snapshot(), Default::default());
     }
 
     #[test]

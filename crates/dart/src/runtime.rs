@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 /// one-sided buffer registry. Cheap to clone via `Arc`.
 ///
 /// The runtime is also the telemetry injection point for the data plane:
-/// construct with [`DartRuntime::with_recorder`] and every layer above
+/// construct with [`DartRuntime::with_transport`] and every layer above
 /// (CoDS, the executors) records through [`DartRuntime::recorder`].
 pub struct DartRuntime {
     placement: Arc<Placement>,
@@ -41,62 +41,27 @@ pub struct DartRuntime {
 }
 
 impl DartRuntime {
-    /// Build a runtime for every client of `placement`, without telemetry.
+    /// Build a single-process runtime for every client of `placement`,
+    /// without telemetry, fault injection or a flight recording.
     pub fn new(placement: Arc<Placement>, ledger: Arc<TransferLedger>) -> Arc<Self> {
-        Self::with_recorder(placement, ledger, Recorder::disabled())
-    }
-
-    /// Build a runtime whose transports and pulls record into `recorder`.
-    pub fn with_recorder(
-        placement: Arc<Placement>,
-        ledger: Arc<TransferLedger>,
-        recorder: Recorder,
-    ) -> Arc<Self> {
-        Self::with_injector(placement, ledger, recorder, FaultInjector::none())
-    }
-
-    /// Build a runtime that additionally consults `injector` at its fault
-    /// sites (pulls here; the layers above reach the injector through
-    /// [`DartRuntime::injector`]).
-    pub fn with_injector(
-        placement: Arc<Placement>,
-        ledger: Arc<TransferLedger>,
-        recorder: Recorder,
-        injector: FaultInjector,
-    ) -> Arc<Self> {
-        Self::with_flight(
-            placement,
-            ledger,
-            recorder,
-            injector,
-            FlightRecorder::disabled(),
-        )
-    }
-
-    /// Build a runtime that additionally logs structured causal events
-    /// (pull faults here; puts, gets, schedules and pulls in CoDS, which
-    /// reaches the recorder through [`DartRuntime::flight`]).
-    pub fn with_flight(
-        placement: Arc<Placement>,
-        ledger: Arc<TransferLedger>,
-        recorder: Recorder,
-        injector: FaultInjector,
-        flight: FlightRecorder,
-    ) -> Arc<Self> {
         Self::with_transport(
             placement,
             ledger,
-            recorder,
-            injector,
-            flight,
+            Recorder::disabled(),
+            FaultInjector::none(),
+            FlightRecorder::disabled(),
             Arc::new(LocalTransport),
         )
     }
 
-    /// Build a runtime whose clients may live in other processes: `wire`
+    /// The full constructor. Transports and pulls record into `recorder`,
+    /// `injector` is consulted at the fault sites (pulls here; the layers
+    /// above reach it through [`DartRuntime::injector`]), `flight` logs
+    /// structured causal events (pull faults here; puts, gets, schedules
+    /// and pulls in CoDS through [`DartRuntime::flight`]), and `wire`
     /// decides which clients are hosted here and carries messages and
-    /// buffer pulls to the rest. The default ([`LocalTransport`]) hosts
-    /// everyone, which is the single-process executor.
+    /// buffer pulls to the rest — [`LocalTransport`] hosts everyone,
+    /// which is the single-process executor.
     pub fn with_transport(
         placement: Arc<Placement>,
         ledger: Arc<TransferLedger>,
@@ -750,8 +715,14 @@ mod tests {
     fn telemetry_counts_transports_and_messages() {
         let rec = Recorder::enabled();
         let placement = Arc::new(Placement::pack_sequential(MachineSpec::new(2, 2), 4));
-        let rt =
-            DartRuntime::with_recorder(placement, Arc::new(TransferLedger::new()), rec.clone());
+        let rt = DartRuntime::with_transport(
+            placement,
+            Arc::new(TransferLedger::new()),
+            rec.clone(),
+            FaultInjector::none(),
+            FlightRecorder::disabled(),
+            Arc::new(LocalTransport),
+        );
         let mb = rt.take_mailbox(1);
         rt.send(0, TrafficClass::Control, 0, 1, 1, Bytes::from_static(b"a")); // colocated
         rt.account(0, TrafficClass::InterApp, 0, 2, 10); // cross-node

@@ -538,9 +538,8 @@ pub enum Frame {
         last: bool,
         /// Flight events the node's bounded recorder dropped.
         dropped_events: u64,
-        /// Trace spans the node's telemetry sink dropped
-        /// (`trace.dropped_spans`), so drops on *any* process surface
-        /// in the merged report.
+        /// Reserved since the span tracer left: senders write 0, the
+        /// hub ignores it. Kept so wire v6 stays byte-identical.
         dropped_spans: u64,
         /// Metrics counters `(name, value)` at snapshot time; only
         /// populated on the last batch.

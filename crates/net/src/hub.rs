@@ -113,7 +113,6 @@ struct NodeTelemetry {
     gap: bool,
     last_seen: bool,
     dropped_events: u64,
-    dropped_spans: u64,
     counters: Vec<(String, u64)>,
 }
 
@@ -304,7 +303,6 @@ impl Hub {
                     node,
                     events: t.events,
                     dropped: t.dropped_events,
-                    dropped_spans: t.dropped_spans,
                     counters: t.counters.into_iter().collect::<BTreeMap<_, _>>(),
                     complete: t.last_seen && !t.gap,
                 }
@@ -509,7 +507,6 @@ impl Router {
                 batch,
                 last,
                 dropped_events,
-                dropped_spans,
                 counters,
                 events,
                 ..
@@ -525,7 +522,6 @@ impl Router {
                     if last {
                         t.last_seen = true;
                         t.dropped_events = dropped_events;
-                        t.dropped_spans = dropped_spans;
                         t.counters = counters;
                     }
                 }

@@ -384,7 +384,6 @@ impl NetLink {
         &self,
         events: &[Event],
         dropped_events: u64,
-        dropped_spans: u64,
         counters: Vec<(String, u64)>,
         ack_timeout: Duration,
     ) -> bool {
@@ -402,7 +401,7 @@ impl NetLink {
                 batch: batch as u32,
                 last,
                 dropped_events,
-                dropped_spans,
+                dropped_spans: 0, // reserved on the wire
                 counters: if last { counters.clone() } else { Vec::new() },
                 events: chunks.next().unwrap_or(&[]).to_vec(),
             });

@@ -1,7 +1,7 @@
 //! Chrome trace export with causal flow arrows.
 //!
-//! Each flight event renders as an `"X"` slice (same shape as the
-//! telemetry span export), and every pull that retrieved a staged piece
+//! The program's one chrome://tracing exporter: each flight event
+//! renders as an `"X"` slice, and every pull that retrieved a staged piece
 //! contributes an `"s"`/`"f"` flow pair: the `s` anchors inside the
 //! producer's put slice, the `f` (binding-point `"e"`) inside the
 //! consumer's pull slice — which nests inside its get — so
@@ -18,7 +18,7 @@
 
 use std::collections::BTreeMap;
 
-use insitu_telemetry::{Json, TraceSink};
+use insitu_telemetry::Json;
 
 use crate::event::{Event, EventKind};
 
@@ -48,6 +48,24 @@ fn slice_json(e: &Event) -> Json {
         .field("args", args)
 }
 
+/// The `"s"`/`"f"` pair drawing one arrow: it starts inside the `from`
+/// slice (its last covered microsecond) and finishes at the start of
+/// the `to` slice, whose seq is the flow id.
+fn flow_pair(name: &str, from: &Event, to: &Event) -> [Json; 2] {
+    let end = |head: Json, ts: u64, at: &Event| {
+        head.field("id", to.seq)
+            .field("ts", ts)
+            .field("pid", at.pid as u64)
+            .field("tid", at.track())
+    };
+    let head = Json::obj().field("name", name).field("cat", "obs.flow");
+    let start_ts = from.start_us + from.duration_us.saturating_sub(1);
+    [
+        end(head.clone().field("ph", "s"), start_ts, from),
+        end(head.field("ph", "f").field("bp", "e"), to.start_us, to),
+    ]
+}
+
 /// Render flight events as chrome trace events: one `"X"` slice per
 /// event plus `"s"`/`"f"` flow pairs joining producer puts to the pulls
 /// that retrieved their pieces.
@@ -63,110 +81,43 @@ pub fn chrome_flow_events(events: &[Event]) -> Vec<Json> {
             }
         }
     }
-
-    for e in events {
-        if !matches!(e.kind, EventKind::Pull { .. }) {
-            continue;
-        }
-        let Some(put) = e.piece_key().and_then(|k| puts.get(&k)) else {
-            continue;
-        };
-        // Anchor the start inside the put slice (its last covered
-        // microsecond) and the finish at the pull slice's start.
-        let s_ts = put.start_us + put.duration_us.saturating_sub(1);
-        out.push(
-            Json::obj()
-                .field("name", "coupling")
-                .field("cat", "obs.flow")
-                .field("ph", "s")
-                .field("id", e.seq)
-                .field("ts", s_ts)
-                .field("pid", put.pid as u64)
-                .field("tid", put.track()),
-        );
-        out.push(
-            Json::obj()
-                .field("name", "coupling")
-                .field("cat", "obs.flow")
-                .field("ph", "f")
-                .field("bp", "e")
-                .field("id", e.seq)
-                .field("ts", e.start_us)
-                .field("pid", e.pid as u64)
-                .field("tid", e.track()),
-        );
-    }
-
     // Stitched wire hops: recv.parent names the send on the other
     // process (the merge's cross-process edge).
     let by_seq: BTreeMap<u64, &Event> = events.iter().map(|e| (e.seq, e)).collect();
-    for e in events {
-        if e.kind != EventKind::NetRecv {
-            continue;
-        }
-        let Some(send) = e
-            .parent
-            .and_then(|p| by_seq.get(&p))
-            .filter(|s| s.kind == EventKind::NetSend)
-        else {
-            continue;
-        };
-        let s_ts = send.start_us + send.duration_us.saturating_sub(1);
-        out.push(
-            Json::obj()
-                .field("name", "wire")
-                .field("cat", "obs.flow")
-                .field("ph", "s")
-                .field("id", e.seq)
-                .field("ts", s_ts)
-                .field("pid", send.pid as u64)
-                .field("tid", send.track()),
-        );
-        out.push(
-            Json::obj()
-                .field("name", "wire")
-                .field("cat", "obs.flow")
-                .field("ph", "f")
-                .field("bp", "e")
-                .field("id", e.seq)
-                .field("ts", e.start_us)
-                .field("pid", e.pid as u64)
-                .field("tid", e.track()),
-        );
+    let coupling = events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::Pull { .. }))
+        .filter_map(|e| Some(("coupling", *puts.get(&e.piece_key()?)?, e)));
+    let wire = events
+        .iter()
+        .filter(|e| e.kind == EventKind::NetRecv)
+        .filter_map(|e| Some(("wire", *by_seq.get(&e.parent?)?, e)))
+        .filter(|(_, send, _)| send.kind == EventKind::NetSend);
+    for (name, from, to) in coupling.chain(wire) {
+        out.extend(flow_pair(name, from, to));
     }
     out
+}
+
+/// Chrome trace document: the flight events' slices and flow arrows,
+/// plus how many events the bounded log refused.
+pub fn chrome_trace_with_flows(events: &[Event], dropped_events: u64) -> Json {
+    Json::obj()
+        .field("traceEvents", chrome_flow_events(events))
+        .field("displayTimeUnit", "ms")
+        .field("droppedEvents", dropped_events)
 }
 
 /// Chrome trace document for a merged multi-process trace: one lane per
 /// process, flow arrows across the stitched wire hops, and the merge's
 /// degradation tallies recorded as top-level fields.
 pub fn chrome_trace_merged(report: &crate::merge::MergeReport) -> Json {
-    Json::obj()
-        .field("traceEvents", chrome_flow_events(&report.events))
-        .field("displayTimeUnit", "ms")
-        .field("droppedSpans", report.dropped_spans)
-        .field("droppedEvents", report.dropped)
+    chrome_trace_with_flows(&report.events, report.dropped)
         .field("processes", report.processes as u64)
         .field("stitched", report.stitched)
         .field("unmatchedSends", report.unmatched_sends)
         .field("unmatchedRecvs", report.unmatched_recvs)
         .field("retriedWire", report.retried)
-}
-
-/// Full chrome trace document: the telemetry span sink's slices merged
-/// with the flight events' slices and flow arrows.
-pub fn chrome_trace_with_flows(
-    sink: Option<&TraceSink>,
-    events: &[Event],
-    dropped_events: u64,
-) -> Json {
-    let mut trace_events = sink.map(TraceSink::chrome_events).unwrap_or_default();
-    trace_events.extend(chrome_flow_events(events));
-    Json::obj()
-        .field("traceEvents", trace_events)
-        .field("displayTimeUnit", "ms")
-        .field("droppedSpans", sink.map_or(0, TraceSink::dropped))
-        .field("droppedEvents", dropped_events)
 }
 
 #[cfg(test)]
@@ -263,28 +214,55 @@ mod tests {
             node: 0,
             events: coupled_events(),
             dropped: 2,
-            dropped_spans: 1,
             counters: Default::default(),
             complete: true,
         }];
         let doc = chrome_trace_merged(&merge_traces(traces));
         let text = doc.render();
         assert!(text.contains("\"droppedEvents\":2"));
-        assert!(text.contains("\"droppedSpans\":1"));
         assert!(text.contains("\"processes\":1"));
         assert!(Json::parse(&text).is_ok());
     }
 
     #[test]
-    fn merged_trace_keeps_sink_spans() {
-        let sink = TraceSink::with_capacity(8);
-        sink.push_synthetic("app1.task", "threaded", 2, 0, 500);
-        let doc = chrome_trace_with_flows(Some(&sink), &coupled_events(), 4);
-        let text = doc.render();
-        assert!(text.contains("app1.task"));
-        assert!(text.contains("obs.pull"));
-        assert!(text.contains("\"droppedEvents\":4"));
-        // Parses back as valid JSON.
-        assert!(Json::parse(&text).is_ok());
+    fn merged_two_process_trace_extends_the_one_document() {
+        use crate::merge::{merge_traces, ProcessTrace};
+        let mut events = coupled_events();
+        let consumer = events.split_off(1);
+        let wire = |seq, kind| {
+            Event::new(seq, kind)
+                .var(3)
+                .version(0)
+                .src(2)
+                .dst(5)
+                .piece(7)
+        };
+        events.push(wire(2, EventKind::NetSend).window(100, 40));
+        // A second send whose recv never arrived stays unmatched.
+        events.push(wire(3, EventKind::NetSend).piece(8).window(150, 40));
+        let mut consumer: Vec<Event> = consumer;
+        consumer.push(wire(4, EventKind::NetRecv).window(160, 30));
+        let trace = |node, events| ProcessTrace {
+            node,
+            events,
+            dropped: node as u64,
+            counters: Default::default(),
+            complete: true,
+        };
+        let report = merge_traces(vec![trace(0, events), trace(1, consumer)]);
+        let doc = Json::parse(&chrome_trace_merged(&report).render()).unwrap();
+        let tally = |key: &str| doc.get(key).and_then(Json::as_u64);
+        assert_eq!(doc.get("droppedSpans"), None);
+        assert_eq!(tally("droppedEvents"), Some(1));
+        assert_eq!(tally("processes"), Some(2));
+        assert_eq!(tally("stitched"), Some(1));
+        assert_eq!(tally("unmatchedSends"), Some(1));
+        assert_eq!(tally("unmatchedRecvs"), Some(0));
+        assert_eq!(tally("retriedWire"), Some(0));
+        // Same events array as the single-process document: six slices,
+        // one coupling pair and one wire pair.
+        let plain = chrome_trace_with_flows(&report.events, report.dropped);
+        assert_eq!(doc.get("traceEvents"), plain.get("traceEvents"));
+        assert_eq!(doc.get("traceEvents").unwrap().as_arr().unwrap().len(), 10);
     }
 }

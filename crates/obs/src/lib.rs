@@ -7,18 +7,18 @@
 //!   (`*_cont` and `*_seq`), schedule computation, DHT lookup, receiver
 //!   pull and injected fault, tagged `(app, var, version, bbox, src,
 //!   dst, link_class)` with causal parent edges;
-//! * [`flight`] — the [`FlightRecorder`]: a bounded lock-sharded event
-//!   log behind the same disabled-by-default facade as the telemetry
-//!   `Recorder`;
+//! * [`flight`] — the [`FlightRecorder`]: the program's one timeline,
+//!   a bounded lock-sharded event log behind the same
+//!   disabled-by-default facade as the telemetry `Recorder`;
 //! * [`profile`] — per-iteration transfer-DAG reconstruction, critical
 //!   path with schedule / shm transfer / RDMA transfer / wait
 //!   attribution (categories sum to the end-to-end iteration time by
 //!   construction), and exact p50/p95/p99 queueing-delay and
 //!   transfer-size percentiles per link class;
-//! * [`flow`] — chrome://tracing export adding `s`/`f` flow events so
-//!   arrows connect producer puts to consumer gets in the existing
-//!   span trace (and, for merged traces, per-process lanes plus wire
-//!   arrows across stitched hops);
+//! * [`flow`] — the one chrome://tracing exporter: a slice per event
+//!   plus `s`/`f` flow events so arrows connect producer puts to
+//!   consumer gets (and, for merged traces, per-process lanes plus
+//!   wire arrows across stitched hops);
 //! * [`merge`] — the distributed mode: per-process traces are
 //!   renumbered, clock-aligned by happens-before relaxation over
 //!   matched `NetSend`/`NetRecv` pairs, and stitched into one causal

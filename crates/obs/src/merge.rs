@@ -43,8 +43,6 @@ pub struct ProcessTrace {
     pub events: Vec<Event>,
     /// Flight events the process dropped at its bounded log.
     pub dropped: u64,
-    /// Telemetry trace spans the process dropped (`trace.dropped_spans`).
-    pub dropped_spans: u64,
     /// The process's metrics counters at snapshot time.
     pub counters: BTreeMap<String, u64>,
     /// False when telemetry shipping was cut short (frames lost,
@@ -61,8 +59,6 @@ pub struct MergeReport {
     pub processes: u32,
     /// Sum of per-process dropped flight events.
     pub dropped: u64,
-    /// Sum of per-process dropped trace spans.
-    pub dropped_spans: u64,
     /// Counters summed across processes by name.
     pub counters: BTreeMap<String, u64>,
     /// Nodes whose telemetry arrived incomplete (or not at all).
@@ -115,12 +111,6 @@ impl MergeReport {
                 self.dropped
             ));
         }
-        if self.dropped_spans > 0 {
-            out.push(format!(
-                "{} trace span(s) dropped across processes (trace.dropped_spans)",
-                self.dropped_spans
-            ));
-        }
         out
     }
 }
@@ -157,7 +147,6 @@ pub fn merge_traces(mut traces: Vec<ProcessTrace>) -> MergeReport {
         );
         base += max_seq;
         report.dropped += trace.dropped;
-        report.dropped_spans += trace.dropped_spans;
         for (name, value) in &trace.counters {
             *report.counters.entry(name.clone()).or_insert(0) += value;
         }
@@ -259,7 +248,6 @@ mod tests {
             node,
             events,
             dropped: 0,
-            dropped_spans: 0,
             counters: BTreeMap::new(),
             complete: true,
         }
@@ -425,16 +413,18 @@ mod tests {
     fn incomplete_and_counters_aggregate() {
         let mut traces = coupled_pair();
         traces[0].counters.insert("net.bytes_sent".into(), 512);
-        traces[0].dropped_spans = 3;
         traces[1].counters.insert("net.bytes_sent".into(), 40);
         traces[1].dropped = 2;
         traces[1].complete = false;
         let report = merge_traces(traces);
         assert_eq!(report.counters.get("net.bytes_sent"), Some(&552));
         assert_eq!(report.dropped, 2);
-        assert_eq!(report.dropped_spans, 3);
         assert_eq!(report.incomplete, vec![1]);
-        assert!(report.warnings().iter().any(|w| w.contains("incomplete")));
+        let warnings = report.warnings();
+        assert!(warnings.iter().any(|w| w.contains("incomplete")));
+        // One buffer, one drop tally: flight events, never spans.
+        assert!(warnings.iter().any(|w| w.contains("2 flight event(s)")));
+        assert!(!warnings.iter().any(|w| w.contains("span")));
     }
 
     #[test]

@@ -557,7 +557,6 @@ fn run_engine(shared: &Arc<Shared>, id: u64) {
                     node: node as u32,
                     events: f.snapshot(),
                     dropped: f.dropped(),
-                    dropped_spans: 0,
                     counters: BTreeMap::new(),
                     complete: false,
                 })

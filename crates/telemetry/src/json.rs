@@ -61,11 +61,12 @@ impl Json {
     /// Accepts standard JSON (the writer's output plus insignificant
     /// whitespace). Numbers become [`Json::U64`] when non-negative
     /// integers, [`Json::I64`] when negative integers, and
-    /// [`Json::F64`] otherwise. Errors carry a byte offset.
+    /// [`Json::F64`] otherwise. Errors carry a byte offset. Linear in
+    /// the input; arrays and objects may nest [`MAX_DEPTH`] deep.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(text, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -157,6 +158,10 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses per level, so hostile input must not choose the stack depth.
+pub const MAX_DEPTH: usize = 128;
+
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
     while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
         *pos += 1;
@@ -172,14 +177,21 @@ fn expect(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
+    if depth == MAX_DEPTH && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} at byte {pos}",
+            pos = *pos
+        ));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
         Some(b'n') => expect(bytes, pos, "null").map(|_| Json::Null),
         Some(b't') => expect(bytes, pos, "true").map(|_| Json::Bool(true)),
         Some(b'f') => expect(bytes, pos, "false").map(|_| Json::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
+        Some(b'"') => parse_string(text, pos).map(Json::Str),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -189,7 +201,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -211,10 +223,10 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, ":")?;
-                fields.push((key, parse_value(bytes, pos)?));
+                fields.push((key, parse_value(text, pos, depth + 1)?));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -230,7 +242,8 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = text.as_bytes();
     if bytes.get(*pos) != Some(&b'"') {
         return Err(format!("expected string at byte {pos}", pos = *pos));
     }
@@ -270,11 +283,14 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so this is safe).
-                let s = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = s.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the plain run up to the next quote or escape. Both
+                // are ASCII, so the run ends on a char boundary of `text`
+                // and nothing is re-validated.
+                let rest = &bytes[*pos..];
+                let run = rest.iter().position(|b| matches!(b, b'"' | b'\\'));
+                let end = *pos + run.unwrap_or(rest.len());
+                out.push_str(&text[*pos..end]);
+                *pos = end;
             }
         }
     }
@@ -431,6 +447,73 @@ mod tests {
         assert!(Json::parse("\"open").is_err());
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse("nope").is_err());
+    }
+
+    /// A flat object of about `bytes` bytes of counter-style fields.
+    fn flat_document(bytes: usize) -> String {
+        let mut text = String::from("{");
+        for i in 0.. {
+            if text.len() >= bytes {
+                break;
+            }
+            text.push_str(&format!("\"fabric.bytes.inter_app.network.{i}\":{i},"));
+        }
+        text.pop();
+        text + "}"
+    }
+
+    #[test]
+    fn parse_time_is_linear_in_document_size() {
+        let best_of = |text: &str| {
+            (0..5)
+                .map(|_| {
+                    let start = std::time::Instant::now();
+                    assert!(Json::parse(text).is_ok());
+                    start.elapsed()
+                })
+                .min()
+                .unwrap()
+        };
+        let (small, large) = (flat_document(256 << 10), flat_document(1 << 20));
+        let ratio = best_of(&large).as_secs_f64() / best_of(&small).as_secs_f64();
+        // 4x the bytes: ~4x when linear, ~16x when each character
+        // re-validates the rest of the input.
+        assert!(ratio <= 6.0, "256 KiB -> 1 MiB took {ratio:.1}x");
+    }
+
+    #[test]
+    fn parse_bounds_nesting_depth() {
+        let nested = |open: &str, close: &str, n: usize| open.repeat(n) + &close.repeat(n);
+        assert!(Json::parse(&nested("[", "]", MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nested("{\"k\":[", "]}", MAX_DEPTH / 2)).is_ok());
+        let err = Json::parse(&nested("[", "]", MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err, "nesting deeper than 128 at byte 128");
+        assert!(Json::parse(&nested("{\"k\":[", "]}", MAX_DEPTH / 2 + 1)).is_err());
+        // Hostile input picks no stack depth: an error, not an abort.
+        let err = Json::parse(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.starts_with("nesting deeper than 128"), "{err}");
+        // A scalar at the deepest level is a value, not another level.
+        let full = "[".repeat(MAX_DEPTH) + "1" + &"]".repeat(MAX_DEPTH);
+        assert!(Json::parse(&full).is_ok());
+    }
+
+    #[test]
+    fn render_parse_round_trips_non_ascii_strings() {
+        const ALPHABET: &[char] = &[
+            'a', 'Z', '7', ' ', '"', '\\', '/', '\n', '\t', '\u{1}', '\u{1f}', '\u{7f}', 'é', 'ß',
+            'Ω', '中', '語', '€', '\u{fffd}', '🚀', '𝄞',
+        ];
+        insitu_util::check::forall(200, |rng| {
+            let word = |rng: &mut insitu_util::rng::SplitMix64| -> String {
+                (0..rng.range_usize(0, 24))
+                    .map(|_| *rng.choose(ALPHABET))
+                    .collect()
+            };
+            let doc = Json::obj()
+                .field(&word(rng), word(rng))
+                .field("list", vec![Json::Str(word(rng)), Json::Str(word(rng))]);
+            assert_eq!(Json::parse(&doc.render()), Ok(doc));
+        });
     }
 
     #[test]

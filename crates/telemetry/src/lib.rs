@@ -1,14 +1,14 @@
 //! # insitu-telemetry
 //!
-//! Workspace-wide observability for the in-situ coupled-workflow stack:
+//! Workspace-wide metrics for the in-situ coupled-workflow stack
+//! (anything with a time window is a flight event in `insitu-obs`):
 //!
 //! * [`metrics`] — named [`Counter`]s, [`Gauge`]s and log-bucketed
 //!   [`Histogram`]s in a thread-safe [`MetricsRegistry`] with cheap
 //!   atomic hot paths and mergeable [`MetricsSnapshot`]s;
-//! * [`trace`] — span-based tracing into a bounded ring buffer with a
-//!   chrome://tracing JSON exporter and a text summary renderer;
-//! * [`recorder`] — the [`Recorder`] facade components depend on, which
-//!   is either live or a near-zero-cost no-op;
+//! * [`recorder`] — the [`Recorder`] facade components depend on: a
+//!   cloneable handle on one registry, either live or a near-zero-cost
+//!   no-op;
 //! * [`json`] — the minimal JSON writer backing all exporters (the
 //!   workspace is hermetic, so no serde).
 //!
@@ -19,9 +19,7 @@
 pub mod json;
 pub mod metrics;
 pub mod recorder;
-pub mod trace;
 
 pub use json::Json;
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
 pub use recorder::Recorder;
-pub use trace::{SpanGuard, SpanRecord, TraceSink};

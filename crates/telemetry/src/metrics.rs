@@ -8,6 +8,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 use crate::json::Json;
 
@@ -24,11 +25,6 @@ pub struct Counter {
 }
 
 impl Counter {
-    /// A counter detached from any registry (used by disabled recorders).
-    pub fn detached() -> Counter {
-        Counter::default()
-    }
-
     /// Increment by one.
     #[inline]
     pub fn inc(&self) {
@@ -55,11 +51,6 @@ pub struct Gauge {
 }
 
 impl Gauge {
-    /// A gauge detached from any registry (used by disabled recorders).
-    pub fn detached() -> Gauge {
-        Gauge::default()
-    }
-
     /// Set the current value, updating the peak.
     #[inline]
     pub fn set(&self, value: u64) {
@@ -126,11 +117,6 @@ pub fn bucket_upper_bound(index: usize) -> u64 {
 }
 
 impl Histogram {
-    /// A histogram detached from any registry (used by disabled recorders).
-    pub fn detached() -> Histogram {
-        Histogram::default()
-    }
-
     /// Record one sample.
     #[inline]
     pub fn record(&self, value: u64) {
@@ -139,6 +125,14 @@ impl Histogram {
         self.sum.fetch_add(value, Ordering::Relaxed);
         self.min.fetch_min(value, Ordering::Relaxed);
         self.max.fetch_max(value, Ordering::Relaxed);
+    }
+
+    /// Run `f` and record its wall-clock duration in microseconds.
+    pub fn time<R>(&self, f: impl FnOnce() -> R) -> R {
+        let start = Instant::now();
+        let out = f();
+        self.record(start.elapsed().as_micros() as u64);
+        out
     }
 
     /// Number of recorded samples.
@@ -340,15 +334,6 @@ impl MetricsSnapshot {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Counters whose name starts with `prefix`, as `(name, value)` pairs.
-    pub fn counters_with_prefix(&self, prefix: &str) -> Vec<(&str, u64)> {
-        self.counters
-            .iter()
-            .filter(|(k, _)| k.starts_with(prefix))
-            .map(|(k, v)| (k.as_str(), *v))
-            .collect()
-    }
-
     /// Render as a JSON object with `counters`, `gauges` and `histograms`
     /// sections.
     pub fn to_json(&self) -> Json {
@@ -463,6 +448,17 @@ mod tests {
         // The median sample (rank 3) is 4, in bucket [4,8) → bound 7.
         assert_eq!(s.quantile(0.5), Some(7));
         assert!(Histogram::default().snapshot().quantile(0.5).is_none());
+    }
+
+    #[test]
+    fn time_records_the_closure_duration_and_returns_its_value() {
+        let h = Histogram::default();
+        let pause = std::time::Duration::from_millis(2);
+        h.time(|| std::thread::sleep(pause));
+        assert_eq!(h.time(|| 7), 7);
+        let s = h.snapshot();
+        assert_eq!(s.count, 2);
+        assert!(s.max >= 2_000, "slept 2 ms, recorded {} us", s.max);
     }
 
     #[test]

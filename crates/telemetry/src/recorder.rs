@@ -1,5 +1,5 @@
-//! The [`Recorder`] facade: either live (backed by a registry and a
-//! trace sink) or disabled (every operation near-free).
+//! The [`Recorder`] facade: either live (a shared handle on one
+//! [`MetricsRegistry`]) or disabled (every operation near-free).
 //!
 //! Components take a `&Recorder` (or clone one — it is a thin
 //! `Option<Arc<..>>`) and never need to know whether telemetry is on.
@@ -9,19 +9,12 @@
 
 use std::sync::Arc;
 
-use crate::json::Json;
 use crate::metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
-use crate::trace::{SpanGuard, TraceSink, DEFAULT_TRACE_CAPACITY};
 
-struct RecorderInner {
-    metrics: MetricsRegistry,
-    trace: Arc<TraceSink>,
-}
-
-/// Entry point for all instrumentation.
+/// Entry point for all metrics instrumentation.
 #[derive(Clone, Default)]
 pub struct Recorder {
-    inner: Option<Arc<RecorderInner>>,
+    inner: Option<Arc<MetricsRegistry>>,
 }
 
 impl Recorder {
@@ -30,24 +23,10 @@ impl Recorder {
         Recorder { inner: None }
     }
 
-    /// A live recorder with the default trace capacity.
+    /// A live recorder on a fresh registry.
     pub fn enabled() -> Recorder {
-        Recorder::with_trace_capacity(DEFAULT_TRACE_CAPACITY)
-    }
-
-    /// A live recorder whose trace ring holds `capacity` spans.
-    ///
-    /// Spans evicted from a full ring are counted on the
-    /// `trace.dropped_spans` registry counter so drops are visible in
-    /// metrics snapshots, not just in the trace export.
-    pub fn with_trace_capacity(capacity: usize) -> Recorder {
-        let metrics = MetricsRegistry::new();
-        let dropped = metrics.counter("trace.dropped_spans");
         Recorder {
-            inner: Some(Arc::new(RecorderInner {
-                metrics,
-                trace: Arc::new(TraceSink::with_capacity_and_counter(capacity, dropped)),
-            })),
+            inner: Some(Arc::new(MetricsRegistry::new())),
         }
     }
 
@@ -58,96 +37,39 @@ impl Recorder {
 
     /// Counter handle (detached dummy when disabled).
     pub fn counter(&self, name: &str) -> Counter {
-        match &self.inner {
-            Some(inner) => inner.metrics.counter(name),
-            None => Counter::detached(),
-        }
+        self.inner
+            .as_ref()
+            .map(|m| m.counter(name))
+            .unwrap_or_default()
     }
 
     /// Gauge handle (detached dummy when disabled).
     pub fn gauge(&self, name: &str) -> Gauge {
-        match &self.inner {
-            Some(inner) => inner.metrics.gauge(name),
-            None => Gauge::detached(),
-        }
+        self.inner
+            .as_ref()
+            .map(|m| m.gauge(name))
+            .unwrap_or_default()
     }
 
     /// Histogram handle (detached dummy when disabled).
     pub fn histogram(&self, name: &str) -> Histogram {
-        match &self.inner {
-            Some(inner) => inner.metrics.histogram(name),
-            None => Histogram::detached(),
-        }
-    }
-
-    /// Start a timed span; records on drop (no-op when disabled).
-    pub fn span(&self, name: &str, category: &str, track: u64) -> SpanGuard {
-        SpanGuard::start(
-            self.inner.as_ref().map(|i| Arc::clone(&i.trace)),
-            name,
-            category,
-            track,
-        )
-    }
-
-    /// Record a synthetic span at an explicit timeline position (used by
-    /// the modeled executor; no-op when disabled).
-    pub fn synthetic_span(
-        &self,
-        name: &str,
-        category: &str,
-        track: u64,
-        start_us: u64,
-        duration_us: u64,
-    ) {
-        if let Some(inner) = &self.inner {
-            inner
-                .trace
-                .push_synthetic(name, category, track, start_us, duration_us);
-        }
+        self.inner
+            .as_ref()
+            .map(|m| m.histogram(name))
+            .unwrap_or_default()
     }
 
     /// Metrics snapshot (empty when disabled).
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        match &self.inner {
-            Some(inner) => inner.metrics.snapshot(),
-            None => MetricsSnapshot::default(),
-        }
+        self.inner
+            .as_ref()
+            .map(|m| m.snapshot())
+            .unwrap_or_default()
     }
 
     /// Metrics rendered as a JSON string.
     pub fn metrics_json(&self) -> String {
         self.metrics_snapshot().to_json().render()
-    }
-
-    /// Trace rendered as chrome://tracing JSON.
-    pub fn trace_json(&self) -> String {
-        match &self.inner {
-            Some(inner) => inner.trace.to_chrome_json().render(),
-            None => Json::obj()
-                .field("traceEvents", Vec::<Json>::new())
-                .field("displayTimeUnit", "ms")
-                .field("droppedSpans", 0u64)
-                .render(),
-        }
-    }
-
-    /// Trace summary table (empty string when disabled).
-    pub fn trace_summary(&self) -> String {
-        match &self.inner {
-            Some(inner) => inner.trace.to_summary_table(),
-            None => String::new(),
-        }
-    }
-
-    /// The trace sink, when live.
-    pub fn trace_sink(&self) -> Option<Arc<TraceSink>> {
-        self.inner.as_ref().map(|i| Arc::clone(&i.trace))
-    }
-
-    /// Spans evicted from the trace ring (0 when disabled).
-    pub fn trace_dropped(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.trace.dropped())
     }
 }
 
@@ -170,16 +92,8 @@ mod tests {
         r.counter("c").add(5);
         r.gauge("g").set(9);
         r.histogram("h").record(3);
-        r.synthetic_span("s", "cat", 0, 0, 10);
-        {
-            let _g = r.span("sp", "cat", 0);
-        }
-        let snap = r.metrics_snapshot();
-        assert!(snap.counters.is_empty());
-        assert_eq!(
-            r.trace_json(),
-            r#"{"traceEvents":[],"displayTimeUnit":"ms","droppedSpans":0}"#
-        );
+        assert_eq!(r.histogram("t").time(|| 7), 7);
+        assert_eq!(r.metrics_snapshot(), MetricsSnapshot::default());
     }
 
     #[test]
@@ -189,29 +103,12 @@ mod tests {
         r.counter("c").add(2);
         r.gauge("g").set(9);
         r.histogram("h").record(3);
-        r.synthetic_span("model", "modeled", 4, 100, 50);
-        {
-            let _g = r.span("live", "threaded", 1);
-        }
+        assert_eq!(r.histogram("t").time(|| 7), 7);
         let snap = r.metrics_snapshot();
         assert_eq!(snap.counter("c"), 7);
         assert_eq!(snap.gauges["g"].peak, 9);
         assert_eq!(snap.histograms["h"].count, 1);
-        let trace = r.trace_json();
-        assert!(trace.contains("\"model\""));
-        assert!(trace.contains("\"live\""));
-        assert!(trace.contains("\"tid\":4"));
-    }
-
-    #[test]
-    fn dropped_spans_surface_as_counter() {
-        let r = Recorder::with_trace_capacity(1);
-        r.synthetic_span("a", "cat", 0, 0, 1);
-        r.synthetic_span("b", "cat", 0, 1, 1);
-        r.synthetic_span("c", "cat", 0, 2, 1);
-        assert_eq!(r.trace_dropped(), 2);
-        assert_eq!(r.metrics_snapshot().counter("trace.dropped_spans"), 2);
-        assert_eq!(Recorder::disabled().trace_dropped(), 0);
+        assert_eq!(snap.histograms["t"].count, 1);
     }
 
     #[test]

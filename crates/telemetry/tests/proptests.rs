@@ -13,7 +13,7 @@ const NAMES: &[&str] = &[
     "cods.get",
     "dart.msgs_sent",
     "fabric.bytes.inter_app.shm",
-    "trace.dropped_spans",
+    "workflow.map_us",
 ];
 
 /// Build a registry with a random assortment of metric operations and

@@ -94,12 +94,31 @@ for round in $(seq 1 10); do
 done
 
 # Critical-path profile of the two-app *_cont example on the threaded
-# executor. The chrome trace (spans + put->pull flow arrows) is left in
-# target/ for the CI workflow to upload as an artifact.
-echo "==> critical-path profile (workflows/online, threaded)"
+# executor. The chrome trace (one slice per flight event + put->pull
+# flow arrows) is left in target/ for the CI workflow to upload as an
+# artifact. `run --trace-out` writes the same document through the same
+# helper: both must carry a flow start and no span-era tally.
+echo "==> critical-path profile + run trace (workflows/online, threaded)"
 insitu profile workflows/online.dag --config workflows/online.cfg \
     --trace-out target/profile-trace.json
-test -s target/profile-trace.json
+insitu run workflows/online.dag --config workflows/online.cfg \
+    --trace-out target/run-trace.json
+for trace in target/profile-trace.json target/run-trace.json; do
+    grep -q '"ph":"s"' "$trace"
+    if grep -q 'droppedSpans' "$trace"; then
+        echo "$trace still carries a span tally"; exit 1
+    fi
+done
+
+# One timeline: the span tracer left insitu-telemetry; the flight
+# recorder is the only event buffer and obs::flow the only chrome
+# exporter. A second one growing back fails the gate.
+echo "==> one timeline, no span tracer"
+# (`! grep` would not trip `set -e`, hence the `if`.)
+if grep -rnE 'TraceSink|SpanGuard|synthetic_span' crates tests examples; then
+    echo "a second timeline grew back"; exit 1
+fi
+[[ ! -e crates/telemetry/src/trace.rs ]]
 
 # Performance regression gate: the deterministic modeled gate document
 # (per-app retrieve times + profiler category totals) must not regress

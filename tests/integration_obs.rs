@@ -101,7 +101,7 @@ fn every_pull_has_a_flow_pair_to_its_put() {
 
     // Round-trip the rendered chrome trace through the JSON parser and
     // check the flow arrows pair up producer put -> consumer pull.
-    let doc = chrome_trace_with_flows(None, &events, flight.dropped());
+    let doc = chrome_trace_with_flows(&events, flight.dropped());
     let parsed = Json::parse(&doc.render()).expect("chrome trace parses");
     let trace = parsed.get("traceEvents").and_then(Json::as_arr).unwrap();
     let ids = |ph: &str| -> Vec<u64> {
