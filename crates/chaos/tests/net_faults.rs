@@ -227,13 +227,12 @@ fn p2p_direct_links_still_consult_every_fault_site() {
     }
     assert!(outcome.errors.is_empty(), "{:?}", outcome.errors);
 
-    // Both joiners connect to the hub, and at least one direct peer
-    // dial happens on top — every one through the net.connect site.
+    // Both joiners connect to the hub and each dials the other once, on
+    // its first cross-node pull — every one through the net.connect
+    // site. Exactly four: a node never dials itself, however a
+    // consumer's wait races a same-node producer's put.
     let connects = hooks.connects.load(Ordering::Relaxed);
-    assert!(
-        connects > 2,
-        "expected hub connects plus peer dials, saw {connects}"
-    );
+    assert_eq!(connects, 4, "two hub connects plus one dial each way");
     // PullData crossed direct links, and both the send-staging and the
     // post-decode receive site fired for it.
     let sends = hooks.sends.load(Ordering::Relaxed);

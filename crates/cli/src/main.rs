@@ -146,9 +146,21 @@ enum Command {
     Cancel(CancelCmd),
 }
 
-fn parse_strategy(v: Option<&String>) -> Result<MappingStrategy, String> {
-    let v = v.ok_or("--strategy needs a name")?;
-    MappingStrategy::from_label(v).ok_or_else(|| format!("unknown strategy {v:?}"))
+/// The value after `flag`, parsed: `flag needs <needs>` when the command
+/// line ends there, `bad <what> '<value>'` when it does not parse.
+fn value<T: std::str::FromStr>(
+    it: &mut std::slice::Iter<'_, String>,
+    flag: &str,
+    needs: &str,
+    what: &str,
+) -> Result<T, String> {
+    let v = it.next().ok_or_else(|| format!("{flag} needs {needs}"))?;
+    v.parse().map_err(|_| format!("bad {what} '{v}'"))
+}
+
+fn parse_strategy(it: &mut std::slice::Iter<'_, String>) -> Result<MappingStrategy, String> {
+    let v: String = value(it, "--strategy", "a name", "name")?;
+    MappingStrategy::from_label(&v).ok_or_else(|| format!("unknown strategy {v:?}"))
 }
 
 fn parse_distrib_args(sub: &str, args: &[String]) -> Result<Command, String> {
@@ -176,68 +188,48 @@ fn parse_distrib_args(sub: &str, args: &[String]) -> Result<Command, String> {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--faults" if sub == "serve" => {
-                faults = Some(FaultSpec::parse(it.next().ok_or("--faults needs a spec")?)?);
+                faults = Some(FaultSpec::parse(&value::<String>(
+                    &mut it, a, "a spec", "spec",
+                )?)?);
             }
-            "--seed" if sub == "serve" => {
-                let v = it.next().ok_or("--seed needs a number")?;
-                seed = v.parse().map_err(|_| format!("bad seed '{v}'"))?;
-            }
+            "--seed" if sub == "serve" => seed = value(&mut it, a, "a number", "seed")?,
             "--stall-ms" if sub == "serve" => {
-                let v = it.next().ok_or("--stall-ms needs a number")?;
-                stall_ms = Some(v.parse().map_err(|_| format!("bad threshold '{v}'"))?);
+                stall_ms = Some(value(&mut it, a, "a number", "threshold")?)
             }
             "--max-runs" if sub == "serve" => {
-                let v = it.next().ok_or("--max-runs needs a count")?;
-                max_runs = Some(v.parse().map_err(|_| format!("bad run count '{v}'"))?);
+                max_runs = Some(value(&mut it, a, "a count", "run count")?)
             }
             "--queue-depth" if sub == "serve" => {
-                let v = it.next().ok_or("--queue-depth needs a count")?;
-                queue_depth = Some(v.parse().map_err(|_| format!("bad queue depth '{v}'"))?);
+                queue_depth = Some(value(&mut it, a, "a count", "queue depth")?)
             }
             "--pool-nodes" if sub == "serve" => {
-                let v = it.next().ok_or("--pool-nodes needs a count")?;
-                pool_nodes = Some(v.parse().map_err(|_| format!("bad pool size '{v}'"))?);
+                pool_nodes = Some(value(&mut it, a, "a count", "pool size")?)
             }
-            "--artifacts" if sub == "serve" => {
-                artifacts = Some(PathBuf::from(it.next().ok_or("--artifacts needs a dir")?))
-            }
-            "--dag" if sub != "join" => {
-                dag_path = Some(it.next().ok_or("--dag needs a path")?.clone())
-            }
-            "--config" if sub != "join" => {
-                config_path = Some(it.next().ok_or("--config needs a path")?.clone())
-            }
+            "--artifacts" if sub == "serve" => artifacts = Some(value(&mut it, a, "a dir", "dir")?),
+            "--dag" if sub != "join" => dag_path = Some(value(&mut it, a, "a path", "path")?),
+            "--config" if sub != "join" => config_path = Some(value(&mut it, a, "a path", "path")?),
             "--listen" if sub == "serve" => {
-                listen = Some(it.next().ok_or("--listen needs an address")?.clone())
+                listen = Some(value(&mut it, a, "an address", "address")?)
             }
             "--connect" if sub == "join" => {
-                connect = Some(it.next().ok_or("--connect needs an address")?.clone())
+                connect = Some(value(&mut it, a, "an address", "address")?)
             }
-            "--node" if sub == "join" => {
-                let v = it.next().ok_or("--node needs a number")?;
-                node = Some(v.parse().map_err(|_| format!("bad node '{v}'"))?);
-            }
+            "--node" if sub == "join" => node = Some(value(&mut it, a, "a number", "node")?),
             "--procs" if sub == "launch" => {
-                let v = it.next().ok_or("--procs needs a count")?;
-                procs = Some(v.parse().map_err(|_| format!("bad process count '{v}'"))?);
+                procs = Some(value(&mut it, a, "a count", "process count")?)
             }
             "--p2p" if sub != "join" => p2p = true,
             "--no-shm" => no_shm = true,
-            "--strategy" if sub != "join" => strategy = parse_strategy(it.next())?,
-            "--timeout-ms" => {
-                let v = it.next().ok_or("--timeout-ms needs a number")?;
-                timeout_ms = v.parse().map_err(|_| format!("bad timeout '{v}'"))?;
-            }
+            "--strategy" if sub != "join" => strategy = parse_strategy(&mut it)?,
+            "--timeout-ms" => timeout_ms = value(&mut it, a, "a number", "timeout")?,
             "--ledger-out" if sub != "join" => {
-                ledger_out = Some(PathBuf::from(it.next().ok_or("--ledger-out needs a path")?))
+                ledger_out = Some(value(&mut it, a, "a path", "path")?)
             }
             "--trace-out" if sub != "join" => {
-                trace_out = Some(PathBuf::from(it.next().ok_or("--trace-out needs a path")?))
+                trace_out = Some(value(&mut it, a, "a path", "path")?)
             }
             "--profile-out" if sub != "join" => {
-                profile_out = Some(PathBuf::from(
-                    it.next().ok_or("--profile-out needs a path")?,
-                ))
+                profile_out = Some(value(&mut it, a, "a path", "path")?)
             }
             other if !other.starts_with('-') && sub != "join" && dag_path.is_none() => {
                 dag_path = Some(other.to_string())
@@ -349,43 +341,30 @@ fn parse_client_args(sub: &str, args: &[String]) -> Result<Command, String> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--connect" => connect = Some(it.next().ok_or("--connect needs an address")?.clone()),
-            "--timeout-ms" => {
-                let v = it.next().ok_or("--timeout-ms needs a number")?;
-                timeout_ms = v.parse().map_err(|_| format!("bad timeout '{v}'"))?;
-            }
-            "--run" if sub != "submit" => {
-                let v = it.next().ok_or("--run needs an id")?;
-                run = Some(v.parse().map_err(|_| format!("bad run id '{v}'"))?);
-            }
+            "--connect" => connect = Some(value(&mut it, a, "an address", "address")?),
+            "--timeout-ms" => timeout_ms = value(&mut it, a, "a number", "timeout")?,
+            "--run" if sub != "submit" => run = Some(value(&mut it, a, "an id", "run id")?),
             "--json" if sub == "status" || sub == "watch" => json = true,
             "--interval-ms" if sub == "watch" => {
-                let v = it.next().ok_or("--interval-ms needs a number")?;
-                interval_ms = v.parse().map_err(|_| format!("bad interval '{v}'"))?;
+                interval_ms = value(&mut it, a, "a number", "interval")?
             }
             "--once" if sub == "watch" => once = true,
-            "--dag" if sub == "submit" => {
-                dag_path = Some(it.next().ok_or("--dag needs a path")?.clone())
-            }
+            "--dag" if sub == "submit" => dag_path = Some(value(&mut it, a, "a path", "path")?),
             "--config" if sub == "submit" => {
-                config_path = Some(it.next().ok_or("--config needs a path")?.clone())
+                config_path = Some(value(&mut it, a, "a path", "path")?)
             }
             "--set" if sub == "submit" => {
-                let v = it.next().ok_or("--set needs key=value")?;
-                sets.push(insitu_workflow::parse_override(v).map_err(|e| e.to_string())?);
+                let v: String = value(&mut it, a, "key=value", "override")?;
+                sets.push(insitu_workflow::parse_override(&v).map_err(|e| e.to_string())?);
             }
-            "--name" if sub == "submit" => {
-                name = Some(it.next().ok_or("--name needs a string")?.clone())
-            }
-            "--strategy" if sub == "submit" => strategy = parse_strategy(it.next())?,
+            "--name" if sub == "submit" => name = Some(value(&mut it, a, "a string", "string")?),
+            "--strategy" if sub == "submit" => strategy = parse_strategy(&mut it)?,
             "--get-timeout-ms" if sub == "submit" => {
-                let v = it.next().ok_or("--get-timeout-ms needs a number")?;
-                get_timeout_ms = v.parse().map_err(|_| format!("bad timeout '{v}'"))?;
+                get_timeout_ms = value(&mut it, a, "a number", "timeout")?
             }
             "--wait" if sub == "submit" => wait = true,
             "--priority" if sub == "submit" => {
-                let v = it.next().ok_or("--priority needs a number")?;
-                priority = v.parse().map_err(|_| format!("bad priority '{v}'"))?;
+                priority = value(&mut it, a, "a number", "priority")?
             }
             other if !other.starts_with('-') && sub == "submit" => {
                 if other.ends_with(".toml") {
@@ -464,16 +443,10 @@ fn parse_chaos_args(args: &[String]) -> Result<Command, String> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a number")?;
-                seed = v.parse().map_err(|_| format!("bad seed '{v}'"))?;
-            }
-            "--cases" => {
-                let v = it.next().ok_or("--cases needs a number")?;
-                cases = v.parse().map_err(|_| format!("bad case count '{v}'"))?;
-            }
+            "--seed" => seed = value(&mut it, a, "a number", "seed")?,
+            "--cases" => cases = value(&mut it, a, "a number", "case count")?,
             "--faults" => {
-                faults = FaultSpec::parse(it.next().ok_or("--faults needs a spec")?)?;
+                faults = FaultSpec::parse(&value::<String>(&mut it, a, "a spec", "spec")?)?;
             }
             other => return Err(format!("unknown argument '{other}'")),
         }
@@ -504,7 +477,7 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
         );
     }
     let mut dag_path: Option<String> = None;
-    let mut config_path = None;
+    let mut config_path: Option<String> = None;
     let mut strategy = MappingStrategy::DataCentric;
     let mut threaded = true;
     let mut json = false;
@@ -518,9 +491,9 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
     let mut it = args[1..].iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--dag" => dag_path = Some(it.next().ok_or("--dag needs a path")?.clone()),
-            "--config" => config_path = Some(it.next().ok_or("--config needs a path")?.clone()),
-            "--strategy" => strategy = parse_strategy(it.next())?,
+            "--dag" => dag_path = Some(value(&mut it, a, "a path", "path")?),
+            "--config" => config_path = Some(value(&mut it, a, "a path", "path")?),
+            "--strategy" => strategy = parse_strategy(&mut it)?,
             "--modeled" => threaded = false,
             "--json" if sub == Some("profile") => json = true,
             // A loud refusal, not a silent scope bug: single-process
@@ -535,32 +508,24 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
                         .into(),
                 )
             }
-            "--metrics-out" => {
-                metrics_out = Some(PathBuf::from(
-                    it.next().ok_or("--metrics-out needs a path")?,
-                ))
-            }
-            "--trace-out" => {
-                trace_out = Some(PathBuf::from(it.next().ok_or("--trace-out needs a path")?))
-            }
+            "--metrics-out" => metrics_out = Some(value(&mut it, a, "a path", "path")?),
+            "--trace-out" => trace_out = Some(value(&mut it, a, "a path", "path")?),
             "--gate" if sub == Some("compare") => {
-                gate_baseline = Some(PathBuf::from(it.next().ok_or("--gate needs a path")?))
+                gate_baseline = Some(value(&mut it, a, "a path", "path")?)
             }
             "--threshold" if sub == Some("compare") => {
-                let v = it.next().ok_or("--threshold needs a percentage")?;
-                threshold_pct = v.parse().map_err(|_| format!("bad threshold '{v}'"))?;
+                threshold_pct = value(&mut it, a, "a percentage", "threshold")?
             }
             "--faults" if sub == Some("compare") => {
-                gate_faults = Some(FaultSpec::parse(it.next().ok_or("--faults needs a spec")?)?);
+                gate_faults = Some(FaultSpec::parse(&value::<String>(
+                    &mut it, a, "a spec", "spec",
+                )?)?);
             }
             "--seed" if sub == Some("compare") => {
-                let v = it.next().ok_or("--seed needs a number")?;
-                gate_seed = v.parse().map_err(|_| format!("bad seed '{v}'"))?;
+                gate_seed = value(&mut it, a, "a number", "seed")?
             }
             "--write-baseline" if sub == Some("compare") => {
-                write_baseline = Some(PathBuf::from(
-                    it.next().ok_or("--write-baseline needs a path")?,
-                ))
+                write_baseline = Some(value(&mut it, a, "a path", "path")?)
             }
             other if !other.starts_with('-') && dag_path.is_none() => {
                 dag_path = Some(other.to_string())

@@ -40,7 +40,7 @@ use crate::scenario::Scenario;
 use crate::threaded::ThreadedConfig;
 use insitu_cods::SpaceMirror;
 use insitu_dart::Transport;
-use insitu_fabric::{FaultInjector, LedgerSnapshot, TrafficClass};
+use insitu_fabric::{FaultInjector, LedgerSnapshot, MachineSpec, TrafficClass};
 use insitu_net::conn::{recv_frame, send_frame};
 use insitu_net::{connect_with_retry, Ctl, Frame, Hub, HubConfig, NetLink, NetMetrics, NodeReport};
 use insitu_obs::{FlightRecorder, ProcessTrace};
@@ -422,17 +422,17 @@ where
     let link = NetLink::new(
         stream,
         node,
-        cpn,
+        MachineSpec::new(nodes, cpn),
         get_timeout,
         opts.injector.clone(),
         metrics,
+        opts.flight.clone(),
         peers,
+        hosts,
         peer_listener,
         opts.timeout.min(Duration::from_secs(5)),
     )
     .map_err(|e| e.to_string())?;
-    link.set_flight(opts.flight.clone());
-    link.set_shm(hosts);
     let cfg = ThreadedConfig {
         get_timeout,
         injector: opts.injector.clone(),

@@ -269,7 +269,7 @@ impl ExecEnv {
                 {
                     pieces += 1;
                     if cfg.local_node.is_none_or(|n| client / cpn == n) {
-                        let handle = space.subscribe_local(
+                        let handle = space.subscribe(
                             client,
                             sub.subscriber_app,
                             &sub.var,

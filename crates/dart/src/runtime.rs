@@ -198,14 +198,12 @@ impl DartRuntime {
             .expect("receiver mailbox dropped");
     }
 
-    /// Register a buffer and announce it through the transport (a no-op
-    /// announcement in-process). Layers that want remote processes to be
-    /// able to find their buffers register through this instead of
-    /// [`BufferRegistry::register`] directly.
+    /// Register a buffer a local client staged. Nothing is announced:
+    /// a remote process learns where a piece lives from the DHT replica
+    /// or the producer's declared decomposition, and asks for it with
+    /// [`Transport::request`].
     pub fn register_buffer(&self, key: BufKey, owner: ClientId, data: Bytes) {
-        let bytes = data.len() as u64;
         self.registry.register(key, owner, data);
-        self.wire.publish(&key, owner, bytes);
     }
 
     /// Whether `client`'s mailbox and buffers live in this process.
@@ -268,20 +266,6 @@ impl DartRuntime {
         }
         if let Some(i) = dropped {
             return Err(i);
-        }
-        // Warm up direct peer links before the burst: each distinct
-        // owner (packed in the piece's upper 32 bits) is dialed once,
-        // so the requests below never serialize behind a dial. Hub-only
-        // transports report false and the burst proceeds unchanged.
-        let mut dialed: Vec<u32> = Vec::new();
-        for key in keys {
-            if self.registry.get(key).is_none() {
-                let owner = (key.piece >> 32) as u32;
-                if !dialed.contains(&owner) {
-                    dialed.push(owner);
-                    self.wire.dial_peer(owner);
-                }
-            }
         }
         for key in keys {
             if self.registry.get(key).is_none() {
@@ -578,7 +562,6 @@ mod tests {
     struct HalfHosted {
         boundary: ClientId,
         forwarded: Mutex<Vec<(ClientId, u64)>>,
-        published: Mutex<Vec<(BufKey, ClientId, u64)>>,
         requested: Mutex<Vec<BufKey>>,
     }
 
@@ -587,7 +570,6 @@ mod tests {
             Arc::new(HalfHosted {
                 boundary,
                 forwarded: Mutex::new(Vec::new()),
-                published: Mutex::new(Vec::new()),
                 requested: Mutex::new(Vec::new()),
             })
         }
@@ -599,9 +581,6 @@ mod tests {
         }
         fn forward(&self, to: ClientId, msg: &Msg) {
             self.forwarded.lock().unwrap().push((to, msg.tag));
-        }
-        fn publish(&self, key: &BufKey, owner: ClientId, bytes: u64) {
-            self.published.lock().unwrap().push((*key, owner, bytes));
         }
         fn request(&self, key: &BufKey) {
             self.requested.lock().unwrap().push(*key);
@@ -657,7 +636,6 @@ mod tests {
     fn register_buffer_publishes_and_pull_requests_missing_keys() {
         let (rt, wire) = split_runtime(2);
         rt.register_buffer(bkey(0), 1, Bytes::from_static(b"xyz"));
-        assert_eq!(*wire.published.lock().unwrap(), vec![(bkey(0), 1, 3)]);
         // Present key: no wire request.
         assert!(rt
             .pull_many(&[bkey(0)], Duration::from_millis(5), |_, _, _| {})

@@ -13,8 +13,8 @@
 //! The split mirrors the runtime's two data paths:
 //! - **mailboxes** ([`Transport::forward`]): tagged two-sided messages
 //!   (task dispatch, halo exchange);
-//! - **buffer registry** ([`Transport::publish`] /
-//!   [`Transport::request`]): one-sided receiver-driven pulls.
+//! - **buffer registry** ([`Transport::request`]): one-sided
+//!   receiver-driven pulls of buffers registered in another process.
 //!
 //! Accounting stays with the runtime: the sender's process accounts a
 //! forwarded message *before* handing it to the transport, and the
@@ -52,28 +52,14 @@ pub trait Transport: Send + Sync {
     /// process.
     fn forward(&self, to: ClientId, msg: &Msg);
 
-    /// Announce a buffer registered in this process to the rest of the
-    /// workflow (a put-notify on the wire; a no-op in-process).
-    fn publish(&self, key: &BufKey, owner: ClientId, bytes: u64);
-
     /// Ask the owning process to send a buffer this process does not
     /// host. Fire-and-forget: the caller blocks on the registry and the
     /// reply (if any) is registered by the transport's reader.
     fn request(&self, key: &BufKey);
-
-    /// Pre-establish a direct connection to the process hosting
-    /// `client`, if this transport supports peer-to-peer links. Returns
-    /// whether a direct path exists afterwards. The default (and any
-    /// hub-only transport) reports `false`; callers use this as a
-    /// warm-up hint before issuing a burst of pulls, never for
-    /// correctness.
-    fn dial_peer(&self, _client: ClientId) -> bool {
-        false
-    }
 }
 
 /// The single-address-space transport: every client is local, so nothing
-/// is ever forwarded, published or requested.
+/// is ever forwarded or requested.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LocalTransport;
 
@@ -89,8 +75,6 @@ impl Transport for LocalTransport {
     fn forward(&self, _to: ClientId, _msg: &Msg) {
         unreachable!("local transport hosts every client");
     }
-
-    fn publish(&self, _key: &BufKey, _owner: ClientId, _bytes: u64) {}
 
     fn request(&self, _key: &BufKey) {}
 }

@@ -36,8 +36,8 @@ use std::io::{Read, Write};
 /// `Progress`) and the `RunSummary` link-health fields; version 5
 /// added the intra-host shared-memory data plane (`Hello::host`,
 /// `Welcome::hosts`, `ShmOffer`/`ShmAck`/`ShmDoorbell`); version 6
-/// added the standing-query plane (`Subscribe`/`SubAck`/`SubPush`/
-/// `SubCancel`/`SubLagged`).
+/// added the standing-query plane (`SubPush`, and the since-reserved
+/// `Subscribe`/`SubAck`/`SubCancel`/`SubLagged`).
 pub const WIRE_VERSION: u8 = 6;
 
 /// Upper bound on `len`: rejects absurd length words before any
@@ -340,8 +340,9 @@ pub enum Frame {
         /// Message payload.
         payload: Vec<u8>,
     },
-    /// Joiner → server: a buffer was registered locally (put-notify).
-    /// Informational: pull routing is by the owner packed in the key.
+    /// Reserved, no sender: a put is announced to nobody — pull routing
+    /// is by the owner packed in the key. Kept so wire v6 stays
+    /// byte-identical; hub and link refuse it as unexpected.
     4 => PutNotify {
         /// Buffer name hash.
         name: u64,
@@ -663,11 +664,11 @@ pub enum Frame {
         /// Ring head sequence after the publish.
         seq: u64,
     },
-    /// Joiner → hub (control plane): register a standing query on every
-    /// replica. The hub broadcasts it to all nodes except the origin
-    /// and answers the origin with `SubAck`. Idempotent by `sub_id`
-    /// (the spec-deterministic `SubSpec::id`), so re-registration after
-    /// a reconnect is harmless.
+    /// Reserved, no sender: every replica registers every standing
+    /// query from the scenario it compiles, so registration never
+    /// crosses the wire. Kept, like `SubAck`/`SubCancel`/`SubLagged`
+    /// below, so wire v6 stays byte-identical; hub and link refuse all
+    /// four as unexpected.
     32 => Subscribe {
         /// Deterministic subscription id.
         sub_id: u64,
@@ -682,9 +683,7 @@ pub enum Frame {
         /// Watched-region upper corner, matching `lbs`.
         ubs: Vec<u64>,
     },
-    /// Hub → origin node: the `Subscribe` was broadcast; producers on
-    /// every replica now feed the query. Registration rendezvous for
-    /// the subscriber task.
+    /// Reserved, no sender (see `Subscribe`).
     33 => SubAck {
         /// Acknowledged subscription.
         sub_id: u64,
@@ -715,15 +714,15 @@ pub enum Frame {
         /// Fragment payload (f64 cells, little-endian bytes).
         data: Vec<u8>,
     },
-    /// Joiner → hub (control plane): tear down a standing query on
-    /// every replica. Broadcast to all nodes except the origin.
+    /// Reserved, no sender (see `Subscribe`): a standing query lives
+    /// as long as its run.
     35 => SubCancel {
         /// Subscription to cancel.
         sub_id: u64,
     },
-    /// Joiner → hub (diagnostics): the subscriber's bounded queue
-    /// dropped `version`. The hub only counts these — gap healing is
-    /// the subscriber's resync `get`, which needs no frame.
+    /// Reserved, no sender (see `Subscribe`): a lagged version is
+    /// counted where it is observed (`sub.lagged`) and healed by the
+    /// subscriber's resync `get`, which needs no frame.
     36 => SubLagged {
         /// Lagging subscription.
         sub_id: u64,

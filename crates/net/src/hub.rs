@@ -24,8 +24,7 @@
 //!   frame.
 //! - `DhtInsert` / `GetDone` / `Evict` are broadcast to every node
 //!   except the origin (each replica already applied its own change).
-//! - `Barrier` and `Report` land in hub state for the wave engine;
-//!   `PutNotify` feeds diagnostics counters only.
+//! - `Barrier` and `Report` land in hub state for the wave engine.
 //! - `Telemetry` batches accumulate per node in hub state (drained by
 //!   [`Hub::take_telemetry`] for the cross-process trace merge) and
 //!   are answered with `TelemetryAck` — the shipper's one-in-flight
@@ -471,16 +470,8 @@ impl Router {
                 self.relay(node, dst_node, frame);
             }
             Frame::ShmAck { src_node, .. } => self.relay(node, src_node, frame),
-            Frame::DhtInsert { .. }
-            | Frame::GetDone { .. }
-            | Frame::Evict { .. }
-            | Frame::SubCancel { .. } => self.send_to_others(node, &frame),
-            Frame::Subscribe { sub_id, .. } => {
-                // Replicate the standing query everywhere, then release
-                // the origin's registration rendezvous with an ack.
-                self.send_to_others(node, &frame);
-                let to_node = node;
-                self.send_to(node, Frame::SubAck { sub_id, to_node });
+            Frame::DhtInsert { .. } | Frame::GetDone { .. } | Frame::Evict { .. } => {
+                self.send_to_others(node, &frame)
             }
             Frame::SubPush { subscriber, .. } => {
                 // Push plane through the control plane. Expected under
@@ -489,8 +480,6 @@ impl Router {
                 self.metrics.sub_push_hub.inc();
                 self.relay(node, subscriber / self.cores_per_node, frame);
             }
-            // Announcements with nothing to route.
-            Frame::PutNotify { .. } | Frame::SubLagged { .. } => {}
             // Hub state is keyed by the connection's node, not a frame
             // field: the connection identity is authenticated by the
             // handshake, the payload is not.

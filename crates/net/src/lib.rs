@@ -11,7 +11,7 @@
 //!   message described once in a declarative frame table: 36
 //!   message types covering registration (`Hello`/`Welcome`), task
 //!   dispatch (`Relay` + `RunWave`/`Barrier`), buffer movement
-//!   (`PutNotify`, `PullRequest`, `PullData`, `PullNack`), DHT-replica
+//!   (`PullRequest`, `PullData`, `PullNack`), DHT-replica
 //!   maintenance (`DhtInsert`, `GetDone`, `Evict`), run teardown
 //!   (`Report`, `Shutdown`), the multi-tenant service RPCs
 //!   (`Submit`/`Submitted`, `Cancel`, `Status`/`RunStatus`,
@@ -19,8 +19,9 @@
 //!   telemetry plane (`Telemetry`/`TelemetryAck` batch shipping,
 //!   `Watch`/`Progress` live run streaming), the intra-host
 //!   shared-memory control frames (`ShmOffer`/`ShmAck`/`ShmDoorbell`)
-//!   and the standing-query plane (`Subscribe`/`SubAck`/`SubPush`/
-//!   `SubCancel`/`SubLagged`).
+//!   and the standing-query push (`SubPush`). Five kinds are reserved
+//!   and have no sender: `PutNotify`, `Subscribe`, `SubAck`,
+//!   `SubCancel`, `SubLagged`.
 //!   Decoding rejects malformed input, never panics.
 //!   The shm control frames coordinate `insitu_util::shm` segments:
 //!   same-host pairs move `PullData` payloads through a
@@ -41,11 +42,12 @@
 //!   `SubPush` and the shm control frames; with one it carries control
 //!   traffic only and `PullData` flows directly node↔node.
 //! - [`link`] — the joiner's end, on one reactor: implements
-//!   `insitu_dart::Transport` and `insitu_cods::SpaceMirror` over the
-//!   hub connection (and, given a peer table, lazily-dialed direct peer
-//!   connections), demuxes incoming frames into the local mailboxes /
-//!   registry / DHT replica and surfaces `RunWave`/`Shutdown` to the
-//!   wave loop.
+//!   `insitu_dart::Transport` and `insitu_cods::SpaceMirror`, decides
+//!   once per peer node where its frames leave (the hub connection, or
+//!   a lazily-dialed direct one) and what carries a pulled payload (the
+//!   socket, or a `/dev/shm` ring), demuxes incoming frames into the
+//!   local mailboxes / registry / DHT replica and surfaces
+//!   `RunWave`/`Shutdown` to the wave loop.
 //!
 //! Built entirely on `std::net` plus the `epoll` binding in
 //! `insitu_util` — the workspace stays offline-buildable with zero

@@ -1,0 +1,843 @@
+//! The execution client's end of the wire: `NetLink` implements both
+//! [`insitu_dart::Transport`] (mailbox forwarding, pull requests) and
+//! [`insitu_cods::space::SpaceMirror`] (DHT-replica maintenance, push
+//! fragments), speaking frames to the hub — and, when the `Welcome`
+//! carried a peer table, directly to peer joiners.
+//!
+//! Every link owns one [`Reactor`]: the hub connection, the local peer
+//! listener and every direct peer connection live on its event-loop
+//! thread, and every frame leaves through `ReactorHandle::send`. What
+//! the `Welcome` decides is HybridDART's one choice per peer node, the
+//! [`DataPath`]: on which connection frames for that node leave, and
+//! what carries a pull answer's payload. It is computed once, in
+//! [`NetLink::new`]; everything below reads it.
+//!
+//! Construction is two-phase because the link and the runtime need each
+//! other: [`NetLink::new`] builds the whole link from the greeted
+//! socket and the `Welcome`, it is handed to
+//! `DartRuntime::with_transport` and `CodsSpace::with_mirror`, and
+//! [`NetLink::start_reader`] with both adopts the connections onto the
+//! reactor and returns the control channel (`RunWave` / `Shutdown`)
+//! that drives the joiner's wave loop.
+//!
+//! Ownership runs one way (DESIGN.md §9.4): the runtime and the space
+//! own the link, the link only *looks back* at them through `Weak`
+//! handles, so whoever built the three — `insitu::join` — is their sole
+//! owner and dropping them there frees the registry's buffers, unmaps
+//! both shm segments and closes the reactor's waker. A frame that
+//! arrives once the runtime is gone is dropped.
+//!
+//! The telemetry plane rides the same connections: the link records a
+//! `NetSend` flight event when it answers a remote pull or sends a push
+//! fragment and a `NetRecv` when the bytes land, and at teardown
+//! [`NetLink::ship_telemetry`] ships the recording to the hub in
+//! ack-paced batches for the cross-process trace merge.
+
+mod shm;
+#[cfg(test)]
+mod tests;
+
+use crate::conn::{NetError, NetMetrics};
+use crate::frame::{Frame, NodeReport};
+use crate::peers::PeerTable;
+use crate::reactor::{ConnEvent, Reactor, ReactorHandle, Sink, Token};
+use insitu_cods::space::SpaceMirror;
+use insitu_cods::{CodsSpace, LocationEntry};
+use insitu_dart::transport::Transport;
+use insitu_dart::{BufKey, DartRuntime, Msg};
+use insitu_domain::BoundingBox;
+use insitu_fabric::{ClientId, FaultInjector, MachineSpec};
+use insitu_obs::{Event, EventKind, FlightRecorder, LinkClass};
+use insitu_sub::SubId;
+use insitu_util::channel::{unbounded, Receiver, Sender};
+use insitu_util::shm::RecordDesc;
+use insitu_util::Bytes;
+use std::collections::HashSet;
+use std::net::{TcpListener, TcpStream};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::time::Duration;
+
+/// Control frames the reader surfaces to the joiner's wave loop.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Ctl {
+    /// Run the local tasks of this wave.
+    RunWave(u32),
+    /// The server ended the run.
+    Shutdown {
+        /// Whether the run completed successfully.
+        ok: bool,
+        /// Human-readable reason (empty on success).
+        reason: String,
+    },
+}
+
+/// HybridDART's transport selection (paper §III.A; DESIGN.md §9.2), per
+/// peer node of a distributed run: one I/O model — the reactor — and
+/// one choice of where frames for the node leave and what carries the
+/// payload of a pull answer to it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum DataPath {
+    /// This node itself. Its clients' pieces arrive by their local puts,
+    /// which wake the same registry wait: nothing is ever sent.
+    Local,
+    /// Another node's process.
+    Remote {
+        /// Where `PullRequest`s and `SubPush`es for the node leave.
+        route: Route,
+        /// What brings a pulled payload back from this node to it.
+        carrier: Carrier,
+    },
+}
+
+/// The connection on which frames for a peer node leave.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Route {
+    /// Up the hub connection, and the hub relays — star routing, the
+    /// default: the `Welcome` carried no peer table.
+    Hub,
+    /// A direct connection to the node's advertised listener (`--p2p`),
+    /// dialed on first use; the answers return on the same socket.
+    Direct,
+}
+
+/// What carries the payload of a pull answer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Carrier {
+    /// A `PullData` frame, out the connection the request arrived on.
+    Wire,
+    /// The pair's `/dev/shm` ring (DESIGN.md §13); only the
+    /// `ShmOffer`/`ShmAck`/`ShmDoorbell` control frames travel, on the
+    /// connection the `PullData` would have taken. Degrades to `Wire`
+    /// for good when the segment cannot be created or attached.
+    Shm,
+}
+
+impl DataPath {
+    /// The decision, from the `Welcome`: `peers` is its peer address
+    /// table (empty: star routing), `hosts` its host fingerprints
+    /// (empty: the run opted out of shared memory; an empty entry: that
+    /// joiner did, or has no fingerprint — it never matches).
+    fn select(me: u32, node: u32, peers: &[String], hosts: &[String]) -> DataPath {
+        if node == me {
+            return DataPath::Local;
+        }
+        let host = |n: u32| hosts.get(n as usize).filter(|h| !h.is_empty());
+        DataPath::Remote {
+            route: if peers.is_empty() {
+                Route::Hub
+            } else {
+                Route::Direct
+            },
+            carrier: match (host(me), host(node)) {
+                (Some(mine), Some(theirs)) if mine == theirs => Carrier::Shm,
+                _ => Carrier::Wire,
+            },
+        }
+    }
+}
+
+/// One joiner process's connection(s) to the run.
+pub struct NetLink {
+    node: u32,
+    machine: MachineSpec,
+    /// The process's one wire thread.
+    reactor: Reactor,
+    /// The reactor's send handle (kept to avoid a clone per frame).
+    handle: ReactorHandle,
+    /// The hub connection's token on the reactor.
+    hub: Token,
+    injector: FaultInjector,
+    metrics: NetMetrics,
+    /// The process's flight recorder; wire send/recv events land here
+    /// so the hub-side merge can stitch cross-process causal chains.
+    flight: FlightRecorder,
+    /// The hub stream, parked until `start_reader` adopts it.
+    stream: Mutex<Option<TcpStream>>,
+    /// The peer listener, parked until `start_reader` (`Route::Direct`).
+    listener: Mutex<Option<TcpListener>>,
+    /// How each node of the run is reached, indexed by node: the
+    /// [`DataPath`] selected in `new`. Routes never change; a carrier
+    /// only ever degrades `Shm` → `Wire`, under its pair's lock.
+    paths: Vec<shm::Pair>,
+    /// The connections behind `Route::Direct`.
+    peers: PeerTable,
+    /// Back-reference for building reactor sinks from `&self` methods;
+    /// `Weak` so sinks never keep the link (or its reactor) alive.
+    self_ref: Weak<NetLink>,
+    /// Keys with an outstanding `PullRequest`, so concurrent local
+    /// waiters ask the owner once, not once per waiter.
+    inflight: Mutex<HashSet<BufKey>>,
+    /// How long the owner side waits for a requested buffer to be put
+    /// before answering `PullNack`.
+    get_timeout: Duration,
+    /// Back-references to what this link serves, set by `start_reader`.
+    /// `Weak` because both own the link (as their `Transport` /
+    /// `SpaceMirror`): a strong handle here is a cycle that keeps every
+    /// run's registry, mappings and fds alive in a long-lived process.
+    dart: OnceLock<Weak<DartRuntime>>,
+    space: OnceLock<Weak<CodsSpace>>,
+    /// Live only while [`NetLink::ship_telemetry`] runs: the demux
+    /// forwards `TelemetryAck` batch indices here.
+    telemetry_ack: Mutex<Option<Sender<u32>>>,
+}
+
+/// Flight events per `Telemetry` frame. Bounds frame size (~100 B per
+/// event) so a telemetry batch can never monopolise the reactor loop
+/// against data-plane traffic.
+const TELEMETRY_BATCH_EVENTS: usize = 2048;
+
+impl NetLink {
+    /// Build the link around an established, greeted connection and the
+    /// `Welcome` it received. `stream` must be past the Hello/Welcome
+    /// handshake; `node` is this process's slot in `machine` (the run's
+    /// node and cores-per-node counts); `get_timeout` mirrors the
+    /// space's get timeout.
+    ///
+    /// `peers` and `hosts` are the `Welcome`'s address and host
+    /// fingerprint tables, from which every peer node's [`DataPath`] is
+    /// decided here, once. With an empty `peers` (star routing)
+    /// `listener` is simply dropped; otherwise it is this process's own
+    /// peer listener, already bound to the address it advertised in its
+    /// `Hello`, and `dial_timeout` bounds each direct peer dial (retried
+    /// transparently while it lasts). Wire send/recv events are
+    /// recorded into `flight`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn new(
+        stream: TcpStream,
+        node: u32,
+        machine: MachineSpec,
+        get_timeout: Duration,
+        injector: FaultInjector,
+        metrics: NetMetrics,
+        flight: FlightRecorder,
+        peers: Vec<String>,
+        hosts: Vec<String>,
+        listener: TcpListener,
+        dial_timeout: Duration,
+    ) -> Result<Arc<NetLink>, NetError> {
+        let reactor = Reactor::spawn(&format!("node-{node}"), injector.clone(), metrics.clone())
+            .map_err(|e| NetError::Io(e.to_string()))?;
+        let handle = reactor.handle();
+        let paths = (0..machine.nodes)
+            .map(|n| shm::Pair::new(DataPath::select(node, n, &peers, &hosts)))
+            .collect();
+        Ok(Arc::new_cyclic(|self_ref| NetLink {
+            node,
+            machine,
+            hub: handle.alloc_token(),
+            handle,
+            reactor,
+            injector,
+            metrics,
+            flight,
+            stream: Mutex::new(Some(stream)),
+            listener: Mutex::new((!peers.is_empty()).then_some(listener)),
+            paths,
+            peers: PeerTable::new(peers, dial_timeout),
+            self_ref: self_ref.clone(),
+            inflight: Mutex::new(HashSet::new()),
+            get_timeout,
+            dart: OnceLock::new(),
+            space: OnceLock::new(),
+            telemetry_ack: Mutex::new(None),
+        }))
+    }
+
+    /// Where frames for `node` leave: `None` for this node itself
+    /// ([`DataPath::Local`]) and for a node outside the run (only a
+    /// hostile or corrupt frame names one).
+    fn route(&self, node: u32) -> Option<Route> {
+        self.paths.get(node as usize)?.route()
+    }
+
+    /// The node hosting `client`.
+    fn node_of(&self, client: ClientId) -> u32 {
+        client / self.machine.cores_per_node
+    }
+
+    /// The client a wire event names for `node` (its core 0): the wire
+    /// carries nodes, not the individual waiter.
+    fn client_of(&self, node: u32) -> ClientId {
+        self.machine.core(node, 0)
+    }
+
+    /// The live connection frames for `node` leave on by `route`: the
+    /// hub connection, or the direct one — dialed first if needed.
+    fn conn(&self, node: u32, route: Route) -> Result<Token, NetError> {
+        match route {
+            Route::Hub => Ok(self.hub),
+            Route::Direct => self.peers.ensure(
+                node,
+                self.node,
+                &self.handle,
+                &self.injector,
+                &self.metrics,
+                // Forget a dead connection so the next pull re-dials
+                // (transparent reconnect).
+                |token| self.sink(token, None, move |link, _| link.peers.forget(token)),
+            ),
+        }
+    }
+
+    /// The sink of one connection: demux its frames with `reply` as
+    /// the way back, and hand its end to `on_closed`.
+    fn sink(
+        &self,
+        reply: Token,
+        ctl: Option<Sender<Ctl>>,
+        on_closed: impl Fn(&NetLink, String) + Send + 'static,
+    ) -> Sink {
+        let weak = self.self_ref.clone();
+        Box::new(move |ev| {
+            let Some(link) = weak.upgrade() else { return };
+            match ev {
+                ConnEvent::Frame(frame) => link.on_frame(frame, reply, ctl.as_ref()),
+                ConnEvent::Closed(reason) => on_closed(&link, reason),
+            }
+        })
+    }
+
+    /// Adopt the connections onto the reactor and return the control
+    /// channel their demux feeds. Must be called exactly once, after
+    /// the runtime and space were built around this link. The link does
+    /// not keep either alive: the caller owns them, and frames arriving
+    /// after it dropped them are ignored.
+    pub fn start_reader(
+        self: &Arc<Self>,
+        dart: &Arc<DartRuntime>,
+        space: &Arc<CodsSpace>,
+    ) -> Receiver<Ctl> {
+        let once = "start_reader called twice";
+        self.dart.set(Arc::downgrade(dart)).expect(once);
+        self.space.set(Arc::downgrade(space)).expect(once);
+        let (ctl_tx, ctl_rx) = unbounded();
+        let stream = self.stream.lock().unwrap().take().expect(once);
+        // Hub connection: demux frames, surface lost-hub as Shutdown to
+        // the wave loop.
+        let lost_hub = ctl_tx.clone();
+        self.handle.add_stream(
+            self.hub,
+            stream,
+            self.sink(self.hub, Some(ctl_tx), move |_, reason| {
+                let _ = lost_hub.send(Ctl::Shutdown {
+                    ok: false,
+                    reason: if reason.is_empty() {
+                        "server closed the connection".into()
+                    } else {
+                        format!("server connection lost: {reason}")
+                    },
+                });
+            }),
+        );
+        // Peer listener (p2p routing): every inbound direct connection
+        // serves pulls for this process's staged buffers. An inbound
+        // peer that vanishes needs no handling: its dialer
+        // re-establishes on the next pull.
+        if let Some(listener) = self.listener.lock().unwrap().take() {
+            let weak = Arc::downgrade(self);
+            self.handle.add_listener(
+                listener,
+                Box::new(move |token, _addr| match weak.upgrade() {
+                    Some(link) => link.sink(token, None, |_, _| {}),
+                    None => Box::new(|_| {}),
+                }),
+            );
+        }
+        ctl_rx
+    }
+
+    /// Queue `frame` on the hub connection.
+    fn hub_send(&self, frame: Frame) {
+        self.handle.send(self.hub, frame);
+    }
+
+    /// Tell the server this node finished a wave.
+    pub fn barrier(&self, wave: u32) {
+        self.hub_send(Frame::Barrier {
+            wave,
+            node: self.node,
+        });
+    }
+
+    /// Send the final per-process report.
+    pub fn report(&self, report: NodeReport) {
+        self.hub_send(Frame::Report(report));
+    }
+
+    /// Ship this process's flight recording and counter snapshot to the
+    /// hub as bounded `Telemetry` batches. The shipper waits for the
+    /// hub's `TelemetryAck` between batches — one batch in flight at a
+    /// time — so telemetry can never build an unbounded queue behind
+    /// the data plane. Call before [`NetLink::report`]: the hub
+    /// connection is FIFO, so when the `Report` lands the hub already
+    /// holds every batch that survived the wire.
+    ///
+    /// Returns `false` when an ack misses `ack_timeout` (e.g. the
+    /// batch was chaos-dropped): the remainder is abandoned and the
+    /// hub reports this node's trace incomplete — telemetry loss
+    /// degrades the merge, never the run.
+    pub fn ship_telemetry(
+        &self,
+        events: &[Event],
+        dropped_events: u64,
+        counters: Vec<(String, u64)>,
+        ack_timeout: Duration,
+    ) -> bool {
+        let (tx, rx) = unbounded();
+        *self.telemetry_ack.lock().unwrap() = Some(tx);
+        // At least one batch even with zero events, so the counters and
+        // drop tallies always travel and the hub sees a `last` marker.
+        let total = events.len().div_ceil(TELEMETRY_BATCH_EVENTS).max(1);
+        let mut chunks = events.chunks(TELEMETRY_BATCH_EVENTS);
+        let mut ok = true;
+        for batch in 0..total {
+            let last = batch + 1 == total;
+            self.hub_send(Frame::Telemetry {
+                node: self.node,
+                batch: batch as u32,
+                last,
+                dropped_events,
+                dropped_spans: 0, // reserved on the wire
+                counters: if last { counters.clone() } else { Vec::new() },
+                events: chunks.next().unwrap_or(&[]).to_vec(),
+            });
+            match rx.recv_timeout(ack_timeout) {
+                Ok(acked) if acked == batch as u32 => {}
+                _ => {
+                    ok = false;
+                    break;
+                }
+            }
+        }
+        *self.telemetry_ack.lock().unwrap() = None;
+        ok
+    }
+
+    /// Flush every queued frame onto the wire and stop the transport.
+    /// Call before process exit so the `Report` is not lost.
+    pub fn close(&self) {
+        self.shm_teardown();
+        self.reactor.shutdown();
+    }
+
+    /// Record one half of a wire hop of `bytes` from client `src` to
+    /// client `dst`: a `NetSend` stamped now, or — given when the frame
+    /// reached the demux — the `NetRecv` spanning since then. The merge
+    /// pairs the halves by `(src, dst, key)`, where `key.piece` is the
+    /// piece for a pull and the subscription id for a push.
+    ///
+    /// A send is recorded *before* its frame is enqueued: once the far
+    /// side can observe the bytes the event is already in this
+    /// process's recorder, so the collect wave snapshots with no wire
+    /// event still unrecorded (zero unmatched pairs). Its nominal 1 µs
+    /// window keeps `send.end <= recv.start` in real time, which the
+    /// merge's clock alignment relaxes over.
+    fn wire_event(
+        &self,
+        carrier: Carrier,
+        key: BufKey,
+        src: ClientId,
+        dst: ClientId,
+        bytes: u64,
+        recv_since: Option<u64>,
+    ) {
+        let now = self.flight.now_us();
+        let (kind, start, dur) = match recv_since {
+            Some(t0) => (EventKind::NetRecv, t0, now.saturating_sub(t0).max(1)),
+            None => (EventKind::NetSend, now, 1),
+        };
+        self.flight.record(
+            Event::new(self.flight.next_seq(), kind)
+                .var(key.name)
+                .version(key.version)
+                .piece(key.piece)
+                .src(src)
+                .dst(dst)
+                .link(match carrier {
+                    Carrier::Wire => LinkClass::Rdma,
+                    Carrier::Shm => LinkClass::Shm,
+                })
+                .bytes(bytes)
+                .window(start, dur),
+        );
+    }
+
+    /// Demux one incoming frame, on the reactor thread. `reply` is
+    /// where pull answers go — back up the connection the request
+    /// arrived on. `ctl` is present on the hub connection (which
+    /// carries `RunWave`/`Shutdown`) and absent on direct peer
+    /// connections.
+    fn on_frame(&self, frame: Frame, reply: Token, ctl: Option<&Sender<Ctl>>) {
+        // The run was torn down under a frame still in flight: nothing
+        // is left to apply it to, and this is the process's only wire
+        // thread — drop the frame, never panic.
+        let (Some(dart), Some(space)) = (
+            self.dart.get().and_then(Weak::upgrade),
+            self.space.get().and_then(Weak::upgrade),
+        ) else {
+            return;
+        };
+        let (dart, space) = (&dart, &space);
+        // A frame this end cannot act on — an unexpected kind, a client
+        // or node outside the run, or corners that make no box (all
+        // checked here, never handed to a panicking index or
+        // constructor: this is the process's only wire thread). On a
+        // direct peer connection it is ignored, not fatal to the run:
+        // that peer's pulls simply won't complete. From the server it
+        // ends the run, by name.
+        let kind = frame.kind();
+        let confused = |what: &str| {
+            if let Some(ctl) = ctl {
+                let _ = ctl.send(Ctl::Shutdown {
+                    ok: false,
+                    reason: format!("{what} frame kind {kind} from server"),
+                });
+            }
+        };
+        // When the frame reached the demux: where its `NetRecv` starts,
+        // if it carries one half of a wire hop.
+        let t0 = self.flight.now_us();
+        match frame {
+            Frame::Relay {
+                to,
+                src,
+                tag,
+                payload,
+            } => {
+                if !self.hosts(to) || to >= dart.num_clients() {
+                    return confused("misaddressed");
+                }
+                dart.deliver(
+                    to,
+                    Msg {
+                        src,
+                        tag,
+                        payload: Bytes::copy_from_slice(&payload),
+                    },
+                );
+            }
+            Frame::PullRequest {
+                name,
+                version,
+                piece,
+                from_node,
+            } => {
+                if self.route(from_node).is_none() {
+                    return confused("misaddressed");
+                }
+                let key = BufKey {
+                    name,
+                    version,
+                    piece,
+                };
+                self.answer_pull(key, from_node, dart, reply)
+            }
+            Frame::PullData {
+                name,
+                version,
+                piece,
+                owner,
+                data,
+                ..
+            } => {
+                let key = BufKey {
+                    name,
+                    version,
+                    piece,
+                };
+                self.settle(&key);
+                // Register directly (NOT through the runtime's put
+                // path): the bytes were accounted by the puller's
+                // `pull`, and a wire copy is not a local put.
+                if dart.registry().get(&key).is_none() {
+                    let bytes = data.len() as u64;
+                    dart.registry()
+                        .register(key, owner, Bytes::copy_from_slice(&data));
+                    let dst = self.client_of(self.node);
+                    self.wire_event(Carrier::Wire, key, owner, dst, bytes, Some(t0));
+                }
+            }
+            Frame::PullNack {
+                name,
+                version,
+                piece,
+                ..
+            } => {
+                // The owner gave up; our local wait will time out
+                // and surface the pull failure. Allow a retry to
+                // re-request.
+                self.settle(&BufKey {
+                    name,
+                    version,
+                    piece,
+                });
+            }
+            Frame::ShmOffer {
+                src_node,
+                segment,
+                path,
+                ..
+            } => {
+                let attached = self.shm_accept(src_node, segment, &path);
+                self.handle.send(
+                    reply,
+                    Frame::ShmAck {
+                        src_node,
+                        dst_node: self.node,
+                        segment,
+                        seq: 0,
+                        attached,
+                    },
+                );
+            }
+            Frame::ShmDoorbell { src_node, .. } => self.shm_drain(src_node, dart),
+            Frame::ShmAck {
+                dst_node, attached, ..
+            } => self.shm_on_ack(dst_node, attached, reply),
+            Frame::TelemetryAck { batch, .. } => {
+                // Flow control for an in-progress `ship_telemetry`;
+                // a stray ack after the shipper gave up is dropped.
+                if let Some(tx) = self.telemetry_ack.lock().unwrap().as_ref() {
+                    let _ = tx.send(batch);
+                }
+            }
+            Frame::DhtInsert {
+                var,
+                version,
+                owner,
+                piece,
+                lbs,
+                ubs,
+            } => {
+                let Some(bbox) = BoundingBox::try_new(&lbs, &ubs) else {
+                    return confused("bbox corners in");
+                };
+                space.apply_remote_dht_insert(var, version, LocationEntry { bbox, owner, piece });
+            }
+            Frame::GetDone { var, version } => space.apply_remote_get_done(var, version),
+            Frame::Evict { var, version } => space.apply_remote_evict(var, version),
+            Frame::SubPush {
+                sub_id,
+                var,
+                version,
+                src,
+                subscriber,
+                lbs,
+                ubs,
+                data,
+            } => {
+                let Some(frag) = BoundingBox::try_new(&lbs, &ubs) else {
+                    return confused("bbox corners in");
+                };
+                space.apply_remote_sub_push(sub_id, version, &frag, &data);
+                let key = BufKey {
+                    name: var,
+                    version,
+                    piece: sub_id,
+                };
+                let bytes = data.len() as u64;
+                self.wire_event(Carrier::Wire, key, src, subscriber, bytes, Some(t0));
+            }
+            Frame::RunWave { wave } => {
+                if let Some(ctl) = ctl {
+                    let _ = ctl.send(Ctl::RunWave(wave));
+                }
+            }
+            Frame::Shutdown { ok, reason } => {
+                if let Some(ctl) = ctl {
+                    let _ = ctl.send(Ctl::Shutdown { ok, reason });
+                }
+            }
+            _ => confused("unexpected"),
+        }
+    }
+
+    /// Serve one remote pull: wait (on a throwaway thread, so the demux
+    /// never blocks) for the buffer to be put locally, then answer with
+    /// its bytes — through `to_node`'s ring or as `PullData` — or with
+    /// `PullNack` if the producer never delivers within the get timeout.
+    fn answer_pull(&self, key: BufKey, to_node: u32, dart: &Arc<DartRuntime>, reply: Token) {
+        let dart = Arc::clone(dart);
+        let timeout = self.get_timeout;
+        let weak = self.self_ref.clone();
+        std::thread::Builder::new()
+            .name("net-pull-wait".into())
+            .spawn(move || {
+                let found = dart.registry().wait_for(&key, timeout);
+                // Hold the runtime for the wait only, so a waiter never
+                // outlives its run by more than the answer it is sending.
+                drop(dart);
+                // The link is gone only when the run is: nobody is left
+                // to answer.
+                let Some(link) = weak.upgrade() else { return };
+                let Some(handle) = found else {
+                    link.handle.send(
+                        reply,
+                        Frame::PullNack {
+                            name: key.name,
+                            version: key.version,
+                            piece: key.piece,
+                            to_node,
+                        },
+                    );
+                    return;
+                };
+                let desc = RecordDesc {
+                    name: key.name,
+                    version: key.version,
+                    piece: key.piece,
+                    owner: handle.owner,
+                };
+                let data = handle.data.as_slice();
+                if !link.shm_send(to_node, desc, data, reply) {
+                    let requester = link.client_of(to_node);
+                    let bytes = data.len() as u64;
+                    link.wire_event(Carrier::Wire, key, desc.owner, requester, bytes, None);
+                    link.send_pull_data(reply, to_node, desc, data.to_vec());
+                }
+            })
+            .expect("spawn pull waiter");
+    }
+
+    /// Answer a pull from `to_node` with the bytes themselves, out the
+    /// connection the request arrived on, counting bulk data by route:
+    /// on a direct connection it is p2p; on the hub connection it is a
+    /// relay the hub counts itself.
+    fn send_pull_data(&self, reply: Token, to_node: u32, desc: RecordDesc, data: Vec<u8>) {
+        if self.route(to_node) == Some(Route::Direct) {
+            self.metrics.pull_p2p.inc();
+        }
+        self.handle.send(
+            reply,
+            Frame::PullData {
+                name: desc.name,
+                version: desc.version,
+                piece: desc.piece,
+                owner: desc.owner,
+                to_node,
+                data,
+            },
+        );
+    }
+
+    /// The pull for `key` is no longer outstanding (answered, refused
+    /// or unsendable): a later wait may request it again.
+    fn settle(&self, key: &BufKey) {
+        let mut inflight = self.inflight.lock().unwrap();
+        inflight.remove(key);
+        self.metrics.pulls_in_flight.set(inflight.len() as u64);
+    }
+}
+
+impl Transport for NetLink {
+    fn hosts(&self, client: ClientId) -> bool {
+        self.node_of(client) == self.node
+    }
+
+    fn forward(&self, to: ClientId, msg: &Msg) {
+        self.hub_send(Frame::Relay {
+            to,
+            src: msg.src,
+            tag: msg.tag,
+            payload: msg.payload.as_slice().to_vec(),
+        });
+    }
+
+    fn request(&self, key: &BufKey) {
+        // A piece one of this node's own clients produces arrives by
+        // that client's local put, which wakes the same registry wait.
+        // Asking the wire for it would only race the put: whether the
+        // request (and, on a same-host run, a node-to-itself segment
+        // with its own `shm-attach` roll) exists at all would depend on
+        // thread timing, not on the workflow or the chaos seed.
+        let owner_node = self.node_of((key.piece >> 32) as ClientId);
+        let Some(route) = self.route(owner_node) else {
+            return;
+        };
+        {
+            let mut inflight = self.inflight.lock().unwrap();
+            if !inflight.insert(*key) {
+                return;
+            }
+            self.metrics.pulls_in_flight.set(inflight.len() as u64);
+        }
+        let req = Frame::PullRequest {
+            name: key.name,
+            version: key.version,
+            piece: key.piece,
+            from_node: self.node,
+        };
+        match self.conn(owner_node, route) {
+            Ok(token) => self.handle.send(token, req),
+            // Dial failed: release the inflight slot so the local wait
+            // times out naming the owner (and a retry may re-dial).
+            Err(_) => self.settle(key),
+        }
+    }
+}
+
+impl SpaceMirror for NetLink {
+    fn dht_insert(&self, var: u64, version: u64, entry: &LocationEntry) {
+        let nd = entry.bbox.ndim();
+        self.hub_send(Frame::DhtInsert {
+            var,
+            version,
+            owner: entry.owner,
+            piece: entry.piece,
+            lbs: (0..nd).map(|d| entry.bbox.lb(d)).collect(),
+            ubs: (0..nd).map(|d| entry.bbox.ub(d)).collect(),
+        });
+    }
+
+    fn get_done(&self, var: u64, version: u64) {
+        self.hub_send(Frame::GetDone { var, version });
+    }
+
+    fn evict(&self, var: u64, version: u64) {
+        self.hub_send(Frame::Evict { var, version });
+    }
+
+    fn sub_push(
+        &self,
+        id: SubId,
+        var: u64,
+        version: u64,
+        src: ClientId,
+        subscriber: ClientId,
+        frag: &BoundingBox,
+        data: &[u8],
+    ) {
+        let node = self.node_of(subscriber);
+        // A subscriber hosted here has a sink, and the space offers to
+        // it without coming through the mirror.
+        let Some(route) = self.route(node) else {
+            return;
+        };
+        let nd = frag.ndim();
+        let frame = Frame::SubPush {
+            sub_id: id,
+            var,
+            version,
+            src,
+            subscriber,
+            lbs: (0..nd).map(|d| frag.lb(d)).collect(),
+            ubs: (0..nd).map(|d| frag.ub(d)).collect(),
+            data: data.to_vec(),
+        };
+        let key = BufKey {
+            name: var,
+            version,
+            piece: id,
+        };
+        self.wire_event(Carrier::Wire, key, src, subscriber, data.len() as u64, None);
+        // A failed direct dial is a lost push — the subscriber's
+        // deadline fires and it resyncs with an ordinary get, so the
+        // loss is always healable.
+        if let Ok(token) = self.conn(node, route) {
+            if route == Route::Direct {
+                self.metrics.sub_push_p2p.inc();
+            }
+            self.handle.send(token, frame);
+        }
+    }
+}

@@ -1,0 +1,391 @@
+use super::*;
+use crate::conn::{recv_frame, send_frame};
+use insitu_cods::{CodsConfig, Dht};
+use insitu_fabric::{Placement, TransferLedger};
+use insitu_sfc::HilbertCurve;
+use insitu_telemetry::Recorder;
+use shm::SHM_ARENA;
+
+fn key(piece: u64) -> BufKey {
+    BufKey {
+        name: 7,
+        version: 0,
+        piece,
+    }
+}
+
+/// Node 0's started link in a run of three one-core nodes on one host,
+/// with this test playing the hub on the far end of its one hub
+/// connection (bare socket, 10 s read bound — generous, and far above
+/// what a socket hop takes).
+struct Rig {
+    link: Arc<NetLink>,
+    dart: Arc<DartRuntime>,
+    /// The link only looks back at the space: the rig is its owner.
+    space: Arc<CodsSpace>,
+    ctl: Receiver<Ctl>,
+    wire: TcpStream,
+    inj: FaultInjector,
+    rec: Recorder,
+    metrics: NetMetrics,
+}
+
+/// A star-routed rig.
+fn rig() -> Rig {
+    rig_with(false)
+}
+
+/// A rig whose `Welcome` carried a peer table iff `p2p`: the link's own
+/// listener for node 0, and addresses nobody listens on for the rest.
+fn rig_with(p2p: bool) -> Rig {
+    let inj = FaultInjector::none();
+    let rec = Recorder::enabled();
+    let metrics = NetMetrics::new(&rec);
+    let hub = TcpListener::bind("127.0.0.1:0").unwrap();
+    let stream = TcpStream::connect(hub.local_addr().unwrap()).unwrap();
+    let (wire, _) = hub.accept().unwrap();
+    wire.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+
+    let machine = MachineSpec::new(3, 1);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let peers = match p2p {
+        true => vec![
+            listener.local_addr().unwrap().to_string(),
+            "127.0.0.1:1".into(),
+            "127.0.0.1:1".into(),
+        ],
+        false => Vec::new(),
+    };
+    let link = NetLink::new(
+        stream,
+        0,
+        machine,
+        Duration::from_secs(10),
+        inj.clone(),
+        metrics.clone(),
+        FlightRecorder::disabled(),
+        peers,
+        vec!["host".into(); 3],
+        listener,
+        Duration::from_secs(1),
+    )
+    .unwrap();
+    let dart = DartRuntime::with_transport(
+        Arc::new(Placement::pack_sequential(machine, 3)),
+        Arc::new(TransferLedger::new()),
+        rec.clone(),
+        inj.clone(),
+        FlightRecorder::disabled(),
+        Arc::clone(&link) as Arc<dyn Transport>,
+    );
+    let space = CodsSpace::with_mirror(
+        Arc::clone(&dart),
+        Dht::new(Box::new(HilbertCurve::new(2, 3)), vec![0, 1]),
+        CodsConfig::default(),
+        Arc::clone(&link) as Arc<dyn SpaceMirror>,
+    );
+    let ctl = link.start_reader(&dart, &space);
+    Rig {
+        link,
+        dart,
+        space,
+        ctl,
+        wire,
+        inj,
+        rec,
+        metrics,
+    }
+}
+
+impl Rig {
+    /// Play node 1 asking node 0 for `piece`, hub relay and all.
+    fn ask(&mut self, piece: u64) {
+        let req = Frame::PullRequest {
+            name: 7,
+            version: 0,
+            piece,
+            from_node: 1,
+        };
+        send_frame(&mut self.wire, &req, &self.inj, &self.metrics).unwrap();
+    }
+
+    /// The next frame the link sent up its hub connection.
+    fn answer(&mut self) -> Frame {
+        match recv_frame(&mut self.wire, &self.inj, &self.metrics) {
+            Ok(frame) => frame,
+            Err(e) => panic!("no answer within the bound: {e:?}"),
+        }
+    }
+}
+
+/// HybridDART's one decision, as node 0 of a three-node run takes it
+/// from the two tables of a `Welcome` — and the one way it changes.
+#[test]
+fn data_path_is_selected_from_the_welcome_and_only_degrades() {
+    use {Carrier::*, Route::*};
+    let remote = |route, carrier| DataPath::Remote { route, carrier };
+    let table = |t: &[&str]| t.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+    let (star, p2p) = (table(&[]), table(&["a:1", "b:2", "c:3"]));
+    // (peer table, host fingerprints, node) → its path.
+    let rows = [
+        (&star, table(&["h", "h", "x"]), 0, DataPath::Local),
+        (&p2p, table(&["h", "h", "x"]), 0, DataPath::Local),
+        (&star, table(&["h", "h", "x"]), 1, remote(Hub, Shm)),
+        (&star, table(&["h", "h", "x"]), 2, remote(Hub, Wire)),
+        (&star, table(&["h", "", "h"]), 1, remote(Hub, Wire)),
+        (&star, table(&["", "h", "h"]), 1, remote(Hub, Wire)),
+        (&star, table(&[]), 1, remote(Hub, Wire)),
+        (&p2p, table(&["h", "h", "x"]), 1, remote(Direct, Shm)),
+        (&p2p, table(&["h", "h", "x"]), 2, remote(Direct, Wire)),
+        (&p2p, table(&["", "", "h"]), 1, remote(Direct, Wire)),
+        (&p2p, table(&[]), 2, remote(Direct, Wire)),
+    ];
+    for (peers, hosts, node, expected) in rows {
+        let got = DataPath::select(0, node, peers, &hosts);
+        assert_eq!(
+            got, expected,
+            "peers {peers:?}, hosts {hosts:?}, node {node}"
+        );
+    }
+
+    // Node 1 — this test — is offered the pair's segment with the first
+    // answer and refuses the attach: its carrier flips to the wire, the
+    // staged record comes again as `PullData`, node 2 is left alone.
+    let mut r = rig();
+    let paths = |link: &NetLink| link.paths.iter().map(shm::Pair::path).collect::<Vec<_>>();
+    let shm = [DataPath::Local, remote(Hub, Shm), remote(Hub, Shm)];
+    assert_eq!(paths(&r.link), shm);
+    r.dart
+        .registry()
+        .register(key(0), 0, Bytes::from_static(b"staged"));
+    r.ask(0);
+    let Frame::ShmOffer { segment, .. } = r.answer() else {
+        panic!("the first answer to a same-host node did not offer a segment");
+    };
+    assert!(matches!(r.answer(), Frame::ShmDoorbell { .. }));
+    let nack = Frame::ShmAck {
+        src_node: 0,
+        dst_node: 1,
+        segment,
+        seq: 0,
+        attached: false,
+    };
+    send_frame(&mut r.wire, &nack, &r.inj, &r.metrics).unwrap();
+    assert!(matches!(r.answer(), Frame::PullData { data, .. } if data == b"staged"));
+    let degraded = [DataPath::Local, remote(Hub, Wire), remote(Hub, Shm)];
+    assert_eq!(paths(&r.link), degraded);
+    r.link.close();
+}
+
+/// A piece one of this node's own clients produces can only arrive by
+/// that client's put: waiting for it must touch no socket, under p2p
+/// routing included.
+#[test]
+fn pull_of_a_piece_this_node_hosts_dials_nobody_and_sends_nothing() {
+    let r = rig_with(true);
+    let missing = r
+        .dart
+        .pull_many(&[key(0)], Duration::from_millis(20), |_, _, _| {});
+    assert_eq!(missing, Err(0));
+    assert_eq!(r.link.peers.live(), 0, "the link dialed its own listener");
+    assert_eq!(r.metrics.frames.get(), 0);
+    r.link.close();
+}
+
+/// A refused push costs one socket hop, not a wait. Node 0's link
+/// answers pulls from node 1 — played, hub and all, by this test on
+/// a bare socket that never attaches the offered segment, so
+/// nothing is ever popped or released. Two half-arena records fill
+/// the ring; the next two answers, woken together, must both come
+/// back as `PullData` at once and be tallied as ring-full.
+#[test]
+fn refused_push_falls_back_to_pull_data_without_waiting() {
+    let mut r = rig();
+    let dart = Arc::clone(&r.dart);
+    // Two staged half-arena buffers ride the ring and fill it.
+    let half = Bytes::from(vec![0u8; (SHM_ARENA / 2) as usize]);
+    dart.registry().register(key(0), 0, half.clone());
+    dart.registry().register(key(1), 0, half);
+    r.ask(0);
+    r.ask(1);
+    let mut doorbells = 0;
+    while doorbells < 2 {
+        match r.answer() {
+            Frame::ShmOffer { arena_bytes, .. } => assert_eq!(arena_bytes, SHM_ARENA),
+            Frame::ShmDoorbell { .. } => doorbells += 1,
+            other => panic!("unexpected frame kind {}", other.kind()),
+        }
+    }
+    // Two more pulls park on keys nobody has put yet, so that one
+    // producer's puts release both answers at the same moment.
+    r.ask(2);
+    r.ask(3);
+    while dart.registry().waiter_count() < 2 {
+        std::thread::yield_now();
+    }
+    dart.registry()
+        .register(key(2), 0, Bytes::from_static(b"two"));
+    dart.registry()
+        .register(key(3), 0, Bytes::from_static(b"three"));
+    let mut data = Vec::new();
+    while data.len() < 2 {
+        match r.answer() {
+            Frame::PullData { piece, data: d, .. } => data.push((piece, d)),
+            other => panic!("unexpected frame kind {}", other.kind()),
+        }
+    }
+    data.sort();
+    assert_eq!(data, vec![(2, b"two".to_vec()), (3, b"three".to_vec())]);
+    let snap = r.rec.metrics_snapshot();
+    assert_eq!(snap.counter("net.shm_frames"), 2);
+    assert_eq!(snap.counter("net.shm_fallbacks_full"), 2);
+    assert_eq!(snap.counter("net.shm_fallbacks"), 2);
+    r.link.close();
+}
+
+/// Wire values this end must check before acting on them: corners that
+/// make no box — inverted, empty — decode fine (they are two `u64`
+/// vectors) and used to reach the panicking constructor; a `Relay` to a
+/// client or a `PullRequest` from a node outside the run used to reach
+/// an unchecked index and an overflowing multiply. All on the reactor
+/// thread, the process's only wire thread. Each must end the run by
+/// name, and the thread must still be delivering the `RunWave` sent
+/// right behind it.
+#[test]
+fn hostile_corners_do_not_kill_the_wire_thread() {
+    let mut r = rig();
+    let hostile = [
+        (
+            "bbox corners",
+            Frame::DhtInsert {
+                var: 1,
+                version: 0,
+                owner: 1,
+                piece: 0,
+                lbs: vec![5],
+                ubs: vec![1],
+            },
+        ),
+        (
+            "bbox corners",
+            Frame::SubPush {
+                sub_id: 9,
+                var: 1,
+                version: 0,
+                src: 1,
+                subscriber: 0,
+                lbs: vec![],
+                ubs: vec![],
+                data: vec![0; 8],
+            },
+        ),
+        (
+            "misaddressed",
+            Frame::Relay {
+                to: u32::MAX,
+                src: 1,
+                tag: 3,
+                payload: vec![1, 2, 3],
+            },
+        ),
+        (
+            "misaddressed",
+            Frame::PullRequest {
+                name: 7,
+                version: 0,
+                piece: 0,
+                from_node: u32::MAX,
+            },
+        ),
+    ];
+    for (why, frame) in hostile {
+        let wave = frame.kind() as u32;
+        send_frame(&mut r.wire, &frame, &r.inj, &r.metrics).unwrap();
+        send_frame(&mut r.wire, &Frame::RunWave { wave }, &r.inj, &r.metrics).unwrap();
+        let bound = Duration::from_secs(10);
+        match r.ctl.recv_timeout(bound) {
+            Ok(Ctl::Shutdown { ok: false, reason }) => assert!(
+                reason.contains(why) && reason.contains(&format!("kind {wave}")),
+                "{reason}"
+            ),
+            other => panic!("kind {wave} was not refused by name: {other:?}"),
+        }
+        assert_eq!(r.ctl.recv_timeout(bound), Ok(Ctl::RunWave(wave)));
+    }
+    r.link.close();
+}
+
+/// The link does not own what it serves. Once the rig — standing in
+/// for `insitu::join` — drops the runtime and the space, both are
+/// really gone, and frames of every plane still in flight towards
+/// the link are dropped on the floor: the wire thread survives them
+/// and goes on to report the hub's hangup.
+#[test]
+fn frames_after_the_runtime_is_gone_are_dropped_not_a_panic() {
+    let Rig {
+        link,
+        dart,
+        space,
+        ctl,
+        mut wire,
+        inj,
+        metrics,
+        ..
+    } = rig();
+    let (weak_dart, weak_space) = (Arc::downgrade(&dart), Arc::downgrade(&space));
+    drop((dart, space));
+    assert!(weak_dart.upgrade().is_none(), "the link owns the runtime");
+    assert!(weak_space.upgrade().is_none(), "the link owns the space");
+    let late = [
+        Frame::Relay {
+            to: 0,
+            src: 1,
+            tag: 3,
+            payload: vec![1, 2, 3],
+        },
+        Frame::PullRequest {
+            name: 7,
+            version: 0,
+            piece: 0,
+            from_node: 1,
+        },
+        Frame::PullData {
+            name: 7,
+            version: 0,
+            piece: 1 << 32,
+            owner: 1,
+            to_node: 0,
+            data: vec![0; 64],
+        },
+        Frame::GetDone { var: 7, version: 0 },
+        Frame::RunWave { wave: 0 },
+    ];
+    for frame in &late {
+        send_frame(&mut wire, frame, &inj, &metrics).unwrap();
+    }
+    drop(wire);
+    // Nothing was demuxed — not even the `RunWave`, there is no run
+    // to drive — and the thread lived to see the connection end.
+    match ctl.recv_timeout(Duration::from_secs(10)) {
+        Ok(Ctl::Shutdown { ok: false, reason }) => {
+            assert!(reason.contains("server closed"), "{reason}")
+        }
+        other => panic!("the wire thread did not outlive the late frames: {other:?}"),
+    }
+    link.close();
+}
+
+/// The send path and the demux run where a sleep stalls every peer
+/// of this process: backpressure must be a refusal, never a nap.
+#[test]
+fn link_source_never_sleeps() {
+    let needle = ["thread", "::", "sleep"].concat();
+    for (file, src) in [
+        ("mod.rs", include_str!("mod.rs")),
+        ("shm.rs", include_str!("shm.rs")),
+        ("tests.rs", include_str!("tests.rs")),
+    ] {
+        assert!(!src.contains(&needle), "a {needle} crept into link/{file}");
+    }
+}

@@ -73,6 +73,12 @@ impl PeerTable {
     pub(crate) fn forget(&self, token: Token) {
         self.conns.lock().unwrap().retain(|_, t| *t != token);
     }
+
+    /// Direct connections currently held.
+    #[cfg(test)]
+    pub(crate) fn live(&self) -> usize {
+        self.conns.lock().unwrap().len()
+    }
 }
 
 #[cfg(test)]
@@ -169,7 +175,7 @@ mod tests {
         // After forgetting, the entry is gone and a re-dial would start
         // fresh.
         table.forget(token);
-        assert!(table.conns.lock().unwrap().is_empty());
+        assert_eq!(table.live(), 0);
         drop(done_tx);
         echo.join().unwrap();
     }

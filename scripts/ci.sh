@@ -120,6 +120,25 @@ if grep -rnE 'TraceSink|SpanGuard|synthetic_span' crates tests examples; then
 fi
 [[ ! -e crates/telemetry/src/trace.rs ]]
 
+# The wire says only what a run says: the CoDS/DART <-> wire boundary is
+# eight trait methods, five frame kinds are reserved with no sender or
+# handler outside the frame table, the link is built in one call, and
+# the two files that are the paper's contribution stay files a reader
+# can hold. Any of it growing back fails the gate.
+echo "==> narrow wire boundary, reserved frame kinds, file sizes"
+if grep -rnE 'fn (publish|dial_peer|sub_open|sub_cancel|sub_lagged)\b|set_flight|set_shm|subscribe_local|apply_remote_sub_cancel' crates tests examples; then
+    echo "a deleted boundary method grew back"; exit 1
+fi
+if grep -rnE 'Frame::(PutNotify|Subscribe|SubAck|SubCancel|SubLagged)' crates/*/src --include=*.rs \
+    | grep -v '^crates/net/src/frame.rs:'; then
+    echo "a reserved frame kind has a sender or handler again"; exit 1
+fi
+long=$(find crates/cods/src crates/net/src -name '*.rs' ! -path crates/net/src/frame.rs \
+    -exec wc -l {} + | awk '$2 != "total" && $1 > 1200')
+if [[ -n "$long" ]]; then
+    echo "$long"; echo "a cods/net source file is over 1200 lines"; exit 1
+fi
+
 # Performance regression gate: the deterministic modeled gate document
 # (per-app retrieve times + profiler category totals) must not regress
 # past 10% against the checked-in baseline. Refresh the baseline after
