@@ -370,6 +370,14 @@ pub fn launch_cmd(cmd: &LaunchCmd) -> Result<String, CliError> {
         }
         out.push_str("p2p:       0 PullData / 0 SubPush frames through the hub\n");
     }
+    // What the joiners counted, summed from their shipped telemetry.
+    let joiner_sum = |key: &str| -> u64 {
+        outcome
+            .telemetry
+            .iter()
+            .map(|t| t.counters.get(key).copied().unwrap_or(0))
+            .sum()
+    };
     // Transport census for the shared-memory plane. Every launch
     // process shares this host, so with shm on every PullData should
     // ride a segment; the counters make that greppable rather than
@@ -379,13 +387,6 @@ pub fn launch_cmd(cmd: &LaunchCmd) -> Result<String, CliError> {
     if cmd.no_shm {
         out.push_str("shm:       disabled (--no-shm), PullData on the socket\n");
     } else {
-        let joiner_sum = |key: &str| -> u64 {
-            outcome
-                .telemetry
-                .iter()
-                .map(|t| t.counters.get(key).copied().unwrap_or(0))
-                .sum()
-        };
         // net.shm_frames ticks on both ends of a transfer, so the
         // joiner sum counts each frame at its producer and consumer.
         let shm_frames = joiner_sum("net.shm_frames");
@@ -398,19 +399,23 @@ pub fn launch_cmd(cmd: &LaunchCmd) -> Result<String, CliError> {
              ({ring_full} ring-full)\n"
         ));
     }
+    // Copy census for the socket data plane: a PullData payload is read
+    // off the socket into the buffer the registry keeps, relayed by the
+    // hub without being re-encoded and written from the staged buffer,
+    // so no process of the run should have copied a byte of one.
+    let copied = recorder
+        .metrics_snapshot()
+        .counter("net.payload_copy_bytes")
+        + joiner_sum("net.payload_copy_bytes");
+    out.push_str(&format!(
+        "copies:    {copied} PullData payload byte(s) copied in user space\n"
+    ));
     // Standing-query census: how many subscriptions the workflow
     // declared and what the push plane actually did. Pushes and
     // deliveries tick in the joiner that performed them, so the joiner
     // sum is the run total; lagged > 0 means a subscriber queue
     // overflowed and a resync get healed the gap.
     if !scenario.subscriptions.is_empty() {
-        let joiner_sum = |key: &str| -> u64 {
-            outcome
-                .telemetry
-                .iter()
-                .map(|t| t.counters.get(key).copied().unwrap_or(0))
-                .sum()
-        };
         out.push_str(&format!(
             "sub:       {} subscription(s), {} push(es), {} delivery(ies), {} lagged\n",
             scenario.subscriptions.len(),

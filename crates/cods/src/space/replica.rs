@@ -4,11 +4,12 @@
 //! reader lands the other replicas' changes with `apply_remote_*`.
 
 use super::CodsSpace;
-use crate::codec::{decode_f64s, ELEM_BYTES};
+use crate::codec::{decode_f64s, f64s_of_bytes, ELEM_BYTES};
 use crate::dht::LocationEntry;
 use insitu_domain::BoundingBox;
 use insitu_fabric::ClientId;
 use insitu_sub::{SubId, SubSpec};
+use insitu_util::Bytes;
 
 /// Replication hooks for distributed runs.
 ///
@@ -31,7 +32,8 @@ pub trait SpaceMirror: Send + Sync {
     fn evict(&self, var: u64, version: u64);
     /// A push fragment matched a subscription whose subscriber is
     /// hosted by another process: carry `data` (encoded f64 cells of
-    /// `frag`) to it. Default: no-op, which silently drops the
+    /// `frag`, handed over so a transport can send from the buffer
+    /// itself) to it. Default: no-op, which silently drops the
     /// fragment — distributed transports must override this.
     #[allow(clippy::too_many_arguments)] // one wire frame's worth of fields
     fn sub_push(
@@ -42,7 +44,7 @@ pub trait SpaceMirror: Send + Sync {
         src: ClientId,
         subscriber: ClientId,
         frag: &BoundingBox,
-        data: &[u8],
+        data: Bytes,
     ) {
         let _ = (id, var, version, src, subscriber, frag, data);
     }
@@ -107,8 +109,11 @@ impl CodsSpace {
         {
             return false;
         }
-        let frag = decode_f64s(data);
-        sink.offer(version, frag_box, &frag);
+        // The cells as they arrived when their alignment allows it.
+        match f64s_of_bytes(data) {
+            Some(frag) => sink.offer(version, frag_box, frag),
+            None => sink.offer(version, frag_box, &decode_f64s(data)),
+        };
         true
     }
 }

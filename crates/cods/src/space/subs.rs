@@ -200,7 +200,7 @@ impl CodsSpace {
                             client,
                             entry.spec.subscriber,
                             &overlap,
-                            &encode_f64s(&frag),
+                            encode_f64s(&frag),
                         );
                     }
                 }

@@ -9,6 +9,7 @@ use insitu_fabric::{FaultAction, MachineSpec, Placement, TrafficClass, TransferL
 use insitu_sfc::HilbertCurve;
 use insitu_sub::{SubId, SubSpec, TakeResult};
 use insitu_telemetry::Recorder;
+use insitu_util::Bytes;
 
 /// 4 clients on 2 nodes of 2 cores; DHT core per node on clients 0, 2.
 fn space() -> Arc<CodsSpace> {
@@ -895,7 +896,7 @@ impl SpaceMirror for SubRecordingMirror {
         src: ClientId,
         subscriber: ClientId,
         frag: &BoundingBox,
-        data: &[u8],
+        data: Bytes,
     ) {
         self.pushes
             .lock()

@@ -100,6 +100,11 @@ pub struct NetMetrics {
     /// not the chaos seed — replay checks compare
     /// `shm_fallbacks - shm_fallbacks_full`.
     pub shm_fallbacks_full: Counter,
+    /// `PullData` payload bytes copied in user space between socket and
+    /// registry by decoder, reactor, hub or link. A run reads 0: a
+    /// payload is read into the vector the registry keeps and written
+    /// from the staged buffer; what `FrameDecoder::push` copies counts.
+    pub payload_copy: Counter,
     /// Pulls requested but not yet landed, kept current by the link.
     pub pulls_in_flight: Gauge,
     /// Bytes staged on this process's reactor send paths, encoded but
@@ -125,6 +130,7 @@ impl NetMetrics {
             shm_frames: recorder.counter("net.shm_frames"),
             shm_fallbacks: recorder.counter("net.shm_fallbacks"),
             shm_fallbacks_full: recorder.counter("net.shm_fallbacks_full"),
+            payload_copy: recorder.counter("net.payload_copy_bytes"),
             pulls_in_flight: recorder.gauge("net.pulls_in_flight"),
             bytes_in_flight: recorder.gauge("net.bytes_in_flight"),
         }
@@ -240,6 +246,62 @@ pub fn connect_with_retry(
             }
         }
     }
+}
+
+/// This process's resident set, in bytes (`/proc/self/statm`).
+#[cfg(test)]
+pub(crate) fn resident_bytes() -> usize {
+    let statm = std::fs::read_to_string("/proc/self/statm").expect("procfs");
+    let pages: usize = statm.split(' ').nth(1).unwrap().parse().unwrap();
+    pages * 4096
+}
+
+/// A `PullData` of `payload` bytes on the wire, its length word and its
+/// payload count (the words at 0 and 38) then set to what a hostile
+/// peer would have them say.
+#[cfg(test)]
+fn forged_pull_data(payload: usize, len: u32, count: u32) -> Vec<u8> {
+    let mut wire = Frame::PullData {
+        name: 1,
+        version: 0,
+        piece: 1 << 32,
+        owner: 1,
+        to_node: 0,
+        data: vec![0xAB; payload],
+    }
+    .encode();
+    wire[..4].copy_from_slice(&len.to_le_bytes());
+    wire[38..42].copy_from_slice(&count.to_le_bytes());
+    wire
+}
+
+/// The bytes a hostile peer opens with to make this end reserve the
+/// largest payload there is: a sound `PullData` head declaring
+/// `MAX_FRAME_LEN`, and the first MiB of the 256 it promises.
+#[cfg(test)]
+pub(crate) fn greedy_pull_data() -> Vec<u8> {
+    let len = crate::frame::MAX_FRAME_LEN;
+    forged_pull_data(1 << 20, len, len - 38)
+}
+
+/// Whole `PullData` frames of 1000 payload bytes whose head is off —
+/// the count over and under what the length word leaves, the version,
+/// the length word itself — each with how `Frame::decode` (the decoder
+/// never judges such a head itself) words its rejection.
+#[cfg(test)]
+pub(crate) fn irregular_pull_data() -> [(Vec<u8>, &'static str); 4] {
+    let mut bad_version = forged_pull_data(1000, 1038, 1000);
+    bad_version[4] = crate::frame::WIRE_VERSION + 1;
+    let too_long = crate::frame::MAX_FRAME_LEN + 1;
+    [
+        (forged_pull_data(1000, 1038, 1001), "truncated frame"),
+        (
+            forged_pull_data(1000, 1038, 999),
+            "bad frame payload: trailing bytes",
+        ),
+        (bad_version, "unsupported wire version"),
+        (forged_pull_data(1000, too_long, 1000), "bad frame length"),
+    ]
 }
 
 #[cfg(test)]

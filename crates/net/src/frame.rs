@@ -776,19 +776,39 @@ impl Frame {
         }
     }
 
+    /// The frame's bulk tail: the byte vector that ends a `Relay`,
+    /// `PullData` or `SubPush` — on the wire a count, then payload to the
+    /// frame's end. The reactor moves it out, the decoder a payload in.
+    pub fn bulk_mut(&mut self) -> Option<&mut Vec<u8>> {
+        match self {
+            Frame::Relay { payload: bulk, .. }
+            | Frame::PullData { data: bulk, .. }
+            | Frame::SubPush { data: bulk, .. } => Some(bulk),
+            _ => None,
+        }
+    }
+
     /// Append the complete wire frame (length word included) to `out`
-    /// in one pass, returning the bytes appended — how senders stage
+    /// in one pass, returning its size on the wire — how senders stage
     /// frames back to back without a buffer per frame. A frame over
     /// [`MAX_FRAME_LEN`] is refused: `out` is rolled back to what it
-    /// held and the error names the kind and size.
-    pub fn encode_into(&self, out: &mut Vec<u8>) -> Result<usize, FrameError> {
+    /// held and the error names the kind and size. A frame whose bulk
+    /// tail was moved out says so with `tail`, the payload bytes its
+    /// sender puts on the wire right behind what this appends: length
+    /// word, count and the size returned include them.
+    pub fn encode_into(&self, out: &mut Vec<u8>, tail: usize) -> Result<usize, FrameError> {
         let start = out.len();
         out.extend_from_slice(&[0, 0, 0, 0, WIRE_VERSION, self.kind()]);
         self.put_payload(out);
-        let word =
-            length_word(self.kind(), out.len() - start - 4).inspect_err(|_| out.truncate(start))?;
+        let word = length_word(self.kind(), out.len() - start - 4 + tail)
+            .inspect_err(|_| out.truncate(start))?;
         out[start..start + 4].copy_from_slice(&word.to_le_bytes());
-        Ok(out.len() - start)
+        if tail > 0 {
+            // The emptied tail encoded as a zero count, the last word.
+            let count = out.len() - 4;
+            out[count..].copy_from_slice(&(tail as u32).to_le_bytes());
+        }
+        Ok(out.len() - start + tail)
     }
 
     /// Encode to a complete wire frame (length word included).
@@ -798,7 +818,7 @@ impl Frame {
     /// meet such a frame stages it with [`Frame::encode_into`].
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        self.encode_into(&mut out)
+        self.encode_into(&mut out, 0)
             .expect("frame within MAX_FRAME_LEN");
         out
     }
@@ -845,7 +865,7 @@ impl Frame {
     /// [`MAX_FRAME_LEN`] is refused before any byte is written.
     pub fn write_to(&self, w: &mut impl Write) -> Result<usize, FrameError> {
         let mut bytes = Vec::new();
-        self.encode_into(&mut bytes)?;
+        self.encode_into(&mut bytes, 0)?;
         w.write_all(&bytes)
             .and_then(|_| w.flush())
             .map_err(|e| FrameError::Io(e.to_string()))?;
@@ -853,20 +873,39 @@ impl Frame {
     }
 }
 
+/// Bytes of a `PullData` frame that precede its payload: length word,
+/// version, kind, the five integer fields and the payload's count.
+const PULL_DATA_HEAD: usize = 42;
+const KIND_PULL_DATA: u8 = 6;
+
 /// Incremental frame decoder over an arbitrarily-chunked byte stream.
 ///
-/// The reactor reads whatever the socket has buffered — which may end
-/// mid-frame, or hold several coalesced frames — feeds it in with
-/// [`push`](FrameDecoder::push), and drains complete frames with
-/// [`next_frame`](FrameDecoder::next_frame). Decoding is total: malformed input
-/// surfaces as a [`FrameError`] exactly as [`Frame::read_from`] would
-/// report it, after which the connection is poisoned (every subsequent
-/// `next` repeats the error) — a protocol error leaves no way to
-/// re-synchronise the stream.
+/// The reactor lets it read whatever the socket has buffered — which may
+/// end mid-frame, or hold several coalesced frames — with
+/// [`read_from`](FrameDecoder::read_from) (a caller that holds the bytes
+/// hands them to [`push`](FrameDecoder::push)) and drains complete
+/// frames with [`next_frame`](FrameDecoder::next_frame). Decoding is
+/// total: malformed input surfaces as a [`FrameError`] exactly as
+/// [`Frame::read_from`] would report it, after which the connection is
+/// poisoned (every subsequent `next` repeats the error) — a protocol
+/// error leaves no way to re-synchronise the stream.
+///
+/// A `PullData` is decoded in place: behind a head [`Frame::decode`]
+/// would accept, the payload vector is allocated at its exact size and
+/// filled where it stays, by `read_from` straight off the stream. Any
+/// other frame — a `PullData` whose head is off in any way included —
+/// waits in the buffer until it is whole and `Frame::decode` judges it.
 #[derive(Default)]
 pub struct FrameDecoder {
     buf: Vec<u8>,
     pos: usize,
+    /// A `PullData` being decoded in place: the frame, its payload, and
+    /// the length that fills to. Nothing is buffered behind it till then.
+    bulk: Option<(Frame, Vec<u8>, usize)>,
+    /// `PullData` payload bytes copied in user space, for whoever
+    /// reports them to take: what `push` brought of one, twice if it
+    /// crossed the pending buffer. Fed by `read_from` alone: 0.
+    pub(crate) copied: u64,
     poisoned: Option<FrameError>,
 }
 
@@ -877,7 +916,13 @@ impl FrameDecoder {
     }
 
     /// Append freshly-read bytes to the pending buffer.
-    pub fn push(&mut self, bytes: &[u8]) {
+    pub fn push(&mut self, mut bytes: &[u8]) {
+        if let Some((_, payload, want)) = &mut self.bulk {
+            let (mine, rest) = bytes.split_at(bytes.len().min(*want - payload.len()));
+            payload.extend_from_slice(mine);
+            self.copied += mine.len() as u64;
+            bytes = rest;
+        }
         // Compact before growing: drop the prefix already consumed by
         // decoded frames so the buffer stays bounded by one frame plus
         // one socket read.
@@ -888,9 +933,41 @@ impl FrameDecoder {
         self.buf.extend_from_slice(bytes);
     }
 
+    /// One `read` of `r` — into a filling payload if there is one, else
+    /// through `scratch` — returning the bytes read, 0 at end of stream.
+    /// Called with every frame drained, it stops short of any payload
+    /// decodable in place: none ever crosses `scratch`.
+    pub fn read_from(&mut self, r: &mut impl Read, scratch: &mut [u8]) -> std::io::Result<usize> {
+        let filling = self.bulk.as_mut().filter(|bulk| bulk.1.len() < bulk.2);
+        if let Some((_, payload, want)) = filling {
+            // Exactly the room the vector has left: it never grows. An
+            // error behind some bytes comes again with the next call.
+            let had = payload.len();
+            let end = r.take((*want - had) as u64).read_to_end(payload);
+            let got = payload.len() - had;
+            return if got > 0 { Ok(got) } else { end };
+        }
+        // To the end of the frame being buffered and one `PullData` head
+        // beyond; to the end of that head alone while it is being.
+        let rest = &self.buf[self.pos..];
+        let limit = match rest {
+            [a, b, c, d, _, kind, ..]
+                if *kind != KIND_PULL_DATA || rest.len() >= PULL_DATA_HEAD =>
+            {
+                let total = 4 + u32::from_le_bytes([*a, *b, *c, *d]) as usize;
+                total.saturating_sub(rest.len()) + PULL_DATA_HEAD
+            }
+            _ => PULL_DATA_HEAD - rest.len(),
+        };
+        let limit = limit.min(scratch.len());
+        let n = r.read(&mut scratch[..limit])?;
+        self.push(&scratch[..n]);
+        Ok(n)
+    }
+
     /// Bytes buffered but not yet decoded.
     pub fn pending(&self) -> usize {
-        self.buf.len() - self.pos
+        self.buf.len() - self.pos + self.bulk.as_ref().map_or(0, |b| PULL_DATA_HEAD + b.1.len())
     }
 
     /// Decode the next complete frame, `Ok(None)` when more bytes are
@@ -899,32 +976,68 @@ impl FrameDecoder {
         if let Some(err) = &self.poisoned {
             return Err(err.clone());
         }
-        let rest = &self.buf[self.pos..];
-        if rest.len() < 4 {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes(rest[..4].try_into().unwrap());
-        if !(2..=MAX_FRAME_LEN).contains(&len) {
-            return Err(self.poison(FrameError::BadLength(len)));
-        }
-        let total = 4 + len as usize;
-        if rest.len() < total {
-            return Ok(None);
-        }
-        let body = &rest[4..total];
-        match Frame::decode(body[0], body[1], &body[2..]) {
-            Ok(frame) => {
-                self.pos += total;
-                Ok(Some(frame))
+        if self.bulk.is_none() {
+            let rest = &self.buf[self.pos..];
+            if rest.len() < 4 {
+                return Ok(None);
             }
-            Err(e) => Err(self.poison(e)),
+            let len = u32::from_le_bytes(rest[..4].try_into().unwrap());
+            if !(2..=MAX_FRAME_LEN).contains(&len) {
+                return Err(self.poison(FrameError::BadLength(len)));
+            }
+            let total = 4 + len as usize;
+            if let Some(head) = pull_data_head(rest, total) {
+                // What the buffer holds of the payload was copied into
+                // it, and is copied out.
+                let want = total - PULL_DATA_HEAD;
+                let have = &rest[PULL_DATA_HEAD..rest.len().min(total)];
+                let mut payload = Vec::with_capacity(want);
+                payload.extend_from_slice(have);
+                self.copied += 2 * have.len() as u64;
+                self.pos += PULL_DATA_HEAD + have.len();
+                self.bulk = Some((head, payload, want));
+            } else if rest.len() < total {
+                return Ok(None);
+            } else {
+                let body = &rest[4..total];
+                return match Frame::decode(body[0], body[1], &body[2..]) {
+                    Ok(frame) => {
+                        self.pos += total;
+                        Ok(Some(frame))
+                    }
+                    Err(e) => Err(self.poison(e)),
+                };
+            }
         }
+        let full = self
+            .bulk
+            .take_if(|(_, payload, want)| payload.len() == *want);
+        Ok(full.map(|(mut frame, payload, _)| {
+            *frame.bulk_mut().expect("PullData has a bulk tail") = payload;
+            frame
+        }))
     }
 
     fn poison(&mut self, err: FrameError) -> FrameError {
         self.poisoned = Some(err.clone());
         err
     }
+}
+
+/// The `PullData`, its payload left empty, whose head `rest` — the
+/// buffered start of a frame `total` bytes long — holds, if
+/// [`Frame::decode`] would accept the frame whatever its payload. `None`
+/// for any other kind, a head not all there yet, and a head that is off.
+fn pull_data_head(rest: &[u8], total: usize) -> Option<Frame> {
+    let head = rest.get(..PULL_DATA_HEAD)?;
+    let count = u32::from_le_bytes(head[38..].try_into().expect("four bytes")) as usize;
+    if head[5] != KIND_PULL_DATA || total.checked_sub(PULL_DATA_HEAD) != Some(count) {
+        return None;
+    }
+    // The table's own reader, over the fields and an empty payload.
+    let mut empty = [0u8; PULL_DATA_HEAD - 6];
+    empty[..32].copy_from_slice(&head[6..38]);
+    Frame::decode(head[4], KIND_PULL_DATA, &empty).ok()
 }
 
 fn read_exact(r: &mut impl Read, buf: &mut [u8]) -> Result<(), FrameError> {
@@ -1493,7 +1606,7 @@ mod tests {
     fn encode_run(frames: &[Frame]) -> Vec<u8> {
         let mut out = Vec::new();
         for f in frames {
-            f.encode_into(&mut out).unwrap();
+            f.encode_into(&mut out, 0).unwrap();
         }
         out
     }
@@ -1824,6 +1937,208 @@ mod tests {
                 assert_eq!(frames.get(i), Some(sent), "frame {i} precedes the damage");
             }
         });
+    }
+
+    /// What decoding the whole of `wire` at once yields, by
+    /// [`Frame::decode`] alone: the reference the incremental decoder
+    /// must agree with however the bytes reach it.
+    fn decode_whole(wire: &[u8]) -> (Vec<Frame>, Result<usize, FrameError>) {
+        let (mut out, mut rest) = (Vec::new(), wire);
+        while rest.len() >= 4 {
+            let len = u32::from_le_bytes(rest[..4].try_into().unwrap());
+            if !(2..=MAX_FRAME_LEN).contains(&len) {
+                return (out, Err(FrameError::BadLength(len)));
+            }
+            let Some(body) = rest.get(4..4 + len as usize) else {
+                break;
+            };
+            match Frame::decode(body[0], body[1], &body[2..]) {
+                Ok(frame) => out.push(frame),
+                Err(e) => return (out, Err(e)),
+            }
+            rest = &rest[4 + len as usize..];
+        }
+        (out, Ok(rest.len()))
+    }
+
+    /// `wire` as a non-blocking socket would deliver it: nothing past
+    /// the next of `cuts` until a read there has been refused once.
+    struct Chunked<'a> {
+        wire: &'a [u8],
+        at: usize,
+        cuts: std::collections::VecDeque<usize>,
+    }
+
+    impl Read for Chunked<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let end = self.cuts.front().copied().unwrap_or(self.wire.len());
+            if self.at == end && self.cuts.pop_front().is_some() {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            let n = buf.len().min(end - self.at);
+            buf[..n].copy_from_slice(&self.wire[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    /// [`decode_split`], the decoder reading the chunks itself — the
+    /// way the reactor drives it. No payload byte may cross the scratch
+    /// buffer on the way, which the copy count shows.
+    fn decode_read(wire: &[u8], cuts: &[usize]) -> (Vec<Frame>, Result<usize, FrameError>) {
+        let mut dec = FrameDecoder::new();
+        let mut stream = Chunked {
+            wire,
+            at: 0,
+            cuts: cuts.iter().copied().collect(),
+        };
+        let mut scratch = [0u8; 512];
+        let mut out = Vec::new();
+        loop {
+            match dec.read_from(&mut stream, &mut scratch) {
+                Ok(0) => break,
+                Ok(_) => loop {
+                    match dec.next_frame() {
+                        Ok(Some(f)) => out.push(f),
+                        Ok(None) => break,
+                        Err(e) => return (out, Err(e)),
+                    }
+                },
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+                Err(e) => panic!("the chunked stream has no other error: {e}"),
+            }
+        }
+        assert_eq!(
+            std::mem::take(&mut dec.copied),
+            0,
+            "a payload byte was copied"
+        );
+        (out, Ok(dec.pending()))
+    }
+
+    /// [`arb_batch`] with bulk among the small: a few `PullData` whose
+    /// payloads dwarf the scratch buffer and every socket read.
+    fn arb_mixed_batch(rng: &mut SplitMix64) -> Vec<Frame> {
+        let mut batch = arb_batch(rng);
+        for _ in 0..rng.range_usize(0, 4) {
+            let n = rng.range_usize(0, 200_000);
+            let bulk = Frame::PullData {
+                name: rng.next_u64(),
+                version: rng.next_u64(),
+                piece: rng.next_u64(),
+                owner: rng.next_u64() as u32,
+                to_node: rng.next_u64() as u32,
+                data: (0..n).map(|i| (i * 31) as u8).collect(),
+            };
+            batch.insert(rng.range_usize(0, batch.len() + 1), bulk);
+        }
+        batch
+    }
+
+    /// The differential property: any frames, bulk and small, split at
+    /// any points, pushed or read, intact or damaged, decode to the
+    /// frames and the error of [`Frame::decode`] over the whole bytes.
+    #[test]
+    fn pushed_or_read_in_any_chunks_decodes_as_the_whole_bytes_do() {
+        forall(64, |rng| {
+            let batch = arb_mixed_batch(rng);
+            let mut wire = encode_run(&batch);
+            match rng.range_u32(0, 4) {
+                0 => {
+                    for _ in 0..rng.range_usize(1, 5) {
+                        let at = rng.range_usize(0, wire.len());
+                        wire[at] ^= 1 << rng.range_u32(0, 8);
+                    }
+                }
+                1 => wire.truncate(rng.range_usize(0, wire.len())),
+                _ => assert_eq!(decode_whole(&wire), (batch, Ok(0))),
+            }
+            let whole = decode_whole(&wire);
+            let cuts = arb_cuts(rng, wire.len());
+            assert_eq!(decode_split(&wire, &cuts), whole, "pushed, cut at {cuts:?}");
+            assert_eq!(decode_read(&wire, &cuts), whole, "read, cut at {cuts:?}");
+        });
+    }
+
+    /// A `PullData` head is irregular in every way one can be, and the
+    /// stream cut mid-payload: each ends as it does for the whole bytes,
+    /// poisoning included (which `decode_split` checks).
+    #[test]
+    fn irregular_pull_data_heads_get_the_whole_frame_errors() {
+        let frame = Frame::PullData {
+            name: 1,
+            version: 2,
+            piece: 3,
+            owner: 4,
+            to_node: 5,
+            data: vec![7; 1000],
+        };
+        let sound = frame.encode();
+        assert_eq!(sound.len(), PULL_DATA_HEAD + 1000);
+        assert_eq!(frame.kind(), KIND_PULL_DATA);
+        let patched = |at: usize, word: u32| {
+            let mut wire = sound.clone();
+            wire[at..at + 4].copy_from_slice(&word.to_le_bytes());
+            wire.extend_from_slice(&Frame::ListRuns.encode());
+            wire
+        };
+        let mut bad_version = patched(0, 1038);
+        bad_version[4] = WIRE_VERSION + 1;
+        let rows = [
+            // The count claims more than the length word leaves, or less.
+            (patched(38, 1001), Err(FrameError::Truncated)),
+            (
+                patched(38, 999),
+                Err(FrameError::BadPayload("trailing bytes")),
+            ),
+            (patched(0, 1037), Err(FrameError::Truncated)),
+            (bad_version, Err(FrameError::BadVersion(WIRE_VERSION + 1))),
+            (
+                patched(0, MAX_FRAME_LEN + 1),
+                Err(FrameError::BadLength(MAX_FRAME_LEN + 1)),
+            ),
+            // Cut mid-payload: not an error, bytes the peer still owes.
+            (sound[..500].to_vec(), Ok(500)),
+        ];
+        for (wire, end) in rows {
+            assert_eq!(decode_whole(&wire), (Vec::new(), end.clone()));
+            for cuts in [vec![], vec![PULL_DATA_HEAD], vec![6, 100, 400]] {
+                assert_eq!(decode_split(&wire, &cuts), (Vec::new(), end.clone()));
+                assert_eq!(decode_read(&wire, &cuts), (Vec::new(), end.clone()));
+            }
+        }
+    }
+
+    /// The payload of a `PullData` lands in a vector of exactly its
+    /// size, and what `push` makes the decoder copy is counted: once if
+    /// the payload arrives behind an accepted head, twice if it waited
+    /// in the pending buffer beside it.
+    #[test]
+    fn pushed_payload_bytes_are_counted_and_the_vector_is_exact() {
+        let wire = Frame::PullData {
+            name: 1,
+            version: 2,
+            piece: 3,
+            owner: 4,
+            to_node: 5,
+            data: vec![7; 5000],
+        }
+        .encode();
+        for (head_first, copies) in [(true, 1), (false, 2)] {
+            let mut dec = FrameDecoder::new();
+            let mut rest = &wire[..];
+            if head_first {
+                dec.push(&wire[..PULL_DATA_HEAD]);
+                assert_eq!(dec.next_frame(), Ok(None));
+                rest = &wire[PULL_DATA_HEAD..];
+            }
+            dec.push(rest);
+            let Ok(Some(Frame::PullData { data, .. })) = dec.next_frame() else {
+                panic!("no PullData");
+            };
+            assert_eq!((data.len(), data.capacity()), (5000, 5000));
+            assert_eq!(std::mem::take(&mut dec.copied), copies * 5000);
+        }
     }
 
     #[test]

@@ -532,8 +532,9 @@ mod tests {
     use insitu_telemetry::Recorder;
     use std::io::Write;
 
-    /// A star-routed hub with `nodes` greeted raw-socket joiners.
-    fn star_hub(nodes: u32) -> (Hub, Vec<TcpStream>) {
+    /// A star-routed hub with `nodes` greeted raw-socket joiners, and
+    /// the counters of its reactor.
+    fn star_hub(nodes: u32) -> (Hub, Vec<TcpStream>, NetMetrics) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let inj = FaultInjector::none();
@@ -567,7 +568,7 @@ mod tests {
             let welcome = recv_frame(s, &inj, &m).unwrap();
             assert!(matches!(welcome, Frame::Welcome { ref peers, .. } if peers.is_empty()));
         }
-        (hub, joiners)
+        (hub, joiners, m)
     }
 
     /// A hostile joiner on a star-routed run fails that run with one
@@ -575,7 +576,7 @@ mod tests {
     /// joiners still hear `Shutdown`. Node 1 writes `bytes`, then
     /// either hangs up or keeps its socket open past the verdict.
     fn hostile_joiner_fails_the_run(bytes: &[u8], hang_up: bool, expect: &str) {
-        let (hub, mut joiners) = star_hub(3);
+        let (hub, mut joiners, _) = star_hub(3);
         let mut hostile = Some(joiners.remove(1));
         hostile.as_mut().unwrap().write_all(bytes).unwrap();
         if hang_up {
@@ -616,6 +617,43 @@ mod tests {
             to_node: 999,
         };
         hostile_joiner_fails_the_run(&stray.encode(), false, "addressed to node 999");
+    }
+
+    /// A `PullData` is decoded in place only behind a sound head; one
+    /// that is off in any way is judged whole, by `Frame::decode`, and
+    /// fails the run with that error.
+    #[test]
+    fn irregular_pull_data_heads_fail_the_star_run_with_the_decode_error() {
+        for (wire, rejection) in crate::conn::irregular_pull_data() {
+            hostile_joiner_fails_the_run(&wire, false, &format!("protocol: {rejection}"));
+        }
+        // Cut mid-payload, the head sound: the hangup it is.
+        let cut = &crate::conn::greedy_pull_data()[..500];
+        hostile_joiner_fails_the_run(cut, true, "hung up before reporting");
+    }
+
+    /// Reserving is not touching: a joiner that declares the largest
+    /// payload there is, delivers a MiB of it and stalls has cost the
+    /// hub that MiB, and ends as the hangup it is.
+    #[test]
+    fn a_declared_256_mib_payload_costs_the_hub_what_arrived() {
+        let (hub, mut joiners, m) = star_hub(3);
+        let wire = crate::conn::greedy_pull_data();
+        let (before, resident) = (m.bytes_recv.get(), crate::conn::resident_bytes());
+        let mut hostile = joiners.remove(1);
+        hostile.write_all(&wire).unwrap();
+        while m.bytes_recv.get() < before + wire.len() as u64 {
+            std::thread::yield_now();
+        }
+        let grown = crate::conn::resident_bytes().saturating_sub(resident);
+        assert!(grown < 64 << 20, "resident set grew {grown} bytes");
+        drop(hostile);
+        let err = hub.wait_barrier(0, Duration::from_secs(10)).unwrap_err();
+        assert!(
+            matches!(&err, NetError::Io(why) if why.contains("node 1 hung up before reporting")),
+            "{err:?}"
+        );
+        hub.shutdown(false, "hostile joiner");
     }
 
     #[test]

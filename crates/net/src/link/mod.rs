@@ -512,7 +512,7 @@ impl NetLink {
                     Msg {
                         src,
                         tag,
-                        payload: Bytes::copy_from_slice(&payload),
+                        payload: Bytes::from(payload),
                     },
                 );
             }
@@ -548,11 +548,11 @@ impl NetLink {
                 self.settle(&key);
                 // Register directly (NOT through the runtime's put
                 // path): the bytes were accounted by the puller's
-                // `pull`, and a wire copy is not a local put.
+                // `pull`, and a wire copy is not a local put. (The
+                // vector is the one the socket read filled.)
                 if dart.registry().get(&key).is_none() {
                     let bytes = data.len() as u64;
-                    dart.registry()
-                        .register(key, owner, Bytes::copy_from_slice(&data));
+                    dart.registry().register(key, owner, Bytes::from(data));
                     let dst = self.client_of(self.node);
                     self.wire_event(Carrier::Wire, key, owner, dst, bytes, Some(t0));
                 }
@@ -688,26 +688,25 @@ impl NetLink {
                     piece: key.piece,
                     owner: handle.owner,
                 };
-                let data = handle.data.as_slice();
-                if !link.shm_send(to_node, desc, data, reply) {
+                if !link.shm_send(to_node, desc, &handle.data, reply) {
                     let requester = link.client_of(to_node);
-                    let bytes = data.len() as u64;
+                    let bytes = handle.data.len() as u64;
                     link.wire_event(Carrier::Wire, key, desc.owner, requester, bytes, None);
-                    link.send_pull_data(reply, to_node, desc, data.to_vec());
+                    link.send_pull_data(reply, to_node, desc, handle.data.clone());
                 }
             })
             .expect("spawn pull waiter");
     }
 
-    /// Answer a pull from `to_node` with the bytes themselves, out the
-    /// connection the request arrived on, counting bulk data by route:
-    /// on a direct connection it is p2p; on the hub connection it is a
-    /// relay the hub counts itself.
-    fn send_pull_data(&self, reply: Token, to_node: u32, desc: RecordDesc, data: Vec<u8>) {
+    /// Answer a pull from `to_node` with the bytes themselves (the
+    /// staged buffer, shared, not a copy), out the connection the request
+    /// arrived on, counting bulk data by route: on a direct connection
+    /// it is p2p; on the hub connection it is a relay the hub counts.
+    fn send_pull_data(&self, reply: Token, to_node: u32, desc: RecordDesc, data: Bytes) {
         if self.route(to_node) == Some(Route::Direct) {
             self.metrics.pull_p2p.inc();
         }
-        self.handle.send(
+        self.handle.send_shared(
             reply,
             Frame::PullData {
                 name: desc.name,
@@ -715,8 +714,9 @@ impl NetLink {
                 piece: desc.piece,
                 owner: desc.owner,
                 to_node,
-                data,
+                data: Vec::new(),
             },
+            data,
         );
     }
 
@@ -735,12 +735,13 @@ impl Transport for NetLink {
     }
 
     fn forward(&self, to: ClientId, msg: &Msg) {
-        self.hub_send(Frame::Relay {
+        let head = Frame::Relay {
             to,
             src: msg.src,
             tag: msg.tag,
-            payload: msg.payload.as_slice().to_vec(),
-        });
+            payload: Vec::new(),
+        };
+        self.handle.send_shared(self.hub, head, msg.payload.clone());
     }
 
     fn request(&self, key: &BufKey) {
@@ -805,7 +806,7 @@ impl SpaceMirror for NetLink {
         src: ClientId,
         subscriber: ClientId,
         frag: &BoundingBox,
-        data: &[u8],
+        data: Bytes,
     ) {
         let node = self.node_of(subscriber);
         // A subscriber hosted here has a sink, and the space offers to
@@ -822,7 +823,7 @@ impl SpaceMirror for NetLink {
             subscriber,
             lbs: (0..nd).map(|d| frag.lb(d)).collect(),
             ubs: (0..nd).map(|d| frag.ub(d)).collect(),
-            data: data.to_vec(),
+            data: Vec::new(),
         };
         let key = BufKey {
             name: var,
@@ -837,7 +838,7 @@ impl SpaceMirror for NetLink {
             if route == Route::Direct {
                 self.metrics.sub_push_p2p.inc();
             }
-            self.handle.send(token, frame);
+            self.handle.send_shared(token, frame, data);
         }
     }
 }

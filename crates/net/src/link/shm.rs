@@ -322,8 +322,9 @@ impl NetLink {
         // will produce (the merge matches by key, not link class).
         for rec in staged.ring.unconsumed() {
             self.metrics.shm_fallbacks.inc();
-            let data = staged.ring.mem().slice(rec.off, rec.len).to_vec();
-            self.send_pull_data(reply, dst_node, rec.desc, data);
+            // Sent from the segment itself: the view keeps it mapped.
+            let view = MapRegion::new(staged.ring.mem().clone(), rec.off, rec.len, None);
+            self.send_pull_data(reply, dst_node, rec.desc, Bytes::from_map(Arc::new(view)));
         }
         out.degrade();
     }

@@ -25,6 +25,8 @@ struct Rig {
     space: Arc<CodsSpace>,
     ctl: Receiver<Ctl>,
     wire: TcpStream,
+    /// Where the link's own peer listener accepts.
+    peer_addr: std::net::SocketAddr,
     inj: FaultInjector,
     rec: Recorder,
     metrics: NetMetrics,
@@ -49,9 +51,10 @@ fn rig_with(p2p: bool) -> Rig {
 
     let machine = MachineSpec::new(3, 1);
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let peer_addr = listener.local_addr().unwrap();
     let peers = match p2p {
         true => vec![
-            listener.local_addr().unwrap().to_string(),
+            peer_addr.to_string(),
             "127.0.0.1:1".into(),
             "127.0.0.1:1".into(),
         ],
@@ -92,6 +95,7 @@ fn rig_with(p2p: bool) -> Rig {
         space,
         ctl,
         wire,
+        peer_addr,
         inj,
         rec,
         metrics,
@@ -313,6 +317,47 @@ fn hostile_corners_do_not_kill_the_wire_thread() {
         }
         assert_eq!(r.ctl.recv_timeout(bound), Ok(Ctl::RunWave(wave)));
     }
+    r.link.close();
+}
+
+/// The peer listener of a p2p link takes whoever dials it. A peer that
+/// declares the largest payload there is and stalls costs this process
+/// what it delivered, not what it declared; one whose `PullData` head
+/// is off in any way is hung up on; and through all of it the wire
+/// thread goes on answering the pulls of the run.
+#[test]
+fn hostile_peers_on_the_p2p_listener_cost_a_hangup_each() {
+    use std::io::{Read, Write};
+    let mut r = rig_with(true);
+    let wire = crate::conn::greedy_pull_data();
+    let (before, resident) = (r.metrics.bytes_recv.get(), crate::conn::resident_bytes());
+    let mut greedy = TcpStream::connect(r.peer_addr).unwrap();
+    greedy.write_all(&wire).unwrap();
+    while r.metrics.bytes_recv.get() < before + wire.len() as u64 {
+        std::thread::yield_now();
+    }
+    let grown = crate::conn::resident_bytes().saturating_sub(resident);
+    assert!(grown < 64 << 20, "resident set grew {grown} bytes");
+
+    for (wire, rejection) in crate::conn::irregular_pull_data() {
+        let mut peer = TcpStream::connect(r.peer_addr).unwrap();
+        peer.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        peer.write_all(&wire).unwrap();
+        // Hung up on: end of stream, or a reset over the unread bytes.
+        match peer.read(&mut [0u8; 8]) {
+            Ok(0) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+            other => panic!("{rejection}: not hung up on, {other:?}"),
+        }
+    }
+
+    r.dart
+        .registry()
+        .register(key(0), 0, Bytes::from_static(b"staged"));
+    r.ask(0);
+    assert!(matches!(r.answer(), Frame::ShmOffer { .. }));
+    drop(greedy);
     r.link.close();
 }
 

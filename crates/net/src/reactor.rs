@@ -7,13 +7,14 @@
 //!   handle wakes it through the poller's `eventfd`;
 //! - each connection owns a staged *write* buffer — all frames queued
 //!   since the last loop iteration are encoded back-to-back and cross
-//!   the socket in as few `write` syscalls as the kernel allows
+//!   the socket in as few `writev` syscalls as the kernel allows
 //!   (small-message coalescing), preserving per-connection FIFO order;
-//!   a connection whose socket refuses bytes is watched for
-//!   writability until its buffer drains;
-//! - each connection owns a staged *read* buffer drained through
-//!   [`FrameDecoder`], so a socket read may surface zero, one or many
-//!   frames regardless of how the peer batched them;
+//!   a bulk payload is spliced in as the shared buffer it already is,
+//!   never copied; a socket that refuses bytes is watched for
+//!   writability until everything drains;
+//! - each connection's [`FrameDecoder`] reads its socket: a read may
+//!   surface zero, one or many frames however the peer batched them,
+//!   and a `PullData` payload lands in the vector it is delivered in;
 //! - incoming frames are handed to a per-connection *sink* callback on
 //!   the reactor thread; sinks must not block (hand off to channels).
 //!
@@ -26,13 +27,15 @@
 //! analogue of a congested NIC.
 
 use crate::conn::{passes_fault_site, NetMetrics};
-use crate::frame::{Frame, FrameDecoder};
+use crate::frame::{Frame, FrameDecoder, FrameError};
 use insitu_fabric::{FaultInjector, NetOp};
 use insitu_util::channel::{unbounded, Receiver, Sender};
 use insitu_util::poller::{Poller, Waker};
-use std::collections::HashMap;
-use std::io::{ErrorKind, Read, Write};
+use insitu_util::Bytes;
+use std::collections::{HashMap, VecDeque};
+use std::io::{ErrorKind, IoSlice, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -65,7 +68,8 @@ pub type AcceptFn = Box<dyn FnMut(Token, SocketAddr) -> Sink + Send>;
 enum Cmd {
     AddStream(Token, TcpStream, Sink),
     AddListener(TcpListener, AcceptFn),
-    Send(Token, Frame),
+    /// A frame, and the shared payload that stands for its bulk tail.
+    Send(Token, Frame, Option<Bytes>),
     Shutdown,
 }
 
@@ -99,7 +103,14 @@ impl ReactorHandle {
     /// or closed tokens are silently dropped (the peer is gone, and the
     /// run-level barriers surface that).
     pub fn send(&self, token: Token, frame: Frame) {
-        self.push(Cmd::Send(token, frame));
+        self.push(Cmd::Send(token, frame, None));
+    }
+
+    /// [`send`](ReactorHandle::send) a frame whose bulk tail
+    /// ([`Frame::bulk_mut`]) is empty, with `payload` in its place: the
+    /// bytes go from the shared buffer to the socket, never copied.
+    pub fn send_shared(&self, token: Token, frame: Frame, payload: Bytes) {
+        self.push(Cmd::Send(token, frame, Some(payload)));
     }
 
     fn push(&self, cmd: Cmd) {
@@ -114,18 +125,76 @@ struct Conn {
     stream: TcpStream,
     sink: Sink,
     decoder: FrameDecoder,
-    /// Staged outbound bytes (encoded frames, back to back).
-    out: Vec<u8>,
-    /// Prefix of `out` already written to the socket.
-    out_pos: usize,
+    out: Outbound,
     /// Whether the poller watches this socket for writability: armed
     /// when a flush leaves bytes staged, disarmed once they drain.
     write_armed: bool,
 }
 
-impl Conn {
-    fn pending_out(&self) -> usize {
-        self.out.len() - self.out_pos
+/// One connection's outbound bytes: the staging vector of encoded
+/// frames and, in `queue`, the wire order of its runs and of the shared
+/// payloads between them — written and released where they lie, never
+/// joined to the staged bytes or moved.
+#[derive(Default)]
+struct Outbound {
+    /// Encoded frames back to back; of a frame with a bulk tail, all
+    /// but the tail's bytes. Kept (with its capacity) across flushes,
+    /// emptied whenever everything queued has been written.
+    staged: Vec<u8>,
+    /// What is left to write: a range of `staged`, or of the payload.
+    queue: VecDeque<(Range<usize>, Option<Bytes>)>,
+    /// Bytes left to write, staged and shared.
+    pending: usize,
+}
+
+impl Outbound {
+    /// Queue `frame`, its bulk tail travelling as `payload` — or, with
+    /// none given, moved out of the frame itself. A frame no peer would
+    /// accept is refused and nothing of it is queued.
+    fn stage(&mut self, mut frame: Frame, payload: Option<Bytes>) -> Result<(), FrameError> {
+        let payload = payload
+            .or_else(|| frame.bulk_mut().map(std::mem::take).map(Bytes::from))
+            .filter(|payload| !payload.is_empty());
+        let (start, tail) = (self.staged.len(), payload.as_ref().map_or(0, Bytes::len));
+        self.pending += frame.encode_into(&mut self.staged, tail)?;
+        match self.queue.back_mut() {
+            Some((run, None)) => run.end = self.staged.len(),
+            _ => self.queue.push_back((start..self.staged.len(), None)),
+        }
+        self.queue.extend(payload.map(|p| (0..p.len(), Some(p))));
+        Ok(())
+    }
+
+    /// Write as much of what is queued as `w` accepts.
+    fn flush(&mut self, w: &mut impl Write, metrics: &NetMetrics) -> std::io::Result<()> {
+        while self.pending > 0 {
+            // At most 64 slices a `writev`: 32 bulk frames, heads and payloads.
+            let chunks = self.queue.iter().take(64).map(|(run, shared)| {
+                IoSlice::new(&shared.as_deref().unwrap_or(&self.staged)[run.clone()])
+            });
+            match w.write_vectored(&chunks.collect::<Vec<_>>()) {
+                Ok(0) => return Err(std::io::Error::from(ErrorKind::WriteZero)),
+                Ok(mut n) => {
+                    metrics.bytes_sent.add(n as u64);
+                    self.pending -= n;
+                    while n > 0 {
+                        let (run, _) = self.queue.front_mut().expect("written, so queued");
+                        let step = n.min(run.len());
+                        (run.start, n) = (run.start + step, n - step);
+                        if run.start == run.end {
+                            self.queue.pop_front();
+                        }
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        if self.queue.is_empty() {
+            self.staged.clear();
+        }
+        Ok(())
     }
 }
 
@@ -217,8 +286,7 @@ fn adopt(
                     stream,
                     sink,
                     decoder: FrameDecoder::new(),
-                    out: Vec::new(),
-                    out_pos: 0,
+                    out: Outbound::default(),
                     write_armed: false,
                 },
             );
@@ -235,8 +303,8 @@ fn flush_and_arm(
     conn: &mut Conn,
     metrics: &NetMetrics,
 ) -> std::io::Result<()> {
-    flush(conn, metrics)?;
-    let want = conn.pending_out() > 0;
+    conn.out.flush(&mut conn.stream, metrics)?;
+    let want = conn.out.pending > 0;
     if want != conn.write_armed {
         poller.set_writable_interest(tok, want)?;
         conn.write_armed = want;
@@ -248,16 +316,15 @@ fn flush_and_arm(
 /// the kernel waits for writability — inside one shared time budget.
 fn drain_on_shutdown(conns: &mut HashMap<u64, Conn>, metrics: &NetMetrics) {
     let deadline = Instant::now() + SHUTDOWN_FLUSH_BUDGET;
-    for conn in conns.values_mut().filter(|c| c.pending_out() > 0) {
+    for conn in conns.values_mut().filter(|c| c.out.pending > 0) {
         let left = deadline.saturating_duration_since(Instant::now());
         // A zero timeout would mean "block forever".
         let timeout = Some(left.max(Duration::from_millis(1)));
-        let staged = &conn.out[conn.out_pos..];
-        let sent = conn.stream.set_nonblocking(false).is_ok()
+        if conn.stream.set_nonblocking(false).is_ok()
             && conn.stream.set_write_timeout(timeout).is_ok()
-            && conn.stream.write_all(staged).is_ok();
-        if sent {
-            metrics.bytes_sent.add(staged.len() as u64);
+        {
+            // The timeout surfaces as the `WouldBlock` that ends a flush.
+            let _ = conn.out.flush(&mut conn.stream, metrics);
         }
     }
 }
@@ -300,7 +367,7 @@ fn run_loop(
                         listeners.insert(tok, (listener, accept));
                     }
                 }
-                Cmd::Send(token, frame) => {
+                Cmd::Send(token, frame, payload) => {
                     let Some(conn) = conns.get_mut(&token.0) else {
                         continue; // peer already gone
                     };
@@ -310,11 +377,10 @@ fn run_loop(
                     if !passes_fault_site(&frame, NetOp::Send, &injector) {
                         continue;
                     }
-                    // Encoded straight onto the staged bytes; a frame
-                    // no peer would accept ends the connection by name
-                    // instead of poisoning the peer's decoder.
-                    match frame.encode_into(&mut conn.out) {
-                        Ok(_) => metrics.frames.inc(),
+                    // A frame no peer would accept ends the connection
+                    // by name instead of poisoning the peer's decoder.
+                    match conn.out.stage(frame, payload) {
+                        Ok(()) => metrics.frames.inc(),
                         Err(refused) => closed.push((token.0, refused.to_string())),
                     }
                 }
@@ -328,14 +394,14 @@ fn run_loop(
         // (2) Flush freshly staged writes. A connection already armed
         // for writability is flushed when the poller reports it.
         for (tok, conn) in conns.iter_mut() {
-            if conn.pending_out() > 0 && !conn.write_armed {
+            if conn.out.pending > 0 && !conn.write_armed {
                 if let Err(e) = flush_and_arm(&mut poller, *tok, conn, &metrics) {
                     closed.push((*tok, format!("write: {e}")));
                 }
             }
         }
         retire(&mut poller, &mut conns, &mut closed);
-        let staged: usize = conns.values().map(Conn::pending_out).sum();
+        let staged: usize = conns.values().map(|c| c.out.pending).sum();
         metrics.bytes_in_flight.set(staged as u64);
 
         // (3) Park until a socket needs attention or a handle wakes the
@@ -359,16 +425,16 @@ fn run_loop(
                     continue;
                 }
             }
-            // Read the connection dry.
+            // Read the connection dry. The decoder takes no payload byte
+            // through `scratch`; what it would have to copy, it counts.
             'reads: loop {
-                match conn.stream.read(&mut scratch) {
+                match conn.decoder.read_from(&mut &conn.stream, &mut scratch) {
                     Ok(0) => {
                         closed.push((tok, String::new())); // clean EOF
                         break 'reads;
                     }
                     Ok(n) => {
                         metrics.bytes_recv.add(n as u64);
-                        conn.decoder.push(&scratch[..n]);
                         loop {
                             match conn.decoder.next_frame() {
                                 Ok(Some(frame)) => {
@@ -393,40 +459,19 @@ fn run_loop(
                     }
                 }
             }
+            metrics
+                .payload_copy
+                .add(std::mem::take(&mut conn.decoder.copied));
         }
         retire(&mut poller, &mut conns, &mut closed);
     }
-}
-
-/// Write as much of the staged buffer as the socket accepts.
-fn flush(conn: &mut Conn, metrics: &NetMetrics) -> std::io::Result<()> {
-    while conn.out_pos < conn.out.len() {
-        match conn.stream.write(&conn.out[conn.out_pos..]) {
-            Ok(0) => return Err(std::io::Error::from(ErrorKind::WriteZero)),
-            Ok(n) => {
-                conn.out_pos += n;
-                metrics.bytes_sent.add(n as u64);
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    if conn.out_pos == conn.out.len() {
-        conn.out.clear();
-        conn.out_pos = 0;
-    } else if conn.out_pos > 64 * 1024 {
-        // Reclaim the written prefix of a large half-flushed buffer.
-        conn.out.drain(..conn.out_pos);
-        conn.out_pos = 0;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use insitu_telemetry::Recorder;
+    use std::io::Read;
     use std::sync::mpsc;
 
     fn metrics() -> NetMetrics {
@@ -453,6 +498,117 @@ mod tests {
         }
     }
 
+    /// A socket that takes an arbitrary part of what each `writev`
+    /// offers and refuses every other call. It holds the payload's
+    /// address: a slice of the payload must be the very buffer, at the
+    /// offset the last write left off — never a copy, never moved.
+    struct ShortWrites {
+        got: Vec<u8>,
+        rng: insitu_util::rng::SplitMix64,
+        refuse: bool,
+        payload: std::ops::Range<usize>,
+        payload_taken: usize,
+        resumed_mid_payload: bool,
+    }
+
+    impl Write for ShortWrites {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.refuse = !self.refuse;
+            if self.refuse {
+                return Err(ErrorKind::WouldBlock.into());
+            }
+            let mut room = self.rng.range_usize(1, 900_000);
+            let mut taken = 0;
+            for buf in bufs.iter().filter(|b| !b.is_empty()) {
+                let n = room.min(buf.len());
+                if self.payload.contains(&(buf.as_ptr() as usize)) {
+                    let at = buf.as_ptr() as usize - self.payload.start;
+                    assert_eq!(at, self.payload_taken, "the payload moved");
+                    self.resumed_mid_payload |= at > 0;
+                    self.payload_taken += n;
+                }
+                self.got.extend_from_slice(&buf[..n]);
+                (room, taken) = (room - n, taken + n);
+                if room == 0 {
+                    break;
+                }
+            }
+            Ok(taken)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Small, bulk and small frames queued on one connection reach the
+    /// peer as exactly the bytes of `Frame::encode`, whatever part of
+    /// each write the socket takes — the 4 MiB shared payload written
+    /// from where it lies, the frame that owns its payload giving it up.
+    #[test]
+    fn short_writes_send_the_encoded_bytes_and_never_move_a_payload() {
+        insitu_util::check::forall(8, |rng| {
+            let payload = Bytes::from((0..4usize << 20).map(|i| i as u8).collect::<Vec<u8>>());
+            let pull = |data: Vec<u8>| Frame::PullData {
+                name: 7,
+                version: 1,
+                piece: 3 << 32,
+                owner: 3,
+                to_node: 0,
+                data,
+            };
+            let push = Frame::SubPush {
+                sub_id: 9,
+                var: 1,
+                version: 2,
+                src: 3,
+                subscriber: 4,
+                lbs: vec![0, 0],
+                ubs: vec![9, 99],
+                data: vec![5; 8000],
+            };
+            let small = Frame::RunWave { wave: 1 };
+            let mut wire = small.encode();
+            wire.extend(pull(payload.to_vec()).encode());
+            wire.extend(push.encode());
+            wire.extend(small.encode());
+
+            let mut out = Outbound::default();
+            out.stage(small.clone(), None).unwrap();
+            out.stage(pull(Vec::new()), Some(payload.clone())).unwrap();
+            out.stage(push, None).unwrap();
+            out.stage(small, None).unwrap();
+            assert_eq!(out.pending, wire.len());
+            let staged = out.staged.len();
+            assert!(staged < 200, "{staged} bytes staged: a payload was joined");
+
+            let start = payload.as_ptr() as usize;
+            let mut socket = ShortWrites {
+                got: Vec::new(),
+                rng: insitu_util::rng::SplitMix64::new(rng.next_u64()),
+                refuse: false,
+                payload: start..start + payload.len(),
+                payload_taken: 0,
+                resumed_mid_payload: false,
+            };
+            let m = metrics();
+            while out.pending > 0 {
+                out.flush(&mut socket, &m).unwrap();
+            }
+            assert!(socket.got == wire, "the peer got other bytes");
+            assert!(socket.resumed_mid_payload, "the payload went in one write");
+            assert_eq!(m.bytes_sent.get(), wire.len() as u64);
+            // Drained: the staging vector is empty and kept, the
+            // payload released.
+            assert!(out.staged.is_empty() && out.staged.capacity() >= staged);
+            assert!(out.queue.is_empty());
+        });
+    }
+
     #[test]
     fn two_reactors_exchange_frames_in_fifo_order() {
         let ra = Reactor::spawn("a", FaultInjector::none(), metrics()).unwrap();
@@ -473,6 +629,45 @@ mod tests {
         }
         rb.handle().send(tb, Frame::ListRuns);
         assert_eq!(recv_frame_ev(&rx_a), Frame::ListRuns);
+    }
+
+    /// A payload sent shared arrives between its neighbours, whole, in
+    /// a frame like any other — and neither reactor copied a byte of it.
+    #[test]
+    fn a_shared_payload_crosses_two_reactors_uncopied() {
+        let (ma, mb) = (metrics(), metrics());
+        let ra = Reactor::spawn("a", FaultInjector::none(), ma.clone()).unwrap();
+        let rb = Reactor::spawn("b", FaultInjector::none(), mb.clone()).unwrap();
+        let (sa, sb) = pair();
+        let (sink_a, _rx_a) = chan_sink();
+        let (sink_b, rx_b) = chan_sink();
+        let ta = ra.handle().alloc_token();
+        ra.handle().add_stream(ta, sa, sink_a);
+        rb.handle()
+            .add_stream(rb.handle().alloc_token(), sb, sink_b);
+
+        let payload = Bytes::from(
+            (0..3usize << 20)
+                .map(|i| (i / 7) as u8)
+                .collect::<Vec<u8>>(),
+        );
+        let pull = |data: Vec<u8>| Frame::PullData {
+            name: 7,
+            version: 2,
+            piece: 3 << 32,
+            owner: 3,
+            to_node: 0,
+            data,
+        };
+        ra.handle().send(ta, Frame::RunWave { wave: 1 });
+        ra.handle()
+            .send_shared(ta, pull(Vec::new()), payload.clone());
+        ra.handle().send(ta, Frame::RunWave { wave: 2 });
+        assert_eq!(recv_frame_ev(&rx_b), Frame::RunWave { wave: 1 });
+        assert!(recv_frame_ev(&rx_b) == pull(payload.to_vec()));
+        assert_eq!(recv_frame_ev(&rx_b), Frame::RunWave { wave: 2 });
+        assert_eq!(ma.payload_copy.get() + mb.payload_copy.get(), 0);
+        assert_eq!(mb.bytes_recv.get(), 2 * 10 + 42 + (3 << 20));
     }
 
     #[test]

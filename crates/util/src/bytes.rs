@@ -4,7 +4,9 @@
 //! uses: cheap clones (`Arc` bump, no copy), construction from vectors,
 //! slices and strings, and `Deref` to `[u8]`. Buffers registered with
 //! HybridDART are shared zero-copy between the producer's registration
-//! and every consumer's one-sided read.
+//! and every consumer's one-sided read. A `Vec<u8>` is adopted, not
+//! copied: the buffer a socket read filled is the buffer the registry
+//! keeps and the buffer a later send writes from.
 //!
 //! A buffer can also borrow a [`crate::shm::MapRegion`] — a view into a
 //! shared-memory segment another process staged — so the intra-host
@@ -25,8 +27,8 @@ pub struct Bytes {
 
 #[derive(Clone)]
 enum Repr {
-    /// Process-local heap storage.
-    Heap(Arc<[u8]>),
+    /// Process-local heap storage: the vector it was built from.
+    Heap(Arc<Vec<u8>>),
     /// A view into a shared memory mapping (zero-copy intra-host path).
     /// Dropping the last clone fires the region's release callback.
     Map(Arc<MapRegion>),
@@ -40,16 +42,12 @@ impl Bytes {
 
     /// Buffer backed by a static byte string (copied once).
     pub fn from_static(s: &'static [u8]) -> Self {
-        Bytes {
-            repr: Repr::Heap(Arc::from(s)),
-        }
+        Self::copy_from_slice(s)
     }
 
     /// Buffer holding a copy of `s`.
     pub fn copy_from_slice(s: &[u8]) -> Self {
-        Bytes {
-            repr: Repr::Heap(Arc::from(s)),
-        }
+        Bytes::from(s.to_vec())
     }
 
     /// Buffer borrowing a shared-memory region, without copying. The
@@ -87,9 +85,7 @@ impl Bytes {
 
 impl Default for Bytes {
     fn default() -> Self {
-        Bytes {
-            repr: Repr::Heap(Arc::from(&[][..])),
-        }
+        Bytes::from(Vec::new())
     }
 }
 
@@ -121,10 +117,11 @@ impl AsRef<[u8]> for Bytes {
     }
 }
 
+/// Adopts the vector: its allocation becomes the buffer's storage.
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         Bytes {
-            repr: Repr::Heap(Arc::from(v)),
+            repr: Repr::Heap(Arc::new(v)),
         }
     }
 }
@@ -165,6 +162,13 @@ mod tests {
         assert_eq!(&b[..], &[1, 2, 3]);
         assert_eq!(Bytes::from_static(b"xy").as_slice(), b"xy");
         assert_eq!(Bytes::from("ab".to_string()).as_ref(), b"ab");
+    }
+
+    #[test]
+    fn a_vector_is_adopted_not_copied() {
+        let v = vec![5u8; 4096];
+        let at = v.as_ptr();
+        assert_eq!(Bytes::from(v).as_slice().as_ptr(), at);
     }
 
     #[test]

@@ -179,6 +179,11 @@ insitu launch workflows/distrib.dag --config workflows/distrib.cfg \
     --procs 3 --strategy round-robin --no-shm | tee target/launch-no-shm-report.txt
 grep -q "byte-identical to the single-process run" target/launch-no-shm-report.txt
 grep -q "shm:       disabled (--no-shm)" target/launch-no-shm-report.txt
+# Every cross-node PullData of that run crossed two sockets and the
+# hub's relay. The only copies on the wire are the kernel's: no process
+# may have copied a payload byte (`net.payload_copy_bytes`, hub and
+# joiners summed).
+grep -q "^copies:    0 PullData payload byte(s) copied in user space" target/launch-no-shm-report.txt
 
 # The same smoke under p2p routing: PullData flows over direct
 # node<->node links and launch itself asserts — via the
@@ -189,6 +194,14 @@ insitu launch workflows/distrib.dag --config workflows/distrib.cfg \
     --procs 3 --p2p | tee target/launch-p2p-report.txt
 grep -q "byte-identical to the single-process run" target/launch-p2p-report.txt
 grep -q "p2p:       0 PullData / 0 SubPush frames through the hub" target/launch-p2p-report.txt
+# And with the payloads on the direct sockets (round-robin placement,
+# no shared memory): still not one payload byte copied in user space.
+echo "==> distributed loopback smoke, p2p data plane on the socket (--p2p --no-shm)"
+insitu launch workflows/distrib.dag --config workflows/distrib.cfg \
+    --procs 3 --p2p --no-shm --strategy round-robin | tee target/launch-p2p-wire-report.txt
+grep -q "byte-identical to the single-process run" target/launch-p2p-wire-report.txt
+grep -q "p2p:       0 PullData / 0 SubPush frames through the hub" target/launch-p2p-wire-report.txt
+grep -q "^copies:    0 PullData payload byte(s) copied in user space" target/launch-p2p-wire-report.txt
 
 # Standing-query smoke: the monitor workflow couples a producer and a
 # consumer, plus a one-task monitor app holding a whole-domain

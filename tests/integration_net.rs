@@ -327,9 +327,10 @@ fn one_consumer_recycles_the_arena_without_a_single_fallback() {
 /// A simulation coupled to an analysis over a *mirrored* process grid:
 /// every consumer rank's query exactly covers one producer piece, so a
 /// pulled piece assembles as a zero-copy `FieldData::View` — over the
-/// shm plane, a view of the mapped segment itself. Counts only: shm
-/// frames and view hits on the default plane, no shm frame with shm
-/// off, the same ledger either way.
+/// shm plane, a view of the mapped segment itself; over the socket, of
+/// the vector the payload was read into. Counts only: shm frames and
+/// view hits on the default plane, no shm frame, no copied payload
+/// byte and view hits still with shm off, the same ledger either way.
 #[test]
 fn mirror_grid_pulls_ride_shm_and_assemble_zero_copy_views() {
     use insitu::MappingStrategy::RoundRobin;
@@ -352,6 +353,10 @@ COUPLING VAR f PRODUCER 1 CONSUMERS 2 MODE concurrent
     assert!(shm_snap.counter("cods.view_hits") > 0);
     let (wire, wire_snap) = run_in_process(&scenario, RoundRobin, 2, false, false);
     assert_eq!(wire_snap.counter("net.shm_frames"), 0);
+    // Off the socket the piece is the vector the read filled, adopted:
+    // as aligned as any allocation, so it too assembles as a view.
+    assert!(wire_snap.counter("cods.view_hits") > 0);
+    assert_eq!(wire_snap.counter("net.payload_copy_bytes"), 0);
     assert_eq!(shm.ledger, wire.ledger, "the data plane must not show");
     assert_eq!(shm.gets, wire.gets);
 }
