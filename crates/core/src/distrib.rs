@@ -423,7 +423,6 @@ where
         stream,
         node,
         MachineSpec::new(nodes, cpn),
-        get_timeout,
         opts.injector.clone(),
         metrics,
         opts.flight.clone(),

@@ -11,7 +11,6 @@ use insitu::{
 };
 use insitu_telemetry::Recorder;
 use std::net::TcpListener;
-use std::time::{Duration, Instant};
 
 /// RoundRobin placement of this scenario lands the consumers' gets away
 /// from the staged pieces, so every run pulls across nodes — and, both
@@ -71,23 +70,6 @@ fn census() -> (usize, usize) {
     (fds, maps.lines().filter(|l| l.contains("insitu-")).count())
 }
 
-/// The census once it reads `want`, or after the deadline whatever it
-/// reads. `join` is the sole *owner* of a run's state, but a
-/// `net-pull-wait` thread borrows the link for the instant it takes to
-/// send its answer, and the last of them may still be returning when
-/// `join` does: that is a delay of microseconds, not a leak, and the
-/// only reason this is a poll.
-fn census_settling_to(want: (usize, usize)) -> (usize, usize) {
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        let now = census();
-        if now == want || Instant::now() >= deadline {
-            return now;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
-
 #[test]
 fn back_to_back_distributed_runs_leave_no_fd_and_no_mapping_behind() {
     let scenario = cross_node_scenario();
@@ -96,13 +78,12 @@ fn back_to_back_distributed_runs_leave_no_fd_and_no_mapping_behind() {
     for p2p in [false, true] {
         assert!(run_once(&scenario, p2p) > 0, "the runs must ride shm");
     }
-    std::thread::sleep(Duration::from_millis(100));
     let floor = census();
     assert_eq!(floor.1, 0, "a segment is still mapped with no run alive");
     for run in 3..=8 {
         run_once(&scenario, run % 2 == 0);
         assert_eq!(
-            census_settling_to(floor),
+            census(),
             floor,
             "(fds, segment mappings) after run {run} vs after run 2"
         );

@@ -15,6 +15,9 @@
 //! `register` hands the arriving handle directly to those waiters (and
 //! only those), so a `register` wakes exactly the clients that asked
 //! for that key instead of broadcasting to every blocked consumer.
+//! A key can also hold continuations ([`BufferRegistry::on_register`]):
+//! code `register` runs on the registering thread, so answering a remote
+//! pull blocks nobody.
 
 use insitu_fabric::ClientId;
 use insitu_util::Bytes;
@@ -78,12 +81,27 @@ impl Waiter {
     }
 }
 
+/// What a not-yet-registered key holds until `register` hands it the
+/// buffer: a [`Subscription`]'s waiter, tagged with the index of the key
+/// in its key list, or a continuation from [`BufferRegistry::on_register`].
+enum Parked {
+    Wait(usize, Arc<Waiter>),
+    Answer(Box<dyn FnOnce(BufferHandle) + Send>),
+}
+
+impl Parked {
+    fn run(self, handle: BufferHandle) {
+        match self {
+            Parked::Wait(index, waiter) => waiter.deliver(index, handle),
+            Parked::Answer(answer) => answer(handle),
+        }
+    }
+}
+
 #[derive(Default)]
 struct Shard {
     table: HashMap<BufKey, BufferHandle>,
-    /// Waiters parked on not-yet-registered keys, each tagged with the
-    /// index of the key in its subscription's key list.
-    waiters: HashMap<BufKey, Vec<(usize, Arc<Waiter>)>>,
+    waiters: HashMap<BufKey, Vec<Parked>>,
 }
 
 /// A concurrent key -> buffer table with blocking waits.
@@ -107,19 +125,40 @@ impl BufferRegistry {
         Self::default()
     }
 
-    /// Register (or replace) a buffer and hand it to every waiter parked
-    /// on this key. Waiters on other keys are not woken.
+    /// Register (or replace) a buffer and hand it to everything parked
+    /// on this key, after releasing the shard lock: a continuation runs
+    /// on this thread and may call back into the registry. Nothing
+    /// parked on other keys is woken.
     pub fn register(&self, key: BufKey, owner: ClientId, data: Bytes) {
         let handle = BufferHandle { owner, data };
-        let waiters = {
+        let parked = {
             let mut shard = self.shards[shard_of(&key)].lock().unwrap();
             shard.table.insert(key, handle.clone());
             shard.waiters.remove(&key)
         };
-        if let Some(waiters) = waiters {
-            for (index, waiter) in waiters {
-                waiter.deliver(index, handle.clone());
+        for parked in parked.into_iter().flatten() {
+            parked.run(handle.clone());
+        }
+    }
+
+    /// Run `answer` with `key`'s buffer: now, on this thread, if it is
+    /// registered, else once, from the `register` that brings it. Parked,
+    /// it lives as long as the registry: `unregister` and `drop_pulled`
+    /// leave it, as they leave waiters.
+    pub fn on_register(&self, key: BufKey, answer: impl FnOnce(BufferHandle) + Send + 'static) {
+        self.hand_or_park(&key, Parked::Answer(Box::new(answer)));
+    }
+
+    /// Hand `key`'s buffer to `parked` now, outside the shard lock, if it
+    /// is registered; else park it for `register`.
+    fn hand_or_park(&self, key: &BufKey, parked: Parked) {
+        let mut shard = self.shards[shard_of(key)].lock().unwrap();
+        match shard.table.get(key).cloned() {
+            Some(handle) => {
+                drop(shard);
+                parked.run(handle);
             }
+            None => shard.waiters.entry(*key).or_default().push(parked),
         }
     }
 
@@ -142,18 +181,7 @@ impl BufferRegistry {
             arrived: Condvar::new(),
         });
         for (index, key) in keys.iter().enumerate() {
-            let mut shard = self.shards[shard_of(key)].lock().unwrap();
-            if let Some(handle) = shard.table.get(key) {
-                let handle = handle.clone();
-                drop(shard);
-                waiter.deliver(index, handle);
-            } else {
-                shard
-                    .waiters
-                    .entry(*key)
-                    .or_default()
-                    .push((index, Arc::clone(&waiter)));
-            }
+            self.hand_or_park(key, Parked::Wait(index, Arc::clone(&waiter)));
         }
         Subscription {
             registry: self,
@@ -253,7 +281,7 @@ impl BufferRegistry {
         self.len() == 0
     }
 
-    /// Total waiter records currently parked (diagnostics / tests).
+    /// Total waiters and continuations parked (diagnostics / tests).
     pub fn waiter_count(&self) -> usize {
         self.shards
             .iter()
@@ -316,7 +344,7 @@ impl Drop for Subscription<'_> {
         for key in &self.keys {
             let mut shard = self.registry.shards[shard_of(key)].lock().unwrap();
             if let Some(list) = shard.waiters.get_mut(key) {
-                list.retain(|(_, w)| !Arc::ptr_eq(w, &self.waiter));
+                list.retain(|p| !matches!(p, Parked::Wait(_, w) if Arc::ptr_eq(w, &self.waiter)));
                 if list.is_empty() {
                     shard.waiters.remove(key);
                 }
@@ -572,6 +600,102 @@ mod tests {
         for w in waiters {
             assert_eq!(w.join().unwrap(), 6);
         }
+        assert_eq!(r.waiter_count(), 0);
+    }
+
+    /// A continuation that records the thread it ran on and the owner
+    /// it was handed, and counts its runs.
+    type Runs = Arc<std::sync::Mutex<Vec<(std::thread::ThreadId, u32)>>>;
+
+    fn recording(runs: &Runs) -> impl FnOnce(BufferHandle) + Send + 'static {
+        let runs = Arc::clone(runs);
+        move |h| {
+            let me = std::thread::current().id();
+            runs.lock().unwrap().push((me, h.owner));
+        }
+    }
+
+    #[test]
+    fn on_register_of_a_present_key_runs_on_the_caller() {
+        let r = BufferRegistry::new();
+        let runs = Runs::default();
+        r.register(key(1), 4, Bytes::from_static(b"here"));
+        r.on_register(key(1), recording(&runs));
+        let me = std::thread::current().id();
+        assert_eq!(*runs.lock().unwrap(), vec![(me, 4)]);
+        assert_eq!(r.waiter_count(), 0);
+    }
+
+    #[test]
+    fn on_register_of_an_absent_key_runs_once_from_register_on_its_thread() {
+        let r = Arc::new(BufferRegistry::new());
+        let runs = Runs::default();
+        r.on_register(key(2), recording(&runs));
+        assert!(runs.lock().unwrap().is_empty());
+        assert_eq!(r.waiter_count(), 1);
+        let r2 = Arc::clone(&r);
+        let producer = std::thread::spawn(move || {
+            r2.register(key(2), 5, Bytes::from_static(b"put"));
+            std::thread::current().id()
+        });
+        let producer = producer.join().unwrap();
+        // A replacement finds nothing parked: the answer ran once.
+        r.register(key(2), 6, Bytes::from_static(b"again"));
+        assert_eq!(*runs.lock().unwrap(), vec![(producer, 5)]);
+        assert_eq!(r.waiter_count(), 0);
+    }
+
+    #[test]
+    fn a_continuation_may_call_back_into_the_registry() {
+        let r = Arc::new(BufferRegistry::new());
+        // Parked: runs inside `register`, which must not hold the lock.
+        let r2 = Arc::clone(&r);
+        r.on_register(key(3), move |h| {
+            assert_eq!(r2.get(&key(3)).map(|h| h.owner), Some(h.owner));
+            r2.register(key(4), h.owner + 1, Bytes::new());
+        });
+        r.register(key(3), 7, Bytes::new());
+        assert_eq!(r.get(&key(4)).map(|h| h.owner), Some(8));
+        // Present: runs inside `on_register`, likewise.
+        let r2 = Arc::clone(&r);
+        r.on_register(key(4), move |_| {
+            r2.register(key(5), 9, Bytes::new());
+            let runs = Runs::default();
+            r2.on_register(key(5), recording(&runs));
+            assert_eq!(runs.lock().unwrap().len(), 1);
+        });
+        assert!(r.get(&key(5)).is_some());
+    }
+
+    #[test]
+    fn unregister_and_drop_pulled_leave_a_continuation_parked() {
+        let r = BufferRegistry::new();
+        let runs = Runs::default();
+        r.on_register(key(6), recording(&runs));
+        assert!(r.unregister(&key(6)).is_none());
+        assert_eq!(r.drop_pulled(6, 0, |_| false), 0);
+        assert_eq!(r.waiter_count(), 1);
+        assert!(runs.lock().unwrap().is_empty());
+        r.register(key(6), 2, Bytes::new());
+        assert_eq!(runs.lock().unwrap().len(), 1);
+    }
+
+    #[test]
+    fn several_continuations_and_a_waiter_on_one_key_are_all_served() {
+        let r = BufferRegistry::new();
+        let runs = Runs::default();
+        let mut sub = r.subscribe(&[key(8)]);
+        for _ in 0..5 {
+            r.on_register(key(8), recording(&runs));
+        }
+        assert_eq!(r.waiter_count(), 6);
+        r.register(key(8), 3, Bytes::new());
+        assert_eq!(runs.lock().unwrap().len(), 5);
+        assert!(runs.lock().unwrap().iter().all(|&(_, owner)| owner == 3));
+        let (_, h, _) = sub
+            .next_before(Instant::now() + Duration::from_secs(5))
+            .expect("the waiter is served too");
+        assert_eq!(h.owner, 3);
         assert_eq!(r.waiter_count(), 0);
     }
 }

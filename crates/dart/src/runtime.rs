@@ -268,9 +268,7 @@ impl DartRuntime {
             return Err(i);
         }
         for key in keys {
-            if self.registry.get(key).is_none() {
-                self.wire.request(key);
-            }
+            self.wire.request(key);
         }
         // A delayed op's budget is delay + timeout: the injected delay
         // must not eat into the wait for the buffer itself.
@@ -632,27 +630,24 @@ mod tests {
         assert_eq!(rt.ledger().snapshot().network_total(), 0);
     }
 
+    /// Whether a key needs a frame is the transport's call, made once,
+    /// where it can be made under its own in-flight lock: the runtime
+    /// asks for every key of a pull, held or not.
     #[test]
-    fn register_buffer_publishes_and_pull_requests_missing_keys() {
+    fn register_buffer_publishes_and_pull_hands_every_key_to_the_transport() {
         let (rt, wire) = split_runtime(2);
         rt.register_buffer(bkey(0), 1, Bytes::from_static(b"xyz"));
-        // Present key: no wire request.
         assert!(rt
             .pull_many(&[bkey(0)], Duration::from_millis(5), |_, _, _| {})
             .is_ok());
-        assert!(wire.requested.lock().unwrap().is_empty());
-        // Absent key: requested once through the wire, then times out
-        // because no reader ever answers.
-        assert!(rt
-            .pull_many(&[bkey(5)], Duration::from_millis(5), |_, _, _| {})
-            .is_err());
-        assert_eq!(*wire.requested.lock().unwrap(), vec![bkey(5)]);
+        assert_eq!(*wire.requested.lock().unwrap(), vec![bkey(0)]);
         wire.requested.lock().unwrap().clear();
+        // Nobody answers the absent key: the pull times out naming it.
         let err = rt
             .pull_many(&[bkey(0), bkey(6)], Duration::from_millis(5), |_, _, _| {})
             .unwrap_err();
         assert_eq!(err, 1);
-        assert_eq!(*wire.requested.lock().unwrap(), vec![bkey(6)]);
+        assert_eq!(*wire.requested.lock().unwrap(), vec![bkey(0), bkey(6)]);
     }
 
     #[test]

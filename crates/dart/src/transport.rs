@@ -52,9 +52,9 @@ pub trait Transport: Send + Sync {
     /// process.
     fn forward(&self, to: ClientId, msg: &Msg);
 
-    /// Ask the owning process to send a buffer this process does not
-    /// host. Fire-and-forget: the caller blocks on the registry and the
-    /// reply (if any) is registered by the transport's reader.
+    /// Ask the owning process for a buffer this process neither hosts
+    /// nor holds. Fire-and-forget: the caller blocks on the registry and
+    /// the reply (if any) is registered by the transport's reader.
     fn request(&self, key: &BufKey);
 }
 

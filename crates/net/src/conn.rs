@@ -349,11 +349,11 @@ mod tests {
                 // reader must run concurrently with the writer.
                 data: (0..3u32 << 20).map(|i| i as u8).collect(),
             },
-            Frame::PullNack {
+            Frame::PullRequest {
                 name: 7,
                 version: 2,
                 piece: 1,
-                to_node: 1,
+                from_node: 1,
             },
             Frame::Shutdown {
                 ok: false,

@@ -383,9 +383,9 @@ pub enum Frame {
         /// The staged bytes.
         data: Vec<u8>,
     },
-    /// Owner joiner → server → consumer joiner: the buffer never
-    /// appeared before the owner's timeout; the consumer's own wait
-    /// will surface the pull timeout.
+    /// Reserved, no sender: an owner parks a pull until it can answer,
+    /// so it has no refusal to send. Kept so wire v6 stays
+    /// byte-identical; hub and link refuse it as unexpected.
     7 => PullNack {
         /// Buffer name hash.
         name: u64,

@@ -8,7 +8,7 @@
 //! including bulk `PullData`, `SubPush` and the shm control frames — up
 //! their hub connection and the hub relays it. A `p2p: true` run ships
 //! each joiner's advertised peer address in the `Welcome`, so
-//! `PullRequest`/`PullData`/`PullNack`/`SubPush` flow directly
+//! `PullRequest`/`PullData`/`SubPush` flow directly
 //! node↔node and the hub carries only control traffic (registration,
 //! dispatch relays, wave barriers, DHT mirror broadcasts, reports,
 //! shutdown). `net.pull_frames_hub` / `net.sub_push_hub` count what the
@@ -20,8 +20,8 @@
 //!   (`to / cores_per_node`).
 //! - `PullRequest` goes to the node of the owner client packed in the
 //!   upper 32 bits of the piece id.
-//! - `PullData` / `PullNack` go to the requesting node carried in the
-//!   frame.
+//! - `PullData` goes to the requesting node carried in the frame, once
+//!   the owner has the buffer: it parks the request until then.
 //! - `DhtInsert` / `GetDone` / `Evict` are broadcast to every node
 //!   except the origin (each replica already applied its own change).
 //! - `Barrier` and `Report` land in hub state for the wave engine.
@@ -460,7 +460,6 @@ impl Router {
                 self.metrics.pull_hub.inc();
                 self.relay(node, to_node, frame);
             }
-            Frame::PullNack { to_node, .. } => self.relay(node, to_node, frame),
             // Shm control frames ride the hub under star routing
             // exactly like the pull frames they replace — offers and
             // doorbells go to the consumer, acks back to the producer.
@@ -610,11 +609,11 @@ mod tests {
 
     #[test]
     fn frame_addressed_outside_the_run_fails_it_without_panicking_the_hub() {
-        let stray = Frame::PullNack {
-            name: 1,
-            version: 2,
-            piece: 3,
-            to_node: 999,
+        let stray = Frame::ShmDoorbell {
+            src_node: 1,
+            dst_node: 999,
+            segment: 2,
+            seq: 3,
         };
         hostile_joiner_fails_the_run(&stray.encode(), false, "addressed to node 999");
     }

@@ -11,7 +11,7 @@
 //!   message described once in a declarative frame table: 36
 //!   message types covering registration (`Hello`/`Welcome`), task
 //!   dispatch (`Relay` + `RunWave`/`Barrier`), buffer movement
-//!   (`PullRequest`, `PullData`, `PullNack`), DHT-replica
+//!   (`PullRequest`, `PullData`), DHT-replica
 //!   maintenance (`DhtInsert`, `GetDone`, `Evict`), run teardown
 //!   (`Report`, `Shutdown`), the multi-tenant service RPCs
 //!   (`Submit`/`Submitted`, `Cancel`, `Status`/`RunStatus`,
@@ -19,8 +19,8 @@
 //!   telemetry plane (`Telemetry`/`TelemetryAck` batch shipping,
 //!   `Watch`/`Progress` live run streaming), the intra-host
 //!   shared-memory control frames (`ShmOffer`/`ShmAck`/`ShmDoorbell`)
-//!   and the standing-query push (`SubPush`). Five kinds are reserved
-//!   and have no sender: `PutNotify`, `Subscribe`, `SubAck`,
+//!   and the standing-query push (`SubPush`). Six kinds are reserved
+//!   and have no sender: `PutNotify`, `PullNack`, `Subscribe`, `SubAck`,
 //!   `SubCancel`, `SubLagged`.
 //!   Decoding rejects malformed input, never panics.
 //!   The shm control frames coordinate `insitu_util::shm` segments:
@@ -47,7 +47,8 @@
 //!   a lazily-dialed direct one) and what carries a pulled payload (the
 //!   socket, or a `/dev/shm` ring), demuxes incoming frames into the
 //!   local mailboxes / registry / DHT replica and surfaces
-//!   `RunWave`/`Shutdown` to the wave loop.
+//!   `RunWave`/`Shutdown` to the wave loop; a pull that comes early is
+//!   parked in the registry and answered by the put, on its thread.
 //!
 //! Built entirely on `std::net` plus the `epoll` binding in
 //! `insitu_util` — the workspace stays offline-buildable with zero

@@ -167,9 +167,6 @@ pub struct NetLink {
     /// Keys with an outstanding `PullRequest`, so concurrent local
     /// waiters ask the owner once, not once per waiter.
     inflight: Mutex<HashSet<BufKey>>,
-    /// How long the owner side waits for a requested buffer to be put
-    /// before answering `PullNack`.
-    get_timeout: Duration,
     /// Back-references to what this link serves, set by `start_reader`.
     /// `Weak` because both own the link (as their `Transport` /
     /// `SpaceMirror`): a strong handle here is a cycle that keeps every
@@ -190,8 +187,7 @@ impl NetLink {
     /// Build the link around an established, greeted connection and the
     /// `Welcome` it received. `stream` must be past the Hello/Welcome
     /// handshake; `node` is this process's slot in `machine` (the run's
-    /// node and cores-per-node counts); `get_timeout` mirrors the
-    /// space's get timeout.
+    /// node and cores-per-node counts).
     ///
     /// `peers` and `hosts` are the `Welcome`'s address and host
     /// fingerprint tables, from which every peer node's [`DataPath`] is
@@ -206,7 +202,6 @@ impl NetLink {
         stream: TcpStream,
         node: u32,
         machine: MachineSpec,
-        get_timeout: Duration,
         injector: FaultInjector,
         metrics: NetMetrics,
         flight: FlightRecorder,
@@ -236,7 +231,6 @@ impl NetLink {
             peers: PeerTable::new(peers, dial_timeout),
             self_ref: self_ref.clone(),
             inflight: Mutex::new(HashSet::new()),
-            get_timeout,
             dart: OnceLock::new(),
             space: OnceLock::new(),
             telemetry_ack: Mutex::new(None),
@@ -545,32 +539,8 @@ impl NetLink {
                     version,
                     piece,
                 };
-                self.settle(&key);
-                // Register directly (NOT through the runtime's put
-                // path): the bytes were accounted by the puller's
-                // `pull`, and a wire copy is not a local put. (The
-                // vector is the one the socket read filled.)
-                if dart.registry().get(&key).is_none() {
-                    let bytes = data.len() as u64;
-                    dart.registry().register(key, owner, Bytes::from(data));
-                    let dst = self.client_of(self.node);
-                    self.wire_event(Carrier::Wire, key, owner, dst, bytes, Some(t0));
-                }
-            }
-            Frame::PullNack {
-                name,
-                version,
-                piece,
-                ..
-            } => {
-                // The owner gave up; our local wait will time out
-                // and surface the pull failure. Allow a retry to
-                // re-request.
-                self.settle(&BufKey {
-                    name,
-                    version,
-                    piece,
-                });
+                // The vector is the one the socket read filled.
+                self.land(key, owner, Bytes::from(data), Carrier::Wire, t0);
             }
             Frame::ShmOffer {
                 src_node,
@@ -590,7 +560,7 @@ impl NetLink {
                     },
                 );
             }
-            Frame::ShmDoorbell { src_node, .. } => self.shm_drain(src_node, dart),
+            Frame::ShmDoorbell { src_node, .. } => self.shm_drain(src_node),
             Frame::ShmAck {
                 dst_node, attached, ..
             } => self.shm_on_ack(dst_node, attached, reply),
@@ -652,50 +622,50 @@ impl NetLink {
         }
     }
 
-    /// Serve one remote pull: wait (on a throwaway thread, so the demux
-    /// never blocks) for the buffer to be put locally, then answer with
-    /// its bytes — through `to_node`'s ring or as `PullData` — or with
-    /// `PullNack` if the producer never delivers within the get timeout.
-    fn answer_pull(&self, key: BufKey, to_node: u32, dart: &Arc<DartRuntime>, reply: Token) {
-        let dart = Arc::clone(dart);
-        let timeout = self.get_timeout;
+    /// Serve one remote pull: answer with the buffer's bytes — through
+    /// `to_node`'s ring or as `PullData` — from the thread that registers
+    /// it (the producer's put), or here on the demux if it is staged
+    /// already. Nothing waits: until then the answer is parked in the
+    /// registry, and it dies with the run if the producer never puts.
+    fn answer_pull(&self, key: BufKey, to_node: u32, dart: &DartRuntime, reply: Token) {
         let weak = self.self_ref.clone();
-        std::thread::Builder::new()
-            .name("net-pull-wait".into())
-            .spawn(move || {
-                let found = dart.registry().wait_for(&key, timeout);
-                // Hold the runtime for the wait only, so a waiter never
-                // outlives its run by more than the answer it is sending.
-                drop(dart);
-                // The link is gone only when the run is: nobody is left
-                // to answer.
-                let Some(link) = weak.upgrade() else { return };
-                let Some(handle) = found else {
-                    link.handle.send(
-                        reply,
-                        Frame::PullNack {
-                            name: key.name,
-                            version: key.version,
-                            piece: key.piece,
-                            to_node,
-                        },
-                    );
-                    return;
-                };
-                let desc = RecordDesc {
-                    name: key.name,
-                    version: key.version,
-                    piece: key.piece,
-                    owner: handle.owner,
-                };
-                if !link.shm_send(to_node, desc, &handle.data, reply) {
-                    let requester = link.client_of(to_node);
-                    let bytes = handle.data.len() as u64;
-                    link.wire_event(Carrier::Wire, key, desc.owner, requester, bytes, None);
-                    link.send_pull_data(reply, to_node, desc, handle.data.clone());
-                }
-            })
-            .expect("spawn pull waiter");
+        dart.registry().on_register(key, move |handle| {
+            // The link is gone only when the run is: nobody is left to
+            // answer.
+            let Some(link) = weak.upgrade() else { return };
+            let desc = RecordDesc {
+                name: key.name,
+                version: key.version,
+                piece: key.piece,
+                owner: handle.owner,
+            };
+            if !link.shm_send(to_node, desc, &handle.data, reply) {
+                let requester = link.client_of(to_node);
+                let bytes = handle.data.len() as u64;
+                link.wire_event(Carrier::Wire, key, desc.owner, requester, bytes, None);
+                link.send_pull_data(reply, to_node, desc, handle.data);
+            }
+        });
+    }
+
+    /// Land pulled bytes: register them (directly, NOT through the put
+    /// path: the puller's `pull` accounted them), then settle the pull —
+    /// in that order, so a waiter asking in between finds the key held
+    /// and the payload crosses once. A second copy is dropped, which for
+    /// a mapped record hands its arena range straight back.
+    fn land(&self, key: BufKey, owner: ClientId, data: Bytes, carrier: Carrier, t0: u64) {
+        let dart = self.dart.get().and_then(Weak::upgrade);
+        if let Some(dart) = dart.filter(|d| d.registry().get(&key).is_none()) {
+            let bytes = data.len() as u64;
+            dart.registry().register(key, owner, data);
+            if carrier == Carrier::Shm {
+                self.metrics.shm_frames.inc();
+                self.metrics.shm_bytes.add(bytes);
+            }
+            let dst = self.client_of(self.node);
+            self.wire_event(carrier, key, owner, dst, bytes, Some(t0));
+        }
+        self.settle(&key);
     }
 
     /// Answer a pull from `to_node` with the bytes themselves (the
@@ -720,8 +690,8 @@ impl NetLink {
         );
     }
 
-    /// The pull for `key` is no longer outstanding (answered, refused
-    /// or unsendable): a later wait may request it again.
+    /// The pull for `key` is no longer outstanding (landed or
+    /// unsendable): a later wait may request it again.
     fn settle(&self, key: &BufKey) {
         let mut inflight = self.inflight.lock().unwrap();
         inflight.remove(key);
@@ -756,8 +726,11 @@ impl Transport for NetLink {
             return;
         };
         {
+            // Under the lock `land` settles under, after it registered:
+            // a key held here, or already asked for, needs no frame.
             let mut inflight = self.inflight.lock().unwrap();
-            if !inflight.insert(*key) {
+            let dart = self.dart.get().and_then(Weak::upgrade);
+            if dart.is_some_and(|d| d.registry().get(key).is_some()) || !inflight.insert(*key) {
                 return;
             }
             self.metrics.pulls_in_flight.set(inflight.len() as u64);

@@ -8,7 +8,7 @@
 use super::{Carrier, DataPath, NetLink, Route};
 use crate::frame::Frame;
 use crate::reactor::Token;
-use insitu_dart::{BufKey, DartRuntime};
+use insitu_dart::BufKey;
 use insitu_util::shm::{self, MapRegion, PushError, RecordDesc, Ring, RingMem, ShmMap};
 use insitu_util::Bytes;
 use std::path::{Path, PathBuf};
@@ -254,12 +254,11 @@ impl NetLink {
         true
     }
 
-    /// Consumer side of a `ShmDoorbell`: drain every published record
-    /// from the pair's ring into the registry. The payload is *not*
-    /// copied — the registered [`Bytes`] borrows the mapping, and
-    /// dropping its last clone releases the arena range back to the
-    /// producer.
-    pub(super) fn shm_drain(&self, src_node: u32, dart: &Arc<DartRuntime>) {
+    /// Consumer side of a `ShmDoorbell`: land every published record
+    /// from the pair's ring. The payload is *not* copied — the landed
+    /// [`Bytes`] borrows the mapping, and dropping its last clone
+    /// releases the arena range back to the producer.
+    pub(super) fn shm_drain(&self, src_node: u32) {
         let ring = match self.paths.get(src_node as usize) {
             Some(pair) => pair.inbound.lock().unwrap().clone(),
             None => None,
@@ -274,31 +273,16 @@ impl NetLink {
                 version: rec.desc.version,
                 piece: rec.desc.piece,
             };
-            self.settle(&key);
-            if dart.registry().get(&key).is_none() {
-                let release_ring = Arc::clone(&ring);
-                let range = rec.range;
-                let region = MapRegion::new(
-                    ring.mem().clone(),
-                    rec.off,
-                    rec.len,
-                    Some(Box::new(move || release_ring.release(range))),
-                );
-                let bytes = rec.len as u64;
-                // Register directly, like the PullData branch: the
-                // puller's `pull` already accounted these bytes.
-                dart.registry()
-                    .register(key, rec.desc.owner, Bytes::from_map(Arc::new(region)));
-                self.metrics.shm_frames.inc();
-                self.metrics.shm_bytes.add(bytes);
-                let dst = self.client_of(self.node);
-                self.wire_event(Carrier::Shm, key, rec.desc.owner, dst, bytes, Some(t0));
-            } else {
-                // A wire copy beat this record in (pull retry, or the
-                // pair degraded mid-flight); the space comes straight
-                // back.
-                ring.release(rec.range);
-            }
+            let release_ring = Arc::clone(&ring);
+            let range = rec.range;
+            let region = MapRegion::new(
+                ring.mem().clone(),
+                rec.off,
+                rec.len,
+                Some(Box::new(move || release_ring.release(range))),
+            );
+            let data = Bytes::from_map(Arc::new(region));
+            self.land(key, rec.desc.owner, data, Carrier::Shm, t0);
         }
     }
 

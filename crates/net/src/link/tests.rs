@@ -64,7 +64,6 @@ fn rig_with(p2p: bool) -> Rig {
         stream,
         0,
         machine,
-        Duration::from_secs(10),
         inj.clone(),
         metrics.clone(),
         FlightRecorder::disabled(),
@@ -361,6 +360,90 @@ fn hostile_peers_on_the_p2p_listener_cost_a_hangup_each() {
     r.link.close();
 }
 
+/// `Threads:` of `/proc/self/status`.
+fn os_threads() -> usize {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap();
+    let line = status.lines().find(|l| l.starts_with("Threads:")).unwrap();
+    line[8..].trim().parse().unwrap()
+}
+
+/// A peer that floods the p2p listener with pulls nobody will ever put
+/// parks as many answers in the registry, not as many threads; the wire
+/// thread goes on serving, and a pull that can be answered still is.
+#[test]
+fn a_pull_request_flood_parks_answers_not_threads() {
+    use std::io::Write;
+    const FLOOD: usize = 2000;
+    let mut r = rig_with(true);
+    let mut flood = Vec::new();
+    for piece in 0..FLOOD as u64 {
+        let req = Frame::PullRequest {
+            name: 99,
+            version: 0,
+            piece,
+            from_node: 1,
+        };
+        flood.extend_from_slice(&req.encode());
+    }
+    let before = os_threads();
+    let mut peer = TcpStream::connect(r.peer_addr).unwrap();
+    peer.write_all(&flood).unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while r.dart.registry().waiter_count() < FLOOD && std::time::Instant::now() < deadline {
+        std::thread::yield_now();
+    }
+    let grown = os_threads().saturating_sub(before);
+    assert!(grown < 8, "{FLOOD} pulls added {grown} threads");
+    assert_eq!(r.dart.registry().waiter_count(), FLOOD);
+
+    r.ask(0);
+    r.dart
+        .registry()
+        .register(key(0), 0, Bytes::from_static(b"staged"));
+    assert!(matches!(r.answer(), Frame::ShmOffer { .. }));
+    assert!(matches!(r.answer(), Frame::ShmDoorbell { .. }));
+    drop(peer);
+    r.link.close();
+}
+
+/// A pull that arrives before its buffer is answered by the `register`
+/// that brings the buffer, on the registering thread: by the time the
+/// put returns, the record is in the ring and its doorbell queued.
+#[test]
+fn a_parked_pull_is_answered_by_the_registering_thread() {
+    let mut r = rig();
+    r.ask(5);
+    while r.dart.registry().waiter_count() < 1 {
+        std::thread::yield_now();
+    }
+    r.dart
+        .registry()
+        .register(key(5), 0, Bytes::from_static(b"late"));
+    assert_eq!(r.metrics.shm_frames.get(), 1, "the put did not answer");
+    assert!(matches!(r.answer(), Frame::ShmOffer { .. }));
+    assert!(matches!(r.answer(), Frame::ShmDoorbell { .. }));
+    r.link.close();
+}
+
+/// A key the registry already holds — a copy that landed while this
+/// waiter was on its way to ask — needs no frame: the check runs under
+/// the in-flight lock that a landing settles under, after registering.
+#[test]
+fn request_for_a_key_the_registry_holds_sends_no_frame() {
+    let mut r = rig();
+    let (held, missing) = (key(1 << 32), key((1 << 32) | 1));
+    r.dart
+        .registry()
+        .register(held, 1, Bytes::from_static(b"landed"));
+    r.link.request(&held);
+    r.link.request(&missing);
+    match r.answer() {
+        Frame::PullRequest { piece, .. } => assert_eq!(piece, missing.piece),
+        other => panic!("unexpected frame kind {}", other.kind()),
+    }
+    r.link.close();
+}
+
 /// The link does not own what it serves. Once the rig — standing in
 /// for `insitu::join` — drops the runtime and the space, both are
 /// really gone, and frames of every plane still in flight towards
@@ -422,15 +505,23 @@ fn frames_after_the_runtime_is_gone_are_dropped_not_a_panic() {
 }
 
 /// The send path and the demux run where a sleep stalls every peer
-/// of this process: backpressure must be a refusal, never a nap.
+/// of this process: backpressure must be a refusal, never a nap. Nor
+/// does the link start threads: a pull waits in the registry, not on
+/// a thread of its own.
 #[test]
 fn link_source_never_sleeps() {
-    let needle = ["thread", "::", "sleep"].concat();
+    let sleep = ["thread", "::", "sleep"].concat();
+    let (mod_rs, shm_rs) = (include_str!("mod.rs"), include_str!("shm.rs"));
     for (file, src) in [
-        ("mod.rs", include_str!("mod.rs")),
-        ("shm.rs", include_str!("shm.rs")),
+        ("mod.rs", mod_rs),
+        ("shm.rs", shm_rs),
         ("tests.rs", include_str!("tests.rs")),
     ] {
-        assert!(!src.contains(&needle), "a {needle} crept into link/{file}");
+        assert!(!src.contains(&sleep), "a {sleep} crept into link/{file}");
+    }
+    for needle in ["spawn", "Builder"].map(|f| ["thread", "::", f].concat()) {
+        for (file, src) in [("mod.rs", mod_rs), ("shm.rs", shm_rs)] {
+            assert!(!src.contains(&needle), "a {needle} crept into link/{file}");
+        }
     }
 }

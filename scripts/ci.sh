@@ -121,17 +121,21 @@ fi
 [[ ! -e crates/telemetry/src/trace.rs ]]
 
 # The wire says only what a run says: the CoDS/DART <-> wire boundary is
-# eight trait methods, five frame kinds are reserved with no sender or
-# handler outside the frame table, the link is built in one call, and
-# the two files that are the paper's contribution stay files a reader
-# can hold. Any of it growing back fails the gate.
+# eight trait methods, six frame kinds are reserved with no sender or
+# handler outside the frame table, the link is built in one call, a
+# remote pull waits in the owner's registry rather than on a thread of
+# its own, and the two files that are the paper's contribution stay
+# files a reader can hold. Any of it growing back fails the gate.
 echo "==> narrow wire boundary, reserved frame kinds, file sizes"
 if grep -rnE 'fn (publish|dial_peer|sub_open|sub_cancel|sub_lagged)\b|set_flight|set_shm|subscribe_local|apply_remote_sub_cancel' crates tests examples; then
     echo "a deleted boundary method grew back"; exit 1
 fi
-if grep -rnE 'Frame::(PutNotify|Subscribe|SubAck|SubCancel|SubLagged)' crates/*/src --include=*.rs \
+if grep -rnE 'Frame::(PutNotify|PullNack|Subscribe|SubAck|SubCancel|SubLagged)' crates/*/src --include=*.rs \
     | grep -v '^crates/net/src/frame.rs:'; then
     echo "a reserved frame kind has a sender or handler again"; exit 1
+fi
+if grep -rn 'net-pull-wait' crates; then
+    echo "a pull waiter thread grew back"; exit 1
 fi
 long=$(find crates/cods/src crates/net/src -name '*.rs' ! -path crates/net/src/frame.rs \
     -exec wc -l {} + | awk '$2 != "total" && $1 > 1200')

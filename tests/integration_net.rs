@@ -454,17 +454,17 @@ fn star_routed_hub_serves_8_joiners_from_one_thread() {
     for s in &mut joiners {
         recv_frame(s, &inj, &metrics).expect("welcome");
     }
-    // Star routing at work: node 0's PullNack for node 7 crosses the hub.
-    let nack = Frame::PullNack {
-        name: 1,
-        version: 2,
-        piece: 3,
-        to_node: 7,
+    // Star routing at work: node 0's doorbell for node 7 crosses the hub.
+    let doorbell = Frame::ShmDoorbell {
+        src_node: 0,
+        dst_node: 7,
+        segment: 2,
+        seq: 3,
     };
-    send_frame(&mut joiners[0], &nack, &inj, &metrics).expect("nack");
+    send_frame(&mut joiners[0], &doorbell, &inj, &metrics).expect("doorbell");
     assert_eq!(
         recv_frame(&mut joiners[7], &inj, &metrics).expect("relay"),
-        nack
+        doorbell
     );
 
     let names = thread_names();
