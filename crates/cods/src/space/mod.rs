@@ -208,11 +208,17 @@ pub struct CodsSpace {
     sub_active: Gauge,
 }
 
+/// The registry's id of `owner`'s piece `piece`: the owner packed in
+/// the upper half, which is how a pull finds its way to the owner.
+fn piece_id(owner: ClientId, piece: u64) -> u64 {
+    ((owner as u64) << 32) | piece
+}
+
 fn buf_key(var: u64, version: u64, owner: ClientId, piece: u64) -> BufKey {
     BufKey {
         name: var,
         version,
-        piece: ((owner as u64) << 32) | piece,
+        piece: piece_id(owner, piece),
     }
 }
 

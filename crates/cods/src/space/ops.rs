@@ -74,12 +74,11 @@ impl CodsSpace {
             self.staging_gauge.set(peak);
         }
         self.put_count.inc();
-        if !dead {
-            self.dart.register_buffer(
-                buf_key(vid, version, client, piece),
-                client,
-                encode_f64s(data),
-            );
+        // The staged bytes, which a push to another process sends.
+        let staged = (!dead).then(|| encode_f64s(data));
+        if let Some(staged) = &staged {
+            let key = buf_key(vid, version, client, piece);
+            self.dart.register_buffer(key, client, staged.clone());
         }
         if index_in_dht {
             let entry = LocationEntry {
@@ -104,8 +103,10 @@ impl CodsSpace {
         // The Put's sequence number is allocated before the push fan-out
         // so every SubPush it spawns can name it as parent.
         let put_seq = flight.next_seq();
-        if !dead {
-            self.push_to_subs(client, app, vid, version, piece, bbox, data, put_seq);
+        if let Some(staged) = staged {
+            self.push_to_subs(
+                client, app, vid, version, piece, bbox, data, staged, put_seq,
+            );
         }
         if flight.is_enabled() {
             let now = flight.now_us();

@@ -6,9 +6,9 @@
 use super::CodsSpace;
 use crate::codec::{decode_f64s, f64s_of_bytes, ELEM_BYTES};
 use crate::dht::LocationEntry;
-use insitu_domain::BoundingBox;
+use insitu_dart::BufKey;
 use insitu_fabric::ClientId;
-use insitu_sub::{SubId, SubSpec};
+use insitu_sub::SubSpec;
 use insitu_util::Bytes;
 
 /// Replication hooks for distributed runs.
@@ -30,24 +30,6 @@ pub trait SpaceMirror: Send + Sync {
     /// Versions of `var` up to and including `version` were evicted
     /// locally.
     fn evict(&self, var: u64, version: u64);
-    /// A push fragment matched a subscription whose subscriber is
-    /// hosted by another process: carry `data` (encoded f64 cells of
-    /// `frag`, handed over so a transport can send from the buffer
-    /// itself) to it. Default: no-op, which silently drops the
-    /// fragment — distributed transports must override this.
-    #[allow(clippy::too_many_arguments)] // one wire frame's worth of fields
-    fn sub_push(
-        &self,
-        id: SubId,
-        var: u64,
-        version: u64,
-        src: ClientId,
-        subscriber: ClientId,
-        frag: &BoundingBox,
-        data: Bytes,
-    ) {
-        let _ = (id, var, version, src, subscriber, frag, data);
-    }
 }
 
 impl CodsSpace {
@@ -74,7 +56,7 @@ impl CodsSpace {
     /// Register a standing query whose subscriber lives in another
     /// process (scenario compilation entry point, the counterpart of
     /// [`Self::subscribe`]): registry-only — no sink, so matching puts
-    /// send their fragments through the mirror. A corrupt
+    /// push their piece to the subscriber's process. A corrupt
     /// `every_k == 0` spec is ignored rather than poisoning the
     /// registry's stride arithmetic.
     pub fn apply_remote_subscribe(&self, spec: &SubSpec) {
@@ -85,35 +67,35 @@ impl CodsSpace {
         self.sub_active.set(self.dart.subs().active());
     }
 
-    /// Deliver a wire-carried push fragment to the locally hosted
-    /// subscriber sink (wire reader entry point). No accounting and no
-    /// flight `SubPush` — the producer's process recorded both; the
-    /// transport layer records the wire hop itself. Returns `false` if
-    /// the subscription is unknown here or has no local sink (a stale
-    /// push after cancellation — dropped, the ledger already charged
-    /// it).
-    pub fn apply_remote_sub_push(
-        &self,
-        sub_id: SubId,
-        version: u64,
-        frag_box: &BoundingBox,
-        data: &[u8],
-    ) -> bool {
-        let Some(entry) = self.dart.subs().get(sub_id) else {
-            return false;
-        };
-        let Some(sink) = entry.sink() else {
-            return false;
-        };
-        if data.len() % ELEM_BYTES != 0 || (data.len() / ELEM_BYTES) as u128 != frag_box.num_cells()
-        {
-            return false;
+    /// Land a copy of a remote piece, pulled or pushed (wire reader
+    /// entry point): hold it in the registry — directly, NOT through the
+    /// put path, so nothing is accounted: whoever reads it accounts its
+    /// own get — and let every local sink that expects the piece on an
+    /// on-stride version cut its overlap out of it. A copy of a key
+    /// already held is dropped (for a mapped record that hands its arena
+    /// range back), so a piece landing twice feeds no sink twice.
+    pub fn apply_remote_piece(&self, key: BufKey, owner: ClientId, data: Bytes) {
+        let registry = self.dart.registry();
+        if registry.get(&key).is_some() {
+            return;
+        }
+        registry.register(key, owner, data.clone());
+        let entries = self.dart.subs().matching(key.name, key.version);
+        if entries.is_empty() {
+            return;
         }
         // The cells as they arrived when their alignment allows it.
-        match f64s_of_bytes(data) {
-            Some(frag) => sink.offer(version, frag_box, frag),
-            None => sink.offer(version, frag_box, &decode_f64s(data)),
+        let decoded;
+        let cells = match f64s_of_bytes(&data) {
+            Some(cells) => cells,
+            None if data.len() % ELEM_BYTES == 0 => {
+                decoded = decode_f64s(&data);
+                &decoded
+            }
+            None => return,
         };
-        true
+        for sink in entries.iter().filter_map(|e| e.sink()) {
+            sink.offer_piece(key.version, key.piece, cells);
+        }
     }
 }

@@ -1,16 +1,17 @@
 //! Standing queries: the push plane over CoDS. A subscription is
-//! registered once; every later matching `put` fans the overlapping
-//! fragment out from inside the put path — into the subscriber's sink
-//! when it is hosted here, through the mirror otherwise.
+//! registered once; every later matching `put` fans its piece out from
+//! inside the put path — into the subscriber's sink when it is hosted
+//! here, as a pull answer nobody asked for otherwise, which lands in
+//! the subscriber's registry and feeds its sink from there
+//! ([`CodsSpace::apply_remote_piece`]).
 
-use super::CodsSpace;
-use crate::codec::{encode_f64s, ELEM_BYTES};
-use insitu_domain::layout::copy_region;
+use super::{buf_key, piece_id, CodsSpace};
+use crate::codec::ELEM_BYTES;
 use insitu_domain::BoundingBox;
 use insitu_fabric::{ClientId, FaultAction, TrafficClass};
 use insitu_obs::{Event, EventKind};
 use insitu_sub::{SubId, SubSink, SubSpec, TakeResult};
-use std::sync::atomic::Ordering;
+use insitu_util::Bytes;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -36,6 +37,12 @@ impl SubHandle {
     /// Fully assembled versions so far (delivered or later dropped).
     pub fn completed(&self) -> u64 {
         self.sink.completed()
+    }
+
+    /// Declare that `owner` puts piece `piece` as `bbox` every version,
+    /// so a copy of it that lands from another process feeds this query.
+    pub fn expect_piece(&self, owner: ClientId, piece: u64, bbox: &BoundingBox) {
+        self.sink.expect(piece_id(owner, piece), *bbox);
     }
 }
 
@@ -124,11 +131,13 @@ impl CodsSpace {
     /// Fan a freshly put piece out to every matching standing query.
     ///
     /// This runs synchronously inside `put`, before the transport split:
-    /// a subscriber hosted in this process gets the fragment offered
-    /// straight into its sink, anything else goes through the mirror.
-    /// The chaos `sub-push` site is consulted here — on the shared path —
-    /// so an injected drop replays identically whether or not the
-    /// subscriber sits behind the wire.
+    /// a subscriber hosted in this process gets the piece's cells
+    /// (`data`) offered straight into its sink, which cuts its overlap;
+    /// a subscriber's process elsewhere is sent the staged bytes
+    /// (`staged`) once per put, however many of its queries match. The
+    /// chaos `sub-push` site is consulted here — on the shared path —
+    /// once per query, so an injected drop replays identically whether
+    /// or not the subscriber sits behind the wire.
     #[allow(clippy::too_many_arguments)] // put_impl's identity plus the parent seq
     pub(super) fn push_to_subs(
         &self,
@@ -139,10 +148,13 @@ impl CodsSpace {
         piece: u64,
         bbox: &BoundingBox,
         data: &[f64],
+        staged: Bytes,
         put_seq: u64,
     ) {
         let injector = self.dart.injector();
         let flight = self.dart.flight();
+        // The nodes this put's piece was already sent to.
+        let mut sent: Vec<u32> = Vec::new();
         for entry in self.dart.subs().matching(vid, version) {
             let Some(overlap) = entry.spec.region.intersect(bbox) else {
                 continue;
@@ -155,14 +167,11 @@ impl CodsSpace {
                 self.sub_push_drops.inc();
                 continue;
             }
-            let mut frag = vec![0.0; overlap.num_cells() as usize];
-            copy_region(data, bbox, &mut frag, &overlap, &overlap);
-            let frag_bytes = frag.len() as u64 * ELEM_BYTES as u64;
-            entry.pushes.fetch_add(1, Ordering::Relaxed);
+            let frag_bytes = overlap.num_cells() as u64 * ELEM_BYTES as u64;
             self.sub_pushes.inc();
             self.sub_push_bytes.add(frag_bytes);
             // Producer-side accounting, exactly once per fragment: the
-            // remote replica applies pushes without re-accounting, so
+            // remote replica lands pushes without re-accounting, so
             // merged ledgers match a single-process run byte for byte.
             self.dart.account(
                 app,
@@ -189,19 +198,15 @@ impl CodsSpace {
             }
             match entry.sink() {
                 Some(sink) => {
-                    sink.offer(version, &overlap, &frag);
+                    sink.offer(version, bbox, data);
                 }
                 None => {
-                    if let Some(m) = &self.mirror {
-                        m.sub_push(
-                            entry.id,
-                            vid,
-                            version,
-                            client,
-                            entry.spec.subscriber,
-                            &overlap,
-                            encode_f64s(&frag),
-                        );
+                    let node = self.dart.placement().node_of(entry.spec.subscriber);
+                    if !sent.contains(&node) {
+                        sent.push(node);
+                        let key = buf_key(vid, version, client, piece);
+                        self.dart
+                            .push(entry.spec.subscriber, key, client, staged.clone());
                     }
                 }
             }

@@ -4,10 +4,11 @@
 use super::*;
 use crate::codec::{encode_f64s, ELEM_BYTES};
 use crate::dht::LocationEntry;
+use insitu_dart::{BufferHandle, Transport};
 use insitu_domain::{layout, Decomposition, Distribution, ProcessGrid};
 use insitu_fabric::{FaultAction, MachineSpec, Placement, TrafficClass, TransferLedger};
 use insitu_sfc::HilbertCurve;
-use insitu_sub::{SubId, SubSpec, TakeResult};
+use insitu_sub::{SubSpec, TakeResult};
 use insitu_telemetry::Recorder;
 use insitu_util::Bytes;
 
@@ -136,13 +137,15 @@ fn remote_get_done_releases_waiting_producer() {
 }
 
 /// One process of a distributed run: hosts the clients of node 0
-/// (0 and 1) unless `all`, and counts how often it is asked.
+/// (0 and 1) unless `all`, counts how often it is asked, and records
+/// what the space pushes to node 1.
 struct NodeZero {
     all: bool,
     hosts_calls: std::sync::atomic::AtomicU64,
+    pushes: Mutex<Vec<(ClientId, BufKey, BufferHandle)>>,
 }
 
-impl insitu_dart::Transport for NodeZero {
+impl Transport for NodeZero {
     fn hosts(&self, client: ClientId) -> bool {
         self.hosts_calls
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -153,12 +156,16 @@ impl insitu_dart::Transport for NodeZero {
     }
     fn forward(&self, _to: ClientId, _msg: &insitu_dart::Msg) {}
     fn request(&self, _key: &BufKey) {}
+    fn push(&self, to: ClientId, key: &BufKey, handle: BufferHandle) {
+        self.pushes.lock().unwrap().push((to, *key, handle));
+    }
 }
 
 fn node_zero_space(all: bool) -> (Arc<CodsSpace>, Arc<NodeZero>, Recorder) {
     let wire = Arc::new(NodeZero {
         all,
         hosts_calls: Default::default(),
+        pushes: Mutex::default(),
     });
     let rec = Recorder::enabled();
     let dart = DartRuntime::with_transport(
@@ -878,80 +885,61 @@ fn sub_expected_gets_gate_only_on_stride_versions() {
     assert!(s.wait_version_consumed("vel", 2, Duration::from_millis(5)));
 }
 
-#[derive(Default)]
-struct SubRecordingMirror {
-    #[allow(clippy::type_complexity)]
-    pushes: Mutex<Vec<(SubId, u64, u64, ClientId, ClientId, BoundingBox, Vec<u8>)>>,
-}
-
-impl SpaceMirror for SubRecordingMirror {
-    fn dht_insert(&self, _var: u64, _version: u64, _entry: &LocationEntry) {}
-    fn get_done(&self, _var: u64, _version: u64) {}
-    fn evict(&self, _var: u64, _version: u64) {}
-    fn sub_push(
-        &self,
-        id: SubId,
-        var: u64,
-        version: u64,
-        src: ClientId,
-        subscriber: ClientId,
-        frag: &BoundingBox,
-        data: Bytes,
-    ) {
-        self.pushes
-            .lock()
-            .unwrap()
-            .push((id, var, version, src, subscriber, *frag, data.to_vec()));
-    }
-}
-
-/// Producer process with a sink-less subscription replica: every
-/// fragment travels through the mirror (accounted producer-side),
-/// and the subscriber process's remote apply reassembles the exact
-/// bytes without accounting anything again.
+/// Producer process with sink-less subscription replicas: a matching
+/// put sends its staged piece to the subscribers' node once, however
+/// many of their queries it meets (every fragment accounted
+/// producer-side), and the subscriber process lands each piece in its
+/// registry, where its sink cuts the exact bytes without accounting
+/// anything again — once, however often the piece lands.
 #[test]
-fn remote_subscriber_pushes_travel_via_mirror_and_apply_delivers() {
-    let mirror = Arc::new(SubRecordingMirror::default());
-    let placement = Arc::new(Placement::pack_sequential(MachineSpec::new(2, 2), 4));
-    let dart = DartRuntime::new(placement, Arc::new(TransferLedger::new()));
-    let dht = Dht::new(Box::new(HilbertCurve::new(2, 3)), vec![0, 2]);
-    let prod = CodsSpace::with_mirror(
-        dart,
-        dht,
-        CodsConfig {
-            get_timeout: Duration::from_secs(2),
-            ..Default::default()
-        },
-        Arc::clone(&mirror) as Arc<dyn SpaceMirror>,
-    );
+fn remote_subscribers_are_sent_each_piece_once_and_landing_feeds_the_sink() {
+    let (prod, wire, _) = node_zero_space(false);
     let q = BoundingBox::from_sizes(&[8, 8]);
-    let spec = SubSpec {
-        vid: prod.key_of("temp"),
-        region: q,
-        every_k: 1,
-        subscriber: 3,
-    };
-    prod.apply_remote_subscribe(&spec);
-    produce(&prod, "temp", 0);
-    let pushes = mirror.pushes.lock().unwrap().clone();
+    let corner = BoundingBox::from_sizes(&[4, 4]);
+    for (subscriber, region) in [(3, q), (2, corner)] {
+        prod.apply_remote_subscribe(&SubSpec {
+            vid: prod.key_of("temp"),
+            region,
+            every_k: 1,
+            subscriber,
+        });
+    }
+    let (dec, owners) = produce(&prod, "temp", 0);
+    // Four pieces meet the whole-domain query, one the corner query:
+    // five fragments, four pieces sent, each to node 1, each whole.
+    assert_eq!(prod.sub_pushes.get(), 5);
+    let pushes = std::mem::take(&mut *wire.pushes.lock().unwrap());
     assert_eq!(pushes.len(), 4);
-    // Producer-side accounting, once per fragment: subscriber 3 is
-    // on node 1, producers 0,1 are on node 0 (network) and 2,3 on
-    // node 1 (shm); each fragment is 16 cells = 128 bytes.
+    assert!(pushes
+        .iter()
+        .all(|(to, _, h)| to / 2 == 1 && h.data.len() == 128));
+    // Producer-side accounting, once per fragment: producers 0,1 are on
+    // node 0 (network to node 1), 2,3 on node 1 (shm); the four
+    // whole-domain fragments are 16 cells = 128 bytes each, the corner
+    // one too.
     let snap = prod.dart().ledger().snapshot();
     assert_eq!(snap.shm_bytes(TrafficClass::InterApp), 256);
-    assert_eq!(snap.network_bytes(TrafficClass::InterApp), 256);
-    // Subscriber process: local sink, remote applies feed it.
+    assert_eq!(snap.network_bytes(TrafficClass::InterApp), 384);
+
+    // Subscriber process: a local sink that expects the four pieces.
     let sub = space();
     let handle = sub.subscribe(3, 2, "temp", &q, 1, 4);
+    for (r, &owner) in owners.iter().enumerate() {
+        handle.expect_piece(owner, 0, &dec.blocked_box(r as u64).unwrap());
+    }
     let before = sub.dart().ledger().snapshot();
-    for (id, _var, version, _src, _subscriber, frag, data) in &pushes {
-        assert!(sub.apply_remote_sub_push(*id, *version, frag, data));
+    for (_, key, h) in pushes.iter().chain(&pushes) {
+        sub.apply_remote_piece(*key, h.owner, h.data.clone());
     }
     assert_eq!(sub.dart().ledger().snapshot(), before);
     let got = take_data(&sub, &handle, 0);
     for p in q.iter_points() {
         assert_eq!(got[layout::linear_index(&q, &p[..2])], tagfn(&p[..2]));
+    }
+    assert_eq!(handle.completed(), 1);
+    // The landed pieces serve the subscriber's own get, too.
+    for (_, key, _) in &pushes {
+        assert!(sub.dart().registry().get(key).is_some());
     }
 }
 
@@ -967,13 +955,19 @@ fn hostile_remote_sub_frames_are_rejected() {
         subscriber: 0,
     });
     assert_eq!(s.dart().subs().active(), 0);
-    // Pushes for unknown subscriptions or with ragged payloads are
-    // dropped.
+    // Landings of pieces no sink expects, or with ragged payloads, are
+    // held for the gets but feed no sink.
     let frag = BoundingBox::from_sizes(&[2]);
-    assert!(!s.apply_remote_sub_push(99, 0, &frag, &[0u8; 16]));
     let handle = s.subscribe(0, 1, "x", &frag, 1, 4);
-    assert!(!s.apply_remote_sub_push(handle.id, 0, &frag, &[0u8; 9]));
-    assert!(s.apply_remote_sub_push(handle.id, 0, &frag, &encode_f64s(&[1.0, 2.0])));
+    handle.expect_piece(1, 0, &frag);
+    let key = |owner: ClientId| buf_key(s.key_of("x"), 0, owner, 0);
+    s.apply_remote_piece(key(2), 2, encode_f64s(&[1.0, 2.0]));
+    s.apply_remote_piece(key(1), 1, Bytes::from(vec![0u8; 9]));
+    assert!(s.dart().registry().get(&key(1)).is_some());
+    assert_eq!(handle.completed(), 0);
+    s.dart().registry().unregister(&key(1));
+    s.apply_remote_piece(key(1), 1, encode_f64s(&[1.0, 2.0]));
+    assert_eq!(handle.completed(), 1);
 }
 
 /// The flight trace ties the fan-out together: each `SubPush` parents

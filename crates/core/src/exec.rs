@@ -249,16 +249,25 @@ impl ExecEnv {
         // (so producers anywhere can fan out pushes with the right
         // subscriber address), but a sink is attached only where the
         // subscriber task will actually run — remote subscribers stay
-        // registry-only entries whose fragments travel the wire. Each
-        // piece also owes one resync `get` per on-stride version, which
-        // keeps producer-side reclaim accounting deterministic.
+        // registry-only entries whose producer pieces travel the wire.
+        // A sink learns the box of every piece it expects, so a pushed
+        // copy that lands with only its key can feed it. Each piece
+        // also owes one resync `get` per on-stride version, which keeps
+        // producer-side reclaim accounting deterministic.
         let cpn = machine.cores_per_node;
         let mut subs: HashMap<(u32, u64), Vec<SubPiece>> = HashMap::new();
         for (si, sub) in scenario.subscriptions.iter().enumerate() {
             let sdec = scenario.decomposition(sub.subscriber_app);
-            let region = sub
-                .region
-                .unwrap_or(*scenario.decomposition(sub.producer_app).domain());
+            let pdec = scenario.decomposition(sub.producer_app);
+            let region = sub.region.unwrap_or(*pdec.domain());
+            // Every piece the producer puts, as (owner, piece, box).
+            let sources: Vec<(ClientId, u64, BoundingBox)> = (0..pdec.num_ranks())
+                .flat_map(|rank| {
+                    let owner = mapped.core_of_task(sub.producer_app, rank);
+                    let pieces = pdec.rank_region(rank).into_iter().enumerate();
+                    pieces.map(move |(pi, b)| (owner, pi as u64, b))
+                })
+                .collect();
             let mut pieces = 0u64;
             for rank in 0..sdec.num_ranks() {
                 let client = mapped.core_of_task(sub.subscriber_app, rank);
@@ -277,6 +286,9 @@ impl ExecEnv {
                             sub.every_k,
                             sub.queue_cap,
                         );
+                        for (owner, pi, b) in &sources {
+                            handle.expect_piece(*owner, *pi, b);
+                        }
                         subs.entry((sub.subscriber_app, rank))
                             .or_default()
                             .push(SubPiece {

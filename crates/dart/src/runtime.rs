@@ -206,6 +206,12 @@ impl DartRuntime {
         self.registry.register(key, owner, data);
     }
 
+    /// Send a buffer a local client staged to the process hosting `to`,
+    /// unasked ([`Transport::push`]). Accounts nothing: the caller did.
+    pub fn push(&self, to: ClientId, key: BufKey, owner: ClientId, data: Bytes) {
+        self.wire.push(to, &key, BufferHandle { owner, data });
+    }
+
     /// Whether `client`'s mailbox and buffers live in this process.
     pub fn hosts(&self, client: ClientId) -> bool {
         self.wire.hosts(client)
@@ -583,6 +589,7 @@ mod tests {
         fn request(&self, key: &BufKey) {
             self.requested.lock().unwrap().push(*key);
         }
+        fn push(&self, _to: ClientId, _key: &BufKey, _handle: BufferHandle) {}
     }
 
     fn split_runtime(boundary: ClientId) -> (Arc<DartRuntime>, Arc<HalfHosted>) {

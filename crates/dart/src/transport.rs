@@ -14,7 +14,8 @@
 //! - **mailboxes** ([`Transport::forward`]): tagged two-sided messages
 //!   (task dispatch, halo exchange);
 //! - **buffer registry** ([`Transport::request`]): one-sided
-//!   receiver-driven pulls of buffers registered in another process.
+//!   receiver-driven pulls of buffers registered in another process —
+//!   and [`Transport::push`], the same answer sent unasked.
 //!
 //! Accounting stays with the runtime: the sender's process accounts a
 //! forwarded message *before* handing it to the transport, and the
@@ -24,7 +25,7 @@
 //! single-process ledger byte for byte.
 
 use crate::mailbox::Msg;
-use crate::registry::BufKey;
+use crate::registry::{BufKey, BufferHandle};
 use insitu_fabric::ClientId;
 
 /// Where a client's mailbox and buffers live, and how to reach the ones
@@ -56,10 +57,14 @@ pub trait Transport: Send + Sync {
     /// nor holds. Fire-and-forget: the caller blocks on the registry and
     /// the reply (if any) is registered by the transport's reader.
     fn request(&self, key: &BufKey);
+
+    /// Send the buffer registered here under `key` to `to`'s process,
+    /// a pull answer nobody asked for: it lands like any pulled copy.
+    fn push(&self, to: ClientId, key: &BufKey, handle: BufferHandle);
 }
 
 /// The single-address-space transport: every client is local, so nothing
-/// is ever forwarded or requested.
+/// is ever forwarded, requested or pushed.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LocalTransport;
 
@@ -77,4 +82,6 @@ impl Transport for LocalTransport {
     }
 
     fn request(&self, _key: &BufKey) {}
+
+    fn push(&self, _to: ClientId, _key: &BufKey, _handle: BufferHandle) {}
 }

@@ -77,12 +77,6 @@ pub struct NetMetrics {
     /// PullData frames a link sent on a direct node↔node connection
     /// (p2p routing); zero on star-routed runs.
     pub pull_p2p: Counter,
-    /// SubPush frames the hub relayed (star routing). Like `pull_hub`,
-    /// the p2p acceptance gate asserts this stays zero under `--p2p`.
-    pub sub_push_hub: Counter,
-    /// SubPush frames a link sent on a direct node↔node connection
-    /// (p2p routing).
-    pub sub_push_p2p: Counter,
     /// Link-stall episodes declared by the service watchdog (no pull
     /// progress within its stall window, or p99 drift past its factor).
     pub link_stalls: Counter,
@@ -123,8 +117,6 @@ impl NetMetrics {
             reconnects: recorder.counter("net.reconnects"),
             pull_hub: recorder.counter("net.pull_frames_hub"),
             pull_p2p: recorder.counter("net.pull_frames_p2p"),
-            sub_push_hub: recorder.counter("net.sub_push_hub"),
-            sub_push_p2p: recorder.counter("net.sub_push_p2p"),
             link_stalls: recorder.counter("net.link_stalls"),
             shm_bytes: recorder.counter("net.shm_bytes"),
             shm_frames: recorder.counter("net.shm_frames"),

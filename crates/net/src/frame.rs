@@ -666,9 +666,9 @@ pub enum Frame {
     },
     /// Reserved, no sender: every replica registers every standing
     /// query from the scenario it compiles, so registration never
-    /// crosses the wire. Kept, like `SubAck`/`SubCancel`/`SubLagged`
-    /// below, so wire v6 stays byte-identical; hub and link refuse all
-    /// four as unexpected.
+    /// crosses the wire. Kept, like `SubAck`/`SubPush`/`SubCancel`/
+    /// `SubLagged` below, so wire v6 stays byte-identical; hub and link
+    /// refuse all five as unexpected.
     32 => Subscribe {
         /// Deterministic subscription id.
         sub_id: u64,
@@ -690,12 +690,10 @@ pub enum Frame {
         /// Node the ack is addressed to (the subscriber's node).
         to_node: u32,
     },
-    /// Producer → subscriber: one pushed fragment (producer piece ∩
-    /// subscription region) of a matching version. Deliberately NOT
-    /// data plane (it must not count toward the pull routing gates)
-    /// and NOT wire-fault-eligible: the chaos `sub-push` site fires in
-    /// the shared put path before the transport split, so a seed drops
-    /// the same fragments whether or not a wire is involved.
+    /// Reserved, no sender: a standing query's push is the producer's
+    /// staged piece sent as a `PullData` nobody requested, which lands
+    /// in the subscriber's registry and sinks. Kept so wire v6 stays
+    /// byte-identical; hub and link refuse it as unexpected.
     34 => SubPush {
         /// Target subscription.
         sub_id: u64,
@@ -776,14 +774,12 @@ impl Frame {
         }
     }
 
-    /// The frame's bulk tail: the byte vector that ends a `Relay`,
-    /// `PullData` or `SubPush` — on the wire a count, then payload to the
-    /// frame's end. The reactor moves it out, the decoder a payload in.
+    /// The frame's bulk tail: the byte vector that ends a `Relay` or a
+    /// `PullData` — on the wire a count, then payload to the frame's
+    /// end. The reactor moves it out, the decoder a payload in.
     pub fn bulk_mut(&mut self) -> Option<&mut Vec<u8>> {
         match self {
-            Frame::Relay { payload: bulk, .. }
-            | Frame::PullData { data: bulk, .. }
-            | Frame::SubPush { data: bulk, .. } => Some(bulk),
+            Frame::Relay { payload: bulk, .. } | Frame::PullData { data: bulk, .. } => Some(bulk),
             _ => None,
         }
     }
@@ -2277,10 +2273,8 @@ mod tests {
             arena_bytes: 1 << 23,
         };
         assert!(!offer.is_data_plane() && !offer.fault_eligible());
-        // A standing-query push is NOT data plane (it must not count
-        // toward the pull routing gates) and NOT wire-fault-eligible:
-        // the chaos `sub-push` site fires in the shared put path, so a
-        // seed drops the same fragments with or without a wire.
+        // The reserved standing-query kinds are neither data plane nor
+        // wire-fault-eligible.
         let push = Frame::SubPush {
             sub_id: 0xfeed,
             var: 9,

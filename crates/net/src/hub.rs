@@ -5,14 +5,14 @@
 //!
 //! Routing is a policy, not a second transport. A star-routed run
 //! (`p2p: false`) ships no peer table, so joiners address everything —
-//! including bulk `PullData`, `SubPush` and the shm control frames — up
-//! their hub connection and the hub relays it. A `p2p: true` run ships
-//! each joiner's advertised peer address in the `Welcome`, so
-//! `PullRequest`/`PullData`/`SubPush` flow directly
+//! including bulk `PullData` (a pull's answer, or a standing query's
+//! push) and the shm control frames — up their hub connection and the
+//! hub relays it. A `p2p: true` run ships each joiner's advertised peer
+//! address in the `Welcome`, so `PullRequest`/`PullData` flow directly
 //! node↔node and the hub carries only control traffic (registration,
 //! dispatch relays, wave barriers, DHT mirror broadcasts, reports,
-//! shutdown). `net.pull_frames_hub` / `net.sub_push_hub` count what the
-//! hub relays, and the launch gate asserts they stay zero under p2p.
+//! shutdown). `net.pull_frames_hub` counts the bulk frames the hub
+//! relays, and the launch gate asserts it stays zero under p2p.
 //!
 //! Routing rules:
 //!
@@ -20,8 +20,9 @@
 //!   (`to / cores_per_node`).
 //! - `PullRequest` goes to the node of the owner client packed in the
 //!   upper 32 bits of the piece id.
-//! - `PullData` goes to the requesting node carried in the frame, once
-//!   the owner has the buffer: it parks the request until then.
+//! - `PullData` goes to the node carried in the frame: the requester,
+//!   once the owner has the buffer (it parks the request until then),
+//!   or a subscriber's node, pushed by the put.
 //! - `DhtInsert` / `GetDone` / `Evict` are broadcast to every node
 //!   except the origin (each replica already applied its own change).
 //! - `Barrier` and `Report` land in hub state for the wave engine.
@@ -67,7 +68,7 @@ pub struct HubConfig {
     /// How long to wait for all joiners to connect and greet.
     pub accept_timeout: Duration,
     /// Publish the joiners' peer addresses in `Welcome` so PullData
-    /// and SubPush flow node↔node; off, the hub relays them.
+    /// flows node↔node; off, the hub relays it.
     pub p2p: bool,
     /// Publish the joiners' host fingerprints in `Welcome` so same-host
     /// pairs can carry PullData over shared-memory segments. When off,
@@ -471,13 +472,6 @@ impl Router {
             Frame::ShmAck { src_node, .. } => self.relay(node, src_node, frame),
             Frame::DhtInsert { .. } | Frame::GetDone { .. } | Frame::Evict { .. } => {
                 self.send_to_others(node, &frame)
-            }
-            Frame::SubPush { subscriber, .. } => {
-                // Push plane through the control plane. Expected under
-                // star routing; the p2p acceptance gate asserts this
-                // counter stays zero.
-                self.metrics.sub_push_hub.inc();
-                self.relay(node, subscriber / self.cores_per_node, frame);
             }
             // Hub state is keyed by the connection's node, not a frame
             // field: the connection identity is authenticated by the

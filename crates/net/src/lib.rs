@@ -17,11 +17,12 @@
 //!   (`Submit`/`Submitted`, `Cancel`, `Status`/`RunStatus`,
 //!   `ListRuns`/`RunList`, `RunResult`/`RunReport`, `RpcErr`), the
 //!   telemetry plane (`Telemetry`/`TelemetryAck` batch shipping,
-//!   `Watch`/`Progress` live run streaming), the intra-host
-//!   shared-memory control frames (`ShmOffer`/`ShmAck`/`ShmDoorbell`)
-//!   and the standing-query push (`SubPush`). Six kinds are reserved
-//!   and have no sender: `PutNotify`, `PullNack`, `Subscribe`, `SubAck`,
-//!   `SubCancel`, `SubLagged`.
+//!   `Watch`/`Progress` live run streaming) and the intra-host
+//!   shared-memory control frames (`ShmOffer`/`ShmAck`/`ShmDoorbell`).
+//!   Seven kinds are reserved and have no sender: `PutNotify`,
+//!   `PullNack`, `Subscribe`, `SubAck`, `SubPush`, `SubCancel`,
+//!   `SubLagged` — a standing query's push is a `PullData` nobody
+//!   requested.
 //!   Decoding rejects malformed input, never panics.
 //!   The shm control frames coordinate `insitu_util::shm` segments:
 //!   same-host pairs move `PullData` payloads through a
@@ -38,9 +39,9 @@
 //!   forwards relays, routes pulls by the owner packed in the buffer
 //!   key, broadcasts DHT mirror traffic and runs the wave barriers.
 //!   Star vs p2p is a routing policy decided by whether the `Welcome`
-//!   ships a peer table: without one the hub also relays `PullData`,
-//!   `SubPush` and the shm control frames; with one it carries control
-//!   traffic only and `PullData` flows directly node↔node.
+//!   ships a peer table: without one the hub also relays `PullData`
+//!   and the shm control frames; with one it carries control traffic
+//!   only and `PullData` flows directly node↔node.
 //! - [`link`] — the joiner's end, on one reactor: implements
 //!   `insitu_dart::Transport` and `insitu_cods::SpaceMirror`, decides
 //!   once per peer node where its frames leave (the hub connection, or
@@ -48,7 +49,9 @@
 //!   socket, or a `/dev/shm` ring), demuxes incoming frames into the
 //!   local mailboxes / registry / DHT replica and surfaces
 //!   `RunWave`/`Shutdown` to the wave loop; a pull that comes early is
-//!   parked in the registry and answered by the put, on its thread.
+//!   parked in the registry and answered by the put, on its thread, and
+//!   a standing query's push is the same answer sent unasked, landing
+//!   in the subscriber's registry and sinks.
 //!
 //! Built entirely on `std::net` plus the `epoll` binding in
 //! `insitu_util` — the workspace stays offline-buildable with zero

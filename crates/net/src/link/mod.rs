@@ -1,8 +1,8 @@
 //! The execution client's end of the wire: `NetLink` implements both
-//! [`insitu_dart::Transport`] (mailbox forwarding, pull requests) and
-//! [`insitu_cods::space::SpaceMirror`] (DHT-replica maintenance, push
-//! fragments), speaking frames to the hub — and, when the `Welcome`
-//! carried a peer table, directly to peer joiners.
+//! [`insitu_dart::Transport`] (mailbox forwarding, pull requests, the
+//! pushes of standing queries) and [`insitu_cods::space::SpaceMirror`]
+//! (DHT-replica maintenance), speaking frames to the hub — and, when
+//! the `Welcome` carried a peer table, directly to peer joiners.
 //!
 //! Every link owns one [`Reactor`]: the hub connection, the local peer
 //! listener and every direct peer connection live on its event-loop
@@ -28,8 +28,8 @@
 //! arrives once the runtime is gone is dropped.
 //!
 //! The telemetry plane rides the same connections: the link records a
-//! `NetSend` flight event when it answers a remote pull or sends a push
-//! fragment and a `NetRecv` when the bytes land, and at teardown
+//! `NetSend` flight event when it answers a remote pull or pushes a
+//! piece and a `NetRecv` when the bytes land, and at teardown
 //! [`NetLink::ship_telemetry`] ships the recording to the hub in
 //! ack-paced batches for the cross-process trace merge.
 
@@ -44,11 +44,10 @@ use crate::reactor::{ConnEvent, Reactor, ReactorHandle, Sink, Token};
 use insitu_cods::space::SpaceMirror;
 use insitu_cods::{CodsSpace, LocationEntry};
 use insitu_dart::transport::Transport;
-use insitu_dart::{BufKey, DartRuntime, Msg};
+use insitu_dart::{BufKey, BufferHandle, DartRuntime, Msg};
 use insitu_domain::BoundingBox;
 use insitu_fabric::{ClientId, FaultInjector, MachineSpec};
 use insitu_obs::{Event, EventKind, FlightRecorder, LinkClass};
-use insitu_sub::SubId;
 use insitu_util::channel::{unbounded, Receiver, Sender};
 use insitu_util::shm::RecordDesc;
 use insitu_util::Bytes;
@@ -82,9 +81,9 @@ pub(crate) enum DataPath {
     Local,
     /// Another node's process.
     Remote {
-        /// Where `PullRequest`s and `SubPush`es for the node leave.
+        /// Where `PullRequest`s and pushes for the node leave.
         route: Route,
-        /// What brings a pulled payload back from this node to it.
+        /// What carries a pull answer (or a push) to the node.
         carrier: Carrier,
     },
 }
@@ -417,8 +416,7 @@ impl NetLink {
     /// Record one half of a wire hop of `bytes` from client `src` to
     /// client `dst`: a `NetSend` stamped now, or — given when the frame
     /// reached the demux — the `NetRecv` spanning since then. The merge
-    /// pairs the halves by `(src, dst, key)`, where `key.piece` is the
-    /// piece for a pull and the subscription id for a push.
+    /// pairs the halves by `(src, dst, key)`.
     ///
     /// A send is recorded *before* its frame is enqueued: once the far
     /// side can observe the bytes the event is already in this
@@ -559,6 +557,12 @@ impl NetLink {
                         attached,
                     },
                 );
+                // Under p2p a push and an answer for this pair can leave
+                // on different connections: a doorbell may have beaten
+                // the offer here.
+                if attached {
+                    self.shm_drain(src_node);
+                }
             }
             Frame::ShmDoorbell { src_node, .. } => self.shm_drain(src_node),
             Frame::ShmAck {
@@ -586,28 +590,6 @@ impl NetLink {
             }
             Frame::GetDone { var, version } => space.apply_remote_get_done(var, version),
             Frame::Evict { var, version } => space.apply_remote_evict(var, version),
-            Frame::SubPush {
-                sub_id,
-                var,
-                version,
-                src,
-                subscriber,
-                lbs,
-                ubs,
-                data,
-            } => {
-                let Some(frag) = BoundingBox::try_new(&lbs, &ubs) else {
-                    return confused("bbox corners in");
-                };
-                space.apply_remote_sub_push(sub_id, version, &frag, &data);
-                let key = BufKey {
-                    name: var,
-                    version,
-                    piece: sub_id,
-                };
-                let bytes = data.len() as u64;
-                self.wire_event(Carrier::Wire, key, src, subscriber, bytes, Some(t0));
-            }
             Frame::RunWave { wave } => {
                 if let Some(ctl) = ctl {
                     let _ = ctl.send(Ctl::RunWave(wave));
@@ -632,38 +614,43 @@ impl NetLink {
         dart.registry().on_register(key, move |handle| {
             // The link is gone only when the run is: nobody is left to
             // answer.
-            let Some(link) = weak.upgrade() else { return };
-            let desc = RecordDesc {
-                name: key.name,
-                version: key.version,
-                piece: key.piece,
-                owner: handle.owner,
-            };
-            if !link.shm_send(to_node, desc, &handle.data, reply) {
-                let requester = link.client_of(to_node);
-                let bytes = handle.data.len() as u64;
-                link.wire_event(Carrier::Wire, key, desc.owner, requester, bytes, None);
-                link.send_pull_data(reply, to_node, desc, handle.data);
+            if let Some(link) = weak.upgrade() {
+                link.answer(key, to_node, handle, reply);
             }
         });
     }
 
-    /// Land pulled bytes: register them (directly, NOT through the put
-    /// path: the puller's `pull` accounted them), then settle the pull —
-    /// in that order, so a waiter asking in between finds the key held
-    /// and the payload crosses once. A second copy is dropped, which for
-    /// a mapped record hands its arena range straight back.
+    /// Send `key`'s buffer to `to_node` out `reply` — through the
+    /// pair's ring, or as `PullData` — recording the `NetSend`.
+    fn answer(&self, key: BufKey, to_node: u32, handle: BufferHandle, reply: Token) {
+        let desc = RecordDesc {
+            name: key.name,
+            version: key.version,
+            piece: key.piece,
+            owner: handle.owner,
+        };
+        if !self.shm_send(to_node, desc, &handle.data, reply) {
+            let requester = self.client_of(to_node);
+            let bytes = handle.data.len() as u64;
+            self.wire_event(Carrier::Wire, key, desc.owner, requester, bytes, None);
+            self.send_pull_data(reply, to_node, desc, handle.data);
+        }
+    }
+
+    /// Land a pulled or pushed copy: the space holds it and feeds the
+    /// sinks that expect it, then the pull settles — in that order, so
+    /// a waiter asking in between finds the key held and the payload
+    /// crosses once.
     fn land(&self, key: BufKey, owner: ClientId, data: Bytes, carrier: Carrier, t0: u64) {
-        let dart = self.dart.get().and_then(Weak::upgrade);
-        if let Some(dart) = dart.filter(|d| d.registry().get(&key).is_none()) {
-            let bytes = data.len() as u64;
-            dart.registry().register(key, owner, data);
-            if carrier == Carrier::Shm {
-                self.metrics.shm_frames.inc();
-                self.metrics.shm_bytes.add(bytes);
-            }
-            let dst = self.client_of(self.node);
-            self.wire_event(carrier, key, owner, dst, bytes, Some(t0));
+        let bytes = data.len() as u64;
+        if carrier == Carrier::Shm {
+            self.metrics.shm_frames.inc();
+            self.metrics.shm_bytes.add(bytes);
+        }
+        let dst = self.client_of(self.node);
+        self.wire_event(carrier, key, owner, dst, bytes, Some(t0));
+        if let Some(space) = self.space.get().and_then(Weak::upgrade) {
+            space.apply_remote_piece(key, owner, data);
         }
         self.settle(&key);
     }
@@ -748,6 +735,19 @@ impl Transport for NetLink {
             Err(_) => self.settle(key),
         }
     }
+
+    fn push(&self, to: ClientId, key: &BufKey, handle: BufferHandle) {
+        let node = self.node_of(to);
+        // A subscriber hosted here has a sink, fed by the put itself.
+        let Some(route) = self.route(node) else {
+            return;
+        };
+        // A failed direct dial is a lost push — the subscriber's take
+        // times out and its get heals the gap.
+        if let Ok(token) = self.conn(node, route) {
+            self.answer(*key, node, handle, token);
+        }
+    }
 }
 
 impl SpaceMirror for NetLink {
@@ -769,49 +769,5 @@ impl SpaceMirror for NetLink {
 
     fn evict(&self, var: u64, version: u64) {
         self.hub_send(Frame::Evict { var, version });
-    }
-
-    fn sub_push(
-        &self,
-        id: SubId,
-        var: u64,
-        version: u64,
-        src: ClientId,
-        subscriber: ClientId,
-        frag: &BoundingBox,
-        data: Bytes,
-    ) {
-        let node = self.node_of(subscriber);
-        // A subscriber hosted here has a sink, and the space offers to
-        // it without coming through the mirror.
-        let Some(route) = self.route(node) else {
-            return;
-        };
-        let nd = frag.ndim();
-        let frame = Frame::SubPush {
-            sub_id: id,
-            var,
-            version,
-            src,
-            subscriber,
-            lbs: (0..nd).map(|d| frag.lb(d)).collect(),
-            ubs: (0..nd).map(|d| frag.ub(d)).collect(),
-            data: Vec::new(),
-        };
-        let key = BufKey {
-            name: var,
-            version,
-            piece: id,
-        };
-        self.wire_event(Carrier::Wire, key, src, subscriber, data.len() as u64, None);
-        // A failed direct dial is a lost push — the subscriber's
-        // deadline fires and it resyncs with an ordinary get, so the
-        // loss is always healable.
-        if let Ok(token) = self.conn(node, route) {
-            if route == Route::Direct {
-                self.metrics.sub_push_p2p.inc();
-            }
-            self.handle.send_shared(token, frame, data);
-        }
     }
 }

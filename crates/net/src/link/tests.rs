@@ -271,19 +271,6 @@ fn hostile_corners_do_not_kill_the_wire_thread() {
             },
         ),
         (
-            "bbox corners",
-            Frame::SubPush {
-                sub_id: 9,
-                var: 1,
-                version: 0,
-                src: 1,
-                subscriber: 0,
-                lbs: vec![],
-                ubs: vec![],
-                data: vec![0; 8],
-            },
-        ),
-        (
             "misaddressed",
             Frame::Relay {
                 to: u32::MAX,
@@ -442,6 +429,139 @@ fn request_for_a_key_the_registry_holds_sends_no_frame() {
         other => panic!("unexpected frame kind {}", other.kind()),
     }
     r.link.close();
+}
+
+/// Node `node` of a star-routed two-node run with one client per node
+/// and no shared memory: its started link, runtime and space, and the
+/// hub's end of its hub connection.
+fn star_node(node: u32) -> (Arc<NetLink>, Arc<DartRuntime>, Arc<CodsSpace>, TcpStream) {
+    let machine = MachineSpec::new(2, 1);
+    let hub = TcpListener::bind("127.0.0.1:0").unwrap();
+    let stream = TcpStream::connect(hub.local_addr().unwrap()).unwrap();
+    let (wire, _) = hub.accept().unwrap();
+    let (inj, flight) = (FaultInjector::none(), FlightRecorder::disabled());
+    let metrics = NetMetrics::new(&Recorder::disabled());
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let link = NetLink::new(
+        stream,
+        node,
+        machine,
+        inj.clone(),
+        metrics,
+        flight.clone(),
+        Vec::new(),
+        Vec::new(),
+        listener,
+        Duration::from_secs(1),
+    )
+    .unwrap();
+    let dart = DartRuntime::with_transport(
+        Arc::new(Placement::pack_sequential(machine, 2)),
+        Arc::new(TransferLedger::new()),
+        Recorder::disabled(),
+        inj,
+        flight,
+        Arc::clone(&link) as Arc<dyn Transport>,
+    );
+    let space = CodsSpace::with_mirror(
+        Arc::clone(&dart),
+        Dht::new(Box::new(HilbertCurve::new(2, 3)), vec![0, 1]),
+        CodsConfig {
+            get_timeout: Duration::from_secs(10),
+            ..CodsConfig::default()
+        },
+        Arc::clone(&link) as Arc<dyn SpaceMirror>,
+    );
+    drop(link.start_reader(&dart, &space));
+    (link, dart, space, wire)
+}
+
+/// Play the hub of a two-node star run in one direction: relay every
+/// frame `from` sends to `to`, counting the `PullRequest`s, until
+/// `from` closes.
+fn relay(
+    mut from: TcpStream,
+    mut to: TcpStream,
+    requests: &Arc<std::sync::atomic::AtomicU64>,
+) -> std::thread::JoinHandle<()> {
+    let requests = Arc::clone(requests);
+    std::thread::spawn(move || {
+        let (inj, m) = (
+            FaultInjector::none(),
+            NetMetrics::new(&Recorder::disabled()),
+        );
+        while let Ok(frame) = recv_frame(&mut from, &inj, &m) {
+            if matches!(frame, Frame::PullRequest { .. }) {
+                requests.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            }
+            if send_frame(&mut to, &frame, &inj, &m).is_err() {
+                return;
+            }
+        }
+    })
+}
+
+/// A push is a pull answer nobody asked for. Node 0 produces the top
+/// half of the domain, node 1 the bottom half and hosts a subscriber
+/// to the whole of it on every other version. A pushed piece lands in
+/// node 1's registry, completes the sink and serves node 1's get of
+/// the version: exactly the off-stride versions are asked for.
+#[test]
+fn a_pushed_piece_serves_the_subscribers_get_without_a_pull_request() {
+    use insitu_domain::{layout, Decomposition, Distribution, ProcessGrid};
+    use insitu_sub::TakeResult;
+    let (link0, _dart0, space0, hub0) = star_node(0);
+    let (link1, _dart1, space1, hub1) = star_node(1);
+    let requests = Arc::default();
+    let relays = [
+        relay(
+            hub0.try_clone().unwrap(),
+            hub1.try_clone().unwrap(),
+            &requests,
+        ),
+        relay(
+            hub1.try_clone().unwrap(),
+            hub0.try_clone().unwrap(),
+            &requests,
+        ),
+    ];
+    let domain = BoundingBox::from_sizes(&[8, 8]);
+    let pdec = Decomposition::new(domain, ProcessGrid::new(&[2, 1]), Distribution::Blocked);
+    let piece = |owner: ClientId| pdec.blocked_box(owner as u64).unwrap();
+    let handle = space1.subscribe(1, 3, "v", &domain, 2, 4);
+    for owner in 0..2 {
+        handle.expect_piece(owner, 0, &piece(owner));
+    }
+    space0.apply_remote_subscribe(&handle.spec);
+    let fill =
+        |v: u64, b: &BoundingBox| layout::fill_with(b, |p| (v * 100 + p[0] * 8 + p[1]) as f64);
+    for v in 0..4 {
+        for (owner, space) in [(0, &space0), (1, &space1)] {
+            let data = fill(v, &piece(owner));
+            space
+                .put_cont(owner, 1, "v", v, 0, &piece(owner), &data)
+                .unwrap();
+        }
+    }
+    for v in 0..4 {
+        if v % 2 == 0 {
+            let taken = space1.sub_take(&handle, v, Duration::from_secs(10));
+            assert_eq!(taken, TakeResult::Data(fill(v, &domain)), "version {v}");
+        }
+        let (got, _) = space1
+            .get_cont(1, 3, "v", v, &domain, &pdec, &[0, 1])
+            .unwrap();
+        assert_eq!(&got[..], &fill(v, &domain)[..], "version {v}");
+    }
+    assert_eq!(requests.load(std::sync::atomic::Ordering::SeqCst), 2);
+    link0.close();
+    link1.close();
+    for wire in [hub0, hub1] {
+        let _ = wire.shutdown(std::net::Shutdown::Both);
+    }
+    for r in relays {
+        r.join().unwrap();
+    }
 }
 
 /// The link does not own what it serves. Once the rig — standing in

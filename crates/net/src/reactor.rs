@@ -561,26 +561,22 @@ mod tests {
                 to_node: 0,
                 data,
             };
-            let push = Frame::SubPush {
-                sub_id: 9,
-                var: 1,
-                version: 2,
+            let relay = Frame::Relay {
+                to: 4,
                 src: 3,
-                subscriber: 4,
-                lbs: vec![0, 0],
-                ubs: vec![9, 99],
-                data: vec![5; 8000],
+                tag: 2,
+                payload: vec![5; 8000],
             };
             let small = Frame::RunWave { wave: 1 };
             let mut wire = small.encode();
             wire.extend(pull(payload.to_vec()).encode());
-            wire.extend(push.encode());
+            wire.extend(relay.encode());
             wire.extend(small.encode());
 
             let mut out = Outbound::default();
             out.stage(small.clone(), None).unwrap();
             out.stage(pull(Vec::new()), Some(payload.clone())).unwrap();
-            out.stage(push, None).unwrap();
+            out.stage(relay, None).unwrap();
             out.stage(small, None).unwrap();
             assert_eq!(out.pending, wire.len());
             let staged = out.staged.len();

@@ -10,17 +10,19 @@
 //! never contend, and a `put` of an unsubscribed variable costs one
 //! uncontended shard probe.
 //!
-//! Delivery runs through a bounded per-subscriber [`SubSink`]: producers
-//! [`SubSink::offer`] fragments, the sink assembles them into the
-//! subscribed region (the same strided `copy_region` path a `get` uses,
-//! so pushed bytes are byte-identical to pulled ones), and completed
+//! Delivery runs through a bounded per-subscriber [`SubSink`]: a
+//! producer piece is [`SubSink::offer`]ed whole — the put's own cells,
+//! or a copy that landed from another process — and the sink cuts its
+//! overlap straight into the subscribed region (the same strided
+//! `copy_region` path a `get` uses, so pushed bytes are byte-identical
+//! to pulled ones, and the one copy a pushed byte pays). Completed
 //! versions queue for the consumer. The queue is bounded with a
 //! drop-oldest policy: a slow consumer loses the *oldest* ready version
 //! and the loss is observable (`lagged`), never silent backpressure on
 //! the producer — the trade the in-situ monitoring workload wants.
 
 use insitu_domain::{layout, BoundingBox};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -93,8 +95,6 @@ pub struct SubEntry {
     /// The query.
     pub spec: SubSpec,
     sink: Mutex<Option<Arc<SubSink>>>,
-    /// Fragments pushed to this subscription (producer side).
-    pub pushes: AtomicU64,
 }
 
 impl SubEntry {
@@ -160,7 +160,6 @@ impl SubRegistry {
             id,
             spec,
             sink: Mutex::new(None),
-            pushes: AtomicU64::new(0),
         });
         shard.entries.push(Arc::clone(&entry));
         self.active.fetch_add(1, Ordering::Relaxed);
@@ -197,27 +196,19 @@ impl SubRegistry {
             .collect()
     }
 
-    /// Look up an entry by id (any shard).
-    pub fn get(&self, id: SubId) -> Option<Arc<SubEntry>> {
-        for shard in &self.shards {
-            let shard = shard.lock().unwrap();
-            if let Some(e) = shard.entries.iter().find(|e| e.id == id) {
-                return Some(Arc::clone(e));
-            }
-        }
-        None
-    }
-
     /// Currently registered subscriptions.
     pub fn active(&self) -> u64 {
         self.active.load(Ordering::Relaxed)
     }
 }
 
-/// A version still being assembled from producer-piece fragments.
+/// A version still being assembled from producer pieces.
 struct Partial {
     data: Vec<f64>,
     filled: u128,
+    /// The source boxes cut in so far: a piece offered twice (a copy
+    /// that landed twice) fills nothing the second time.
+    sources: Vec<BoundingBox>,
 }
 
 struct SinkState {
@@ -225,6 +216,12 @@ struct SinkState {
     pending: BTreeMap<u64, Partial>,
     /// Fully assembled versions awaiting the consumer, oldest first.
     ready: BTreeMap<u64, Vec<f64>>,
+    /// Versions the reader took, or gave up on at its deadline: a later
+    /// offer of one reopens nothing.
+    finished: BTreeSet<u64>,
+    /// The producer pieces this sink expects, by piece id, so a copy
+    /// that landed with only its id can be cut ([`SubSink::offer_piece`]).
+    expected: HashMap<u64, BoundingBox>,
     /// Highest version evicted by the drop-oldest policy (readers treat
     /// any request at or below this as lost).
     evicted_max: Option<u64>,
@@ -235,16 +232,17 @@ struct SinkState {
     closed: bool,
 }
 
-/// Result of offering one fragment to a sink.
+/// Result of offering one producer piece to a sink.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OfferOutcome {
-    /// Fragment absorbed; the version is still incomplete.
+    /// Overlap absorbed; the version is still incomplete.
     Absorbed,
-    /// This fragment completed the version; it is now ready (possibly
+    /// This piece completed the version; it is now ready (possibly
     /// evicting the oldest ready version, reported separately).
     Completed,
-    /// The sink is closed or the version was already delivered/evicted;
-    /// the fragment was discarded.
+    /// Discarded: the sink is closed; the version was taken, given up
+    /// on or evicted; or the piece was cut in already, misses the
+    /// region, or does not fill its box.
     Stale,
 }
 
@@ -263,16 +261,13 @@ pub enum TakeResult {
     Closed,
 }
 
-/// The consumer half of a subscription: producers offer fragments,
-/// the consumer blocks on assembled versions.
+/// The consumer half of a subscription: producers offer pieces, the
+/// consumer blocks on assembled versions.
 pub struct SubSink {
     region: BoundingBox,
     queue_cap: usize,
     state: Mutex<SinkState>,
     arrived: Condvar,
-    /// Versions lost to the bounded queue (mirror of the state counter,
-    /// readable without the lock).
-    lagged_count: AtomicU64,
 }
 
 impl SubSink {
@@ -283,30 +278,47 @@ impl SubSink {
             state: Mutex::new(SinkState {
                 pending: BTreeMap::new(),
                 ready: BTreeMap::new(),
+                finished: BTreeSet::new(),
+                expected: HashMap::new(),
                 evicted_max: None,
                 lagged: 0,
                 completed: 0,
                 closed: false,
             }),
             arrived: Condvar::new(),
-            lagged_count: AtomicU64::new(0),
         }
     }
 
-    /// The subscribed region this sink assembles into.
-    pub fn region(&self) -> &BoundingBox {
-        &self.region
+    /// Learn that producer piece `piece` (an id stable across versions)
+    /// covers `src_box`, so a copy of it that arrives with only its id
+    /// can be offered with [`Self::offer_piece`].
+    pub fn expect(&self, piece: u64, src_box: BoundingBox) {
+        self.state.lock().unwrap().expected.insert(piece, src_box);
     }
 
-    /// Offer the fragment `frag_box` (the producer-piece ∩ query overlap)
-    /// of `version`. Copies the cells into the region-shaped assembly;
-    /// when every cell of the region has landed the version moves to the
-    /// ready queue. Fragments never overlap (producer pieces tile the
-    /// domain disjointly), so completeness is exactly cell-count coverage.
-    pub fn offer(&self, version: u64, frag_box: &BoundingBox, frag: &[f64]) -> OfferOutcome {
+    /// Offer the expected producer piece `piece` of `version`
+    /// ([`Self::expect`]); an unexpected id is [`OfferOutcome::Stale`].
+    pub fn offer_piece(&self, version: u64, piece: u64, src: &[f64]) -> OfferOutcome {
+        let src_box = self.state.lock().unwrap().expected.get(&piece).copied();
+        src_box.map_or(OfferOutcome::Stale, |b| self.offer(version, &b, src))
+    }
+
+    /// Offer `src`, the dense row-major cells of the producer piece
+    /// `src_box`, of `version`. Copies its overlap with the region into
+    /// the region-shaped assembly; when every cell of the region has
+    /// landed the version moves to the ready queue. Pieces never overlap
+    /// (producer pieces tile the domain disjointly), so completeness is
+    /// exactly cell-count coverage, and a piece offered again fills
+    /// nothing.
+    pub fn offer(&self, version: u64, src_box: &BoundingBox, src: &[f64]) -> OfferOutcome {
+        let overlap = match self.region.intersect(src_box) {
+            Some(o) if src.len() as u128 == src_box.num_cells() => o,
+            _ => return OfferOutcome::Stale,
+        };
         let mut state = self.state.lock().unwrap();
         if state.closed
             || state.ready.contains_key(&version)
+            || state.finished.contains(&version)
             || state.evicted_max.is_some_and(|m| version <= m)
         {
             return OfferOutcome::Stale;
@@ -315,9 +327,14 @@ impl SubSink {
         let partial = state.pending.entry(version).or_insert_with(|| Partial {
             data: vec![0.0; total as usize],
             filled: 0,
+            sources: Vec::new(),
         });
-        layout::copy_region(frag, frag_box, &mut partial.data, &self.region, frag_box);
-        partial.filled += frag_box.num_cells();
+        if partial.sources.contains(src_box) {
+            return OfferOutcome::Stale;
+        }
+        partial.sources.push(*src_box);
+        layout::copy_region(src, src_box, &mut partial.data, &self.region, &overlap);
+        partial.filled += overlap.num_cells();
         if partial.filled < total {
             return OfferOutcome::Absorbed;
         }
@@ -329,7 +346,6 @@ impl SubSink {
             state.ready.remove(&oldest);
             state.evicted_max = Some(state.evicted_max.map_or(oldest, |m| m.max(oldest)));
             state.lagged += 1;
-            self.lagged_count.fetch_add(1, Ordering::Relaxed);
         }
         drop(state);
         self.arrived.notify_all();
@@ -339,10 +355,13 @@ impl SubSink {
     /// Block until `version` is fully assembled (or lost, or the deadline
     /// passes). Out-of-order completion is fine: a reader asking for
     /// version 2 is not confused by versions 4 and 6 arriving first.
+    /// Either way the version is finished: it was taken, or given up on
+    /// (its partial assembly dropped), and no later offer reopens it.
     pub fn take_version(&self, version: u64, deadline: Instant) -> TakeResult {
         let mut state = self.state.lock().unwrap();
         loop {
             if let Some(data) = state.ready.remove(&version) {
+                state.finished.insert(version);
                 return TakeResult::Data(data);
             }
             if state.evicted_max.is_some_and(|m| version <= m) {
@@ -352,34 +371,23 @@ impl SubSink {
                 return TakeResult::Closed;
             }
             let now = Instant::now();
-            if now >= deadline {
+            if now >= deadline || state.finished.contains(&version) {
+                state.pending.remove(&version);
+                state.finished.insert(version);
                 return TakeResult::TimedOut;
             }
-            let (guard, res) = self.arrived.wait_timeout(state, deadline - now).unwrap();
-            state = guard;
-            if res.timed_out() && !state.ready.contains_key(&version) {
-                return if state.evicted_max.is_some_and(|m| version <= m) {
-                    TakeResult::Lagged
-                } else {
-                    TakeResult::TimedOut
-                };
-            }
+            state = self.arrived.wait_timeout(state, deadline - now).unwrap().0;
         }
     }
 
     /// Versions lost to the bounded queue so far.
     pub fn lagged(&self) -> u64 {
-        self.lagged_count.load(Ordering::Relaxed)
+        self.state.lock().unwrap().lagged
     }
 
     /// Fully assembled versions so far (delivered or later dropped).
     pub fn completed(&self) -> u64 {
         self.state.lock().unwrap().completed
-    }
-
-    /// Ready-but-unconsumed versions.
-    pub fn ready_len(&self) -> usize {
-        self.state.lock().unwrap().ready.len()
     }
 
     /// Close the sink: every blocked and future read returns `Closed`,
@@ -519,6 +527,60 @@ mod tests {
         sink.close();
         assert_eq!(t.join().unwrap(), TakeResult::Closed);
         assert_eq!(sink.offer(0, &region, &[1.0]), OfferOutcome::Stale);
+    }
+
+    /// A whole producer piece is offered and the sink cuts its overlap;
+    /// a piece known by id is cut the same way, and one offered twice —
+    /// a copy that landed twice — fills nothing the second time.
+    #[test]
+    fn sink_cuts_each_whole_piece_once() {
+        let region = bbox(&[1, 1], &[2, 4]);
+        let sink = SubSink::new(region, 4);
+        let (top, bottom) = (bbox(&[0, 0], &[1, 7]), bbox(&[2, 0], &[3, 7]));
+        let fill = |b: &BoundingBox| layout::fill_with(b, |p| (10 * p[0] + p[1]) as f64);
+        sink.expect(7, bottom);
+        assert_eq!(sink.offer(0, &top, &fill(&top)), OfferOutcome::Absorbed);
+        assert_eq!(sink.offer(0, &top, &fill(&top)), OfferOutcome::Stale);
+        assert_eq!(sink.offer_piece(0, 8, &fill(&bottom)), OfferOutcome::Stale);
+        assert_eq!(
+            sink.offer_piece(0, 7, &fill(&bottom)),
+            OfferOutcome::Completed
+        );
+        let got = sink.take_version(0, Instant::now());
+        assert_eq!(got, TakeResult::Data(fill(&region)));
+        // Neither a piece that misses the region nor a short one is cut.
+        let outside = bbox(&[0, 5], &[3, 7]);
+        assert_eq!(
+            sink.offer(1, &outside, &fill(&outside)),
+            OfferOutcome::Stale
+        );
+        assert_eq!(sink.offer(1, &top, &[0.0; 3]), OfferOutcome::Stale);
+    }
+
+    /// A version the reader took, gave up on at its deadline, or lost
+    /// to the queue is finished: a later offer — a late or repeated
+    /// landing — reopens nothing.
+    #[test]
+    fn a_finished_version_is_stale_to_any_later_offer() {
+        let region = bbox(&[0], &[1]);
+        let (low, high) = (bbox(&[0], &[0]), bbox(&[1], &[1]));
+        let sink = SubSink::new(region, 1);
+        assert_eq!(sink.offer(0, &region, &[1.0, 2.0]), OfferOutcome::Completed);
+        assert!(matches!(
+            sink.take_version(0, Instant::now()),
+            TakeResult::Data(_)
+        ));
+        assert_eq!(sink.offer(0, &region, &[1.0, 2.0]), OfferOutcome::Stale);
+        assert_eq!(sink.offer(1, &low, &[1.0]), OfferOutcome::Absorbed);
+        assert_eq!(sink.take_version(1, Instant::now()), TakeResult::TimedOut);
+        assert_eq!(sink.offer(1, &high, &[2.0]), OfferOutcome::Stale);
+        assert_eq!(sink.offer(1, &low, &[1.0]), OfferOutcome::Stale);
+        for v in 2..4 {
+            assert_eq!(sink.offer(v, &region, &[1.0, 2.0]), OfferOutcome::Completed);
+        }
+        assert_eq!(sink.take_version(2, Instant::now()), TakeResult::Lagged);
+        assert_eq!(sink.offer(2, &region, &[1.0, 2.0]), OfferOutcome::Stale);
+        assert_eq!(sink.completed(), 3);
     }
 
     #[test]

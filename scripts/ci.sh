@@ -93,6 +93,16 @@ for round in $(seq 1 10); do
         || { cat target/shm-recycle.txt; echo "arena recycling fell back in round $round"; exit 1; }
 done
 
+# The 64-connection reactor soak, 30 times over: it counts the threads
+# of its own two reactors in a test binary it shares with launch and
+# hub tests, so a sibling's threads must never move its count.
+echo "==> reactor soak (64 connections, 30 rounds)"
+for round in $(seq 1 30); do
+    cargo test -q $chaos_profile -p insitu-cli --test integration_net --offline \
+        reactor_soaks_64_connections_with_constant_threads > target/reactor-soak.txt 2>&1 \
+        || { cat target/reactor-soak.txt; echo "reactor soak failed in round $round"; exit 1; }
+done
+
 # Critical-path profile of the two-app *_cont example on the threaded
 # executor. The chrome trace (one slice per flight event + put->pull
 # flow arrows) is left in target/ for the CI workflow to upload as an
@@ -121,16 +131,17 @@ fi
 [[ ! -e crates/telemetry/src/trace.rs ]]
 
 # The wire says only what a run says: the CoDS/DART <-> wire boundary is
-# eight trait methods, six frame kinds are reserved with no sender or
-# handler outside the frame table, the link is built in one call, a
-# remote pull waits in the owner's registry rather than on a thread of
-# its own, and the two files that are the paper's contribution stay
-# files a reader can hold. Any of it growing back fails the gate.
+# eight trait methods, seven frame kinds are reserved with no sender or
+# handler outside the frame table (a standing query's push is a
+# PullData nobody requested), the link is built in one call, a remote
+# pull waits in the owner's registry rather than on a thread of its
+# own, and the two files that are the paper's contribution stay files a
+# reader can hold. Any of it growing back fails the gate.
 echo "==> narrow wire boundary, reserved frame kinds, file sizes"
-if grep -rnE 'fn (publish|dial_peer|sub_open|sub_cancel|sub_lagged)\b|set_flight|set_shm|subscribe_local|apply_remote_sub_cancel' crates tests examples; then
+if grep -rnE 'fn (publish|dial_peer|sub_open|sub_cancel|sub_lagged|sub_push)\b|set_flight|set_shm|subscribe_local|apply_remote_sub_cancel|apply_remote_sub_push' crates tests examples; then
     echo "a deleted boundary method grew back"; exit 1
 fi
-if grep -rnE 'Frame::(PutNotify|PullNack|Subscribe|SubAck|SubCancel|SubLagged)' crates/*/src --include=*.rs \
+if grep -rnE 'Frame::(PutNotify|PullNack|Subscribe|SubAck|SubPush|SubCancel|SubLagged)' crates/*/src --include=*.rs \
     | grep -v '^crates/net/src/frame.rs:'; then
     echo "a reserved frame kind has a sender or handler again"; exit 1
 fi
@@ -197,14 +208,14 @@ echo "==> distributed loopback smoke, p2p data plane (--p2p)"
 insitu launch workflows/distrib.dag --config workflows/distrib.cfg \
     --procs 3 --p2p | tee target/launch-p2p-report.txt
 grep -q "byte-identical to the single-process run" target/launch-p2p-report.txt
-grep -q "p2p:       0 PullData / 0 SubPush frames through the hub" target/launch-p2p-report.txt
+grep -q "p2p:       0 PullData frames through the hub" target/launch-p2p-report.txt
 # And with the payloads on the direct sockets (round-robin placement,
 # no shared memory): still not one payload byte copied in user space.
 echo "==> distributed loopback smoke, p2p data plane on the socket (--p2p --no-shm)"
 insitu launch workflows/distrib.dag --config workflows/distrib.cfg \
     --procs 3 --p2p --no-shm --strategy round-robin | tee target/launch-p2p-wire-report.txt
 grep -q "byte-identical to the single-process run" target/launch-p2p-wire-report.txt
-grep -q "p2p:       0 PullData / 0 SubPush frames through the hub" target/launch-p2p-wire-report.txt
+grep -q "p2p:       0 PullData frames through the hub" target/launch-p2p-wire-report.txt
 grep -q "^copies:    0 PullData payload byte(s) copied in user space" target/launch-p2p-wire-report.txt
 
 # Standing-query smoke: the monitor workflow couples a producer and a
@@ -218,12 +229,23 @@ grep -q "^copies:    0 PullData payload byte(s) copied in user space" target/lau
 # stride; each is put by the 2 producer ranks, both of whose pieces
 # overlap the whole-domain query — 3 x 2 = 6 pushes — and assembles
 # into one delivery to the single subscriber task — 3 deliveries. A
-# push that is dropped, duplicated or lagged changes a count.
-echo "==> standing-query smoke (workflows/monitor.toml, 1 server + 1 joiner)"
-insitu launch workflows/monitor.toml --procs 2 | tee target/launch-sub-report.txt
-grep -q "byte-identical to the single-process run" target/launch-sub-report.txt
-grep -Eq "^sub: +1 subscription\(s\), 6 push\(es\), 3 delivery\(ies\), 0 lagged" \
-    target/launch-sub-report.txt
+# push that is dropped, duplicated or lagged changes a count. The
+# workflow maps to two nodes, so one producer piece per version is
+# pushed across processes, on the pull answer's carrier: the shm ring
+# with no fallback by default, the socket with no payload byte copied
+# in user space under --no-shm.
+for lane in default no-shm; do
+    flags=
+    [[ $lane == no-shm ]] && flags=--no-shm
+    echo "==> standing-query smoke (workflows/monitor.toml, 1 server + 2 joiners, $lane)"
+    insitu launch workflows/monitor.toml --procs 3 $flags | tee target/launch-sub-$lane-report.txt
+    grep -q "byte-identical to the single-process run" target/launch-sub-$lane-report.txt
+    grep -Eq "^sub: +1 subscription\(s\), 6 push\(es\), 3 delivery\(ies\), 0 lagged" \
+        target/launch-sub-$lane-report.txt
+done
+grep -Eq "^shm: +[1-9][0-9]* shared-memory frame event\(s\), 0 PullData through the hub, 0 fallback\(s\) \(0 ring-full\)" \
+    target/launch-sub-default-report.txt
+grep -q "^copies:    0 PullData payload byte(s) copied in user space" target/launch-sub-no-shm-report.txt
 
 # Merged distributed telemetry: the round-robin placement forces
 # cross-node pulls, every joiner ships its flight recording to the hub,

@@ -12,6 +12,7 @@ use insitu::{
 };
 use insitu_domain::{BoundingBox, Decomposition, Distribution, ProcessGrid};
 use insitu_fabric::NetworkModel;
+use insitu_obs::{EventKind, FlightRecorder, LinkClass};
 use insitu_telemetry::Recorder;
 use std::net::TcpListener;
 use std::time::Duration;
@@ -94,13 +95,15 @@ fn stride_subscription_skips_off_stride_versions() {
 }
 
 /// Run `scenario` distributed over loopback (one serve thread, one join
-/// thread per node) and return the server's merged outcome.
+/// thread per node, each joiner recording its flight events) and return
+/// the server's merged outcome.
 fn run_distributed(
     scenario: &Scenario,
     strategy: MappingStrategy,
     nodes: u32,
     recorder: &Recorder,
     p2p: bool,
+    shm: bool,
 ) -> DistribOutcome {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
@@ -109,7 +112,7 @@ fn run_distributed(
         timeout: Duration::from_secs(20),
         recorder: recorder.clone(),
         p2p,
-        shm: false,
+        shm,
         ..ServeOptions::default()
     };
     let mut joiners = Vec::new();
@@ -125,6 +128,7 @@ fn run_distributed(
                 &JoinOptions {
                     timeout: Duration::from_secs(20),
                     recorder: rec,
+                    flight: FlightRecorder::enabled(),
                     ..JoinOptions::default()
                 },
             )
@@ -146,7 +150,7 @@ fn distributed_subscription_matches_single_process() {
     // RoundRobin splits the producers across both nodes, so some pushes
     // must cross processes; with p2p off they ride the hub.
     let rec = Recorder::enabled();
-    let got = run_distributed(&s, MappingStrategy::RoundRobin, 2, &rec, false);
+    let got = run_distributed(&s, MappingStrategy::RoundRobin, 2, &rec, false, false);
     assert_eq!(got.verify_failures, 0);
     assert!(got.errors.is_empty(), "{:?}", got.errors);
     assert_eq!(
@@ -157,7 +161,7 @@ fn distributed_subscription_matches_single_process() {
 
     let snap = rec.metrics_snapshot();
     assert!(
-        snap.counter("net.sub_push_hub") > 0,
+        snap.counter("net.pull_frames_hub") > 0,
         "cross-process pushes must ride the hub when p2p is off"
     );
     // Deliveries happen only in the process hosting the sink; the
@@ -172,7 +176,7 @@ fn p2p_subscription_pushes_bypass_the_hub() {
     assert_eq!(expected.verify_failures, 0);
 
     let rec = Recorder::enabled();
-    let got = run_distributed(&s, MappingStrategy::RoundRobin, 2, &rec, true);
+    let got = run_distributed(&s, MappingStrategy::RoundRobin, 2, &rec, true, false);
     assert_eq!(got.verify_failures, 0);
     assert!(got.errors.is_empty(), "{:?}", got.errors);
     assert_eq!(
@@ -182,12 +186,44 @@ fn p2p_subscription_pushes_bypass_the_hub() {
 
     let snap = rec.metrics_snapshot();
     assert_eq!(
-        snap.counter("net.sub_push_hub"),
+        snap.counter("net.pull_frames_hub"),
         0,
-        "no SubPush may traverse the hub in p2p mode"
+        "no push may traverse the hub in p2p mode"
     );
     assert!(
-        snap.counter("net.sub_push_p2p") > 0,
+        snap.counter("net.pull_frames_p2p") > 0,
         "cross-process pushes must take direct links"
     );
+}
+
+/// On one host with shared memory on — the default launch — a push is
+/// a ring record like any pull answer: no byte that crossed processes
+/// took a socket, and the ledger and deliveries are what they are
+/// single-process.
+#[test]
+fn same_host_pushes_ride_the_shm_ring() {
+    let s = sub_scenario(1, 2);
+    let expected = run_threaded(&s, MappingStrategy::RoundRobin);
+    let rec = Recorder::enabled();
+    let got = run_distributed(&s, MappingStrategy::RoundRobin, 2, &rec, false, true);
+    assert_eq!(got.verify_failures, 0);
+    assert!(got.errors.is_empty(), "{:?}", got.errors);
+    assert_eq!(
+        got.ledger, expected.ledger,
+        "shm merged ledger must be byte-identical to the single-process run"
+    );
+    let snap = rec.metrics_snapshot();
+    assert!(snap.counter("net.shm_frames") > 0);
+    assert_eq!(snap.counter("net.pull_frames_hub"), 0);
+    assert_eq!(snap.counter("sub.deliveries"), 2);
+    let hops: Vec<_> = got
+        .telemetry
+        .iter()
+        .flat_map(|t| &t.events)
+        .filter(|e| matches!(e.kind, EventKind::NetSend | EventKind::NetRecv))
+        .collect();
+    assert!(!hops.is_empty(), "nothing crossed processes");
+    for hop in hops {
+        assert_eq!(hop.link, Some(LinkClass::Shm), "{hop:?} took a socket");
+    }
 }
