@@ -149,7 +149,7 @@ pub fn service_cmd(cmd: &ServiceCmd) -> Result<String, CliError> {
     if swept > 0 {
         println!("service:   swept {swept} stale shared-memory segment(s)");
     }
-    let svc = Service::start(
+    let _svc = Service::start(
         listener,
         SvcConfig {
             max_runs: cmd.max_runs,
@@ -175,8 +175,7 @@ pub fn service_cmd(cmd: &ServiceCmd) -> Result<String, CliError> {
     }
     // Serve until killed; the Service owns every worker thread.
     loop {
-        std::thread::sleep(Duration::from_secs(3600));
-        let _ = &svc;
+        std::thread::park();
     }
 }
 

@@ -36,8 +36,8 @@ use std::io::{Read, Write};
 /// `Progress`) and the `RunSummary` link-health fields; version 5
 /// added the intra-host shared-memory data plane (`Hello::host`,
 /// `Welcome::hosts`, `ShmOffer`/`ShmAck`/`ShmDoorbell`); version 6
-/// added the standing-query plane (`SubPush`, and the since-reserved
-/// `Subscribe`/`SubAck`/`SubCancel`/`SubLagged`).
+/// added the standing-query plane (`SubPush`, now reserved, and kinds
+/// 32, 33, 35 and 36, since retired).
 pub const WIRE_VERSION: u8 = 6;
 
 /// Upper bound on `len`: rejects absurd length words before any
@@ -272,6 +272,9 @@ macro_rules! frames {
     };
 }
 
+// Kinds 4, 7, 32, 33, 35 and 36 are retired (`PutNotify`, `PullNack`,
+// `Subscribe`, `SubAck`, `SubCancel`, `SubLagged`: nothing sent them).
+// They decode as unknown kinds, and are never reused.
 frames! {
 /// A protocol message.
 ///
@@ -340,21 +343,6 @@ pub enum Frame {
         /// Message payload.
         payload: Vec<u8>,
     },
-    /// Reserved, no sender: a put is announced to nobody — pull routing
-    /// is by the owner packed in the key. Kept so wire v6 stays
-    /// byte-identical; hub and link refuse it as unexpected.
-    4 => PutNotify {
-        /// Buffer name hash.
-        name: u64,
-        /// Version.
-        version: u64,
-        /// Piece id with the owner client in the upper 32 bits.
-        piece: u64,
-        /// Owning client.
-        owner: u32,
-        /// Payload size in bytes.
-        bytes: u64,
-    },
     /// Consumer joiner → server → owner joiner: request one buffer.
     5 => PullRequest {
         /// Buffer name hash.
@@ -382,19 +370,6 @@ pub enum Frame {
         to_node: u32,
         /// The staged bytes.
         data: Vec<u8>,
-    },
-    /// Reserved, no sender: an owner parks a pull until it can answer,
-    /// so it has no refusal to send. Kept so wire v6 stays
-    /// byte-identical; hub and link refuse it as unexpected.
-    7 => PullNack {
-        /// Buffer name hash.
-        name: u64,
-        /// Version.
-        version: u64,
-        /// Piece id with the owner client in the upper 32 bits.
-        piece: u64,
-        /// Node of the requesting process.
-        to_node: u32,
     },
     /// Joiner → server → all other joiners: mirror of a local DHT
     /// insert, so every replica answers location queries identically.
@@ -664,32 +639,6 @@ pub enum Frame {
         /// Ring head sequence after the publish.
         seq: u64,
     },
-    /// Reserved, no sender: every replica registers every standing
-    /// query from the scenario it compiles, so registration never
-    /// crosses the wire. Kept, like `SubAck`/`SubPush`/`SubCancel`/
-    /// `SubLagged` below, so wire v6 stays byte-identical; hub and link
-    /// refuse all five as unexpected.
-    32 => Subscribe {
-        /// Deterministic subscription id.
-        sub_id: u64,
-        /// Variable key (epoch-salted).
-        var: u64,
-        /// Push stride: every `every_k`-th version.
-        every_k: u64,
-        /// Subscribing execution client.
-        subscriber: u32,
-        /// Watched-region lower corner, one per dimension.
-        lbs: Vec<u64>,
-        /// Watched-region upper corner, matching `lbs`.
-        ubs: Vec<u64>,
-    },
-    /// Reserved, no sender (see `Subscribe`).
-    33 => SubAck {
-        /// Acknowledged subscription.
-        sub_id: u64,
-        /// Node the ack is addressed to (the subscriber's node).
-        to_node: u32,
-    },
     /// Reserved, no sender: a standing query's push is the producer's
     /// staged piece sent as a `PullData` nobody requested, which lands
     /// in the subscriber's registry and sinks. Kept so wire v6 stays
@@ -711,23 +660,6 @@ pub enum Frame {
         ubs: Vec<u64>,
         /// Fragment payload (f64 cells, little-endian bytes).
         data: Vec<u8>,
-    },
-    /// Reserved, no sender (see `Subscribe`): a standing query lives
-    /// as long as its run.
-    35 => SubCancel {
-        /// Subscription to cancel.
-        sub_id: u64,
-    },
-    /// Reserved, no sender (see `Subscribe`): a lagged version is
-    /// counted where it is observed (`sub.lagged`) and healed by the
-    /// subscriber's resync `get`, which needs no frame.
-    36 => SubLagged {
-        /// Lagging subscription.
-        sub_id: u64,
-        /// Version lost to the bounded queue.
-        version: u64,
-        /// Subscribing client.
-        subscriber: u32,
     },
 }
 }
@@ -1607,12 +1539,16 @@ mod tests {
         out
     }
 
+    /// Kind bytes whose frames were deleted; none may be reused.
+    const RETIRED: [u8; 6] = [4, 7, 32, 33, 35, 36];
+
     #[test]
     fn every_message_type_round_trips() {
         forall(64, |rng| {
             let frames = Frame::arb_each(rng);
             let kinds: Vec<u8> = frames.iter().map(Frame::kind).collect();
-            assert_eq!(kinds, (1..=36).collect::<Vec<u8>>(), "one per kind");
+            let live: Vec<u8> = (1..=34).filter(|k| !RETIRED.contains(k)).collect();
+            assert_eq!(kinds, live, "one per kind");
             for frame in frames {
                 let wire = frame.encode();
                 let len = u32::from_le_bytes(wire[..4].try_into().unwrap());
@@ -2273,7 +2209,7 @@ mod tests {
             arena_bytes: 1 << 23,
         };
         assert!(!offer.is_data_plane() && !offer.fault_eligible());
-        // The reserved standing-query kinds are neither data plane nor
+        // The reserved standing-query kind is neither data plane nor
         // wire-fault-eligible.
         let push = Frame::SubPush {
             sub_id: 0xfeed,
@@ -2288,29 +2224,21 @@ mod tests {
         assert!(!push.is_data_plane());
         assert!(!push.fault_eligible());
         assert_eq!(push.kind(), 34);
-        let sub = Frame::Subscribe {
-            sub_id: 0xfeed,
-            var: 9,
-            every_k: 2,
-            subscriber: 6,
-            lbs: vec![0],
-            ubs: vec![7],
-        };
-        assert!(!sub.is_data_plane() && !sub.fault_eligible());
-        assert!(
-            !Frame::SubCancel { sub_id: 1 }.fault_eligible()
-                && !Frame::SubAck {
-                    sub_id: 1,
-                    to_node: 0
-                }
-                .fault_eligible()
-                && !Frame::SubLagged {
-                    sub_id: 1,
-                    version: 0,
-                    subscriber: 2
-                }
-                .fault_eligible()
-        );
+    }
+
+    /// Retired kind bytes decode as unknown kinds, whatever follows
+    /// them: a frame given one of these numbers again would be read by
+    /// an older peer as the message it used to be.
+    #[test]
+    fn retired_kinds_decode_as_unknown() {
+        for kind in RETIRED {
+            for payload in [&[][..], &[0u8; 64][..]] {
+                assert_eq!(
+                    Frame::decode(WIRE_VERSION, kind, payload),
+                    Err(FrameError::BadKind(kind))
+                );
+            }
+        }
     }
 
     #[test]

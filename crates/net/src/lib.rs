@@ -8,7 +8,7 @@
 //! their exact in-process semantics:
 //!
 //! - [`frame`] — the length-prefixed, versioned binary codec, every
-//!   message described once in a declarative frame table: 36
+//!   message described once in a declarative frame table: 30
 //!   message types covering registration (`Hello`/`Welcome`), task
 //!   dispatch (`Relay` + `RunWave`/`Barrier`), buffer movement
 //!   (`PullRequest`, `PullData`), DHT-replica
@@ -19,10 +19,9 @@
 //!   telemetry plane (`Telemetry`/`TelemetryAck` batch shipping,
 //!   `Watch`/`Progress` live run streaming) and the intra-host
 //!   shared-memory control frames (`ShmOffer`/`ShmAck`/`ShmDoorbell`).
-//!   Seven kinds are reserved and have no sender: `PutNotify`,
-//!   `PullNack`, `Subscribe`, `SubAck`, `SubPush`, `SubCancel`,
-//!   `SubLagged` — a standing query's push is a `PullData` nobody
-//!   requested.
+//!   One kind is reserved and has no sender, `SubPush` — a standing
+//!   query's push is a `PullData` nobody requested — and kinds 4, 7,
+//!   32, 33, 35 and 36 are retired: they decode as unknown.
 //!   Decoding rejects malformed input, never panics.
 //!   The shm control frames coordinate `insitu_util::shm` segments:
 //!   same-host pairs move `PullData` payloads through a

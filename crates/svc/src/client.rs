@@ -5,7 +5,7 @@ use insitu_net::{
     connect_with_retry, recv_frame, send_frame, Frame, NetMetrics, RunState, RunSummary,
 };
 use insitu_telemetry::Recorder;
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
 
 /// A terminal run's artifacts, as fetched over `RunResult`.
@@ -181,19 +181,31 @@ impl RpcClient {
         }
     }
 
-    /// Poll `status` until the run reaches a terminal state; fails if
-    /// it is still in flight after `timeout`.
+    /// Block until the run reaches a terminal state and return its
+    /// summary: a `watch` that ends on the final frame, which the
+    /// service pushes at the transition, then one `status`. Fails if
+    /// the final frame has not come within `timeout`; the connection is
+    /// shut down then, so a later call fails instead of reading it.
     pub fn wait_terminal(&mut self, run: u64, timeout: Duration) -> Result<RunSummary, String> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let s = self.status(run)?;
-            if s.state.is_terminal() {
-                return Ok(s);
+        // A zero read timeout would mean none.
+        let timeout = timeout.max(Duration::from_millis(1));
+        let started = Instant::now();
+        self.stream
+            .set_read_timeout(Some(timeout))
+            .map_err(|e| e.to_string())?;
+        // An interval no run outlasts: the first frame comes at once,
+        // the next one is the final one.
+        let watched = self.watch(run, Duration::from_millis(u64::MAX), false, |_| {});
+        self.stream
+            .set_read_timeout(None)
+            .map_err(|e| e.to_string())?;
+        match watched {
+            Err(_) if started.elapsed() >= timeout => {
+                let _ = self.stream.shutdown(Shutdown::Both);
+                Err(format!("run {run} not terminal after {timeout:?}"))
             }
-            if Instant::now() >= deadline {
-                return Err(format!("run {run} still {} after {timeout:?}", s.state));
-            }
-            std::thread::sleep(Duration::from_millis(20));
+            Err(e) => Err(e),
+            Ok(_) => self.status(run),
         }
     }
 }

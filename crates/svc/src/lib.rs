@@ -4,13 +4,16 @@
 //! crate turns it into a long-running service that serves traffic. One
 //! [`Service`] process owns
 //!
-//! - an **RPC listener** speaking the service frames added to the wire
+//! - an **RPC port** speaking the service frames added to the wire
 //!   protocol (`Submit`/`Submitted`, `Cancel`, `Status`/`RunStatus`,
-//!   `ListRuns`/`RunList`, `RunResult`/`RunReport`, `RpcErr`),
+//!   `ListRuns`/`RunList`, `RunResult`/`RunReport`, `Watch`/`Progress`,
+//!   `RpcErr`) on one `insitu_net::Reactor` thread however many clients
+//!   connect, hardened as every other socket in the program is,
 //! - a **shared joiner pool**: `pool_nodes` long-lived worker threads,
 //!   each executing [`insitu::join`] assignments for
 //!   whatever run currently needs a node hosted,
-//! - an **admission controller**: at most `max_runs` runs in flight, a
+//! - an **admission controller** (which also validates submissions,
+//!   off the RPC loop): at most `max_runs` runs in flight, a
 //!   bounded FIFO queue for the rest, and strict head-of-queue
 //!   admission (a run is admitted only when both a run slot and enough
 //!   pool nodes are free — later, smaller runs never starve the head),

@@ -103,6 +103,14 @@ for round in $(seq 1 30); do
         || { cat target/reactor-soak.txt; echo "reactor soak failed in round $round"; exit 1; }
 done
 
+# The service's RPC port, 10 times over: 1, 16 and 64 idle clients on
+# one Service, and the process's thread count must not move with them.
+echo "==> RPC port thread count (1/16/64 clients, 10 rounds)"
+for round in $(seq 1 10); do
+    cargo test -q $chaos_profile -p insitu-svc --test rpc_port --offline > target/rpc-port.txt 2>&1 \
+        || { cat target/rpc-port.txt; echo "RPC port thread count moved in round $round"; exit 1; }
+done
+
 # Critical-path profile of the two-app *_cont example on the threaded
 # executor. The chrome trace (one slice per flight event + put->pull
 # flow arrows) is left in target/ for the CI workflow to upload as an
@@ -131,19 +139,29 @@ fi
 [[ ! -e crates/telemetry/src/trace.rs ]]
 
 # The wire says only what a run says: the CoDS/DART <-> wire boundary is
-# eight trait methods, seven frame kinds are reserved with no sender or
+# eight trait methods, the one reserved frame kind has no sender or
 # handler outside the frame table (a standing query's push is a
-# PullData nobody requested), the link is built in one call, a remote
-# pull waits in the owner's registry rather than on a thread of its
-# own, and the two files that are the paper's contribution stay files a
-# reader can hold. Any of it growing back fails the gate.
+# PullData nobody requested; the six retired kinds the compiler already
+# refuses), the link is built in one call, a remote pull waits in the
+# owner's registry rather than on a thread of its own, and the two
+# files that are the paper's contribution stay files a reader can hold.
+# Any of it growing back fails the gate.
 echo "==> narrow wire boundary, reserved frame kinds, file sizes"
 if grep -rnE 'fn (publish|dial_peer|sub_open|sub_cancel|sub_lagged|sub_push)\b|set_flight|set_shm|subscribe_local|apply_remote_sub_cancel|apply_remote_sub_push' crates tests examples; then
     echo "a deleted boundary method grew back"; exit 1
 fi
-if grep -rnE 'Frame::(PutNotify|PullNack|Subscribe|SubAck|SubPush|SubCancel|SubLagged)' crates/*/src --include=*.rs \
+if grep -rn 'Frame::SubPush' crates/*/src --include=*.rs \
     | grep -v '^crates/net/src/frame.rs:'; then
-    echo "a reserved frame kind has a sender or handler again"; exit 1
+    echo "the reserved frame kind has a sender or handler again"; exit 1
+fi
+# One I/O model: the service's RPC port is a reactor like every other
+# socket. No acceptor nap, no thread per client, no sleeping watch
+# stream, no hour-long park, and no blocking frame I/O in the service.
+if grep -rnE 'svc-rpc|acceptor_loop|fn watch_stream\(|from_secs\(3600\)' crates; then
+    echo "the service's second I/O model grew back"; exit 1
+fi
+if grep -nE 'recv_frame|send_frame' crates/svc/src/service.rs; then
+    echo "the service does blocking frame I/O again"; exit 1
 fi
 if grep -rn 'net-pull-wait' crates; then
     echo "a pull waiter thread grew back"; exit 1
