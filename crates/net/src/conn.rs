@@ -203,12 +203,10 @@ pub fn connect_with_retry(
     metrics: &NetMetrics,
 ) -> Result<TcpStream, NetError> {
     let deadline = Instant::now() + timeout;
-    let targets: Vec<_> = addr
+    let target = addr
         .to_socket_addrs()
         .map_err(|e| NetError::Protocol(format!("cannot resolve {addr}: {e}")))?
-        .collect();
-    let target = *targets
-        .first()
+        .next()
         .ok_or_else(|| NetError::Protocol(format!("{addr} resolves to no address")))?;
     let mut last_err = String::new();
     loop {
