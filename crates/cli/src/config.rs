@@ -61,6 +61,18 @@ fn parse_u64s(toks: &[&str], line: usize) -> Result<Vec<u64>, ConfigError> {
         .collect()
 }
 
+/// `counts`, or the error naming the first zero among them: a domain,
+/// process grid or block with no extent in some dimension.
+fn positive(counts: Vec<u64>, what: &str, line: usize) -> Result<Vec<u64>, ConfigError> {
+    match counts.iter().position(|&c| c == 0) {
+        Some(d) => Err(ConfigError {
+            line,
+            message: format!("{what} in dimension {d} is 0; each must be at least 1"),
+        }),
+        None => Ok(counts),
+    }
+}
+
 /// Parse a workload configuration file.
 pub fn parse_config(input: &str) -> Result<WorkloadConfig, ConfigError> {
     let mut cores_per_node = 12u32;
@@ -86,10 +98,11 @@ pub fn parse_config(input: &str) -> Result<WorkloadConfig, ConfigError> {
                 cores_per_node = toks
                     .get(1)
                     .and_then(|t| t.parse().ok())
+                    .filter(|&c| c >= 1)
                     .ok_or_else(|| err("CORES_PER_NODE needs a positive integer".into()))?;
             }
             "DOMAIN" => {
-                let sizes = parse_u64s(&toks[1..], line)?;
+                let sizes = positive(parse_u64s(&toks[1..], line)?, "DOMAIN size", line)?;
                 if sizes.is_empty() || sizes.len() > 4 {
                     return Err(err("DOMAIN needs 1-4 sizes".into()));
                 }
@@ -125,7 +138,11 @@ pub fn parse_config(input: &str) -> Result<WorkloadConfig, ConfigError> {
                 if dist_pos < grid_pos {
                     return Err(err("GRID must precede DIST".into()));
                 }
-                let grid = parse_u64s(&toks[grid_pos + 1..dist_pos], line)?;
+                let grid = positive(
+                    parse_u64s(&toks[grid_pos + 1..dist_pos], line)?,
+                    "GRID process count",
+                    line,
+                )?;
                 if grid.is_empty() {
                     return Err(err("GRID needs at least one dimension".into()));
                 }
@@ -133,7 +150,11 @@ pub fn parse_config(input: &str) -> Result<WorkloadConfig, ConfigError> {
                     Some(&"blocked") => Distribution::Blocked,
                     Some(&"cyclic") => Distribution::Cyclic,
                     Some(&"block-cyclic") => {
-                        let blocks = parse_u64s(&toks[dist_pos + 2..], line)?;
+                        let blocks = positive(
+                            parse_u64s(&toks[dist_pos + 2..], line)?,
+                            "block-cyclic block size",
+                            line,
+                        )?;
                         if blocks.len() != grid.len() {
                             return Err(err(
                                 "block-cyclic needs one block size per dimension".into()
@@ -429,6 +450,48 @@ COUPLING VAR temperature PRODUCER 1 CONSUMERS 2 MODE concurrent
     fn block_cyclic_needs_blocks_per_dim() {
         let err = parse_config("DOMAIN 8 8\nAPP 1 GRID 2 2 DIST block-cyclic 4\n").unwrap_err();
         assert!(err.message.contains("one block size per dimension"));
+    }
+
+    #[test]
+    fn zero_cores_per_node_rejected() {
+        let err = parse_config("DOMAIN 8 8\nCORES_PER_NODE 0\n").unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(
+            err.message.contains("CORES_PER_NODE needs a positive"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn zero_domain_size_rejected() {
+        let err = parse_config("DOMAIN 8 0\n").unwrap_err();
+        assert_eq!(err.line, 1);
+        assert!(
+            err.message.contains("DOMAIN size in dimension 1 is 0"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn zero_grid_count_rejected() {
+        let err = parse_config("DOMAIN 8 8\nAPP 1 GRID 0 2 DIST blocked\n").unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(
+            err.message
+                .contains("GRID process count in dimension 0 is 0"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn zero_block_size_rejected() {
+        let err = parse_config("DOMAIN 8 8\nAPP 1 GRID 2 2 DIST block-cyclic 4 0\n").unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(
+            err.message
+                .contains("block-cyclic block size in dimension 1 is 0"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -163,10 +163,6 @@ pub struct DistribOutcome {
     pub telemetry: Vec<ProcessTrace>,
 }
 
-/// How long a joiner waits for each `TelemetryAck` before abandoning
-/// the rest of its shipment.
-const TELEMETRY_ACK_TIMEOUT: Duration = Duration::from_secs(1);
-
 /// How long the server waits for a wave barrier or the final reports:
 /// every task's gets can time out and the wave must still complete.
 fn wave_timeout(get_timeout: Duration) -> Duration {
@@ -396,6 +392,9 @@ where
                 peers,
                 hosts,
             ),
+            Ok(Frame::Shutdown { reason, .. }) => {
+                return Err(format!("server refused node {node}: {reason}"))
+            }
             Ok(other) => {
                 return Err(format!(
                     "expected Welcome from {addr}, got frame kind {}",
@@ -480,10 +479,9 @@ where
                 // this process's flight recording is closed. Ship it
                 // before the report — the hub connection is FIFO, so
                 // the report's arrival proves every surviving batch
-                // landed. A lost batch times out its ack and the rest
-                // is abandoned: telemetry loss degrades the merged
-                // trace, never the run.
-                let _ = link.ship_telemetry(
+                // landed. A lost batch leaves a gap: telemetry loss
+                // degrades the merged trace, never the run.
+                link.ship_telemetry(
                     &opts.flight.snapshot(),
                     opts.flight.dropped(),
                     opts.recorder
@@ -491,7 +489,6 @@ where
                         .counters
                         .into_iter()
                         .collect(),
-                    TELEMETRY_ACK_TIMEOUT,
                 );
                 link.report(NodeReport {
                     node,
@@ -798,6 +795,85 @@ mod tests {
         assert_eq!(merged.unmatched_recvs, 0, "{:?}", merged.warnings());
         assert!(merged.fully_stitched());
         assert!(merged.incomplete.is_empty());
+    }
+
+    /// A stray connection costs only itself. Before the run's joiners
+    /// arrive, the hub's port gets garbage, a silent connection held
+    /// open, a hangup, a first frame that is not a `Hello` and a `Hello`
+    /// outside the run; once node 0 is greeted, a second `join` claims
+    /// it too. That claim is refused by name within a second, and the
+    /// run completes within 5 s of its last joiner's connect, with the
+    /// single-process ledger.
+    #[test]
+    fn stray_connections_cost_only_themselves() {
+        use std::io::Write;
+        use std::time::Instant;
+        let s = cross_node_scenario();
+        let expected = run_threaded(&s, MappingStrategy::RoundRobin);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let recorder = Recorder::enabled();
+        // The hub's frames in either direction: the run's joiners count
+        // theirs elsewhere.
+        let hub_frames_reach = |n: u64| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while recorder.metrics_snapshot().counter("net.frames") < n {
+                assert!(Instant::now() < deadline, "the hub moved under {n} frames");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        let join_opts = || JoinOptions {
+            timeout: Duration::from_secs(20),
+            ..JoinOptions::default()
+        };
+        let serve_opts = ServeOptions {
+            strategy: MappingStrategy::RoundRobin,
+            timeout: Duration::from_secs(20),
+            recorder: recorder.clone(),
+            ..ServeOptions::default()
+        };
+        std::thread::scope(|scope| {
+            let served = scope.spawn(|| serve(&listener, "", "", &s, &serve_opts));
+            let dial = |bytes: &[u8]| {
+                let mut c = std::net::TcpStream::connect(&addr).unwrap();
+                c.write_all(bytes).unwrap();
+                c
+            };
+            let stray_hello = Frame::Hello {
+                node: 2,
+                peer_addr: String::new(),
+                host: String::new(),
+            };
+            let _strays = [
+                dial(&u32::MAX.to_le_bytes()),
+                dial(&[]),
+                dial(&Frame::Barrier { wave: 0, node: 0 }.encode()),
+                dial(&stray_hello.encode()),
+            ];
+            drop(dial(&[]));
+            // The `Barrier` and the stray `Hello` read and refused.
+            hub_frames_reach(4);
+            let join_node = |node| {
+                let sc = s.clone();
+                let addr = &addr;
+                scope.spawn(move || join(addr, node, move |_, _| Ok(sc), &join_opts()))
+            };
+            let first = join_node(0);
+            hub_frames_reach(5);
+            let claimed = Instant::now();
+            let never = |_: &str, _: &str| -> Result<Scenario, String> { unreachable!() };
+            let err = join(&addr, 0, never, &join_opts()).unwrap_err();
+            assert!(claimed.elapsed() < Duration::from_secs(1), "{err}");
+            assert_eq!(err, "server refused node 0: node 0 is already claimed");
+            let last = Instant::now();
+            let second = join_node(1);
+            let outcome = served.join().unwrap().unwrap();
+            assert!(last.elapsed() < Duration::from_secs(5));
+            first.join().unwrap().unwrap();
+            second.join().unwrap().unwrap();
+            assert_eq!(outcome.verify_failures, 0);
+            assert_eq!(outcome.ledger, expected.ledger);
+        });
     }
 
     #[test]

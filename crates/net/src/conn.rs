@@ -1,8 +1,9 @@
 //! The connection layer: the `net.*` counters, retrying connect, and
 //! counted, fault-gated *blocking* frame I/O over `std::net::TcpStream`
-//! — used only where one side waits on the other by design (the
-//! Hello/Welcome handshake, the service's RPC clients). Everything past
-//! the handshake moves through the [`crate::reactor`].
+//! — for clients only, which wait on their server by design: a
+//! joiner's side of the Hello/Welcome handshake and the service's RPC
+//! client. No server reads a socket here: the hub and the service
+//! serve every connection, handshake included, on a [`crate::reactor`].
 //!
 //! Fault gating is by frame class, decided here (the caller of the
 //! codec), not in the chaos plan: only fault-eligible frames — the
@@ -53,6 +54,7 @@ impl From<FrameError> for NetError {
         match e {
             FrameError::Io(io) => NetError::Io(io),
             refused @ FrameError::TooLong { .. } => NetError::Protocol(refused.to_string()),
+            timeout @ FrameError::TimedOut => NetError::Timeout(timeout.to_string()),
             other => NetError::Frame(other),
         }
     }
@@ -171,7 +173,8 @@ pub fn send_frame(
 /// Read frames until one survives the `net.recv` fault site. Bytes and
 /// frames are counted on arrival (the wire carried them); a dropped
 /// fault-eligible frame is then discarded and the read continues,
-/// exactly as if the frame had been lost in flight.
+/// exactly as if the frame had been lost in flight. A read timeout set
+/// on `stream` that expires first is a [`NetError::Timeout`].
 pub fn recv_frame(
     stream: &mut TcpStream,
     injector: &FaultInjector,
@@ -366,6 +369,18 @@ mod tests {
         let wire: u64 = expected.iter().map(|f| f.encode().len() as u64).sum();
         assert_eq!(sent.bytes_sent.get(), wire);
         assert_eq!(recvd.bytes_recv.get(), sent.bytes_sent.get());
+    }
+
+    /// A read timeout that expires mid-wait is named as one, not as the
+    /// `WouldBlock` the kernel reports it with.
+    #[test]
+    fn an_expired_read_timeout_is_a_timeout_by_name() {
+        let (_a, mut b) = pair();
+        b.set_read_timeout(Some(Duration::from_millis(20))).unwrap();
+        let m = NetMetrics::new(&Recorder::disabled());
+        let err = recv_frame(&mut b, &FaultInjector::none(), &m).unwrap_err();
+        assert!(matches!(err, NetError::Timeout(_)), "{err:?}");
+        assert!(!err.to_string().contains("os error"), "{err}");
     }
 
     #[test]

@@ -32,12 +32,13 @@ use std::io::{Read, Write};
 /// Version 2 added the service RPC frames and `Welcome::run_epoch`;
 /// version 3 added `Hello::peer_addr` and `Welcome::peers` for the
 /// direct node↔node data plane; version 4 added the telemetry plane
-/// (`Telemetry`/`TelemetryAck`), live run streaming (`Watch`/
-/// `Progress`) and the `RunSummary` link-health fields; version 5
-/// added the intra-host shared-memory data plane (`Hello::host`,
-/// `Welcome::hosts`, `ShmOffer`/`ShmAck`/`ShmDoorbell`); version 6
-/// added the standing-query plane (`SubPush`, now reserved, and kinds
-/// 32, 33, 35 and 36, since retired).
+/// (`Telemetry` and kind 26, its ack, since retired: shipment is
+/// unpaced), live run streaming (`Watch`/`Progress`) and the
+/// `RunSummary` link-health fields; version 5 added the intra-host
+/// shared-memory data plane (`Hello::host`, `Welcome::hosts`,
+/// `ShmOffer`/`ShmAck`/`ShmDoorbell`); version 6 added the
+/// standing-query plane (`SubPush`, now reserved, and kinds 32, 33, 35
+/// and 36, since retired).
 pub const WIRE_VERSION: u8 = 6;
 
 /// Upper bound on `len`: rejects absurd length words before any
@@ -67,6 +68,8 @@ pub enum FrameError {
     BadPayload(&'static str),
     /// Underlying stream error while reading or writing a frame.
     Io(String),
+    /// A blocking read's timeout passed before a whole frame arrived.
+    TimedOut,
     /// An outbound frame would exceed [`MAX_FRAME_LEN`], so every peer
     /// would reject it; the sender refuses it and writes nothing.
     TooLong {
@@ -88,6 +91,7 @@ impl std::fmt::Display for FrameError {
             FrameError::BadKind(k) => write!(f, "unknown frame kind {k}"),
             FrameError::BadPayload(why) => write!(f, "bad frame payload: {why}"),
             FrameError::Io(e) => write!(f, "frame i/o: {e}"),
+            FrameError::TimedOut => write!(f, "no whole frame within the read timeout"),
             FrameError::TooLong { kind, len } => write!(
                 f,
                 "frame kind {kind} of {len} bytes exceeds the {MAX_FRAME_LEN}-byte frame limit; not sent"
@@ -272,9 +276,10 @@ macro_rules! frames {
     };
 }
 
-// Kinds 4, 7, 32, 33, 35 and 36 are retired (`PutNotify`, `PullNack`,
-// `Subscribe`, `SubAck`, `SubCancel`, `SubLagged`: nothing sent them).
-// They decode as unknown kinds, and are never reused.
+// Kinds 4, 7, 26, 32, 33, 35 and 36 are retired (`PutNotify`,
+// `PullNack`, the telemetry batch ack, `Subscribe`, `SubAck`,
+// `SubCancel`, `SubLagged`: nothing sends them). They decode as
+// unknown kinds, and are never reused.
 frames! {
 /// A protocol message.
 ///
@@ -523,14 +528,6 @@ pub enum Frame {
         /// The flight events of this batch, in recording order.
         events: Vec<Event>,
     },
-    /// Server → joiner: `Telemetry` batch received; the shipper's
-    /// bounded-window flow control (ship, await ack, ship next).
-    26 => TelemetryAck {
-        /// Acknowledged node.
-        node: u32,
-        /// Acknowledged batch index.
-        batch: u32,
-    },
     /// Client → service: subscribe to periodic run-progress frames.
     27 => Watch {
         /// Run to watch.
@@ -768,7 +765,8 @@ impl Frame {
     /// Read one complete frame from a blocking stream.
     ///
     /// Stream errors map to [`FrameError::Io`]; a clean EOF *before* the
-    /// length word also maps to `Io` (connection closed). Malformed
+    /// length word also maps to `Io` (connection closed), and an
+    /// expired read timeout to [`FrameError::TimedOut`]. Malformed
     /// content is rejected with the corresponding decode error.
     pub fn read_from(r: &mut impl Read) -> Result<Frame, FrameError> {
         Frame::read_counted(r).map(|(frame, _)| frame)
@@ -971,6 +969,7 @@ fn pull_data_head(rest: &[u8], total: usize) -> Option<Frame> {
 fn read_exact(r: &mut impl Read, buf: &mut [u8]) -> Result<(), FrameError> {
     r.read_exact(buf).map_err(|e| match e.kind() {
         std::io::ErrorKind::UnexpectedEof => FrameError::Truncated,
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => FrameError::TimedOut,
         _ => FrameError::Io(e.to_string()),
     })
 }
@@ -1540,7 +1539,7 @@ mod tests {
     }
 
     /// Kind bytes whose frames were deleted; none may be reused.
-    const RETIRED: [u8; 6] = [4, 7, 32, 33, 35, 36];
+    const RETIRED: [u8; 7] = [4, 7, 26, 32, 33, 35, 36];
 
     #[test]
     fn every_message_type_round_trips() {

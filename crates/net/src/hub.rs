@@ -1,7 +1,10 @@
-//! The workflow-server hub: accepts one TCP connection per simulated
-//! node, runs the Hello/Welcome handshake, then adopts every joiner
-//! connection onto one [`Reactor`] event-loop thread and routes frames
-//! between them.
+//! The workflow-server hub: one [`Reactor`] event-loop thread accepts
+//! one TCP connection per simulated node and routes frames between
+//! them. A connection's first frame greets it: a `Hello` for an
+//! unclaimed node of the run (with a peer address, under p2p) makes it
+//! that node's; anything else refuses it, answered with `Shutdown { ok:
+//! false }` naming why. A refused or silent connection costs only
+//! itself.
 //!
 //! Routing is a policy, not a second transport. A star-routed run
 //! (`p2p: false`) ships no peer table, so joiners address everything —
@@ -27,9 +30,8 @@
 //!   except the origin (each replica already applied its own change).
 //! - `Barrier` and `Report` land in hub state for the wave engine.
 //! - `Telemetry` batches accumulate per node in hub state (drained by
-//!   [`Hub::take_telemetry`] for the cross-process trace merge) and
-//!   are answered with `TelemetryAck` — the shipper's one-in-flight
-//!   flow control.
+//!   [`Hub::take_telemetry`] for the cross-process trace merge); a
+//!   batch index that skips marks the node's trace incomplete.
 //!
 //! Because each connection's staged reactor buffer preserves FIFO order
 //! and TCP preserves order, forwarding a joiner's mirror frames
@@ -37,15 +39,14 @@
 //! wave N's DHT state before any wave N+1 task runs — the ordering the
 //! wave barriers rely on.
 
-use crate::conn::{recv_frame, send_frame, NetError, NetMetrics};
+use crate::conn::{NetError, NetMetrics};
 use crate::frame::{Frame, NodeReport};
-use crate::reactor::{ConnEvent, Reactor, ReactorHandle, Token};
+use crate::reactor::{ConnEvent, Reactor, ReactorHandle, Sink, Token};
 use insitu_fabric::FaultInjector;
 use insitu_obs::{Event, ProcessTrace};
-use insitu_util::Poller;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::net::{TcpListener, TcpStream};
-use std::sync::{Arc, Condvar, Mutex};
+use std::net::{SocketAddr, TcpListener};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Everything the hub needs to accept and greet its joiners.
@@ -76,14 +77,18 @@ pub struct HubConfig {
     pub shm: bool,
 }
 
-/// The hub's one router: everything a connection sink needs to relay a
-/// frame or land it in the state the wave engine waits on.
+/// The hub's one router: everything a connection sink needs to greet a
+/// joiner, relay a frame or land it in the state the wave engine waits
+/// on.
 struct Router {
     nodes: u32,
     cores_per_node: u32,
+    /// Whether a `Hello` must advertise a peer address.
+    p2p: bool,
     handle: ReactorHandle,
-    /// Each node's connection token on the reactor.
-    tokens: Vec<Token>,
+    /// Each node's connection token on the reactor, fixed once every
+    /// node is greeted and before the first `Welcome` leaves.
+    tokens: OnceLock<Vec<Token>>,
     metrics: NetMetrics,
     inner: Mutex<Inner>,
     changed: Condvar,
@@ -91,6 +96,11 @@ struct Router {
 
 #[derive(Default)]
 struct Inner {
+    /// Each node's accepted `Hello`, indexed by node. A claimed node
+    /// stays claimed for the life of the run.
+    greeted: Vec<Option<Greeting>>,
+    /// Every refused connection: its address and why.
+    refusals: Vec<String>,
     /// Nodes that reached each wave's barrier.
     barriers: HashMap<u32, HashSet<u32>>,
     /// Final per-node reports, indexed by node.
@@ -100,6 +110,25 @@ struct Inner {
     /// Flight-recorder shipments, accumulating per node until the
     /// `last` batch marks a trace complete.
     telemetry: HashMap<u32, NodeTelemetry>,
+}
+
+/// A node's connection, where it connected from, and the peer address
+/// and host fingerprint its `Hello` advertised.
+#[derive(Clone)]
+struct Greeting {
+    token: Token,
+    addr: SocketAddr,
+    peer_addr: String,
+    host: String,
+}
+
+/// Where an accepted connection stands: no frame yet, a node's, or
+/// refused — whatever else it sends is ignored.
+#[derive(Clone, Copy)]
+enum Caller {
+    Ungreeted,
+    Node(u32),
+    Refused,
 }
 
 /// One node's telemetry shipment as it accumulates batch by batch.
@@ -120,124 +149,64 @@ struct NodeTelemetry {
 pub struct Hub {
     reactor: Reactor,
     router: Arc<Router>,
-    addrs: Vec<std::net::SocketAddr>,
 }
 
 impl Hub {
     /// Accept `cfg.nodes` joiners on `listener` and greet them.
     ///
-    /// The handshake is two-phase: every joiner's `Hello` (with its
-    /// advertised peer address) is collected first, then all `Welcome`s
-    /// go out — under p2p routing the `Welcome` carries the complete
-    /// peer address table, which only exists once everyone has arrived.
-    /// Fails with a clear [`NetError::Timeout`] if the joiners do not
-    /// all arrive within `cfg.accept_timeout`.
+    /// The reactor adopts a clone of `listener`. Once every node is
+    /// greeted all `Welcome`s go out — under p2p routing each carries
+    /// the complete peer table, which only exists once everyone has
+    /// arrived. Fails with a [`NetError::Timeout`] naming the greeted
+    /// count and every refusal if `cfg.accept_timeout` passes first.
     pub fn accept(
         listener: &TcpListener,
         cfg: &HubConfig,
         injector: &FaultInjector,
         metrics: &NetMetrics,
     ) -> Result<Hub, NetError> {
-        let deadline = Instant::now() + cfg.accept_timeout;
         let io_err = |e: std::io::Error| NetError::Io(e.to_string());
-        // Park on the listener's readiness, the deadline as timeout.
-        let backlog = Poller::new();
-        backlog.register_listener(0, listener).map_err(io_err)?;
-        // Phase 1: collect every joiner's stream, advertised address and
-        // host fingerprint.
-        let mut slots: Vec<Option<(TcpStream, String, String)>> =
-            (0..cfg.nodes).map(|_| None).collect();
-        let mut joined = 0;
-        while joined < cfg.nodes {
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(NetError::Timeout(format!(
-                    "only {joined} of {} joiners connected within {}ms",
-                    cfg.nodes,
-                    cfg.accept_timeout.as_millis()
-                )));
-            }
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    read_hello(stream, cfg, injector, metrics, &mut slots)?;
-                    joined += 1;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    backlog.poll(deadline - now);
-                }
-                Err(e) => return Err(io_err(e)),
-            }
-        }
-        drop(backlog);
-        let mut streams = Vec::new();
-        let mut addrs = Vec::new();
-        let mut peer_addrs = Vec::new();
-        let mut hosts = Vec::new();
-        for (node, slot) in slots.into_iter().enumerate() {
-            let (stream, peer_addr, host) = slot.expect("all joiners greeted");
-            if cfg.p2p && peer_addr.is_empty() {
-                return Err(NetError::Protocol(format!(
-                    "p2p run, but node {node} advertises no peer address"
-                )));
-            }
-            addrs.push(stream.peer_addr().map_err(io_err)?);
-            streams.push(stream);
-            peer_addrs.push(peer_addr);
-            hosts.push(host);
-        }
-
-        // Phase 2: everyone is here — greet them all.
-        let peers_field = if cfg.p2p { peer_addrs } else { Vec::new() };
-        // An opted-out run ships no fingerprints, so no joiner ever
-        // offers a segment — one knob, decided at the hub.
-        let hosts_field = if cfg.shm { hosts } else { Vec::new() };
-        for stream in &mut streams {
-            send_frame(
-                stream,
-                &Frame::Welcome {
-                    nodes: cfg.nodes,
-                    strategy: cfg.strategy.clone(),
-                    get_timeout_ms: cfg.get_timeout_ms,
-                    dag: cfg.dag.clone(),
-                    config: cfg.config.clone(),
-                    run_epoch: cfg.run_epoch,
-                    peers: peers_field.clone(),
-                    hosts: hosts_field.clone(),
-                },
-                injector,
-                metrics,
-            )?;
-            stream.set_read_timeout(None).map_err(io_err)?;
-        }
-
-        // From here on the reactor moves every frame.
         let reactor = Reactor::spawn("hub", injector.clone(), metrics.clone()).map_err(io_err)?;
-        let handle = reactor.handle();
         let router = Arc::new(Router {
             nodes: cfg.nodes,
             cores_per_node: cfg.cores_per_node,
-            tokens: (0..cfg.nodes).map(|_| handle.alloc_token()).collect(),
-            handle,
+            p2p: cfg.p2p,
+            handle: reactor.handle(),
+            tokens: OnceLock::new(),
             metrics: metrics.clone(),
             inner: Mutex::new(Inner {
+                greeted: (0..cfg.nodes).map(|_| None).collect(),
                 reports: (0..cfg.nodes).map(|_| None).collect(),
                 ..Inner::default()
             }),
             changed: Condvar::new(),
         });
-        for (node, stream) in streams.into_iter().enumerate() {
-            let r = Arc::clone(&router);
-            router.handle.add_stream(
-                router.tokens[node],
-                stream,
-                Box::new(move |ev| r.on_event(node as u32, ev)),
-            );
-        }
-        Ok(Hub {
-            reactor,
-            router,
-            addrs,
-        })
+        let r = Arc::clone(&router);
+        router.handle.add_listener(
+            listener.try_clone().map_err(io_err)?,
+            Box::new(move |token, addr| Router::sink(Arc::clone(&r), token, addr)),
+        );
+        let greeted = router.wait_for("joiners greeted", cfg.accept_timeout, |i| {
+            filled(&i.greeted)
+        })?;
+        let _ = router.tokens.set(greeted.iter().map(|g| g.token).collect());
+        // A table ships empty when its knob is off: an opted-out run
+        // ships no fingerprints, so no joiner ever offers a segment —
+        // one knob, decided at the hub.
+        let table = |on, f: fn(&Greeting) -> String| greeted.iter().filter(|_| on).map(f).collect();
+        let welcome = Frame::Welcome {
+            nodes: cfg.nodes,
+            strategy: cfg.strategy.clone(),
+            get_timeout_ms: cfg.get_timeout_ms,
+            dag: cfg.dag.clone(),
+            config: cfg.config.clone(),
+            run_epoch: cfg.run_epoch,
+            peers: table(cfg.p2p, |g| g.peer_addr.clone()),
+            hosts: table(cfg.shm, |g| g.host.clone()),
+        };
+        let hub = Hub { reactor, router };
+        hub.broadcast(welcome);
+        Ok(hub)
     }
 
     /// Enqueue a frame for one node.
@@ -247,8 +216,9 @@ impl Hub {
 
     /// The socket address the joiner hosting `node` connected from —
     /// the real network address the client registry records.
-    pub fn peer_addr(&self, node: u32) -> std::net::SocketAddr {
-        self.addrs[node as usize]
+    pub fn peer_addr(&self, node: u32) -> SocketAddr {
+        let inner = self.router.inner.lock().unwrap();
+        inner.greeted[node as usize].as_ref().expect("greeted at accept").addr
     }
 
     /// Enqueue a frame for every node.
@@ -275,13 +245,8 @@ impl Hub {
 
     /// Block until every node's final [`NodeReport`] arrived.
     pub fn collect_reports(&self, timeout: Duration) -> Result<Vec<NodeReport>, NetError> {
-        self.router.wait_for("reports", timeout, |inner| {
-            let arrived: Vec<_> = inner.reports.iter().flatten().cloned().collect();
-            if arrived.len() < inner.reports.len() {
-                return Err(arrived.len());
-            }
-            Ok(arrived)
-        })
+        self.router
+            .wait_for("reports", timeout, |inner| filled(&inner.reports))
     }
 
     /// Drain the telemetry the joiners shipped, as merge inputs: one
@@ -321,52 +286,88 @@ impl Hub {
     }
 }
 
-/// Read one accepted connection's `Hello` (with a read timeout so a
-/// silent connection cannot stall the accept loop), validate the node
-/// id, and park the stream in its node slot. The `Welcome` goes out in
-/// phase 2, once the full peer table exists.
-fn read_hello(
-    stream: TcpStream,
-    cfg: &HubConfig,
-    injector: &FaultInjector,
-    metrics: &NetMetrics,
-    slots: &mut [Option<(TcpStream, String, String)>],
-) -> Result<u32, NetError> {
-    let mut stream = stream;
-    stream
-        .set_nonblocking(false)
-        .and_then(|_| stream.set_read_timeout(Some(Duration::from_secs(10))))
-        .and_then(|_| stream.set_nodelay(true))
-        .map_err(|e| NetError::Io(e.to_string()))?;
-    let (node, peer_addr, host) = match recv_frame(&mut stream, injector, metrics)? {
-        Frame::Hello {
-            node,
-            peer_addr,
-            host,
-        } => (node, peer_addr, host),
-        other => {
-            return Err(NetError::Protocol(format!(
-                "expected Hello, got frame kind {}",
-                other.kind()
-            )))
-        }
-    };
-    if node >= cfg.nodes {
-        return Err(NetError::Protocol(format!(
-            "joiner claims node {node}, but the run has {} nodes",
-            cfg.nodes
-        )));
-    }
-    if slots[node as usize].is_some() {
-        return Err(NetError::Protocol(format!("two joiners claim node {node}")));
-    }
-    slots[node as usize] = Some((stream, peer_addr, host));
-    Ok(node)
+/// Every slot's value once none is empty; until then, how many are
+/// filled.
+fn filled<T: Clone>(slots: &[Option<T>]) -> Result<Vec<T>, usize> {
+    let arrived: Vec<T> = slots.iter().flatten().cloned().collect();
+    let n = arrived.len();
+    (n == slots.len()).then_some(arrived).ok_or(n)
 }
 
 impl Router {
+    /// The sink of the connection `token` accepted from `addr`, on the
+    /// reactor thread: its first event greets or refuses it, and a
+    /// greeted connection's events are its node's from then on.
+    fn sink(router: Arc<Router>, token: Token, addr: SocketAddr) -> Sink {
+        let mut caller = Caller::Ungreeted;
+        Box::new(move |ev| match caller {
+            Caller::Node(node) => router.on_event(node, ev),
+            Caller::Refused => {}
+            Caller::Ungreeted => match router.greet(token, addr, ev) {
+                Ok(node) => caller = Caller::Node(node),
+                Err(why) => {
+                    caller = Caller::Refused;
+                    router.refuse(token, addr, why);
+                }
+            },
+        })
+    }
+
+    /// Claim a node for the connection `token` from `addr`, whose first
+    /// event is `ev` — or say why not.
+    fn greet(&self, token: Token, addr: SocketAddr, ev: ConnEvent) -> Result<u32, String> {
+        let (node, peer_addr, host) = match ev {
+            ConnEvent::Frame(Frame::Hello {
+                node,
+                peer_addr,
+                host,
+            }) => (node, peer_addr, host),
+            ConnEvent::Frame(other) => {
+                return Err(format!("sent frame kind {} before its Hello", other.kind()))
+            }
+            ConnEvent::Closed(reason) if reason.is_empty() => {
+                return Err("hung up before its Hello".into())
+            }
+            ConnEvent::Closed(reason) => return Err(reason),
+        };
+        let mut inner = self.inner.lock().unwrap();
+        let slot = inner
+            .greeted
+            .get_mut(node as usize)
+            .ok_or_else(|| format!("node {node} is outside the run's {} nodes", self.nodes))?;
+        if slot.is_some() {
+            return Err(format!("node {node} is already claimed"));
+        }
+        if self.p2p && peer_addr.is_empty() {
+            return Err(format!(
+                "node {node} advertises no peer address, but the run is p2p"
+            ));
+        }
+        *slot = Some(Greeting {
+            token,
+            addr,
+            peer_addr,
+            host,
+        });
+        self.changed.notify_all();
+        Ok(node)
+    }
+
+    /// Tell a refused connection why, while it still listens, and
+    /// record it for the accept's timeout error.
+    fn refuse(&self, token: Token, addr: SocketAddr, why: String) {
+        let refusal = format!("{addr}: {why}");
+        let (ok, reason) = (false, why);
+        self.handle.send(token, Frame::Shutdown { ok, reason });
+        self.inner.lock().unwrap().refusals.push(refusal);
+    }
+
+    /// Queue `frame` for `node`; before the node table is fixed, for
+    /// nobody — only a joiner talking before its `Welcome` routes one.
     fn send_to(&self, node: u32, frame: Frame) {
-        self.handle.send(self.tokens[node as usize], frame);
+        if let Some(tokens) = self.tokens.get() {
+            self.handle.send(tokens[node as usize], frame);
+        }
     }
 
     /// Forward `from`'s frame to node `to`. The destination comes from
@@ -398,7 +399,8 @@ impl Router {
 
     /// Block until `check` yields a value, a failure is recorded, or
     /// `timeout` expires; while unmet, `check` reports how many nodes
-    /// have arrived, for the timeout message.
+    /// have arrived, for the timeout message, which also lists every
+    /// connection refused so far.
     fn wait_for<T>(
         &self,
         what: &str,
@@ -418,16 +420,17 @@ impl Router {
             let now = Instant::now();
             if now >= deadline {
                 return Err(NetError::Timeout(format!(
-                    "{what}: {arrived} of {} nodes within {}ms",
+                    "{what}: {arrived} of {} nodes within {}ms; refused: [{}]",
                     self.nodes,
-                    timeout.as_millis()
+                    timeout.as_millis(),
+                    inner.refusals.join("; ")
                 )));
             }
             inner = self.changed.wait_timeout(inner, deadline - now).unwrap().0;
         }
     }
 
-    /// The sink of `node`'s connection, on the reactor thread.
+    /// The events of `node`'s greeted connection, on the reactor thread.
     fn on_event(&self, node: u32, ev: ConnEvent) {
         match ev {
             ConnEvent::Frame(frame) => self.route(node, frame),
@@ -493,23 +496,18 @@ impl Router {
                 events,
                 ..
             } => {
-                {
-                    let mut inner = self.inner.lock().unwrap();
-                    let t = inner.telemetry.entry(node).or_default();
-                    if batch != t.next_batch {
-                        t.gap = true;
-                    }
-                    t.next_batch = batch.saturating_add(1);
-                    t.events.extend(events);
-                    if last {
-                        t.last_seen = true;
-                        t.dropped_events = dropped_events;
-                        t.counters = counters;
-                    }
+                let mut inner = self.inner.lock().unwrap();
+                let t = inner.telemetry.entry(node).or_default();
+                if batch != t.next_batch {
+                    t.gap = true;
                 }
-                // The ack releases the shipper's next batch — one batch
-                // in flight per node, so telemetry cannot flood the hub.
-                self.send_to(node, Frame::TelemetryAck { node, batch });
+                t.next_batch = batch.saturating_add(1);
+                t.events.extend(events);
+                if last {
+                    t.last_seen = true;
+                    t.dropped_events = dropped_events;
+                    t.counters = counters;
+                }
             }
             other => self.fail(format!(
                 "node {node} sent unexpected frame kind {}",
@@ -522,8 +520,10 @@ impl Router {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conn::{recv_frame, send_frame};
     use insitu_telemetry::Recorder;
     use std::io::Write;
+    use std::net::TcpStream;
 
     /// A star-routed hub with `nodes` greeted raw-socket joiners, and
     /// the counters of its reactor.
@@ -647,6 +647,79 @@ mod tests {
             "{err:?}"
         );
         hub.shutdown(false, "hostile joiner");
+    }
+
+    /// A p2p hub whose every connection is hostile greets nobody and
+    /// times out naming `0 of 2` and each refusal: garbage, a hangup,
+    /// a first frame other than `Hello`, a `Hello` outside the run and
+    /// one with no peer address. A refused first frame hears why; a
+    /// silent connection is never refused, and never holds the accept.
+    #[test]
+    fn a_hub_meeting_only_hostile_connections_times_out_naming_each_refusal() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let dial = |bytes: &[u8]| {
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.write_all(bytes).unwrap();
+            s
+        };
+        let hello = |node, peer_addr: &str| Frame::Hello {
+            node,
+            peer_addr: peer_addr.into(),
+            host: String::new(),
+        };
+        let _garbage = dial(&u32::MAX.to_le_bytes());
+        let _silent = dial(&[]);
+        drop(dial(&[]));
+        let answered = [
+            (
+                Frame::Barrier { wave: 0, node: 0 },
+                "sent frame kind 12 before its Hello",
+            ),
+            (
+                hello(2, "127.0.0.1:1"),
+                "node 2 is outside the run's 2 nodes",
+            ),
+            (
+                hello(1, ""),
+                "node 1 advertises no peer address, but the run is p2p",
+            ),
+        ]
+        .map(|(first, why)| (dial(&first.encode()), why));
+        let cfg = HubConfig {
+            nodes: 2,
+            cores_per_node: 1,
+            strategy: "data-centric".into(),
+            get_timeout_ms: 1000,
+            dag: String::new(),
+            config: String::new(),
+            run_epoch: 0,
+            accept_timeout: Duration::from_millis(500),
+            p2p: true,
+            shm: false,
+        };
+        let inj = FaultInjector::none();
+        let m = NetMetrics::new(&Recorder::disabled());
+        let why = match Hub::accept(&listener, &cfg, &inj, &m) {
+            Err(NetError::Timeout(why)) => why,
+            Err(other) => panic!("expected the accept timeout, got {other:?}"),
+            Ok(_) => panic!("a hostile connection was greeted"),
+        };
+        assert!(why.contains("joiners greeted: 0 of 2 nodes"), "{why}");
+        let refusals = [
+            "protocol: bad frame length 4294967295",
+            "hung up before its Hello",
+        ];
+        for expect in refusals.iter().chain(answered.iter().map(|(_, why)| why)) {
+            assert!(why.contains(expect), "{expect:?} missing from {why}");
+        }
+        for (mut s, expect) in answered {
+            s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            match recv_frame(&mut s, &inj, &m).unwrap() {
+                Frame::Shutdown { ok: false, reason } => assert_eq!(reason, expect),
+                other => panic!("expected Shutdown, got kind {}", other.kind()),
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! their exact in-process semantics:
 //!
 //! - [`frame`] — the length-prefixed, versioned binary codec, every
-//!   message described once in a declarative frame table: 30
+//!   message described once in a declarative frame table: 29
 //!   message types covering registration (`Hello`/`Welcome`), task
 //!   dispatch (`Relay` + `RunWave`/`Barrier`), buffer movement
 //!   (`PullRequest`, `PullData`), DHT-replica
@@ -16,26 +16,28 @@
 //!   (`Report`, `Shutdown`), the multi-tenant service RPCs
 //!   (`Submit`/`Submitted`, `Cancel`, `Status`/`RunStatus`,
 //!   `ListRuns`/`RunList`, `RunResult`/`RunReport`, `RpcErr`), the
-//!   telemetry plane (`Telemetry`/`TelemetryAck` batch shipping,
-//!   `Watch`/`Progress` live run streaming) and the intra-host
-//!   shared-memory control frames (`ShmOffer`/`ShmAck`/`ShmDoorbell`).
-//!   One kind is reserved and has no sender, `SubPush` — a standing
-//!   query's push is a `PullData` nobody requested — and kinds 4, 7,
-//!   32, 33, 35 and 36 are retired: they decode as unknown.
+//!   telemetry plane (`Telemetry` batch shipping, `Watch`/`Progress`
+//!   live run streaming) and the intra-host shared-memory control
+//!   frames (`ShmOffer`/`ShmAck`/`ShmDoorbell`). One kind is reserved
+//!   and has no sender, `SubPush` — a standing query's push is a
+//!   `PullData` nobody requested — and kinds 4, 7, 26, 32, 33, 35 and
+//!   36 are retired: they decode as unknown.
 //!   Decoding rejects malformed input, never panics.
 //!   The shm control frames coordinate `insitu_util::shm` segments:
 //!   same-host pairs move `PullData` payloads through a
 //!   producer-created `/dev/shm` ring instead of the socket, zero-copy.
 //! - [`conn`] — the `net.*` telemetry counters, retrying connect with a
 //!   hard deadline, and counted, fault-gated *blocking* frame I/O for
-//!   the Hello/Welcome handshake and RPC clients.
-//! - [`reactor`] — the one I/O model past the handshake: a single
+//!   clients only: a joiner's side of the Hello/Welcome handshake and
+//!   the service's RPC client.
+//! - [`reactor`] — the one I/O model of every server: a single
 //!   event-loop thread per process owns every connection, readiness
 //!   comes from `insitu_util::Poller` (`epoll`), small messages
 //!   coalesce into batched writes, and thread count stays O(1) per
 //!   process no matter how many peers connect or how frames are routed.
 //! - [`hub`] — the workflow server's router, on one reactor. It
-//!   forwards relays, routes pulls by the owner packed in the buffer
+//!   greets its joiners on the loop (a stray or hostile connection is
+//!   refused and costs only itself), forwards relays, routes pulls by the owner packed in the buffer
 //!   key, broadcasts DHT mirror traffic and runs the wave barriers.
 //!   Star vs p2p is a routing policy decided by whether the `Welcome`
 //!   ships a peer table: without one the hub also relays `PullData`

@@ -30,8 +30,8 @@
 //! The telemetry plane rides the same connections: the link records a
 //! `NetSend` flight event when it answers a remote pull or pushes a
 //! piece and a `NetRecv` when the bytes land, and at teardown
-//! [`NetLink::ship_telemetry`] ships the recording to the hub in
-//! ack-paced batches for the cross-process trace merge.
+//! [`NetLink::ship_telemetry`] stages the recording for the hub in
+//! bounded batches, unpaced, for the cross-process trace merge.
 
 mod shm;
 #[cfg(test)]
@@ -172,14 +172,11 @@ pub struct NetLink {
     /// run's registry, mappings and fds alive in a long-lived process.
     dart: OnceLock<Weak<DartRuntime>>,
     space: OnceLock<Weak<CodsSpace>>,
-    /// Live only while [`NetLink::ship_telemetry`] runs: the demux
-    /// forwards `TelemetryAck` batch indices here.
-    telemetry_ack: Mutex<Option<Sender<u32>>>,
 }
 
-/// Flight events per `Telemetry` frame. Bounds frame size (~100 B per
-/// event) so a telemetry batch can never monopolise the reactor loop
-/// against data-plane traffic.
+/// Flight events per `Telemetry` frame. Bounds frame size (at most
+/// 174 B per event) so a telemetry batch can never monopolise the
+/// reactor loop against data-plane traffic.
 const TELEMETRY_BATCH_EVENTS: usize = 2048;
 
 impl NetLink {
@@ -232,7 +229,6 @@ impl NetLink {
             inflight: Mutex::new(HashSet::new()),
             dart: OnceLock::new(),
             space: OnceLock::new(),
-            telemetry_ack: Mutex::new(None),
         }))
     }
 
@@ -357,32 +353,26 @@ impl NetLink {
         self.hub_send(Frame::Report(report));
     }
 
-    /// Ship this process's flight recording and counter snapshot to the
-    /// hub as bounded `Telemetry` batches. The shipper waits for the
-    /// hub's `TelemetryAck` between batches — one batch in flight at a
-    /// time — so telemetry can never build an unbounded queue behind
-    /// the data plane. Call before [`NetLink::report`]: the hub
-    /// connection is FIFO, so when the `Report` lands the hub already
-    /// holds every batch that survived the wire.
-    ///
-    /// Returns `false` when an ack misses `ack_timeout` (e.g. the
-    /// batch was chaos-dropped): the remainder is abandoned and the
-    /// hub reports this node's trace incomplete — telemetry loss
-    /// degrades the merge, never the run.
+    /// Stage this process's flight recording and counter snapshot for
+    /// the hub as `Telemetry` batches of at most
+    /// `TELEMETRY_BATCH_EVENTS` events, and return: nothing paces them.
+    /// The recorder bounds the shipment — a full default one is
+    /// 11.4 MB on the wire, under a fifth of
+    /// [`crate::reactor::STAGED_LIMIT`]. Call before
+    /// [`NetLink::report`]: the hub connection is FIFO, so when the
+    /// `Report` lands the hub already holds every batch that survived
+    /// the wire. A batch lost on the way leaves a gap the hub marks
+    /// incomplete — telemetry loss degrades the merge, never the run.
     pub fn ship_telemetry(
         &self,
         events: &[Event],
         dropped_events: u64,
         counters: Vec<(String, u64)>,
-        ack_timeout: Duration,
-    ) -> bool {
-        let (tx, rx) = unbounded();
-        *self.telemetry_ack.lock().unwrap() = Some(tx);
+    ) {
         // At least one batch even with zero events, so the counters and
         // drop tallies always travel and the hub sees a `last` marker.
         let total = events.len().div_ceil(TELEMETRY_BATCH_EVENTS).max(1);
         let mut chunks = events.chunks(TELEMETRY_BATCH_EVENTS);
-        let mut ok = true;
         for batch in 0..total {
             let last = batch + 1 == total;
             self.hub_send(Frame::Telemetry {
@@ -394,16 +384,7 @@ impl NetLink {
                 counters: if last { counters.clone() } else { Vec::new() },
                 events: chunks.next().unwrap_or(&[]).to_vec(),
             });
-            match rx.recv_timeout(ack_timeout) {
-                Ok(acked) if acked == batch as u32 => {}
-                _ => {
-                    ok = false;
-                    break;
-                }
-            }
         }
-        *self.telemetry_ack.lock().unwrap() = None;
-        ok
     }
 
     /// Flush every queued frame onto the wire and stop the transport.
@@ -568,13 +549,6 @@ impl NetLink {
             Frame::ShmAck {
                 dst_node, attached, ..
             } => self.shm_on_ack(dst_node, attached, reply),
-            Frame::TelemetryAck { batch, .. } => {
-                // Flow control for an in-progress `ship_telemetry`;
-                // a stray ack after the shipper gave up is dropped.
-                if let Some(tx) = self.telemetry_ack.lock().unwrap().as_ref() {
-                    let _ = tx.send(batch);
-                }
-            }
             Frame::DhtInsert {
                 var,
                 version,

@@ -645,3 +645,60 @@ fn link_source_never_sleeps() {
         }
     }
 }
+
+/// Shipment is unpaced because the recorder bounds it: a full default
+/// recorder of the widest events the codec carries — a `MAX_DIMS` box
+/// and the longest fault slug — ships, batch heads included, in under
+/// a quarter of `STAGED_LIMIT`, in batches of at most
+/// `TELEMETRY_BATCH_EVENTS`, with the counters on the last.
+#[test]
+fn a_full_recorder_ships_unpaced_in_under_a_quarter_of_the_staged_limit() {
+    let mut r = rig();
+    let corner = [u64::MAX / 2; insitu_domain::MAX_DIMS];
+    let widest = Event::new(
+        u64::MAX,
+        EventKind::Fault {
+            kind: "net-telemetry",
+        },
+    )
+    .parent(u64::MAX)
+    .app(u32::MAX)
+    .var(u64::MAX)
+    .version(u64::MAX)
+    .bbox(BoundingBox::new(&corner, &corner))
+    .src(u32::MAX)
+    .dst(u32::MAX)
+    .link(LinkClass::Rdma)
+    .piece(u64::MAX)
+    .pid(u32::MAX)
+    .bytes(u64::MAX)
+    .window(u64::MAX / 2, u64::MAX / 2);
+    let events = vec![widest; insitu_obs::DEFAULT_EVENT_CAPACITY];
+    r.link
+        .ship_telemetry(&events, 3, vec![("net.frames".into(), 1)]);
+    let m = NetMetrics::new(&Recorder::disabled());
+    let mut shipped = 0;
+    loop {
+        match recv_frame(&mut r.wire, &r.inj, &m).unwrap() {
+            Frame::Telemetry {
+                events,
+                last,
+                counters,
+                ..
+            } => {
+                assert!(events.len() <= TELEMETRY_BATCH_EVENTS);
+                assert_eq!(counters.is_empty(), !last);
+                shipped += events.len();
+                if last {
+                    break;
+                }
+            }
+            other => panic!("expected Telemetry, got kind {}", other.kind()),
+        }
+    }
+    assert_eq!(shipped, events.len());
+    let wire = m.bytes_recv.get() as usize;
+    let limit = crate::reactor::STAGED_LIMIT;
+    assert!(wire < limit / 4, "{wire} bytes shipped, limit {limit}");
+    r.link.close();
+}

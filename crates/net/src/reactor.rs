@@ -20,7 +20,7 @@
 //! - incoming frames are handed to a per-connection *sink* callback on
 //!   the reactor thread; sinks must not block (hand off to channels).
 //!
-//! Fault gating matches the blocking handshake path
+//! Fault gating matches the blocking client path
 //! ([`crate::conn::send_frame`]) exactly: only fault-eligible frames
 //! are offered to the `net.send` / `net.recv` sites; a `Drop` verdict
 //! discards the frame (send: never staged; recv: decoded then

@@ -74,7 +74,7 @@ fn events() -> Vec<Event> {
 }
 
 /// `(kind byte, frame, hex of the complete wire frame)` for every live
-/// kind; kinds 4, 7, 32, 33, 35 and 36 are retired.
+/// kind; kinds 4, 7, 26, 32, 33, 35 and 36 are retired.
 fn goldens() -> Vec<(u8, Frame, &'static str)> {
     vec![
         (
@@ -344,11 +344,6 @@ fn goldens() -> Vec<(u8, Frame, &'static str)> {
              0d00000000d00000000000008200000000000000270000000000000001000000",
         ),
         (
-            26,
-            Frame::TelemetryAck { node: 1, batch: 2 },
-            "0a000000061a0100000002000000",
-        ),
-        (
             27,
             Frame::Watch {
                 run: 28,
@@ -448,7 +443,7 @@ fn every_kind_encodes_to_its_pinned_bytes_and_decodes_back() {
     assert_eq!(WIRE_VERSION, 6, "goldens are wire v6");
     let goldens = goldens();
     let kinds: Vec<u8> = goldens.iter().map(|(kind, ..)| *kind).collect();
-    let retired = [4, 7, 32, 33, 35, 36];
+    let retired = [4, 7, 26, 32, 33, 35, 36];
     let live: Vec<u8> = (1..=34).filter(|k| !retired.contains(k)).collect();
     assert_eq!(kinds, live, "one golden per live kind");
     for (kind, frame, golden) in goldens {

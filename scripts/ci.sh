@@ -111,6 +111,18 @@ for round in $(seq 1 10); do
         || { cat target/rpc-port.txt; echo "RPC port thread count moved in round $round"; exit 1; }
 done
 
+# Stray connections at the hub's port, 10 times over: garbage, a silent
+# socket, a hangup, a non-Hello first frame, a Hello outside the run and
+# a second claim on a greeted node, all beside a run that must complete
+# within 5 s of its last joiner. The silent row is timing-shaped, so one
+# pass proves little.
+echo "==> hostile handshakes at the hub (10 rounds)"
+for round in $(seq 1 10); do
+    cargo test -q $chaos_profile -p insitu-core --lib --offline \
+        distrib::tests::stray_connections_cost_only_themselves > target/hub-strays.txt 2>&1 \
+        || { cat target/hub-strays.txt; echo "a stray connection cost the run in round $round"; exit 1; }
+done
+
 # Critical-path profile of the two-app *_cont example on the threaded
 # executor. The chrome trace (one slice per flight event + put->pull
 # flow arrows) is left in target/ for the CI workflow to upload as an
@@ -162,6 +174,15 @@ if grep -rnE 'svc-rpc|acceptor_loop|fn watch_stream\(|from_secs\(3600\)' crates;
 fi
 if grep -nE 'recv_frame|send_frame' crates/svc/src/service.rs; then
     echo "the service does blocking frame I/O again"; exit 1
+fi
+# Nor does the hub: it greets its joiners on its reactor, and telemetry
+# ships unpaced, so the ack that paced it stays retired.
+if sed '/^#\[cfg(test)\]/,$d' crates/net/src/hub.rs \
+    | grep -nE 'recv_frame|send_frame|set_read_timeout|read_hello'; then
+    echo "the hub reads a socket outside its reactor again"; exit 1
+fi
+if grep -rnE 'TelemetryAck|TELEMETRY_ACK_TIMEOUT' crates; then
+    echo "the telemetry ack grew back"; exit 1
 fi
 if grep -rn 'net-pull-wait' crates; then
     echo "a pull waiter thread grew back"; exit 1

@@ -221,3 +221,50 @@ APP 2 GRID 2 2 DIST blocked
     let err = build_scenario(dag, cfg).unwrap_err();
     assert!(err.to_string().contains("cycle"), "{err}");
 }
+
+/// A `.cfg` zero count is a named error on the command line, not a
+/// panic deeper in: `insitu run` exits 1 with `error: config line N: …`
+/// for each directive that takes one.
+#[test]
+fn insitu_run_rejects_zero_counts_by_line() {
+    let dir = std::env::temp_dir().join(format!("insitu-zero-counts-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let dag = dir.join("w.dag");
+    std::fs::write(&dag, "APP_ID 1\nAPP_ID 2\nBUNDLE 1 2\n").unwrap();
+    let app2 = "APP 2 GRID 2 2 DIST blocked";
+    for (line, cfg) in [
+        (
+            1,
+            format!("CORES_PER_NODE 0\nDOMAIN 8 8\nAPP 1 GRID 2 2 DIST blocked\n{app2}\n"),
+        ),
+        (
+            2,
+            format!("CORES_PER_NODE 4\nDOMAIN 0 8\nAPP 1 GRID 2 2 DIST blocked\n{app2}\n"),
+        ),
+        (
+            3,
+            format!("CORES_PER_NODE 4\nDOMAIN 8 8\nAPP 1 GRID 0 2 DIST blocked\n{app2}\n"),
+        ),
+        (
+            3,
+            format!("DOMAIN 8 8\n\nAPP 1 GRID 2 2 DIST block-cyclic 0 4\n{app2}\n"),
+        ),
+    ] {
+        let path = dir.join("w.cfg");
+        std::fs::write(&path, &cfg).unwrap();
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_insitu"))
+            .arg("run")
+            .arg(&dag)
+            .arg("--config")
+            .arg(&path)
+            .output()
+            .expect("spawn insitu run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cfg}\n{stderr}");
+        assert!(
+            stderr.starts_with(&format!("error: config line {line}: ")),
+            "{cfg}\n{stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
