@@ -99,9 +99,10 @@ out. `launch` prints a greppable `shm:` census line, and `serve` sweeps
 stale segments left by crashed earlier runs at startup.
 `serve` *without* workflow files runs the multi-tenant service instead:
 it executes up to `--max-runs` (default 4) concurrently submitted
-workflows over a shared pool of `--pool-nodes` (default 8) joiner
-threads, queueing up to `--queue-depth` (default 32) more, until the
-process is killed. `submit` sends a workflow to a service — either a
+workflows within a budget of `--pool-nodes` (default 8) nodes, each
+hosted on a joiner thread of its run for as long as the run lasts,
+queueing up to `--queue-depth` (default 32) more, until the process
+is killed. `submit` sends a workflow to a service — either a
 parameterized workflow.toml (with `--set key=value` overrides) or a
 plain `--dag`/`--config` pair — and with `--wait` blocks until the run
 finishes; `--priority <n>` queues it ahead of every lower-priority
@@ -203,7 +204,7 @@ fn parse_distrib_args(sub: &str, args: &[String]) -> Result<Command, String> {
                 queue_depth = Some(value(&mut it, a, "a count", "queue depth")?)
             }
             "--pool-nodes" if sub == "serve" => {
-                pool_nodes = Some(value(&mut it, a, "a count", "pool size")?)
+                pool_nodes = Some(value(&mut it, a, "a count", "node budget")?)
             }
             "--artifacts" if sub == "serve" => artifacts = Some(value(&mut it, a, "a dir", "dir")?),
             "--dag" if sub != "join" => dag_path = Some(value(&mut it, a, "a path", "path")?),

@@ -24,7 +24,7 @@ pub struct ServiceCmd {
     pub max_runs: usize,
     /// Maximum queued runs before `submit` is refused.
     pub queue_depth: usize,
-    /// Joiner-pool size in simulated nodes.
+    /// Node budget: simulated nodes the executing runs may hold at once.
     pub pool_nodes: u32,
     /// Directory for per-run artifact files (optional).
     pub artifacts: Option<PathBuf>,

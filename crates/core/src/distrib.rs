@@ -116,7 +116,7 @@ pub struct JoinOptions {
     /// Telemetry recorder (`net.*` counters land here).
     pub recorder: Recorder,
     /// Flight recorder for per-run profiles (disabled by default; the
-    /// service passes each run's recorder to its pooled joiners).
+    /// service passes each run's recorders to its joiner threads).
     pub flight: FlightRecorder,
     /// Advertise this process's host fingerprint in `Hello`, letting
     /// same-host peers answer its pulls through shared memory. Off
@@ -513,8 +513,8 @@ where
     // Teardown order: stop the wire first (reactor joined, so no demux
     // is mid-frame), then let `env` go — the registry's buffers, both
     // ends' segment mappings and, with the link's last handle inside the
-    // runtime, the reactor's waker. A pooled worker of `insitu serve`
-    // must hand all of it back before its next assignment.
+    // runtime, the reactor's waker. A joiner thread of `insitu serve`
+    // hands all of it back before its run's nodes return to the budget.
     link.close();
     drop(env);
     result

@@ -4,9 +4,8 @@
 //! asynchronous RPC abstraction hides buffer management from the caller).
 
 use insitu_fabric::ClientId;
-use insitu_util::channel::{Receiver, RecvTimeoutError, Sender};
 use insitu_util::Bytes;
-use std::time::Duration;
+use std::sync::mpsc::{self, Receiver, Sender};
 
 /// A message delivered to a client's inbox.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -32,7 +31,7 @@ impl Mailbox {
         let mut boxes = Vec::with_capacity(n as usize);
         let mut senders = Vec::with_capacity(n as usize);
         for _ in 0..n {
-            let (tx, rx) = insitu_util::channel::unbounded();
+            let (tx, rx) = mpsc::channel();
             senders.push(tx.clone());
             boxes.push(Mailbox { rx, tx });
         }
@@ -45,30 +44,6 @@ impl Mailbox {
     /// Panics if every sender is dropped (runtime torn down mid-receive).
     pub fn recv(&self) -> Msg {
         self.rx.recv().expect("mailbox senders dropped")
-    }
-
-    /// Receive with a timeout; `None` on timeout.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<Msg> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(m) => Some(m),
-            Err(RecvTimeoutError::Timeout) => None,
-            Err(RecvTimeoutError::Disconnected) => panic!("mailbox senders dropped"),
-        }
-    }
-
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> Option<Msg> {
-        self.rx.try_recv()
-    }
-
-    /// Number of queued messages.
-    pub fn len(&self) -> usize {
-        self.rx.len()
-    }
-
-    /// Whether the inbox is empty.
-    pub fn is_empty(&self) -> bool {
-        self.rx.is_empty()
     }
 
     /// A sender for this mailbox (used when constructing runtimes).
@@ -112,19 +87,6 @@ mod tests {
         for i in 0..10u64 {
             assert_eq!(boxes[0].recv().tag, i);
         }
-    }
-
-    #[test]
-    fn try_recv_empty() {
-        let (boxes, _senders) = Mailbox::create_all(1);
-        assert!(boxes[0].try_recv().is_none());
-        assert!(boxes[0].is_empty());
-    }
-
-    #[test]
-    fn recv_timeout_expires() {
-        let (boxes, _senders) = Mailbox::create_all(1);
-        assert!(boxes[0].recv_timeout(Duration::from_millis(10)).is_none());
     }
 
     #[test]

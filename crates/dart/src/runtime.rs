@@ -9,8 +9,8 @@ use insitu_fabric::{
 use insitu_obs::{Event, EventKind, FlightRecorder};
 use insitu_sub::SubRegistry;
 use insitu_telemetry::{Counter, Histogram, Recorder};
-use insitu_util::channel::Sender;
 use insitu_util::Bytes;
+use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 

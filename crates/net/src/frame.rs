@@ -124,9 +124,9 @@ pub struct NodeReport {
 /// Lifecycle state of one service run, as carried on the wire.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RunState {
-    /// Accepted, waiting for admission (max-runs or pool capacity).
+    /// Accepted, waiting for admission (max-runs or the node budget).
     Queued,
-    /// Executing on the joiner pool.
+    /// Executing, each of its nodes on a joiner thread of its own.
     Running,
     /// Completed successfully; artifacts are available.
     Done,
@@ -320,7 +320,7 @@ pub enum Frame {
         /// The workload configuration text.
         config: String,
         /// Run epoch salting the DataSpace/BufferRegistry/DHT key space
-        /// so concurrent runs over one pool cannot collide (0 = no
+        /// so concurrent runs in one service cannot collide (0 = no
         /// salting; standalone `serve` runs use 0).
         run_epoch: u64,
         /// Peer data-plane addresses indexed by node, as advertised in

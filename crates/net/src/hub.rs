@@ -218,7 +218,10 @@ impl Hub {
     /// the real network address the client registry records.
     pub fn peer_addr(&self, node: u32) -> SocketAddr {
         let inner = self.router.inner.lock().unwrap();
-        inner.greeted[node as usize].as_ref().expect("greeted at accept").addr
+        inner.greeted[node as usize]
+            .as_ref()
+            .expect("greeted at accept")
+            .addr
     }
 
     /// Enqueue a frame for every node.

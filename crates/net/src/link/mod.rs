@@ -48,11 +48,11 @@ use insitu_dart::{BufKey, BufferHandle, DartRuntime, Msg};
 use insitu_domain::BoundingBox;
 use insitu_fabric::{ClientId, FaultInjector, MachineSpec};
 use insitu_obs::{Event, EventKind, FlightRecorder, LinkClass};
-use insitu_util::channel::{unbounded, Receiver, Sender};
 use insitu_util::shm::RecordDesc;
 use insitu_util::Bytes;
 use std::collections::HashSet;
 use std::net::{TcpListener, TcpStream};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::Duration;
 
@@ -299,7 +299,7 @@ impl NetLink {
         let once = "start_reader called twice";
         self.dart.set(Arc::downgrade(dart)).expect(once);
         self.space.set(Arc::downgrade(space)).expect(once);
-        let (ctl_tx, ctl_rx) = unbounded();
+        let (ctl_tx, ctl_rx) = mpsc::channel();
         let stream = self.stream.lock().unwrap().take().expect(once);
         // Hub connection: demux frames, surface lost-hub as Shutdown to
         // the wave loop.

@@ -31,7 +31,6 @@
 use crate::conn::{passes_fault_site, NetMetrics};
 use crate::frame::{Frame, FrameDecoder};
 use insitu_fabric::{FaultInjector, NetOp};
-use insitu_util::channel::{unbounded, Receiver, Sender};
 use insitu_util::poller::{Poller, Waker};
 use insitu_util::Bytes;
 use std::collections::{HashMap, VecDeque};
@@ -39,6 +38,7 @@ use std::io::{ErrorKind, IoSlice, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -228,7 +228,7 @@ impl Reactor {
         metrics: NetMetrics,
     ) -> std::io::Result<Reactor> {
         let poller = Poller::new();
-        let (tx, rx) = unbounded();
+        let (tx, rx) = mpsc::channel();
         let next_token = Arc::new(AtomicU64::new(0));
         let handle = ReactorHandle {
             tx,
@@ -383,7 +383,7 @@ fn run_loop(
                  conns: &mut HashMap<u64, Conn>,
                  listeners: &mut HashMap<u64, (TcpListener, AcceptFn)>,
                  closed: &mut Vec<(u64, String)>| {
-        while let Some(cmd) = rx.try_recv() {
+        while let Ok(cmd) = rx.try_recv() {
             match cmd {
                 Cmd::AddStream(token, stream, sink) => {
                     adopt(poller, conns, token, stream, sink);

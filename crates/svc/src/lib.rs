@@ -9,17 +9,16 @@
 //!   `ListRuns`/`RunList`, `RunResult`/`RunReport`, `Watch`/`Progress`,
 //!   `RpcErr`) on one `insitu_net::Reactor` thread however many clients
 //!   connect, hardened as every other socket in the program is,
-//! - a **shared joiner pool**: `pool_nodes` long-lived worker threads,
-//!   each executing [`insitu::join`] assignments for
-//!   whatever run currently needs a node hosted,
 //! - an **admission controller** (which also validates submissions,
 //!   off the RPC loop): at most `max_runs` runs in flight, a
 //!   bounded FIFO queue for the rest, and strict head-of-queue
 //!   admission (a run is admitted only when both a run slot and enough
-//!   pool nodes are free — later, smaller runs never starve the head),
+//!   of the `pool_nodes` node budget are free — later, smaller runs
+//!   never starve the head),
 //! - one **engine thread per admitted run**, which binds a private
-//!   loopback hub, dispatches its node assignments to the pool and
-//!   drives [`insitu::serve`] to completion.
+//!   loopback hub, spawns one [`insitu::join`] thread per node, drives
+//!   [`insitu::serve`] to completion and joins its joiners before it
+//!   gives the run's nodes back — no thread waits for work.
 //!
 //! ## Run namespacing
 //!
@@ -42,8 +41,8 @@
 //! wire via `RunResult` (`insitu status --run ID --json`). Those three
 //! strings and the run's summary are all a terminal run keeps in
 //! memory: the merged chrome trace is rendered only into
-//! `artifacts_dir`, and the run's joiner state dies with its pooled
-//! `join` calls — the service's footprint does not grow with the runs
+//! `artifacts_dir`, and the run's joiner state dies with its joiner
+//! threads — the service's footprint does not grow with the runs
 //! it has served beyond that residue (DESIGN.md §10.4).
 
 #![warn(missing_docs)]

@@ -1,5 +1,5 @@
-//! The service: RPC port (one [`Reactor`]), admission queue, shared
-//! joiner pool and per-run engines.
+//! The service: RPC port (one [`Reactor`]), admission queue and
+//! per-run engines, each owning its run's joiner threads.
 
 use insitu::{join, map_scenario, serve, JoinOptions, MappingStrategy, Scenario, ServeOptions};
 use insitu_fabric::FaultInjector;
@@ -11,7 +11,6 @@ use insitu_obs::{
     ProfileReport,
 };
 use insitu_telemetry::Recorder;
-use insitu_util::channel::{unbounded, Receiver, Sender};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
@@ -21,8 +20,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Builds the scenario a (dag, config) text pair describes. The same
-/// callback validates submissions and rebuilds replicas inside pool
-/// workers, so every participant agrees on the workflow.
+/// callback validates submissions and rebuilds replicas inside each
+/// run's joiner threads, so every participant agrees on the workflow.
 pub type ScenarioBuilder = Arc<dyn Fn(&str, &str) -> Result<Scenario, String> + Send + Sync>;
 
 /// Service tuning knobs.
@@ -33,8 +32,10 @@ pub struct SvcConfig {
     /// Maximum queued (admitted-but-waiting) runs; `Submit` beyond this
     /// is refused with `RpcErr`.
     pub queue_depth: usize,
-    /// Size of the shared joiner pool, in simulated nodes. A run
-    /// needing more nodes than this is refused at submit time.
+    /// The node budget: how many simulated nodes the executing runs
+    /// may hold at once. An admitted run's engine hosts each of its
+    /// nodes on a joiner thread of its own, for the run's lifetime; a
+    /// run needing more nodes than this is refused at submit time.
     pub pool_nodes: u32,
     /// How long a run's joiners may take to wire up its private hub.
     pub connect_timeout: Duration,
@@ -54,7 +55,7 @@ pub struct SvcConfig {
     /// the wire-pinning chaos tests need that, and `serve --no-shm`
     /// exposes it.
     pub shm: bool,
-    /// Fault sites consulted by every run's server and pooled joiners
+    /// Fault sites consulted by every run's server and joiners
     /// (inert by default); `insitu serve --faults` wires a chaos plan
     /// through here.
     pub injector: FaultInjector,
@@ -163,6 +164,10 @@ struct RunEntry {
     /// ...`), appended once per episode.
     health: Vec<String>,
     progress: ProgressSample,
+    /// The executing run's recorder and its joiners' flight recorders,
+    /// in node order, for the watchdog to sample: set at admission,
+    /// cleared with the final sample.
+    live: Option<(Recorder, Vec<FlightRecorder>)>,
 }
 
 impl RunEntry {
@@ -217,7 +222,7 @@ struct State {
     admissions: u64,
     /// Runs currently executing.
     running: usize,
-    /// Pool nodes not reserved by an executing run.
+    /// Budget nodes not reserved by an executing run.
     free_nodes: u32,
     /// Set once `shutdown` begins; stops the scheduler and the watchdog.
     stopping: bool,
@@ -262,40 +267,18 @@ impl State {
     }
 }
 
-/// One node assignment handed to a pool worker.
-struct Assignment {
-    addr: String,
-    node: u32,
-    timeout: Duration,
-    injector: FaultInjector,
-    recorder: Recorder,
-    flight: FlightRecorder,
-}
-
-/// Live handles of an executing run, registered for the watchdog.
-struct RunLive {
-    recorder: Recorder,
-    /// One flight recorder per pooled joiner, in node order.
-    flights: Vec<FlightRecorder>,
-}
-
 struct Shared {
     cfg: SvcConfig,
     build: ScenarioBuilder,
     state: Mutex<State>,
     /// Signals the scheduler: a submission arrived, the queue grew, a
-    /// run finished, or stopping.
+    /// run finished, or stopping — which the watchdog waits on too.
     sched: Condvar,
     /// Sends on the RPC port's connections: answers and `Progress`.
     rpc: ReactorHandle,
-    /// Assignment channel feeding the pool workers; dropped on shutdown
-    /// so workers observe disconnection and exit.
-    pool_tx: Mutex<Option<Sender<Assignment>>>,
     /// Engine threads still executing (the scheduler drops finished
     /// handles as it admits), joined on shutdown.
     engines: Mutex<Vec<JoinHandle<()>>>,
-    /// Executing runs' recorders, for the watchdog to sample.
-    live: Mutex<HashMap<u64, RunLive>>,
 }
 
 /// A running workflow service. Dropping without [`Service::shutdown`]
@@ -308,13 +291,12 @@ pub struct Service {
     reactor: Reactor,
     scheduler: JoinHandle<()>,
     watchdog: JoinHandle<()>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl Service {
     /// Start the service on an already bound listener: adopts it onto
-    /// the RPC port's reactor and spawns the admission scheduler, the
-    /// watchdog and the `pool_nodes` joiner workers.
+    /// the RPC port's reactor and spawns the admission scheduler and the
+    /// watchdog.
     pub fn start(
         listener: TcpListener,
         cfg: SvcConfig,
@@ -326,8 +308,6 @@ impl Service {
         let metrics = NetMetrics::new(&Recorder::disabled());
         let reactor = Reactor::spawn("svc", FaultInjector::none(), metrics)
             .map_err(|e| format!("cannot start the RPC port: {e}"))?;
-        let (pool_tx, pool_rx) = unbounded::<Assignment>();
-        let pool_rx = Arc::new(pool_rx);
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 runs: Vec::new(),
@@ -341,19 +321,11 @@ impl Service {
             }),
             sched: Condvar::new(),
             rpc: reactor.handle(),
-            pool_tx: Mutex::new(Some(pool_tx)),
             engines: Mutex::new(Vec::new()),
-            live: Mutex::new(HashMap::new()),
             cfg,
             build,
         });
 
-        let workers = (0..shared.cfg.pool_nodes)
-            .map(|i| {
-                let (rx, build) = (Arc::clone(&pool_rx), Arc::clone(&shared.build));
-                spawn_thread(format!("svc-pool-{i}"), move || pool_worker(&rx, &build))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
         let sched = Arc::clone(&shared);
         let scheduler = spawn_thread("svc-scheduler".into(), move || scheduler_loop(&sched))?;
         let dog = Arc::clone(&shared);
@@ -371,7 +343,6 @@ impl Service {
             reactor,
             scheduler,
             watchdog,
-            workers,
         })
     }
 
@@ -381,9 +352,10 @@ impl Service {
     }
 
     /// Stop the service: cancels every queued run, flags every running
-    /// run for cancellation at its next wave boundary, waits for the
-    /// engines to drain, then stops the pool, the scheduler and, with
-    /// every final `Progress` flushed, the RPC port.
+    /// run for cancellation at its next wave boundary, stops the
+    /// scheduler and the watchdog, waits for the engines — each joins
+    /// its run's joiner threads — to drain and then, with every final
+    /// `Progress` flushed, stops the RPC port.
     pub fn shutdown(self) {
         {
             let mut st = self.shared.state.lock().unwrap();
@@ -404,11 +376,6 @@ impl Service {
         for h in self.shared.engines.lock().unwrap().drain(..) {
             let _ = h.join();
         }
-        // Disconnect the assignment channel so idle workers exit.
-        drop(self.shared.pool_tx.lock().unwrap().take());
-        for h in self.workers {
-            let _ = h.join();
-        }
         self.reactor.shutdown();
     }
 }
@@ -423,29 +390,8 @@ fn spawn_thread(
         .map_err(|e| format!("cannot spawn {name}: {e}"))
 }
 
-fn pool_worker(rx: &Receiver<Assignment>, build: &ScenarioBuilder) {
-    while let Ok(a) = rx.recv() {
-        let build = Arc::clone(build);
-        // Errors surface on the server side of the run (a missing node
-        // fails the hub accept or a wave barrier); the worker itself
-        // just returns to the pool.
-        let _ = join(
-            &a.addr,
-            a.node,
-            move |dag, config| (build)(dag, config),
-            &JoinOptions {
-                timeout: a.timeout,
-                injector: a.injector,
-                recorder: a.recorder,
-                flight: a.flight,
-                shm: true,
-            },
-        );
-    }
-}
-
 /// Strict-FIFO admission: only the queue head is considered, and it is
-/// admitted only when a run slot *and* enough free pool nodes exist.
+/// admitted only when a run slot *and* enough free budget nodes exist.
 fn admissible(st: &State, max_runs: usize) -> bool {
     match st.queue.front() {
         Some(&id) => st.running < max_runs && st.runs[id as usize - 1].nodes <= st.free_nodes,
@@ -501,12 +447,21 @@ fn scheduler_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Execute one admitted run: private loopback hub, node assignments to
-/// the pool, `serve` to completion, artifacts into the registry.
+/// Execute one admitted run: a private loopback hub, one joiner thread
+/// per node, `serve` to completion, artifacts into the registry. The
+/// run is terminal as soon as `serve` returns; its slot and nodes come
+/// back once its joiner threads are joined: they live and die with it.
 fn run_engine(shared: &Arc<Shared>, id: u64) {
-    let (dag, config, scenario, strategy, get_timeout, nodes, cancel) = {
+    let recorder = Recorder::enabled();
+    let (dag, config, scenario, strategy, get_timeout, nodes, cancel, flights) = {
         let mut st = shared.state.lock().unwrap();
         let e = &mut st.runs[id as usize - 1];
+        // One flight recorder per joiner, each its own process-local
+        // trace as a real distributed joiner's; the merged artifacts
+        // come from the wire's telemetry path (shipped to the run hub).
+        let flights: Vec<FlightRecorder> =
+            (0..e.nodes).map(|_| FlightRecorder::enabled()).collect();
+        e.live = Some((recorder.clone(), flights.clone()));
         // Taken, not cloned: this engine is their only reader, and a
         // terminal entry should hold its summary and artifacts only.
         (
@@ -517,65 +472,80 @@ fn run_engine(shared: &Arc<Shared>, id: u64) {
             e.get_timeout,
             e.nodes,
             Arc::clone(&e.cancel),
+            flights,
         )
     };
-    let recorder = Recorder::enabled();
-    // One flight recorder per pooled joiner: each worker records its own
-    // process-local trace exactly as a real distributed joiner would,
-    // and the merged artifacts below come from the same telemetry path
-    // the wire uses (the joiners ship their snapshots to the run hub).
-    let flights: Vec<FlightRecorder> = (0..nodes).map(|_| FlightRecorder::enabled()).collect();
-    shared.live.lock().unwrap().insert(
-        id,
-        RunLive {
-            recorder: recorder.clone(),
-            flights: flights.clone(),
-        },
-    );
-    let result = (|| -> Result<_, String> {
-        let scenario = scenario.ok_or("admitted without the scenario submit built")?;
-        let listener =
-            TcpListener::bind("127.0.0.1:0").map_err(|e| format!("cannot bind run hub: {e}"))?;
-        let addr = listener
-            .local_addr()
-            .map_err(|e| format!("cannot resolve run hub address: {e}"))?
-            .to_string();
-        {
-            let tx = shared.pool_tx.lock().unwrap();
-            let tx = tx.as_ref().ok_or("pool is shut down")?;
-            for node in 0..nodes {
-                let _ = tx.send(Assignment {
-                    addr: addr.clone(),
-                    node,
+    std::thread::scope(|scope| {
+        let mut joiners = Vec::new();
+        let result = (|| -> Result<_, String> {
+            let scenario = scenario.ok_or("admitted without the scenario submit built")?;
+            let listener = TcpListener::bind("127.0.0.1:0")
+                .map_err(|e| format!("cannot bind run hub: {e}"))?;
+            let addr = listener
+                .local_addr()
+                .map_err(|e| format!("cannot resolve run hub address: {e}"))?
+                .to_string();
+            for (node, flight) in (0..nodes).zip(&flights) {
+                let (addr, build) = (addr.clone(), &shared.build);
+                let opts = JoinOptions {
                     timeout: shared.cfg.connect_timeout,
                     injector: shared.cfg.injector.clone(),
                     recorder: recorder.clone(),
-                    flight: flights[node as usize].clone(),
-                });
+                    flight: flight.clone(),
+                    shm: true,
+                };
+                let joiner = std::thread::Builder::new()
+                    .name(format!("svc-run-{id}-n{node}"))
+                    .spawn_scoped(scope, move || {
+                        let _ = join(&addr, node, |dag, config| build(dag, config), &opts);
+                    })
+                    .map_err(|e| format!("cannot spawn the joiner of node {node}: {e}"))?;
+                joiners.push(joiner);
             }
+            serve(
+                &listener,
+                &dag,
+                &config,
+                &scenario,
+                &ServeOptions {
+                    strategy,
+                    get_timeout,
+                    timeout: shared.cfg.connect_timeout,
+                    injector: shared.cfg.injector.clone(),
+                    recorder: recorder.clone(),
+                    run_epoch: id,
+                    cancel: Arc::clone(&cancel),
+                    flight: FlightRecorder::disabled(),
+                    p2p: shared.cfg.p2p,
+                    shm: shared.cfg.shm,
+                },
+            )
+        })();
+        conclude(shared, id, result, &recorder, &flights, &cancel);
+        // A joiner's error is already in the hub's view of the run (a
+        // missing node fails the accept or a wave barrier), and its
+        // panic stops at its handle: the run's nodes still come back.
+        for joiner in joiners {
+            let _ = joiner.join();
         }
-        serve(
-            &listener,
-            &dag,
-            &config,
-            &scenario,
-            &ServeOptions {
-                strategy,
-                get_timeout,
-                timeout: shared.cfg.connect_timeout,
-                injector: shared.cfg.injector.clone(),
-                recorder: recorder.clone(),
-                run_epoch: id,
-                cancel: Arc::clone(&cancel),
-                flight: FlightRecorder::disabled(),
-                p2p: shared.cfg.p2p,
-                shm: shared.cfg.shm,
-            },
-        )
-    })();
+    });
+    let mut st = shared.state.lock().unwrap();
+    st.running -= 1;
+    st.free_nodes += nodes;
+    shared.sched.notify_all();
+}
 
-    shared.live.lock().unwrap().remove(&id);
-    let final_progress = sample_run(&recorder, &flights).0;
+/// Make an engine's run terminal: its final sample, its artifacts in
+/// the registry (and in `artifacts_dir`), and `State::end_run`.
+fn conclude(
+    shared: &Shared,
+    id: u64,
+    result: Result<insitu::DistribOutcome, String>,
+    recorder: &Recorder,
+    flights: &[FlightRecorder],
+    cancel: &AtomicBool,
+) {
+    let final_progress = sample_run(recorder, flights).0;
     let metrics_json = recorder.metrics_snapshot().to_json().render();
     let (state, detail, ledger_json, errors, merged) = match result {
         Ok(outcome) => {
@@ -595,8 +565,8 @@ fn run_engine(shared: &Arc<Shared>, id: u64) {
             )
         }
         Err(why) => {
-            // No telemetry made it back; profile what the pooled
-            // workers recorded locally so failed runs still leave a
+            // No telemetry made it back; profile what the joiner
+            // threads recorded locally so failed runs still leave a
             // trace behind.
             let traces: Vec<ProcessTrace> = flights
                 .iter()
@@ -675,15 +645,13 @@ fn run_engine(shared: &Arc<Shared>, id: u64) {
     e.artifacts = artifacts;
     e.health.extend(telemetry_health);
     e.progress = final_progress;
+    e.live = None;
     st.end_run(id, state, detail, &shared.rpc);
-    st.running -= 1;
-    st.free_nodes += nodes;
-    shared.sched.notify_all();
 }
 
 /// Sample one run's live numbers: wave progress and in-flight gauges
 /// from the shared metrics registry, pull counts and per-class wait
-/// percentiles from the pooled joiners' flight recorders. The second
+/// percentiles from the joiners' flight recorders. The second
 /// value is the per-class pull count (`[shm, rdma]`), used by the
 /// watchdog's drift detector.
 fn sample_run(recorder: &Recorder, flights: &[FlightRecorder]) -> (ProgressSample, [u64; 2]) {
@@ -751,23 +719,28 @@ struct WatchState {
 /// refreshes its `Progress` sample and raises `link-stall` /
 /// `link-degraded` health events, then sends each watcher that is due
 /// its run's sample. Detection is per episode: a stall is counted once
-/// until progress resumes, a degraded class once per run.
+/// until progress resumes, a degraded class once per run. Between
+/// ticks it waits on the `sched` condvar, so `shutdown` ends it at
+/// once; other notifications leave the cadence alone.
 fn watchdog_loop(shared: &Arc<Shared>) {
     let cfg = shared.cfg.watchdog;
+    let tick = Duration::from_millis(cfg.poll_ms.max(5));
     let mut states: HashMap<u64, WatchState> = HashMap::new();
     loop {
-        std::thread::sleep(Duration::from_millis(cfg.poll_ms.max(5)));
-        if shared.state.lock().unwrap().stopping {
-            return;
-        }
-        let live: Vec<(u64, Recorder, Vec<FlightRecorder>)> = {
-            let l = shared.live.lock().unwrap();
-            l.iter()
-                .map(|(&id, r)| (id, r.recorder.clone(), r.flights.clone()))
+        let live: Vec<(u64, (Recorder, Vec<FlightRecorder>))> = {
+            let (sched, st) = (&shared.sched, shared.state.lock().unwrap());
+            let (st, _) = sched
+                .wait_timeout_while(st, tick, |st| !st.stopping)
+                .unwrap();
+            if st.stopping {
+                return;
+            }
+            let runs = (1..).zip(&st.runs);
+            runs.filter_map(|(id, e)| Some((id, e.live.clone()?)))
                 .collect()
         };
-        states.retain(|id, _| live.iter().any(|(lid, _, _)| lid == id));
-        for (id, recorder, flights) in live {
+        states.retain(|id, _| live.iter().any(|(lid, _)| lid == id));
+        for (id, (recorder, flights)) in live {
             let (sample, class_pulls) = sample_run(&recorder, &flights);
             let st = states.entry(id).or_default();
             let mut events: Vec<String> = Vec::new();
@@ -980,7 +953,7 @@ fn submit(shared: &Shared, request: Frame) -> Frame {
     };
     if nodes > shared.cfg.pool_nodes {
         return refuse(format!(
-            "workflow needs {nodes} nodes, the pool has {}",
+            "workflow needs {nodes} nodes, the node budget is {}",
             shared.cfg.pool_nodes
         ));
     }
@@ -1010,6 +983,7 @@ fn submit(shared: &Shared, request: Frame) -> Frame {
         link_stalls: 0,
         health: Vec::new(),
         progress: ProgressSample::default(),
+        live: None,
     });
     // Priority insertion: behind the last queued run of equal or higher
     // priority, ahead of every lower one. Equal priorities stay FIFO,
@@ -1485,6 +1459,59 @@ mod tests {
         assert_eq!(s.state, RunState::Done, "{}", s.detail);
         assert_eq!(calls.load(Ordering::SeqCst), 1 + s.nodes as u64);
         svc.shutdown();
+    }
+
+    /// A joiner thread that panics fails its run and nothing else: the
+    /// engine catches the panic at the thread's handle, so the run's
+    /// nodes come back and the next run of the same text completes.
+    #[test]
+    fn a_joiner_panic_ends_its_run_and_keeps_the_capacity() {
+        let calls = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let counted = Arc::clone(&calls);
+        // Call 1 validates run 1 at submit; call 2 is its first replica.
+        let build: ScenarioBuilder = Arc::new(move |dag, config| {
+            let call = counted.fetch_add(1, Ordering::SeqCst) + 1;
+            assert_ne!(call, 2, "a replica build that panics");
+            (fixed_builder())(dag, config)
+        });
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let cfg = SvcConfig {
+            max_runs: 1,
+            pool_nodes: 2,
+            connect_timeout: Duration::from_secs(2),
+            ..SvcConfig::default()
+        };
+        let svc = Service::start(listener, cfg, build).unwrap();
+        let addr = svc.local_addr().to_string();
+        let mut client = RpcClient::connect(&addr, Duration::from_secs(10)).unwrap();
+        // The surviving joiner of run 1 waits out its gets of the dead
+        // node's pieces before it is joined: a short get timeout keeps
+        // that brief.
+        for expected in [RunState::Failed, RunState::Done] {
+            let (run, _) = client
+                .submit("twice", "ok", "", "round-robin", Duration::from_secs(3))
+                .unwrap();
+            let s = client.wait_terminal(run, Duration::from_secs(120)).unwrap();
+            assert_eq!(s.state, expected, "run {run}: {}", s.detail);
+        }
+        svc.shutdown();
+    }
+
+    /// `shutdown` ends the watchdog between two ticks: an idle service
+    /// that samples every 10 s stops well inside one.
+    #[test]
+    fn an_idle_service_shuts_down_inside_a_watchdog_tick() {
+        let (svc, _client) = start(SvcConfig {
+            watchdog: WatchdogConfig {
+                poll_ms: 10_000,
+                ..WatchdogConfig::default()
+            },
+            ..SvcConfig::default()
+        });
+        let t0 = Instant::now();
+        svc.shutdown();
+        let took = t0.elapsed();
+        assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
     }
 
     /// A `wait_terminal` that runs out of time names the run, and

@@ -6,8 +6,6 @@
 //!
 //! - [`Bytes`] — a cheaply clonable, immutable byte buffer (replaces
 //!   `bytes::Bytes` for the subset of its API the workspace uses);
-//! - [`channel`] — an unbounded MPMC channel with `len`/`recv_timeout`
-//!   (replaces `crossbeam::channel` for the mailbox use case);
 //! - [`rng::SplitMix64`] — a tiny seeded PRNG (replaces `rand` in tests
 //!   and synthetic workloads);
 //! - [`check`] — a deterministic property-test driver (replaces
@@ -23,13 +21,11 @@
 #![warn(missing_docs)]
 
 pub mod bytes;
-pub mod channel;
 pub mod check;
 pub mod poller;
 pub mod rng;
 pub mod shm;
 
 pub use bytes::Bytes;
-pub use channel::{unbounded, Receiver, RecvTimeoutError, SendError, Sender};
 pub use poller::Poller;
 pub use rng::SplitMix64;

@@ -104,8 +104,9 @@ for round in $(seq 1 30); do
 done
 
 # The service's RPC port, 10 times over: 1, 16 and 64 idle clients on
-# one Service, and the process's thread count must not move with them.
-echo "==> RPC port thread count (1/16/64 clients, 10 rounds)"
+# one Service, and the process's thread count must not move with them,
+# nor stay up after a completed run, nor grow with a 64-node budget.
+echo "==> RPC port thread count (1/16/64 clients, a run, 2/64 nodes, 10 rounds)"
 for round in $(seq 1 10); do
     cargo test -q $chaos_profile -p insitu-svc --test rpc_port --offline > target/rpc-port.txt 2>&1 \
         || { cat target/rpc-port.txt; echo "RPC port thread count moved in round $round"; exit 1; }
@@ -186,6 +187,11 @@ if grep -rnE 'TelemetryAck|TELEMETRY_ACK_TIMEOUT' crates; then
 fi
 if grep -rn 'net-pull-wait' crates; then
     echo "a pull waiter thread grew back"; exit 1
+fi
+# One queue: the standard library's channel. And a run owns its joiner
+# threads: the service keeps no standing pool beside its engines.
+if grep -rnE 'insitu_util::channel|mod channel|pool_worker|struct Assignment|svc-pool' crates; then
+    echo "the hand-rolled channel or the standing joiner pool grew back"; exit 1
 fi
 long=$(find crates/cods/src crates/net/src -name '*.rs' ! -path crates/net/src/frame.rs \
     -exec wc -l {} + | awk '$2 != "total" && $1 > 1200')
@@ -378,6 +384,26 @@ done
 if grep -Eq '^run +3 +done' target/svc-status.txt; then
     diff target/svc-artifacts/run-3.ledger.json \
         <(printf '%s' "$(cat target/launch-ledger.json)")
+fi
+kill $svc_pid
+wait $svc_pid 2>/dev/null || true
+trap - EXIT
+
+# Idle threads do not scale with the node budget: a run's joiner threads
+# live and die with the run, so an idle service is its main thread, the
+# RPC port's reactor, the scheduler and the watchdog, whatever
+# --pool-nodes says. Counts only, read from /proc/<pid>/task/*/comm.
+echo "==> idle service thread census (--pool-nodes 64, 4 threads)"
+"$bin" serve --listen 127.0.0.1:0 --pool-nodes 64 > target/svc-census.log &
+svc_pid=$!
+trap 'kill $svc_pid 2>/dev/null || true' EXIT
+for _ in $(seq 1 100); do
+    grep -q 'listening on' target/svc-census.log && break
+    sleep 0.2
+done
+threads=$(cat /proc/$svc_pid/task/*/comm | sort | tr '\n' ' ')
+if [[ "$threads" != "insitu net-reactor-svc svc-scheduler svc-watchdog " ]]; then
+    echo "idle service threads: $threads"; exit 1
 fi
 kill $svc_pid
 wait $svc_pid 2>/dev/null || true

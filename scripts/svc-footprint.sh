@@ -42,7 +42,7 @@ done
 status_kib() { awk -v key="$1:" '$1 == key { print $2 }' "/proc/$pid/status"; }
 
 # fds, map lines, RssShmem KiB, VmRSS KiB — once the last run's engine
-# and pooled workers have returned to idle.
+# and joiner threads have exited.
 census() {
     sleep 0.5
     echo "$(ls "/proc/$pid/fd" | wc -l) $(wc -l < "/proc/$pid/maps")" \
