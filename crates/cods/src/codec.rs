@@ -1,28 +1,33 @@
 //! Conversion between `f64` field data and raw byte buffers.
 //!
 //! CoDS stores registered buffers as raw bytes ([`bytes::Bytes`]); the
-//! applications' field data is `f64`. Encoding is a single memcpy through
-//! a byte view of the slice (always sound: any `f64` bit pattern is valid
-//! as bytes); decoding rebuilds `f64`s from native-endian chunks. The
-//! assembly path avoids decoding entirely: [`f64s_of_bytes`] reinterprets
-//! an aligned staged buffer in place, and [`FieldData`] lets a `get`
-//! return either an owned assembly buffer or a zero-copy view of a single
-//! staged piece.
+//! applications' field data is `f64`. A `put` stages its array without a
+//! copy: [`FieldData::into_bytes`] adopts the vector through a byte view
+//! of its cells, so the staged buffer is 8-aligned by construction.
+//! Decoding rebuilds `f64`s from native-endian chunks. The assembly path
+//! avoids decoding entirely: [`f64s_of_bytes`] reinterprets an aligned
+//! staged buffer in place, and [`FieldData`] lets a `get` return either
+//! an owned assembly buffer or a zero-copy view of a single staged
+//! piece.
 
 use insitu_util::Bytes;
 
 /// Size of one field element.
 pub const ELEM_BYTES: usize = std::mem::size_of::<f64>();
 
-/// Encode a field slice into an owned byte buffer.
-pub fn encode_f64s(v: &[f64]) -> Bytes {
-    // SAFETY: reinterpreting `f64`s as bytes is always valid; the view
-    // lives only for the duration of the copy.
-    let view = unsafe { std::slice::from_raw_parts(v.as_ptr().cast::<u8>(), v.len() * ELEM_BYTES) };
-    Bytes::copy_from_slice(view)
+/// A producer's cells as a [`Bytes`] owner: the buffer is the vector.
+struct Cells(Vec<f64>);
+
+impl AsRef<[u8]> for Cells {
+    fn as_ref(&self) -> &[u8] {
+        let (cells, len) = (self.0.as_ptr().cast::<u8>(), self.0.len() * ELEM_BYTES);
+        // SAFETY: any `f64` bit pattern is valid as bytes, and the view
+        // borrows the vector, which lives as long as the owner.
+        unsafe { std::slice::from_raw_parts(cells, len) }
+    }
 }
 
-/// Decode a byte buffer produced by [`encode_f64s`].
+/// Decode a byte buffer of native-endian `f64` cells.
 ///
 /// # Panics
 /// Panics if the length is not a multiple of [`ELEM_BYTES`].
@@ -53,9 +58,9 @@ pub fn bytes_of_f64s_mut(v: &mut [f64]) -> &mut [u8] {
     unsafe { std::slice::from_raw_parts_mut(v.as_mut_ptr().cast::<u8>(), v.len() * ELEM_BYTES) }
 }
 
-/// Field data returned by a `get`: either an owned assembly of several
-/// pieces, or a zero-copy view of a single staged piece that exactly
-/// covered the query. Derefs to `[f64]` either way.
+/// Field data a `put` hands over or a `get` returns: an owned vector, or
+/// a zero-copy view of a single staged piece that exactly covered the
+/// query. Derefs to `[f64]` either way.
 #[derive(Clone)]
 pub enum FieldData {
     /// Assembled into a dedicated buffer.
@@ -88,6 +93,34 @@ impl FieldData {
             FieldData::Owned(v) => v,
             FieldData::View(b) => f64s_of_bytes(&b).expect("view invariant").to_vec(),
         }
+    }
+
+    /// The cells as 8-aligned staged bytes, without copying.
+    pub fn into_bytes(self) -> Bytes {
+        match self {
+            FieldData::Owned(v) => Bytes::from_owner(Cells(v)),
+            FieldData::View(b) => b,
+        }
+    }
+}
+
+/// Adopts the vector (no copy).
+impl From<Vec<f64>> for FieldData {
+    fn from(v: Vec<f64>) -> FieldData {
+        FieldData::Owned(v)
+    }
+}
+
+/// Copies the cells once, for a caller that keeps its array.
+impl From<&[f64]> for FieldData {
+    fn from(s: &[f64]) -> FieldData {
+        FieldData::Owned(s.to_vec())
+    }
+}
+
+impl From<&Vec<f64>> for FieldData {
+    fn from(v: &Vec<f64>) -> FieldData {
+        FieldData::from(&v[..])
     }
 }
 
@@ -150,18 +183,18 @@ mod tests {
     #[test]
     fn roundtrip() {
         let v = vec![0.0, -1.5, f64::MAX, f64::MIN_POSITIVE, 42.42];
-        assert_eq!(decode_f64s(&encode_f64s(&v)), v);
+        assert_eq!(decode_f64s(&FieldData::from(&v).into_bytes()), v);
     }
 
     #[test]
     fn empty() {
-        assert!(decode_f64s(&encode_f64s(&[])).is_empty());
+        assert!(decode_f64s(&FieldData::from(Vec::new()).into_bytes()).is_empty());
     }
 
     #[test]
     fn nan_bits_preserved() {
         let v = vec![f64::NAN];
-        let out = decode_f64s(&encode_f64s(&v));
+        let out = decode_f64s(&FieldData::from(&v).into_bytes());
         assert_eq!(out[0].to_bits(), v[0].to_bits());
     }
 
@@ -174,13 +207,13 @@ mod tests {
     #[test]
     fn large_buffer_roundtrip() {
         let v: Vec<f64> = (0..100_000).map(|i| i as f64 * 0.5).collect();
-        assert_eq!(decode_f64s(&encode_f64s(&v)), v);
+        assert_eq!(decode_f64s(&FieldData::from(&v).into_bytes()), v);
     }
 
     #[test]
     fn typed_view_agrees_with_decode() {
         let v = vec![1.0, 2.5, -0.0, f64::INFINITY];
-        let b = encode_f64s(&v);
+        let b = FieldData::from(&v).into_bytes();
         match f64s_of_bytes(&b) {
             Some(view) => assert_eq!(view, &v[..]),
             // Arc allocations are not guaranteed 8-aligned; the decode
@@ -197,7 +230,7 @@ mod tests {
     #[test]
     fn mut_byte_view_writes_through() {
         let mut v = vec![0.0f64; 2];
-        let src = encode_f64s(&[3.5, -7.25]);
+        let src = FieldData::from(vec![3.5, -7.25]).into_bytes();
         bytes_of_f64s_mut(&mut v).copy_from_slice(&src);
         assert_eq!(v, vec![3.5, -7.25]);
     }
@@ -205,11 +238,27 @@ mod tests {
     #[test]
     fn field_data_view_and_owned_agree() {
         let v = vec![9.0, 8.0, 7.0];
-        let d = FieldData::from_bytes(encode_f64s(&v));
+        let d = FieldData::from_bytes(FieldData::from(&v).into_bytes());
         assert_eq!(d, v);
         assert_eq!(d.len(), 3);
         assert_eq!(FieldData::Owned(v.clone()), d);
         assert_eq!(d.clone().into_vec(), v);
         assert_eq!(Vec::from(d), v);
+    }
+
+    #[test]
+    fn into_bytes_adopts_the_vector_and_keeps_a_view() {
+        let v = vec![1.5f64; 512];
+        let at = v.as_ptr().cast::<u8>();
+        let b = FieldData::from(v).into_bytes();
+        assert_eq!(b.as_ptr(), at);
+        assert_eq!(f64s_of_bytes(&b), Some(&[1.5f64; 512][..]));
+        // A view hands back its own buffer.
+        assert_eq!(FieldData::View(b.clone()).into_bytes().as_ptr(), at);
+        // A borrowed array is copied, once, and left to its caller.
+        let kept = vec![2.0f64; 4];
+        let copy = FieldData::from(&kept).into_bytes();
+        assert_ne!(copy.as_ptr(), kept.as_ptr().cast::<u8>());
+        assert_eq!(f64s_of_bytes(&copy), Some(&kept[..]));
     }
 }

@@ -2,7 +2,7 @@
 //! receiver-driven schedule execution behind every `get`.
 
 use super::{buf_key, CodsError, CodsSpace, GetReport};
-use crate::codec::{bytes_of_f64s_mut, encode_f64s, f64s_of_bytes, FieldData, ELEM_BYTES};
+use crate::codec::{bytes_of_f64s_mut, f64s_of_bytes, FieldData, ELEM_BYTES};
 use crate::dht::{LocationEntry, DHT_RECORD_BYTES};
 use crate::schedule::{schedule_from_decomposition, schedule_from_entries, CommSchedule};
 use insitu_dart::{BufKey, BufferHandle};
@@ -24,7 +24,7 @@ impl CodsSpace {
         version: u64,
         piece: u64,
         bbox: &BoundingBox,
-        data: &[f64],
+        data: FieldData,
         index_in_dht: bool,
     ) -> Result<(), CodsError> {
         if data.len() as u128 != bbox.num_cells() {
@@ -74,8 +74,9 @@ impl CodsSpace {
             self.staging_gauge.set(peak);
         }
         self.put_count.inc();
-        // The staged bytes, which a push to another process sends.
-        let staged = (!dead).then(|| encode_f64s(data));
+        // The staged bytes are the producer's own array, adopted; a push
+        // to another process sends them.
+        let staged = (!dead).then(|| data.into_bytes());
         if let Some(staged) = &staged {
             let key = buf_key(vid, version, client, piece);
             self.dart.register_buffer(key, client, staged.clone());
@@ -104,9 +105,7 @@ impl CodsSpace {
         // so every SubPush it spawns can name it as parent.
         let put_seq = flight.next_seq();
         if let Some(staged) = staged {
-            self.push_to_subs(
-                client, app, vid, version, piece, bbox, data, staged, put_seq,
-            );
+            self.push_to_subs(client, app, vid, version, piece, bbox, staged, put_seq);
         }
         if flight.is_enabled() {
             let now = flight.now_us();
@@ -131,7 +130,8 @@ impl CodsSpace {
     }
 
     /// `cods_put_seq`: store a piece into the space and index it in the
-    /// DHT for later (sequentially coupled) consumers.
+    /// DHT for later (sequentially coupled) consumers. A `Vec<f64>` is
+    /// staged as is; a borrowed array is copied once.
     #[allow(clippy::too_many_arguments)] // mirrors the paper's cods_* operator signatures
     pub fn put_seq(
         &self,
@@ -141,9 +141,9 @@ impl CodsSpace {
         version: u64,
         piece: u64,
         bbox: &BoundingBox,
-        data: &[f64],
+        data: impl Into<FieldData>,
     ) -> Result<(), CodsError> {
-        self.put_impl(client, app, var, version, piece, bbox, data, true)
+        self.put_impl(client, app, var, version, piece, bbox, data.into(), true)
     }
 
     /// `cods_put_cont`: expose a piece for direct pull by a concurrently
@@ -158,9 +158,9 @@ impl CodsSpace {
         version: u64,
         piece: u64,
         bbox: &BoundingBox,
-        data: &[f64],
+        data: impl Into<FieldData>,
     ) -> Result<(), CodsError> {
-        self.put_impl(client, app, var, version, piece, bbox, data, false)
+        self.put_impl(client, app, var, version, piece, bbox, data.into(), false)
     }
 
     /// `cods_get_seq`: retrieve `query` of `(var, version)` using the DHT

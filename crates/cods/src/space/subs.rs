@@ -6,7 +6,7 @@
 //! ([`CodsSpace::apply_remote_piece`]).
 
 use super::{buf_key, piece_id, CodsSpace};
-use crate::codec::ELEM_BYTES;
+use crate::codec::{f64s_of_bytes, ELEM_BYTES};
 use insitu_domain::BoundingBox;
 use insitu_fabric::{ClientId, FaultAction, TrafficClass};
 use insitu_obs::{Event, EventKind};
@@ -131,13 +131,13 @@ impl CodsSpace {
     /// Fan a freshly put piece out to every matching standing query.
     ///
     /// This runs synchronously inside `put`, before the transport split:
-    /// a subscriber hosted in this process gets the piece's cells
-    /// (`data`) offered straight into its sink, which cuts its overlap;
-    /// a subscriber's process elsewhere is sent the staged bytes
-    /// (`staged`) once per put, however many of its queries match. The
-    /// chaos `sub-push` site is consulted here — on the shared path —
-    /// once per query, so an injected drop replays identically whether
-    /// or not the subscriber sits behind the wire.
+    /// a subscriber hosted in this process gets the piece's cells — the
+    /// staged bytes (`staged`), viewed in place — offered straight into
+    /// its sink, which cuts its overlap; a subscriber's process elsewhere
+    /// is sent the staged bytes once per put, however many of its queries
+    /// match. The chaos `sub-push` site is consulted here — on the shared
+    /// path — once per query, so an injected drop replays identically
+    /// whether or not the subscriber sits behind the wire.
     #[allow(clippy::too_many_arguments)] // put_impl's identity plus the parent seq
     pub(super) fn push_to_subs(
         &self,
@@ -147,10 +147,10 @@ impl CodsSpace {
         version: u64,
         piece: u64,
         bbox: &BoundingBox,
-        data: &[f64],
         staged: Bytes,
         put_seq: u64,
     ) {
+        let data = f64s_of_bytes(&staged).expect("staged bytes are 8-aligned cells");
         let injector = self.dart.injector();
         let flight = self.dart.flight();
         // The nodes this put's piece was already sent to.

@@ -2,7 +2,7 @@
 //! put/get, standing queries. One module so the fixtures are shared.
 
 use super::*;
-use crate::codec::{encode_f64s, ELEM_BYTES};
+use crate::codec::{FieldData, ELEM_BYTES};
 use crate::dht::LocationEntry;
 use insitu_dart::{BufferHandle, Transport};
 use insitu_domain::{layout, Decomposition, Distribution, ProcessGrid};
@@ -210,10 +210,11 @@ fn produce_on_node_zero(space: &CodsSpace, var: &str, version: u64) {
                     piece: 0,
                 },
             );
-            space
-                .dart
-                .registry()
-                .register(buf_key(vid, version, r, 0), r, encode_f64s(&data));
+            space.dart.registry().register(
+                buf_key(vid, version, r, 0),
+                r,
+                FieldData::from(data).into_bytes(),
+            );
         }
     }
 }
@@ -460,7 +461,9 @@ fn timeout_when_piece_missing() {
 fn size_mismatch_rejected() {
     let s = space();
     let b = BoundingBox::from_sizes(&[4, 4]);
-    let err = s.put_seq(0, 1, "bad", 0, 0, &b, &[1.0, 2.0]).unwrap_err();
+    let err = s
+        .put_seq(0, 1, "bad", 0, 0, &b, &[1.0, 2.0][..])
+        .unwrap_err();
     assert_eq!(
         err,
         CodsError::SizeMismatch {
@@ -468,6 +471,57 @@ fn size_mismatch_rejected() {
             got: 2
         }
     );
+}
+
+/// The registry's buffer for `client`'s piece 0 of `(var, 0)`.
+fn staged_ptr(s: &CodsSpace, var: &str, client: ClientId) -> *const u8 {
+    let key = buf_key(s.key_of(var), 0, client, 0);
+    s.dart().registry().get(&key).unwrap().data.as_ptr()
+}
+
+#[test]
+fn a_put_stages_the_producers_own_array() {
+    let s = space();
+    let b = BoundingBox::from_sizes(&[8, 8]);
+    let data = layout::fill_with(&b, tagfn);
+    let at = data.as_ptr().cast::<u8>();
+    s.put_cont(0, 1, "own", 0, 0, &b, data).unwrap();
+    assert_eq!(staged_ptr(&s, "own", 0), at);
+    // A borrowed array is copied: the caller keeps its own.
+    let kept = layout::fill_with(&b, tagfn);
+    s.put_cont(1, 1, "own", 0, 0, &b, &kept).unwrap();
+    assert_ne!(staged_ptr(&s, "own", 1), kept.as_ptr().cast::<u8>());
+}
+
+#[test]
+fn a_put_seq_stages_the_producers_own_array() {
+    let s = space();
+    let b = BoundingBox::from_sizes(&[8, 8]);
+    let data = layout::fill_with(&b, tagfn);
+    let at = data.as_ptr().cast::<u8>();
+    s.put_seq(0, 1, "own", 0, 0, &b, data).unwrap();
+    assert_eq!(staged_ptr(&s, "own", 0), at);
+    let (got, _) = s.get_seq(3, 2, "own", 0, &b).unwrap();
+    assert_eq!(got, layout::fill_with(&b, tagfn));
+}
+
+/// A moved array feeds an in-process subscriber's sink through a view
+/// of the adopted buffer; what it assembles is bit-identical to a pull.
+#[test]
+fn pushes_from_adopted_arrays_match_pulls_bit_for_bit() {
+    let s = space();
+    let q = BoundingBox::from_sizes(&[8, 8]);
+    let handle = s.subscribe(3, 2, "temp", &q, 1, DEFAULT_QUEUE_CAP);
+    let dec = Decomposition::new(q, ProcessGrid::new(&[2, 2]), Distribution::Blocked);
+    for r in 0..4u64 {
+        let b = dec.blocked_box(r).unwrap();
+        let data = layout::fill_with(&b, |p| tagfn(p) * -1e-3);
+        s.put_seq(r as ClientId, 1, "temp", 0, 0, &b, data).unwrap();
+    }
+    let pushed = take_data(&s, &handle, 0);
+    let (pulled, _) = s.get_seq(3, 2, "temp", 0, &q).unwrap();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&pushed), bits(&pulled));
 }
 
 #[test]
@@ -608,9 +662,9 @@ fn multi_piece_producer() {
     let s = space();
     let b1 = BoundingBox::new(&[0, 0], &[3, 7]);
     let b2 = BoundingBox::new(&[4, 0], &[7, 7]);
-    s.put_seq(0, 1, "mp", 0, 0, &b1, &layout::fill_with(&b1, tagfn))
+    s.put_seq(0, 1, "mp", 0, 0, &b1, layout::fill_with(&b1, tagfn))
         .unwrap();
-    s.put_seq(0, 1, "mp", 0, 1, &b2, &layout::fill_with(&b2, tagfn))
+    s.put_seq(0, 1, "mp", 0, 1, &b2, layout::fill_with(&b2, tagfn))
         .unwrap();
     let q = BoundingBox::new(&[2, 2], &[5, 5]);
     let (data, report) = s.get_seq(3, 2, "mp", 0, &q).unwrap();
@@ -703,7 +757,10 @@ fn pushed_versions_are_byte_identical_to_gets() {
     for v in 0..3 {
         let pushed = take_data(&s, &handle, v);
         let (pulled, _) = s.get_seq(3, 2, "temp", v, &q).unwrap();
-        assert_eq!(&encode_f64s(&pushed)[..], &encode_f64s(&pulled)[..]);
+        assert_eq!(
+            &FieldData::from(pushed).into_bytes()[..],
+            &pulled.into_bytes()[..]
+        );
     }
     assert_eq!(handle.completed(), 3);
     assert_eq!(handle.lagged(), 0);
@@ -961,12 +1018,12 @@ fn hostile_remote_sub_frames_are_rejected() {
     let handle = s.subscribe(0, 1, "x", &frag, 1, 4);
     handle.expect_piece(1, 0, &frag);
     let key = |owner: ClientId| buf_key(s.key_of("x"), 0, owner, 0);
-    s.apply_remote_piece(key(2), 2, encode_f64s(&[1.0, 2.0]));
+    s.apply_remote_piece(key(2), 2, FieldData::from(vec![1.0, 2.0]).into_bytes());
     s.apply_remote_piece(key(1), 1, Bytes::from(vec![0u8; 9]));
     assert!(s.dart().registry().get(&key(1)).is_some());
     assert_eq!(handle.completed(), 0);
     s.dart().registry().unregister(&key(1));
-    s.apply_remote_piece(key(1), 1, encode_f64s(&[1.0, 2.0]));
+    s.apply_remote_piece(key(1), 1, FieldData::from(vec![1.0, 2.0]).into_bytes());
     assert_eq!(handle.completed(), 1);
 }
 

@@ -469,7 +469,7 @@ fn task_routine(ctx: TaskCtx) {
             for (pi, piece) in pieces.iter().enumerate() {
                 let data = fill_field(vid, version, piece);
                 let res = put(
-                    &env.space, client, ctx.app, var, version, pi as u64, piece, &data,
+                    &env.space, client, ctx.app, var, version, pi as u64, piece, data,
                 );
                 if let Err(e) = res {
                     // Abandon this coupling; other couplings and the halo

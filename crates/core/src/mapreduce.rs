@@ -105,7 +105,7 @@ pub fn run_histogram(job: &HistogramJob, var: &str) -> HistogramOutcome {
             // Publish the partial at [task*bins, (task+1)*bins).
             let bbox = BoundingBox::new(&[task * bins], &[(task + 1) * bins - 1]);
             space
-                .put_cont(task as ClientId, 1, &partial_var, 0, 0, &bbox, &hist)
+                .put_cont(task as ClientId, 1, &partial_var, 0, 0, &bbox, hist)
                 .expect("partial put failed");
         }));
     }

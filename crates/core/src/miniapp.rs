@@ -278,7 +278,7 @@ fn jacobi_rank(
             cfg.sweeps as u64,
             0,
             &region,
-            &interior,
+            interior,
         )
         .expect("field publish failed");
     dart.return_mailbox(client, mailbox);

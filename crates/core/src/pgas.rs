@@ -82,7 +82,7 @@ impl GlobalArray {
                 self.version,
                 pi as u64,
                 &piece,
-                &data,
+                data,
             )?;
         }
         Ok(())

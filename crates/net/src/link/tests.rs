@@ -539,7 +539,7 @@ fn a_pushed_piece_serves_the_subscribers_get_without_a_pull_request() {
         for (owner, space) in [(0, &space0), (1, &space1)] {
             let data = fill(v, &piece(owner));
             space
-                .put_cont(owner, 1, "v", v, 0, &piece(owner), &data)
+                .put_cont(owner, 1, "v", v, 0, &piece(owner), data)
                 .unwrap();
         }
     }

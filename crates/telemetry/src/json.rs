@@ -474,11 +474,12 @@ mod tests {
                 .min()
                 .unwrap()
         };
-        let (small, large) = (flat_document(256 << 10), flat_document(1 << 20));
+        let (small, large) = (flat_document(64 << 10), flat_document(1 << 20));
         let ratio = best_of(&large).as_secs_f64() / best_of(&small).as_secs_f64();
-        // 4x the bytes: ~4x when linear, ~16x when each character
-        // re-validates the rest of the input.
-        assert!(ratio <= 6.0, "256 KiB -> 1 MiB took {ratio:.1}x");
+        // 16x the bytes: ~16x when linear, ~256x when each character
+        // re-validates the rest of the input. The bound sits 3x from
+        // both, so a noisy neighbour cannot fail a linear parser.
+        assert!(ratio <= 48.0, "64 KiB -> 1 MiB took {ratio:.1}x");
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! uses: cheap clones (`Arc` bump, no copy), construction from vectors,
 //! slices and strings, and `Deref` to `[u8]`. Buffers registered with
 //! HybridDART are shared zero-copy between the producer's registration
-//! and every consumer's one-sided read. A `Vec<u8>` is adopted, not
-//! copied: the buffer a socket read filled is the buffer the registry
-//! keeps and the buffer a later send writes from.
+//! and every consumer's one-sided read. An owner is adopted, not copied
+//! ([`Bytes::from_owner`]): the array a producer filled is what its `put`
+//! stages, and the vector a socket read filled is what the registry keeps
+//! and a later send writes from.
 //!
 //! A buffer can also borrow a [`crate::shm::MapRegion`] — a view into a
 //! shared-memory segment another process staged — so the intra-host
@@ -27,8 +28,8 @@ pub struct Bytes {
 
 #[derive(Clone)]
 enum Repr {
-    /// Process-local heap storage: the vector it was built from.
-    Heap(Arc<Vec<u8>>),
+    /// Process-local storage: the owner, dropped with the last clone.
+    Owner(Arc<dyn AsRef<[u8]> + Send + Sync>),
     /// A view into a shared memory mapping (zero-copy intra-host path).
     /// Dropping the last clone fires the region's release callback.
     Map(Arc<MapRegion>),
@@ -50,6 +51,14 @@ impl Bytes {
         Bytes::from(s.to_vec())
     }
 
+    /// Buffer whose bytes are `owner`'s storage, without copying. The
+    /// owner drops when the last clone drops.
+    pub fn from_owner<T: AsRef<[u8]> + Send + Sync + 'static>(owner: T) -> Self {
+        Bytes {
+            repr: Repr::Owner(Arc::new(owner)),
+        }
+    }
+
     /// Buffer borrowing a shared-memory region, without copying. The
     /// region's release callback fires when the last clone drops.
     pub fn from_map(region: Arc<MapRegion>) -> Self {
@@ -59,7 +68,7 @@ impl Bytes {
     }
 
     /// Whether this buffer borrows a shared-memory mapping rather than
-    /// owning heap storage.
+    /// holding an owner's storage.
     pub fn is_mapped(&self) -> bool {
         matches!(self.repr, Repr::Map(_))
     }
@@ -77,7 +86,7 @@ impl Bytes {
     /// The bytes as a slice.
     pub fn as_slice(&self) -> &[u8] {
         match &self.repr {
-            Repr::Heap(data) => data,
+            Repr::Owner(owner) => (**owner).as_ref(),
             Repr::Map(region) => region.as_slice(),
         }
     }
@@ -120,9 +129,7 @@ impl AsRef<[u8]> for Bytes {
 /// Adopts the vector: its allocation becomes the buffer's storage.
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
-        Bytes {
-            repr: Repr::Heap(Arc::new(v)),
-        }
+        Bytes::from_owner(v)
     }
 }
 
@@ -169,6 +176,50 @@ mod tests {
         let v = vec![5u8; 4096];
         let at = v.as_ptr();
         assert_eq!(Bytes::from(v).as_slice().as_ptr(), at);
+    }
+
+    /// Counts its drops; its bytes are a boxed slice, so the pointer the
+    /// buffer must keep is known up front.
+    struct Counted(Box<[u8]>, Arc<std::sync::atomic::AtomicUsize>);
+
+    impl AsRef<[u8]> for Counted {
+        fn as_ref(&self) -> &[u8] {
+            &self.0
+        }
+    }
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.1.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn an_owner_is_adopted_and_shared_by_clones() {
+        let storage = vec![3u8; 4096].into_boxed_slice();
+        let at = storage.as_ptr();
+        let b = Bytes::from_owner(Counted(storage, Arc::default()));
+        let c = b.clone();
+        assert_eq!(b.as_slice().as_ptr(), at);
+        assert_eq!(c.as_slice().as_ptr(), at);
+        assert_eq!(c.len(), 4096);
+        assert!(!c.is_mapped());
+    }
+
+    #[test]
+    fn the_owner_drops_once_after_the_last_clone() {
+        let drops = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let count = || drops.load(std::sync::atomic::Ordering::SeqCst);
+        let b = Bytes::from_owner(Counted(Box::new([1, 2, 3]), drops.clone()));
+        let clones = vec![b.clone(), b.clone()];
+        drop(b);
+        assert_eq!(count(), 0);
+        let last = clones[0].clone();
+        drop(clones);
+        assert_eq!(count(), 0);
+        assert_eq!(&last[..], &[1, 2, 3]);
+        drop(last);
+        assert_eq!(count(), 1);
     }
 
     #[test]

@@ -54,7 +54,7 @@ fn main() {
             for version in 0..ITERATIONS {
                 let data = fill_field(vid, version, &piece);
                 space
-                    .put_cont(rank as u32, 1, "field", version, 0, &piece, &data)
+                    .put_cont(rank as u32, 1, "field", version, 0, &piece, data)
                     .unwrap();
                 // Every rank holds the two-version window; rank 0 evicts.
                 let window = std::time::Duration::from_secs(10);

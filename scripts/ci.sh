@@ -103,6 +103,16 @@ for round in $(seq 1 30); do
         || { cat target/reactor-soak.txt; echo "reactor soak failed in round $round"; exit 1; }
 done
 
+# The JSON parser's linearity check, 30 times over: a wall-clock ratio
+# read beside a parallel test run, so one pass proves little. Linear
+# reads ~16x across its 16x inputs, quadratic ~256x; it fails above 48x.
+echo "==> JSON parse linearity (64 KiB -> 1 MiB, 30 rounds)"
+for round in $(seq 1 30); do
+    cargo test -q $chaos_profile -p insitu-telemetry --lib --offline \
+        json::tests::parse_time_is_linear_in_document_size > target/json-linear.txt 2>&1 \
+        || { cat target/json-linear.txt; echo "JSON parse went superlinear in round $round"; exit 1; }
+done
+
 # The service's RPC port, 10 times over: 1, 16 and 64 idle clients on
 # one Service, and the process's thread count must not move with them,
 # nor stay up after a completed run, nor grow with a 64-node budget.
@@ -187,6 +197,10 @@ if grep -rnE 'TelemetryAck|TELEMETRY_ACK_TIMEOUT' crates; then
 fi
 if grep -rn 'net-pull-wait' crates; then
     echo "a pull waiter thread grew back"; exit 1
+fi
+# A put stages the producer's own array: the staging copy stays deleted.
+if grep -rn 'encode_f64s' crates; then
+    echo "the put-side staging copy grew back"; exit 1
 fi
 # One queue: the standard library's channel. And a run owns its joiner
 # threads: the service keeps no standing pool beside its engines.

@@ -105,18 +105,18 @@ fn staging_exhaustion_blocks_put_not_get() {
     let data = |r: u64| layout::fill_with(&piece(r), |p| p[1] as f64);
     // Clients 0 and 1 live on node 0 (2 cores/node): two puts fill it.
     space
-        .put_seq(0, 1, "mem", 0, 0, &piece(0), &data(0))
+        .put_seq(0, 1, "mem", 0, 0, &piece(0), data(0))
         .unwrap();
     space
-        .put_seq(1, 1, "mem", 0, 0, &piece(1), &data(1))
+        .put_seq(1, 1, "mem", 0, 0, &piece(1), data(1))
         .unwrap();
     let err = space
-        .put_seq(0, 1, "mem", 1, 0, &piece(0), &data(0))
+        .put_seq(0, 1, "mem", 1, 0, &piece(0), data(0))
         .unwrap_err();
     assert!(matches!(err, CodsError::StagingFull { node: 0, .. }));
     // Node 1 still has room.
     space
-        .put_seq(2, 1, "mem", 0, 0, &piece(2), &data(2))
+        .put_seq(2, 1, "mem", 0, 0, &piece(2), data(2))
         .unwrap();
     // Reads of already-staged data still work.
     let (got, _) = space.get_seq(3, 2, "mem", 0, &piece(0)).unwrap();
@@ -137,17 +137,17 @@ fn staging_limit_boundary_is_exact() {
     let piece = |r: u64| dec.blocked_box(r).unwrap(); // 16 cells = 128 B
     let data = |r: u64| layout::fill_with(&piece(r), |p| p[0] as f64);
     space
-        .put_seq(0, 1, "edge", 0, 0, &piece(0), &data(0))
+        .put_seq(0, 1, "edge", 0, 0, &piece(0), data(0))
         .unwrap();
     assert_eq!(space.staging_bytes(0), 128);
     // Exactly at the limit: allowed.
     space
-        .put_seq(1, 1, "edge", 0, 1, &piece(1), &data(1))
+        .put_seq(1, 1, "edge", 0, 1, &piece(1), data(1))
         .unwrap();
     assert_eq!(space.staging_bytes(0), 256);
     // One past: typed failure carrying the accounting.
     let err = space
-        .put_seq(0, 1, "edge", 1, 0, &piece(0), &data(0))
+        .put_seq(0, 1, "edge", 1, 0, &piece(0), data(0))
         .unwrap_err();
     match err {
         CodsError::StagingFull { node, used, limit } => {
@@ -171,13 +171,13 @@ fn eviction_frees_staging_in_version_order() {
     let data = |r: u64| layout::fill_with(&piece(r), |p| p[1] as f64);
     // Fill node 0 with versions 0 and 1 of the same variable.
     space
-        .put_seq(0, 1, "ring", 0, 0, &piece(0), &data(0))
+        .put_seq(0, 1, "ring", 0, 0, &piece(0), data(0))
         .unwrap();
     space
-        .put_seq(1, 1, "ring", 1, 1, &piece(1), &data(1))
+        .put_seq(1, 1, "ring", 1, 1, &piece(1), data(1))
         .unwrap();
     let err = space
-        .put_seq(0, 1, "ring", 2, 0, &piece(0), &data(0))
+        .put_seq(0, 1, "ring", 2, 0, &piece(0), data(0))
         .unwrap_err();
     assert!(matches!(err, CodsError::StagingFull { node: 0, .. }));
     // Evicting the *oldest* version (the producer reclaim order) frees
@@ -187,7 +187,7 @@ fn eviction_frees_staging_in_version_order() {
     assert_eq!(space.staging_bytes(0), 128);
     assert!(space.get_seq(3, 2, "ring", 0, &piece(0)).is_err());
     space
-        .put_seq(0, 1, "ring", 2, 0, &piece(0), &data(0))
+        .put_seq(0, 1, "ring", 2, 0, &piece(0), data(0))
         .unwrap();
     assert_eq!(space.staging_bytes(0), 256);
     let (got, _) = space.get_seq(3, 2, "ring", 1, &piece(1)).unwrap();
