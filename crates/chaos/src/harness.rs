@@ -25,8 +25,8 @@ use crate::shrink::{reproducer, shrink};
 use insitu::{run_modeled, run_threaded_configured, MappingStrategy, ThreadedConfig};
 use insitu_cods::CodsError;
 use insitu_fabric::{
-    estimate_retrieve_times_faulted, ClientRetrieve, FaultInjector, LinkFaults, Locality,
-    NetworkModel, TorusTopology, TrafficClass, Transfer,
+    estimate_retrieves, ClientRetrieve, FaultInjector, LinkFaults, Locality, NetworkModel,
+    TorusTopology, TrafficClass, Transfer,
 };
 use insitu_obs::{EventKind, FlightRecorder};
 use insitu_telemetry::Recorder;
@@ -116,9 +116,14 @@ pub fn run_case_spec(seed: u64, idx: u64, spec: &FaultSpec, case: &CaseSpec) -> 
     let retrieves = synthesized_retrieves(cseed, nodes);
     let topo = TorusTopology::cubic_for(nodes);
     let model = NetworkModel::default();
-    let healthy =
-        estimate_retrieve_times_faulted(&model, &topo, &retrieves, &LinkFaults::default());
-    let faulted = estimate_retrieve_times_faulted(&model, &topo, &retrieves, &link_faults);
+    let totals = |faults: &LinkFaults| -> Vec<f64> {
+        estimate_retrieves(&model, &topo, &retrieves, faults)
+            .into_iter()
+            .map(|(b, _)| b.total_ms)
+            .collect()
+    };
+    let healthy = totals(&LinkFaults::default());
+    let faulted = totals(&link_faults);
     if link_faults.is_empty() {
         if healthy != faulted {
             violations.push("empty link-fault set changed time estimates".into());

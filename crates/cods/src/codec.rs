@@ -3,12 +3,13 @@
 //! CoDS stores registered buffers as raw bytes ([`bytes::Bytes`]); the
 //! applications' field data is `f64`. A `put` stages its array without a
 //! copy: [`FieldData::into_bytes`] adopts the vector through a byte view
-//! of its cells, so the staged buffer is 8-aligned by construction.
-//! Decoding rebuilds `f64`s from native-endian chunks. The assembly path
-//! avoids decoding entirely: [`f64s_of_bytes`] reinterprets an aligned
-//! staged buffer in place, and [`FieldData`] lets a `get` return either
-//! an owned assembly buffer or a zero-copy view of a single staged
-//! piece.
+//! of its cells, so the staged buffer is 8-aligned by construction. Every
+//! other registered buffer is too: the wire lands a payload in an
+//! exact-size allocation, and shared memory in an 8-aligned arena record.
+//! Nothing decodes: [`f64s_of_bytes`] reinterprets a landed buffer in
+//! place — the one check a `get` makes before reading it — and
+//! [`FieldData`] lets a `get` return either an owned assembly buffer or a
+//! zero-copy view of a single staged piece.
 
 use insitu_util::Bytes;
 
@@ -27,20 +28,10 @@ impl AsRef<[u8]> for Cells {
     }
 }
 
-/// Decode a byte buffer of native-endian `f64` cells.
-///
-/// # Panics
-/// Panics if the length is not a multiple of [`ELEM_BYTES`].
-pub fn decode_f64s(b: &[u8]) -> Vec<f64> {
-    assert_eq!(b.len() % ELEM_BYTES, 0, "byte length not a multiple of 8");
-    b.chunks_exact(ELEM_BYTES)
-        .map(|c| f64::from_ne_bytes(c.try_into().unwrap()))
-        .collect()
-}
-
 /// Reinterpret a byte buffer as `f64` cells without copying. `None` when
-/// the buffer is misaligned for `f64` access or has a ragged length —
-/// callers fall back to a decoding copy.
+/// the buffer is misaligned for `f64` access or has a ragged length:
+/// such a buffer is not cells, and its reader refuses it (a `get` fails
+/// with [`crate::CodsError::MalformedPiece`]) rather than decode it.
 pub fn f64s_of_bytes(b: &[u8]) -> Option<&[f64]> {
     if b.len() % ELEM_BYTES != 0 || b.as_ptr() as usize % std::mem::align_of::<f64>() != 0 {
         return None;
@@ -48,14 +39,6 @@ pub fn f64s_of_bytes(b: &[u8]) -> Option<&[f64]> {
     // SAFETY: length and alignment were just checked, and every bit
     // pattern is a valid f64.
     Some(unsafe { std::slice::from_raw_parts(b.as_ptr().cast::<f64>(), b.len() / ELEM_BYTES) })
-}
-
-/// View a mutable `f64` slice as raw bytes (for byte-level region copies
-/// directly into a typed assembly buffer).
-pub fn bytes_of_f64s_mut(v: &mut [f64]) -> &mut [u8] {
-    // SAFETY: any f64 is valid as bytes and any bytes are valid as f64;
-    // the view covers exactly the slice's storage.
-    unsafe { std::slice::from_raw_parts_mut(v.as_mut_ptr().cast::<u8>(), v.len() * ELEM_BYTES) }
 }
 
 /// Field data a `put` hands over or a `get` returns: an owned vector, or
@@ -71,16 +54,6 @@ pub enum FieldData {
 }
 
 impl FieldData {
-    /// Wrap staged bytes without copying when alignment permits; falls
-    /// back to a decoding copy otherwise.
-    pub fn from_bytes(b: Bytes) -> FieldData {
-        if f64s_of_bytes(&b).is_some() {
-            FieldData::View(b)
-        } else {
-            FieldData::Owned(decode_f64s(&b))
-        }
-    }
-
     /// Whether this is a zero-copy view.
     pub fn is_view(&self) -> bool {
         matches!(self, FieldData::View(_))
@@ -180,65 +153,63 @@ impl From<FieldData> for Vec<f64> {
 mod tests {
     use super::*;
 
+    /// What a put of the borrowed array `v` stages.
+    fn staged(v: &[f64]) -> Bytes {
+        FieldData::from(v).into_bytes()
+    }
+
     #[test]
     fn roundtrip() {
         let v = vec![0.0, -1.5, f64::MAX, f64::MIN_POSITIVE, 42.42];
-        assert_eq!(decode_f64s(&FieldData::from(&v).into_bytes()), v);
+        assert_eq!(f64s_of_bytes(&staged(&v)), Some(&v[..]));
     }
 
     #[test]
     fn empty() {
-        assert!(decode_f64s(&FieldData::from(Vec::new()).into_bytes()).is_empty());
+        assert_eq!(f64s_of_bytes(&staged(&[])), Some(&[][..]));
     }
 
     #[test]
     fn nan_bits_preserved() {
         let v = vec![f64::NAN];
-        let out = decode_f64s(&FieldData::from(&v).into_bytes());
+        let b = staged(&v);
+        let out = f64s_of_bytes(&b).unwrap();
         assert_eq!(out[0].to_bits(), v[0].to_bits());
-    }
-
-    #[test]
-    #[should_panic(expected = "multiple of 8")]
-    fn rejects_ragged_length() {
-        decode_f64s(&[1, 2, 3]);
     }
 
     #[test]
     fn large_buffer_roundtrip() {
         let v: Vec<f64> = (0..100_000).map(|i| i as f64 * 0.5).collect();
-        assert_eq!(decode_f64s(&FieldData::from(&v).into_bytes()), v);
+        assert_eq!(f64s_of_bytes(&staged(&v)), Some(&v[..]));
     }
 
     #[test]
     fn typed_view_agrees_with_decode() {
         let v = vec![1.0, 2.5, -0.0, f64::INFINITY];
-        let b = FieldData::from(&v).into_bytes();
-        match f64s_of_bytes(&b) {
-            Some(view) => assert_eq!(view, &v[..]),
-            // Arc allocations are not guaranteed 8-aligned; the decode
-            // fallback must still hold.
-            None => assert_eq!(decode_f64s(&b), v),
-        }
+        let b = staged(&v);
+        let decoded: Vec<f64> = b
+            .chunks_exact(ELEM_BYTES)
+            .map(|c| f64::from_ne_bytes(c.try_into().unwrap()))
+            .collect();
+        assert_eq!(f64s_of_bytes(&b), Some(&decoded[..]));
+        assert_eq!(decoded, v);
     }
 
     #[test]
     fn typed_view_rejects_ragged_length() {
         assert!(f64s_of_bytes(&[0u8; 12]).is_none());
-    }
-
-    #[test]
-    fn mut_byte_view_writes_through() {
-        let mut v = vec![0.0f64; 2];
-        let src = FieldData::from(vec![3.5, -7.25]).into_bytes();
-        bytes_of_f64s_mut(&mut v).copy_from_slice(&src);
-        assert_eq!(v, vec![3.5, -7.25]);
+        // Whole cells one byte off their alignment are not cells either.
+        let b = staged(&[1.0, 2.0]);
+        let mut shifted = vec![0u8; b.len() + 2 * ELEM_BYTES];
+        let at = shifted.as_ptr().align_offset(ELEM_BYTES) + 1;
+        shifted[at..at + b.len()].copy_from_slice(&b);
+        assert!(f64s_of_bytes(&shifted[at..at + b.len()]).is_none());
     }
 
     #[test]
     fn field_data_view_and_owned_agree() {
         let v = vec![9.0, 8.0, 7.0];
-        let d = FieldData::from_bytes(FieldData::from(&v).into_bytes());
+        let d = FieldData::View(staged(&v));
         assert_eq!(d, v);
         assert_eq!(d.len(), 3);
         assert_eq!(FieldData::Owned(v.clone()), d);

@@ -62,6 +62,22 @@ pub enum CodsError {
         /// faulty participant in reproducers.
         owner: ClientId,
     },
+    /// A landed buffer is not the cells of its piece's box: misaligned,
+    /// a ragged length, or the wrong number of cells.
+    MalformedPiece {
+        /// Variable name hash.
+        var: u64,
+        /// Version requested.
+        version: u64,
+        /// The piece region the buffer was to supply.
+        region: BoundingBox,
+        /// Client that owns the piece.
+        owner: ClientId,
+        /// Bytes that landed.
+        got: usize,
+        /// Bytes of the piece's box, as aligned `f64` cells.
+        expected: usize,
+    },
     /// `put` data length does not match the declared box.
     SizeMismatch {
         /// Cells in the declared box.
@@ -97,6 +113,20 @@ impl std::fmt::Display for CodsError {
                 write!(
                     f,
                     "timed out waiting for var {var:#x} v{version} piece {region:?} from client {owner}"
+                )
+            }
+            CodsError::MalformedPiece {
+                var,
+                version,
+                region,
+                owner,
+                got,
+                expected,
+            } => {
+                write!(
+                    f,
+                    "malformed var {var:#x} v{version} piece {region:?} from client {owner}: \
+                     {got} bytes landed, {expected} bytes of aligned cells expected"
                 )
             }
             CodsError::SizeMismatch { expected, got } => {

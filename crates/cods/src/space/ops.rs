@@ -2,11 +2,11 @@
 //! receiver-driven schedule execution behind every `get`.
 
 use super::{buf_key, CodsError, CodsSpace, GetReport};
-use crate::codec::{bytes_of_f64s_mut, f64s_of_bytes, FieldData, ELEM_BYTES};
+use crate::codec::{f64s_of_bytes, FieldData, ELEM_BYTES};
 use crate::dht::{LocationEntry, DHT_RECORD_BYTES};
 use crate::schedule::{schedule_from_decomposition, schedule_from_entries, CommSchedule};
 use insitu_dart::{BufKey, BufferHandle};
-use insitu_domain::layout::{copy_region, copy_region_bytes};
+use insitu_domain::layout::copy_region;
 use insitu_domain::{BoundingBox, Decomposition};
 use insitu_fabric::{ClientId, Locality, TrafficClass};
 use insitu_obs::{Event, EventKind, LinkClass};
@@ -342,7 +342,9 @@ impl CodsSpace {
     /// of the sum of all producer waits. Each piece is copied exactly
     /// once, straight from the staged buffer into the result; when a
     /// single piece exactly covers the query the result is a zero-copy
-    /// view of the staged buffer itself.
+    /// view of the staged buffer itself. A landed buffer that is not the
+    /// aligned cells of its piece's box fails the get with
+    /// [`CodsError::MalformedPiece`].
     #[allow(clippy::too_many_arguments)] // mirrors the paper's cods_* operator signatures
     fn execute(
         &self,
@@ -375,28 +377,33 @@ impl CodsSpace {
             vec![0.0; cells]
         };
         let mut view: Option<insitu_util::Bytes> = None;
+        let mut malformed: Option<CodsError> = None;
         let issue_us = flight.now_us();
         let mut complete = |i: usize, handle: BufferHandle, wait: Duration| {
             let op = &schedule.ops[i];
+            // A piece is the cells of its box, aligned: anything else —
+            // a peer's wrong-length `PullData` included — ends the get by
+            // name, never in `copy_region`'s length assert.
+            let piece_cells = usize::try_from(op.piece_box.num_cells()).unwrap_or(usize::MAX);
+            let expected = piece_cells.saturating_mul(ELEM_BYTES);
+            let src = match f64s_of_bytes(&handle.data) {
+                Some(src) if handle.data.len() == expected => src,
+                _ => {
+                    malformed.get_or_insert(CodsError::MalformedPiece {
+                        var: vid,
+                        version,
+                        region: op.region,
+                        owner: op.src_client,
+                        got: handle.data.len(),
+                        expected,
+                    });
+                    return;
+                }
+            };
             if zero_copy {
-                assert_eq!(
-                    handle.data.len(),
-                    cells * ELEM_BYTES,
-                    "staged piece does not match its declared box"
-                );
                 view = Some(handle.data.clone());
-            } else if let Some(src) = f64s_of_bytes(&handle.data) {
-                copy_region(src, &op.piece_box, &mut out, query, &op.region);
             } else {
-                // Staged buffer not 8-aligned: copy at byte granularity.
-                copy_region_bytes(
-                    &handle.data,
-                    &op.piece_box,
-                    bytes_of_f64s_mut(&mut out),
-                    query,
-                    &op.region,
-                    ELEM_BYTES,
-                );
+                copy_region(src, &op.piece_box, &mut out, query, &op.region);
             }
             let bytes = op.region.num_cells() as u64 * ELEM_BYTES as u64;
             let loc = self
@@ -432,6 +439,9 @@ impl CodsSpace {
         let result = self
             .dart
             .pull_many(&keys, self.cfg.get_timeout, &mut complete);
+        if let Some(err) = malformed {
+            return Err(err);
+        }
         if let Err(i) = result {
             let op = &schedule.ops[i];
             return Err(CodsError::Timeout {
@@ -442,14 +452,13 @@ impl CodsSpace {
             });
         }
         self.note_get_complete(vid, version);
-        let data = match view {
-            Some(bytes) => FieldData::from_bytes(bytes),
+        Ok(match view {
+            Some(bytes) => {
+                self.view_count.inc();
+                FieldData::View(bytes)
+            }
             None => FieldData::Owned(out),
-        };
-        if data.is_view() {
-            self.view_count.inc();
-        }
-        Ok(data)
+        })
     }
 
     /// Highest version of `var` visible in the DHT (sequential couplings

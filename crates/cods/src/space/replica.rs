@@ -4,7 +4,7 @@
 //! reader lands the other replicas' changes with `apply_remote_*`.
 
 use super::CodsSpace;
-use crate::codec::{decode_f64s, f64s_of_bytes, ELEM_BYTES};
+use crate::codec::f64s_of_bytes;
 use crate::dht::LocationEntry;
 use insitu_dart::BufKey;
 use insitu_fabric::ClientId;
@@ -84,15 +84,10 @@ impl CodsSpace {
         if entries.is_empty() {
             return;
         }
-        // The cells as they arrived when their alignment allows it.
-        let decoded;
-        let cells = match f64s_of_bytes(&data) {
-            Some(cells) => cells,
-            None if data.len() % ELEM_BYTES == 0 => {
-                decoded = decode_f64s(&data);
-                &decoded
-            }
-            None => return,
+        // A piece that is not whole aligned cells feeds no sink: the
+        // subscriber's resync get names it.
+        let Some(cells) = f64s_of_bytes(&data) else {
+            return;
         };
         for sink in entries.iter().filter_map(|e| e.sink()) {
             sink.offer_piece(key.version, key.piece, cells);

@@ -9,9 +9,8 @@ use crate::scenario::Scenario;
 use insitu_cods::var_id;
 use insitu_domain::stencil::halo_exchanges;
 use insitu_fabric::{
-    estimate_retrieve_slots_faulted, ClientRetrieve, LedgerSnapshot, LinkFaults, Locality,
-    MachineSpec, NodeId, RetrieveBreakdown, TorusTopology, TrafficClass, Transfer, TransferLedger,
-    TransferSlot,
+    estimate_retrieves, ClientRetrieve, LedgerSnapshot, LinkFaults, Locality, MachineSpec, NodeId,
+    RetrieveBreakdown, TorusTopology, TrafficClass, Transfer, TransferLedger, TransferSlot,
 };
 use insitu_obs::{Event, EventKind, FlightRecorder, LinkClass};
 use insitu_telemetry::Recorder;
@@ -231,8 +230,7 @@ pub fn run_modeled_configured(
     let flat: Vec<ClientRetrieve> = retrieves.values().flat_map(|v| v.iter().cloned()).collect();
     let meta_flat: Vec<(u64, bool, u64)> = metas.values().flatten().copied().collect();
     if !flat.is_empty() {
-        let with_slots =
-            estimate_retrieve_slots_faulted(&scenario.model, &topo, &flat, &cfg.link_faults);
+        let with_slots = estimate_retrieves(&scenario.model, &topo, &flat, &cfg.link_faults);
         let breakdowns: Vec<RetrieveBreakdown> = with_slots.iter().map(|(b, _)| *b).collect();
         if cfg.flight.is_enabled() {
             // Lay each version's events in its own time slot so the
@@ -544,7 +542,7 @@ mod tests {
 
     #[test]
     fn overlapped_modeled_retrieve_wait_is_max_not_sum() {
-        use insitu_fabric::{estimate_retrieve_slots_faulted, NetworkModel};
+        use insitu_fabric::{estimate_retrieves, NetworkModel};
         use insitu_obs::ProfileReport;
 
         // Three 1 MiB network pulls whose producers finish 5, 20 and
@@ -564,14 +562,10 @@ mod tests {
                 .collect(),
             dht_queries: 2,
         };
-        let (b, slots) = estimate_retrieve_slots_faulted(
-            &m,
-            &topo,
-            std::slice::from_ref(&r),
-            &LinkFaults::new(),
-        )
-        .pop()
-        .unwrap();
+        let (b, slots) =
+            estimate_retrieves(&m, &topo, std::slice::from_ref(&r), &LinkFaults::new())
+                .pop()
+                .unwrap();
         let max_ready = *readies.iter().max().unwrap() as f64;
         let sum_ready: f64 = readies.iter().sum::<u64>() as f64;
         assert!(
@@ -607,7 +601,7 @@ mod tests {
 
     #[test]
     fn staggered_producers_overlap_shared_memory_chain() {
-        use insitu_fabric::{estimate_retrieve_slots_faulted, NetworkModel};
+        use insitu_fabric::{estimate_retrieves, NetworkModel};
 
         // Two local pieces, the second ready late: the chain stalls for
         // it only after the first copy drains, and the branch ends at
@@ -622,7 +616,7 @@ mod tests {
             ],
             dht_queries: 0,
         };
-        let (b, slots) = estimate_retrieve_slots_faulted(&m, &topo, &[r], &LinkFaults::new())
+        let (b, slots) = estimate_retrieves(&m, &topo, &[r], &LinkFaults::new())
             .pop()
             .unwrap();
         let copy_us = 0.5 + (4 << 20) as f64 / 4.0e9 * 1e6;

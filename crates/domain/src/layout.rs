@@ -40,47 +40,23 @@ pub fn copy_region<T: Copy>(
     dst_box: &BoundingBox,
     region: &BoundingBox,
 ) {
-    copy_cells(src, src_box, dst, dst_box, region, 1);
-}
-
-/// Byte-granularity variant of [`copy_region`] for raw buffers holding
-/// `elem_bytes`-sized cells. Used to extract coupled-data regions from
-/// registered byte buffers without decoding whole pieces.
-///
-/// # Panics
-/// Same containment/length requirements as [`copy_region`], with lengths
-/// measured in bytes (`num_cells * elem_bytes`).
-pub fn copy_region_bytes(
-    src: &[u8],
-    src_box: &BoundingBox,
-    dst: &mut [u8],
-    dst_box: &BoundingBox,
-    region: &BoundingBox,
-    elem_bytes: usize,
-) {
-    copy_cells(src, src_box, dst, dst_box, region, elem_bytes);
-}
-
-/// The strided copy behind both public signatures: a cell is `width`
-/// consecutive elements of `T`.
-fn copy_cells<T: Copy>(
-    src: &[T],
-    src_box: &BoundingBox,
-    dst: &mut [T],
-    dst_box: &BoundingBox,
-    region: &BoundingBox,
-    width: usize,
-) {
-    let len_of = |b: &BoundingBox| b.num_cells() * width as u128;
-    assert_eq!(src.len() as u128, len_of(src_box), "src length mismatch");
-    assert_eq!(dst.len() as u128, len_of(dst_box), "dst length mismatch");
+    assert_eq!(
+        src.len() as u128,
+        src_box.num_cells(),
+        "src length mismatch"
+    );
+    assert_eq!(
+        dst.len() as u128,
+        dst_box.num_cells(),
+        "dst length mismatch"
+    );
     assert!(src_box.contains_box(region), "region outside src box");
     assert!(dst_box.contains_box(region), "region outside dst box");
 
     let ndim = region.ndim();
     let lo = region.lower();
-    let s = linear_index(src_box, &lo[..ndim]) * width;
-    let d = linear_index(dst_box, &lo[..ndim]) * width;
+    let s = linear_index(src_box, &lo[..ndim]);
+    let d = linear_index(dst_box, &lo[..ndim]);
 
     // Fold every trailing dim the region spans in both boxes into the
     // contiguous run; dims [0, outer) are left to walk.
@@ -90,7 +66,7 @@ fn copy_cells<T: Copy>(
             .all(|b| region.lb(dim) == b.lb(dim) && region.ub(dim) == b.ub(dim))
     };
     let mut outer = ndim - 1;
-    let mut run = region.extent(outer) as usize * width;
+    let mut run = region.extent(outer) as usize;
     while outer > 0 && spans(outer) {
         outer -= 1;
         run *= region.extent(outer) as usize;
@@ -98,7 +74,7 @@ fn copy_cells<T: Copy>(
 
     // Per walked dim: the region's extent and both arrays' strides.
     let mut steps = [(0u64, 0usize, 0usize); MAX_DIMS];
-    let (mut s_stride, mut d_stride) = (width, width);
+    let (mut s_stride, mut d_stride) = (1, 1);
     for dim in (0..ndim).rev() {
         steps[dim] = (region.extent(dim), s_stride, d_stride);
         s_stride *= src_box.extent(dim) as usize;
@@ -230,43 +206,6 @@ mod tests {
         let src = vec![0u64; 4];
         let mut dst = vec![0u64; 10];
         copy_region(&src, &a, &mut dst, &b, &BoundingBox::new(&[2], &[5]));
-    }
-
-    #[test]
-    fn copy_region_bytes_matches_typed_copy() {
-        let src_box = BoundingBox::new(&[0, 0], &[5, 5]);
-        let dst_box = BoundingBox::new(&[2, 2], &[7, 7]);
-        let region = BoundingBox::new(&[2, 2], &[5, 5]);
-        let src: Vec<u64> = fill_with(&src_box, tag);
-        let mut dst_typed = vec![0u64; dst_box.num_cells() as usize];
-        copy_region(&src, &src_box, &mut dst_typed, &dst_box, &region);
-
-        let src_bytes: Vec<u8> = src.iter().flat_map(|v| v.to_ne_bytes()).collect();
-        let mut dst_bytes = vec![0u8; dst_box.num_cells() as usize * 8];
-        copy_region_bytes(&src_bytes, &src_box, &mut dst_bytes, &dst_box, &region, 8);
-        let dst_decoded: Vec<u64> = dst_bytes
-            .chunks_exact(8)
-            .map(|c| u64::from_ne_bytes(c.try_into().unwrap()))
-            .collect();
-        assert_eq!(dst_typed, dst_decoded);
-    }
-
-    #[test]
-    fn copy_region_bytes_elem_size_1() {
-        let b = BoundingBox::new(&[0, 0], &[1, 1]);
-        let src = vec![1u8, 2, 3, 4];
-        let mut dst = vec![0u8; 4];
-        copy_region_bytes(&src, &b, &mut dst, &b, &b, 1);
-        assert_eq!(dst, src);
-    }
-
-    #[test]
-    #[should_panic(expected = "src length mismatch")]
-    fn copy_region_bytes_rejects_bad_length() {
-        let b = BoundingBox::new(&[0], &[3]);
-        let src = vec![0u8; 4];
-        let mut dst = vec![0u8; 32];
-        copy_region_bytes(&src, &b, &mut dst, &b, &b, 8);
     }
 
     #[test]

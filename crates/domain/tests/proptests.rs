@@ -2,7 +2,7 @@
 
 use insitu_domain::bbox::pt;
 use insitu_domain::dist::count_owned_in_range;
-use insitu_domain::layout::{copy_region, copy_region_bytes, fill_with, linear_index};
+use insitu_domain::layout::{copy_region, fill_with, linear_index};
 use insitu_domain::{BoundingBox, Decomposition, Distribution, ProcessGrid};
 use insitu_util::check::forall;
 use insitu_util::SplitMix64;
@@ -187,7 +187,7 @@ fn copy_region_fast_and_general_paths_agree() {
     // 1-4-D regions spanning a random number of trailing dims of both
     // boxes (the folded run; all of them is the single-memcpy path) and
     // strided over the rest. Each must agree with a per-point reference
-    // copy, in the typed and the byte-granularity variant.
+    // copy.
     forall(512, |rng| {
         let nd = rng.range_usize(1, 5);
         let folded = rng.range_usize(0, nd + 1);
@@ -217,16 +217,7 @@ fn copy_region_fast_and_general_paths_agree() {
 
         let mut got = vec![0u64; want.len()];
         copy_region(&src, &src_box, &mut got, &dst_box, &region);
-        assert_eq!(got, want, "typed copy, region {region:?}");
-
-        let src_bytes: Vec<u8> = src.iter().flat_map(|v| v.to_ne_bytes()).collect();
-        let mut got_bytes = vec![0u8; want.len() * 8];
-        copy_region_bytes(&src_bytes, &src_box, &mut got_bytes, &dst_box, &region, 8);
-        let decoded: Vec<u64> = got_bytes
-            .chunks_exact(8)
-            .map(|c| u64::from_ne_bytes(c.try_into().unwrap()))
-            .collect();
-        assert_eq!(decoded, want, "byte copy, region {region:?}");
+        assert_eq!(got, want, "region {region:?}");
     });
 }
 

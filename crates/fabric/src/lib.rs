@@ -10,7 +10,7 @@
 //!   the measured quantity of Figs. 8, 9 and 12–15;
 //! * [`TorusTopology`] — SeaStar2+-style 3-D torus with dimension-ordered
 //!   routing, used for link-contention accounting;
-//! * [`NetworkModel`] / [`estimate_retrieve_times`] — the analytic time
+//! * [`NetworkModel`] / [`estimate_retrieves`] — the analytic time
 //!   model that stands in for wall-clock measurements on the Cray
 //!   (Figs. 11 and 16).
 
@@ -26,9 +26,7 @@ pub use fault::{FaultAction, FaultHooks, FaultInjector, NetOp};
 pub use ledger::{LedgerSnapshot, Locality, TrafficClass, TransferLedger};
 pub use machine::{ClientId, CoreId, MachineSpec, NodeId, Placement};
 pub use timemodel::{
-    estimate_file_coupling_time, estimate_retrieve_breakdowns_faulted,
-    estimate_retrieve_slots_faulted, estimate_retrieve_times, estimate_retrieve_times_faulted,
-    ClientRetrieve, FilesystemModel, LinkFaults, NetworkModel, RetrieveBreakdown, Transfer,
-    TransferSlot,
+    estimate_file_coupling_time, estimate_retrieves, ClientRetrieve, FilesystemModel, LinkFaults,
+    NetworkModel, RetrieveBreakdown, Transfer, TransferSlot,
 };
 pub use torus::{LinkId, TorusTopology};

@@ -179,51 +179,15 @@ impl TransferSlot {
     }
 }
 
-/// Estimated completion time (milliseconds) of each client's retrieve,
-/// assuming all clients start simultaneously — the paper's "time to
-/// retrieve coupled data" metric is the per-application maximum of these.
-pub fn estimate_retrieve_times(
-    model: &NetworkModel,
-    topo: &TorusTopology,
-    retrieves: &[ClientRetrieve],
-) -> Vec<f64> {
-    estimate_retrieve_times_faulted(model, topo, retrieves, &LinkFaults::default())
-}
-
-/// [`estimate_retrieve_times`] under injected torus-link slowdowns: each
-/// flow's effective bandwidth additionally divides by the worst
-/// [`LinkFaults::factor`] along its dimension-ordered route. With an empty
-/// `faults` this is bit-for-bit identical to the healthy estimate.
-pub fn estimate_retrieve_times_faulted(
-    model: &NetworkModel,
-    topo: &TorusTopology,
-    retrieves: &[ClientRetrieve],
-    faults: &LinkFaults,
-) -> Vec<f64> {
-    estimate_retrieve_breakdowns_faulted(model, topo, retrieves, faults)
-        .into_iter()
-        .map(|b| b.total_ms)
-        .collect()
-}
-
-/// Per-retrieve component times under injected link faults; the
-/// critical-path profiler uses these to attribute modeled retrieves to
-/// schedule / shm / RDMA categories with the model's own arithmetic.
-pub fn estimate_retrieve_breakdowns_faulted(
-    model: &NetworkModel,
-    topo: &TorusTopology,
-    retrieves: &[ClientRetrieve],
-    faults: &LinkFaults,
-) -> Vec<RetrieveBreakdown> {
-    estimate_retrieve_slots_faulted(model, topo, retrieves, faults)
-        .into_iter()
-        .map(|(b, _)| b)
-        .collect()
-}
-
-/// [`estimate_retrieve_breakdowns_faulted`] plus the per-transfer
-/// timeline each breakdown composes from. Slots align one-to-one with
-/// the retrieve's `transfers` (zero-byte entries get an all-zero slot).
+/// Each client's retrieve, all clients starting simultaneously: its
+/// component times — the paper's "time to retrieve coupled data" is the
+/// per-application maximum of `total_ms` — and the per-transfer timeline
+/// they compose from. Slots align one-to-one with the retrieve's
+/// `transfers` (zero-byte entries get an all-zero slot).
+///
+/// Injected torus-link slowdowns divide each flow's effective bandwidth
+/// by the worst [`LinkFaults::factor`] along its dimension-ordered route;
+/// an empty `faults` is the healthy torus.
 ///
 /// This is where the overlapped receiver-driven pull semantics live:
 /// all pulls are issued together, shared-memory copies serialize on the
@@ -231,7 +195,7 @@ pub fn estimate_retrieve_breakdowns_faulted(
 /// concurrently (each ending at `ready + latency + bytes/eff_bw`, with
 /// the slowest stretched to when the destination NIC drains), and the
 /// branch time is the max of slot ends rather than their sum.
-pub fn estimate_retrieve_slots_faulted(
+pub fn estimate_retrieves(
     model: &NetworkModel,
     topo: &TorusTopology,
     retrieves: &[ClientRetrieve],
@@ -406,6 +370,19 @@ mod tests {
         TorusTopology::new([4, 4, 4])
     }
 
+    /// Each retrieve's completion time under `faults`.
+    fn totals(
+        m: &NetworkModel,
+        t: &TorusTopology,
+        retrieves: &[ClientRetrieve],
+        faults: &LinkFaults,
+    ) -> Vec<f64> {
+        estimate_retrieves(m, t, retrieves, faults)
+            .into_iter()
+            .map(|(b, _)| b.total_ms)
+            .collect()
+    }
+
     #[test]
     fn file_coupling_scales_with_bytes_and_files() {
         let fs = FilesystemModel::jaguar_spider();
@@ -439,7 +416,7 @@ mod tests {
                 dht_queries: 2,
             })
             .collect();
-        let mem_ms = estimate_retrieve_times(&m, &t, &retrieves)
+        let mem_ms = totals(&m, &t, &retrieves, &LinkFaults::new())
             .into_iter()
             .fold(0.0f64, f64::max);
         assert!(
@@ -462,14 +439,14 @@ mod tests {
             transfers: vec![Transfer::new(5, 16 << 20)],
             dht_queries: 0,
         };
-        let times = estimate_retrieve_times(&m, &t, &[shm, net]);
+        let times = totals(&m, &t, &[shm, net], &LinkFaults::new());
         assert!(times[0] < times[1], "shm {} vs net {}", times[0], times[1]);
     }
 
     #[test]
     fn empty_retrieve_costs_only_queries() {
         let m = NetworkModel::jaguar();
-        let times = estimate_retrieve_times(
+        let times = totals(
             &m,
             &topo(),
             &[ClientRetrieve {
@@ -477,6 +454,7 @@ mod tests {
                 transfers: vec![],
                 dht_queries: 4,
             }],
+            &LinkFaults::new(),
         );
         let expect = 4.0 * m.dht_query_us * 1e-6 * 1e3;
         assert!((times[0] - expect).abs() < 1e-12);
@@ -500,8 +478,8 @@ mod tests {
                 dht_queries: 0,
             })
             .collect();
-        let t_solo = estimate_retrieve_times(&m, &t, &solo)[0];
-        let t_crowd = estimate_retrieve_times(&m, &t, &crowded)[0];
+        let t_solo = totals(&m, &t, &solo, &LinkFaults::new())[0];
+        let t_crowd = totals(&m, &t, &crowded, &LinkFaults::new())[0];
         assert!(t_crowd > t_solo * 2.0, "solo {t_solo} crowd {t_crowd}");
     }
 
@@ -524,8 +502,8 @@ mod tests {
                 dht_queries: 0,
             })
             .collect();
-        let td = estimate_retrieve_times(&m, &t, &dedicated)[0];
-        let tf = estimate_retrieve_times(&m, &t, &fanout)[0];
+        let td = totals(&m, &t, &dedicated, &LinkFaults::new())[0];
+        let tf = totals(&m, &t, &fanout, &LinkFaults::new())[0];
         assert!(tf > td * 1.5, "dedicated {td} fanout {tf}");
     }
 
@@ -538,8 +516,8 @@ mod tests {
             transfers: vec![Transfer::new(7, bytes)],
             dht_queries: 1,
         };
-        let a = estimate_retrieve_times(&m, &t, &[mk(1 << 20)])[0];
-        let b = estimate_retrieve_times(&m, &t, &[mk(64 << 20)])[0];
+        let a = totals(&m, &t, &[mk(1 << 20)], &LinkFaults::new())[0];
+        let b = totals(&m, &t, &[mk(64 << 20)], &LinkFaults::new())[0];
         assert!(b > a * 10.0);
     }
 
@@ -553,12 +531,12 @@ mod tests {
             dht_queries: 0,
         };
         let retrieves = vec![mk(0, 2), mk(5, 6)];
-        let healthy = estimate_retrieve_times(&m, &t, &retrieves);
+        let healthy = totals(&m, &t, &retrieves, &LinkFaults::new());
         // Slow the 0->1 hop: only the first flow routes through it.
         let mut faults = LinkFaults::new();
         faults.slow_link(0, 0, true, 8.0);
         assert_eq!(faults.len(), 1);
-        let faulted = estimate_retrieve_times_faulted(&m, &t, &retrieves, &faults);
+        let faulted = totals(&m, &t, &retrieves, &faults);
         assert!(
             faulted[0] > healthy[0] * 2.0,
             "{} vs {}",
@@ -579,9 +557,17 @@ mod tests {
                 dht_queries: i,
             })
             .collect();
+        // Every link the flows cross, listed at factor 1, is no fault.
+        let mut listed = LinkFaults::new();
+        for r in &retrieves {
+            for l in t.route(r.transfers[0].src_node, r.dst_node) {
+                listed.slow_link(l.from, l.dim, l.plus, 1.0);
+            }
+        }
+        assert!(!listed.is_empty());
         assert_eq!(
-            estimate_retrieve_times(&m, &t, &retrieves),
-            estimate_retrieve_times_faulted(&m, &t, &retrieves, &LinkFaults::new())
+            totals(&m, &t, &retrieves, &LinkFaults::new()),
+            totals(&m, &t, &retrieves, &listed)
         );
     }
 
@@ -594,17 +580,17 @@ mod tests {
             transfers: vec![Transfer::new(0, 8 << 20), Transfer::new(5, 16 << 20)],
             dht_queries: 3,
         }];
-        let b = estimate_retrieve_breakdowns_faulted(&m, &t, &retrieves, &LinkFaults::new())[0];
+        let (b, slots) = &estimate_retrieves(&m, &t, &retrieves, &LinkFaults::new())[0];
         assert!(b.query_ms > 0.0 && b.shm_ms > 0.0 && b.net_ms > 0.0);
         assert_eq!(b.total_ms, b.query_ms + b.shm_ms.max(b.net_ms));
-        // Totals match the scalar estimate bit-for-bit.
-        assert_eq!(estimate_retrieve_times(&m, &t, &retrieves)[0], b.total_ms);
+        // One slot per transfer.
+        assert_eq!(slots.len(), retrieves[0].transfers.len());
     }
 
     #[test]
     fn zero_byte_transfers_ignored() {
         let m = NetworkModel::jaguar();
-        let times = estimate_retrieve_times(
+        let times = totals(
             &m,
             &topo(),
             &[ClientRetrieve {
@@ -612,6 +598,7 @@ mod tests {
                 transfers: vec![Transfer::new(3, 0)],
                 dht_queries: 0,
             }],
+            &LinkFaults::new(),
         );
         assert_eq!(times[0], 0.0);
     }

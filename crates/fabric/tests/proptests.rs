@@ -2,7 +2,7 @@
 //! placement integrity and ledger conservation.
 
 use insitu_fabric::{
-    estimate_retrieve_times, ClientRetrieve, Locality, MachineSpec, NetworkModel, Placement,
+    estimate_retrieves, ClientRetrieve, LinkFaults, Locality, MachineSpec, NetworkModel, Placement,
     TorusTopology, TrafficClass, Transfer, TransferLedger,
 };
 use insitu_util::check::forall;
@@ -117,8 +117,13 @@ fn retrieve_times_monotone_in_bytes() {
             transfers: vec![Transfer::new(src, bytes)],
             dht_queries: 0,
         };
-        let small = estimate_retrieve_times(&m, &t, &[mk(base)])[0];
-        let large = estimate_retrieve_times(&m, &t, &[mk(base + extra)])[0];
+        let total = |r| {
+            estimate_retrieves(&m, &t, &[r], &LinkFaults::new())[0]
+                .0
+                .total_ms
+        };
+        let small = total(mk(base));
+        let large = total(mk(base + extra));
         assert!(large >= small);
     });
 }
@@ -138,8 +143,8 @@ fn retrieve_times_nonnegative_and_finite() {
                 dht_queries: 1,
             })
             .collect();
-        for est in estimate_retrieve_times(&m, &t, &retrieves) {
-            assert!(est.is_finite() && est >= 0.0);
+        for (est, _) in estimate_retrieves(&m, &t, &retrieves, &LinkFaults::new()) {
+            assert!(est.total_ms.is_finite() && est.total_ms >= 0.0);
         }
     });
 }

@@ -2072,6 +2072,56 @@ mod tests {
         }
     }
 
+    /// A get reads a landed payload as `f64` cells in place and refuses
+    /// one it cannot, so every `PullData` payload of whole cells must come
+    /// out viewable as cells — decoded whole, pushed or read in place, cut
+    /// anywhere, behind ragged payloads or none. The allocator's alignment
+    /// is what this rests on: where it breaks, this fails, not a run.
+    #[test]
+    fn whole_cell_payloads_come_out_viewable_as_cells() {
+        use insitu_cods::codec::{f64s_of_bytes, ELEM_BYTES};
+        forall(48, |rng| {
+            let mut batch = arb_batch(rng);
+            for _ in 0..rng.range_usize(1, 6) {
+                let len = match rng.range_u32(0, 3) {
+                    0 => rng.range_usize(1, 40),
+                    _ => rng.range_usize(1, 20_000) * ELEM_BYTES,
+                };
+                let bulk = Frame::PullData {
+                    name: rng.next_u64(),
+                    version: rng.next_u64(),
+                    piece: rng.next_u64(),
+                    owner: rng.next_u64() as u32,
+                    to_node: rng.next_u64() as u32,
+                    data: vec![0xa5; len],
+                };
+                batch.insert(rng.range_usize(0, batch.len() + 1), bulk);
+            }
+            let wire = encode_run(&batch);
+            let cuts = arb_cuts(rng, wire.len());
+            for (how, (frames, end)) in [
+                ("decoded whole", decode_whole(&wire)),
+                ("pushed", decode_split(&wire, &cuts)),
+                ("read in place", decode_read(&wire, &cuts)),
+            ] {
+                assert_eq!(end, Ok(0), "{how}");
+                for frame in frames {
+                    let Frame::PullData { data, .. } = frame else {
+                        continue;
+                    };
+                    if !data.is_empty() && data.len() % ELEM_BYTES == 0 {
+                        assert!(
+                            f64s_of_bytes(&data).is_some(),
+                            "{how}: {} bytes at {:p} are not cells",
+                            data.len(),
+                            data.as_ptr()
+                        );
+                    }
+                }
+            }
+        });
+    }
+
     #[test]
     fn decoder_surfaces_mid_batch_corruption_after_prior_frames() {
         forall(24, |rng| {

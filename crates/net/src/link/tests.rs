@@ -247,6 +247,64 @@ fn refused_push_falls_back_to_pull_data_without_waiting() {
     r.link.close();
 }
 
+/// A get reads a landed buffer as `f64` cells in place and refuses one
+/// it cannot, so every record `shm_drain` lands with whole cells must be
+/// viewable as cells, ragged records before it or not. This test plays
+/// node 1 producing into its own segment for node 0: offer, doorbell,
+/// and node 0 drains every record into its registry.
+#[test]
+fn every_whole_cell_record_shm_lands_is_viewable_as_cells() {
+    use insitu_cods::codec::{f64s_of_bytes, ELEM_BYTES};
+    use insitu_util::shm::{segment_dir, segment_name, RecordDesc, Ring, RingMem, ShmMap};
+    let mut r = rig();
+    let (slots, arena) = (16, 1 << 20);
+    // Nonce 0 is never one a link of this process draws.
+    let path = segment_dir().join(segment_name(std::process::id(), 0, 1, 0));
+    let map = ShmMap::create(&path, Ring::required_len(slots, arena)).unwrap();
+    let ring = Ring::create(RingMem::from_map(Arc::new(map)), slots, arena);
+    let lens = [13, 8, 5, 24, 1, 4096 + 8, 3, 8000, 7, 16];
+    for (piece, &len) in lens.iter().enumerate() {
+        let desc = RecordDesc {
+            name: 7,
+            version: 0,
+            piece: piece as u64,
+            owner: 1,
+        };
+        ring.push(&desc, &vec![0xa5; len]).unwrap();
+    }
+    let segment = 1 << 32;
+    let offer = Frame::ShmOffer {
+        src_node: 1,
+        dst_node: 0,
+        segment,
+        path: path.to_string_lossy().into_owned(),
+        slots: slots as u64,
+        arena_bytes: arena,
+    };
+    send_frame(&mut r.wire, &offer, &r.inj, &r.metrics).unwrap();
+    assert!(matches!(r.answer(), Frame::ShmAck { attached: true, .. }));
+    let _ = std::fs::remove_file(&path);
+    // The drain follows the ack on the reactor thread.
+    let registry = r.dart.registry();
+    let last = key(lens.len() as u64 - 1);
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while registry.get(&last).is_none() && std::time::Instant::now() < deadline {
+        std::thread::yield_now();
+    }
+    for (piece, &len) in lens.iter().enumerate() {
+        let landed = registry.get(&key(piece as u64)).expect("drained on attach");
+        assert!(landed.data.is_mapped() && landed.data.len() == len);
+        if len % ELEM_BYTES == 0 {
+            let at = landed.data.as_ptr();
+            assert!(
+                f64s_of_bytes(&landed.data).is_some(),
+                "{len} bytes at {at:p}"
+            );
+        }
+    }
+    r.link.close();
+}
+
 /// Wire values this end must check before acting on them: corners that
 /// make no box — inverted, empty — decode fine (they are two `u64`
 /// vectors) and used to reach the panicking constructor; a `Relay` to a
@@ -344,6 +402,75 @@ fn hostile_peers_on_the_p2p_listener_cost_a_hangup_each() {
     r.ask(0);
     assert!(matches!(r.answer(), Frame::ShmOffer { .. }));
     drop(greedy);
+    r.link.close();
+}
+
+/// A peer that dials the p2p listener can land a well-formed `PullData`
+/// whose payload is not the cells of the piece a local get waits on:
+/// 8 bytes short for a get that assembles part of the piece, 13 bytes
+/// for one that would view the whole of it. Each get fails naming the
+/// owner and both byte counts — no task thread panics — and the wire
+/// thread still answers the next pull.
+#[test]
+fn a_peers_malformed_piece_fails_the_get_by_name() {
+    use insitu_cods::CodsError;
+    use insitu_domain::{Decomposition, Distribution, ProcessGrid};
+    use std::io::Write;
+    let mut r = rig_with(true);
+    let domain = BoundingBox::from_sizes(&[4, 4]);
+    let pdec = Decomposition::new(domain, ProcessGrid::new(&[1, 1]), Distribution::Blocked);
+    let piece_bytes = domain.num_cells() as usize * 8;
+    let mut peer = TcpStream::connect(r.peer_addr).unwrap();
+    let cases = [
+        (BoundingBox::new(&[0, 0], &[1, 3]), piece_bytes - 8),
+        (domain, 13),
+    ];
+    for (version, (query, got)) in cases.into_iter().enumerate() {
+        let version = version as u64;
+        let space = Arc::clone(&r.space);
+        let (tx, rx) = mpsc::channel();
+        let task = std::thread::spawn(move || {
+            let _ = tx.send(space.get_cont(0, 1, "v", version, &query, &pdec, &[1]));
+        });
+        // Client 1's piece 0, as the owner would answer the pull.
+        let forged = Frame::PullData {
+            name: r.space.key_of("v"),
+            version,
+            piece: 1 << 32,
+            owner: 1,
+            to_node: 0,
+            data: vec![0xa5; got],
+        };
+        peer.write_all(&forged.encode()).unwrap();
+        let err = match rx.recv_timeout(Duration::from_secs(10)) {
+            Ok(Err(err)) => err,
+            other => panic!("{got} bytes: the get did not fail by name: {other:?}"),
+        };
+        assert!(task.join().is_ok(), "the task thread panicked");
+        assert_eq!(
+            err,
+            CodsError::MalformedPiece {
+                var: r.space.key_of("v"),
+                version,
+                region: query,
+                owner: 1,
+                got,
+                expected: piece_bytes,
+            }
+        );
+        let why = err.to_string();
+        assert!(
+            why.contains("from client 1") && why.contains(&format!("{got} bytes")),
+            "{why}"
+        );
+    }
+
+    r.dart
+        .registry()
+        .register(key(0), 0, Bytes::from_static(b"staged"));
+    r.ask(0);
+    assert!(matches!(r.answer(), Frame::ShmOffer { .. }));
+    drop(peer);
     r.link.close();
 }
 

@@ -111,8 +111,9 @@ pub struct ProfileReport {
     pub dropped: u64,
 }
 
-/// Exact percentile of a sorted sample vector (nearest-rank).
-fn percentile(sorted: &[u64], q: f64) -> u64 {
+/// Exact percentile of a sorted sample vector (nearest-rank); 0 for no
+/// samples.
+pub fn percentile(sorted: &[u64], q: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }

@@ -6,6 +6,7 @@ use insitu_fabric::FaultInjector;
 use insitu_net::{
     ConnEvent, Frame, NetMetrics, Reactor, ReactorHandle, RunState, RunSummary, Sink, Token,
 };
+use insitu_obs::profile::percentile;
 use insitu_obs::{
     chrome_trace_merged, merge_traces, EventKind, FlightRecorder, LinkClass, ProcessTrace,
     ProfileReport,
@@ -651,7 +652,8 @@ fn conclude(
 
 /// Sample one run's live numbers: wave progress and in-flight gauges
 /// from the shared metrics registry, pull counts and per-class wait
-/// percentiles from the joiners' flight recorders. The second
+/// percentiles — the profile's [`percentile`] — from the joiners'
+/// flight recorders. The second
 /// value is the per-class pull count (`[shm, rdma]`), used by the
 /// watchdog's drift detector.
 fn sample_run(recorder: &Recorder, flights: &[FlightRecorder]) -> (ProgressSample, [u64; 2]) {
@@ -675,23 +677,16 @@ fn sample_run(recorder: &Recorder, flights: &[FlightRecorder]) -> (ProgressSampl
     for w in &mut waits {
         w.sort_unstable();
     }
-    let q = |w: &[u64], q: f64| -> u64 {
-        if w.is_empty() {
-            0
-        } else {
-            w[((q * w.len() as f64).ceil() as usize).clamp(1, w.len()) - 1]
-        }
-    };
     let gauge = |name: &str| snap.gauges.get(name).map_or(0, |g| g.value);
     let sample = ProgressSample {
         wave: snap.counter("workflow.waves_done") as u32,
         waves: gauge("workflow.waves") as u32,
         pulls,
         pull_bytes,
-        shm_wait_p50_us: q(&waits[0], 0.50),
-        shm_wait_p99_us: q(&waits[0], 0.99),
-        rdma_wait_p50_us: q(&waits[1], 0.50),
-        rdma_wait_p99_us: q(&waits[1], 0.99),
+        shm_wait_p50_us: percentile(&waits[0], 0.50),
+        shm_wait_p99_us: percentile(&waits[0], 0.99),
+        rdma_wait_p50_us: percentile(&waits[1], 0.50),
+        rdma_wait_p99_us: percentile(&waits[1], 0.99),
         pulls_in_flight: gauge("net.pulls_in_flight"),
         bytes_in_flight: gauge("cods.staging_bytes"),
         queue_depth: gauge("net.bytes_in_flight"),

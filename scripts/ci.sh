@@ -202,6 +202,11 @@ fi
 if grep -rn 'encode_f64s' crates; then
     echo "the put-side staging copy grew back"; exit 1
 fi
+# A get reads whole aligned cells or fails by name: no byte-copy or
+# decoding fallback for a buffer that is not cells.
+if grep -rnE 'copy_region_bytes|bytes_of_f64s_mut|decode_f64s|FieldData::from_bytes' crates; then
+    echo "a byte-copy or decoding fallback grew back"; exit 1
+fi
 # One queue: the standard library's channel. And a run owns its joiner
 # threads: the service keeps no standing pool beside its engines.
 if grep -rnE 'insitu_util::channel|mod channel|pool_worker|struct Assignment|svc-pool' crates; then
