@@ -20,13 +20,13 @@
 //! two consecutive runs to prove replayability.
 
 use crate::generator::{dag_round_trip, random_workflow, CaseSpec};
-use crate::plan::{FaultKind, FaultPlan, FaultSpec};
+use crate::plan::{FaultPlan, FaultSpec};
 use crate::shrink::{reproducer, shrink};
 use insitu::{run_modeled, run_threaded_configured, MappingStrategy, ThreadedConfig};
 use insitu_cods::CodsError;
 use insitu_fabric::{
-    estimate_retrieves, ClientRetrieve, FaultInjector, LinkFaults, Locality, NetworkModel,
-    TorusTopology, TrafficClass, Transfer,
+    estimate_retrieves, ClientRetrieve, FaultInjector, FaultKind, LinkFaults, Locality,
+    NetworkModel, TorusTopology, TrafficClass, Transfer,
 };
 use insitu_obs::{EventKind, FlightRecorder};
 use insitu_telemetry::Recorder;

@@ -3,8 +3,9 @@
 //! Chaos testing for the in-situ workflow stack: a seeded [`FaultPlan`]
 //! drives the runtime's [`insitu_fabric::FaultHooks`] sites (dead
 //! producers between DHT insert and buffer registration, dropped and
-//! delayed pulls, DHT-core blackouts, staging-memory exhaustion,
-//! torus-link slowdowns in the time model) while a randomized generator
+//! delayed pulls, DHT-core blackouts, staging-memory exhaustion, wire
+//! and telemetry loss, shm-attach failures, sub-push drops, torus-link
+//! slowdowns in the time model) while a randomized generator
 //! fuzzes whole workflow cases — DAG shapes, bundles, decompositions,
 //! `*_cont`/`*_seq` couplings — through the threaded executor, checking
 //! cross-layer invariants and (on fault-free cases) byte-exact ledger
@@ -23,6 +24,11 @@
 //! while the violation persists and [`run_chaos`] renders the result as a
 //! ready-to-paste `#[test]` reproducer, so a CI failure becomes a local
 //! unit test by copy-paste (see `insitu chaos --help` and DESIGN.md §6).
+//!
+//! The fault vocabulary is not stated here: [`FaultKind`] and the hook
+//! contract live in `insitu_fabric::fault`, and this crate re-exports
+//! the kind. What the crate adds is the plan — a [`FaultSpec`] of
+//! per-kind rates and the seeded rolls that decide each site.
 
 #![warn(missing_docs)]
 
@@ -35,7 +41,8 @@ pub use generator::{dag_round_trip, random_workflow, render_dag, CaseSpec};
 pub use harness::{
     case_seed, run_case, run_case_spec, run_chaos, shrink_to_reproducer, CaseOutcome, ChaosReport,
 };
-pub use plan::{FaultKind, FaultPlan, FaultSpec, TELEMETRY_FRAME_KIND};
+pub use insitu_fabric::FaultKind;
+pub use plan::{FaultPlan, FaultSpec};
 pub use shrink::{reproducer, shrink};
 
 #[cfg(test)]

@@ -10,101 +10,12 @@
 //! deterministic quantity the harness can assert on.
 
 use insitu_fabric::{
-    ClientId, FaultAction, FaultHooks, LinkFaults, Locality, NetOp, NodeId, TrafficClass,
+    ClientId, FaultAction, FaultHooks, FaultKind, LinkFaults, Locality, NetOp, NodeId, TrafficClass,
 };
 use insitu_util::rng::SplitMix64;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Mutex;
 use std::time::Duration;
-
-/// The kinds of fault the plan can inject, in spec/report order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FaultKind {
-    /// Producer crashes between DHT insert and buffer registration: the
-    /// index names a piece nobody serves.
-    DeadProducer,
-    /// A receiver-driven pull is dropped (the buffer never arrives).
-    DropPull,
-    /// A pull is delayed by a few milliseconds before proceeding.
-    DelayPull,
-    /// A DHT core blacks out: span queries skip it, its records are
-    /// invisible.
-    DhtBlackout,
-    /// Staging memory on a node is exhausted: puts from it fail.
-    StageFull,
-    /// A torus link runs degraded: estimates slow down in the time
-    /// model, and on the real wire the affected pull-data sends are
-    /// held 15-50 ms before they are written.
-    LinkSlow,
-    /// A TCP connection attempt to a peer fails (every retry of the same
-    /// peer rolls the same site, so a faulted connect stays down).
-    NetConnect,
-    /// A data-plane frame (pull-data) is dropped before it is written to
-    /// the wire.
-    NetSend,
-    /// A data-plane frame (pull-data) is discarded after being read from
-    /// the wire.
-    NetRecv,
-    /// A telemetry batch is lost on the wire. Separately rated from the
-    /// data-plane drops because its blast radius is different by
-    /// design: a lost batch degrades the merged trace to the processes
-    /// that reported, never the run itself.
-    NetTelemetry,
-    /// Creating or attaching an intra-host shared-memory segment fails;
-    /// the directed peer pair transparently falls back to sending
-    /// PullData over the established TCP link. Rolled op-independently
-    /// on (creator node, segment id) so producer and consumer — who
-    /// consult *different plan instances* — agree on a doomed pair's
-    /// fate under a shared seed.
-    ShmAttach,
-    /// A standing-query push fragment is dropped before delivery. The
-    /// site is rolled in the shared put path (before the local-sink /
-    /// remote-mirror split), so single-process and distributed runs of
-    /// the same seed lose exactly the same fragments and the subscriber
-    /// heals the gap through the lag/resync protocol both ways.
-    SubPush,
-}
-
-impl FaultKind {
-    /// Every kind, in the canonical order used by specs and reports.
-    pub const ALL: [FaultKind; 12] = [
-        FaultKind::DeadProducer,
-        FaultKind::DropPull,
-        FaultKind::DelayPull,
-        FaultKind::DhtBlackout,
-        FaultKind::StageFull,
-        FaultKind::LinkSlow,
-        FaultKind::NetConnect,
-        FaultKind::NetSend,
-        FaultKind::NetRecv,
-        FaultKind::NetTelemetry,
-        FaultKind::ShmAttach,
-        FaultKind::SubPush,
-    ];
-
-    /// Index into rate/count arrays.
-    pub fn idx(self) -> usize {
-        Self::ALL.iter().position(|&k| k == self).unwrap()
-    }
-
-    /// The spec-file name of the kind.
-    pub fn slug(self) -> &'static str {
-        match self {
-            FaultKind::DeadProducer => "dead-producer",
-            FaultKind::DropPull => "drop-pull",
-            FaultKind::DelayPull => "delay-pull",
-            FaultKind::DhtBlackout => "dht-blackout",
-            FaultKind::StageFull => "stage-full",
-            FaultKind::LinkSlow => "link-slow",
-            FaultKind::NetConnect => "net-connect",
-            FaultKind::NetSend => "net-send",
-            FaultKind::NetRecv => "net-recv",
-            FaultKind::NetTelemetry => "net-telemetry",
-            FaultKind::ShmAttach => "shm-attach",
-            FaultKind::SubPush => "sub-push",
-        }
-    }
-}
 
 /// Per-kind injection rates in `[0, 1]`, parsed from a `--faults` spec.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -168,16 +79,13 @@ impl FaultSpec {
             let (name, rate) = entry
                 .split_once(':')
                 .ok_or_else(|| format!("fault entry '{entry}' is not 'kind:rate'"))?;
-            let kind = FaultKind::ALL
-                .into_iter()
-                .find(|k| k.slug() == name.trim())
-                .ok_or_else(|| {
-                    format!(
-                        "unknown fault kind '{}' (expected one of {})",
-                        name.trim(),
-                        FaultKind::ALL.map(FaultKind::slug).join(", ")
-                    )
-                })?;
+            let kind = FaultKind::from_slug(name.trim()).ok_or_else(|| {
+                format!(
+                    "unknown fault kind '{}' (expected one of {})",
+                    name.trim(),
+                    FaultKind::ALL.map(FaultKind::slug).join(", ")
+                )
+            })?;
             let rate: f64 = rate
                 .trim()
                 .parse()
@@ -217,12 +125,6 @@ const SALT_NET_RECV: u64 = 0x1dea_dbee_f000_0008;
 const SALT_NET_TELEMETRY: u64 = 0x1dea_dbee_f000_0009;
 const SALT_SHM_ATTACH: u64 = 0x1dea_dbee_f000_000a;
 const SALT_SUB_PUSH: u64 = 0x1dea_dbee_f000_000b;
-
-/// The wire kind byte of `Telemetry` frames
-/// (`insitu_net::frame::KIND_TELEMETRY`). Duplicated here because the
-/// chaos crate sits below the transport in the dependency order; a
-/// cross-crate test pins the two constants together.
-pub const TELEMETRY_FRAME_KIND: u8 = 25;
 
 /// A seeded, replayable [`FaultHooks`] implementation.
 ///
@@ -381,20 +283,9 @@ impl FaultHooks for FaultPlan {
     }
 
     fn on_net(&self, op: NetOp, kind: u8, a: u64, b: u64) -> FaultAction {
-        // The wire transport offers data-plane frames (pull-data) and
-        // telemetry batches to the send/recv sites; the frame kind
-        // participates in the site hash so distinct protocol revisions
-        // reroll. Telemetry batches roll their own kind *op-independently*
-        // on (node, batch): the shipper and the hub consult different
-        // plan instances, and with a shared seed a doomed batch is
-        // dropped consistently at both ends instead of rolling twice.
-        if kind == TELEMETRY_FRAME_KIND && op != NetOp::Connect {
-            return if self.hit(FaultKind::NetTelemetry, SALT_NET_TELEMETRY, &[a, b]) {
-                FaultAction::Drop
-            } else {
-                FaultAction::Proceed
-            };
-        }
+        // The wire transport offers data-plane frames (pull-data) to the
+        // send/recv sites; the frame kind participates in the site hash
+        // so distinct protocol revisions reroll.
         let (fault, salt) = match op {
             NetOp::Connect => (FaultKind::NetConnect, SALT_NET_CONNECT),
             NetOp::Send => (FaultKind::NetSend, SALT_NET_SEND),
@@ -428,6 +319,14 @@ impl FaultHooks for FaultPlan {
             FaultKind::ShmAttach,
             SALT_SHM_ATTACH,
             &[node as u64, segment],
+        )
+    }
+
+    fn telemetry_lost(&self, node: NodeId, batch: u32) -> bool {
+        self.hit(
+            FaultKind::NetTelemetry,
+            SALT_NET_TELEMETRY,
+            &[node as u64, batch as u64],
         )
     }
 
@@ -615,21 +514,17 @@ mod tests {
         // Every telemetry batch drops; data-plane frames are untouched
         // even at the same (a, b) identity, because only the telemetry
         // kind was rated.
-        assert_eq!(
-            plan.on_net(NetOp::Send, TELEMETRY_FRAME_KIND, 0, 0),
-            FaultAction::Drop
-        );
+        assert!(plan.telemetry_lost(0, 0));
         assert_eq!(plan.on_net(NetOp::Send, 6, 0, 0), FaultAction::Proceed);
-        // Send and recv agree on a batch's fate: one roll per (node,
-        // batch), not per op — the sender's and receiver's plans (same
-        // seed) cannot disagree.
+        // The shipper's and the hub's plans (same seed) agree on a
+        // batch's fate: one roll per (node, batch), not per op.
         let sender = FaultPlan::new(9, FaultSpec::none().with_rate(FaultKind::NetTelemetry, 0.5));
         let receiver = FaultPlan::new(9, FaultSpec::none().with_rate(FaultKind::NetTelemetry, 0.5));
-        for node in 0..4u64 {
-            for batch in 0..16u64 {
+        for node in 0..4u32 {
+            for batch in 0..16u32 {
                 assert_eq!(
-                    sender.on_net(NetOp::Send, TELEMETRY_FRAME_KIND, node, batch),
-                    receiver.on_net(NetOp::Recv, TELEMETRY_FRAME_KIND, node, batch),
+                    sender.telemetry_lost(node, batch),
+                    receiver.telemetry_lost(node, batch),
                 );
             }
         }

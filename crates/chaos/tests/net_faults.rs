@@ -11,7 +11,7 @@
 use insitu::{concurrent_scenario, pattern_pairs, Scenario};
 use insitu::{join, serve, DistribOutcome, JoinOptions, MappingStrategy, ServeOptions};
 use insitu_chaos::{FaultPlan, FaultSpec};
-use insitu_fabric::{FaultAction, FaultHooks, FaultInjector, NetOp};
+use insitu_fabric::{FaultAction, FaultHooks, FaultInjector, NetOp, NodeId};
 use insitu_telemetry::Recorder;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -195,6 +195,7 @@ struct CountingHooks {
     connects: AtomicU64,
     sends: AtomicU64,
     recvs: AtomicU64,
+    telemetry: AtomicU64,
 }
 
 impl FaultHooks for CountingHooks {
@@ -205,6 +206,11 @@ impl FaultHooks for CountingHooks {
             NetOp::Recv => self.recvs.fetch_add(1, Ordering::Relaxed),
         };
         FaultAction::Proceed
+    }
+
+    fn telemetry_lost(&self, _node: NodeId, _batch: u32) -> bool {
+        self.telemetry.fetch_add(1, Ordering::Relaxed);
+        false
     }
 }
 
@@ -239,6 +245,10 @@ fn p2p_direct_links_still_consult_every_fault_site() {
     let recvs = hooks.recvs.load(Ordering::Relaxed);
     assert!(sends > 0, "net.send must fire for p2p PullData");
     assert!(recvs > 0, "net.recv must fire for p2p PullData");
+    // Every joiner ships at least one telemetry batch to the hub, and
+    // each one is offered to its own site.
+    let telemetry = hooks.telemetry.load(Ordering::Relaxed);
+    assert!(telemetry > 0, "telemetry batches must reach telemetry_lost");
 }
 
 #[test]

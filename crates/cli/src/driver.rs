@@ -9,8 +9,7 @@ use insitu_chaos::{FaultPlan, FaultSpec};
 use insitu_domain::{BoundingBox, Decomposition, ProcessGrid};
 use insitu_fabric::{LedgerSnapshot, LinkFaults, NetworkModel, TrafficClass};
 use insitu_obs::{
-    chrome_trace_with_flows, gate_compare, profile_doc, Event, FlightRecorder, GateConfig,
-    ProfileReport,
+    chrome_trace_with_flows, gate_compare, profile_doc, Event, FlightRecorder, ProfileReport,
 };
 use insitu_telemetry::{Json, MetricsSnapshot, Recorder};
 use insitu_workflow::{parse_dag, ParseError};
@@ -384,14 +383,8 @@ pub fn gate(dag: &str, config: &str, opts: &GateOptions) -> Result<(String, bool
             .map_err(|e| CliError::Io(format!("cannot read {}: {e}", path.display())))?;
         let baseline =
             Json::parse(&text).map_err(|e| CliError::Io(format!("{}: {e}", path.display())))?;
-        let outcome = gate_compare(
-            &current,
-            &baseline,
-            &GateConfig {
-                threshold_pct: opts.threshold_pct,
-            },
-        )
-        .map_err(CliError::Io)?;
+        let outcome =
+            gate_compare(&current, &baseline, opts.threshold_pct).map_err(CliError::Io)?;
         passed = outcome.passed();
         out.push_str(&outcome.render());
     }

@@ -39,7 +39,7 @@ use crate::dht::{var_id, Dht};
 use crate::schedule::ScheduleCache;
 use insitu_dart::{BufKey, DartRuntime};
 use insitu_domain::BoundingBox;
-use insitu_fabric::ClientId;
+use insitu_fabric::{ClientId, FaultKind};
 use insitu_obs::{Event, EventKind};
 use insitu_telemetry::{Counter, Gauge};
 use std::collections::HashMap;
@@ -329,7 +329,7 @@ impl CodsSpace {
     /// Log an injected fault at a CoDS fault site as a flight event.
     fn record_fault(
         &self,
-        kind: &'static str,
+        kind: FaultKind,
         app: u32,
         vid: u64,
         version: u64,
@@ -342,7 +342,7 @@ impl CodsSpace {
         }
         let now = flight.now_us();
         flight.record(
-            Event::new(flight.next_seq(), EventKind::Fault { kind })
+            Event::new(flight.next_seq(), EventKind::Fault { kind: kind.slug() })
                 .app(app)
                 .var(vid)
                 .version(version)

@@ -8,7 +8,7 @@ use crate::schedule::{schedule_from_decomposition, schedule_from_entries, CommSc
 use insitu_dart::{BufKey, BufferHandle};
 use insitu_domain::layout::copy_region;
 use insitu_domain::{BoundingBox, Decomposition};
-use insitu_fabric::{ClientId, Locality, TrafficClass};
+use insitu_fabric::{ClientId, FaultKind, Locality, TrafficClass};
 use insitu_obs::{Event, EventKind, LinkClass};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -41,7 +41,7 @@ impl CodsSpace {
         let injector = self.dart.injector();
         if injector.staging_exhausted(node) {
             let used = self.staging_bytes(node);
-            self.record_fault("stage-full", app, vid, version, client, piece);
+            self.record_fault(FaultKind::StageFull, app, vid, version, client, piece);
             return Err(CodsError::StagingFull {
                 node,
                 used,
@@ -53,14 +53,14 @@ impl CodsSpace {
         // payload ever lands in staging.
         let dead = injector.dead_producer(vid, version, client, piece);
         if dead {
-            self.record_fault("dead-producer", app, vid, version, client, piece);
+            self.record_fault(FaultKind::DeadProducer, app, vid, version, client, piece);
         }
         if !dead {
             let mut staging = self.staging.lock().unwrap();
             let used = staging.entry(node).or_insert(0);
             if let Some(limit) = self.cfg.staging_limit_per_node {
                 if *used + bytes > limit {
-                    self.record_fault("stage-full", app, vid, version, client, piece);
+                    self.record_fault(FaultKind::StageFull, app, vid, version, client, piece);
                     return Err(CodsError::StagingFull {
                         node,
                         used: *used,

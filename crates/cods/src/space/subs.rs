@@ -8,7 +8,7 @@
 use super::{buf_key, piece_id, CodsSpace};
 use crate::codec::{f64s_of_bytes, ELEM_BYTES};
 use insitu_domain::BoundingBox;
-use insitu_fabric::{ClientId, FaultAction, TrafficClass};
+use insitu_fabric::{ClientId, FaultAction, FaultKind, TrafficClass};
 use insitu_obs::{Event, EventKind};
 use insitu_sub::{SubId, SubSink, SubSpec, TakeResult};
 use insitu_util::Bytes;
@@ -163,7 +163,7 @@ impl CodsSpace {
                 injector.on_sub_push(vid, version, entry.spec.subscriber, piece),
                 FaultAction::Drop
             ) {
-                self.record_fault("sub-push", app, vid, version, client, piece);
+                self.record_fault(FaultKind::SubPush, app, vid, version, client, piece);
                 self.sub_push_drops.inc();
                 continue;
             }

@@ -72,9 +72,6 @@ pub struct ServeOptions {
     /// once set, the server shuts the run down (`Shutdown{ok: false}`)
     /// instead of dispatching the next wave.
     pub cancel: Arc<AtomicBool>,
-    /// Flight recorder shared with in-process joiners for per-run
-    /// profiles (disabled by default).
-    pub flight: FlightRecorder,
     /// Run the data plane peer-to-peer: the hub ships every joiner the
     /// full peer-address table in `Welcome`, `PullData` flows over
     /// direct node↔node connections, and the hub carries control
@@ -99,7 +96,6 @@ impl Default for ServeOptions {
             recorder: Recorder::disabled(),
             run_epoch: 0,
             cancel: Arc::new(AtomicBool::new(false)),
-            flight: FlightRecorder::disabled(),
             p2p: false,
             shm: true,
         }

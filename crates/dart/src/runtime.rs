@@ -4,7 +4,8 @@ use crate::mailbox::{Mailbox, Msg};
 use crate::registry::{BufKey, BufferHandle, BufferRegistry};
 use crate::transport::{LocalTransport, Transport};
 use insitu_fabric::{
-    ClientId, FaultAction, FaultInjector, Locality, Placement, TrafficClass, TransferLedger,
+    ClientId, FaultAction, FaultInjector, FaultKind, Locality, Placement, TrafficClass,
+    TransferLedger,
 };
 use insitu_obs::{Event, EventKind, FlightRecorder};
 use insitu_sub::SubRegistry;
@@ -260,11 +261,11 @@ impl DartRuntime {
         for (i, key) in keys.iter().enumerate() {
             match self.injector.on_pull(key.name, key.version, key.piece) {
                 FaultAction::Drop => {
-                    self.record_pull_fault("drop-pull", key);
+                    self.record_pull_fault(FaultKind::DropPull, key);
                     dropped.get_or_insert(i);
                 }
                 FaultAction::Delay(d) => {
-                    self.record_pull_fault("delay-pull", key);
+                    self.record_pull_fault(FaultKind::DelayPull, key);
                     floors[i] = Some(start + d);
                 }
                 FaultAction::Proceed => {}
@@ -346,13 +347,14 @@ impl DartRuntime {
     /// Log an injected pull fault as a flight event. The buf-key piece
     /// packs the owner in its upper half, so the event keeps the full
     /// `(var, version, owner, piece)` causal key.
-    fn record_pull_fault(&self, kind: &'static str, key: &BufKey) {
+    fn record_pull_fault(&self, kind: FaultKind, key: &BufKey) {
         if !self.flight.is_enabled() {
             return;
         }
         let now = self.flight.now_us();
+        let kind = EventKind::Fault { kind: kind.slug() };
         self.flight.record(
-            Event::new(self.flight.next_seq(), EventKind::Fault { kind })
+            Event::new(self.flight.next_seq(), kind)
                 .var(key.name)
                 .version(key.version)
                 .src((key.piece >> 32) as u32)

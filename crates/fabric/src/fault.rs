@@ -1,17 +1,119 @@
-//! Fault-injection hooks for chaos testing.
+//! Fault injection: which faults exist, and where each one is rolled.
 //!
-//! The runtime layers (DART, CoDS, the ledger) consult a [`FaultInjector`]
-//! at well-defined *fault sites*: buffer registration after a DHT insert,
-//! receiver-driven pulls, DHT span queries and staging-memory accounting.
-//! Production code paths carry a no-op injector ([`FaultInjector::none`])
-//! whose every check is a branch on a `None`; the chaos harness
-//! (`insitu-chaos`) installs a seed-driven [`FaultHooks`] implementation
-//! so whole-workflow failure scenarios replay deterministically.
+//! [`FaultKind`] is the vocabulary: every fault the chaos plane can
+//! inject, with the slug that `--faults` specs, chaos reports and
+//! flight events name it by. [`FaultHooks`] is the contract: one method
+//! per *fault site* — buffer registration after a DHT insert, receiver
+//! pulls, DHT span queries, staging-memory accounting, the wire's
+//! connect/send/recv, telemetry batches, shared-memory attach and
+//! standing-query pushes — each stated once, with its benign default.
+//!
+//! The runtime layers reach the hooks through a [`FaultInjector`], which
+//! dereferences to the installed plan or, in production
+//! ([`FaultInjector::none`]), to a plan that keeps every default. The
+//! chaos harness (`insitu-chaos`) installs a seed-driven [`FaultHooks`]
+//! implementation so whole-workflow failure scenarios replay
+//! deterministically.
 
 use crate::ledger::{Locality, TrafficClass};
 use crate::machine::{ClientId, NodeId};
+use std::ops::Deref;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// The kinds of fault a plan can inject, in spec/report order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FaultKind {
+    /// Producer crashes between DHT insert and buffer registration: the
+    /// index names a piece nobody serves.
+    DeadProducer,
+    /// A receiver-driven pull is dropped (the buffer never arrives).
+    DropPull,
+    /// A pull is delayed by a few milliseconds before proceeding.
+    DelayPull,
+    /// A DHT core blacks out: span queries skip it, its records are
+    /// invisible.
+    DhtBlackout,
+    /// Staging memory on a node is exhausted: puts from it fail.
+    StageFull,
+    /// A torus link runs degraded: estimates slow down in the time
+    /// model, and on the real wire the affected pull-data sends are
+    /// held 15-50 ms before they are written.
+    LinkSlow,
+    /// A TCP connection attempt to a peer fails (every retry of the same
+    /// peer rolls the same site, so a faulted connect stays down).
+    NetConnect,
+    /// A data-plane frame (pull-data) is dropped before it is written to
+    /// the wire.
+    NetSend,
+    /// A data-plane frame (pull-data) is discarded after being read from
+    /// the wire.
+    NetRecv,
+    /// A telemetry batch is lost on the wire. Separately rated from the
+    /// data-plane drops because its blast radius is different by
+    /// design: a lost batch degrades the merged trace to the processes
+    /// that reported, never the run itself.
+    NetTelemetry,
+    /// Creating or attaching an intra-host shared-memory segment fails;
+    /// the directed peer pair transparently falls back to sending
+    /// PullData over the established TCP link. Rolled op-independently
+    /// on (creator node, segment id) so producer and consumer — who
+    /// consult *different plan instances* — agree on a doomed pair's
+    /// fate under a shared seed.
+    ShmAttach,
+    /// A standing-query push fragment is dropped before delivery. The
+    /// site is rolled in the shared put path (before the local-sink /
+    /// remote-mirror split), so single-process and distributed runs of
+    /// the same seed lose exactly the same fragments and the subscriber
+    /// heals the gap through the lag/resync protocol both ways.
+    SubPush,
+}
+
+impl FaultKind {
+    /// Every kind, in the canonical order used by specs and reports.
+    pub const ALL: [FaultKind; 12] = [
+        FaultKind::DeadProducer,
+        FaultKind::DropPull,
+        FaultKind::DelayPull,
+        FaultKind::DhtBlackout,
+        FaultKind::StageFull,
+        FaultKind::LinkSlow,
+        FaultKind::NetConnect,
+        FaultKind::NetSend,
+        FaultKind::NetRecv,
+        FaultKind::NetTelemetry,
+        FaultKind::ShmAttach,
+        FaultKind::SubPush,
+    ];
+
+    /// Index into rate/count arrays.
+    pub fn idx(self) -> usize {
+        Self::ALL.iter().position(|&k| k == self).unwrap()
+    }
+
+    /// The name specs, reports and flight events give the kind.
+    pub fn slug(self) -> &'static str {
+        match self {
+            FaultKind::DeadProducer => "dead-producer",
+            FaultKind::DropPull => "drop-pull",
+            FaultKind::DelayPull => "delay-pull",
+            FaultKind::DhtBlackout => "dht-blackout",
+            FaultKind::StageFull => "stage-full",
+            FaultKind::LinkSlow => "link-slow",
+            FaultKind::NetConnect => "net-connect",
+            FaultKind::NetSend => "net-send",
+            FaultKind::NetRecv => "net-recv",
+            FaultKind::NetTelemetry => "net-telemetry",
+            FaultKind::ShmAttach => "shm-attach",
+            FaultKind::SubPush => "sub-push",
+        }
+    }
+
+    /// The kind a slug names, if any.
+    pub fn from_slug(slug: &str) -> Option<FaultKind> {
+        Self::ALL.into_iter().find(|k| k.slug() == slug)
+    }
+}
 
 /// What to do with an intercepted pull.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -106,6 +208,16 @@ pub trait FaultHooks: Send + Sync {
         false
     }
 
+    /// `true` loses telemetry batch `batch` of `node` on the wire. Like
+    /// [`FaultHooks::shm_attach_fails`] it does not depend on the
+    /// operation: the shipper's send and the hub's receive consult
+    /// different plan instances, and with a shared seed a doomed batch
+    /// is lost at both ends instead of rolling twice.
+    fn telemetry_lost(&self, node: NodeId, batch: u32) -> bool {
+        let _ = (node, batch);
+        false
+    }
+
     /// Intercept one standing-query push fragment (producer-piece ∩
     /// subscription overlap) before it is delivered or sent. Sited in
     /// the shared put path — before the transport split — so a dropped
@@ -119,9 +231,18 @@ pub trait FaultHooks: Send + Sync {
 }
 
 /// A cheaply cloneable, optionally-empty handle to a [`FaultHooks`]
-/// implementation. The default ([`FaultInjector::none`]) injects nothing.
+/// implementation. It dereferences to the installed plan, or to one that
+/// keeps every default: the default ([`FaultInjector::none`]) injects
+/// nothing.
 #[derive(Clone, Default)]
 pub struct FaultInjector(Option<Arc<dyn FaultHooks>>);
+
+/// The hooks an empty injector consults: every default, no fault.
+struct NoFaults;
+
+impl FaultHooks for NoFaults {}
+
+const NO_FAULTS: &dyn FaultHooks = &NoFaults;
 
 impl std::fmt::Debug for FaultInjector {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -141,79 +262,13 @@ impl FaultInjector {
     pub fn new(hooks: Arc<dyn FaultHooks>) -> Self {
         FaultInjector(Some(hooks))
     }
+}
 
-    /// Whether any hooks are installed.
-    pub fn is_active(&self) -> bool {
-        self.0.is_some()
-    }
+impl Deref for FaultInjector {
+    type Target = dyn FaultHooks;
 
-    /// See [`FaultHooks::dead_producer`].
-    pub fn dead_producer(&self, var: u64, version: u64, owner: ClientId, piece: u64) -> bool {
-        match &self.0 {
-            Some(h) => h.dead_producer(var, version, owner, piece),
-            None => false,
-        }
-    }
-
-    /// See [`FaultHooks::on_pull`].
-    pub fn on_pull(&self, name: u64, version: u64, piece: u64) -> FaultAction {
-        match &self.0 {
-            Some(h) => h.on_pull(name, version, piece),
-            None => FaultAction::Proceed,
-        }
-    }
-
-    /// See [`FaultHooks::dht_core_down`].
-    pub fn dht_core_down(&self, core: usize) -> bool {
-        match &self.0 {
-            Some(h) => h.dht_core_down(core),
-            None => false,
-        }
-    }
-
-    /// See [`FaultHooks::staging_exhausted`].
-    pub fn staging_exhausted(&self, node: NodeId) -> bool {
-        match &self.0 {
-            Some(h) => h.staging_exhausted(node),
-            None => false,
-        }
-    }
-
-    /// See [`FaultHooks::on_transfer`].
-    pub fn on_transfer(&self, class: TrafficClass, locality: Locality, bytes: u64) {
-        if let Some(h) = &self.0 {
-            h.on_transfer(class, locality, bytes);
-        }
-    }
-
-    /// See [`FaultHooks::on_net`].
-    pub fn on_net(&self, op: NetOp, kind: u8, a: u64, b: u64) -> FaultAction {
-        match &self.0 {
-            Some(h) => h.on_net(op, kind, a, b),
-            None => FaultAction::Proceed,
-        }
-    }
-
-    /// See [`FaultHooks::shm_attach_fails`].
-    pub fn shm_attach_fails(&self, node: NodeId, segment: u64) -> bool {
-        match &self.0 {
-            Some(h) => h.shm_attach_fails(node, segment),
-            None => false,
-        }
-    }
-
-    /// See [`FaultHooks::on_sub_push`].
-    pub fn on_sub_push(
-        &self,
-        var: u64,
-        version: u64,
-        subscriber: ClientId,
-        piece: u64,
-    ) -> FaultAction {
-        match &self.0 {
-            Some(h) => h.on_sub_push(var, version, subscriber, piece),
-            None => FaultAction::Proceed,
-        }
+    fn deref(&self) -> &Self::Target {
+        self.0.as_deref().unwrap_or(NO_FAULTS)
     }
 }
 
@@ -225,7 +280,6 @@ mod tests {
     #[test]
     fn none_injector_is_inert() {
         let inj = FaultInjector::none();
-        assert!(!inj.is_active());
         assert!(!inj.dead_producer(1, 2, 3, 4));
         assert_eq!(inj.on_pull(1, 2, 3), FaultAction::Proceed);
         assert!(!inj.dht_core_down(0));
@@ -237,6 +291,7 @@ mod tests {
             "inert injector never faults the wire"
         );
         assert!(!inj.shm_attach_fails(0, 1));
+        assert!(!inj.telemetry_lost(0, 1));
         assert_eq!(inj.on_sub_push(1, 2, 3, 4), FaultAction::Proceed);
     }
 
@@ -271,12 +326,20 @@ mod tests {
         }
         let hooks = Arc::new(DropAll(AtomicU64::new(0)));
         let inj = FaultInjector::new(hooks.clone());
-        assert!(inj.is_active());
         assert_eq!(inj.on_pull(9, 0, 1), FaultAction::Drop);
         assert!(inj.dht_core_down(2));
         assert!(!inj.dht_core_down(3));
         // Defaults still benign for hooks the plan does not override.
         assert!(!inj.dead_producer(0, 0, 0, 0));
         assert_eq!(hooks.0.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn every_kind_round_trips_its_slug() {
+        for k in FaultKind::ALL {
+            assert_eq!(FaultKind::from_slug(k.slug()), Some(k));
+        }
+        assert_eq!(FaultKind::from_slug("fault"), None);
+        assert_eq!(FaultKind::from_slug(""), None);
     }
 }

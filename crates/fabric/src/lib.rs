@@ -22,7 +22,7 @@ pub mod machine;
 pub mod timemodel;
 pub mod torus;
 
-pub use fault::{FaultAction, FaultHooks, FaultInjector, NetOp};
+pub use fault::{FaultAction, FaultHooks, FaultInjector, FaultKind, NetOp};
 pub use ledger::{LedgerSnapshot, Locality, TrafficClass, TransferLedger};
 pub use machine::{ClientId, CoreId, MachineSpec, NodeId, Placement};
 pub use timemodel::{

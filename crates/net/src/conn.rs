@@ -131,15 +131,21 @@ impl NetMetrics {
     }
 }
 
-/// Offer `frame` to the `net.send` / `net.recv` fault site `op` if it
-/// is fault-eligible. `false` means the wire "lost" it; a `Delay`
-/// verdict sleeps the calling thread first.
+/// Offer `frame` to its wire fault site: a `PullData` to
+/// [`FaultHooks::on_net`](insitu_fabric::FaultHooks::on_net) for `op`,
+/// a `Telemetry` batch to
+/// [`FaultHooks::telemetry_lost`](insitu_fabric::FaultHooks::telemetry_lost).
+/// Every other frame passes: dropping a control frame would model an
+/// unreliable management server, which the system does not have.
+/// `false` means the wire "lost" the frame; a `Delay` verdict sleeps the
+/// calling thread first.
 pub(crate) fn passes_fault_site(frame: &Frame, op: NetOp, injector: &FaultInjector) -> bool {
-    if !frame.fault_eligible() {
-        return true;
-    }
-    let (a, b) = frame.fault_ids();
-    match injector.on_net(op, frame.kind(), a, b) {
+    let verdict = match frame {
+        Frame::PullData { name, piece, .. } => injector.on_net(op, frame.kind(), *name, *piece),
+        Frame::Telemetry { node, batch, .. } => return !injector.telemetry_lost(*node, *batch),
+        _ => return true,
+    };
+    match verdict {
         FaultAction::Drop => false,
         FaultAction::Delay(d) => {
             std::thread::sleep(d);
@@ -149,10 +155,10 @@ pub(crate) fn passes_fault_site(frame: &Frame, op: NetOp, injector: &FaultInject
     }
 }
 
-/// Write one frame, consulting the `net.send` fault site for
-/// fault-eligible frames (pull data and telemetry batches). A dropped
-/// frame is silently not written (the wire "lost" it); a delayed frame
-/// sleeps first. Control-plane frames bypass the injector entirely.
+/// Write one frame, consulting its `net.send` fault site (pull data and
+/// telemetry batches have one). A dropped frame is silently not written
+/// (the wire "lost" it); a delayed frame sleeps first. Control-plane
+/// frames bypass the injector entirely.
 /// A frame over `MAX_FRAME_LEN` is refused with [`NetError::Protocol`]
 /// naming its kind and size, before any byte is written.
 pub fn send_frame(
@@ -171,9 +177,9 @@ pub fn send_frame(
 }
 
 /// Read frames until one survives the `net.recv` fault site. Bytes and
-/// frames are counted on arrival (the wire carried them); a dropped
-/// fault-eligible frame is then discarded and the read continues,
-/// exactly as if the frame had been lost in flight. A read timeout set
+/// frames are counted on arrival (the wire carried them); a frame its
+/// fault site drops is then discarded and the read continues, exactly
+/// as if the frame had been lost in flight. A read timeout set
 /// on `stream` that expires first is a [`NetError::Timeout`].
 pub fn recv_frame(
     stream: &mut TcpStream,
@@ -322,6 +328,80 @@ mod tests {
         assert_eq!(m.bytes_sent.get(), wire);
         assert_eq!(m.bytes_recv.get(), wire);
         assert_eq!(m.frames.get(), 2);
+    }
+
+    /// Each frame reaches its own fault site: `PullData` the wire hook
+    /// with its kind, name and piece; `Telemetry` the batch hook and
+    /// never the wire hook; every control frame neither.
+    #[test]
+    fn each_frame_reaches_its_own_fault_site() {
+        use insitu_fabric::{FaultHooks, NodeId};
+        use std::sync::{Arc, Mutex};
+
+        #[derive(Default)]
+        struct Counting {
+            net: Mutex<Vec<(NetOp, u8, u64, u64)>>,
+            telemetry: Mutex<Vec<(NodeId, u32)>>,
+        }
+        impl FaultHooks for Counting {
+            fn on_net(&self, op: NetOp, kind: u8, a: u64, b: u64) -> FaultAction {
+                self.net.lock().unwrap().push((op, kind, a, b));
+                FaultAction::Proceed
+            }
+            fn telemetry_lost(&self, node: NodeId, batch: u32) -> bool {
+                self.telemetry.lock().unwrap().push((node, batch));
+                false
+            }
+        }
+
+        let hooks = Arc::new(Counting::default());
+        let inj = FaultInjector::new(hooks.clone());
+        let piece = (3u64 << 32) | 7;
+        let pull = Frame::PullData {
+            name: 9,
+            version: 1,
+            piece,
+            owner: 3,
+            to_node: 0,
+            data: vec![0; 8],
+        };
+        let telemetry = Frame::Telemetry {
+            node: 2,
+            batch: 5,
+            last: true,
+            dropped_events: 0,
+            dropped_spans: 0,
+            counters: Vec::new(),
+            events: Vec::new(),
+        };
+        let control = [
+            Frame::Relay {
+                to: 1,
+                src: 0,
+                tag: 4,
+                payload: vec![1, 2],
+            },
+            Frame::Barrier { wave: 4, node: 1 },
+            Frame::ShmDoorbell {
+                src_node: 1,
+                dst_node: 0,
+                segment: 1 << 32,
+                seq: 3,
+            },
+        ];
+        for op in [NetOp::Send, NetOp::Recv] {
+            assert!(passes_fault_site(&pull, op, &inj));
+            assert!(passes_fault_site(&telemetry, op, &inj));
+            for frame in &control {
+                assert!(passes_fault_site(frame, op, &inj));
+            }
+        }
+        assert_eq!(
+            *hooks.net.lock().unwrap(),
+            [(NetOp::Send, 6, 9, piece), (NetOp::Recv, 6, 9, piece)],
+            "only PullData reaches on_net, once per op"
+        );
+        assert_eq!(*hooks.telemetry.lock().unwrap(), [(2, 5), (2, 5)]);
     }
 
     #[test]

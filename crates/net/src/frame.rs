@@ -24,7 +24,7 @@
 //! panics, so a confused or hostile peer cannot take the process down.
 
 use insitu_domain::BoundingBox;
-use insitu_fabric::{LedgerSnapshot, Locality, TrafficClass};
+use insitu_fabric::{FaultKind, LedgerSnapshot, Locality, TrafficClass};
 use insitu_obs::{Event, EventKind, LinkClass};
 use std::io::{Read, Write};
 
@@ -45,10 +45,6 @@ pub const WIRE_VERSION: u8 = 6;
 /// allocation happens (a 256 MiB frame comfortably fits the largest
 /// paper-scale piece). Senders refuse to stage a frame past it.
 pub const MAX_FRAME_LEN: u32 = 256 << 20;
-
-/// The telemetry-batch kind byte, exposed so the chaos plan's
-/// `net-telemetry` fault site can classify frames without decoding.
-pub const KIND_TELEMETRY: u8 = 25;
 
 /// Codec failures. Every variant is a rejection — the codec never
 /// panics on wire input.
@@ -684,25 +680,6 @@ impl Frame {
         matches!(self, Frame::PullData { .. })
     }
 
-    /// Whether this frame may be offered to `net.send`/`net.recv` fault
-    /// injection: the data plane (`PullData`) and the telemetry plane
-    /// (`Telemetry`). Dropping other control frames would model an
-    /// unreliable management server, which the system does not have.
-    pub fn fault_eligible(&self) -> bool {
-        matches!(self, Frame::PullData { .. } | Frame::Telemetry { .. })
-    }
-
-    /// The `(a, b)` identity of this frame's chaos fault site: the
-    /// buffer name and packed piece for pull data, the node and batch
-    /// for telemetry, zeros otherwise.
-    pub fn fault_ids(&self) -> (u64, u64) {
-        match self {
-            Frame::PullData { name, piece, .. } => (*name, *piece),
-            Frame::Telemetry { node, batch, .. } => (*node as u64, *batch as u64),
-            _ => (0, 0),
-        }
-    }
-
     /// The frame's bulk tail: the byte vector that ends a `Relay` or a
     /// `PullData` — on the wire a count, then payload to the frame's
     /// end. The reactor moves it out, the decoder a payload in.
@@ -1237,27 +1214,6 @@ impl Wire for BoundingBox {
     }
 }
 
-/// Map a fault slug read off the wire back to the `&'static str` the
-/// event schema carries. Slugs name the chaos fault kinds; an unknown
-/// slug (a newer peer's kind) degrades to the generic `"fault"`.
-fn intern_fault_slug(slug: &str) -> &'static str {
-    match slug {
-        "dead-producer" => "dead-producer",
-        "drop-pull" => "drop-pull",
-        "delay-pull" => "delay-pull",
-        "dht-blackout" => "dht-blackout",
-        "stage-full" => "stage-full",
-        "link-slow" => "link-slow",
-        "net-connect" => "net-connect",
-        "net-send" => "net-send",
-        "net-recv" => "net-recv",
-        "net-telemetry" => "net-telemetry",
-        "shm-attach" => "shm-attach",
-        "sub-push" => "sub-push",
-        _ => "fault",
-    }
-}
-
 /// One byte naming the event shape; the three kinds with an argument
 /// encode it right after the byte.
 impl Wire for EventKind {
@@ -1299,8 +1255,9 @@ impl Wire for EventKind {
             7 => EventKind::Pull {
                 wait_us: Wire::take(c)?,
             },
+            // A slug that names no kind (a newer peer's) reads as "fault".
             8 => EventKind::Fault {
-                kind: intern_fault_slug(&String::take(c)?),
+                kind: FaultKind::from_slug(&String::take(c)?).map_or("fault", FaultKind::slug),
             },
             9 => EventKind::NetSend,
             10 => EventKind::NetRecv,
@@ -2218,13 +2175,9 @@ mod tests {
             data: vec![1, 2, 3],
         };
         assert!(pd.is_data_plane());
-        assert!(pd.fault_eligible());
-        assert_eq!(pd.fault_ids(), (9, (3u64 << 32) | 7));
         assert!(!Frame::RunWave { wave: 0 }.is_data_plane());
-        assert!(!Frame::RunWave { wave: 0 }.fault_eligible());
-        assert_eq!(Frame::RunWave { wave: 0 }.fault_ids(), (0, 0));
-        // Telemetry is fault-eligible (droppable observability) but
-        // NOT data plane: it must not count toward pull routing gates.
+        // Telemetry is NOT data plane: it must not count toward pull
+        // routing gates.
         let tel = Frame::Telemetry {
             node: 2,
             batch: 5,
@@ -2235,12 +2188,9 @@ mod tests {
             events: Vec::new(),
         };
         assert!(!tel.is_data_plane());
-        assert!(tel.fault_eligible());
-        assert_eq!(tel.fault_ids(), (2, 5));
-        assert_eq!(tel.kind(), KIND_TELEMETRY);
-        // The shm frames are control plane: not data plane (the bytes
-        // ride the segment, not the wire) and never fault-eligible (the
-        // `shm-attach` chaos site fires at create/attach instead).
+        assert_eq!(tel.kind(), 25);
+        // The shm frames are control plane: the bytes ride the segment,
+        // not the wire.
         let bell = Frame::ShmDoorbell {
             src_node: 1,
             dst_node: 0,
@@ -2248,7 +2198,6 @@ mod tests {
             seq: 3,
         };
         assert!(!bell.is_data_plane());
-        assert!(!bell.fault_eligible());
         let offer = Frame::ShmOffer {
             src_node: 1,
             dst_node: 0,
@@ -2257,9 +2206,8 @@ mod tests {
             slots: 256,
             arena_bytes: 1 << 23,
         };
-        assert!(!offer.is_data_plane() && !offer.fault_eligible());
-        // The reserved standing-query kind is neither data plane nor
-        // wire-fault-eligible.
+        assert!(!offer.is_data_plane());
+        // The reserved standing-query kind is not data plane.
         let push = Frame::SubPush {
             sub_id: 0xfeed,
             var: 9,
@@ -2271,7 +2219,6 @@ mod tests {
             data: vec![0; 16],
         };
         assert!(!push.is_data_plane());
-        assert!(!push.fault_eligible());
         assert_eq!(push.kind(), 34);
     }
 
@@ -2301,7 +2248,7 @@ mod tests {
         0u64.put(&mut p); // dropped_spans
         u32::MAX.put(&mut p); // hostile counter count
         assert_eq!(
-            Frame::decode(WIRE_VERSION, KIND_TELEMETRY, &p),
+            Frame::decode(WIRE_VERSION, 25, &p),
             Err(FrameError::Truncated)
         );
         // And a hostile event count.
@@ -2314,7 +2261,7 @@ mod tests {
         0u32.put(&mut p); // no counters
         u32::MAX.put(&mut p); // hostile event count
         assert_eq!(
-            Frame::decode(WIRE_VERSION, KIND_TELEMETRY, &p),
+            Frame::decode(WIRE_VERSION, 25, &p),
             Err(FrameError::Truncated)
         );
     }
@@ -2355,21 +2302,33 @@ mod tests {
 
     #[test]
     fn fault_slugs_intern_to_known_kinds() {
-        assert_eq!(intern_fault_slug("drop-pull"), "drop-pull");
-        assert_eq!(intern_fault_slug("net-telemetry"), "net-telemetry");
-        assert_eq!(intern_fault_slug("some-future-kind"), "fault");
-        // Round-trip through the wire keeps the static slug.
-        let frame = Frame::Telemetry {
-            node: 0,
-            batch: 0,
-            last: true,
-            dropped_events: 0,
-            dropped_spans: 0,
-            counters: Vec::new(),
-            events: vec![Event::new(1, EventKind::Fault { kind: "link-slow" })],
+        let decode_slug = |slug: &'static str| {
+            let frame = Frame::Telemetry {
+                node: 0,
+                batch: 0,
+                last: true,
+                dropped_events: 0,
+                dropped_spans: 0,
+                counters: Vec::new(),
+                events: vec![Event::new(1, EventKind::Fault { kind: slug })],
+            };
+            let wire = frame.encode();
+            match Frame::decode(wire[4], wire[5], &wire[6..]).unwrap() {
+                Frame::Telemetry { events, .. } => events[0].kind,
+                other => panic!("decoded {other:?}"),
+            }
         };
-        let wire = frame.encode();
-        let decoded = Frame::decode(wire[4], wire[5], &wire[6..]).unwrap();
-        assert_eq!(decoded, frame);
+        // Every kind's slug comes back as itself; a slug that names no
+        // kind (a newer peer's) degrades to the generic "fault".
+        for kind in FaultKind::ALL {
+            assert_eq!(
+                decode_slug(kind.slug()),
+                EventKind::Fault { kind: kind.slug() }
+            );
+        }
+        assert_eq!(
+            decode_slug("some-future-kind"),
+            EventKind::Fault { kind: "fault" }
+        );
     }
 }

@@ -76,8 +76,7 @@ pub mod reactor;
 
 pub use conn::{connect_with_retry, recv_frame, send_frame, NetError, NetMetrics};
 pub use frame::{
-    Frame, FrameDecoder, FrameError, NodeReport, RunState, RunSummary, KIND_TELEMETRY,
-    MAX_FRAME_LEN, WIRE_VERSION,
+    Frame, FrameDecoder, FrameError, NodeReport, RunState, RunSummary, MAX_FRAME_LEN, WIRE_VERSION,
 };
 pub use hub::{Hub, HubConfig};
 pub use link::{Ctl, NetLink};

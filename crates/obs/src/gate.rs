@@ -4,26 +4,10 @@
 //! (`BENCH_*.json`): `{"figure": .., "title": .., "rows": [{"metric":
 //! name, "value": number, ..}, ..]}`. Every metric is
 //! lower-is-better (times, bytes moved); the gate fails when any
-//! current value exceeds its baseline by more than the configured
+//! current value exceeds its baseline by more than the given
 //! threshold, or when a baseline metric disappeared.
 
 use insitu_telemetry::Json;
-
-/// Gate configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct GateConfig {
-    /// Allowed regression in percent (current may exceed baseline by up
-    /// to this much before the gate fails).
-    pub threshold_pct: f64,
-}
-
-impl Default for GateConfig {
-    fn default() -> Self {
-        GateConfig {
-            threshold_pct: 10.0,
-        }
-    }
-}
 
 /// Outcome of a gate comparison.
 #[derive(Clone, Debug, Default)]
@@ -104,15 +88,16 @@ fn rows_of(doc: &Json) -> Result<Vec<(String, f64)>, String> {
 }
 
 /// Compare `current` against `baseline` (both gate documents). All
-/// metrics are lower-is-better.
+/// metrics are lower-is-better; a current value may exceed its baseline
+/// by up to `threshold_pct` percent before the gate fails.
 pub fn gate_compare(
     current: &Json,
     baseline: &Json,
-    cfg: &GateConfig,
+    threshold_pct: f64,
 ) -> Result<GateOutcome, String> {
     let current = rows_of(current)?;
     let baseline = rows_of(baseline)?;
-    let factor = 1.0 + cfg.threshold_pct / 100.0;
+    let factor = 1.0 + threshold_pct / 100.0;
     let mut outcome = GateOutcome::default();
     for (metric, base) in &baseline {
         let Some((_, cur)) = current.iter().find(|(m, _)| m == metric) else {
@@ -128,9 +113,8 @@ pub fn gate_compare(
         let improved = base / factor - 1e-6;
         if *cur > allowed {
             outcome.regressions.push(format!(
-                "{metric}: {cur:.3} vs baseline {base:.3} (+{:.1}% > {:.1}% allowed)",
+                "{metric}: {cur:.3} vs baseline {base:.3} (+{:.1}% > {threshold_pct:.1}% allowed)",
                 (cur / base.max(1e-12) - 1.0) * 100.0,
-                cfg.threshold_pct
             ));
         } else if *cur < improved {
             outcome.improvements.push(format!(
@@ -161,7 +145,7 @@ mod tests {
     fn passes_within_threshold() {
         let base = doc(&[("retrieve_ms.app2", 10.0), ("net_bytes", 1000.0)]);
         let cur = doc(&[("retrieve_ms.app2", 10.5), ("net_bytes", 1000.0)]);
-        let out = gate_compare(&cur, &base, &GateConfig::default()).unwrap();
+        let out = gate_compare(&cur, &base, 10.0).unwrap();
         assert!(out.passed());
         assert_eq!(out.checked, 2);
     }
@@ -170,7 +154,7 @@ mod tests {
     fn fails_on_regression() {
         let base = doc(&[("retrieve_ms.app2", 10.0)]);
         let cur = doc(&[("retrieve_ms.app2", 20.0)]);
-        let out = gate_compare(&cur, &base, &GateConfig::default()).unwrap();
+        let out = gate_compare(&cur, &base, 10.0).unwrap();
         assert!(!out.passed());
         assert!(out.render().contains("REGRESSION"));
         assert!(out.render().contains("FAIL"));
@@ -180,7 +164,7 @@ mod tests {
     fn fails_on_missing_metric() {
         let base = doc(&[("retrieve_ms.app2", 10.0)]);
         let cur = doc(&[("other", 1.0)]);
-        let out = gate_compare(&cur, &base, &GateConfig::default()).unwrap();
+        let out = gate_compare(&cur, &base, 10.0).unwrap();
         assert!(!out.passed());
     }
 
@@ -188,7 +172,7 @@ mod tests {
     fn reports_improvements() {
         let base = doc(&[("retrieve_ms.app2", 10.0)]);
         let cur = doc(&[("retrieve_ms.app2", 5.0)]);
-        let out = gate_compare(&cur, &base, &GateConfig::default()).unwrap();
+        let out = gate_compare(&cur, &base, 10.0).unwrap();
         assert!(out.passed());
         assert_eq!(out.improvements.len(), 1);
     }
@@ -197,8 +181,8 @@ mod tests {
     fn round_trips_through_text() {
         let base = doc(&[("a", 1.5)]);
         let parsed = Json::parse(&base.render()).unwrap();
-        let out = gate_compare(&parsed, &base, &GateConfig::default()).unwrap();
+        let out = gate_compare(&parsed, &base, 10.0).unwrap();
         assert!(out.passed());
-        assert!(gate_compare(&Json::Null, &base, &GateConfig::default()).is_err());
+        assert!(gate_compare(&Json::Null, &base, 10.0).is_err());
     }
 }

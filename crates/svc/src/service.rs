@@ -90,10 +90,6 @@ pub struct WatchdogConfig {
     /// earns a `link-stall` health event (once per stall episode) and a
     /// `net.link_stalls` count.
     pub stall_ms: u64,
-    /// A link class whose pull-wait p99 exceeds this multiple of its
-    /// run-local baseline (first sample with >= 8 pulls) earns a
-    /// `link-degraded` health event (once per class).
-    pub p99_factor: f64,
 }
 
 impl Default for WatchdogConfig {
@@ -101,10 +97,14 @@ impl Default for WatchdogConfig {
         WatchdogConfig {
             poll_ms: 200,
             stall_ms: 2000,
-            p99_factor: 4.0,
         }
     }
 }
+
+/// A link class whose pull-wait p99 exceeds this multiple of its
+/// run-local baseline (first sample with >= 8 pulls) earns a
+/// `link-degraded` health event (once per class).
+const P99_FACTOR: f64 = 4.0;
 
 /// What a terminal run keeps in memory: the three artifacts `RunResult`
 /// serves, and its errors. The merged chrome trace is not among them —
@@ -516,7 +516,6 @@ fn run_engine(shared: &Arc<Shared>, id: u64) {
                     recorder: recorder.clone(),
                     run_epoch: id,
                     cancel: Arc::clone(&cancel),
-                    flight: FlightRecorder::disabled(),
                     p2p: shared.cfg.p2p,
                     shm: shared.cfg.shm,
                 },
@@ -771,12 +770,11 @@ fn watchdog_loop(shared: &Arc<Shared>) {
                 match st.baseline_p99[class] {
                     None => st.baseline_p99[class] = Some(p99.max(1)),
                     Some(base) => {
-                        if !st.degraded[class] && p99 as f64 > cfg.p99_factor * base as f64 {
+                        if !st.degraded[class] && p99 as f64 > P99_FACTOR * base as f64 {
                             st.degraded[class] = true;
                             events.push(format!(
                                 "link-degraded: {label} pull-wait p99 {p99} us exceeds \
-                                 {}x run baseline {base} us",
-                                cfg.p99_factor
+                                 {P99_FACTOR}x run baseline {base} us"
                             ));
                         }
                     }
@@ -1291,7 +1289,6 @@ mod tests {
             watchdog: WatchdogConfig {
                 poll_ms: 5,
                 stall_ms: 10,
-                p99_factor: 1e9, // stall detection only: keep drift quiet
             },
             ..SvcConfig::default()
         });

@@ -212,6 +212,22 @@ fi
 if grep -rnE 'insitu_util::channel|mod channel|pool_worker|struct Assignment|svc-pool' crates; then
     echo "the hand-rolled channel or the standing joiner pool grew back"; exit 1
 fi
+# Fault injection is stated once, in insitu_fabric::fault: no second
+# list of the fault slugs, no copy of the telemetry kind byte, no
+# per-frame eligibility table beside the hooks, and every hook of
+# `trait FaultHooks` defined once outside the tests (no forwarding
+# facade repeating it).
+if grep -rnE 'intern_fault_slug|TELEMETRY_FRAME_KIND|fault_eligible|fault_ids' crates tests; then
+    echo "a second statement of the fault vocabulary grew back"; exit 1
+fi
+fault_src=$(sed '/^#\[cfg(test)\]/,$d' crates/fabric/src/fault.rs)
+hooks=$(sed -n '/^pub trait FaultHooks/,/^}/p' <<< "$fault_src" | sed -n 's/^    fn \([a-z_]*\).*/\1/p')
+[[ -n "$hooks" ]] || { echo "no FaultHooks methods found in fabric/src/fault.rs"; exit 1; }
+for hook in $hooks; do
+    if [[ $(grep -c "fn $hook(" <<< "$fault_src") -ne 1 ]]; then
+        echo "fault hook $hook is defined more than once in fabric/src/fault.rs"; exit 1
+    fi
+done
 long=$(find crates/cods/src crates/net/src -name '*.rs' ! -path crates/net/src/frame.rs \
     -exec wc -l {} + | awk '$2 != "total" && $1 > 1200')
 if [[ -n "$long" ]]; then

@@ -31,17 +31,6 @@ fn insitu() -> Command {
     Command::new(env!("CARGO_BIN_EXE_insitu"))
 }
 
-/// The chaos crate sits below the transport in the dependency order,
-/// so it duplicates the `Telemetry` kind byte its `net-telemetry`
-/// fault site classifies frames by. Pin the two constants together.
-#[test]
-fn telemetry_kind_byte_pinned_across_crates() {
-    assert_eq!(
-        insitu_net::KIND_TELEMETRY,
-        insitu_chaos::TELEMETRY_FRAME_KIND
-    );
-}
-
 #[test]
 fn merged_trace_stitches_every_wire_pair_and_profile_covers_e2e() {
     let trace = std::env::temp_dir().join("insitu_integration_merged_trace.json");

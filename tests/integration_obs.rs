@@ -11,8 +11,7 @@ use insitu::{
     sequential_scenario, MappingStrategy, ModeledConfig, ThreadedConfig,
 };
 use insitu_obs::{
-    chrome_trace_with_flows, gate_compare, profile_doc, EventKind, FlightRecorder, GateConfig,
-    ProfileReport,
+    chrome_trace_with_flows, gate_compare, profile_doc, EventKind, FlightRecorder, ProfileReport,
 };
 use insitu_telemetry::{Json, Recorder};
 
@@ -163,14 +162,14 @@ fn gate_trips_on_synthetic_two_x_slowdown() {
     // Healthy rerun: the modeled executor is deterministic, so the
     // regenerated document is bit-identical and the gate passes.
     let healthy = profile_doc("gate", "test", &rows_for());
-    let out = gate_compare(&healthy, &baseline, &GateConfig::default()).unwrap();
+    let out = gate_compare(&healthy, &baseline, 10.0).unwrap();
     assert!(out.passed(), "healthy rerun regressed: {}", out.render());
 
     // Every metric at 2x: all rows sit far past the 10% threshold, so
     // every one must be flagged and the gate must fail.
     let doubled: Vec<(String, f64)> = rows.iter().map(|(k, v)| (k.clone(), v * 2.0)).collect();
     let slowed = profile_doc("gate", "test", &doubled);
-    let out = gate_compare(&slowed, &baseline, &GateConfig::default()).unwrap();
+    let out = gate_compare(&slowed, &baseline, 10.0).unwrap();
     assert!(!out.passed(), "2x slowdown not caught: {}", out.render());
     assert_eq!(
         out.render().matches("REGRESSION").count(),
