@@ -7,17 +7,13 @@
 //! verifies the merged transfer ledger is byte-identical.
 
 use crate::driver::{build_scenario, CliError};
-use insitu::{
-    join, map_scenario, run_threaded, serve, DistribOutcome, JoinOptions, MappingStrategy,
-    ServeOptions,
-};
+use insitu::{join, map_scenario, run_threaded, serve, DistribOutcome, JoinOptions, ServeOptions};
 use insitu_fabric::TrafficClass;
 use insitu_obs::{chrome_trace_merged, merge_traces, FlightRecorder, ProfileReport};
 use insitu_telemetry::Recorder;
 use insitu_util::shm;
 use std::net::TcpListener;
 use std::path::PathBuf;
-use std::time::Duration;
 
 /// Options of the `serve` subcommand.
 #[derive(Clone, Debug)]
@@ -28,23 +24,10 @@ pub struct ServeCmd {
     pub config: String,
     /// Address to listen on, e.g. `127.0.0.1:7001`.
     pub listen: String,
-    /// Mapping strategy, sent to every joiner.
-    pub strategy: MappingStrategy,
-    /// How long to wait for joiners before failing (never blocks past
-    /// this).
-    pub timeout_ms: u64,
-    /// Write the merged ledger snapshot as JSON here after the run.
-    pub ledger_out: Option<PathBuf>,
-    /// Write the merged cross-process chrome trace here after the run.
-    pub trace_out: Option<PathBuf>,
-    /// Write the merged critical-path profile as JSON here.
-    pub profile_out: Option<PathBuf>,
-    /// Peer-to-peer data plane: joiners exchange `PullData` over direct
-    /// links, the hub carries control traffic only.
-    pub p2p: bool,
-    /// Keep same-host `PullData` off the shared-memory plane and on the
-    /// socket (`--no-shm`).
-    pub no_shm: bool,
+    /// The server's knobs, handed to [`serve`] as they are.
+    pub opts: ServeOptions,
+    /// Where to write the merged run's artifacts.
+    pub out: RunOutputs,
 }
 
 /// Options of the `join` subcommand. No workflow files: the server
@@ -55,11 +38,8 @@ pub struct JoinCmd {
     pub connect: String,
     /// Which simulated node this process claims.
     pub node: u32,
-    /// How long to keep trying to reach the server before failing.
-    pub timeout_ms: u64,
-    /// Opt this node out of the shared-memory plane: its `Hello`
-    /// carries no host fingerprint, so no peer ever offers it a segment.
-    pub no_shm: bool,
+    /// The joiner's knobs; `join_cmd` switches both recorders on.
+    pub opts: JoinOptions,
 }
 
 /// Options of the `launch` subcommand.
@@ -71,23 +51,23 @@ pub struct LaunchCmd {
     pub config: String,
     /// Total process count: 1 server + one joiner per node.
     pub procs: u32,
-    /// Mapping strategy.
-    pub strategy: MappingStrategy,
-    /// Joiner/server handshake timeout.
-    pub timeout_ms: u64,
-    /// Write the merged ledger snapshot as JSON here after the run.
+    /// The in-process server's knobs. With `p2p`, `launch` additionally
+    /// asserts that zero `PullData` frames traversed the hub; without
+    /// `shm`, every joiner is spawned with `--no-shm` too.
+    pub opts: ServeOptions,
+    /// Where to write the merged run's artifacts.
+    pub out: RunOutputs,
+}
+
+/// The files `serve` and `launch` write after a distributed run.
+#[derive(Clone, Debug, Default)]
+pub struct RunOutputs {
+    /// The merged ledger snapshot as JSON.
     pub ledger_out: Option<PathBuf>,
-    /// Write the merged cross-process chrome trace here after the run.
+    /// The merged cross-process chrome trace.
     pub trace_out: Option<PathBuf>,
-    /// Write the merged critical-path profile as JSON here.
+    /// The merged critical-path profile as JSON.
     pub profile_out: Option<PathBuf>,
-    /// Peer-to-peer data plane (see [`ServeCmd::p2p`]). `launch`
-    /// additionally asserts that zero `PullData` frames traversed the
-    /// hub, via the `net.pull_frames_hub` counter.
-    pub p2p: bool,
-    /// Disable the shared-memory plane for the whole run: the hub ships
-    /// no host table and every joiner is spawned with `--no-shm`.
-    pub no_shm: bool,
 }
 
 fn render_outcome(o: &DistribOutcome) -> String {
@@ -119,11 +99,7 @@ fn write_ledger(path: &PathBuf, o: &DistribOutcome) -> Result<String, CliError> 
 /// Merge the joiners' shipped telemetry into one cross-process trace,
 /// render its critical-path summary and degradation warnings, and write
 /// the merged chrome trace / profile files when requested.
-fn render_merged_telemetry(
-    o: &DistribOutcome,
-    trace_out: Option<&PathBuf>,
-    profile_out: Option<&PathBuf>,
-) -> Result<String, CliError> {
+fn render_merged_telemetry(o: &DistribOutcome, files: &RunOutputs) -> Result<String, CliError> {
     let merged = merge_traces(o.telemetry.clone());
     let report = ProfileReport::analyze(&merged.events, merged.dropped);
     let t = report.totals();
@@ -144,7 +120,7 @@ fn render_merged_telemetry(
     for w in merged.warnings() {
         out.push_str(&format!("warning:   telemetry: {w}\n"));
     }
-    if let Some(path) = trace_out {
+    if let Some(path) = &files.trace_out {
         std::fs::write(path, chrome_trace_merged(&merged).render() + "\n")
             .map_err(|e| CliError::Io(format!("cannot write {}: {e}", path.display())))?;
         out.push_str(&format!(
@@ -152,7 +128,7 @@ fn render_merged_telemetry(
             path.display()
         ));
     }
-    if let Some(path) = profile_out {
+    if let Some(path) = &files.profile_out {
         std::fs::write(path, report.to_json().render() + "\n")
             .map_err(|e| CliError::Io(format!("cannot write {}: {e}", path.display())))?;
         out.push_str(&format!(
@@ -171,15 +147,8 @@ pub fn serve_cmd(cmd: &ServeCmd) -> Result<String, CliError> {
     let swept = shm::sweep_stale(&shm::segment_dir());
     let listener = TcpListener::bind(&cmd.listen)
         .map_err(|e| CliError::Io(format!("cannot listen on {}: {e}", cmd.listen)))?;
-    let opts = ServeOptions {
-        strategy: cmd.strategy,
-        timeout: Duration::from_millis(cmd.timeout_ms),
-        p2p: cmd.p2p,
-        shm: !cmd.no_shm,
-        ..ServeOptions::default()
-    };
-    let outcome =
-        serve(&listener, &cmd.dag, &cmd.config, &scenario, &opts).map_err(CliError::Mismatch)?;
+    let outcome = serve(&listener, &cmd.dag, &cmd.config, &scenario, &cmd.opts)
+        .map_err(CliError::Mismatch)?;
     let mut out = String::new();
     if swept > 0 {
         out.push_str(&format!(
@@ -187,12 +156,8 @@ pub fn serve_cmd(cmd: &ServeCmd) -> Result<String, CliError> {
         ));
     }
     out.push_str(&render_outcome(&outcome));
-    out.push_str(&render_merged_telemetry(
-        &outcome,
-        cmd.trace_out.as_ref(),
-        cmd.profile_out.as_ref(),
-    )?);
-    if let Some(path) = &cmd.ledger_out {
+    out.push_str(&render_merged_telemetry(&outcome, &cmd.out)?);
+    if let Some(path) = &cmd.out.ledger_out {
         out.push_str(&write_ledger(path, &outcome)?);
     }
     Ok(out)
@@ -204,11 +169,9 @@ pub fn serve_cmd(cmd: &ServeCmd) -> Result<String, CliError> {
 /// stitch the merged cross-process trace.
 pub fn join_cmd(cmd: &JoinCmd) -> Result<String, CliError> {
     let opts = JoinOptions {
-        timeout: Duration::from_millis(cmd.timeout_ms),
         recorder: Recorder::enabled(),
         flight: FlightRecorder::enabled(),
-        shm: !cmd.no_shm,
-        ..JoinOptions::default()
+        ..cmd.opts.clone()
     };
     join(
         &cmd.connect,
@@ -239,7 +202,7 @@ fn reap_joiners(children: Vec<(u32, std::process::Child)>) {
 /// same workflow. Errors (including a ledger mismatch) exit nonzero.
 pub fn launch_cmd(cmd: &LaunchCmd) -> Result<String, CliError> {
     let scenario = build_scenario(&cmd.dag, &cmd.config)?;
-    let nodes = map_scenario(&scenario, cmd.strategy).machine.nodes;
+    let nodes = map_scenario(&scenario, cmd.opts.strategy).machine.nodes;
     if cmd.procs != nodes + 1 {
         return Err(CliError::Mismatch(format!(
             "--procs {} does not fit this workflow: it maps to {nodes} node(s), \
@@ -266,9 +229,9 @@ pub fn launch_cmd(cmd: &LaunchCmd) -> Result<String, CliError> {
             "--node".to_string(),
             node.to_string(),
             "--timeout-ms".to_string(),
-            cmd.timeout_ms.to_string(),
+            cmd.opts.timeout.as_millis().to_string(),
         ];
-        if cmd.no_shm {
+        if !cmd.opts.shm {
             join_args.push("--no-shm".to_string());
         }
         let spawned = std::process::Command::new(&exe)
@@ -293,12 +256,8 @@ pub fn launch_cmd(cmd: &LaunchCmd) -> Result<String, CliError> {
     // PullData off the socket in shm mode — are checked, not assumed.
     let recorder = Recorder::enabled();
     let opts = ServeOptions {
-        strategy: cmd.strategy,
-        timeout: Duration::from_millis(cmd.timeout_ms),
-        p2p: cmd.p2p,
-        shm: !cmd.no_shm,
         recorder: recorder.clone(),
-        ..ServeOptions::default()
+        ..cmd.opts.clone()
     };
     let outcome = match serve(&listener, &cmd.dag, &cmd.config, &scenario, &opts) {
         Ok(outcome) => outcome,
@@ -328,11 +287,7 @@ pub fn launch_cmd(cmd: &LaunchCmd) -> Result<String, CliError> {
 
     let mut out = format!("launch:    1 server + {nodes} joiner process(es) over {addr}\n");
     out.push_str(&render_outcome(&outcome));
-    out.push_str(&render_merged_telemetry(
-        &outcome,
-        cmd.trace_out.as_ref(),
-        cmd.profile_out.as_ref(),
-    )?);
+    out.push_str(&render_merged_telemetry(&outcome, &cmd.out)?);
     if !outcome.errors.is_empty() {
         return Err(CliError::Mismatch(format!(
             "distributed run hit {} task error(s)",
@@ -342,7 +297,7 @@ pub fn launch_cmd(cmd: &LaunchCmd) -> Result<String, CliError> {
 
     // The correctness anchor: the merged distributed ledger must be
     // byte-identical to the single-process threaded run.
-    let expected = run_threaded(&scenario, cmd.strategy);
+    let expected = run_threaded(&scenario, cmd.opts.strategy);
     if outcome.ledger != expected.ledger {
         return Err(CliError::Mismatch(format!(
             "ledger mismatch: distributed run accounted {} inter-app bytes, \
@@ -355,7 +310,7 @@ pub fn launch_cmd(cmd: &LaunchCmd) -> Result<String, CliError> {
         "ledger:    byte-identical to the single-process run ({} B total inter-app)\n",
         outcome.ledger.total_bytes(TrafficClass::InterApp)
     ));
-    if cmd.p2p {
+    if cmd.opts.p2p {
         let through_hub = recorder.metrics_snapshot().counter("net.pull_frames_hub");
         if through_hub != 0 {
             return Err(CliError::Mismatch(format!(
@@ -378,7 +333,7 @@ pub fn launch_cmd(cmd: &LaunchCmd) -> Result<String, CliError> {
     // assumed (ring-full fallbacks legitimately shift frames back to
     // the socket, so the census reports rather than hard-fails, and
     // tells that load-caused share apart from attach faults).
-    if cmd.no_shm {
+    if !cmd.opts.shm {
         out.push_str("shm:       disabled (--no-shm), PullData on the socket\n");
     } else {
         // net.shm_frames ticks on both ends of a transfer, so the
@@ -418,7 +373,7 @@ pub fn launch_cmd(cmd: &LaunchCmd) -> Result<String, CliError> {
             joiner_sum("sub.lagged"),
         ));
     }
-    if let Some(path) = &cmd.ledger_out {
+    if let Some(path) = &cmd.out.ledger_out {
         out.push_str(&write_ledger(path, &outcome)?);
     }
     Ok(out)
@@ -427,6 +382,7 @@ pub fn launch_cmd(cmd: &LaunchCmd) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     const DAG: &str = "\
 APP_ID 1
@@ -450,8 +406,10 @@ COUPLING VAR t PRODUCER 1 CONSUMERS 2 MODE concurrent
         let err = join_cmd(&JoinCmd {
             connect: addr.clone(),
             node: 0,
-            timeout_ms: 150,
-            no_shm: false,
+            opts: JoinOptions {
+                timeout: Duration::from_millis(150),
+                ..JoinOptions::default()
+            },
         })
         .unwrap_err();
         assert!(err.to_string().contains(&addr), "{err}");
@@ -463,13 +421,11 @@ COUPLING VAR t PRODUCER 1 CONSUMERS 2 MODE concurrent
             dag: DAG.into(),
             config: CFG.into(),
             listen: "127.0.0.1:0".into(),
-            strategy: MappingStrategy::DataCentric,
-            timeout_ms: 150,
-            ledger_out: None,
-            trace_out: None,
-            profile_out: None,
-            p2p: false,
-            no_shm: false,
+            opts: ServeOptions {
+                timeout: Duration::from_millis(150),
+                ..ServeOptions::default()
+            },
+            out: RunOutputs::default(),
         })
         .unwrap_err();
         assert!(err.to_string().contains("joiners"), "{err}");
@@ -485,13 +441,11 @@ COUPLING VAR t PRODUCER 1 CONSUMERS 2 MODE concurrent
             dag: DAG.into(),
             config: CFG.into(),
             listen: addr.clone(),
-            strategy: MappingStrategy::DataCentric,
-            timeout_ms: 150,
-            ledger_out: None,
-            trace_out: None,
-            profile_out: None,
-            p2p: false,
-            no_shm: false,
+            opts: ServeOptions {
+                timeout: Duration::from_millis(150),
+                ..ServeOptions::default()
+            },
+            out: RunOutputs::default(),
         })
         .unwrap_err();
         let msg = err.to_string();
@@ -520,13 +474,11 @@ COUPLING VAR t PRODUCER 1 CONSUMERS 2 MODE concurrent
             dag: DAG.into(),
             config: CFG.into(),
             procs: 7,
-            strategy: MappingStrategy::DataCentric,
-            timeout_ms: 1000,
-            ledger_out: None,
-            trace_out: None,
-            profile_out: None,
-            p2p: false,
-            no_shm: false,
+            opts: ServeOptions {
+                timeout: Duration::from_millis(1000),
+                ..ServeOptions::default()
+            },
+            out: RunOutputs::default(),
         })
         .unwrap_err();
         let msg = err.to_string();

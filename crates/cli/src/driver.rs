@@ -2,8 +2,8 @@
 
 use crate::config::{parse_config, ConfigError, WorkloadConfig};
 use insitu::{
-    map_scenario, run_modeled_configured, run_modeled_with, run_threaded_configured,
-    MappingStrategy, ModeledConfig, Scenario, ThreadedConfig,
+    map_scenario, run_modeled_configured, run_threaded_configured, MappingStrategy, ModeledConfig,
+    Scenario, ThreadedConfig,
 };
 use insitu_chaos::{FaultPlan, FaultSpec};
 use insitu_domain::{BoundingBox, Decomposition, ProcessGrid};
@@ -178,7 +178,12 @@ pub fn compare(
     let scenario = build_scenario(dag, config)?;
     let rec_rr = Recorder::enabled();
     let rec_dc = Recorder::enabled();
-    let rr = run_modeled_with(&scenario, MappingStrategy::RoundRobin, &rec_rr);
+    let rr = run_modeled_configured(
+        &scenario,
+        MappingStrategy::RoundRobin,
+        &rec_rr,
+        &Default::default(),
+    );
     let flight = flight_for(trace_out);
     let dc = run_modeled_configured(
         &scenario,

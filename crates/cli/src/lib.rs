@@ -29,7 +29,7 @@ pub mod driver;
 pub mod svc_cmd;
 
 pub use config::{parse_config, ConfigError, WorkloadConfig};
-pub use distrib::{join_cmd, launch_cmd, serve_cmd, JoinCmd, LaunchCmd, ServeCmd};
+pub use distrib::{join_cmd, launch_cmd, serve_cmd, JoinCmd, LaunchCmd, RunOutputs, ServeCmd};
 pub use driver::{
     build_scenario, gate, profile, run, CliError, GateOptions, Options, ProfileOptions,
 };

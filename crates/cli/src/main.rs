@@ -7,14 +7,16 @@
 //!     [--metrics-out m.json] [--trace-out t.json]
 //! ```
 
-use insitu::MappingStrategy;
+use insitu::{JoinOptions, MappingStrategy, ServeOptions};
 use insitu_chaos::FaultSpec;
 use insitu_cli::{
-    run, CancelCmd, GateOptions, JoinCmd, LaunchCmd, Options, ProfileOptions, ServeCmd, ServiceCmd,
-    StatusCmd, SubmitCmd, SubmitSource, WatchCmd,
+    run, CancelCmd, GateOptions, JoinCmd, LaunchCmd, Options, ProfileOptions, RunOutputs, ServeCmd,
+    ServiceCmd, StatusCmd, SubmitCmd, SubmitSource, WatchCmd,
 };
+use insitu_svc::SvcConfig;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::time::Duration;
 
 const USAGE: &str = "\
 usage: insitu run     [--dag] <file> --config <file>
@@ -24,8 +26,9 @@ usage: insitu run     [--dag] <file> --config <file>
               [--strategy <s>] [--modeled] [--json] [--trace-out <path>]
        insitu compare [--dag] <file> --config <file>
               [--metrics-out <path>] [--trace-out <path>]
-              [--gate <baseline.json>] [--threshold <pct>]
-              [--faults <spec>] [--seed <n>] [--write-baseline <path>]
+       insitu compare [--dag] <file> --config <file>
+              [--gate <baseline.json>] [--write-baseline <path>]
+              [--threshold <pct>] [--faults <spec>] [--seed <n>]
        insitu chaos   [--seed <n>] [--cases <n>] [--faults <spec>]
        insitu serve   [--dag] <file> --config <file> --listen <addr>
               [--strategy <s>] [--timeout-ms <n>] [--ledger-out <path>]
@@ -37,16 +40,22 @@ usage: insitu run     [--dag] <file> --config <file>
        insitu launch  [--dag] <file> --config <file> --procs <k>
               [--strategy <s>] [--timeout-ms <n>] [--ledger-out <path>]
               [--trace-out <path>] [--profile-out <path>] [--p2p] [--no-shm]
-       insitu launch  <workflow.toml> --procs <k> [...]
+       insitu launch  <workflow.toml> --procs <k>
+              [--strategy <s>] [--timeout-ms <n>] [--ledger-out <path>]
+              [--trace-out <path>] [--profile-out <path>] [--p2p] [--no-shm]
        insitu submit  --connect <addr> <workflow.toml> [--set k=v]...
               [--name <s>] [--strategy <s>] [--get-timeout-ms <n>]
               [--timeout-ms <n>] [--wait] [--priority <n>]
-       insitu submit  --connect <addr> [--dag] <file> --config <file> ...
-       insitu status  --connect <addr> [--run <id>] [--json]
+       insitu submit  --connect <addr> [--dag] <file> --config <file>
+              [--name <s>] [--strategy <s>] [--get-timeout-ms <n>]
+              [--timeout-ms <n>] [--wait] [--priority <n>]
+       insitu status  --connect <addr> [--run <id>] [--json] [--timeout-ms <n>]
        insitu watch   --connect <addr> --run <id> [--interval-ms <n>]
-              [--once] [--json]
-       insitu cancel  --connect <addr> --run <id>
+              [--once] [--json] [--timeout-ms <n>]
+       insitu cancel  --connect <addr> --run <id> [--timeout-ms <n>]
 
+Each subcommand reads exactly the flags listed for it above; any other
+argument is refused by name.
 `run` executes the workflow described by the DAG file (paper Listing-1
 syntax) with the workload configuration (domains, grids, distributions,
 couplings); default is data-centric mapping on the threaded executor.
@@ -63,7 +72,9 @@ a side-by-side summary with a per-counter metrics delta table. With
 `--gate` it instead checks the deterministic modeled profile against a
 baseline document and exits nonzero on regression beyond `--threshold`
 percent (default 10); `--faults` injects chaos link-slow faults into the
-model and `--write-baseline` refreshes the baseline file.
+model and `--write-baseline` refreshes the baseline file. `--threshold`,
+`--faults` and `--seed` need `--gate` or `--write-baseline`, which in
+turn take no `--metrics-out`/`--trace-out`.
 `--metrics-out` writes the telemetry registry snapshot as JSON (counters,
 gauges, and per-phase / per-task time histograms); `--trace-out` (run,
 profile, compare) writes the run's flight recording as a chrome://tracing
@@ -147,439 +158,432 @@ enum Command {
     Cancel(CancelCmd),
 }
 
-/// The value after `flag`, parsed: `flag needs <needs>` when the command
-/// line ends there, `bad <what> '<value>'` when it does not parse.
-fn value<T: std::str::FromStr>(
-    it: &mut std::slice::Iter<'_, String>,
-    flag: &str,
-    needs: &str,
-    what: &str,
-) -> Result<T, String> {
-    let v = it.next().ok_or_else(|| format!("{flag} needs {needs}"))?;
-    v.parse().map_err(|_| format!("bad {what} '{v}'"))
-}
+/// The arguments after the subcommand. A subcommand takes the flags it
+/// reads, in any order; [`Args::done`] then refuses whatever is left.
+struct Args(Vec<Option<String>>);
 
-fn parse_strategy(it: &mut std::slice::Iter<'_, String>) -> Result<MappingStrategy, String> {
-    let v: String = value(it, "--strategy", "a name", "name")?;
-    MappingStrategy::from_label(&v).ok_or_else(|| format!("unknown strategy {v:?}"))
-}
+impl Args {
+    /// Whether `name` was given.
+    fn flag(&mut self, name: &str) -> bool {
+        let mut seen = false;
+        for a in self.0.iter_mut().filter(|a| a.as_deref() == Some(name)) {
+            *a = None;
+            seen = true;
+        }
+        seen
+    }
 
-fn parse_distrib_args(sub: &str, args: &[String]) -> Result<Command, String> {
-    let mut dag_path: Option<String> = None;
-    let mut config_path: Option<String> = None;
-    let mut listen = None;
-    let mut connect = None;
-    let mut node: Option<u32> = None;
-    let mut procs: Option<u32> = None;
-    let mut strategy = MappingStrategy::DataCentric;
-    let mut timeout_ms = 30_000u64;
-    let mut ledger_out = None;
-    let mut max_runs: Option<usize> = None;
-    let mut queue_depth: Option<usize> = None;
-    let mut pool_nodes: Option<u32> = None;
-    let mut artifacts: Option<PathBuf> = None;
-    let mut trace_out: Option<PathBuf> = None;
-    let mut profile_out: Option<PathBuf> = None;
-    let mut faults: Option<FaultSpec> = None;
-    let mut seed = 42u64;
-    let mut stall_ms: Option<u64> = None;
-    let mut p2p = false;
-    let mut no_shm = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--faults" if sub == "serve" => {
-                faults = Some(FaultSpec::parse(&value::<String>(
-                    &mut it, a, "a spec", "spec",
-                )?)?);
+    /// The argument after each `name`, in order: `name needs <needs>`
+    /// when the command line ends there.
+    fn values(&mut self, name: &str, needs: &str) -> Result<Vec<String>, String> {
+        let mut out = Vec::new();
+        let mut it = self.0.iter_mut();
+        while let Some(a) = it.next() {
+            if a.as_deref() == Some(name) {
+                *a = None;
+                let v = it.next().and_then(Option::take);
+                out.push(v.ok_or_else(|| format!("{name} needs {needs}"))?);
             }
-            "--seed" if sub == "serve" => seed = value(&mut it, a, "a number", "seed")?,
-            "--stall-ms" if sub == "serve" => {
-                stall_ms = Some(value(&mut it, a, "a number", "threshold")?)
+        }
+        Ok(out)
+    }
+
+    /// The value of the last `name`, parsed: `bad <what> '<v>'` when it
+    /// does not parse.
+    fn value<T: std::str::FromStr>(
+        &mut self,
+        name: &str,
+        needs: &str,
+        what: &str,
+    ) -> Result<Option<T>, String> {
+        let Some(v) = self.values(name, needs)?.pop() else {
+            return Ok(None);
+        };
+        v.parse().map(Some).map_err(|_| format!("bad {what} '{v}'"))
+    }
+
+    /// The first bare word left. A word right after a flag nobody has
+    /// read yet is taken to be that flag's value, so it is skipped.
+    fn positional(&mut self) -> Option<String> {
+        let mut after_flag = false;
+        for a in &mut self.0 {
+            let is_flag = a.as_deref().is_some_and(|s| s.starts_with('-'));
+            if a.is_some() && !is_flag && !after_flag {
+                return a.take();
             }
-            "--max-runs" if sub == "serve" => {
-                max_runs = Some(value(&mut it, a, "a count", "run count")?)
-            }
-            "--queue-depth" if sub == "serve" => {
-                queue_depth = Some(value(&mut it, a, "a count", "queue depth")?)
-            }
-            "--pool-nodes" if sub == "serve" => {
-                pool_nodes = Some(value(&mut it, a, "a count", "node budget")?)
-            }
-            "--artifacts" if sub == "serve" => artifacts = Some(value(&mut it, a, "a dir", "dir")?),
-            "--dag" if sub != "join" => dag_path = Some(value(&mut it, a, "a path", "path")?),
-            "--config" if sub != "join" => config_path = Some(value(&mut it, a, "a path", "path")?),
-            "--listen" if sub == "serve" => {
-                listen = Some(value(&mut it, a, "an address", "address")?)
-            }
-            "--connect" if sub == "join" => {
-                connect = Some(value(&mut it, a, "an address", "address")?)
-            }
-            "--node" if sub == "join" => node = Some(value(&mut it, a, "a number", "node")?),
-            "--procs" if sub == "launch" => {
-                procs = Some(value(&mut it, a, "a count", "process count")?)
-            }
-            "--p2p" if sub != "join" => p2p = true,
-            "--no-shm" => no_shm = true,
-            "--strategy" if sub != "join" => strategy = parse_strategy(&mut it)?,
-            "--timeout-ms" => timeout_ms = value(&mut it, a, "a number", "timeout")?,
-            "--ledger-out" if sub != "join" => {
-                ledger_out = Some(value(&mut it, a, "a path", "path")?)
-            }
-            "--trace-out" if sub != "join" => {
-                trace_out = Some(value(&mut it, a, "a path", "path")?)
-            }
-            "--profile-out" if sub != "join" => {
-                profile_out = Some(value(&mut it, a, "a path", "path")?)
-            }
-            other if !other.starts_with('-') && sub != "join" && dag_path.is_none() => {
-                dag_path = Some(other.to_string())
-            }
-            other => return Err(format!("unknown argument '{other}'")),
+            after_flag = is_flag;
+        }
+        None
+    }
+
+    /// Refuse the first argument nobody took.
+    fn done(self) -> Result<(), String> {
+        match self.0.into_iter().flatten().next() {
+            Some(a) => Err(format!("unknown argument '{a}'")),
+            None => Ok(()),
         }
     }
-    if sub == "join" {
-        return Ok(Command::Join(JoinCmd {
-            connect: connect.ok_or("missing --connect")?,
-            node: node.ok_or("missing --node")?,
-            timeout_ms,
-            no_shm,
-        }));
+
+    fn strategy(&mut self) -> Result<MappingStrategy, String> {
+        match self.value::<String>("--strategy", "a name", "name")? {
+            Some(v) => {
+                MappingStrategy::from_label(&v).ok_or_else(|| format!("unknown strategy {v:?}"))
+            }
+            None => Ok(MappingStrategy::DataCentric),
+        }
     }
-    if sub == "serve" && dag_path.is_none() && config_path.is_none() {
-        // No workflow files: run the multi-tenant service.
-        return Ok(Command::Service(ServiceCmd {
-            listen: listen.ok_or("missing --listen")?,
-            max_runs: max_runs.unwrap_or(4),
-            queue_depth: queue_depth.unwrap_or(32),
-            pool_nodes: pool_nodes.unwrap_or(8),
-            artifacts,
+
+    fn faults(&mut self) -> Result<Option<FaultSpec>, String> {
+        self.value::<String>("--faults", "a spec", "spec")?
+            .map(|s| FaultSpec::parse(&s))
+            .transpose()
+    }
+
+    fn path(&mut self, name: &str) -> Result<Option<PathBuf>, String> {
+        self.value(name, "a path", "path")
+    }
+
+    /// `--timeout-ms`, or `default`.
+    fn timeout(&mut self, default: Duration) -> Result<Duration, String> {
+        let ms = self.value("--timeout-ms", "a number", "timeout")?;
+        Ok(ms.map_or(default, Duration::from_millis))
+    }
+
+    /// `[--dag] <file> --config <file>`. Read it after the subcommand's
+    /// other flags, so that none of their values is taken for the DAG.
+    fn workflow_paths(&mut self) -> Result<(Option<String>, Option<String>), String> {
+        let dag = self.value("--dag", "a path", "path")?;
+        let config = self.value("--config", "a path", "path")?;
+        Ok((dag.or_else(|| self.positional()), config))
+    }
+
+    /// The workflow paths, then [`Args::done`], then both files read.
+    fn files(mut self) -> Result<(String, String), String> {
+        let (dag, config) = self.workflow_paths()?;
+        self.done()?;
+        read_pair(dag, config)
+    }
+
+    /// `--ledger-out`, `--trace-out` and `--profile-out`.
+    fn outputs(&mut self) -> Result<RunOutputs, String> {
+        Ok(RunOutputs {
+            ledger_out: self.path("--ledger-out")?,
+            trace_out: self.path("--trace-out")?,
+            profile_out: self.path("--profile-out")?,
+        })
+    }
+
+    /// `--connect` and `--timeout-ms`, which every service client reads.
+    fn client(&mut self) -> Result<(Option<String>, u64), String> {
+        let connect = self.value("--connect", "an address", "address")?;
+        let timeout_ms = self.value("--timeout-ms", "a number", "timeout")?;
+        Ok((connect, timeout_ms.unwrap_or(30_000)))
+    }
+
+    /// The flags `serve` and `launch` share besides `--p2p`/`--no-shm`.
+    fn serve_options(&mut self, p2p: bool, shm: bool) -> Result<ServeOptions, String> {
+        let d = ServeOptions::default();
+        Ok(ServeOptions {
+            strategy: self.strategy()?,
+            timeout: self.timeout(d.timeout)?,
             p2p,
-            faults,
-            seed,
-            stall_ms,
-            no_shm,
-        }));
-    }
-    if max_runs.is_some()
-        || queue_depth.is_some()
-        || pool_nodes.is_some()
-        || artifacts.is_some()
-        || faults.is_some()
-        || stall_ms.is_some()
-    {
-        return Err(
-            "--max-runs/--queue-depth/--pool-nodes/--artifacts/--faults/--stall-ms need \
-             service mode (serve without --dag/--config)"
-                .into(),
-        );
-    }
-    let dag_path = dag_path.ok_or("missing --dag")?;
-    // A workflow.toml stands in for the --dag/--config pair: compile it
-    // client-side exactly as `submit` would.
-    let (dag, config) = if dag_path.ends_with(".toml") {
-        if config_path.is_some() {
-            return Err("give either a workflow.toml or --dag/--config, not both".into());
-        }
-        let source = std::fs::read_to_string(&dag_path)
-            .map_err(|e| format!("cannot read {dag_path}: {e}"))?;
-        let authored =
-            insitu_workflow::compile_workflow(&source, &[]).map_err(|e| e.to_string())?;
-        (authored.dag, authored.config)
-    } else {
-        let config_path = config_path.ok_or("missing --config")?;
-        let dag = std::fs::read_to_string(&dag_path)
-            .map_err(|e| format!("cannot read {dag_path}: {e}"))?;
-        let config = std::fs::read_to_string(&config_path)
-            .map_err(|e| format!("cannot read {config_path}: {e}"))?;
-        (dag, config)
-    };
-    if sub == "serve" {
-        Ok(Command::Serve(ServeCmd {
-            dag,
-            config,
-            listen: listen.ok_or("missing --listen")?,
-            strategy,
-            timeout_ms,
-            ledger_out,
-            trace_out,
-            profile_out,
-            p2p,
-            no_shm,
-        }))
-    } else {
-        Ok(Command::Launch(LaunchCmd {
-            dag,
-            config,
-            procs: procs.ok_or("missing --procs")?,
-            strategy,
-            timeout_ms,
-            ledger_out,
-            trace_out,
-            profile_out,
-            p2p,
-            no_shm,
-        }))
+            shm,
+            ..d
+        })
     }
 }
 
-fn parse_client_args(sub: &str, args: &[String]) -> Result<Command, String> {
-    let mut connect: Option<String> = None;
-    let mut run: Option<u64> = None;
-    let mut json = false;
-    let mut timeout_ms = 30_000u64;
-    let mut dag_path: Option<String> = None;
-    let mut config_path: Option<String> = None;
-    let mut toml_path: Option<String> = None;
-    let mut sets: Vec<(String, String)> = Vec::new();
-    let mut name: Option<String> = None;
-    let mut strategy = MappingStrategy::DataCentric;
-    let mut get_timeout_ms = 60_000u64;
-    let mut wait = false;
-    let mut priority = 0u32;
-    let mut interval_ms = 500u64;
-    let mut once = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--connect" => connect = Some(value(&mut it, a, "an address", "address")?),
-            "--timeout-ms" => timeout_ms = value(&mut it, a, "a number", "timeout")?,
-            "--run" if sub != "submit" => run = Some(value(&mut it, a, "an id", "run id")?),
-            "--json" if sub == "status" || sub == "watch" => json = true,
-            "--interval-ms" if sub == "watch" => {
-                interval_ms = value(&mut it, a, "a number", "interval")?
+fn read(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
+}
+
+const NOT_BOTH: &str = "give either a workflow.toml or --dag/--config, not both";
+
+fn read_pair(dag: Option<String>, config: Option<String>) -> Result<(String, String), String> {
+    let dag = dag.ok_or("missing --dag")?;
+    let config = config.ok_or("missing --config")?;
+    Ok((read(&dag)?, read(&config)?))
+}
+
+/// The (dag, config) texts `serve` and `launch` run: the two files, or a
+/// workflow.toml compiled client-side exactly as `submit` would.
+fn workflow(dag: Option<String>, config: Option<String>) -> Result<(String, String), String> {
+    match dag {
+        Some(toml) if toml.ends_with(".toml") => {
+            if config.is_some() {
+                return Err(NOT_BOTH.into());
             }
-            "--once" if sub == "watch" => once = true,
-            "--dag" if sub == "submit" => dag_path = Some(value(&mut it, a, "a path", "path")?),
-            "--config" if sub == "submit" => {
-                config_path = Some(value(&mut it, a, "a path", "path")?)
-            }
-            "--set" if sub == "submit" => {
-                let v: String = value(&mut it, a, "key=value", "override")?;
-                sets.push(insitu_workflow::parse_override(&v).map_err(|e| e.to_string())?);
-            }
-            "--name" if sub == "submit" => name = Some(value(&mut it, a, "a string", "string")?),
-            "--strategy" if sub == "submit" => strategy = parse_strategy(&mut it)?,
-            "--get-timeout-ms" if sub == "submit" => {
-                get_timeout_ms = value(&mut it, a, "a number", "timeout")?
-            }
-            "--wait" if sub == "submit" => wait = true,
-            "--priority" if sub == "submit" => {
-                priority = value(&mut it, a, "a number", "priority")?
-            }
-            other if !other.starts_with('-') && sub == "submit" => {
-                if other.ends_with(".toml") {
-                    toml_path = Some(other.to_string());
-                } else if dag_path.is_none() {
-                    dag_path = Some(other.to_string());
-                } else {
-                    return Err(format!("unexpected argument '{other}'"));
-                }
-            }
-            other => return Err(format!("unknown argument '{other}'")),
+            let w =
+                insitu_workflow::compile_workflow(&read(&toml)?, &[]).map_err(|e| e.to_string())?;
+            Ok((w.dag, w.config))
         }
-    }
-    let connect = connect.ok_or("missing --connect")?;
-    match sub {
-        "status" => Ok(Command::Status(StatusCmd {
-            connect,
-            run,
-            json,
-            timeout_ms,
-        })),
-        "cancel" => Ok(Command::Cancel(CancelCmd {
-            connect,
-            run: run.ok_or("missing --run")?,
-            timeout_ms,
-        })),
-        "watch" => Ok(Command::Watch(WatchCmd {
-            connect,
-            run: run.ok_or("missing --run")?,
-            interval_ms,
-            once,
-            json,
-            timeout_ms,
-        })),
-        _ => {
-            let read = |p: &String| {
-                std::fs::read_to_string(p).map_err(|e| format!("cannot read {p}: {e}"))
-            };
-            let source = match (toml_path, dag_path, config_path) {
-                (Some(t), None, None) => SubmitSource::Toml {
-                    source: read(&t)?,
-                    sets,
-                },
-                (None, Some(d), Some(c)) => {
-                    if !sets.is_empty() {
-                        return Err("--set needs a workflow.toml, not --dag/--config".into());
-                    }
-                    SubmitSource::Plain {
-                        dag: read(&d)?,
-                        config: read(&c)?,
-                    }
-                }
-                (Some(_), _, _) => {
-                    return Err("give either a workflow.toml or --dag/--config, not both".into())
-                }
-                _ => return Err("missing workflow: a .toml file or --dag/--config".into()),
-            };
-            Ok(Command::Submit(SubmitCmd {
-                connect,
-                source,
-                name,
-                strategy: strategy.label().to_string(),
-                get_timeout_ms,
-                timeout_ms,
-                wait,
-                priority,
-            }))
-        }
+        dag => read_pair(dag, config),
     }
 }
 
-fn parse_chaos_args(args: &[String]) -> Result<Command, String> {
-    let mut seed = 42u64;
-    let mut cases = 25u64;
-    let mut faults = FaultSpec::standard();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => seed = value(&mut it, a, "a number", "seed")?,
-            "--cases" => cases = value(&mut it, a, "a number", "case count")?,
-            "--faults" => {
-                faults = FaultSpec::parse(&value::<String>(&mut it, a, "a spec", "spec")?)?;
-            }
-            other => return Err(format!("unknown argument '{other}'")),
-        }
-    }
-    Ok(Command::Chaos {
-        seed,
-        cases,
-        faults,
-    })
-}
+const SUBCOMMANDS: &str = "expected the 'run', 'profile', 'compare', 'chaos', 'serve', 'join', \
+                           'launch', 'submit', 'status', 'watch' or 'cancel' subcommand";
 
 fn parse_args(args: &[String]) -> Result<Command, String> {
-    let sub = args.first().map(String::as_str);
-    if sub == Some("chaos") {
-        return parse_chaos_args(&args[1..]);
-    }
-    if let Some(s @ ("serve" | "join" | "launch")) = sub {
-        return parse_distrib_args(s, &args[1..]);
-    }
-    if let Some(s @ ("submit" | "status" | "cancel" | "watch")) = sub {
-        return parse_client_args(s, &args[1..]);
-    }
-    if sub != Some("run") && sub != Some("compare") && sub != Some("profile") {
-        return Err(
-            "expected the 'run', 'profile', 'compare', 'chaos', 'serve', 'join', 'launch', \
-             'submit', 'status', 'watch' or 'cancel' subcommand"
-                .into(),
-        );
-    }
-    let mut dag_path: Option<String> = None;
-    let mut config_path: Option<String> = None;
-    let mut strategy = MappingStrategy::DataCentric;
-    let mut threaded = true;
-    let mut json = false;
-    let mut metrics_out = None;
-    let mut trace_out = None;
-    let mut gate_baseline = None;
-    let mut threshold_pct = 10.0f64;
-    let mut gate_faults = None;
-    let mut gate_seed = 42u64;
-    let mut write_baseline = None;
-    let mut it = args[1..].iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--dag" => dag_path = Some(value(&mut it, a, "a path", "path")?),
-            "--config" => config_path = Some(value(&mut it, a, "a path", "path")?),
-            "--strategy" => strategy = parse_strategy(&mut it)?,
-            "--modeled" => threaded = false,
-            "--json" if sub == Some("profile") => json = true,
+    let Some((sub, rest)) = args.split_first() else {
+        return Err(SUBCOMMANDS.into());
+    };
+    let mut a = Args(rest.iter().cloned().map(Some).collect());
+    Ok(match sub.as_str() {
+        "run" => {
+            let strategy = a.strategy()?;
+            let threaded = !a.flag("--modeled");
+            let metrics_out = a.path("--metrics-out")?;
+            let trace_out = a.path("--trace-out")?;
+            let (dag, config) = a.files()?;
+            Command::Run(Options {
+                dag,
+                config,
+                strategy,
+                threaded,
+                metrics_out,
+                trace_out,
+            })
+        }
+        "profile" => {
             // A loud refusal, not a silent scope bug: single-process
             // profile output for a multi-process run would print a
             // plausible but wrong critical path.
-            "--procs" if sub == Some("profile") => {
+            if a.flag("--procs") {
                 return Err(
                     "profile is single-process: with --procs its trace would cover only this \
                      process and print a misleading critical path. Use `insitu launch --procs <k> \
                      --profile-out <p.json> --trace-out <t.json>` instead — the hub merges every \
                      joiner's shipped telemetry into one cross-process profile and trace"
                         .into(),
-                )
+                );
             }
-            "--metrics-out" => metrics_out = Some(value(&mut it, a, "a path", "path")?),
-            "--trace-out" => trace_out = Some(value(&mut it, a, "a path", "path")?),
-            "--gate" if sub == Some("compare") => {
-                gate_baseline = Some(value(&mut it, a, "a path", "path")?)
-            }
-            "--threshold" if sub == Some("compare") => {
-                threshold_pct = value(&mut it, a, "a percentage", "threshold")?
-            }
-            "--faults" if sub == Some("compare") => {
-                gate_faults = Some(FaultSpec::parse(&value::<String>(
-                    &mut it, a, "a spec", "spec",
-                )?)?);
-            }
-            "--seed" if sub == Some("compare") => {
-                gate_seed = value(&mut it, a, "a number", "seed")?
-            }
-            "--write-baseline" if sub == Some("compare") => {
-                write_baseline = Some(value(&mut it, a, "a path", "path")?)
-            }
-            other if !other.starts_with('-') && dag_path.is_none() => {
-                dag_path = Some(other.to_string())
-            }
-            other => return Err(format!("unknown argument '{other}'")),
-        }
-    }
-    let dag_path = dag_path.ok_or("missing --dag")?;
-    let config_path = config_path.ok_or("missing --config")?;
-    let dag =
-        std::fs::read_to_string(&dag_path).map_err(|e| format!("cannot read {dag_path}: {e}"))?;
-    let config = std::fs::read_to_string(&config_path)
-        .map_err(|e| format!("cannot read {config_path}: {e}"))?;
-    if sub == Some("profile") {
-        return Ok(Command::Profile(ProfileOptions {
-            dag,
-            config,
-            strategy,
-            threaded,
-            json,
-            trace_out,
-        }));
-    }
-    if sub == Some("compare") {
-        if gate_baseline.is_some() || write_baseline.is_some() {
-            return Ok(Command::Gate {
+            let strategy = a.strategy()?;
+            let threaded = !a.flag("--modeled");
+            let json = a.flag("--json");
+            let trace_out = a.path("--trace-out")?;
+            let (dag, config) = a.files()?;
+            Command::Profile(ProfileOptions {
                 dag,
                 config,
-                opts: GateOptions {
-                    baseline: gate_baseline,
-                    threshold_pct,
-                    faults: gate_faults,
-                    seed: gate_seed,
-                    write_baseline,
-                },
-            });
+                strategy,
+                threaded,
+                json,
+                trace_out,
+            })
         }
-        Ok(Command::Compare {
-            dag,
-            config,
-            metrics_out,
-            trace_out,
-        })
-    } else {
-        Ok(Command::Run(Options {
-            dag,
-            config,
-            strategy,
-            threaded,
-            metrics_out,
-            trace_out,
-        }))
-    }
+        "compare" => {
+            let baseline = a.path("--gate")?;
+            let write_baseline = a.path("--write-baseline")?;
+            if baseline.is_none() && write_baseline.is_none() {
+                let metrics_out = a.path("--metrics-out")?;
+                let trace_out = a.path("--trace-out")?;
+                let (dag, config) = a.files()?;
+                return Ok(Command::Compare {
+                    dag,
+                    config,
+                    metrics_out,
+                    trace_out,
+                });
+            }
+            let opts = GateOptions {
+                baseline,
+                threshold_pct: a
+                    .value("--threshold", "a percentage", "threshold")?
+                    .unwrap_or(10.0),
+                faults: a.faults()?,
+                seed: a.value("--seed", "a number", "seed")?.unwrap_or(42),
+                write_baseline,
+            };
+            let (dag, config) = a.files()?;
+            Command::Gate { dag, config, opts }
+        }
+        "chaos" => {
+            let seed = a.value("--seed", "a number", "seed")?.unwrap_or(42);
+            let cases = a.value("--cases", "a number", "case count")?.unwrap_or(25);
+            let faults = a.faults()?.unwrap_or_else(FaultSpec::standard);
+            a.done()?;
+            Command::Chaos {
+                seed,
+                cases,
+                faults,
+            }
+        }
+        "serve" => {
+            let listen = a.value::<String>("--listen", "an address", "address")?;
+            let p2p = a.flag("--p2p");
+            let shm = !a.flag("--no-shm");
+            let (dag, config) = a.workflow_paths()?;
+            if dag.is_none() && config.is_none() {
+                // No workflow files: run the multi-tenant service.
+                let d = SvcConfig::default();
+                let mut watchdog = d.watchdog;
+                if let Some(ms) = a.value("--stall-ms", "a number", "threshold")? {
+                    watchdog.stall_ms = ms;
+                    // Keep several polls inside one stall window so a
+                    // short threshold still gets sampled before it trips.
+                    watchdog.poll_ms = watchdog.poll_ms.min(ms / 2).max(1);
+                }
+                let cfg = SvcConfig {
+                    max_runs: a
+                        .value("--max-runs", "a count", "run count")?
+                        .unwrap_or(d.max_runs),
+                    queue_depth: a
+                        .value("--queue-depth", "a count", "queue depth")?
+                        .unwrap_or(d.queue_depth),
+                    pool_nodes: a
+                        .value("--pool-nodes", "a count", "node budget")?
+                        .unwrap_or(d.pool_nodes),
+                    artifacts_dir: a.value("--artifacts", "a dir", "dir")?,
+                    verbose: true,
+                    p2p,
+                    shm,
+                    watchdog,
+                    ..d
+                };
+                let faults = a.faults()?;
+                let seed = a.value("--seed", "a number", "seed")?.unwrap_or(42);
+                a.done()?;
+                return Ok(Command::Service(ServiceCmd {
+                    listen: listen.ok_or("missing --listen")?,
+                    cfg,
+                    faults,
+                    seed,
+                }));
+            }
+            let service_only =
+                "--max-runs/--queue-depth/--pool-nodes/--artifacts/--faults/--seed/--stall-ms";
+            if service_only.split('/').any(|f| a.flag(f)) {
+                return Err(format!(
+                    "{service_only} need service mode (serve without --dag/--config)"
+                ));
+            }
+            let opts = a.serve_options(p2p, shm)?;
+            let out = a.outputs()?;
+            a.done()?;
+            let (dag, config) = workflow(dag, config)?;
+            Command::Serve(ServeCmd {
+                dag,
+                config,
+                listen: listen.ok_or("missing --listen")?,
+                opts,
+                out,
+            })
+        }
+        "launch" => {
+            let procs = a.value("--procs", "a count", "process count")?;
+            let p2p = a.flag("--p2p");
+            let shm = !a.flag("--no-shm");
+            let opts = a.serve_options(p2p, shm)?;
+            let out = a.outputs()?;
+            let (dag, config) = a.workflow_paths()?;
+            a.done()?;
+            let (dag, config) = workflow(dag, config)?;
+            Command::Launch(LaunchCmd {
+                dag,
+                config,
+                procs: procs.ok_or("missing --procs")?,
+                opts,
+                out,
+            })
+        }
+        "join" => {
+            let connect = a.value::<String>("--connect", "an address", "address")?;
+            let node = a.value("--node", "a number", "node")?;
+            let d = JoinOptions::default();
+            let opts = JoinOptions {
+                timeout: a.timeout(d.timeout)?,
+                shm: !a.flag("--no-shm"),
+                ..d
+            };
+            a.done()?;
+            Command::Join(JoinCmd {
+                connect: connect.ok_or("missing --connect")?,
+                node: node.ok_or("missing --node")?,
+                opts,
+            })
+        }
+        "submit" => {
+            let (connect, timeout_ms) = a.client()?;
+            let sets = a
+                .values("--set", "key=value")?
+                .iter()
+                .map(|v| insitu_workflow::parse_override(v).map_err(|e| e.to_string()))
+                .collect::<Result<Vec<_>, _>>()?;
+            let name = a.value("--name", "a string", "string")?;
+            let strategy = a.strategy()?.label().to_string();
+            let get_timeout_ms = a.value("--get-timeout-ms", "a number", "timeout")?;
+            let wait = a.flag("--wait");
+            let priority = a.value("--priority", "a number", "priority")?.unwrap_or(0);
+            let (path, config) = a.workflow_paths()?;
+            a.done()?;
+            let connect = connect.ok_or("missing --connect")?;
+            let source = match (path, config) {
+                (Some(t), None) if t.ends_with(".toml") => SubmitSource::Toml {
+                    source: read(&t)?,
+                    sets,
+                },
+                (Some(t), Some(_)) if t.ends_with(".toml") => return Err(NOT_BOTH.into()),
+                (Some(_), Some(_)) if !sets.is_empty() => {
+                    return Err("--set needs a workflow.toml, not --dag/--config".into())
+                }
+                (Some(d), Some(c)) => SubmitSource::Plain {
+                    dag: read(&d)?,
+                    config: read(&c)?,
+                },
+                _ => return Err("missing workflow: a .toml file or --dag/--config".into()),
+            };
+            Command::Submit(SubmitCmd {
+                connect,
+                source,
+                name,
+                strategy,
+                get_timeout_ms: get_timeout_ms.unwrap_or(60_000),
+                timeout_ms,
+                wait,
+                priority,
+            })
+        }
+        "status" => {
+            let (connect, timeout_ms) = a.client()?;
+            let run = a.value("--run", "an id", "run id")?;
+            let json = a.flag("--json");
+            a.done()?;
+            Command::Status(StatusCmd {
+                connect: connect.ok_or("missing --connect")?,
+                run,
+                json,
+                timeout_ms,
+            })
+        }
+        "watch" => {
+            let (connect, timeout_ms) = a.client()?;
+            let run = a.value("--run", "an id", "run id")?;
+            let interval_ms = a.value("--interval-ms", "a number", "interval")?;
+            let once = a.flag("--once");
+            let json = a.flag("--json");
+            a.done()?;
+            Command::Watch(WatchCmd {
+                connect: connect.ok_or("missing --connect")?,
+                run: run.ok_or("missing --run")?,
+                interval_ms: interval_ms.unwrap_or(500),
+                once,
+                json,
+                timeout_ms,
+            })
+        }
+        "cancel" => {
+            let (connect, timeout_ms) = a.client()?;
+            let run = a.value("--run", "an id", "run id")?;
+            a.done()?;
+            Command::Cancel(CancelCmd {
+                connect: connect.ok_or("missing --connect")?,
+                run: run.ok_or("missing --run")?,
+                timeout_ms,
+            })
+        }
+        _ => return Err(SUBCOMMANDS.into()),
+    })
 }
 
 fn main() -> ExitCode {
@@ -828,13 +832,13 @@ mod tests {
         match cmd {
             Command::Serve(c) => {
                 assert_eq!(c.listen, "127.0.0.1:7001");
-                assert_eq!(c.timeout_ms, 5000);
+                assert_eq!(c.opts.timeout, Duration::from_millis(5000));
                 assert!(c.dag.contains("APP_ID 1"));
                 assert_eq!(
-                    c.ledger_out.as_deref(),
+                    c.out.ledger_out.as_deref(),
                     Some(std::path::Path::new("l.json"))
                 );
-                assert!(!c.p2p, "p2p defaults off");
+                assert!(!c.opts.p2p, "p2p defaults off");
             }
             _ => panic!("expected serve"),
         }
@@ -851,8 +855,8 @@ mod tests {
         match cmd {
             Command::Join(c) => {
                 assert_eq!(
-                    (c.connect.as_str(), c.node, c.timeout_ms),
-                    ("127.0.0.1:7001", 1, 250)
+                    (c.connect.as_str(), c.node, c.opts.timeout),
+                    ("127.0.0.1:7001", 1, Duration::from_millis(250))
                 );
             }
             _ => panic!("expected join"),
@@ -873,9 +877,9 @@ mod tests {
         match cmd {
             Command::Launch(c) => {
                 assert_eq!(c.procs, 3);
-                assert_eq!(c.strategy, MappingStrategy::RoundRobin);
-                assert_eq!(c.timeout_ms, 30_000);
-                assert!(c.p2p);
+                assert_eq!(c.opts.strategy, MappingStrategy::RoundRobin);
+                assert_eq!(c.opts.timeout, Duration::from_millis(30_000));
+                assert!(c.opts.p2p);
             }
             _ => panic!("expected launch"),
         }
@@ -892,7 +896,7 @@ mod tests {
     fn parses_no_shm_on_every_distrib_subcommand() {
         // Defaults: the shared-memory plane is on everywhere.
         match parse_args(&args(&["launch", DAG, "--config", CFG, "--procs", "3"])).unwrap() {
-            Command::Launch(c) => assert!(!c.no_shm, "shm defaults on"),
+            Command::Launch(c) => assert!(c.opts.shm, "shm defaults on"),
             _ => panic!("expected launch"),
         }
         match parse_args(&args(&[
@@ -900,7 +904,7 @@ mod tests {
         ]))
         .unwrap()
         {
-            Command::Launch(c) => assert!(c.no_shm),
+            Command::Launch(c) => assert!(!c.opts.shm),
             _ => panic!("expected launch"),
         }
         match parse_args(&args(&[
@@ -908,14 +912,14 @@ mod tests {
         ]))
         .unwrap()
         {
-            Command::Serve(c) => assert!(c.no_shm),
+            Command::Serve(c) => assert!(!c.opts.shm),
             _ => panic!("expected serve"),
         }
         // Unlike --p2p (a hub topology choice), --no-shm is also a
         // per-node opt-out: a join without it still advertises a host
         // fingerprint, with it the node stays off the shm plane.
         match parse_args(&args(&["join", "--connect", "x:1", "--node", "0"])).unwrap() {
-            Command::Join(c) => assert!(!c.no_shm),
+            Command::Join(c) => assert!(c.opts.shm),
             _ => panic!("expected join"),
         }
         match parse_args(&args(&[
@@ -928,12 +932,12 @@ mod tests {
         ]))
         .unwrap()
         {
-            Command::Join(c) => assert!(c.no_shm),
+            Command::Join(c) => assert!(!c.opts.shm),
             _ => panic!("expected join"),
         }
         // Service mode forwards the knob to every hosted run.
         match parse_args(&args(&["serve", "--listen", "x:1", "--no-shm"])).unwrap() {
-            Command::Service(c) => assert!(c.no_shm),
+            Command::Service(c) => assert!(!c.cfg.shm),
             _ => panic!("expected service mode"),
         }
     }
@@ -957,16 +961,25 @@ mod tests {
         match cmd {
             Command::Service(c) => {
                 assert_eq!(c.listen, "127.0.0.1:7002");
-                assert_eq!((c.max_runs, c.queue_depth, c.pool_nodes), (6, 9, 12));
-                assert_eq!(c.artifacts.as_deref(), Some(std::path::Path::new("artdir")));
+                assert_eq!(
+                    (c.cfg.max_runs, c.cfg.queue_depth, c.cfg.pool_nodes),
+                    (6, 9, 12)
+                );
+                assert_eq!(
+                    c.cfg.artifacts_dir.as_deref(),
+                    Some(std::path::Path::new("artdir"))
+                );
             }
             _ => panic!("expected service mode"),
         }
         // Defaults apply when only --listen is given.
         match parse_args(&args(&["serve", "--listen", "127.0.0.1:7002"])).unwrap() {
             Command::Service(c) => {
-                assert_eq!((c.max_runs, c.queue_depth, c.pool_nodes), (4, 32, 8));
-                assert!(c.artifacts.is_none());
+                assert_eq!(
+                    (c.cfg.max_runs, c.cfg.queue_depth, c.cfg.pool_nodes),
+                    (4, 32, 8)
+                );
+                assert!(c.cfg.artifacts_dir.is_none());
             }
             _ => panic!("expected service mode"),
         }
@@ -1106,6 +1119,36 @@ mod tests {
     }
 
     #[test]
+    fn refuses_flags_its_subcommand_does_not_read() {
+        // The last flag of each line is the one refused; `@` stands for
+        // the workflow files, `<dag> --config <cfg>`.
+        let (unknown, service) = ("unknown argument", "need service mode");
+        let cases = [
+            ("profile @ --metrics-out m.json", unknown),
+            ("compare @ --strategy round-robin", unknown),
+            ("compare @ --modeled", unknown),
+            ("compare @ --threshold 5", unknown),
+            ("compare @ --faults link-slow:1", unknown),
+            ("compare @ --seed 7", unknown),
+            ("compare @ --gate b.json --metrics-out m.json", unknown),
+            ("compare @ --gate b.json --trace-out t.json", unknown),
+            ("serve --listen x:1 --strategy round-robin", unknown),
+            ("serve --listen x:1 --timeout-ms 5", unknown),
+            ("serve --listen x:1 --ledger-out l.json", unknown),
+            ("serve --listen x:1 --trace-out t.json", unknown),
+            ("serve --listen x:1 --profile-out p.json", unknown),
+            ("serve @ --listen x:1 --seed 7", service),
+        ];
+        for (line, why) in cases {
+            let argv = line.replace('@', &format!("{DAG} --config {CFG}"));
+            let argv: Vec<&str> = argv.split(' ').collect();
+            let flag = argv.iter().rfind(|w| w.starts_with("--")).unwrap();
+            let err = parse_args(&args(&argv)).unwrap_err();
+            assert!(err.contains(flag) && err.contains(why), "{argv:?}: {err}");
+        }
+    }
+
+    #[test]
     fn parses_launch_telemetry_outputs_and_service_faults() {
         match parse_args(&args(&[
             "launch",
@@ -1122,9 +1165,12 @@ mod tests {
         .unwrap()
         {
             Command::Launch(c) => {
-                assert_eq!(c.trace_out.as_deref(), Some(std::path::Path::new("t.json")));
                 assert_eq!(
-                    c.profile_out.as_deref(),
+                    c.out.trace_out.as_deref(),
+                    Some(std::path::Path::new("t.json"))
+                );
+                assert_eq!(
+                    c.out.profile_out.as_deref(),
                     Some(std::path::Path::new("p.json"))
                 );
             }
@@ -1146,7 +1192,7 @@ mod tests {
             Command::Service(c) => {
                 let spec = c.faults.expect("fault spec parsed");
                 assert_eq!(spec.rate(insitu_chaos::FaultKind::LinkSlow), 1.0);
-                assert_eq!((c.seed, c.stall_ms), (7, Some(10)));
+                assert_eq!((c.seed, c.cfg.watchdog.stall_ms), (7, 10));
             }
             _ => panic!("expected service mode"),
         }

@@ -6,12 +6,11 @@ use crate::driver::{build_scenario, CliError};
 use insitu_chaos::{FaultPlan, FaultSpec};
 use insitu_fabric::FaultInjector;
 use insitu_net::{Frame, RunSummary};
-use insitu_svc::{RpcClient, RunArtifacts, Service, SvcConfig, WatchdogConfig};
+use insitu_svc::{RpcClient, RunArtifacts, Service, SvcConfig};
 use insitu_telemetry::Json;
 use insitu_workflow::compile_workflow;
 use std::io::{IsTerminal, Write};
 use std::net::TcpListener;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -20,25 +19,13 @@ use std::time::Duration;
 pub struct ServiceCmd {
     /// Address to listen on for RPC clients.
     pub listen: String,
-    /// Maximum runs executing concurrently.
-    pub max_runs: usize,
-    /// Maximum queued runs before `submit` is refused.
-    pub queue_depth: usize,
-    /// Node budget: simulated nodes the executing runs may hold at once.
-    pub pool_nodes: u32,
-    /// Directory for per-run artifact files (optional).
-    pub artifacts: Option<PathBuf>,
-    /// Peer-to-peer data plane for every run the service executes.
-    pub p2p: bool,
+    /// The service's knobs; `service_cmd` adds the fault injector.
+    pub cfg: SvcConfig,
     /// Chaos fault spec injected into every run's wire traffic (used to
     /// exercise the link-health watchdog; `None` = inert).
     pub faults: Option<FaultSpec>,
     /// Seed for the fault plan.
     pub seed: u64,
-    /// Watchdog stall threshold override in milliseconds.
-    pub stall_ms: Option<u64>,
-    /// Force every run's `PullData` onto the socket (`--no-shm`).
-    pub no_shm: bool,
 }
 
 /// The workflow a `submit` ships: either a raw DAG/config text pair or
@@ -136,13 +123,6 @@ pub fn service_cmd(cmd: &ServiceCmd) -> Result<String, CliError> {
         Some(spec) => FaultInjector::new(Arc::new(FaultPlan::new(cmd.seed, *spec))),
         None => FaultInjector::none(),
     };
-    let mut watchdog = WatchdogConfig::default();
-    if let Some(ms) = cmd.stall_ms {
-        watchdog.stall_ms = ms;
-        // Keep several polls inside one stall window so a short
-        // threshold still gets sampled before it trips.
-        watchdog.poll_ms = watchdog.poll_ms.min(ms / 2).max(1);
-    }
     // A killed earlier service never ran its segment teardown; reclaim
     // its /dev/shm space before taking submissions.
     let swept = insitu_util::shm::sweep_stale(&insitu_util::shm::segment_dir());
@@ -152,23 +132,15 @@ pub fn service_cmd(cmd: &ServiceCmd) -> Result<String, CliError> {
     let _svc = Service::start(
         listener,
         SvcConfig {
-            max_runs: cmd.max_runs,
-            queue_depth: cmd.queue_depth,
-            pool_nodes: cmd.pool_nodes,
-            artifacts_dir: cmd.artifacts.clone(),
-            verbose: true,
-            p2p: cmd.p2p,
-            shm: !cmd.no_shm,
             injector,
-            watchdog,
-            ..SvcConfig::default()
+            ..cmd.cfg.clone()
         },
         Arc::new(|dag, config| build_scenario(dag, config).map_err(|e| e.to_string())),
     )
     .map_err(CliError::Io)?;
     println!(
         "service:   listening on {addr} ({} run slots, {} pool nodes, queue depth {})",
-        cmd.max_runs, cmd.pool_nodes, cmd.queue_depth
+        cmd.cfg.max_runs, cmd.cfg.pool_nodes, cmd.cfg.queue_depth
     );
     if cmd.faults.is_some() {
         println!("service:   chaos faults armed (seed {})", cmd.seed);

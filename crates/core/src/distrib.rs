@@ -52,7 +52,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Knobs of the serving (workflow-server) process.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct ServeOptions {
     /// Task-mapping strategy; sent to every joiner in `Welcome`.
     pub strategy: MappingStrategy,
@@ -103,7 +103,7 @@ impl Default for ServeOptions {
 }
 
 /// Knobs of a joining (node) process.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct JoinOptions {
     /// How long to keep trying to reach the server before failing.
     pub timeout: Duration,

@@ -62,9 +62,7 @@ pub mod threaded;
 pub use comm::{GroupComm, ReduceOp};
 pub use distrib::{join, serve, DistribOutcome, JoinOptions, ServeOptions};
 pub use mapping::{map_scenario, MappedScenario, MappingStrategy};
-pub use modeled::{
-    run_modeled, run_modeled_configured, run_modeled_with, ModeledConfig, ModeledOutcome,
-};
+pub use modeled::{run_modeled, run_modeled_configured, ModeledConfig, ModeledOutcome};
 pub use pgas::GlobalArray;
 pub use scenario::{
     aligned_grid, balanced_grid, concurrent_scenario, concurrent_scenario_with_grids,
@@ -72,8 +70,8 @@ pub use scenario::{
     Scenario, SubscriptionSpec,
 };
 pub use threaded::{
-    field_value, fill_field, run_threaded, run_threaded_configured, run_threaded_with,
-    verify_field, ThreadedConfig, ThreadedOutcome,
+    field_value, fill_field, run_threaded, run_threaded_configured, verify_field, ThreadedConfig,
+    ThreadedOutcome,
 };
 
 // Re-export the substrate crates so downstream users need one dependency.

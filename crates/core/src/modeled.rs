@@ -58,24 +58,18 @@ pub struct ModeledConfig {
 
 /// Run `scenario` under `strategy` analytically.
 pub fn run_modeled(scenario: &Scenario, strategy: MappingStrategy) -> ModeledOutcome {
-    run_modeled_with(scenario, strategy, &Recorder::disabled())
+    run_modeled_configured(
+        scenario,
+        strategy,
+        &Recorder::disabled(),
+        &ModeledConfig::default(),
+    )
 }
 
-/// Run `scenario` under `strategy` analytically, mirroring the ledger into
-/// `recorder`'s metrics and emitting one synthetic `app<N>.retrieve` span
-/// per consumer task (track = its client id, duration = the estimated
-/// retrieve time) so modeled traces line up with threaded ones.
-pub fn run_modeled_with(
-    scenario: &Scenario,
-    strategy: MappingStrategy,
-    recorder: &Recorder,
-) -> ModeledOutcome {
-    run_modeled_configured(scenario, strategy, recorder, &ModeledConfig::default())
-}
-
-/// [`run_modeled_with`] with explicit execution knobs: injected torus-link
-/// slowdowns and a flight recorder for synthetic causal events. With the
-/// default config it is exactly [`run_modeled_with`].
+/// [`run_modeled`], mirroring the ledger into `recorder`'s metrics,
+/// under explicit execution knobs: injected torus-link slowdowns and a
+/// flight recorder for synthetic causal events. Pass
+/// `&ModeledConfig::default()` for none.
 pub fn run_modeled_configured(
     scenario: &Scenario,
     strategy: MappingStrategy,

@@ -87,25 +87,20 @@ impl Default for ThreadedConfig {
 /// Intended for up to a few hundred tasks (tests, examples); use
 /// [`crate::run_modeled`] for paper-scale configurations.
 pub fn run_threaded(scenario: &Scenario, strategy: MappingStrategy) -> ThreadedOutcome {
-    run_threaded_with(scenario, strategy, &Recorder::disabled())
+    run_threaded_configured(
+        scenario,
+        strategy,
+        &Recorder::disabled(),
+        &ThreadedConfig::default(),
+    )
 }
 
-/// Run `scenario` under `strategy`, recording metrics into `recorder`:
-/// the layers' counters plus one histogram sample per workflow phase
+/// [`run_threaded`], recording metrics into `recorder` — the layers'
+/// counters plus one histogram sample per workflow phase
 /// (`workflow.{register,map,group,execute}_us`) and per task
-/// (`exec.task_us`).
-pub fn run_threaded_with(
-    scenario: &Scenario,
-    strategy: MappingStrategy,
-    recorder: &Recorder,
-) -> ThreadedOutcome {
-    run_threaded_configured(scenario, strategy, recorder, &ThreadedConfig::default())
-}
-
-/// [`run_threaded_with`] with explicit execution knobs: a custom `get`
-/// timeout and a [`FaultInjector`] consulted at the runtime's fault
-/// sites. This is the chaos harness's entry point; with the default
-/// config it is exactly [`run_threaded_with`].
+/// (`exec.task_us`) — under explicit execution knobs: a custom `get`
+/// timeout, a [`FaultInjector`] consulted at the runtime's fault sites,
+/// a flight recorder. Pass `&ThreadedConfig::default()` for none.
 pub fn run_threaded_configured(
     scenario: &Scenario,
     strategy: MappingStrategy,
@@ -268,7 +263,8 @@ mod tests {
         let mut s = concurrent_scenario(8, 4, 4, pattern_pairs(&[2, 2, 2])[0]);
         s.cores_per_node = 4;
         let rec = Recorder::enabled();
-        let o = run_threaded_with(&s, MappingStrategy::DataCentric, &rec);
+        let o =
+            run_threaded_configured(&s, MappingStrategy::DataCentric, &rec, &Default::default());
         assert_eq!(o.verify_failures, 0);
         let snap = rec.metrics_snapshot();
         for class in TrafficClass::ALL {
@@ -287,7 +283,7 @@ mod tests {
         assert_eq!(snap.histograms["exec.task_us"].count, 12);
         // A disabled recorder leaves no residue.
         let off = Recorder::disabled();
-        run_threaded_with(&s, MappingStrategy::DataCentric, &off);
+        run_threaded_configured(&s, MappingStrategy::DataCentric, &off, &Default::default());
         assert_eq!(off.metrics_snapshot(), Default::default());
     }
 

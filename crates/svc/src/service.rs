@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 pub type ScenarioBuilder = Arc<dyn Fn(&str, &str) -> Result<Scenario, String> + Send + Sync>;
 
 /// Service tuning knobs.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct SvcConfig {
     /// Maximum runs executing concurrently; the rest queue.
     pub max_runs: usize,

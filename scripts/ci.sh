@@ -228,6 +228,17 @@ for hook in $hooks; do
         echo "fault hook $hook is defined more than once in fabric/src/fault.rs"; exit 1
     fi
 done
+# One argument reader for `insitu`: each subcommand reads only its own
+# flags, straight into the library's option types. No per-family parse
+# loop, no `sub ==` guard, no `no_shm` copy of `shm`, and one executor
+# entry point per executor beside `run_*`.
+if grep -rnE 'parse_distrib_args|parse_client_args|parse_chaos_args|run_threaded_with|run_modeled_with' \
+    crates tests examples; then
+    echo "a second parse loop or executor entry point grew back"; exit 1
+fi
+if grep -rnw 'no_shm' crates/cli/src || grep -nE 'sub (==|!=)' crates/cli/src/main.rs; then
+    echo "the CLI re-declares shm or guards flags by subcommand again"; exit 1
+fi
 long=$(find crates/cods/src crates/net/src -name '*.rs' ! -path crates/net/src/frame.rs \
     -exec wc -l {} + | awk '$2 != "total" && $1 > 1200')
 if [[ -n "$long" ]]; then

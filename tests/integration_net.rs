@@ -373,7 +373,8 @@ fn distributed_evictions_sum_to_the_single_process_count() {
     let read = |name: &str| std::fs::read_to_string(workflow_path(name)).unwrap();
     let scenario = insitu_cli::build_scenario(&read("distrib.dag"), &read("distrib.cfg")).unwrap();
     let single = Recorder::enabled();
-    let expected = insitu::run_threaded_with(&scenario, RoundRobin, &single);
+    let expected =
+        insitu::run_threaded_configured(&scenario, RoundRobin, &single, &Default::default());
     let evictions = single.metrics_snapshot().counter("cods.evictions");
     assert!(evictions > 0, "the concurrent coupling reclaims version 0");
 

@@ -7,7 +7,7 @@
 
 use insitu::workflow::{AppSpec, WorkflowSpec};
 use insitu::{
-    join, run_threaded, run_threaded_with, serve, CouplingSpec, DistribOutcome, JoinOptions,
+    join, run_threaded, run_threaded_configured, serve, CouplingSpec, DistribOutcome, JoinOptions,
     MappingStrategy, Scenario, ServeOptions, SubscriptionSpec,
 };
 use insitu_domain::{BoundingBox, Decomposition, Distribution, ProcessGrid};
@@ -64,7 +64,7 @@ fn sub_scenario(every_k: u64, iterations: u64) -> Scenario {
 fn pushed_bytes_match_pulled_bytes_end_to_end() {
     let s = sub_scenario(1, 3);
     let rec = Recorder::enabled();
-    let o = run_threaded_with(&s, MappingStrategy::DataCentric, &rec);
+    let o = run_threaded_configured(&s, MappingStrategy::DataCentric, &rec, &Default::default());
     assert_eq!(o.verify_failures, 0, "push plane diverged from pull plane");
     assert!(o.errors.is_empty(), "{:?}", o.errors);
     // Consumer: 2 tasks x 3 versions; monitor: 1 piece x 3 versions.
@@ -84,7 +84,7 @@ fn pushed_bytes_match_pulled_bytes_end_to_end() {
 fn stride_subscription_skips_off_stride_versions() {
     let s = sub_scenario(2, 4); // versions 0 and 2 are on-stride
     let rec = Recorder::enabled();
-    let o = run_threaded_with(&s, MappingStrategy::DataCentric, &rec);
+    let o = run_threaded_configured(&s, MappingStrategy::DataCentric, &rec, &Default::default());
     assert_eq!(o.verify_failures, 0);
     assert!(o.errors.is_empty(), "{:?}", o.errors);
     // Consumer: 2 x 4 versions; monitor: only the 2 on-stride versions.

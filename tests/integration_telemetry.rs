@@ -4,9 +4,8 @@
 //! and byte metrics on matched scenarios.
 
 use insitu::{
-    concurrent_scenario, pattern_pairs, run_modeled_configured, run_modeled_with,
-    run_threaded_configured, run_threaded_with, sequential_scenario, MappingStrategy,
-    ModeledConfig, ThreadedConfig,
+    concurrent_scenario, pattern_pairs, run_modeled_configured, run_threaded_configured,
+    sequential_scenario, MappingStrategy, ModeledConfig, ThreadedConfig,
 };
 use insitu_fabric::{Locality, TrafficClass};
 use insitu_obs::{chrome_trace_with_flows, EventKind, FlightRecorder};
@@ -22,7 +21,7 @@ fn threaded_byte_counters_equal_ledger_totals() {
     let mut s = concurrent_scenario(8, 4, 4, pattern_pairs(&[2, 2, 2])[0]).with_iterations(2);
     s.cores_per_node = 4;
     let rec = Recorder::enabled();
-    let o = run_threaded_with(&s, MappingStrategy::DataCentric, &rec);
+    let o = run_threaded_configured(&s, MappingStrategy::DataCentric, &rec, &Default::default());
     assert_eq!(o.verify_failures, 0);
     let snap = rec.metrics_snapshot();
     for class in TrafficClass::ALL {
@@ -71,8 +70,8 @@ fn threaded_and_modeled_emit_identical_transfer_metrics() {
         for strategy in [MappingStrategy::RoundRobin, MappingStrategy::DataCentric] {
             let rec_t = Recorder::enabled();
             let rec_m = Recorder::enabled();
-            let t = run_threaded_with(&s, strategy, &rec_t);
-            run_modeled_with(&s, strategy, &rec_m);
+            let t = run_threaded_configured(&s, strategy, &rec_t, &Default::default());
+            run_modeled_configured(&s, strategy, &rec_m, &Default::default());
             assert_eq!(t.verify_failures, 0);
             let st = rec_t.metrics_snapshot();
             let sm = rec_m.metrics_snapshot();
@@ -178,8 +177,18 @@ fn phase_numbers_travel_in_the_metrics_document() {
     let mut s = concurrent_scenario(8, 4, 4, pattern_pairs(&[2, 2, 2])[0]);
     s.cores_per_node = 4;
     let (threaded, modeled) = (Recorder::enabled(), Recorder::enabled());
-    run_threaded_with(&s, MappingStrategy::DataCentric, &threaded);
-    run_modeled_with(&s, MappingStrategy::DataCentric, &modeled);
+    run_threaded_configured(
+        &s,
+        MappingStrategy::DataCentric,
+        &threaded,
+        &Default::default(),
+    );
+    run_modeled_configured(
+        &s,
+        MappingStrategy::DataCentric,
+        &modeled,
+        &Default::default(),
+    );
     let count = |rec: &Recorder, name: &str| {
         let doc = Json::parse(&rec.metrics_json()).unwrap();
         let h = doc.get("histograms").and_then(|h| h.get(name));
