@@ -103,7 +103,6 @@ pub fn run_case_spec(seed: u64, idx: u64, spec: &FaultSpec, case: &CaseSpec) -> 
         get_timeout: Duration::from_millis(400),
         injector: FaultInjector::new(plan.clone()),
         flight: flight.clone(),
-        ..Default::default()
     };
     let outcome = run_threaded_configured(&scenario, MappingStrategy::DataCentric, &recorder, &cfg);
     let snap = recorder.metrics_snapshot();

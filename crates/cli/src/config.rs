@@ -73,6 +73,37 @@ fn positive(counts: Vec<u64>, what: &str, line: usize) -> Result<Vec<u64>, Confi
     }
 }
 
+/// The `REGION lb.. UB ub..` box of a directive whose `REGION` is
+/// `toks[rp]`; the upper bounds end at `stop` when it follows `UB`.
+fn parse_region(
+    toks: &[&str],
+    rp: usize,
+    stop: Option<usize>,
+    line: usize,
+) -> Result<insitu_domain::BoundingBox, ConfigError> {
+    let err = |m: String| ConfigError { line, message: m };
+    let ub_pos = toks
+        .iter()
+        .position(|&t| t == "UB")
+        .ok_or_else(|| err("REGION needs a matching UB".into()))?;
+    if ub_pos < rp {
+        return Err(err("REGION must precede UB".into()));
+    }
+    let ub_end = stop.filter(|&q| q > ub_pos).unwrap_or(toks.len());
+    let lb = parse_u64s(&toks[rp + 1..ub_pos], line)?;
+    let ub = parse_u64s(&toks[ub_pos + 1..ub_end], line)?;
+    if lb.is_empty() || lb.len() != ub.len() {
+        return Err(err("REGION lb/ub rank mismatch".into()));
+    }
+    if let Some(d) = (0..lb.len()).find(|&d| lb[d] > ub[d]) {
+        return Err(err(format!(
+            "REGION is inverted in dimension {d}: lower bound {} exceeds upper bound {}",
+            lb[d], ub[d]
+        )));
+    }
+    Ok(insitu_domain::BoundingBox::new(&lb, &ub))
+}
+
 /// Parse a workload configuration file.
 pub fn parse_config(input: &str) -> Result<WorkloadConfig, ConfigError> {
     let mut cores_per_node = 12u32;
@@ -182,6 +213,9 @@ pub fn parse_config(input: &str) -> Result<WorkloadConfig, ConfigError> {
                 let cons_pos =
                     find("CONSUMERS").ok_or_else(|| err("COUPLING needs CONSUMERS".into()))?;
                 let mode_pos = find("MODE").ok_or_else(|| err("COUPLING needs MODE".into()))?;
+                if mode_pos < cons_pos {
+                    return Err(err("CONSUMERS must precede MODE".into()));
+                }
                 let var = toks
                     .get(var_pos + 1)
                     .ok_or_else(|| err("VAR needs a name".into()))?
@@ -205,25 +239,9 @@ pub fn parse_config(input: &str) -> Result<WorkloadConfig, ConfigError> {
                     Some(&"sequential") => false,
                     other => return Err(err(format!("unknown MODE {other:?}"))),
                 };
-                let region = match find("REGION") {
-                    None => None,
-                    Some(rp) => {
-                        let ub_pos =
-                            find("UB").ok_or_else(|| err("REGION needs a matching UB".into()))?;
-                        let lb = parse_u64s(&toks[rp + 1..ub_pos], line)?;
-                        let ub = parse_u64s(&toks[ub_pos + 1..], line)?;
-                        if lb.is_empty() || lb.len() != ub.len() {
-                            return Err(err("REGION lb/ub rank mismatch".into()));
-                        }
-                        if let Some(d) = (0..lb.len()).find(|&d| lb[d] > ub[d]) {
-                            return Err(err(format!(
-                                "REGION is inverted in dimension {d}: lower bound {} exceeds upper bound {}",
-                                lb[d], ub[d]
-                            )));
-                        }
-                        Some(insitu_domain::BoundingBox::new(&lb, &ub))
-                    }
-                };
+                let region = find("REGION")
+                    .map(|rp| parse_region(&toks, rp, None, line))
+                    .transpose()?;
                 couplings.push(CouplingSpec {
                     var,
                     producer_app,
@@ -264,26 +282,9 @@ pub fn parse_config(input: &str) -> Result<WorkloadConfig, ConfigError> {
                     ));
                 }
                 let queue_pos = find("QUEUE");
-                let region = match find("REGION") {
-                    None => None,
-                    Some(rp) => {
-                        let ub_pos =
-                            find("UB").ok_or_else(|| err("REGION needs a matching UB".into()))?;
-                        let ub_end = queue_pos.filter(|&q| q > ub_pos).unwrap_or(toks.len());
-                        let lb = parse_u64s(&toks[rp + 1..ub_pos], line)?;
-                        let ub = parse_u64s(&toks[ub_pos + 1..ub_end], line)?;
-                        if lb.is_empty() || lb.len() != ub.len() {
-                            return Err(err("REGION lb/ub rank mismatch".into()));
-                        }
-                        if let Some(d) = (0..lb.len()).find(|&d| lb[d] > ub[d]) {
-                            return Err(err(format!(
-                                "REGION is inverted in dimension {d}: lower bound {} exceeds upper bound {}",
-                                lb[d], ub[d]
-                            )));
-                        }
-                        Some(insitu_domain::BoundingBox::new(&lb, &ub))
-                    }
-                };
+                let region = find("REGION")
+                    .map(|rp| parse_region(&toks, rp, queue_pos, line))
+                    .transpose()?;
                 let queue_cap = match queue_pos {
                     None => insitu::sub::DEFAULT_QUEUE_CAP,
                     Some(qp) => toks
@@ -588,6 +589,32 @@ COUPLING VAR t PRODUCER 1 CONSUMERS 2 MODE concurrent
         )
         .unwrap_err();
         assert!(err.message.contains("inverted"), "{err}");
+    }
+
+    /// Keywords out of order are a line-numbered error, never a slice
+    /// panic: each row is a directive whose operands the parser slices
+    /// between two keywords given the wrong way round.
+    #[test]
+    fn keyword_order_errors_name_their_line() {
+        let rows = [
+            (
+                "COUPLING VAR t PRODUCER 1 MODE concurrent CONSUMERS 2",
+                "CONSUMERS must precede MODE",
+            ),
+            (
+                "COUPLING VAR t PRODUCER 1 CONSUMERS 2 MODE concurrent UB 3 3 REGION 0 0",
+                "REGION must precede UB",
+            ),
+            (
+                "SUBSCRIBE VAR t PRODUCER 1 SUBSCRIBER 3 EVERY 1 UB 3 3 REGION 0 0",
+                "REGION must precede UB",
+            ),
+        ];
+        for (directive, why) in rows {
+            let err = parse_config(&format!("{SUB_BASE}{directive}\n")).unwrap_err();
+            assert_eq!(err.line, 6, "{directive}");
+            assert!(err.message.contains(why), "{directive}: {err}");
+        }
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! and their staging accounting.
 
 use super::CodsSpace;
+use crate::dht::var_id;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
@@ -59,7 +60,7 @@ impl CodsSpace {
             .lock()
             .unwrap()
             .expected
-            .insert(self.key_of(var), gets);
+            .insert(var_id(var), gets);
     }
 
     /// Declare that every on-stride version of `var` (those with
@@ -74,7 +75,7 @@ impl CodsSpace {
             .lock()
             .unwrap()
             .sub_expected
-            .push((self.key_of(var), every_k, gets));
+            .push((var_id(var), every_k, gets));
     }
 
     /// Completed gets recorded for `(var, version)`.
@@ -83,7 +84,7 @@ impl CodsSpace {
             .lock()
             .unwrap()
             .done
-            .get(&(self.key_of(var), version))
+            .get(&(var_id(var), version))
             .copied()
             .unwrap_or(0)
     }
@@ -92,7 +93,7 @@ impl CodsSpace {
     /// up to `timeout`. Returns `false` on timeout or if no expectation
     /// was declared.
     pub fn wait_version_consumed(&self, var: &str, version: u64, timeout: Duration) -> bool {
-        let vid = self.key_of(var);
+        let vid = var_id(var);
         let deadline = Instant::now() + timeout;
         let mut state = self.consumption.lock().unwrap();
         let Some(expected) = state.expected_for(vid, version) else {
@@ -150,7 +151,7 @@ impl CodsSpace {
     /// Eviction is *in-order*: all versions up to and including `version`
     /// are dropped from both the DHT and the registry.
     pub fn evict_version(&self, var: &str, version: u64) {
-        let vid = self.key_of(var);
+        let vid = var_id(var);
         self.evict_vid(vid, version);
         if let Some(m) = &self.mirror {
             m.evict(vid, version);

@@ -35,7 +35,7 @@ mod tests;
 pub use replica::SpaceMirror;
 pub use subs::SubHandle;
 
-use crate::dht::{var_id, Dht};
+use crate::dht::Dht;
 use crate::schedule::ScheduleCache;
 use insitu_dart::{BufKey, DartRuntime};
 use insitu_domain::BoundingBox;
@@ -152,13 +152,6 @@ pub struct CodsConfig {
     /// Per-node in-memory staging capacity (16 GB per Jaguar XT5 node).
     /// `None` disables the check.
     pub staging_limit_per_node: Option<u64>,
-    /// Run epoch salting every variable-name key (DHT entries, buffer
-    /// keys, version bookkeeping), so concurrent service runs sharing
-    /// one process — or one pool of node processes — never collide even
-    /// when they use identical variable names and versions. `0` means
-    /// no salting: keys equal the raw `var_id`, which keeps standalone
-    /// runs bit-for-bit identical to the pre-epoch behavior.
-    pub key_epoch: u64,
 }
 
 impl Default for CodsConfig {
@@ -166,22 +159,8 @@ impl Default for CodsConfig {
         CodsConfig {
             get_timeout: Duration::from_secs(30),
             staging_limit_per_node: None,
-            key_epoch: 0,
         }
     }
-}
-
-/// The `var_id` salt for a run epoch: 0 stays 0 (identity — standalone
-/// runs keep raw ids), any other epoch is diffused through a SplitMix64
-/// finalizer so consecutive run ids land in unrelated key regions.
-pub fn epoch_salt(epoch: u64) -> u64 {
-    if epoch == 0 {
-        return 0;
-    }
-    let mut z = epoch.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// What one `get` did — consumed by tests, the ledger cross-checks and
@@ -257,15 +236,6 @@ impl CodsSpace {
     /// inherited from the runtime's recorder.
     pub fn new(dart: Arc<DartRuntime>, dht: Dht, cfg: CodsConfig) -> Arc<Self> {
         Self::build(dart, dht, cfg, None)
-    }
-
-    /// The variable key this space indexes `var` under: the raw
-    /// `var_id` XOR-salted by the run epoch. With `key_epoch == 0` this
-    /// is exactly `var_id(var)`, so standalone runs are unchanged;
-    /// distinct epochs map identical variable names into disjoint key
-    /// regions of a shared registry/DHT.
-    pub fn key_of(&self, var: &str) -> u64 {
-        var_id(var) ^ epoch_salt(self.cfg.key_epoch)
     }
 
     /// Build a space whose DHT/consumption/eviction state changes are

@@ -3,7 +3,7 @@
 
 use super::{buf_key, CodsError, CodsSpace, GetReport};
 use crate::codec::{f64s_of_bytes, FieldData, ELEM_BYTES};
-use crate::dht::{LocationEntry, DHT_RECORD_BYTES};
+use crate::dht::{var_id, LocationEntry, DHT_RECORD_BYTES};
 use crate::schedule::{schedule_from_decomposition, schedule_from_entries, CommSchedule};
 use insitu_dart::{BufKey, BufferHandle};
 use insitu_domain::layout::copy_region;
@@ -33,7 +33,7 @@ impl CodsSpace {
                 got: data.len(),
             });
         }
-        let vid = self.key_of(var);
+        let vid = var_id(var);
         let bytes = data.len() as u64 * ELEM_BYTES as u64;
         let node = self.dart.placement().node_of(client);
         let flight = self.dart.flight();
@@ -173,7 +173,7 @@ impl CodsSpace {
         version: u64,
         query: &BoundingBox,
     ) -> Result<(FieldData, GetReport), CodsError> {
-        let vid = self.key_of(var);
+        let vid = var_id(var);
         self.get_with(client, app, vid, version, query, false, |report, gseq| {
             let flight = self.dart.flight();
             let dht_start = flight.now_us();
@@ -232,7 +232,7 @@ impl CodsSpace {
         producer: &Decomposition,
         producer_clients: &[ClientId],
     ) -> Result<(FieldData, GetReport), CodsError> {
-        let vid = self.key_of(var);
+        let vid = var_id(var);
         self.get_with(client, app, vid, version, query, true, |_, _| {
             let sched_start = self.dart.flight().now_us();
             (
@@ -464,6 +464,6 @@ impl CodsSpace {
     /// Highest version of `var` visible in the DHT (sequential couplings
     /// only; concurrent puts are not indexed).
     pub fn latest_version(&self, var: &str) -> Option<u64> {
-        self.dht.latest_version(self.key_of(var))
+        self.dht.latest_version(var_id(var))
     }
 }

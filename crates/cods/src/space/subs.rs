@@ -7,6 +7,7 @@
 
 use super::{buf_key, piece_id, CodsSpace};
 use crate::codec::{f64s_of_bytes, ELEM_BYTES};
+use crate::dht::var_id;
 use insitu_domain::BoundingBox;
 use insitu_fabric::{ClientId, FaultAction, FaultKind, TrafficClass};
 use insitu_obs::{Event, EventKind};
@@ -71,7 +72,7 @@ impl CodsSpace {
         queue_cap: usize,
     ) -> SubHandle {
         let spec = SubSpec {
-            vid: self.key_of(var),
+            vid: var_id(var),
             region: *region,
             every_k,
             subscriber: client,

@@ -3,7 +3,7 @@
 
 use super::*;
 use crate::codec::{FieldData, ELEM_BYTES};
-use crate::dht::LocationEntry;
+use crate::dht::{var_id, LocationEntry};
 use insitu_dart::{BufferHandle, Transport};
 use insitu_domain::{layout, Decomposition, Distribution, ProcessGrid};
 use insitu_fabric::{FaultAction, MachineSpec, Placement, TrafficClass, TransferLedger};
@@ -194,7 +194,7 @@ fn produce_on_node_zero(space: &CodsSpace, var: &str, version: u64) {
         ProcessGrid::new(&[2, 2]),
         Distribution::Blocked,
     );
-    let vid = space.key_of(var);
+    let vid = var_id(var);
     for r in 0..4u32 {
         let b = dec.blocked_box(r as u64).unwrap();
         let data = layout::fill_with(&b, tagfn);
@@ -226,7 +226,7 @@ fn last_expected_get_drops_exactly_that_versions_pulled_copies() {
     for last_is_remote in [false, true] {
         let (s, _, _) = node_zero_space(false);
         s.set_expected_gets("temp", 2);
-        let vid = s.key_of("temp");
+        let vid = var_id("temp");
         produce_on_node_zero(&s, "temp", 0);
         produce_on_node_zero(&s, "temp", 1);
         produce_on_node_zero(&s, "other", 0);
@@ -252,7 +252,7 @@ fn last_expected_get_drops_exactly_that_versions_pulled_copies() {
         assert_eq!(s.dart.registry().len(), 10);
         for r in 0..4u32 {
             let held = |var: &str, v| {
-                let key = buf_key(s.key_of(var), v, r, 0);
+                let key = buf_key(var_id(var), v, r, 0);
                 s.dart.registry().get(&key).is_some()
             };
             assert_eq!(held("temp", 0), r < 2, "rank {r}");
@@ -281,7 +281,7 @@ fn single_process_space_never_looks_for_pulled_copies() {
     produce_on_node_zero(&s, "temp", 0);
     let asked = || wire.hosts_calls.load(std::sync::atomic::Ordering::Relaxed);
     let before = asked();
-    s.apply_remote_get_done(s.key_of("temp"), 0);
+    s.apply_remote_get_done(var_id("temp"), 0);
     assert_eq!(asked(), before, "consumption scanned the registry");
     assert_eq!(s.dart.registry().len(), 4);
 }
@@ -475,7 +475,7 @@ fn size_mismatch_rejected() {
 
 /// The registry's buffer for `client`'s piece 0 of `(var, 0)`.
 fn staged_ptr(s: &CodsSpace, var: &str, client: ClientId) -> *const u8 {
-    let key = buf_key(s.key_of(var), 0, client, 0);
+    let key = buf_key(var_id(var), 0, client, 0);
     s.dart().registry().get(&key).unwrap().data.as_ptr()
 }
 
@@ -672,63 +672,6 @@ fn multi_piece_producer() {
     for p in q.iter_points() {
         assert_eq!(data[layout::linear_index(&q, &p[..2])], tagfn(&p[..2]));
     }
-}
-
-#[test]
-fn epoch_salt_is_identity_at_zero_and_diffuse_otherwise() {
-    assert_eq!(epoch_salt(0), 0);
-    let salts: Vec<u64> = (1..64u64).map(epoch_salt).collect();
-    for (i, &a) in salts.iter().enumerate() {
-        assert_ne!(a, 0);
-        for &b in &salts[i + 1..] {
-            assert_ne!(a, b, "epoch salts must be distinct");
-        }
-    }
-}
-
-#[test]
-fn key_epoch_zero_keys_equal_raw_var_ids() {
-    let s = space();
-    assert_eq!(s.key_of("temperature"), var_id("temperature"));
-}
-
-/// Two epoched spaces over ONE runtime (one registry, one ledger):
-/// identical variable names and versions stay fully independent —
-/// each run's get sees exactly its own producer's data.
-#[test]
-fn distinct_epochs_isolate_identical_var_names_on_a_shared_runtime() {
-    let placement = Arc::new(Placement::pack_sequential(MachineSpec::new(2, 2), 4));
-    let dart = DartRuntime::new(placement, Arc::new(TransferLedger::new()));
-    let mk = |epoch: u64| {
-        CodsSpace::new(
-            Arc::clone(&dart),
-            Dht::new(Box::new(HilbertCurve::new(2, 3)), vec![0, 2]),
-            CodsConfig {
-                get_timeout: Duration::from_secs(2),
-                key_epoch: epoch,
-                ..Default::default()
-            },
-        )
-    };
-    let (a, b) = (mk(1), mk(2));
-    assert_ne!(a.key_of("temp"), b.key_of("temp"));
-    let bbox = BoundingBox::from_sizes(&[4, 4]);
-    let fill_a = layout::fill_with(&bbox, |p| tagfn(p) + 1000.0);
-    let fill_b = layout::fill_with(&bbox, |p| tagfn(p) + 2000.0);
-    a.put_seq(0, 1, "temp", 0, 0, &bbox, &fill_a).unwrap();
-    b.put_seq(0, 1, "temp", 0, 0, &bbox, &fill_b).unwrap();
-    // Same name, same version, same query — each space resolves to
-    // its own run's bytes.
-    let (da, _) = a.get_seq(3, 2, "temp", 0, &bbox).unwrap();
-    let (db, _) = b.get_seq(3, 2, "temp", 0, &bbox).unwrap();
-    assert_eq!(&da[..], &fill_a[..]);
-    assert_eq!(&db[..], &fill_b[..]);
-    // Eviction in one epoch must not disturb the other.
-    a.evict_version("temp", 0);
-    assert_eq!(a.latest_version("temp"), None);
-    assert_eq!(b.latest_version("temp"), Some(0));
-    let (db2, _) = b.get_seq(1, 2, "temp", 0, &bbox).unwrap();
-    assert_eq!(&db2[..], &fill_b[..]);
 }
 
 // ----- standing queries -------------------------------------------
@@ -955,7 +898,7 @@ fn remote_subscribers_are_sent_each_piece_once_and_landing_feeds_the_sink() {
     let corner = BoundingBox::from_sizes(&[4, 4]);
     for (subscriber, region) in [(3, q), (2, corner)] {
         prod.apply_remote_subscribe(&SubSpec {
-            vid: prod.key_of("temp"),
+            vid: var_id("temp"),
             region,
             every_k: 1,
             subscriber,
@@ -1017,7 +960,7 @@ fn hostile_remote_sub_frames_are_rejected() {
     let frag = BoundingBox::from_sizes(&[2]);
     let handle = s.subscribe(0, 1, "x", &frag, 1, 4);
     handle.expect_piece(1, 0, &frag);
-    let key = |owner: ClientId| buf_key(s.key_of("x"), 0, owner, 0);
+    let key = |owner: ClientId| buf_key(var_id("x"), 0, owner, 0);
     s.apply_remote_piece(key(2), 2, FieldData::from(vec![1.0, 2.0]).into_bytes());
     s.apply_remote_piece(key(1), 1, Bytes::from(vec![0u8; 9]));
     assert!(s.dart().registry().get(&key(1)).is_some());

@@ -2,14 +2,13 @@
 //! real OS processes over TCP.
 //!
 //! One process calls [`serve`] — it is the workflow management server
-//! (§III.A): it accepts one joiner per simulated node, registers their
-//! execution clients (with the real socket addresses they connected
-//! from), dispatches each wave's task assignments as `Relay` frames,
-//! runs the wave barriers and merges the final per-node reports. Every
-//! other process calls [`join`] — it rebuilds the *same* execution
-//! state from the `Welcome` frame (scenario text, strategy, get
-//! timeout) via [`crate::exec`], runs only the tasks its node hosts,
-//! and ships everything that crosses processes through an
+//! (§III.A): it greets one joiner per simulated node (its execution
+//! client management), dispatches each wave's task assignments as
+//! `Relay` frames, runs the wave barriers and merges the final per-node
+//! reports. Every other process calls [`join`] — it rebuilds the *same*
+//! execution state from the `Welcome` frame (scenario text, strategy,
+//! get timeout) via [`crate::exec`], runs only the tasks its node
+//! hosts, and ships everything that crosses processes through an
 //! [`insitu_net::NetLink`].
 //!
 //! ## Accounting-once invariant
@@ -45,7 +44,6 @@ use insitu_net::conn::{recv_frame, send_frame};
 use insitu_net::{connect_with_retry, Ctl, Frame, Hub, HubConfig, NetLink, NetMetrics, NodeReport};
 use insitu_obs::{FlightRecorder, ProcessTrace};
 use insitu_telemetry::Recorder;
-use insitu_workflow::ClientRegistry;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -64,10 +62,6 @@ pub struct ServeOptions {
     pub injector: FaultInjector,
     /// Telemetry recorder (`net.*` counters land here).
     pub recorder: Recorder,
-    /// Run epoch shipped to every joiner in `Welcome`; salts the
-    /// replicas' DataSpace/BufferRegistry/DHT keys so concurrent
-    /// service runs cannot collide. 0 = standalone run, no salting.
-    pub run_epoch: u64,
     /// Cooperative cancellation flag, checked at every wave boundary:
     /// once set, the server shuts the run down (`Shutdown{ok: false}`)
     /// instead of dispatching the next wave.
@@ -94,7 +88,6 @@ impl Default for ServeOptions {
             timeout: Duration::from_secs(30),
             injector: FaultInjector::none(),
             recorder: Recorder::disabled(),
-            run_epoch: 0,
             cancel: Arc::new(AtomicBool::new(false)),
             p2p: false,
             shm: true,
@@ -183,10 +176,6 @@ pub fn serve(
         get_timeout: opts.get_timeout,
         injector: opts.injector.clone(),
         flight: FlightRecorder::disabled(),
-        key_epoch: opts.run_epoch,
-        // The server runs no tasks, so whether it hosts sinks is moot;
-        // None keeps its replicated state identical to single-process.
-        local_node: None,
     };
     // The server replicates the execution state like any node: it needs
     // the mapping for dispatch and the placement for dispatch accounting.
@@ -203,7 +192,6 @@ pub fn serve(
             get_timeout_ms: opts.get_timeout.as_millis() as u64,
             dag: dag.to_string(),
             config: config.to_string(),
-            run_epoch: opts.run_epoch,
             accept_timeout: opts.timeout,
             p2p: opts.p2p,
             shm: opts.shm,
@@ -212,16 +200,6 @@ pub fn serve(
         &metrics,
     )
     .map_err(|e| e.to_string())?;
-
-    // Execution-client management: every client registers with the real
-    // socket address its node process connected from.
-    let mut registry = ClientRegistry::new();
-    opts.recorder.histogram("workflow.register_us").time(|| {
-        for client in 0..machine.total_cores() {
-            let addr = hub.peer_addr(client / machine.cores_per_node).to_string();
-            registry.register_at(client, client, &addr);
-        }
-    });
 
     let deadline = wave_timeout(opts.get_timeout);
     // Wave progress for live observers (`insitu watch`): total up front,
@@ -245,7 +223,6 @@ pub fn serve(
         // assignment — before RunWave on the same FIFO connection.
         group_us.time(|| {
             for &(app_id, rank, client) in &tasks {
-                registry.set_running(client, app_id);
                 env.dart
                     .account(app_id, TrafficClass::Control, 0, client, DISPATCH_BYTES);
                 hub.send_to(
@@ -264,9 +241,6 @@ pub fn serve(
             let why = format!("wave {wi} failed: {e}");
             hub.shutdown(false, &why);
             return Err(why);
-        }
-        for &(_, _, client) in &tasks {
-            registry.set_idle(client);
         }
         waves_done.inc();
     }
@@ -367,7 +341,7 @@ where
         &metrics,
     )
     .map_err(|e| format!("greeting {addr}: {e}"))?;
-    let (nodes, strategy, get_timeout_ms, dag, config, run_epoch, peers, hosts) =
+    let (nodes, strategy, get_timeout_ms, dag, config, peers, hosts) =
         match recv_frame(&mut stream, &opts.injector, &metrics) {
             Ok(Frame::Welcome {
                 nodes,
@@ -375,19 +349,9 @@ where
                 get_timeout_ms,
                 dag,
                 config,
-                run_epoch,
                 peers,
                 hosts,
-            }) => (
-                nodes,
-                strategy,
-                get_timeout_ms,
-                dag,
-                config,
-                run_epoch,
-                peers,
-                hosts,
-            ),
+            }) => (nodes, strategy, get_timeout_ms, dag, config, peers, hosts),
             Ok(Frame::Shutdown { reason, .. }) => {
                 return Err(format!("server refused node {node}: {reason}"))
             }
@@ -431,10 +395,6 @@ where
         get_timeout,
         injector: opts.injector.clone(),
         flight: opts.flight.clone(),
-        key_epoch: run_epoch,
-        // Host subscription sinks only for subscriber tasks on this node;
-        // everything else stays a registry-only entry fed over the wire.
-        local_node: Some(node),
     };
     let env = ExecEnv::build(
         &scenario,
@@ -592,7 +552,6 @@ mod tests {
         assert!(snap.counter("net.bytes_recv") > 0);
         assert!(snap.counter("net.frames") > 0);
         // The server timed its phases, the joiners their eight tasks.
-        assert_eq!(snap.histograms["workflow.register_us"].count, 1);
         assert!(snap.histograms["workflow.execute_us"].count >= 1);
         assert_eq!(snap.histograms["exec.task_us"].count, 8);
     }

@@ -216,7 +216,6 @@ impl ExecEnv {
             get_timeout: cfg.get_timeout,
             // Jaguar XT5 nodes carry 16 GB; staged coupling data must fit.
             staging_limit_per_node: Some(16 << 30),
-            key_epoch: cfg.key_epoch,
         };
         let space = match mirror {
             Some(mirror) => CodsSpace::with_mirror(Arc::clone(&dart), dht, cods_cfg, mirror),
@@ -248,13 +247,12 @@ impl ExecEnv {
         // Standing queries: every process registers every subscription
         // (so producers anywhere can fan out pushes with the right
         // subscriber address), but a sink is attached only where the
-        // subscriber task will actually run — remote subscribers stay
+        // transport hosts the subscriber client — remote subscribers stay
         // registry-only entries whose producer pieces travel the wire.
         // A sink learns the box of every piece it expects, so a pushed
         // copy that lands with only its key can feed it. Each piece
         // also owes one resync `get` per on-stride version, which keeps
         // producer-side reclaim accounting deterministic.
-        let cpn = machine.cores_per_node;
         let mut subs: HashMap<(u32, u64), Vec<SubPiece>> = HashMap::new();
         for (si, sub) in scenario.subscriptions.iter().enumerate() {
             let sdec = scenario.decomposition(sub.subscriber_app);
@@ -277,7 +275,7 @@ impl ExecEnv {
                     .filter_map(|p| p.intersect(&region))
                 {
                     pieces += 1;
-                    if cfg.local_node.is_none_or(|n| client / cpn == n) {
+                    if dart.hosts(client) {
                         let handle = space.subscribe(
                             client,
                             sub.subscriber_app,
@@ -297,7 +295,7 @@ impl ExecEnv {
                             });
                     } else {
                         space.apply_remote_subscribe(&SubSpec {
-                            vid: space.key_of(&sub.var),
+                            vid: var_id(&sub.var),
                             region: piece,
                             every_k: sub.every_k,
                             subscriber: client,

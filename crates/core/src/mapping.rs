@@ -10,7 +10,7 @@ use crate::scenario::Scenario;
 use insitu_fabric::{CoreId, MachineSpec, NodeId};
 use insitu_workflow::{
     map_client_side, pairwise_overlaps_region, AppSpec, BundleMapper, CoreAllocator,
-    DataCentricServerMapper, PackedMapper, RoundRobinMapper, WorkflowEngine,
+    DataCentricServerMapper, PackedMapper, RoundRobinMapper, WorkflowSpec,
 };
 use std::collections::{BTreeMap, HashMap};
 
@@ -109,9 +109,12 @@ impl MappedScenario {
 /// # Panics
 /// Panics if the workflow is invalid or the machine lacks capacity.
 pub fn map_scenario(scenario: &Scenario, strategy: MappingStrategy) -> MappedScenario {
-    let engine = WorkflowEngine::new(scenario.workflow.clone()).expect("invalid workflow spec");
-    let machine = engine.machine_for(scenario.cores_per_node);
-    let waves = engine.waves().to_vec();
+    let spec = &scenario.workflow;
+    let waves = spec
+        .validate()
+        .and_then(|()| spec.bundle_waves())
+        .expect("invalid workflow spec");
+    let machine = machine_for(spec, &waves, scenario.cores_per_node);
     let mut alloc = CoreAllocator::new(machine);
     let mut app_cores: BTreeMap<u32, Vec<CoreId>> = BTreeMap::new();
     let mut wave_cores: Vec<CoreId> = Vec::new();
@@ -145,6 +148,23 @@ pub fn map_scenario(scenario: &Scenario, strategy: MappingStrategy) -> MappedSce
         app_cores,
         waves,
     }
+}
+
+/// Machine sized to the widest wave (every task of every bundle of the
+/// wave runs concurrently), assuming `cores_per_node`-core nodes.
+fn machine_for(spec: &WorkflowSpec, waves: &[Vec<Vec<u32>>], cores_per_node: u32) -> MachineSpec {
+    let max_wave_tasks = waves
+        .iter()
+        .map(|w| {
+            w.iter()
+                .flatten()
+                .map(|&id| spec.app(id).map(|a| a.ntasks).unwrap_or(0))
+                .sum::<u32>()
+        })
+        .max()
+        .unwrap_or(0)
+        .max(1);
+    MachineSpec::new(max_wave_tasks.div_ceil(cores_per_node), cores_per_node)
 }
 
 fn map_bundle_data_centric(
@@ -248,6 +268,22 @@ mod tests {
     }
 
     #[test]
+    fn machine_sized_to_widest_wave() {
+        let climate = WorkflowSpec {
+            apps: vec![
+                AppSpec::new(1, "atm", 4),
+                AppSpec::new(2, "land", 2),
+                AppSpec::new(3, "ice", 2),
+            ],
+            edges: vec![(1, 2), (1, 3)],
+            bundles: vec![vec![1], vec![2], vec![3]],
+        };
+        let waves = climate.bundle_waves().unwrap();
+        // Wave 0 needs 4 tasks; wave 1 needs 2+2 = 4. 2-core nodes -> 2.
+        assert_eq!(machine_for(&climate, &waves, 2), MachineSpec::new(2, 2));
+    }
+
+    #[test]
     fn sequential_waves_reuse_cores() {
         let m = map_scenario(&small_sequential(), MappingStrategy::RoundRobin);
         // SAP2+SAP3 run on the same cores SAP1 used.
@@ -340,7 +376,6 @@ mod tests {
         // on two 8-core nodes — data-centric mapping co-locates each APP2
         // task with the APP1 tasks it couples to.
         use insitu_domain::{BoundingBox, Decomposition, Distribution, ProcessGrid};
-        use insitu_workflow::{AppSpec, WorkflowSpec};
         let domain = BoundingBox::from_sizes(&[12, 4]);
         let app1 = AppSpec::new(1, "APP1", 12).with_decomposition(Decomposition::new(
             domain,

@@ -20,7 +20,6 @@ use insitu_fabric::{FaultInjector, LedgerSnapshot, TrafficClass};
 use insitu_obs::FlightRecorder;
 use insitu_telemetry::Recorder;
 use insitu_util::Bytes;
-use insitu_workflow::ClientRegistry;
 use std::time::Duration;
 
 pub(crate) use crate::exec::TAG_COLLECTIVE_BASE;
@@ -48,7 +47,9 @@ pub struct ThreadedOutcome {
     pub mapped: MappedScenario,
 }
 
-/// Execution knobs of the threaded executor, mainly for chaos testing.
+/// Execution knobs of the threaded executor: the `get` timeout, the
+/// fault sites chaos testing drives, and the flight recorder `insitu
+/// profile` reads.
 #[derive(Clone, Debug)]
 pub struct ThreadedConfig {
     /// How long a `get` waits for a missing piece, and how long producers
@@ -59,15 +60,6 @@ pub struct ThreadedConfig {
     /// Flight recorder for causal put/get/pull events (disabled by
     /// default; enable for `insitu profile`).
     pub flight: FlightRecorder,
-    /// Run epoch salting the DataSpace/BufferRegistry/DHT key space
-    /// (see `CodsConfig::key_epoch`). 0 = standalone run, no salting.
-    pub key_epoch: u64,
-    /// In a distributed run, the node this process executes tasks for:
-    /// subscription sinks are attached only for subscriber clients that
-    /// live on this node (remote subscribers get registry-only entries
-    /// fed over the wire). `None` — the single-process executors — hosts
-    /// every sink locally.
-    pub local_node: Option<u32>,
 }
 
 impl Default for ThreadedConfig {
@@ -76,8 +68,6 @@ impl Default for ThreadedConfig {
             get_timeout: Duration::from_secs(60),
             injector: FaultInjector::none(),
             flight: FlightRecorder::disabled(),
-            key_epoch: 0,
-            local_node: None,
         }
     }
 }
@@ -97,7 +87,7 @@ pub fn run_threaded(scenario: &Scenario, strategy: MappingStrategy) -> ThreadedO
 
 /// [`run_threaded`], recording metrics into `recorder` — the layers'
 /// counters plus one histogram sample per workflow phase
-/// (`workflow.{register,map,group,execute}_us`) and per task
+/// (`workflow.{map,group,execute}_us`) and per task
 /// (`exec.task_us`) — under explicit execution knobs: a custom `get`
 /// timeout, a [`FaultInjector`] consulted at the runtime's fault sites,
 /// a flight recorder. Pass `&ThreadedConfig::default()` for none.
@@ -107,18 +97,8 @@ pub fn run_threaded_configured(
     recorder: &Recorder,
     cfg: &ThreadedConfig,
 ) -> ThreadedOutcome {
+    // One execution client per core, client id == core id.
     let env = ExecEnv::build(scenario, strategy, recorder, cfg, None, None);
-    let machine = env.mapped.machine;
-    // One execution client per core, client id == core id. The workflow
-    // server's client-management module registers every client (its core
-    // stands in for a network address) before any task is dispatched.
-    let mut registry = ClientRegistry::new();
-    recorder.histogram("workflow.register_us").time(|| {
-        for client in 0..machine.total_cores() {
-            registry.register(client, client);
-        }
-    });
-
     let group_us = recorder.histogram("workflow.group_us");
     let execute_us = recorder.histogram("workflow.execute_us");
     for wave in &env.mapped.waves {
@@ -131,7 +111,6 @@ pub fn run_threaded_configured(
         // exists, so each client's first message is its assignment.
         group_us.time(|| {
             for &(app_id, rank, client) in &tasks {
-                registry.set_running(client, app_id);
                 env.dart.send(
                     app_id,
                     TrafficClass::Control,
@@ -144,10 +123,6 @@ pub fn run_threaded_configured(
         });
         let local: Vec<(u32, u64)> = tasks.iter().map(|&(a, r, _)| (a, r)).collect();
         execute_us.time(|| env.run_tasks(&local));
-        // Wave complete: its clients return to the idle pool.
-        for &(_, _, client) in &tasks {
-            registry.set_idle(client);
-        }
     }
 
     env.into_outcome(strategy)
@@ -274,8 +249,8 @@ mod tests {
                 .sum();
             assert_eq!(mirrored, o.ledger.total_bytes(class), "{class:?}");
         }
-        // All four workflow phases, and one sample per task (8 + 4).
-        for phase in ["register", "map", "group", "execute"] {
+        // All three workflow phases, and one sample per task (8 + 4).
+        for phase in ["map", "group", "execute"] {
             let name = format!("workflow.{phase}_us");
             let count = snap.histograms.get(&name).map_or(0, |h| h.count);
             assert!(count >= 1, "missing {name}");

@@ -29,17 +29,18 @@ use insitu_obs::{Event, EventKind, LinkClass};
 use std::io::{Read, Write};
 
 /// Protocol revision; bumped on any incompatible codec change.
-/// Version 2 added the service RPC frames and `Welcome::run_epoch`;
-/// version 3 added `Hello::peer_addr` and `Welcome::peers` for the
-/// direct node↔node data plane; version 4 added the telemetry plane
+/// Version 2 added the service RPC frames and a run-epoch key salt in
+/// `Welcome`; version 3 added `Hello::peer_addr` and `Welcome::peers`
+/// for the direct node↔node data plane; version 4 added the telemetry plane
 /// (`Telemetry` and kind 26, its ack, since retired: shipment is
 /// unpaced), live run streaming (`Watch`/`Progress`) and the
 /// `RunSummary` link-health fields; version 5 added the intra-host
 /// shared-memory data plane (`Hello::host`, `Welcome::hosts`,
 /// `ShmOffer`/`ShmAck`/`ShmDoorbell`); version 6 added the
 /// standing-query plane (`SubPush`, now reserved, and kinds 32, 33, 35
-/// and 36, since retired).
-pub const WIRE_VERSION: u8 = 6;
+/// and 36, since retired); version 7 dropped the `Welcome` salt: every
+/// run owns its hub, joiners and spaces, so no key space is shared.
+pub const WIRE_VERSION: u8 = 7;
 
 /// Upper bound on `len`: rejects absurd length words before any
 /// allocation happens (a 256 MiB frame comfortably fits the largest
@@ -315,10 +316,6 @@ pub enum Frame {
         dag: String,
         /// The workload configuration text.
         config: String,
-        /// Run epoch salting the DataSpace/BufferRegistry/DHT key space
-        /// so concurrent runs in one service cannot collide (0 = no
-        /// salting; standalone `serve` runs use 0).
-        run_epoch: u64,
         /// Peer data-plane addresses indexed by node, as advertised in
         /// each joiner's `Hello`. Empty = star topology (all PullData
         /// routed through the hub); length `nodes` = reactor/p2p mode
@@ -516,7 +513,7 @@ pub enum Frame {
         /// Flight events the node's bounded recorder dropped.
         dropped_events: u64,
         /// Reserved since the span tracer left: senders write 0, the
-        /// hub ignores it. Kept so wire v6 stays byte-identical.
+        /// hub ignores it. Kept so wire v7 stays byte-identical.
         dropped_spans: u64,
         /// Metrics counters `(name, value)` at snapshot time; only
         /// populated on the last batch.
@@ -634,12 +631,12 @@ pub enum Frame {
     },
     /// Reserved, no sender: a standing query's push is the producer's
     /// staged piece sent as a `PullData` nobody requested, which lands
-    /// in the subscriber's registry and sinks. Kept so wire v6 stays
+    /// in the subscriber's registry and sinks. Kept so wire v7 stays
     /// byte-identical; hub and link refuse it as unexpected.
     34 => SubPush {
         /// Target subscription.
         sub_id: u64,
-        /// Variable key (epoch-salted).
+        /// Variable key (`var_id`).
         var: u64,
         /// Pushed version.
         version: u64,
@@ -1640,7 +1637,6 @@ mod tests {
         1u64.put(&mut p); // get_timeout_ms
         String::new().put(&mut p);
         String::new().put(&mut p);
-        0u64.put(&mut p); // run_epoch
         let valid_prefix = p.clone();
         u32::MAX.put(&mut p); // hostile peer count
         assert_eq!(

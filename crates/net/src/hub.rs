@@ -63,9 +63,6 @@ pub struct HubConfig {
     pub dag: String,
     /// Workload configuration text sent in `Welcome`.
     pub config: String,
-    /// Run epoch sent in `Welcome`; salts every replica's DataSpace /
-    /// BufferRegistry / DHT keys (0 = standalone run, no salting).
-    pub run_epoch: u64,
     /// How long to wait for all joiners to connect and greet.
     pub accept_timeout: Duration,
     /// Publish the joiners' peer addresses in `Welcome` so PullData
@@ -112,12 +109,11 @@ struct Inner {
     telemetry: HashMap<u32, NodeTelemetry>,
 }
 
-/// A node's connection, where it connected from, and the peer address
-/// and host fingerprint its `Hello` advertised.
+/// A node's connection, and the peer address and host fingerprint its
+/// `Hello` advertised.
 #[derive(Clone)]
 struct Greeting {
     token: Token,
-    addr: SocketAddr,
     peer_addr: String,
     host: String,
 }
@@ -200,7 +196,6 @@ impl Hub {
             get_timeout_ms: cfg.get_timeout_ms,
             dag: cfg.dag.clone(),
             config: cfg.config.clone(),
-            run_epoch: cfg.run_epoch,
             peers: table(cfg.p2p, |g| g.peer_addr.clone()),
             hosts: table(cfg.shm, |g| g.host.clone()),
         };
@@ -212,16 +207,6 @@ impl Hub {
     /// Enqueue a frame for one node.
     pub fn send_to(&self, node: u32, frame: Frame) {
         self.router.send_to(node, frame);
-    }
-
-    /// The socket address the joiner hosting `node` connected from —
-    /// the real network address the client registry records.
-    pub fn peer_addr(&self, node: u32) -> SocketAddr {
-        let inner = self.router.inner.lock().unwrap();
-        inner.greeted[node as usize]
-            .as_ref()
-            .expect("greeted at accept")
-            .addr
     }
 
     /// Enqueue a frame for every node.
@@ -306,7 +291,7 @@ impl Router {
         Box::new(move |ev| match caller {
             Caller::Node(node) => router.on_event(node, ev),
             Caller::Refused => {}
-            Caller::Ungreeted => match router.greet(token, addr, ev) {
+            Caller::Ungreeted => match router.greet(token, ev) {
                 Ok(node) => caller = Caller::Node(node),
                 Err(why) => {
                     caller = Caller::Refused;
@@ -316,9 +301,9 @@ impl Router {
         })
     }
 
-    /// Claim a node for the connection `token` from `addr`, whose first
-    /// event is `ev` — or say why not.
-    fn greet(&self, token: Token, addr: SocketAddr, ev: ConnEvent) -> Result<u32, String> {
+    /// Claim a node for the connection `token`, whose first event is
+    /// `ev` — or say why not.
+    fn greet(&self, token: Token, ev: ConnEvent) -> Result<u32, String> {
         let (node, peer_addr, host) = match ev {
             ConnEvent::Frame(Frame::Hello {
                 node,
@@ -348,7 +333,6 @@ impl Router {
         }
         *slot = Some(Greeting {
             token,
-            addr,
             peer_addr,
             host,
         });
@@ -553,7 +537,6 @@ mod tests {
             get_timeout_ms: 1000,
             dag: String::new(),
             config: String::new(),
-            run_epoch: 0,
             accept_timeout: Duration::from_secs(10),
             p2p: false,
             shm: false,
@@ -696,7 +679,6 @@ mod tests {
             get_timeout_ms: 1000,
             dag: String::new(),
             config: String::new(),
-            run_epoch: 0,
             accept_timeout: Duration::from_millis(500),
             p2p: true,
             shm: false,

@@ -1,6 +1,6 @@
 use super::*;
 use crate::conn::{recv_frame, send_frame};
-use insitu_cods::{CodsConfig, Dht};
+use insitu_cods::{var_id, CodsConfig, Dht};
 use insitu_fabric::{Placement, TransferLedger};
 use insitu_sfc::HilbertCurve;
 use insitu_telemetry::Recorder;
@@ -434,7 +434,7 @@ fn a_peers_malformed_piece_fails_the_get_by_name() {
         });
         // Client 1's piece 0, as the owner would answer the pull.
         let forged = Frame::PullData {
-            name: r.space.key_of("v"),
+            name: var_id("v"),
             version,
             piece: 1 << 32,
             owner: 1,
@@ -450,7 +450,7 @@ fn a_peers_malformed_piece_fails_the_get_by_name() {
         assert_eq!(
             err,
             CodsError::MalformedPiece {
-                var: r.space.key_of("v"),
+                var: var_id("v"),
                 version,
                 region: query,
                 owner: 1,

@@ -1,4 +1,4 @@
-//! Byte-level goldens for wire v6: one literal frame per kind, every
+//! Byte-level goldens for wire v7: one literal frame per kind, every
 //! field non-default, pinned to the exact bytes `encode()` produces.
 //! Round-trip tests pass a symmetric mistake (a swapped field order, a
 //! changed width); these do not. A codec change that alters any byte
@@ -84,7 +84,7 @@ fn goldens() -> Vec<(u8, Frame, &'static str)> {
                 peer_addr: "10.0.0.7:4100".into(),
                 host: "boot-abc".into(),
             },
-            "230000000601030000000d00000031302e302e302e373a343130300800000062\
+            "230000000701030000000d00000031302e302e302e373a343130300800000062\
              6f6f742d616263",
         ),
         (
@@ -95,14 +95,13 @@ fn goldens() -> Vec<(u8, Frame, &'static str)> {
                 get_timeout_ms: 30_000,
                 dag: "app sim 4".into(),
                 config: "grid 8 8".into(),
-                run_epoch: 0xfeed_beef,
                 peers: vec!["127.0.0.1:1".into(), "127.0.0.1:2".into()],
                 hosts: vec!["h-a".into(), "h-b".into()],
             },
-            "730000000602020000000c000000646174612d63656e74726963307500000000\
-             0000090000006170702073696d2034080000006772696420382038efbeedfe00\
-             000000020000000b0000003132372e302e302e313a310b0000003132372e302e\
-             302e313a320200000003000000682d6103000000682d62",
+            "6b0000000702020000000c000000646174612d63656e74726963307500000000\
+             0000090000006170702073696d2034080000006772696420382038020000000b\
+             0000003132372e302e302e313a310b0000003132372e302e302e313a32020000\
+             0003000000682d6103000000682d62",
         ),
         (
             3,
@@ -112,7 +111,7 @@ fn goldens() -> Vec<(u8, Frame, &'static str)> {
                 tag: 0x0102_0304_0506_0708,
                 payload: vec![0xde, 0xad, 0xbe, 0xef],
             },
-            "1a00000006030500000009000000080706050403020104000000deadbeef",
+            "1a00000007030500000009000000080706050403020104000000deadbeef",
         ),
         (
             5,
@@ -122,7 +121,7 @@ fn goldens() -> Vec<(u8, Frame, &'static str)> {
                 piece: (7 << 32) | 2,
                 from_node: 1,
             },
-            "1e00000006051500000000000000160000000000000002000000070000000100\
+            "1e00000007051500000000000000160000000000000002000000070000000100\
              0000",
         ),
         (
@@ -135,7 +134,7 @@ fn goldens() -> Vec<(u8, Frame, &'static str)> {
                 to_node: 1,
                 data: vec![1, 2, 3, 4, 5],
             },
-            "2b00000006061f00000000000000200000000000000003000000080000000800\
+            "2b00000007061f00000000000000200000000000000003000000080000000800\
              000001000000050000000102030405",
         ),
         (
@@ -148,7 +147,7 @@ fn goldens() -> Vec<(u8, Frame, &'static str)> {
                 lbs: vec![0, 16, 32],
                 ubs: vec![15, 31, 47],
             },
-            "560000000608330000000000000034000000000000000a000000050000000000\
+            "560000000708330000000000000034000000000000000a000000050000000000\
              0000030000000000000000000000100000000000000020000000000000000300\
              00000f000000000000001f000000000000002f00000000000000",
         ),
@@ -158,7 +157,7 @@ fn goldens() -> Vec<(u8, Frame, &'static str)> {
                 var: 61,
                 version: 62,
             },
-            "1200000006093d000000000000003e00000000000000",
+            "1200000007093d000000000000003e00000000000000",
         ),
         (
             10,
@@ -166,13 +165,13 @@ fn goldens() -> Vec<(u8, Frame, &'static str)> {
                 var: 71,
                 version: 72,
             },
-            "12000000060a47000000000000004800000000000000",
+            "12000000070a47000000000000004800000000000000",
         ),
-        (11, Frame::RunWave { wave: 81 }, "06000000060b51000000"),
+        (11, Frame::RunWave { wave: 81 }, "06000000070b51000000"),
         (
             12,
             Frame::Barrier { wave: 91, node: 4 },
-            "0a000000060c5b00000004000000",
+            "0a000000070c5b00000004000000",
         ),
         (
             13,
@@ -191,7 +190,7 @@ fn goldens() -> Vec<(u8, Frame, &'static str)> {
                 gets: 300,
                 errors: vec!["task 3: timeout".into(), "task 5: verify".into()],
             }),
-            "a7000000060d0200000001000000000000000200000000000000030000000000\
+            "a7000000070d0200000001000000000000000200000000000000030000000000\
              0000040000000000000005000000000000000600000000000000070000000000\
              0000080000000000000002000000010000000001840300000000000002000000\
              02004600000000000000010000000000000002000000000000002c0100000000\
@@ -204,7 +203,7 @@ fn goldens() -> Vec<(u8, Frame, &'static str)> {
                 ok: true,
                 reason: "done".into(),
             },
-            "0b000000060e0104000000646f6e65",
+            "0b000000070e0104000000646f6e65",
         ),
         (
             15,
@@ -216,7 +215,7 @@ fn goldens() -> Vec<(u8, Frame, &'static str)> {
                 get_timeout_ms: 5000,
                 priority: 2,
             },
-            "40000000060f07000000636c696d617465090000006170702061746d20380700\
+            "40000000070f07000000636c696d617465090000006170702061746d20380700\
              0000697465727320330b000000726f756e642d726f62696e8813000000000000\
              02000000",
         ),
@@ -226,23 +225,23 @@ fn goldens() -> Vec<(u8, Frame, &'static str)> {
                 run: 17,
                 queued_ahead: 3,
             },
-            "0e0000000610110000000000000003000000",
+            "0e0000000710110000000000000003000000",
         ),
         (
             17,
             Frame::Cancel { run: 18 },
-            "0a00000006111200000000000000",
+            "0a00000007111200000000000000",
         ),
         (
             18,
             Frame::Status { run: 19 },
-            "0a00000006121300000000000000",
+            "0a00000007121300000000000000",
         ),
-        (19, Frame::ListRuns, "020000000613"),
+        (19, Frame::ListRuns, "020000000713"),
         (
             20,
             Frame::RunStatus(summary(20, RunState::Running)),
-            "71000000061414000000000000000600000072756e2d32300103000000100000\
+            "71000000071414000000000000000600000072756e2d32300103000000100000\
              00717565756520706f736974696f6e2032040000000000000002000000270000\
              006c696e6b2d7374616c6c3a206e6f2070756c6c2070726f677265737320666f\
              7220323030306d7309000000703939206472696674",
@@ -252,7 +251,7 @@ fn goldens() -> Vec<(u8, Frame, &'static str)> {
             Frame::RunList {
                 runs: vec![summary(1, RunState::Done), summary(2, RunState::Cancelled)],
             },
-            "e200000006150200000001000000000000000500000072756e2d310203000000\
+            "e200000007150200000001000000000000000500000072756e2d310203000000\
              10000000717565756520706f736974696f6e2032040000000000000002000000\
              270000006c696e6b2d7374616c6c3a206e6f2070756c6c2070726f6772657373\
              20666f7220323030306d73090000007039392064726966740200000000000000\
@@ -264,7 +263,7 @@ fn goldens() -> Vec<(u8, Frame, &'static str)> {
         (
             22,
             Frame::RunResult { run: 23 },
-            "0a00000006161700000000000000",
+            "0a00000007161700000000000000",
         ),
         (
             23,
@@ -276,7 +275,7 @@ fn goldens() -> Vec<(u8, Frame, &'static str)> {
                 profile_json: "{\"p\":3}".into(),
                 errors: vec!["e1".into(), "e2".into()],
             },
-            "3c0000000617180000000000000003070000007b226c223a317d070000007b22\
+            "3c0000000717180000000000000003070000007b226c223a317d070000007b22\
              6d223a327d070000007b2270223a337d02000000020000006531020000006532",
         ),
         (
@@ -284,7 +283,7 @@ fn goldens() -> Vec<(u8, Frame, &'static str)> {
             Frame::RpcErr {
                 message: "unknown run 9".into(),
             },
-            "1300000006180d000000756e6b6e6f776e2072756e2039",
+            "1300000007180d000000756e6b6e6f776e2072756e2039",
         ),
         (
             25,
@@ -297,7 +296,7 @@ fn goldens() -> Vec<(u8, Frame, &'static str)> {
                 counters: vec![("net.frames".into(), 55), ("cods.gets".into(), 66)],
                 events: events(),
             },
-            "9c05000006190100000002000000010300000000000000040000000000000002\
+            "9c05000007190100000002000000010300000000000000040000000000000002\
              0000000a0000006e65742e6672616d6573370000000000000009000000636f64\
              732e6765747342000000000000000d0000006500000000000000640000000000\
              0000000100000001100000000000000100000000000000010200000001000000\
@@ -350,7 +349,7 @@ fn goldens() -> Vec<(u8, Frame, &'static str)> {
                 interval_ms: 250,
                 once: true,
             },
-            "13000000061b1c00000000000000fa0000000000000001",
+            "13000000071b1c00000000000000fa0000000000000001",
         ),
         (
             28,
@@ -375,7 +374,7 @@ fn goldens() -> Vec<(u8, Frame, &'static str)> {
                 link_stalls: 15,
                 health: vec!["h1".into(), "h2".into()],
             },
-            "8c000000061c1d00000000000000000101000000020000000300000000000000\
+            "8c000000071c1d00000000000000000101000000020000000300000000000000\
              0400000000000000050000000000000006000000000000000700000000000000\
              080000000000000009000000000000000a000000000000000b00000000000000\
              0c000000000000000d000000000000000e000000000000000f00000000000000\
@@ -391,7 +390,7 @@ fn goldens() -> Vec<(u8, Frame, &'static str)> {
                 slots: 256,
                 arena_bytes: 8 << 20,
             },
-            "39000000061d01000000020000000200000001000000130000002f6465762f73\
+            "39000000071d01000000020000000200000001000000130000002f6465762f73\
              686d2f696e736974752d312d3200010000000000000000800000000000",
         ),
         (
@@ -403,7 +402,7 @@ fn goldens() -> Vec<(u8, Frame, &'static str)> {
                 seq: 77,
                 attached: true,
             },
-            "1b000000061e010000000200000002000000010000004d0000000000000001",
+            "1b000000071e010000000200000002000000010000004d0000000000000001",
         ),
         (
             31,
@@ -413,7 +412,7 @@ fn goldens() -> Vec<(u8, Frame, &'static str)> {
                 segment: (1 << 32) | 2,
                 seq: 78,
             },
-            "1a000000061f010000000200000002000000010000004e00000000000000",
+            "1a000000071f010000000200000002000000010000004e00000000000000",
         ),
         (
             34,
@@ -427,7 +426,7 @@ fn goldens() -> Vec<(u8, Frame, &'static str)> {
                 ubs: vec![15, 31],
                 data: vec![9, 8, 7, 6, 5, 4, 3, 2],
             },
-            "560000000622cdab000000000000210000000000000004000000000000000200\
+            "560000000722cdab000000000000210000000000000004000000000000000200\
              0000060000000200000008000000000000001000000000000000020000000f00\
              0000000000001f00000000000000080000000908070605040302",
         ),
@@ -440,7 +439,7 @@ fn hex(bytes: &[u8]) -> String {
 
 #[test]
 fn every_kind_encodes_to_its_pinned_bytes_and_decodes_back() {
-    assert_eq!(WIRE_VERSION, 6, "goldens are wire v6");
+    assert_eq!(WIRE_VERSION, 7, "goldens are wire v7");
     let goldens = goldens();
     let kinds: Vec<u8> = goldens.iter().map(|(kind, ..)| *kind).collect();
     let retired = [4, 7, 26, 32, 33, 35, 36];

@@ -20,17 +20,15 @@
 //!   [`insitu::serve`] to completion and joins its joiners before it
 //!   gives the run's nodes back — no thread waits for work.
 //!
-//! ## Run namespacing
+//! ## Run isolation
 //!
-//! Every run is assigned a `RunId` that doubles as its *key epoch*: the
-//! server and every replica salt their DataSpace/BufferRegistry/DHT
-//! variable keys with `epoch_salt(run_id)` (shipped in `Welcome`), so N
-//! concurrent runs using identical variable names and versions occupy
-//! disjoint key regions and cannot collide. Epoch 0 is the identity —
-//! standalone `insitu serve`/`launch` runs are bit-for-bit unchanged —
-//! and the salt cancels out of all byte accounting, so each service
-//! run's merged ledger stays byte-identical to its standalone
-//! single-process baseline.
+//! A run shares no state with any other: its engine binds its own hub,
+//! and each of its joiner threads builds its own runtime, data space,
+//! buffer registry and DHT replica. N concurrent runs using identical
+//! variable names and versions therefore cannot collide, and each
+//! run's keys are the raw `var_id`s a standalone `insitu launch` uses —
+//! so its merged ledger, and any error naming a variable, read exactly
+//! as the single-process run's do.
 //!
 //! ## Artifacts
 //!

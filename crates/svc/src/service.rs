@@ -514,7 +514,6 @@ fn run_engine(shared: &Arc<Shared>, id: u64) {
                     timeout: shared.cfg.connect_timeout,
                     injector: shared.cfg.injector.clone(),
                     recorder: recorder.clone(),
-                    run_epoch: id,
                     cancel: Arc::clone(&cancel),
                     p2p: shared.cfg.p2p,
                     shm: shared.cfg.shm,
@@ -1085,9 +1084,9 @@ mod tests {
     #[test]
     fn concurrent_runs_with_identical_variable_names_stay_isolated() {
         // Four runs of the *same* workflow (same variable names, same
-        // versions) share one pool; epoch salting must keep their key
-        // spaces disjoint so every ledger is byte-identical to the
-        // single-process baseline.
+        // versions) share one pool; each run's own hub, joiners and
+        // spaces keep them apart, so every ledger is byte-identical to
+        // the single-process baseline.
         let (svc, mut client) = start(SvcConfig {
             max_runs: 4,
             pool_nodes: 8,
@@ -1115,6 +1114,38 @@ mod tests {
             assert!(art.errors.is_empty(), "run {run}: {:?}", art.errors);
             assert_eq!(art.ledger_json, expected, "run {run} ledger diverged");
         }
+        svc.shutdown();
+    }
+
+    /// A service run names a variable by the same key a standalone run
+    /// does: a get that times out on a dead producer reports the raw
+    /// `var_id`, whatever the run's id.
+    #[test]
+    fn service_run_errors_name_the_launch_variable_key() {
+        use insitu_chaos::{FaultKind, FaultPlan, FaultSpec};
+        let plan = Arc::new(FaultPlan::new(
+            3,
+            FaultSpec::none().with_rate(FaultKind::DeadProducer, 1.0),
+        ));
+        let (svc, mut client) = start(SvcConfig {
+            max_runs: 1,
+            pool_nodes: 2,
+            injector: FaultInjector::new(plan),
+            ..SvcConfig::default()
+        });
+        let (run, _) = client
+            .submit("dead", "ok", "", "data-centric", Duration::from_millis(200))
+            .unwrap();
+        let s = client.wait_terminal(run, Duration::from_secs(120)).unwrap();
+        assert_eq!(s.state, RunState::Done, "{}", s.detail);
+        let art = client.result(run).unwrap();
+        let var = format!("var {:#x} ", insitu::cods::var_id("coupled"));
+        assert!(!art.errors.is_empty(), "a dead producer left no error");
+        assert!(
+            art.errors.iter().all(|e| e.contains(&var)),
+            "expected every error to name {var}: {:?}",
+            art.errors
+        );
         svc.shutdown();
     }
 

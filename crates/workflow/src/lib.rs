@@ -1,24 +1,28 @@
 //! Workflow management for in-situ coupled scientific applications.
 //!
-//! Implements the paper's workflow management server and mapping logic:
+//! The paper's workflow management server (§III.A) has two modules.
+//! This crate is the model behind its *Workflow Engine*: the DAG, its
+//! waves and the task mappers. `insitu::map_scenario` maps each wave
+//! and the executors dispatch and barrier them. *Execution Client
+//! Management* is the distributed hub's greeting (`insitu_net::Hub`):
+//! each node process claims its node with a `Hello` and learns the run
+//! from the `Welcome`.
 //!
 //! * [`parser`] — the DAG description-file format of Listing 1;
 //! * [`spec`] — applications, dependency edges, bundles and the wave
-//!   schedule the Workflow Engine enacts;
+//!   schedule;
 //! * [`comm_graph`] — inter-application communication graphs built from
 //!   declared data decompositions (closed-form overlap volumes);
 //! * [`mappers`] — round-robin baseline, server-side data-centric mapping
 //!   (graph partitioning) and client-side data-centric mapping (follow the
 //!   data);
 //! * [`groups`] — dynamic client grouping by application color, the
-//!   `MPI_Comm_split` analog;
-//! * [`engine`] — client registration and wave-by-wave DAG enactment.
+//!   `MPI_Comm_split` analog.
 
 #![warn(missing_docs)]
 
 pub mod authoring;
 pub mod comm_graph;
-pub mod engine;
 pub mod groups;
 pub mod mappers;
 pub mod parser;
@@ -29,7 +33,6 @@ pub use comm_graph::{
     build_inter_app_graph, build_inter_app_graph_region, fanout_per_consumer, pairwise_overlaps,
     pairwise_overlaps_region,
 };
-pub use engine::{ClientRegistry, ClientState, WaveLaunch, WorkflowEngine};
 pub use groups::{split_by_color, AppGroup};
 pub use mappers::{
     map_client_side, BundleMapper, BundleMapping, CoreAllocator, DataCentricServerMapper,

@@ -248,6 +248,15 @@ mod tests {
     }
 
     #[test]
+    fn climate_runs_in_two_waves() {
+        let waves = climate().bundle_waves().unwrap();
+        assert_eq!(waves.len(), 2);
+        assert_eq!(waves[0], vec![vec![1]]);
+        // Wave 2: land and sea-ice concurrently, as separate bundles.
+        assert_eq!(waves[1].len(), 2);
+    }
+
+    #[test]
     fn unbundled_apps_get_singletons() {
         let mut w = online_processing();
         w.bundles.clear();
@@ -292,6 +301,16 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(w.validate(), Err(SpecError::Cyclic));
+    }
+
+    #[test]
+    fn rejects_invalid_spec() {
+        let bad = WorkflowSpec {
+            apps: vec![AppSpec::new(1, "a", 1)],
+            edges: vec![(1, 1)],
+            ..Default::default()
+        };
+        assert!(bad.validate().is_err());
     }
 
     #[test]

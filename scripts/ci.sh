@@ -239,6 +239,16 @@ fi
 if grep -rnw 'no_shm' crates/cli/src || grep -nE 'sub (==|!=)' crates/cli/src/main.rs; then
     echo "the CLI re-declares shm or guards flags by subcommand again"; exit 1
 fi
+# A run's state is its own: each run builds its own hub, joiners and
+# spaces, so no key salt keeps runs apart; the hub's greeting is the
+# client management and map_scenario the wave engine, so no second
+# registry or enactor models either; a subscription sink goes where the
+# transport hosts its client.
+if grep -rnE 'epoch_salt|key_epoch|run_epoch|key_of\(|ClientRegistry|ClientState|WorkflowEngine|WaveLaunch|launch_next_wave|local_node|workflow\.register_us' \
+    crates tests examples; then
+    echo "a run key salt, the client registry or the wave enactor grew back"; exit 1
+fi
+[[ ! -e crates/workflow/src/engine.rs ]]
 long=$(find crates/cods/src crates/net/src -name '*.rs' ! -path crates/net/src/frame.rs \
     -exec wc -l {} + | awk '$2 != "total" && $1 > 1200')
 if [[ -n "$long" ]]; then

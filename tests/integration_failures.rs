@@ -20,7 +20,6 @@ fn small_space(staging_limit: Option<u64>) -> Arc<CodsSpace> {
         CodsConfig {
             get_timeout: Duration::from_millis(50),
             staging_limit_per_node: staging_limit,
-            ..Default::default()
         },
     )
 }

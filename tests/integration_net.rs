@@ -444,7 +444,6 @@ fn star_routed_hub_serves_8_joiners_from_one_thread() {
             get_timeout_ms: 1000,
             dag: String::new(),
             config: String::new(),
-            run_epoch: 0,
             accept_timeout: Duration::from_secs(20),
             p2p: false,
             shm: false,

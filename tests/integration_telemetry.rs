@@ -194,7 +194,7 @@ fn phase_numbers_travel_in_the_metrics_document() {
         let h = doc.get("histograms").and_then(|h| h.get(name));
         h.and_then(|h| h.get("count")).and_then(Json::as_u64)
     };
-    for phase in ["register", "map", "group", "execute"] {
+    for phase in ["map", "group", "execute"] {
         let name = format!("workflow.{phase}_us");
         assert!(count(&threaded, &name) >= Some(1), "{name}");
     }
