@@ -49,8 +49,6 @@ pub struct LaunchCmd {
     pub dag: String,
     /// Workload configuration file contents.
     pub config: String,
-    /// Total process count: 1 server + one joiner per node.
-    pub procs: u32,
     /// The in-process server's knobs. With `p2p`, `launch` additionally
     /// asserts that zero `PullData` frames traversed the hub; without
     /// `shm`, every joiner is spawned with `--no-shm` too.
@@ -203,14 +201,6 @@ fn reap_joiners(children: Vec<(u32, std::process::Child)>) {
 pub fn launch_cmd(cmd: &LaunchCmd) -> Result<String, CliError> {
     let scenario = build_scenario(&cmd.dag, &cmd.config)?;
     let nodes = map_scenario(&scenario, cmd.opts.strategy).machine.nodes;
-    if cmd.procs != nodes + 1 {
-        return Err(CliError::Mismatch(format!(
-            "--procs {} does not fit this workflow: it maps to {nodes} node(s), \
-             so launch needs {} processes (1 server + {nodes} joiners)",
-            cmd.procs,
-            nodes + 1
-        )));
-    }
     let listener = TcpListener::bind("127.0.0.1:0")
         .map_err(|e| CliError::Io(format!("cannot bind loopback: {e}")))?;
     let addr = listener
@@ -466,25 +456,5 @@ COUPLING VAR t PRODUCER 1 CONSUMERS 2 MODE concurrent
         // reap_joiners returns only after the child is dead and waited
         // on — far sooner than the sleep would have finished.
         assert!(started.elapsed() < Duration::from_secs(30));
-    }
-
-    #[test]
-    fn launch_cmd_rejects_wrong_proc_count() {
-        let err = launch_cmd(&LaunchCmd {
-            dag: DAG.into(),
-            config: CFG.into(),
-            procs: 7,
-            opts: ServeOptions {
-                timeout: Duration::from_millis(1000),
-                ..ServeOptions::default()
-            },
-            out: RunOutputs::default(),
-        })
-        .unwrap_err();
-        let msg = err.to_string();
-        assert!(
-            msg.contains("--procs 7") && msg.contains("3 processes"),
-            "{msg}"
-        );
     }
 }

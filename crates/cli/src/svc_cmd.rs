@@ -423,3 +423,63 @@ pub fn watch_cmd(cmd: &WatchCmd) -> Result<String, CliError> {
         ))
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use insitu_net::RunState;
+
+    fn progress(health: &[&str]) -> Frame {
+        Frame::Progress {
+            run: 3,
+            state: RunState::Running,
+            done: false,
+            wave: 2,
+            waves: 9,
+            pulls: 40,
+            pull_bytes: 4096,
+            shm_wait_p50_us: 5,
+            shm_wait_p99_us: 50,
+            rdma_wait_p50_us: 7,
+            rdma_wait_p99_us: 70,
+            pulls_in_flight: 1,
+            bytes_in_flight: 512,
+            queue_depth: 64,
+            sub_active: 1,
+            sub_pushes: 6,
+            sub_lagged: 0,
+            link_stalls: 1,
+            health: health.iter().map(|h| h.to_string()).collect(),
+        }
+    }
+
+    /// The live view rewinds by `PROGRESS_LINES`, so a block is exactly
+    /// that many lines, healthy or not.
+    #[test]
+    fn progress_block_is_progress_lines_long() {
+        for health in [&[][..], &["link-stall", "link-degraded"]] {
+            let block = progress_block(&progress(health));
+            assert_eq!(block.lines().count(), PROGRESS_LINES, "{block}");
+            assert!(block.ends_with('\n'));
+        }
+    }
+
+    /// `watch --json` names every field the `Progress` frame carries
+    /// (read off the frame's own `Debug`, so a new field shows up here).
+    #[test]
+    fn progress_json_names_every_progress_field() {
+        let frame = progress(&["link-stall"]);
+        let debug = format!("{frame:?}");
+        let body = debug.strip_prefix("Progress { ").unwrap();
+        let fields: Vec<&str> = body
+            .split(", ")
+            .filter_map(|part| part.split_once(": ").map(|(name, _)| name))
+            .collect();
+        assert_eq!(fields.len(), 19, "{debug}");
+        let json = progress_json(&frame);
+        for name in fields {
+            assert!(json.get(name).is_some(), "watch --json lacks `{name}`");
+        }
+        assert_eq!(json.get("state").and_then(Json::as_str), Some("running"));
+    }
+}

@@ -184,7 +184,6 @@ fn map_bundle_data_centric(
         return DataCentricServerMapper {
             elem_bytes: scenario.elem_bytes,
             region,
-            ..Default::default()
         }
         .map_bundle(alloc, apps);
     }

@@ -22,9 +22,6 @@ pub enum LinkClass {
 }
 
 impl LinkClass {
-    /// Both classes, in stable order.
-    pub const ALL: [LinkClass; 2] = [LinkClass::Shm, LinkClass::Rdma];
-
     /// Stable lowercase name for reports and metric keys.
     pub fn slug(self) -> &'static str {
         match self {

@@ -113,7 +113,7 @@ pub struct ProfileReport {
 
 /// Exact percentile of a sorted sample vector (nearest-rank); 0 for no
 /// samples.
-pub fn percentile(sorted: &[u64], q: f64) -> u64 {
+fn percentile(sorted: &[u64], q: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }
@@ -153,6 +153,39 @@ fn attribute_transfers(intervals: &[TransferInterval]) -> (f64, f64) {
         }
     }
     (shm as f64, rdma as f64)
+}
+
+/// Per-link-class pull statistics over every pull in `events`: counts,
+/// bytes and exact wait / size percentiles. A pull recorded without a
+/// link class counts as shm. [`ProfileReport::analyze`] and the
+/// service's live progress both read pulls through this one rule.
+pub fn link_stats(events: &[Event]) -> BTreeMap<LinkClass, LinkClassStats> {
+    let mut samples: BTreeMap<LinkClass, (Vec<u64>, Vec<u64>)> = BTreeMap::new();
+    for e in events {
+        if let EventKind::Pull { wait_us } = e.kind {
+            let (waits, sizes) = samples.entry(e.link.unwrap_or(LinkClass::Shm)).or_default();
+            waits.push(wait_us);
+            sizes.push(e.bytes);
+        }
+    }
+    samples
+        .into_iter()
+        .map(|(class, (mut ws, mut ss))| {
+            ws.sort_unstable();
+            ss.sort_unstable();
+            let stats = LinkClassStats {
+                pulls: ws.len() as u64,
+                bytes_total: ss.iter().sum(),
+                wait_p50_us: percentile(&ws, 0.50),
+                wait_p95_us: percentile(&ws, 0.95),
+                wait_p99_us: percentile(&ws, 0.99),
+                bytes_p50: percentile(&ss, 0.50),
+                bytes_p95: percentile(&ss, 0.95),
+                bytes_p99: percentile(&ss, 0.99),
+            };
+            (class, stats)
+        })
+        .collect()
 }
 
 impl ProfileReport {
@@ -225,49 +258,16 @@ impl ProfileReport {
             });
         }
 
-        // Link-class percentiles over every pull.
-        let mut waits: BTreeMap<LinkClass, Vec<u64>> = BTreeMap::new();
-        let mut sizes: BTreeMap<LinkClass, Vec<u64>> = BTreeMap::new();
         let mut faults: BTreeMap<String, u64> = BTreeMap::new();
         for e in events {
-            match e.kind {
-                EventKind::Pull { wait_us } => {
-                    let class = e.link.unwrap_or(LinkClass::Shm);
-                    waits.entry(class).or_default().push(wait_us);
-                    sizes.entry(class).or_default().push(e.bytes);
-                }
-                EventKind::Fault { kind } => {
-                    *faults.entry(kind.to_string()).or_insert(0) += 1;
-                }
-                _ => {}
+            if let EventKind::Fault { kind } = e.kind {
+                *faults.entry(kind.to_string()).or_insert(0) += 1;
             }
-        }
-        let mut links = BTreeMap::new();
-        for class in LinkClass::ALL {
-            let Some(ws) = waits.get_mut(&class) else {
-                continue;
-            };
-            let ss = sizes.get_mut(&class).unwrap();
-            ws.sort_unstable();
-            ss.sort_unstable();
-            links.insert(
-                class,
-                LinkClassStats {
-                    pulls: ws.len() as u64,
-                    bytes_total: ss.iter().sum(),
-                    wait_p50_us: percentile(ws, 0.50),
-                    wait_p95_us: percentile(ws, 0.95),
-                    wait_p99_us: percentile(ws, 0.99),
-                    bytes_p50: percentile(ss, 0.50),
-                    bytes_p95: percentile(ss, 0.95),
-                    bytes_p99: percentile(ss, 0.99),
-                },
-            );
         }
 
         ProfileReport {
             iterations,
-            links,
+            links: link_stats(events),
             faults,
             events: events.len(),
             dropped,

@@ -14,23 +14,15 @@ use crate::graph::{Graph, GraphBuilder};
 use crate::partitioner::{grow_parts, PartitionConfig, Partitioner};
 
 /// The multilevel k-way partitioner.
-#[derive(Clone, Copy, Debug)]
-pub struct MultilevelPartitioner {
-    /// Stop coarsening once the graph has at most this many vertices per
-    /// part (default 8).
-    pub coarsen_to_per_part: usize,
-    /// Refinement passes after each projection (default 4).
-    pub refine_passes: usize,
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct MultilevelPartitioner;
 
-impl Default for MultilevelPartitioner {
-    fn default() -> Self {
-        MultilevelPartitioner {
-            coarsen_to_per_part: 8,
-            refine_passes: 4,
-        }
-    }
-}
+/// Coarsening stops once the graph has at most this many vertices per
+/// part (and never below 64 vertices).
+const COARSEN_TO_PER_PART: usize = 8;
+
+/// Refinement passes after each projection.
+const REFINE_PASSES: usize = 4;
 
 struct Level {
     graph: Graph,
@@ -39,15 +31,11 @@ struct Level {
 }
 
 impl MultilevelPartitioner {
-    fn coarsen(&self, g: &Graph, nparts: usize) -> (Vec<Level>, Graph) {
+    fn coarsen(g: &Graph, nparts: usize) -> (Vec<Level>, Graph) {
         let mut levels: Vec<Level> = Vec::new();
         let mut cur = g.clone();
         // Keep enough coarse vertices to seed every part.
-        let target = self
-            .coarsen_to_per_part
-            .max(2)
-            .saturating_mul(nparts)
-            .max(64);
+        let target = COARSEN_TO_PER_PART.saturating_mul(nparts).max(64);
         loop {
             if cur.num_vertices() <= target {
                 break;
@@ -66,9 +54,9 @@ impl MultilevelPartitioner {
         (levels, cur)
     }
 
-    fn refine(&self, g: &Graph, parts: &mut [u32], nparts: usize, cap: u64) {
+    fn refine(g: &Graph, parts: &mut [u32], nparts: usize, cap: u64) {
         let mut weights = g.part_weights(parts, nparts);
-        for _ in 0..self.refine_passes {
+        for _ in 0..REFINE_PASSES {
             let mut moved = false;
             for v in 0..g.num_vertices() as u32 {
                 let own = parts[v as usize];
@@ -121,9 +109,9 @@ impl Partitioner for MultilevelPartitioner {
             return vec![0; g.num_vertices()];
         }
 
-        let (levels, coarsest) = self.coarsen(g, cfg.nparts);
+        let (levels, coarsest) = Self::coarsen(g, cfg.nparts);
         let mut parts = grow_parts(&coarsest, cfg.nparts, cap);
-        self.refine(&coarsest, &mut parts, cfg.nparts, cap);
+        Self::refine(&coarsest, &mut parts, cfg.nparts, cap);
 
         // Project back through the levels, refining at each.
         for level in levels.iter().rev() {
@@ -132,13 +120,13 @@ impl Partitioner for MultilevelPartitioner {
                 fine_parts[v] = parts[level.map_to_coarse[v] as usize];
             }
             parts = fine_parts;
-            self.refine(&level.graph, &mut parts, cfg.nparts, cap);
+            Self::refine(&level.graph, &mut parts, cfg.nparts, cap);
         }
         // Coarse levels may carry soft cap overflows (super-vertex
         // granularity); enforce the hard cap on the finest graph, then
         // give refinement a final cap-respecting pass.
         crate::partitioner::rebalance(g, &mut parts, cfg.nparts, cap);
-        self.refine(g, &mut parts, cfg.nparts, cap);
+        Self::refine(g, &mut parts, cfg.nparts, cap);
         debug_assert_eq!(parts.len(), g.num_vertices());
         debug_assert!(g.part_weights(&parts, cfg.nparts).iter().all(|&w| w <= cap));
         parts
@@ -233,7 +221,7 @@ mod tests {
     fn finds_community_structure() {
         let g = two_communities(8);
         let cfg = PartitionConfig::with_cap(2, 8);
-        let parts = MultilevelPartitioner::default().partition(&g, &cfg);
+        let parts = MultilevelPartitioner.partition(&g, &cfg);
         // The weak bridge should be the only cut edge.
         assert_eq!(g.edge_cut(&parts), 1);
     }
@@ -256,7 +244,7 @@ mod tests {
         }
         let g = b.build();
         let cfg = PartitionConfig::with_cap(4, 16);
-        let ml = MultilevelPartitioner::default().partition(&g, &cfg);
+        let ml = MultilevelPartitioner.partition(&g, &cfg);
         let rr = RoundRobinPartitioner.partition(&g, &cfg);
         assert!(
             g.edge_cut(&ml) <= g.edge_cut(&rr),
@@ -272,7 +260,7 @@ mod tests {
     fn respects_hard_cap() {
         let g = two_communities(10);
         let cfg = PartitionConfig::with_cap(5, 4);
-        let parts = MultilevelPartitioner::default().partition(&g, &cfg);
+        let parts = MultilevelPartitioner.partition(&g, &cfg);
         let w = g.part_weights(&parts, 5);
         assert!(w.iter().all(|&x| x <= 4), "{w:?}");
         assert_eq!(w.iter().sum::<u64>(), 20);
@@ -282,7 +270,7 @@ mod tests {
     fn handles_disconnected_graph() {
         let g = GraphBuilder::new(10).build();
         let cfg = PartitionConfig::with_cap(5, 2);
-        let parts = MultilevelPartitioner::default().partition(&g, &cfg);
+        let parts = MultilevelPartitioner.partition(&g, &cfg);
         let w = g.part_weights(&parts, 5);
         assert!(w.iter().all(|&x| x <= 2));
     }
@@ -290,7 +278,7 @@ mod tests {
     #[test]
     fn single_part() {
         let g = two_communities(4);
-        let parts = MultilevelPartitioner::default().partition(&g, &PartitionConfig::new(1));
+        let parts = MultilevelPartitioner.partition(&g, &PartitionConfig::new(1));
         assert!(parts.iter().all(|&p| p == 0));
     }
 
@@ -318,8 +306,8 @@ mod tests {
     fn deterministic() {
         let g = two_communities(16);
         let cfg = PartitionConfig::with_cap(4, 8);
-        let a = MultilevelPartitioner::default().partition(&g, &cfg);
-        let b = MultilevelPartitioner::default().partition(&g, &cfg);
+        let a = MultilevelPartitioner.partition(&g, &cfg);
+        let b = MultilevelPartitioner.partition(&g, &cfg);
         assert_eq!(a, b);
     }
 }

@@ -64,7 +64,7 @@ fn multilevel_valid() {
         let n = g.num_vertices() as u64;
         let cap = n.div_ceil(k as u64) + 1;
         let cfg = PartitionConfig::with_cap(k, cap);
-        let parts = MultilevelPartitioner::default().partition(&g, &cfg);
+        let parts = MultilevelPartitioner.partition(&g, &cfg);
         check(&g, &parts, k, cap);
     });
 }
@@ -77,7 +77,7 @@ fn multilevel_never_worse_than_all_cut() {
         let n = g.num_vertices() as u64;
         let cap = n.div_ceil(k as u64) + 1;
         let cfg = PartitionConfig::with_cap(k, cap);
-        let parts = MultilevelPartitioner::default().partition(&g, &cfg);
+        let parts = MultilevelPartitioner.partition(&g, &cfg);
         // Edge cut can never exceed total edge weight.
         let total: u64 = (0..g.num_vertices() as u32)
             .flat_map(|v| g.neighbors(v).map(move |(u, w)| if u > v { w } else { 0 }))
@@ -95,7 +95,7 @@ fn edge_cut_zero_iff_single_part_on_connected() {
             b.add_edge(v, v + 1, 1);
         }
         let g = b.build();
-        let parts = MultilevelPartitioner::default().partition(&g, &PartitionConfig::new(1));
+        let parts = MultilevelPartitioner.partition(&g, &PartitionConfig::new(1));
         assert_eq!(g.edge_cut(&parts), 0);
     });
 }

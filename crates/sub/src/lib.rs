@@ -51,7 +51,8 @@ fn shard_of(vid: u64) -> usize {
 /// What a subscriber asks for: a persistent geometric query.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SubSpec {
-    /// Variable key (already epoch-salted by the space).
+    /// Variable key: the space's `var_id` of the variable name, the
+    /// same key its DHT and buffer registry use.
     pub vid: u64,
     /// The watched region.
     pub region: BoundingBox,

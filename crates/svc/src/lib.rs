@@ -49,4 +49,4 @@ pub mod client;
 pub mod service;
 
 pub use client::{RpcClient, RunArtifacts};
-pub use service::{Service, SvcConfig, WatchdogConfig};
+pub use service::{Service, SvcConfig};

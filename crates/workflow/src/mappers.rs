@@ -161,7 +161,8 @@ impl BundleMapper for PackedMapper {
 }
 
 /// Server-side data-centric mapping for concurrently coupled bundles:
-/// build the inter-application communication graph, partition it into
+/// build the inter-application communication graph, partition it with
+/// the [`MultilevelPartitioner`] (METIS substitute) into
 /// `total_tasks / cores_per_node` groups with a hard per-group cap of
 /// `cores_per_node`, map each group to one node, and deal the group's
 /// tasks to that node's cores.
@@ -169,8 +170,6 @@ impl BundleMapper for PackedMapper {
 pub struct DataCentricServerMapper {
     /// Bytes per coupled cell, the edge-weight unit.
     pub elem_bytes: u64,
-    /// The graph partitioner (METIS substitute).
-    pub partitioner: MultilevelPartitioner,
     /// Coupled region restriction (interface-region coupling); `None`
     /// couples the full shared domain.
     pub region: Option<insitu_domain::BoundingBox>,
@@ -180,7 +179,6 @@ impl Default for DataCentricServerMapper {
     fn default() -> Self {
         DataCentricServerMapper {
             elem_bytes: 8,
-            partitioner: MultilevelPartitioner::default(),
             region: None,
         }
     }
@@ -197,9 +195,8 @@ impl BundleMapper for DataCentricServerMapper {
         let total: u32 = apps.iter().map(|a| a.ntasks).sum();
         let cap = alloc.spec().cores_per_node as u64;
         let nparts = (total as u64).div_ceil(cap) as usize;
-        let parts = self
-            .partitioner
-            .partition(&graph, &PartitionConfig::with_cap(nparts, cap));
+        let parts =
+            MultilevelPartitioner.partition(&graph, &PartitionConfig::with_cap(nparts, cap));
 
         // Choose a distinct node (with full capacity preferred) per group.
         let mut group_node: Vec<Option<NodeId>> = vec![None; nparts];
@@ -217,9 +214,8 @@ impl BundleMapper for DataCentricServerMapper {
         };
 
         let mut mapping = BundleMapping::default();
-        for (ai, app) in apps.iter().enumerate() {
+        for app in apps {
             mapping.cores.insert(app.id, vec![0; app.ntasks as usize]);
-            let _ = ai;
         }
         for (ai, app) in apps.iter().enumerate() {
             for rank in 0..app.ntasks {

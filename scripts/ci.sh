@@ -249,6 +249,18 @@ if grep -rnE 'epoch_salt|key_epoch|run_epoch|key_of\(|ClientRegistry|ClientState
     echo "a run key salt, the client registry or the wave enactor grew back"; exit 1
 fi
 [[ ! -e crates/workflow/src/engine.rs ]]
+# What the program already knows is not restated: launch's process count
+# is the mapping's node count plus the server, the watchdog's cadence a
+# tenth of its stall window, the partitioner's tuning two constants, the
+# engines the scheduler's scoped threads, and per-link-class pull
+# statistics one function of the profile, which alone ranks samples.
+if grep -rnE 'WatchdogConfig|poll_ms|coarsen_to_per_part|refine_passes|"--procs"' \
+    crates tests examples || grep -rn 'engines:' crates/svc; then
+    echo "a derived value grew back as an option, a config field or a list"; exit 1
+fi
+if grep -rn 'percentile(' crates --include=*.rs | grep -v '^crates/obs/src/profile.rs:'; then
+    echo "a percentile is computed outside the profile"; exit 1
+fi
 long=$(find crates/cods/src crates/net/src -name '*.rs' ! -path crates/net/src/frame.rs \
     -exec wc -l {} + | awk '$2 != "total" && $1 > 1200')
 if [[ -n "$long" ]]; then
@@ -272,7 +284,7 @@ insitu compare workflows/online.dag --config workflows/online.cfg \
 # merged ledger JSON lands in target/ for the CI workflow to upload.
 echo "==> distributed loopback smoke (1 server + 2 joiners over 127.0.0.1)"
 insitu launch workflows/distrib.dag --config workflows/distrib.cfg \
-    --procs 3 --ledger-out target/launch-ledger.json \
+    --ledger-out target/launch-ledger.json \
     | tee target/launch-report.txt
 grep -q "byte-identical to the single-process run" target/launch-report.txt
 test -s target/launch-ledger.json
@@ -286,13 +298,13 @@ test -s target/launch-ledger.json
 # the escape hatch and must produce the identical ledger on the socket.
 echo "==> distributed loopback smoke, shared-memory data plane"
 insitu launch workflows/distrib.dag --config workflows/distrib.cfg \
-    --procs 3 --strategy round-robin | tee target/launch-shm-report.txt
+    --strategy round-robin | tee target/launch-shm-report.txt
 grep -q "byte-identical to the single-process run" target/launch-shm-report.txt
 grep -Eq "^shm: +[1-9][0-9]* shared-memory frame event\(s\), 0 PullData through the hub, 0 fallback\(s\) \(0 ring-full\)" \
     target/launch-shm-report.txt
 echo "==> distributed loopback smoke, shared memory disabled (--no-shm)"
 insitu launch workflows/distrib.dag --config workflows/distrib.cfg \
-    --procs 3 --strategy round-robin --no-shm | tee target/launch-no-shm-report.txt
+    --strategy round-robin --no-shm | tee target/launch-no-shm-report.txt
 grep -q "byte-identical to the single-process run" target/launch-no-shm-report.txt
 grep -q "shm:       disabled (--no-shm)" target/launch-no-shm-report.txt
 # Every cross-node PullData of that run crossed two sockets and the
@@ -307,14 +319,14 @@ grep -q "^copies:    0 PullData payload byte(s) copied in user space" target/lau
 # only. The merged ledger must still be byte-identical.
 echo "==> distributed loopback smoke, p2p data plane (--p2p)"
 insitu launch workflows/distrib.dag --config workflows/distrib.cfg \
-    --procs 3 --p2p | tee target/launch-p2p-report.txt
+    --p2p | tee target/launch-p2p-report.txt
 grep -q "byte-identical to the single-process run" target/launch-p2p-report.txt
 grep -q "p2p:       0 PullData frames through the hub" target/launch-p2p-report.txt
 # And with the payloads on the direct sockets (round-robin placement,
 # no shared memory): still not one payload byte copied in user space.
 echo "==> distributed loopback smoke, p2p data plane on the socket (--p2p --no-shm)"
 insitu launch workflows/distrib.dag --config workflows/distrib.cfg \
-    --procs 3 --p2p --no-shm --strategy round-robin | tee target/launch-p2p-wire-report.txt
+    --p2p --no-shm --strategy round-robin | tee target/launch-p2p-wire-report.txt
 grep -q "byte-identical to the single-process run" target/launch-p2p-wire-report.txt
 grep -q "p2p:       0 PullData frames through the hub" target/launch-p2p-wire-report.txt
 grep -q "^copies:    0 PullData payload byte(s) copied in user space" target/launch-p2p-wire-report.txt
@@ -339,7 +351,7 @@ for lane in default no-shm; do
     flags=
     [[ $lane == no-shm ]] && flags=--no-shm
     echo "==> standing-query smoke (workflows/monitor.toml, 1 server + 2 joiners, $lane)"
-    insitu launch workflows/monitor.toml --procs 3 $flags | tee target/launch-sub-$lane-report.txt
+    insitu launch workflows/monitor.toml $flags | tee target/launch-sub-$lane-report.txt
     grep -q "byte-identical to the single-process run" target/launch-sub-$lane-report.txt
     grep -Eq "^sub: +1 subscription\(s\), 6 push\(es\), 3 delivery\(ies\), 0 lagged" \
         target/launch-sub-$lane-report.txt
@@ -358,7 +370,7 @@ grep -q "^copies:    0 PullData payload byte(s) copied in user space" target/lau
 # topology change by re-running this step and committing the grep line.
 echo "==> merged distributed telemetry (vs workflows/baseline_distrib.json)"
 insitu launch workflows/distrib.dag --config workflows/distrib.cfg \
-    --procs 3 --p2p --strategy round-robin \
+    --p2p --strategy round-robin \
     --trace-out target/launch-trace.json \
     --profile-out target/launch-profile.json \
     | tee target/launch-telemetry-report.txt

@@ -1,5 +1,5 @@
 //! End-to-end test of the distributed telemetry plane: a loopback
-//! `insitu launch --procs 3 --p2p` run whose joiners ship their flight
+//! `insitu launch --p2p` run whose joiners ship their flight
 //! recordings to the hub, which stitches them into one cross-process
 //! trace. Mirrors the PR 3 single-process invariant at distributed
 //! scale: every `PullData` wire hop must find both halves (zero
@@ -43,8 +43,6 @@ fn merged_trace_stitches_every_wire_pair_and_profile_covers_e2e() {
             &workflow_path("distrib.dag"),
             "--config",
             &workflow_path("distrib.cfg"),
-            "--procs",
-            "3",
             "--p2p",
             "--strategy",
             "round-robin",
@@ -102,7 +100,7 @@ fn merged_trace_stitches_every_wire_pair_and_profile_covers_e2e() {
 }
 
 /// Run the distrib workflow in-process (hub + 2 joiner threads, the
-/// same shape `launch --procs 3 --p2p` spawns) with a chaos plan that
+/// same shape `launch --p2p` spawns) with a chaos plan that
 /// drops telemetry frames on the joiners' wire at `rate`.
 fn run_with_telemetry_faults(seed: u64, rate: f64) -> DistribOutcome {
     let dag = std::fs::read_to_string(workflow_path("distrib.dag")).unwrap();

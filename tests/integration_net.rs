@@ -4,8 +4,8 @@
 //! transfer ledger byte-identical to the single-process executor —
 //! star-routed and under `--p2p` (where zero `PullData` frames may
 //! traverse the hub), with the route counters telling the two apart.
-//! Also covers the fail-fast paths (a joiner pointed at a dead address,
-//! a launch whose `--procs` does not fit the workflow) and the
+//! Also covers the fail-fast path (a joiner pointed at a dead address)
+//! and the
 //! one-wire-thread claim: 64 concurrent connections, or a star-routed
 //! hub with 8 joiners, served with O(1) threads per process.
 
@@ -34,8 +34,6 @@ fn launch_runs_distributed_workflow_with_identical_ledger() {
             &workflow_path("distrib.dag"),
             "--config",
             &workflow_path("distrib.cfg"),
-            "--procs",
-            "3",
             "--timeout-ms",
             "60000",
             "--ledger-out",
@@ -64,8 +62,6 @@ fn launch_p2p_keeps_ledger_identical_and_hub_data_free() {
             &workflow_path("distrib.dag"),
             "--config",
             &workflow_path("distrib.cfg"),
-            "--procs",
-            "3",
             "--timeout-ms",
             "60000",
             "--p2p",
@@ -121,8 +117,6 @@ fn launch_routes_same_host_pull_data_through_shared_memory() {
             &workflow_path("distrib.dag"),
             "--config",
             &workflow_path("distrib.cfg"),
-            "--procs",
-            "3",
             // Round-robin mapping forces cross-node coupling pulls, so
             // the shm plane carries real traffic.
             "--strategy",
@@ -157,8 +151,6 @@ fn launch_no_shm_falls_back_to_the_socket_with_identical_ledger() {
             &workflow_path("distrib.dag"),
             "--config",
             &workflow_path("distrib.cfg"),
-            "--procs",
-            "3",
             "--strategy",
             "round-robin",
             "--timeout-ms",
@@ -599,23 +591,4 @@ fn join_exits_nonzero_fast_when_server_unreachable() {
         stderr.contains(&addr),
         "error must name the address: {stderr}"
     );
-}
-
-#[test]
-fn launch_rejects_mismatched_proc_count() {
-    let out = insitu()
-        .args([
-            "launch",
-            &workflow_path("distrib.dag"),
-            "--config",
-            &workflow_path("distrib.cfg"),
-            "--procs",
-            "5",
-        ])
-        .output()
-        .expect("spawn insitu launch");
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--procs 5"), "{stderr}");
-    assert!(stderr.contains("3 processes"), "{stderr}");
 }

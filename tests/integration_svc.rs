@@ -89,8 +89,6 @@ fn baseline_ledger() -> String {
             &workflow_path("distrib.dag"),
             "--config",
             &workflow_path("distrib.cfg"),
-            "--procs",
-            "3",
             "--timeout-ms",
             "60000",
             "--ledger-out",
