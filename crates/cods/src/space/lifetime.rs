@@ -61,6 +61,8 @@ impl CodsSpace {
             .unwrap()
             .expected
             .insert(var_id(var), gets);
+        // A new expectation can satisfy a waiter already parked.
+        self.consumed_cv.notify_all();
     }
 
     /// Declare that every on-stride version of `var` (those with
@@ -76,6 +78,7 @@ impl CodsSpace {
             .unwrap()
             .sub_expected
             .push((var_id(var), every_k, gets));
+        self.consumed_cv.notify_all();
     }
 
     /// Completed gets recorded for `(var, version)`.
@@ -91,15 +94,17 @@ impl CodsSpace {
 
     /// Block until every expected `get` of `(var, version)` has completed,
     /// up to `timeout`. Returns `false` on timeout or if no expectation
-    /// was declared.
+    /// was declared. The waiter is woken once per version — by the get
+    /// that completes it, or by a changed expectation — not once per get;
+    /// `cods.window.wakes` counts the wakes.
     pub fn wait_version_consumed(&self, var: &str, version: u64, timeout: Duration) -> bool {
         let vid = var_id(var);
         let deadline = Instant::now() + timeout;
         let mut state = self.consumption.lock().unwrap();
-        let Some(expected) = state.expected_for(vid, version) else {
-            return false;
-        };
         loop {
+            let Some(expected) = state.expected_for(vid, version) else {
+                return false;
+            };
             if state.done.get(&(vid, version)).copied().unwrap_or(0) >= expected {
                 return true;
             }
@@ -107,14 +112,12 @@ impl CodsSpace {
             if now >= deadline {
                 return false;
             }
-            let (guard, res) = self
+            state = self
                 .consumed_cv
                 .wait_timeout(state, deadline - now)
-                .unwrap();
-            state = guard;
-            if res.timed_out() {
-                return state.done.get(&(vid, version)).copied().unwrap_or(0) >= expected;
-            }
+                .unwrap()
+                .0;
+            self.window_wakes.inc();
         }
     }
 
@@ -127,8 +130,10 @@ impl CodsSpace {
 
     /// Count one completed get of `(vid, version)`, local or mirrored.
     /// The get that brings the count to the declared expectation ends
-    /// the version's consumption on every replica, so each process
-    /// drops its *pulled copies* of it there — a per-process transport
+    /// the version's consumption on every replica: it alone wakes the
+    /// producers parked in [`Self::wait_version_consumed`] (no earlier
+    /// get can release them), and each process drops its *pulled
+    /// copies* of the version there — a per-process transport
     /// cache (heap copies off the socket, or shm-mapped arena ranges
     /// the producer gets back the moment they drop), distinct from the
     /// owners' staged buffers, which live until `evict_version`. A get
@@ -140,8 +145,8 @@ impl CodsSpace {
         *done += 1;
         let consumed = Some(*done) == state.expected_for(vid, version);
         drop(state);
-        self.consumed_cv.notify_all();
         if consumed {
+            self.consumed_cv.notify_all();
             self.dart.drop_pulled(vid, version);
         }
     }

@@ -198,6 +198,8 @@ pub struct CodsSpace {
     put_count: Counter,
     get_count: Counter,
     evict_count: Counter,
+    /// Times a producer parked in `wait_version_consumed` woke up.
+    window_wakes: Counter,
     /// Gets answered zero-copy: one aligned piece covered the whole
     /// query, so the result is a `FieldData::View` of the staged (or
     /// shm-mapped) buffer rather than an assembled copy.
@@ -269,6 +271,7 @@ impl CodsSpace {
             put_count: recorder.counter("cods.put"),
             get_count: recorder.counter("cods.get"),
             evict_count: recorder.counter("cods.evictions"),
+            window_wakes: recorder.counter("cods.window.wakes"),
             view_count: recorder.counter("cods.view_hits"),
             staging_gauge: recorder.gauge("cods.staging_bytes"),
             sub_pushes: recorder.counter("sub.pushes"),

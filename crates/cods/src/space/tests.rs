@@ -11,11 +11,23 @@ use insitu_sfc::HilbertCurve;
 use insitu_sub::{SubSpec, TakeResult};
 use insitu_telemetry::Recorder;
 use insitu_util::Bytes;
+use std::time::Instant;
 
 /// 4 clients on 2 nodes of 2 cores; DHT core per node on clients 0, 2.
 fn space() -> Arc<CodsSpace> {
-    let placement = Arc::new(Placement::pack_sequential(MachineSpec::new(2, 2), 4));
-    let dart = DartRuntime::new(placement, Arc::new(TransferLedger::new()));
+    recorded_space(Recorder::disabled())
+}
+
+/// `space()` publishing its counters into `rec`.
+fn recorded_space(rec: Recorder) -> Arc<CodsSpace> {
+    let dart = DartRuntime::with_transport(
+        Arc::new(Placement::pack_sequential(MachineSpec::new(2, 2), 4)),
+        Arc::new(TransferLedger::new()),
+        rec,
+        insitu_fabric::FaultInjector::none(),
+        insitu_obs::FlightRecorder::disabled(),
+        Arc::new(insitu_dart::LocalTransport),
+    );
     let dht = Dht::new(Box::new(HilbertCurve::new(2, 3)), vec![0, 2]);
     CodsSpace::new(
         dart,
@@ -568,6 +580,88 @@ fn wait_version_consumed_unblocks_across_threads() {
     let q = BoundingBox::from_sizes(&[8, 8]);
     let _ = s.get_seq(3, 2, "temp", 0, &q).unwrap();
     assert!(waiter.join().unwrap());
+}
+
+/// Park `waiters` producers on `(var, version)`, each returning what
+/// `wait_version_consumed` said and when it returned.
+fn park(
+    s: &Arc<CodsSpace>,
+    var: &'static str,
+    version: u64,
+    waiters: usize,
+) -> Vec<std::thread::JoinHandle<(bool, Instant)>> {
+    let parked = (0..waiters)
+        .map(|_| {
+            let s = Arc::clone(s);
+            std::thread::spawn(move || {
+                let ok = s.wait_version_consumed(var, version, Duration::from_secs(10));
+                (ok, Instant::now())
+            })
+        })
+        .collect();
+    std::thread::sleep(Duration::from_millis(20));
+    parked
+}
+
+/// Assert every parked producer was released, and by the event at
+/// `at` rather than by its 10 s timeout.
+fn assert_released(parked: Vec<std::thread::JoinHandle<(bool, Instant)>>, at: Instant) {
+    for waiter in parked {
+        let (ok, when) = waiter.join().unwrap();
+        assert!(ok, "a parked producer was not released");
+        assert!(
+            when.saturating_duration_since(at) < Duration::from_secs(5),
+            "a parked producer waited out its timeout"
+        );
+    }
+}
+
+#[test]
+fn wait_version_consumed_wakes_once_per_version() {
+    // 32 gets complete about 1 ms apart; only the last can release the
+    // producer, so only the last wakes it.
+    let rec = Recorder::enabled();
+    let s = recorded_space(rec.clone());
+    produce(&s, "temp", 0);
+    s.set_expected_gets("temp", 32);
+    let parked = park(&s, "temp", 0, 1);
+    let q = BoundingBox::from_sizes(&[8, 8]);
+    let mut last = Instant::now();
+    for i in 0..32 {
+        std::thread::sleep(Duration::from_millis(1));
+        let _ = s.get_seq(i % 4, 2, "temp", 0, &q).unwrap();
+        last = Instant::now();
+    }
+    assert_released(parked, last);
+    let wakes = rec.metrics_snapshot().counter("cods.window.wakes");
+    assert!(wakes <= 2, "{wakes} wakes for one version");
+}
+
+#[test]
+fn wait_version_consumed_releases_every_parked_waiter() {
+    // One get completes the version; all four producers parked on it
+    // must go, not one of them.
+    let s = space();
+    produce(&s, "temp", 0);
+    s.set_expected_gets("temp", 1);
+    let parked = park(&s, "temp", 0, 4);
+    let q = BoundingBox::from_sizes(&[8, 8]);
+    let _ = s.get_seq(3, 2, "temp", 0, &q).unwrap();
+    assert_released(parked, Instant::now());
+}
+
+#[test]
+fn wait_version_consumed_sees_a_lowered_expectation() {
+    // No get completes while the producer is parked: lowering the
+    // expectation to the completed count is what releases it.
+    let s = space();
+    produce(&s, "temp", 0);
+    s.set_expected_gets("temp", 2);
+    let q = BoundingBox::from_sizes(&[8, 8]);
+    let _ = s.get_seq(3, 2, "temp", 0, &q).unwrap();
+    let parked = park(&s, "temp", 0, 1);
+    s.set_expected_gets("temp", 1);
+    assert_released(parked, Instant::now());
 }
 
 #[test]

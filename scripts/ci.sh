@@ -103,6 +103,21 @@ for round in $(seq 1 30); do
         || { cat target/reactor-soak.txt; echo "reactor soak failed in round $round"; exit 1; }
 done
 
+# The consumption window, 30 times over: a parked producer is woken
+# only by the get that completes its version or by a changed
+# expectation, so a lost wakeup costs a whole get_timeout and should
+# show here as a flake first. The filter covers every
+# wait_version_consumed_* test, the wake count and the release tests
+# among them.
+echo "==> consumption-window wakes (30 rounds)"
+for round in $(seq 1 30); do
+    cargo test -q $chaos_profile -p insitu-cods --lib --offline \
+        space::tests::wait_version_consumed_ > target/window-wakes.txt 2>&1 \
+        || { cat target/window-wakes.txt; echo "consumption window stalled in round $round"; exit 1; }
+    grep -q "test result: ok. [1-9]" target/window-wakes.txt \
+        || { cat target/window-wakes.txt; echo "no consumption-window test ran"; exit 1; }
+done
+
 # The JSON parser's linearity check, 30 times over: a wall-clock ratio
 # read beside a parallel test run, so one pass proves little. Linear
 # reads ~16x across its 16x inputs, quadratic ~256x; it fails above 48x.
