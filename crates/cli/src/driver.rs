@@ -2,15 +2,12 @@
 
 use crate::config::{parse_config, ConfigError, WorkloadConfig};
 use insitu::{
-    map_scenario, run_modeled_configured, run_threaded_configured, MappingStrategy, ModeledConfig,
-    Scenario, ThreadedConfig,
+    run_modeled_configured, run_threaded_configured, MappingStrategy, ModeledConfig, Scenario,
+    ThreadedConfig,
 };
-use insitu_chaos::{FaultPlan, FaultSpec};
 use insitu_domain::{BoundingBox, Decomposition, ProcessGrid};
-use insitu_fabric::{LedgerSnapshot, LinkFaults, NetworkModel, TrafficClass};
-use insitu_obs::{
-    chrome_trace_with_flows, gate_compare, profile_doc, Event, FlightRecorder, ProfileReport,
-};
+use insitu_fabric::{LedgerSnapshot, NetworkModel, TrafficClass};
+use insitu_obs::{chrome_trace_with_flows, Event, FlightRecorder, ProfileReport};
 use insitu_telemetry::{Json, MetricsSnapshot, Recorder};
 use insitu_workflow::{parse_dag, ParseError};
 use std::path::PathBuf;
@@ -309,91 +306,6 @@ pub fn profile(options: &ProfileOptions) -> Result<String, CliError> {
         out.push_str(&dropped_warning(&flight, "profile"));
     }
     Ok(out)
-}
-
-/// Options of the `compare --gate` regression gate.
-#[derive(Clone, Debug)]
-pub struct GateOptions {
-    /// Baseline gate document to compare against.
-    pub baseline: Option<PathBuf>,
-    /// Allowed regression percentage.
-    pub threshold_pct: f64,
-    /// Chaos fault spec whose `link-slow` faults degrade the modeled
-    /// torus (used to exercise the gate with synthetic slowdowns).
-    pub faults: Option<FaultSpec>,
-    /// Seed for the fault plan.
-    pub seed: u64,
-    /// Write the current gate document here (creates/refreshes the
-    /// checked-in baseline).
-    pub write_baseline: Option<PathBuf>,
-}
-
-/// Build the deterministic gate document for a workflow: data-centric
-/// modeled retrieve times per consumer app plus the critical-path
-/// profiler's category totals, all lower-is-better.
-fn gate_document(scenario: &Scenario, link_faults: &LinkFaults) -> Json {
-    let flight = FlightRecorder::enabled();
-    let o = run_modeled_configured(
-        scenario,
-        MappingStrategy::DataCentric,
-        &Recorder::disabled(),
-        &ModeledConfig {
-            link_faults: link_faults.clone(),
-            flight: flight.clone(),
-        },
-    );
-    let report = ProfileReport::analyze(&flight.snapshot(), flight.dropped());
-    let mut rows: Vec<(String, f64)> = Vec::new();
-    for (app, ms) in &o.retrieve_ms {
-        rows.push((format!("retrieve_ms.app{app}"), *ms));
-    }
-    let t = report.totals();
-    rows.push(("profile.e2e_us".into(), report.end_to_end_total_us()));
-    rows.push(("profile.schedule_us".into(), t.schedule_us));
-    rows.push(("profile.shm_us".into(), t.shm_us));
-    rows.push(("profile.rdma_us".into(), t.rdma_us));
-    profile_doc("gate", "modeled critical-path gate", &rows)
-}
-
-/// Run the regression gate: evaluate the workflow on the modeled executor
-/// (deterministic, so baselines are stable), optionally under injected
-/// link slowdowns, and compare against a baseline document. Returns the
-/// report and whether the gate passed.
-pub fn gate(dag: &str, config: &str, opts: &GateOptions) -> Result<(String, bool), CliError> {
-    let scenario = build_scenario(dag, config)?;
-    let link_faults = match &opts.faults {
-        Some(spec) => {
-            let nodes = map_scenario(&scenario, MappingStrategy::DataCentric)
-                .machine
-                .nodes;
-            FaultPlan::new(opts.seed, *spec).link_faults(nodes)
-        }
-        None => LinkFaults::default(),
-    };
-    let current = gate_document(&scenario, &link_faults);
-    let mut out = String::new();
-    let mut passed = true;
-    if !link_faults.is_empty() {
-        out.push_str(&format!(
-            "gate: {} torus links degraded by injected faults\n",
-            link_faults.len()
-        ));
-    }
-    if let Some(path) = &opts.write_baseline {
-        write_file(path, &(current.render() + "\n"))?;
-        out.push_str(&format!("baseline written to {}\n", path.display()));
-    }
-    if let Some(path) = &opts.baseline {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| CliError::Io(format!("cannot read {}: {e}", path.display())))?;
-        let baseline =
-            Json::parse(&text).map_err(|e| CliError::Io(format!("{}: {e}", path.display())))?;
-        let outcome =
-            gate_compare(&current, &baseline, opts.threshold_pct).map_err(CliError::Io)?;
-        passed = outcome.passed();
-        out.push_str(&outcome.render());
-    }
-    Ok((out, passed))
 }
 
 /// Run per `options` and return the printable report.

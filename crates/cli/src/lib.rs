@@ -30,9 +30,7 @@ pub mod svc_cmd;
 
 pub use config::{parse_config, ConfigError, WorkloadConfig};
 pub use distrib::{join_cmd, launch_cmd, serve_cmd, JoinCmd, LaunchCmd, RunOutputs, ServeCmd};
-pub use driver::{
-    build_scenario, gate, profile, run, CliError, GateOptions, Options, ProfileOptions,
-};
+pub use driver::{build_scenario, profile, run, CliError, Options, ProfileOptions};
 pub use svc_cmd::{
     cancel_cmd, service_cmd, status_cmd, submit_cmd, watch_cmd, CancelCmd, ServiceCmd, StatusCmd,
     SubmitCmd, SubmitSource, WatchCmd,

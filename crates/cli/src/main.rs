@@ -10,8 +10,8 @@
 use insitu::{JoinOptions, MappingStrategy, ServeOptions};
 use insitu_chaos::FaultSpec;
 use insitu_cli::{
-    run, CancelCmd, GateOptions, JoinCmd, LaunchCmd, Options, ProfileOptions, RunOutputs, ServeCmd,
-    ServiceCmd, StatusCmd, SubmitCmd, SubmitSource, WatchCmd,
+    run, CancelCmd, JoinCmd, LaunchCmd, Options, ProfileOptions, RunOutputs, ServeCmd, ServiceCmd,
+    StatusCmd, SubmitCmd, SubmitSource, WatchCmd,
 };
 use insitu_svc::SvcConfig;
 use std::path::PathBuf;
@@ -26,9 +26,6 @@ usage: insitu run     [--dag] <file> --config <file>
               [--strategy <s>] [--modeled] [--json] [--trace-out <path>]
        insitu compare [--dag] <file> --config <file>
               [--metrics-out <path>] [--trace-out <path>]
-       insitu compare [--dag] <file> --config <file>
-              [--gate <baseline.json>] [--write-baseline <path>]
-              [--threshold <pct>] [--faults <spec>] [--seed <n>]
        insitu chaos   [--seed <n>] [--cases <n>] [--faults <spec>]
        insitu serve   [--dag] <file> --config <file> --listen <addr>
               [--strategy <s>] [--timeout-ms <n>] [--ledger-out <path>]
@@ -68,13 +65,7 @@ timeline whose flow arrows connect producer puts to consumer pulls.
 `--trace-out`/`--profile-out`, which merge every joiner's shipped
 telemetry into one cross-process trace and critical-path profile.
 `compare` runs both mapping strategies on the modeled executor and prints
-a side-by-side summary with a per-counter metrics delta table. With
-`--gate` it instead checks the deterministic modeled profile against a
-baseline document and exits nonzero on regression beyond `--threshold`
-percent (default 10); `--faults` injects chaos link-slow faults into the
-model and `--write-baseline` refreshes the baseline file. `--threshold`,
-`--faults` and `--seed` need `--gate` or `--write-baseline`, which in
-turn take no `--metrics-out`/`--trace-out`.
+a side-by-side summary with a per-counter metrics delta table.
 `--metrics-out` writes the telemetry registry snapshot as JSON (counters,
 gauges, and per-phase / per-task time histograms); `--trace-out` (run,
 profile, compare) writes the run's flight recording as a chrome://tracing
@@ -138,11 +129,6 @@ enum Command {
         config: String,
         metrics_out: Option<PathBuf>,
         trace_out: Option<PathBuf>,
-    },
-    Gate {
-        dag: String,
-        config: String,
-        opts: GateOptions,
     },
     Chaos {
         seed: u64,
@@ -362,30 +348,15 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
             })
         }
         "compare" => {
-            let baseline = a.path("--gate")?;
-            let write_baseline = a.path("--write-baseline")?;
-            if baseline.is_none() && write_baseline.is_none() {
-                let metrics_out = a.path("--metrics-out")?;
-                let trace_out = a.path("--trace-out")?;
-                let (dag, config) = a.files()?;
-                return Ok(Command::Compare {
-                    dag,
-                    config,
-                    metrics_out,
-                    trace_out,
-                });
-            }
-            let opts = GateOptions {
-                baseline,
-                threshold_pct: a
-                    .value("--threshold", "a percentage", "threshold")?
-                    .unwrap_or(10.0),
-                faults: a.faults()?,
-                seed: a.value("--seed", "a number", "seed")?.unwrap_or(42),
-                write_baseline,
-            };
+            let metrics_out = a.path("--metrics-out")?;
+            let trace_out = a.path("--trace-out")?;
             let (dag, config) = a.files()?;
-            Command::Gate { dag, config, opts }
+            Command::Compare {
+                dag,
+                config,
+                metrics_out,
+                trace_out,
+            }
         }
         "chaos" => {
             let seed = a.value("--seed", "a number", "seed")?.unwrap_or(42);
@@ -586,18 +557,6 @@ fn main() -> ExitCode {
             metrics_out,
             trace_out,
         } => insitu_cli::driver::compare(dag, config, metrics_out.as_ref(), trace_out.as_ref()),
-        Command::Gate { dag, config, opts } => match insitu_cli::gate(dag, config, opts) {
-            Ok((report, passed)) => {
-                print!("{report}");
-                return if passed {
-                    ExitCode::SUCCESS
-                } else {
-                    eprintln!("error: performance gate failed");
-                    ExitCode::FAILURE
-                };
-            }
-            Err(e) => Err(e),
-        },
         Command::Chaos {
             seed,
             cases,
@@ -1106,8 +1065,8 @@ mod tests {
             ("compare @ --threshold 5", unknown),
             ("compare @ --faults link-slow:1", unknown),
             ("compare @ --seed 7", unknown),
-            ("compare @ --gate b.json --metrics-out m.json", unknown),
-            ("compare @ --gate b.json --trace-out t.json", unknown),
+            ("compare @ --gate b.json", unknown),
+            ("compare @ --write-baseline b.json", unknown),
             ("serve --listen x:1 --strategy round-robin", unknown),
             ("serve --listen x:1 --timeout-ms 5", unknown),
             ("serve --listen x:1 --ledger-out l.json", unknown),

@@ -71,11 +71,6 @@ impl Dht {
         }
     }
 
-    /// Number of DHT cores.
-    pub fn num_cores(&self) -> usize {
-        self.core_clients.len()
-    }
-
     /// Hosting client of DHT core `idx`.
     pub fn core_client(&self, idx: usize) -> ClientId {
         self.core_clients[idx]

@@ -9,8 +9,8 @@
 use crate::scenario::Scenario;
 use insitu_fabric::{CoreId, MachineSpec, NodeId};
 use insitu_workflow::{
-    map_client_side, pairwise_overlaps_region, AppSpec, BundleMapper, CoreAllocator,
-    DataCentricServerMapper, PackedMapper, RoundRobinMapper, WorkflowSpec,
+    map_client_side, map_data_centric_server, map_node_cyclic, map_packed,
+    pairwise_overlaps_region, AppSpec, CoreAllocator, WorkflowSpec,
 };
 use std::collections::{BTreeMap, HashMap};
 
@@ -131,8 +131,8 @@ pub fn map_scenario(scenario: &Scenario, strategy: MappingStrategy) -> MappedSce
                 .map(|&id| scenario.workflow.app(id).expect("validated"))
                 .collect();
             let mapping = match strategy {
-                MappingStrategy::RoundRobin => PackedMapper.map_bundle(&mut alloc, &apps),
-                MappingStrategy::NodeCyclic => RoundRobinMapper.map_bundle(&mut alloc, &apps),
+                MappingStrategy::RoundRobin => map_packed(&mut alloc, &apps),
+                MappingStrategy::NodeCyclic => map_node_cyclic(&mut alloc, &apps),
                 MappingStrategy::DataCentric => {
                     map_bundle_data_centric(scenario, &app_cores, machine, &mut alloc, &apps)
                 }
@@ -181,11 +181,7 @@ fn map_bundle_data_centric(
             .iter()
             .find_map(|a| scenario.coupling_into(a.id))
             .and_then(|c| c.region);
-        return DataCentricServerMapper {
-            elem_bytes: scenario.elem_bytes,
-            region,
-        }
-        .map_bundle(alloc, apps);
+        return map_data_centric_server(alloc, apps, scenario.elem_bytes, region.as_ref());
     }
     let app = apps[0];
     // Sequentially coupled consumer with an already-mapped producer:
@@ -217,7 +213,7 @@ fn map_bundle_data_centric(
         }
     }
     // Producer (or uncoupled) app: launcher placement.
-    PackedMapper.map_bundle(alloc, apps)
+    map_packed(alloc, apps)
 }
 
 #[cfg(test)]

@@ -102,14 +102,6 @@ impl Scenario {
             .find(|c| c.consumer_apps.contains(&consumer))
     }
 
-    /// The standing queries held by `subscriber`.
-    pub fn subscriptions_of(&self, subscriber: u32) -> Vec<&SubscriptionSpec> {
-        self.subscriptions
-            .iter()
-            .filter(|s| s.subscriber_app == subscriber)
-            .collect()
-    }
-
     /// The coupling a subscription rides (same variable, same producer).
     /// Subscriptions are validated to have one, so this only returns
     /// `None` for hand-built scenarios that skipped validation.

@@ -23,9 +23,7 @@
 //!   renumbered, clock-aligned by happens-before relaxation over
 //!   matched `NetSend`/`NetRecv` pairs, and stitched into one causal
 //!   trace whose cross-process edges let the profiler and the chrome
-//!   export span process boundaries;
-//! * [`gate`] — baseline regression gating over BENCH-style JSON
-//!   documents, backing `insitu compare --gate`.
+//!   export span process boundaries.
 //!
 //! Std-only, path-only dependencies (domain, fabric, telemetry).
 
@@ -34,13 +32,11 @@
 pub mod event;
 pub mod flight;
 pub mod flow;
-pub mod gate;
 pub mod merge;
 pub mod profile;
 
 pub use event::{Event, EventKind, LinkClass};
 pub use flight::{FlightRecorder, DEFAULT_EVENT_CAPACITY};
 pub use flow::{chrome_flow_events, chrome_trace_merged, chrome_trace_with_flows};
-pub use gate::{gate_compare, profile_doc, GateOutcome};
 pub use merge::{merge_traces, MergeReport, ProcessTrace};
 pub use profile::{CategoryBreakdown, IterationProfile, LinkClassStats, ProfileReport};

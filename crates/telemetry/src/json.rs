@@ -4,10 +4,10 @@
 //! traces and the bench harness's `BENCH_figNN.json` files are rendered
 //! through this module. Output is deterministic: object keys keep
 //! insertion order and floats are printed with enough precision to
-//! round-trip. [`Json::parse`] reads the same dialect back (used by the
-//! regression gate to load baseline documents and by trace round-trip
-//! tests); numbers parse into `U64`/`I64` when they are exact integers
-//! and `F64` otherwise.
+//! round-trip. [`Json::parse`] reads the same dialect back (used by
+//! `insitu status --json` to embed a run's artifact documents and by
+//! trace round-trip tests); numbers parse into `U64`/`I64` when they are
+//! exact integers and `F64` otherwise.
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]

@@ -13,9 +13,9 @@
 //!   schedule;
 //! * [`comm_graph`] — inter-application communication graphs built from
 //!   declared data decompositions (closed-form overlap volumes);
-//! * [`mappers`] — round-robin baseline, server-side data-centric mapping
-//!   (graph partitioning) and client-side data-centric mapping (follow the
-//!   data);
+//! * [`mappers`] — one function per strategy: the packed (`round-robin`)
+//!   and `node-cyclic` baselines, server-side data-centric mapping (graph
+//!   partitioning) and client-side data-centric mapping (follow the data);
 //! * [`groups`] — dynamic client grouping by application color, the
 //!   `MPI_Comm_split` analog.
 
@@ -35,8 +35,8 @@ pub use comm_graph::{
 };
 pub use groups::{split_by_color, AppGroup};
 pub use mappers::{
-    map_client_side, BundleMapper, BundleMapping, CoreAllocator, DataCentricServerMapper,
-    PackedMapper, RoundRobinMapper,
+    map_client_side, map_data_centric_server, map_node_cyclic, map_packed, BundleMapping,
+    CoreAllocator,
 };
 pub use parser::{parse_dag, ParseError, CLIMATE_MODELING_DAG, ONLINE_PROCESSING_DAG};
 pub use spec::{AppSpec, SpecError, WorkflowSpec};

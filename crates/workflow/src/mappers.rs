@@ -1,9 +1,11 @@
 //! Task-mapping strategies.
 //!
-//! Three strategies, as in the paper:
+//! Each function is named after the strategy label it runs:
 //!
-//! * [`RoundRobinMapper`] — the baseline used by plain MPI launchers;
-//! * [`DataCentricServerMapper`] — for bundles of *concurrently* coupled
+//! * [`map_packed`] — the paper's `round-robin` baseline, what a plain
+//!   MPI launcher does: ranks fill node 0, then node 1, ...;
+//! * [`map_node_cyclic`] — `node-cyclic`: ranks dealt to nodes in turn;
+//! * [`map_data_centric_server`] — for bundles of *concurrently* coupled
 //!   applications: partition the inter-application communication graph
 //!   (METIS-style) into node-sized groups so communicating tasks share a
 //!   node (§IV.B);
@@ -92,156 +94,113 @@ impl BundleMapping {
     }
 }
 
-/// Strategy interface for mapping a bundle of concurrently launched
-/// applications.
-pub trait BundleMapper {
-    /// Map every task of every app in the bundle onto free cores.
-    ///
-    /// # Panics
-    /// Panics if the allocator lacks capacity.
-    fn map_bundle(&self, alloc: &mut CoreAllocator, apps: &[&AppSpec]) -> BundleMapping;
-
-    /// Strategy name for experiment output.
-    fn name(&self) -> &'static str;
+/// `node-cyclic`: deal tasks (apps concatenated in declaration order)
+/// to nodes cyclically, taking the next free core on each.
+///
+/// # Panics
+/// Panics if the allocator lacks capacity.
+pub fn map_node_cyclic(alloc: &mut CoreAllocator, apps: &[&AppSpec]) -> BundleMapping {
+    let mut mapping = BundleMapping::default();
+    let mut node: NodeId = 0;
+    for app in apps {
+        let mut cores = Vec::with_capacity(app.ntasks as usize);
+        for _ in 0..app.ntasks {
+            let core = alloc
+                .alloc_cyclic_from(node)
+                .expect("not enough cores for bundle");
+            node = (alloc.spec().node_of_core(core) + 1) % alloc.spec().nodes;
+            cores.push(core);
+        }
+        mapping.cores.insert(app.id, cores);
+    }
+    mapping
 }
 
-/// The baseline: deal tasks (apps concatenated in declaration order) to
-/// nodes cyclically, taking the next free core on each — what a plain
-/// launcher does with no knowledge of coupling.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RoundRobinMapper;
-
-impl BundleMapper for RoundRobinMapper {
-    fn map_bundle(&self, alloc: &mut CoreAllocator, apps: &[&AppSpec]) -> BundleMapping {
-        let mut mapping = BundleMapping::default();
-        let mut node: NodeId = 0;
-        for app in apps {
-            let mut cores = Vec::with_capacity(app.ntasks as usize);
-            for _ in 0..app.ntasks {
-                let core = alloc
-                    .alloc_cyclic_from(node)
-                    .expect("not enough cores for bundle");
-                node = (alloc.spec().node_of_core(core) + 1) % alloc.spec().nodes;
-                cores.push(core);
-            }
-            mapping.cores.insert(app.id, cores);
+/// The paper's `round-robin` baseline: launcher-style sequential packing
+/// (ranks fill node 0, then node 1, ...), with no knowledge of coupling.
+///
+/// # Panics
+/// Panics if the allocator lacks capacity.
+pub fn map_packed(alloc: &mut CoreAllocator, apps: &[&AppSpec]) -> BundleMapping {
+    let mut mapping = BundleMapping::default();
+    for app in apps {
+        let mut cores = Vec::with_capacity(app.ntasks as usize);
+        for _ in 0..app.ntasks {
+            let core = alloc
+                .alloc_cyclic_from(0)
+                .expect("not enough cores for bundle");
+            cores.push(core);
         }
-        mapping
+        mapping.cores.insert(app.id, cores);
     }
-
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
-}
-
-/// Launcher-style sequential packing (ranks fill node 0, then node 1,
-/// ...): the other common baseline.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PackedMapper;
-
-impl BundleMapper for PackedMapper {
-    fn map_bundle(&self, alloc: &mut CoreAllocator, apps: &[&AppSpec]) -> BundleMapping {
-        let mut mapping = BundleMapping::default();
-        for app in apps {
-            let mut cores = Vec::with_capacity(app.ntasks as usize);
-            for _ in 0..app.ntasks {
-                let core = alloc
-                    .alloc_cyclic_from(0)
-                    .expect("not enough cores for bundle");
-                cores.push(core);
-            }
-            mapping.cores.insert(app.id, cores);
-        }
-        mapping
-    }
-
-    fn name(&self) -> &'static str {
-        "packed"
-    }
+    mapping
 }
 
 /// Server-side data-centric mapping for concurrently coupled bundles:
-/// build the inter-application communication graph, partition it with
-/// the [`MultilevelPartitioner`] (METIS substitute) into
-/// `total_tasks / cores_per_node` groups with a hard per-group cap of
-/// `cores_per_node`, map each group to one node, and deal the group's
-/// tasks to that node's cores.
-#[derive(Clone, Debug)]
-pub struct DataCentricServerMapper {
-    /// Bytes per coupled cell, the edge-weight unit.
-    pub elem_bytes: u64,
-    /// Coupled region restriction (interface-region coupling); `None`
-    /// couples the full shared domain.
-    pub region: Option<insitu_domain::BoundingBox>,
-}
-
-impl Default for DataCentricServerMapper {
-    fn default() -> Self {
-        DataCentricServerMapper {
-            elem_bytes: 8,
-            region: None,
-        }
+/// build the inter-application communication graph (`elem_bytes` per
+/// coupled cell, restricted to `region` when the coupling declares one),
+/// partition it with the [`MultilevelPartitioner`] (METIS substitute)
+/// into `total_tasks / cores_per_node` groups with a hard per-group cap
+/// of `cores_per_node`, map each group to one node, and deal the group's
+/// tasks to that node's cores. A single-app bundle has no inter-app
+/// edges and is packed.
+///
+/// # Panics
+/// Panics if the allocator lacks capacity.
+pub fn map_data_centric_server(
+    alloc: &mut CoreAllocator,
+    apps: &[&AppSpec],
+    elem_bytes: u64,
+    region: Option<&insitu_domain::BoundingBox>,
+) -> BundleMapping {
+    if apps.len() < 2 {
+        return map_packed(alloc, apps);
     }
-}
+    let (graph, offsets) = build_inter_app_graph_region(apps, elem_bytes, region);
+    let total: u32 = apps.iter().map(|a| a.ntasks).sum();
+    let cap = alloc.spec().cores_per_node as u64;
+    let nparts = (total as u64).div_ceil(cap) as usize;
+    let parts = MultilevelPartitioner.partition(&graph, &PartitionConfig::with_cap(nparts, cap));
 
-impl BundleMapper for DataCentricServerMapper {
-    fn map_bundle(&self, alloc: &mut CoreAllocator, apps: &[&AppSpec]) -> BundleMapping {
-        // Single-app bundles have no inter-app edges; pack them.
-        if apps.len() < 2 {
-            return PackedMapper.map_bundle(alloc, apps);
-        }
-        let (graph, offsets) =
-            build_inter_app_graph_region(apps, self.elem_bytes, self.region.as_ref());
-        let total: u32 = apps.iter().map(|a| a.ntasks).sum();
-        let cap = alloc.spec().cores_per_node as u64;
-        let nparts = (total as u64).div_ceil(cap) as usize;
-        let parts =
-            MultilevelPartitioner.partition(&graph, &PartitionConfig::with_cap(nparts, cap));
-
-        // Choose a distinct node (with full capacity preferred) per group.
-        let mut group_node: Vec<Option<NodeId>> = vec![None; nparts];
-        let mut next_node: NodeId = 0;
-        let mut node_for_group = |g: usize, alloc: &CoreAllocator| -> NodeId {
-            let mut hops = 0;
-            while alloc.free_on(next_node) == 0 {
-                next_node = (next_node + 1) % alloc.spec().nodes;
-                hops += 1;
-                assert!(hops <= alloc.spec().nodes, "no capacity for group {g}");
-            }
-            let n = next_node;
+    // Choose a distinct node (with full capacity preferred) per group.
+    let mut group_node: Vec<Option<NodeId>> = vec![None; nparts];
+    let mut next_node: NodeId = 0;
+    let mut node_for_group = |g: usize, alloc: &CoreAllocator| -> NodeId {
+        let mut hops = 0;
+        while alloc.free_on(next_node) == 0 {
             next_node = (next_node + 1) % alloc.spec().nodes;
-            n
-        };
-
-        let mut mapping = BundleMapping::default();
-        for app in apps {
-            mapping.cores.insert(app.id, vec![0; app.ntasks as usize]);
+            hops += 1;
+            assert!(hops <= alloc.spec().nodes, "no capacity for group {g}");
         }
-        for (ai, app) in apps.iter().enumerate() {
-            for rank in 0..app.ntasks {
-                let v = (offsets[ai] + rank) as usize;
-                let g = parts[v] as usize;
-                let node = match group_node[g] {
-                    Some(n) => n,
-                    None => {
-                        let n = node_for_group(g, alloc);
-                        group_node[g] = Some(n);
-                        n
-                    }
-                };
-                let core = alloc
-                    .alloc_on(node)
-                    .or_else(|| alloc.alloc_cyclic_from(node))
-                    .expect("not enough cores for bundle");
-                mapping.cores.get_mut(&app.id).unwrap()[rank as usize] = core;
-            }
-        }
-        mapping
-    }
+        let n = next_node;
+        next_node = (next_node + 1) % alloc.spec().nodes;
+        n
+    };
 
-    fn name(&self) -> &'static str {
-        "data-centric(server)"
+    let mut mapping = BundleMapping::default();
+    for app in apps {
+        mapping.cores.insert(app.id, vec![0; app.ntasks as usize]);
     }
+    for (ai, app) in apps.iter().enumerate() {
+        for rank in 0..app.ntasks {
+            let v = (offsets[ai] + rank) as usize;
+            let g = parts[v] as usize;
+            let node = match group_node[g] {
+                Some(n) => n,
+                None => {
+                    let n = node_for_group(g, alloc);
+                    group_node[g] = Some(n);
+                    n
+                }
+            };
+            let core = alloc
+                .alloc_on(node)
+                .or_else(|| alloc.alloc_cyclic_from(node))
+                .expect("not enough cores for bundle");
+            mapping.cores.get_mut(&app.id).unwrap()[rank as usize] = core;
+        }
+    }
+    mapping
 }
 
 /// Client-side data-centric mapping for a sequentially coupled consumer:
@@ -320,7 +279,7 @@ mod tests {
         let spec = MachineSpec::new(4, 2);
         let mut alloc = CoreAllocator::new(spec);
         let apps = [blocked_app(1, &[8, 8], &[2, 2])];
-        let m = RoundRobinMapper.map_bundle(&mut alloc, &[&apps[0]]);
+        let m = map_node_cyclic(&mut alloc, &[&apps[0]]);
         let nodes: Vec<NodeId> = m.cores[&1].iter().map(|&c| spec.node_of_core(c)).collect();
         assert_eq!(nodes, vec![0, 1, 2, 3]);
     }
@@ -330,7 +289,7 @@ mod tests {
         let spec = MachineSpec::new(4, 2);
         let mut alloc = CoreAllocator::new(spec);
         let apps = [blocked_app(1, &[8, 8], &[2, 2])];
-        let m = PackedMapper.map_bundle(&mut alloc, &[&apps[0]]);
+        let m = map_packed(&mut alloc, &[&apps[0]]);
         let nodes: Vec<NodeId> = m.cores[&1].iter().map(|&c| spec.node_of_core(c)).collect();
         assert_eq!(nodes, vec![0, 0, 1, 1]);
     }
@@ -343,7 +302,7 @@ mod tests {
         let mut alloc = CoreAllocator::new(spec);
         let p = blocked_app(1, &[8, 8], &[2, 2]);
         let c = blocked_app(2, &[8, 8], &[2, 2]);
-        let m = DataCentricServerMapper::default().map_bundle(&mut alloc, &[&p, &c]);
+        let m = map_data_centric_server(&mut alloc, &[&p, &c], 8, None);
         for rank in 0..4u32 {
             let np = spec.node_of_core(m.core_of(1, rank));
             let nc = spec.node_of_core(m.core_of(2, rank));
@@ -357,7 +316,7 @@ mod tests {
         let mut alloc = CoreAllocator::new(spec);
         let p = blocked_app(1, &[8, 8], &[2, 2]);
         let c = blocked_app(2, &[8, 8], &[2, 2]);
-        let m = DataCentricServerMapper::default().map_bundle(&mut alloc, &[&p, &c]);
+        let m = map_data_centric_server(&mut alloc, &[&p, &c], 8, None);
         // 8 tasks on 8 cores, no node oversubscribed.
         let mut per_node = [0u32; 2];
         for cores in m.cores.values() {
@@ -374,7 +333,7 @@ mod tests {
         let spec = MachineSpec::new(2, 2);
         let mut alloc = CoreAllocator::new(spec);
         let p = blocked_app(1, &[8, 8], &[2, 2]);
-        let m = DataCentricServerMapper::default().map_bundle(&mut alloc, &[&p]);
+        let m = map_data_centric_server(&mut alloc, &[&p], 8, None);
         assert_eq!(m.cores[&1].len(), 4);
     }
 

@@ -264,6 +264,14 @@ if grep -rnE 'epoch_salt|key_epoch|run_epoch|key_of\(|ClientRegistry|ClientState
     echo "a run key salt, the client registry or the wave enactor grew back"; exit 1
 fi
 [[ ! -e crates/workflow/src/engine.rs ]]
+# Deterministic numbers are diffed, not thresholded: no tolerance gate
+# or second baseline format grows back, and a mapping strategy is a
+# function named after its label, not an implementation of a trait.
+if grep -rnE 'gate_compare|GateOutcome|GateOptions|profile_doc|BundleMapper|"--write-baseline"' \
+    crates tests examples; then
+    echo "the threshold gate or the mapper trait grew back"; exit 1
+fi
+[[ ! -e crates/obs/src/gate.rs ]]
 # What the program already knows is not restated: launch's process count
 # is the mapping's node count plus the server, the watchdog's cadence a
 # tenth of its stall window, the partitioner's tuning two constants, the
@@ -282,15 +290,15 @@ if [[ -n "$long" ]]; then
     echo "$long"; echo "a cods/net source file is over 1200 lines"; exit 1
 fi
 
-# Performance regression gate: the deterministic modeled gate document
-# (per-app retrieve times + profiler category totals) must not regress
-# past 10% against the checked-in baseline. Refresh the baseline after
-# an intentional model change with:
-#   insitu compare workflows/online.dag --config workflows/online.cfg \
-#       --write-baseline workflows/baseline_online.json
-echo "==> performance gate (vs workflows/baseline_online.json)"
-insitu compare workflows/online.dag --config workflows/online.cfg \
-    --gate workflows/baseline_online.json
+# Modeled regression check: the modeled executor is deterministic, so
+# its critical-path profile is diffed byte for byte against the
+# checked-in baseline, with no tolerance. Refresh the baseline after an
+# intentional model change with:
+#   insitu profile workflows/online.dag --config workflows/online.cfg \
+#       --modeled --json > workflows/baseline_online.json
+echo "==> modeled regression check (vs workflows/baseline_online.json)"
+insitu profile workflows/online.dag --config workflows/online.cfg --modeled --json \
+    | cmp - workflows/baseline_online.json
 
 # Distributed loopback smoke: 1 in-process server + 2 real joiner
 # processes over 127.0.0.1 running the mixed *_cont + *_seq workflow.
