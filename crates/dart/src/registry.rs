@@ -11,7 +11,8 @@
 //! The table is sharded by key hash: each shard has its own lock, so
 //! producers registering different pieces and consumers polling
 //! different keys never contend. Waiting is per key, not per table — a
-//! [`Subscription`] parks a waiter record under each subscribed key and
+//! [`Subscription`] hands a key that is already registered straight to
+//! its caller and parks a waiter record only under each absent key, and
 //! `register` hands the arriving handle directly to those waiters (and
 //! only those), so a `register` wakes exactly the clients that asked
 //! for that key instead of broadcasting to every blocked consumer.
@@ -66,6 +67,7 @@ fn shard_of(key: &BufKey) -> usize {
 /// The wait-side half of a [`Subscription`]: arrivals are pushed here by
 /// `register` (tagged with the subscriber's key index and the arrival
 /// instant) and popped by `next_before`.
+#[derive(Default)]
 struct Waiter {
     ready: Mutex<VecDeque<(usize, BufferHandle, Instant)>>,
     arrived: Condvar,
@@ -172,30 +174,48 @@ impl BufferRegistry {
             .cloned()
     }
 
-    /// Subscribe to a set of keys: already-registered keys are ready
-    /// immediately, the rest are delivered as producers register them.
-    /// Dropping the subscription unparks its remaining waiters.
-    pub fn subscribe(&self, keys: &[BufKey]) -> Subscription<'_> {
-        let waiter = Arc::new(Waiter {
-            ready: Mutex::new(VecDeque::new()),
-            arrived: Condvar::new(),
-        });
-        for (index, key) in keys.iter().enumerate() {
-            self.hand_or_park(key, Parked::Wait(index, Arc::clone(&waiter)));
-        }
-        Subscription {
+    /// Subscribe to a set of keys: each already-registered key is handed
+    /// to `present(index, handle)` now, on this thread, in index order;
+    /// the rest park and arrive through [`Subscription::next_before`] as
+    /// producers register them. Nothing is allocated unless a key is
+    /// absent. Dropping the subscription unparks its remaining waiters.
+    pub fn subscribe<'a>(
+        &'a self,
+        keys: &'a [BufKey],
+        mut present: impl FnMut(usize, BufferHandle),
+    ) -> Subscription<'a> {
+        let mut sub = Subscription {
             registry: self,
-            waiter,
-            keys: keys.to_vec(),
-            delivered: 0,
+            keys,
+            parked: None,
+            outstanding: 0,
+        };
+        for (index, key) in keys.iter().enumerate() {
+            match self.get(key) {
+                Some(handle) => present(index, handle),
+                None => {
+                    let (waiter, undelivered) = sub
+                        .parked
+                        .get_or_insert_with(|| (Arc::default(), vec![false; keys.len()]));
+                    undelivered[index] = true;
+                    sub.outstanding += 1;
+                    // A `register` racing this lookup finds the waiter
+                    // parked, or `hand_or_park` finds its buffer.
+                    self.hand_or_park(key, Parked::Wait(index, Arc::clone(waiter)));
+                }
+            }
         }
+        sub
     }
 
     /// Block until `key` is registered, up to `timeout`. `None` on timeout.
     pub fn wait_for(&self, key: &BufKey, timeout: Duration) -> Option<BufferHandle> {
-        let mut sub = self.subscribe(std::slice::from_ref(key));
-        sub.next_before(Instant::now() + timeout)
-            .map(|(_, handle, _)| handle)
+        let mut found = None;
+        let mut sub = self.subscribe(std::slice::from_ref(key), |_, handle| found = Some(handle));
+        found.or_else(|| {
+            sub.next_before(Instant::now() + timeout)
+                .map(|(_, handle, _)| handle)
+        })
     }
 
     /// Remove a buffer (e.g. when a version is garbage collected).
@@ -297,54 +317,63 @@ impl BufferRegistry {
     }
 }
 
-/// A wait-for-any handle over a set of subscribed keys: yields
-/// `(key_index, handle, arrival_instant)` in arrival order.
+/// A wait-for-any handle over the keys a [`BufferRegistry::subscribe`]
+/// found absent: yields `(key_index, handle, arrival_instant)` in
+/// arrival order.
 pub struct Subscription<'a> {
     registry: &'a BufferRegistry,
-    waiter: Arc<Waiter>,
-    keys: Vec<BufKey>,
-    delivered: usize,
+    keys: &'a [BufKey],
+    /// Built on the first absent key: the waiter every absent key parks,
+    /// and per key whether it is parked and not yet yielded.
+    parked: Option<(Arc<Waiter>, Vec<bool>)>,
+    /// Keys parked and not yet yielded.
+    outstanding: usize,
 }
 
 impl Subscription<'_> {
-    /// Next arrival, blocking until `deadline`. `None` once every
-    /// subscribed key was delivered or the deadline passes.
+    /// Next arrival, blocking until `deadline`. `None` once every parked
+    /// key was yielded or the deadline passes.
     pub fn next_before(&mut self, deadline: Instant) -> Option<(usize, BufferHandle, Instant)> {
-        if self.delivered == self.keys.len() {
-            return None;
-        }
-        let mut ready = self.waiter.ready.lock().unwrap();
-        loop {
+        let (waiter, undelivered) = match &mut self.parked {
+            Some(parked) if self.outstanding > 0 => parked,
+            _ => return None,
+        };
+        let mut ready = waiter.ready.lock().unwrap();
+        let item = loop {
             if let Some(item) = ready.pop_front() {
-                self.delivered += 1;
-                return Some(item);
+                break item;
             }
             let now = Instant::now();
             if now >= deadline {
                 return None;
             }
-            let (guard, res) = self
-                .waiter
-                .arrived
-                .wait_timeout(ready, deadline - now)
-                .unwrap();
+            let (guard, res) = waiter.arrived.wait_timeout(ready, deadline - now).unwrap();
             ready = guard;
             if res.timed_out() {
-                return ready.pop_front().inspect(|_| self.delivered += 1);
+                break ready.pop_front()?;
             }
-        }
+        };
+        undelivered[item.0] = false;
+        self.outstanding -= 1;
+        Some(item)
+    }
+
+    /// The lowest index of a parked key not yet yielded, if any.
+    pub(crate) fn first_undelivered(&self) -> Option<usize> {
+        self.parked.as_ref()?.1.iter().position(|&u| u)
     }
 }
 
 impl Drop for Subscription<'_> {
     fn drop(&mut self) {
-        if self.delivered == self.keys.len() {
+        let Some((waiter, undelivered)) = self.parked.as_ref().filter(|_| self.outstanding > 0)
+        else {
             return;
-        }
-        for key in &self.keys {
+        };
+        for (key, _) in self.keys.iter().zip(undelivered).filter(|(_, &u)| u) {
             let mut shard = self.registry.shards[shard_of(key)].lock().unwrap();
             if let Some(list) = shard.waiters.get_mut(key) {
-                list.retain(|p| !matches!(p, Parked::Wait(_, w) if Arc::ptr_eq(w, &self.waiter)));
+                list.retain(|p| !matches!(p, Parked::Wait(_, w) if Arc::ptr_eq(w, waiter)));
                 if list.is_empty() {
                     shard.waiters.remove(key);
                 }
@@ -478,7 +507,8 @@ mod tests {
         }
         // Someone is parked on a key of the dropped version that has
         // not arrived yet; the drop must leave them parked.
-        let parked = r.subscribe(&[k(1, 7, 9)]);
+        let late = [k(1, 7, 9)];
+        let parked = r.subscribe(&late, |_, _| panic!("the key is absent"));
         assert_eq!(r.waiter_count(), 1);
 
         assert_eq!(r.drop_pulled(1, 7, |o| o < 2), 2);
@@ -522,14 +552,14 @@ mod tests {
         let r = BufferRegistry::new();
         r.register(key(2), 7, Bytes::from_static(b"b"));
         r.register(key(3), 8, Bytes::from_static(b"c"));
-        let mut sub = r.subscribe(&[key(2), key(3)]);
-        let deadline = Instant::now() + Duration::from_millis(50);
         let mut seen = Vec::new();
-        while let Some((i, h, _)) = sub.next_before(deadline) {
-            seen.push((i, h.owner));
-        }
-        seen.sort_unstable();
+        let keys = [key(2), key(3)];
+        let mut sub = r.subscribe(&keys, |i, h| seen.push((i, h.owner)));
         assert_eq!(seen, vec![(0, 7), (1, 8)]);
+        assert_eq!(r.waiter_count(), 0);
+        // Nothing is left to wait for: no blocking, no deadline needed.
+        assert!(sub.next_before(Instant::now()).is_none());
+        assert_eq!(sub.first_undelivered(), None);
     }
 
     #[test]
@@ -546,9 +576,10 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
             r2.register(key(10), 0, Bytes::from_static(b"0"));
         });
-        let mut sub = r.subscribe(&[key(10), key(11), key(12)]);
-        let deadline = Instant::now() + Duration::from_secs(5);
+        let keys = [key(10), key(11), key(12)];
         let mut order = Vec::new();
+        let mut sub = r.subscribe(&keys, |i, _| order.push(i));
+        let deadline = Instant::now() + Duration::from_secs(5);
         while let Some((i, _, _)) = sub.next_before(deadline) {
             order.push(i);
         }
@@ -575,7 +606,8 @@ mod tests {
     fn dropped_subscription_deregisters_waiters() {
         let r = BufferRegistry::new();
         {
-            let _sub = r.subscribe(&[key(1), key(2), key(3)]);
+            let keys = [key(1), key(2), key(3)];
+            let _sub = r.subscribe(&keys, |_, _| {});
             assert_eq!(r.waiter_count(), 3);
         }
         assert_eq!(r.waiter_count(), 0);
@@ -684,7 +716,8 @@ mod tests {
     fn several_continuations_and_a_waiter_on_one_key_are_all_served() {
         let r = BufferRegistry::new();
         let runs = Runs::default();
-        let mut sub = r.subscribe(&[key(8)]);
+        let keys = [key(8)];
+        let mut sub = r.subscribe(&keys, |_, _| panic!("the key is absent"));
         for _ in 0..5 {
             r.on_register(key(8), recording(&runs));
         }

@@ -234,11 +234,12 @@ impl DartRuntime {
 
     /// Receiver-driven wait-for-any pull: issue every key at once and
     /// invoke `on_ready(index, handle, wait)` as each buffer becomes
-    /// available, in arrival order — so the total blocking time is the
-    /// max over keys, not the sum. `wait` is the time from issue until
-    /// the buffer was available (also recorded in `dart.pull_wait_us`);
-    /// the callback runs on the calling thread, and later arrivals queue
-    /// behind it.
+    /// available — so the total blocking time is the max over keys, not
+    /// the sum. A key already registered here is handed over at once, in
+    /// index order, with no waiter built; the rest follow in arrival
+    /// order. `wait` is the time from issue until the buffer was
+    /// available (also recorded in `dart.pull_wait_us`); the callback
+    /// runs on the calling thread, and later arrivals queue behind it.
     ///
     /// Every key's pull fault site is consulted up front, so drop/delay
     /// faults fire once per key, before any request leaves.
@@ -257,7 +258,8 @@ impl DartRuntime {
         }
         let start = Instant::now();
         let mut dropped: Option<usize> = None;
-        let mut floors: Vec<Option<Instant>> = vec![None; keys.len()];
+        // Built only once a delay site fires.
+        let mut floors: Option<Vec<Option<Instant>>> = None;
         for (i, key) in keys.iter().enumerate() {
             match self.injector.on_pull(key.name, key.version, key.piece) {
                 FaultAction::Drop => {
@@ -266,7 +268,7 @@ impl DartRuntime {
                 }
                 FaultAction::Delay(d) => {
                     self.record_pull_fault(FaultKind::DelayPull, key);
-                    floors[i] = Some(start + d);
+                    floors.get_or_insert_with(|| vec![None; keys.len()])[i] = Some(start + d);
                 }
                 FaultAction::Proceed => {}
             }
@@ -277,35 +279,46 @@ impl DartRuntime {
         for key in keys {
             self.wire.request(key);
         }
+        let floor = |i: usize| floors.as_ref().and_then(|f| f[i]);
         // A delayed op's budget is delay + timeout: the injected delay
         // must not eat into the wait for the buffer itself.
         let deadline = floors
             .iter()
             .flatten()
+            .flatten()
             .max()
             .map_or(start + timeout, |&f| f + timeout);
 
-        let mut done = vec![false; keys.len()];
         let mut pending = keys.len();
         // Arrived but withheld by an injected delay: (index, handle).
         let mut held: Vec<(usize, BufferHandle)> = Vec::new();
-        let mut deliver =
-            |index: usize, handle: BufferHandle, done: &mut Vec<bool>, pending: &mut usize| {
-                let wait = Instant::now().saturating_duration_since(start);
-                self.pull_wait_us.record(wait.as_micros() as u64);
-                done[index] = true;
-                *pending -= 1;
-                on_ready(index, handle, wait);
-            };
+        // Every buffer comes through here, found at issue or arriving
+        // later: withheld until its delay floor, else handed over.
+        let mut arrive = |index: usize,
+                          handle: BufferHandle,
+                          held: &mut Vec<(usize, BufferHandle)>,
+                          pending: &mut usize| {
+            let now = Instant::now();
+            if floor(index).is_some_and(|f| f > now) {
+                held.push((index, handle));
+                return;
+            }
+            let wait = now.saturating_duration_since(start);
+            self.pull_wait_us.record(wait.as_micros() as u64);
+            *pending -= 1;
+            on_ready(index, handle, wait);
+        };
 
-        let mut sub = self.registry.subscribe(keys);
+        let mut sub = self
+            .registry
+            .subscribe(keys, |i, h| arrive(i, h, &mut held, &mut pending));
         while pending > 0 {
             let now = Instant::now();
             let mut k = 0;
             while k < held.len() {
-                if floors[held[k].0].is_some_and(|f| f <= now) {
+                if floor(held[k].0).is_some_and(|f| f <= now) {
                     let (i, h) = held.swap_remove(k);
-                    deliver(i, h, &mut done, &mut pending);
+                    arrive(i, h, &mut held, &mut pending);
                 } else {
                     k += 1;
                 }
@@ -316,14 +329,11 @@ impl DartRuntime {
             // Wake at the deadline or the earliest withheld floor.
             let wake = held
                 .iter()
-                .filter_map(|&(i, _)| floors[i])
+                .filter_map(|&(i, _)| floor(i))
                 .min()
                 .map_or(deadline, |f| f.min(deadline));
             match sub.next_before(wake) {
-                Some((i, h, _arrived)) => match floors[i] {
-                    Some(f) if f > Instant::now() => held.push((i, h)),
-                    _ => deliver(i, h, &mut done, &mut pending),
-                },
+                Some((i, h, _arrived)) => arrive(i, h, &mut held, &mut pending),
                 None => {
                     let now = Instant::now();
                     if held.is_empty() {
@@ -338,10 +348,9 @@ impl DartRuntime {
                 }
             }
         }
-        match done.iter().position(|d| !d) {
-            None => Ok(()),
-            Some(i) => Err(i),
-        }
+        // The loop leaves early only with nothing withheld, so what is
+        // undelivered is exactly what never arrived.
+        sub.first_undelivered().map_or(Ok(()), Err)
     }
 
     /// Log an injected pull fault as a flight event. The buf-key piece
@@ -562,6 +571,43 @@ mod tests {
         // one waits for its producer.
         assert!(waits[0] < Duration::from_millis(30), "{waits:?}");
         assert!(waits[1] >= Duration::from_millis(50), "{waits:?}");
+    }
+
+    /// Present keys are handed over inline, in index order, before the
+    /// call parks; one waiter is built, for the absent key alone.
+    #[test]
+    fn pull_many_hands_present_keys_over_before_parking_the_absent_one() {
+        let rt = runtime(1, 4, 4);
+        rt.registry().register(bkey(0), 0, Bytes::from_static(b"x"));
+        rt.registry().register(bkey(2), 2, Bytes::from_static(b"x"));
+        let (inline_tx, inline_rx) = std::sync::mpsc::channel();
+        let rt2 = Arc::clone(&rt);
+        let producer = std::thread::spawn(move || {
+            let before_parking: Vec<usize> = inline_rx.iter().take(2).collect();
+            while rt2.registry().waiter_count() == 0 {
+                std::thread::yield_now();
+            }
+            let parked = rt2.registry().waiter_count();
+            rt2.registry()
+                .register(bkey(1), 1, Bytes::from_static(b"x"));
+            (before_parking, parked)
+        });
+        let mut order = Vec::new();
+        rt.pull_many(
+            &[bkey(0), bkey(1), bkey(2)],
+            Duration::from_secs(5),
+            |i, h, _| {
+                assert_eq!(h.owner, i as u32);
+                order.push(i);
+                let _ = inline_tx.send(i);
+            },
+        )
+        .unwrap();
+        let (before_parking, parked) = producer.join().unwrap();
+        assert_eq!(before_parking, vec![0, 2]);
+        assert_eq!(parked, 1);
+        assert_eq!(order, vec![0, 2, 1]);
+        assert_eq!(rt.registry().waiter_count(), 0);
     }
 
     /// Hosts only clients below a threshold; records the rest.

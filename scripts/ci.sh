@@ -118,6 +118,25 @@ for round in $(seq 1 30); do
         || { cat target/window-wakes.txt; echo "no consumption-window test ran"; exit 1; }
 done
 
+# The pull path, 30 times over: a present key is handed over inline and
+# only an absent one parks a waiter, so a key lost between the lookup
+# and the park shows here as a get_timeout-long stall. The filters cover
+# every runtime::tests::pull_many_* test (the mixed present/absent one
+# among them), the chaos pull faults and the allocation budget.
+echo "==> pull_many delivery (30 rounds)"
+for round in $(seq 1 30); do
+    cargo test -q $chaos_profile -p insitu-dart --lib --offline \
+        runtime::tests::pull_many_ > target/pull-many.txt 2>&1 \
+        || { cat target/pull-many.txt; echo "pull_many failed in round $round"; exit 1; }
+    grep -q "test result: ok. [1-9]" target/pull-many.txt \
+        || { cat target/pull-many.txt; echo "no pull_many test ran"; exit 1; }
+    cargo test -q $chaos_profile -p insitu-cods --offline \
+        --test chaos_pulls --test get_allocs > target/pull-many.txt 2>&1 \
+        || { cat target/pull-many.txt; echo "chaos pulls or the get allocation budget failed in round $round"; exit 1; }
+    [ "$(grep -c "test result: ok. [1-9]" target/pull-many.txt)" -eq 2 ] \
+        || { cat target/pull-many.txt; echo "a pull test binary ran no test"; exit 1; }
+done
+
 # The JSON parser's linearity check, 30 times over: a wall-clock ratio
 # read beside a parallel test run, so one pass proves little. Linear
 # reads ~16x across its 16x inputs, quadratic ~256x; it fails above 48x.
