@@ -31,7 +31,7 @@ usage: insitu run     [--dag] <file> --config <file>
               [--strategy <s>] [--timeout-ms <n>] [--ledger-out <path>]
               [--trace-out <path>] [--profile-out <path>] [--p2p] [--no-shm]
        insitu serve   --listen <addr> [--max-runs <n>] [--queue-depth <n>]
-              [--pool-nodes <n>] [--artifacts <dir>] [--p2p] [--no-shm]
+              [--pool-nodes <n>] [--artifacts <dir>] [--no-shm]
               [--faults <spec>] [--seed <n>] [--stall-ms <n>]
        insitu join    --connect <addr> --node <n> [--timeout-ms <n>] [--no-shm]
        insitu launch  [--dag] <file> --config <file>
@@ -88,7 +88,8 @@ distributed ledger is byte-identical to a single-process run. `serve`
 and `launch` also accept a `workflow.toml` in place of the
 `--dag`/`--config` pair, compiled client-side exactly like `submit`.
 `--ledger-out` writes the merged transfer-ledger snapshot as JSON.
-`--p2p` runs the data plane peer-to-peer: every joiner binds a direct
+`--p2p` (single-run `serve` and `launch` only; the service routes star)
+runs the data plane peer-to-peer: every joiner binds a direct
 listener, `PullData` flows node-to-node, and the hub carries control
 traffic only (`launch --p2p` additionally asserts zero data frames
 traversed the hub).
@@ -376,6 +377,9 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
             let (dag, config) = a.workflow_paths()?;
             if dag.is_none() && config.is_none() {
                 // No workflow files: run the multi-tenant service.
+                if p2p {
+                    return Err("--p2p is single-run only: the service routes star".into());
+                }
                 let d = SvcConfig::default();
                 let cfg = SvcConfig {
                     max_runs: a
@@ -389,7 +393,6 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
                         .unwrap_or(d.pool_nodes),
                     artifacts_dir: a.value("--artifacts", "a dir", "dir")?,
                     verbose: true,
-                    p2p,
                     shm,
                     stall_ms: a
                         .value("--stall-ms", "a number", "threshold")?
@@ -1073,6 +1076,7 @@ mod tests {
             ("serve --listen x:1 --trace-out t.json", unknown),
             ("serve --listen x:1 --profile-out p.json", unknown),
             ("serve @ --listen x:1 --seed 7", service),
+            ("serve --listen x:1 --p2p", "single-run only"),
         ];
         for (line, why) in cases {
             let argv = line.replace('@', &format!("{DAG} --config {CFG}"));

@@ -25,4 +25,4 @@ pub use schedule::{
     merge_schedule_ops, schedule_from_decomposition, schedule_from_entries, CommSchedule,
     ScheduleCache, TransferOp,
 };
-pub use space::{CodsConfig, CodsError, CodsSpace, GetReport, SpaceMirror, SubHandle};
+pub use space::{CodsConfig, CodsError, CodsSpace, GetReport, SubHandle};

@@ -123,12 +123,10 @@ impl CodsSpace {
 
     pub(super) fn note_get_complete(&self, vid: u64, version: u64) {
         self.bump_get_done(vid, version);
-        if let Some(m) = &self.mirror {
-            m.get_done(vid, version);
-        }
+        self.dart.wire().get_done(vid, version);
     }
 
-    /// Count one completed get of `(vid, version)`, local or mirrored.
+    /// Count one completed get of `(vid, version)`, local or replicated.
     /// The get that brings the count to the declared expectation ends
     /// the version's consumption on every replica: it alone wakes the
     /// producers parked in [`Self::wait_version_consumed`] (no earlier
@@ -158,9 +156,7 @@ impl CodsSpace {
     pub fn evict_version(&self, var: &str, version: u64) {
         let vid = var_id(var);
         self.evict_vid(vid, version);
-        if let Some(m) = &self.mirror {
-            m.evict(vid, version);
-        }
+        self.dart.wire().evict(vid, version);
     }
 
     pub(super) fn evict_vid(&self, vid: u64, version: u64) {
@@ -169,7 +165,9 @@ impl CodsSpace {
         // Only buffers staged here count: a pulled copy swept out with
         // the version was never charged to staging, and its owner's
         // process books the eviction.
-        let staged = removed.into_iter().filter(|&(o, _)| self.dart.hosts(o));
+        let staged = removed
+            .into_iter()
+            .filter(|&(o, _)| self.dart.wire().hosts(o));
         let mut staging = self.staging.lock().unwrap();
         for (owner, bytes) in staged {
             self.evict_count.inc();

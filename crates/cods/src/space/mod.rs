@@ -22,8 +22,8 @@
 //! - [`lifetime`] — how long a version lives: the consumption window,
 //!   pulled-copy cleanup, staging accounting and eviction;
 //! - [`subs`] — standing queries, the push plane fed from `put`;
-//! - [`replica`] — what a distributed run mirrors between processes
-//!   ([`SpaceMirror`] out, `apply_remote_*` in).
+//! - [`replica`] — what a distributed run replicates between processes
+//!   (out through the runtime's transport, `apply_remote_*` in).
 
 mod lifetime;
 mod ops;
@@ -32,7 +32,6 @@ mod subs;
 #[cfg(test)]
 mod tests;
 
-pub use replica::SpaceMirror;
 pub use subs::SubHandle;
 
 use crate::dht::Dht;
@@ -194,7 +193,6 @@ pub struct CodsSpace {
     consumed_cv: Condvar,
     staging: Mutex<HashMap<u32, u64>>,
     staging_peak: AtomicU64,
-    mirror: Option<Arc<dyn SpaceMirror>>,
     put_count: Counter,
     get_count: Counter,
     evict_count: Counter,
@@ -235,29 +233,10 @@ fn buf_key(var: u64, version: u64, owner: ClientId, piece: u64) -> BufKey {
 
 impl CodsSpace {
     /// Build a space over an existing DART runtime and DHT. Telemetry is
-    /// inherited from the runtime's recorder.
+    /// inherited from the runtime's recorder, and DHT, consumption and
+    /// eviction changes reach the other replicas of a distributed run
+    /// through the runtime's transport ([`DartRuntime::wire`]).
     pub fn new(dart: Arc<DartRuntime>, dht: Dht, cfg: CodsConfig) -> Arc<Self> {
-        Self::build(dart, dht, cfg, None)
-    }
-
-    /// Build a space whose DHT/consumption/eviction state changes are
-    /// mirrored to remote replicas through `mirror` (a distributed run's
-    /// wire transport).
-    pub fn with_mirror(
-        dart: Arc<DartRuntime>,
-        dht: Dht,
-        cfg: CodsConfig,
-        mirror: Arc<dyn SpaceMirror>,
-    ) -> Arc<Self> {
-        Self::build(dart, dht, cfg, Some(mirror))
-    }
-
-    fn build(
-        dart: Arc<DartRuntime>,
-        dht: Dht,
-        cfg: CodsConfig,
-        mirror: Option<Arc<dyn SpaceMirror>>,
-    ) -> Arc<Self> {
         let recorder = dart.recorder().clone();
         Arc::new(CodsSpace {
             dht,
@@ -267,7 +246,6 @@ impl CodsSpace {
             consumed_cv: Condvar::new(),
             staging: Mutex::default(),
             staging_peak: AtomicU64::new(0),
-            mirror,
             put_count: recorder.counter("cods.put"),
             get_count: recorder.counter("cods.get"),
             evict_count: recorder.counter("cods.evictions"),

@@ -88,9 +88,11 @@ impl CodsSpace {
                 piece,
             };
             let cores = self.dht.insert(vid, version, entry);
-            if let Some(m) = &self.mirror {
-                m.dht_insert(vid, version, &entry);
-            }
+            let nd = bbox.ndim();
+            let (lbs, ubs) = (&bbox.lower()[..nd], &bbox.upper()[..nd]);
+            self.dart
+                .wire()
+                .dht_insert(vid, version, client, piece, lbs, ubs);
             for c in cores {
                 self.dart.account(
                     app,

@@ -1,7 +1,10 @@
 //! Replication between the processes of a distributed run: every
 //! process holds a full replica of the DHT and the consumption/eviction
-//! bookkeeping. Local changes leave through [`SpaceMirror`]; the wire
-//! reader lands the other replicas' changes with `apply_remote_*`.
+//! bookkeeping. A local change leaves through the runtime's transport
+//! (`Transport::{dht_insert, get_done, evict}`); the wire reader lands
+//! the other replicas' changes with `apply_remote_*`, which neither
+//! send them on nor account them — the originating process already
+//! did, so merged ledgers stay byte-identical to a single-process run.
 
 use super::CodsSpace;
 use crate::codec::f64s_of_bytes;
@@ -11,44 +14,23 @@ use insitu_fabric::ClientId;
 use insitu_sub::SubSpec;
 use insitu_util::Bytes;
 
-/// Replication hooks for distributed runs.
-///
-/// A single-process space holds the only copy of the DHT and the
-/// consumption/eviction bookkeeping. When execution clients are spread
-/// over several processes, each process holds a full replica and the
-/// wire transport implements this trait to propagate local state changes
-/// to the other replicas. The receiving side applies them with the
-/// `apply_remote_*` methods, which update the replica **without**
-/// re-mirroring and without any ledger accounting — the originating
-/// process already accounted the logical traffic, so merged ledgers stay
-/// byte-identical to a single-process run.
-pub trait SpaceMirror: Send + Sync {
-    /// A piece of `(var, version)` was indexed in the local DHT replica.
-    fn dht_insert(&self, var: u64, version: u64, entry: &LocationEntry);
-    /// A `get` of `(var, version)` completed locally.
-    fn get_done(&self, var: u64, version: u64);
-    /// Versions of `var` up to and including `version` were evicted
-    /// locally.
-    fn evict(&self, var: u64, version: u64);
-}
-
 impl CodsSpace {
     /// Apply a remote replica's completed `get` (wire reader entry point).
-    /// Bumps the consumption count without re-mirroring.
+    /// Bumps the consumption count without sending it on.
     pub fn apply_remote_get_done(&self, vid: u64, version: u64) {
         self.bump_get_done(vid, version);
     }
 
     /// Apply a remote replica's DHT insert (wire reader entry point).
     /// Indexes the location without accounting — the producer's process
-    /// already recorded the DHT traffic — and without re-mirroring.
+    /// already recorded the DHT traffic — and without sending it on.
     pub fn apply_remote_dht_insert(&self, vid: u64, version: u64, entry: LocationEntry) {
         self.dht.insert(vid, version, entry);
     }
 
     /// Apply a remote replica's eviction (wire reader entry point):
     /// drops DHT records and registered buffers for all versions of `vid`
-    /// up to and including `version`, without re-mirroring.
+    /// up to and including `version`, without sending it on.
     pub fn apply_remote_evict(&self, vid: u64, version: u64) {
         self.evict_vid(vid, version);
     }

@@ -8,6 +8,7 @@
 use super::{buf_key, piece_id, CodsSpace};
 use crate::codec::{f64s_of_bytes, ELEM_BYTES};
 use crate::dht::var_id;
+use insitu_dart::BufferHandle;
 use insitu_domain::BoundingBox;
 use insitu_fabric::{ClientId, FaultAction, FaultKind, TrafficClass};
 use insitu_obs::{Event, EventKind};
@@ -205,9 +206,13 @@ impl CodsSpace {
                     let node = self.dart.placement().node_of(entry.spec.subscriber);
                     if !sent.contains(&node) {
                         sent.push(node);
+                        // A pull answer nobody asked for; accounted above.
                         let key = buf_key(vid, version, client, piece);
-                        self.dart
-                            .push(entry.spec.subscriber, key, client, staged.clone());
+                        let handle = BufferHandle {
+                            owner: client,
+                            data: staged.clone(),
+                        };
+                        self.dart.wire().push(entry.spec.subscriber, &key, handle);
                     }
                 }
             }

@@ -61,16 +61,34 @@ fn produce(space: &CodsSpace, var: &str, version: u64) -> (Decomposition, Vec<Cl
     (dec, clients)
 }
 
+/// A transport hosting every client that records the replica changes
+/// the space sends out through it.
 #[derive(Default)]
-struct RecordingMirror {
+struct RecordingWire {
     inserts: Mutex<Vec<(u64, u64, LocationEntry)>>,
     dones: Mutex<Vec<(u64, u64)>>,
     evicts: Mutex<Vec<(u64, u64)>>,
 }
 
-impl SpaceMirror for RecordingMirror {
-    fn dht_insert(&self, var: u64, version: u64, entry: &LocationEntry) {
-        self.inserts.lock().unwrap().push((var, version, *entry));
+impl Transport for RecordingWire {
+    fn hosts(&self, _client: ClientId) -> bool {
+        true
+    }
+    fn forward(&self, _to: ClientId, _msg: &insitu_dart::Msg) {}
+    fn request(&self, _key: &BufKey) {}
+    fn push(&self, _to: ClientId, _key: &BufKey, _handle: BufferHandle) {}
+    fn dht_insert(
+        &self,
+        var: u64,
+        version: u64,
+        owner: ClientId,
+        piece: u64,
+        lbs: &[u64],
+        ubs: &[u64],
+    ) {
+        let bbox = BoundingBox::new(lbs, ubs);
+        let entry = LocationEntry { bbox, owner, piece };
+        self.inserts.lock().unwrap().push((var, version, entry));
     }
     fn get_done(&self, var: u64, version: u64) {
         self.dones.lock().unwrap().push((var, version));
@@ -80,24 +98,29 @@ impl SpaceMirror for RecordingMirror {
     }
 }
 
-fn mirrored_space(mirror: Arc<RecordingMirror>) -> Arc<CodsSpace> {
-    let placement = Arc::new(Placement::pack_sequential(MachineSpec::new(2, 2), 4));
-    let dart = DartRuntime::new(placement, Arc::new(TransferLedger::new()));
+fn mirrored_space(mirror: Arc<RecordingWire>) -> Arc<CodsSpace> {
+    let dart = DartRuntime::with_transport(
+        Arc::new(Placement::pack_sequential(MachineSpec::new(2, 2), 4)),
+        Arc::new(TransferLedger::new()),
+        Recorder::disabled(),
+        insitu_fabric::FaultInjector::none(),
+        insitu_obs::FlightRecorder::disabled(),
+        mirror,
+    );
     let dht = Dht::new(Box::new(HilbertCurve::new(2, 3)), vec![0, 2]);
-    CodsSpace::with_mirror(
+    CodsSpace::new(
         dart,
         dht,
         CodsConfig {
             get_timeout: Duration::from_secs(2),
             ..Default::default()
         },
-        mirror,
     )
 }
 
 #[test]
 fn mirror_sees_local_changes_but_not_remote_applies() {
-    let mirror = Arc::new(RecordingMirror::default());
+    let mirror = Arc::new(RecordingWire::default());
     let s = mirrored_space(Arc::clone(&mirror));
     produce(&s, "temp", 0);
     let vid = var_id("temp");
@@ -163,14 +186,14 @@ impl Transport for NodeZero {
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         self.all || client < 2
     }
-    fn hosts_all(&self) -> bool {
-        self.all
-    }
     fn forward(&self, _to: ClientId, _msg: &insitu_dart::Msg) {}
     fn request(&self, _key: &BufKey) {}
     fn push(&self, to: ClientId, key: &BufKey, handle: BufferHandle) {
         self.pushes.lock().unwrap().push((to, *key, handle));
     }
+    fn dht_insert(&self, _: u64, _: u64, _: ClientId, _: u64, _: &[u64], _: &[u64]) {}
+    fn get_done(&self, _var: u64, _version: u64) {}
+    fn evict(&self, _var: u64, _version: u64) {}
 }
 
 fn node_zero_space(all: bool) -> (Arc<CodsSpace>, Arc<NodeZero>, Recorder) {
@@ -286,8 +309,9 @@ fn single_process_space_never_looks_for_pulled_copies() {
     s.apply_remote_get_done(var_id("temp"), 0);
     assert_eq!(s.dart.registry().len(), 4);
 
-    // And it is the transport's `hosts_all` that short-circuits: a
-    // scan would ask `hosts` once per candidate entry.
+    // And it is the runtime's `hosts_all`, derived from `hosts` once at
+    // construction, that short-circuits: a scan would ask `hosts` once
+    // per candidate entry.
     let (s, wire, _) = node_zero_space(true);
     s.set_expected_gets("temp", 1);
     produce_on_node_zero(&s, "temp", 0);

@@ -37,7 +37,6 @@ use crate::exec::{dispatch_payload, wave_tasks, ExecEnv, DISPATCH_BYTES, TAG_DIS
 use crate::mapping::MappingStrategy;
 use crate::scenario::Scenario;
 use crate::threaded::ThreadedConfig;
-use insitu_cods::SpaceMirror;
 use insitu_dart::Transport;
 use insitu_fabric::{FaultInjector, LedgerSnapshot, MachineSpec, TrafficClass};
 use insitu_net::conn::{recv_frame, send_frame};
@@ -180,7 +179,7 @@ pub fn serve(
     // The server replicates the execution state like any node: it needs
     // the mapping for dispatch and the placement for dispatch accounting.
     // Its space and mailboxes stay idle — no tasks run here.
-    let env = ExecEnv::build(scenario, opts.strategy, &opts.recorder, &cfg, None, None);
+    let env = ExecEnv::build(scenario, opts.strategy, &opts.recorder, &cfg, None);
     let machine = env.mapped.machine;
     let metrics = NetMetrics::new(&opts.recorder);
     let hub = Hub::accept(
@@ -402,7 +401,6 @@ where
         &opts.recorder,
         &cfg,
         Some(Arc::clone(&link) as Arc<dyn Transport>),
-        Some(Arc::clone(&link) as Arc<dyn SpaceMirror>),
     );
     if env.mapped.machine.nodes != nodes {
         link.close();
@@ -414,9 +412,9 @@ where
     debug_assert_eq!(env.mapped.machine.cores_per_node, cpn);
 
     // This frame is the sole owner of the link and the environment: the
-    // link only looks back at the runtime and the space through `Weak`
-    // handles, so everything built above dies when `join` returns.
-    let ctl = link.start_reader(&env.dart, &env.space);
+    // link only looks back at the space through one `Weak` handle, so
+    // everything built above dies when `join` returns.
+    let ctl = link.start_reader(&env.space);
     let waves = env.mapped.waves.len() as u32;
     let result = loop {
         match ctl.recv() {

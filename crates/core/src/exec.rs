@@ -6,9 +6,9 @@
 //! against the *same* deterministically constructed state — mapping,
 //! placement, ledger, HybridDART runtime, CoDS space. `ExecEnv::build`
 //! is that construction, parameterized over the wire: with no transport
-//! it is the single-process executor; with a
-//! [`Transport`]/[`SpaceMirror`] pair every replica builds identical
-//! local state and the wire carries only what crosses processes. That
+//! it is the single-process executor; with a wire [`Transport`] every
+//! replica builds identical local state and the wire carries only what
+//! crosses processes — messages, pulls and replica changes alike. That
 //! replication is why a distributed run's merged ledger is
 //! byte-identical to the single-process ledger: each logical transfer
 //! is accounted exactly once, in the process that initiates it.
@@ -16,9 +16,7 @@
 use crate::mapping::{map_scenario, MappedScenario, MappingStrategy};
 use crate::scenario::Scenario;
 use crate::threaded::ThreadedConfig;
-use insitu_cods::{
-    var_id, CodsConfig, CodsError, CodsSpace, Dht, FieldData, GetReport, SpaceMirror, SubHandle,
-};
+use insitu_cods::{var_id, CodsConfig, CodsError, CodsSpace, Dht, FieldData, GetReport, SubHandle};
 use insitu_dart::{DartRuntime, LocalTransport, Transport};
 use insitu_domain::stencil::halo_exchanges;
 use insitu_domain::{BoundingBox, Decomposition};
@@ -175,15 +173,15 @@ pub(crate) struct ExecEnv {
 
 impl ExecEnv {
     /// Map the scenario and build the full execution substrate. `wire`
-    /// and `mirror` plug in the network transport for multi-process
-    /// runs; `None` is the single-process executor.
+    /// plugs in the network transport for multi-process runs — the
+    /// runtime carries it, and the space reaches the other replicas
+    /// through the runtime; `None` is the single-process executor.
     pub fn build(
         scenario: &Scenario,
         strategy: MappingStrategy,
         recorder: &Recorder,
         cfg: &ThreadedConfig,
         wire: Option<Arc<dyn Transport>>,
-        mirror: Option<Arc<dyn SpaceMirror>>,
     ) -> ExecEnv {
         assert_eq!(scenario.elem_bytes, 8, "threaded mode stores f64 fields");
         let mapped = recorder
@@ -217,10 +215,7 @@ impl ExecEnv {
             // Jaguar XT5 nodes carry 16 GB; staged coupling data must fit.
             staging_limit_per_node: Some(16 << 30),
         };
-        let space = match mirror {
-            Some(mirror) => CodsSpace::with_mirror(Arc::clone(&dart), dht, cods_cfg, mirror),
-            None => CodsSpace::new(Arc::clone(&dart), dht, cods_cfg),
-        };
+        let space = CodsSpace::new(Arc::clone(&dart), dht, cods_cfg);
 
         let scenario = scenario.clone();
         // Declare consumption expectations so producers can reclaim old
@@ -275,7 +270,7 @@ impl ExecEnv {
                     .filter_map(|p| p.intersect(&region))
                 {
                     pieces += 1;
-                    if dart.hosts(client) {
+                    if dart.wire().hosts(client) {
                         let handle = space.subscribe(
                             client,
                             sub.subscriber_app,

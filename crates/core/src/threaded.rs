@@ -98,7 +98,7 @@ pub fn run_threaded_configured(
     cfg: &ThreadedConfig,
 ) -> ThreadedOutcome {
     // One execution client per core, client id == core id.
-    let env = ExecEnv::build(scenario, strategy, recorder, cfg, None, None);
+    let env = ExecEnv::build(scenario, strategy, recorder, cfg, None);
     let group_us = recorder.histogram("workflow.group_us");
     let execute_us = recorder.histogram("workflow.execute_us");
     for wave in &env.mapped.waves {

@@ -35,6 +35,9 @@ pub struct DartRuntime {
     flight: FlightRecorder,
     injector: FaultInjector,
     wire: Arc<dyn Transport>,
+    /// Whether `wire` hosts every client, so the registry can hold no
+    /// pulled copy of a remote buffer.
+    hosts_all: bool,
     msgs_sent: Counter,
     transport_shm: Counter,
     transport_net: Counter,
@@ -73,6 +76,7 @@ impl DartRuntime {
     ) -> Arc<Self> {
         let n = placement.num_clients();
         let (boxes, senders) = Mailbox::create_all(n);
+        let hosts_all = (0..n).all(|c| wire.hosts(c));
         Arc::new(DartRuntime {
             placement,
             ledger,
@@ -83,6 +87,7 @@ impl DartRuntime {
             injector,
             flight,
             wire,
+            hosts_all,
             msgs_sent: recorder.counter("dart.msgs_sent"),
             transport_shm: recorder.counter("dart.transport.shm"),
             transport_net: recorder.counter("dart.transport.net"),
@@ -207,15 +212,10 @@ impl DartRuntime {
         self.registry.register(key, owner, data);
     }
 
-    /// Send a buffer a local client staged to the process hosting `to`,
-    /// unasked ([`Transport::push`]). Accounts nothing: the caller did.
-    pub fn push(&self, to: ClientId, key: BufKey, owner: ClientId, data: Bytes) {
-        self.wire.push(to, &key, BufferHandle { owner, data });
-    }
-
-    /// Whether `client`'s mailbox and buffers live in this process.
-    pub fn hosts(&self, client: ClientId) -> bool {
-        self.wire.hosts(client)
+    /// The transport this runtime was built with: how the layers above
+    /// reach the other processes of a distributed run.
+    pub fn wire(&self) -> &dyn Transport {
+        &*self.wire
     }
 
     /// Drop this process's pulled copies of `(name, version)` — registry
@@ -225,7 +225,7 @@ impl DartRuntime {
     /// hosts every client, holds no pulled copy and returns without
     /// looking at the registry. Returns how many entries were dropped.
     pub fn drop_pulled(&self, name: u64, version: u64) -> usize {
-        if self.wire.hosts_all() {
+        if self.hosts_all {
             return 0;
         }
         self.registry
@@ -638,6 +638,9 @@ mod tests {
             self.requested.lock().unwrap().push(*key);
         }
         fn push(&self, _to: ClientId, _key: &BufKey, _handle: BufferHandle) {}
+        fn dht_insert(&self, _: u64, _: u64, _: ClientId, _: u64, _: &[u64], _: &[u64]) {}
+        fn get_done(&self, _var: u64, _version: u64) {}
+        fn evict(&self, _var: u64, _version: u64) {}
     }
 
     fn split_runtime(boundary: ClientId) -> (Arc<DartRuntime>, Arc<HalfHosted>) {
@@ -725,7 +728,7 @@ mod tests {
         let (rt, _) = split_runtime(2);
         rt.registry().register(bkey(0), 0, Bytes::from_static(b"a"));
         rt.registry().register(bkey(1), 3, Bytes::from_static(b"c"));
-        assert!(rt.hosts(0) && !rt.hosts(3));
+        assert!(rt.wire().hosts(0) && !rt.wire().hosts(3));
         assert_eq!(rt.drop_pulled(1, 0), 1);
         assert!(rt.registry().get(&bkey(0)).is_some());
         assert!(rt.registry().get(&bkey(1)).is_none());

@@ -10,12 +10,15 @@
 //! [`crate::DartRuntime`] transparently forwards messages to clients it
 //! does not host and fetches remotely-owned buffers over TCP.
 //!
-//! The split mirrors the runtime's two data paths:
+//! The split mirrors the runtime's two data paths, plus CoDS's replicas:
 //! - **mailboxes** ([`Transport::forward`]): tagged two-sided messages
 //!   (task dispatch, halo exchange);
 //! - **buffer registry** ([`Transport::request`]): one-sided
 //!   receiver-driven pulls of buffers registered in another process —
-//!   and [`Transport::push`], the same answer sent unasked.
+//!   and [`Transport::push`], the same answer sent unasked;
+//! - **replica changes** ([`Transport::dht_insert`], `get_done`,
+//!   `evict`): CoDS is built on HybridDART, so its DHT and consumption
+//!   bookkeeping cross processes the way its data does.
 //!
 //! Accounting stays with the runtime: the sender's process accounts a
 //! forwarded message *before* handing it to the transport, and the
@@ -34,20 +37,13 @@ use insitu_fabric::ClientId;
 /// Implementations must be deterministic in `hosts` (it partitions the
 /// client space across processes) and are free to deliver forwarded
 /// messages and requested buffers asynchronously: the runtime's blocking
-/// receive/pull paths do the waiting.
+/// receive/pull paths do the waiting. No method has a default body, so
+/// no transport can forget one.
 pub trait Transport: Send + Sync {
     /// Whether `client`'s mailbox and registry entries are hosted by this
     /// process. Sends to hosted clients short-circuit to the in-process
     /// path.
     fn hosts(&self, client: ClientId) -> bool;
-
-    /// Whether this process hosts *every* client, so its registry can
-    /// hold no pulled copy of a remote buffer and per-version cache
-    /// cleanup has nothing to look for. Only the single-address-space
-    /// transport says yes.
-    fn hosts_all(&self) -> bool {
-        false
-    }
 
     /// Forward an already-accounted message to a client hosted by another
     /// process.
@@ -61,19 +57,37 @@ pub trait Transport: Send + Sync {
     /// Send the buffer registered here under `key` to `to`'s process,
     /// a pull answer nobody asked for: it lands like any pulled copy.
     fn push(&self, to: ClientId, key: &BufKey, handle: BufferHandle);
+
+    /// `owner`'s piece `piece` of `(var, version)` was indexed in this
+    /// process's DHT replica, covering the box with inclusive corners
+    /// `lbs` and `ubs` (one entry per dimension): the other replicas
+    /// index it too.
+    fn dht_insert(
+        &self,
+        var: u64,
+        version: u64,
+        owner: ClientId,
+        piece: u64,
+        lbs: &[u64],
+        ubs: &[u64],
+    );
+
+    /// A `get` of `(var, version)` completed in this process.
+    fn get_done(&self, var: u64, version: u64);
+
+    /// Versions of `var` up to and including `version` were evicted in
+    /// this process.
+    fn evict(&self, var: u64, version: u64);
 }
 
 /// The single-address-space transport: every client is local, so nothing
-/// is ever forwarded, requested or pushed.
+/// is ever forwarded, requested or pushed, and the one replica has no
+/// other to keep in step.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LocalTransport;
 
 impl Transport for LocalTransport {
     fn hosts(&self, _client: ClientId) -> bool {
-        true
-    }
-
-    fn hosts_all(&self) -> bool {
         true
     }
 
@@ -84,4 +98,7 @@ impl Transport for LocalTransport {
     fn request(&self, _key: &BufKey) {}
 
     fn push(&self, _to: ClientId, _key: &BufKey, _handle: BufferHandle) {}
+    fn dht_insert(&self, _: u64, _: u64, _: ClientId, _: u64, _: &[u64], _: &[u64]) {}
+    fn get_done(&self, _var: u64, _version: u64) {}
+    fn evict(&self, _var: u64, _version: u64) {}
 }

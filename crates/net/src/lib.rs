@@ -44,11 +44,12 @@
 //!   and the shm control frames; with one it carries control traffic
 //!   only and `PullData` flows directly node↔node.
 //! - [`link`] — the joiner's end, on one reactor: implements
-//!   `insitu_dart::Transport` and `insitu_cods::SpaceMirror`, decides
-//!   once per peer node where its frames leave (the hub connection, or
-//!   a lazily-dialed direct one) and what carries a pulled payload (the
-//!   socket, or a `/dev/shm` ring), demuxes incoming frames into the
-//!   local mailboxes / registry / DHT replica and surfaces
+//!   `insitu_dart::Transport` (CoDS's DHT replica changes included),
+//!   decides once per peer node where its frames leave (the hub
+//!   connection, or a lazily-dialed direct one) and what carries a
+//!   pulled payload (the socket, or a `/dev/shm` ring), demuxes
+//!   incoming frames into the local mailboxes / registry / DHT replica
+//!   (relays and replica changes only from the hub) and surfaces
 //!   `RunWave`/`Shutdown` to the wave loop; a pull that comes early is
 //!   parked in the registry and answered by the put, on its thread, and
 //!   a standing query's push is the same answer sent unasked, landing

@@ -1,7 +1,7 @@
-//! The execution client's end of the wire: `NetLink` implements both
-//! [`insitu_dart::Transport`] (mailbox forwarding, pull requests, the
-//! pushes of standing queries) and [`insitu_cods::space::SpaceMirror`]
-//! (DHT-replica maintenance), speaking frames to the hub — and, when
+//! The execution client's end of the wire: `NetLink` implements
+//! [`insitu_dart::Transport`] — mailbox forwarding, pull requests, the
+//! pushes of standing queries and CoDS's replica changes (DHT inserts,
+//! completed gets, evictions) — speaking frames to the hub and, when
 //! the `Welcome` carried a peer table, directly to peer joiners.
 //!
 //! Every link owns one [`Reactor`]: the hub connection, the local peer
@@ -12,20 +12,20 @@
 //! what carries a pull answer's payload. It is computed once, in
 //! [`NetLink::new`]; everything below reads it.
 //!
-//! Construction is two-phase because the link and the runtime need each
+//! Construction is two-phase because the link and the space need each
 //! other: [`NetLink::new`] builds the whole link from the greeted
 //! socket and the `Welcome`, it is handed to
-//! `DartRuntime::with_transport` and `CodsSpace::with_mirror`, and
-//! [`NetLink::start_reader`] with both adopts the connections onto the
-//! reactor and returns the control channel (`RunWave` / `Shutdown`)
-//! that drives the joiner's wave loop.
+//! `DartRuntime::with_transport`, the space is built over that runtime,
+//! and [`NetLink::start_reader`] with the space adopts the connections
+//! onto the reactor and returns the control channel (`RunWave` /
+//! `Shutdown`) that drives the joiner's wave loop.
 //!
-//! Ownership runs one way (DESIGN.md §9.4): the runtime and the space
-//! own the link, the link only *looks back* at them through `Weak`
-//! handles, so whoever built the three — `insitu::join` — is their sole
-//! owner and dropping them there frees the registry's buffers, unmaps
-//! both shm segments and closes the reactor's waker. A frame that
-//! arrives once the runtime is gone is dropped.
+//! Ownership runs one way (DESIGN.md §9.4): space → runtime → link;
+//! the link only *looks back* at the space, through one `Weak` handle,
+//! so whoever built the three — `insitu::join` — is their sole owner and
+//! dropping them there frees the registry's buffers, unmaps both shm
+//! segments and closes the reactor's waker. A frame that arrives once
+//! the space is gone is dropped.
 //!
 //! The telemetry plane rides the same connections: the link records a
 //! `NetSend` flight event when it answers a remote pull or pushes a
@@ -41,7 +41,6 @@ use crate::conn::{NetError, NetMetrics};
 use crate::frame::{Frame, NodeReport};
 use crate::peers::PeerTable;
 use crate::reactor::{ConnEvent, Reactor, ReactorHandle, Sink, Token};
-use insitu_cods::space::SpaceMirror;
 use insitu_cods::{CodsSpace, LocationEntry};
 use insitu_dart::transport::Transport;
 use insitu_dart::{BufKey, BufferHandle, DartRuntime, Msg};
@@ -166,11 +165,11 @@ pub struct NetLink {
     /// Keys with an outstanding `PullRequest`, so concurrent local
     /// waiters ask the owner once, not once per waiter.
     inflight: Mutex<HashSet<BufKey>>,
-    /// Back-references to what this link serves, set by `start_reader`.
-    /// `Weak` because both own the link (as their `Transport` /
-    /// `SpaceMirror`): a strong handle here is a cycle that keeps every
-    /// run's registry, mappings and fds alive in a long-lived process.
-    dart: OnceLock<Weak<DartRuntime>>,
+    /// Back-reference to the space this link serves (the runtime is
+    /// `space.dart()`), set by `start_reader`. `Weak` because the space
+    /// owns the runtime, which owns the link: a strong handle here is a
+    /// cycle that keeps every run's registry, mappings and fds alive in
+    /// a long-lived process.
     space: OnceLock<Weak<CodsSpace>>,
 }
 
@@ -227,7 +226,6 @@ impl NetLink {
             peers: PeerTable::new(peers, dial_timeout),
             self_ref: self_ref.clone(),
             inflight: Mutex::new(HashSet::new()),
-            dart: OnceLock::new(),
             space: OnceLock::new(),
         }))
     }
@@ -242,6 +240,14 @@ impl NetLink {
     /// The node hosting `client`.
     fn node_of(&self, client: ClientId) -> u32 {
         client / self.machine.cores_per_node
+    }
+
+    /// Whether `owner` is a client of the run and the one `piece`'s id
+    /// names. A get accounts a landed copy under its owner: one outside
+    /// the run indexes the placement out of bounds, a wrong one in
+    /// range charges the wrong locality.
+    fn names_its_owner(&self, piece: u64, owner: ClientId) -> bool {
+        piece >> 32 == owner as u64 && owner < self.machine.total_cores()
     }
 
     /// The client a wire event names for `node` (its core 0): the wire
@@ -288,16 +294,11 @@ impl NetLink {
 
     /// Adopt the connections onto the reactor and return the control
     /// channel their demux feeds. Must be called exactly once, after
-    /// the runtime and space were built around this link. The link does
-    /// not keep either alive: the caller owns them, and frames arriving
-    /// after it dropped them are ignored.
-    pub fn start_reader(
-        self: &Arc<Self>,
-        dart: &Arc<DartRuntime>,
-        space: &Arc<CodsSpace>,
-    ) -> Receiver<Ctl> {
+    /// the space was built over the runtime built around this link. The
+    /// link does not keep the space alive: the caller owns it, and
+    /// frames arriving after it dropped it are ignored.
+    pub fn start_reader(self: &Arc<Self>, space: &Arc<CodsSpace>) -> Receiver<Ctl> {
         let once = "start_reader called twice";
-        self.dart.set(Arc::downgrade(dart)).expect(once);
         self.space.set(Arc::downgrade(space)).expect(once);
         let (ctl_tx, ctl_rx) = mpsc::channel();
         let stream = self.stream.lock().unwrap().take().expect(once);
@@ -444,13 +445,10 @@ impl NetLink {
         // The run was torn down under a frame still in flight: nothing
         // is left to apply it to, and this is the process's only wire
         // thread — drop the frame, never panic.
-        let (Some(dart), Some(space)) = (
-            self.dart.get().and_then(Weak::upgrade),
-            self.space.get().and_then(Weak::upgrade),
-        ) else {
+        let Some(space) = self.space.get().and_then(Weak::upgrade) else {
             return;
         };
-        let (dart, space) = (&dart, &space);
+        let (space, dart) = (&space, space.dart());
         // A frame this end cannot act on — an unexpected kind, a client
         // or node outside the run, or corners that make no box (all
         // checked here, never handed to a panicking index or
@@ -471,6 +469,12 @@ impl NetLink {
         // if it carries one half of a wire hop.
         let t0 = self.flight.now_us();
         match frame {
+            // Only the server sends these: from a peer, ignored.
+            Frame::Relay { .. }
+            | Frame::DhtInsert { .. }
+            | Frame::GetDone { .. }
+            | Frame::Evict { .. }
+                if ctl.is_none() => {}
             Frame::Relay {
                 to,
                 src,
@@ -513,6 +517,9 @@ impl NetLink {
                 data,
                 ..
             } => {
+                if !self.names_its_owner(piece, owner) {
+                    return confused("misaddressed");
+                }
                 let key = BufKey {
                     name,
                     version,
@@ -690,8 +697,9 @@ impl Transport for NetLink {
             // Under the lock `land` settles under, after it registered:
             // a key held here, or already asked for, needs no frame.
             let mut inflight = self.inflight.lock().unwrap();
-            let dart = self.dart.get().and_then(Weak::upgrade);
-            if dart.is_some_and(|d| d.registry().get(key).is_some()) || !inflight.insert(*key) {
+            let space = self.space.get().and_then(Weak::upgrade);
+            let held = space.is_some_and(|s| s.dart().registry().get(key).is_some());
+            if held || !inflight.insert(*key) {
                 return;
             }
             self.metrics.pulls_in_flight.set(inflight.len() as u64);
@@ -722,18 +730,23 @@ impl Transport for NetLink {
             self.answer(*key, node, handle, token);
         }
     }
-}
 
-impl SpaceMirror for NetLink {
-    fn dht_insert(&self, var: u64, version: u64, entry: &LocationEntry) {
-        let nd = entry.bbox.ndim();
+    fn dht_insert(
+        &self,
+        var: u64,
+        version: u64,
+        owner: ClientId,
+        piece: u64,
+        lbs: &[u64],
+        ubs: &[u64],
+    ) {
         self.hub_send(Frame::DhtInsert {
             var,
             version,
-            owner: entry.owner,
-            piece: entry.piece,
-            lbs: (0..nd).map(|d| entry.bbox.lb(d)).collect(),
-            ubs: (0..nd).map(|d| entry.bbox.ub(d)).collect(),
+            owner,
+            piece,
+            lbs: lbs.to_vec(),
+            ubs: ubs.to_vec(),
         });
     }
 

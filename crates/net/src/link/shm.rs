@@ -255,9 +255,10 @@ impl NetLink {
     }
 
     /// Consumer side of a `ShmDoorbell`: land every published record
-    /// from the pair's ring. The payload is *not* copied — the landed
-    /// [`Bytes`] borrows the mapping, and dropping its last clone
-    /// releases the arena range back to the producer.
+    /// from the pair's ring whose owner its piece names. The payload is
+    /// *not* copied — the landed [`Bytes`] borrows the mapping, and
+    /// dropping its last clone releases the arena range back to the
+    /// producer.
     pub(super) fn shm_drain(&self, src_node: u32) {
         let ring = match self.paths.get(src_node as usize) {
             Some(pair) => pair.inbound.lock().unwrap().clone(),
@@ -282,7 +283,11 @@ impl NetLink {
                 Some(Box::new(move || release_ring.release(range))),
             );
             let data = Bytes::from_map(Arc::new(region));
-            self.land(key, rec.desc.owner, data, Carrier::Shm, t0);
+            // Skipped like a misaddressed `PullData`: dropping `data`
+            // hands its arena range back.
+            if self.names_its_owner(key.piece, rec.desc.owner) {
+                self.land(key, rec.desc.owner, data, Carrier::Shm, t0);
+            }
         }
     }
 

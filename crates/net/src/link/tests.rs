@@ -81,13 +81,12 @@ fn rig_with(p2p: bool) -> Rig {
         FlightRecorder::disabled(),
         Arc::clone(&link) as Arc<dyn Transport>,
     );
-    let space = CodsSpace::with_mirror(
+    let space = CodsSpace::new(
         Arc::clone(&dart),
         Dht::new(Box::new(HilbertCurve::new(2, 3)), vec![0, 1]),
         CodsConfig::default(),
-        Arc::clone(&link) as Arc<dyn SpaceMirror>,
     );
-    let ctl = link.start_reader(&dart, &space);
+    let ctl = link.start_reader(&space);
     Rig {
         link,
         dart,
@@ -263,11 +262,13 @@ fn every_whole_cell_record_shm_lands_is_viewable_as_cells() {
     let map = ShmMap::create(&path, Ring::required_len(slots, arena)).unwrap();
     let ring = Ring::create(RingMem::from_map(Arc::new(map)), slots, arena);
     let lens = [13, 8, 5, 24, 1, 4096 + 8, 3, 8000, 7, 16];
-    for (piece, &len) in lens.iter().enumerate() {
+    // Client 1's pieces: the owner rides in each id's upper half.
+    let piece = |i: usize| (1 << 32) | i as u64;
+    for (i, &len) in lens.iter().enumerate() {
         let desc = RecordDesc {
             name: 7,
             version: 0,
-            piece: piece as u64,
+            piece: piece(i),
             owner: 1,
         };
         ring.push(&desc, &vec![0xa5; len]).unwrap();
@@ -286,13 +287,13 @@ fn every_whole_cell_record_shm_lands_is_viewable_as_cells() {
     let _ = std::fs::remove_file(&path);
     // The drain follows the ack on the reactor thread.
     let registry = r.dart.registry();
-    let last = key(lens.len() as u64 - 1);
+    let last = key(piece(lens.len() - 1));
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     while registry.get(&last).is_none() && std::time::Instant::now() < deadline {
         std::thread::yield_now();
     }
-    for (piece, &len) in lens.iter().enumerate() {
-        let landed = registry.get(&key(piece as u64)).expect("drained on attach");
+    for (i, &len) in lens.iter().enumerate() {
+        let landed = registry.get(&key(piece(i))).expect("drained on attach");
         assert!(landed.data.is_mapped() && landed.data.len() == len);
         if len % ELEM_BYTES == 0 {
             let at = landed.data.as_ptr();
@@ -309,10 +310,12 @@ fn every_whole_cell_record_shm_lands_is_viewable_as_cells() {
 /// make no box — inverted, empty — decode fine (they are two `u64`
 /// vectors) and used to reach the panicking constructor; a `Relay` to a
 /// client or a `PullRequest` from a node outside the run used to reach
-/// an unchecked index and an overflowing multiply. All on the reactor
-/// thread, the process's only wire thread. Each must end the run by
-/// name, and the thread must still be delivering the `RunWave` sent
-/// right behind it.
+/// an unchecked index and an overflowing multiply; a `PullData` booked
+/// under an owner outside the run, or under one its piece id does not
+/// name, used to land for a get to account. All on the reactor thread,
+/// the process's only wire thread. Each must end the run by name, and
+/// the thread must still be delivering the `RunWave` sent right behind
+/// it.
 #[test]
 fn hostile_corners_do_not_kill_the_wire_thread() {
     let mut r = rig();
@@ -344,6 +347,28 @@ fn hostile_corners_do_not_kill_the_wire_thread() {
                 version: 0,
                 piece: 0,
                 from_node: u32::MAX,
+            },
+        ),
+        (
+            "misaddressed",
+            Frame::PullData {
+                name: 7,
+                version: 0,
+                piece: 5 << 32,
+                owner: 5,
+                to_node: 0,
+                data: vec![0; 8],
+            },
+        ),
+        (
+            "misaddressed",
+            Frame::PullData {
+                name: 7,
+                version: 0,
+                piece: 1 << 32,
+                owner: 2,
+                to_node: 0,
+                data: vec![0; 8],
             },
         ),
     ];
@@ -474,6 +499,82 @@ fn a_peers_malformed_piece_fails_the_get_by_name() {
     r.link.close();
 }
 
+/// A peer can land a `PullData` of the right length booked under an
+/// owner outside the run. It is ignored, not landed for the waiting get
+/// to account (which indexed the placement out of bounds and panicked
+/// the task thread): the honest copy behind it serves the get.
+#[test]
+fn a_peers_forged_owner_is_ignored_and_the_honest_piece_serves_the_get() {
+    use insitu_domain::{layout, Decomposition, Distribution, ProcessGrid};
+    use std::io::Write;
+    let r = rig_with(true);
+    let domain = BoundingBox::from_sizes(&[4, 4]);
+    let pdec = Decomposition::new(domain, ProcessGrid::new(&[1, 1]), Distribution::Blocked);
+    let cells = layout::fill_with(&domain, |p| (p[0] * 4 + p[1]) as f64);
+    let bytes: Vec<u8> = cells.iter().flat_map(|c| c.to_ne_bytes()).collect();
+    let space = Arc::clone(&r.space);
+    let (tx, rx) = mpsc::channel();
+    let task = std::thread::spawn(move || {
+        let _ = tx.send(space.get_cont(0, 1, "v", 0, &domain, &pdec, &[1]));
+    });
+    let mut peer = TcpStream::connect(r.peer_addr).unwrap();
+    for owner in [u32::MAX, 1] {
+        // Client 1's piece 0, once forged and once as its owner answers.
+        let data = Frame::PullData {
+            name: var_id("v"),
+            version: 0,
+            piece: 1 << 32,
+            owner,
+            to_node: 0,
+            data: bytes.clone(),
+        };
+        peer.write_all(&data.encode()).unwrap();
+    }
+    let got = match rx.recv_timeout(Duration::from_secs(10)) {
+        Ok(Ok((got, _))) => got,
+        other => panic!("the get did not return the honest cells: {other:?}"),
+    };
+    assert!(task.join().is_ok(), "the task thread panicked");
+    assert_eq!(&got[..], &cells[..]);
+    drop(peer);
+    r.link.close();
+}
+
+/// Replica changes come from the server alone. A `GetDone` a peer sends
+/// on its direct connection is read — the pull behind it on the same
+/// connection is answered — and not applied.
+#[test]
+fn a_get_done_from_a_peer_is_read_but_not_applied() {
+    use std::io::Write;
+    let r = rig_with(true);
+    r.dart
+        .registry()
+        .register(key(0), 0, Bytes::from_static(b"staged"));
+    let mut peer = TcpStream::connect(r.peer_addr).unwrap();
+    peer.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let ask = Frame::PullRequest {
+        name: 7,
+        version: 0,
+        piece: 0,
+        from_node: 1,
+    };
+    let done = Frame::GetDone {
+        var: var_id("v"),
+        version: 0,
+    };
+    peer.write_all(&[done.encode(), ask.encode()].concat())
+        .unwrap();
+    let m = NetMetrics::new(&Recorder::disabled());
+    match recv_frame(&mut peer, &r.inj, &m) {
+        Ok(Frame::ShmOffer { .. }) => {}
+        other => panic!("the pull behind the GetDone was not answered: {other:?}"),
+    }
+    assert_eq!(r.space.gets_completed("v", 0), 0);
+    drop(peer);
+    r.link.close();
+}
+
 /// `Threads:` of `/proc/self/status`.
 fn os_threads() -> usize {
     let status = std::fs::read_to_string("/proc/self/status").unwrap();
@@ -590,16 +691,15 @@ fn star_node(node: u32) -> (Arc<NetLink>, Arc<DartRuntime>, Arc<CodsSpace>, TcpS
         flight,
         Arc::clone(&link) as Arc<dyn Transport>,
     );
-    let space = CodsSpace::with_mirror(
+    let space = CodsSpace::new(
         Arc::clone(&dart),
         Dht::new(Box::new(HilbertCurve::new(2, 3)), vec![0, 1]),
         CodsConfig {
             get_timeout: Duration::from_secs(10),
             ..CodsConfig::default()
         },
-        Arc::clone(&link) as Arc<dyn SpaceMirror>,
     );
-    drop(link.start_reader(&dart, &space));
+    drop(link.start_reader(&space));
     (link, dart, space, wire)
 }
 

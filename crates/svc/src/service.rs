@@ -47,10 +47,6 @@ pub struct SvcConfig {
     pub artifacts_dir: Option<PathBuf>,
     /// Print run lifecycle transitions to stdout (`insitu serve` does).
     pub verbose: bool,
-    /// Run every run's data plane peer-to-peer: joiners exchange
-    /// `PullData` over direct links and each run's private hub carries
-    /// control traffic only. Off by default (star topology).
-    pub p2p: bool,
     /// Allow same-host pulls to ride shared-memory rings (on by
     /// default). Off forces every run's `PullData` onto the socket —
     /// the wire-pinning chaos tests need that, and `serve --no-shm`
@@ -76,7 +72,6 @@ impl Default for SvcConfig {
             connect_timeout: Duration::from_secs(30),
             artifacts_dir: None,
             verbose: false,
-            p2p: false,
             shm: true,
             injector: FaultInjector::none(),
             stall_ms: 2000,
@@ -497,7 +492,7 @@ fn run_engine(shared: &Shared, id: u64) {
                     injector: shared.cfg.injector.clone(),
                     recorder: recorder.clone(),
                     cancel: Arc::clone(&cancel),
-                    p2p: shared.cfg.p2p,
+                    p2p: false, // the service routes star
                     shm: shared.cfg.shm,
                 },
             )

@@ -168,6 +168,20 @@ for round in $(seq 1 10); do
         || { cat target/hub-strays.txt; echo "a stray connection cost the run in round $round"; exit 1; }
 done
 
+# A killed joiner process, 10 times over: `insitu join` children of an
+# in-process server, one killed once every joiner is greeted. The run
+# must fail naming that node within 10 s (get_timeout is 60 s) and the
+# killed pid's /dev/shm segments must reap. The kill lands at a moment
+# of the run that varies with scheduling, so one pass proves little.
+echo "==> killed joiner process (10 rounds)"
+for round in $(seq 1 10); do
+    cargo test -q $chaos_profile -p insitu-cli --test integration_net --offline \
+        a_killed_joiner_process_fails_its_run_by_node_within_bound > target/killed-joiner.txt 2>&1 \
+        || { cat target/killed-joiner.txt; echo "a killed joiner did not fail its run in round $round"; exit 1; }
+    grep -q "test result: ok. [1-9]" target/killed-joiner.txt \
+        || { cat target/killed-joiner.txt; echo "no killed-joiner test ran"; exit 1; }
+done
+
 # Critical-path profile of the two-app *_cont example on the threaded
 # executor. The chrome trace (one slice per flight event + put->pull
 # flow arrows) is left in target/ for the CI workflow to upload as an
@@ -196,7 +210,9 @@ fi
 [[ ! -e crates/telemetry/src/trace.rs ]]
 
 # The wire says only what a run says: the CoDS/DART <-> wire boundary is
-# eight trait methods, the one reserved frame kind has no sender or
+# one trait of seven methods (CoDS reaches the wire only through its
+# runtime's Transport, and whether a process hosts every client is
+# derived, not asked), the one reserved frame kind has no sender or
 # handler outside the frame table (a standing query's push is a
 # PullData nobody requested; the six retired kinds the compiler already
 # refuses), the link is built in one call, a remote pull waits in the
@@ -204,7 +220,7 @@ fi
 # files that are the paper's contribution stay files a reader can hold.
 # Any of it growing back fails the gate.
 echo "==> narrow wire boundary, reserved frame kinds, file sizes"
-if grep -rnE 'fn (publish|dial_peer|sub_open|sub_cancel|sub_lagged|sub_push)\b|set_flight|set_shm|subscribe_local|apply_remote_sub_cancel|apply_remote_sub_push' crates tests examples; then
+if grep -rnE 'fn (publish|dial_peer|sub_open|sub_cancel|sub_lagged|sub_push)\b|set_flight|set_shm|subscribe_local|apply_remote_sub_cancel|apply_remote_sub_push|SpaceMirror|with_mirror|fn hosts_all' crates tests examples; then
     echo "a deleted boundary method grew back"; exit 1
 fi
 if grep -rn 'Frame::SubPush' crates/*/src --include=*.rs \

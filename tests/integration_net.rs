@@ -4,10 +4,10 @@
 //! transfer ledger byte-identical to the single-process executor —
 //! star-routed and under `--p2p` (where zero `PullData` frames may
 //! traverse the hub), with the route counters telling the two apart.
-//! Also covers the fail-fast path (a joiner pointed at a dead address)
-//! and the
-//! one-wire-thread claim: 64 concurrent connections, or a star-routed
-//! hub with 8 joiners, served with O(1) threads per process.
+//! Also covers the fail-fast paths (a joiner pointed at a dead address,
+//! a joiner process killed mid-run) and the one-wire-thread claim: 64
+//! concurrent connections, or a star-routed hub with 8 joiners, served
+//! with O(1) threads per process.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -591,4 +591,86 @@ fn join_exits_nonzero_fast_when_server_unreachable() {
         stderr.contains(&addr),
         "error must name the address: {stderr}"
     );
+}
+
+/// The failure contract's killed-joiner row, over real processes: a
+/// joiner process killed mid-run fails its run promptly, by node —
+/// the hub reads the dead connection's hangup, not a timeout — and its
+/// shared-memory segments are reaped by pid. The in-process server
+/// runs the distrib workflow at a size that lasts well over a second;
+/// the joiners are `insitu join` children, as `launch` spawns them.
+#[test]
+fn a_killed_joiner_process_fails_its_run_by_node_within_bound() {
+    use insitu::{serve, ServeOptions};
+    use insitu_telemetry::Recorder;
+    use insitu_util::shm::{reap_pid, segment_dir, segment_pid};
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+
+    let _hub = IN_PROCESS_HUB.lock().unwrap_or_else(|e| e.into_inner());
+    let dag = std::fs::read_to_string(workflow_path("distrib.dag")).unwrap();
+    let config = std::fs::read_to_string(workflow_path("distrib.cfg"))
+        .unwrap()
+        .replace("DOMAIN 8 8 8", "DOMAIN 32 32 32")
+        .replace("ITERATIONS 2", "ITERATIONS 2000");
+    let scenario = insitu_cli::build_scenario(&dag, &config).unwrap();
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let mut joiners: Vec<_> = (0..2)
+        .map(|node| {
+            insitu()
+                .args(["join", "--connect", &addr, "--node", &node.to_string()])
+                .stdout(Stdio::null())
+                .stderr(Stdio::null())
+                .spawn()
+                .expect("spawn insitu join")
+        })
+        .collect();
+
+    let recorder = Recorder::enabled();
+    let opts = ServeOptions {
+        recorder: recorder.clone(),
+        ..ServeOptions::default()
+    };
+    // The bound below is not a get timing out.
+    assert_eq!(opts.get_timeout, Duration::from_secs(60));
+    let (tx, rx) = std::sync::mpsc::channel();
+    let server = std::thread::spawn(move || {
+        let _ = tx.send(serve(&listener, &dag, &config, &scenario, &opts).map(|_| ()));
+    });
+
+    // The hub sets the wave gauge once every joiner is greeted.
+    let greeted = Instant::now() + Duration::from_secs(60);
+    let waves = || {
+        let snap = recorder.metrics_snapshot();
+        snap.gauges.get("workflow.waves").map_or(0, |g| g.value)
+    };
+    while waves() == 0 {
+        assert!(Instant::now() < greeted, "the joiners were never greeted");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let killed = joiners[1].id();
+    joiners[1].kill().unwrap();
+    let since = Instant::now();
+    let outcome = rx.recv_timeout(Duration::from_secs(10));
+    let took = since.elapsed();
+    for joiner in &mut joiners {
+        let _ = joiner.kill();
+        let _ = joiner.wait();
+    }
+    server.join().unwrap();
+    match outcome {
+        Ok(Err(why)) => assert!(why.contains("node 1"), "{why}"),
+        Ok(Ok(())) => panic!("the run completed without node 1"),
+        Err(_) => panic!("serve did not return within 10 s of the kill"),
+    }
+    assert!(took < Duration::from_secs(10), "{took:?}");
+
+    reap_pid(&segment_dir(), killed);
+    let left: Vec<_> = std::fs::read_dir(segment_dir())
+        .unwrap()
+        .flatten()
+        .filter(|e| e.file_name().to_str().and_then(segment_pid) == Some(killed))
+        .collect();
+    assert!(left.is_empty(), "segments of pid {killed} left: {left:?}");
 }
