@@ -11,7 +11,7 @@
 //! [`FieldData`] lets a `get` return either an owned assembly buffer or a
 //! zero-copy view of a single staged piece.
 
-use insitu_util::Bytes;
+use insitu_util::{on_huge_pages, Bytes};
 
 /// Size of one field element.
 pub const ELEM_BYTES: usize = std::mem::size_of::<f64>();
@@ -26,6 +26,13 @@ impl AsRef<[u8]> for Cells {
         // borrows the vector, which lives as long as the owner.
         unsafe { std::slice::from_raw_parts(cells, len) }
     }
+}
+
+/// `cells` copied once into a buffer born on huge pages.
+fn copy_cells(cells: &[f64]) -> Vec<f64> {
+    let mut out = on_huge_pages(Vec::with_capacity(cells.len()));
+    out.extend_from_slice(cells);
+    out
 }
 
 /// Reinterpret a byte buffer as `f64` cells without copying. `None` when
@@ -64,7 +71,7 @@ impl FieldData {
     pub fn into_vec(self) -> Vec<f64> {
         match self {
             FieldData::Owned(v) => v,
-            FieldData::View(b) => f64s_of_bytes(&b).expect("view invariant").to_vec(),
+            FieldData::View(b) => copy_cells(f64s_of_bytes(&b).expect("view invariant")),
         }
     }
 
@@ -87,7 +94,7 @@ impl From<Vec<f64>> for FieldData {
 /// Copies the cells once, for a caller that keeps its array.
 impl From<&[f64]> for FieldData {
     fn from(s: &[f64]) -> FieldData {
-        FieldData::Owned(s.to_vec())
+        FieldData::Owned(copy_cells(s))
     }
 }
 

@@ -10,6 +10,7 @@ use insitu_domain::layout::copy_region;
 use insitu_domain::{BoundingBox, Decomposition};
 use insitu_fabric::{ClientId, FaultKind, Locality, TrafficClass};
 use insitu_obs::{Event, EventKind, LinkClass};
+use insitu_util::on_huge_pages;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
@@ -373,10 +374,12 @@ impl CodsSpace {
             .map(|op| buf_key(vid, version, op.src_client, op.piece))
             .collect();
         let zero_copy = schedule.ops.len() == 1 && schedule.ops[0].piece_box == *query;
+        // `calloc` hands fresh pages over untouched: the advice lands
+        // before the first copy faults them.
         let mut out: Vec<f64> = if zero_copy {
             Vec::new()
         } else {
-            vec![0.0; cells]
+            on_huge_pages(vec![0.0; cells])
         };
         let mut view: Option<insitu_util::Bytes> = None;
         let mut malformed: Option<CodsError> = None;

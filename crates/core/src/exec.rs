@@ -24,7 +24,7 @@ use insitu_fabric::{ClientId, Placement, TrafficClass, TransferLedger};
 use insitu_sfc::HilbertCurve;
 use insitu_sub::{SubSpec, TakeResult};
 use insitu_telemetry::Recorder;
-use insitu_util::Bytes;
+use insitu_util::{on_huge_pages, Bytes};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -46,10 +46,7 @@ pub(crate) const DISPATCH_BYTES: u64 = 12;
 
 /// The `(app, rank)` payload of a dispatch message.
 pub(crate) fn dispatch_payload(app: u32, rank: u64) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(DISPATCH_BYTES as usize);
-    payload.extend_from_slice(&app.to_ne_bytes());
-    payload.extend_from_slice(&rank.to_ne_bytes());
-    payload
+    [&app.to_ne_bytes()[..], &rank.to_ne_bytes()].concat()
 }
 
 /// Every task of `wave` as `(app, rank, client)`, in the canonical
@@ -108,11 +105,12 @@ fn row_seeds(var: u64, version: u64, bbox: &BoundingBox) -> impl Iterator<Item =
 }
 
 /// The dense row-major array of `bbox` holding [`field_value`] at every
-/// cell, bit for bit, generated a row at a time.
+/// cell, bit for bit, generated a row at a time into a buffer born on
+/// huge pages (a `put` adopts it as the staged piece).
 pub fn fill_field(var: u64, version: u64, bbox: &BoundingBox) -> Vec<f64> {
     let last = bbox.ndim() - 1;
     let cols = bbox.lb(last)..bbox.lb(last) + bbox.extent(last);
-    let mut out = Vec::with_capacity(bbox.num_cells() as usize);
+    let mut out = on_huge_pages(Vec::with_capacity(bbox.num_cells() as usize));
     for seed in row_seeds(var, version, bbox) {
         out.extend(cols.clone().map(|c| field_unit(field_mix(seed, c))));
     }

@@ -16,6 +16,15 @@ fn threads() -> usize {
     std::fs::read_dir("/proc/self/task").unwrap().count()
 }
 
+/// Wait, up to 10 s, for the thread count to come back to `idle`; a
+/// thread that really stays is then caught by the caller's exact count.
+fn settle(idle: usize) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while threads() != idle && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
 /// A service with a node budget of `pool_nodes` whose every run is two
 /// nodes of the same scenario.
 fn start(pool_nodes: u32) -> Service {
@@ -65,16 +74,16 @@ fn idle_rpc_connections_add_no_threads() {
         .wait_terminal(run, Duration::from_secs(120))
         .unwrap();
     assert_eq!(s.state, RunState::Done, "{}", s.detail);
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while threads() != idle && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    settle(idle);
     assert_eq!(threads(), idle, "threads after one completed run");
     drop(clients);
     svc.shutdown();
 
-    // A budget of 64 nodes holds no more threads than one of 2.
+    // A budget of 64 nodes holds no more threads than one of 2. The
+    // threads `shutdown` joined can outlive the join in /proc/self/task
+    // for a moment while the kernel reaps them.
     let wide = start(64);
+    settle(idle);
     assert_eq!(threads(), idle, "idle threads at pool_nodes 64 vs 2");
     wide.shutdown();
 }

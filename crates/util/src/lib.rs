@@ -16,16 +16,21 @@
 //!   `insitu-net` reactor's needs);
 //! - [`shm`] — file-backed shared-memory mappings and the SPSC
 //!   descriptor ring of the intra-host data plane (replaces `memmap2`
-//!   with a minimal self-declared `mmap` shim).
+//!   with a minimal self-declared `mmap` shim);
+//! - [`on_huge_pages`] — the birth site of the data path's large cell
+//!   buffers, advised onto transparent huge pages before their first
+//!   touch.
 
 #![warn(missing_docs)]
 
 pub mod bytes;
 pub mod check;
+mod huge;
 pub mod poller;
 pub mod rng;
 pub mod shm;
 
 pub use bytes::Bytes;
+pub use huge::on_huge_pages;
 pub use poller::Poller;
 pub use rng::SplitMix64;

@@ -137,6 +137,22 @@ for round in $(seq 1 30); do
         || { cat target/pull-many.txt; echo "a pull test binary ran no test"; exit 1; }
 done
 
+# Large buffers are born on huge pages: an 8 MiB `fill_field` and an
+# 8 MiB `get_cont` assembly must each land in a mapping whose smaps
+# entry reads `THPeligible: 1` (0 where the host's THP mode is
+# `[never]`; the tests print which branch ran), and the helper's range
+# arithmetic never reaches outside a buffer. Each of the three binaries
+# must run a test: a filter that matches none is a failure.
+echo "==> buffers born on huge pages (THPeligible of an 8 MiB fill and get)"
+cargo test -q $chaos_profile -p insitu-core -p insitu-cods --test huge_pages --offline \
+    -- --nocapture > target/huge-pages.txt 2>&1 \
+    && cargo test -q $chaos_profile -p insitu-util --lib --offline huge::tests:: \
+    >> target/huge-pages.txt 2>&1 \
+    || { cat target/huge-pages.txt; echo "a buffer was not born on huge pages"; exit 1; }
+[ "$(grep -c "test result: ok. [1-9]" target/huge-pages.txt)" -eq 3 ] \
+    || { cat target/huge-pages.txt; echo "a huge-page test binary ran no test"; exit 1; }
+grep "THP mode" target/huge-pages.txt
+
 # The JSON parser's linearity check, 30 times over: a wall-clock ratio
 # read beside a parallel test run, so one pass proves little. Linear
 # reads ~16x across its 16x inputs, quadratic ~256x; it fails above 48x.
@@ -319,6 +335,19 @@ fi
 if grep -rn 'percentile(' crates --include=*.rs | grep -v '^crates/obs/src/profile.rs:'; then
     echo "a percentile is computed outside the profile"; exit 1
 fi
+# A large cell buffer is born through `insitu_util::on_huge_pages`
+# alone: outside its tests, a birth-site file allocates no zeroed,
+# reserved or copied buffer any other way. (The subscription sink's
+# assembly in crates/sub/src/lib.rs is not one of them yet: `insitu-sub`
+# reaching `insitu-util` would rewrite benchmark/Cargo.lock; ROADMAP
+# item 4.)
+for birth in crates/core/src/exec.rs crates/cods/src/space/ops.rs crates/cods/src/codec.rs \
+    crates/net/src/frame.rs; do
+    if sed '/^#\[cfg(test)\]/,$d' "$birth" \
+        | grep -nE 'vec!\[0(\.0)?;|Vec::with_capacity\(|\.to_vec\(\)' | grep -v 'on_huge_pages('; then
+        echo "$birth allocates a cell buffer outside on_huge_pages"; exit 1
+    fi
+done
 long=$(find crates/cods/src crates/net/src -name '*.rs' ! -path crates/net/src/frame.rs \
     -exec wc -l {} + | awk '$2 != "total" && $1 > 1200')
 if [[ -n "$long" ]]; then
