@@ -2,8 +2,9 @@
 //!
 //! CoDS stores registered buffers as raw bytes ([`bytes::Bytes`]); the
 //! applications' field data is `f64`. A `put` stages its array without a
-//! copy: [`FieldData::into_bytes`] adopts the vector through a byte view
-//! of its cells, so the staged buffer is 8-aligned by construction. Every
+//! copy: [`FieldData::into_bytes`] adopts the vector (or a retained
+//! `HugeCells` array) through a byte view of its cells, so the staged
+//! buffer is 8-aligned by construction. Every
 //! other registered buffer is too: the wire lands a payload in an
 //! exact-size allocation, and shared memory in an 8-aligned arena record.
 //! Nothing decodes: [`f64s_of_bytes`] reinterprets a landed buffer in
@@ -11,7 +12,7 @@
 //! [`FieldData`] lets a `get` return either an owned assembly buffer or a
 //! zero-copy view of a single staged piece.
 
-use insitu_util::{on_huge_pages, Bytes};
+use insitu_util::{on_huge_pages, Bytes, HugeCells};
 
 /// Size of one field element.
 pub const ELEM_BYTES: usize = std::mem::size_of::<f64>();
@@ -55,7 +56,8 @@ pub fn f64s_of_bytes(b: &[u8]) -> Option<&[f64]> {
 pub enum FieldData {
     /// Assembled into a dedicated buffer.
     Owned(Vec<f64>),
-    /// Zero-copy view of one staged piece (kept alive by the refcount;
+    /// Zero-copy view of one staged piece, or the retained array a
+    /// sequential `put` hands over (kept alive by the refcount;
     /// invariant: aligned and sized for `f64` reinterpretation).
     View(Bytes),
 }
@@ -92,6 +94,14 @@ impl From<Vec<f64>> for FieldData {
 }
 
 /// Copies the cells once, for a caller that keeps its array.
+/// A retained array born on aligned huge pages is handed over whole: it
+/// is 8-aligned and exactly its cells, so it is a view already.
+impl From<HugeCells> for FieldData {
+    fn from(cells: HugeCells) -> FieldData {
+        FieldData::View(Bytes::from_owner(cells))
+    }
+}
+
 impl From<&[f64]> for FieldData {
     fn from(s: &[f64]) -> FieldData {
         FieldData::Owned(copy_cells(s))

@@ -8,6 +8,7 @@
 //! iterations.
 
 use crate::dht::LocationEntry;
+use crate::CodsError;
 use insitu_domain::{BoundingBox, Decomposition};
 use insitu_fabric::ClientId;
 use insitu_telemetry::{Counter, Recorder};
@@ -39,6 +40,37 @@ impl CommSchedule {
     /// Total cells moved by the schedule.
     pub fn total_cells(&self) -> u128 {
         self.ops.iter().map(|o| o.region.num_cells()).sum()
+    }
+
+    /// Whether the schedule fills every cell of `query` exactly once:
+    /// its regions lie inside the query, are pairwise disjoint and sum
+    /// to it. A cell count alone proves nothing — two overlapping
+    /// pieces can add up to the query and leave cells unfilled — so a
+    /// schedule that fails any of the three is refused by name.
+    pub(crate) fn check_cover(&self, query: &BoundingBox) -> Result<(), CodsError> {
+        if let Some(op) = self.ops.iter().find(|o| !query.contains_box(&o.region)) {
+            return Err(CodsError::NotACover {
+                cells: op.region,
+                outside: true,
+            });
+        }
+        // Sweep along dim 0 in lower-corner order: a region can only
+        // meet the ones that start before its dim-0 span ends.
+        let mut regions: Vec<BoundingBox> = self.ops.iter().map(|o| o.region).collect();
+        regions.sort_unstable_by_key(|r| r.lower());
+        for (i, a) in regions.iter().enumerate() {
+            let later = regions[i + 1..].iter().take_while(|b| b.lb(0) <= a.ub(0));
+            if let Some(cells) = later.into_iter().find_map(|b| a.intersect(b)) {
+                return Err(CodsError::NotACover {
+                    cells,
+                    outside: false,
+                });
+            }
+        }
+        match query.num_cells() - self.total_cells() {
+            0 => Ok(()),
+            missing_cells => Err(CodsError::IncompleteCover { missing_cells }),
+        }
     }
 }
 
@@ -301,6 +333,84 @@ mod tests {
         let a = schedule_from_entries(&entries, &q);
         let b = schedule_from_decomposition(&dec, &clients, &q);
         assert_eq!(a.ops, b.ops);
+    }
+
+    /// A one-op-per-region schedule over `regions` of one row.
+    fn row_schedule(spans: &[(u64, u64)]) -> CommSchedule {
+        let ops = spans.iter().enumerate().map(|(i, &(lo, hi))| {
+            let region = BoundingBox::new(&[0, lo], &[0, hi]);
+            TransferOp {
+                src_client: i as ClientId,
+                piece: 0,
+                piece_box: region,
+                region,
+            }
+        });
+        CommSchedule { ops: ops.collect() }
+    }
+
+    #[test]
+    fn a_cover_lies_inside_the_query_disjoint_and_whole() {
+        let q = BoundingBox::new(&[0, 0], &[0, 9]);
+        let row = |lo, hi| BoundingBox::new(&[0, lo], &[0, hi]);
+        assert_eq!(row_schedule(&[(5, 9), (0, 4)]).check_cover(&q), Ok(()));
+        // Six cells and four add up to ten, but overlap and leave a gap.
+        assert_eq!(
+            row_schedule(&[(3, 6), (0, 5)]).check_cover(&q),
+            Err(CodsError::NotACover {
+                cells: row(3, 5),
+                outside: false,
+            })
+        );
+        assert_eq!(
+            row_schedule(&[(0, 3), (5, 9)]).check_cover(&q),
+            Err(CodsError::IncompleteCover { missing_cells: 1 })
+        );
+        assert_eq!(
+            row_schedule(&[(0, 9), (10, 12)]).check_cover(&q),
+            Err(CodsError::NotACover {
+                cells: row(10, 12),
+                outside: true,
+            })
+        );
+        assert_eq!(
+            CommSchedule::default().check_cover(&q),
+            Err(CodsError::IncompleteCover { missing_cells: 10 })
+        );
+    }
+
+    #[test]
+    fn the_overlap_sweep_agrees_with_every_pair() {
+        insitu_util::check::forall(500, |rng| {
+            let q = BoundingBox::from_sizes(&[6, 6]);
+            let n = rng.range_usize(1, 7);
+            let mut corner = || [rng.range_u64(0, 6), rng.range_u64(0, 6)];
+            let ops: Vec<TransferOp> = (0..n)
+                .map(|i| {
+                    let (a, b) = (corner(), corner());
+                    let region = BoundingBox::new(
+                        &[a[0].min(b[0]), a[1].min(b[1])],
+                        &[a[0].max(b[0]), a[1].max(b[1])],
+                    );
+                    TransferOp {
+                        src_client: i as ClientId,
+                        piece: 0,
+                        piece_box: region,
+                        region,
+                    }
+                })
+                .collect();
+            let overlap = ops.iter().enumerate().any(|(i, a)| {
+                ops[i + 1..]
+                    .iter()
+                    .any(|b| a.region.intersect(&b.region).is_some())
+            });
+            let s = CommSchedule { ops };
+            let verdict = s.check_cover(&q);
+            let refused = matches!(verdict, Err(CodsError::NotACover { outside: false, .. }));
+            assert_eq!(refused, overlap, "{:?}: {verdict:?}", s.ops);
+            assert_eq!(verdict.is_ok(), !overlap && s.total_cells() == 36);
+        });
     }
 
     #[test]

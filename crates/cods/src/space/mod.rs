@@ -89,6 +89,15 @@ pub enum CodsError {
         /// Cells of the query not covered by any stored piece.
         missing_cells: u128,
     },
+    /// The pieces found for the query do not tile it, so their summed
+    /// cells say nothing about which cells they fill.
+    NotACover {
+        /// Cells of the query that two pieces both hold or, when
+        /// `outside`, a piece region that reaches outside the query.
+        cells: BoundingBox,
+        /// Whether `cells` reaches outside the query.
+        outside: bool,
+    },
     /// Staging this piece would exceed the node's in-memory capacity.
     StagingFull {
         /// Node whose staging memory is exhausted.
@@ -134,6 +143,14 @@ impl std::fmt::Display for CodsError {
             CodsError::IncompleteCover { missing_cells } => {
                 write!(f, "query not fully covered: {missing_cells} cells missing")
             }
+            CodsError::NotACover {
+                cells,
+                outside: false,
+            } => write!(f, "query not tiled: cells {cells:?} are held by two pieces"),
+            CodsError::NotACover {
+                cells,
+                outside: true,
+            } => write!(f, "query not tiled: region {cells:?} reaches outside it"),
             CodsError::StagingFull { node, used, limit } => {
                 write!(f, "node {node} staging full: {used} of {limit} bytes used")
             }

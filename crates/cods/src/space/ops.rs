@@ -274,15 +274,14 @@ impl CodsSpace {
             }
             None => {
                 let (sched_start, s) = build(&mut report, gseq);
-                let s = Arc::new(s);
                 self.record_schedule(gseq, sched_start, false, app, vid, version, client);
                 // Never cache a schedule that does not cover the query
                 // (e.g. a DHT snapshot taken before every producer had
-                // indexed its piece): replays would keep failing even
-                // once the data exists.
-                if s.total_cells() == query.num_cells() {
-                    self.cache.insert(vid, query, Arc::clone(&s));
-                }
+                // indexed its piece, or pieces that overlap): replays
+                // would keep failing even once the data exists.
+                s.check_cover(query)?;
+                let s = Arc::new(s);
+                self.cache.insert(vid, query, Arc::clone(&s));
                 s
             }
         };
@@ -345,9 +344,10 @@ impl CodsSpace {
     /// of the sum of all producer waits. Each piece is copied exactly
     /// once, straight from the staged buffer into the result; when a
     /// single piece exactly covers the query the result is a zero-copy
-    /// view of the staged buffer itself. A landed buffer that is not the
-    /// aligned cells of its piece's box fails the get with
-    /// [`CodsError::MalformedPiece`].
+    /// view of the staged buffer itself. `schedule` covers `query` (it
+    /// passed [`CommSchedule::check_cover`] before it was cached). A
+    /// landed buffer that is not the aligned cells of its piece's box
+    /// fails the get with [`CodsError::MalformedPiece`].
     #[allow(clippy::too_many_arguments)] // mirrors the paper's cods_* operator signatures
     fn execute(
         &self,
@@ -360,12 +360,6 @@ impl CodsSpace {
         parent: u64,
         report: &mut GetReport,
     ) -> Result<FieldData, CodsError> {
-        let covered = schedule.total_cells();
-        if covered != query.num_cells() {
-            return Err(CodsError::IncompleteCover {
-                missing_cells: query.num_cells().saturating_sub(covered),
-            });
-        }
         let flight = self.dart.flight();
         let cells = query.num_cells() as usize;
         let keys: Vec<BufKey> = schedule

@@ -775,6 +775,38 @@ fn exact_cover_single_piece_is_zero_copy() {
 }
 
 #[test]
+fn overlapping_pieces_that_add_up_to_the_query_are_refused_and_never_cached() {
+    let placement = Arc::new(Placement::pack_sequential(MachineSpec::new(1, 3), 3));
+    let dart = DartRuntime::new(placement, Arc::new(TransferLedger::new()));
+    let dht = Dht::new(Box::new(HilbertCurve::new(2, 4)), vec![0]);
+    let s = CodsSpace::new(dart, dht, CodsConfig::default());
+    // Six cells and four cells over a ten-cell row: the counts add up,
+    // but cells 3..=5 are held twice and 7..=9 by nobody.
+    let a = BoundingBox::new(&[0, 0], &[0, 5]);
+    let b = BoundingBox::new(&[0, 3], &[0, 6]);
+    s.put_seq(0, 1, "ov", 0, 0, &a, vec![1.0; 6]).unwrap();
+    s.put_seq(1, 1, "ov", 0, 0, &b, vec![2.0; 4]).unwrap();
+    let q = BoundingBox::new(&[0, 0], &[0, 9]);
+    for _ in 0..2 {
+        let err = s.get_seq(2, 2, "ov", 0, &q).unwrap_err();
+        assert_eq!(
+            err,
+            CodsError::NotACover {
+                cells: BoundingBox::new(&[0, 3], &[0, 5]),
+                outside: false,
+            }
+        );
+        assert!(err.to_string().contains("held by two pieces"), "{err}");
+        assert!(s.cache().lookup(var_id("ov"), &q).is_none());
+    }
+    // A query only one of them reaches is still served.
+    let (got, _) = s
+        .get_seq(2, 2, "ov", 0, &BoundingBox::new(&[0, 0], &[0, 2]))
+        .unwrap();
+    assert_eq!(got, vec![1.0; 3]);
+}
+
+#[test]
 fn multi_piece_producer() {
     // One producer holding two disjoint pieces (cyclic-style put).
     let s = space();

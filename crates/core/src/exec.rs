@@ -24,7 +24,7 @@ use insitu_fabric::{ClientId, Placement, TrafficClass, TransferLedger};
 use insitu_sfc::HilbertCurve;
 use insitu_sub::{SubSpec, TakeResult};
 use insitu_telemetry::Recorder;
-use insitu_util::{on_huge_pages, Bytes};
+use insitu_util::{on_huge_pages, Bytes, HugeCells, HUGE_PAGE};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -106,15 +106,38 @@ fn row_seeds(var: u64, version: u64, bbox: &BoundingBox) -> impl Iterator<Item =
 
 /// The dense row-major array of `bbox` holding [`field_value`] at every
 /// cell, bit for bit, generated a row at a time into a buffer born on
-/// huge pages (a `put` adopts it as the staged piece).
+/// huge pages (a `put` adopts it as the staged piece, unless
+/// [`fill_piece`] gives a retained piece an aligned array of its own).
 pub fn fill_field(var: u64, version: u64, bbox: &BoundingBox) -> Vec<f64> {
+    let mut out = on_huge_pages(Vec::with_capacity(bbox.num_cells() as usize));
+    fill_rows(&mut out, var, version, bbox);
+    out
+}
+
+/// The cells a producer stages for `bbox`: [`fill_field`]'s array, or —
+/// for a `retained` piece (a sequential coupling's, staged until its
+/// consumer bundle runs) that holds a whole huge page — the same cells
+/// filled straight into a [`HugeCells`] array, so every whole huge page
+/// of it is born advised. A transient piece stays a `Vec`, whose memory
+/// malloc hands back warm for the next one.
+pub fn fill_piece(var: u64, version: u64, bbox: &BoundingBox, retained: bool) -> FieldData {
+    let cells = bbox.num_cells() as usize;
+    if !retained || cells.saturating_mul(std::mem::size_of::<f64>()) < HUGE_PAGE {
+        return fill_field(var, version, bbox).into();
+    }
+    let mut out = HugeCells::with_capacity(cells);
+    fill_rows(&mut out, var, version, bbox);
+    out.into()
+}
+
+/// Append [`field_value`] at every cell of `bbox` to `out`, in row-major
+/// order: the one row kernel behind [`fill_field`] and [`fill_piece`].
+fn fill_rows(out: &mut impl Extend<f64>, var: u64, version: u64, bbox: &BoundingBox) {
     let last = bbox.ndim() - 1;
     let cols = bbox.lb(last)..bbox.lb(last) + bbox.extent(last);
-    let mut out = on_huge_pages(Vec::with_capacity(bbox.num_cells() as usize));
     for seed in row_seeds(var, version, bbox) {
         out.extend(cols.clone().map(|c| field_unit(field_mix(seed, c))));
     }
-    out
 }
 
 /// Compare every cell of `data` (the dense array of `bbox`) for exact
@@ -458,7 +481,7 @@ fn task_routine(ctx: TaskCtx) {
         let pieces = dec.rank_region(ctx.rank);
         for version in 0..env.scenario.iterations {
             for (pi, piece) in pieces.iter().enumerate() {
-                let data = fill_field(vid, version, piece);
+                let data = fill_piece(vid, version, piece, !coupling.concurrent);
                 let res = put(
                     &env.space, client, ctx.app, var, version, pi as u64, piece, data,
                 );

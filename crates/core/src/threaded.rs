@@ -23,7 +23,7 @@ use insitu_util::Bytes;
 use std::time::Duration;
 
 pub(crate) use crate::exec::TAG_COLLECTIVE_BASE;
-pub use crate::exec::{field_value, fill_field, verify_field};
+pub use crate::exec::{field_value, fill_field, fill_piece, verify_field};
 
 /// Results of a threaded run.
 #[derive(Clone, Debug)]

@@ -1,10 +1,20 @@
 //! A field the executors fill is born on huge pages: its `Vec` is the
 //! buffer a `put` adopts and stages, and the first touch of a multi-MiB
-//! piece on 4 KiB pages costs more than filling it (DESIGN.md §9.5).
+//! piece on 4 KiB pages costs more than filling it (DESIGN.md §9.5). A
+//! sequential piece, retained until its consumer bundle runs, is born
+//! on a huge-page boundary, so every whole huge page of it is advised.
 #![cfg(target_os = "linux")]
 
+use insitu::cods::{var_id, CodsConfig, CodsSpace, Dht};
+use insitu::dart::DartRuntime;
 use insitu::domain::BoundingBox;
-use insitu::{fill_field, verify_field};
+use insitu::fabric::{MachineSpec, Placement, TransferLedger};
+use insitu::sfc::HilbertCurve;
+use insitu::{fill_field, fill_piece, verify_field};
+use insitu_util::HUGE_PAGE;
+use std::sync::Arc;
+
+const MIB: usize = 1 << 20;
 
 /// Whether this kernel backs advised memory with huge pages: the
 /// transparent-huge-page mode in force (`always`, `madvise` or `never`;
@@ -69,4 +79,64 @@ fn a_filled_field_of_8_mib_is_born_on_huge_pages() {
         "the filled field's mapping"
     );
     assert_eq!(verify_field(7, 3, &bbox, &data), 0);
+}
+
+#[test]
+fn a_sequential_put_of_4_mib_stages_bytes_on_aligned_huge_pages() {
+    let expect = thp_expected();
+    let placement = Arc::new(Placement::pack_sequential(MachineSpec::new(1, 2), 2));
+    let dart = DartRuntime::new(placement, Arc::new(TransferLedger::new()));
+    let dht = Dht::new(Box::new(HilbertCurve::new(2, 10)), vec![0]);
+    let s = CodsSpace::new(dart, dht, CodsConfig::default());
+    // 512 x 1024 cells of 8 bytes: 4 MiB, two whole huge pages.
+    let bbox = BoundingBox::from_sizes(&[512, 1024]);
+    let vid = var_id("pressure");
+    let piece = fill_piece(vid, 2, &bbox, true);
+    s.put_seq(0, 1, "pressure", 2, 0, &bbox, piece).unwrap();
+    // A get of exactly the piece is a view of the staged bytes.
+    let (staged, _) = s.get_seq(1, 2, "pressure", 2, &bbox).unwrap();
+    assert!(staged.is_view());
+    let at = staged.as_ptr() as usize;
+    assert_eq!(staged.len() * 8, 4 * MIB);
+    assert_eq!(at % HUGE_PAGE, 0, "staged at {at:#x}");
+    assert_eq!(thp_eligible(at), expect as u8, "the first MiB's mapping");
+    assert_eq!(
+        thp_eligible(at + 3 * MIB),
+        expect as u8,
+        "the last MiB's mapping"
+    );
+    assert_eq!(verify_field(vid, 2, &bbox, &staged), 0);
+}
+
+#[test]
+fn a_retained_piece_is_fill_field_bit_for_bit_on_both_sides_of_a_huge_page() {
+    let cells_per_page = (HUGE_PAGE / 8) as u64;
+    let mut sides = [0; 2];
+    insitu_util::check::forall(24, |rng| {
+        // A box of 1..=3 dims whose cell count straddles one huge page.
+        let ndim = rng.range_usize(1, 4);
+        let want = rng.range_u64(cells_per_page / 2, 2 * cells_per_page);
+        let mut sizes = vec![1u64; ndim];
+        for size in &mut sizes[1..] {
+            *size = rng.range_u64(1, 64);
+        }
+        sizes[0] = (want / sizes.iter().product::<u64>()).max(1);
+        let lbs: Vec<u64> = (0..ndim).map(|_| rng.range_u64(0, 1000)).collect();
+        let ubs: Vec<u64> = lbs.iter().zip(&sizes).map(|(l, n)| l + n - 1).collect();
+        let bbox = BoundingBox::new(&lbs, &ubs);
+        let (var, version) = (rng.next_u64(), rng.range_u64(0, 100));
+        let piece = fill_piece(var, version, &bbox, true);
+        let field = fill_field(var, version, &bbox);
+        let bits = |c: &[f64]| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&piece), bits(&field), "{bbox:?}");
+        let holds_a_page = field.len() * 8 >= HUGE_PAGE;
+        sides[holds_a_page as usize] += 1;
+        assert_eq!(piece.is_view(), holds_a_page, "{bbox:?}");
+        if holds_a_page {
+            assert_eq!(piece.as_ptr() as usize % HUGE_PAGE, 0, "{bbox:?}");
+        }
+        // A transient piece of the same box is always the `Vec`.
+        assert!(!fill_piece(var, version, &bbox, false).is_view());
+    });
+    assert!(sides[0] > 0 && sides[1] > 0, "boxes per side {sides:?}");
 }

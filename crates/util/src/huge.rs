@@ -9,10 +9,21 @@
 //! bound through `extern "C"` (the convention [`crate::shm`] uses for
 //! `mmap`). Off Linux, and where the kernel refuses the advice, a
 //! buffer is simply left on base pages.
+//!
+//! Two births, by how long a buffer lives. A transient buffer (a
+//! concurrent piece, an assembly, a decoded payload) is a `Vec` advised
+//! by [`on_huge_pages`]: malloc hands its memory back warm for the next
+//! one, but it rarely starts on a 2 MiB boundary, so only the whole
+//! pages inside it are advised. A retained buffer (a sequential piece,
+//! staged until its consumer bundle runs) is a [`HugeCells`]: allocated
+//! on a 2 MiB boundary, so every whole huge page of it is advised.
+
+use std::alloc::{self, Layout};
+use std::ptr::NonNull;
 
 /// The platform's huge-page size (a PMD on x86-64 and on aarch64 with
 /// 4 KiB base pages).
-const HUGE_PAGE: usize = 2 << 20;
+pub const HUGE_PAGE: usize = 2 << 20;
 
 #[cfg(target_os = "linux")]
 mod sys {
@@ -53,16 +64,110 @@ fn huge_range(addr: usize, len: usize) -> Option<(usize, usize)> {
 /// that holds no whole aligned huge page is returned untouched, and no
 /// byte outside the buffer is ever advised.
 ///
-/// This is the birth site of the data path's large buffers: the filled
-/// field a `put` stages, a `get`'s assembly buffer, `FieldData`'s
-/// copies and the bulk tail a decoded frame lands in (a `PullData`
-/// payload, a `Relay` message).
+/// This is the birth site of the data path's large transient buffers:
+/// the filled field a concurrent `put` stages, a `get`'s assembly
+/// buffer, `FieldData`'s copies and the bulk tail a decoded frame lands
+/// in (a `PullData` payload, a `Relay` message).
 pub fn on_huge_pages<T>(fresh: Vec<T>) -> Vec<T> {
     let bytes = fresh.capacity().saturating_mul(std::mem::size_of::<T>());
-    if let Some((start, len)) = huge_range(fresh.as_ptr() as usize, bytes) {
+    advise(fresh.as_ptr() as usize, bytes);
+    fresh
+}
+
+/// Advise the whole huge pages inside the `len` bytes at `addr`.
+fn advise(addr: usize, len: usize) {
+    if let Some((start, len)) = huge_range(addr, len) {
         sys::advise_huge(start, len);
     }
-    fresh
+}
+
+/// A fixed-capacity array of `f64` cells whose storage starts on a
+/// [`HUGE_PAGE`] boundary and was advised `MADV_HUGEPAGE` before its
+/// first write, so every whole huge page of it faults once.
+///
+/// This is the birth site of retained staging: the piece a sequential
+/// `put` stages lives until its consumer bundle runs, so its memory is
+/// always fresh, and an unaligned `Vec` of 4 MiB would leave half of it
+/// on base pages. Filled with [`Extend`] (pushing past the capacity
+/// panics), read as `[f64]`, and adopted as a `Bytes` owner through its
+/// `AsRef<[u8]>` cell bytes.
+pub struct HugeCells {
+    cells: NonNull<f64>,
+    len: usize,
+    cap: usize,
+}
+
+// SAFETY: `cells` is the only pointer to an allocation this value owns
+// outright, as `Vec<f64>` owns its buffer, and `len` and `cap` are plain
+// numbers; moving it to another thread moves all of it.
+unsafe impl Send for HugeCells {}
+// SAFETY: through `&HugeCells` the cells are only read (`Deref`,
+// `AsRef`); every write takes `&mut self`.
+unsafe impl Sync for HugeCells {}
+
+impl HugeCells {
+    /// An empty array with room for `cap` cells, advised onto huge
+    /// pages and not yet touched.
+    ///
+    /// # Panics
+    /// Panics if `cap` cells overflow the address space.
+    pub fn with_capacity(cap: usize) -> HugeCells {
+        let layout = Self::layout(cap);
+        // SAFETY: the layout's size is nonzero (at least one cell).
+        let raw = unsafe { alloc::alloc(layout) };
+        let Some(cells) = NonNull::new(raw.cast::<f64>()) else {
+            alloc::handle_alloc_error(layout)
+        };
+        advise(raw as usize, layout.size());
+        HugeCells { cells, len: 0, cap }
+    }
+
+    /// The allocation of `cap` cells: at least one, on a huge-page
+    /// boundary.
+    fn layout(cap: usize) -> Layout {
+        cap.max(1)
+            .checked_mul(std::mem::size_of::<f64>())
+            .and_then(|size| Layout::from_size_align(size, HUGE_PAGE).ok())
+            .expect("HugeCells capacity overflows the address space")
+    }
+}
+
+impl Extend<f64> for HugeCells {
+    fn extend<I: IntoIterator<Item = f64>>(&mut self, cells: I) {
+        cells.into_iter().for_each(|cell| {
+            assert!(self.len < self.cap, "HugeCells full at {} cells", self.cap);
+            // SAFETY: `len < cap`, so the slot lies inside the
+            // allocation; writing an `f64` to uninitialized memory
+            // needs no drop of what was there.
+            unsafe { self.cells.as_ptr().add(self.len).write(cell) };
+            self.len += 1;
+        });
+    }
+}
+
+impl std::ops::Deref for HugeCells {
+    type Target = [f64];
+
+    fn deref(&self) -> &[f64] {
+        // SAFETY: the first `len` cells were written by `extend`.
+        unsafe { std::slice::from_raw_parts(self.cells.as_ptr(), self.len) }
+    }
+}
+
+impl AsRef<[u8]> for HugeCells {
+    fn as_ref(&self) -> &[u8] {
+        let bytes = self.len * std::mem::size_of::<f64>();
+        // SAFETY: the written cells, viewed as bytes: every `f64` bit
+        // pattern is valid as bytes, and the view borrows `self`.
+        unsafe { std::slice::from_raw_parts(self.cells.as_ptr().cast::<u8>(), bytes) }
+    }
+}
+
+impl Drop for HugeCells {
+    fn drop(&mut self) {
+        // SAFETY: allocated in `with_capacity` with this very layout.
+        unsafe { alloc::dealloc(self.cells.as_ptr().cast::<u8>(), Self::layout(self.cap)) }
+    }
 }
 
 #[cfg(test)]
@@ -147,5 +252,31 @@ mod tests {
         assert_eq!((v.len(), v.capacity()), (0, 5 * MIB));
         let v: Vec<()> = on_huge_pages(Vec::with_capacity(10));
         assert!(v.is_empty());
+    }
+
+    #[test]
+    fn huge_cells_start_on_a_huge_page_and_hold_what_was_written() {
+        for cap in [0, 1, 3 * MIB / 8, 4 * MIB / 8, 5 * MIB / 8 + 3] {
+            let mut cells = HugeCells::with_capacity(cap);
+            assert_eq!(cells.as_ptr() as usize % HUGE_PAGE, 0, "{cap} cells");
+            assert!(cells.is_empty());
+            cells.extend((0..cap / 2).map(|i| i as f64));
+            cells.extend((cap / 2..cap).map(|i| i as f64 * 0.5));
+            assert_eq!(cells.len(), cap);
+            let bytes: &[u8] = cells.as_ref();
+            assert_eq!(bytes.len(), cap * 8);
+            assert_eq!(bytes.as_ptr(), cells.as_ptr().cast::<u8>());
+            if cap > 1 {
+                assert_eq!(cells[cap - 1].to_bits(), ((cap - 1) as f64 * 0.5).to_bits());
+                let last = &bytes[(cap - 1) * 8..];
+                assert_eq!(last, &((cap - 1) as f64 * 0.5).to_ne_bytes());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "HugeCells full at 4 cells")]
+    fn writing_past_the_capacity_panics() {
+        HugeCells::with_capacity(4).extend((0..5).map(f64::from));
     }
 }

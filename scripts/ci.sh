@@ -140,16 +140,21 @@ done
 # Large buffers are born on huge pages: an 8 MiB `fill_field` and an
 # 8 MiB `get_cont` assembly must each land in a mapping whose smaps
 # entry reads `THPeligible: 1` (0 where the host's THP mode is
-# `[never]`; the tests print which branch ran), and the helper's range
-# arithmetic never reaches outside a buffer. Each of the three binaries
+# `[never]`; the tests print which branch ran), a 4 MiB sequential put
+# must stage bytes on a 2 MiB boundary whose first and last MiB read
+# the same, the aligned fill must be `fill_field` bit for bit, dropped
+# aligned arrays must give their memory back, and the helper's range
+# arithmetic never reaches outside a buffer. Each of the four binaries
 # must run a test: a filter that matches none is a failure.
-echo "==> buffers born on huge pages (THPeligible of an 8 MiB fill and get)"
+echo "==> buffers born on huge pages (THPeligible of an 8 MiB fill and get, aligned staging)"
 cargo test -q $chaos_profile -p insitu-core -p insitu-cods --test huge_pages --offline \
     -- --nocapture > target/huge-pages.txt 2>&1 \
     && cargo test -q $chaos_profile -p insitu-util --lib --offline huge::tests:: \
     >> target/huge-pages.txt 2>&1 \
+    && cargo test -q $chaos_profile -p insitu-util --test huge_rss --offline \
+    -- --nocapture >> target/huge-pages.txt 2>&1 \
     || { cat target/huge-pages.txt; echo "a buffer was not born on huge pages"; exit 1; }
-[ "$(grep -c "test result: ok. [1-9]" target/huge-pages.txt)" -eq 3 ] \
+[ "$(grep -c "test result: ok. [1-9]" target/huge-pages.txt)" -eq 4 ] \
     || { cat target/huge-pages.txt; echo "a huge-page test binary ran no test"; exit 1; }
 grep "THP mode" target/huge-pages.txt
 
