@@ -41,7 +41,9 @@ fn copy_cells(cells: &[f64]) -> Vec<f64> {
 /// such a buffer is not cells, and its reader refuses it (a `get` fails
 /// with [`crate::CodsError::MalformedPiece`]) rather than decode it.
 pub fn f64s_of_bytes(b: &[u8]) -> Option<&[f64]> {
-    if b.len() % ELEM_BYTES != 0 || b.as_ptr() as usize % std::mem::align_of::<f64>() != 0 {
+    if !b.len().is_multiple_of(ELEM_BYTES)
+        || !(b.as_ptr() as usize).is_multiple_of(std::mem::align_of::<f64>())
+    {
         return None;
     }
     // SAFETY: length and alignment were just checked, and every bit

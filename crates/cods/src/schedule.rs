@@ -54,24 +54,43 @@ impl CommSchedule {
                 outside: true,
             });
         }
-        // Sweep along dim 0 in lower-corner order: a region can only
-        // meet the ones that start before its dim-0 span ends.
         let mut regions: Vec<BoundingBox> = self.ops.iter().map(|o| o.region).collect();
-        regions.sort_unstable_by_key(|r| r.lower());
-        for (i, a) in regions.iter().enumerate() {
-            let later = regions[i + 1..].iter().take_while(|b| b.lb(0) <= a.ub(0));
-            if let Some(cells) = later.into_iter().find_map(|b| a.intersect(b)) {
-                return Err(CodsError::NotACover {
-                    cells,
-                    outside: false,
-                });
-            }
+        if let Some(cells) = first_overlap(&mut regions, 0) {
+            return Err(CodsError::NotACover {
+                cells,
+                outside: false,
+            });
         }
         match query.num_cells() - self.total_cells() {
             0 => Ok(()),
             missing_cells => Err(CodsError::IncompleteCover { missing_cells }),
         }
     }
+}
+
+/// The cells two of `regions` both hold, if any two meet. The boxes
+/// already share a common stretch of every dimension before `d`.
+///
+/// A sweep along `d` in order of the boxes' starts: two boxes meet only
+/// if, where the later one starts, the earlier one still spans, so at
+/// each start the boxes spanning it recurse into the next dimension,
+/// and in the last dimension a box sorted by its start can only meet
+/// the one after it. A k × k single-cell schedule thus costs
+/// O(k² log k), not a row of comparisons per cell.
+fn first_overlap(regions: &mut [BoundingBox], d: usize) -> Option<BoundingBox> {
+    regions.sort_by_key(|r| r.lb(d));
+    if d + 1 == regions.first()?.ndim() {
+        return regions.windows(2).find_map(|w| w[0].intersect(&w[1]));
+    }
+    let mut spanning = Vec::new();
+    for starting in regions.chunk_by(|a, b| a.lb(d) == b.lb(d)) {
+        spanning.retain(|r: &BoundingBox| r.ub(d) >= starting[0].lb(d));
+        spanning.extend_from_slice(starting);
+        if let Some(cells) = first_overlap(&mut spanning, d + 1) {
+            return Some(cells);
+        }
+    }
+    None
 }
 
 /// Union of two regions when they tile a box: identical, or abutting
@@ -411,6 +430,53 @@ mod tests {
             assert_eq!(refused, overlap, "{:?}: {verdict:?}", s.ops);
             assert_eq!(verdict.is_ok(), !overlap && s.total_cells() == 36);
         });
+    }
+
+    #[test]
+    fn the_recursive_sweep_agrees_with_every_pair_in_three_dimensions() {
+        insitu_util::check::forall(500, |rng| {
+            let n = rng.range_usize(1, 12);
+            let regions: Vec<BoundingBox> = (0..n)
+                .map(|_| {
+                    let lb: Vec<u64> = (0..3).map(|_| rng.range_u64(0, 5)).collect();
+                    let ub: Vec<u64> = lb.iter().map(|&l| l + rng.range_u64(0, 3)).collect();
+                    BoundingBox::new(&lb, &ub)
+                })
+                .collect();
+            let pairs = regions
+                .iter()
+                .enumerate()
+                .any(|(i, a)| regions[i + 1..].iter().any(|b| a.intersect(b).is_some()));
+            let found = first_overlap(&mut regions.clone(), 0);
+            assert_eq!(found.is_some(), pairs, "{regions:?}");
+            if let Some(cells) = found {
+                let holders = regions.iter().filter(|r| r.contains_box(&cells)).count();
+                assert!(holders >= 2, "{cells:?} is not held twice in {regions:?}");
+            }
+        });
+    }
+
+    #[test]
+    fn a_cyclic_single_cell_schedule_is_a_cover() {
+        let dec = Decomposition::new(
+            BoundingBox::from_sizes(&[64, 64]),
+            ProcessGrid::new(&[2, 2]),
+            Distribution::Cyclic,
+        );
+        let q = BoundingBox::from_sizes(&[64, 64]);
+        let mut s = schedule_from_decomposition(&dec, &[0, 1, 2, 3], &q);
+        assert_eq!(s.ops.len(), 64 * 64);
+        assert_eq!(s.check_cover(&q), Ok(()));
+        // One cell held twice, one missing: the overlap is named.
+        let twice = s.ops[0].region;
+        s.ops[1].region = twice;
+        assert_eq!(
+            s.check_cover(&q),
+            Err(CodsError::NotACover {
+                cells: twice,
+                outside: false,
+            })
+        );
     }
 
     #[test]

@@ -41,7 +41,7 @@ impl ConsumptionState {
         for &(v, every_k, gets) in &self.sub_expected {
             if v == vid {
                 covered = true;
-                if version % every_k == 0 {
+                if version.is_multiple_of(every_k) {
                     total += gets;
                 }
             }

@@ -89,7 +89,7 @@ pub fn downsample(region: &BoundingBox, data: &[f64], factor: u64) -> (BoundingB
     let mut ub = Vec::with_capacity(ndim);
     for d in 0..ndim {
         assert!(
-            region.lb(d) % factor == 0 && region.extent(d) % factor == 0,
+            region.lb(d) % factor == 0 && region.extent(d).is_multiple_of(factor),
             "region not aligned to factor {factor} in dim {d}"
         );
         lb.push(region.lb(d) / factor);

@@ -131,33 +131,112 @@ pub fn fill_piece(var: u64, version: u64, bbox: &BoundingBox, retained: bool) ->
 }
 
 /// Append [`field_value`] at every cell of `bbox` to `out`, in row-major
-/// order: the one row kernel behind [`fill_field`] and [`fill_piece`].
-fn fill_rows(out: &mut impl Extend<f64>, var: u64, version: u64, bbox: &BoundingBox) {
+/// order: the one row kernel behind [`fill_field`] and [`fill_piece`],
+/// run on the host's widest vectors (see [`wide_vectors`]).
+fn fill_rows(out: &mut impl CellRows, var: u64, version: u64, bbox: &BoundingBox) {
+    #[cfg(target_arch = "x86_64")]
+    if wide_vectors() {
+        // SAFETY: `wide_vectors` detected every feature the instance
+        // enables.
+        return unsafe { fill_rows_avx512(out, var, version, bbox) };
+    }
+    fill_rows_body(out, var, version, bbox)
+}
+
+/// [`fill_rows_body`] compiled for AVX-512. A named function, not a
+/// closure handed to a feature-enabled trampoline: only a body inlined
+/// into the function that enables the features is compiled with them.
+///
+/// # Safety
+/// The host must have AVX-512 F, DQ and VL ([`wide_vectors`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+unsafe fn fill_rows_avx512(out: &mut impl CellRows, var: u64, version: u64, bbox: &BoundingBox) {
+    fill_rows_body(out, var, version, bbox)
+}
+
+#[inline(always)]
+fn fill_rows_body(out: &mut impl CellRows, var: u64, version: u64, bbox: &BoundingBox) {
     let last = bbox.ndim() - 1;
-    let cols = bbox.lb(last)..bbox.lb(last) + bbox.extent(last);
+    let (lb, n) = (bbox.lb(last), bbox.extent(last) as usize);
     for seed in row_seeds(var, version, bbox) {
-        out.extend(cols.clone().map(|c| field_unit(field_mix(seed, c))));
+        out.push_row(n, |i| field_unit(field_mix(seed, lb + i as u64)));
+    }
+}
+
+/// A destination [`fill_rows`] appends a whole row to at once, so the
+/// loop that writes the row checks the room once, not per cell.
+trait CellRows {
+    fn push_row(&mut self, n: usize, cell: impl FnMut(usize) -> f64);
+}
+
+impl CellRows for Vec<f64> {
+    #[inline(always)]
+    fn push_row(&mut self, n: usize, cell: impl FnMut(usize) -> f64) {
+        self.extend((0..n).map(cell));
+    }
+}
+
+impl CellRows for HugeCells {
+    #[inline(always)]
+    fn push_row(&mut self, n: usize, cell: impl FnMut(usize) -> f64) {
+        self.extend_row(n, cell);
     }
 }
 
 /// Compare every cell of `data` (the dense array of `bbox`) for exact
 /// equality with [`field_value`]; returns the number of cells that differ.
+/// Like [`fill_rows`], it runs on the host's widest vectors.
 ///
 /// # Panics
 /// Panics if `data` is not `bbox.num_cells()` long.
 pub fn verify_field(var: u64, version: u64, bbox: &BoundingBox, data: &[f64]) -> u64 {
     assert_eq!(data.len() as u128, bbox.num_cells(), "data length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if wide_vectors() {
+        // SAFETY: `wide_vectors` detected every feature the instance
+        // enables.
+        return unsafe { verify_rows_avx512(var, version, bbox, data) };
+    }
+    verify_rows_body(var, version, bbox, data)
+}
+
+/// [`verify_rows_body`] compiled for AVX-512 (see [`fill_rows_avx512`]).
+///
+/// # Safety
+/// The host must have AVX-512 F, DQ and VL ([`wide_vectors`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+unsafe fn verify_rows_avx512(var: u64, version: u64, bbox: &BoundingBox, data: &[f64]) -> u64 {
+    verify_rows_body(var, version, bbox, data)
+}
+
+#[inline(always)]
+fn verify_rows_body(var: u64, version: u64, bbox: &BoundingBox, data: &[f64]) -> u64 {
     let last = bbox.ndim() - 1;
+    let lb = bbox.lb(last);
     let rows = data.chunks_exact(bbox.extent(last) as usize);
-    row_seeds(var, version, bbox)
-        .zip(rows)
-        .map(|(seed, row)| {
-            let cells = row.iter().zip(bbox.lb(last)..);
-            cells
-                .filter(|&(&got, c)| got != field_unit(field_mix(seed, c)))
-                .count() as u64
-        })
-        .sum()
+    let mut differ = 0;
+    for (seed, row) in row_seeds(var, version, bbox).zip(rows) {
+        for (i, &got) in row.iter().enumerate() {
+            differ += u64::from(got != field_unit(field_mix(seed, lb + i as u64)));
+        }
+    }
+    differ
+}
+
+/// Whether the row kernels run their AVX-512 instance: the x86-64
+/// baseline has no packed 64-bit multiply and no `u64` → `f64`
+/// convert, so its rows run a cell at a time, while AVX-512 F/DQ/VL
+/// run eight. Both instances compute [`field_value`] bit for bit
+/// (integer hashing, then one exactly rounded convert and divide).
+/// Detection is cached by the standard library, so asking per call is
+/// one load.
+#[cfg(target_arch = "x86_64")]
+fn wide_vectors() -> bool {
+    is_x86_feature_detected!("avx512f")
+        && is_x86_feature_detected!("avx512dq")
+        && is_x86_feature_detected!("avx512vl")
 }
 
 pub(crate) fn curve_for(domain: &BoundingBox) -> HilbertCurve {
@@ -607,4 +686,116 @@ fn task_routine(ctx: TaskCtx) {
     }
 
     env.dart.return_mailbox(client, mailbox);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use insitu_util::check::forall;
+
+    /// The instance [`fill_rows`] and [`verify_field`] dispatch to here.
+    fn instance() -> &'static str {
+        #[cfg(target_arch = "x86_64")]
+        if wide_vectors() {
+            return "avx512";
+        }
+        "portable"
+    }
+
+    /// A random 1–4-D box whose last extent runs 1–33, so rows end on
+    /// every possible vector tail.
+    fn arb_row_box(rng: &mut insitu_util::SplitMix64) -> BoundingBox {
+        let nd = rng.range_usize(1, 5);
+        let lb: Vec<u64> = (0..nd).map(|_| rng.range_u64(0, 1 << 40)).collect();
+        let mut ub: Vec<u64> = lb.iter().map(|&l| l + rng.range_u64(0, 4)).collect();
+        ub[nd - 1] = lb[nd - 1] + rng.range_u64(0, 33);
+        BoundingBox::new(&lb, &ub)
+    }
+
+    fn bits(cells: &[f64]) -> Vec<u64> {
+        cells.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn the_field_kernel_instance_is_named() {
+        println!("field kernel: {}", instance());
+    }
+
+    #[test]
+    fn both_kernel_instances_fill_field_value_on_every_vector_tail() {
+        forall(400, |rng| {
+            let b = arb_row_box(rng);
+            let (var, version) = (rng.next_u64(), rng.range_u64(0, 50));
+            let cells = b.num_cells() as usize;
+            let want: Vec<u64> = b
+                .iter_points()
+                .map(|p| field_value(var, version, &p[..b.ndim()]).to_bits())
+                .collect();
+
+            let (mut portable, mut dispatched) = (Vec::new(), Vec::new());
+            fill_rows_body(&mut portable, var, version, &b);
+            fill_rows(&mut dispatched, var, version, &b);
+            assert_eq!(bits(&portable), want, "portable Vec, box {b:?}");
+            assert_eq!(bits(&dispatched), want, "{} Vec, box {b:?}", instance());
+
+            let mut portable = HugeCells::with_capacity(cells);
+            let mut dispatched = HugeCells::with_capacity(cells);
+            fill_rows_body(&mut portable, var, version, &b);
+            fill_rows(&mut dispatched, var, version, &b);
+            assert_eq!(bits(&portable), want, "portable HugeCells, box {b:?}");
+            assert_eq!(
+                bits(&dispatched),
+                want,
+                "{} HugeCells, box {b:?}",
+                instance()
+            );
+        });
+    }
+
+    #[test]
+    fn both_kernel_instances_count_exactly_the_corrupted_cells() {
+        forall(400, |rng| {
+            let b = arb_row_box(rng);
+            let (var, version) = (rng.next_u64(), rng.range_u64(0, 50));
+            let mut data = fill_field(var, version, &b);
+            let count = |data: &[f64]| {
+                let portable = verify_rows_body(var, version, &b, data);
+                assert_eq!(
+                    verify_field(var, version, &b, data),
+                    portable,
+                    "{}",
+                    instance()
+                );
+                portable
+            };
+            assert_eq!(count(&data), 0, "box {b:?}");
+            assert_eq!(
+                verify_rows_body(var ^ 1, version, &b, &data),
+                verify_field(var ^ 1, version, &b, &data)
+            );
+
+            // A NaN, a one-ulp change and a few random bit flips; a cell
+            // hit twice is corrupted once.
+            let cells = data.len();
+            let mut hit: Vec<usize> = (0..rng.range_usize(0, 5))
+                .map(|_| rng.range_usize(0, cells))
+                .collect();
+            let (nan, ulp) = (rng.range_usize(0, cells), rng.range_usize(0, cells));
+            hit.extend([nan, ulp]);
+            hit.sort_unstable();
+            hit.dedup();
+            for &i in &hit {
+                data[i] = f64::from_bits(data[i].to_bits() ^ (1 << rng.range_u64(0, 63)));
+            }
+            data[ulp] = f64::from_bits(field_value_at(&b, var, version, ulp).to_bits() + 1);
+            data[nan] = f64::NAN;
+            assert_eq!(count(&data), hit.len() as u64, "box {b:?}, hit {hit:?}");
+        });
+    }
+
+    /// [`field_value`] of the `i`-th cell of `b` in row-major order.
+    fn field_value_at(b: &BoundingBox, var: u64, version: u64, i: usize) -> f64 {
+        let p = b.iter_points().nth(i).unwrap();
+        field_value(var, version, &p[..b.ndim()])
+    }
 }

@@ -64,7 +64,7 @@ pub fn serial_histogram(input: &Decomposition, var: &str, bins: u64) -> Vec<u64>
 /// small.
 pub fn run_histogram(job: &HistogramJob, var: &str) -> HistogramOutcome {
     assert!(
-        job.bins % job.reduce_tasks == 0,
+        job.bins.is_multiple_of(job.reduce_tasks),
         "reduce_tasks must divide bins"
     );
     let m = job.input.num_ranks();

@@ -108,7 +108,7 @@ fn decode(b: &[u8]) -> Vec<f64> {
 pub fn run_jacobi(cfg: &JacobiConfig) -> JacobiOutcome {
     let tasks = (cfg.grid[0] * cfg.grid[1]) as u32;
     assert!(
-        cfg.size % cfg.grid[0] == 0 && cfg.size % cfg.grid[1] == 0,
+        cfg.size.is_multiple_of(cfg.grid[0]) && cfg.size.is_multiple_of(cfg.grid[1]),
         "grid must divide the domain"
     );
     // One extra client gathers the published field.

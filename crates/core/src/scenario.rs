@@ -165,8 +165,8 @@ pub fn balanced_grid(n: u64, ndim: usize) -> Vec<u64> {
         // Smallest prime factor of the remainder, assigned to the
         // currently smallest dimension, keeps the grid near-cubic.
         let f = (2..)
-            .find(|f| rem % f == 0 || f * f > rem)
-            .map(|f| if rem % f == 0 { f } else { rem });
+            .find(|f| rem.is_multiple_of(*f) || f * f > rem)
+            .map(|f| if rem.is_multiple_of(f) { f } else { rem });
         let f = f.unwrap();
         let d = (0..ndim).min_by_key(|&i| dims[i]).unwrap();
         dims[d] *= f;
@@ -186,7 +186,7 @@ pub fn balanced_grid(n: u64, ndim: usize) -> Vec<u64> {
 pub fn aligned_grid(n: u64, producer: &[u64]) -> Vec<u64> {
     let ndim = producer.len();
     fn divisors(n: u64) -> Vec<u64> {
-        let mut v: Vec<u64> = (1..=n).filter(|d| n % d == 0).collect();
+        let mut v: Vec<u64> = (1..=n).filter(|d| n.is_multiple_of(*d)).collect();
         v.sort_unstable();
         v
     }
@@ -211,7 +211,7 @@ pub fn aligned_grid(n: u64, producer: &[u64]) -> Vec<u64> {
     // when every consumer count divides the producer count. 1 run =
     // perfectly packable onto the producers' nodes.
     let rank_runs = |g: &Vec<u64>| -> Option<u64> {
-        if (0..ndim).any(|d| producer[d] % g[d] != 0) {
+        if (0..ndim).any(|d| !producer[d].is_multiple_of(g[d])) {
             return None;
         }
         let extents: Vec<u64> = (0..ndim).map(|d| producer[d] / g[d]).collect();
@@ -259,7 +259,7 @@ pub fn aligned_grid(n: u64, producer: &[u64]) -> Vec<u64> {
     let score = |g: &Vec<u64>| -> (u64, std::cmp::Reverse<u64>) {
         let mut s = 0u64;
         for d in 0..ndim {
-            if producer[d] % g[d] == 0 {
+            if producer[d].is_multiple_of(g[d]) {
                 s += 1 << (ndim - d);
             }
         }

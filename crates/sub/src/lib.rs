@@ -103,7 +103,7 @@ impl SubEntry {
     /// geometric half of the match — fragment overlap — is the caller's
     /// `spec.region.intersect(piece)`.
     pub fn matches(&self, vid: u64, version: u64) -> bool {
-        self.spec.vid == vid && version % self.spec.every_k == 0
+        self.spec.vid == vid && version.is_multiple_of(self.spec.every_k)
     }
 
     /// The local delivery sink, when this process hosts the subscriber.

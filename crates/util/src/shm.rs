@@ -252,7 +252,7 @@ impl RingMem {
     }
 
     fn atomic(&self, off: usize) -> &AtomicU64 {
-        debug_assert!(off + 8 <= self.len && off % 8 == 0);
+        debug_assert!(off + 8 <= self.len && off.is_multiple_of(8));
         // SAFETY: in-bounds, 8-aligned (header offsets are multiples of
         // 8 and both backings are 8-aligned), and only ever accessed as
         // an atomic from here on.
@@ -429,7 +429,7 @@ impl Ring {
         }
         let slots = mem.read_u64(OFF_SLOTS);
         let arena_len = mem.read_u64(OFF_ARENA_LEN);
-        if slots == 0 || arena_len % 8 != 0 {
+        if slots == 0 || !arena_len.is_multiple_of(8) {
             return Err(AttachError::BadHeader("geometry"));
         }
         let needed = Ring::required_len(

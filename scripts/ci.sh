@@ -158,6 +158,19 @@ cargo test -q $chaos_profile -p insitu-core -p insitu-cods --test huge_pages --o
     || { cat target/huge-pages.txt; echo "a huge-page test binary ran no test"; exit 1; }
 grep "THP mode" target/huge-pages.txt
 
+# The field kernels: the portable body and the instance this host
+# dispatches to (AVX-512 F/DQ/VL where detected) fill `field_value` bit
+# for bit on every vector tail, into a `Vec` and a `HugeCells` alike,
+# and count exactly the corrupted cells. The log names the instance
+# that ran; a filter that matches no test is a failure.
+echo "==> field kernels (portable and dispatched instances, bit for bit)"
+cargo test -q $chaos_profile -p insitu-core --lib --offline exec::tests:: \
+    -- --nocapture > target/field-kernels.txt 2>&1 \
+    || { cat target/field-kernels.txt; echo "the field kernel instances disagree"; exit 1; }
+grep -q "test result: ok. [1-9]" target/field-kernels.txt \
+    || { cat target/field-kernels.txt; echo "no field kernel test ran"; exit 1; }
+grep -o "field kernel: [a-z0-9]*" target/field-kernels.txt
+
 # The JSON parser's linearity check, 30 times over: a wall-clock ratio
 # read beside a parallel test run, so one pass proves little. Linear
 # reads ~16x across its 16x inputs, quadratic ~256x; it fails above 48x.
@@ -353,6 +366,12 @@ for birth in crates/core/src/exec.rs crates/cods/src/space/ops.rs crates/cods/sr
         echo "$birth allocates a cell buffer outside on_huge_pages"; exit 1
     fi
 done
+# One file decides which instruction set a kernel runs on: the field
+# kernels' dispatch in core/src/exec.rs. Feature detection or a
+# feature-enabled function anywhere else under crates/ fails the gate.
+if grep -rnE 'target_feature|is_x86_feature_detected' crates | grep -v '^crates/core/src/exec.rs:'; then
+    echo "an instruction-set dispatch grew outside the field kernels"; exit 1
+fi
 long=$(find crates/cods/src crates/net/src -name '*.rs' ! -path crates/net/src/frame.rs \
     -exec wc -l {} + | awk '$2 != "total" && $1 > 1200')
 if [[ -n "$long" ]]; then
