@@ -12,7 +12,7 @@ use insitu_fabric::{Locality, TrafficClass};
 use insitu_workflow::fanout_per_consumer;
 
 /// The two mapping strategies every figure compares.
-pub const STRATEGIES: [MappingStrategy; 2] =
+pub(crate) const STRATEGIES: [MappingStrategy; 2] =
     [MappingStrategy::RoundRobin, MappingStrategy::DataCentric];
 
 /// The round-robin and data-centric rows of `app`, where `tag` reads a
@@ -68,7 +68,8 @@ impl Size {
     }
 
     /// A miniature for tier-1 tests.
-    pub fn mini() -> Self {
+    #[cfg(test)]
+    pub(crate) fn mini() -> Self {
         Size {
             prod: 64,
             cap2: 8,
@@ -91,7 +92,7 @@ impl Size {
     }
 
     /// The pattern pairs swept at this size, matched pairs first.
-    pub fn patterns(&self) -> Vec<PatternPair> {
+    pub(crate) fn patterns(&self) -> Vec<PatternPair> {
         pattern_pairs(&[self.block; 3])
     }
 
@@ -152,7 +153,7 @@ pub fn fig08(size: Size) -> Vec<CouplingRow> {
 }
 
 /// Fig. 9: sequential coupling, same metric.
-pub fn fig09(size: Size) -> Vec<CouplingRow> {
+pub(crate) fn fig09(size: Size) -> Vec<CouplingRow> {
     coupling_rows(|p| size.sequential(p), &size.patterns())
 }
 
@@ -169,7 +170,7 @@ pub struct FanoutRow {
 
 /// Fig. 10 (quantified): how many producer tasks each consumer task must
 /// contact — the mismatched-distribution pathology.
-pub fn fig10(size: Size) -> Vec<FanoutRow> {
+pub(crate) fn fig10(size: Size) -> Vec<FanoutRow> {
     let mut rows = Vec::new();
     for pattern in size.patterns() {
         let s = size.concurrent(pattern);
@@ -225,7 +226,7 @@ fn retrieve_rows(
 /// on-node and would show *zero* network time, contradicting the
 /// paper's own contention discussion — see EXPERIMENTS.md's
 /// reproduction notes.
-pub fn fig11(size: Size) -> Vec<RetrieveRow> {
+pub(crate) fn fig11(size: Size) -> Vec<RetrieveRow> {
     let scenarios = if size.prod >= 512 {
         size.scaled(size.prod / 512)
     } else {
@@ -268,7 +269,7 @@ fn intra_rows(scenario: &Scenario, labels: &[(u32, &str)]) -> Vec<IntraAppRow> {
 }
 
 /// Fig. 12: concurrent scenario, per-app intra-application network bytes.
-pub fn fig12(size: Size) -> Vec<IntraAppRow> {
+pub(crate) fn fig12(size: Size) -> Vec<IntraAppRow> {
     intra_rows(
         &size.concurrent(size.blocked()),
         &[(1, "CAP1"), (2, "CAP2")],
@@ -276,7 +277,7 @@ pub fn fig12(size: Size) -> Vec<IntraAppRow> {
 }
 
 /// Fig. 13: sequential scenario, per-app intra-application network bytes.
-pub fn fig13(size: Size) -> Vec<IntraAppRow> {
+pub(crate) fn fig13(size: Size) -> Vec<IntraAppRow> {
     intra_rows(
         &size.sequential(size.blocked()),
         &[(1, "SAP1"), (2, "SAP2"), (3, "SAP3")],
@@ -309,12 +310,12 @@ fn breakdown(scenario: &Scenario) -> Vec<BreakdownRow> {
 }
 
 /// Fig. 14: concurrent scenario total network cost breakdown.
-pub fn fig14(size: Size) -> Vec<BreakdownRow> {
+pub(crate) fn fig14(size: Size) -> Vec<BreakdownRow> {
     breakdown(&size.concurrent(size.blocked()))
 }
 
 /// Fig. 15: sequential scenario total network cost breakdown.
-pub fn fig15(size: Size) -> Vec<BreakdownRow> {
+pub(crate) fn fig15(size: Size) -> Vec<BreakdownRow> {
     breakdown(&size.sequential(size.blocked()))
 }
 
@@ -335,7 +336,7 @@ pub fn fig15(size: Size) -> Vec<BreakdownRow> {
 /// sources and show no contention at any scale). Times are task means
 /// (retrieves run concurrently; the mean tracks contention without being
 /// dominated by one straggler).
-pub fn fig16(size: Size) -> Vec<RetrieveRow> {
+pub(crate) fn fig16(size: Size) -> Vec<RetrieveRow> {
     size.factors
         .iter()
         .flat_map(|&f| retrieve_rows(&size.scaled(f), MappingStrategy::DataCentric, 512 * f))
@@ -489,7 +490,7 @@ pub struct FileBaselineRow {
 /// Extra experiment (paper §VI Related Work, quantified): CoDS in-memory
 /// coupling vs the file-based coupling of conventional workflow systems,
 /// at the paper's configurations.
-pub fn extra_file_baseline(size: Size) -> Vec<FileBaselineRow> {
+pub(crate) fn extra_file_baseline(size: Size) -> Vec<FileBaselineRow> {
     use insitu_fabric::{estimate_file_coupling_time, FilesystemModel};
     let fs = FilesystemModel::jaguar_spider();
     let pattern = size.blocked();

@@ -51,7 +51,7 @@ pub fn gib(bytes: u64) -> String {
 }
 
 /// Format bytes as MiB with one decimal.
-pub fn mib(bytes: u64) -> String {
+pub(crate) fn mib(bytes: u64) -> String {
     format!("{:.1}", bytes as f64 / (1u64 << 20) as f64)
 }
 

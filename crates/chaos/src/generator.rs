@@ -52,7 +52,7 @@ pub struct CaseSpec {
 
 impl CaseSpec {
     /// Draw a random case from `rng`.
-    pub fn generate(rng: &mut SplitMix64) -> CaseSpec {
+    pub(crate) fn generate(rng: &mut SplitMix64) -> CaseSpec {
         let ndim = rng.range_usize(2, 4); // 2-D or 3-D domains
         let grid =
             |rng: &mut SplitMix64| -> Vec<u64> { (0..ndim).map(|_| rng.range_u64(1, 3)).collect() };
@@ -175,7 +175,7 @@ impl CaseSpec {
 }
 
 /// Render a workflow spec in the paper's Listing-1 DAG file syntax.
-pub fn render_dag(w: &WorkflowSpec) -> String {
+pub(crate) fn render_dag(w: &WorkflowSpec) -> String {
     let mut out = String::new();
     for a in &w.apps {
         out.push_str(&format!("APP_ID {}\n", a.id));
@@ -193,7 +193,7 @@ pub fn render_dag(w: &WorkflowSpec) -> String {
 /// Check that a workflow survives a DAG-text round-trip: render it in
 /// Listing-1 syntax, re-parse, and compare ids, edges and bundles. Returns
 /// a violation description on mismatch.
-pub fn dag_round_trip(w: &WorkflowSpec) -> Result<(), String> {
+pub(crate) fn dag_round_trip(w: &WorkflowSpec) -> Result<(), String> {
     let text = render_dag(w);
     let parsed =
         parse_dag(&text).map_err(|e| format!("rendered DAG failed to parse: {e}\n{text}"))?;
@@ -224,7 +224,7 @@ pub fn dag_round_trip(w: &WorkflowSpec) -> Result<(), String> {
 
 /// Generate a random *standalone* workflow DAG (apps, forward edges,
 /// disjoint bundles) for parser fuzzing, independent of any scenario.
-pub fn random_workflow(rng: &mut SplitMix64) -> WorkflowSpec {
+pub(crate) fn random_workflow(rng: &mut SplitMix64) -> WorkflowSpec {
     let n = rng.range_u32(1, 7);
     let apps: Vec<u32> = (1..=n).collect();
     let mut w = WorkflowSpec::default();

@@ -36,7 +36,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Derive the per-case seed from the run seed and the case index.
-pub fn case_seed(seed: u64, idx: u64) -> u64 {
+pub(crate) fn case_seed(seed: u64, idx: u64) -> u64 {
     let mut rng = SplitMix64::new(seed ^ idx.wrapping_mul(0x9e37_79b9_7f4a_7c15));
     rng.next_u64()
 }
@@ -67,13 +67,13 @@ impl CaseOutcome {
     }
 
     /// Total injected fault sites across all kinds.
-    pub fn injected_total(&self) -> u64 {
+    pub(crate) fn injected_total(&self) -> u64 {
         self.injected.iter().sum()
     }
 }
 
 /// Generate case `idx` of a run and execute it.
-pub fn run_case(seed: u64, idx: u64, spec: &FaultSpec) -> CaseOutcome {
+pub(crate) fn run_case(seed: u64, idx: u64, spec: &FaultSpec) -> CaseOutcome {
     let mut rng = SplitMix64::new(case_seed(seed, idx));
     // Standalone DAG-parser fuzzing rides along with every case.
     let dag_violation = dag_round_trip(&random_workflow(&mut rng)).err();
@@ -410,7 +410,7 @@ pub fn run_chaos(seed: u64, cases: u64, spec: &FaultSpec) -> ChaosReport {
 }
 
 /// Shrink a violating case and render it as a paste-ready `#[test]`.
-pub fn shrink_to_reproducer(seed: u64, bad: &CaseOutcome, spec: &FaultSpec) -> String {
+pub(crate) fn shrink_to_reproducer(seed: u64, bad: &CaseOutcome, spec: &FaultSpec) -> String {
     let idx = bad.idx;
     let minimal = shrink(&bad.case, &|cand| {
         !run_case_spec(seed, idx, spec, cand).violations.is_empty()

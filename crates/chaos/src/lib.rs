@@ -37,10 +37,8 @@ mod harness;
 mod plan;
 mod shrink;
 
-pub use generator::{dag_round_trip, random_workflow, render_dag, CaseSpec};
-pub use harness::{
-    case_seed, run_case, run_case_spec, run_chaos, shrink_to_reproducer, CaseOutcome, ChaosReport,
-};
+pub use generator::CaseSpec;
+pub use harness::{run_case_spec, run_chaos, CaseOutcome, ChaosReport};
 pub use insitu_fabric::FaultKind;
 pub use plan::{FaultPlan, FaultSpec};
 pub use shrink::{reproducer, shrink};

@@ -59,7 +59,7 @@ impl FaultSpec {
     }
 
     /// `true` when every rate is zero.
-    pub fn is_inert(&self) -> bool {
+    pub(crate) fn is_inert(&self) -> bool {
         self.rates.iter().all(|&r| r == 0.0)
     }
 
@@ -100,7 +100,7 @@ impl FaultSpec {
 
     /// Render the spec back into its canonical `--faults` string, such
     /// that `parse(canonical()) == self`.
-    pub fn canonical(&self) -> String {
+    pub(crate) fn canonical(&self) -> String {
         if self.is_inert() {
             return "none".into();
         }
@@ -189,14 +189,9 @@ impl FaultPlan {
         std::array::from_fn(|i| sites[i].len() as u64)
     }
 
-    /// Total distinct triggered sites over all kinds.
-    pub fn injected_total(&self) -> u64 {
-        self.injected().iter().sum()
-    }
-
     /// Bytes observed through [`FaultHooks::on_transfer`] for one
     /// class/locality cell.
-    pub fn observed_bytes(&self, class: TrafficClass, locality: Locality) -> u64 {
+    pub(crate) fn observed_bytes(&self, class: TrafficClass, locality: Locality) -> u64 {
         *self
             .transfers
             .lock()
@@ -436,7 +431,7 @@ mod tests {
             assert!(!plan.staging_exhausted(i));
         }
         assert!(plan.link_faults(64).is_empty());
-        assert_eq!(plan.injected_total(), 0);
+        assert_eq!(plan.injected().iter().sum::<u64>(), 0);
     }
 
     #[test]

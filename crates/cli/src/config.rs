@@ -105,7 +105,7 @@ fn parse_region(
 }
 
 /// Parse a workload configuration file.
-pub fn parse_config(input: &str) -> Result<WorkloadConfig, ConfigError> {
+pub(crate) fn parse_config(input: &str) -> Result<WorkloadConfig, ConfigError> {
     let mut cores_per_node = 12u32;
     let mut domain: Option<Vec<u64>> = None;
     let mut halo = 1u64;

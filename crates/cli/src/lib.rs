@@ -26,9 +26,9 @@
 pub mod config;
 pub mod distrib;
 pub mod driver;
-pub mod svc_cmd;
+pub(crate) mod svc_cmd;
 
-pub use config::{parse_config, ConfigError, WorkloadConfig};
+pub use config::{ConfigError, WorkloadConfig};
 pub use distrib::{join_cmd, launch_cmd, serve_cmd, JoinCmd, LaunchCmd, RunOutputs, ServeCmd};
 pub use driver::{build_scenario, profile, run, CliError, Options, ProfileOptions};
 pub use svc_cmd::{

@@ -38,7 +38,7 @@ pub struct LocationEntry {
 
 /// Approximate wire size of one location record or span query, used for
 /// DHT traffic accounting.
-pub const DHT_RECORD_BYTES: u64 = 64;
+pub(crate) const DHT_RECORD_BYTES: u64 = 64;
 
 type Table = HashMap<(u64, u64), Vec<LocationEntry>>;
 
@@ -72,18 +72,13 @@ impl Dht {
     }
 
     /// Hosting client of DHT core `idx`.
-    pub fn core_client(&self, idx: usize) -> ClientId {
+    pub(crate) fn core_client(&self, idx: usize) -> ClientId {
         self.core_clients[idx]
-    }
-
-    /// The linearization curve.
-    pub fn curve(&self) -> &dyn SpaceFillingCurve {
-        self.curve.as_ref()
     }
 
     /// DHT core owning a curve index.
     #[inline]
-    pub fn core_of_index(&self, idx: u128) -> usize {
+    pub(crate) fn core_of_index(&self, idx: u128) -> usize {
         ((idx / self.interval) as usize).min(self.core_clients.len() - 1)
     }
 
@@ -98,12 +93,12 @@ impl Dht {
     }
 
     /// Index spans covering a box (the query key of the paper's get path).
-    pub fn spans_for(&self, bbox: &BoundingBox) -> Vec<insitu_sfc::Span> {
+    pub(crate) fn spans_for(&self, bbox: &BoundingBox) -> Vec<insitu_sfc::Span> {
         spans_of_box(self.curve.as_ref(), bbox)
     }
 
     /// Distinct DHT cores responsible for any part of `bbox`, ascending.
-    pub fn cores_for(&self, bbox: &BoundingBox) -> Vec<usize> {
+    pub(crate) fn cores_for(&self, bbox: &BoundingBox) -> Vec<usize> {
         let mut cores = Vec::new();
         for s in self.spans_for(bbox) {
             let first = self.core_of_index(s.first);
@@ -154,7 +149,7 @@ impl Dht {
     /// Records held only by skipped (blacked-out) cores are simply absent
     /// from the result, surfacing downstream as an incomplete cover —
     /// exactly how an unreachable DHT server degrades.
-    pub fn query_filtered(
+    pub(crate) fn query_filtered(
         &self,
         var: u64,
         version: u64,
@@ -209,7 +204,7 @@ impl Dht {
 
     /// Drop all records of `var` with version `<= max_version` (in-order
     /// eviction of an iterative variable); returns records removed.
-    pub fn remove_versions_up_to(&self, var: u64, max_version: u64) -> usize {
+    pub(crate) fn remove_versions_up_to(&self, var: u64, max_version: u64) -> usize {
         let mut removed = 0;
         for t in &self.tables {
             let mut t = t.lock().unwrap();

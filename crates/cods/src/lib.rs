@@ -20,9 +20,8 @@ pub mod schedule;
 pub mod space;
 
 pub use codec::FieldData;
-pub use dht::{var_id, Dht, LocationEntry, DHT_RECORD_BYTES};
+pub use dht::{var_id, Dht, LocationEntry};
 pub use schedule::{
-    merge_schedule_ops, schedule_from_decomposition, schedule_from_entries, CommSchedule,
-    ScheduleCache, TransferOp,
+    schedule_from_decomposition, schedule_from_entries, CommSchedule, ScheduleCache, TransferOp,
 };
 pub use space::{CodsConfig, CodsError, CodsSpace, GetReport, SubHandle};

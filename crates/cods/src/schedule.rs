@@ -38,7 +38,7 @@ pub struct CommSchedule {
 
 impl CommSchedule {
     /// Total cells moved by the schedule.
-    pub fn total_cells(&self) -> u128 {
+    pub(crate) fn total_cells(&self) -> u128 {
         self.ops.iter().map(|o| o.region.num_cells()).sum()
     }
 
@@ -125,7 +125,7 @@ fn try_union(a: &BoundingBox, b: &BoundingBox) -> Option<BoundingBox> {
 /// collapse and regions abutting along one dimension merge into a single
 /// larger transfer, shrinking the schedule without changing the set of
 /// cells it moves. Ops must be sorted by `(src_client, piece)`.
-pub fn merge_schedule_ops(mut ops: Vec<TransferOp>) -> Vec<TransferOp> {
+pub(crate) fn merge_schedule_ops(mut ops: Vec<TransferOp>) -> Vec<TransferOp> {
     let mut out: Vec<TransferOp> = Vec::with_capacity(ops.len());
     let mut start = 0;
     while start < ops.len() {

@@ -19,8 +19,7 @@ use std::time::{Duration, Instant};
 
 /// The consumer end of one standing query registered through
 /// [`CodsSpace::subscribe`]: pass it back to [`CodsSpace::sub_take`] to
-/// block on pushed versions, and to [`CodsSpace::unsubscribe`] to tear
-/// the query down.
+/// block on pushed versions.
 pub struct SubHandle {
     /// Deterministic subscription id ([`SubSpec::id`]).
     pub id: SubId,
@@ -87,16 +86,6 @@ impl CodsSpace {
             sink,
             app,
         }
-    }
-
-    /// Tear down a standing query in this process: close its sink and
-    /// drop the registry entry. Blocked [`Self::sub_take`] calls return
-    /// [`TakeResult::Closed`]. Returns `false` if the subscription was
-    /// already gone.
-    pub fn unsubscribe(&self, handle: &SubHandle) -> bool {
-        let removed = self.dart.subs().cancel(handle.id);
-        self.sub_active.set(self.dart.subs().active());
-        removed
     }
 
     /// Block until `version` of the subscribed region is fully assembled

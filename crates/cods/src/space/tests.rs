@@ -925,27 +925,6 @@ fn slow_subscriber_lags_oldest_and_heals_with_get() {
     ));
 }
 
-#[test]
-fn unsubscribe_closes_sink_and_stops_pushes() {
-    let s = space();
-    let q = BoundingBox::from_sizes(&[8, 8]);
-    let handle = s.subscribe(3, 2, "temp", &q, 1, 4);
-    produce(&s, "temp", 0);
-    assert!(s.unsubscribe(&handle));
-    assert!(!s.unsubscribe(&handle));
-    // Already-assembled versions stay readable; later ones see the
-    // cancellation instead of hanging.
-    assert!(matches!(
-        s.sub_take(&handle, 0, Duration::from_millis(10)),
-        TakeResult::Data(_)
-    ));
-    produce(&s, "temp", 1);
-    assert_eq!(
-        s.sub_take(&handle, 1, Duration::from_millis(10)),
-        TakeResult::Closed
-    );
-}
-
 /// A chaos-dropped fragment shows up as a deadline miss on exactly
 /// the affected version — never a partial or wrong delivery — and
 /// the subscriber resyncs with an ordinary get.

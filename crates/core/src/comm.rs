@@ -38,7 +38,7 @@ impl ReduceOp {
 /// Collectives are matched by an internal sequence number, so every
 /// member must invoke the same collectives in the same order (the usual
 /// SPMD contract). Messages of other tags arriving meanwhile (e.g. halo
-/// payloads) are stashed and re-delivered by [`GroupComm::recv_tagged`].
+/// payloads) are stashed and re-delivered by `GroupComm::recv_tagged`.
 pub struct GroupComm<'a> {
     dart: &'a Arc<DartRuntime>,
     group: &'a AppGroup,
@@ -95,7 +95,7 @@ impl<'a> GroupComm<'a> {
     }
 
     /// Receive the next message with `tag`, stashing mismatches.
-    pub fn recv_tagged(&self, tag: u64) -> Msg {
+    pub(crate) fn recv_tagged(&self, tag: u64) -> Msg {
         let mut stash = self.stash.borrow_mut();
         if let Some(pos) = stash.iter().position(|m| m.tag == tag) {
             return stash.swap_remove(pos);

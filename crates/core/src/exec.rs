@@ -418,7 +418,7 @@ impl ExecEnv {
     /// Run the given tasks on real threads (one per task, 512 KiB
     /// stacks) and join them; a task's panic propagates. Each task's
     /// dispatch message must already sit in its client's mailbox.
-    pub fn run_tasks(&self, tasks: &[(u32, u64)]) {
+    pub(crate) fn run_tasks(&self, tasks: &[(u32, u64)]) {
         let task_us = &self.dart.recorder().histogram("exec.task_us");
         std::thread::scope(|scope| {
             for &(app, rank) in tasks {
@@ -440,7 +440,7 @@ impl ExecEnv {
 
     /// Task errors sorted so the outcome is a pure function of
     /// scenario + faults (threads report in scheduling order).
-    pub fn sorted_errors(&self) -> Vec<(u32, u64, CodsError)> {
+    pub(crate) fn sorted_errors(&self) -> Vec<(u32, u64, CodsError)> {
         let mut errors = self.errors.lock().unwrap().clone();
         errors.sort_by(|a, b| {
             (a.0, a.1, format!("{:?}", a.2)).cmp(&(b.0, b.1, format!("{:?}", b.2)))
@@ -450,7 +450,10 @@ impl ExecEnv {
 
     /// Consume the environment into a [`ThreadedOutcome`] once every
     /// task thread has joined.
-    pub fn into_outcome(self, strategy: MappingStrategy) -> crate::threaded::ThreadedOutcome {
+    pub(crate) fn into_outcome(
+        self,
+        strategy: MappingStrategy,
+    ) -> crate::threaded::ThreadedOutcome {
         let errors = self.sorted_errors();
         let reports = self.reports.into_inner().unwrap();
         let staged_buffers = self.dart.registry().len() as u64;

@@ -55,7 +55,7 @@ pub mod mapping;
 pub mod mapreduce;
 pub mod miniapp;
 pub mod modeled;
-pub mod pgas;
+pub(crate) mod pgas;
 pub mod scenario;
 pub mod threaded;
 

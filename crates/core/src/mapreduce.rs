@@ -60,9 +60,11 @@ pub fn serial_histogram(input: &Decomposition, var: &str, bins: u64) -> Vec<u64>
 /// task, all data flowing through the shared space.
 ///
 /// # Panics
-/// Panics if `reduce_tasks` does not divide `bins` or the machine is too
-/// small.
+/// Panics if `reduce_tasks` or `bins` is zero, if `reduce_tasks` does not
+/// divide `bins`, or if the machine is too small.
 pub fn run_histogram(job: &HistogramJob, var: &str) -> HistogramOutcome {
+    assert!(job.reduce_tasks > 0, "reduce_tasks must be positive");
+    assert!(job.bins > 0, "bins must be positive");
     assert!(
         job.bins.is_multiple_of(job.reduce_tasks),
         "reduce_tasks must divide bins"
@@ -187,6 +189,30 @@ mod tests {
         assert_eq!(out.histogram, serial_histogram(&input(), "field", 8));
         // All cells binned exactly once.
         assert_eq!(out.histogram.iter().sum::<u64>(), 256);
+    }
+
+    #[test]
+    #[should_panic(expected = "reduce_tasks must be positive")]
+    fn zero_reduce_tasks_is_refused_by_name() {
+        let job = HistogramJob {
+            input: input(),
+            bins: 0,
+            reduce_tasks: 0,
+            cores_per_node: 4,
+        };
+        run_histogram(&job, "f0");
+    }
+
+    #[test]
+    #[should_panic(expected = "bins must be positive")]
+    fn zero_bins_is_refused_by_name() {
+        let job = HistogramJob {
+            input: input(),
+            bins: 0,
+            reduce_tasks: 2,
+            cores_per_node: 4,
+        };
+        run_histogram(&job, "f0");
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub struct Mailbox {
 impl Mailbox {
     /// Create inboxes for `n` clients. Returns one mailbox per client; the
     /// runtime hands out cloned senders.
-    pub fn create_all(n: u32) -> (Vec<Mailbox>, Vec<Sender<Msg>>) {
+    pub(crate) fn create_all(n: u32) -> (Vec<Mailbox>, Vec<Sender<Msg>>) {
         let mut boxes = Vec::with_capacity(n as usize);
         let mut senders = Vec::with_capacity(n as usize);
         for _ in 0..n {

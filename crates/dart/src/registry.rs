@@ -176,7 +176,7 @@ impl BufferRegistry {
 
     /// Subscribe to a set of keys: each already-registered key is handed
     /// to `present(index, handle)` now, on this thread, in index order;
-    /// the rest park and arrive through [`Subscription::next_before`] as
+    /// the rest park and arrive through `Subscription::next_before` as
     /// producers register them. Nothing is allocated unless a key is
     /// absent. Dropping the subscription unparks its remaining waiters.
     pub fn subscribe<'a>(
@@ -333,7 +333,10 @@ pub struct Subscription<'a> {
 impl Subscription<'_> {
     /// Next arrival, blocking until `deadline`. `None` once every parked
     /// key was yielded or the deadline passes.
-    pub fn next_before(&mut self, deadline: Instant) -> Option<(usize, BufferHandle, Instant)> {
+    pub(crate) fn next_before(
+        &mut self,
+        deadline: Instant,
+    ) -> Option<(usize, BufferHandle, Instant)> {
         let (waiter, undelivered) = match &mut self.parked {
             Some(parked) if self.outstanding > 0 => parked,
             _ => return None,

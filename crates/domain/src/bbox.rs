@@ -203,25 +203,6 @@ impl BoundingBox {
         }
     }
 
-    /// Translate the box so coordinates become relative to `origin`.
-    ///
-    /// # Panics
-    /// Panics (via underflow in debug) if the box does not lie at or above
-    /// `origin` in every dimension.
-    pub fn relative_to(&self, origin: &[u64]) -> BoundingBox {
-        let mut lb = [0u64; MAX_DIMS];
-        let mut ub = [0u64; MAX_DIMS];
-        for d in 0..self.ndim() {
-            lb[d] = self.lb[d] - origin[d];
-            ub[d] = self.ub[d] - origin[d];
-        }
-        BoundingBox {
-            ndim: self.ndim,
-            lb,
-            ub,
-        }
-    }
-
     /// Iterate all lattice points of the box in row-major order (last
     /// dimension fastest). Intended for tests and small regions.
     pub fn iter_points(&self) -> PointIter {
@@ -378,13 +359,6 @@ mod tests {
         let h = a.hull(&b);
         assert!(h.contains_box(&a) && h.contains_box(&b));
         assert_eq!(h, BoundingBox::new(&[0, 0], &[5, 6]));
-    }
-
-    #[test]
-    fn relative_to_shifts() {
-        let a = BoundingBox::new(&[10, 20], &[14, 29]);
-        let r = a.relative_to(&[10, 20, 0, 0]);
-        assert_eq!(r, BoundingBox::new(&[0, 0], &[4, 9]));
     }
 
     #[test]

@@ -55,12 +55,6 @@ impl Decomposition {
         &self.grid
     }
 
-    /// The distribution type.
-    #[inline]
-    pub fn distribution(&self) -> Distribution {
-        self.dist
-    }
-
     /// Number of ranks.
     #[inline]
     pub fn num_ranks(&self) -> u64 {

@@ -137,7 +137,7 @@ impl Iterator for OwnedRanges {
 
 /// Owned sub-ranges of `g` intersected with `[lo, hi]`, clamped to the
 /// window. Convenience wrapper over [`OwnedRanges`].
-pub fn owned_ranges_in(lo: u64, hi: u64, b: u64, p: u64, g: u64) -> Vec<(u64, u64)> {
+pub(crate) fn owned_ranges_in(lo: u64, hi: u64, b: u64, p: u64, g: u64) -> Vec<(u64, u64)> {
     OwnedRanges::new(lo, hi, b, p, g)
         .map(|(s, e)| (s.max(lo), e))
         .filter(|(s, e)| s <= e)

@@ -83,32 +83,6 @@ impl ProcessGrid {
         }
         rank
     }
-
-    /// Iterate all ranks whose grid coordinate in each dimension `d` lies in
-    /// `range[d] = (lo, hi)` inclusive. Used to enumerate the ranks of a
-    /// blocked decomposition that intersect a query box.
-    pub fn ranks_in_coord_ranges(&self, ranges: &[(u64, u64)]) -> Vec<u64> {
-        debug_assert_eq!(ranges.len(), self.ndim());
-        let mut out = Vec::new();
-        let mut cur: Vec<u64> = ranges.iter().map(|r| r.0).collect();
-        loop {
-            out.push(self.rank_of(&crate::bbox::pt(&cur)));
-            let mut d = self.ndim();
-            loop {
-                if d == 0 {
-                    return out;
-                }
-                d -= 1;
-                if cur[d] < ranges[d].1 {
-                    cur[d] += 1;
-                    for cd in d + 1..self.ndim() {
-                        cur[cd] = ranges[cd].0;
-                    }
-                    break;
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -146,16 +120,9 @@ mod tests {
     }
 
     #[test]
-    fn ranks_in_coord_ranges_enumerates_subgrid() {
-        let g = ProcessGrid::new(&[3, 3]);
-        let ranks = g.ranks_in_coord_ranges(&[(1, 2), (0, 1)]);
-        assert_eq!(ranks, vec![3, 4, 6, 7]);
-    }
-
-    #[test]
     fn single_rank_grid() {
         let g = ProcessGrid::new(&[1, 1, 1]);
         assert_eq!(g.num_ranks(), 1);
-        assert_eq!(g.ranks_in_coord_ranges(&[(0, 0), (0, 0), (0, 0)]), vec![0]);
+        assert_eq!(g.coords_of(0), [0; MAX_DIMS]);
     }
 }

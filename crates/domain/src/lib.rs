@@ -23,7 +23,7 @@
 #![allow(clippy::needless_range_loop)] // odometer/index loops read clearer with explicit dims
 
 pub mod bbox;
-pub mod decomp;
+pub(crate) mod decomp;
 pub mod dist;
 pub mod grid;
 pub mod layout;

@@ -70,11 +70,6 @@ pub fn halo_exchanges(dec: &Decomposition, halo: u64) -> Vec<HaloExchange> {
     out
 }
 
-/// Total cells exchanged (both directions summed) across all pairs.
-pub fn total_halo_cells(dec: &Decomposition, halo: u64) -> u128 {
-    halo_exchanges(dec, halo).iter().map(|e| 2 * e.cells).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,7 +138,8 @@ mod tests {
     #[test]
     fn total_counts_both_directions() {
         let d = dec(&[8, 8], &[2, 2], Distribution::Blocked);
-        assert_eq!(total_halo_cells(&d, 1), 2 * 4 * 4);
+        let both: u128 = halo_exchanges(&d, 1).iter().map(|e| 2 * e.cells).sum();
+        assert_eq!(both, 2 * 4 * 4);
     }
 
     #[test]

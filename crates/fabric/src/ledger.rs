@@ -224,20 +224,6 @@ impl TransferLedger {
             per_app: self.per_app.lock().unwrap().clone(),
         }
     }
-
-    /// Reset every counter to zero.
-    ///
-    /// Mirrored telemetry counters are monotonic and are *not* reset; a
-    /// run that resets the ledger should use a fresh recorder as well.
-    pub fn reset(&self) {
-        for a in &self.shm {
-            a.store(0, Ordering::Relaxed);
-        }
-        for a in &self.net {
-            a.store(0, Ordering::Relaxed);
-        }
-        self.per_app.lock().unwrap().clear();
-    }
 }
 
 /// A point-in-time copy of a [`TransferLedger`].
@@ -436,16 +422,6 @@ mod tests {
         let s = l.snapshot();
         assert!((s.network_fraction(TrafficClass::InterApp) - 0.2).abs() < 1e-12);
         assert_eq!(s.network_fraction(TrafficClass::Control), 0.0);
-    }
-
-    #[test]
-    fn reset_clears_all() {
-        let l = TransferLedger::new();
-        l.record(1, TrafficClass::Control, Locality::Network, 9);
-        l.reset();
-        let s = l.snapshot();
-        assert_eq!(s.network_total(), 0);
-        assert_eq!(s.app_bytes(1, TrafficClass::Control, Locality::Network), 0);
     }
 
     #[test]

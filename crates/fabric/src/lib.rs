@@ -19,8 +19,8 @@
 pub mod fault;
 pub mod ledger;
 pub mod machine;
-pub mod timemodel;
-pub mod torus;
+pub(crate) mod timemodel;
+pub(crate) mod torus;
 
 pub use fault::{FaultAction, FaultHooks, FaultInjector, FaultKind, NetOp};
 pub use ledger::{LedgerSnapshot, Locality, TrafficClass, TransferLedger};

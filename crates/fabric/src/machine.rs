@@ -37,12 +37,6 @@ impl MachineSpec {
         }
     }
 
-    /// A machine with exactly enough 12-core (Jaguar-style) nodes for
-    /// `cores` cores.
-    pub fn jaguar_for_cores(cores: u32) -> Self {
-        Self::new(cores.div_ceil(12), 12)
-    }
-
     /// Total core count.
     pub fn total_cores(&self) -> u32 {
         self.nodes * self.cores_per_node
@@ -120,11 +114,6 @@ impl Placement {
         Self::new(spec, core_of)
     }
 
-    /// The machine this placement lives on.
-    pub fn spec(&self) -> MachineSpec {
-        self.spec
-    }
-
     /// Number of placed clients.
     pub fn num_clients(&self) -> u32 {
         self.core_of.len() as u32
@@ -148,13 +137,6 @@ impl Placement {
     pub fn colocated(&self, a: ClientId, b: ClientId) -> bool {
         self.node_of(a) == self.node_of(b)
     }
-
-    /// Clients placed on `node`.
-    pub fn clients_on(&self, node: NodeId) -> Vec<ClientId> {
-        (0..self.num_clients())
-            .filter(|&c| self.node_of(c) == node)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -170,12 +152,6 @@ mod tests {
         assert_eq!(s.node_of_core(12), 1);
         assert_eq!(s.local_core(13), 1);
         assert_eq!(s.core(3, 11), 47);
-    }
-
-    #[test]
-    fn jaguar_for_cores_rounds_up() {
-        assert_eq!(MachineSpec::jaguar_for_cores(576).nodes, 48);
-        assert_eq!(MachineSpec::jaguar_for_cores(577).nodes, 49);
     }
 
     #[test]
@@ -215,8 +191,13 @@ mod tests {
     #[test]
     fn clients_on_node() {
         let p = Placement::round_robin_nodes(MachineSpec::new(2, 2), 4);
-        assert_eq!(p.clients_on(0), vec![0, 2]);
-        assert_eq!(p.clients_on(1), vec![1, 3]);
+        let on = |node| {
+            (0..p.num_clients())
+                .filter(|&c| p.node_of(c) == node)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(on(0), vec![0, 2]);
+        assert_eq!(on(1), vec![1, 3]);
     }
 
     #[test]

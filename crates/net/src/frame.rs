@@ -670,18 +670,10 @@ fn length_word(kind: u8, len: usize) -> Result<u32, FrameError> {
 }
 
 impl Frame {
-    /// Whether this frame is data plane (a bulk `PullData` payload).
-    /// Feeds the `net.pull_hub`/`net.pull_p2p` routing counters and the
-    /// p2p acceptance gate; telemetry is deliberately excluded so the
-    /// observability plane cannot perturb those gates.
-    pub fn is_data_plane(&self) -> bool {
-        matches!(self, Frame::PullData { .. })
-    }
-
     /// The frame's bulk tail: the byte vector that ends a `Relay` or a
     /// `PullData` — on the wire a count, then payload to the frame's
     /// end. The reactor moves it out, the decoder a payload in.
-    pub fn bulk_mut(&mut self) -> Option<&mut Vec<u8>> {
+    pub(crate) fn bulk_mut(&mut self) -> Option<&mut Vec<u8>> {
         match self {
             Frame::Relay { payload: bulk, .. } | Frame::PullData { data: bulk, .. } => Some(bulk),
             _ => None,
@@ -696,7 +688,7 @@ impl Frame {
     /// tail was moved out says so with `tail`, the payload bytes its
     /// sender puts on the wire right behind what this appends: length
     /// word, count and the size returned include them.
-    pub fn encode_into(&self, out: &mut Vec<u8>, tail: usize) -> Result<usize, FrameError> {
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>, tail: usize) -> Result<usize, FrameError> {
         let start = out.len();
         out.extend_from_slice(&[0, 0, 0, 0, WIRE_VERSION, self.kind()]);
         self.put_payload(out);
@@ -715,7 +707,7 @@ impl Frame {
     ///
     /// # Panics
     /// Panics if the frame exceeds [`MAX_FRAME_LEN`]; a sender that can
-    /// meet such a frame stages it with [`Frame::encode_into`].
+    /// meet such a frame stages it with `Frame::encode_into`.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         self.encode_into(&mut out, 0)
@@ -749,7 +741,7 @@ impl Frame {
 
     /// [`Frame::read_from`], also returning the frame's size on the
     /// wire (length word included) for byte accounting.
-    pub fn read_counted(r: &mut impl Read) -> Result<(Frame, usize), FrameError> {
+    pub(crate) fn read_counted(r: &mut impl Read) -> Result<(Frame, usize), FrameError> {
         let mut lenb = [0u8; 4];
         read_exact(r, &mut lenb)?;
         let len = u32::from_le_bytes(lenb);
@@ -2162,64 +2154,6 @@ mod tests {
         assert_eq!(dec.next_frame(), Ok(Some(frames[1].clone())));
         assert_eq!(dec.next_frame(), Ok(None));
         assert_eq!(dec.pending(), 0);
-    }
-
-    #[test]
-    fn data_plane_classification() {
-        let pd = Frame::PullData {
-            name: 9,
-            version: 1,
-            piece: (3u64 << 32) | 7,
-            owner: 3,
-            to_node: 0,
-            data: vec![1, 2, 3],
-        };
-        assert!(pd.is_data_plane());
-        assert!(!Frame::RunWave { wave: 0 }.is_data_plane());
-        // Telemetry is NOT data plane: it must not count toward pull
-        // routing gates.
-        let tel = Frame::Telemetry {
-            node: 2,
-            batch: 5,
-            last: true,
-            dropped_events: 0,
-            dropped_spans: 0,
-            counters: Vec::new(),
-            events: Vec::new(),
-        };
-        assert!(!tel.is_data_plane());
-        assert_eq!(tel.kind(), 25);
-        // The shm frames are control plane: the bytes ride the segment,
-        // not the wire.
-        let bell = Frame::ShmDoorbell {
-            src_node: 1,
-            dst_node: 0,
-            segment: 1 << 32,
-            seq: 3,
-        };
-        assert!(!bell.is_data_plane());
-        let offer = Frame::ShmOffer {
-            src_node: 1,
-            dst_node: 0,
-            segment: 1 << 32,
-            path: "/dev/shm/insitu-1-2-s1-d0".into(),
-            slots: 256,
-            arena_bytes: 1 << 23,
-        };
-        assert!(!offer.is_data_plane());
-        // The reserved standing-query kind is not data plane.
-        let push = Frame::SubPush {
-            sub_id: 0xfeed,
-            var: 9,
-            version: 4,
-            src: 1,
-            subscriber: 6,
-            lbs: vec![0, 0],
-            ubs: vec![3, 3],
-            data: vec![0; 16],
-        };
-        assert!(!push.is_data_plane());
-        assert_eq!(push.kind(), 34);
     }
 
     /// Retired kind bytes decode as unknown kinds, whatever follows

@@ -111,7 +111,7 @@ impl ReactorHandle {
     /// [`send`](ReactorHandle::send) a frame whose bulk tail
     /// ([`Frame::bulk_mut`]) is empty, with `payload` in its place: the
     /// bytes go from the shared buffer to the socket, never copied.
-    pub fn send_shared(&self, token: Token, frame: Frame, payload: Bytes) {
+    pub(crate) fn send_shared(&self, token: Token, frame: Frame, payload: Bytes) {
         self.push(Cmd::Send(token, frame, Some(payload)));
     }
 

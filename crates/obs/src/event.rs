@@ -285,7 +285,7 @@ impl Event {
     /// `(src, dst, var, version, piece)`. `Some` only for
     /// [`EventKind::NetSend`] / [`EventKind::NetRecv`] events with both
     /// endpoints tagged.
-    pub fn wire_key(&self) -> Option<(ClientId, ClientId, u64, u64, u64)> {
+    pub(crate) fn wire_key(&self) -> Option<(ClientId, ClientId, u64, u64, u64)> {
         match self.kind {
             EventKind::NetSend | EventKind::NetRecv => match (self.src, self.dst) {
                 (Some(src), Some(dst)) => Some((src, dst, self.var, self.version, self.piece)),

@@ -69,7 +69,7 @@ fn flow_pair(name: &str, from: &Event, to: &Event) -> [Json; 2] {
 /// Render flight events as chrome trace events: one `"X"` slice per
 /// event plus `"s"`/`"f"` flow pairs joining producer puts to the pulls
 /// that retrieved their pieces.
-pub fn chrome_flow_events(events: &[Event]) -> Vec<Json> {
+pub(crate) fn chrome_flow_events(events: &[Event]) -> Vec<Json> {
     let mut out: Vec<Json> = events.iter().map(slice_json).collect();
 
     // Producer puts indexed by piece key.

@@ -37,6 +37,6 @@ pub mod profile;
 
 pub use event::{Event, EventKind, LinkClass};
 pub use flight::{FlightRecorder, DEFAULT_EVENT_CAPACITY};
-pub use flow::{chrome_flow_events, chrome_trace_merged, chrome_trace_with_flows};
+pub use flow::{chrome_trace_merged, chrome_trace_with_flows};
 pub use merge::{merge_traces, MergeReport, ProcessTrace};
 pub use profile::{CategoryBreakdown, IterationProfile, LinkClassStats, ProfileReport};

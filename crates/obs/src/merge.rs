@@ -27,7 +27,7 @@
 //!
 //! The merged event list feeds the existing single-process consumers
 //! unchanged: [`crate::ProfileReport::analyze`] for the merged
-//! critical-path profile and [`crate::chrome_flow_events`] for the
+//! critical-path profile and [`crate::chrome_trace_merged`] for the
 //! merged chrome trace with per-process lanes.
 
 use std::collections::BTreeMap;

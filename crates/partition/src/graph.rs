@@ -24,19 +24,14 @@ impl Graph {
         self.xadj.len() - 1
     }
 
-    /// Number of undirected edges.
-    pub fn num_edges(&self) -> usize {
-        self.adjncy.len() / 2
-    }
-
     /// Weight of vertex `v`.
     #[inline]
-    pub fn vertex_weight(&self, v: u32) -> u64 {
+    pub(crate) fn vertex_weight(&self, v: u32) -> u64 {
         self.vwgt[v as usize]
     }
 
     /// Sum of all vertex weights.
-    pub fn total_vertex_weight(&self) -> u64 {
+    pub(crate) fn total_vertex_weight(&self) -> u64 {
         self.vwgt.iter().sum()
     }
 
@@ -103,7 +98,7 @@ impl GraphBuilder {
     }
 
     /// Set the weight of vertex `v`.
-    pub fn set_vertex_weight(&mut self, v: u32, w: u64) {
+    pub(crate) fn set_vertex_weight(&mut self, v: u32, w: u64) {
         self.vwgt[v as usize] = w;
     }
 
@@ -167,7 +162,7 @@ mod tests {
     fn csr_structure() {
         let g = triangle();
         assert_eq!(g.num_vertices(), 3);
-        assert_eq!(g.num_edges(), 3);
+        assert_eq!(g.adjncy.len() / 2, 3);
         assert_eq!(g.degree(0), 2);
         let n0: Vec<_> = g.neighbors(0).collect();
         assert_eq!(n0, vec![(1, 5), (2, 2)]);
@@ -179,7 +174,7 @@ mod tests {
         b.add_edge(0, 1, 3);
         b.add_edge(1, 0, 4);
         let g = b.build();
-        assert_eq!(g.num_edges(), 1);
+        assert_eq!(g.adjncy.len() / 2, 1);
         assert_eq!(g.neighbors(0).next(), Some((1, 7)));
     }
 
@@ -189,7 +184,7 @@ mod tests {
         b.add_edge(0, 0, 9);
         b.add_edge(0, 1, 0);
         let g = b.build();
-        assert_eq!(g.num_edges(), 0);
+        assert_eq!(g.adjncy.len() / 2, 0);
     }
 
     #[test]
@@ -215,7 +210,7 @@ mod tests {
     fn isolated_vertices_allowed() {
         let g = GraphBuilder::new(4).build();
         assert_eq!(g.num_vertices(), 4);
-        assert_eq!(g.num_edges(), 0);
+        assert_eq!(g.adjncy.len() / 2, 0);
         assert_eq!(g.edge_cut(&[0, 1, 2, 3]), 0);
     }
 

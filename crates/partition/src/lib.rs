@@ -14,8 +14,8 @@
 #![warn(missing_docs)]
 
 pub mod graph;
-pub mod multilevel;
-pub mod partitioner;
+pub(crate) mod multilevel;
+pub(crate) mod partitioner;
 
 pub use graph::{Graph, GraphBuilder};
 pub use multilevel::MultilevelPartitioner;

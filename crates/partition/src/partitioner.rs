@@ -31,7 +31,7 @@ impl PartitionConfig {
 
     /// The effective cap: the configured one, or a 3% slack over perfect
     /// balance (METIS's default imbalance tolerance class).
-    pub fn effective_cap(&self, total_weight: u64) -> u64 {
+    pub(crate) fn effective_cap(&self, total_weight: u64) -> u64 {
         match self.max_part_weight {
             Some(c) => c,
             None => {

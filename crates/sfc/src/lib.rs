@@ -10,8 +10,8 @@
 
 #![warn(missing_docs)]
 
-pub mod hilbert;
-pub mod morton;
+pub(crate) mod hilbert;
+pub(crate) mod morton;
 pub mod span;
 
 pub use hilbert::HilbertCurve;
@@ -52,63 +52,9 @@ pub trait SpaceFillingCurve: Send + Sync {
     }
 }
 
-/// Mean index distance between spatially adjacent points.
-///
-/// Note this is *not* the metric on which Hilbert beats Morton (Morton has
-/// a lower mean 1-step jump in 2-D); the DHT-relevant metric is the number
-/// of spans a box query decomposes into ([`span::spans_of_box`]), where
-/// Hilbert's superior clustering shows. Both are reported by the
-/// `ablation_sfc` bench.
-pub fn neighbor_locality(curve: &dyn SpaceFillingCurve, samples: u64) -> f64 {
-    let side = curve.side();
-    let n = curve.ndim();
-    let mut total: f64 = 0.0;
-    let mut count: u64 = 0;
-    // Deterministic LCG so the score is reproducible without rand.
-    let mut state: u64 = 0x9E37_79B9_7F4A_7C15;
-    let mut next = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        state >> 11
-    };
-    let mut p = vec![0u64; n];
-    for _ in 0..samples {
-        for c in p.iter_mut() {
-            *c = next() % side;
-        }
-        let base = curve.index_of(&p);
-        for d in 0..n {
-            if p[d] + 1 >= side {
-                continue;
-            }
-            p[d] += 1;
-            let adj = curve.index_of(&p);
-            p[d] -= 1;
-            total += base.abs_diff(adj) as f64;
-            count += 1;
-        }
-    }
-    if count == 0 {
-        0.0
-    } else {
-        total / count as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn locality_scores_are_finite_and_positive() {
-        let h = HilbertCurve::new(2, 6);
-        let m = MortonCurve::new(2, 6);
-        let lh = neighbor_locality(&h, 256);
-        let lm = neighbor_locality(&m, 256);
-        assert!(lh > 0.0 && lh.is_finite());
-        assert!(lm > 0.0 && lm.is_finite());
-    }
 
     #[test]
     fn hilbert_clusters_boxes_better_than_morton() {

@@ -143,7 +143,7 @@ fn boxes_descend(
 }
 
 /// Merge adjacent or overlapping spans in a sorted list, in place.
-pub fn merge_spans(spans: &mut Vec<Span>) {
+pub(crate) fn merge_spans(spans: &mut Vec<Span>) {
     debug_assert!(
         spans.windows(2).all(|w| w[0] <= w[1]),
         "spans must be sorted"

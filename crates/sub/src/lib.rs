@@ -167,23 +167,6 @@ impl SubRegistry {
         entry
     }
 
-    /// Cancel a subscription by id. Closes its sink (waking any blocked
-    /// reader with `Closed`) and removes the entry; `false` if unknown.
-    pub fn cancel(&self, id: SubId) -> bool {
-        for shard in &self.shards {
-            let mut shard = shard.lock().unwrap();
-            if let Some(pos) = shard.entries.iter().position(|e| e.id == id) {
-                let entry = shard.entries.remove(pos);
-                if let Some(sink) = entry.sink() {
-                    sink.close();
-                }
-                self.active.fetch_sub(1, Ordering::Relaxed);
-                return true;
-            }
-        }
-        false
-    }
-
     /// Every subscription a put of `(vid, version)` must consider, in
     /// registration order. Geometric overlap is still the caller's check
     /// (it has the piece box; the entry has the query box).
@@ -230,7 +213,6 @@ struct SinkState {
     lagged: u64,
     /// Fully assembled versions ever produced (delivered or dropped).
     completed: u64,
-    closed: bool,
 }
 
 /// Result of offering one producer piece to a sink.
@@ -241,9 +223,9 @@ pub enum OfferOutcome {
     /// This piece completed the version; it is now ready (possibly
     /// evicting the oldest ready version, reported separately).
     Completed,
-    /// Discarded: the sink is closed; the version was taken, given up
-    /// on or evicted; or the piece was cut in already, misses the
-    /// region, or does not fill its box.
+    /// Discarded: the version was taken, given up on or evicted; or the
+    /// piece was cut in already, misses the region, or does not fill its
+    /// box.
     Stale,
 }
 
@@ -258,8 +240,6 @@ pub enum TakeResult {
     /// Deadline passed with the version incomplete (a dropped push
     /// upstream, under chaos) — resync to heal the gap.
     TimedOut,
-    /// The subscription was cancelled.
-    Closed,
 }
 
 /// The consumer half of a subscription: producers offer pieces, the
@@ -284,7 +264,6 @@ impl SubSink {
                 evicted_max: None,
                 lagged: 0,
                 completed: 0,
-                closed: false,
             }),
             arrived: Condvar::new(),
         }
@@ -317,8 +296,7 @@ impl SubSink {
             _ => return OfferOutcome::Stale,
         };
         let mut state = self.state.lock().unwrap();
-        if state.closed
-            || state.ready.contains_key(&version)
+        if state.ready.contains_key(&version)
             || state.finished.contains(&version)
             || state.evicted_max.is_some_and(|m| version <= m)
         {
@@ -368,9 +346,6 @@ impl SubSink {
             if state.evicted_max.is_some_and(|m| version <= m) {
                 return TakeResult::Lagged;
             }
-            if state.closed {
-                return TakeResult::Closed;
-            }
             let now = Instant::now();
             if now >= deadline || state.finished.contains(&version) {
                 state.pending.remove(&version);
@@ -389,13 +364,6 @@ impl SubSink {
     /// Fully assembled versions so far (delivered or later dropped).
     pub fn completed(&self) -> u64 {
         self.state.lock().unwrap().completed
-    }
-
-    /// Close the sink: every blocked and future read returns `Closed`,
-    /// every future offer is `Stale`. Idempotent.
-    pub fn close(&self) {
-        self.state.lock().unwrap().closed = true;
-        self.arrived.notify_all();
     }
 }
 
@@ -426,16 +394,12 @@ mod tests {
     }
 
     #[test]
-    fn register_is_idempotent_and_cancel_removes() {
+    fn register_is_idempotent() {
         let reg = SubRegistry::new();
         let a = reg.register(spec(7, 2, 1));
         let b = reg.register(spec(7, 2, 1));
         assert_eq!(a.id, b.id);
         assert_eq!(reg.active(), 1);
-        assert!(reg.cancel(a.id));
-        assert!(!reg.cancel(a.id));
-        assert_eq!(reg.active(), 0);
-        assert!(reg.matching(7, 0).is_empty());
     }
 
     #[test]
@@ -517,19 +481,6 @@ mod tests {
         assert!(t0.elapsed() >= Duration::from_millis(30));
     }
 
-    #[test]
-    fn close_wakes_blocked_readers() {
-        let region = bbox(&[0], &[0]);
-        let sink = Arc::new(SubSink::new(region, 8));
-        let s = Arc::clone(&sink);
-        let t =
-            std::thread::spawn(move || s.take_version(0, Instant::now() + Duration::from_secs(30)));
-        std::thread::sleep(Duration::from_millis(10));
-        sink.close();
-        assert_eq!(t.join().unwrap(), TakeResult::Closed);
-        assert_eq!(sink.offer(0, &region, &[1.0]), OfferOutcome::Stale);
-    }
-
     /// A whole producer piece is offered and the sink cuts its overlap;
     /// a piece known by id is cut the same way, and one offered twice —
     /// a copy that landed twice — fills nothing the second time.
@@ -582,14 +533,5 @@ mod tests {
         assert_eq!(sink.take_version(2, Instant::now()), TakeResult::Lagged);
         assert_eq!(sink.offer(2, &region, &[1.0, 2.0]), OfferOutcome::Stale);
         assert_eq!(sink.completed(), 3);
-    }
-
-    #[test]
-    fn cancel_closes_attached_sink() {
-        let reg = SubRegistry::new();
-        let entry = reg.register(spec(7, 1, 1));
-        let sink = entry.attach_sink(4);
-        assert!(reg.cancel(entry.id));
-        assert_eq!(sink.take_version(0, Instant::now()), TakeResult::Closed);
     }
 }

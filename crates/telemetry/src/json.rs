@@ -62,7 +62,7 @@ impl Json {
     /// whitespace). Numbers become [`Json::U64`] when non-negative
     /// integers, [`Json::I64`] when negative integers, and
     /// [`Json::F64`] otherwise. Errors carry a byte offset. Linear in
-    /// the input; arrays and objects may nest [`MAX_DEPTH`] deep.
+    /// the input; arrays and objects may nest `MAX_DEPTH` deep.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
@@ -160,7 +160,7 @@ impl Json {
 
 /// Deepest array/object nesting [`Json::parse`] accepts. The parser
 /// recurses per level, so hostile input must not choose the stack depth.
-pub const MAX_DEPTH: usize = 128;
+pub(crate) const MAX_DEPTH: usize = 128;
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
     while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {

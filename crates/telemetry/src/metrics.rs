@@ -13,7 +13,7 @@ use std::time::Instant;
 use crate::json::Json;
 
 /// Number of histogram buckets: one for zero plus one per power of two.
-pub const HISTOGRAM_BUCKETS: usize = 65;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 65;
 
 /// A monotonically increasing counter.
 ///
@@ -97,7 +97,7 @@ impl Default for Histogram {
 
 /// Bucket index for a sample: 0 for 0, else `64 - leading_zeros`.
 #[inline]
-pub fn bucket_index(value: u64) -> usize {
+pub(crate) fn bucket_index(value: u64) -> usize {
     if value == 0 {
         0
     } else {
@@ -106,7 +106,7 @@ pub fn bucket_index(value: u64) -> usize {
 }
 
 /// Inclusive upper bound of a bucket (`2^i - 1`; bucket 0 → 0).
-pub fn bucket_upper_bound(index: usize) -> u64 {
+pub(crate) fn bucket_upper_bound(index: usize) -> u64 {
     if index == 0 {
         0
     } else if index >= 64 {
@@ -135,11 +135,6 @@ impl Histogram {
         out
     }
 
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
     fn snapshot(&self) -> HistogramSnapshot {
         let mut buckets = [0u64; HISTOGRAM_BUCKETS];
         for (slot, bucket) in buckets.iter_mut().zip(self.buckets.iter()) {
@@ -158,7 +153,7 @@ impl Histogram {
 /// Point-in-time copy of a [`Histogram`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HistogramSnapshot {
-    /// Per-bucket sample counts (see [`bucket_index`]).
+    /// Per-bucket sample counts (see `bucket_index`).
     pub buckets: [u64; HISTOGRAM_BUCKETS],
     /// Total samples.
     pub count: u64,
@@ -382,33 +377,6 @@ impl MetricsSnapshot {
             .field("gauges", gauges)
             .field("histograms", histograms)
     }
-
-    /// Render as a plain-text table (one metric per row).
-    pub fn to_table(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("{:<44} {:>16}\n", "metric", "value"));
-        out.push_str(&format!("{:-<44} {:->16}\n", "", ""));
-        for (k, v) in &self.counters {
-            out.push_str(&format!("{k:<44} {v:>16}\n"));
-        }
-        for (k, g) in &self.gauges {
-            out.push_str(&format!(
-                "{k:<44} {:>16}\n",
-                format!("{} (peak {})", g.value, g.peak)
-            ));
-        }
-        for (k, h) in &self.histograms {
-            let mean = h.mean().unwrap_or(0.0);
-            let p50 = h.quantile(0.5).unwrap_or(0);
-            let p95 = h.quantile(0.95).unwrap_or(0);
-            let p99 = h.quantile(0.99).unwrap_or(0);
-            out.push_str(&format!(
-                "{k:<44} {:>16}\n",
-                format!("n={} mean={mean:.1} p50={p50} p95={p95} p99={p99}", h.count)
-            ));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -527,10 +495,11 @@ mod tests {
         assert!(json.contains("\"gauges\""));
         assert!(json.contains("\"histograms\""));
         assert!(json.contains("\"p95\""));
-        let table = snap.to_table();
-        assert!(table.contains("a.b"));
-        assert!(table.contains("peak"));
         // Single sample 5 sits in bucket [4,8) whose bound clamps to max=5.
-        assert!(table.contains("p50=5 p95=5 p99=5"));
+        let h = &snap.histograms["lat"];
+        assert_eq!(
+            [h.quantile(0.5), h.quantile(0.95), h.quantile(0.99)],
+            [Some(5); 3]
+        );
     }
 }

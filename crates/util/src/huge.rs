@@ -34,7 +34,7 @@ mod sys {
         fn madvise(addr: *mut u8, len: usize, advice: i32) -> i32;
     }
 
-    pub fn advise_huge(start: usize, len: usize) {
+    pub(crate) fn advise_huge(start: usize, len: usize) {
         // SAFETY: `start..start + len` lies inside one live allocation
         // (see `huge_range`); MADV_HUGEPAGE changes how its pages are
         // backed, never their contents. A refusal (THP not built in)
@@ -47,7 +47,7 @@ mod sys {
 
 #[cfg(not(target_os = "linux"))]
 mod sys {
-    pub fn advise_huge(_start: usize, _len: usize) {}
+    pub(crate) fn advise_huge(_start: usize, _len: usize) {}
 }
 
 /// The whole [`HUGE_PAGE`]-aligned pages strictly inside the `len`

@@ -29,11 +29,11 @@ mod sys {
     use std::io;
     use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
 
-    pub const EPOLLIN: u32 = 0x001;
-    pub const EPOLLOUT: u32 = 0x004;
-    pub const EPOLL_CTL_ADD: i32 = 1;
-    pub const EPOLL_CTL_DEL: i32 = 2;
-    pub const EPOLL_CTL_MOD: i32 = 3;
+    pub(crate) const EPOLLIN: u32 = 0x001;
+    pub(crate) const EPOLLOUT: u32 = 0x004;
+    pub(crate) const EPOLL_CTL_ADD: i32 = 1;
+    pub(crate) const EPOLL_CTL_DEL: i32 = 2;
+    pub(crate) const EPOLL_CTL_MOD: i32 = 3;
     const CLOEXEC: i32 = 0o2000000; // EPOLL_CLOEXEC == EFD_CLOEXEC
     const EFD_NONBLOCK: i32 = 0o4000;
 
@@ -65,13 +65,13 @@ mod sys {
     }
 
     /// A new epoll instance.
-    pub fn epoll() -> io::Result<File> {
+    pub(crate) fn epoll() -> io::Result<File> {
         // SAFETY: no pointer arguments.
         owned(unsafe { epoll_create1(CLOEXEC) })
     }
 
     /// A new non-blocking eventfd.
-    pub fn wake_fd() -> io::Result<File> {
+    pub(crate) fn wake_fd() -> io::Result<File> {
         // SAFETY: no pointer arguments.
         owned(unsafe { eventfd(0, CLOEXEC | EFD_NONBLOCK) })
     }
@@ -112,19 +112,19 @@ mod sys {
     use std::fs::File;
     use std::io::{self, ErrorKind};
 
-    pub const EPOLLIN: u32 = 0;
-    pub const EPOLLOUT: u32 = 0;
-    pub const EPOLL_CTL_ADD: i32 = 0;
-    pub const EPOLL_CTL_DEL: i32 = 0;
-    pub const EPOLL_CTL_MOD: i32 = 0;
+    pub(crate) const EPOLLIN: u32 = 0;
+    pub(crate) const EPOLLOUT: u32 = 0;
+    pub(crate) const EPOLL_CTL_ADD: i32 = 0;
+    pub(crate) const EPOLL_CTL_DEL: i32 = 0;
+    pub(crate) const EPOLL_CTL_MOD: i32 = 0;
 
-    pub fn epoll() -> io::Result<File> {
+    pub(crate) fn epoll() -> io::Result<File> {
         Err(io::Error::new(
             ErrorKind::Unsupported,
             "the readiness poller needs Linux epoll",
         ))
     }
-    pub fn wake_fd() -> io::Result<File> {
+    pub(crate) fn wake_fd() -> io::Result<File> {
         epoll()
     }
     pub fn ctl<S>(_: &File, _: i32, _: &S, _: u32, _: u64) -> io::Result<()> {

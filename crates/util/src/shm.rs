@@ -36,16 +36,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Magic word at offset 0 of every segment ("INSITSHM" little-endian).
-pub const SEGMENT_MAGIC: u64 = 0x4d48_5354_4953_4e49;
+pub(crate) const SEGMENT_MAGIC: u64 = 0x4d48_5354_4953_4e49;
 
 /// Ring layout version, bumped on any incompatible header change.
-pub const RING_LAYOUT_VERSION: u64 = 1;
+pub(crate) const RING_LAYOUT_VERSION: u64 = 1;
 
 /// Header bytes before the descriptor table.
-pub const RING_HEADER_BYTES: usize = 64;
+pub(crate) const RING_HEADER_BYTES: usize = 64;
 
 /// Bytes per record descriptor.
-pub const DESC_BYTES: usize = 64;
+pub(crate) const DESC_BYTES: usize = 64;
 
 // Header field offsets (all u64 slots).
 const OFF_MAGIC: usize = 0;
@@ -72,7 +72,7 @@ mod sys {
         fn munmap(addr: *mut u8, len: usize) -> i32;
     }
 
-    pub fn map_shared(file: &File, len: usize) -> io::Result<*mut u8> {
+    pub(crate) fn map_shared(file: &File, len: usize) -> io::Result<*mut u8> {
         // SAFETY: a fresh MAP_SHARED mapping of `len` bytes over an open
         // fd; the pointer is validated against MAP_FAILED below.
         let ptr = unsafe {
@@ -91,7 +91,7 @@ mod sys {
         Ok(ptr)
     }
 
-    pub fn unmap(ptr: *mut u8, len: usize) {
+    pub(crate) fn unmap(ptr: *mut u8, len: usize) {
         // SAFETY: `ptr`/`len` came from a successful map_shared call and
         // are unmapped exactly once (from ShmMap::drop).
         unsafe {
@@ -211,7 +211,9 @@ pub struct RingMem {
 enum Backing {
     Map(Arc<ShmMap>),
     // The Vec<u64> guarantees 8-aligned storage; it is never touched
-    // through the Arc again, only through `ptr`.
+    // through the Arc again, only through `ptr`. Only tests back a ring
+    // with process-local memory.
+    #[cfg(test)]
     Heap(Arc<Vec<u64>>),
 }
 
@@ -231,7 +233,8 @@ impl RingMem {
     }
 
     /// Allocate a process-local 8-aligned region of `len` bytes.
-    pub fn heap(len: usize) -> RingMem {
+    #[cfg(test)]
+    pub(crate) fn heap(len: usize) -> RingMem {
         let words = len.div_ceil(8);
         let buf = Arc::new(vec![0u64; words]);
         RingMem {
@@ -453,16 +456,6 @@ impl Ring {
         &self.mem
     }
 
-    /// Descriptor slot count.
-    pub fn slots(&self) -> u64 {
-        self.slots
-    }
-
-    /// Arena capacity in bytes.
-    pub fn arena_len(&self) -> u64 {
-        self.arena_len
-    }
-
     fn desc_off(&self, seq: u64) -> usize {
         RING_HEADER_BYTES + (seq % self.slots) as usize * DESC_BYTES
     }
@@ -570,14 +563,8 @@ impl Ring {
     }
 
     /// Arena bytes currently allocated and not yet released.
-    pub fn in_use(&self) -> u64 {
+    pub(crate) fn in_use(&self) -> u64 {
         self.mem.read_u64(OFF_ALLOC) - self.mem.atomic(OFF_RELEASED).load(Ordering::Acquire)
-    }
-
-    /// Whether every published record has been consumed.
-    pub fn is_drained(&self) -> bool {
-        self.mem.atomic(OFF_TAIL).load(Ordering::Acquire)
-            == self.mem.atomic(OFF_HEAD).load(Ordering::Acquire)
     }
 }
 
@@ -721,6 +708,12 @@ mod tests {
         )
     }
 
+    /// Whether every published record has been consumed.
+    fn drained(ring: &Ring) -> bool {
+        ring.mem().atomic(OFF_TAIL).load(Ordering::Acquire)
+            == ring.mem().atomic(OFF_HEAD).load(Ordering::Acquire)
+    }
+
     fn desc(tag: u64) -> RecordDesc {
         RecordDesc {
             name: tag,
@@ -748,7 +741,7 @@ mod tests {
         assert_eq!(b.desc, desc(2));
         assert_eq!(ring.mem().slice(b.off, b.len), &payload(2, 24)[..]);
         assert!(ring.pop().is_none());
-        assert!(ring.is_drained());
+        assert!(drained(&ring));
     }
 
     #[test]
@@ -935,7 +928,7 @@ mod tests {
                 ring.release(rec.range);
             }
             assert_eq!(ring.in_use(), 0);
-            assert!(ring.is_drained());
+            assert!(drained(&ring));
         });
     }
 

@@ -13,16 +13,12 @@ use insitu_domain::{BoundingBox, Decomposition};
 use insitu_partition::{Graph, GraphBuilder};
 
 /// Joint ownership counts between two block-cyclic layouts of the same
-/// 1-D extent: `m[g1][g2]` = number of positions owned by coordinate `g1`
-/// of layout 1 *and* coordinate `g2` of layout 2. One sweep over block
-/// boundaries, O(extent / min(b1, b2)) steps.
-pub fn joint_dim_counts(extent: u64, b1: u64, p1: u64, b2: u64, p2: u64) -> Vec<Vec<u64>> {
-    joint_dim_counts_range(0, extent - 1, b1, p1, b2, p2)
-}
-
-/// [`joint_dim_counts`] restricted to the inclusive position window
-/// `[lo, hi]` — the per-dimension primitive of interface-region coupling.
-pub fn joint_dim_counts_range(
+/// 1-D extent, within the inclusive position window `[lo, hi]`:
+/// `m[g1][g2]` = number of positions owned by coordinate `g1` of layout 1
+/// *and* coordinate `g2` of layout 2. One sweep over block boundaries,
+/// O((hi - lo) / min(b1, b2)) steps; the window is the per-dimension
+/// primitive of interface-region coupling.
+pub(crate) fn joint_dim_counts_range(
     lo: u64,
     hi: u64,
     b1: u64,
@@ -129,19 +125,15 @@ pub fn pairwise_overlaps_region(
 }
 
 /// The inter-application communication graph of a bundle, plus the global
-/// vertex offset of each app's task 0.
+/// vertex offset of each app's task 0, with the coupling restricted to
+/// `region` (interface-region coupling); `None` couples the full shared
+/// domain.
 ///
 /// Vertex `offsets[i] + rank` is task `rank` of `apps[i]`. Edge weights
 /// are coupled bytes (`cells * elem_bytes`).
 ///
 /// # Panics
 /// Panics if any app lacks a decomposition or domains differ.
-pub fn build_inter_app_graph(apps: &[&AppSpec], elem_bytes: u64) -> (Graph, Vec<u32>) {
-    build_inter_app_graph_region(apps, elem_bytes, None)
-}
-
-/// [`build_inter_app_graph`] with the coupling restricted to `region`
-/// (interface-region coupling); `None` couples the full shared domain.
 pub fn build_inter_app_graph_region(
     apps: &[&AppSpec],
     elem_bytes: u64,
@@ -206,7 +198,7 @@ mod tests {
             (1, 4, 4, 1, 16),
             (3, 2, 2, 3, 20),
         ] {
-            let m = joint_dim_counts(extent, b1, p1, b2, p2);
+            let m = joint_dim_counts_range(0, extent - 1, b1, p1, b2, p2);
             for g1 in 0..p1 {
                 for g2 in 0..p2 {
                     let brute = (0..extent)
@@ -288,7 +280,7 @@ mod tests {
             &[1, 1],
             Distribution::Blocked,
         ));
-        let (g, off) = build_inter_app_graph(&[&a, &b], 8);
+        let (g, off) = build_inter_app_graph_region(&[&a, &b], 8, None);
         assert_eq!(g.num_vertices(), 5);
         assert_eq!(off, vec![0, 4]);
         // Consumer vertex 4 connects to all four producer tasks.
@@ -306,7 +298,7 @@ mod tests {
             .map(|i| AppSpec::new(i, format!("a{i}"), 4).with_decomposition(d))
             .collect();
         let refs: Vec<&AppSpec> = apps.iter().collect();
-        let (g, off) = build_inter_app_graph(&refs, 1);
+        let (g, off) = build_inter_app_graph_region(&refs, 1, None);
         assert_eq!(off, vec![0, 4, 8]);
         // Identical decompositions: each task couples 1:1 with its peer in
         // each other app -> degree 2.
@@ -332,6 +324,6 @@ mod tests {
             Distribution::Blocked,
         ));
         let b = AppSpec::new(2, "c", 1);
-        build_inter_app_graph(&[&a, &b], 8);
+        build_inter_app_graph_region(&[&a, &b], 8, None);
     }
 }

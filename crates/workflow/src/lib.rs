@@ -8,30 +8,29 @@
 //! each node process claims its node with a `Hello` and learns the run
 //! from the `Welcome`.
 //!
-//! * [`parser`] — the DAG description-file format of Listing 1;
+//! * `parser` — the DAG description-file format of Listing 1;
 //! * [`spec`] — applications, dependency edges, bundles and the wave
 //!   schedule;
-//! * [`comm_graph`] — inter-application communication graphs built from
+//! * `comm_graph` — inter-application communication graphs built from
 //!   declared data decompositions (closed-form overlap volumes);
-//! * [`mappers`] — one function per strategy: the packed (`round-robin`)
+//! * `mappers` — one function per strategy: the packed (`round-robin`)
 //!   and `node-cyclic` baselines, server-side data-centric mapping (graph
 //!   partitioning) and client-side data-centric mapping (follow the data);
-//! * [`groups`] — dynamic client grouping by application color, the
+//! * `groups` — dynamic client grouping by application color, the
 //!   `MPI_Comm_split` analog.
 
 #![warn(missing_docs)]
 
-pub mod authoring;
-pub mod comm_graph;
-pub mod groups;
-pub mod mappers;
-pub mod parser;
+pub(crate) mod authoring;
+pub(crate) mod comm_graph;
+pub(crate) mod groups;
+pub(crate) mod mappers;
+pub(crate) mod parser;
 pub mod spec;
 
 pub use authoring::{compile_workflow, parse_override, AuthorError, AuthoredWorkflow};
 pub use comm_graph::{
-    build_inter_app_graph, build_inter_app_graph_region, fanout_per_consumer, pairwise_overlaps,
-    pairwise_overlaps_region,
+    build_inter_app_graph_region, fanout_per_consumer, pairwise_overlaps, pairwise_overlaps_region,
 };
 pub use groups::{split_by_color, AppGroup};
 pub use mappers::{

@@ -42,17 +42,12 @@ impl CoreAllocator {
     }
 
     /// Free cores remaining on `node`.
-    pub fn free_on(&self, node: NodeId) -> u32 {
+    pub(crate) fn free_on(&self, node: NodeId) -> u32 {
         self.free[node as usize].iter().filter(|&&f| f).count() as u32
     }
 
-    /// Total free cores.
-    pub fn total_free(&self) -> u32 {
-        (0..self.spec.nodes).map(|n| self.free_on(n)).sum()
-    }
-
     /// Claim the lowest free core on `node`.
-    pub fn alloc_on(&mut self, node: NodeId) -> Option<CoreId> {
+    pub(crate) fn alloc_on(&mut self, node: NodeId) -> Option<CoreId> {
         let locals = &mut self.free[node as usize];
         let local = locals.iter().position(|&f| f)?;
         locals[local] = false;
@@ -61,7 +56,7 @@ impl CoreAllocator {
 
     /// Claim a core on the first node with space at or after `start`,
     /// cycling around.
-    pub fn alloc_cyclic_from(&mut self, start: NodeId) -> Option<CoreId> {
+    pub(crate) fn alloc_cyclic_from(&mut self, start: NodeId) -> Option<CoreId> {
         for i in 0..self.spec.nodes {
             let node = (start + i) % self.spec.nodes;
             if let Some(c) = self.alloc_on(node) {
@@ -237,6 +232,11 @@ mod tests {
     use super::*;
     use insitu_domain::{BoundingBox, Decomposition, Distribution, ProcessGrid};
 
+    /// Free cores summed over every node.
+    fn total_free(a: &CoreAllocator) -> u32 {
+        (0..a.spec.nodes).map(|n| a.free_on(n)).sum()
+    }
+
     fn blocked_app(id: u32, sizes: &[u64], procs: &[u64]) -> AppSpec {
         let ntasks: u64 = procs.iter().product();
         AppSpec::new(id, format!("a{id}"), ntasks as u32).with_decomposition(Decomposition::new(
@@ -249,7 +249,7 @@ mod tests {
     #[test]
     fn allocator_basics() {
         let mut a = CoreAllocator::new(MachineSpec::new(2, 2));
-        assert_eq!(a.total_free(), 4);
+        assert_eq!(total_free(&a), 4);
         let c0 = a.alloc_on(0).unwrap();
         assert_eq!(c0, 0);
         assert_eq!(a.free_on(0), 1);
@@ -325,7 +325,7 @@ mod tests {
             }
         }
         assert_eq!(per_node, [4, 4]);
-        assert_eq!(alloc.total_free(), 0);
+        assert_eq!(total_free(&alloc), 0);
     }
 
     #[test]

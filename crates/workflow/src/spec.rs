@@ -87,7 +87,7 @@ pub struct WorkflowSpec {
     pub edges: Vec<(u32, u32)>,
     /// Bundles of concurrently coupled applications (by app id). Apps not
     /// listed in any bundle are treated as singleton bundles by
-    /// [`WorkflowSpec::normalized_bundles`].
+    /// `WorkflowSpec::normalized_bundles`.
     pub bundles: Vec<Vec<u32>>,
 }
 
@@ -99,7 +99,7 @@ impl WorkflowSpec {
 
     /// Bundles with singleton bundles added for unbundled apps, preserving
     /// declaration order.
-    pub fn normalized_bundles(&self) -> Vec<Vec<u32>> {
+    pub(crate) fn normalized_bundles(&self) -> Vec<Vec<u32>> {
         let mut bundles = self.bundles.clone();
         let bundled: HashSet<u32> = bundles.iter().flatten().copied().collect();
         for a in &self.apps {
@@ -186,13 +186,8 @@ impl WorkflowSpec {
 
     /// Topological order of (normalized) bundles: [`Self::bundle_waves`]
     /// flattened. This is the Workflow Engine's enactment order.
-    pub fn bundle_schedule(&self) -> Result<Vec<Vec<u32>>, SpecError> {
+    pub(crate) fn bundle_schedule(&self) -> Result<Vec<Vec<u32>>, SpecError> {
         Ok(self.bundle_waves()?.into_iter().flatten().collect())
-    }
-
-    /// Total tasks across all apps.
-    pub fn total_tasks(&self) -> u32 {
-        self.apps.iter().map(|a| a.ntasks).sum()
     }
 }
 
@@ -232,7 +227,7 @@ mod tests {
         let w = online_processing();
         w.validate().unwrap();
         assert_eq!(w.bundle_schedule().unwrap(), vec![vec![1, 2]]);
-        assert_eq!(w.total_tasks(), 10);
+        assert_eq!(w.apps.iter().map(|a| a.ntasks).sum::<u32>(), 10);
     }
 
     #[test]

@@ -69,72 +69,59 @@ diff -u target/chaos-sub-run-1.txt target/chaos-sub-run-2.txt
 grep -q "sub-push=" target/chaos-sub-run-1.txt
 tail -n 1 target/chaos-sub-run-1.txt
 
-# Shm-attach chaos replay, 30 times over: two runs of one seed must
-# agree on every ring record and fallback. The tallies used to depend
-# on thread timing (a node pulling from itself raced its local put), so
-# one pass proves little; thirty in a row is the regression gate.
-echo "==> shm-attach chaos replay (seed 33, 30 rounds)"
-for round in $(seq 1 30); do
-    cargo test -q $chaos_profile -p insitu-chaos --test net_faults --offline \
-        shm_attach_chaos_replays_bit_for_bit_from_seed > target/shm-replay.txt 2>&1 \
-        || { cat target/shm-replay.txt; echo "shm-attach replay diverged in round $round"; exit 1; }
-done
-
-# Arena recycling, 10 times over: one consumer rank pulls 46 MiB through
-# an 8 MiB ring, which works only if every mapped copy hands its range
-# back the moment its version is consumed. No skew is possible with one
-# consumer, so a single ring-full fallback is a release that came late —
-# a timing dependence should show here as a flake, not as the next PR's
-# regression.
-echo "==> one-consumer arena recycling (0 fallbacks, 10 rounds)"
-for round in $(seq 1 10); do
-    cargo test -q $chaos_profile -p insitu-cli --test integration_net --offline \
-        one_consumer_recycles_the_arena_without_a_single_fallback > target/shm-recycle.txt 2>&1 \
-        || { cat target/shm-recycle.txt; echo "arena recycling fell back in round $round"; exit 1; }
-done
-
-# The 64-connection reactor soak, 30 times over: it counts the threads
-# of its own two reactors in a test binary it shares with launch and
-# hub tests, so a sibling's threads must never move its count.
-echo "==> reactor soak (64 connections, 30 rounds)"
-for round in $(seq 1 30); do
-    cargo test -q $chaos_profile -p insitu-cli --test integration_net --offline \
-        reactor_soaks_64_connections_with_constant_threads > target/reactor-soak.txt 2>&1 \
-        || { cat target/reactor-soak.txt; echo "reactor soak failed in round $round"; exit 1; }
-done
-
-# The consumption window, 30 times over: a parked producer is woken
-# only by the get that completes its version or by a changed
-# expectation, so a lost wakeup costs a whole get_timeout and should
-# show here as a flake first. The filter covers every
-# wait_version_consumed_* test, the wake count and the release tests
-# among them.
-echo "==> consumption-window wakes (30 rounds)"
-for round in $(seq 1 30); do
-    cargo test -q $chaos_profile -p insitu-cods --lib --offline \
-        space::tests::wait_version_consumed_ > target/window-wakes.txt 2>&1 \
-        || { cat target/window-wakes.txt; echo "consumption window stalled in round $round"; exit 1; }
-    grep -q "test result: ok. [1-9]" target/window-wakes.txt \
-        || { cat target/window-wakes.txt; echo "no consumption-window test ran"; exit 1; }
-done
-
-# The pull path, 30 times over: a present key is handed over inline and
-# only an absent one parks a waiter, so a key lost between the lookup
-# and the park shows here as a get_timeout-long stall. The filters cover
-# every runtime::tests::pull_many_* test (the mixed present/absent one
-# among them), the chaos pull faults and the allocation budget.
-echo "==> pull_many delivery (30 rounds)"
-for round in $(seq 1 30); do
-    cargo test -q $chaos_profile -p insitu-dart --lib --offline \
-        runtime::tests::pull_many_ > target/pull-many.txt 2>&1 \
-        || { cat target/pull-many.txt; echo "pull_many failed in round $round"; exit 1; }
-    grep -q "test result: ok. [1-9]" target/pull-many.txt \
-        || { cat target/pull-many.txt; echo "no pull_many test ran"; exit 1; }
-    cargo test -q $chaos_profile -p insitu-cods --offline \
-        --test chaos_pulls --test get_allocs > target/pull-many.txt 2>&1 \
-        || { cat target/pull-many.txt; echo "chaos pulls or the get allocation budget failed in round $round"; exit 1; }
-    [ "$(grep -c "test result: ok. [1-9]" target/pull-many.txt)" -eq 2 ] \
-        || { cat target/pull-many.txt; echo "a pull test binary ran no test"; exit 1; }
+# Stress lanes: what each row guards is timing-shaped, so one pass proves
+# little and a flake here is the regression gate. Each row is one test
+# binary and filter, run round after round; every round must pass and
+# must have run a test, so a filter that matches none fails its lane.
+#  - shm-attach replay: two runs of one seed agree on every ring record
+#    and fallback (the tallies once raced a node's pull from itself).
+#  - arena recycling: one consumer pulls 46 MiB through an 8 MiB ring,
+#    which works only if every mapped copy hands its range back the
+#    moment its version is consumed; one ring-full fallback fails it.
+#  - reactor soak: 64 connections, and the thread count of its own two
+#    reactors must not move with a sibling test's threads.
+#  - consumption window: a parked producer is woken only by the get that
+#    completes its version or a changed expectation, so a lost wakeup
+#    costs a whole get_timeout (every wait_version_consumed_* test).
+#  - pull path: a present key is handed over inline and only an absent
+#    one parks a waiter (every runtime::tests::pull_many_* test, the
+#    chaos pull faults and the get allocation budget).
+#  - JSON linearity: a wall-clock ratio read beside a parallel test run;
+#    linear reads ~16x across its 16x inputs, quadratic ~256x, and it
+#    fails above 48x.
+#  - RPC port: 1, 16 and 64 idle clients on one Service, and the thread
+#    count must not move with them, stay up after a run, or grow with a
+#    64-node budget.
+#  - hostile handshakes: garbage, silence, a hangup, a non-Hello first
+#    frame, a Hello outside the run and a second claim on a greeted node,
+#    beside a run that must complete within 5 s of its last joiner.
+#  - killed joiner: one `insitu join` child killed once every joiner is
+#    greeted; the run must fail naming that node within 10 s and the
+#    killed pid's /dev/shm segments must reap.
+stress_lanes=(
+    "30|shm-attach chaos replay (seed 33)|-p insitu-chaos --test net_faults shm_attach_chaos_replays_bit_for_bit_from_seed"
+    "10|one-consumer arena recycling (0 fallbacks)|-p insitu-cli --test integration_net one_consumer_recycles_the_arena_without_a_single_fallback"
+    "30|reactor soak (64 connections)|-p insitu-cli --test integration_net reactor_soaks_64_connections_with_constant_threads"
+    "30|consumption-window wakes|-p insitu-cods --lib space::tests::wait_version_consumed_"
+    "30|pull_many delivery|-p insitu-dart --lib runtime::tests::pull_many_"
+    "30|chaos pulls|-p insitu-cods --test chaos_pulls"
+    "30|get allocation budget|-p insitu-cods --test get_allocs"
+    "30|JSON parse linearity (64 KiB -> 1 MiB)|-p insitu-telemetry --lib json::tests::parse_time_is_linear_in_document_size"
+    "10|RPC port thread count (1/16/64 clients, a run, 2/64 nodes)|-p insitu-svc --test rpc_port"
+    "10|hostile handshakes at the hub|-p insitu-core --lib distrib::tests::stray_connections_cost_only_themselves"
+    "10|killed joiner process|-p insitu-cli --test integration_net a_killed_joiner_process_fails_its_run_by_node_within_bound"
+)
+for lane in "${stress_lanes[@]}"; do
+    IFS='|' read -r rounds label args <<< "$lane"
+    echo "==> $label ($rounds rounds)"
+    for round in $(seq 1 "$rounds"); do
+        # $args is a list of cargo arguments: split on purpose.
+        # shellcheck disable=SC2086
+        cargo test -q $chaos_profile --offline $args > target/stress-lane.txt 2>&1 \
+            || { cat target/stress-lane.txt; echo "$label failed in round $round"; exit 1; }
+        grep -q "test result: ok. [1-9]" target/stress-lane.txt \
+            || { cat target/stress-lane.txt; echo "$label ran no test"; exit 1; }
+    done
 done
 
 # Large buffers are born on huge pages: an 8 MiB `fill_field` and an
@@ -170,51 +157,6 @@ cargo test -q $chaos_profile -p insitu-core --lib --offline exec::tests:: \
 grep -q "test result: ok. [1-9]" target/field-kernels.txt \
     || { cat target/field-kernels.txt; echo "no field kernel test ran"; exit 1; }
 grep -o "field kernel: [a-z0-9]*" target/field-kernels.txt
-
-# The JSON parser's linearity check, 30 times over: a wall-clock ratio
-# read beside a parallel test run, so one pass proves little. Linear
-# reads ~16x across its 16x inputs, quadratic ~256x; it fails above 48x.
-echo "==> JSON parse linearity (64 KiB -> 1 MiB, 30 rounds)"
-for round in $(seq 1 30); do
-    cargo test -q $chaos_profile -p insitu-telemetry --lib --offline \
-        json::tests::parse_time_is_linear_in_document_size > target/json-linear.txt 2>&1 \
-        || { cat target/json-linear.txt; echo "JSON parse went superlinear in round $round"; exit 1; }
-done
-
-# The service's RPC port, 10 times over: 1, 16 and 64 idle clients on
-# one Service, and the process's thread count must not move with them,
-# nor stay up after a completed run, nor grow with a 64-node budget.
-echo "==> RPC port thread count (1/16/64 clients, a run, 2/64 nodes, 10 rounds)"
-for round in $(seq 1 10); do
-    cargo test -q $chaos_profile -p insitu-svc --test rpc_port --offline > target/rpc-port.txt 2>&1 \
-        || { cat target/rpc-port.txt; echo "RPC port thread count moved in round $round"; exit 1; }
-done
-
-# Stray connections at the hub's port, 10 times over: garbage, a silent
-# socket, a hangup, a non-Hello first frame, a Hello outside the run and
-# a second claim on a greeted node, all beside a run that must complete
-# within 5 s of its last joiner. The silent row is timing-shaped, so one
-# pass proves little.
-echo "==> hostile handshakes at the hub (10 rounds)"
-for round in $(seq 1 10); do
-    cargo test -q $chaos_profile -p insitu-core --lib --offline \
-        distrib::tests::stray_connections_cost_only_themselves > target/hub-strays.txt 2>&1 \
-        || { cat target/hub-strays.txt; echo "a stray connection cost the run in round $round"; exit 1; }
-done
-
-# A killed joiner process, 10 times over: `insitu join` children of an
-# in-process server, one killed once every joiner is greeted. The run
-# must fail naming that node within 10 s (get_timeout is 60 s) and the
-# killed pid's /dev/shm segments must reap. The kill lands at a moment
-# of the run that varies with scheduling, so one pass proves little.
-echo "==> killed joiner process (10 rounds)"
-for round in $(seq 1 10); do
-    cargo test -q $chaos_profile -p insitu-cli --test integration_net --offline \
-        a_killed_joiner_process_fails_its_run_by_node_within_bound > target/killed-joiner.txt 2>&1 \
-        || { cat target/killed-joiner.txt; echo "a killed joiner did not fail its run in round $round"; exit 1; }
-    grep -q "test result: ok. [1-9]" target/killed-joiner.txt \
-        || { cat target/killed-joiner.txt; echo "no killed-joiner test ran"; exit 1; }
-done
 
 # Critical-path profile of the two-app *_cont example on the threaded
 # executor. The chrome trace (one slice per flight event + put->pull
@@ -377,6 +319,14 @@ long=$(find crates/cods/src crates/net/src -name '*.rs' ! -path crates/net/src/f
 if [[ -n "$long" ]]; then
     echo "$long"; echo "a cods/net source file is over 1200 lines"; exit 1
 fi
+
+# The public surface is what another crate uses: a `pub fn` under
+# crates/*/src that no other crate, test, example, bin or benchmark/src
+# names is `pub(crate)` at most, and once narrowed the compiler reports
+# it if nothing in its own crate calls it either. The check prints its
+# allow-list.
+echo "==> public surface (every pub fn is named outside its crate)"
+python3 scripts/pub_surface.py
 
 # Modeled regression check: the modeled executor is deterministic, so
 # its critical-path profile is diffed byte for byte against the
