@@ -1,10 +1,10 @@
 //! Conversion between `f64` field data and raw byte buffers.
 //!
-//! CoDS stores registered buffers as raw bytes ([`bytes::Bytes`]); the
+//! CoDS stores registered buffers as raw bytes ([`Bytes`]); the
 //! applications' field data is `f64`. A `put` stages its array without a
 //! copy: [`FieldData::into_bytes`] adopts the vector (or a retained
-//! `HugeCells` array) through a byte view of its cells, so the staged
-//! buffer is 8-aligned by construction. Every
+//! `HugeCells` piece of its producer's slab) through a byte view of its
+//! cells, so the staged buffer is 8-aligned by construction. Every
 //! other registered buffer is too: the wire lands a payload in an
 //! exact-size allocation, and shared memory in an 8-aligned arena record.
 //! Nothing decodes: [`f64s_of_bytes`] reinterprets a landed buffer in
@@ -95,15 +95,16 @@ impl From<Vec<f64>> for FieldData {
     }
 }
 
-/// Copies the cells once, for a caller that keeps its array.
-/// A retained array born on aligned huge pages is handed over whole: it
-/// is 8-aligned and exactly its cells, so it is a view already.
+/// A retained piece carved from its producer's slab is handed over
+/// whole: it is 8-aligned and exactly its cells, so it is a view
+/// already, and it keeps the slab alive while it is staged.
 impl From<HugeCells> for FieldData {
     fn from(cells: HugeCells) -> FieldData {
         FieldData::View(Bytes::from_owner(cells))
     }
 }
 
+/// Copies the cells once, for a caller that keeps its array.
 impl From<&[f64]> for FieldData {
     fn from(s: &[f64]) -> FieldData {
         FieldData::Owned(copy_cells(s))

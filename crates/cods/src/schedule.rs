@@ -275,11 +275,6 @@ impl ScheduleCache {
         self.map.lock().unwrap().insert((var, *query), schedule);
     }
 
-    /// Invalidate everything (e.g. after a re-decomposition).
-    pub fn clear(&self) {
-        self.map.lock().unwrap().clear();
-    }
-
     /// `(hits, misses)` counters.
     pub fn stats(&self) -> (u64, u64) {
         (self.hits.get(), self.misses.get())
@@ -515,8 +510,6 @@ mod tests {
         assert!(c.lookup(1, &q).is_some());
         assert!(c.lookup(2, &q).is_none());
         assert_eq!(c.stats(), (1, 2));
-        c.clear();
-        assert!(c.lookup(1, &q).is_none());
     }
 
     /// Cells covered by a list of ops, as a multiset-free set (ops never

@@ -18,11 +18,11 @@
 //!
 //! The operators live in four files, one per seam:
 //!
-//! - [`ops`] — `put_*` / `get_*` and the schedule execution behind them;
-//! - [`lifetime`] — how long a version lives: the consumption window,
+//! - `ops` — `put_*` / `get_*` and the schedule execution behind them;
+//! - `lifetime` — how long a version lives: the consumption window,
 //!   pulled-copy cleanup, staging accounting and eviction;
-//! - [`subs`] — standing queries, the push plane fed from `put`;
-//! - [`replica`] — what a distributed run replicates between processes
+//! - `subs` — standing queries, the push plane fed from `put`;
+//! - `replica` — what a distributed run replicates between processes
 //!   (out through the runtime's transport, `apply_remote_*` in).
 
 mod lifetime;
@@ -107,6 +107,17 @@ pub enum CodsError {
         /// Configured per-node limit.
         limit: u64,
     },
+    /// A producer rank's staging for a sequential coupling could not be
+    /// reserved before its first put: the size overflows the address
+    /// space, or the allocator refused it.
+    StagingReserve {
+        /// Variable name.
+        var: String,
+        /// Producer rank.
+        rank: u64,
+        /// Bytes asked for (saturated at `u128::MAX`).
+        bytes: u128,
+    },
 }
 
 impl std::fmt::Display for CodsError {
@@ -154,6 +165,10 @@ impl std::fmt::Display for CodsError {
             CodsError::StagingFull { node, used, limit } => {
                 write!(f, "node {node} staging full: {used} of {limit} bytes used")
             }
+            CodsError::StagingReserve { var, rank, bytes } => write!(
+                f,
+                "cannot reserve {bytes} bytes to stage var {var:?} on producer rank {rank}"
+            ),
         }
     }
 }

@@ -7,7 +7,7 @@
 //! `Relay` frames, runs the wave barriers and merges the final per-node
 //! reports. Every other process calls [`join`] — it rebuilds the *same*
 //! execution state from the `Welcome` frame (scenario text, strategy,
-//! get timeout) via [`crate::exec`], runs only the tasks its node
+//! get timeout) through the crate-private `exec` module, runs only the tasks its node
 //! hosts, and ships everything that crosses processes through an
 //! [`insitu_net::NetLink`].
 //!

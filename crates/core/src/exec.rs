@@ -24,7 +24,7 @@ use insitu_fabric::{ClientId, Placement, TrafficClass, TransferLedger};
 use insitu_sfc::HilbertCurve;
 use insitu_sub::{SubSpec, TakeResult};
 use insitu_telemetry::Recorder;
-use insitu_util::{on_huge_pages, Bytes, HugeCells, HUGE_PAGE};
+use insitu_util::{on_huge_pages, Bytes, HugeCells, HugeSlab, HUGE_PAGE};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -107,27 +107,68 @@ fn row_seeds(var: u64, version: u64, bbox: &BoundingBox) -> impl Iterator<Item =
 /// The dense row-major array of `bbox` holding [`field_value`] at every
 /// cell, bit for bit, generated a row at a time into a buffer born on
 /// huge pages (a `put` adopts it as the staged piece, unless
-/// [`fill_piece`] gives a retained piece an aligned array of its own).
+/// [`fill_piece`] carves a retained piece from its producer's slab).
 pub fn fill_field(var: u64, version: u64, bbox: &BoundingBox) -> Vec<f64> {
     let mut out = on_huge_pages(Vec::with_capacity(bbox.num_cells() as usize));
     fill_rows(&mut out, var, version, bbox);
     out
 }
 
-/// The cells a producer stages for `bbox`: [`fill_field`]'s array, or —
-/// for a `retained` piece (a sequential coupling's, staged until its
-/// consumer bundle runs) that holds a whole huge page — the same cells
-/// filled straight into a [`HugeCells`] array, so every whole huge page
-/// of it is born advised. A transient piece stays a `Vec`, whose memory
-/// malloc hands back warm for the next one.
-pub fn fill_piece(var: u64, version: u64, bbox: &BoundingBox, retained: bool) -> FieldData {
-    let cells = bbox.num_cells() as usize;
-    if !retained || cells.saturating_mul(std::mem::size_of::<f64>()) < HUGE_PAGE {
+/// The cells a producer stages for `bbox`: with a `slab` (its
+/// sequential staging, [`staging_slab`]) the same cells as
+/// [`fill_field`], filled straight into the slab's next range; without
+/// one, [`fill_field`]'s array.
+///
+/// # Panics
+/// Panics if `slab` has no room left for `bbox`.
+pub fn fill_piece(
+    var: u64,
+    version: u64,
+    bbox: &BoundingBox,
+    slab: Option<&mut HugeSlab>,
+) -> FieldData {
+    let Some(slab) = slab else {
         return fill_field(var, version, bbox).into();
-    }
-    let mut out = HugeCells::with_capacity(cells);
+    };
+    let mut out = slab.carve(bbox.num_cells() as usize);
     fill_rows(&mut out, var, version, bbox);
     out.into()
+}
+
+/// Where producer `rank`'s pieces of a sequential coupling of `var` are
+/// born: one [`HugeSlab`] with room for every one of `pieces` in each of
+/// `versions` versions, which [`fill_piece`] carves in put order, so the
+/// tail of one piece and the head of the next share a huge page. The
+/// pieces stay staged until their consumer bundle runs, and the slab is
+/// freed when the last of them drops. `None` when that room holds no
+/// whole huge page: those pieces stay [`fill_field`]'s `Vec`s, whose
+/// memory malloc hands back warm.
+///
+/// # Errors
+/// [`CodsError::StagingReserve`] when the size overflows or the
+/// allocator refuses it, before the coupling's first put.
+pub fn staging_slab(
+    var: &str,
+    rank: u64,
+    pieces: &[BoundingBox],
+    versions: u64,
+) -> Result<Option<HugeSlab>, CodsError> {
+    let cells = pieces
+        .iter()
+        .try_fold(0u128, |sum, p| sum.checked_add(p.num_cells()))
+        .and_then(|sum| sum.checked_mul(u128::from(versions)));
+    let bytes = cells.and_then(|c| c.checked_mul(std::mem::size_of::<f64>() as u128));
+    if bytes.is_some_and(|b| b < HUGE_PAGE as u128) {
+        return Ok(None);
+    }
+    let slab = cells
+        .and_then(|c| usize::try_from(c).ok())
+        .and_then(HugeSlab::reserve);
+    slab.map(Some).ok_or_else(|| CodsError::StagingReserve {
+        var: var.to_string(),
+        rank,
+        bytes: bytes.unwrap_or(u128::MAX),
+    })
 }
 
 /// Append [`field_value`] at every cell of `bbox` to `out`, in row-major
@@ -186,7 +227,7 @@ impl CellRows for HugeCells {
 
 /// Compare every cell of `data` (the dense array of `bbox`) for exact
 /// equality with [`field_value`]; returns the number of cells that differ.
-/// Like [`fill_rows`], it runs on the host's widest vectors.
+/// Like [`fill_field`], it runs on the host's widest vectors.
 ///
 /// # Panics
 /// Panics if `data` is not `bbox.num_cells()` long.
@@ -548,7 +589,10 @@ fn task_routine(ctx: TaskCtx) {
     // Producer role: one put sequence per iteration (version). For
     // concurrent couplings every rank holds version v+1 back until every
     // consumer get of v-1 has completed, so staging carries two versions
-    // — the in-memory window a long-running simulation needs.
+    // — the in-memory window a long-running simulation needs. A
+    // sequential coupling stages all of its versions, born in one slab
+    // reserved up front; a failed reservation fails the coupling as a
+    // failed first put would.
     'producer: for coupling in &env.scenario.couplings {
         if coupling.producer_app != ctx.app {
             continue;
@@ -561,9 +605,17 @@ fn task_routine(ctx: TaskCtx) {
             CodsSpace::put_seq
         };
         let pieces = dec.rank_region(ctx.rank);
+        let reserved = if coupling.concurrent {
+            Ok(None)
+        } else {
+            staging_slab(var, ctx.rank, &pieces, env.scenario.iterations)
+        };
+        let Ok(mut slab) = reserved.map_err(|e| ctx.note_error(e)) else {
+            continue 'producer;
+        };
         for version in 0..env.scenario.iterations {
             for (pi, piece) in pieces.iter().enumerate() {
-                let data = fill_piece(vid, version, piece, !coupling.concurrent);
+                let data = fill_piece(vid, version, piece, slab.as_mut());
                 let res = put(
                     &env.space, client, ctx.app, var, version, pi as u64, piece, data,
                 );
@@ -741,8 +793,8 @@ mod tests {
             assert_eq!(bits(&portable), want, "portable Vec, box {b:?}");
             assert_eq!(bits(&dispatched), want, "{} Vec, box {b:?}", instance());
 
-            let mut portable = HugeCells::with_capacity(cells);
-            let mut dispatched = HugeCells::with_capacity(cells);
+            let mut slab = HugeSlab::reserve(2 * cells).unwrap();
+            let (mut portable, mut dispatched) = (slab.carve(cells), slab.carve(cells));
             fill_rows_body(&mut portable, var, version, &b);
             fill_rows(&mut dispatched, var, version, &b);
             assert_eq!(bits(&portable), want, "portable HugeCells, box {b:?}");
@@ -794,6 +846,40 @@ mod tests {
             data[nan] = f64::NAN;
             assert_eq!(count(&data), hit.len() as u64, "box {b:?}, hit {hit:?}");
         });
+    }
+
+    #[test]
+    fn a_staging_reservation_that_cannot_be_made_is_a_named_error() {
+        // One x-slab of `coupled3` at n = 96: 1 769 472 bytes a version.
+        let slab = BoundingBox::from_sizes(&[24, 96, 96]);
+        let reserve = |versions| staging_slab("pressure", 3, &[slab], versions);
+        let refused = |bytes| CodsError::StagingReserve {
+            var: "pressure".into(),
+            rank: 3,
+            bytes,
+        };
+        // K x cells overflows the address space: refused by name before
+        // anything is allocated.
+        let err = reserve(u64::MAX).err().unwrap();
+        assert_eq!(err, refused(1_769_472 * u128::from(u64::MAX)));
+        let msg = err.to_string();
+        assert!(
+            msg.contains("\"pressure\"") && msg.contains("rank 3"),
+            "{msg}"
+        );
+        // 2^27 versions, 216 TiB, fits a `usize` but no address space:
+        // the allocator refuses it.
+        assert_eq!(reserve(1 << 27).err(), Some(refused(1_769_472 << 27)));
+        // Bytes past `u128` are named as its saturated maximum.
+        let vast = BoundingBox::from_sizes(&[1 << 63, 1 << 63]);
+        assert_eq!(
+            staging_slab("pressure", 3, &[vast, vast], 4).err(),
+            Some(refused(u128::MAX))
+        );
+        // Under a whole huge page no slab is made; one version more is.
+        assert!(reserve(0).unwrap().is_none());
+        assert!(reserve(1).unwrap().is_none());
+        assert!(reserve(2).unwrap().is_some());
     }
 
     /// [`field_value`] of the `i`-th cell of `b` in row-major order.

@@ -70,8 +70,8 @@ pub use scenario::{
     Scenario, SubscriptionSpec,
 };
 pub use threaded::{
-    field_value, fill_field, fill_piece, run_threaded, run_threaded_configured, verify_field,
-    ThreadedConfig, ThreadedOutcome,
+    field_value, fill_field, fill_piece, run_threaded, run_threaded_configured, staging_slab,
+    verify_field, ThreadedConfig, ThreadedOutcome,
 };
 
 // Re-export the substrate crates so downstream users need one dependency.

@@ -7,8 +7,8 @@
 //! against the deterministic field function, so a passing run certifies
 //! the whole redistribution pipeline end to end.
 //!
-//! The state construction and the per-task routine live in
-//! [`crate::exec`], shared with the multi-process
+//! The state construction and the per-task routine live in the
+//! crate-private `exec` module, shared with the multi-process
 //! [`distrib`](crate::distrib) runner; this module is the single-process
 //! wave engine on top.
 
@@ -23,7 +23,7 @@ use insitu_util::Bytes;
 use std::time::Duration;
 
 pub(crate) use crate::exec::TAG_COLLECTIVE_BASE;
-pub use crate::exec::{field_value, fill_field, fill_piece, verify_field};
+pub use crate::exec::{field_value, fill_field, fill_piece, staging_slab, verify_field};
 
 /// Results of a threaded run.
 #[derive(Clone, Debug)]

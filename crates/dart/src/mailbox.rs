@@ -18,10 +18,10 @@ pub struct Msg {
     pub payload: Bytes,
 }
 
-/// One client's inbox plus the send sides of all inboxes.
+/// One client's inbox. Its send sides are the runtime's: they live as
+/// long as the runtime does.
 pub struct Mailbox {
     rx: Receiver<Msg>,
-    tx: Sender<Msg>,
 }
 
 impl Mailbox {
@@ -32,8 +32,8 @@ impl Mailbox {
         let mut senders = Vec::with_capacity(n as usize);
         for _ in 0..n {
             let (tx, rx) = mpsc::channel();
-            senders.push(tx.clone());
-            boxes.push(Mailbox { rx, tx });
+            senders.push(tx);
+            boxes.push(Mailbox { rx });
         }
         (boxes, senders)
     }
@@ -44,11 +44,6 @@ impl Mailbox {
     /// Panics if every sender is dropped (runtime torn down mid-receive).
     pub fn recv(&self) -> Msg {
         self.rx.recv().expect("mailbox senders dropped")
-    }
-
-    /// A sender for this mailbox (used when constructing runtimes).
-    pub fn sender(&self) -> Sender<Msg> {
-        self.tx.clone()
     }
 }
 

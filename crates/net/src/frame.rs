@@ -859,7 +859,8 @@ impl FrameDecoder {
     }
 
     /// Bytes buffered but not yet decoded.
-    pub fn pending(&self) -> usize {
+    #[cfg(test)]
+    fn pending(&self) -> usize {
         self.buf.len() - self.pos + self.bulk.as_ref().map_or(0, |b| PULL_DATA_HEAD + b.1.len())
     }
 

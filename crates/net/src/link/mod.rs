@@ -8,7 +8,7 @@
 //! listener and every direct peer connection live on its event-loop
 //! thread, and every frame leaves through `ReactorHandle::send`. What
 //! the `Welcome` decides is HybridDART's one choice per peer node, the
-//! [`DataPath`]: on which connection frames for that node leave, and
+//! `DataPath`: on which connection frames for that node leave, and
 //! what carries a pull answer's payload. It is computed once, in
 //! [`NetLink::new`]; everything below reads it.
 //!
@@ -185,7 +185,7 @@ impl NetLink {
     /// node and cores-per-node counts).
     ///
     /// `peers` and `hosts` are the `Welcome`'s address and host
-    /// fingerprint tables, from which every peer node's [`DataPath`] is
+    /// fingerprint tables, from which every peer node's `DataPath` is
     /// decided here, once. With an empty `peers` (star routing)
     /// `listener` is simply dropped; otherwise it is this process's own
     /// peer listener, already bound to the address it advertised in its

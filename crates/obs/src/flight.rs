@@ -2,7 +2,7 @@
 //!
 //! [`FlightRecorder`] mirrors the telemetry `Recorder` facade: it is a
 //! thin `Option<Arc<..>>`, cheap to clone, and every operation on a
-//! disabled recorder is a no-op. Events land in one of [`SHARDS`]
+//! disabled recorder is a no-op. Events land in one of `SHARDS` (16)
 //! mutex-protected vectors selected by the event's track, so producer
 //! and consumer threads rarely contend on the same lock. Each shard is
 //! bounded; once full, *new* events are counted as dropped and

@@ -14,13 +14,17 @@
 //! concurrent piece, an assembly, a decoded payload) is a `Vec` advised
 //! by [`on_huge_pages`]: malloc hands its memory back warm for the next
 //! one, but it rarely starts on a 2 MiB boundary, so only the whole
-//! pages inside it are advised. A retained buffer (a sequential piece,
-//! staged until its consumer bundle runs) is a [`HugeCells`]: allocated
-//! on a 2 MiB boundary, so every whole huge page of it is advised.
+//! pages inside it are advised. Retained buffers (a producer's
+//! sequential pieces, staged until their consumer bundle runs) are
+//! [`HugeCells`] carved back to back from one [`HugeSlab`]: the slab
+//! starts on a 2 MiB boundary, so every whole huge page of it is
+//! advised, and consecutive pieces share the pages where one ends and
+//! the next begins. The slab is freed when its last piece drops.
 
 use std::alloc::{self, Layout};
 use std::mem::MaybeUninit;
 use std::ptr::NonNull;
+use std::sync::Arc;
 
 /// The platform's huge-page size (a PMD on x86-64 and on aarch64 with
 /// 4 KiB base pages).
@@ -82,48 +86,115 @@ fn advise(addr: usize, len: usize) {
     }
 }
 
-/// A fixed-capacity array of `f64` cells whose storage starts on a
+/// One allocation of `f64` cells on a [`HUGE_PAGE`] boundary, advised
+/// `MADV_HUGEPAGE` before its first write. It is freed when the last
+/// [`HugeSlab`] or [`HugeCells`] holding it drops.
+struct Slab {
+    base: NonNull<f64>,
+    layout: Layout,
+}
+
+// SAFETY: `base` is the only pointer to an allocation this value owns
+// outright, and `layout` is a plain value; the cells are written only
+// through the disjoint ranges `HugeSlab::carve` hands out, each owned
+// by one `HugeCells`, and the allocation may be freed on any thread.
+unsafe impl Send for Slab {}
+// SAFETY: through `&Slab` nothing reads or writes the cells; `base` is
+// only copied, to carve a range.
+unsafe impl Sync for Slab {}
+
+impl Drop for Slab {
+    fn drop(&mut self) {
+        // SAFETY: allocated in `HugeSlab::reserve` with this very layout.
+        unsafe { alloc::dealloc(self.base.as_ptr().cast::<u8>(), self.layout) }
+    }
+}
+
+/// Room for a run of retained pieces in one allocation that starts on a
 /// [`HUGE_PAGE`] boundary and was advised `MADV_HUGEPAGE` before its
-/// first write, so every whole huge page of it faults once.
+/// first write, handed out front to back by [`HugeSlab::carve`].
 ///
-/// This is the birth site of retained staging: the piece a sequential
-/// `put` stages lives until its consumer bundle runs, so its memory is
-/// always fresh, and an unaligned `Vec` of 4 MiB would leave half of it
-/// on base pages. Filled with [`Extend`] or a row at a time with
+/// This is the birth site of retained staging: a sequential `put`'s
+/// pieces live until their consumer bundle runs, so their memory is
+/// always fresh. Carved back to back from one slab, the tail of one
+/// piece and the head of the next share a huge page, so a piece smaller
+/// than a huge page is born on huge pages too. The memory is freed when
+/// the slab and every piece carved from it have dropped.
+pub struct HugeSlab {
+    slab: Arc<Slab>,
+    cap: usize,
+    next: usize,
+}
+
+impl HugeSlab {
+    /// Room for `cells` cells, advised onto huge pages and not yet
+    /// touched; `None` when that size overflows the address space or the
+    /// allocator refuses it.
+    pub fn reserve(cells: usize) -> Option<HugeSlab> {
+        let size = cells.max(1).checked_mul(std::mem::size_of::<f64>())?;
+        let layout = Layout::from_size_align(size, HUGE_PAGE).ok()?;
+        // SAFETY: the layout's size is nonzero (at least one cell).
+        let raw = unsafe { alloc::alloc(layout) };
+        let base = NonNull::new(raw.cast::<f64>())?;
+        advise(raw as usize, size);
+        Some(HugeSlab {
+            slab: Arc::new(Slab { base, layout }),
+            cap: cells,
+            next: 0,
+        })
+    }
+
+    /// The next `cells` cells of the slab, right after the last range
+    /// carved, as an empty [`HugeCells`] of that capacity.
+    ///
+    /// # Panics
+    /// Panics if fewer than `cells` cells are left.
+    pub fn carve(&mut self, cells: usize) -> HugeCells {
+        assert!(
+            cells <= self.cap - self.next,
+            "HugeSlab of {} cells has {} left, {cells} asked",
+            self.cap,
+            self.cap - self.next
+        );
+        // SAFETY: `next + cells <= cap`, so the range lies inside the
+        // allocation, and no earlier carve reached past `next`.
+        let start = unsafe { self.slab.base.add(self.next) };
+        self.next += cells;
+        HugeCells {
+            _slab: Arc::clone(&self.slab),
+            cells: start,
+            len: 0,
+            cap: cells,
+        }
+    }
+}
+
+/// A fixed-capacity array of `f64` cells carved from a [`HugeSlab`]:
+/// it holds its slab, so the slab's memory lives as long as any piece
+/// of it does.
+///
+/// Filled with [`Extend`] or a row at a time with
 /// [`HugeCells::extend_row`] (writing past the capacity panics), read
 /// as `[f64]`, and adopted as a `Bytes` owner through its
 /// `AsRef<[u8]>` cell bytes.
 pub struct HugeCells {
+    _slab: Arc<Slab>,
     cells: NonNull<f64>,
     len: usize,
     cap: usize,
 }
 
-// SAFETY: `cells` is the only pointer to an allocation this value owns
-// outright, as `Vec<f64>` owns its buffer, and `len` and `cap` are plain
-// numbers; moving it to another thread moves all of it.
+// SAFETY: `cells` points at a range of the slab that no other value
+// reaches (`HugeSlab::carve` hands each range out once), as `Vec<f64>`
+// owns its buffer; `_slab` is an `Arc` of a `Send + Sync` slab that
+// keeps the range allocated, and `len` and `cap` are plain numbers.
+// Moving it to another thread moves all of it.
 unsafe impl Send for HugeCells {}
 // SAFETY: through `&HugeCells` the cells are only read (`Deref`,
 // `AsRef`); every write takes `&mut self`.
 unsafe impl Sync for HugeCells {}
 
 impl HugeCells {
-    /// An empty array with room for `cap` cells, advised onto huge
-    /// pages and not yet touched.
-    ///
-    /// # Panics
-    /// Panics if `cap` cells overflow the address space.
-    pub fn with_capacity(cap: usize) -> HugeCells {
-        let layout = Self::layout(cap);
-        // SAFETY: the layout's size is nonzero (at least one cell).
-        let raw = unsafe { alloc::alloc(layout) };
-        let Some(cells) = NonNull::new(raw.cast::<f64>()) else {
-            alloc::handle_alloc_error(layout)
-        };
-        advise(raw as usize, layout.size());
-        HugeCells { cells, len: 0, cap }
-    }
-
     /// Append one row of `n` cells, `cell(i)` for `i` in `0..n`, with
     /// one capacity check for the whole row: the loop that writes it
     /// has nothing else to branch on, so it vectorizes.
@@ -138,9 +209,9 @@ impl HugeCells {
             self.cap
         );
         // SAFETY: `len + n <= cap`, so the `n` slots past `len` lie
-        // inside the allocation and are not yet part of the cells;
-        // viewed as `MaybeUninit` they need no initialization to be
-        // written.
+        // inside this array's range of the slab and are not yet part of
+        // the cells; viewed as `MaybeUninit` they need no initialization
+        // to be written.
         let row = unsafe {
             std::slice::from_raw_parts_mut(
                 self.cells.as_ptr().add(self.len).cast::<MaybeUninit<f64>>(),
@@ -151,15 +222,6 @@ impl HugeCells {
             slot.write(cell(i));
         }
         self.len += n;
-    }
-
-    /// The allocation of `cap` cells: at least one, on a huge-page
-    /// boundary.
-    fn layout(cap: usize) -> Layout {
-        cap.max(1)
-            .checked_mul(std::mem::size_of::<f64>())
-            .and_then(|size| Layout::from_size_align(size, HUGE_PAGE).ok())
-            .expect("HugeCells capacity overflows the address space")
     }
 }
 
@@ -175,7 +237,7 @@ impl std::ops::Deref for HugeCells {
     type Target = [f64];
 
     fn deref(&self) -> &[f64] {
-        // SAFETY: the first `len` cells were written by `extend`.
+        // SAFETY: the first `len` cells were written by `extend_row`.
         unsafe { std::slice::from_raw_parts(self.cells.as_ptr(), self.len) }
     }
 }
@@ -186,13 +248,6 @@ impl AsRef<[u8]> for HugeCells {
         // SAFETY: the written cells, viewed as bytes: every `f64` bit
         // pattern is valid as bytes, and the view borrows `self`.
         unsafe { std::slice::from_raw_parts(self.cells.as_ptr().cast::<u8>(), bytes) }
-    }
-}
-
-impl Drop for HugeCells {
-    fn drop(&mut self) {
-        // SAFETY: allocated in `with_capacity` with this very layout.
-        unsafe { alloc::dealloc(self.cells.as_ptr().cast::<u8>(), Self::layout(self.cap)) }
     }
 }
 
@@ -280,10 +335,15 @@ mod tests {
         assert!(v.is_empty());
     }
 
+    /// An array of `cap` cells carved from a slab of its own.
+    fn cells(cap: usize) -> HugeCells {
+        HugeSlab::reserve(cap).unwrap().carve(cap)
+    }
+
     #[test]
     fn huge_cells_start_on_a_huge_page_and_hold_what_was_written() {
         for cap in [0, 1, 3 * MIB / 8, 4 * MIB / 8, 5 * MIB / 8 + 3] {
-            let mut cells = HugeCells::with_capacity(cap);
+            let mut cells = cells(cap);
             assert_eq!(cells.as_ptr() as usize % HUGE_PAGE, 0, "{cap} cells");
             assert!(cells.is_empty());
             cells.extend((0..cap / 2).map(|i| i as f64));
@@ -301,25 +361,64 @@ mod tests {
     }
 
     #[test]
+    fn carved_ranges_follow_one_another_and_outlive_the_slab_handle() {
+        // Three pieces of 0.75 MiB back to back from the slab's aligned
+        // start: the second straddles a huge page.
+        let n = 3 * MIB / 32;
+        let mut slab = HugeSlab::reserve(3 * n).unwrap();
+        let mut pieces: Vec<HugeCells> = (0..3).map(|_| slab.carve(n)).collect();
+        assert!(slab.carve(0).is_empty());
+        drop(slab);
+        let base = pieces[0].as_ptr() as usize;
+        assert_eq!(base % HUGE_PAGE, 0);
+        for (k, piece) in pieces.iter_mut().enumerate() {
+            assert_eq!(piece.as_ptr() as usize, base + k * n * 8, "piece {k}");
+            piece.extend((0..n).map(|i| (k * n + i) as f64));
+        }
+        for (k, piece) in pieces.iter().enumerate() {
+            let want = (0..n).map(|i| (k * n + i) as f64);
+            assert!(piece.iter().copied().eq(want), "piece {k}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "HugeSlab of 10 cells has 4 left, 5 asked")]
+    fn carving_past_the_slab_panics() {
+        let mut slab = HugeSlab::reserve(10).unwrap();
+        let _first = slab.carve(6);
+        slab.carve(5);
+    }
+
+    #[test]
+    fn a_slab_the_address_space_cannot_hold_is_refused() {
+        assert!(HugeSlab::reserve(usize::MAX).is_none());
+        assert!(HugeSlab::reserve(usize::MAX / 8).is_none());
+        assert!(HugeSlab::reserve(isize::MAX as usize / 8 - 10).is_none());
+        // 1 PiB fits a `Layout` but no process's address space: the
+        // allocator refuses it rather than aborting.
+        assert!(HugeSlab::reserve(1 << 47).is_none());
+    }
+
+    #[test]
     fn rows_land_where_cells_would() {
         let (cap, n) = (3 * MIB / 8, 1001);
-        let mut rows = HugeCells::with_capacity(cap);
-        let mut cells = HugeCells::with_capacity(cap);
+        let mut rows = cells(cap);
+        let mut each = cells(cap);
         for start in (0..cap).step_by(n) {
             let n = n.min(cap - start);
             rows.extend_row(n, |i| (start + i) as f64 * 0.25);
-            cells.extend((start..start + n).map(|i| i as f64 * 0.25));
+            each.extend((start..start + n).map(|i| i as f64 * 0.25));
         }
         rows.extend_row(0, |_| unreachable!());
         assert_eq!(rows.len(), cap);
         let bits = |c: &HugeCells| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&rows), bits(&cells));
+        assert_eq!(bits(&rows), bits(&each));
     }
 
     #[test]
     #[should_panic(expected = "HugeCells full at 4 cells")]
     fn a_row_past_the_capacity_panics_before_writing() {
-        let mut cells = HugeCells::with_capacity(4);
+        let mut cells = cells(4);
         cells.extend_row(2, |i| i as f64);
         cells.extend_row(3, |_| panic!("a cell was written past the room"));
     }
@@ -327,6 +426,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "HugeCells full at 4 cells")]
     fn writing_past_the_capacity_panics() {
-        HugeCells::with_capacity(4).extend((0..5).map(f64::from));
+        // The slab has room past this array; the array's own capacity
+        // is what stops the write.
+        HugeSlab::reserve(8)
+            .unwrap()
+            .carve(4)
+            .extend((0..5).map(f64::from));
     }
 }

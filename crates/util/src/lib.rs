@@ -17,9 +17,10 @@
 //! - [`shm`] — file-backed shared-memory mappings and the SPSC
 //!   descriptor ring of the intra-host data plane (replaces `memmap2`
 //!   with a minimal self-declared `mmap` shim);
-//! - [`on_huge_pages`] and [`HugeCells`] — the birth sites of the data
-//!   path's large cell buffers (transient and retained), advised onto
-//!   transparent huge pages before their first touch.
+//! - [`on_huge_pages`] and [`HugeSlab`] — the birth sites of the data
+//!   path's large cell buffers (transient, and retained [`HugeCells`]
+//!   carved from one slab), advised onto transparent huge pages before
+//!   their first touch.
 
 #![warn(missing_docs)]
 
@@ -31,6 +32,6 @@ pub mod rng;
 pub mod shm;
 
 pub use bytes::Bytes;
-pub use huge::{on_huge_pages, HugeCells, HUGE_PAGE};
+pub use huge::{on_huge_pages, HugeCells, HugeSlab, HUGE_PAGE};
 pub use poller::Poller;
 pub use rng::SplitMix64;

@@ -20,6 +20,11 @@ run() {
 
 run cargo fmt --all -- --check
 run cargo clippy --workspace --all-targets --offline -- -D warnings
+# Every intra-doc link resolves, and none from a public item's docs
+# reaches a private one.
+echo "==> rustdoc (no broken or private intra-doc links)"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
+    cargo doc --workspace --no-deps --offline -q
 if [[ $quick -eq 0 ]]; then
     run cargo build --release --workspace --offline
 fi
@@ -129,25 +134,30 @@ done
 # entry reads `THPeligible: 1` (0 where the host's THP mode is
 # `[never]`; the tests print which branch ran), a 4 MiB sequential put
 # must stage bytes on a 2 MiB boundary whose first and last MiB read
-# the same, the aligned fill must be `fill_field` bit for bit, dropped
-# aligned arrays must give their memory back, and the helper's range
-# arithmetic never reaches outside a buffer. Each of the four binaries
+# the same, two versions of a 1.77 MB sequential piece must sit back to
+# back in one aligned slab and share its first huge page, the slab fill
+# must be `fill_field` bit for bit, dropped aligned arrays must give
+# their memory back, a slab must keep its memory while any piece of it
+# lives and give it back with the last, and the helper's range
+# arithmetic never reaches outside a buffer. Each of the five binaries
 # must run a test: a filter that matches none is a failure.
-echo "==> buffers born on huge pages (THPeligible of an 8 MiB fill and get, aligned staging)"
+echo "==> buffers born on huge pages (THPeligible of an 8 MiB fill and get, slab staging)"
 cargo test -q $chaos_profile -p insitu-core -p insitu-cods --test huge_pages --offline \
     -- --nocapture > target/huge-pages.txt 2>&1 \
     && cargo test -q $chaos_profile -p insitu-util --lib --offline huge::tests:: \
     >> target/huge-pages.txt 2>&1 \
     && cargo test -q $chaos_profile -p insitu-util --test huge_rss --offline \
     -- --nocapture >> target/huge-pages.txt 2>&1 \
+    && cargo test -q $chaos_profile -p insitu-util --test huge_slab_rss --offline \
+    -- --nocapture >> target/huge-pages.txt 2>&1 \
     || { cat target/huge-pages.txt; echo "a buffer was not born on huge pages"; exit 1; }
-[ "$(grep -c "test result: ok. [1-9]" target/huge-pages.txt)" -eq 4 ] \
+[ "$(grep -c "test result: ok. [1-9]" target/huge-pages.txt)" -eq 5 ] \
     || { cat target/huge-pages.txt; echo "a huge-page test binary ran no test"; exit 1; }
 grep "THP mode" target/huge-pages.txt
 
 # The field kernels: the portable body and the instance this host
 # dispatches to (AVX-512 F/DQ/VL where detected) fill `field_value` bit
-# for bit on every vector tail, into a `Vec` and a `HugeCells` alike,
+# for bit on every vector tail, into a `Vec` and a slab's `HugeCells` alike,
 # and count exactly the corrupted cells. The log names the instance
 # that ran; a filter that matches no test is a failure.
 echo "==> field kernels (portable and dispatched instances, bit for bit)"
