@@ -2,36 +2,25 @@
 //!
 //! CoDS stores registered buffers as raw bytes ([`Bytes`]); the
 //! applications' field data is `f64`. A `put` stages its array without a
-//! copy: [`FieldData::into_bytes`] adopts the vector (or a retained
-//! `HugeCells` piece of its producer's slab) through a byte view of its
-//! cells, so the staged buffer is 8-aligned by construction. Every
-//! other registered buffer is too: the wire lands a payload in an
-//! exact-size allocation, and shared memory in an 8-aligned arena record.
-//! Nothing decodes: [`f64s_of_bytes`] reinterprets a landed buffer in
-//! place — the one check a `get` makes before reading it — and
-//! [`FieldData`] lets a `get` return either an owned assembly buffer or a
-//! zero-copy view of a single staged piece.
+//! copy: [`FieldData::into_bytes`] adopts the vector (as a [`Recycled`]
+//! owner, which hands it back to the wave's pool when the staged piece
+//! drops, or a retained `HugeCells` piece of its producer's slab)
+//! through a byte view of its cells, so the staged buffer is 8-aligned
+//! by construction. Every other registered buffer is too: the wire lands
+//! a payload in an exact-size allocation, and shared memory in an
+//! 8-aligned arena record. Nothing decodes: [`f64s_of_bytes`]
+//! reinterprets a landed buffer in place — the one check a `get` makes
+//! before reading it — and [`FieldData`] lets a `get` return either an
+//! owned assembly buffer or a zero-copy view of a single staged piece.
 
-use insitu_util::{on_huge_pages, Bytes, HugeCells};
+use insitu_util::{Bytes, HugeCells, Recycled};
 
 /// Size of one field element.
 pub const ELEM_BYTES: usize = std::mem::size_of::<f64>();
 
-/// A producer's cells as a [`Bytes`] owner: the buffer is the vector.
-struct Cells(Vec<f64>);
-
-impl AsRef<[u8]> for Cells {
-    fn as_ref(&self) -> &[u8] {
-        let (cells, len) = (self.0.as_ptr().cast::<u8>(), self.0.len() * ELEM_BYTES);
-        // SAFETY: any `f64` bit pattern is valid as bytes, and the view
-        // borrows the vector, which lives as long as the owner.
-        unsafe { std::slice::from_raw_parts(cells, len) }
-    }
-}
-
-/// `cells` copied once into a buffer born on huge pages.
-fn copy_cells(cells: &[f64]) -> Vec<f64> {
-    let mut out = on_huge_pages(Vec::with_capacity(cells.len()));
+/// `cells` copied once into a recycled buffer.
+fn copy_cells(cells: &[f64]) -> Recycled<f64> {
+    let mut out = Recycled::with_capacity(cells.len());
     out.extend_from_slice(cells);
     out
 }
@@ -56,8 +45,9 @@ pub fn f64s_of_bytes(b: &[u8]) -> Option<&[f64]> {
 /// query. Derefs to `[f64]` either way.
 #[derive(Clone)]
 pub enum FieldData {
-    /// Assembled into a dedicated buffer.
-    Owned(Vec<f64>),
+    /// Assembled into a dedicated buffer, or a producer's array; back
+    /// to the wave's pool when it drops.
+    Owned(Recycled<f64>),
     /// Zero-copy view of one staged piece, or the retained array a
     /// sequential `put` hands over (kept alive by the refcount;
     /// invariant: aligned and sized for `f64` reinterpretation).
@@ -74,15 +64,15 @@ impl FieldData {
     /// view).
     pub fn into_vec(self) -> Vec<f64> {
         match self {
-            FieldData::Owned(v) => v,
-            FieldData::View(b) => copy_cells(f64s_of_bytes(&b).expect("view invariant")),
+            FieldData::Owned(v) => v.into_vec(),
+            FieldData::View(b) => copy_cells(f64s_of_bytes(&b).expect("view invariant")).into_vec(),
         }
     }
 
     /// The cells as 8-aligned staged bytes, without copying.
     pub fn into_bytes(self) -> Bytes {
         match self {
-            FieldData::Owned(v) => Bytes::from_owner(Cells(v)),
+            FieldData::Owned(v) => Bytes::from_owner(v),
             FieldData::View(b) => b,
         }
     }
@@ -91,7 +81,7 @@ impl FieldData {
 /// Adopts the vector (no copy).
 impl From<Vec<f64>> for FieldData {
     fn from(v: Vec<f64>) -> FieldData {
-        FieldData::Owned(v)
+        FieldData::Owned(Recycled::from(v))
     }
 }
 
@@ -232,7 +222,7 @@ mod tests {
         let d = FieldData::View(staged(&v));
         assert_eq!(d, v);
         assert_eq!(d.len(), 3);
-        assert_eq!(FieldData::Owned(v.clone()), d);
+        assert_eq!(FieldData::from(v.clone()), d);
         assert_eq!(d.clone().into_vec(), v);
         assert_eq!(Vec::from(d), v);
     }

@@ -48,6 +48,10 @@ pub struct Dht {
     core_clients: Vec<ClientId>,
     interval: u128,
     tables: Vec<Mutex<Table>>,
+    /// [`Dht::cores_for`] of every box asked so far: a piece's box
+    /// repeats every version, and its span walk costs far more than a
+    /// lookup. Bounded by the run's distinct piece and query boxes.
+    cores: Mutex<HashMap<BoundingBox, Vec<usize>>>,
 }
 
 impl Dht {
@@ -68,6 +72,7 @@ impl Dht {
             core_clients,
             interval,
             tables,
+            cores: Mutex::new(HashMap::new()),
         }
     }
 
@@ -97,8 +102,19 @@ impl Dht {
         spans_of_box(self.curve.as_ref(), bbox)
     }
 
-    /// Distinct DHT cores responsible for any part of `bbox`, ascending.
+    /// Distinct DHT cores responsible for any part of `bbox`, ascending:
+    /// walked once per box, then remembered.
     pub(crate) fn cores_for(&self, bbox: &BoundingBox) -> Vec<usize> {
+        if let Some(cores) = self.cores.lock().unwrap().get(bbox) {
+            return cores.clone();
+        }
+        let cores = self.walk_cores(bbox);
+        self.cores.lock().unwrap().insert(*bbox, cores.clone());
+        cores
+    }
+
+    /// [`Dht::cores_for`] by walking `bbox`'s index spans.
+    fn walk_cores(&self, bbox: &BoundingBox) -> Vec<usize> {
         let mut cores = Vec::new();
         for s in self.spans_for(bbox) {
             let first = self.core_of_index(s.first);
@@ -413,6 +429,32 @@ mod tests {
         assert!(d.remove_version(var_id("g"), 0) > 0);
         let (entries, _) = d.query(var_id("g"), 0, &b);
         assert!(entries.is_empty());
+    }
+
+    #[test]
+    fn remembered_cores_are_the_span_walks() {
+        insitu_util::check::forall(64, |rng| {
+            let dims = rng.range_usize(1, 4);
+            let order = rng.range_u32(1, 6);
+            let ncores = rng.range_u32(1, 9);
+            let d = Dht::new(
+                Box::new(HilbertCurve::new(dims, order)),
+                (0..ncores).collect(),
+            );
+            let side = 1u64 << order;
+            let boxes: Vec<BoundingBox> = (0..8)
+                .map(|_| {
+                    let lb: Vec<u64> = (0..dims).map(|_| rng.range_u64(0, side)).collect();
+                    let ub: Vec<u64> = lb.iter().map(|&l| rng.range_u64(l, side)).collect();
+                    BoundingBox::new(&lb, &ub)
+                })
+                .collect();
+            // Twice over, so every box is asked once unremembered and
+            // then remembered, some of them more than once.
+            for b in boxes.iter().chain(&boxes) {
+                assert_eq!(d.cores_for(b), d.walk_cores(b), "{b:?}");
+            }
+        });
     }
 
     #[test]

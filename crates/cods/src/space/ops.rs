@@ -10,7 +10,7 @@ use insitu_domain::layout::copy_region;
 use insitu_domain::{BoundingBox, Decomposition};
 use insitu_fabric::{ClientId, FaultKind, Locality, TrafficClass};
 use insitu_obs::{Event, EventKind, LinkClass};
-use insitu_util::on_huge_pages;
+use insitu_util::Recycled;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
@@ -368,12 +368,12 @@ impl CodsSpace {
             .map(|op| buf_key(vid, version, op.src_client, op.piece))
             .collect();
         let zero_copy = schedule.ops.len() == 1 && schedule.ops[0].piece_box == *query;
-        // `calloc` hands fresh pages over untouched: the advice lands
-        // before the first copy faults them.
-        let mut out: Vec<f64> = if zero_copy {
-            Vec::new()
+        // The schedule covers the query, so the copies write every cell:
+        // a recycled buffer is not zeroed first.
+        let mut out = if zero_copy {
+            Recycled::default()
         } else {
-            on_huge_pages(vec![0.0; cells])
+            Recycled::for_overwrite(cells)
         };
         let mut view: Option<insitu_util::Bytes> = None;
         let mut malformed: Option<CodsError> = None;

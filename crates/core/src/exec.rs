@@ -24,7 +24,7 @@ use insitu_fabric::{ClientId, Placement, TrafficClass, TransferLedger};
 use insitu_sfc::HilbertCurve;
 use insitu_sub::{SubSpec, TakeResult};
 use insitu_telemetry::Recorder;
-use insitu_util::{on_huge_pages, Bytes, HugeCells, HugeSlab, HUGE_PAGE};
+use insitu_util::{Bytes, HugeCells, HugeSlab, PoolLease, Recycled, HUGE_PAGE};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -105,11 +105,11 @@ fn row_seeds(var: u64, version: u64, bbox: &BoundingBox) -> impl Iterator<Item =
 }
 
 /// The dense row-major array of `bbox` holding [`field_value`] at every
-/// cell, bit for bit, generated a row at a time into a buffer born on
-/// huge pages (a `put` adopts it as the staged piece, unless
-/// [`fill_piece`] carves a retained piece from its producer's slab).
+/// cell, bit for bit, generated a row at a time into a recycled buffer
+/// (a `put` adopts it as the staged piece, unless [`fill_piece`] carves
+/// a retained piece from its producer's slab).
 pub fn fill_field(var: u64, version: u64, bbox: &BoundingBox) -> Vec<f64> {
-    let mut out = on_huge_pages(Vec::with_capacity(bbox.num_cells() as usize));
+    let mut out = Recycled::with_capacity(bbox.num_cells() as usize).into_vec();
     fill_rows(&mut out, var, version, bbox);
     out
 }
@@ -141,8 +141,8 @@ pub fn fill_piece(
 /// tail of one piece and the head of the next share a huge page. The
 /// pieces stay staged until their consumer bundle runs, and the slab is
 /// freed when the last of them drops. `None` when that room holds no
-/// whole huge page: those pieces stay [`fill_field`]'s `Vec`s, whose
-/// memory malloc hands back warm.
+/// whole huge page: those pieces stay [`fill_field`]'s buffers, which
+/// the wave's pool hands back warm.
 ///
 /// # Errors
 /// [`CodsError::StagingReserve`] when the size overflows or the
@@ -458,8 +458,11 @@ impl ExecEnv {
 
     /// Run the given tasks on real threads (one per task, 512 KiB
     /// stacks) and join them; a task's panic propagates. Each task's
-    /// dispatch message must already sit in its client's mailbox.
+    /// dispatch message must already sit in its client's mailbox. The
+    /// wave holds the buffer pool open ([`PoolLease`]), so its transient
+    /// pieces, assemblies and landed payloads are handed back warm.
     pub(crate) fn run_tasks(&self, tasks: &[(u32, u64)]) {
+        let _lease = PoolLease::hold();
         let task_us = &self.dart.recorder().histogram("exec.task_us");
         std::thread::scope(|scope| {
             for &(app, rank) in tasks {

@@ -26,7 +26,7 @@
 use insitu_domain::BoundingBox;
 use insitu_fabric::{FaultKind, LedgerSnapshot, Locality, TrafficClass};
 use insitu_obs::{Event, EventKind, LinkClass};
-use insitu_util::on_huge_pages;
+use insitu_util::Recycled;
 use std::io::{Read, Write};
 
 /// Protocol revision; bumped on any incompatible codec change.
@@ -885,7 +885,7 @@ impl FrameDecoder {
                 // it, and is copied out.
                 let want = total - PULL_DATA_HEAD;
                 let have = &rest[PULL_DATA_HEAD..rest.len().min(total)];
-                let mut payload = on_huge_pages(Vec::with_capacity(want));
+                let mut payload = Recycled::with_capacity(want).into_vec();
                 payload.extend_from_slice(have);
                 self.copied += 2 * have.len() as u64;
                 self.pos += PULL_DATA_HEAD + have.len();
@@ -1018,7 +1018,7 @@ impl Wire for Vec<u8> {
     fn take(c: &mut &[u8]) -> Result<Self, FrameError> {
         let n = u32::take(c)? as usize;
         let bytes = take(c, n)?;
-        let mut out = on_huge_pages(Vec::with_capacity(n));
+        let mut out = Recycled::with_capacity(n).into_vec();
         out.extend_from_slice(bytes);
         Ok(out)
     }

@@ -48,7 +48,7 @@ use insitu_domain::BoundingBox;
 use insitu_fabric::{ClientId, FaultInjector, MachineSpec};
 use insitu_obs::{Event, EventKind, FlightRecorder, LinkClass};
 use insitu_util::shm::RecordDesc;
-use insitu_util::Bytes;
+use insitu_util::{Bytes, Recycled};
 use std::collections::HashSet;
 use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -489,7 +489,7 @@ impl NetLink {
                     Msg {
                         src,
                         tag,
-                        payload: Bytes::from(payload),
+                        payload: Bytes::from_owner(Recycled::from(payload)),
                     },
                 );
             }
@@ -525,8 +525,10 @@ impl NetLink {
                     version,
                     piece,
                 };
-                // The vector is the one the socket read filled.
-                self.land(key, owner, Bytes::from(data), Carrier::Wire, t0);
+                // The vector is the one the socket read filled; it goes
+                // back to the wave's pool when the piece is dropped.
+                let data = Bytes::from_owner(Recycled::from(data));
+                self.land(key, owner, data, Carrier::Wire, t0);
             }
             Frame::ShmOffer {
                 src_node,

@@ -11,10 +11,10 @@
 //! buffer is simply left on base pages.
 //!
 //! Two births, by how long a buffer lives. A transient buffer (a
-//! concurrent piece, an assembly, a decoded payload) is a `Vec` advised
-//! by [`on_huge_pages`]: malloc hands its memory back warm for the next
-//! one, but it rarely starts on a 2 MiB boundary, so only the whole
-//! pages inside it are advised. Retained buffers (a producer's
+//! concurrent piece, an assembly, a decoded payload) that the wave's
+//! pool cannot hand back warm (`crate::Recycled`) is a `Vec` advised by
+//! [`on_huge_pages`]: it rarely starts on a 2 MiB boundary, so only the
+//! whole pages inside it are advised. Retained buffers (a producer's
 //! sequential pieces, staged until their consumer bundle runs) are
 //! [`HugeCells`] carved back to back from one [`HugeSlab`]: the slab
 //! starts on a 2 MiB boundary, so every whole huge page of it is
@@ -69,11 +69,11 @@ fn huge_range(addr: usize, len: usize) -> Option<(usize, usize)> {
 /// that holds no whole aligned huge page is returned untouched, and no
 /// byte outside the buffer is ever advised.
 ///
-/// This is the birth site of the data path's large transient buffers:
+/// This is how `crate::Recycled` makes a transient buffer on a miss:
 /// the filled field a concurrent `put` stages, a `get`'s assembly
 /// buffer, `FieldData`'s copies and the bulk tail a decoded frame lands
 /// in (a `PullData` payload, a `Relay` message).
-pub fn on_huge_pages<T>(fresh: Vec<T>) -> Vec<T> {
+pub(crate) fn on_huge_pages<T>(fresh: Vec<T>) -> Vec<T> {
     let bytes = fresh.capacity().saturating_mul(std::mem::size_of::<T>());
     advise(fresh.as_ptr() as usize, bytes);
     fresh

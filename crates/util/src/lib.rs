@@ -17,10 +17,11 @@
 //! - [`shm`] — file-backed shared-memory mappings and the SPSC
 //!   descriptor ring of the intra-host data plane (replaces `memmap2`
 //!   with a minimal self-declared `mmap` shim);
-//! - [`on_huge_pages`] and [`HugeSlab`] — the birth sites of the data
-//!   path's large cell buffers (transient, and retained [`HugeCells`]
-//!   carved from one slab), advised onto transparent huge pages before
-//!   their first touch.
+//! - [`Recycled`] and [`HugeSlab`] — the birth sites of the data path's
+//!   large cell and payload buffers, advised onto transparent huge pages
+//!   before their first touch: a transient buffer is handed back warm to
+//!   the next one of its length while a [`PoolLease`] is held, and
+//!   retained [`HugeCells`] are carved from one slab.
 
 #![warn(missing_docs)]
 
@@ -28,10 +29,12 @@ pub mod bytes;
 pub mod check;
 mod huge;
 pub mod poller;
+mod recycle;
 pub mod rng;
 pub mod shm;
 
 pub use bytes::Bytes;
-pub use huge::{on_huge_pages, HugeCells, HugeSlab, HUGE_PAGE};
+pub use huge::{HugeCells, HugeSlab, HUGE_PAGE};
 pub use poller::Poller;
+pub use recycle::{PoolLease, Recyclable, Recycled};
 pub use rng::SplitMix64;

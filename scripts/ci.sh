@@ -138,9 +138,10 @@ done
 # back in one aligned slab and share its first huge page, the slab fill
 # must be `fill_field` bit for bit, dropped aligned arrays must give
 # their memory back, a slab must keep its memory while any piece of it
-# lives and give it back with the last, and the helper's range
-# arithmetic never reaches outside a buffer. Each of the five binaries
-# must run a test: a filter that matches none is a failure.
+# lives and give it back with the last, leased waves of recycled 8 MiB
+# buffers must give theirs back when the last lease drops, and the
+# helper's range arithmetic never reaches outside a buffer. Each of the
+# six binaries must run a test: a filter that matches none is a failure.
 echo "==> buffers born on huge pages (THPeligible of an 8 MiB fill and get, slab staging)"
 cargo test -q $chaos_profile -p insitu-core -p insitu-cods --test huge_pages --offline \
     -- --nocapture > target/huge-pages.txt 2>&1 \
@@ -150,8 +151,10 @@ cargo test -q $chaos_profile -p insitu-core -p insitu-cods --test huge_pages --o
     -- --nocapture >> target/huge-pages.txt 2>&1 \
     && cargo test -q $chaos_profile -p insitu-util --test huge_slab_rss --offline \
     -- --nocapture >> target/huge-pages.txt 2>&1 \
+    && cargo test -q $chaos_profile -p insitu-util --test recycle_rss --offline \
+    -- --nocapture >> target/huge-pages.txt 2>&1 \
     || { cat target/huge-pages.txt; echo "a buffer was not born on huge pages"; exit 1; }
-[ "$(grep -c "test result: ok. [1-9]" target/huge-pages.txt)" -eq 5 ] \
+[ "$(grep -c "test result: ok. [1-9]" target/huge-pages.txt)" -eq 6 ] \
     || { cat target/huge-pages.txt; echo "a huge-page test binary ran no test"; exit 1; }
 grep "THP mode" target/huge-pages.txt
 
@@ -305,17 +308,20 @@ fi
 if grep -rn 'percentile(' crates --include=*.rs | grep -v '^crates/obs/src/profile.rs:'; then
     echo "a percentile is computed outside the profile"; exit 1
 fi
-# A large cell buffer is born through `insitu_util::on_huge_pages`
-# alone: outside its tests, a birth-site file allocates no zeroed,
-# reserved or copied buffer any other way. (The subscription sink's
-# assembly in crates/sub/src/lib.rs is not one of them yet: `insitu-sub`
-# reaching `insitu-util` would rewrite benchmark/Cargo.lock; ROADMAP
-# item 4.)
+# A transient cell or payload buffer is born and given back through
+# `insitu_util::Recycled` alone: outside its tests, a birth-site file
+# allocates no zeroed, reserved or copied buffer any other way (not
+# even through `on_huge_pages`, which is the recycler's miss path), and
+# the link lands no decoded payload as a plain `Bytes` that would free
+# it instead of handing it back. (The subscription sink's assembly in
+# crates/sub/src/lib.rs is not one of them yet: `insitu-sub` reaching
+# `insitu-util` would rewrite benchmark/Cargo.lock; ROADMAP item 4.)
 for birth in crates/core/src/exec.rs crates/cods/src/space/ops.rs crates/cods/src/codec.rs \
-    crates/net/src/frame.rs; do
-    if sed '/^#\[cfg(test)\]/,$d' "$birth" \
-        | grep -nE 'vec!\[0(\.0)?;|Vec::with_capacity\(|\.to_vec\(\)' | grep -v 'on_huge_pages('; then
-        echo "$birth allocates a cell buffer outside on_huge_pages"; exit 1
+    crates/net/src/frame.rs crates/net/src/link/mod.rs; do
+    born='vec!\[0(\.0)?;|Vec::with_capacity\(|\.to_vec\(\)|on_huge_pages\('
+    [[ $birth == */link/mod.rs ]] && born='Bytes::from\('
+    if sed '/^mod tests {/,$d' "$birth" | grep -nE "$born"; then
+        echo "$birth allocates or lands a cell or payload buffer outside Recycled"; exit 1
     fi
 done
 # One file decides which instruction set a kernel runs on: the field
