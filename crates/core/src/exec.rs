@@ -18,8 +18,9 @@ use crate::scenario::Scenario;
 use crate::threaded::ThreadedConfig;
 use insitu_cods::{var_id, CodsConfig, CodsError, CodsSpace, Dht, FieldData, GetReport, SubHandle};
 use insitu_dart::{DartRuntime, LocalTransport, Transport};
+use insitu_domain::layout::RowWalk;
 use insitu_domain::stencil::halo_exchanges;
-use insitu_domain::{BoundingBox, Decomposition};
+use insitu_domain::{BoundingBox, Decomposition, MAX_DIMS};
 use insitu_fabric::{ClientId, Placement, TrafficClass, TransferLedger};
 use insitu_sfc::HilbertCurve;
 use insitu_sub::{SubSpec, TakeResult};
@@ -89,19 +90,24 @@ fn field_unit(h: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// [`field_value`]'s hash state after the leading coordinates of each
-/// row (run along the last dimension) of `bbox`, in row-major order.
-/// The row kernels below finish it with one [`field_mix`] per cell.
-fn row_seeds(var: u64, version: u64, bbox: &BoundingBox) -> impl Iterator<Item = u64> {
-    let last = bbox.ndim() - 1;
-    // The first cell of every row: `bbox` with its last dim collapsed.
-    let mut ub = bbox.upper();
-    ub[last] = bbox.lb(last);
-    let heads = BoundingBox::new(&bbox.lower()[..=last], &ub[..=last]);
-    let seed = field_seed(var, version);
-    heads
-        .iter_points()
-        .map(move |p| p[..last].iter().fold(seed, |h, &c| field_mix(h, c)))
+/// Hand `row` [`field_value`]'s hash state after the leading
+/// coordinates of each row (run along the last dimension) of `bbox`, in
+/// row-major order; the row kernels below finish it with one
+/// [`field_mix`] per cell. One partial state per leading dimension: a
+/// row re-mixes only the coordinates from the outermost one that moved.
+/// The rows are walked here, not through an iterator, so the whole loop
+/// nest inlines into each kernel instance.
+#[inline(always)]
+fn for_each_row_seed(var: u64, version: u64, bbox: &BoundingBox, mut row: impl FnMut(u64)) {
+    let (last, lb) = (bbox.ndim() - 1, bbox.lower());
+    let mut rows = RowWalk::new(bbox, last);
+    let mut partial = [field_seed(var, version); MAX_DIMS];
+    while let Some(moved) = rows.next() {
+        for dim in moved..last {
+            partial[dim + 1] = field_mix(partial[dim], lb[dim] + rows.pos(dim));
+        }
+        row(partial[last]);
+    }
 }
 
 /// The dense row-major array of `bbox` holding [`field_value`] at every
@@ -200,9 +206,9 @@ unsafe fn fill_rows_avx512(out: &mut impl CellRows, var: u64, version: u64, bbox
 fn fill_rows_body(out: &mut impl CellRows, var: u64, version: u64, bbox: &BoundingBox) {
     let last = bbox.ndim() - 1;
     let (lb, n) = (bbox.lb(last), bbox.extent(last) as usize);
-    for seed in row_seeds(var, version, bbox) {
+    for_each_row_seed(var, version, bbox, |seed| {
         out.push_row(n, |i| field_unit(field_mix(seed, lb + i as u64)));
-    }
+    });
 }
 
 /// A destination [`fill_rows`] appends a whole row to at once, so the
@@ -255,14 +261,15 @@ unsafe fn verify_rows_avx512(var: u64, version: u64, bbox: &BoundingBox, data: &
 #[inline(always)]
 fn verify_rows_body(var: u64, version: u64, bbox: &BoundingBox, data: &[f64]) -> u64 {
     let last = bbox.ndim() - 1;
-    let lb = bbox.lb(last);
-    let rows = data.chunks_exact(bbox.extent(last) as usize);
+    let (lb, n) = (bbox.lb(last), bbox.extent(last) as usize);
+    let mut rows = data.chunks_exact(n);
     let mut differ = 0;
-    for (seed, row) in row_seeds(var, version, bbox).zip(rows) {
+    for_each_row_seed(var, version, bbox, |seed| {
+        let row = rows.next().expect("one row of data per row of the box");
         for (i, &got) in row.iter().enumerate() {
             differ += u64::from(got != field_unit(field_mix(seed, lb + i as u64)));
         }
-    }
+    });
     differ
 }
 
@@ -761,11 +768,13 @@ mod tests {
     }
 
     /// A random 1–4-D box whose last extent runs 1–33, so rows end on
-    /// every possible vector tail.
+    /// every possible vector tail, and whose leading extents run 1–6, so
+    /// a row's carry chains through up to three leading dims, extent-1
+    /// dims among them.
     fn arb_row_box(rng: &mut insitu_util::SplitMix64) -> BoundingBox {
         let nd = rng.range_usize(1, 5);
         let lb: Vec<u64> = (0..nd).map(|_| rng.range_u64(0, 1 << 40)).collect();
-        let mut ub: Vec<u64> = lb.iter().map(|&l| l + rng.range_u64(0, 4)).collect();
+        let mut ub: Vec<u64> = lb.iter().map(|&l| l + rng.range_u64(0, 6)).collect();
         ub[nd - 1] = lb[nd - 1] + rng.range_u64(0, 33);
         BoundingBox::new(&lb, &ub)
     }

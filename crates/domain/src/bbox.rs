@@ -150,6 +150,7 @@ impl BoundingBox {
     }
 
     /// Total number of lattice cells in the box.
+    #[inline]
     pub fn num_cells(&self) -> u128 {
         (0..self.ndim()).map(|d| self.extent(d) as u128).product()
     }
@@ -161,6 +162,7 @@ impl BoundingBox {
     }
 
     /// Whether `other` lies entirely inside `self`.
+    #[inline]
     pub fn contains_box(&self, other: &BoundingBox) -> bool {
         debug_assert_eq!(self.ndim, other.ndim);
         (0..self.ndim()).all(|d| self.lb[d] <= other.lb[d] && other.ub[d] <= self.ub[d])

@@ -28,7 +28,7 @@ pub fn linear_index(bbox: &BoundingBox, p: &[u64]) -> usize {
 /// `region` must be contained in both boxes. The trailing dimensions over
 /// which `region` spans both boxes fold into one contiguous run copied
 /// with `copy_from_slice`; the remaining leading dimensions are walked by
-/// stride.
+/// a [`RowWalk`], each run's offsets stepping by stride.
 ///
 /// # Panics
 /// Panics if `region` is not contained in both boxes or if array lengths
@@ -55,8 +55,6 @@ pub fn copy_region<T: Copy>(
 
     let ndim = region.ndim();
     let lo = region.lower();
-    let s = linear_index(src_box, &lo[..ndim]);
-    let d = linear_index(dst_box, &lo[..ndim]);
 
     // Fold every trailing dim the region spans in both boxes into the
     // contiguous run; dims [0, outer) are left to walk.
@@ -72,34 +70,114 @@ pub fn copy_region<T: Copy>(
         run *= region.extent(outer) as usize;
     }
 
-    // Per walked dim: the region's extent and both arrays' strides.
-    let mut steps = [(0u64, 0usize, 0usize); MAX_DIMS];
+    // Both arrays' strides of every dim.
+    let mut strides = [(0usize, 0usize); MAX_DIMS];
     let (mut s_stride, mut d_stride) = (1, 1);
     for dim in (0..ndim).rev() {
-        steps[dim] = (region.extent(dim), s_stride, d_stride);
+        strides[dim] = (s_stride, d_stride);
         s_stride *= src_box.extent(dim) as usize;
         d_stride *= dst_box.extent(dim) as usize;
     }
 
-    walk(src, dst, &steps[..outer], s, d, run);
+    // The innermost walked dim is a plain loop of `runs` runs one stride
+    // apart, so the walk below steps once per plane of runs, not around
+    // every `memcpy` call. It walks the dims before that one, and
+    // `heads[dim]` holds both offsets with the dims before `dim` at their
+    // positions and the rest at the region's corner, so a plane
+    // re-derives only the heads from the dim that moved.
+    let inner = outer.saturating_sub(1);
+    let runs = if outer == 0 { 1 } else { region.extent(inner) };
+    let (s_run, d_run) = strides[inner];
+    let mut heads = [(0, 0); MAX_DIMS];
+    heads[0] = (
+        linear_index(src_box, &lo[..ndim]),
+        linear_index(dst_box, &lo[..ndim]),
+    );
+    let mut planes = RowWalk::new(region, inner);
+    while let Some(moved) = planes.next() {
+        for dim in moved..inner {
+            let (i, (s_step, d_step)) = (planes.pos(dim) as usize, strides[dim]);
+            let (s, d) = heads[dim];
+            heads[dim + 1] = (s + i * s_step, d + i * d_step);
+        }
+        let (mut s, mut d) = heads[inner];
+        for _ in 0..runs {
+            dst[d..d + run].copy_from_slice(&src[s..s + run]);
+            (s, d) = (s + s_run, d + d_run);
+        }
+    }
 }
 
-/// Copy `run` elements at every position of the walked dims `steps`,
-/// offsets moving by stride.
-fn walk<T: Copy>(
-    src: &[T],
-    dst: &mut [T],
-    steps: &[(u64, usize, usize)],
-    s: usize,
-    d: usize,
-    run: usize,
-) {
-    let Some((&(extent, s_step, d_step), inner)) = steps.split_first() else {
-        dst[d..d + run].copy_from_slice(&src[s..s + run]);
-        return;
-    };
-    for i in 0..extent as usize {
-        walk(src, dst, inner, s + i * s_step, d + i * d_step, run);
+/// An odometer over the rows of a box's dense row-major array: the
+/// positions of its first `dims` dimensions, the last of them fastest,
+/// the dimensions after them being the row itself.
+///
+/// Each step yields the outermost walked dimension whose position
+/// changed, every walked dimension after it being back at 0, so a
+/// caller that keeps one partial state per dimension re-derives only
+/// the states from that one on: a row costs the dimensions that moved,
+/// not all of them. The first row yields 0, so everything is derived
+/// once; a walk of no dimensions is one row.
+#[derive(Debug)]
+pub struct RowWalk {
+    extent: [u64; MAX_DIMS],
+    pos: [u64; MAX_DIMS],
+    /// Walked dims; 0 once the walk is over, so it stays over.
+    dims: usize,
+    started: bool,
+}
+
+impl RowWalk {
+    /// The walk over the first `dims` dimensions of `bbox`, before its
+    /// first row.
+    ///
+    /// # Panics
+    /// Panics if `dims` exceeds the box's dimensions.
+    #[inline]
+    pub fn new(bbox: &BoundingBox, dims: usize) -> Self {
+        assert!(
+            dims <= bbox.ndim(),
+            "walking {dims} dims of a {}-D box",
+            bbox.ndim()
+        );
+        let mut extent = [1; MAX_DIMS];
+        for (dim, e) in extent[..dims].iter_mut().enumerate() {
+            *e = bbox.extent(dim);
+        }
+        RowWalk {
+            extent,
+            pos: [0; MAX_DIMS],
+            dims,
+            started: false,
+        }
+    }
+
+    /// The current row's position along walked dimension `dim`, from 0
+    /// at the box's lower bound.
+    #[inline]
+    pub fn pos(&self, dim: usize) -> u64 {
+        self.pos[dim]
+    }
+}
+
+impl Iterator for RowWalk {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        if !self.started {
+            self.started = true;
+            return Some(0);
+        }
+        for dim in (0..self.dims).rev() {
+            self.pos[dim] += 1;
+            if self.pos[dim] < self.extent[dim] {
+                return Some(dim);
+            }
+            self.pos[dim] = 0;
+        }
+        self.dims = 0;
+        None
     }
 }
 
@@ -118,6 +196,8 @@ pub fn fill_with<T, F: FnMut(&[u64]) -> T>(bbox: &BoundingBox, mut f: F) -> Vec<
 mod tests {
     use super::*;
     use crate::bbox::BoundingBox;
+    use insitu_util::check::forall;
+    use insitu_util::SplitMix64;
 
     #[test]
     fn linear_index_row_major() {
@@ -196,6 +276,75 @@ mod tests {
         let mut dst = vec![0u64; src.len()];
         copy_region(&src, &b, &mut dst, &b, &b);
         assert_eq!(src, dst);
+    }
+
+    /// A random 1–4-D region (extents often 1) and two boxes holding it.
+    /// Each side of each box sits on the region half the time and
+    /// otherwise reaches 1–3 cells past it, so trailing spans fold in one
+    /// box and not the other, and regions sit at box corners.
+    fn arb_region_in_two_boxes(rng: &mut SplitMix64) -> [BoundingBox; 3] {
+        let nd = rng.range_usize(1, MAX_DIMS + 1);
+        let lb: Vec<u64> = (0..nd).map(|_| rng.range_u64(3, 60)).collect();
+        let ub: Vec<u64> = lb
+            .iter()
+            .map(|&l| l + rng.range_u64(0, 2) * rng.range_u64(0, 6))
+            .collect();
+        let pad = |rng: &mut SplitMix64| rng.range_u64(0, 2) * rng.range_u64(1, 4);
+        let around = |rng: &mut SplitMix64| {
+            let l: Vec<u64> = lb.iter().map(|&l| l - pad(rng)).collect();
+            let u: Vec<u64> = ub.iter().map(|&u| u + pad(rng)).collect();
+            BoundingBox::new(&l, &u)
+        };
+        [around(rng), around(rng), BoundingBox::new(&lb, &ub)]
+    }
+
+    #[test]
+    fn copy_region_moves_exactly_the_cells_a_per_point_copy_does() {
+        forall(600, |rng| {
+            let [src_box, dst_box, region] = arb_region_in_two_boxes(rng);
+            let nd = region.ndim();
+            let src = fill_with(&src_box, tag);
+            let untouched = vec![u64::MAX; dst_box.num_cells() as usize];
+            let mut want = untouched.clone();
+            for p in region.iter_points() {
+                want[linear_index(&dst_box, &p[..nd])] = src[linear_index(&src_box, &p[..nd])];
+            }
+            let mut dst = untouched;
+            copy_region(&src, &src_box, &mut dst, &dst_box, &region);
+            assert_eq!(
+                dst, want,
+                "src {src_box:?}, dst {dst_box:?}, region {region:?}"
+            );
+        });
+    }
+
+    #[test]
+    fn a_row_walk_visits_every_row_and_names_the_outermost_dim_that_moved() {
+        forall(300, |rng| {
+            let nd = rng.range_usize(1, MAX_DIMS + 1);
+            let lb: Vec<u64> = (0..nd).map(|_| rng.range_u64(0, 100)).collect();
+            let ub: Vec<u64> = lb.iter().map(|&l| l + rng.range_u64(0, 4)).collect();
+            let b = BoundingBox::new(&lb, &ub);
+            let dims = rng.range_usize(0, nd + 1);
+            let mut walk = RowWalk::new(&b, dims);
+            let mut prev: Option<Vec<u64>> = None;
+            let mut rows = 0u128;
+            while let Some(moved) = walk.next() {
+                let pos: Vec<u64> = (0..dims).map(|d| walk.pos(d)).collect();
+                let want = prev.as_ref().map_or(0, |p| {
+                    (0..dims).find(|&d| p[d] != pos[d]).expect("a row moved")
+                });
+                assert_eq!(moved, want, "box {b:?}, {dims} dims, at {pos:?}");
+                if let Some(p) = &prev {
+                    assert!(pos > *p, "rows in row-major order");
+                }
+                prev = Some(pos);
+                rows += 1;
+            }
+            let heads: u128 = (0..dims).map(|d| u128::from(b.extent(d))).product();
+            assert_eq!(rows, heads, "box {b:?}, {dims} dims");
+            assert_eq!(walk.next(), None, "a finished walk stays finished");
+        });
     }
 
     #[test]

@@ -32,7 +32,7 @@ use crate::conn::{passes_fault_site, NetMetrics};
 use crate::frame::{Frame, FrameDecoder};
 use insitu_fabric::{FaultInjector, NetOp};
 use insitu_util::poller::{Poller, Waker};
-use insitu_util::Bytes;
+use insitu_util::{Bytes, Recycled};
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, IoSlice, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -163,8 +163,14 @@ impl Outbound {
         if backlog > STAGED_LIMIT {
             return Err(format!("peer stopped reading: {backlog} bytes staged"));
         }
+        // A tail moved out of the frame is adopted as a `Recycled` owner:
+        // a payload decoded into a pooled buffer (the hub's relay) goes
+        // back to the pool once written instead of being freed.
         let payload = payload
-            .or_else(|| frame.bulk_mut().map(std::mem::take).map(Bytes::from))
+            .or_else(|| {
+                let tail = frame.bulk_mut().map(std::mem::take)?;
+                Some(Bytes::from_owner(Recycled::from(tail)))
+            })
             .filter(|payload| !payload.is_empty());
         let (start, tail) = (self.staged.len(), payload.as_ref().map_or(0, Bytes::len));
         let encoded = frame.encode_into(&mut self.staged, tail);

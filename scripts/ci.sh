@@ -312,14 +312,16 @@ fi
 # `insitu_util::Recycled` alone: outside its tests, a birth-site file
 # allocates no zeroed, reserved or copied buffer any other way (not
 # even through `on_huge_pages`, which is the recycler's miss path), and
-# the link lands no decoded payload as a plain `Bytes` that would free
-# it instead of handing it back. (The subscription sink's assembly in
+# neither the link nor the reactor adopts a decoded payload as a plain
+# `Bytes` (`Bytes::from`, called or passed as a function) that would
+# free it instead of handing it back (the reactor writes the payloads
+# the hub relays). (The subscription sink's assembly in
 # crates/sub/src/lib.rs is not one of them yet: `insitu-sub` reaching
 # `insitu-util` would rewrite benchmark/Cargo.lock; ROADMAP item 4.)
 for birth in crates/core/src/exec.rs crates/cods/src/space/ops.rs crates/cods/src/codec.rs \
-    crates/net/src/frame.rs crates/net/src/link/mod.rs; do
+    crates/net/src/frame.rs crates/net/src/link/mod.rs crates/net/src/reactor.rs; do
     born='vec!\[0(\.0)?;|Vec::with_capacity\(|\.to_vec\(\)|on_huge_pages\('
-    [[ $birth == */link/mod.rs ]] && born='Bytes::from\('
+    [[ $birth == */link/mod.rs || $birth == */reactor.rs ]] && born='Bytes::from([^_a-z]|$)'
     if sed '/^mod tests {/,$d' "$birth" | grep -nE "$born"; then
         echo "$birth allocates or lands a cell or payload buffer outside Recycled"; exit 1
     fi
