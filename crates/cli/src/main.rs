@@ -18,6 +18,14 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
+/// Every `insitu` process (launch, serve, join, the service, run) starts
+/// fresh, so its large buffers fault their first pages there: this
+/// allocator places each one on whole, aligned huge pages advised before
+/// that first touch (DESIGN.md §9.5). It is the program's only
+/// `#[global_allocator]`; library code keeps `System`.
+#[global_allocator]
+static ALLOC: insitu_util::HugeAlloc = insitu_util::HugeAlloc;
+
 const USAGE: &str = "\
 usage: insitu run     [--dag] <file> --config <file>
               [--strategy data-centric|round-robin|node-cyclic] [--modeled]

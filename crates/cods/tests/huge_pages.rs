@@ -1,7 +1,8 @@
 //! A get's assembly buffer is born on huge pages: a query that spans
 //! several staged pieces is copied into one fresh array, and the first
 //! touch of a multi-MiB array on 4 KiB pages costs more than the copies
-//! into it (DESIGN.md §9.5).
+//! into it (DESIGN.md §9.5). This binary declares the `insitu` binary's
+//! allocator, `HugeAlloc`, which places that array on whole huge pages.
 #![cfg(target_os = "linux")]
 
 use insitu_cods::{CodsConfig, CodsSpace, Dht};
@@ -9,7 +10,13 @@ use insitu_dart::DartRuntime;
 use insitu_domain::{layout, BoundingBox, Decomposition, Distribution, ProcessGrid};
 use insitu_fabric::{ClientId, MachineSpec, Placement, TransferLedger};
 use insitu_sfc::HilbertCurve;
+use insitu_util::HugeAlloc;
 use std::sync::Arc;
+
+/// The `insitu` binary's allocator, as in every `insitu` process: a
+/// large fresh buffer is placed on whole, aligned huge pages.
+#[global_allocator]
+static ALLOC: HugeAlloc = HugeAlloc;
 
 /// Whether this kernel backs advised memory with huge pages: the
 /// transparent-huge-page mode in force (`always`, `madvise` or `never`;

@@ -1,6 +1,8 @@
 //! A field the executors fill is born on huge pages: its `Vec` is the
 //! buffer a `put` adopts and stages, and the first touch of a multi-MiB
-//! piece on 4 KiB pages costs more than filling it (DESIGN.md §9.5). A
+//! piece on 4 KiB pages costs more than filling it (DESIGN.md §9.5).
+//! This binary declares the `insitu` binary's allocator, `HugeAlloc`,
+//! which places such a `Vec` on whole huge pages. A
 //! producer's sequential pieces, retained until their consumer bundle
 //! runs, are carved back to back from one slab that starts on a
 //! huge-page boundary, so every whole huge page of it is advised and
@@ -13,8 +15,13 @@ use insitu::domain::BoundingBox;
 use insitu::fabric::{MachineSpec, Placement, TransferLedger};
 use insitu::sfc::HilbertCurve;
 use insitu::{fill_field, fill_piece, staging_slab, verify_field};
-use insitu_util::HUGE_PAGE;
+use insitu_util::{HugeAlloc, HUGE_PAGE};
 use std::sync::Arc;
+
+/// The `insitu` binary's allocator, as in every `insitu` process: a
+/// large fresh buffer is placed on whole, aligned huge pages.
+#[global_allocator]
+static ALLOC: HugeAlloc = HugeAlloc;
 
 const MIB: usize = 1 << 20;
 

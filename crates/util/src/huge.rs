@@ -13,15 +13,18 @@
 //! Two births, by how long a buffer lives. A transient buffer (a
 //! concurrent piece, an assembly, a decoded payload) that the wave's
 //! pool cannot hand back warm (`crate::Recycled`) is a `Vec` advised by
-//! [`on_huge_pages`]: it rarely starts on a 2 MiB boundary, so only the
-//! whole pages inside it are advised. Retained buffers (a producer's
-//! sequential pieces, staged until their consumer bundle runs) are
-//! [`HugeCells`] carved back to back from one [`HugeSlab`]: the slab
-//! starts on a 2 MiB boundary, so every whole huge page of it is
-//! advised, and consecutive pieces share the pages where one ends and
-//! the next begins. The slab is freed when its last piece drops.
+//! [`on_huge_pages`]. In the `insitu` binary the global allocator,
+//! [`HugeAlloc`], has already placed a large one on whole, aligned huge
+//! pages advised before it was returned; under `System` it rarely
+//! starts on a 2 MiB boundary, so only the whole pages inside it are
+//! advised. Retained buffers (a producer's sequential pieces, staged
+//! until their consumer bundle runs) are [`HugeCells`] carved back to
+//! back from one [`HugeSlab`]: the slab starts on a 2 MiB boundary
+//! under any allocator, so every whole huge page of it is advised, and
+//! consecutive pieces share the pages where one ends and the next
+//! begins. The slab is freed when its last piece drops.
 
-use std::alloc::{self, Layout};
+use std::alloc::{self, GlobalAlloc, Layout, System};
 use std::mem::MaybeUninit;
 use std::ptr::NonNull;
 use std::sync::Arc;
@@ -40,9 +43,10 @@ mod sys {
 
     pub(crate) fn advise_huge(start: usize, len: usize) {
         // SAFETY: `start..start + len` lies inside one live allocation
-        // (see `huge_range`); MADV_HUGEPAGE changes how its pages are
-        // backed, never their contents. A refusal (THP not built in)
-        // leaves the range as it was, so the result is not needed.
+        // (see `advise`'s callers and `huge_range`); MADV_HUGEPAGE
+        // changes how its pages are backed, never their contents. A
+        // refusal (THP not built in) leaves the range as it was, so the
+        // result is not needed.
         unsafe {
             madvise(start as *mut u8, len, MADV_HUGEPAGE);
         }
@@ -72,7 +76,11 @@ fn huge_range(addr: usize, len: usize) -> Option<(usize, usize)> {
 /// This is how `crate::Recycled` makes a transient buffer on a miss:
 /// the filled field a concurrent `put` stages, a `get`'s assembly
 /// buffer, `FieldData`'s copies and the bulk tail a decoded frame lands
-/// in (a `PullData` payload, a `Relay` message).
+/// in (a `PullData` payload, a `Relay` message). Under [`HugeAlloc`] a
+/// large buffer is already placed and advised whole; the advice here is
+/// for a process that keeps `System` (the benchmark's in-process runs),
+/// where a 4 MiB buffer holds one whole aligned page: without it
+/// `insitu_node` measured about 10 % slower (DESIGN.md §9.5).
 pub(crate) fn on_huge_pages<T>(fresh: Vec<T>) -> Vec<T> {
     let bytes = fresh.capacity().saturating_mul(std::mem::size_of::<T>());
     advise(fresh.as_ptr() as usize, bytes);
@@ -84,6 +92,103 @@ fn advise(addr: usize, len: usize) {
     if let Some((start, len)) = huge_range(addr, len) {
         sys::advise_huge(start, len);
     }
+}
+
+/// A global allocator over [`System`] that places every large block on
+/// whole, [`HUGE_PAGE`]-aligned pages advised `MADV_HUGEPAGE` before the
+/// block is returned, so its first touch faults huge pages, not 4 KiB
+/// ones. Every other block is `System`'s, unchanged.
+///
+/// A block is large when rounding its size up to whole huge pages adds
+/// at most a quarter of the request ([`HugeAlloc::placed`]): a 1.77 MB
+/// piece gets one 2 MiB page, a 1 MiB or 1.3 MiB one stays where malloc
+/// puts it. The allocator holds no state and never allocates; `dealloc`
+/// and `realloc` recompute a block's layout from its size and alignment
+/// with the same pure function, so every block is freed with the layout
+/// it was given.
+///
+/// The `insitu` binary declares it `#[global_allocator]`: each process
+/// it starts is fresh, and glibc never puts a block under its mmap
+/// threshold on a huge-page boundary. A library crate must not declare
+/// it, since a long-lived process that runs many workflows keeps more
+/// of malloc's warm reuse with `System`.
+pub struct HugeAlloc;
+
+impl HugeAlloc {
+    /// The layout `System` gives a block of `layout` on huge pages: its
+    /// size rounded up to whole [`HUGE_PAGE`]s and its alignment at
+    /// least one, when the rounding adds at most a quarter of the
+    /// request; `None` for a block that stays `System`'s as asked.
+    pub fn placed(layout: Layout) -> Option<Layout> {
+        let size = layout.size();
+        let rounded = size.checked_next_multiple_of(HUGE_PAGE)?;
+        if size == 0 || rounded - size > size / 4 {
+            return None;
+        }
+        Layout::from_size_align(rounded, layout.align().max(HUGE_PAGE)).ok()
+    }
+}
+
+// SAFETY: every block comes from `System`, with `layout` itself or with
+// `HugeAlloc::placed(layout)`, which is at least as large and as
+// aligned; `dealloc` and `realloc` recompute that choice from the same
+// `layout`, so `System` always frees a block with the layout it gave it.
+unsafe impl GlobalAlloc for HugeAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        match HugeAlloc::placed(layout) {
+            Some(huge) => advised(System.alloc(huge), huge),
+            None => System.alloc(layout),
+        }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let Some(huge) = HugeAlloc::placed(layout) else {
+            return System.alloc_zeroed(layout);
+        };
+        // Advised first, so the zeroing itself faults huge pages.
+        let block = advised(System.alloc(huge), huge);
+        if !block.is_null() {
+            // SAFETY: `block` is a fresh allocation of `huge.size()`
+            // bytes, at least `layout.size()`.
+            std::ptr::write_bytes(block, 0, layout.size());
+        }
+        block
+    }
+
+    unsafe fn dealloc(&self, block: *mut u8, layout: Layout) {
+        System.dealloc(block, HugeAlloc::placed(layout).unwrap_or(layout));
+    }
+
+    unsafe fn realloc(&self, block: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: the caller guarantees `new_size`, rounded up to
+        // `layout.align()`, does not overflow `isize`.
+        let new = Layout::from_size_align_unchecked(new_size, layout.align());
+        match (HugeAlloc::placed(layout), HugeAlloc::placed(new)) {
+            (None, None) => System.realloc(block, layout, new_size),
+            // The block already holds the whole pages the new size needs.
+            (Some(old), Some(huge)) if old == huge => block,
+            _ => {
+                let moved = self.alloc(new);
+                if !moved.is_null() {
+                    // SAFETY: `block` is live with `layout.size()` bytes
+                    // and `moved` is a fresh, distinct block of at least
+                    // `new_size`; the smaller of the two is copied.
+                    std::ptr::copy_nonoverlapping(block, moved, layout.size().min(new_size));
+                    self.dealloc(block, layout);
+                }
+                moved
+            }
+        }
+    }
+}
+
+/// `block`, a fresh allocation of `huge` (null when `System` refused
+/// it), with its whole huge pages advised.
+fn advised(block: *mut u8, huge: Layout) -> *mut u8 {
+    if !block.is_null() {
+        advise(block as usize, huge.size());
+    }
+    block
 }
 
 /// One allocation of `f64` cells on a [`HUGE_PAGE`] boundary, advised

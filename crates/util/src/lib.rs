@@ -18,10 +18,12 @@
 //!   descriptor ring of the intra-host data plane (replaces `memmap2`
 //!   with a minimal self-declared `mmap` shim);
 //! - [`Recycled`] and [`HugeSlab`] — the birth sites of the data path's
-//!   large cell and payload buffers, advised onto transparent huge pages
-//!   before their first touch: a transient buffer is handed back warm to
-//!   the next one of its length while a [`PoolLease`] is held, and
-//!   retained [`HugeCells`] are carved from one slab.
+//!   large cell and payload buffers: a transient buffer is handed back
+//!   warm to the next one of its length while a [`PoolLease`] is held,
+//!   and retained [`HugeCells`] are carved from one slab advised onto
+//!   transparent huge pages before its first touch;
+//! - [`HugeAlloc`] — the `insitu` binary's global allocator, which
+//!   places every large block on whole, aligned huge pages.
 
 #![warn(missing_docs)]
 
@@ -34,7 +36,7 @@ pub mod rng;
 pub mod shm;
 
 pub use bytes::Bytes;
-pub use huge::{HugeCells, HugeSlab, HUGE_PAGE};
+pub use huge::{HugeAlloc, HugeCells, HugeSlab, HUGE_PAGE};
 pub use poller::Poller;
 pub use recycle::{PoolLease, Recyclable, Recycled};
 pub use rng::SplitMix64;

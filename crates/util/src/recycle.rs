@@ -13,9 +13,10 @@
 //! keyed by exact length, exist only while a [`PoolLease`] is held (an
 //! executor holds one per wave). [`Recycled`] is the owner of such a
 //! buffer: it is born from the pool when a buffer of its length is
-//! there, else fresh through [`on_huge_pages`], and goes back to the
-//! pool when its last holder drops it. Two rules keep the pool small
-//! and safe without a knob:
+//! there, else fresh through [`on_huge_pages`] (in the `insitu` binary
+//! the allocator, `crate::HugeAlloc`, has already placed a large one on
+//! whole huge pages), and goes back to the pool when its last holder
+//! drops it. Two rules keep the pool small and safe without a knob:
 //!
 //! - only a buffer whose length equals its capacity is kept, so a hit
 //!   is initialized whole and handing it out needs no `unsafe`;
@@ -151,8 +152,9 @@ impl<T: Recyclable> Recycled<T> {
     /// `len` elements for a caller that overwrites every one before it
     /// reads any: a pooled buffer of that length keeps its last
     /// contents, and a fresh one is zeroed, born on huge pages (`calloc`
-    /// hands fresh pages over untouched, so the advice lands before the
-    /// first write faults them).
+    /// hands fresh pages over untouched, and `HugeAlloc` advises before
+    /// it zeroes, so the advice lands before the first write faults
+    /// them).
     pub fn for_overwrite(len: usize) -> Recycled<T> {
         Recycled(take(len).unwrap_or_else(|| on_huge_pages(vec![T::default(); len])))
     }

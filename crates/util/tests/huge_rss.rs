@@ -1,11 +1,17 @@
 //! A retained cell array gives its memory back: a `HugeSlab` frees with
 //! the very layout it allocated with, so reserving, filling and dropping
 //! aligned multi-MiB arrays one after another leaves the resident set
-//! where it was. It reads this process's `VmRSS`, so it is the only
-//! test in its binary.
+//! where it was, also under the `insitu` binary's allocator, which
+//! places the slab's block itself. It reads this process's `VmRSS`, so
+//! it is the only test in its binary.
 #![cfg(target_os = "linux")]
 
-use insitu_util::HugeSlab;
+use insitu_util::{HugeAlloc, HugeSlab};
+
+/// The `insitu` binary's allocator, which every `HugeSlab` of that
+/// binary is reserved through.
+#[global_allocator]
+static ALLOC: HugeAlloc = HugeAlloc;
 
 /// This process's resident set in KiB (`VmRSS` of `/proc/self/status`).
 fn vm_rss_kib() -> usize {

@@ -139,9 +139,14 @@ done
 # must be `fill_field` bit for bit, dropped aligned arrays must give
 # their memory back, a slab must keep its memory while any piece of it
 # lives and give it back with the last, leased waves of recycled 8 MiB
-# buffers must give theirs back when the last lease drops, and the
-# helper's range arithmetic never reaches outside a buffer. Each of the
-# six binaries must run a test: a filter that matches none is a failure.
+# buffers must give theirs back when the last lease drops, the advice's
+# range arithmetic never reaches outside a buffer, and the `insitu`
+# binary's allocator (`HugeAlloc`, declared by its own test binary and by
+# the fill, get and slab ones) must admit exactly the census sizes, start
+# an admitted block on a huge page that its first write faults whole,
+# keep a block's contents across resizes over its rule and zero a reused
+# block. Each of the seven binaries must run a test: a filter that
+# matches none is a failure.
 echo "==> buffers born on huge pages (THPeligible of an 8 MiB fill and get, slab staging)"
 cargo test -q $chaos_profile -p insitu-core -p insitu-cods --test huge_pages --offline \
     -- --nocapture > target/huge-pages.txt 2>&1 \
@@ -153,8 +158,10 @@ cargo test -q $chaos_profile -p insitu-core -p insitu-cods --test huge_pages --o
     -- --nocapture >> target/huge-pages.txt 2>&1 \
     && cargo test -q $chaos_profile -p insitu-util --test recycle_rss --offline \
     -- --nocapture >> target/huge-pages.txt 2>&1 \
+    && cargo test -q $chaos_profile -p insitu-util --test huge_alloc --offline \
+    -- --nocapture >> target/huge-pages.txt 2>&1 \
     || { cat target/huge-pages.txt; echo "a buffer was not born on huge pages"; exit 1; }
-[ "$(grep -c "test result: ok. [1-9]" target/huge-pages.txt)" -eq 6 ] \
+[ "$(grep -c "test result: ok. [1-9]" target/huge-pages.txt)" -eq 7 ] \
     || { cat target/huge-pages.txt; echo "a huge-page test binary ran no test"; exit 1; }
 grep "THP mode" target/huge-pages.txt
 
@@ -311,11 +318,13 @@ fi
 # A transient cell or payload buffer is born and given back through
 # `insitu_util::Recycled` alone: outside its tests, a birth-site file
 # allocates no zeroed, reserved or copied buffer any other way (not
-# even through `on_huge_pages`, which is the recycler's miss path), and
-# neither the link nor the reactor adopts a decoded payload as a plain
-# `Bytes` (`Bytes::from`, called or passed as a function) that would
-# free it instead of handing it back (the reactor writes the payloads
-# the hub relays). (The subscription sink's assembly in
+# even through `on_huge_pages`, the advice on the recycler's miss path
+# for a process that keeps `System`; in the `insitu` binary the
+# allocator has already placed a large miss), and neither the link nor
+# the reactor adopts a decoded payload as a plain `Bytes`
+# (`Bytes::from`, called or passed as a function) that would free it
+# instead of handing it back (the reactor writes the payloads the hub
+# relays). (The subscription sink's assembly in
 # crates/sub/src/lib.rs is not one of them yet: `insitu-sub` reaching
 # `insitu-util` would rewrite benchmark/Cargo.lock; ROADMAP item 4.)
 for birth in crates/core/src/exec.rs crates/cods/src/space/ops.rs crates/cods/src/codec.rs \
@@ -326,6 +335,13 @@ for birth in crates/core/src/exec.rs crates/cods/src/space/ops.rs crates/cods/sr
         echo "$birth allocates or lands a cell or payload buffer outside Recycled"; exit 1
     fi
 done
+# One allocator places large blocks on huge pages, and only the `insitu`
+# binary declares it: a `#[global_allocator]` anywhere else under
+# crates/*/src would hand it (or another) to every process that links
+# the crate, the benchmark's in-process runs included.
+if grep -rnE '^\s*#\[global_allocator\]' crates/*/src | grep -v '^crates/cli/src/main.rs:'; then
+    echo "a #[global_allocator] outside crates/cli/src/main.rs"; exit 1
+fi
 # One file decides which instruction set a kernel runs on: the field
 # kernels' dispatch in core/src/exec.rs. Feature detection or a
 # feature-enabled function anywhere else under crates/ fails the gate.
