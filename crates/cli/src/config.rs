@@ -104,6 +104,31 @@ fn parse_region(
     Ok(insitu_domain::BoundingBox::new(&lb, &ub))
 }
 
+/// The `VAR <name> PRODUCER <id>` operands COUPLING and SUBSCRIBE both
+/// open with, read from the `directive` line `toks`.
+fn var_and_producer(
+    toks: &[&str],
+    directive: &str,
+    line: usize,
+) -> Result<(String, u32), ConfigError> {
+    let err = |m: String| ConfigError { line, message: m };
+    let find = |key: &str| {
+        toks.iter()
+            .position(|&t| t == key)
+            .ok_or_else(|| err(format!("{directive} needs {key}")))
+    };
+    let (var_pos, prod_pos) = (find("VAR")?, find("PRODUCER")?);
+    let var = toks
+        .get(var_pos + 1)
+        .ok_or_else(|| err("VAR needs a name".into()))?
+        .to_string();
+    let producer_app = toks
+        .get(prod_pos + 1)
+        .and_then(|t| t.parse().ok())
+        .ok_or_else(|| err("PRODUCER needs an id".into()))?;
+    Ok((var, producer_app))
+}
+
 /// Parse a workload configuration file.
 pub(crate) fn parse_config(input: &str) -> Result<WorkloadConfig, ConfigError> {
     let mut cores_per_node = 12u32;
@@ -207,23 +232,13 @@ pub(crate) fn parse_config(input: &str) -> Result<WorkloadConfig, ConfigError> {
                 //          MODE <concurrent|sequential>
                 //          [REGION lb.. UB ub..]
                 let find = |key: &str| toks.iter().position(|&t| t == key);
-                let var_pos = find("VAR").ok_or_else(|| err("COUPLING needs VAR".into()))?;
-                let prod_pos =
-                    find("PRODUCER").ok_or_else(|| err("COUPLING needs PRODUCER".into()))?;
+                let (var, producer_app) = var_and_producer(&toks, "COUPLING", line)?;
                 let cons_pos =
                     find("CONSUMERS").ok_or_else(|| err("COUPLING needs CONSUMERS".into()))?;
                 let mode_pos = find("MODE").ok_or_else(|| err("COUPLING needs MODE".into()))?;
                 if mode_pos < cons_pos {
                     return Err(err("CONSUMERS must precede MODE".into()));
                 }
-                let var = toks
-                    .get(var_pos + 1)
-                    .ok_or_else(|| err("VAR needs a name".into()))?
-                    .to_string();
-                let producer_app = toks
-                    .get(prod_pos + 1)
-                    .and_then(|t| t.parse().ok())
-                    .ok_or_else(|| err("PRODUCER needs an id".into()))?;
                 let consumer_apps: Vec<u32> = toks[cons_pos + 1..mode_pos]
                     .iter()
                     .map(|t| {
@@ -254,20 +269,10 @@ pub(crate) fn parse_config(input: &str) -> Result<WorkloadConfig, ConfigError> {
                 // SUBSCRIBE VAR <name> PRODUCER <id> SUBSCRIBER <id>
                 //           EVERY <k> [REGION lb.. UB ub..] [QUEUE <cap>]
                 let find = |key: &str| toks.iter().position(|&t| t == key);
-                let var_pos = find("VAR").ok_or_else(|| err("SUBSCRIBE needs VAR".into()))?;
-                let prod_pos =
-                    find("PRODUCER").ok_or_else(|| err("SUBSCRIBE needs PRODUCER".into()))?;
+                let (var, producer_app) = var_and_producer(&toks, "SUBSCRIBE", line)?;
                 let sub_pos =
                     find("SUBSCRIBER").ok_or_else(|| err("SUBSCRIBE needs SUBSCRIBER".into()))?;
                 let every_pos = find("EVERY").ok_or_else(|| err("SUBSCRIBE needs EVERY".into()))?;
-                let var = toks
-                    .get(var_pos + 1)
-                    .ok_or_else(|| err("VAR needs a name".into()))?
-                    .to_string();
-                let producer_app = toks
-                    .get(prod_pos + 1)
-                    .and_then(|t| t.parse().ok())
-                    .ok_or_else(|| err("PRODUCER needs an id".into()))?;
                 let subscriber_app = toks
                     .get(sub_pos + 1)
                     .and_then(|t| t.parse().ok())

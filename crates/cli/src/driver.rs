@@ -6,7 +6,7 @@ use insitu::{
     ThreadedConfig,
 };
 use insitu_domain::{BoundingBox, Decomposition, ProcessGrid};
-use insitu_fabric::{LedgerSnapshot, NetworkModel, TrafficClass};
+use insitu_fabric::{LedgerSnapshot, TrafficClass};
 use insitu_obs::{chrome_trace_with_flows, Event, FlightRecorder, ProfileReport};
 use insitu_telemetry::{Json, MetricsSnapshot, Recorder};
 use insitu_workflow::{parse_dag, ParseError};
@@ -99,7 +99,6 @@ pub fn build_scenario(dag: &str, config: &str) -> Result<Scenario, CliError> {
         subscriptions: cfg.subscriptions,
         halo: cfg.halo,
         elem_bytes: 8,
-        model: NetworkModel::jaguar(),
         iterations: cfg.iterations,
     };
     scenario

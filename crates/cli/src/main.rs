@@ -7,7 +7,8 @@
 //!     [--metrics-out m.json] [--trace-out t.json]
 //! ```
 
-use insitu::{JoinOptions, MappingStrategy, ServeOptions};
+use insitu::cods::DEFAULT_GET_TIMEOUT;
+use insitu::{JoinOptions, MappingStrategy, ServeOptions, DEFAULT_CONNECT_TIMEOUT};
 use insitu_chaos::FaultSpec;
 use insitu_cli::{
     run, CancelCmd, JoinCmd, LaunchCmd, Options, ProfileOptions, RunOutputs, ServeCmd, ServiceCmd,
@@ -273,7 +274,10 @@ impl Args {
     fn client(&mut self) -> Result<(Option<String>, u64), String> {
         let connect = self.value("--connect", "an address", "address")?;
         let timeout_ms = self.value("--timeout-ms", "a number", "timeout")?;
-        Ok((connect, timeout_ms.unwrap_or(30_000)))
+        Ok((
+            connect,
+            timeout_ms.unwrap_or(DEFAULT_CONNECT_TIMEOUT.as_millis() as u64),
+        ))
     }
 
     /// The flags `serve` and `launch` share besides `--p2p`/`--no-shm`.
@@ -400,7 +404,6 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
                         .value("--pool-nodes", "a count", "node budget")?
                         .unwrap_or(d.pool_nodes),
                     artifacts_dir: a.value("--artifacts", "a dir", "dir")?,
-                    verbose: true,
                     shm,
                     stall_ms: a
                         .value("--stall-ms", "a number", "threshold")?
@@ -502,7 +505,7 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
                 source,
                 name,
                 strategy,
-                get_timeout_ms: get_timeout_ms.unwrap_or(60_000),
+                get_timeout_ms: get_timeout_ms.unwrap_or(DEFAULT_GET_TIMEOUT.as_millis() as u64),
                 timeout_ms,
                 wait,
                 priority,

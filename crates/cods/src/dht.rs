@@ -193,20 +193,6 @@ impl Dht {
         (out, cores)
     }
 
-    /// Highest version of `var` with at least one record — DataSpaces-style
-    /// version discovery for consumers that attach to a running producer.
-    pub fn latest_version(&self, var: u64) -> Option<u64> {
-        let mut best: Option<u64> = None;
-        for t in &self.tables {
-            for (&(v, version), list) in t.lock().unwrap().iter() {
-                if v == var && !list.is_empty() {
-                    best = Some(best.map_or(version, |b| b.max(version)));
-                }
-            }
-        }
-        best
-    }
-
     /// Drop all records of `(var, version)`; returns records removed.
     pub fn remove_version(&self, var: u64, version: u64) -> usize {
         let mut removed = 0;

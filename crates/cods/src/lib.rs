@@ -24,4 +24,4 @@ pub use dht::{var_id, Dht, LocationEntry};
 pub use schedule::{
     schedule_from_decomposition, schedule_from_entries, CommSchedule, ScheduleCache, TransferOp,
 };
-pub use space::{CodsConfig, CodsError, CodsSpace, GetReport, SubHandle};
+pub use space::{CodsConfig, CodsError, CodsSpace, GetReport, SubHandle, DEFAULT_GET_TIMEOUT};

@@ -188,11 +188,16 @@ pub struct CodsConfig {
 impl Default for CodsConfig {
     fn default() -> Self {
         CodsConfig {
-            get_timeout: Duration::from_secs(30),
+            get_timeout: DEFAULT_GET_TIMEOUT,
             staging_limit_per_node: None,
         }
     }
 }
+
+/// How long a `get` waits for a missing producer piece unless a run says
+/// otherwise: the one default behind [`CodsConfig`], every executor, the
+/// service and the CLI.
+pub const DEFAULT_GET_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// What one `get` did — consumed by tests, the ledger cross-checks and
 /// the retrieve-time model.

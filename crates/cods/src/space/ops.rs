@@ -459,10 +459,4 @@ impl CodsSpace {
             None => FieldData::Owned(out),
         })
     }
-
-    /// Highest version of `var` visible in the DHT (sequential couplings
-    /// only; concurrent puts are not indexed).
-    pub fn latest_version(&self, var: &str) -> Option<u64> {
-        self.dht.latest_version(var_id(var))
-    }
 }

@@ -138,8 +138,10 @@ fn mirror_sees_local_changes_but_not_remote_applies() {
     assert_eq!(mirror.inserts.lock().unwrap().len(), 4);
     assert_eq!(mirror.dones.lock().unwrap().len(), 1);
     assert_eq!(mirror.evicts.lock().unwrap().len(), 1);
-    // And nothing above accounted any traffic beyond the local run's.
-    assert_eq!(s.dht().latest_version(vid), None);
+    // Both versions are gone from the DHT.
+    for v in 0..2 {
+        assert!(s.dht().query(vid, v, &q).0.is_empty(), "version {v}");
+    }
 }
 
 #[test]
@@ -156,7 +158,9 @@ fn remote_dht_insert_is_queryable_without_accounting() {
             piece: 0,
         },
     );
-    assert_eq!(s.dht().latest_version(vid), Some(3));
+    let (found, _) = s.dht().query(vid, 3, &BoundingBox::from_sizes(&[8, 8]));
+    assert_eq!(found.len(), 1);
+    assert_eq!(found[0].owner, 2);
     assert_eq!(s.dart().ledger().snapshot(), before);
 }
 
@@ -686,19 +690,6 @@ fn wait_version_consumed_sees_a_lowered_expectation() {
     let parked = park(&s, "temp", 0, 1);
     s.set_expected_gets("temp", 1);
     assert_released(parked, Instant::now());
-}
-
-#[test]
-fn latest_version_discovery() {
-    let s = space();
-    assert_eq!(s.latest_version("temp"), None);
-    produce(&s, "temp", 0);
-    assert_eq!(s.latest_version("temp"), Some(0));
-    produce(&s, "temp", 5);
-    assert_eq!(s.latest_version("temp"), Some(5));
-    // In-order eviction drops every version up to the given one.
-    s.evict_version("temp", 5);
-    assert_eq!(s.latest_version("temp"), None);
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! Intra-application collectives over HybridDART: the communicator the
 //! dynamically formed process groups (§IV.C) hand to application
 //! routines. Implements the small set of operations the paper's synthetic
-//! workloads and coupled models need — barrier, broadcast, gather,
-//! all-reduce — on top of tagged mailbox messages, with locality-aware
+//! workloads and coupled models need — broadcast, gather, all-reduce —
+//! on top of tagged mailbox messages, with locality-aware
 //! byte accounting like every other transfer in the system.
 
 use crate::threaded::TAG_COLLECTIVE_BASE;
@@ -73,11 +73,6 @@ impl<'a> GroupComm<'a> {
         }
     }
 
-    /// This rank.
-    pub fn rank(&self) -> u32 {
-        self.rank
-    }
-
     /// Group size.
     pub fn size(&self) -> u32 {
         self.group.size()
@@ -121,25 +116,6 @@ impl<'a> GroupComm<'a> {
 
     fn bump_seq(&self) {
         self.seq.set(self.seq.get() + 1);
-    }
-
-    /// Block until every group member has entered the barrier.
-    /// Dissemination algorithm: ceil(log2(n)) rounds of pairwise tokens.
-    pub fn barrier(&self) {
-        let n = self.size();
-        if n > 1 {
-            let mut dist = 1u32;
-            let mut round = 0u64;
-            while dist < n {
-                let to = (self.rank + dist) % n;
-                let tag = self.next_tag(round);
-                self.send_to_rank(to, tag, Bytes::new());
-                let _ = self.recv_tagged(tag);
-                dist <<= 1;
-                round += 1;
-            }
-        }
-        self.bump_seq();
     }
 
     /// Broadcast `data` from `root` to every member; returns the payload.
@@ -229,7 +205,7 @@ mod tests {
 
     fn with_group<F>(n: u32, f: F)
     where
-        F: Fn(GroupComm<'_>) + Send + Sync + 'static,
+        F: Fn(GroupComm<'_>, u32) + Send + Sync + 'static,
     {
         let placement = Arc::new(Placement::pack_sequential(MachineSpec::new(2, 4), n));
         let dart = DartRuntime::new(placement, Arc::new(TransferLedger::new()));
@@ -246,7 +222,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 let mailbox = dart.take_mailbox(group.client_of(rank));
                 let comm = GroupComm::new(&dart, &group, rank, &mailbox);
-                f(comm);
+                f(comm, rank);
             }));
         }
         for h in handles {
@@ -255,22 +231,11 @@ mod tests {
     }
 
     #[test]
-    fn barrier_completes_all_sizes() {
-        for n in [1u32, 2, 3, 5, 8] {
-            with_group(n, |comm| {
-                for _ in 0..3 {
-                    comm.barrier();
-                }
-            });
-        }
-    }
-
-    #[test]
     fn broadcast_delivers_to_all() {
         for n in [1u32, 2, 3, 6, 7] {
-            with_group(n, move |comm| {
+            with_group(n, move |comm, rank| {
                 for root in 0..comm.size() {
-                    let data = if comm.rank() == root {
+                    let data = if rank == root {
                         Bytes::from(format!("hello-{root}"))
                     } else {
                         Bytes::new()
@@ -284,10 +249,10 @@ mod tests {
 
     #[test]
     fn gather_collects_in_rank_order() {
-        with_group(5, |comm| {
-            let mine = Bytes::from(vec![comm.rank() as u8; 2]);
+        with_group(5, |comm, rank| {
+            let mine = Bytes::from(vec![rank as u8; 2]);
             let all = comm.gather(2, mine);
-            if comm.rank() == 2 {
+            if rank == 2 {
                 assert_eq!(all.len(), 5);
                 for (r, b) in all.iter().enumerate() {
                     assert_eq!(&b[..], &[r as u8, r as u8]);
@@ -300,8 +265,8 @@ mod tests {
 
     #[test]
     fn allreduce_sum_min_max() {
-        with_group(6, |comm| {
-            let v = comm.rank() as f64 + 1.0; // 1..=6
+        with_group(6, |comm, rank| {
+            let v = rank as f64 + 1.0; // 1..=6
             assert_eq!(comm.allreduce_f64(v, ReduceOp::Sum), 21.0);
             assert_eq!(comm.allreduce_f64(v, ReduceOp::Min), 1.0);
             assert_eq!(comm.allreduce_f64(v, ReduceOp::Max), 6.0);

@@ -37,6 +37,7 @@ use crate::exec::{dispatch_payload, wave_tasks, ExecEnv, DISPATCH_BYTES, TAG_DIS
 use crate::mapping::MappingStrategy;
 use crate::scenario::Scenario;
 use crate::threaded::ThreadedConfig;
+use insitu_cods::DEFAULT_GET_TIMEOUT;
 use insitu_dart::Transport;
 use insitu_fabric::{FaultInjector, LedgerSnapshot, MachineSpec, TrafficClass};
 use insitu_net::conn::{recv_frame, send_frame};
@@ -47,6 +48,11 @@ use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// How long a server waits for its joiners to connect, and a joiner or
+/// service client for its server, unless told otherwise: the one default
+/// behind [`ServeOptions`], [`JoinOptions`], the service and the CLI.
+pub const DEFAULT_CONNECT_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Knobs of the serving (workflow-server) process.
 #[derive(Clone, Debug)]
@@ -83,8 +89,8 @@ impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
             strategy: MappingStrategy::DataCentric,
-            get_timeout: Duration::from_secs(60),
-            timeout: Duration::from_secs(30),
+            get_timeout: DEFAULT_GET_TIMEOUT,
+            timeout: DEFAULT_CONNECT_TIMEOUT,
             injector: FaultInjector::none(),
             recorder: Recorder::disabled(),
             cancel: Arc::new(AtomicBool::new(false)),
@@ -116,7 +122,7 @@ pub struct JoinOptions {
 impl Default for JoinOptions {
     fn default() -> Self {
         JoinOptions {
-            timeout: Duration::from_secs(30),
+            timeout: DEFAULT_CONNECT_TIMEOUT,
             injector: FaultInjector::none(),
             recorder: Recorder::disabled(),
             flight: FlightRecorder::disabled(),

@@ -60,7 +60,9 @@ pub mod scenario;
 pub mod threaded;
 
 pub use comm::{GroupComm, ReduceOp};
-pub use distrib::{join, serve, DistribOutcome, JoinOptions, ServeOptions};
+pub use distrib::{
+    join, serve, DistribOutcome, JoinOptions, ServeOptions, DEFAULT_CONNECT_TIMEOUT,
+};
 pub use mapping::{map_scenario, MappedScenario, MappingStrategy};
 pub use modeled::{run_modeled, run_modeled_configured, ModeledConfig, ModeledOutcome};
 pub use pgas::GlobalArray;

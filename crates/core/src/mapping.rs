@@ -74,30 +74,6 @@ impl MappedScenario {
     pub fn core_of_task(&self, app: u32, rank: u64) -> CoreId {
         self.app_cores[&app][rank as usize]
     }
-
-    /// Render the placement as an ASCII map: one row per node, one cell
-    /// per core, labeled with the app id occupying it (`.` = idle). The
-    /// picture the paper's Fig. 7 draws.
-    pub fn render(&self) -> String {
-        let mut grid =
-            vec![vec!['.'; self.machine.cores_per_node as usize]; self.machine.nodes as usize];
-        for (&app, cores) in &self.app_cores {
-            let label = char::from_digit(app % 36, 36).unwrap_or('?');
-            for &core in cores {
-                let node = self.machine.node_of_core(core) as usize;
-                let local = self.machine.local_core(core) as usize;
-                // Later waves reuse earlier waves' cores; show the last.
-                grid[node][local] = label;
-            }
-        }
-        let mut out = String::new();
-        for (n, row) in grid.iter().enumerate() {
-            out.push_str(&format!("node {n:>3}: "));
-            out.extend(row.iter());
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Map every wave of `scenario` under `strategy`.
@@ -350,22 +326,6 @@ mod tests {
     }
 
     #[test]
-    fn render_shows_one_row_per_node() {
-        let m = map_scenario(&small_concurrent(), MappingStrategy::RoundRobin);
-        let map = m.render();
-        assert_eq!(map.lines().count(), m.machine.nodes as usize);
-        // 24 tasks on 6 nodes x 4 cores: every core labeled 1 or 2
-        // (count only the cells after the "node N:" prefix).
-        let labels: usize = map
-            .lines()
-            .map(|l| l.split(": ").nth(1).unwrap())
-            .flat_map(|cells| cells.chars())
-            .filter(|&c| c == '1' || c == '2')
-            .count();
-        assert_eq!(labels, 24);
-    }
-
-    #[test]
     fn paper_fig7_shape_colocates_bundle() {
         // Fig. 7's illustration: APP1 with 12 tasks and APP2 with 4 tasks
         // on two 8-core nodes — data-centric mapping co-locates each APP2
@@ -400,7 +360,6 @@ mod tests {
             }],
             halo: 1,
             elem_bytes: 8,
-            model: insitu_fabric::NetworkModel::jaguar(),
             iterations: 1,
         };
         let m = map_scenario(&s, MappingStrategy::DataCentric);
@@ -413,8 +372,8 @@ mod tests {
                 assert_eq!(
                     m.node_of_task(1, prank),
                     cnode,
-                    "APP1 task {prank} split from APP2 task {crank}\n{}",
-                    m.render()
+                    "APP1 task {prank} split from APP2 task {crank}: {:?}",
+                    m.app_cores
                 );
             }
         }

@@ -3,7 +3,6 @@
 //! scenarios (CAP and SAP).
 
 use insitu_domain::{BoundingBox, Decomposition, Distribution, ProcessGrid};
-use insitu_fabric::NetworkModel;
 use insitu_workflow::{AppSpec, WorkflowSpec};
 
 /// A data-coupling relationship: each consumer application retrieves, from
@@ -69,8 +68,6 @@ pub struct Scenario {
     pub halo: u64,
     /// Bytes per field element.
     pub elem_bytes: u64,
-    /// Network constants for the time model.
-    pub model: NetworkModel,
     /// Coupling iterations (versions) to run. Iteration `v` produces and
     /// consumes version `v`; schedules are computed once and replayed
     /// (§IV.A), and producers of concurrent couplings reclaim version
@@ -307,7 +304,6 @@ pub fn concurrent_scenario_with_grids(
         subscriptions: vec![],
         halo: 2,
         elem_bytes: 8,
-        model: NetworkModel::jaguar(),
         iterations: 1,
     }
 }
@@ -369,7 +365,6 @@ pub fn sequential_scenario_with_grids(
         subscriptions: vec![],
         halo: 2,
         elem_bytes: 8,
-        model: NetworkModel::jaguar(),
         iterations: 1,
     }
 }

@@ -15,7 +15,7 @@
 use crate::exec::{dispatch_payload, wave_tasks, ExecEnv, TAG_DISPATCH};
 use crate::mapping::{MappedScenario, MappingStrategy};
 use crate::scenario::Scenario;
-use insitu_cods::{CodsError, GetReport};
+use insitu_cods::{CodsError, GetReport, DEFAULT_GET_TIMEOUT};
 use insitu_fabric::{FaultInjector, LedgerSnapshot, TrafficClass};
 use insitu_obs::FlightRecorder;
 use insitu_telemetry::Recorder;
@@ -65,7 +65,7 @@ pub struct ThreadedConfig {
 impl Default for ThreadedConfig {
     fn default() -> Self {
         ThreadedConfig {
-            get_timeout: Duration::from_secs(60),
+            get_timeout: DEFAULT_GET_TIMEOUT,
             injector: FaultInjector::none(),
             flight: FlightRecorder::disabled(),
         }

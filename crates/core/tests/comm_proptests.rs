@@ -10,11 +10,11 @@ use insitu_workflow::AppGroup;
 use std::sync::Arc;
 
 /// Run `f` as every rank of an `n`-member group on real threads, collect
-/// per-rank results.
+/// per-rank results. `f` gets the handle and its rank.
 fn with_group<T, F>(n: u32, f: F) -> Vec<T>
 where
     T: Send + 'static,
-    F: Fn(&GroupComm<'_>) -> T + Send + Sync + 'static,
+    F: Fn(&GroupComm<'_>, u32) -> T + Send + Sync + 'static,
 {
     let placement = Arc::new(Placement::pack_sequential(
         MachineSpec::new(n.div_ceil(3).max(1), 3),
@@ -34,7 +34,7 @@ where
         handles.push(std::thread::spawn(move || {
             let mailbox = dart.take_mailbox(group.client_of(rank));
             let comm = GroupComm::new(&dart, &group, rank, &mailbox);
-            f(&comm)
+            f(&comm, rank)
         }));
     }
     handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -48,8 +48,8 @@ fn broadcast_any_root_any_payload() {
         let len = rng.range_usize(0, 300);
         let payload: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
         let expected = payload.clone();
-        let results = with_group(n, move |comm| {
-            let data = if comm.rank() == root {
+        let results = with_group(n, move |comm, rank| {
+            let data = if rank == root {
                 Bytes::from(payload.clone())
             } else {
                 Bytes::new()
@@ -72,8 +72,8 @@ fn allreduce_sum_matches_serial() {
             .collect();
         let expect: f64 = values.iter().sum();
         let v2 = values.clone();
-        let results = with_group(n, move |comm| {
-            comm.allreduce_f64(v2[comm.rank() as usize], ReduceOp::Sum)
+        let results = with_group(n, move |comm, rank| {
+            comm.allreduce_f64(v2[rank as usize], ReduceOp::Sum)
         });
         for r in results {
             assert!((r - expect).abs() < 1e-9, "{r} != {expect}");
@@ -84,29 +84,28 @@ fn allreduce_sum_matches_serial() {
 #[test]
 fn interleaved_collective_sequences() {
     forall(24, |rng| {
-        // barrier / broadcast / gather interleaved `rounds` times; every
-        // rank must observe consistent results at each step.
+        // broadcast / gather / all-reduce interleaved `rounds` times;
+        // every rank must observe consistent results at each step.
         let n = rng.range_u32(2, 7);
         let rounds = rng.range_u32(1, 5);
-        let results = with_group(n, move |comm| {
+        let results = with_group(n, move |comm, rank| {
             let mut log = Vec::new();
             for round in 0..rounds {
-                comm.barrier();
                 let root = round % comm.size();
                 let b = comm.broadcast(
                     root,
-                    if comm.rank() == root {
+                    if rank == root {
                         Bytes::from(vec![round as u8; 3])
                     } else {
                         Bytes::new()
                     },
                 );
                 log.push(b[0]);
-                let gathered = comm.gather(0, Bytes::from(vec![comm.rank() as u8]));
-                if comm.rank() == 0 {
+                let gathered = comm.gather(0, Bytes::from(vec![rank as u8]));
+                if rank == 0 {
                     log.push(gathered.len() as u8);
                 }
-                let m = comm.allreduce_f64(comm.rank() as f64, ReduceOp::Max);
+                let m = comm.allreduce_f64(rank as f64, ReduceOp::Max);
                 log.push(m as u8);
             }
             log

@@ -189,22 +189,6 @@ impl BoundingBox {
         })
     }
 
-    /// Smallest box containing both inputs.
-    pub fn hull(&self, other: &BoundingBox) -> BoundingBox {
-        debug_assert_eq!(self.ndim, other.ndim);
-        let mut lb = [0u64; MAX_DIMS];
-        let mut ub = [0u64; MAX_DIMS];
-        for d in 0..self.ndim() {
-            lb[d] = self.lb[d].min(other.lb[d]);
-            ub[d] = self.ub[d].max(other.ub[d]);
-        }
-        BoundingBox {
-            ndim: self.ndim,
-            lb,
-            ub,
-        }
-    }
-
     /// Iterate all lattice points of the box in row-major order (last
     /// dimension fastest). Intended for tests and small regions.
     pub fn iter_points(&self) -> PointIter {
@@ -352,15 +336,6 @@ mod tests {
         assert!(outer.contains_box(&inner));
         assert!(!inner.contains_box(&outer));
         assert!(outer.contains_box(&outer));
-    }
-
-    #[test]
-    fn hull_covers_both() {
-        let a = BoundingBox::new(&[0, 5], &[2, 6]);
-        let b = BoundingBox::new(&[4, 0], &[5, 2]);
-        let h = a.hull(&b);
-        assert!(h.contains_box(&a) && h.contains_box(&b));
-        assert_eq!(h, BoundingBox::new(&[0, 0], &[5, 6]));
     }
 
     #[test]

@@ -52,17 +52,6 @@ fn intersect_idempotent() {
 }
 
 #[test]
-fn hull_contains_both() {
-    forall(256, |rng| {
-        let a = arb_box_2d(rng, 32);
-        let b = arb_box_2d(rng, 32);
-        let h = a.hull(&b);
-        assert!(h.contains_box(&a));
-        assert!(h.contains_box(&b));
-    });
-}
-
-#[test]
 fn count_owned_matches_brute() {
     forall(256, |rng| {
         let lo = rng.range_u64(0, 40);

@@ -92,37 +92,9 @@ impl Placement {
         Self::new(spec, (0..clients).collect())
     }
 
-    /// Node-cyclic round-robin: client `i` on node `i % nodes`, next free
-    /// local core — the paper's round-robin baseline mapping.
-    pub fn round_robin_nodes(spec: MachineSpec, clients: u32) -> Self {
-        assert!(clients <= spec.total_cores(), "more clients than cores");
-        let mut next_local = vec![0u32; spec.nodes as usize];
-        let mut core_of = Vec::with_capacity(clients as usize);
-        let mut node = 0u32;
-        for _ in 0..clients {
-            // Find the next node (cyclically) with a free core.
-            let mut hops = 0;
-            while next_local[node as usize] >= spec.cores_per_node {
-                node = (node + 1) % spec.nodes;
-                hops += 1;
-                assert!(hops <= spec.nodes, "no free cores left");
-            }
-            core_of.push(spec.core(node, next_local[node as usize]));
-            next_local[node as usize] += 1;
-            node = (node + 1) % spec.nodes;
-        }
-        Self::new(spec, core_of)
-    }
-
     /// Number of placed clients.
     pub fn num_clients(&self) -> u32 {
         self.core_of.len() as u32
-    }
-
-    /// Core of a client.
-    #[inline]
-    pub fn core_of(&self, client: ClientId) -> CoreId {
-        self.core_of[client as usize]
     }
 
     /// Node of a client.
@@ -164,24 +136,6 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_cycles_nodes() {
-        let p = Placement::round_robin_nodes(MachineSpec::new(3, 4), 7);
-        assert_eq!(p.node_of(0), 0);
-        assert_eq!(p.node_of(1), 1);
-        assert_eq!(p.node_of(2), 2);
-        assert_eq!(p.node_of(3), 0);
-        assert_eq!(p.node_of(6), 0);
-    }
-
-    #[test]
-    fn round_robin_overflows_to_free_nodes() {
-        // 2 nodes x 2 cores, 4 clients: 0,1 then wrap 0,1.
-        let p = Placement::round_robin_nodes(MachineSpec::new(2, 2), 4);
-        let nodes: Vec<_> = (0..4).map(|c| p.node_of(c)).collect();
-        assert_eq!(nodes, vec![0, 1, 0, 1]);
-    }
-
-    #[test]
     fn colocated_detection() {
         let p = Placement::pack_sequential(MachineSpec::new(2, 2), 4);
         assert!(p.colocated(0, 1));
@@ -190,7 +144,7 @@ mod tests {
 
     #[test]
     fn clients_on_node() {
-        let p = Placement::round_robin_nodes(MachineSpec::new(2, 2), 4);
+        let p = Placement::new(MachineSpec::new(2, 2), vec![0, 2, 1, 3]);
         let on = |node| {
             (0..p.num_clients())
                 .filter(|&c| p.node_of(c) == node)

@@ -51,39 +51,20 @@ impl Default for NetworkModel {
 }
 
 /// One data pull: `bytes` fetched from `src_node` (the destination is the
-/// owning [`ClientRetrieve`]'s node).
+/// owning [`ClientRetrieve`]'s node). The source piece is already staged
+/// when the retrieve is issued.
 #[derive(Clone, Copy, Debug)]
 pub struct Transfer {
     /// Node the data is pulled from.
     pub src_node: NodeId,
     /// Payload size.
     pub bytes: u64,
-    /// Microseconds after the retrieve is issued at which the source
-    /// piece becomes available (its producer's `put` completes). Zero
-    /// means already staged. The receiver-driven executor issues every
-    /// pull up front and overlaps the waits, so a late piece delays only
-    /// its own copy, not the whole retrieve.
-    pub ready_us: u64,
 }
 
 impl Transfer {
-    /// A pull of `bytes` from `src_node`, available immediately.
+    /// A pull of `bytes` from `src_node`.
     pub fn new(src_node: NodeId, bytes: u64) -> Self {
-        Transfer {
-            src_node,
-            bytes,
-            ready_us: 0,
-        }
-    }
-
-    /// A pull whose source piece only becomes available `ready_us`
-    /// microseconds after the retrieve is issued.
-    pub fn ready_at(src_node: NodeId, bytes: u64, ready_us: u64) -> Self {
-        Transfer {
-            src_node,
-            bytes,
-            ready_us,
-        }
+        Transfer { src_node, bytes }
     }
 }
 
@@ -108,11 +89,6 @@ pub struct LinkFaults {
 }
 
 impl LinkFaults {
-    /// A healthy torus: no slowed links.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Degrade one directed link's bandwidth by `factor` (clamped to
     /// ≥ 1). Repeated calls on the same link keep the worst factor.
     pub fn slow_link(&mut self, from: NodeId, dim: u8, plus: bool, factor: f64) {
@@ -124,11 +100,6 @@ impl LinkFaults {
     /// The degradation factor of one directed link (1 when healthy).
     pub fn factor(&self, from: NodeId, dim: u8, plus: bool) -> f64 {
         self.slow.get(&(from, dim, plus)).copied().unwrap_or(1.0)
-    }
-
-    /// Number of slowed links.
-    pub fn len(&self) -> usize {
-        self.slow.len()
     }
 
     /// Whether no link is slowed.
@@ -145,11 +116,10 @@ impl LinkFaults {
 pub struct RetrieveBreakdown {
     /// DHT schedule-query time.
     pub query_ms: f64,
-    /// Serialized shared-memory branch time (copies plus any stalls
-    /// waiting for late pieces).
+    /// Serialized shared-memory branch time: the copies end to end.
     pub shm_ms: f64,
-    /// Network branch time (worst flow vs NIC serialization, including
-    /// piece-readiness stalls).
+    /// Network branch time: the slowest flow, or the destination NIC's
+    /// serialization of all inbound bytes if that takes longer.
     pub net_ms: f64,
     /// Completion time: `query + max(shm, net)`.
     pub total_ms: f64,
@@ -158,10 +128,10 @@ pub struct RetrieveBreakdown {
 /// Modeled timeline of one transfer inside its retrieve, microseconds
 /// relative to the end of the schedule query. The receiver issues every
 /// pull up front; `wait_us` is the idle span before this one's copy
-/// begins (waiting for the piece to be produced and, for shared memory,
-/// for earlier copies in the per-core chain) and `duration_us` the busy
-/// copy itself. Concurrent transfers overlap, so the retrieve's branch
-/// time is the max of slot ends, not their sum.
+/// begins (for shared memory, the earlier copies in the per-core chain;
+/// a network flow starts at once) and `duration_us` the busy copy
+/// itself. Concurrent transfers overlap, so the retrieve's branch time
+/// is the max of slot ends, not their sum.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct TransferSlot {
     /// Idle microseconds before this transfer's copy starts.
@@ -191,10 +161,10 @@ impl TransferSlot {
 ///
 /// This is where the overlapped receiver-driven pull semantics live:
 /// all pulls are issued together, shared-memory copies serialize on the
-/// destination core in piece-readiness order, network flows run
-/// concurrently (each ending at `ready + latency + bytes/eff_bw`, with
-/// the slowest stretched to when the destination NIC drains), and the
-/// branch time is the max of slot ends rather than their sum.
+/// destination core in transfer order, network flows run concurrently
+/// (each ending at `latency + bytes/eff_bw`, with the slowest stretched
+/// to when the destination NIC drains), and the branch time is the max
+/// of slot ends rather than their sum.
 pub fn estimate_retrieves(
     model: &NetworkModel,
     topo: &TorusTopology,
@@ -226,39 +196,33 @@ pub fn estimate_retrieves(
             let mut slots = vec![TransferSlot::default(); r.transfers.len()];
 
             // Shared-memory copies serialize on the destination core, in
-            // the order pieces become available; a late piece stalls the
-            // chain only once every earlier copy has drained.
-            let mut shm_idx: Vec<usize> = (0..r.transfers.len())
-                .filter(|&i| r.transfers[i].src_node == r.dst_node && r.transfers[i].bytes > 0)
-                .collect();
-            shm_idx.sort_by_key(|&i| r.transfers[i].ready_us);
+            // transfer order.
             let mut cursor = 0.0f64;
-            for &i in &shm_idx {
-                let t = &r.transfers[i];
-                let start = cursor.max(t.ready_us as f64);
+            for (i, t) in r.transfers.iter().enumerate() {
+                if t.src_node != r.dst_node || t.bytes == 0 {
+                    continue;
+                }
                 let dur =
                     model.shm_latency_us + t.bytes as f64 / gbps(model.shm_bandwidth_gbps) * to_us;
                 slots[i] = TransferSlot {
-                    wait_us: start,
+                    wait_us: cursor,
                     duration_us: dur,
                     shm: true,
                 };
-                cursor = start + dur;
+                cursor += dur;
             }
             let shm_end = cursor;
 
             // Network flows run concurrently; the destination NIC
-            // serializes inbound bytes from the moment the first piece is
-            // ready, and the slowest flow is stretched to that drain time.
+            // serializes inbound bytes from the start, and the slowest
+            // flow is stretched to that drain time.
             let mut net_bytes = 0u64;
-            let mut min_ready = f64::INFINITY;
             let mut worst: Option<usize> = None;
             for (i, t) in r.transfers.iter().enumerate() {
                 if t.src_node == r.dst_node || t.bytes == 0 {
                     continue;
                 }
                 net_bytes += t.bytes;
-                min_ready = min_ready.min(t.ready_us as f64);
                 // Slowest shared resource along the path. A link's cost
                 // is its sharer count scaled by any injected slowdown
                 // (factor 1 when healthy).
@@ -274,7 +238,7 @@ pub fn estimate_retrieves(
                     .min(gbps(model.nic_bandwidth_gbps));
                 let dur = model.net_latency_us + t.bytes as f64 / eff_bw * to_us;
                 slots[i] = TransferSlot {
-                    wait_us: t.ready_us as f64,
+                    wait_us: 0.0,
                     duration_us: dur,
                     shm: false,
                 };
@@ -283,8 +247,7 @@ pub fn estimate_retrieves(
                 }
             }
             let net_end = if let Some(w) = worst {
-                let nic_drain =
-                    min_ready + net_bytes as f64 / gbps(model.nic_bandwidth_gbps) * to_us;
+                let nic_drain = net_bytes as f64 / gbps(model.nic_bandwidth_gbps) * to_us;
                 let end = slots[w].end_us().max(nic_drain);
                 slots[w].duration_us = end - slots[w].wait_us;
                 end
@@ -416,7 +379,7 @@ mod tests {
                 dht_queries: 2,
             })
             .collect();
-        let mem_ms = totals(&m, &t, &retrieves, &LinkFaults::new())
+        let mem_ms = totals(&m, &t, &retrieves, &LinkFaults::default())
             .into_iter()
             .fold(0.0f64, f64::max);
         assert!(
@@ -439,7 +402,7 @@ mod tests {
             transfers: vec![Transfer::new(5, 16 << 20)],
             dht_queries: 0,
         };
-        let times = totals(&m, &t, &[shm, net], &LinkFaults::new());
+        let times = totals(&m, &t, &[shm, net], &LinkFaults::default());
         assert!(times[0] < times[1], "shm {} vs net {}", times[0], times[1]);
     }
 
@@ -454,7 +417,7 @@ mod tests {
                 transfers: vec![],
                 dht_queries: 4,
             }],
-            &LinkFaults::new(),
+            &LinkFaults::default(),
         );
         let expect = 4.0 * m.dht_query_us * 1e-6 * 1e3;
         assert!((times[0] - expect).abs() < 1e-12);
@@ -478,8 +441,8 @@ mod tests {
                 dht_queries: 0,
             })
             .collect();
-        let t_solo = totals(&m, &t, &solo, &LinkFaults::new())[0];
-        let t_crowd = totals(&m, &t, &crowded, &LinkFaults::new())[0];
+        let t_solo = totals(&m, &t, &solo, &LinkFaults::default())[0];
+        let t_crowd = totals(&m, &t, &crowded, &LinkFaults::default())[0];
         assert!(t_crowd > t_solo * 2.0, "solo {t_solo} crowd {t_crowd}");
     }
 
@@ -502,8 +465,8 @@ mod tests {
                 dht_queries: 0,
             })
             .collect();
-        let td = totals(&m, &t, &dedicated, &LinkFaults::new())[0];
-        let tf = totals(&m, &t, &fanout, &LinkFaults::new())[0];
+        let td = totals(&m, &t, &dedicated, &LinkFaults::default())[0];
+        let tf = totals(&m, &t, &fanout, &LinkFaults::default())[0];
         assert!(tf > td * 1.5, "dedicated {td} fanout {tf}");
     }
 
@@ -516,8 +479,8 @@ mod tests {
             transfers: vec![Transfer::new(7, bytes)],
             dht_queries: 1,
         };
-        let a = totals(&m, &t, &[mk(1 << 20)], &LinkFaults::new())[0];
-        let b = totals(&m, &t, &[mk(64 << 20)], &LinkFaults::new())[0];
+        let a = totals(&m, &t, &[mk(1 << 20)], &LinkFaults::default())[0];
+        let b = totals(&m, &t, &[mk(64 << 20)], &LinkFaults::default())[0];
         assert!(b > a * 10.0);
     }
 
@@ -531,11 +494,11 @@ mod tests {
             dht_queries: 0,
         };
         let retrieves = vec![mk(0, 2), mk(5, 6)];
-        let healthy = totals(&m, &t, &retrieves, &LinkFaults::new());
+        let healthy = totals(&m, &t, &retrieves, &LinkFaults::default());
         // Slow the 0->1 hop: only the first flow routes through it.
-        let mut faults = LinkFaults::new();
+        let mut faults = LinkFaults::default();
         faults.slow_link(0, 0, true, 8.0);
-        assert_eq!(faults.len(), 1);
+        assert_eq!(faults.factor(0, 0, true), 8.0);
         let faulted = totals(&m, &t, &retrieves, &faults);
         assert!(
             faulted[0] > healthy[0] * 2.0,
@@ -558,7 +521,7 @@ mod tests {
             })
             .collect();
         // Every link the flows cross, listed at factor 1, is no fault.
-        let mut listed = LinkFaults::new();
+        let mut listed = LinkFaults::default();
         for r in &retrieves {
             for l in t.route(r.transfers[0].src_node, r.dst_node) {
                 listed.slow_link(l.from, l.dim, l.plus, 1.0);
@@ -566,7 +529,7 @@ mod tests {
         }
         assert!(!listed.is_empty());
         assert_eq!(
-            totals(&m, &t, &retrieves, &LinkFaults::new()),
+            totals(&m, &t, &retrieves, &LinkFaults::default()),
             totals(&m, &t, &retrieves, &listed)
         );
     }
@@ -577,14 +540,28 @@ mod tests {
         let t = topo();
         let retrieves = vec![ClientRetrieve {
             dst_node: 0,
-            transfers: vec![Transfer::new(0, 8 << 20), Transfer::new(5, 16 << 20)],
+            transfers: vec![
+                Transfer::new(0, 8 << 20),
+                Transfer::new(5, 16 << 20),
+                Transfer::new(3, 4 << 20),
+                Transfer::new(6, 4 << 20),
+            ],
             dht_queries: 3,
         }];
-        let (b, slots) = &estimate_retrieves(&m, &t, &retrieves, &LinkFaults::new())[0];
+        let (b, slots) = &estimate_retrieves(&m, &t, &retrieves, &LinkFaults::default())[0];
         assert!(b.query_ms > 0.0 && b.shm_ms > 0.0 && b.net_ms > 0.0);
         assert_eq!(b.total_ms, b.query_ms + b.shm_ms.max(b.net_ms));
         // One slot per transfer.
         assert_eq!(slots.len(), retrieves[0].transfers.len());
+        // The network flows start together and overlap: the branch ends
+        // with the last flow, not after their durations end to end.
+        let net: Vec<&TransferSlot> = slots.iter().filter(|s| !s.shm).collect();
+        assert_eq!(net.len(), 3);
+        assert!(net.iter().all(|s| s.wait_us == 0.0));
+        let last_end = net.iter().map(|s| s.end_us()).fold(0.0, f64::max);
+        let serialized: f64 = net.iter().map(|s| s.duration_us).sum();
+        assert_eq!(b.net_ms, last_end * 1e-3);
+        assert!(last_end < serialized, "max {last_end} vs sum {serialized}");
     }
 
     #[test]
@@ -598,7 +575,7 @@ mod tests {
                 transfers: vec![Transfer::new(3, 0)],
                 dht_queries: 0,
             }],
-            &LinkFaults::new(),
+            &LinkFaults::default(),
         );
         assert_eq!(times[0], 0.0);
     }

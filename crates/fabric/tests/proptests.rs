@@ -2,8 +2,8 @@
 //! placement integrity and ledger conservation.
 
 use insitu_fabric::{
-    estimate_retrieves, ClientRetrieve, LinkFaults, Locality, MachineSpec, NetworkModel, Placement,
-    TorusTopology, TrafficClass, Transfer, TransferLedger,
+    estimate_retrieves, ClientRetrieve, LinkFaults, Locality, NetworkModel, TorusTopology,
+    TrafficClass, Transfer, TransferLedger,
 };
 use insitu_util::check::forall;
 
@@ -58,23 +58,6 @@ fn torus_distance_symmetric_and_bounded() {
 }
 
 #[test]
-fn placement_round_robin_uses_distinct_cores() {
-    forall(64, |rng| {
-        let nodes = rng.range_u32(1, 8);
-        let cores = rng.range_u32(1, 6);
-        let fill = rng.range_u32(0, 40);
-        let spec = MachineSpec::new(nodes, cores);
-        let clients = fill.min(spec.total_cores());
-        let p = Placement::round_robin_nodes(spec, clients);
-        let mut seen = std::collections::HashSet::new();
-        for c in 0..clients {
-            assert!(seen.insert(p.core_of(c)));
-            assert!(p.core_of(c) < spec.total_cores());
-        }
-    });
-}
-
-#[test]
 fn ledger_conserves_bytes() {
     forall(64, |rng| {
         let ledger = TransferLedger::new();
@@ -118,7 +101,7 @@ fn retrieve_times_monotone_in_bytes() {
             dht_queries: 0,
         };
         let total = |r| {
-            estimate_retrieves(&m, &t, &[r], &LinkFaults::new())[0]
+            estimate_retrieves(&m, &t, &[r], &LinkFaults::default())[0]
                 .0
                 .total_ms
         };
@@ -143,7 +126,7 @@ fn retrieve_times_nonnegative_and_finite() {
                 dht_queries: 1,
             })
             .collect();
-        for (est, _) in estimate_retrieves(&m, &t, &retrieves, &LinkFaults::new()) {
+        for (est, _) in estimate_retrieves(&m, &t, &retrieves, &LinkFaults::default()) {
             assert!(est.total_ms.is_finite() && est.total_ms >= 0.0);
         }
     });

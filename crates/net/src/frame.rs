@@ -729,18 +729,13 @@ impl Frame {
         Ok(frame)
     }
 
-    /// Read one complete frame from a blocking stream.
+    /// Read one complete frame from a blocking stream, with its size on
+    /// the wire (length word included) for byte accounting.
     ///
     /// Stream errors map to [`FrameError::Io`]; a clean EOF *before* the
     /// length word also maps to `Io` (connection closed), and an
     /// expired read timeout to [`FrameError::TimedOut`]. Malformed
     /// content is rejected with the corresponding decode error.
-    pub fn read_from(r: &mut impl Read) -> Result<Frame, FrameError> {
-        Frame::read_counted(r).map(|(frame, _)| frame)
-    }
-
-    /// [`Frame::read_from`], also returning the frame's size on the
-    /// wire (length word included) for byte accounting.
     pub(crate) fn read_counted(r: &mut impl Read) -> Result<(Frame, usize), FrameError> {
         let mut lenb = [0u8; 4];
         read_exact(r, &mut lenb)?;
@@ -778,10 +773,10 @@ const KIND_PULL_DATA: u8 = 6;
 /// [`read_from`](FrameDecoder::read_from) (a caller that holds the bytes
 /// hands them to [`push`](FrameDecoder::push)) and drains complete
 /// frames with [`next_frame`](FrameDecoder::next_frame). Decoding is
-/// total: malformed input surfaces as a [`FrameError`] exactly as
-/// [`Frame::read_from`] would report it, after which the connection is
-/// poisoned (every subsequent `next` repeats the error) — a protocol
-/// error leaves no way to re-synchronise the stream.
+/// total: malformed input surfaces as a [`FrameError`] exactly as the
+/// blocking [`recv_frame`](crate::recv_frame) would report it, after
+/// which the connection is poisoned (every subsequent `next` repeats the
+/// error) — a protocol error leaves no way to re-synchronise the stream.
 ///
 /// A `PullData` is decoded in place: behind a head [`Frame::decode`]
 /// would accept, the payload vector is allocated at its exact size and
@@ -1507,7 +1502,7 @@ mod tests {
                 assert_eq!(decoded, frame, "round-trip of kind {}", frame.kind());
                 // And via the stream reader.
                 let mut cursor = std::io::Cursor::new(wire);
-                assert_eq!(Frame::read_from(&mut cursor).unwrap(), frame);
+                assert_eq!(Frame::read_counted(&mut cursor).unwrap().0, frame);
             }
         });
     }
@@ -1580,15 +1575,18 @@ mod tests {
         wire.push(RUN_WAVE);
         let mut cursor = std::io::Cursor::new(wire);
         assert_eq!(
-            Frame::read_from(&mut cursor),
-            Err(FrameError::BadLength(MAX_FRAME_LEN + 1))
+            Frame::read_counted(&mut cursor).unwrap_err(),
+            FrameError::BadLength(MAX_FRAME_LEN + 1)
         );
         // Too-short length words (cannot hold version + kind) as well.
         let mut wire = Vec::new();
         wire.extend_from_slice(&1u32.to_le_bytes());
         wire.push(WIRE_VERSION);
         let mut cursor = std::io::Cursor::new(wire);
-        assert_eq!(Frame::read_from(&mut cursor), Err(FrameError::BadLength(1)));
+        assert_eq!(
+            Frame::read_counted(&mut cursor).unwrap_err(),
+            FrameError::BadLength(1)
+        );
     }
 
     #[test]
@@ -1684,9 +1682,15 @@ mod tests {
         }
         .encode();
         let mut cursor = std::io::Cursor::new(&wire[..wire.len() - 1]);
-        assert_eq!(Frame::read_from(&mut cursor), Err(FrameError::Truncated));
+        assert_eq!(
+            Frame::read_counted(&mut cursor).unwrap_err(),
+            FrameError::Truncated
+        );
         let mut empty = std::io::Cursor::new(Vec::<u8>::new());
-        assert_eq!(Frame::read_from(&mut empty), Err(FrameError::Truncated));
+        assert_eq!(
+            Frame::read_counted(&mut empty).unwrap_err(),
+            FrameError::Truncated
+        );
     }
 
     /// A random permuted multiset of frames (1–3 copies of a random

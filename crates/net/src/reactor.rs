@@ -803,7 +803,7 @@ mod tests {
         // they were batched on the wire.
         sb.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
         for f in &frames {
-            assert_eq!(&Frame::read_from(&mut sb).unwrap(), f);
+            assert_eq!(&Frame::read_counted(&mut sb).unwrap().0, f);
         }
         // The byte counter is updated by the reactor thread right after
         // its write returns; the reader above can observe the bytes
@@ -856,7 +856,10 @@ mod tests {
         r.shutdown();
         sb.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
         for wave in 0..16 {
-            assert_eq!(Frame::read_from(&mut sb).unwrap(), Frame::RunWave { wave });
+            assert_eq!(
+                Frame::read_counted(&mut sb).unwrap().0,
+                Frame::RunWave { wave }
+            );
         }
     }
 

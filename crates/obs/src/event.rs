@@ -272,7 +272,7 @@ impl Event {
 
     /// The chrome track this event renders on: the consumer for
     /// gets/pulls, the producer for puts, 0 otherwise.
-    pub fn track(&self) -> u64 {
+    pub(crate) fn track(&self) -> u64 {
         match self.kind {
             EventKind::Put { .. } | EventKind::NetSend | EventKind::SubPush => {
                 self.src.unwrap_or(0) as u64

@@ -45,12 +45,6 @@ impl Graph {
             .zip(self.adjwgt[r].iter().copied())
     }
 
-    /// Degree of `v`.
-    #[inline]
-    pub fn degree(&self, v: u32) -> usize {
-        self.xadj[v as usize + 1] - self.xadj[v as usize]
-    }
-
     /// Sum of edge weights crossing part boundaries under `parts`
     /// (each undirected edge counted once).
     ///
@@ -163,7 +157,7 @@ mod tests {
         let g = triangle();
         assert_eq!(g.num_vertices(), 3);
         assert_eq!(g.adjncy.len() / 2, 3);
-        assert_eq!(g.degree(0), 2);
+        assert_eq!(g.neighbors(0).count(), 2);
         let n0: Vec<_> = g.neighbors(0).collect();
         assert_eq!(n0, vec![(1, 5), (2, 2)]);
     }

@@ -278,7 +278,13 @@ mod tests {
     #[test]
     fn single_part() {
         let g = two_communities(4);
-        let parts = MultilevelPartitioner.partition(&g, &PartitionConfig::new(1));
+        let parts = MultilevelPartitioner.partition(
+            &g,
+            &PartitionConfig {
+                nparts: 1,
+                max_part_weight: None,
+            },
+        );
         assert!(parts.iter().all(|&p| p == 0));
     }
 

@@ -13,14 +13,6 @@ pub struct PartitionConfig {
 }
 
 impl PartitionConfig {
-    /// `nparts` parts with no cap.
-    pub fn new(nparts: usize) -> Self {
-        PartitionConfig {
-            nparts,
-            max_part_weight: None,
-        }
-    }
-
     /// `nparts` parts with a hard per-part weight cap.
     pub fn with_cap(nparts: usize, cap: u64) -> Self {
         PartitionConfig {
@@ -350,7 +342,13 @@ mod tests {
     #[test]
     fn single_part_puts_everything_together() {
         let g = path_graph(5);
-        let parts = GreedyGrowthPartitioner.partition(&g, &PartitionConfig::new(1));
+        let parts = GreedyGrowthPartitioner.partition(
+            &g,
+            &PartitionConfig {
+                nparts: 1,
+                max_part_weight: None,
+            },
+        );
         assert!(parts.iter().all(|&p| p == 0));
         assert_eq!(g.edge_cut(&parts), 0);
     }

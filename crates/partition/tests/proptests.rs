@@ -95,7 +95,13 @@ fn edge_cut_zero_iff_single_part_on_connected() {
             b.add_edge(v, v + 1, 1);
         }
         let g = b.build();
-        let parts = MultilevelPartitioner.partition(&g, &PartitionConfig::new(1));
+        let parts = MultilevelPartitioner.partition(
+            &g,
+            &PartitionConfig {
+                nparts: 1,
+                max_part_weight: None,
+            },
+        );
         assert_eq!(g.edge_cut(&parts), 0);
     });
 }

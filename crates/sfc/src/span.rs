@@ -69,17 +69,7 @@ fn descend(
     let order = curve.order();
     let cell_bits = n * (order - depth);
     let first = prefix << cell_bits;
-    // The subtree's cells form an aligned cube of side 2^(order-depth)
-    // containing the point of its first index.
-    let side = 1u64 << (order - depth);
-    let rep = curve.point_of(first);
-    let mut lb = [0u64; MAX_DIMS];
-    let mut ub = [0u64; MAX_DIMS];
-    for d in 0..curve.ndim() {
-        lb[d] = rep[d] & !(side - 1);
-        ub[d] = lb[d] + side - 1;
-    }
-    let cube = BoundingBox::new(&lb[..curve.ndim()], &ub[..curve.ndim()]);
+    let cube = subtree_cube(curve, first, depth);
     let Some(overlap) = cube.intersect(query) else {
         return;
     };
@@ -94,6 +84,20 @@ fn descend(
     for child in 0..(1u128 << n) {
         descend(curve, query, (prefix << n) | child, depth + 1, out);
     }
+}
+
+/// The cells of the subtree at `depth` whose first index is `first`: an
+/// aligned cube of side 2^(order-depth) containing that index's point.
+fn subtree_cube(curve: &dyn SpaceFillingCurve, first: u128, depth: u32) -> BoundingBox {
+    let side = 1u64 << (curve.order() - depth);
+    let rep = curve.point_of(first);
+    let mut lb = [0u64; MAX_DIMS];
+    let mut ub = [0u64; MAX_DIMS];
+    for d in 0..curve.ndim() {
+        lb[d] = rep[d] & !(side - 1);
+        ub[d] = lb[d] + side - 1;
+    }
+    BoundingBox::new(&lb[..curve.ndim()], &ub[..curve.ndim()])
 }
 
 /// The inverse of [`spans_of_box`]: decompose a contiguous index span
@@ -125,15 +129,7 @@ fn boxes_descend(
     }
     if span.first <= first && last <= span.last {
         // Whole subtree inside the span: emit its cube.
-        let side = 1u64 << (order - depth);
-        let rep = curve.point_of(first);
-        let mut lb = [0u64; MAX_DIMS];
-        let mut ub = [0u64; MAX_DIMS];
-        for d in 0..curve.ndim() {
-            lb[d] = rep[d] & !(side - 1);
-            ub[d] = lb[d] + side - 1;
-        }
-        out.push(BoundingBox::new(&lb[..curve.ndim()], &ub[..curve.ndim()]));
+        out.push(subtree_cube(curve, first, depth));
         return;
     }
     debug_assert!(depth < order);
@@ -160,11 +156,6 @@ pub(crate) fn merge_spans(spans: &mut Vec<Span>) {
     spans.truncate(if spans.is_empty() { 0 } else { w + 1 });
 }
 
-/// Total number of indices covered by a span set.
-pub fn total_len(spans: &[Span]) -> u128 {
-    spans.iter().map(Span::len).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,7 +164,7 @@ mod tests {
     fn check_exact_cover(curve: &dyn SpaceFillingCurve, query: &BoundingBox) {
         let spans = spans_of_box(curve, query);
         // Volume matches.
-        assert_eq!(total_len(&spans), query.num_cells());
+        assert_eq!(spans.iter().map(Span::len).sum::<u128>(), query.num_cells());
         // Sorted, disjoint, non-adjacent (maximal).
         for w in spans.windows(2) {
             assert!(w[0].last + 1 < w[1].first, "spans not maximal: {w:?}");

@@ -1,8 +1,7 @@
 //! Property tests: curve bijectivity, adjacency, and span-cover exactness.
 
 use insitu_domain::BoundingBox;
-use insitu_sfc::span::total_len;
-use insitu_sfc::{spans_of_box, HilbertCurve, MortonCurve, SpaceFillingCurve};
+use insitu_sfc::{spans_of_box, HilbertCurve, MortonCurve, SpaceFillingCurve, Span};
 use insitu_util::check::forall;
 
 #[test]
@@ -71,7 +70,7 @@ fn spans_cover_box_exactly_hilbert() {
         let ub = [(lb[0] + w).min(side - 1), (lb[1] + hgt).min(side - 1)];
         let b = BoundingBox::new(&lb, &ub);
         let spans = spans_of_box(&h, &b);
-        assert_eq!(total_len(&spans), b.num_cells());
+        assert_eq!(spans.iter().map(Span::len).sum::<u128>(), b.num_cells());
         // Disjoint + sorted + maximal.
         for wd in spans.windows(2) {
             assert!(wd[0].last + 1 < wd[1].first);
@@ -98,14 +97,14 @@ fn spans_cover_box_exactly_morton() {
         let ub = [(lb[0] + w).min(side - 1), (lb[1] + hgt).min(side - 1)];
         let b = BoundingBox::new(&lb, &ub);
         let spans = spans_of_box(&m, &b);
-        assert_eq!(total_len(&spans), b.num_cells());
+        assert_eq!(spans.iter().map(Span::len).sum::<u128>(), b.num_cells());
     });
 }
 
 /// Expand a span cover back into the set of lattice points it names.
 fn cells_of_spans(
     curve: &dyn SpaceFillingCurve,
-    spans: &[insitu_sfc::Span],
+    spans: &[Span],
     ndim: usize,
 ) -> std::collections::BTreeSet<Vec<u64>> {
     let mut cells = std::collections::BTreeSet::new();

@@ -59,22 +59,10 @@ impl RpcClient {
         }
     }
 
-    /// Submit a workflow at the default (lowest) priority; returns
-    /// `(run id, runs queued ahead)`.
-    pub fn submit(
-        &mut self,
-        name: &str,
-        dag: &str,
-        config: &str,
-        strategy: &str,
-        get_timeout: Duration,
-    ) -> Result<(u64, u32), String> {
-        self.submit_with_priority(name, dag, config, strategy, get_timeout, 0)
-    }
-
-    /// Submit a workflow with an admission priority: a higher value is
-    /// queued ahead of every lower one, first-come-first-served within
-    /// a level.
+    /// Submit a workflow with an admission priority (0 is the lowest): a
+    /// higher value is queued ahead of every lower one,
+    /// first-come-first-served within a level. Returns `(run id, runs
+    /// queued ahead)`.
     pub fn submit_with_priority(
         &mut self,
         name: &str,

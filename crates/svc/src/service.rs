@@ -1,7 +1,10 @@
 //! The service: RPC port (one [`Reactor`]), admission queue and
 //! per-run engines, each owning its run's joiner threads.
 
-use insitu::{join, map_scenario, serve, JoinOptions, MappingStrategy, Scenario, ServeOptions};
+use insitu::{
+    join, map_scenario, serve, JoinOptions, MappingStrategy, Scenario, ServeOptions,
+    DEFAULT_CONNECT_TIMEOUT,
+};
 use insitu_fabric::FaultInjector;
 use insitu_net::{
     ConnEvent, Frame, NetMetrics, Reactor, ReactorHandle, RunState, RunSummary, Sink, Token,
@@ -45,8 +48,6 @@ pub struct SvcConfig {
     /// the three RPC-served artifacts in memory only and renders no
     /// chrome trace at all — the trace exists on disk or nowhere.
     pub artifacts_dir: Option<PathBuf>,
-    /// Print run lifecycle transitions to stdout (`insitu serve` does).
-    pub verbose: bool,
     /// Allow same-host pulls to ride shared-memory rings (on by
     /// default). Off forces every run's `PullData` onto the socket —
     /// the wire-pinning chaos tests need that, and `serve --no-shm`
@@ -69,9 +70,8 @@ impl Default for SvcConfig {
             max_runs: 4,
             queue_depth: 32,
             pool_nodes: 8,
-            connect_timeout: Duration::from_secs(30),
+            connect_timeout: DEFAULT_CONNECT_TIMEOUT,
             artifacts_dir: None,
-            verbose: false,
             shm: true,
             injector: FaultInjector::none(),
             stall_ms: 2000,
@@ -265,7 +265,8 @@ struct Shared {
     rpc: ReactorHandle,
 }
 
-/// A running workflow service. Dropping without [`Service::shutdown`]
+/// A running workflow service. It prints each run's lifecycle
+/// transitions to stdout. Dropping without [`Service::shutdown`]
 /// closes the RPC port but leaks the other threads; the CLI runs it for
 /// the process lifetime, tests shut it down explicitly.
 pub struct Service {
@@ -413,9 +414,7 @@ fn scheduler_loop(shared: &Shared) {
             st.free_nodes -= nodes;
             id
         };
-        if shared.cfg.verbose {
-            println!("run {admitted}: admitted");
-        }
+        println!("run {admitted}: admitted");
         // The handle is dropped at once: a finished engine's thread
         // exits and frees its stack, and the scope still waits for it.
         std::thread::Builder::new()
@@ -606,16 +605,14 @@ fn conclude(
         }
     }
 
-    if shared.cfg.verbose {
-        println!(
-            "run {id}: {state}{}",
-            if detail.is_empty() {
-                String::new()
-            } else {
-                format!(" ({detail})")
-            }
-        );
-    }
+    println!(
+        "run {id}: {state}{}",
+        if detail.is_empty() {
+            String::new()
+        } else {
+            format!(" ({detail})")
+        }
+    );
     let mut st = shared.state.lock().unwrap();
     let e = &mut st.runs[id as usize - 1];
     e.artifacts = artifacts;
@@ -780,7 +777,7 @@ fn rpc_sink(shared: Weak<Shared>, token: Token) -> Sink {
         match ev {
             ConnEvent::Frame(request) => on_request(&shared, token, request),
             ConnEvent::Closed(reason) => {
-                if shared.cfg.verbose && !reason.is_empty() {
+                if !reason.is_empty() {
                     println!("rpc connection closed: {reason}");
                 }
                 let mut st = shared.state.lock().unwrap();
@@ -952,9 +949,7 @@ fn submit(shared: &Shared, request: Frame) -> Frame {
         .unwrap_or(st.queue.len());
     let queued_ahead = at as u32;
     st.queue.insert(at, id);
-    if shared.cfg.verbose {
-        println!("run {id}: submitted ({nodes} nodes, priority {priority}, {queued_ahead} ahead)");
-    }
+    println!("run {id}: submitted ({nodes} nodes, priority {priority}, {queued_ahead} ahead)");
     shared.sched.notify_all();
     Frame::Submitted {
         run: id,
@@ -975,9 +970,7 @@ fn cancel(shared: &Shared, st: &mut State, run: u64) -> Frame {
         // the next wave boundary. Terminal states are left untouched.
         e.cancel.store(true, Ordering::SeqCst);
     }
-    if shared.cfg.verbose {
-        println!("run {run}: cancel requested");
-    }
+    println!("run {run}: cancel requested");
     Frame::RunStatus(st.runs[run as usize - 1].summary(run))
 }
 
@@ -1032,7 +1025,14 @@ mod tests {
             ..SvcConfig::default()
         });
         let (run, _) = client
-            .submit("smoke", "ok", "", "data-centric", Duration::from_secs(60))
+            .submit_with_priority(
+                "smoke",
+                "ok",
+                "",
+                "data-centric",
+                Duration::from_secs(60),
+                0,
+            )
             .unwrap();
         assert_eq!(run, 1);
         let s = client.wait_terminal(run, Duration::from_secs(120)).unwrap();
@@ -1060,12 +1060,13 @@ mod tests {
         let runs: Vec<u64> = (0..4)
             .map(|i| {
                 client
-                    .submit(
+                    .submit_with_priority(
                         &format!("iso-{i}"),
                         "ok",
                         "",
                         "data-centric",
                         Duration::from_secs(60),
+                        0,
                     )
                     .unwrap()
                     .0
@@ -1099,7 +1100,14 @@ mod tests {
             ..SvcConfig::default()
         });
         let (run, _) = client
-            .submit("dead", "ok", "", "data-centric", Duration::from_millis(200))
+            .submit_with_priority(
+                "dead",
+                "ok",
+                "",
+                "data-centric",
+                Duration::from_millis(200),
+                0,
+            )
             .unwrap();
         let s = client.wait_terminal(run, Duration::from_secs(120)).unwrap();
         assert_eq!(s.state, RunState::Done, "{}", s.detail);
@@ -1123,19 +1131,19 @@ mod tests {
             ..SvcConfig::default()
         });
         let err = client
-            .submit("x", "ok", "", "no-such-strategy", Duration::from_secs(1))
+            .submit_with_priority("x", "ok", "", "no-such-strategy", Duration::from_secs(1), 0)
             .unwrap_err();
         assert!(err.contains("strategy"), "{err}");
         let err = client
-            .submit("x", "bad", "", "data-centric", Duration::from_secs(1))
+            .submit_with_priority("x", "bad", "", "data-centric", Duration::from_secs(1), 0)
             .unwrap_err();
         assert!(err.contains("invalid workflow"), "{err}");
         let (run, ahead) = client
-            .submit("q1", "ok", "", "data-centric", Duration::from_secs(1))
+            .submit_with_priority("q1", "ok", "", "data-centric", Duration::from_secs(1), 0)
             .unwrap();
         assert_eq!((run, ahead), (1, 0));
         let err = client
-            .submit("q2", "ok", "", "data-centric", Duration::from_secs(1))
+            .submit_with_priority("q2", "ok", "", "data-centric", Duration::from_secs(1), 0)
             .unwrap_err();
         assert!(err.contains("queue is full"), "{err}");
         assert_eq!(client.status(run).unwrap().state, RunState::Queued);
@@ -1151,13 +1159,20 @@ mod tests {
         });
         // A long run pins the single slot so the next submissions queue.
         let (head, _) = client
-            .submit("head", "slow", "", "data-centric", Duration::from_secs(60))
+            .submit_with_priority(
+                "head",
+                "slow",
+                "",
+                "data-centric",
+                Duration::from_secs(60),
+                0,
+            )
             .unwrap();
         while client.status(head).unwrap().state == RunState::Queued {
             std::thread::sleep(Duration::from_millis(1));
         }
         let (low, _) = client
-            .submit("low", "ok", "", "data-centric", Duration::from_secs(60))
+            .submit_with_priority("low", "ok", "", "data-centric", Duration::from_secs(60), 0)
             .unwrap();
         assert_eq!(client.status(low).unwrap().state, RunState::Queued);
         let (high, high_ahead) = client
@@ -1190,7 +1205,7 @@ mod tests {
             ..SvcConfig::default()
         });
         let err = client
-            .submit("wide", "ok", "", "data-centric", Duration::from_secs(1))
+            .submit_with_priority("wide", "ok", "", "data-centric", Duration::from_secs(1), 0)
             .unwrap_err();
         assert!(err.contains("nodes"), "{err}");
         assert!(client.list().unwrap().is_empty());
@@ -1205,7 +1220,14 @@ mod tests {
             ..SvcConfig::default()
         });
         let (run, _) = client
-            .submit("doomed", "ok", "", "data-centric", Duration::from_secs(1))
+            .submit_with_priority(
+                "doomed",
+                "ok",
+                "",
+                "data-centric",
+                Duration::from_secs(1),
+                0,
+            )
             .unwrap();
         let s = client.cancel(run).unwrap();
         assert_eq!(s.state, RunState::Cancelled);
@@ -1233,7 +1255,14 @@ mod tests {
             .unwrap_err();
         assert!(err.contains("unknown run"), "{err}");
         let (run, _) = client
-            .submit("watched", "ok", "", "round-robin", Duration::from_secs(60))
+            .submit_with_priority(
+                "watched",
+                "ok",
+                "",
+                "round-robin",
+                Duration::from_secs(60),
+                0,
+            )
             .unwrap();
         let mut last: Option<(RunState, bool, u32, u32, u64)> = None;
         let frames = client
@@ -1320,7 +1349,7 @@ mod tests {
             ..SvcConfig::default()
         });
         let (run, _) = client
-            .submit("slow", "ok", "", "round-robin", Duration::from_secs(60))
+            .submit_with_priority("slow", "ok", "", "round-robin", Duration::from_secs(60), 0)
             .unwrap();
         let s = client.wait_terminal(run, Duration::from_secs(120)).unwrap();
         assert_eq!(s.state, RunState::Done, "{}", s.detail);
@@ -1348,7 +1377,14 @@ mod tests {
             ..SvcConfig::default()
         });
         let (run, _) = client
-            .submit("merged", "ok", "", "round-robin", Duration::from_secs(60))
+            .submit_with_priority(
+                "merged",
+                "ok",
+                "",
+                "round-robin",
+                Duration::from_secs(60),
+                0,
+            )
             .unwrap();
         let s = client.wait_terminal(run, Duration::from_secs(120)).unwrap();
         assert_eq!(s.state, RunState::Done, "{}", s.detail);
@@ -1390,7 +1426,14 @@ mod tests {
         });
         for _ in 0..6 {
             let (run, _) = client
-                .submit("kept", "ok", "cfg", "round-robin", Duration::from_secs(60))
+                .submit_with_priority(
+                    "kept",
+                    "ok",
+                    "cfg",
+                    "round-robin",
+                    Duration::from_secs(60),
+                    0,
+                )
                 .unwrap();
             let s = client.wait_terminal(run, Duration::from_secs(120)).unwrap();
             assert_eq!(s.state, RunState::Done, "{}", s.detail);
@@ -1418,7 +1461,14 @@ mod tests {
             ..SvcConfig::default()
         });
         let (first, _) = client
-            .submit("victim", "ok", "", "data-centric", Duration::from_secs(60))
+            .submit_with_priority(
+                "victim",
+                "ok",
+                "",
+                "data-centric",
+                Duration::from_secs(60),
+                0,
+            )
             .unwrap();
         client.cancel(first).unwrap();
         let s = client
@@ -1433,7 +1483,14 @@ mod tests {
             s.state
         );
         let (second, _) = client
-            .submit("after", "ok", "", "data-centric", Duration::from_secs(60))
+            .submit_with_priority(
+                "after",
+                "ok",
+                "",
+                "data-centric",
+                Duration::from_secs(60),
+                0,
+            )
             .unwrap();
         let s = client
             .wait_terminal(second, Duration::from_secs(120))
@@ -1467,7 +1524,14 @@ mod tests {
         let addr = svc.local_addr().to_string();
         let mut client = RpcClient::connect(&addr, Duration::from_secs(10)).unwrap();
         let (run, _) = client
-            .submit("counted", "ok", "", "round-robin", Duration::from_secs(60))
+            .submit_with_priority(
+                "counted",
+                "ok",
+                "",
+                "round-robin",
+                Duration::from_secs(60),
+                0,
+            )
             .unwrap();
         let s = client.wait_terminal(run, Duration::from_secs(120)).unwrap();
         assert_eq!(s.state, RunState::Done, "{}", s.detail);
@@ -1503,7 +1567,7 @@ mod tests {
         // that brief.
         for expected in [RunState::Failed, RunState::Done] {
             let (run, _) = client
-                .submit("twice", "ok", "", "round-robin", Duration::from_secs(3))
+                .submit_with_priority("twice", "ok", "", "round-robin", Duration::from_secs(3), 0)
                 .unwrap();
             let s = client.wait_terminal(run, Duration::from_secs(120)).unwrap();
             assert_eq!(s.state, expected, "run {run}: {}", s.detail);
@@ -1537,7 +1601,7 @@ mod tests {
             ..SvcConfig::default()
         });
         let (run, _) = client
-            .submit("stuck", "ok", "", "data-centric", Duration::from_secs(1))
+            .submit_with_priority("stuck", "ok", "", "data-centric", Duration::from_secs(1), 0)
             .unwrap();
         let err = client
             .wait_terminal(run, Duration::from_millis(50))
@@ -1618,7 +1682,7 @@ mod tests {
         });
         let addr = svc.local_addr();
         let (run, _) = client
-            .submit("kept", "ok", "", "round-robin", Duration::from_secs(60))
+            .submit_with_priority("kept", "ok", "", "round-robin", Duration::from_secs(60), 0)
             .unwrap();
         let s = client.wait_terminal(run, Duration::from_secs(120)).unwrap();
         assert_eq!(s.state, RunState::Done, "{}", s.detail);
@@ -1746,7 +1810,14 @@ mod tests {
         });
         let addr = svc.local_addr();
         let (run, _) = client
-            .submit("watched", "ok", "", "data-centric", Duration::from_secs(1))
+            .submit_with_priority(
+                "watched",
+                "ok",
+                "",
+                "data-centric",
+                Duration::from_secs(1),
+                0,
+            )
             .unwrap();
         let watch = Frame::Watch {
             run,

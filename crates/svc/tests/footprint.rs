@@ -64,7 +64,7 @@ fn census_settling_to(then: Census) -> Census {
 fn run_to(client: &mut RpcClient, last: u64) {
     loop {
         let (run, _) = client
-            .submit("tiny", "ok", "", "round-robin", Duration::from_secs(60))
+            .submit_with_priority("tiny", "ok", "", "round-robin", Duration::from_secs(60), 0)
             .unwrap();
         let s = client.wait_terminal(run, Duration::from_secs(120)).unwrap();
         assert_eq!(s.state, RunState::Done, "run {run}: {}", s.detail);

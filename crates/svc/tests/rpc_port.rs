@@ -68,7 +68,7 @@ fn idle_rpc_connections_add_no_threads() {
     // terminal state is recorded before the joiners are joined, so the
     // count settles a moment later.
     let (run, _) = clients[0]
-        .submit("one", "ok", "", "round-robin", Duration::from_secs(60))
+        .submit_with_priority("one", "ok", "", "round-robin", Duration::from_secs(60), 0)
         .unwrap();
     let s = clients[0]
         .wait_terminal(run, Duration::from_secs(120))

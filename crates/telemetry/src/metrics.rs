@@ -1,9 +1,8 @@
 //! Named counters, gauges and log-bucketed histograms.
 //!
 //! Hot paths are single atomic operations on handles obtained once (the
-//! registry lookup is the only locked step). Snapshots are plain data and
-//! mergeable, so per-run registries can be combined — e.g. a threaded run
-//! and its modeled twin — before rendering.
+//! registry lookup is the only locked step). Snapshots are plain data,
+//! rendered as JSON or as a table.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -195,17 +194,6 @@ impl HistogramSnapshot {
         }
         Some(self.max)
     }
-
-    /// Merge another snapshot into this one.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// Point-in-time copy of a [`Gauge`].
@@ -288,7 +276,7 @@ impl MetricsRegistry {
     }
 }
 
-/// Plain-data copy of a [`MetricsRegistry`]; mergeable and renderable.
+/// Plain-data copy of a [`MetricsRegistry`]; renderable.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Counter values by name.
@@ -300,30 +288,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Merge another snapshot into this one (counters add, gauge values
-    /// add with peaks maxed, histograms merge bucketwise).
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, g) in &other.gauges {
-            let slot = self
-                .gauges
-                .entry(k.clone())
-                .or_insert(GaugeSnapshot { value: 0, peak: 0 });
-            slot.value += g.value;
-            slot.peak = slot.peak.max(g.peak);
-        }
-        for (k, h) in &other.histograms {
-            match self.histograms.get_mut(k) {
-                Some(mine) => mine.merge(h),
-                None => {
-                    self.histograms.insert(k.clone(), h.clone());
-                }
-            }
-        }
-    }
-
     /// Counter value by name (0 when absent).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
@@ -456,31 +420,6 @@ mod tests {
         g.set(2);
         assert_eq!(g.get(), 2);
         assert_eq!(g.peak(), 9);
-    }
-
-    #[test]
-    fn snapshots_merge() {
-        let a = MetricsRegistry::new();
-        a.counter("n").add(3);
-        a.gauge("g").set(10);
-        a.histogram("h").record(4);
-        let b = MetricsRegistry::new();
-        b.counter("n").add(4);
-        b.counter("only_b").add(1);
-        b.gauge("g").set(2);
-        b.histogram("h").record(16);
-
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        assert_eq!(merged.counter("n"), 7);
-        assert_eq!(merged.counter("only_b"), 1);
-        assert_eq!(merged.gauges["g"].value, 12);
-        assert_eq!(merged.gauges["g"].peak, 10);
-        let h = &merged.histograms["h"];
-        assert_eq!(h.count, 2);
-        assert_eq!(h.sum, 20);
-        assert_eq!(h.min, 4);
-        assert_eq!(h.max, 16);
     }
 
     #[test]

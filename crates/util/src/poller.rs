@@ -257,11 +257,6 @@ impl Poller {
         }
     }
 
-    /// True when no streams are registered.
-    pub fn is_empty(&self) -> bool {
-        self.streams.is_empty()
-    }
-
     /// Park up to `timeout` until a registered socket needs attention
     /// or a [`Waker`] fires; returns the ready tokens (empty on timeout
     /// or wake). Returns immediately when something is already ready.
@@ -366,7 +361,7 @@ mod tests {
         let mut poller = Poller::new();
         poller.register(9, a.try_clone().unwrap()).unwrap();
         poller.deregister(9);
-        assert!(poller.is_empty());
+        assert!(poller.streams.is_empty());
         b.write_all(b"x").unwrap();
         assert!(poller.poll(Duration::from_millis(10)).is_empty());
     }

@@ -173,16 +173,6 @@ impl ShmMap {
             "shared-memory segments need a unix mmap",
         ))
     }
-
-    /// Mapping length in bytes.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the mapping is empty (never true for a created map).
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
 }
 
 impl Drop for ShmMap {
@@ -660,34 +650,28 @@ fn pid_alive(pid: u32) -> bool {
 /// number removed. Used by `insitu serve` at startup so a crashed
 /// earlier run cannot leak `/dev/shm` space forever.
 pub fn sweep_stale(dir: &Path) -> usize {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return 0;
-    };
-    let mut removed = 0;
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(pid) = segment_pid(name) else {
-            continue;
-        };
-        if !pid_alive(pid) && std::fs::remove_file(entry.path()).is_ok() {
-            removed += 1;
-        }
-    }
-    removed
+    remove_segments(dir, |pid| !pid_alive(pid))
 }
 
 /// Remove every segment in `dir` created by `pid`. Returns the number
 /// removed. Used by `insitu launch` to reap a dead joiner's segments.
 pub fn reap_pid(dir: &Path, pid: u32) -> usize {
+    remove_segments(dir, |p| p == pid)
+}
+
+/// Remove every segment in `dir` whose creator pid `doomed` accepts;
+/// returns the number removed. Other files are left alone.
+fn remove_segments(dir: &Path, doomed: impl Fn(u32) -> bool) -> usize {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return 0;
     };
     let mut removed = 0;
     for entry in entries.flatten() {
         let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if segment_pid(name) == Some(pid) && std::fs::remove_file(entry.path()).is_ok() {
+        let Some(pid) = name.to_str().and_then(segment_pid) else {
+            continue;
+        };
+        if doomed(pid) && std::fs::remove_file(entry.path()).is_ok() {
             removed += 1;
         }
     }

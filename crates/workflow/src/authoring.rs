@@ -144,6 +144,15 @@ fn parse_value(s: &str, line: usize) -> Result<Value, AuthorError> {
     })
 }
 
+/// The lines of `source` that say something, numbered from 1: each
+/// with its `#` comment cut off and trimmed, blank ones skipped.
+fn content_lines(source: &str) -> impl Iterator<Item = (usize, &str)> {
+    source.lines().enumerate().filter_map(|(idx, raw)| {
+        let text = raw.split('#').next().unwrap_or("").trim();
+        (!text.is_empty()).then_some((idx + 1, text))
+    })
+}
+
 /// One logical document: named single tables plus ordered array tables.
 #[derive(Default)]
 struct Doc {
@@ -157,12 +166,7 @@ impl Doc {
         const ARRAY: [&str; 5] = ["app", "coupling", "subscribe", "bundle", "edge"];
         let mut doc = Doc::default();
         let mut current: Option<&mut Table> = None;
-        for (idx, raw) in source.lines().enumerate() {
-            let line = idx + 1;
-            let text = raw.split('#').next().unwrap_or("").trim();
-            if text.is_empty() {
-                continue;
-            }
+        for (line, text) in content_lines(source) {
             if let Some(h) = text.strip_prefix("[[") {
                 let name = h
                     .strip_suffix("]]")
@@ -219,12 +223,7 @@ fn substitute(source: &str, overrides: &[(String, String)]) -> Result<String, Au
     // `${...}` references elsewhere never reach the value parser early.
     let mut params: BTreeMap<String, String> = BTreeMap::new();
     let mut in_params = false;
-    for (idx, raw) in source.lines().enumerate() {
-        let line = idx + 1;
-        let text = raw.split('#').next().unwrap_or("").trim();
-        if text.is_empty() {
-            continue;
-        }
+    for (line, text) in content_lines(source) {
         if text.starts_with('[') {
             in_params = text == "[params]";
             continue;

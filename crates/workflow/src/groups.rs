@@ -1,13 +1,11 @@
-//! Dynamic execution-client grouping: the `MPI_Comm_split` analog.
+//! Execution-client grouping: the `MPI_Comm_split` analog.
 //!
-//! After mapping, each execution client is "colored" with the application
-//! id of its assigned task; clients with the same color form a process
-//! group with ranks assigned by the task's rank key (§IV.C). The group is
-//! the communicator the application routine uses for all intra-application
-//! communication.
+//! After mapping, the execution clients running one application's tasks
+//! form that application's process group, ranked by task rank (§IV.C).
+//! The group is the communicator the application routine uses for all
+//! intra-application communication.
 
 use insitu_fabric::ClientId;
-use std::collections::BTreeMap;
 
 /// One application's process group: `members[rank]` is the execution
 /// client running that rank.
@@ -25,95 +23,8 @@ impl AppGroup {
         self.members.len() as u32
     }
 
-    /// Rank of a client within the group, if a member.
-    pub fn rank_of(&self, client: ClientId) -> Option<u32> {
-        self.members
-            .iter()
-            .position(|&c| c == client)
-            .map(|p| p as u32)
-    }
-
     /// Client of a rank.
     pub fn client_of(&self, rank: u32) -> ClientId {
         self.members[rank as usize]
-    }
-}
-
-/// Form one group per color from `(client, color, rank_key)` triples,
-/// ordering ranks by `(rank_key, client)` — the same tie-breaking rule as
-/// `MPI_Comm_split(color, key)`. Groups are returned sorted by color.
-pub fn split_by_color(colored: &[(ClientId, u32, u64)]) -> Vec<AppGroup> {
-    let mut by_color: BTreeMap<u32, Vec<(u64, ClientId)>> = BTreeMap::new();
-    for &(client, color, key) in colored {
-        by_color.entry(color).or_default().push((key, client));
-    }
-    by_color
-        .into_iter()
-        .map(|(app_id, mut v)| {
-            v.sort_unstable();
-            AppGroup {
-                app_id,
-                members: v.into_iter().map(|(_, c)| c).collect(),
-            }
-        })
-        .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn splits_two_colors() {
-        let colored = vec![(0, 1, 0), (1, 2, 0), (2, 1, 1), (3, 2, 1)];
-        let groups = split_by_color(&colored);
-        assert_eq!(groups.len(), 2);
-        assert_eq!(groups[0].app_id, 1);
-        assert_eq!(groups[0].members, vec![0, 2]);
-        assert_eq!(groups[1].members, vec![1, 3]);
-    }
-
-    #[test]
-    fn rank_key_controls_order() {
-        // Client 5 requests rank 0, client 2 requests rank 1.
-        let groups = split_by_color(&[(5, 1, 0), (2, 1, 1)]);
-        assert_eq!(groups[0].members, vec![5, 2]);
-        assert_eq!(groups[0].rank_of(5), Some(0));
-        assert_eq!(groups[0].rank_of(2), Some(1));
-        assert_eq!(groups[0].client_of(1), 2);
-    }
-
-    #[test]
-    fn equal_keys_tie_break_by_client() {
-        let groups = split_by_color(&[(9, 1, 0), (3, 1, 0), (7, 1, 0)]);
-        assert_eq!(groups[0].members, vec![3, 7, 9]);
-    }
-
-    #[test]
-    fn single_color() {
-        let groups = split_by_color(&[(0, 4, 0), (1, 4, 1)]);
-        assert_eq!(groups.len(), 1);
-        assert_eq!(groups[0].size(), 2);
-    }
-
-    #[test]
-    fn empty_input() {
-        assert!(split_by_color(&[]).is_empty());
-    }
-
-    #[test]
-    fn non_member_rank_lookup() {
-        let groups = split_by_color(&[(0, 1, 0)]);
-        assert_eq!(groups[0].rank_of(42), None);
-    }
-
-    #[test]
-    fn k_bundled_apps_form_k_groups() {
-        // A "bundle" of 3 apps over 6 clients forms 3 process groups.
-        let colored: Vec<(ClientId, u32, u64)> =
-            (0..6).map(|c| (c, 1 + (c % 3), (c / 3) as u64)).collect();
-        let groups = split_by_color(&colored);
-        assert_eq!(groups.len(), 3);
-        assert!(groups.iter().all(|g| g.size() == 2));
     }
 }

@@ -32,7 +32,7 @@ pub use authoring::{compile_workflow, parse_override, AuthorError, AuthoredWorkf
 pub use comm_graph::{
     build_inter_app_graph_region, fanout_per_consumer, pairwise_overlaps, pairwise_overlaps_region,
 };
-pub use groups::{split_by_color, AppGroup};
+pub use groups::AppGroup;
 pub use mappers::{
     map_client_side, map_data_centric_server, map_node_cyclic, map_packed, BundleMapping,
     CoreAllocator,

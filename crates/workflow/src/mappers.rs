@@ -82,13 +82,6 @@ pub struct BundleMapping {
     pub cores: HashMap<u32, Vec<CoreId>>,
 }
 
-impl BundleMapping {
-    /// Core of one task.
-    pub fn core_of(&self, app: u32, rank: u32) -> CoreId {
-        self.cores[&app][rank as usize]
-    }
-}
-
 /// `node-cyclic`: deal tasks (apps concatenated in declaration order)
 /// to nodes cyclically, taking the next free core on each.
 ///
@@ -303,9 +296,9 @@ mod tests {
         let p = blocked_app(1, &[8, 8], &[2, 2]);
         let c = blocked_app(2, &[8, 8], &[2, 2]);
         let m = map_data_centric_server(&mut alloc, &[&p, &c], 8, None);
-        for rank in 0..4u32 {
-            let np = spec.node_of_core(m.core_of(1, rank));
-            let nc = spec.node_of_core(m.core_of(2, rank));
+        for rank in 0..4 {
+            let np = spec.node_of_core(m.cores[&1][rank]);
+            let nc = spec.node_of_core(m.cores[&2][rank]);
             assert_eq!(np, nc, "coupled pair {rank} split across nodes");
         }
     }

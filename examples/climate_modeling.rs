@@ -10,7 +10,7 @@
 
 use insitu::{run_threaded, CouplingSpec, MappingStrategy, Scenario};
 use insitu_domain::{BoundingBox, Decomposition, Distribution, ProcessGrid};
-use insitu_fabric::{NetworkModel, TrafficClass};
+use insitu_fabric::TrafficClass;
 use insitu_workflow::{parse_dag, CLIMATE_MODELING_DAG};
 
 fn blocked(domain: &[u64], grid: &[u64]) -> Decomposition {
@@ -60,7 +60,6 @@ fn main() {
         subscriptions: vec![],
         halo: 1,
         elem_bytes: 8,
-        model: NetworkModel::jaguar(),
         iterations: 1,
     };
 

@@ -315,6 +315,27 @@ fi
 if grep -rn 'percentile(' crates --include=*.rs | grep -v '^crates/obs/src/profile.rs:'; then
     echo "a percentile is computed outside the profile"; exit 1
 fi
+# The program is what it runs: items that only their own tests called
+# are gone with those tests, and inputs every caller set to one value
+# are constants (the time model is Jaguar's, every pull's piece is
+# staged when the get is issued, the service always reports its runs).
+# `gone <pattern> <path>..` fails the gate if any of them grows back.
+gone() {
+    local pattern=$1
+    shift
+    if grep -rnE "$pattern" "$@"; then
+        echo "a deleted item grew back: $pattern"; exit 1
+    fi
+}
+gone 'split_by_color|total_len|latest_version|round_robin_nodes|Frame::read_from|LinkFaults::new|PartitionConfig::new|\.hull\(|fn hull\b' \
+    crates tests examples
+gone 'ready_us|ready_at|min_ready|scenario\.model|pub model: NetworkModel|cfg\.verbose|verbose: (true|false)' crates tests examples
+gone 'fn (resample|count_above|histogram|merge)\b' crates/core/src/analysis.rs
+gone 'fn merge\b' crates/telemetry/src/metrics.rs
+gone 'fn (rank|barrier)\b' crates/core/src/comm.rs
+gone 'fn (degree|rank_of|core_of|len|submit|render)\b' crates/partition/src/graph.rs \
+    crates/workflow/src/groups.rs crates/workflow/src/mappers.rs crates/fabric/src/machine.rs \
+    crates/fabric/src/timemodel.rs crates/svc/src/client.rs crates/core/src/mapping.rs
 # A transient cell or payload buffer is born and given back through
 # `insitu_util::Recycled` alone: outside its tests, a birth-site file
 # allocates no zeroed, reserved or copied buffer any other way (not
@@ -357,9 +378,10 @@ fi
 # The public surface is what another crate uses: a `pub fn` under
 # crates/*/src that no other crate, test, example, bin or benchmark/src
 # names is `pub(crate)` at most, and once narrowed the compiler reports
-# it if nothing in its own crate calls it either. The check prints its
-# allow-list.
-echo "==> public surface (every pub fn is named outside its crate)"
+# it if nothing in its own crate calls it either; and a `pub fn` that no
+# non-test line names runs only under its tests, so it goes with them.
+# The check prints its allow-list, each entry with its reason.
+echo "==> public surface (every pub fn is named outside its crate and by the program)"
 python3 scripts/pub_surface.py
 
 # Modeled regression check: the modeled executor is deterministic, so

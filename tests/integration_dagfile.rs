@@ -4,7 +4,6 @@
 
 use insitu::{run_threaded, CouplingSpec, MappingStrategy, Scenario};
 use insitu_domain::{BoundingBox, Decomposition, Distribution, ProcessGrid};
-use insitu_fabric::NetworkModel;
 use insitu_workflow::{parse_dag, CLIMATE_MODELING_DAG, ONLINE_PROCESSING_DAG};
 
 fn blocked(domain: &[u64], grid: &[u64]) -> Decomposition {
@@ -46,7 +45,6 @@ fn online_processing_dag_runs() {
         subscriptions: vec![],
         halo: 1,
         elem_bytes: 8,
-        model: NetworkModel::jaguar(),
         iterations: 1,
     };
     let o = run_threaded(&scenario, MappingStrategy::DataCentric);
@@ -88,7 +86,6 @@ fn climate_dag_runs_with_two_consumer_models() {
         subscriptions: vec![],
         halo: 1,
         elem_bytes: 8,
-        model: NetworkModel::jaguar(),
         iterations: 1,
     };
     // The engine must schedule atmosphere first, then land + sea-ice.

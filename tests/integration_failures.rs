@@ -191,7 +191,8 @@ fn eviction_frees_staging_in_version_order() {
     assert_eq!(space.staging_bytes(0), 256);
     let (got, _) = space.get_seq(3, 2, "ring", 1, &piece(1)).unwrap();
     assert_eq!(got, data(1));
-    assert_eq!(space.latest_version("ring"), Some(2));
+    let (got, _) = space.get_seq(3, 2, "ring", 2, &piece(0)).unwrap();
+    assert_eq!(got, data(0));
 }
 
 #[test]

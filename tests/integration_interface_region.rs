@@ -4,7 +4,7 @@
 
 use insitu::{run_modeled, run_threaded, CouplingSpec, MappingStrategy, Scenario};
 use insitu_domain::{BoundingBox, Decomposition, Distribution, ProcessGrid};
-use insitu_fabric::{Locality, NetworkModel, TrafficClass};
+use insitu_fabric::{Locality, TrafficClass};
 use insitu_workflow::{AppSpec, WorkflowSpec};
 
 fn blocked(domain: &[u64], grid: &[u64]) -> Decomposition {
@@ -51,7 +51,6 @@ fn interface_scenario(concurrent: bool) -> Scenario {
         subscriptions: vec![],
         halo: 1,
         elem_bytes: 8,
-        model: NetworkModel::jaguar(),
         iterations: 1,
     }
 }
@@ -101,7 +100,6 @@ fn tasks_outside_the_interface_do_not_couple() {
         subscriptions: vec![],
         halo: 1,
         elem_bytes: 8,
-        model: NetworkModel::jaguar(),
         iterations: 1,
     };
     let o = run_threaded(&s, MappingStrategy::DataCentric);

@@ -4,7 +4,7 @@
 
 use insitu::{run_threaded, CouplingSpec, MappingStrategy, Scenario};
 use insitu_domain::{BoundingBox, Decomposition, Distribution, ProcessGrid};
-use insitu_fabric::{NetworkModel, TrafficClass};
+use insitu_fabric::TrafficClass;
 use insitu_workflow::{AppSpec, WorkflowSpec};
 
 fn blocked(domain: &[u64], grid: &[u64]) -> Decomposition {
@@ -45,7 +45,6 @@ fn chain_scenario() -> Scenario {
         subscriptions: vec![],
         halo: 1,
         elem_bytes: 8,
-        model: NetworkModel::jaguar(),
         iterations: 1,
     }
 }
@@ -101,7 +100,6 @@ fn four_dimensional_domain_coupling() {
         subscriptions: vec![],
         halo: 1,
         elem_bytes: 8,
-        model: NetworkModel::jaguar(),
         iterations: 1,
     };
     let o = run_threaded(&s, MappingStrategy::DataCentric);
@@ -157,7 +155,6 @@ fn diamond_with_concurrent_middle_wave() {
         subscriptions: vec![],
         halo: 1,
         elem_bytes: 8,
-        model: NetworkModel::jaguar(),
         iterations: 1,
     };
     // Waves: [src], [left, right], [sink].

@@ -11,7 +11,6 @@ use insitu::{
     MappingStrategy, Scenario, ServeOptions, SubscriptionSpec,
 };
 use insitu_domain::{BoundingBox, Decomposition, Distribution, ProcessGrid};
-use insitu_fabric::NetworkModel;
 use insitu_obs::{EventKind, FlightRecorder, LinkClass};
 use insitu_telemetry::Recorder;
 use std::net::TcpListener;
@@ -55,7 +54,6 @@ fn sub_scenario(every_k: u64, iterations: u64) -> Scenario {
         }],
         halo: 1,
         elem_bytes: 8,
-        model: NetworkModel::jaguar(),
         iterations,
     }
 }

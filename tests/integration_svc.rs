@@ -136,14 +136,14 @@ fn service_executes_concurrent_mixed_submissions_with_identical_ledgers() {
             (&authored.dag, &authored.config, format!("toml-{i}"))
         };
         let (run, _) = rpc
-            .submit(&name, d, c, "data-centric", get_timeout)
+            .submit_with_priority(&name, d, c, "data-centric", get_timeout, 0)
             .unwrap();
         runs.push(run);
     }
     // A tenth run is cancelled mid-service; whichever way the race
     // lands, it must terminate and leave the service healthy.
     let (victim, _) = rpc
-        .submit("victim", &dag, &config, "data-centric", get_timeout)
+        .submit_with_priority("victim", &dag, &config, "data-centric", get_timeout, 0)
         .unwrap();
     rpc.cancel(victim).unwrap();
 
@@ -169,7 +169,14 @@ fn service_executes_concurrent_mixed_submissions_with_identical_ledgers() {
     // The service stayed healthy after the cancel: a fresh submission
     // still completes correctly.
     let (after, _) = rpc
-        .submit("after-cancel", &dag, &config, "data-centric", get_timeout)
+        .submit_with_priority(
+            "after-cancel",
+            &dag,
+            &config,
+            "data-centric",
+            get_timeout,
+            0,
+        )
         .unwrap();
     let s = rpc.wait_terminal(after, Duration::from_secs(300)).unwrap();
     assert_eq!(s.state, RunState::Done, "{}", s.detail);
