@@ -148,7 +148,7 @@ fn coupling_rows(
 
 /// Fig. 8: concurrent coupling, coupled data over the network by pattern
 /// pair and strategy.
-pub fn fig08(size: Size) -> Vec<CouplingRow> {
+pub(crate) fn fig08(size: Size) -> Vec<CouplingRow> {
     coupling_rows(|p| size.concurrent(p), &size.patterns())
 }
 

@@ -20,7 +20,7 @@
 //! assert_eq!(a.render(), b.render()); // bit-for-bit replayable
 //! ```
 //!
-//! When a case violates an invariant, [`shrink`] greedily minimizes it
+//! When a case violates an invariant, `shrink` greedily minimizes it
 //! while the violation persists and [`run_chaos`] renders the result as a
 //! ready-to-paste `#[test]` reproducer, so a CI failure becomes a local
 //! unit test by copy-paste (see `insitu chaos --help` and DESIGN.md §6).
@@ -41,11 +41,11 @@ pub use generator::CaseSpec;
 pub use harness::{run_case_spec, run_chaos, CaseOutcome, ChaosReport};
 pub use insitu_fabric::FaultKind;
 pub use plan::{FaultPlan, FaultSpec};
-pub use shrink::{reproducer, shrink};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shrink::{reproducer, shrink};
 
     /// The acceptance demo: a deliberately injected dead-producer fault is
     /// caught by the harness as a typed timeout naming the owner, shrunk,

@@ -184,7 +184,7 @@ impl FaultPlan {
     /// Number of *distinct sites* each kind triggered at, in
     /// [`FaultKind::ALL`] order. Calling the same site twice counts once,
     /// which is what makes the counts replay-stable.
-    pub fn injected(&self) -> [u64; FaultKind::ALL.len()] {
+    pub(crate) fn injected(&self) -> [u64; FaultKind::ALL.len()] {
         let sites = self.sites.lock().unwrap();
         std::array::from_fn(|i| sites[i].len() as u64)
     }

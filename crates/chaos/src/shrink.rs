@@ -88,7 +88,7 @@ fn reductions(c: &CaseSpec) -> Vec<CaseSpec> {
 }
 
 /// Greedily minimize `case` while `still_fails` holds, to a fixed point.
-pub fn shrink(case: &CaseSpec, still_fails: &dyn Fn(&CaseSpec) -> bool) -> CaseSpec {
+pub(crate) fn shrink(case: &CaseSpec, still_fails: &dyn Fn(&CaseSpec) -> bool) -> CaseSpec {
     let mut cur = case.clone();
     loop {
         let better = reductions(&cur).into_iter().find(|cand| still_fails(cand));
@@ -101,7 +101,13 @@ pub fn shrink(case: &CaseSpec, still_fails: &dyn Fn(&CaseSpec) -> bool) -> CaseS
 
 /// Render a minimal failing case as a paste-ready `#[test]`, including
 /// the CLI line that replays the surrounding chaos run.
-pub fn reproducer(seed: u64, idx: u64, spec: &FaultSpec, case: &CaseSpec, reason: &str) -> String {
+pub(crate) fn reproducer(
+    seed: u64,
+    idx: u64,
+    spec: &FaultSpec,
+    case: &CaseSpec,
+    reason: &str,
+) -> String {
     format!(
         "// Reproduces: {reason}\n\
          // Replay the full run: insitu chaos --seed {seed} --cases {n} --faults {faults}\n\

@@ -3,7 +3,7 @@
 //! CoDS stores registered buffers as raw bytes ([`Bytes`]); the
 //! applications' field data is `f64`. A `put` stages its array without a
 //! copy: [`FieldData::into_bytes`] adopts the vector (as a [`Recycled`]
-//! owner, which hands it back to the wave's pool when the staged piece
+//! owner, which hands it back to its run's shelf when the staged piece
 //! drops, or a retained `HugeCells` piece of its producer's slab)
 //! through a byte view of its cells, so the staged buffer is 8-aligned
 //! by construction. Every other registered buffer is too: the wire lands
@@ -18,9 +18,10 @@ use insitu_util::{Bytes, HugeCells, Recycled};
 /// Size of one field element.
 pub const ELEM_BYTES: usize = std::mem::size_of::<f64>();
 
-/// `cells` copied once into a recycled buffer.
+/// `cells` copied once into a fresh buffer, born on huge pages: no run
+/// owns it, so it is freed when it drops.
 fn copy_cells(cells: &[f64]) -> Recycled<f64> {
-    let mut out = Recycled::with_capacity(cells.len());
+    let mut out = Recycled::with_capacity(cells.len(), None);
     out.extend_from_slice(cells);
     out
 }
@@ -46,7 +47,7 @@ pub fn f64s_of_bytes(b: &[u8]) -> Option<&[f64]> {
 #[derive(Clone)]
 pub enum FieldData {
     /// Assembled into a dedicated buffer, or a producer's array; back
-    /// to the wave's pool when it drops.
+    /// to its run's shelf, if it came from one, when it drops.
     Owned(Recycled<f64>),
     /// Zero-copy view of one staged piece, or the retained array a
     /// sequential `put` hands over (kept alive by the refcount;
@@ -78,7 +79,7 @@ impl FieldData {
     }
 }
 
-/// Adopts the vector (no copy).
+/// Adopts the vector (no copy); no shelf takes it back.
 impl From<Vec<f64>> for FieldData {
     fn from(v: Vec<f64>) -> FieldData {
         FieldData::Owned(Recycled::from(v))
@@ -126,36 +127,6 @@ impl std::fmt::Debug for FieldData {
             if self.is_view() { "View" } else { "Owned" },
             self.len()
         )
-    }
-}
-
-impl PartialEq for FieldData {
-    fn eq(&self, other: &FieldData) -> bool {
-        self[..] == other[..]
-    }
-}
-
-impl PartialEq<Vec<f64>> for FieldData {
-    fn eq(&self, other: &Vec<f64>) -> bool {
-        self[..] == other[..]
-    }
-}
-
-impl PartialEq<FieldData> for Vec<f64> {
-    fn eq(&self, other: &FieldData) -> bool {
-        self[..] == other[..]
-    }
-}
-
-impl PartialEq<[f64]> for FieldData {
-    fn eq(&self, other: &[f64]) -> bool {
-        self[..] == *other
-    }
-}
-
-impl From<FieldData> for Vec<f64> {
-    fn from(d: FieldData) -> Vec<f64> {
-        d.into_vec()
     }
 }
 
@@ -220,11 +191,10 @@ mod tests {
     fn field_data_view_and_owned_agree() {
         let v = vec![9.0, 8.0, 7.0];
         let d = FieldData::View(staged(&v));
-        assert_eq!(d, v);
+        assert_eq!(d[..], v[..]);
         assert_eq!(d.len(), 3);
-        assert_eq!(FieldData::from(v.clone()), d);
+        assert_eq!(FieldData::from(v.clone())[..], d[..]);
         assert_eq!(d.clone().into_vec(), v);
-        assert_eq!(Vec::from(d), v);
     }
 
     #[test]

@@ -369,11 +369,11 @@ impl CodsSpace {
             .collect();
         let zero_copy = schedule.ops.len() == 1 && schedule.ops[0].piece_box == *query;
         // The schedule covers the query, so the copies write every cell:
-        // a recycled buffer is not zeroed first.
+        // a buffer from the run's shelf is not zeroed first.
         let mut out = if zero_copy {
             Recycled::default()
         } else {
-            Recycled::for_overwrite(cells)
+            Recycled::for_overwrite(cells, Some(self.dart.cells()))
         };
         let mut view: Option<insitu_util::Bytes> = None;
         let mut malformed: Option<CodsError> = None;

@@ -4,7 +4,7 @@
 use super::*;
 use crate::codec::{FieldData, ELEM_BYTES};
 use crate::dht::{var_id, LocationEntry};
-use insitu_dart::{BufferHandle, Transport};
+use insitu_dart::{piece_owner, BufferHandle, Transport};
 use insitu_domain::{layout, Decomposition, Distribution, ProcessGrid};
 use insitu_fabric::{FaultAction, MachineSpec, Placement, TrafficClass, TransferLedger};
 use insitu_sfc::HilbertCurve;
@@ -12,6 +12,22 @@ use insitu_sub::{SubSpec, TakeResult};
 use insitu_telemetry::Recorder;
 use insitu_util::Bytes;
 use std::time::Instant;
+
+#[test]
+fn a_piece_id_names_its_owner_back() {
+    for (owner, piece) in [
+        (0, 0),
+        (3, 7),
+        (u32::MAX, u64::from(u32::MAX)),
+        (1 << 20, 1),
+    ] {
+        assert_eq!(
+            piece_owner(piece_id(owner, piece)),
+            owner,
+            "{owner}, {piece}"
+        );
+    }
+}
 
 /// 4 clients on 2 nodes of 2 cores; DHT core per node on clients 0, 2.
 fn space() -> Arc<CodsSpace> {
@@ -455,7 +471,7 @@ fn get_cont_rendezvous_producer_late() {
     let data = layout::fill_with(&b, tagfn);
     s.put_cont(0, 1, "late", 0, 0, &b, &data).unwrap();
     let got = consumer.join().unwrap();
-    assert_eq!(got, data);
+    assert_eq!(got[..], data[..]);
 }
 
 #[test]
@@ -542,7 +558,7 @@ fn a_put_seq_stages_the_producers_own_array() {
     s.put_seq(0, 1, "own", 0, 0, &b, data).unwrap();
     assert_eq!(staged_ptr(&s, "own", 0), at);
     let (got, _) = s.get_seq(3, 2, "own", 0, &b).unwrap();
-    assert_eq!(got, layout::fill_with(&b, tagfn));
+    assert_eq!(got[..], layout::fill_with(&b, tagfn)[..]);
 }
 
 /// A moved array feeds an in-process subscriber's sink through a view
@@ -794,7 +810,7 @@ fn overlapping_pieces_that_add_up_to_the_query_are_refused_and_never_cached() {
     let (got, _) = s
         .get_seq(2, 2, "ov", 0, &BoundingBox::new(&[0, 0], &[0, 2]))
         .unwrap();
-    assert_eq!(got, vec![1.0; 3]);
+    assert_eq!(got[..], vec![1.0; 3][..]);
 }
 
 #[test]

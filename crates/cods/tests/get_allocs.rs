@@ -1,8 +1,8 @@
 //! Allocation budget of a get on staged pieces: once its schedule is
 //! cached, a `get_cont` whose pieces are all registered looks them up
 //! and copies them — it builds no waiter, so it allocates only its key
-//! list and its result, and under a pool lease only its key list (the
-//! result is the previous one's buffer, handed back).
+//! list and its result, and once the previous result went back to the
+//! run's cell shelf only its key list (the result is that buffer).
 //!
 //! The counting allocator is process-wide, so this file is its own test
 //! binary; it counts only the allocations of the thread that opts in.
@@ -12,7 +12,6 @@ use insitu_dart::DartRuntime;
 use insitu_domain::{layout, BoundingBox, Decomposition, Distribution, ProcessGrid};
 use insitu_fabric::{ClientId, MachineSpec, Placement, TransferLedger};
 use insitu_sfc::HilbertCurve;
-use insitu_util::PoolLease;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -88,15 +87,18 @@ fn warm_whole_domain_get(side: u64) -> impl Fn() -> (FieldData, GetReport) {
 }
 
 /// Allocations per cached get of `get`, over 16 gets whose results are
-/// dropped one by one.
-fn allocs_per_cached_get(get: impl Fn() -> (FieldData, GetReport)) -> f64 {
+/// dropped one by one, or all held till the end if `hold`.
+fn allocs_per_cached_get(get: impl Fn() -> (FieldData, GetReport), hold: bool) -> f64 {
     const GETS: u64 = 16;
     let mut total = 0;
+    let mut held = Vec::with_capacity(GETS as usize);
     for _ in 0..GETS {
         let ((data, report), n) = allocs_of(&get);
         assert!(report.cache_hit);
         assert_eq!(report.ops, 4);
-        drop(data);
+        if hold {
+            held.push(data);
+        }
         total += n;
     }
     total as f64 / GETS as f64
@@ -104,7 +106,7 @@ fn allocs_per_cached_get(get: impl Fn() -> (FieldData, GetReport)) -> f64 {
 
 #[test]
 fn cached_get_on_staged_pieces_allocates_only_keys_and_result() {
-    let per_get = allocs_per_cached_get(warm_whole_domain_get(16));
+    let per_get = allocs_per_cached_get(warm_whole_domain_get(16), true);
     assert!(
         per_get <= 2.0,
         "a cached get on staged pieces made {per_get} allocations per get (budget 2: keys and result)"
@@ -112,12 +114,11 @@ fn cached_get_on_staged_pieces_allocates_only_keys_and_result() {
 }
 
 #[test]
-fn under_a_lease_a_cached_get_allocates_only_its_keys() {
-    let _lease = PoolLease::hold();
-    // The warm-up's result goes back to the pool when it drops.
-    let per_get = allocs_per_cached_get(warm_whole_domain_get(24));
+fn a_cached_get_whose_last_result_went_back_allocates_only_its_keys() {
+    // The warm-up's result goes back to the run's shelf when it drops.
+    let per_get = allocs_per_cached_get(warm_whole_domain_get(24), false);
     assert!(
         per_get <= 1.0,
-        "a cached get under a lease made {per_get} allocations per get (budget 1: keys)"
+        "a cached get whose last result went back made {per_get} allocations per get (budget 1: keys)"
     );
 }

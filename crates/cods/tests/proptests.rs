@@ -106,7 +106,7 @@ fn get_cont_agrees_with_get_seq() {
         let (b, _) = space_cont
             .get_cont(0, 2, "v", 0, &query, &dec, &clients)
             .unwrap();
-        assert_eq!(a, b);
+        assert_eq!(a[..], b[..]);
     });
 }
 

@@ -1,20 +1,16 @@
 //! A get lands in the buffer the previous get of its shape handed back:
-//! under a pool lease, the array a `get_cont` assembles is recycled,
-//! not fresh memory that faults its pages again.
-//!
-//! The pool is process-wide, so this file is its own test binary.
+//! the array a `get_cont` assembles comes from its run's cell shelf, not
+//! fresh memory that faults its pages again.
 
 use insitu_cods::{CodsConfig, CodsSpace, Dht};
 use insitu_dart::DartRuntime;
 use insitu_domain::{layout, BoundingBox, Decomposition, Distribution, ProcessGrid};
 use insitu_fabric::{ClientId, MachineSpec, Placement, TransferLedger};
 use insitu_sfc::HilbertCurve;
-use insitu_util::PoolLease;
 use std::sync::Arc;
 
 #[test]
 fn two_consecutive_gets_of_one_rank_land_at_the_same_pointer() {
-    let _lease = PoolLease::hold();
     let placement = Arc::new(Placement::pack_sequential(MachineSpec::new(1, 4), 4));
     let dart = DartRuntime::new(placement, Arc::new(TransferLedger::new()));
     let dht = Dht::new(Box::new(HilbertCurve::new(2, 8)), vec![0]);
@@ -48,7 +44,7 @@ fn two_consecutive_gets_of_one_rank_land_at_the_same_pointer() {
     drop(first);
     // A plain allocation of the same size is held across the second
     // get, so an allocator that hands the freed address straight back
-    // cannot pass for the pool.
+    // cannot pass for the shelf.
     let blocker: Vec<f64> = Vec::with_capacity(domain.num_cells() as usize);
     let second = get(1);
     assert_eq!(second.as_ptr(), at, "the second get's array is the first's");

@@ -236,7 +236,7 @@ mod tests {
             with_group(n, move |comm, rank| {
                 for root in 0..comm.size() {
                     let data = if rank == root {
-                        Bytes::from(format!("hello-{root}"))
+                        Bytes::from(format!("hello-{root}").into_bytes())
                     } else {
                         Bytes::new()
                     };

@@ -25,7 +25,7 @@ use insitu_fabric::{ClientId, Placement, TrafficClass, TransferLedger};
 use insitu_sfc::HilbertCurve;
 use insitu_sub::{SubSpec, TakeResult};
 use insitu_telemetry::Recorder;
-use insitu_util::{Bytes, HugeCells, HugeSlab, PoolLease, Recycled, HUGE_PAGE};
+use insitu_util::{Bytes, HugeCells, HugeSlab, Recycled, Shelf, HUGE_PAGE};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -111,19 +111,19 @@ fn for_each_row_seed(var: u64, version: u64, bbox: &BoundingBox, mut row: impl F
 }
 
 /// The dense row-major array of `bbox` holding [`field_value`] at every
-/// cell, bit for bit, generated a row at a time into a recycled buffer
-/// (a `put` adopts it as the staged piece, unless [`fill_piece`] carves
-/// a retained piece from its producer's slab).
+/// cell, bit for bit, generated a row at a time into a fresh buffer born
+/// on huge pages ([`fill_piece`] fills a producer's staged cells).
 pub fn fill_field(var: u64, version: u64, bbox: &BoundingBox) -> Vec<f64> {
-    let mut out = Recycled::with_capacity(bbox.num_cells() as usize).into_vec();
+    let mut out = Recycled::with_capacity(bbox.num_cells() as usize, None).into_vec();
     fill_rows(&mut out, var, version, bbox);
     out
 }
 
-/// The cells a producer stages for `bbox`: with a `slab` (its
-/// sequential staging, [`staging_slab`]) the same cells as
-/// [`fill_field`], filled straight into the slab's next range; without
-/// one, [`fill_field`]'s array.
+/// The cells a producer stages for `bbox`: [`fill_field`]'s cells, bit
+/// for bit, filled straight into the next range of `slab` (its
+/// sequential staging, [`staging_slab`]), or without one into a buffer
+/// from `shelf`, its run's, which takes it back when the staged piece
+/// drops.
 ///
 /// # Panics
 /// Panics if `slab` has no room left for `bbox`.
@@ -132,11 +132,15 @@ pub fn fill_piece(
     version: u64,
     bbox: &BoundingBox,
     slab: Option<&mut HugeSlab>,
+    shelf: &Shelf<f64>,
 ) -> FieldData {
+    let cells = bbox.num_cells() as usize;
     let Some(slab) = slab else {
-        return fill_field(var, version, bbox).into();
+        let mut out = Recycled::with_capacity(cells, Some(shelf));
+        fill_rows(&mut *out, var, version, bbox);
+        return FieldData::Owned(out);
     };
-    let mut out = slab.carve(bbox.num_cells() as usize);
+    let mut out = slab.carve(cells);
     fill_rows(&mut out, var, version, bbox);
     out.into()
 }
@@ -147,8 +151,8 @@ pub fn fill_piece(
 /// tail of one piece and the head of the next share a huge page. The
 /// pieces stay staged until their consumer bundle runs, and the slab is
 /// freed when the last of them drops. `None` when that room holds no
-/// whole huge page: those pieces stay [`fill_field`]'s buffers, which
-/// the wave's pool hands back warm.
+/// whole huge page: those pieces are born from the run's shelf, which
+/// hands them back warm.
 ///
 /// # Errors
 /// [`CodsError::StagingReserve`] when the size overflows or the
@@ -466,10 +470,10 @@ impl ExecEnv {
     /// Run the given tasks on real threads (one per task, 512 KiB
     /// stacks) and join them; a task's panic propagates. Each task's
     /// dispatch message must already sit in its client's mailbox. The
-    /// wave holds the buffer pool open ([`PoolLease`]), so its transient
-    /// pieces, assemblies and landed payloads are handed back warm.
+    /// wave's transient pieces and assemblies go back warm to the run's
+    /// cell shelf (`DartRuntime::cells`), which is emptied when the wave
+    /// ends.
     pub(crate) fn run_tasks(&self, tasks: &[(u32, u64)]) {
-        let _lease = PoolLease::hold();
         let task_us = &self.dart.recorder().histogram("exec.task_us");
         std::thread::scope(|scope| {
             for &(app, rank) in tasks {
@@ -487,6 +491,7 @@ impl ExecEnv {
                     .expect("thread spawn failed");
             }
         });
+        self.dart.cells().clear();
     }
 
     /// Task errors sorted so the outcome is a pure function of
@@ -625,7 +630,7 @@ fn task_routine(ctx: TaskCtx) {
         };
         for version in 0..env.scenario.iterations {
             for (pi, piece) in pieces.iter().enumerate() {
-                let data = fill_piece(vid, version, piece, slab.as_mut());
+                let data = fill_piece(vid, version, piece, slab.as_mut(), env.dart.cells());
                 let res = put(
                     &env.space, client, ctx.app, var, version, pi as u64, piece, data,
                 );

@@ -15,7 +15,7 @@ use insitu::domain::BoundingBox;
 use insitu::fabric::{MachineSpec, Placement, TransferLedger};
 use insitu::sfc::HilbertCurve;
 use insitu::{fill_field, fill_piece, staging_slab, verify_field};
-use insitu_util::{HugeAlloc, HUGE_PAGE};
+use insitu_util::{HugeAlloc, Shelf, HUGE_PAGE};
 use std::sync::Arc;
 
 /// The `insitu` binary's allocator, as in every `insitu` process: a
@@ -107,7 +107,7 @@ fn a_sequential_put_of_4_mib_stages_bytes_on_aligned_huge_pages() {
     let bbox = BoundingBox::from_sizes(&[512, 1024]);
     let vid = var_id("pressure");
     let mut slab = staging_slab("pressure", 0, &[bbox], 1).unwrap();
-    let piece = fill_piece(vid, 2, &bbox, slab.as_mut());
+    let piece = fill_piece(vid, 2, &bbox, slab.as_mut(), &Shelf::default());
     drop(slab);
     s.put_seq(0, 1, "pressure", 2, 0, &bbox, piece).unwrap();
     // A get of exactly the piece is a view of the staged bytes.
@@ -137,7 +137,7 @@ fn two_versions_of_a_1_77_mb_sequential_piece_share_a_huge_page_of_one_slab() {
     let mut slab = staging_slab("pressure", 0, &[bbox], 2).unwrap();
     assert!(slab.is_some(), "two versions hold a whole huge page");
     for version in 0..2 {
-        let piece = fill_piece(vid, version, &bbox, slab.as_mut());
+        let piece = fill_piece(vid, version, &bbox, slab.as_mut(), &Shelf::default());
         s.put_seq(0, 1, "pressure", version, 0, &bbox, piece)
             .unwrap();
     }
@@ -184,7 +184,7 @@ fn a_retained_piece_is_fill_field_bit_for_bit_on_both_sides_of_a_huge_page() {
         sides[in_slab as usize] += 1;
         let mut base = None;
         for (k, version) in (first..first + versions).enumerate() {
-            let piece = fill_piece(var, version, &bbox, slab.as_mut());
+            let piece = fill_piece(var, version, &bbox, slab.as_mut(), &Shelf::default());
             let field = fill_field(var, version, &bbox);
             let bits = |c: &[f64]| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&piece), bits(&field), "{bbox:?} v{version}");
@@ -197,7 +197,7 @@ fn a_retained_piece_is_fill_field_bit_for_bit_on_both_sides_of_a_huge_page() {
             }
         }
         // Without a slab a piece is always the `Vec`.
-        assert!(!fill_piece(var, first, &bbox, None).is_view());
+        assert!(!fill_piece(var, first, &bbox, None, &Shelf::default()).is_view());
     });
     assert!(sides[0] > 0 && sides[1] > 0, "boxes per side {sides:?}");
 }

@@ -24,6 +24,6 @@ pub mod runtime;
 pub mod transport;
 
 pub use mailbox::{Mailbox, Msg};
-pub use registry::{BufKey, BufferHandle, BufferRegistry};
+pub use registry::{piece_owner, BufKey, BufferHandle, BufferRegistry};
 pub use runtime::DartRuntime;
 pub use transport::{LocalTransport, Transport};

@@ -38,6 +38,13 @@ pub struct BufKey {
     pub piece: u64,
 }
 
+/// The client that owns the piece a [`BufKey::piece`] id names: CoDS
+/// packs the owner into the id's upper 32 bits, which is how a pull
+/// finds its way to the owner.
+pub fn piece_owner(piece: u64) -> ClientId {
+    (piece >> 32) as ClientId
+}
+
 /// An opened buffer: the owner (for locality decisions) plus a zero-copy
 /// view of the registered bytes.
 #[derive(Clone, Debug)]

@@ -1,7 +1,7 @@
 //! The HybridDART runtime: endpoints, transport selection and accounting.
 
 use crate::mailbox::{Mailbox, Msg};
-use crate::registry::{BufKey, BufferHandle, BufferRegistry};
+use crate::registry::{piece_owner, BufKey, BufferHandle, BufferRegistry};
 use crate::transport::{LocalTransport, Transport};
 use insitu_fabric::{
     ClientId, FaultAction, FaultInjector, FaultKind, Locality, Placement, TrafficClass,
@@ -10,7 +10,7 @@ use insitu_fabric::{
 use insitu_obs::{Event, EventKind, FlightRecorder};
 use insitu_sub::SubRegistry;
 use insitu_telemetry::{Counter, Histogram, Recorder};
-use insitu_util::Bytes;
+use insitu_util::{Bytes, Shelf};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -19,7 +19,8 @@ use std::time::{Duration, Instant};
 ///
 /// Holds the placement (to select transports), the transfer ledger (to
 /// account every byte), the message senders of all endpoints and the
-/// one-sided buffer registry. Cheap to clone via `Arc`.
+/// one-sided buffer registry, and the shelf of the run's transient cell
+/// buffers. Cheap to clone via `Arc`.
 ///
 /// The runtime is also the telemetry injection point for the data plane:
 /// construct with [`DartRuntime::with_transport`] and every layer above
@@ -31,6 +32,8 @@ pub struct DartRuntime {
     mailboxes: Vec<Mutex<Option<Mailbox>>>,
     registry: BufferRegistry,
     subs: SubRegistry,
+    /// Where concurrent pieces and get assemblies are born and return.
+    cells: Shelf<f64>,
     recorder: Recorder,
     flight: FlightRecorder,
     injector: FaultInjector,
@@ -84,6 +87,7 @@ impl DartRuntime {
             mailboxes: boxes.into_iter().map(|b| Mutex::new(Some(b))).collect(),
             registry: BufferRegistry::new(),
             subs: SubRegistry::new(),
+            cells: Shelf::default(),
             injector,
             flight,
             wire,
@@ -94,6 +98,11 @@ impl DartRuntime {
             pull_wait_us: recorder.histogram("dart.pull_wait_us"),
             recorder,
         })
+    }
+
+    /// The shelf of this run's transient cell buffers.
+    pub fn cells(&self) -> &Shelf<f64> {
+        &self.cells
     }
 
     /// The placement this runtime serves.
@@ -366,7 +375,7 @@ impl DartRuntime {
             Event::new(self.flight.next_seq(), kind)
                 .var(key.name)
                 .version(key.version)
-                .src((key.piece >> 32) as u32)
+                .src(piece_owner(key.piece))
                 .piece(key.piece & 0xffff_ffff)
                 .window(now, 0),
         );

@@ -26,7 +26,7 @@
 use insitu_domain::BoundingBox;
 use insitu_fabric::{FaultKind, LedgerSnapshot, Locality, TrafficClass};
 use insitu_obs::{Event, EventKind, LinkClass};
-use insitu_util::Recycled;
+use insitu_util::{Recycled, Shelf};
 use std::io::{Read, Write};
 
 /// Protocol revision; bumped on any incompatible codec change.
@@ -248,16 +248,29 @@ macro_rules! frames {
                 ),*}
             }
 
-            /// Read the payload of a `kind` frame, field by field.
-            fn take_payload(kind: u8, c: &mut &[u8]) -> Result<Frame, FrameError> {
-                Ok(match kind {
+            /// [`Frame::decode`], reading the payload field by field, with
+            /// the bulk tail born from `shelf`.
+            fn decode_on(
+                version: u8,
+                kind: u8,
+                mut c: &[u8],
+                shelf: Option<&Shelf<u8>>,
+            ) -> Result<Frame, FrameError> {
+                if version != WIRE_VERSION {
+                    return Err(FrameError::BadVersion(version));
+                }
+                let frame = match kind {
                     $(
                         $kind => Frame::$name
-                            $({ $( $field: Wire::take(c)? ),* })?
-                            $(( <$body_ty as Wire>::take(c)? ))?,
+                            $({ $( $field: Wire::take_field(&mut c, shelf)? ),* })?
+                            $(( <$body_ty as Wire>::take(&mut c)? ))?,
                     )*
                     other => return Err(FrameError::BadKind(other)),
-                })
+                };
+                if !c.is_empty() {
+                    return Err(FrameError::BadPayload("trailing bytes"));
+                }
+                Ok(frame)
             }
 
             /// One arbitrary frame of every kind, in table order.
@@ -718,15 +731,7 @@ impl Frame {
     /// Decode one frame body (`version`, `kind` and `payload` — the
     /// bytes after the length word). Rejects trailing payload bytes.
     pub fn decode(version: u8, kind: u8, payload: &[u8]) -> Result<Frame, FrameError> {
-        if version != WIRE_VERSION {
-            return Err(FrameError::BadVersion(version));
-        }
-        let mut rest = payload;
-        let frame = Frame::take_payload(kind, &mut rest)?;
-        if !rest.is_empty() {
-            return Err(FrameError::BadPayload("trailing bytes"));
-        }
-        Ok(frame)
+        Frame::decode_on(version, kind, payload, None)
     }
 
     /// Read one complete frame from a blocking stream, with its size on
@@ -783,6 +788,8 @@ const KIND_PULL_DATA: u8 = 6;
 /// filled where it stays, by `read_from` straight off the stream. Any
 /// other frame — a `PullData` whose head is off in any way included —
 /// waits in the buffer until it is whole and `Frame::decode` judges it.
+/// A reactor's decoders take these bulk tails, and `Relay` payloads,
+/// from its shelf; [`FrameDecoder::new`]'s are fresh allocations.
 #[derive(Default)]
 pub struct FrameDecoder {
     buf: Vec<u8>,
@@ -795,10 +802,12 @@ pub struct FrameDecoder {
     /// crossed the pending buffer. Fed by `read_from` alone: 0.
     pub(crate) copied: u64,
     poisoned: Option<FrameError>,
+    /// Where bulk tails are born.
+    pub(crate) shelf: Option<Shelf<u8>>,
 }
 
 impl FrameDecoder {
-    /// A decoder with an empty buffer.
+    /// A decoder with an empty buffer and no shelf.
     pub fn new() -> Self {
         FrameDecoder::default()
     }
@@ -880,7 +889,7 @@ impl FrameDecoder {
                 // it, and is copied out.
                 let want = total - PULL_DATA_HEAD;
                 let have = &rest[PULL_DATA_HEAD..rest.len().min(total)];
-                let mut payload = Recycled::with_capacity(want).into_vec();
+                let mut payload = Recycled::with_capacity(want, self.shelf.as_ref()).into_vec();
                 payload.extend_from_slice(have);
                 self.copied += 2 * have.len() as u64;
                 self.pos += PULL_DATA_HEAD + have.len();
@@ -889,7 +898,7 @@ impl FrameDecoder {
                 return Ok(None);
             } else {
                 let body = &rest[4..total];
-                return match Frame::decode(body[0], body[1], &body[2..]) {
+                return match Frame::decode_on(body[0], body[1], &body[2..], self.shelf.as_ref()) {
                     Ok(frame) => {
                         self.pos += total;
                         Ok(Some(frame))
@@ -967,6 +976,12 @@ trait Wire: Sized {
 
     /// Read one value off the front of the unread payload.
     fn take(c: &mut &[u8]) -> Result<Self, FrameError>;
+
+    /// Read one frame field: a byte vector (a bulk tail) is born from
+    /// `shelf`.
+    fn take_field(c: &mut &[u8], _shelf: Option<&Shelf<u8>>) -> Result<Self, FrameError> {
+        Self::take(c)
+    }
 }
 
 /// Little-endian fixed-width integers.
@@ -1011,9 +1026,13 @@ impl Wire for Vec<u8> {
     }
 
     fn take(c: &mut &[u8]) -> Result<Self, FrameError> {
+        Vec::take_field(c, None)
+    }
+
+    fn take_field(c: &mut &[u8], shelf: Option<&Shelf<u8>>) -> Result<Self, FrameError> {
         let n = u32::take(c)? as usize;
         let bytes = take(c, n)?;
-        let mut out = Recycled::with_capacity(n).into_vec();
+        let mut out = Recycled::with_capacity(n, shelf).into_vec();
         out.extend_from_slice(bytes);
         Ok(out)
     }
@@ -1029,7 +1048,10 @@ impl Wire for String {
     }
 
     fn take(c: &mut &[u8]) -> Result<Self, FrameError> {
-        String::from_utf8(Vec::take(c)?).map_err(|_| FrameError::BadPayload("utf-8"))
+        let n = u32::take(c)? as usize;
+        let text = std::str::from_utf8(take(c, n)?);
+        text.map(str::to_owned)
+            .map_err(|_| FrameError::BadPayload("utf-8"))
     }
 }
 
@@ -2024,6 +2046,48 @@ mod tests {
             assert_eq!((data.len(), data.capacity()), (5000, 5000));
             assert_eq!(std::mem::take(&mut dec.copied), copies * 5000);
         }
+    }
+
+    /// Only a bulk tail is born from a decoder's shelf: a `Submit` whose
+    /// DAG text is as long as the buffer the shelf keeps leaves it there
+    /// (a string is an exact allocation of its own), and the `Relay`
+    /// payload of that length behind it takes it.
+    #[test]
+    fn only_bulk_tails_are_born_from_the_decoders_shelf() {
+        const LEN: usize = 64 << 10;
+        let shelf = Shelf::<u8>::default();
+        let kept = Recycled::for_overwrite(LEN, Some(&shelf));
+        let at = kept.as_ptr();
+        drop(kept);
+        let mut dec = FrameDecoder {
+            shelf: Some(shelf),
+            ..FrameDecoder::default()
+        };
+        let submit = Frame::Submit {
+            name: "run".into(),
+            dag: "d".repeat(LEN),
+            config: "c".into(),
+            strategy: "data-centric".into(),
+            get_timeout_ms: 1,
+            priority: 0,
+        };
+        dec.push(&submit.encode());
+        // Held across the next decode: its text cannot hand back an
+        // address that the payload then lands at.
+        let decoded = dec.next_frame();
+        assert_eq!(decoded, Ok(Some(submit)));
+        let relay = Frame::Relay {
+            to: 1,
+            src: 2,
+            tag: 3,
+            payload: vec![9; LEN],
+        };
+        dec.push(&relay.encode());
+        let Ok(Some(Frame::Relay { payload, .. })) = dec.next_frame() else {
+            panic!("no Relay");
+        };
+        assert_eq!((payload.as_ptr(), payload), (at, vec![9; LEN]));
+        drop(decoded);
     }
 
     /// A get reads a landed payload as `f64` cells in place and refuses

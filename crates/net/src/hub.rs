@@ -42,6 +42,7 @@
 use crate::conn::{NetError, NetMetrics};
 use crate::frame::{Frame, NodeReport};
 use crate::reactor::{ConnEvent, Reactor, ReactorHandle, Sink, Token};
+use insitu_dart::piece_owner;
 use insitu_fabric::FaultInjector;
 use insitu_obs::{Event, ProcessTrace};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -441,7 +442,7 @@ impl Router {
         match frame {
             Frame::Relay { to, .. } => self.relay(node, to / self.cores_per_node, frame),
             Frame::PullRequest { piece, .. } => {
-                let owner_node = ((piece >> 32) as u32) / self.cores_per_node;
+                let owner_node = piece_owner(piece) / self.cores_per_node;
                 self.relay(node, owner_node, frame);
             }
             Frame::PullData { to_node, .. } => {

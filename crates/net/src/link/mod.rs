@@ -43,12 +43,12 @@ use crate::peers::PeerTable;
 use crate::reactor::{ConnEvent, Reactor, ReactorHandle, Sink, Token};
 use insitu_cods::{CodsSpace, LocationEntry};
 use insitu_dart::transport::Transport;
-use insitu_dart::{BufKey, BufferHandle, DartRuntime, Msg};
+use insitu_dart::{piece_owner, BufKey, BufferHandle, DartRuntime, Msg};
 use insitu_domain::BoundingBox;
 use insitu_fabric::{ClientId, FaultInjector, MachineSpec};
 use insitu_obs::{Event, EventKind, FlightRecorder, LinkClass};
 use insitu_util::shm::RecordDesc;
-use insitu_util::{Bytes, Recycled};
+use insitu_util::Bytes;
 use std::collections::HashSet;
 use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -247,7 +247,7 @@ impl NetLink {
     /// the run indexes the placement out of bounds, a wrong one in
     /// range charges the wrong locality.
     fn names_its_owner(&self, piece: u64, owner: ClientId) -> bool {
-        piece >> 32 == owner as u64 && owner < self.machine.total_cores()
+        piece_owner(piece) == owner && owner < self.machine.total_cores()
     }
 
     /// The client a wire event names for `node` (its core 0): the wire
@@ -489,7 +489,7 @@ impl NetLink {
                     Msg {
                         src,
                         tag,
-                        payload: Bytes::from_owner(Recycled::from(payload)),
+                        payload: Bytes::from_owner(self.reactor.shelf().adopt(payload)),
                     },
                 );
             }
@@ -525,9 +525,10 @@ impl NetLink {
                     version,
                     piece,
                 };
-                // The vector is the one the socket read filled; it goes
-                // back to the wave's pool when the piece is dropped.
-                let data = Bytes::from_owner(Recycled::from(data));
+                // The vector is the one the socket read filled, from the
+                // reactor's shelf; it goes back there when the piece is
+                // dropped.
+                let data = Bytes::from_owner(self.reactor.shelf().adopt(data));
                 self.land(key, owner, data, Carrier::Wire, t0);
             }
             Frame::ShmOffer {
@@ -691,7 +692,7 @@ impl Transport for NetLink {
         // request (and, on a same-host run, a node-to-itself segment
         // with its own `shm-attach` roll) exists at all would depend on
         // thread timing, not on the workflow or the chaos seed.
-        let owner_node = self.node_of((key.piece >> 32) as ClientId);
+        let owner_node = self.node_of(piece_owner(key.piece));
         let Some(route) = self.route(owner_node) else {
             return;
         };

@@ -17,6 +17,9 @@
 //! - each connection's [`FrameDecoder`] reads its socket: a read may
 //!   surface zero, one or many frames however the peer batched them,
 //!   and a `PullData` payload lands in the vector it is delivered in;
+//! - the reactor owns a [`Shelf`] of payload bytes: its decoders take
+//!   every `PullData` and `Relay` tail from it, and a tail comes back
+//!   once written (the hub's relay) or once its lander drops it;
 //! - incoming frames are handed to a per-connection *sink* callback on
 //!   the reactor thread; sinks must not block (hand off to channels).
 //!
@@ -32,7 +35,7 @@ use crate::conn::{passes_fault_site, NetMetrics};
 use crate::frame::{Frame, FrameDecoder};
 use insitu_fabric::{FaultInjector, NetOp};
 use insitu_util::poller::{Poller, Waker};
-use insitu_util::{Bytes, Recycled};
+use insitu_util::{Bytes, Shelf};
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, IoSlice, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -147,14 +150,17 @@ struct Outbound {
     queue: VecDeque<(Range<usize>, Option<Bytes>)>,
     /// Bytes left to write, staged and shared.
     pending: usize,
+    /// Adopts a bulk tail moved out of a queued frame.
+    shelf: Shelf<u8>,
 }
 
 impl Outbound {
     /// Queue `frame`, its bulk tail travelling as `payload` — or, with
-    /// none given, moved out of the frame itself. Nothing is queued of a
-    /// frame no peer would accept, nor of any frame for a peer that has
-    /// stopped reading: one that leaves more than [`STAGED_LIMIT`]
-    /// encoded bytes unwritten. The error is the connection's end.
+    /// none given, moved out of the frame itself and adopted by the
+    /// shelf. Nothing is queued of a frame no peer would accept, nor of
+    /// any frame for a peer that has stopped reading: one that leaves
+    /// more than [`STAGED_LIMIT`] encoded bytes unwritten. The error is
+    /// the connection's end.
     fn stage(&mut self, mut frame: Frame, payload: Option<Bytes>) -> Result<(), String> {
         // The staged runs left in the queue cover `staged` from the
         // first one's start on; shared payloads are not among them.
@@ -163,13 +169,13 @@ impl Outbound {
         if backlog > STAGED_LIMIT {
             return Err(format!("peer stopped reading: {backlog} bytes staged"));
         }
-        // A tail moved out of the frame is adopted as a `Recycled` owner:
-        // a payload decoded into a pooled buffer (the hub's relay) goes
-        // back to the pool once written instead of being freed.
+        // A tail moved out of the frame is adopted by the shelf: a
+        // payload decoded from it (the hub's relay) goes back to it once
+        // written instead of being freed.
         let payload = payload
             .or_else(|| {
                 let tail = frame.bulk_mut().map(std::mem::take)?;
-                Some(Bytes::from_owner(Recycled::from(tail)))
+                Some(Bytes::from_owner(self.shelf.adopt(tail)))
             })
             .filter(|payload| !payload.is_empty());
         let (start, tail) = (self.staged.len(), payload.as_ref().map_or(0, Bytes::len));
@@ -223,11 +229,13 @@ impl Outbound {
 pub struct Reactor {
     handle: ReactorHandle,
     thread: Mutex<Option<std::thread::JoinHandle<()>>>,
+    shelf: Shelf<u8>,
 }
 
 impl Reactor {
-    /// Spawn the event-loop thread. `label` names the thread; the
-    /// injector and metrics are shared with the rest of the transport.
+    /// Spawn the event-loop thread, with a shelf of its own for the
+    /// payloads it decodes. `label` names the thread; the injector and
+    /// metrics are shared with the rest of the transport.
     pub fn spawn(
         label: &str,
         injector: FaultInjector,
@@ -236,6 +244,8 @@ impl Reactor {
         let poller = Poller::new();
         let (tx, rx) = mpsc::channel();
         let next_token = Arc::new(AtomicU64::new(0));
+        let shelf = Shelf::default();
+        let loop_shelf = shelf.clone();
         let handle = ReactorHandle {
             tx,
             wake: poller.waker()?,
@@ -243,16 +253,22 @@ impl Reactor {
         };
         let thread = std::thread::Builder::new()
             .name(format!("net-reactor-{label}"))
-            .spawn(move || run_loop(rx, poller, next_token, injector, metrics))?;
+            .spawn(move || run_loop(rx, poller, next_token, injector, metrics, loop_shelf))?;
         Ok(Reactor {
             handle,
             thread: Mutex::new(Some(thread)),
+            shelf,
         })
     }
 
     /// The cloneable command handle.
     pub fn handle(&self) -> ReactorHandle {
         self.handle.clone()
+    }
+
+    /// The shelf its decoders take payloads from, to adopt them back.
+    pub(crate) fn shelf(&self) -> &Shelf<u8> {
+        &self.shelf
     }
 
     /// Flush all staged writes (bounded), close every connection and
@@ -296,13 +312,15 @@ pub const STAGED_LIMIT: usize = 64 << 20;
 const READS_PER_TURN: usize = 64;
 
 /// Register `stream` with the poller and adopt it into the connection
-/// table; on failure the sink hears `Closed` immediately.
+/// table, its decoder taking payloads from `shelf` and its queue handing
+/// relayed ones back; on failure the sink hears `Closed` immediately.
 fn adopt(
     poller: &mut Poller,
     conns: &mut HashMap<u64, Conn>,
     token: Token,
     stream: TcpStream,
     mut sink: Sink,
+    shelf: &Shelf<u8>,
 ) {
     let _ = stream.set_nodelay(true);
     let registered = stream
@@ -310,13 +328,18 @@ fn adopt(
         .and_then(|clone| poller.register(token.0, clone));
     match registered {
         Ok(()) => {
+            let mut decoder = FrameDecoder::new();
+            decoder.shelf = Some(shelf.clone());
             conns.insert(
                 token.0,
                 Conn {
                     stream,
                     sink,
-                    decoder: FrameDecoder::new(),
-                    out: Outbound::default(),
+                    decoder,
+                    out: Outbound {
+                        shelf: shelf.clone(),
+                        ..Outbound::default()
+                    },
                     write_armed: false,
                 },
             );
@@ -376,6 +399,7 @@ fn run_loop(
     next_token: Arc<AtomicU64>,
     injector: FaultInjector,
     metrics: NetMetrics,
+    shelf: Shelf<u8>,
 ) {
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut listeners: HashMap<u64, (TcpListener, AcceptFn)> = HashMap::new();
@@ -392,7 +416,7 @@ fn run_loop(
         while let Ok(cmd) = rx.try_recv() {
             match cmd {
                 Cmd::AddStream(token, stream, sink) => {
-                    adopt(poller, conns, token, stream, sink);
+                    adopt(poller, conns, token, stream, sink, &shelf);
                 }
                 Cmd::AddListener(listener, accept) => {
                     let tok = next_token.fetch_add(1, Ordering::Relaxed);
@@ -454,7 +478,7 @@ fn run_loop(
                 while let Ok((stream, addr)) = listener.accept() {
                     let token = Token(next_token.fetch_add(1, Ordering::Relaxed));
                     let sink = accept(token, addr);
-                    adopt(&mut poller, &mut conns, token, stream, sink);
+                    adopt(&mut poller, &mut conns, token, stream, sink, &shelf);
                 }
                 continue;
             }

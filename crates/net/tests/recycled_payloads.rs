@@ -1,9 +1,7 @@
-//! A landed `PullData` payload goes back to the pool when its piece is
-//! evicted, and the next version's payload is read off the socket into
-//! that same allocation: under a pool lease the receive side reuses its
+//! A landed `PullData` payload goes back to its link's reactor shelf
+//! when its piece is evicted, and the next version's payload is read off
+//! the socket into that same allocation: the receive side reuses its
 //! buffer, as the paper's registered receive buffer is reused.
-//!
-//! The pool is process-wide, so this file is its own test binary.
 
 use insitu_cods::{var_id, CodsConfig, CodsSpace, Dht};
 use insitu_dart::{DartRuntime, Transport};
@@ -14,7 +12,6 @@ use insitu_net::{Frame, NetMetrics};
 use insitu_obs::FlightRecorder;
 use insitu_sfc::HilbertCurve;
 use insitu_telemetry::Recorder;
-use insitu_util::PoolLease;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
@@ -22,7 +19,6 @@ use std::time::Duration;
 
 #[test]
 fn the_next_versions_payload_lands_in_the_previous_ones_allocation() {
-    let _lease = PoolLease::hold();
     // Node 0 of three one-core nodes on three hosts, p2p: this test
     // holds the far end of its hub connection and dials its peer
     // listener as node 1.
@@ -98,7 +94,7 @@ fn the_next_versions_payload_lands_in_the_previous_ones_allocation() {
         if version == 0 {
             // A plain allocation of the payload's size is held across the
             // next landing, so an allocator that hands the freed address
-            // straight back cannot pass for the pool.
+            // straight back cannot pass for the shelf.
             blocker = Vec::with_capacity(bytes);
         }
     }

@@ -1,14 +1,11 @@
-//! A payload a reactor relays goes back to the pool once it is written:
-//! the service's hub decodes a relayed `PullData` into a pooled buffer
-//! and sends the frame on, and the next buffer of that length must be
-//! that same allocation, not a fresh one.
-//!
-//! The pool is process-wide, so this file is its own test binary.
+//! A payload a reactor relays goes back to its shelf once it is written:
+//! a hub decodes a relayed `PullData` into a buffer from its reactor's
+//! shelf and sends the frame on, and the next payload of that length the
+//! reactor decodes must land in that same allocation, not a fresh one.
 
 use insitu_fabric::FaultInjector;
 use insitu_net::{ConnEvent, Frame, NetMetrics, Reactor, Sink};
 use insitu_telemetry::Recorder;
-use insitu_util::{PoolLease, Recycled};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc;
@@ -31,7 +28,6 @@ fn expect_frame(far: &mut TcpStream, frame: &Frame) {
 
 #[test]
 fn a_relayed_payload_goes_back_to_the_pool_once_written() {
-    let _lease = PoolLease::hold();
     let metrics = NetMetrics::new(&Recorder::disabled());
     let reactor = Reactor::spawn("relay-test", FaultInjector::none(), metrics).unwrap();
     let handle = reactor.handle();
@@ -45,23 +41,28 @@ fn a_relayed_payload_goes_back_to_the_pool_once_written() {
 
     // 256 KiB: past glibc's default mmap threshold.
     let bytes = 256 << 10;
-    let sent = Frame::PullData {
+    let pull = |version| Frame::PullData {
         name: 7,
-        version: 1,
+        version,
         piece: 1 << 32,
         owner: 1,
         to_node: 2,
         data: (0..bytes).map(|i| (i * 13) as u8).collect(),
     };
-    sender.write_all(&sent.encode()).unwrap();
-    let landed = match rx.recv_timeout(Duration::from_secs(10)).unwrap() {
-        ConnEvent::Frame(frame) => frame,
-        ConnEvent::Closed(why) => panic!("unexpected close: {why:?}"),
+    let sent = pull(1);
+    // The payload the reactor decodes `frame` into, and the frame.
+    let mut land = |frame: &Frame| {
+        sender.write_all(&frame.encode()).unwrap();
+        let landed = match rx.recv_timeout(Duration::from_secs(10)).unwrap() {
+            ConnEvent::Frame(frame) => frame,
+            ConnEvent::Closed(why) => panic!("unexpected close: {why:?}"),
+        };
+        let Frame::PullData { data, .. } = &landed else {
+            panic!("decoded {landed:?}")
+        };
+        (data.as_ptr() as usize, landed)
     };
-    let Frame::PullData { data, .. } = &landed else {
-        panic!("decoded {landed:?}")
-    };
-    let payload = data.as_ptr() as usize;
+    let (payload, landed) = land(&sent);
 
     // Relay it as the hub does, then a small frame behind it: once that
     // one is read, the reactor has finished writing the payload.
@@ -76,13 +77,12 @@ fn a_relayed_payload_goes_back_to_the_pool_once_written() {
     expect_frame(&mut receiver, &fence);
 
     // A plain allocation of the payload's size, so an allocator that
-    // hands the freed address straight back cannot pass for the pool.
+    // hands the freed address straight back cannot pass for the shelf.
     let blocker: Vec<u8> = Vec::with_capacity(bytes);
-    let next = Recycled::<u8>::with_capacity(bytes);
+    let (next, _) = land(&pull(2));
     assert_eq!(
-        next.as_ptr() as usize,
-        payload,
-        "the next take of the payload's length is its allocation"
+        next, payload,
+        "the next payload of that length lands in the relayed one's allocation"
     );
     assert_ne!(blocker.as_ptr() as usize, payload);
     reactor.shutdown();

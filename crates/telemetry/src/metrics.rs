@@ -178,7 +178,7 @@ impl HistogramSnapshot {
     ///
     /// Returns the upper bound of the bucket containing the q-th sample,
     /// clamped to the observed max; `None` when empty.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
+    pub(crate) fn quantile(&self, q: f64) -> Option<u64> {
         if self.count == 0 {
             return None;
         }

@@ -133,18 +133,6 @@ impl From<Vec<u8>> for Bytes {
     }
 }
 
-impl From<&[u8]> for Bytes {
-    fn from(s: &[u8]) -> Self {
-        Self::copy_from_slice(s)
-    }
-}
-
-impl From<String> for Bytes {
-    fn from(s: String) -> Self {
-        Bytes::from(s.into_bytes())
-    }
-}
-
 impl std::fmt::Debug for Bytes {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -168,7 +156,7 @@ mod tests {
         assert_eq!(b.len(), 3);
         assert_eq!(&b[..], &[1, 2, 3]);
         assert_eq!(Bytes::from_static(b"xy").as_slice(), b"xy");
-        assert_eq!(Bytes::from("ab".to_string()).as_ref(), b"ab");
+        assert_eq!(Bytes::copy_from_slice(b"ab").as_ref(), b"ab");
     }
 
     #[test]

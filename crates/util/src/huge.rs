@@ -11,8 +11,8 @@
 //! buffer is simply left on base pages.
 //!
 //! Two births, by how long a buffer lives. A transient buffer (a
-//! concurrent piece, an assembly, a decoded payload) that the wave's
-//! pool cannot hand back warm (`crate::Recycled`) is a `Vec` advised by
+//! concurrent piece, an assembly, a decoded payload) that its owner's
+//! shelf cannot hand back warm (`crate::Recycled`) is a `Vec` advised by
 //! [`on_huge_pages`]. In the `insitu` binary the global allocator,
 //! [`HugeAlloc`], has already placed a large one on whole, aligned huge
 //! pages advised before it was returned; under `System` it rarely

@@ -18,10 +18,11 @@
 //!   descriptor ring of the intra-host data plane (replaces `memmap2`
 //!   with a minimal self-declared `mmap` shim);
 //! - [`Recycled`] and [`HugeSlab`] — the birth sites of the data path's
-//!   large cell and payload buffers: a transient buffer is handed back
-//!   warm to the next one of its length while a [`PoolLease`] is held,
-//!   and retained [`HugeCells`] are carved from one slab advised onto
-//!   transparent huge pages before its first touch;
+//!   large cell and payload buffers: a transient buffer goes back warm
+//!   to the [`Shelf`] of its owner (a run's runtime, a reactor) for the
+//!   next one of its length, and retained [`HugeCells`] are carved from
+//!   one slab advised onto transparent huge pages before its first
+//!   touch;
 //! - [`HugeAlloc`] — the `insitu` binary's global allocator, which
 //!   places every large block on whole, aligned huge pages.
 
@@ -38,5 +39,5 @@ pub mod shm;
 pub use bytes::Bytes;
 pub use huge::{HugeAlloc, HugeCells, HugeSlab, HUGE_PAGE};
 pub use poller::Poller;
-pub use recycle::{PoolLease, Recyclable, Recycled};
+pub use recycle::{Recycled, Shelf};
 pub use rng::SplitMix64;

@@ -76,8 +76,9 @@ tail -n 1 target/chaos-sub-run-1.txt
 
 # Stress lanes: what each row guards is timing-shaped, so one pass proves
 # little and a flake here is the regression gate. Each row is one test
-# binary and filter, run round after round; every round must pass and
-# must have run a test, so a filter that matches none fails its lane.
+# binary and filter — or several, separated by `;` — run round after
+# round; every round must pass and each binary must have run a test, so
+# a filter that matches none fails its lane.
 #  - shm-attach replay: two runs of one seed agree on every ring record
 #    and fallback (the tallies once raced a node's pull from itself).
 #  - arena recycling: one consumer pulls 46 MiB through an 8 MiB ring,
@@ -103,6 +104,12 @@ tail -n 1 target/chaos-sub-run-1.txt
 #  - killed joiner: one `insitu join` child killed once every joiner is
 #    greeted; the run must fail naming that node within 10 s and the
 #    killed pid's /dev/shm segments must reap.
+#  - own shelves: every buffer goes back to the shelf of the run or
+#    reactor that made it, so the pool tests share no process-wide state
+#    and hold on one test thread and on the default number alike.
+pool_tests="-p insitu-util --lib recycle::tests::;-p insitu-cods --test recycled_gets;\
+-p insitu-cods --test run_shelves;-p insitu-net --test recycled_payloads;\
+-p insitu-net --test relayed_payloads"
 stress_lanes=(
     "30|shm-attach chaos replay (seed 33)|-p insitu-chaos --test net_faults shm_attach_chaos_replays_bit_for_bit_from_seed"
     "10|one-consumer arena recycling (0 fallbacks)|-p insitu-cli --test integration_net one_consumer_recycles_the_arena_without_a_single_fallback"
@@ -115,17 +122,22 @@ stress_lanes=(
     "10|RPC port thread count (1/16/64 clients, a run, 2/64 nodes)|-p insitu-svc --test rpc_port"
     "10|hostile handshakes at the hub|-p insitu-core --lib distrib::tests::stray_connections_cost_only_themselves"
     "10|killed joiner process|-p insitu-cli --test integration_net a_killed_joiner_process_fails_its_run_by_node_within_bound"
+    "10|pool tests on their own shelves (one test thread)|${pool_tests//;/ -- --test-threads=1;} -- --test-threads=1"
+    "10|pool tests on their own shelves (default test threads)|$pool_tests"
 )
 for lane in "${stress_lanes[@]}"; do
-    IFS='|' read -r rounds label args <<< "$lane"
+    IFS='|' read -r rounds label runs <<< "$lane"
+    IFS=';' read -ra runs <<< "$runs"
     echo "==> $label ($rounds rounds)"
     for round in $(seq 1 "$rounds"); do
-        # $args is a list of cargo arguments: split on purpose.
-        # shellcheck disable=SC2086
-        cargo test -q $chaos_profile --offline $args > target/stress-lane.txt 2>&1 \
-            || { cat target/stress-lane.txt; echo "$label failed in round $round"; exit 1; }
-        grep -q "test result: ok. [1-9]" target/stress-lane.txt \
-            || { cat target/stress-lane.txt; echo "$label ran no test"; exit 1; }
+        for args in "${runs[@]}"; do
+            # $args is a list of cargo arguments: split on purpose.
+            # shellcheck disable=SC2086
+            cargo test -q $chaos_profile --offline $args > target/stress-lane.txt 2>&1 \
+                || { cat target/stress-lane.txt; echo "$label failed in round $round"; exit 1; }
+            grep -q "test result: ok. [1-9]" target/stress-lane.txt \
+                || { cat target/stress-lane.txt; echo "$label ran no test: $args"; exit 1; }
+        done
     done
 done
 
@@ -138,9 +150,10 @@ done
 # back in one aligned slab and share its first huge page, the slab fill
 # must be `fill_field` bit for bit, dropped aligned arrays must give
 # their memory back, a slab must keep its memory while any piece of it
-# lives and give it back with the last, leased waves of recycled 8 MiB
-# buffers must give theirs back when the last lease drops, the advice's
-# range arithmetic never reaches outside a buffer, and the `insitu`
+# lives and give it back with the last, waves of recycled 8 MiB
+# buffers must give theirs back when each wave's end empties their
+# shelf, the advice's range arithmetic never reaches outside a buffer,
+# and the `insitu`
 # binary's allocator (`HugeAlloc`, declared by its own test binary and by
 # the fill, get and slab ones) must admit exactly the census sizes, start
 # an admitted block on a huge page that its first write faults whole,
@@ -327,8 +340,11 @@ gone() {
         echo "a deleted item grew back: $pattern"; exit 1
     fi
 }
-gone 'split_by_color|total_len|latest_version|round_robin_nodes|Frame::read_from|LinkFaults::new|PartitionConfig::new|\.hull\(|fn hull\b' \
+gone 'split_by_color|total_len|latest_version|round_robin_nodes|Frame::read_from|LinkFaults::new|PartitionConfig::new|\.hull\(|fn hull\b|PoolLease' \
     crates tests examples
+# A buffer's pool is its owner's shelf, never process state: no
+# `static` of any kind in the recycler.
+gone '\bstatic\b' crates/util/src/recycle.rs
 gone 'ready_us|ready_at|min_ready|scenario\.model|pub model: NetworkModel|cfg\.verbose|verbose: (true|false)' crates tests examples
 gone 'fn (resample|count_above|histogram|merge)\b' crates/core/src/analysis.rs
 gone 'fn merge\b' crates/telemetry/src/metrics.rs
@@ -343,15 +359,16 @@ gone 'fn (degree|rank_of|core_of|len|submit|render)\b' crates/partition/src/grap
 # for a process that keeps `System`; in the `insitu` binary the
 # allocator has already placed a large miss), and neither the link nor
 # the reactor adopts a decoded payload as a plain `Bytes`
-# (`Bytes::from`, called or passed as a function) that would free it
-# instead of handing it back (the reactor writes the payloads the hub
-# relays). (The subscription sink's assembly in
+# (`Bytes::from`, called or passed as a function, or `Bytes::from_owner`
+# of a bare vector) or as a `Recycled` with no shelf (`Recycled::from`),
+# any of which would free it instead of handing it back to the
+# reactor's shelf (the reactor writes the payloads the hub relays). (The subscription sink's assembly in
 # crates/sub/src/lib.rs is not one of them yet: `insitu-sub` reaching
 # `insitu-util` would rewrite benchmark/Cargo.lock; ROADMAP item 4.)
 for birth in crates/core/src/exec.rs crates/cods/src/space/ops.rs crates/cods/src/codec.rs \
     crates/net/src/frame.rs crates/net/src/link/mod.rs crates/net/src/reactor.rs; do
     born='vec!\[0(\.0)?;|Vec::with_capacity\(|\.to_vec\(\)|on_huge_pages\('
-    [[ $birth == */link/mod.rs || $birth == */reactor.rs ]] && born='Bytes::from([^_a-z]|$)'
+    [[ $birth == */link/mod.rs || $birth == */reactor.rs ]] && born='Bytes::from([^_a-z]|$)|Bytes::from_owner\([a-z_]+\)|Recycled::from'
     if sed '/^mod tests {/,$d' "$birth" | grep -nE "$born"; then
         echo "$birth allocates or lands a cell or payload buffer outside Recycled"; exit 1
     fi

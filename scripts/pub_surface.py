@@ -69,6 +69,7 @@ ALLOW = {
     ("util", "forall"): "shared test support: every crate's property tests run through it",
     ("util", "choose"): "shared test support for the property tests",
     ("util", "from_static"): "shared test support: tests build constant payloads with it",
+    ("util", "downgrade"): HOOK + " (a test watches a run's shelf die with the run)",
 }
 
 PUB_FN = re.compile(r"^\s*pub\s+(?:(?:const|unsafe|async|extern\s+\"C\")\s+)*fn\s+([A-Za-z_][A-Za-z0-9_]*)")
@@ -110,14 +111,52 @@ def non_test_lines(path):
 
 
 def code_text(path):
-    """What a file says as code: comments dropped, doctest fences kept."""
+    """What a file says as code: comments and string and char literals
+    dropped, doctest fences kept."""
     keep = []
     for line, doctest in doc_fences(path):
-        if doctest:
-            keep.append(re.sub(r"^\s*//[/!]", "", line))
+        keep.append(re.sub(r"^\s*//[/!]", "", line) if doctest else line)
+    return strip_literals("\n".join(keep))
+
+
+RAW_OPEN = re.compile(r"b?r(#*)\"")
+
+
+def strip_literals(text):
+    """`text` with every comment and every string and char literal
+    replaced by a space: a word in a message names nothing."""
+    out, i, n = [], 0, len(text)
+    while i < n:
+        c, ahead = text[i], text[i:i + 2]
+        raw = RAW_OPEN.match(text, i) if c in "br" and not (i and (text[i - 1].isalnum() or text[i - 1] == "_")) else None
+        if ahead == "//":
+            i = text.find("\n", i)
+            i = n if i < 0 else i
+        elif ahead == "/*":
+            depth, i = 1, i + 2
+            while i < n and depth:
+                depth += {"/*": 1, "*/": -1}.get(text[i:i + 2], 0)
+                i += 2 if text[i:i + 2] in ("/*", "*/") else 1
+            out.append(" ")
+        elif raw:
+            end = text.find('"' + raw.group(1), raw.end())
+            i = n if end < 0 else end + 1 + len(raw.group(1))
+            out.append(" ")
+        elif c == '"':
+            i += 1
+            while i < n and text[i] != '"':
+                i += 2 if text[i] == "\\" else 1
+            i += 1
+            out.append(" ")
+        elif c == "'" and (text[i + 1:i + 2] == "\\" or text[i + 2:i + 3] == "'"):
+            # A char literal, not a lifetime or a label.
+            end = text.find("'", i + 3 if text[i + 1] == "\\" else i + 2)
+            i = n if end < 0 else end + 1
+            out.append(" ")
         else:
-            keep.append(line.split("//", 1)[0])
-    return "\n".join(keep)
+            out.append(c)
+            i += 1
+    return "".join(out)
 
 
 def doc_fences(path):

@@ -119,7 +119,7 @@ fn staging_exhaustion_blocks_put_not_get() {
         .unwrap();
     // Reads of already-staged data still work.
     let (got, _) = space.get_seq(3, 2, "mem", 0, &piece(0)).unwrap();
-    assert_eq!(got, data(0));
+    assert_eq!(got[..], data(0)[..]);
 }
 
 #[test]
@@ -190,9 +190,9 @@ fn eviction_frees_staging_in_version_order() {
         .unwrap();
     assert_eq!(space.staging_bytes(0), 256);
     let (got, _) = space.get_seq(3, 2, "ring", 1, &piece(1)).unwrap();
-    assert_eq!(got, data(1));
+    assert_eq!(got[..], data(1)[..]);
     let (got, _) = space.get_seq(3, 2, "ring", 2, &piece(0)).unwrap();
-    assert_eq!(got, data(0));
+    assert_eq!(got[..], data(0)[..]);
 }
 
 #[test]
